@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check clean
+.PHONY: all build vet lint lint-json race test check bench loc clean
 
 all: build
 
@@ -31,6 +31,27 @@ test:
 	$(GO) test ./...
 
 check: build vet lint race
+
+# The repo's host-time benchmark (BENCHMARK.json, benchmarks/perf/README.md):
+# four workloads, six gated end-to-end metrics, sim_digest output checks.
+bench:
+	$(GO) run ./benchmarks/perf
+
+# The two sizes the simplicity aim tracks (ROADMAP aim 2): non-test Go
+# lines, and the exported fields (= independently settable options) of
+# the five config structs.
+CONFIG_STRUCTS = internal/core/policy.go:Config internal/cache/cache.go:Config \
+	internal/tokenctl/tokenctl.go:Options internal/resil/resil.go:Options \
+	internal/resil/resil.go:HedgeConfig
+
+loc:
+	@printf 'non-test Go lines: '
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path '*/testdata/*' | xargs cat | wc -l
+	@total=0; for s in $(CONFIG_STRUCTS); do \
+		f=$${s%%:*}; n=$${s##*:}; \
+		c=$$(awk -v n=$$n '$$0 == "type " n " struct {" {on=1; next} on && /^}/ {on=0} on && /^\t[A-Z]/ {c++} END {print c+0}' $$f); \
+		echo "exported fields $$f $$n: $$c"; total=$$((total+c)); \
+	done; echo "exported config fields: $$total"
 
 clean:
 	$(GO) clean ./...

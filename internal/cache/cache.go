@@ -27,8 +27,13 @@ import (
 	"tango/internal/trace"
 )
 
-// Config parameterizes the cache and its prefetcher. Zero values take the
-// defaults noted per field.
+// chunkMB is the transfer granularity of prefetch staging and the trim
+// granularity of eviction. Smaller chunks abort faster when interference
+// returns mid-transfer.
+const chunkMB = 32
+
+// Config parameterizes the cache. Zero values take the defaults noted
+// per field.
 type Config struct {
 	// CapacityMB bounds the cache footprint on the fast tier (default
 	// 512). The effective capacity is additionally clamped to the free
@@ -36,33 +41,9 @@ type Config struct {
 	// runtime if the device fills up — the cache never displaces staged
 	// data.
 	CapacityMB int
-	// ChunkMB is the transfer granularity of prefetch staging and the
-	// trim granularity of eviction (default 32). Smaller chunks abort
-	// faster when interference returns mid-transfer.
-	ChunkMB int
 	// ReuseDecay is the EWMA factor folding each step's observed request
 	// fraction into a run's expected-reuse score (default 0.3).
 	ReuseDecay float64
-
-	// Interval is the prefetcher's tick period in virtual seconds
-	// (default 15: four decision points per default 60 s analytics step).
-	Interval float64
-	// LowWaterFrac gates prefetching to predicted quiet windows: the
-	// prefetcher stages only while the forecast bandwidth is at least
-	// this fraction of the model's peak (default 0.75).
-	LowWaterFrac float64
-	// PauseFrac pauses staging when the observed capacity-tier bandwidth
-	// drops below this fraction of the forecast — the forecast is wrong,
-	// so the quiet window cannot be trusted (default 0.9).
-	PauseFrac float64
-	// BpsLimitMB caps the background flow's read and write byte rate
-	// (blkio.throttle) in MB/s (default 32). Together with the
-	// floor-pinned weight this keeps the prefetch flow from degrading
-	// foreground bandwidth.
-	BpsLimitMB int
-	// Lookahead is how many future steps of planned cursors the
-	// prefetch target covers (default 2).
-	Lookahead int
 
 	// Trace, when non-nil, receives cache hit/miss/evict and prefetch
 	// events; Source labels them (the session name).
@@ -74,26 +55,8 @@ func (c Config) withDefaults() Config {
 	if c.CapacityMB == 0 {
 		c.CapacityMB = 512
 	}
-	if c.ChunkMB == 0 {
-		c.ChunkMB = 32
-	}
 	if c.ReuseDecay == 0 {
 		c.ReuseDecay = 0.3
-	}
-	if c.Interval == 0 {
-		c.Interval = 15
-	}
-	if c.LowWaterFrac == 0 {
-		c.LowWaterFrac = 0.75
-	}
-	if c.PauseFrac == 0 {
-		c.PauseFrac = 0.9
-	}
-	if c.BpsLimitMB == 0 {
-		c.BpsLimitMB = 32
-	}
-	if c.Lookahead == 0 {
-		c.Lookahead = 2
 	}
 	if c.Source == "" {
 		c.Source = "cache"
@@ -151,12 +114,8 @@ type Cache struct {
 // SetResil routes the staging reads PrefetchTo issues against the home
 // tier through the prefetch.stage policy: deadlined, budgeted, and
 // breaker-gated, so a faulted capacity tier pauses background staging
-// instead of wedging the prefetch process. Pass nil to detach.
+// instead of wedging the prefetch process.
 func (c *Cache) SetResil(rc *resil.Controller) {
-	if rc == nil {
-		c.kStage = nil
-		return
-	}
 	c.kStage = rc.Key(resil.KeyPrefetchStage)
 }
 
@@ -315,7 +274,7 @@ func (c *Cache) chunkEntries(r *run) int {
 	if avg <= 0 {
 		return r.total
 	}
-	n := int(float64(c.cfg.ChunkMB) * device.MB / avg)
+	n := int(chunkMB * device.MB / avg)
 	if n < 1 {
 		n = 1
 	}

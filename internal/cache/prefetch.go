@@ -9,12 +9,27 @@ import (
 	"tango/internal/trace"
 )
 
+const (
+	// tickInterval is the tick period in virtual seconds: four decision
+	// points per default 60 s analytics step.
+	tickInterval = 15.0
+	// lowWaterFrac gates staging to predicted quiet windows: forecast
+	// bandwidth at least this fraction of the model's peak.
+	lowWaterFrac = 0.75
+	// pauseFrac is the fraction of the forecast the observed bandwidth
+	// must reach for the quiet window to be trusted (see paused).
+	pauseFrac = 0.9
+	// bpsLimit caps the background flow's read and write byte rate;
+	// with the floor-pinned weight it keeps prefetch off the foreground.
+	bpsLimit = 32 * device.MB
+)
+
 // PrefetchStats counts the prefetcher's decisions.
 type PrefetchStats struct {
 	Ticks         int // wakeups considered
 	NotReady      int // skipped: estimator has no fitted model yet
-	Paused        int // skipped: observed bandwidth below PauseFrac × forecast
-	Busy          int // skipped: forecast below LowWaterFrac × model peak
+	Paused        int // skipped: observed bandwidth below pauseFrac × forecast
+	Busy          int // skipped: forecast below lowWaterFrac × model peak
 	Runs          int // ticks that staged at least one chunk
 	Aborted       int // staging runs cut short by a mid-run pause
 	WeightRetries int // floor-weight writes rejected by an injected fault
@@ -22,11 +37,12 @@ type PrefetchStats struct {
 }
 
 // Prefetcher drives the cache from inside the simulation: it wakes every
-// Interval, re-asserts its background cgroup's floor weight and byte-rate
-// caps (cross-layer: the prefetch flow must never steal bandwidth from
-// foreground analytics), and stages upcoming augmentation only during
-// predicted low-interference windows. The decision inputs are injected
-// as closures so the package stays independent of the controller.
+// tickInterval, re-asserts its background cgroup's floor weight and
+// byte-rate caps (cross-layer: the prefetch flow must never steal
+// bandwidth from foreground analytics), and stages upcoming augmentation
+// only during predicted low-interference windows. The decision inputs
+// are injected as closures so the package stays independent of the
+// controller.
 type Prefetcher struct {
 	// Forecast returns the next-step capacity-tier bandwidth forecast,
 	// the fitted model's peak, and whether a model is ready.
@@ -48,14 +64,13 @@ type Prefetcher struct {
 	Resil *resil.Controller
 
 	cache  *Cache
-	cfg    Config
 	stats  PrefetchStats
 	kFloor *resil.Key
 }
 
-// NewPrefetcher builds a prefetcher over the cache, sharing its Config.
-func NewPrefetcher(c *Cache, cfg Config) *Prefetcher {
-	return &Prefetcher{cache: c, cfg: cfg.withDefaults()}
+// NewPrefetcher builds a prefetcher over the cache.
+func NewPrefetcher(c *Cache) *Prefetcher {
+	return &Prefetcher{cache: c}
 }
 
 // Stats returns a snapshot of the decision counters.
@@ -69,7 +84,7 @@ func (pf *Prefetcher) paused(forecast float64) bool {
 		return false
 	}
 	obs := pf.Observed()
-	return obs > 0 && forecast > 0 && obs < pf.cfg.PauseFrac*forecast
+	return obs > 0 && forecast > 0 && obs < pauseFrac*forecast
 }
 
 func (pf *Prefetcher) emit(kind, format string, args ...any) {
@@ -80,13 +95,12 @@ func (pf *Prefetcher) emit(kind, format string, args ...any) {
 // returns (ending the container) once Done reports the session exited.
 func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 	cg := c.Cgroup()
-	bps := float64(pf.cfg.BpsLimitMB) * device.MB
 	if pf.Resil != nil {
 		pf.kFloor = pf.Resil.Key(resil.KeyPrefetchWeightFloor)
 		pf.cache.SetResil(pf.Resil)
 	}
 	for {
-		p.Sleep(pf.cfg.Interval)
+		p.Sleep(tickInterval)
 		if pf.Done != nil && pf.Done() {
 			return
 		}
@@ -109,8 +123,8 @@ func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 		} else if err := cg.TrySetWeight(blkio.MinWeight); err != nil {
 			pf.stats.WeightRetries++
 		}
-		cg.SetReadBpsLimit(bps)
-		cg.SetWriteBpsLimit(bps)
+		cg.SetReadBpsLimit(bpsLimit)
+		cg.SetWriteBpsLimit(bpsLimit)
 		if pf.Forecast == nil || pf.Target == nil {
 			pf.stats.NotReady++
 			continue
@@ -123,10 +137,10 @@ func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 		if pf.paused(next) {
 			pf.stats.Paused++
 			pf.emit(trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
-				pf.Observed(), pf.cfg.PauseFrac*100, next)
+				pf.Observed(), pauseFrac*100, next)
 			continue
 		}
-		if next < pf.cfg.LowWaterFrac*peak {
+		if next < lowWaterFrac*peak {
 			pf.stats.Busy++
 			continue // not a quiet window: stay off the device
 		}

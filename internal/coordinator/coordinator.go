@@ -100,15 +100,11 @@ func (a *Allocator) SetTrace(rec *trace.Recorder, now func() float64) {
 // SetResil routes the allocator's weight writes through the
 // coord.weight.apply policy: breaker-gated per cgroup, so a wedged
 // weight file is probed on the breaker's half-open schedule instead of
-// re-written on every rebalance. Pass nil to restore the legacy ad-hoc
-// tolerate-and-retry path.
+// re-written on every rebalance. An allocator it was never called on
+// keeps the ad-hoc tolerate-and-retry path.
 func (a *Allocator) SetResil(rc *resil.Controller) {
 	a.mu.Lock()
-	if rc == nil {
-		a.kApply = nil
-	} else {
-		a.kApply = rc.Key(resil.KeyCoordWeightApply)
-	}
+	a.kApply = rc.Key(resil.KeyCoordWeightApply)
 	a.mu.Unlock()
 }
 

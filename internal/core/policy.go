@@ -13,7 +13,6 @@ import (
 	"tango/internal/coordinator"
 	"tango/internal/device"
 	"tango/internal/resil"
-	"tango/internal/staging"
 	"tango/internal/tokenctl"
 	"tango/internal/trace"
 	"tango/internal/weightfn"
@@ -148,22 +147,6 @@ type Config struct {
 	// experiment).
 	ParallelTierReads bool
 
-	// Retry bounds the sequential read path's reaction to transient
-	// read errors (injected by internal/fault): optional augmentation
-	// gets a bounded retry budget per segment and then degrades, while
-	// base and bound-mandated data retry until the fault clears. Zero
-	// values take the staging defaults.
-	Retry staging.RetryPolicy
-
-	// RegimeTol and RegimeRun drive misprediction-triggered refits:
-	// when the relative error between predicted and measured
-	// capacity-tier bandwidth exceeds RegimeTol for RegimeRun
-	// consecutive steps (an interference regime change the periodic
-	// refit has not caught up with), the estimator refits immediately.
-	// Defaults 0.5 and 4; RegimeRun < 0 disables the detector.
-	RegimeTol float64
-	RegimeRun int
-
 	// Trace, when non-nil, receives structured controller events
 	// (steps, weight adjustments, estimator refits).
 	Trace *trace.Recorder
@@ -217,12 +200,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeBytes == 0 {
 		c.ProbeBytes = 4 * device.MB
 	}
-	if c.RegimeTol == 0 {
-		c.RegimeTol = 0.5
-	}
-	if c.RegimeRun == 0 {
-		c.RegimeRun = 4
-	}
 	if c.Policy == CrossLayerPrefetch && c.Cache == nil {
 		cc := cache.DefaultConfig()
 		c.Cache = &cc
@@ -245,9 +222,6 @@ func (c Config) validate() error {
 	}
 	if c.Period <= 0 {
 		return fmt.Errorf("core: Period must be > 0")
-	}
-	if c.RegimeTol <= 0 {
-		return fmt.Errorf("core: RegimeTol must be > 0")
 	}
 	if c.Allocator != nil && c.Tokens != nil {
 		return fmt.Errorf("core: Allocator and Tokens are mutually exclusive weight-control modes")

@@ -18,6 +18,12 @@ import (
 	"tango/internal/weightfn"
 )
 
+const (
+	regimeTol         = 0.5 // relative forecast error that counts as a misprediction
+	regimeRun         = 4   // consecutive mispredicted steps that force a refit (runStep)
+	prefetchLookahead = 2   // future steps of planned cursors the prefetch target covers
+)
+
 // BucketStat records the retrieval of one augmentation bucket Aug_{ε_m}:
 // its accuracy level, cursor range, the blkio weight in force (0 when the
 // policy does not adjust weights), and its start time and duration. The
@@ -299,11 +305,9 @@ func (s *Session) launchPrefetcher(node *container.Node) error {
 	cc.SetMandatory(s.mandatoryCursor())
 	s.store.SetCache(cc)
 	s.cache = cc
-	pf := cache.NewPrefetcher(cc, ccfg)
+	pf := cache.NewPrefetcher(cc)
 	pf.Forecast = s.forecast
-	if s.Config.Resil != nil {
-		pf.Resil = s.Config.Resil
-	}
+	pf.Resil = s.Config.Resil
 	pf.Observed = func() float64 {
 		if len(s.stats) == 0 {
 			return 0
@@ -334,8 +338,9 @@ func (s *Session) forecast() (next, peak float64, ok bool) {
 }
 
 // prefetchTarget is the global cursor the prefetcher should stage up to:
-// the maximum cursor the controller would plan over the next Lookahead
-// steps, floored by the prescribed bound's rung. Mirrors planCursor.
+// the maximum cursor the controller would plan over the next
+// prefetchLookahead steps, floored by the prescribed bound's rung.
+// Mirrors planCursor.
 func (s *Session) prefetchTarget() int {
 	target := s.mandatoryCursor()
 	if !s.est.Ready() {
@@ -347,11 +352,7 @@ func (s *Session) prefetchTarget() int {
 	if s.Config.Policy.crossLayer() {
 		boost = s.weightBoost()
 	}
-	la := 2
-	if s.Config.Cache != nil && s.Config.Cache.Lookahead > 0 {
-		la = s.Config.Cache.Lookahead
-	}
-	for i := 0; i < la; i++ {
+	for i := 0; i < prefetchLookahead; i++ {
 		deg := s.Config.Plot.Degree(s.est.Predict(n+i) * boost)
 		if cur := h.CursorForFraction(deg); cur > target {
 			target = cur
@@ -539,7 +540,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	// Line 1: retrieve the base representation from the fastest tier.
 	// The base is always mandatory, so its guarded read retries through
 	// transient faults rather than failing.
-	baseStats, baseOut := s.store.ReadBaseGuarded(p, c.Cgroup(), cfg.Retry, notify)
+	baseStats, baseOut := s.store.ReadBaseGuarded(p, c.Cgroup(), notify)
 	_, st.BaseTime = baseStats.Total()
 	st.Retries += baseOut.Retries
 	tier.Merge(baseStats)
@@ -561,7 +562,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 			tier.Merge(s.store.ReadRangeParallel(p, c.Cgroup(), b.from, b.to))
 			st.Cursor = b.to
 		} else {
-			ts, out := s.store.ReadRangeGuarded(p, c.Cgroup(), b.from, b.to, mandatory, cfg.Retry, notify)
+			ts, out := s.store.ReadRangeGuarded(p, c.Cgroup(), b.from, b.to, mandatory, notify)
 			tier.Merge(ts)
 			st.Retries += out.Retries
 			st.Cursor = out.Cursor
@@ -669,16 +670,16 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	// Regime-change detection: a model fit against a vanished
 	// interference regime (a collapsed device, churned competitors)
 	// mispredicts persistently until the next periodic refit. When the
-	// relative error stays above RegimeTol for RegimeRun consecutive
+	// relative error stays above regimeTol for regimeRun consecutive
 	// steps, refit now instead of waiting out RefitEvery.
-	if cfg.RegimeRun > 0 && !refitted && st.Predicted > 0 && st.SlowBW > 0 {
+	if !refitted && st.Predicted > 0 && st.SlowBW > 0 {
 		relErr := math.Abs(st.Predicted-st.SlowBW) / math.Max(st.Predicted, st.SlowBW)
-		if relErr > cfg.RegimeTol {
+		if relErr > regimeTol {
 			s.regimeStreak++
 		} else {
 			s.regimeStreak = 0
 		}
-		if s.regimeStreak >= cfg.RegimeRun && s.est.Samples() >= 4 {
+		if s.regimeStreak >= regimeRun && s.est.Samples() >= 4 {
 			if err := s.est.Fit(); err != nil {
 				panic(err) // unreachable: sample count checked
 			}

@@ -148,3 +148,86 @@ func TestNilTokenDegradesToTryRead(t *testing.T) {
 		t.Fatalf("want ErrRead through nil-token path, got %v", err)
 	}
 }
+
+func TestZeroByteCancellableReadPaysLatencyOnly(t *testing.T) {
+	eng := sim.NewEngine()
+	pp := flatParams(100)
+	pp.RequestLatency = 0.5
+	d := New(eng, pp)
+	cg := blkio.NewCgroup("a")
+	var tok Token
+	var elapsed float64
+	var err error
+	eng.Spawn("reader", func(p *sim.Proc) {
+		elapsed, err = d.TryReadCancel(p, cg, 0, &tok)
+	})
+	if e := eng.RunAll(); e != nil {
+		t.Fatal(e)
+	}
+	if err != nil {
+		t.Fatalf("zero-byte read: %v", err)
+	}
+	almost(t, elapsed, 0.5, 1e-12, "request latency still paid")
+	almost(t, tok.Moved(), 0, 0, "nothing to move")
+	almost(t, d.TotalBytes(), 0, 0, "device untouched")
+	almost(t, cg.BytesRead(), 0, 0, "cgroup untouched")
+	if d.ActiveFlows() != 0 {
+		t.Fatalf("zero-byte request joined the active set: %d flows", d.ActiveFlows())
+	}
+	if tok.Cancel() {
+		t.Fatal("token must be spent after a zero-byte read")
+	}
+}
+
+func TestReadErrorOnCancellablePath(t *testing.T) {
+	eng := sim.NewEngine()
+	pp := flatParams(100)
+	pp.RequestLatency = 0.5
+	d := New(eng, pp)
+	d.SetReadError(true)
+	cg := blkio.NewCgroup("a")
+	var tok Token
+	var elapsed float64
+	var err error
+	eng.Spawn("reader", func(p *sim.Proc) {
+		elapsed, err = d.TryReadCancel(p, cg, 1000, &tok)
+	})
+	if e := eng.RunAll(); e != nil {
+		t.Fatal(e)
+	}
+	if !errors.Is(err, ErrRead) {
+		t.Fatalf("want ErrRead, got %v", err)
+	}
+	almost(t, elapsed, 0.5, 1e-12, "the failed request pays its latency")
+	almost(t, tok.Moved(), 0, 0, "a read error moves nothing")
+	almost(t, d.TotalBytes(), 0, 0, "device untouched")
+	almost(t, cg.BytesRead(), 0, 0, "cgroup untouched")
+	if tok.Cancel() {
+		t.Fatal("cancel after a read error must be a no-op")
+	}
+}
+
+// TestTransferSteadyStateZeroAlloc pins the single transfer path's
+// allocation contract with the runtime allocator: once the flow and event
+// freelists are warm, neither a plain nor a cancellable read allocates.
+func TestTransferSteadyStateZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	d := New(eng, HDD("hdd"))
+	cg := blkio.NewCgroup("a")
+	var tok Token
+	var plain, cancellable float64
+	eng.Spawn("reader", func(p *sim.Proc) {
+		for i := 0; i < 64; i++ {
+			d.Read(p, cg, 4*MB)
+			d.TryReadCancel(p, cg, 4*MB, &tok)
+		}
+		plain = testing.AllocsPerRun(256, func() { d.Read(p, cg, 4*MB) })
+		cancellable = testing.AllocsPerRun(256, func() { d.TryReadCancel(p, cg, 4*MB, &tok) })
+	})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if plain != 0 || cancellable != 0 {
+		t.Fatalf("steady-state allocs/op: Read %.1f, TryReadCancel %.1f; want 0, 0", plain, cancellable)
+	}
+}

@@ -151,23 +151,23 @@ func (p Params) validate() error {
 // done, at which point the device holds no reference to it.
 type flow struct {
 	id       int64
-	d        *Device // owning device, for the Fire callback (fast path only)
+	d        *Device // owning device, for the Fire callback
 	cg       *blkio.Cgroup
 	proc     *sim.Proc
+	tok      *Token  // non-nil on a cancellable transfer; armed by issue
 	bytes    float64 // total requested
 	bytesRem float64
 	rate     float64 // current bytes/sec
 	write    bool
-	start    float64
 	done     bool
 	canceled bool // aborted via Token.Cancel; issuer observes and recycles
-	fallible bool // fast path only: check readErr at issue time
-	failed   bool // fast path only: read error observed at issue time
+	fallible bool // check readErr at issue time
+	failed   bool // read error observed at issue time
 	gi       int  // reshape scratch: index into Device.groups
 }
 
 // Fire issues the flow after its request-latency wait; it is the
-// sim.Callback body for the event transferFast schedules, carrying the
+// sim.Callback body for the event transfer schedules, carrying the
 // per-transfer state without a per-call closure.
 func (f *flow) Fire() { f.d.issue(f) }
 
@@ -231,7 +231,6 @@ type Device struct {
 
 	// accounting
 	totalBytes float64
-	busyUntil  float64
 	busyTime   float64
 	used       float64 // staged bytes (capacity accounting)
 }
@@ -463,7 +462,7 @@ func (t *Token) Cancel() bool {
 	if t.d == nil || t.spent || t.pre {
 		return false
 	}
-	t.pre = true // transfer is still paying request latency; fail it on wake
+	t.pre = true // transfer is still paying request latency; issue fails it
 	return true
 }
 
@@ -482,60 +481,46 @@ func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok
 	return d.transfer(p, cg, bytes, false, true, tok)
 }
 
+// transfer is the one request path behind Read, Write, TryRead and
+// TryReadCancel. The flow is issued from an engine-side event at
+// start+latency rather than by sleeping the process just to issue the
+// flow and park again: the issue event occupies exactly the queue slot a
+// Sleep's resume event would, and each transfer saves a goroutine
+// round-trip.
+//
+//tango:hotpath
 func (d *Device) transfer(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token) (float64, error) {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("device %q: invalid transfer size %v", d.p.Name, bytes))
 	}
 	start := d.eng.Now()
-	if tok == nil && bytes > 0 {
-		return d.transferFast(p, cg, bytes, write, fallible, start)
-	}
-	if lat := d.p.RequestLatency + d.extraLatency; lat > 0 {
-		p.Sleep(lat)
-	}
-	if tok != nil && tok.pre {
-		// Cancelled while paying the request latency: no flow was issued,
-		// nothing transferred.
-		tok.spent = true
-		return d.eng.Now() - start, d.wrappedCancelErr
-	}
-	if fallible && d.readErr {
-		if tok != nil {
-			tok.spent = true
-		}
-		return d.eng.Now() - start, d.wrappedReadErr
-	}
-	if bytes == 0 {
-		if tok != nil {
-			tok.spent = true
-		}
-		return d.eng.Now() - start, nil
-	}
 	f := d.newFlow()
 	f.d = d
 	f.cg = cg
 	f.proc = p
+	f.tok = tok
 	f.bytes = bytes
 	f.bytesRem = bytes
 	f.write = write
-	f.start = start
-	d.issue(f)
-	if tok != nil {
-		tok.f, tok.id = f, f.id
+	f.fallible = fallible
+	if lat := d.p.RequestLatency + d.extraLatency; lat > 0 {
+		d.eng.AtCall(start+lat, f)
+	} else {
+		d.issue(f)
 	}
 	for !f.done && !f.canceled {
 		p.Suspend()
 	}
-	canceled := f.canceled
 	moved := bytes
-	if canceled {
-		moved = f.bytes - f.bytesRem
-		if moved < 0 {
-			moved = 0
-		}
+	var err error
+	switch {
+	case f.canceled:
+		moved, err = math.Max(f.bytes-f.bytesRem, 0), d.wrappedCancelErr
+	case f.failed:
+		moved, err = 0, d.wrappedReadErr
 	}
-	// The device dropped its reference (completeDrained or cancelFlow);
-	// the struct is ours to recycle.
+	// The device dropped its reference (issue, completeDrained or
+	// cancelFlow); the struct is ours to recycle.
 	*f = flow{}
 	d.flowFree = append(d.flowFree, f)
 	if tok != nil {
@@ -544,10 +529,7 @@ func (d *Device) transfer(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, f
 		tok.moved = moved
 	}
 	cg.Account(moved, write)
-	if canceled {
-		return d.eng.Now() - start, d.wrappedCancelErr
-	}
-	return d.eng.Now() - start, nil
+	return d.eng.Now() - start, err
 }
 
 // cancelFlow aborts a live flow: it integrates progress to now, credits
@@ -578,61 +560,28 @@ func (d *Device) cancelFlow(f *flow, id int64) bool {
 	return true
 }
 
-// transferFast is the token-less transfer path (plain Read/Write and
-// TryRead): the flow is issued from an engine-side event at
-// start+latency instead of sleeping the process just to issue the flow
-// and park again — the issue event occupies exactly the queue slot
-// Sleep's resume event occupied, so the simulation stays byte-identical
-// while each transfer saves a full goroutine round-trip. Cancellable
-// (token-carrying) transfers keep the slow path in transfer: a
-// latency-phase cancel must resume user code at that queue slot, which
-// only the process itself can do.
-//
-//tango:hotpath
-func (d *Device) transferFast(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fallible bool, start float64) (float64, error) {
-	f := d.newFlow()
-	f.d = d
-	f.cg = cg
-	f.proc = p
-	f.bytes = bytes
-	f.bytesRem = bytes
-	f.write = write
-	f.fallible = fallible
-	f.start = start
-	if lat := d.p.RequestLatency + d.extraLatency; lat > 0 {
-		d.eng.AtCall(start+lat, f)
-	} else {
-		d.issue(f)
-	}
-	for !f.done && !f.canceled {
-		p.Suspend()
-	}
-	failed := f.failed
-	*f = flow{}
-	d.flowFree = append(d.flowFree, f)
-	if failed {
-		return d.eng.Now() - start, d.wrappedReadErr
-	}
-	cg.Account(bytes, write)
-	return d.eng.Now() - start, nil
-}
-
-// issue adds a prepared flow to the active set at the current instant:
-// check the injected read-error state (fast fallible path), subscribe
-// the cgroup, stamp the id, integrate progress to now, and reshape. It
-// runs inline on the issuing process (zero request latency, or the slow
-// path after its Sleep) or as the flow's Fire event after the fast
-// path's latency wait — the same operations in the same order either
-// way.
+// issue runs at the instant the request latency has been paid — inline
+// on the issuing process when there is none, else as the flow's Fire
+// event. A request that was cancelled while paying the latency, that
+// hits an injected read error, or that asks for zero bytes finishes here
+// without ever joining the active set; anything else subscribes the
+// cgroup, stamps the id (arming the token), integrates progress to now
+// and reshapes.
 //
 //tango:hotpath
 func (d *Device) issue(f *flow) {
-	if f.fallible && d.readErr {
-		// The same instant the slow path would observe the error at; no
-		// flow was issued, nothing transfers. Wake no-ops when the issue
-		// ran inline (the process is still running and sees f.done).
+	switch {
+	case f.tok != nil && f.tok.pre:
+		f.canceled = true
+	case f.fallible && d.readErr:
 		f.failed = true
 		f.done = true
+	case f.bytes == 0:
+		f.done = true
+	}
+	if f.done || f.canceled {
+		// No-op when issue ran inline: the process is still running and
+		// sees the flag itself.
 		d.eng.Wake(f.proc)
 		return
 	}
@@ -642,6 +591,9 @@ func (d *Device) issue(f *flow) {
 	}
 	f.id = d.nextID
 	d.nextID++
+	if f.tok != nil {
+		f.tok.f, f.tok.id = f, f.id
+	}
 	d.advance()
 	d.flows = append(d.flows, f)
 	d.reshape()

@@ -34,7 +34,9 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 
 	"tango/internal/container"
@@ -209,11 +211,9 @@ type node struct {
 	killUntil float64
 
 	// measured mirrors the current epoch's measured flag (published at
-	// the barrier, read by step procs inside the window); draining tells
-	// parked step procs to exit at end of run; procs tracks every step
-	// proc spawned on this node's engine so the drain can wake them.
+	// the barrier, read by step procs inside the window); procs tracks
+	// every step proc spawned on this node's engine, for killProcs.
 	measured bool
-	draining bool
 	procs    []*sim.Proc
 
 	// per-epoch accumulators; reset at each barrier. Written only from
@@ -360,11 +360,10 @@ func (nd *node) predictFrac(nodeBW float64) float64 {
 }
 
 // Run executes the configured epochs and returns the report. Single
-// use: a finished cluster holds drained engines.
+// use: a finished cluster's step procs are gone.
 func (c *Cluster) Run() (*Report, error) {
 	cfg := c.cfg
 	nodeBW := cfg.Store.NodeBandwidth
-	lastEnd := 0.0
 	for e := 0; e < cfg.Epochs; e++ {
 		t0 := float64(e) * cfg.EpochSec
 		end := t0 + cfg.EpochSec
@@ -401,37 +400,26 @@ func (c *Cluster) Run() (*Report, error) {
 
 		// ---- barrier: harvest, node-index order ----
 		c.harvest(e)
-		lastEnd = end
 	}
-	if err := c.drainProcs(lastEnd); err != nil {
-		return nil, err
+	for _, nd := range c.nodes {
+		nd.killProcs()
 	}
+	// One goroutine per session just exited; their stacks and the wait
+	// records they parked on are freed only by a collection. Run it here,
+	// so what a finished cluster leaves for the next one in the process
+	// does not depend on where the pacer's next cycle happens to fall.
+	runtime.GC()
 	return c.report(), nil
 }
 
-// drainProcs wakes every parked step proc on the alive nodes so its
-// goroutine exits: without persistent procs the goroutine count equalled
-// steps and self-drained; with them it equals sessions and needs this
-// farewell wake. Procs mid-transfer past the final epoch either no-op
-// the Wake (awaiting a resume already committed) or re-park in the
-// transfer's suspend loop when woken (the flow never completes) — the
-// same bounded leak the seed had for overrunning steps (and for killed
-// nodes' engines).
-func (c *Cluster) drainProcs(end float64) error {
-	for _, nd := range c.nodes {
-		if !nd.alive || len(nd.procs) == 0 {
-			continue
-		}
-		nd.draining = true
-		eng := nd.cn.Engine()
-		for _, p := range nd.procs {
-			eng.Wake(p)
-		}
-		if err := eng.Run(end); err != nil {
-			return err
-		}
+// killProcs ends the node's step procs (parked between epochs or, on an
+// overrun, inside a transfer that will never complete): a goroutine left
+// parked keeps its whole cluster reachable. Called at a barrier or after
+// the last window, when the node's engine is not running.
+func (nd *node) killProcs() {
+	for _, p := range nd.procs {
+		nd.cn.Engine().Kill(p)
 	}
-	return nil
 }
 
 // applyPlan interprets the fault plan at the barrier opening epoch e:
@@ -460,6 +448,7 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 		if c.killEpoch < 0 {
 			c.killEpoch = epoch
 		}
+		nd.killProcs()
 		orphans := nd.sessions
 		nd.sessions = nil
 		nd.load = 0
@@ -472,7 +461,6 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 			s.node = -1
 			s.cg = nil
 			s.tb = nil // the bucket died with the node's controller
-			s.migrations++
 			c.migrations++
 		}
 		c.emit(t0, trace.KindFault, "node-kill node=%s sessions=%d until=%g", nd.name, len(orphans), nd.killUntil)
@@ -487,10 +475,16 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 	}
 }
 
-// nodeIndex parses a "node<i>" target.
+// nodeIndex parses a "node<i>" target strictly: only the spelling the
+// fleet itself prints for node i is accepted ("node03", "node+3" and
+// "node3x" are not node 3).
 func nodeIndex(name string) (int, bool) {
-	var i int
-	if _, err := fmt.Sscanf(name, "node%d", &i); err != nil {
+	digits, ok := strings.CutPrefix(name, "node")
+	if !ok {
+		return 0, false
+	}
+	i, err := strconv.Atoi(digits)
+	if err != nil || strconv.Itoa(i) != digits {
 		return 0, false
 	}
 	return i, true
@@ -561,7 +555,7 @@ func (c *Cluster) attach(nd *node, s *session) {
 	// each later one, inserting exactly one resume event per step at the
 	// arm instant — the queue slot the old Spawn-per-step pattern's arm
 	// event occupied, which is the byte-identity contract with it. A proc
-	// left parked on a previous node stays there until that node drains.
+	// left parked on a previous node stays there until killProcs.
 	epochSec := c.cfg.EpochSec
 	s.proc = nil
 	s.stepFn = func(p *sim.Proc) { nd.runSession(p, s, epochSec) }
@@ -587,8 +581,8 @@ func (c *Cluster) detach(nd *node, s *session) {
 	s.node = -1
 	s.cg = nil
 	// The parked proc (and its step closure) belong to the old node's
-	// engine; attach on the destination rebuilds them. The old proc exits
-	// at that node's drain.
+	// engine; attach on the destination rebuilds them. The old proc ends
+	// with that node (killProcs).
 	s.proc = nil
 	s.stepFn = nil
 }
@@ -658,7 +652,6 @@ func (c *Cluster) settle(t float64) {
 		s.resident = 0
 		c.detach(src, s)
 		c.attach(dst, s)
-		s.migrations++
 		c.migrations++
 		moved++
 	}

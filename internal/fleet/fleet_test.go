@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"tango/internal/fault"
 	"tango/internal/runpool"
@@ -139,6 +141,37 @@ func TestNodeKillRebalanceAndRecovery(t *testing.T) {
 	}
 }
 
+// A finished run leaves no step goroutine behind — not on surviving
+// nodes, not on the killed node's abandoned engine, not for sessions that
+// migrated away from their proc.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := New(Config{
+		Nodes: 4, Sessions: 32, Seed: 11,
+		Plan: killPlan(t, "node-kill@240:node=node1,dur=120"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for _, nd := range c.nodes {
+		live += nd.cn.Engine().LiveProcs()
+	}
+	if live != 0 {
+		t.Fatalf("%d step procs still live after Run", live)
+	}
+	// runpool workers and just-killed procs finish exiting asynchronously.
+	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before the run, %d after", before, n)
+	}
+}
+
 func TestKillDuringWarmupNoPanic(t *testing.T) {
 	// A kill landing at or before the warm-up boundary used to slice
 	// epochMBps[WarmEpochs:killEpoch] with low > high and panic; there is
@@ -213,17 +246,56 @@ func TestShortRunsAndZeroWarmup(t *testing.T) {
 }
 
 func TestKillUnknownNodeSkips(t *testing.T) {
-	c, err := New(Config{Nodes: 2, Sessions: 4, Seed: 5,
-		Plan: killPlan(t, "node-kill@60:node=node9,dur=60")})
-	if err != nil {
-		t.Fatal(err)
+	// node9 does not exist; the rest are misspellings of the live node1
+	// that a lax parse would resolve to it.
+	for _, target := range []string{"node9", "node1x", "node+1", "node01", "node-1", "node"} {
+		rec := trace.New(4096)
+		c, err := New(Config{Nodes: 2, Sessions: 4, Seed: 5, Trace: rec,
+			Plan: &fault.Plan{Events: []fault.Event{{At: 60, Kind: fault.NodeKill, Target: target, Duration: 60}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Kills != 0 || r.Migrations != 0 {
+			t.Errorf("target %q must be a no-op: %+v", target, r)
+		}
+		want := "skip node-kill node=" + target + " (no such live node)"
+		found := false
+		for _, ev := range rec.Events() {
+			found = found || (ev.Kind == trace.KindFault && ev.Msg == want)
+		}
+		if !found {
+			t.Errorf("target %q: trace lacks %q", target, want)
+		}
 	}
-	r, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kills != 0 || r.Migrations != 0 {
-		t.Fatalf("unknown target must be a no-op: %+v", r)
+}
+
+func TestNodeIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		idx  int
+		ok   bool
+	}{
+		{"node0", 0, true},
+		{"node3", 3, true},
+		{"node999", 999, true},
+		{"node-3", -3, true}, // well-formed; the caller's range check rejects it
+		{"node", 0, false},
+		{"node3x", 0, false},
+		{"node+3", 0, false},
+		{"node03", 0, false},
+		{"node 3", 0, false},
+		{"node3 ", 0, false},
+		{"Node3", 0, false},
+		{"3", 0, false},
+		{"", 0, false},
+	} {
+		if idx, ok := nodeIndex(tc.name); idx != tc.idx || ok != tc.ok {
+			t.Errorf("nodeIndex(%q) = %d, %v; want %d, %v", tc.name, idx, ok, tc.idx, tc.ok)
+		}
 	}
 }
 

@@ -48,10 +48,6 @@ type session struct {
 	// proc body.
 	proc   *sim.Proc
 	stepFn func(p *sim.Proc)
-
-	steps      int
-	bytes      float64
-	migrations int
 }
 
 // genSessions draws the session population. The generator is the only
@@ -111,16 +107,13 @@ func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 }
 
 // runSession is a session's persistent step proc: it runs one step per
-// wake-up and parks between epochs. It exits when its node starts
-// draining (end of run) — a proc orphaned by a planned migration stays
-// parked until then, because only the drain ever wakes a proc that is no
-// longer armed. nd.measured is read at step start, inside the epoch that
-// armed it, so it matches the value the barrier published.
+// wake-up and parks between epochs. It never returns: the node kills it
+// (killProcs) when the node dies or the run ends — a proc orphaned by a
+// planned migration stays parked until then, because nothing arms it
+// again. nd.measured is read at step start, inside the epoch that armed
+// it, so it matches the value the barrier published.
 func (nd *node) runSession(p *sim.Proc, s *session, epochSec float64) {
 	for {
-		if nd.draining {
-			return
-		}
 		nd.step(p, s, epochSec, nd.measured)
 		p.Suspend()
 	}
@@ -185,7 +178,5 @@ func (nd *node) step(p *sim.Proc, s *session, epochSec float64, measured bool) {
 		nd.viol++
 	}
 	nd.stepBytes += s.stepRead
-	s.steps++
-	s.bytes += s.stepRead
 	s.busy = false
 }

@@ -33,18 +33,7 @@ type Scenario struct {
 // NewScenario builds the node and launches the first nNoise interferers
 // of Table IV (0–6).
 func NewScenario(name string, nNoise int) *Scenario {
-	node := container.NewNode(name)
-	s := &Scenario{
-		Node: node,
-		SSD:  node.MustAddDevice(device.SSD("ssd")),
-		HDD:  node.MustAddDevice(device.HDD("hdd")),
-	}
-	set := workload.PaperNoiseSet()
-	if nNoise > len(set) {
-		nNoise = len(set)
-	}
-	s.Noise = workload.LaunchNoiseSetControlled(node, s.HDD, set[:nNoise])
-	return s
+	return newScenarioWithHDD(name, nNoise, hddParamsReal())
 }
 
 // hddParamsReal returns the calibrated HDD preset.

@@ -234,14 +234,14 @@ type HedgeResult struct {
 }
 
 // shouldHedge is the hedging decision rule (docs/resil.md): hedge only
-// reads worth the race (>= MinBytes) and only when either (a) the DFT
+// reads worth the race (>= hedgeMinBytes) and only when either (a) the DFT
 // forecast predicts a contended window — next-window capacity-tier
-// bandwidth below ContentionFrac of the model peak, the same signal the
+// bandwidth below hedgeContentionFrac of the model peak, the same signal the
 // prefetcher reads in the opposite direction to find quiet windows — or
 // (b) the fast tier's breaker is already tripped, which is direct
 // evidence the primary leg is suspect.
 func (c *Controller) shouldHedge(fast *device.Device, bytes float64) bool {
-	if !c.hedge.Enabled || bytes < c.hedge.MinBytes {
+	if !c.hedge.Enabled || bytes < hedgeMinBytes {
 		return false
 	}
 	if b := c.breakers[fast.Name()]; b != nil && b.State(c.eng.Now()) != BreakerClosed {
@@ -254,7 +254,7 @@ func (c *Controller) shouldHedge(fast *device.Device, bytes float64) bool {
 	if !ok || peak <= 0 {
 		return false
 	}
-	return next < c.hedge.ContentionFrac*peak
+	return next < hedgeContentionFrac*peak
 }
 
 // HedgedRead races a fast-tier copy of the payload against the capacity

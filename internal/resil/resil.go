@@ -198,15 +198,20 @@ func Catalog() []Policy {
 // HedgeConfig controls forecast-driven hedged reads.
 type HedgeConfig struct {
 	Enabled bool
-	// ContentionFrac: hedge when the forecast's next-window capacity-
-	// tier bandwidth falls below ContentionFrac × the model peak — the
-	// regime where the storage stack is contended and tail insurance is
-	// worth the extra I/O. 0 defaults to 0.5.
-	ContentionFrac float64
-	// MinBytes skips hedging tiny reads where the race cannot win back
-	// its own request latency. 0 defaults to 4 MiB.
-	MinBytes float64
 }
+
+const (
+	// The hedging decision rule's thresholds (shouldHedge): a forecast
+	// below hedgeContentionFrac of the model peak is a contended window
+	// where tail insurance is worth the extra I/O, and a read under
+	// hedgeMinBytes cannot win back its own request latency.
+	hedgeContentionFrac = 0.5
+	hedgeMinBytes       = 4 * 1024 * 1024
+
+	// Node-wide retry budget shared by all keys: tokens, and tokens/s.
+	nodeBudget = 64.0
+	nodeRefill = 0.5
+)
 
 // KeyStats counts per-key control-plane decisions.
 type KeyStats struct {
@@ -268,11 +273,6 @@ type Options struct {
 	Trace  *trace.Recorder // per-attempt timeline sink (nil = silent)
 	Source string          // trace source label; default "resil"
 
-	// Node-wide retry budget shared by all keys. Zero values default to
-	// 64 tokens refilling at 0.5 tokens/s.
-	NodeBudget float64
-	NodeRefill float64
-
 	Hedge HedgeConfig
 
 	// Policies overrides the default Catalog() (tests, ablations). Nil
@@ -317,20 +317,7 @@ func New(eng *sim.Engine, opts Options) *Controller {
 	if c.src == "" {
 		c.src = "resil"
 	}
-	if c.hedge.ContentionFrac == 0 {
-		c.hedge.ContentionFrac = 0.5
-	}
-	if c.hedge.MinBytes == 0 {
-		c.hedge.MinBytes = 4 * 1024 * 1024
-	}
-	nodeCap, nodeRefill := opts.NodeBudget, opts.NodeRefill
-	if nodeCap == 0 {
-		nodeCap = 64
-	}
-	if nodeRefill == 0 {
-		nodeRefill = 0.5
-	}
-	c.node = bucket{cap: nodeCap, refill: nodeRefill, tokens: nodeCap}
+	c.node = bucket{cap: nodeBudget, refill: nodeRefill, tokens: nodeBudget}
 	pols := opts.Policies
 	if pols == nil {
 		pols = Catalog()

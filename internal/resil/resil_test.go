@@ -355,6 +355,44 @@ func TestHedgedReadSlowTierCoversFastFault(t *testing.T) {
 	}
 }
 
+func TestHedgeLoserCancelledInsideRequestLatency(t *testing.T) {
+	// The fast leg finishes (8 ms) while the slow leg is still paying its
+	// 50 ms request latency: the cancel lands before any flow exists, so
+	// the loser returns when its latency expires and leaves no trace on
+	// its device or in the cgroup's byte counters.
+	eng := sim.NewEngine()
+	c := hedgeController(eng, true)
+	fast := device.New(eng, flatParams("ssd", 1000*1024*1024))
+	sp := flatParams("hdd", 10*1024*1024)
+	sp.RequestLatency = 0.05
+	slow := device.New(eng, sp)
+	cg := blkio.NewCgroup("a")
+	k := c.Key(KeyStagingReadHedge)
+	bytes := 8.0 * 1024 * 1024
+	var res HedgeResult
+	eng.Spawn("reader", func(p *sim.Proc) {
+		res = k.HedgedRead(p, fast, slow, cg, bytes)
+	})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK || !res.FastWon {
+		t.Fatalf("fast tier should win the race: %+v", res)
+	}
+	if res.Elapsed != 0.05 {
+		t.Fatalf("race returns at the loser's start+latency: elapsed %v, want 0.05", res.Elapsed)
+	}
+	if res.SlowMoved != 0 || slow.TotalBytes() != 0 || slow.BusyTime() != 0 {
+		t.Fatalf("loser issued I/O: moved %v, device bytes %v, busy %v", res.SlowMoved, slow.TotalBytes(), slow.BusyTime())
+	}
+	if cg.BytesRead() != bytes {
+		t.Fatalf("cgroup read %v bytes, want the winner's %v only", cg.BytesRead(), bytes)
+	}
+	if st := k.Stats(); st.WastedBytes != 0 {
+		t.Fatalf("nothing was wasted: %+v", st)
+	}
+}
+
 func TestHedgeDecisionRule(t *testing.T) {
 	eng := sim.NewEngine()
 	quiet := hedgeController(eng, false)
@@ -376,7 +414,7 @@ func TestHedgeDecisionRule(t *testing.T) {
 	fast2 := device.New(eng2, flatParams("ssd", 1000*1024*1024))
 	slow2 := device.New(eng2, flatParams("hdd", 10*1024*1024))
 	eng2.Spawn("reader", func(p *sim.Proc) {
-		// Below MinBytes the race cannot pay for itself.
+		// Below hedgeMinBytes the race cannot pay for itself.
 		if res := contended.Key(KeyStagingReadHedge).HedgedRead(p, fast2, slow2, blkio.NewCgroup("b"), 1024); res.Hedged {
 			t.Errorf("tiny read must not hedge: %+v", res)
 		}

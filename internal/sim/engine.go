@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Engine is a discrete-event scheduler over a virtual clock measured in
 // seconds. The zero value is not usable; construct with NewEngine.
@@ -21,7 +18,6 @@ type Engine struct {
 	free   []*event // recycled event structs; bounds steady-state allocation
 	procs  int      // live (not yet finished) processes
 	err    error
-	trace  func(t float64, msg string)
 }
 
 // NewEngine returns an engine with the clock at t=0.
@@ -31,16 +27,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// SetTrace installs a trace hook invoked for engine-level events. A nil
-// hook disables tracing.
-func (e *Engine) SetTrace(fn func(t float64, msg string)) { e.trace = fn }
-
-func (e *Engine) tracef(format string, args ...any) {
-	if e.trace != nil {
-		e.trace(e.now, fmt.Sprintf(format, args...))
-	}
-}
 
 // Err returns the first process failure observed by the engine, if any.
 func (e *Engine) Err() error { return e.err }

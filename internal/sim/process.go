@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 )
 
@@ -20,6 +21,7 @@ type Proc struct {
 
 	done      bool
 	suspended bool
+	killed    bool
 	err       error
 }
 
@@ -44,9 +46,7 @@ func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
 	}
 	p.resumeFn = func() { e.resume(p) }
 	e.procs++
-	e.tracef("spawn %q", name)
 	go func() {
-		<-p.wake // wait for first resume
 		defer func() {
 			if r := recover(); r != nil {
 				p.err = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
@@ -55,6 +55,7 @@ func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
 			p.eng.procs--
 			p.yld <- struct{}{}
 		}()
+		p.park() // wait for first resume
 		fn(p)
 	}()
 	e.At(t, p.resumeFn)
@@ -77,7 +78,25 @@ func (e *Engine) resume(p *Proc) {
 // yield transfers control back to the engine and blocks until resumed.
 func (p *Proc) yield() {
 	p.yld <- struct{}{}
+	p.park()
+}
+
+// park blocks until the engine resumes p. A process killed while parked
+// unwinds from here instead of returning to its body.
+func (p *Proc) park() {
 	<-p.wake
+	if p.killed {
+		runtime.Goexit()
+	}
+}
+
+// Kill ends a parked process where it is blocked: its deferred calls run,
+// no further body code does, and resume events already queued for it
+// become no-ops. Call it from the engine context or while the engine is
+// not running; killing a finished process is a no-op.
+func (e *Engine) Kill(p *Proc) {
+	p.killed = true
+	e.resume(p)
 }
 
 // Name returns the process name given at Spawn.

@@ -280,33 +280,6 @@ func TestNestedSpawnFromProc(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	e := NewEngine()
-	var lines []string
-	e.SetTrace(func(tm float64, msg string) { lines = append(lines, msg) })
-	e.Spawn("worker", func(p *Proc) { p.Sleep(1) })
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) == 0 {
-		t.Fatal("no trace lines emitted")
-	}
-	found := false
-	for _, l := range lines {
-		if l == `spawn "worker"` {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("spawn trace missing: %v", lines)
-	}
-	e.SetTrace(nil) // disabling must be safe
-	e.Spawn("w2", func(p *Proc) {})
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimerWhen(t *testing.T) {
 	e := NewEngine()
 	tm := e.At(7.5, func() {})
@@ -348,5 +321,47 @@ func BenchmarkProcessSwitch(b *testing.B) {
 		if err := e.RunAll(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Kill ends a process wherever it is parked — never started, suspended,
+// asleep — runs its deferred calls and nothing else of its body, and
+// leaves queued resumes for it as no-ops.
+func TestKillEndsParkedProcs(t *testing.T) {
+	e := NewEngine()
+	var deferred, after int
+	body := func(block func(p *Proc)) func(p *Proc) {
+		return func(p *Proc) {
+			defer func() { deferred++ }()
+			block(p)
+			after++
+		}
+	}
+	unstarted := e.SpawnAt(10, "unstarted", body(func(p *Proc) {}))
+	suspended := e.Spawn("suspended", body(func(p *Proc) { p.Suspend() }))
+	asleep := e.Spawn("asleep", body(func(p *Proc) { p.Sleep(10) }))
+	finished := e.Spawn("finished", func(p *Proc) {})
+	if err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if e.LiveProcs() != 3 {
+		t.Fatalf("live procs %d, want 3", e.LiveProcs())
+	}
+	for _, p := range []*Proc{unstarted, suspended, asleep, finished} {
+		e.Kill(p)
+	}
+	if e.LiveProcs() != 0 || !unstarted.Done() || !suspended.Done() || !asleep.Done() {
+		t.Fatalf("live procs %d after Kill", e.LiveProcs())
+	}
+	// The unstarted proc never reached its body, so only two defers ran.
+	if deferred != 2 || after != 0 {
+		t.Fatalf("deferred %d (want 2), body continued %d times (want 0)", deferred, after)
+	}
+	e.Wake(suspended)
+	if err := e.RunAll(); err != nil { // the queued resumes at t=10 must no-op
+		t.Fatal(err)
+	}
+	if after != 0 {
+		t.Fatal("a killed proc resumed")
 	}
 }

@@ -42,7 +42,7 @@ type Store struct {
 	released bool
 	cache    CacheView
 
-	// Resilience control plane (nil = legacy ad-hoc retry loops). Key
+	// Resilience control plane (nil = ad-hoc retry loops). Key
 	// handles are resolved once at SetResil time so the read paths pay
 	// no lookups.
 	rc     *resil.Controller
@@ -62,13 +62,9 @@ func (s *Store) SetCache(c CacheView) { s.cache = c }
 // resilience control plane: per-attempt deadlines, classified retries,
 // budgets, breakers, and — when the controller enables it — hedged reads
 // racing a cache-resident prefix against its capacity-tier home copy.
-// With a nil controller the store keeps its legacy ad-hoc retry loop.
+// A store SetResil was never called on keeps its ad-hoc retry loop.
 func (s *Store) SetResil(rc *resil.Controller) {
 	s.rc = rc
-	if rc == nil {
-		s.kBase, s.kMand, s.kOpt, s.kHedge, s.kProbe = nil, nil, nil, nil, nil
-		return
-	}
 	s.kBase = rc.Key(resil.KeyStagingReadBase)
 	s.kMand = rc.Key(resil.KeyStagingReadCapacity)
 	s.kOpt = rc.Key(resil.KeyStagingReadOptional)
@@ -360,41 +356,17 @@ func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) *
 	return ts
 }
 
-// RetryPolicy bounds the guarded read paths' reaction to transient read
-// errors (see internal/fault): each failed request is retried after a
-// virtual-time backoff that grows by Factor per attempt, capped at Max.
-// Zero values take the defaults.
-type RetryPolicy struct {
-	// Attempts is the retry budget per segment for OPTIONAL augmentation
-	// (beyond the prescribed bound). Exhausting it degrades the read —
-	// the remaining optional augmentation is skipped — instead of
-	// blocking the step (default 4). Mandatory data (the base
-	// representation and augmentation the error bound requires) is
-	// retried indefinitely: degradation must never violate the bound.
-	Attempts int
-	// Backoff is the first retry delay in virtual seconds (default 0.05).
-	Backoff float64
-	// Factor multiplies the delay per attempt (default 2).
-	Factor float64
-	// Max caps the delay (default 5 s).
-	Max float64
-}
-
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.Attempts == 0 {
-		rp.Attempts = 4
-	}
-	if rp.Backoff == 0 {
-		rp.Backoff = 0.05
-	}
-	if rp.Factor == 0 {
-		rp.Factor = 2
-	}
-	if rp.Max == 0 {
-		rp.Max = 5
-	}
-	return rp
-}
+// The ad-hoc guarded read paths' reaction to transient read errors (see
+// internal/fault). Only OPTIONAL augmentation has a retry budget;
+// mandatory data (the base representation and augmentation the error
+// bound requires) is retried indefinitely, because degradation must
+// never violate the bound.
+const (
+	retryAttempts = 4    // tries per optional segment before the read degrades
+	retryBackoff  = 0.05 // first retry delay, virtual seconds
+	retryFactor   = 2.0  // delay multiplier per attempt
+	retryMax      = 5.0  // delay cap, virtual seconds
+)
 
 // GuardedOutcome reports what a guarded read actually achieved.
 type GuardedOutcome struct {
@@ -409,20 +381,19 @@ type Notify func(kind, msg string)
 
 // retryRead reads bytes from dev, retrying transient errors with
 // exponential virtual-time backoff. If bounded is true the retry budget
-// is pol.Attempts, after which it gives up and reports failure;
+// is retryAttempts, after which it gives up and reports failure;
 // otherwise it retries until the fault clears. Returns the elapsed time
 // (including backoff sleeps), the retries spent, and success.
-func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
-	pol RetryPolicy, bounded bool, notify Notify) (float64, int, bool) {
+func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64, bounded bool, notify Notify) (float64, int, bool) {
 	start := p.Now()
-	delay := pol.Backoff
+	delay := retryBackoff
 	retries := 0
 	for attempt := 1; ; attempt++ {
 		_, err := dev.TryRead(p, cg, bytes)
 		if err == nil {
 			return p.Now() - start, retries, true
 		}
-		if bounded && attempt >= pol.Attempts {
+		if bounded && attempt >= retryAttempts {
 			return p.Now() - start, retries, false
 		}
 		retries++
@@ -430,9 +401,9 @@ func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
 			notify(trace.KindRecover, fmt.Sprintf("retry dev=%s attempt=%d backoff=%.3fs bytes=%.0f", dev.Name(), attempt, delay, bytes))
 		}
 		p.Sleep(delay)
-		delay *= pol.Factor
-		if delay > pol.Max {
-			delay = pol.Max
+		delay *= retryFactor
+		if delay > retryMax {
+			delay = retryMax
 		}
 	}
 }
@@ -440,8 +411,7 @@ func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
 // ReadBaseGuarded is ReadBase with unbounded retry: the base
 // representation is mandatory at every step, so a transient fault delays
 // the read rather than failing it.
-func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, pol RetryPolicy, notify Notify) (*TierStats, GuardedOutcome) {
-	pol = pol.withDefaults()
+func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, notify Notify) (*TierStats, GuardedOutcome) {
 	ts := newTierStats()
 	bytes := float64(s.h.BaseBytes()) * s.scale
 	if s.rc != nil {
@@ -449,7 +419,7 @@ func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, pol RetryPolicy, 
 		ts.add(s.baseDev, res.Moved, res.Elapsed)
 		return ts, GuardedOutcome{Cursor: 0, Retries: res.Retries}
 	}
-	el, retries, _ := retryRead(p, s.baseDev, cg, bytes, pol, false, notify)
+	el, retries, _ := retryRead(p, s.baseDev, cg, bytes, false, notify)
 	ts.add(s.baseDev, bytes, el)
 	return ts, GuardedOutcome{Cursor: 0, Retries: retries}
 }
@@ -457,13 +427,11 @@ func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, pol RetryPolicy, 
 // ReadRangeGuarded is ReadRange hardened against injected read errors.
 // Segments whose entries fall at or below `mandatory` (the cursor the
 // prescribed error bound requires) are retried until they succeed;
-// optional segments get pol.Attempts tries each, after which the read
+// optional segments get retryAttempts tries each, after which the read
 // DEGRADES: the remaining optional augmentation is skipped and the
 // outcome reports the cursor actually reached. The caller's accuracy
 // never drops below the bound — only above-bound augmentation is shed.
-func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int,
-	pol RetryPolicy, notify Notify) (*TierStats, GuardedOutcome) {
-	pol = pol.withDefaults()
+func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int, notify Notify) (*TierStats, GuardedOutcome) {
 	ts := newTierStats()
 	out := GuardedOutcome{Cursor: from}
 	for _, seg := range s.h.Segments(from, to) {
@@ -476,7 +444,7 @@ func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandat
 				retries, ok = s.resilPart(p, cg, ts, part, home, needed)
 			} else {
 				var el float64
-				el, retries, ok = retryRead(p, part.dev, cg, part.bytes, pol, !needed, notify)
+				el, retries, ok = retryRead(p, part.dev, cg, part.bytes, !needed, notify)
 				ts.add(part.dev, part.bytes, el)
 			}
 			out.Retries += retries

@@ -6,10 +6,10 @@
 // O(sessions).
 //
 // Tokens are weight·seconds. Holding a grant above the blkio floor for
-// one burst window costs (grant−MinWeight)×BurstSec tokens, paid at
+// one burst window costs (grant−MinWeight)×burstSec tokens, paid at
 // Request from the session's own bucket — incrementally within a
 // window, so re-requests at any cadence spend at most one burst per
-// BurstSec; the bucket refills on the sim clock at cap/RefillSec. A starved session borrows the
+// burstSec; the bucket refills on the sim clock at cap/refillSec. A starved session borrows the
 // shortfall from *idle* peers (AdapTBF-style): the lender's tokens move
 // to the borrower immediately, the debt is recorded in a borrow ledger,
 // and repayment is passive — the debtor's own refill inflow pays debts
@@ -77,63 +77,34 @@ func ParseMode(s string) (Mode, error) {
 	return ModeCentral, fmt.Errorf("tokenctl: unknown control mode %q (want central|tokens|hybrid)", s)
 }
 
-// Options tunes the bucket and ledger geometry. The zero value selects
-// the defaults noted on each field.
+// Bucket and ledger geometry (the package comment has the economics).
+const (
+	// burstSec is the burst window one Request pays for up front (one
+	// controller step); refillSec is the time from empty to cap. Equal,
+	// so a session holding exactly its desired weight breaks even and
+	// idle time accrues lendable surplus.
+	burstSec  = 60.0
+	refillSec = 60.0
+	// boostFactor bounds the grant a bucket may fund at
+	// clamp(desired×boostFactor): borrowing at most doubles a weight and
+	// cannot erase the priority differentiation the weight function
+	// encodes.
+	boostFactor = 2.0
+	maxLenders  = 4 // peers funding one Request
+	maxDebtors  = 8 // concurrent debtors one lender carries
+	maxScan     = 8 // rotating lender scan per Request; keeps Request O(1) in sessions
+)
+
+// Options tunes the controller. The zero value selects the defaults
+// noted on each field.
 type Options struct {
-	// BurstSec is the burst window one Request pays for up front:
-	// holding G extra weight points costs G×BurstSec tokens. Default 60
-	// (one controller step).
-	BurstSec float64
-	// RefillSec is the time a bucket takes to refill from empty to its
-	// cap; the refill rate is cap/RefillSec = desired×BurstSec/RefillSec
-	// tokens/sec. Default 60, so a session holding exactly its desired
-	// weight breaks even and idle time accrues lendable surplus.
-	RefillSec float64
-	// BoostFactor bounds the grant a bucket may fund: the target grant
-	// is clamp(desired×BoostFactor), so a low-priority session can at
-	// most double its weight by borrowing and cannot erase the priority
-	// differentiation the weight function encodes. Default 2.
-	BoostFactor float64
 	// LendFrac caps each lender's outstanding principal at
 	// LendFrac×cap. Default 0.5.
 	LendFrac float64
-	// MaxLenders bounds how many peers fund one Request. Default 4.
-	MaxLenders int
-	// MaxDebtors bounds how many concurrent debtors one lender carries.
-	// Default 8.
-	MaxDebtors int
-	// MaxScan bounds the rotating lender scan per Request; it is what
-	// keeps Request O(1) in the session count. Default 8.
-	MaxScan int
 	// EpochSec > 0 enables hybrid mode: every EpochSec the controller
 	// runs one coordinator-style global rescale and forgives the ledger.
 	// 0 (default) is pure token mode.
 	EpochSec float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.BurstSec <= 0 {
-		o.BurstSec = 60
-	}
-	if o.RefillSec <= 0 {
-		o.RefillSec = 60
-	}
-	if o.BoostFactor <= 0 {
-		o.BoostFactor = 2
-	}
-	if o.LendFrac <= 0 {
-		o.LendFrac = 0.5
-	}
-	if o.MaxLenders <= 0 {
-		o.MaxLenders = 4
-	}
-	if o.MaxDebtors <= 0 {
-		o.MaxDebtors = 8
-	}
-	if o.MaxScan <= 0 {
-		o.MaxScan = 8
-	}
-	return o
 }
 
 // loan is one borrow-ledger entry held by the debtor. pts is the
@@ -161,8 +132,8 @@ type Bucket struct {
 	pending bool // last weight write failed; re-assert on next Request
 	grant   int  // weight currently written while active
 
-	cap    float64 // wantPts(desired) × BurstSec
-	rate   float64 // cap / RefillSec
+	cap    float64 // wantPts(desired) × burstSec
+	rate   float64 // cap / refillSec
 	tokens float64 // current fill, always in [0, cap]
 	last   float64 // sim time of the last settle
 
@@ -171,7 +142,7 @@ type Bucket struct {
 
 	lentOut float64   // outstanding principal across all debtors
 	loans   []loan    // debts this bucket owes (len ≤ maxLoans, preallocated)
-	debtors []*Bucket // buckets owing this one (len ≤ MaxDebtors, preallocated)
+	debtors []*Bucket // buckets owing this one (len ≤ maxDebtors, preallocated)
 }
 
 // Name returns the session name the bucket was attached under.
@@ -222,8 +193,11 @@ type Controller struct {
 // taken as a constant 0, useful in tests that drive time explicitly
 // through a variable).
 func New(now func() float64, opts Options) *Controller {
+	if opts.LendFrac <= 0 {
+		opts.LendFrac = 0.5
+	}
 	c := &Controller{
-		opts:   opts.withDefaults(),
+		opts:   opts,
 		now:    now,
 		byName: map[string]*Bucket{},
 	}
@@ -248,12 +222,9 @@ func (c *Controller) Mode() Mode {
 func (c *Controller) SetTrace(rec *trace.Recorder) { c.rec = rec }
 
 // SetResil routes weight writes through the tokens.weight.apply policy
-// (breaker-gated per cgroup). Pass nil to restore direct TrySetWeight.
+// (breaker-gated per cgroup); without it they are direct TrySetWeight
+// calls.
 func (c *Controller) SetResil(rc *resil.Controller) {
-	if rc == nil {
-		c.kApply = nil
-		return
-	}
 	c.kApply = rc.Key(resil.KeyTokenWeightApply)
 }
 
@@ -276,10 +247,10 @@ func (c *Controller) Attach(name string, cg *blkio.Cgroup) (*Bucket, error) {
 		desired: blkio.DefaultWeight,
 		last:    c.now(),
 		loans:   make([]loan, 0, maxLoans),
-		debtors: make([]*Bucket, 0, c.opts.MaxDebtors),
+		debtors: make([]*Bucket, 0, maxDebtors),
 	}
-	b.cap = float64(c.wantPts(b.desired)) * c.opts.BurstSec
-	b.rate = b.cap / c.opts.RefillSec
+	b.cap = float64(c.wantPts(b.desired)) * burstSec
+	b.rate = b.cap / refillSec
 	b.tokens = b.cap
 	c.buckets = append(c.buckets, b)
 	c.byName[name] = b
@@ -339,7 +310,7 @@ func (c *Controller) Detach(b *Bucket) {
 // bucket, pays for the burst window from its own tokens, borrows any
 // shortfall from idle peers, and — if the bucket is itself a starved
 // lender — recalls in-force points from its debtors. Payment is
-// window-incremental: a re-request inside the same BurstSec window
+// window-incremental: a re-request inside the same burstSec window
 // (the controller adjusts the weight once per bucket within a step)
 // only pays for points beyond what the window has already funded, so
 // the sustainable spend rate is one burst per window regardless of the
@@ -357,7 +328,7 @@ func (c *Controller) Request(b *Bucket, desired int) int {
 	if !b.active {
 		c.active++
 	}
-	if !b.active || now-b.burstStart >= c.opts.BurstSec {
+	if !b.active || now-b.burstStart >= burstSec {
 		// A fresh window: the previous burst's borrowed points fall out
 		// of force and the window is re-funded from scratch.
 		c.endBoost(b)
@@ -368,11 +339,11 @@ func (c *Controller) Request(b *Bucket, desired int) int {
 	want := c.wantPts(d)
 	chargeable := want - b.paidPts
 	if chargeable > 0 {
-		own := int(b.tokens / c.opts.BurstSec)
+		own := int(b.tokens / burstSec)
 		if own > chargeable {
 			own = chargeable
 		}
-		b.tokens -= float64(own) * c.opts.BurstSec
+		b.tokens -= float64(own) * burstSec
 		short := chargeable - own
 		if short > 0 {
 			short = c.borrow(b, short, now)
@@ -456,12 +427,12 @@ func (c *Controller) settle(b *Bucket, now float64) {
 }
 
 // wantPts is the weight headroom one burst buys: the distance from the
-// free blkio floor to the boost target clamp(desired×BoostFactor). The
-// bucket is sized to fund exactly this — cap = wantPts×BurstSec — so a
+// free blkio floor to the boost target clamp(desired×boostFactor). The
+// bucket is sized to fund exactly this — cap = wantPts×burstSec — so a
 // session holding its target breaks even against the refill and idle
 // time accrues lendable surplus.
 func (c *Controller) wantPts(desired int) int {
-	t := blkio.ClampWeight(int(float64(desired) * c.opts.BoostFactor))
+	t := blkio.ClampWeight(int(float64(desired) * boostFactor))
 	return t - blkio.MinWeight
 }
 
@@ -477,8 +448,8 @@ func (c *Controller) resize(b *Bucket, desired int) {
 		frac = b.tokens / b.cap
 	}
 	b.desired = desired
-	b.cap = float64(c.wantPts(desired)) * c.opts.BurstSec
-	b.rate = b.cap / c.opts.RefillSec
+	b.cap = float64(c.wantPts(desired)) * burstSec
+	b.rate = b.cap / refillSec
 	b.tokens = frac * b.cap
 	if excess := b.lentOut - c.opts.LendFrac*b.cap; excess > 0 {
 		c.writeOff(b, excess)
@@ -525,8 +496,8 @@ func (c *Controller) endBoost(b *Bucket) {
 }
 
 // borrow funds up to short weight points from idle peers, scanning at
-// most MaxScan buckets from a rotating cursor and taking from at most
-// MaxLenders of them. The lender's tokens move now; the debt is
+// most maxScan buckets from a rotating cursor and taking from at most
+// maxLenders of them. The lender's tokens move now; the debt is
 // recorded on b's ledger. Returns the unfunded remainder.
 //
 //tango:hotpath
@@ -535,12 +506,12 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 	if n <= 1 {
 		return short
 	}
-	scan := c.opts.MaxScan
+	scan := maxScan
 	if scan > n {
 		scan = n
 	}
 	lenders := 0
-	for i := 0; i < scan && short > 0 && lenders < c.opts.MaxLenders; i++ {
+	for i := 0; i < scan && short > 0 && lenders < maxLenders; i++ {
 		if c.cursor >= n {
 			c.cursor = 0
 		}
@@ -554,17 +525,17 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 		if avail > l.tokens {
 			avail = l.tokens
 		}
-		pts := int(avail / c.opts.BurstSec)
+		pts := int(avail / burstSec)
 		if pts > short {
 			pts = short
 		}
 		if pts <= 0 {
 			continue
 		}
-		if !b.recordLoan(l, pts, float64(pts)*c.opts.BurstSec, c.opts.MaxDebtors) {
+		if !b.recordLoan(l, pts, float64(pts)*burstSec) {
 			continue
 		}
-		principal := float64(pts) * c.opts.BurstSec
+		principal := float64(pts) * burstSec
 		l.tokens -= principal
 		l.lentOut += principal
 		short -= pts
@@ -582,7 +553,7 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 // (creating one if the ledger and l's debtor list have room). It
 // reports whether the loan was recorded; the caller only moves tokens
 // on success.
-func (b *Bucket) recordLoan(l *Bucket, pts int, principal float64, maxDebtors int) bool {
+func (b *Bucket) recordLoan(l *Bucket, pts int, principal float64) bool {
 	for i := range b.loans {
 		if b.loans[i].lender == l {
 			b.loans[i].pts += pts
@@ -620,13 +591,13 @@ func (c *Controller) recall(b *Bucket, short int) int {
 			if r > l.pts {
 				r = l.pts
 			}
-			if byOwed := int(l.owed / c.opts.BurstSec); r > byOwed {
+			if byOwed := int(l.owed / burstSec); r > byOwed {
 				r = byOwed
 			}
 			if r <= 0 {
 				continue
 			}
-			principal := float64(r) * c.opts.BurstSec
+			principal := float64(r) * burstSec
 			l.pts -= r
 			l.owed -= principal
 			b.lentOut -= principal
@@ -652,11 +623,11 @@ func (c *Controller) recall(b *Bucket, short int) int {
 		}
 	}
 	// The reclaimed principal is back in b.tokens; spend it.
-	own := int(b.tokens / c.opts.BurstSec)
+	own := int(b.tokens / burstSec)
 	if own > short {
 		own = short
 	}
-	b.tokens -= float64(own) * c.opts.BurstSec
+	b.tokens -= float64(own) * burstSec
 	return short - own
 }
 
@@ -690,7 +661,7 @@ func (c *Controller) resync(now float64) {
 		// force the next Request to fund a fresh window from the refilled
 		// bucket.
 		b.paidPts = 0
-		b.burstStart = now - c.opts.BurstSec
+		b.burstStart = now - burstSec
 	}
 	c.stats.Repays += forgiven
 	if c.rec != nil && forgiven > 0 {

@@ -136,7 +136,7 @@ func TestRepaymentPacedToRefill(t *testing.T) {
 		t.Fatalf("after 1s owed = %.1f (was %.1f): want partial, refill-paced repayment", got, owed)
 	}
 	// A long idle drain clears everything.
-	ck.advance(10 * c.opts.RefillSec)
+	ck.advance(10 * refillSec)
 	c.settle(b, ck.t)
 	if got := b.Owed(); got != 0 {
 		t.Fatalf("debt not cleared by drain: %.1f", got)
@@ -228,7 +228,7 @@ func TestLedgerInvariants(t *testing.T) {
 	for _, n := range names {
 		c.Release(bs[n])
 	}
-	ck.advance(100 * c.opts.RefillSec)
+	ck.advance(100 * refillSec)
 	for _, n := range names {
 		c.settle(bs[n], ck.t)
 	}

@@ -1,6 +1,15 @@
 #!/bin/sh
 # Full verification sequence — the same steps as `make check` and CI
 # (.github/workflows/ci.yml), for environments without make.
+#
+# Not part of the check, and also make targets:
+#   make bench = go run ./benchmarks/perf   (host-time benchmark, BENCHMARK.json)
+#   make loc   = non-test Go lines:
+#                find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' \
+#                  -not -path '*/testdata/*' | xargs cat | wc -l
+#                plus the exported-field count of core.Config, cache.Config,
+#                tokenctl.Options, resil.Options and resil.HedgeConfig (awk
+#                over the struct bodies; see the Makefile)
 set -eu
 
 cd "$(dirname "$0")/.."

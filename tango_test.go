@@ -2,7 +2,14 @@ package tango_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"tango"
@@ -144,6 +151,74 @@ func TestTangolintSelfCheck(t *testing.T) {
 	}
 	if len(findings) > 0 {
 		t.Fatalf("tangolint found %d finding(s); fix them or add a reasoned //lint:ignore", len(findings))
+	}
+}
+
+// TestNoMachineLocalPathsInTests keeps review scratch out of the suite:
+// a test that reads a fixture from an absolute /tmp, /home or /root path
+// (or from under $HOME) passes only on the machine that wrote it and
+// breaks tier-1 everywhere else. t.TempDir() and in-repo testdata are
+// the allowed ways.
+func TestNoMachineLocalPathsInTests(t *testing.T) {
+	const home = "HOME"
+	machineLocal := func(s string) bool {
+		for _, dir := range []string{"tmp", "home", "root"} {
+			if strings.HasPrefix(s, "/"+dir+"/") {
+				return true
+			}
+		}
+		return strings.Contains(s, "$"+home) || strings.Contains(s, "${"+home)
+	}
+	isOS := func(e ast.Expr, names ...string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		if !ok || pkg.Name != "os" {
+			return false
+		}
+		for _, n := range names {
+			if sel.Sel.Name == n {
+				return true
+			}
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BasicLit:
+				if n.Kind != token.STRING {
+					break
+				}
+				if s, err := strconv.Unquote(n.Value); err == nil && machineLocal(s) {
+					t.Errorf("%s: machine-local path %s in a test; use t.TempDir() or testdata", fset.Position(n.Pos()), n.Value)
+				}
+			case *ast.CallExpr:
+				if isOS(n.Fun, "UserHomeDir") {
+					t.Errorf("%s: os.UserHomeDir in a test; use t.TempDir()", fset.Position(n.Pos()))
+				}
+				if isOS(n.Fun, "Getenv", "LookupEnv") && len(n.Args) == 1 {
+					if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Value == strconv.Quote(home) {
+						t.Errorf("%s: test reads $%s; use t.TempDir()", fset.Position(n.Pos()), home)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
