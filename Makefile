@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check bench loc clean
+.PHONY: all build vet lint lint-json race test check bench suite suite-check loc clean
 
 all: build
 
@@ -36,6 +36,19 @@ check: build vet lint race
 # four workloads, six gated end-to-end metrics, sim_digest output checks.
 bench:
 	$(GO) run ./benchmarks/perf
+
+# The behaviour gate: the CI-scale experiment suite must be byte-identical
+# to the committed baseline (the simulator is bit-deterministic at every
+# -parallel width). `suite` writes bench-suite.json; `suite-check` is the
+# gate. Refresh bench-baseline.json in the same commit as any change that
+# moves an output on purpose.
+SUITE = $(GO) run ./cmd/tangobench -json -parallel 4 -grid 129 -steps 40 -skip 10 -dataset 512
+
+suite:
+	$(SUITE) > bench-suite.json
+
+suite-check:
+	$(SUITE) | cmp - bench-baseline.json
 
 # The two sizes the simplicity aim tracks (ROADMAP aim 2): non-test Go
 # lines, and the exported fields (= independently settable options) of

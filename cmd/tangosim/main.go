@@ -48,6 +48,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if most := len(tango.TableIVNoise()); *noise < 0 || *noise > most {
+		fmt.Fprintf(os.Stderr, "tangosim: -noise %d out of range (want 0-%d)\n", *noise, most)
+		os.Exit(2)
+	}
+
 	if *nodes > 1 || *objstore {
 		runFleet(*nodes, *sessions, *seed, mode, *faults, *traceOut, *verbose)
 		return
@@ -194,7 +199,9 @@ func main() {
 		fmt.Printf("fault plan armed: %s\n", plan)
 	}
 	fmt.Printf("running %d steps under %s with %d interferers...\n\n", *steps, pol, *noise)
-	if err := node.Engine().Run(float64(*steps)*60 + 3600); err != nil {
+	err = node.Engine().Run(float64(*steps)*60 + 3600)
+	node.Engine().Close()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "tangosim:", err)
 		os.Exit(1)
 	}

@@ -130,7 +130,9 @@ func replay(args []string) error {
 				samples = append(samples, bytes/ioTime)
 			})
 	}
-	if err := node.Engine().Run(horizon); err != nil {
+	err = node.Engine().Run(horizon)
+	node.Engine().Close()
+	if err != nil {
 		return err
 	}
 

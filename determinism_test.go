@@ -84,76 +84,6 @@ func TestSameSeedByteMatch(t *testing.T) {
 	}
 }
 
-// runSlidingScenario is runSmallScenario with the opt-in sliding-DFT
-// estimator mode enabled and enough steps that the second refit (step
-// 10) consumes the incrementally maintained spectrum instead of running
-// a fresh forward transform.
-func runSlidingScenario(t *testing.T) []byte {
-	t.Helper()
-	app := tango.XGCApp()
-	field := app.Generate(65, 3)
-
-	h, err := tango.DecomposeTensor(field, tango.RefactorOptions{
-		Levels: 3,
-		Bounds: []float64{0.1, 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-
-	node := tango.NewNode("node0")
-	node.MustAddDevice(tango.SSD("ssd"))
-	hdd := node.MustAddDevice(tango.HDD("hdd"))
-	tango.LaunchTableIVNoise(node, hdd, 3)
-
-	store, err := tango.StageScaled(h, node.Tiers(), 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := tango.NewSession("analytics", store, tango.SessionConfig{
-		Policy:       tango.CrossLayer,
-		ErrorControl: true,
-		Bound:        0.01,
-		Priority:     tango.PriorityHigh,
-		Steps:        12,
-		Window:       5,
-		RefitEvery:   5,
-		SlidingDFT:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Launch(node); err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Engine().Run(12*60 + 600); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Fprintf(&buf, "summary=%+v\n", sess.Summary(2))
-	for _, st := range sess.Stats() {
-		fmt.Fprintf(&buf, "step=%+v\n", st)
-	}
-	return buf.Bytes()
-}
-
-// TestSlidingDFTSameSeedByteMatch extends the determinism contract to
-// the opt-in sliding-DFT mode: its incremental summation order makes it
-// legitimately different from the default batch-FFT output, but two runs
-// of the same configuration must still match byte for byte.
-func TestSlidingDFTSameSeedByteMatch(t *testing.T) {
-	a := runSlidingScenario(t)
-	b := runSlidingScenario(t)
-	if !bytes.Equal(a, b) {
-		for i := range a {
-			if i >= len(b) || a[i] != b[i] {
-				t.Fatalf("sliding-mode same-seed runs diverge at output byte %d of %d/%d", i, len(a), len(b))
-			}
-		}
-		t.Fatalf("sliding-mode same-seed runs produced %d and %d bytes", len(a), len(b))
-	}
-}
-
 // runFaultedScenario is runSmallScenario under fire: the same compact
 // run with a fault plan covering every fault group (device degradation,
 // cgroup faults, workload churn) armed against it. It serializes the

@@ -32,6 +32,11 @@ import (
 // returns mid-transfer.
 const chunkMB = 32
 
+// reuseDecay is the EWMA factor folding each step's observed request
+// fraction into a run's expected-reuse score. Typed, so 1-reuseDecay
+// rounds as the float64 subtraction it replaced did.
+const reuseDecay float64 = 0.3
+
 // Config parameterizes the cache. Zero values take the defaults noted
 // per field.
 type Config struct {
@@ -41,9 +46,6 @@ type Config struct {
 	// runtime if the device fills up — the cache never displaces staged
 	// data.
 	CapacityMB int
-	// ReuseDecay is the EWMA factor folding each step's observed request
-	// fraction into a run's expected-reuse score (default 0.3).
-	ReuseDecay float64
 
 	// Trace, when non-nil, receives cache hit/miss/evict and prefetch
 	// events; Source labels them (the session name).
@@ -54,9 +56,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CapacityMB == 0 {
 		c.CapacityMB = 512
-	}
-	if c.ReuseDecay == 0 {
-		c.ReuseDecay = 0.3
 	}
 	if c.Source == "" {
 		c.Source = "cache"
@@ -70,13 +69,13 @@ func DefaultConfig() Config { return Config{}.withDefaults() }
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	Hits         int     // segment reads served (at least partly) from the cache
-	Misses       int     // segment reads that (at least partly) went to the home tier
-	HitBytes     float64 // bytes served from the cache device
-	StagedBytes  float64 // bytes transferred home tier -> cache by prefetching
-	EvictedBytes float64 // bytes trimmed by cost-benefit eviction
-	Shrinks      int     // capacity reductions forced by device pressure
-	StageFailures int    // staging reads abandoned by the resil policy
+	Hits          int     // segment reads served (at least partly) from the cache
+	Misses        int     // segment reads that (at least partly) went to the home tier
+	HitBytes      float64 // bytes served from the cache device
+	StagedBytes   float64 // bytes transferred home tier -> cache by prefetching
+	EvictedBytes  float64 // bytes trimmed by cost-benefit eviction
+	Shrinks       int     // capacity reductions forced by device pressure
+	StageFailures int     // staging reads abandoned by the resil policy
 }
 
 // run tracks the cached prefix of one augmentation level whose home tier
@@ -238,7 +237,7 @@ func (c *Cache) EndStep() {
 		if req > 1 {
 			req = 1
 		}
-		r.reuse = (1-c.cfg.ReuseDecay)*r.reuse + c.cfg.ReuseDecay*req
+		r.reuse = (1-reuseDecay)*r.reuse + reuseDecay*req
 		r.reqEntries = 0
 	}
 }
@@ -397,11 +396,4 @@ func (c *Cache) Close() {
 		}
 	}
 	c.used = 0
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

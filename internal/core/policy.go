@@ -97,17 +97,8 @@ type Config struct {
 	// retrieves less than the bound's rung, regardless of interference.
 	ErrorControl bool
 	// Bound is the prescribed error bound ε_i; it must be one of the
-	// bounds the hierarchy was decomposed with, unless InterpolateBound
-	// is set.
+	// bounds the hierarchy was decomposed with.
 	Bound float64
-	// InterpolateBound accepts a Bound between (or looser than) the
-	// hierarchy's ladder bounds: the mandatory cursor is interpolated
-	// from the accuracy curve the decomposition sweep recorded, instead
-	// of requiring an exact rung. Off by default — exact rungs keep the
-	// retrieval plan identical to the paper's ladder semantics, and the
-	// curve only exists for hierarchies decomposed in this process (it
-	// is not persisted by Encode/Decode).
-	InterpolateBound bool
 
 	// Plot is the augmentation-bandwidth plot (default 30–120 MB/s).
 	Plot abplot.Plot
@@ -116,13 +107,6 @@ type Config struct {
 	ThreshFrac float64
 	// Window is the estimator window in steps (default 30).
 	Window int
-	// SlidingDFT enables the estimator's opt-in sliding-DFT update mode:
-	// each observed step advances the spectrum incrementally in O(Window)
-	// and refits skip the forward transform. Off by default — the
-	// incremental summation order differs from the batch FFT, so fitted
-	// models (and therefore experiment output) are not byte-identical to
-	// the default mode, though still deterministic for a given seed.
-	SlidingDFT bool
 	// RefitEvery re-runs the estimation every this many steps
 	// (default 30).
 	RefitEvery int

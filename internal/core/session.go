@@ -108,7 +108,7 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 	}
 	h := store.Hierarchy()
 	if cfg.ErrorControl {
-		if _, err := boundCursor(h, cfg); err != nil {
+		if _, err := h.CursorForBound(cfg.Bound); err != nil {
 			return nil, fmt.Errorf("core: prescribed bound: %w", err)
 		}
 	}
@@ -129,7 +129,6 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 	est := dftestim.NewEstimator()
 	est.ThreshFrac = cfg.ThreshFrac
 	est.Window = cfg.Window
-	est.Sliding = cfg.SlidingDFT
 	return &Session{Name: name, Config: cfg, store: store, wf: wf, wfSize: wfSize, est: est}, nil
 }
 
@@ -200,9 +199,7 @@ func (s *Session) WeightFunc() *weightfn.Func { return s.wf }
 // bound must be one of the hierarchy's ladder bounds; it takes effect at
 // the next step. Must be called from sim context.
 func (s *Session) SetBound(bound float64) error {
-	cfg := s.Config
-	cfg.Bound = bound
-	if _, err := boundCursor(s.store.Hierarchy(), cfg); err != nil {
+	if _, err := s.store.Hierarchy().CursorForBound(bound); err != nil {
 		return err
 	}
 	s.Config.ErrorControl = true
@@ -361,31 +358,16 @@ func (s *Session) prefetchTarget() int {
 	return target
 }
 
-// mandatoryCursor is the cursor the prescribed bound requires: its
-// rung's, or the curve-interpolated prefix under InterpolateBound.
+// mandatoryCursor is the cursor the prescribed bound's rung requires.
 func (s *Session) mandatoryCursor() int {
 	if !s.Config.ErrorControl {
 		return 0
 	}
-	cur, err := boundCursor(s.store.Hierarchy(), s.Config)
+	cur, err := s.store.Hierarchy().CursorForBound(s.Config.Bound)
 	if err != nil {
 		panic(err) // validated at NewSession / SetBound
 	}
 	return cur
-}
-
-// boundCursor resolves cfg.Bound to a retrieval cursor. An exact ladder
-// rung always wins (same cursors and byte ranges the paper's ladder
-// semantics prescribe); with InterpolateBound, a bound between rungs
-// falls back to the decomposition sweep's accuracy curve, landing
-// between the bracketing rungs instead of snapping up to the tighter
-// one.
-func boundCursor(h *refactor.Hierarchy, cfg Config) (int, error) {
-	cur, err := h.CursorForBound(cfg.Bound)
-	if err == nil || !cfg.InterpolateBound {
-		return cur, err
-	}
-	return h.CursorForAccuracy(cfg.Bound)
 }
 
 // planCursor implements lines 6–7 of Algorithm 1: the augmentation degree

@@ -377,59 +377,49 @@ func TestPolicyStrings(t *testing.T) {
 	}
 }
 
-// TestInterpolateBound checks the curve-interpolated error control: a
-// bound between two ladder rungs is rejected by default, accepted with
-// InterpolateBound, and floors the retrieval at a cursor between the
-// bracketing rungs.
-func TestInterpolateBound(t *testing.T) {
-	h := testHierarchy(t)
-	node := container.NewNode("n-interp")
+// TestOffLadderBoundRejected pins the one bound → cursor path: a bound
+// between two ladder rungs is refused by NewSession and by SetBound, and
+// an exact rung resolves to that rung's cursor.
+func TestOffLadderBoundRejected(t *testing.T) {
+	h, err := refactor.Decompose(testField(1), refactor.Options{
+		Levels: 4,
+		Bounds: []float64{1e-1, 1e-2, 1e-3, 1e-4, 1e-5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := container.NewNode("n-offladder")
 	node.MustAddDevice(device.SSD("ssd"))
 	node.MustAddDevice(device.HDD("hdd"))
 	st, err := staging.Stage(h, node.Tiers())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 0.005 sits between the 0.01 and 0.001 rungs.
-	const target = 0.005
-	if _, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: target}); err == nil {
-		t.Fatal("expected off-ladder bound to be rejected without InterpolateBound")
+	// 0.005 sits between the 1e-2 and 1e-3 rungs.
+	const offLadder = 0.005
+	if _, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: offLadder}); err == nil {
+		t.Fatal("NewSession accepted an off-ladder bound")
 	}
-	s, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: target, InterpolateBound: true})
-	if err != nil {
-		t.Fatalf("InterpolateBound session: %v", err)
-	}
-	tightest, err := h.CursorForBound(0.001)
+	s, err := NewSession("a", st, Config{Steps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.mandatoryCursor()
-	// The interpolated prefix satisfies the target (curve drift allows a
-	// sliver) without snapping all the way up to the tighter rung.
-	if acc := h.Achieved(testField(1), m); acc > target*(1+1e-6) {
-		t.Fatalf("cursor %d achieves %v, wanted <= %v", m, acc, target)
+	if err := s.SetBound(offLadder); err == nil {
+		t.Fatal("SetBound accepted an off-ladder bound")
 	}
-	if m > tightest {
-		t.Fatalf("interpolated mandatory cursor %d beyond tightest rung's %d", m, tightest)
+	if s.Config.ErrorControl || s.mandatoryCursor() != 0 {
+		t.Fatal("rejected SetBound changed the session")
 	}
-	// An exact rung still resolves to the rung cursor under the flag.
-	s.Config.Bound = 0.001
-	if got := s.mandatoryCursor(); got != tightest {
-		t.Fatalf("exact rung under InterpolateBound: cursor %d, want %d", got, tightest)
-	}
-	// SetBound accepts an off-ladder bound only with the flag.
-	s2, err := NewSession("b", st, Config{Steps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.SetBound(target); err == nil {
-		t.Fatal("expected SetBound to reject off-ladder bound without InterpolateBound")
-	}
-	s2.Config.InterpolateBound = true
-	if err := s2.SetBound(target); err != nil {
-		t.Fatalf("SetBound with InterpolateBound: %v", err)
-	}
-	if got := s2.mandatoryCursor(); got != m {
-		t.Fatalf("SetBound mandatory cursor %d, want %d", got, m)
+	for _, rung := range []float64{1e-2, 1e-3} {
+		want, err := h.CursorForBound(rung)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetBound(rung); err != nil {
+			t.Fatalf("SetBound(%g): %v", rung, err)
+		}
+		if got := s.mandatoryCursor(); got != want {
+			t.Fatalf("bound %g: mandatory cursor %d, want rung cursor %d", rung, got, want)
+		}
 	}
 }

@@ -32,30 +32,6 @@ func benchEstimatorFit(b *testing.B, window int) {
 func BenchmarkEstimatorFit30(b *testing.B)   { benchEstimatorFit(b, 30) }
 func BenchmarkEstimatorFit1024(b *testing.B) { benchEstimatorFit(b, 1024) }
 
-// BenchmarkEstimatorFitSliding1024 is the opt-in incremental mode at the
-// same window length: Observe does the O(W) spectrum advance, Fit skips
-// the forward transform.
-func BenchmarkEstimatorFitSliding1024(b *testing.B) {
-	est := &Estimator{ThreshFrac: 0.5, Window: 1024, Sliding: true}
-	for i := 0; i < 1024; i++ {
-		est.Observe(100 + 40*math.Sin(2*math.Pi*float64(i)/10))
-	}
-	if err := est.Fit(); err != nil {
-		b.Fatal(err)
-	}
-	step := 1024
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.Observe(100 + 40*math.Sin(2*math.Pi*float64(step)/10))
-		step++
-		if err := est.Fit(); err != nil {
-			b.Fatal(err)
-		}
-		_ = est.PredictNext()
-	}
-}
-
 // BenchmarkFFTIterative1024 measures the table-driven radix-2 kernel alone
 // (no output allocation), the quantity the shared plan cache amortizes.
 func BenchmarkFFTIterative1024(b *testing.B) {

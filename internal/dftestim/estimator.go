@@ -4,14 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 )
-
-// slideResyncEvery bounds the floating-point drift of the sliding-DFT
-// update mode: after this many incremental spectrum rotations the next Fit
-// recomputes the spectrum exactly from the sample window and re-anchors
-// the recurrence.
-const slideResyncEvery = 1024
 
 // errTooFewSamples is the static Fit error; Fit is a //tango:hotpath and
 // may not build a formatted error per call.
@@ -44,15 +37,6 @@ type Estimator struct {
 	// the ring holds only Window samples, so growing it mid-run fits the
 	// retained suffix until enough new samples arrive.
 	Window int
-	// Sliding enables the opt-in sliding-DFT update mode: once a Fit has
-	// anchored the spectrum of a full window, each Observe advances it
-	// incrementally in O(W) — S'_k = (S_k + x_new − x_old)·e^(2πik/W) —
-	// and Fit skips the forward transform. Off by default: the incremental
-	// summation order differs from the batch FFT, so fitted models are not
-	// bit-identical to the default mode (they are still deterministic for
-	// a given seed, with an exact recompute every slideResyncEvery updates
-	// to bound drift).
-	Sliding bool
 
 	ring  []float64 // sample ring; slot for step s is s % len(ring)
 	count int       // total samples observed; the next sample's step index
@@ -65,11 +49,6 @@ type Estimator struct {
 	spec   []complex128 // forward spectrum, thresholded in place (reused)
 	rec    []complex128 // inverse-transform scratch (reused)
 	winBuf []float64    // linearized window scratch (reused)
-
-	slide      []complex128 // sliding mode: maintained pre-threshold spectrum
-	rot        []complex128 // sliding mode: e^(2πik/W) advance factors
-	slideValid bool
-	slideAge   int // incremental updates since the last exact recompute
 }
 
 // NewEstimator returns an estimator with the paper's defaults.
@@ -95,21 +74,7 @@ func (e *Estimator) Observe(bw float64) {
 	if len(e.ring) != w {
 		e.resizeRing(w)
 	}
-	slot := e.count % w
-	if e.slideValid {
-		if e.count >= w && len(e.slide) == w {
-			// ring[slot] is the sample about to drop out of the window;
-			// capture it before the overwrite.
-			delta := complex(bw-e.ring[slot], 0)
-			for k, s := range e.slide {
-				e.slide[k] = (s + delta) * e.rot[k]
-			}
-			e.slideAge++
-		} else {
-			e.slideValid = false
-		}
-	}
-	e.ring[slot] = bw
+	e.ring[e.count%w] = bw
 	e.count++
 }
 
@@ -131,7 +96,6 @@ func (e *Estimator) resizeRing(w int) {
 		ring[step%w] = old[step%len(old)]
 	}
 	e.ring = ring
-	e.slideValid = false
 }
 
 // Samples returns the number of observed steps.
@@ -166,16 +130,8 @@ func (e *Estimator) Fit() error {
 	e.ensureScratch(w)
 	start := e.count - w
 
-	if e.Sliding && e.slideValid && len(e.slide) == w && e.slideAge < slideResyncEvery {
-		copy(e.spec, e.slide)
-	} else {
-		e.gatherWindow(start, w)
-		e.forward()
-		if e.Sliding && w == len(e.ring) && e.count >= w {
-			e.anchorSlide(w)
-		}
-	}
-
+	e.gatherWindow(start, w)
+	e.forward()
 	Threshold(e.spec, e.ThreshFrac)
 	e.inverse()
 
@@ -200,7 +156,6 @@ func (e *Estimator) Fit() error {
 func (e *Estimator) ensureScratch(w int) {
 	if e.plan == nil || e.plan.n != w {
 		e.plan = planFor(w)
-		e.slideValid = false
 	}
 	if cap(e.spec) < w {
 		e.spec = make([]complex128, w)
@@ -247,23 +202,6 @@ func (e *Estimator) inverse() {
 		return
 	}
 	p.direct(e.rec, e.spec, true)
-}
-
-// anchorSlide snapshots the exact pre-threshold spectrum as the sliding
-// recurrence's new anchor and (re)builds the advance factors.
-func (e *Estimator) anchorSlide(w int) {
-	if cap(e.slide) < w {
-		e.slide = make([]complex128, w)
-		e.rot = make([]complex128, w)
-	}
-	e.slide = e.slide[:w]
-	e.rot = e.rot[:w]
-	copy(e.slide, e.spec)
-	for k := range e.rot {
-		e.rot[k] = cmplx.Exp(complex(0, 2*math.Pi*float64(k)/float64(w)))
-	}
-	e.slideValid = true
-	e.slideAge = 0
 }
 
 // Predict returns B̃W for the given absolute step index, extrapolating the

@@ -328,112 +328,6 @@ func TestEstimatorMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestSlidingDFTTracksExact checks the opt-in incremental mode: the
-// maintained spectrum must keep Fit's model within numerical-drift
-// distance of the exact batch recompute, deterministically.
-func TestSlidingDFTTracksExact(t *testing.T) {
-	signal := func(i int) float64 {
-		return 100 + 40*math.Sin(2*math.Pi*float64(i)/10) + 10*math.Cos(2*math.Pi*float64(i)/5)
-	}
-	slide := &Estimator{ThreshFrac: 0.5, Window: 30, Sliding: true}
-	exact := &Estimator{ThreshFrac: 0.5, Window: 30}
-	for i := 0; i < 30; i++ {
-		slide.Observe(signal(i))
-		exact.Observe(signal(i))
-	}
-	if err := slide.Fit(); err != nil { // anchors the sliding spectrum
-		t.Fatal(err)
-	}
-	if !slide.slideValid {
-		t.Fatal("full-window Fit should anchor the sliding spectrum")
-	}
-	for i := 30; i < 400; i++ {
-		slide.Observe(signal(i))
-		exact.Observe(signal(i))
-		if err := slide.Fit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := exact.Fit(); err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < slide.ModelLen(); k++ {
-			if d := math.Abs(slide.ModelAt(k) - exact.ModelAt(k)); d > 1e-6 {
-				t.Fatalf("step %d model[%d]: sliding %v vs exact %v (drift %v)",
-					i, k, slide.ModelAt(k), exact.ModelAt(k), d)
-			}
-		}
-	}
-	// Determinism: an identical second run reproduces the model bits.
-	redo := &Estimator{ThreshFrac: 0.5, Window: 30, Sliding: true}
-	for i := 0; i < 400; i++ {
-		redo.Observe(signal(i))
-		if i == 29 || i >= 30 {
-			if err := redo.Fit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for k := 0; k < slide.ModelLen(); k++ {
-		if !sameBitsF(slide.ModelAt(k), redo.ModelAt(k)) {
-			t.Fatalf("sliding mode not deterministic at model[%d]", k)
-		}
-	}
-}
-
-// TestSlidingDFTResync verifies the periodic exact recompute bounds drift:
-// after slideResyncEvery incremental updates the next Fit re-anchors.
-func TestSlidingDFTResync(t *testing.T) {
-	est := &Estimator{ThreshFrac: 0.5, Window: 8, Sliding: true}
-	for i := 0; i < 8; i++ {
-		est.Observe(float64(10 + i%4))
-	}
-	if err := est.Fit(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < slideResyncEvery+5; i++ {
-		est.Observe(float64(10 + i%4))
-	}
-	if est.slideAge <= slideResyncEvery {
-		t.Fatalf("slideAge=%d, expected past resync threshold", est.slideAge)
-	}
-	if err := est.Fit(); err != nil {
-		t.Fatal(err)
-	}
-	if est.slideAge != 0 {
-		t.Fatalf("Fit past the resync threshold should re-anchor; slideAge=%d", est.slideAge)
-	}
-	// The re-anchored spectrum matches a fresh batch fit bit-for-bit.
-	exact := &Estimator{ThreshFrac: 0.5, Window: 8}
-	for i := 0; i < 8+slideResyncEvery+5; i++ {
-		exact.Observe(float64(10 + i%4))
-	}
-	if err := exact.Fit(); err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < est.ModelLen(); k++ {
-		if !sameBitsF(est.ModelAt(k), exact.ModelAt(k)) {
-			t.Fatalf("re-anchored model[%d] differs from batch fit", k)
-		}
-	}
-}
-
-// TestSlidingAppliesOnlyWhenEnabled: default mode must never take the
-// incremental path even after many full-window fits.
-func TestSlidingAppliesOnlyWhenEnabled(t *testing.T) {
-	est := NewEstimator()
-	for i := 0; i < 90; i++ {
-		est.Observe(float64(i % 7))
-		if i >= 30 {
-			if err := est.Fit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if est.slideValid || est.slide != nil {
-		t.Fatal("default mode must not maintain a sliding spectrum")
-	}
-}
-
 func TestModelAtAppendModel(t *testing.T) {
 	est := NewEstimator()
 	for i := 0; i < 30; i++ {

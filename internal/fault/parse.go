@@ -242,7 +242,7 @@ func Generate(seed int64, opts GenerateOptions) (*Plan, error) {
 		case ReadError, Stuck:
 			ev.Target = opts.Device
 			if k == Stuck {
-				ev.Duration = minf(ev.Duration, 30)
+				ev.Duration = min(ev.Duration, 30)
 			}
 		case WeightFail:
 			ev.Target = opts.Cgroup
@@ -274,11 +274,4 @@ func Generate(seed int64, opts GenerateOptions) (*Plan, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

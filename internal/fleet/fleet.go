@@ -89,15 +89,6 @@ type Config struct {
 	// internal/tokenctl). The mode survives node kills: a rebuilt node
 	// gets a fresh controller of the same mode.
 	Control tokenctl.Mode
-	// SlidingDFT enables the per-node demand estimators' opt-in
-	// sliding-DFT mode: the spectrum advances incrementally with each
-	// harvested epoch and the forecast refits every epoch (the default
-	// mode fits once and extrapolates). Off by default — the incremental
-	// summation order differs from the batch FFT, so cluster output is
-	// not byte-identical to the default mode, though still deterministic
-	// for a given seed at any -parallel width (the mode survives node
-	// kills: rebuilt nodes inherit it).
-	SlidingDFT bool
 }
 
 func (c Config) withDefaults() Config {
@@ -211,10 +202,8 @@ type node struct {
 	killUntil float64
 
 	// measured mirrors the current epoch's measured flag (published at
-	// the barrier, read by step procs inside the window); procs tracks
-	// every step proc spawned on this node's engine, for killProcs.
+	// the barrier, read by step procs inside the window).
 	measured bool
-	procs    []*sim.Proc
 
 	// per-epoch accumulators; reset at each barrier. Written only from
 	// this node's engine context (the parallel window) or the barrier.
@@ -313,7 +302,6 @@ func (c *Cluster) buildNode(i int, attach bool) *node {
 		nd.tok.SetResil(nd.rc)
 	}
 	nd.est = dftestim.NewEstimator()
-	nd.est.Sliding = c.cfg.SlidingDFT
 	if c.cfg.Plan != nil && attach {
 		c.armDeviceFaults(nd)
 	}
@@ -402,7 +390,7 @@ func (c *Cluster) Run() (*Report, error) {
 		c.harvest(e)
 	}
 	for _, nd := range c.nodes {
-		nd.killProcs()
+		nd.cn.Engine().Close()
 	}
 	// One goroutine per session just exited; their stacks and the wait
 	// records they parked on are freed only by a collection. Run it here,
@@ -410,16 +398,6 @@ func (c *Cluster) Run() (*Report, error) {
 	// does not depend on where the pacer's next cycle happens to fall.
 	runtime.GC()
 	return c.report(), nil
-}
-
-// killProcs ends the node's step procs (parked between epochs or, on an
-// overrun, inside a transfer that will never complete): a goroutine left
-// parked keeps its whole cluster reachable. Called at a barrier or after
-// the last window, when the node's engine is not running.
-func (nd *node) killProcs() {
-	for _, p := range nd.procs {
-		nd.cn.Engine().Kill(p)
-	}
 }
 
 // applyPlan interprets the fault plan at the barrier opening epoch e:
@@ -448,7 +426,10 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 		if c.killEpoch < 0 {
 			c.killEpoch = epoch
 		}
-		nd.killProcs()
+		// End the node's step procs (parked between epochs or, on an
+		// overrun, inside a transfer that will never complete): a
+		// goroutine left parked keeps its whole cluster reachable.
+		nd.cn.Engine().Close()
 		orphans := nd.sessions
 		nd.sessions = nil
 		nd.load = 0
@@ -555,7 +536,7 @@ func (c *Cluster) attach(nd *node, s *session) {
 	// each later one, inserting exactly one resume event per step at the
 	// arm instant — the queue slot the old Spawn-per-step pattern's arm
 	// event occupied, which is the byte-identity contract with it. A proc
-	// left parked on a previous node stays there until killProcs.
+	// left parked on a previous node stays there until that engine closes.
 	epochSec := c.cfg.EpochSec
 	s.proc = nil
 	s.stepFn = func(p *sim.Proc) { nd.runSession(p, s, epochSec) }
@@ -582,7 +563,7 @@ func (c *Cluster) detach(nd *node, s *session) {
 	s.cg = nil
 	// The parked proc (and its step closure) belong to the old node's
 	// engine; attach on the destination rebuilds them. The old proc ends
-	// with that node (killProcs).
+	// with that node's engine (Close).
 	s.proc = nil
 	s.stepFn = nil
 }
@@ -717,13 +698,6 @@ func (c *Cluster) harvest(epoch int) {
 		if !nd.est.Ready() && nd.est.Samples() >= 4 {
 			if err := nd.est.Fit(); err != nil {
 				panic(err) // unreachable: sample count checked
-			}
-		} else if c.cfg.SlidingDFT && nd.est.Ready() {
-			// Sliding mode keeps the spectrum current per observation, so
-			// a per-epoch refit is O(Window) and the forecast tracks demand
-			// shifts instead of extrapolating the first fit forever.
-			if err := nd.est.Fit(); err != nil {
-				panic(err) // unreachable: Ready implies enough samples
 			}
 		}
 		bytes += nd.stepBytes

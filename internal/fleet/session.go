@@ -99,7 +99,6 @@ func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 		s.busy = true
 		if s.proc == nil {
 			s.proc = eng.SpawnAt(t0+s.phase, s.name, s.stepFn)
-			nd.procs = append(nd.procs, s.proc)
 		} else {
 			eng.WakeAt(t0+s.phase, s.proc)
 		}
@@ -108,7 +107,7 @@ func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 
 // runSession is a session's persistent step proc: it runs one step per
 // wake-up and parks between epochs. It never returns: the node kills it
-// (killProcs) when the node dies or the run ends — a proc orphaned by a
+// (Engine.Close) when the node dies or the run ends — a proc orphaned by a
 // planned migration stays parked until then, because nothing arms it
 // again. nd.measured is read at step start, inside the epoch that armed
 // it, so it matches the value the barrier published.
@@ -140,16 +139,7 @@ func (nd *node) step(p *sim.Proc, s *session, epochSec float64, measured bool) {
 		nd.tok.Request(s.tb, s.weight)
 	}
 	if s.restore > 0 {
-		res := nd.kObj.Read(p, nd.rem.Device(), s.cg, s.restore)
-		nd.rem.AccountGet(res.Moved)
-		nd.demandBytes += res.Moved
-		if res.Moved > 0 {
-			nd.ssd.Write(p, s.cg, res.Moved)
-			s.resident += res.Moved
-			if s.resident > s.workingSet {
-				s.resident = s.workingSet
-			}
-		}
+		nd.fetch(p, s, s.restore)
 		s.restore = 0
 	}
 	hit := s.stepRead * (s.resident / s.workingSet)
@@ -157,16 +147,7 @@ func (nd *node) step(p *sim.Proc, s *session, epochSec float64, measured bool) {
 		nd.ssd.Read(p, s.cg, hit)
 	}
 	if miss := s.stepRead - hit; miss > 0 {
-		res := nd.kObj.Read(p, nd.rem.Device(), s.cg, miss)
-		nd.rem.AccountGet(res.Moved)
-		nd.demandBytes += res.Moved
-		if res.Moved > 0 {
-			nd.ssd.Write(p, s.cg, res.Moved)
-			s.resident += res.Moved
-			if s.resident > s.workingSet {
-				s.resident = s.workingSet
-			}
-		}
+		nd.fetch(p, s, miss)
 	}
 	if dirty := s.stepRead * s.dirtyFrac; dirty > 0 {
 		nd.ssd.Write(p, s.cg, dirty)
@@ -179,4 +160,16 @@ func (nd *node) step(p *sim.Proc, s *session, epochSec float64, measured bool) {
 	}
 	nd.stepBytes += s.stepRead
 	s.busy = false
+}
+
+// fetch reads bytes of the session's working set from the object store
+// (guarded by fleet.read.objstore) and admits what arrived to L2.
+func (nd *node) fetch(p *sim.Proc, s *session, bytes float64) {
+	res := nd.kObj.Read(p, nd.rem.Device(), s.cg, bytes)
+	nd.rem.AccountGet(res.Moved)
+	nd.demandBytes += res.Moved
+	if res.Moved > 0 {
+		nd.ssd.Write(p, s.cg, res.Moved)
+		s.resident = min(s.resident+res.Moved, s.workingSet)
+	}
 }

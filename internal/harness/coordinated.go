@@ -46,9 +46,7 @@ func Coordinated(cfg Config) *Result {
 		}
 		interactive := mk("interactive", 10)
 		batch := mk("batch", 1)
-		if err := scen.Node.Engine().Run(float64(cfg.Steps)*60 + 3600); err != nil {
-			panic(err)
-		}
+		scen.run(cfg.Steps, 3600)
 		return interactive.Summary(cfg.SkipWarmup).MeanIO, batch.Summary(cfg.SkipWarmup).MeanIO
 	}
 

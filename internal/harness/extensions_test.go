@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func cell(t *testing.T, r *Result, row, col int) float64 {
@@ -177,5 +179,20 @@ func TestChaosCrossLayerRecovers(t *testing.T) {
 		if up := cell(t, r, i, colUnpaired); up != 0 {
 			t.Fatalf("row %d: %v injected faults without a recovery event", i, up)
 		}
+	}
+}
+
+// TestChaosLeavesNoGoroutines: a scenario closes its engine where it
+// reads results, so the interferer, prefetcher and injector procs an
+// experiment started do not outlive it.
+func TestChaosLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	Chaos(Config{GridN: 65, Seed: 7, Steps: 20, SkipWarmup: 10})
+	// runpool workers and just-killed procs finish exiting asynchronously.
+	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before the run, %d after", before, n)
 	}
 }

@@ -63,9 +63,7 @@ func Fig01(cfg Config) *Result {
 				a.bw[step] = bytes / ioTime
 			})
 	}
-	if err := scen.Node.Engine().Run(30*60 + 600); err != nil {
-		panic(err)
-	}
+	scen.run(30, 600)
 	for step := 0; step < 30; step++ {
 		row := []string{fmt.Sprintf("%d", step*60)}
 		for _, a := range apps {

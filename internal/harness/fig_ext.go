@@ -49,9 +49,7 @@ func Coexist(cfg Config) *Result {
 		}
 		interactive := mkSession("interactive", hx, pInteractive)
 		batch := mkSession("batch", hc, pBatch)
-		if err := scen.Node.Engine().Run(float64(cfg.Steps)*60 + 3600); err != nil {
-			panic(err)
-		}
+		scen.run(cfg.Steps, 3600)
 		return interactive.Summary(cfg.SkipWarmup).MeanIO, batch.Summary(cfg.SkipWarmup).MeanIO
 	}
 

@@ -11,8 +11,7 @@ import (
 )
 
 // fleetPoint is one sweep point of the fleet experiment: a cluster shape
-// plus its non-numeric row label (the label doubles as the benchdiff row
-// key — purely numeric cells are excluded from row identity).
+// plus its non-numeric row label.
 type fleetPoint struct {
 	label    string
 	nodes    int

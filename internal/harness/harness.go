@@ -138,13 +138,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Experiment is a named, runnable reproduction of one table or figure.
 type Experiment struct {
 	ID    string

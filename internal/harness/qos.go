@@ -180,7 +180,7 @@ func Tracking(cfg Config) *Result {
 		Title:  "Blob tracking on reduced data (XGC sequence, 6 frames)",
 		Header: []string{"data", "tracks", "mean length", "mean speed", "outcome err"},
 	}
-	opts := synth.DefaultXGC(minInt(cfg.GridN, 257), cfg.Seed)
+	opts := synth.DefaultXGC(min(cfg.GridN, 257), cfg.Seed)
 	opts.Blobs = 8
 	frames, _ := synth.XGCSequence(opts, 6, 1.5)
 	o := analytics.DefaultBlobOptions()
@@ -215,11 +215,4 @@ func Tracking(cfg Config) *Result {
 	}
 	r.Notef("Greedy nearest-centroid tracking, gate 8 cells/frame; blobs drift 1.5 cells/frame.")
 	return r
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

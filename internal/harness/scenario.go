@@ -56,11 +56,7 @@ func newScenarioWithHDD(name string, nNoise int, hdd device.Params) *Scenario {
 		SSD:  node.MustAddDevice(device.SSD("ssd")),
 		HDD:  node.MustAddDevice(hdd),
 	}
-	set := workload.PaperNoiseSet()
-	if nNoise > len(set) {
-		nNoise = len(set)
-	}
-	s.Noise = workload.LaunchNoiseSetControlled(node, s.HDD, set[:nNoise])
+	s.Noise = workload.LaunchNoiseSetControlled(node, s.HDD, workload.FirstPaperNoise(nNoise))
 	return s
 }
 
@@ -74,6 +70,19 @@ func (s *Scenario) ArmFaults(plan *fault.Plan, rec *trace.Recorder) {
 		panic(fmt.Sprintf("harness: arming faults: %v", err))
 	}
 	s.Injector = in
+}
+
+// run advances the scenario steps analysis periods plus slack seconds
+// and then closes the engine: every session has finished by then, and the
+// interferer and prefetcher procs still parked would otherwise outlive
+// the scenario, each pinning its node. Results are read after it returns.
+func (s *Scenario) run(steps int, slack float64) {
+	eng := s.Node.Engine()
+	err := eng.Run(float64(steps)*60 + slack)
+	eng.Close()
+	if err != nil {
+		panic(err)
+	}
 }
 
 // Stage places a hierarchy on this scenario's tiers at the payload scale
@@ -117,10 +126,7 @@ func runOnScenario(scen *Scenario, name string, h *refactor.Hierarchy, cfg Confi
 	if err := sess.Launch(scen.Node); err != nil {
 		panic(err)
 	}
-	horizon := float64(sc.Steps)*60 + 3600
-	if err := scen.Node.Engine().Run(horizon); err != nil {
-		panic(err)
-	}
+	scen.run(sc.Steps, 3600)
 	if got := len(sess.Stats()); got != sc.Steps {
 		panic(fmt.Sprintf("harness: %s finished %d of %d steps", name, got, sc.Steps))
 	}

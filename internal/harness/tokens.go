@@ -111,9 +111,7 @@ func Tokens(cfg Config) *Result {
 		}
 		interactive := mk("interactive", 10)
 		batch := mk("batch", 1)
-		if err := scen.Node.Engine().Run(float64(cfg.Steps)*60 + 3600); err != nil {
-			panic(err)
-		}
+		scen.run(cfg.Steps, 3600)
 		viol := 0
 		for _, sess := range []*core.Session{interactive, batch} {
 			for i, st := range sess.Stats() {

@@ -54,7 +54,7 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 		opts:      opts,
 		levelDims: levelDims,
 		base:      levels[L-1].Clone(),
-		augs:      make([][]Entry, maxInt(L-1, 0)),
+		augs:      make([][]Entry, max(L-1, 0)),
 		origLen:   orig.Len(),
 	}
 
@@ -81,7 +81,7 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 	}
 
 	// Per-level encoded-size prefix sums.
-	h.byteCum = make([][]int64, maxInt(L-1, 0))
+	h.byteCum = make([][]int64, max(L-1, 0))
 	for l := 0; l < L-1; l++ {
 		pre := make([]int64, len(h.augs[l])+1)
 		for i, e := range h.augs[l] {
@@ -106,13 +106,6 @@ func allOnes(dims []int) bool {
 		}
 	}
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func validateBounds(k errmetric.Kind, bounds []float64) error {
@@ -224,7 +217,6 @@ func (h *Hierarchy) buildLadder(orig *tensor.Tensor) error {
 		return nil
 	}
 	sw := h.runSweep(orig, st)
-	h.curve = sw.curve
 	h.baseAcc = sw.baseAcc
 	pr := newProber(h, st, orig, sw.floors)
 	total := h.TotalEntries()

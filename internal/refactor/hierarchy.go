@@ -99,7 +99,6 @@ type Hierarchy struct {
 	cum       []int     // cumulative entry counts per order position
 	byteCum   [][]int64 // per level: prefix encoded sizes (len+1)
 	rungs     []Rung
-	curve     []CurvePoint // sampled cursor→accuracy curve (sweep.go)
 	baseAcc   float64
 	origLen   int
 }
@@ -322,18 +321,4 @@ func (h *Hierarchy) RecomposeAtLevel(cursor, level int) *tensor.Tensor {
 func (h *Hierarchy) Achieved(orig *tensor.Tensor, cursor int) float64 {
 	rec := h.Recompose(cursor)
 	return errmetric.Measure(h.opts.Metric, orig.Data(), rec.Data())
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,9 +1,6 @@
 package refactor
 
 import (
-	"fmt"
-	"math"
-
 	"tango/internal/errmetric"
 	"tango/internal/par"
 	"tango/internal/tensor"
@@ -29,17 +26,6 @@ import (
 // O(B·n·L·log n) of per-bound binary search with a full Recompose and
 // full-array measure per probe.
 
-// CurvePoint is one sample of the cursor→accuracy curve the ladder
-// sweep records while walking the augmentation stream.
-type CurvePoint struct {
-	Cursor   int
-	Achieved float64
-}
-
-// maxCurveSamples bounds the evenly spaced samples of the stored curve;
-// level boundaries and the stream's endpoints are always included.
-const maxCurveSamples = 512
-
 // wpt is one (fine position, weight) pair of a composed 1-D
 // prolongation column.
 type wpt struct {
@@ -51,7 +37,6 @@ type sweepResult struct {
 	// candidates[i] is the first cursor whose swept SSE satisfies
 	// bounds[i], or -1 if the sweep never crossed that budget.
 	candidates []int
-	curve      []CurvePoint
 	// floors[pos] is the level-order[pos] field at that zone's boundary
 	// (coarser zones fully applied, none of this zone's entries) — the
 	// state Recompose reaches right after its pos-th prolongation.
@@ -106,7 +91,7 @@ func (h *Hierarchy) composedColumns(lvl, dim int) [][]wpt {
 
 // runSweep walks the augmentation stream once in retrieval order,
 // maintaining the reconstruction error against orig, and returns the
-// per-bound candidate cursors plus the sampled accuracy curve. The
+// per-bound candidate cursors. The
 // per-entry updates are sequential in stream order and the boundary
 // re-anchor uses chunk-ordered reduction, so the result is deterministic
 // at any worker count.
@@ -115,18 +100,12 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 	n := len(ref)
 	metric := h.opts.Metric
 	bounds := h.opts.Bounds
-	total := h.TotalEntries()
 
 	res := sweepResult{candidates: make([]int, len(bounds))}
 	budgets := make([]float64, len(bounds))
 	for i, b := range bounds {
 		res.candidates[i] = -1
 		budgets[i] = st.SSEBudget(metric, b)
-	}
-
-	sampleEvery := 1
-	if total > maxCurveSamples {
-		sampleEvery = (total + maxCurveSamples - 1) / maxCurveSamples
 	}
 
 	errv := make([]float64, n)
@@ -139,17 +118,6 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 			res.candidates[nextBound] = cursor
 			nextBound++
 		}
-	}
-	nextSample := 0
-	sample := func(force bool) {
-		if !force && cursor < nextSample {
-			return
-		}
-		nextSample = cursor - cursor%sampleEvery + sampleEvery
-		if k := len(res.curve); k > 0 && res.curve[k-1].Cursor == cursor {
-			return
-		}
-		res.curve = append(res.curve, CurvePoint{cursor, st.FromSSE(metric, sse)})
 	}
 
 	dims0 := h.levelDims[0]
@@ -189,7 +157,6 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 			return s
 		}, func(a, b float64) float64 { return a + b })
 		check()
-		sample(true)
 
 		curData := cur.Data()
 		if lvl == 0 {
@@ -203,7 +170,6 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 				errv[e.Index] = nw
 				cursor++
 				check()
-				sample(cursor == total)
 			}
 			continue
 		}
@@ -235,63 +201,7 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 			apply(0, 0, 1)
 			cursor++
 			check()
-			sample(cursor == total)
 		}
 	}
 	return res
-}
-
-// AccuracyCurve returns the sampled cursor→accuracy curve the ladder
-// sweep recorded (cursor-ascending, from the base-only point to the full
-// stream), or nil when the hierarchy was built without bounds or decoded
-// from storage — the sweep runs only during Decompose with a ladder.
-// Level-boundary points are freshly measured (no incremental drift);
-// points between boundaries come from the incrementally maintained SSE.
-// Both agree with a fresh Achieved measure to within a few ulps. The
-// returned slice is a copy.
-func (h *Hierarchy) AccuracyCurve() []CurvePoint {
-	return append([]CurvePoint(nil), h.curve...)
-}
-
-// CursorForAccuracy maps an accuracy target to the smallest cursor whose
-// swept accuracy satisfies it, interpolating linearly between curve
-// samples and rounding up so the returned prefix is conservative. Unlike
-// CursorForBound it accepts targets between (or looser than) ladder
-// bounds — the controller uses it to interpolate retrieval targets
-// between rungs instead of snapping up to the next rung boundary.
-func (h *Hierarchy) CursorForAccuracy(target float64) (int, error) {
-	if len(h.curve) == 0 {
-		return 0, fmt.Errorf("refactor: no accuracy curve (hierarchy built without bounds, or decoded)")
-	}
-	m := h.opts.Metric
-	for i, p := range h.curve {
-		if !m.Satisfies(p.Achieved, target) {
-			continue
-		}
-		if i == 0 {
-			return p.Cursor, nil
-		}
-		prev := h.curve[i-1]
-		den := p.Achieved - prev.Achieved
-		gap := p.Cursor - prev.Cursor
-		if den == 0 || gap <= 1 {
-			return p.Cursor, nil
-		}
-		f := (target - prev.Achieved) / den
-		if f < 0 {
-			f = 0
-		} else if f > 1 {
-			f = 1
-		}
-		c := prev.Cursor + int(math.Ceil(f*float64(gap)))
-		if c > p.Cursor {
-			c = p.Cursor
-		}
-		if c <= prev.Cursor {
-			c = prev.Cursor + 1
-		}
-		return c, nil
-	}
-	last := h.curve[len(h.curve)-1]
-	return 0, fmt.Errorf("refactor: accuracy %v unreachable (curve ends at %v)", target, last.Achieved)
 }

@@ -46,7 +46,7 @@ func referenceLadder(h *Hierarchy, orig *tensor.Tensor) ([]Rung, error) {
 			}
 		}
 		cursor := lo
-		step := maxInt(1, total/256)
+		step := max(1, total/256)
 		acc := h.Achieved(orig, cursor)
 		for !h.opts.Metric.Satisfies(acc, bound) && cursor < total {
 			cursor = min(cursor+step, total)
@@ -172,7 +172,7 @@ func TestProberMatchesAchieved(t *testing.T) {
 				case 0: // long jump
 					cursor = rng.Intn(total + 1)
 				case 1: // step down
-					cursor = maxInt(cursor-1, 0)
+					cursor = max(cursor-1, 0)
 				default: // step up
 					cursor = min(cursor+1, total)
 				}
@@ -202,7 +202,7 @@ func TestProber3D(t *testing.T) {
 	sw := h.runSweep(orig, st)
 	pr := newProber(h, st, orig, sw.floors)
 	total := h.TotalEntries()
-	for cursor := 0; cursor <= total; cursor += maxInt(1, total/97) {
+	for cursor := 0; cursor <= total; cursor += max(1, total/97) {
 		got := pr.achieved(cursor)
 		want := h.achievedWith(st, orig, cursor)
 		if got != want {
@@ -210,103 +210,12 @@ func TestProber3D(t *testing.T) {
 		}
 	}
 	// Walk backward over a zone boundary: un-apply must restore exactly.
-	for cursor := total; cursor >= 0; cursor -= maxInt(1, total/53) {
+	for cursor := total; cursor >= 0; cursor -= max(1, total/53) {
 		got := pr.achieved(cursor)
 		want := h.achievedWith(st, orig, cursor)
 		if got != want {
 			t.Fatalf("backward cursor %d: prober %v, Achieved %v", cursor, got, want)
 		}
-	}
-}
-
-// TestAccuracyCurve checks the sweep's recorded curve: cursor-ascending,
-// spanning base to full stream, monotone-improving under the metric, and
-// agreeing with a fresh exact measure to within a tight relative
-// tolerance (boundary points are exact up to reduction order; interior
-// points carry only ulp-scale incremental drift).
-func TestAccuracyCurve(t *testing.T) {
-	orig := analytics.XGCApp().Generate(129, 3)
-	h, err := Decompose(orig, Options{Levels: 3, Bounds: []float64{1e-1, 1e-2, 1e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve := h.AccuracyCurve()
-	if len(curve) < 3 {
-		t.Fatalf("curve too short: %d points", len(curve))
-	}
-	if curve[0].Cursor != 0 {
-		t.Errorf("curve starts at cursor %d, want 0", curve[0].Cursor)
-	}
-	if last := curve[len(curve)-1]; last.Cursor != h.TotalEntries() {
-		t.Errorf("curve ends at cursor %d, want %d", last.Cursor, h.TotalEntries())
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Cursor <= curve[i-1].Cursor {
-			t.Fatalf("curve not cursor-ascending at %d: %d after %d", i, curve[i].Cursor, curve[i-1].Cursor)
-		}
-	}
-	for _, p := range curve {
-		want := h.Achieved(orig, p.Cursor)
-		if want == 0 || math.IsInf(want, 0) {
-			continue
-		}
-		// Incremental drift is ulp-scale on the SSE; relative error on
-		// the metric grows as the residual shrinks toward zero
-		// (cancellation), so the tail of the curve sits around 1e-8.
-		if rel := math.Abs(p.Achieved-want) / math.Abs(want); rel > 1e-6 {
-			t.Errorf("cursor %d: curve %v vs exact %v (rel %v)", p.Cursor, p.Achieved, want, rel)
-		}
-	}
-	// The returned slice is a copy.
-	curve[0].Achieved = -1
-	if h.AccuracyCurve()[0].Achieved == -1 {
-		t.Error("AccuracyCurve returned internal slice, not a copy")
-	}
-}
-
-// TestCursorForAccuracy checks interpolation between rungs: targets
-// between two ladder bounds map to cursors between (and tighter targets
-// to larger cursors than) the bracketing rungs, and the returned
-// prefix's exact accuracy satisfies the target to curve tolerance.
-func TestCursorForAccuracy(t *testing.T) {
-	orig := analytics.CFDApp().Generate(129, 5)
-	h, err := Decompose(orig, Options{Levels: 3, Bounds: []float64{1e-1, 1e-2, 1e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rungs := h.Rungs()
-	target := 3e-2 // between 1e-1 and 1e-2
-	c, err := h.CursorForAccuracy(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c > rungs[1].Cursor {
-		t.Errorf("interpolated cursor %d exceeds tighter rung's %d", c, rungs[1].Cursor)
-	}
-	acc := h.Achieved(orig, c)
-	// Conservative rounding plus curve drift: allow a sliver over.
-	if acc > target*(1+1e-6) {
-		t.Errorf("cursor %d achieves %v, wanted <= %v", c, acc, target)
-	}
-	// A looser target must not need more entries.
-	cLoose, err := h.CursorForAccuracy(6e-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cLoose > c {
-		t.Errorf("looser target cursor %d > tighter target cursor %d", cLoose, c)
-	}
-	// Unreachable target errors.
-	if _, err := h.CursorForAccuracy(0); err == nil {
-		t.Error("expected error for unreachable target 0")
-	}
-	// No curve (built without bounds) errors.
-	h2, err := Decompose(orig, Options{Levels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h2.CursorForAccuracy(1e-2); err == nil {
-		t.Error("expected error for hierarchy built without bounds")
 	}
 }
 

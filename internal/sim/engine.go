@@ -16,7 +16,7 @@ type Engine struct {
 	seq    int64
 	events eventHeap
 	free   []*event // recycled event structs; bounds steady-state allocation
-	procs  int      // live (not yet finished) processes
+	procs  []*Proc  // live (not yet finished) processes; Proc.slot indexes it
 	err    error
 }
 
@@ -191,7 +191,7 @@ func (e *Engine) RunAll() error {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // LiveProcs reports the number of spawned processes that have not finished.
-func (e *Engine) LiveProcs() int { return e.procs }
+func (e *Engine) LiveProcs() int { return len(e.procs) }
 
 func (e *Engine) fail(err error) {
 	if e.err == nil {

@@ -18,6 +18,7 @@ type Proc struct {
 	yld  chan struct{} // proc -> engine: parked or finished
 
 	resumeFn func() // cached e.resume(p) closure; one alloc per process, not per Sleep
+	slot     int    // index in eng.procs while live
 
 	done      bool
 	suspended bool
@@ -45,14 +46,15 @@ func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
 		yld:  make(chan struct{}),
 	}
 	p.resumeFn = func() { e.resume(p) }
-	e.procs++
+	p.slot = len(e.procs)
+	e.procs = append(e.procs, p)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				p.err = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 			}
 			p.done = true
-			p.eng.procs--
+			p.eng.unlist(p)
 			p.yld <- struct{}{}
 		}()
 		p.park() // wait for first resume
@@ -97,6 +99,27 @@ func (p *Proc) park() {
 func (e *Engine) Kill(p *Proc) {
 	p.killed = true
 	e.resume(p)
+}
+
+// unlist swap-removes a finishing process from the live list. It runs on
+// the process's goroutine while the engine is blocked in resume.
+func (e *Engine) unlist(p *Proc) {
+	last := len(e.procs) - 1
+	moved := e.procs[last]
+	e.procs[p.slot] = moved
+	moved.slot = p.slot
+	e.procs[last] = nil
+	e.procs = e.procs[:last]
+}
+
+// Close kills every live process, so none outlives the engine parked on
+// a goroutine that keeps its whole node reachable. Call it once Run has
+// returned for the last time; the engine must not run afterwards. A
+// second Close is a no-op.
+func (e *Engine) Close() {
+	for len(e.procs) > 0 {
+		e.Kill(e.procs[len(e.procs)-1])
+	}
 }
 
 // Name returns the process name given at Spawn.

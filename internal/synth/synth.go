@@ -115,8 +115,8 @@ func XGC(o XGCOptions) (*tensor.Tensor, []Blob) {
 		// Paint the blob onto the grid.
 		r0, r1 := int(b.Row-4*b.Radius), int(b.Row+4*b.Radius)
 		c0, c1 := int(b.Col-4*b.Radius), int(b.Col+4*b.Radius)
-		for r := maxI(0, r0); r <= minI(n-1, r1); r++ {
-			for c := maxI(0, c0); c <= minI(n-1, c1); c++ {
+		for r := max(0, r0); r <= min(n-1, r1); r++ {
+			for c := max(0, c0); c <= min(n-1, c1); c++ {
 				dr, dc := float64(r)-b.Row, float64(c)-b.Col
 				data[r*n+c] += b.Amplitude * math.Exp(-(dr*dr+dc*dc)/(2*b.Radius*b.Radius))
 			}
@@ -185,18 +185,4 @@ func CFD(n int, seed int64) *tensor.Tensor {
 		}
 	}
 	return t
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -17,7 +17,7 @@
 // rate and can never deadlock (idle-only lending means no borrow cycle
 // can form among active sessions, and nobody ever blocks waiting for a
 // repayment). Each lender's outstanding principal is hard-capped at
-// LendFrac of its bucket, so a lender that turns active again still
+// lendFrac of its bucket, so a lender that turns active again still
 // holds most of its capacity — and it can recall in-force points from
 // its debtors on the spot (an O(1) weight rewrite per debtor) instead
 // of sweeping the node.
@@ -90,17 +90,15 @@ const (
 	// cannot erase the priority differentiation the weight function
 	// encodes.
 	boostFactor = 2.0
-	maxLenders  = 4 // peers funding one Request
-	maxDebtors  = 8 // concurrent debtors one lender carries
-	maxScan     = 8 // rotating lender scan per Request; keeps Request O(1) in sessions
+	// lendFrac caps each lender's outstanding principal at lendFrac×cap.
+	lendFrac   = 0.5
+	maxLenders = 4 // peers funding one Request
+	maxDebtors = 8 // concurrent debtors one lender carries
+	maxScan    = 8 // rotating lender scan per Request; keeps Request O(1) in sessions
 )
 
-// Options tunes the controller. The zero value selects the defaults
-// noted on each field.
+// Options tunes the controller; the zero value is pure token mode.
 type Options struct {
-	// LendFrac caps each lender's outstanding principal at
-	// LendFrac×cap. Default 0.5.
-	LendFrac float64
 	// EpochSec > 0 enables hybrid mode: every EpochSec the controller
 	// runs one coordinator-style global rescale and forgives the ledger.
 	// 0 (default) is pure token mode.
@@ -193,9 +191,6 @@ type Controller struct {
 // taken as a constant 0, useful in tests that drive time explicitly
 // through a variable).
 func New(now func() float64, opts Options) *Controller {
-	if opts.LendFrac <= 0 {
-		opts.LendFrac = 0.5
-	}
 	c := &Controller{
 		opts:   opts,
 		now:    now,
@@ -451,7 +446,7 @@ func (c *Controller) resize(b *Bucket, desired int) {
 	b.cap = float64(c.wantPts(desired)) * burstSec
 	b.rate = b.cap / refillSec
 	b.tokens = frac * b.cap
-	if excess := b.lentOut - c.opts.LendFrac*b.cap; excess > 0 {
+	if excess := b.lentOut - lendFrac*b.cap; excess > 0 {
 		c.writeOff(b, excess)
 	}
 }
@@ -521,7 +516,7 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 			continue
 		}
 		c.settle(l, now)
-		avail := c.opts.LendFrac*l.cap - l.lentOut
+		avail := lendFrac*l.cap - l.lentOut
 		if avail > l.tokens {
 			avail = l.tokens
 		}

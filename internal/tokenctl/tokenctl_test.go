@@ -97,9 +97,9 @@ func TestBorrowBoostsStarvedSession(t *testing.T) {
 }
 
 // TestLenderCapRespected: outstanding principal per lender never
-// exceeds LendFrac of its cap, however hard the debtors pull.
+// exceeds lendFrac of its cap, however hard the debtors pull.
 func TestLenderCapRespected(t *testing.T) {
-	c, ck, bs := newTestCtl(t, Options{LendFrac: 0.5}, "a", "b", "lender")
+	c, ck, bs := newTestCtl(t, Options{}, "a", "b", "lender")
 	l := bs["lender"]
 	for i := 0; i < 10; i++ {
 		c.Request(bs["a"], 300)
@@ -108,7 +108,7 @@ func TestLenderCapRespected(t *testing.T) {
 		c.Request(bs["b"], 1000)
 		ck.advance(60)
 	}
-	if maxOut := c.opts.LendFrac * l.cap; l.LentOut() > maxOut+1e-9 {
+	if maxOut := lendFrac * l.cap; l.LentOut() > maxOut+1e-9 {
 		t.Fatalf("lender outstanding %.1f exceeds cap %.1f", l.LentOut(), maxOut)
 	}
 }
@@ -190,7 +190,7 @@ func TestLedgerInvariants(t *testing.T) {
 			if b.tokens < -1e-9 || b.tokens > b.cap+1e-9 {
 				t.Fatalf("op %d %s: %s tokens %.3f outside [0, %.1f]", i, op, b.name, b.tokens, b.cap)
 			}
-			if maxOut := c.opts.LendFrac * b.cap; b.lentOut > maxOut+1e-9 {
+			if maxOut := lendFrac * b.cap; b.lentOut > maxOut+1e-9 {
 				t.Fatalf("op %d %s: %s lentOut %.3f > cap %.3f", i, op, b.name, b.lentOut, maxOut)
 			}
 			owed += b.Owed()

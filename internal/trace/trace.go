@@ -144,21 +144,6 @@ func (r *Recorder) Filter(kind string) []Event {
 	return out
 }
 
-// FilterKinds returns retained events matching any of the given kinds,
-// in chronological order.
-func (r *Recorder) FilterKinds(kinds ...string) []Event {
-	var out []Event
-	for _, ev := range r.Events() {
-		for _, k := range kinds {
-			if ev.Kind == k {
-				out = append(out, ev)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Len reports the number of retained events.
 func (r *Recorder) Len() int {
 	if r == nil {

@@ -45,6 +45,14 @@ func PaperNoiseSet() []Noise {
 	}
 }
 
+// FirstPaperNoise returns the first n interferers of Table IV, with n
+// clamped to 0–6 — the one place a caller-supplied interferer count is
+// bounded.
+func FirstPaperNoise(n int) []Noise {
+	set := PaperNoiseSet()
+	return set[:max(0, min(n, len(set)))]
+}
+
 // Handle controls a running interferer: workload churn (an interferer
 // leaving mid-run, or its checkpoint cadence changing when the producing
 // simulation is rescaled) mutates the handle, and the interferer's loop

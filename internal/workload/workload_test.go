@@ -31,6 +31,22 @@ func TestPaperNoiseSetMatchesTableIV(t *testing.T) {
 	}
 }
 
+// TestFirstPaperNoiseClampsCount: a count outside 0–6 is clamped, not
+// sliced with — `tangosim -noise -1` used to panic here.
+func TestFirstPaperNoiseClampsCount(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{{-1, 0}, {0, 0}, {3, 3}, {6, 6}, {7, 6}} {
+		got := FirstPaperNoise(tc.n)
+		if len(got) != tc.want {
+			t.Errorf("FirstPaperNoise(%d): %d interferers, want %d", tc.n, len(got), tc.want)
+		}
+		for i, n := range got {
+			if want := PaperNoiseSet()[i]; n != want {
+				t.Errorf("FirstPaperNoise(%d)[%d] = %+v, want %+v", tc.n, i, n, want)
+			}
+		}
+	}
+}
+
 func TestNoisePeriodicity(t *testing.T) {
 	n, hdd := newTestNode()
 	// Small checkpoint so writes are short relative to the period.

@@ -4,6 +4,10 @@
 #
 # Not part of the check, and also make targets:
 #   make bench = go run ./benchmarks/perf   (host-time benchmark, BENCHMARK.json)
+#   make suite = go run ./cmd/tangobench -json -parallel 4 -grid 129 -steps 40 \
+#                  -skip 10 -dataset 512 > bench-suite.json
+#   make suite-check = the same command piped to `cmp - bench-baseline.json`
+#                (the behaviour gate: byte-identity with the committed baseline)
 #   make loc   = non-test Go lines:
 #                find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' \
 #                  -not -path '*/testdata/*' | xargs cat | wc -l

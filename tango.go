@@ -177,14 +177,10 @@ type Noise = workload.Noise
 // TableIVNoise returns the paper's six interfering containers.
 func TableIVNoise() []Noise { return workload.PaperNoiseSet() }
 
-// LaunchTableIVNoise starts the first n Table IV interferers on node
-// writing to dev, and returns their containers.
+// LaunchTableIVNoise starts the first n Table IV interferers (n is
+// clamped to 0–6) on node writing to dev, and returns their containers.
 func LaunchTableIVNoise(node *Node, dev *Device, n int) []*Container {
-	set := workload.PaperNoiseSet()
-	if n > len(set) {
-		n = len(set)
-	}
-	return workload.LaunchNoiseSet(node, dev, set[:n])
+	return workload.LaunchNoiseSet(node, dev, workload.FirstPaperNoise(n))
 }
 
 // LaunchNoise starts one custom interferer.
@@ -200,11 +196,7 @@ type NoiseHandle = workload.Handle
 // and returns their control handles by name, for use with
 // FaultInjector.RegisterNoise.
 func LaunchTableIVNoiseControlled(node *Node, dev *Device, n int) map[string]*NoiseHandle {
-	set := workload.PaperNoiseSet()
-	if n > len(set) {
-		n = len(set)
-	}
-	return workload.LaunchNoiseSetControlled(node, dev, set[:n])
+	return workload.LaunchNoiseSetControlled(node, dev, workload.FirstPaperNoise(n))
 }
 
 // ---- Fault injection --------------------------------------------------------
