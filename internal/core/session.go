@@ -537,7 +537,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	slow := s.store.SlowestDevice()
 	readBucket := func(b bucket, weight int) bool {
 		bs := BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: p.Now()}
-		if weight > 0 {
+		if weight > 0 && cfg.Trace != nil { // guard: the variadic emit boxes its args
 			cfg.Trace.Emit(p.Now(), s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, b.bound, b.to-b.from)
 		}
 		if cfg.ParallelTierReads {
@@ -552,7 +552,9 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		}
 		bs.Elapsed = p.Now() - bs.Start
 		st.Buckets = append(st.Buckets, bs)
-		cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
+		if cfg.Trace != nil { // guard: as above
+			cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
+		}
 		return !st.Degraded
 	}
 	// setWeight routes through the node-level allocator when configured
@@ -687,8 +689,10 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	st.Bytes, _ = tier.Total()
 	st.IOTime = p.Now() - start
 	s.stats = append(s.stats, st)
-	cfg.Trace.Emit(p.Now(), s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
-		step, st.IOTime, st.Bytes, st.Cursor, st.Predicted, st.Degree)
+	if cfg.Trace != nil { // guard: as above
+		cfg.Trace.Emit(p.Now(), s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
+			step, st.IOTime, st.Bytes, st.Cursor, st.Predicted, st.Degree)
+	}
 
 	// Compute/render phase: the remainder of the period.
 	if wait := cfg.Period - (p.Now() - start); wait > 0 {

@@ -485,7 +485,7 @@ func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok
 // TryReadCancel. The flow is issued from an engine-side event at
 // start+latency rather than by sleeping the process just to issue the
 // flow and park again: the issue event occupies exactly the queue slot a
-// Sleep's resume event would, and each transfer saves a goroutine
+// Sleep's resume event would, and each transfer saves a coroutine
 // round-trip.
 //
 //tango:hotpath

@@ -26,15 +26,13 @@
 // contract: same-seed runs are byte-identical at any -parallel width.
 //
 // A node killed mid-run abandons its engine wholesale: session steps
-// parked mid-transfer on its devices are never resumed (their goroutines
-// leak until process exit, bounded by kills × sessions-per-node), and a
-// revived node is rebuilt from scratch with an empty L2 — exactly the
-// semantics of losing the machine.
+// parked mid-transfer on its devices are never resumed (the engine is
+// closed, which ends them), and a revived node is rebuilt from scratch
+// with an empty L2 — exactly the semantics of losing the machine.
 package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -348,7 +346,7 @@ func (nd *node) predictFrac(nodeBW float64) float64 {
 }
 
 // Run executes the configured epochs and returns the report. Single
-// use: a finished cluster's step procs are gone.
+// use: a finished cluster's engines are closed.
 func (c *Cluster) Run() (*Report, error) {
 	cfg := c.cfg
 	nodeBW := cfg.Store.NodeBandwidth
@@ -392,11 +390,6 @@ func (c *Cluster) Run() (*Report, error) {
 	for _, nd := range c.nodes {
 		nd.cn.Engine().Close()
 	}
-	// One goroutine per session just exited; their stacks and the wait
-	// records they parked on are freed only by a collection. Run it here,
-	// so what a finished cluster leaves for the next one in the process
-	// does not depend on where the pacer's next cycle happens to fall.
-	runtime.GC()
 	return c.report(), nil
 }
 
@@ -426,9 +419,9 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 		if c.killEpoch < 0 {
 			c.killEpoch = epoch
 		}
-		// End the node's step procs (parked between epochs or, on an
-		// overrun, inside a transfer that will never complete): a
-		// goroutine left parked keeps its whole cluster reachable.
+		// End the node's step procs (on an overrun, parked inside a
+		// transfer that will never complete) and idle step workers: a
+		// coroutine left parked keeps its whole cluster reachable.
 		nd.cn.Engine().Close()
 		orphans := nd.sessions
 		nd.sessions = nil
@@ -531,15 +524,14 @@ func (c *Cluster) attach(nd *node, s *session) {
 	}
 	nd.sessions = append(nd.sessions, s)
 	nd.load += s.cost
-	// Rebind the persistent step machinery to this node: scheduleSteps
-	// spawns the proc directly at its first step instant and wakes it at
-	// each later one, inserting exactly one resume event per step at the
-	// arm instant — the queue slot the old Spawn-per-step pattern's arm
-	// event occupied, which is the byte-identity contract with it. A proc
-	// left parked on a previous node stays there until that engine closes.
+	// Rebind the step machinery to this node: scheduleSteps starts the
+	// proc at each step instant, inserting exactly one resume event per
+	// step at the arm instant — the queue slot the old Spawn-per-step
+	// pattern's arm event occupied, which is the byte-identity contract
+	// with it.
 	epochSec := c.cfg.EpochSec
-	s.proc = nil
-	s.stepFn = func(p *sim.Proc) { nd.runSession(p, s, epochSec) }
+	s.proc = nd.cn.Engine().NewProc(s.name)
+	s.stepFn = func(p *sim.Proc) { nd.step(p, s, epochSec, nd.measured) }
 }
 
 // detach unbinds a session from its current node (planned migrations
@@ -561,9 +553,9 @@ func (c *Cluster) detach(nd *node, s *session) {
 	nd.load -= s.cost
 	s.node = -1
 	s.cg = nil
-	// The parked proc (and its step closure) belong to the old node's
-	// engine; attach on the destination rebuilds them. The old proc ends
-	// with that node's engine (Close).
+	// The proc (finished: busy sessions do not move) and its step closure
+	// belong to the old node's engine; attach on the destination rebuilds
+	// them.
 	s.proc = nil
 	s.stepFn = nil
 }

@@ -39,13 +39,11 @@ type session struct {
 	restore  float64          // bytes to re-fetch from the store before stepping
 	busy     bool             // a step proc is in flight
 
-	// Persistent step machinery, rebuilt at attach: one proc runs all of
-	// this session's steps on its current node, parking between epochs
-	// (Suspend) and re-armed by the barrier committing a future resume
-	// (WakeAt) — the Spawn-per-step pattern this replaces allocated a
-	// proc, two channels, a goroutine, and two closures per session per
-	// epoch, and cost an extra trampoline event per step. stepFn is the
-	// proc body.
+	// Step machinery, rebuilt at attach: one reusable proc runs each of
+	// this session's steps on its current node. The barrier starts it at
+	// the step instant (StartAt: one event, no allocation) and it is
+	// finished between steps, so the node's engine holds a coroutine per
+	// step in flight, not per session. stepFn is the proc body, one step.
 	proc   *sim.Proc
 	stepFn func(p *sim.Proc)
 }
@@ -84,10 +82,11 @@ func genSessions(n int, seed int64, epochSec, nodeBW float64) []*session {
 // the step crossed one or more epoch boundaries) skips this period —
 // back-pressure instead of pile-up, and the overrun itself is already
 // counted as a bound violation when it completes.
-// The barrier commits each session's resume directly at its step instant
-// (SpawnAt on first arm, WakeAt thereafter): one event per step, taking
-// the queue slot the per-step arm event used to occupy, so step bodies
-// still run at the same instant and in the same barrier order.
+// The barrier commits each step directly at its step instant (StartAt):
+// one event per step, taking the queue slot the per-step arm event used
+// to occupy, so step bodies still run at the same instant and in the
+// same barrier order. nd.measured is read at step start, inside the
+// epoch that armed it, so it matches the value the barrier published.
 func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 	eng := nd.cn.Engine()
 	nd.measured = measured
@@ -97,24 +96,7 @@ func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 			continue
 		}
 		s.busy = true
-		if s.proc == nil {
-			s.proc = eng.SpawnAt(t0+s.phase, s.name, s.stepFn)
-		} else {
-			eng.WakeAt(t0+s.phase, s.proc)
-		}
-	}
-}
-
-// runSession is a session's persistent step proc: it runs one step per
-// wake-up and parks between epochs. It never returns: the node kills it
-// (Engine.Close) when the node dies or the run ends — a proc orphaned by a
-// planned migration stays parked until then, because nothing arms it
-// again. nd.measured is read at step start, inside the epoch that armed
-// it, so it matches the value the barrier published.
-func (nd *node) runSession(p *sim.Proc, s *session, epochSec float64) {
-	for {
-		nd.step(p, s, epochSec, nd.measured)
-		p.Suspend()
+		eng.StartAt(t0+s.phase, s.proc, s.stepFn)
 	}
 }
 

@@ -45,8 +45,8 @@ func BenchmarkTimerStop(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSleepLoop measures the process round trip: one goroutine
-// sleeping in a tight virtual-time loop (two channel handoffs plus one
+// BenchmarkProcSleepLoop measures the process round trip: one process
+// sleeping in a tight virtual-time loop (two coroutine switches plus one
 // event per iteration).
 func BenchmarkProcSleepLoop(b *testing.B) {
 	b.ReportAllocs()

@@ -15,8 +15,9 @@ type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
-	free   []*event // recycled event structs; bounds steady-state allocation
-	procs  []*Proc  // live (not yet finished) processes; Proc.slot indexes it
+	free   []*event  // recycled event structs; bounds steady-state allocation
+	procs  []*Proc   // live (not yet finished) processes; Proc.slot indexes it
+	idle   []*worker // parked coroutines of finished reusable procs; Close stops them
 	err    error
 }
 

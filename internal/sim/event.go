@@ -4,10 +4,15 @@
 // repository run in virtual time.
 //
 // The engine follows the SimPy coroutine model: each simulated process is a
-// goroutine that is parked and resumed by a single scheduler goroutine, so
-// at any instant exactly one goroutine (either the engine or one process)
-// is running. All simulation state is therefore serialized without locks,
-// and runs are bit-deterministic for a given seed and spawn order.
+// coroutine (iter.Pull) that the engine switches to when the process's
+// resume event fires and that switches back when the process blocks or
+// ends — a direct hand-off on the engine's own thread, with no channel
+// and no trip through the Go scheduler. At any instant exactly one of them
+// (the engine or one process) is running, so all simulation state is
+// serialized without locks, and runs are bit-deterministic for a given
+// seed and spawn order. A coroutine exists from a process's first resume
+// to the end of its body; processes made to run many short bodies
+// (NewProc, StartAt) share a pool of them that Engine.Close drains.
 package sim
 
 // event is a scheduled callback. Events fire in (time, seq) order; seq is a

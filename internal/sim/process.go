@@ -2,29 +2,49 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 	"runtime/debug"
 )
 
-// Proc is a simulated process: a goroutine that runs user code and yields
-// control back to the engine whenever it blocks on virtual time (Sleep) or
-// on an external wake-up (Suspend). A Proc must only call its blocking
+// Proc is a simulated process: a coroutine that runs user code and
+// switches back to the engine whenever it blocks on virtual time (Sleep)
+// or on an external wake-up (Suspend). A Proc must only call its blocking
 // methods from its own body function.
+//
+// A Proc implements Callback: the event that resumes it is the proc
+// itself, so arming a resume allocates nothing.
 type Proc struct {
 	eng  *Engine
 	name string
 
-	wake chan struct{} // engine -> proc: run until next yield
-	yld  chan struct{} // proc -> engine: parked or finished
+	fn func(p *Proc) // body of the current run; nil once it has returned
+	w  *worker       // coroutine running fn; bound at first resume, nil before and after
 
-	resumeFn func() // cached e.resume(p) closure; one alloc per process, not per Sleep
-	slot     int    // index in eng.procs while live
+	slot     int  // index in eng.procs while live
+	reusable bool // made by NewProc: StartAt may run it again, on a pooled worker
 
 	done      bool
 	suspended bool
 	killed    bool
-	err       error
 }
+
+// worker is one coroutine (iter.Pull) that runs proc bodies. A Spawn-ed
+// proc gets a worker of its own, which ends with the body. The workers of
+// reusable procs outlive the body: they park on the engine's idle list
+// and run whichever reusable proc resumes next, until Close stops them —
+// so an engine holds as many of them as it ever had reusable procs in
+// flight at once, not one per proc.
+type worker struct {
+	eng   *Engine
+	p     *Proc // the proc whose body is running; nil while idle
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// procKilled is the panic a killed proc unwinds with, raised at its yield
+// point and recovered in worker.exec.
+type procKilled struct{}
 
 // Spawn starts fn as a new simulated process. The process begins executing
 // at the current virtual time, after events already scheduled at this
@@ -39,70 +59,154 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // event, where an At(t, ...) trampoline that Spawns on firing would
 // insert two.
 func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		name: name,
-		wake: make(chan struct{}),
-		yld:  make(chan struct{}),
-	}
-	p.resumeFn = func() { e.resume(p) }
-	p.slot = len(e.procs)
-	e.procs = append(e.procs, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				p.err = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
-			p.done = true
-			p.eng.unlist(p)
-			p.yld <- struct{}{}
-		}()
-		p.park() // wait for first resume
-		fn(p)
-	}()
-	e.At(t, p.resumeFn)
+	p := &Proc{eng: e, name: name}
+	e.start(t, p, fn)
 	return p
 }
 
-// resume transfers control to p and blocks until p yields or finishes.
-// It must be called from the engine context (an event callback).
+// NewProc returns a finished process that StartAt can run, any number of
+// times. It costs one small struct: no coroutine exists until a run's
+// first resume, and that one comes from the engine's idle list when a
+// previous run of any reusable proc left one there.
+func (e *Engine) NewProc(name string) *Proc {
+	return &Proc{eng: e, name: name, reusable: true, done: true}
+}
+
+// StartAt runs fn as the body of p, a finished process made by NewProc,
+// from the top at virtual time t (clamped to the present, like At). Like
+// SpawnAt it inserts exactly one event, at the call: the first resume.
+// A process drops its body when it finishes, so every run names fn again.
+// Starting a live process, a killed one (resumes queued for the run that
+// was killed may still be pending) or one not made by NewProc panics.
+func (e *Engine) StartAt(t float64, p *Proc, fn func(p *Proc)) {
+	if !p.reusable || !p.done || p.killed {
+		panic(fmt.Sprintf("sim: StartAt on process %q, which is live, killed or not from NewProc", p.name))
+	}
+	e.start(t, p, fn)
+}
+
+// start lists p as live and arms its first resume.
+func (e *Engine) start(t float64, p *Proc, fn func(p *Proc)) {
+	p.fn = fn
+	p.done = false
+	p.slot = len(e.procs)
+	e.procs = append(e.procs, p)
+	e.AtCall(t, p)
+}
+
+// Fire resumes the process; it is the body of every resume event (the
+// first one, a Sleep expiring, a Wake). Only the engine calls it.
+func (p *Proc) Fire() { p.eng.resume(p) }
+
+// resume switches to p and returns when p yields or finishes. It must be
+// called from the engine context (an event callback). A resume queued for
+// a process that has since finished is a no-op.
 func (e *Engine) resume(p *Proc) {
 	if p.done {
 		return
 	}
-	p.wake <- struct{}{}
-	<-p.yld
-	if p.err != nil {
-		e.fail(p.err)
+	w := p.w
+	if w == nil {
+		w = e.bind(p)
+	}
+	w.next()
+}
+
+// bind gives p the coroutine that runs its body: an idle worker when p is
+// reusable and one is parked, a new one otherwise.
+func (e *Engine) bind(p *Proc) *worker {
+	var w *worker
+	if n := len(e.idle); p.reusable && n > 0 {
+		w = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		w = &worker{eng: e}
+		//lint:ignore hotpath coroutine creation: once per un-pooled proc (what its goroutine and two channels cost before) and once per pool miss for a reusable one, amortized by the idle list like the make/new refill idiom
+		w.next, w.stop = iter.Pull(w.run)
+	}
+	w.p, p.w = p, w
+	return w
+}
+
+// run is the coroutine body: run the bound proc to its end, then park
+// idle until bind hands over another, or end when exec says not to go on
+// or Close stops the parked worker.
+func (w *worker) run(yield func(struct{}) bool) {
+	w.yield = yield
+	for w.exec() {
+		w.eng.idle = append(w.eng.idle, w)
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// yield transfers control back to the engine and blocks until resumed.
-func (p *Proc) yield() {
-	p.yld <- struct{}{}
-	p.park()
+// exec runs the bound proc's body and finishes the proc however the body
+// ends: by returning, by a panic (reported through Engine.Err) or by the
+// procKilled unwind. Only a worker of a reusable proc whose body returned
+// is fit to run another.
+func (w *worker) exec() (reuse bool) {
+	p := w.p
+	defer func() {
+		r := recover()
+		if _, killed := r.(procKilled); r != nil && !killed {
+			w.eng.fail(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+		}
+		reuse = r == nil && p.reusable
+		p.finish()
+	}()
+	p.fn(p)
+	return
 }
 
-// park blocks until the engine resumes p. A process killed while parked
-// unwinds from here instead of returning to its body.
-func (p *Proc) park() {
-	<-p.wake
-	if p.killed {
-		runtime.Goexit()
+// finish marks p done, unlists it and drops everything the run held — the
+// body, and through it whatever the body closed over, and the worker — so
+// a *Proc kept after its run pins none of it.
+func (p *Proc) finish() {
+	p.done = true
+	p.fn = nil
+	if p.w != nil {
+		p.w.p = nil
+		p.w = nil
+	}
+	p.eng.unlist(p)
+}
+
+// yield switches back to the engine and returns when p is resumed. A
+// process killed while parked here unwinds instead of returning to its
+// body.
+func (p *Proc) yield() {
+	if !p.w.yield(struct{}{}) {
+		panic(procKilled{})
 	}
 }
 
 // Kill ends a parked process where it is blocked: its deferred calls run,
 // no further body code does, and resume events already queued for it
-// become no-ops. Call it from the engine context or while the engine is
-// not running; killing a finished process is a no-op.
+// become no-ops. A process that never ran ends without a coroutine ever
+// existing for it. Call Kill from the engine context or while the engine
+// is not running; killing a finished process is a no-op.
+//
+// The unwind is a panic with an unexported value, raised where the
+// process is parked (runtime.Goexit would take the engine's goroutine
+// down with the coroutine). A body that recovers every panic must
+// re-panic values it does not know, or it outlives its Kill until its
+// next blocking call.
 func (e *Engine) Kill(p *Proc) {
+	if p.done {
+		return
+	}
 	p.killed = true
-	e.resume(p)
+	if p.w == nil {
+		p.finish()
+		return
+	}
+	p.w.stop() // the parked yield returns false; exec finishes p
 }
 
 // unlist swap-removes a finishing process from the live list. It runs on
-// the process's goroutine while the engine is blocked in resume.
+// the process's coroutine while the engine is switched out in resume.
 func (e *Engine) unlist(p *Proc) {
 	last := len(e.procs) - 1
 	moved := e.procs[last]
@@ -112,17 +216,21 @@ func (e *Engine) unlist(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// Close kills every live process, so none outlives the engine parked on
-// a goroutine that keeps its whole node reachable. Call it once Run has
-// returned for the last time; the engine must not run afterwards. A
-// second Close is a no-op.
+// Close kills every live process and stops every idle worker, so no
+// coroutine outlives the engine parked on a goroutine that keeps its
+// whole node reachable. Call it once Run has returned for the last time;
+// the engine must not run afterwards. A second Close is a no-op.
 func (e *Engine) Close() {
 	for len(e.procs) > 0 {
 		e.Kill(e.procs[len(e.procs)-1])
 	}
+	for _, w := range e.idle {
+		w.stop()
+	}
+	e.idle = nil
 }
 
-// Name returns the process name given at Spawn.
+// Name returns the process name given at Spawn or NewProc.
 func (p *Proc) Name() string { return p.name }
 
 // Engine returns the engine this process runs on.
@@ -131,7 +239,8 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// Done reports whether the process body has returned.
+// Done reports whether the process body has returned (or, for a process
+// from NewProc, has not been started).
 func (p *Proc) Done() bool { return p.done }
 
 // Sleep blocks the process for d seconds of virtual time. Negative
@@ -142,7 +251,7 @@ func (p *Proc) Sleep(d float64) {
 		d = 0
 	}
 	e := p.eng
-	e.At(e.now+d, p.resumeFn)
+	e.AtCall(e.now+d, p)
 	p.yield()
 }
 
@@ -162,24 +271,8 @@ func (e *Engine) Wake(p *Proc) {
 		return
 	}
 	p.suspended = false
-	e.At(e.now, p.resumeFn)
+	e.AtCall(e.now, p)
 }
 
 // Wake is a convenience for Engine.Wake from another process context.
 func (p *Proc) Wake(other *Proc) { p.eng.Wake(other) }
-
-// WakeAt schedules a suspended process to resume at virtual time t
-// (clamped to the present, like At). It is Wake with the resume placed
-// in the future: the caller commits the wake-up now, with the resume
-// event taking the queue slot the commit point owns, instead of firing a
-// trampoline event at t that wakes the process with a second event. A
-// process already woken (or not suspended) is left alone. Between the
-// call and t the process no longer counts as suspended, so intervening
-// Wake calls no-op rather than pull the resume earlier.
-func (e *Engine) WakeAt(t float64, p *Proc) {
-	if p == nil || p.done || !p.suspended {
-		return
-	}
-	p.suspended = false
-	e.At(t, p.resumeFn)
-}
