@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check bench suite suite-check loc clean
+.PHONY: all build vet lint lint-json race test check bench bench-allocs suite suite-check loc clean
 
 all: build
 
@@ -36,6 +36,11 @@ check: build vet lint race
 # four workloads, six gated end-to-end metrics, sim_digest output checks.
 bench:
 	$(GO) run ./benchmarks/perf
+
+# Allocation ceilings over the log of `make bench > perf-bench.txt`: reads
+# the file, runs nothing (CI makes the run once and gates it here).
+bench-allocs:
+	sh scripts/alloc-ceilings.sh perf-bench.txt
 
 # The behaviour gate: the CI-scale experiment suite must be byte-identical
 # to the committed baseline (the simulator is bit-deterministic at every

@@ -197,6 +197,8 @@ func (c *Cache) emit(kind, format string, args ...any) {
 // of the level-local range [start, end) are resident, and on which
 // device. It also does the per-request bookkeeping (hit/miss counters,
 // reuse statistics), so staging calls it exactly once per segment read.
+//
+//tango:hotpath
 func (c *Cache) Serve(level, start, end int) (*device.Device, int) {
 	if c.closed || end <= start {
 		return nil, 0
@@ -214,11 +216,17 @@ func (c *Cache) Serve(level, start, end int) (*device.Device, int) {
 		bytes := float64(c.h.LevelBytes(level, start, start+served)) * c.scale
 		c.stats.Hits++
 		c.stats.HitBytes += bytes
-		c.emit(trace.KindCacheHit, "level=%d entries=[%d,%d) served=%d bytes=%.0f", level, start, end, served, bytes)
+		if c.cfg.Trace != nil { // guard: the variadic emit boxes its args
+			//lint:ignore hotpath recorder-on only: a traced run pays for its own formatting
+			c.emit(trace.KindCacheHit, "level=%d entries=[%d,%d) served=%d bytes=%.0f", level, start, end, served, bytes)
+		}
 	}
 	if served < end-start {
 		c.stats.Misses++
-		c.emit(trace.KindCacheMiss, "level=%d entries=[%d,%d) uncached=%d", level, start, end, end-start-served)
+		if c.cfg.Trace != nil {
+			//lint:ignore hotpath recorder-on only, as above
+			c.emit(trace.KindCacheMiss, "level=%d entries=[%d,%d) uncached=%d", level, start, end, end-start-served)
+		}
 	}
 	if served == 0 {
 		return nil, 0

@@ -130,7 +130,7 @@ func TestStoreReadsThroughCache(t *testing.T) {
 	cg := blkio.NewCgroup("fg")
 
 	readAll := func() (hddBytes, ssdBytes float64) {
-		var ts *staging.TierStats
+		var ts staging.TierStats
 		rg.eng.Spawn("reader", func(p *sim.Proc) {
 			ts = rg.store.ReadRange(p, cg, 0, rg.h.TotalEntries())
 		})
@@ -244,5 +244,31 @@ func TestCapacityPressureShrinksCacheNotBase(t *testing.T) {
 	}
 	if got := rg2.ssd.Used() - c.Used() - 1*device.MB; got != baseUsed {
 		t.Fatalf("staged reservations changed: %v != %v", got, baseUsed)
+	}
+}
+
+// TestServeZeroAllocUntraced: Serve runs once per segment of every read;
+// with no recorder its hit and miss bookkeeping formats and boxes nothing.
+func TestServeZeroAllocUntraced(t *testing.T) {
+	rg := newRig(t, 0)
+	c := New(rg.store, rg.ssd, Config{CapacityMB: 64})
+	_, hi, entries := rg.hddLevelRange()
+	cg := blkio.NewCgroup("bg")
+	rg.eng.Spawn("prefetch", func(p *sim.Proc) { c.PrefetchTo(p, cg, hi-entries/2, nil) })
+	if err := rg.eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Serve(0, 0, entries)              // partial: a hit and a miss
+		c.Serve(0, entries-1, entries)      // miss
+		c.Serve(0, 0, c.CachedEntries())    // hit
+		c.Serve(1, 0, rg.h.LevelEntries(1)) // level homed on the cache device
+	})
+	if after := c.Stats(); after.Hits == before.Hits || after.Misses == before.Misses {
+		t.Fatalf("no hits or no misses counted: %+v -> %+v", before, after)
+	}
+	if allocs != 0 {
+		t.Fatalf("Serve allocates %.1f objects per four calls with a nil recorder, want 0", allocs)
 	}
 }

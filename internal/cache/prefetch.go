@@ -87,10 +87,6 @@ func (pf *Prefetcher) paused(forecast float64) bool {
 	return obs > 0 && forecast > 0 && obs < pauseFrac*forecast
 }
 
-func (pf *Prefetcher) emit(kind, format string, args ...any) {
-	pf.cache.emit(kind, format, args...)
-}
-
 // Run is the container body of the background prefetch process. It
 // returns (ending the container) once Done reports the session exited.
 func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
@@ -136,8 +132,10 @@ func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 		}
 		if pf.paused(next) {
 			pf.stats.Paused++
-			pf.emit(trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
-				pf.Observed(), pauseFrac*100, next)
+			if pf.cache.cfg.Trace != nil { // guard: the variadic emit boxes its args
+				pf.cache.emit(trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
+					pf.Observed(), pauseFrac*100, next)
+			}
 			continue
 		}
 		if next < lowWaterFrac*peak {
@@ -150,8 +148,10 @@ func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 		}
 		if staged > 0 {
 			pf.stats.Runs++
-			pf.emit(trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
-				staged, pf.cache.Used(), pf.cache.Capacity(), pf.cache.CachedEntries())
+			if pf.cache.cfg.Trace != nil {
+				pf.cache.emit(trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
+					staged, pf.cache.Used(), pf.cache.Capacity(), pf.cache.CachedEntries())
+			}
 		}
 	}
 }

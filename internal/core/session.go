@@ -22,6 +22,7 @@ const (
 	regimeTol         = 0.5 // relative forecast error that counts as a misprediction
 	regimeRun         = 4   // consecutive mispredicted steps that force a refit (runStep)
 	prefetchLookahead = 2   // future steps of planned cursors the prefetch target covers
+	bucketChunkSteps  = 64  // steps of BucketStat records one arena refill covers (runStep)
 )
 
 // BucketStat records the retrieval of one augmentation bucket Aug_{ε_m}:
@@ -82,6 +83,8 @@ type Session struct {
 	est    *dftestim.Estimator
 
 	stats    []StepStats
+	bktBuf   []bucket     // buckets' scratch, reused every step
+	bktArena []BucketStat // chunk the steps' retained Buckets are carved from
 	cont     *container.Container
 	stopped  bool
 	finished bool // set when the step loop exits (stops the prefetcher)
@@ -129,7 +132,8 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 	est := dftestim.NewEstimator()
 	est.ThreshFrac = cfg.ThreshFrac
 	est.Window = cfg.Window
-	return &Session{Name: name, Config: cfg, store: store, wf: wf, wfSize: wfSize, est: est}, nil
+	return &Session{Name: name, Config: cfg, store: store, wf: wf, wfSize: wfSize, est: est,
+		stats: make([]StepStats, 0, cfg.Steps)}, nil
 }
 
 // calibrate solves the weight function's (k2, b2) from the hierarchy.
@@ -435,10 +439,13 @@ type bucket struct {
 	bound    float64
 }
 
+// buckets returns session scratch, valid until the next call.
+//
+//tango:hotpath
 func (s *Session) buckets(cursor int) []bucket {
 	h := s.store.Hierarchy()
 	rungs := h.Rungs()
-	var out []bucket
+	out := s.bktBuf[:0]
 	prev := 0
 	tightest := math.NaN()
 	for _, r := range rungs {
@@ -469,6 +476,7 @@ func (s *Session) buckets(cursor int) []bucket {
 		}
 		out = append(out, bucket{prev, cursor, b})
 	}
+	s.bktBuf = out
 	return out
 }
 
@@ -492,13 +500,17 @@ func (s *Session) applyWeight(c *container.Container, now float64, w int) int {
 	}
 	if err := c.Cgroup().TrySetWeight(w); err != nil {
 		s.weightPending = true
-		s.Config.Trace.Emit(now, s.Name, trace.KindRecover,
-			"weight write failed (w=%d): continuing at w=%d, will re-apply", w, c.Cgroup().Weight())
+		if s.Config.Trace != nil { // guard, here and below: a variadic emit boxes its args
+			s.Config.Trace.Emit(now, s.Name, trace.KindRecover,
+				"weight write failed (w=%d): continuing at w=%d, will re-apply", w, c.Cgroup().Weight())
+		}
 		return c.Cgroup().Weight()
 	}
 	if s.weightPending {
 		s.weightPending = false
-		s.Config.Trace.Emit(now, s.Name, trace.KindRecover, "weight write recovered: re-applied w=%d", w)
+		if s.Config.Trace != nil {
+			s.Config.Trace.Emit(now, s.Name, trace.KindRecover, "weight write recovered: re-applied w=%d", w)
+		}
 	}
 	return w
 }
@@ -515,8 +527,17 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	cursor, predicted, degree := s.planCursor(step)
 	st.Cursor, st.Predicted, st.Degree = cursor, predicted, degree
 
-	tier := &staging.TierStats{}
-	notify := func(kind, msg string) { cfg.Trace.Emit(p.Now(), s.Name, kind, msg) }
+	// The step's retained Buckets are carved from a chunk that always has
+	// room for one step's worth, so recording a bucket never allocates.
+	if maxB := len(s.store.Hierarchy().Rungs()) + 1; cap(s.bktArena)-len(s.bktArena) < maxB {
+		s.bktArena = make([]BucketStat, 0, maxB*min(bucketChunkSteps, cfg.Steps-step))
+	}
+	b0 := len(s.bktArena)
+	var tier staging.TierStats
+	var notify staging.Notify // nil untraced: the store formats only for a listener
+	if cfg.Trace != nil {
+		notify = func(kind, msg string) { cfg.Trace.Emit(p.Now(), s.Name, kind, msg) }
+	}
 	mandatory := s.mandatoryCursor()
 
 	// Line 1: retrieve the base representation from the fastest tier.
@@ -551,7 +572,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 			st.Degraded = out.Degraded
 		}
 		bs.Elapsed = p.Now() - bs.Start
-		st.Buckets = append(st.Buckets, bs)
+		s.bktArena = append(s.bktArena, bs)
 		if cfg.Trace != nil { // guard: as above
 			cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
 		}
@@ -647,7 +668,9 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		if err := s.est.Fit(); err != nil {
 			panic(err) // unreachable: sample count checked
 		}
-		cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, cfg.ThreshFrac)
+		if cfg.Trace != nil { // guard: as above
+			cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, cfg.ThreshFrac)
+		}
 		refitted = true
 		s.regimeStreak = 0
 	}
@@ -667,8 +690,10 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 			if err := s.est.Fit(); err != nil {
 				panic(err) // unreachable: sample count checked
 			}
-			cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit,
-				"regime change: relerr=%.2f for %d steps, refit (samples=%d)", relErr, s.regimeStreak, s.est.Samples())
+			if cfg.Trace != nil { // guard: as above
+				cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit,
+					"regime change: relerr=%.2f for %d steps, refit (samples=%d)", relErr, s.regimeStreak, s.est.Samples())
+			}
 			s.regimeStreak = 0
 		}
 	}
@@ -688,6 +713,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	// tier reads the overlapped portion counts once.
 	st.Bytes, _ = tier.Total()
 	st.IOTime = p.Now() - start
+	st.Buckets = s.bktArena[b0:len(s.bktArena):len(s.bktArena)]
 	s.stats = append(s.stats, st)
 	if cfg.Trace != nil { // guard: as above
 		cfg.Trace.Emit(p.Now(), s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",

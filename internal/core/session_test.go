@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -421,5 +422,38 @@ func TestOffLadderBoundRejected(t *testing.T) {
 		if got := s.mandatoryCursor(); got != want {
 			t.Fatalf("bound %g: mandatory cursor %d, want rung cursor %d", rung, got, want)
 		}
+	}
+}
+
+// TestStepSteadyStateAllocs pins the retrieval step's allocation budget:
+// past warm-up, an untraced cross-layer step (interferers, probe and
+// refits included) allocates nothing but the occasional Buckets chunk.
+// (0.06 objects per step measured; ~28 before TierStats became a value
+// and the segment and bucket slices scratch).
+func TestStepSteadyStateAllocs(t *testing.T) {
+	const warm, measured = 100, 200
+	node, st := scenario(t, 3)
+	s, err := NewSession("analytics", st, Config{Policy: CrossLayer, ErrorControl: true, Bound: 0.01, Steps: warm + measured})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Launch(node); err != nil {
+		t.Fatal(err)
+	}
+	mallocsAfter := func(steps int) (uint64, int) {
+		if err := node.Engine().Run(float64(steps) * s.Config.Period); err != nil {
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs, len(s.Stats())
+	}
+	m0, n0 := mallocsAfter(warm)
+	m1, n1 := mallocsAfter(warm + measured)
+	if n1-n0 < measured-1 {
+		t.Fatalf("measured %d steps, want about %d", n1-n0, measured)
+	}
+	if perStep := float64(m1-m0) / float64(n1-n0); perStep > 1 {
+		t.Fatalf("%.2f objects per steady-state step (%d over %d steps), want <= 1", perStep, m1-m0, n1-n0)
 	}
 }

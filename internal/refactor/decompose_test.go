@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -244,6 +245,43 @@ func TestSegmentsPartitionRange(t *testing.T) {
 	if len(h.Segments(5, 5)) != 0 {
 		t.Fatal("empty range should have no segments")
 	}
+}
+
+// checkAppendSegments: for every [from, to) — or a stride of them on a
+// large hierarchy — AppendSegments keeps dst's prefix, appends exactly
+// what Segments returns, and the appended runs cover to-from entries
+// priced as LevelBytes prices them.
+func checkAppendSegments(tb testing.TB, h *Hierarchy) {
+	tb.Helper()
+	total := h.TotalEntries()
+	step := max(1, total/96)
+	sentinel := Segment{Level: -1, Start: -2, End: -3, Bytes: -4}
+	var buf [4]Segment // small on purpose: a deep range outgrows it
+	for from := 0; from <= total; from += step {
+		for to := from; to <= total; to += step {
+			want := h.Segments(from, to)
+			buf[0] = sentinel
+			got := h.AppendSegments(buf[:1], from, to)
+			if got[0] != sentinel || !slices.Equal(got[1:], want) {
+				tb.Fatalf("AppendSegments(%d,%d) = %+v, want prefix + %+v", from, to, got, want)
+			}
+			n := 0
+			for _, s := range want {
+				n += s.End - s.Start
+				if s.Bytes != h.LevelBytes(s.Level, s.Start, s.End) {
+					tb.Fatalf("segment %+v of [%d,%d) priced %d by LevelBytes", s, from, to, h.LevelBytes(s.Level, s.Start, s.End))
+				}
+			}
+			if n != to-from {
+				tb.Fatalf("segments of [%d,%d) cover %d entries", from, to, n)
+			}
+		}
+	}
+}
+
+func TestAppendSegmentsMatchesSegments(t *testing.T) {
+	checkAppendSegments(t, mustDecompose(t, smoothField(9, 12), Options{Levels: 3}))  // every range
+	checkAppendSegments(t, mustDecompose(t, smoothField(33, 10), Options{Levels: 5})) // strided; 4 segments outgrow buf
 }
 
 func TestCursorForFraction(t *testing.T) {

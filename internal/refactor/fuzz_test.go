@@ -59,9 +59,7 @@ func FuzzDecode(f *testing.F) {
 		// A successfully decoded hierarchy must be internally usable.
 		_ = h.TotalEntries()
 		_ = h.Recompose(0)
-		if h.TotalEntries() > 0 {
-			_ = h.Segments(0, h.TotalEntries())
-		}
+		checkAppendSegments(t, h)
 	})
 }
 

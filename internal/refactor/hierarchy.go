@@ -199,10 +199,18 @@ func (h *Hierarchy) LevelOfCursor(cursor int) int {
 // Segments returns the per-level contiguous runs covering the cursor
 // range [from, to).
 func (h *Hierarchy) Segments(from, to int) []Segment {
+	return h.AppendSegments(nil, from, to)
+}
+
+// AppendSegments appends the segments of [from, to) to dst and returns
+// it; the per-step read paths pass a stack array's [:0] so walking a
+// range allocates nothing.
+//
+//tango:hotpath
+func (h *Hierarchy) AppendSegments(dst []Segment, from, to int) []Segment {
 	if from > to {
 		panic(fmt.Sprintf("refactor: invalid segment range [%d,%d)", from, to))
 	}
-	var segs []Segment
 	prev := 0
 	for i, c := range h.cum {
 		lvl := h.order[i]
@@ -211,7 +219,7 @@ func (h *Hierarchy) Segments(from, to int) []Segment {
 		e := min(to, hi)
 		if s < e {
 			start, end := s-lo, e-lo
-			segs = append(segs, Segment{
+			dst = append(dst, Segment{
 				Level: lvl,
 				Start: start,
 				End:   end,
@@ -220,7 +228,7 @@ func (h *Hierarchy) Segments(from, to int) []Segment {
 		}
 		prev = c
 	}
-	return segs
+	return dst
 }
 
 // LevelBytes returns the encoded size of the level-local entry range

@@ -103,3 +103,38 @@ func TestAttemptFastPathZeroAlloc(t *testing.T) {
 		t.Fatalf("deadlined attempt fast path allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestRetriedReadZeroAllocUntraced extends the pin above from the attempt
+// to the retry wrapper: with no recorder, a read that fails once and
+// succeeds on its retry — classification, breaker and budget bookkeeping,
+// the backoff sleep — boxes nothing for an emit nobody reads.
+func TestRetriedReadZeroAllocUntraced(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, Options{})
+	d := device.New(eng, flatParams("hdd", 100*device.MB))
+	cg := blkio.NewCgroup("a")
+	k := c.Key(KeyStagingReadOptional)
+	heal := func() { d.SetReadError(false) }
+	// 8 s of transfer per op keeps the key's 0.25 token/s retry budget
+	// (and the node's) from running dry, which is a different path.
+	read := func(p *sim.Proc) {
+		d.SetReadError(true)
+		eng.After(0.01, heal)
+		if res := k.Read(p, d, cg, 800*device.MB); !res.OK || res.Retries != 1 {
+			t.Errorf("read = %+v, want one retry then success", res)
+		}
+	}
+	var allocs float64
+	eng.Spawn("bench", func(p *sim.Proc) {
+		for i := 0; i < 64; i++ { // outlast the 210 s deadline timers, as above
+			read(p)
+		}
+		allocs = testing.AllocsPerRun(64, func() { read(p) })
+	})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("retried read allocates %.1f objects/op with a nil recorder, want 0", allocs)
+	}
+}

@@ -102,7 +102,9 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 				// after at least one attempt are interesting enough to log.
 				return res
 			}
-			c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.name, dev.Name())
+			if c.rec != nil { // guard, here and below: a variadic emit boxes its args
+				c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.name, dev.Name())
+			}
 			return res
 		}
 		res.Attempts++
@@ -112,7 +114,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		res.Moved += moved
 		cls := k.pol.Classify(err)
 		if cls == ClassOK {
-			if br != nil && br.onSuccess() {
+			if br != nil && br.onSuccess() && c.rec != nil {
 				c.emit(trace.KindBreaker, "close key=%s target=%s", k.name, dev.Name())
 			}
 			res.OK = true
@@ -129,8 +131,10 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		now := c.eng.Now()
 		if br != nil && br.onFailure(now) {
 			c.brOpens++
-			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs",
-				k.name, dev.Name(), br.fails, br.cooldown)
+			if c.rec != nil {
+				c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs",
+					k.name, dev.Name(), br.fails, br.cooldown)
+			}
 		}
 		if cls == ClassTerminal {
 			k.stats.Failures++
@@ -168,8 +172,10 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		}
 		k.stats.Retries++
 		res.Retries++
-		c.emit(trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t",
-			k.name, dev.Name(), res.Attempts+1, delay, timedOut)
+		if c.rec != nil {
+			c.emit(trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t",
+				k.name, dev.Name(), res.Attempts+1, delay, timedOut)
+		}
 		p.Sleep(delay)
 		if paced {
 			k.takeToken(c.eng.Now()) // best-effort: the pacing sleep covered the refill
@@ -280,8 +286,10 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	k.stats.Hedges++
 	k.stats.Attempts += 2
 	res.Hedged = true
-	c.emit(trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
-		k.name, fast.Name(), slow.Name(), bytes)
+	if c.rec != nil {
+		c.emit(trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
+			k.name, fast.Name(), slow.Name(), bytes)
+	}
 
 	deadline := k.pol.TimeoutFloor + bytes/k.pol.TimeoutMinBW
 	var fastTok, slowTok device.Token
@@ -326,7 +334,9 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 		k.stats.HedgeSlowWins++
 	}
 	k.stats.WastedBytes += wasted
-	c.emit(trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
-		k.name, winDev.Name(), wasted, res.Elapsed)
+	if c.rec != nil {
+		c.emit(trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
+			k.name, winDev.Name(), wasted, res.Elapsed)
+	}
 	return res
 }

@@ -28,7 +28,7 @@ func TestParallelReadSameBytesAsSequential(t *testing.T) {
 	eng, s, ssd, hdd := stagedFixture(t)
 	h := s.Hierarchy()
 	cg := blkio.NewCgroup("a")
-	var seq, par *TierStats
+	var seq, par TierStats
 	eng.Spawn("seq", func(p *sim.Proc) {
 		seq = s.ReadRange(p, cg, 0, h.TotalEntries())
 		par = s.ReadRangeParallel(p, cg, 0, h.TotalEntries())

@@ -6,6 +6,11 @@
 // (capacity) tier, coarser augmentations on faster tiers. Before a job
 // starts the data is staged in; after it exits, Release erases it
 // (ephemeral storage).
+//
+// Every read method returns its per-tier breakdown as a TierStats value:
+// a fixed-size record, so a step builds, merges and drops several without
+// touching the allocator. A copy of one that has spilled (more than four
+// devices) shares the spill with its source: keep one, Merge the others.
 package staging
 
 import (
@@ -177,41 +182,66 @@ func (s *Store) SlowestDevice() *device.Device {
 	return s.levelDev[0]
 }
 
-// TierStats is the per-read breakdown returned by the read methods. It
-// accumulates in insertion order (not map order) so downstream float
-// arithmetic stays deterministic across runs.
+// TierStats is the per-read breakdown the read methods return, by value
+// (zero value: empty). It accumulates in first-appearance order (not map
+// order) so downstream float arithmetic stays deterministic across runs.
 type TierStats struct {
-	entries []tierEntry
+	n      int // entries used in inline
+	inline [tierInline]tierEntry
+	spill  []tierEntry // all entries, from the (tierInline+1)th device on
 }
+
+// tierInline is how many devices a TierStats records without allocating
+// (the paper's nodes have two tiers).
+const tierInline = 4
 
 type tierEntry struct {
 	dev         *device.Device
 	bytes, time float64
 }
 
-func newTierStats() *TierStats { return &TierStats{} }
+func (ts *TierStats) entries() []tierEntry {
+	if ts.spill != nil {
+		return ts.spill
+	}
+	return ts.inline[:ts.n]
+}
 
+//tango:hotpath
 func (ts *TierStats) add(dev *device.Device, bytes, t float64) {
-	for i := range ts.entries {
-		if ts.entries[i].dev == dev {
-			ts.entries[i].bytes += bytes
-			ts.entries[i].time += t
+	es := ts.entries()
+	for i := range es {
+		if es[i].dev == dev {
+			es[i].bytes += bytes
+			es[i].time += t
 			return
 		}
 	}
-	ts.entries = append(ts.entries, tierEntry{dev, bytes, t})
+	if len(es) < tierInline {
+		ts.inline[ts.n] = tierEntry{dev, bytes, t}
+		ts.n++
+		return
+	}
+	if ts.spill == nil {
+		// Copy, never alias: a spill that pointed into inline would force
+		// every TierStats to the heap.
+		ts.spill = append(ts.spill, es...)
+	}
+	ts.spill = append(ts.spill, tierEntry{dev, bytes, t})
 }
 
 // Merge folds other into ts.
-func (ts *TierStats) Merge(other *TierStats) {
-	for _, e := range other.entries {
+//
+//tango:hotpath
+func (ts *TierStats) Merge(other TierStats) {
+	for _, e := range other.entries() {
 		ts.add(e.dev, e.bytes, e.time)
 	}
 }
 
 // BytesOn returns the bytes read from dev.
-func (ts *TierStats) BytesOn(dev *device.Device) float64 {
-	for _, e := range ts.entries {
+func (ts TierStats) BytesOn(dev *device.Device) float64 {
+	for _, e := range ts.entries() {
 		if e.dev == dev {
 			return e.bytes
 		}
@@ -220,8 +250,8 @@ func (ts *TierStats) BytesOn(dev *device.Device) float64 {
 }
 
 // TimeOn returns the time spent reading from dev.
-func (ts *TierStats) TimeOn(dev *device.Device) float64 {
-	for _, e := range ts.entries {
+func (ts TierStats) TimeOn(dev *device.Device) float64 {
+	for _, e := range ts.entries() {
 		if e.dev == dev {
 			return e.time
 		}
@@ -230,8 +260,10 @@ func (ts *TierStats) TimeOn(dev *device.Device) float64 {
 }
 
 // Total returns the summed bytes and time across tiers.
-func (ts *TierStats) Total() (bytes, t float64) {
-	for _, e := range ts.entries {
+//
+//tango:hotpath
+func (ts TierStats) Total() (bytes, t float64) {
+	for _, e := range ts.entries() {
 		bytes += e.bytes
 		t += e.time
 	}
@@ -240,8 +272,7 @@ func (ts *TierStats) Total() (bytes, t float64) {
 
 // ReadBase reads the base representation under cg, blocking p. Returns
 // per-tier stats.
-func (s *Store) ReadBase(p *sim.Proc, cg *blkio.Cgroup) *TierStats {
-	ts := newTierStats()
+func (s *Store) ReadBase(p *sim.Proc, cg *blkio.Cgroup) (ts TierStats) {
 	bytes := float64(s.h.BaseBytes()) * s.scale
 	el := s.baseDev.Read(p, cg, bytes)
 	ts.add(s.baseDev, bytes, el)
@@ -257,37 +288,43 @@ type segPart struct {
 	bytes   float64
 }
 
+// segScratch sizes the read paths' stack array of segments (one per
+// augmentation level); a deeper hierarchy only makes AppendSegments grow.
+const segScratch = 8
+
 // segmentParts splits one segment read across the cache and the level's
-// home tier. Without a cache (or on a full miss) it returns the segment
-// as a single home-tier part.
-func (s *Store) segmentParts(seg refactor.Segment) []segPart {
+// home tier: parts[:n], n 1 or 2. Without a cache (or on a full miss) the
+// segment is a single home-tier part.
+//
+//tango:hotpath
+func (s *Store) segmentParts(seg refactor.Segment) (parts [2]segPart, n int) {
 	home := s.DeviceForLevel(seg.Level)
-	whole := segPart{home, seg.End - seg.Start, float64(seg.Bytes) * s.scale}
+	parts[0] = segPart{home, seg.End - seg.Start, float64(seg.Bytes) * s.scale}
 	if s.cache == nil {
-		return []segPart{whole}
+		return parts, 1
 	}
 	cdev, cached := s.cache.Serve(seg.Level, seg.Start, seg.End)
 	if cached <= 0 || cdev == nil || cdev == home {
-		return []segPart{whole}
+		return parts, 1
 	}
-	if cached > whole.entries {
-		cached = whole.entries
+	if cached >= parts[0].entries {
+		parts[0].dev = cdev
+		return parts, 1
 	}
 	mid := seg.Start + cached
-	parts := []segPart{{cdev, cached, float64(s.h.LevelBytes(seg.Level, seg.Start, mid)) * s.scale}}
-	if rest := seg.End - mid; rest > 0 {
-		parts = append(parts, segPart{home, rest, float64(s.h.LevelBytes(seg.Level, mid, seg.End)) * s.scale})
-	}
-	return parts
+	parts[0] = segPart{cdev, cached, float64(s.h.LevelBytes(seg.Level, seg.Start, mid)) * s.scale}
+	parts[1] = segPart{home, seg.End - mid, float64(s.h.LevelBytes(seg.Level, mid, seg.End)) * s.scale}
+	return parts, 2
 }
 
 // ReadRange reads the augmentation cursor range [from, to) under cg,
 // visiting tiers coarse-level first (the order Algorithm 1 retrieves
 // buckets). Returns per-tier stats.
-func (s *Store) ReadRange(p *sim.Proc, cg *blkio.Cgroup, from, to int) *TierStats {
-	ts := newTierStats()
-	for _, seg := range s.h.Segments(from, to) {
-		for _, part := range s.segmentParts(seg) {
+func (s *Store) ReadRange(p *sim.Proc, cg *blkio.Cgroup, from, to int) (ts TierStats) {
+	var buf [segScratch]refactor.Segment
+	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
+		parts, n := s.segmentParts(seg)
+		for _, part := range parts[:n] {
 			el := part.dev.Read(p, cg, part.bytes)
 			ts.add(part.dev, part.bytes, el)
 		}
@@ -302,7 +339,7 @@ func (s *Store) ReadRange(p *sim.Proc, cg *blkio.Cgroup, from, to int) *TierStat
 // (evaluated by the ablation-parallel experiment): it shortens the total
 // step time but gives up the coarse-first completion order that the
 // sequential path provides.
-func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) *TierStats {
+func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) (ts TierStats) {
 	type group struct {
 		dev   *device.Device
 		parts []segPart
@@ -312,8 +349,10 @@ func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) *
 	// Split every segment once up front (Serve does per-call hit/miss
 	// bookkeeping, so it must run exactly once per segment), then group
 	// the resulting parts by device.
-	for _, seg := range s.h.Segments(from, to) {
-		for _, part := range s.segmentParts(seg) {
+	var buf [segScratch]refactor.Segment
+	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
+		parts, n := s.segmentParts(seg)
+		for _, part := range parts[:n] {
 			g, ok := byDev[part.dev]
 			if !ok {
 				g = &group{dev: part.dev}
@@ -323,7 +362,6 @@ func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) *
 			g.parts = append(g.parts, part)
 		}
 	}
-	ts := newTierStats()
 	if len(groups) == 0 {
 		return ts
 	}
@@ -336,17 +374,16 @@ func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) *
 		return ts
 	}
 	eng := p.Engine()
-	results := make([]*TierStats, len(groups))
+	results := make([]TierStats, len(groups))
 	wg := sim.NewWaitGroup(eng)
 	for i, g := range groups {
 		i, g := i, g
 		wg.Go("tier-read", func(cp *sim.Proc) {
-			r := newTierStats()
+			r := &results[i]
 			for _, part := range g.parts {
 				el := g.dev.Read(cp, cg, part.bytes)
 				r.add(g.dev, part.bytes, el)
 			}
-			results[i] = r
 		})
 	}
 	wg.Wait(p)
@@ -411,8 +448,7 @@ func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
 // ReadBaseGuarded is ReadBase with unbounded retry: the base
 // representation is mandatory at every step, so a transient fault delays
 // the read rather than failing it.
-func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, notify Notify) (*TierStats, GuardedOutcome) {
-	ts := newTierStats()
+func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, notify Notify) (ts TierStats, _ GuardedOutcome) {
 	bytes := float64(s.h.BaseBytes()) * s.scale
 	if s.rc != nil {
 		res := s.kBase.Read(p, s.baseDev, cg, bytes)
@@ -431,17 +467,18 @@ func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, notify Notify) (*
 // DEGRADES: the remaining optional augmentation is skipped and the
 // outcome reports the cursor actually reached. The caller's accuracy
 // never drops below the bound — only above-bound augmentation is shed.
-func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int, notify Notify) (*TierStats, GuardedOutcome) {
-	ts := newTierStats()
-	out := GuardedOutcome{Cursor: from}
-	for _, seg := range s.h.Segments(from, to) {
+func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int, notify Notify) (ts TierStats, out GuardedOutcome) {
+	out.Cursor = from
+	var buf [segScratch]refactor.Segment
+	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
 		home := s.DeviceForLevel(seg.Level)
-		for _, part := range s.segmentParts(seg) {
+		parts, n := s.segmentParts(seg)
+		for _, part := range parts[:n] {
 			needed := out.Cursor < mandatory // part starts inside the mandatory prefix
 			var retries int
 			var ok bool
 			if s.rc != nil {
-				retries, ok = s.resilPart(p, cg, ts, part, home, needed)
+				retries, ok = s.resilPart(p, cg, &ts, part, home, needed)
 			} else {
 				var el float64
 				el, retries, ok = retryRead(p, part.dev, cg, part.bytes, !needed, notify)
@@ -507,8 +544,7 @@ func (s *Store) resilPart(p *sim.Proc, cg *blkio.Cgroup, ts *TierStats, part seg
 // the control loop — the partial transfer still yields an honest (low)
 // bandwidth sample, and a probe that moved nothing yields no sample,
 // which the controller treats like a step with no capacity-tier reads.
-func (s *Store) Probe(p *sim.Proc, cg *blkio.Cgroup, bytes float64) *TierStats {
-	ts := newTierStats()
+func (s *Store) Probe(p *sim.Proc, cg *blkio.Cgroup, bytes float64) (ts TierStats) {
 	dev := s.SlowestDevice()
 	if s.rc != nil {
 		res := s.kProbe.Read(p, dev, cg, bytes)

@@ -119,7 +119,7 @@ func TestReadBaseTouchesOnlyFastTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg := blkio.NewCgroup("a")
-	var ts *TierStats
+	var ts TierStats
 	eng.Spawn("r", func(p *sim.Proc) { ts = s.ReadBase(p, cg) })
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestReadRangeSplitsAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg := blkio.NewCgroup("a")
-	var ts *TierStats
+	var ts TierStats
 	eng.Spawn("r", func(p *sim.Proc) { ts = s.ReadRange(p, cg, 0, h.TotalEntries()) })
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestProbeReadsSlowTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg := blkio.NewCgroup("a")
-	var ts *TierStats
+	var ts TierStats
 	eng.Spawn("r", func(p *sim.Proc) { ts = s.Probe(p, cg, 1024) })
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestProbeReadsSlowTier(t *testing.T) {
 func TestTierStatsMerge(t *testing.T) {
 	eng := sim.NewEngine()
 	ssd, hdd := twoTier(eng)
-	a, b := newTierStats(), newTierStats()
+	var a, b TierStats
 	a.add(ssd, 10, 1)
 	b.add(ssd, 5, 0.5)
 	b.add(hdd, 20, 2)
@@ -254,8 +254,8 @@ func TestCachedReadSplitsSegmentAndConsultsOnce(t *testing.T) {
 	}
 	cg := blkio.NewCgroup("app")
 	total := h.TotalEntries()
-	read := func(parallel bool) *TierStats {
-		var ts *TierStats
+	read := func(parallel bool) TierStats {
+		var ts TierStats
 		eng.Spawn("reader", func(p *sim.Proc) {
 			if parallel {
 				ts = s.ReadRangeParallel(p, cg, 0, total)
@@ -306,7 +306,7 @@ func TestCachedReadSplitsSegmentAndConsultsOnce(t *testing.T) {
 	// Probe must bypass the cache so capacity-tier bandwidth samples
 	// stay truthful.
 	sc.calls = 0
-	var probe *TierStats
+	var probe TierStats
 	eng.Spawn("probe", func(p *sim.Proc) {
 		probe = s.Probe(p, cg, 4*device.MB)
 	})
@@ -323,5 +323,181 @@ func TestCachedReadSplitsSegmentAndConsultsOnce(t *testing.T) {
 	// Cached reads never touch staging reservations.
 	if ssd.Used() != ssdUsed || hdd.Used() != hddUsed {
 		t.Fatalf("reservations moved: ssd %v->%v hdd %v->%v", ssdUsed, ssd.Used(), hddUsed, hdd.Used())
+	}
+}
+
+// refStats is the slice-backed TierStats this package used to have, kept
+// as the reference the inline-array-plus-spill value must match bit for
+// bit (first-appearance order decides the float order of Total).
+type refStats struct{ entries []tierEntry }
+
+func (r *refStats) add(dev *device.Device, bytes, t float64) {
+	for i := range r.entries {
+		if r.entries[i].dev == dev {
+			r.entries[i].bytes += bytes
+			r.entries[i].time += t
+			return
+		}
+	}
+	r.entries = append(r.entries, tierEntry{dev, bytes, t})
+}
+
+func (r *refStats) merge(o *refStats) {
+	for _, e := range o.entries {
+		r.add(e.dev, e.bytes, e.time)
+	}
+}
+
+func (r *refStats) total() (bytes, t float64) {
+	for _, e := range r.entries {
+		bytes += e.bytes
+		t += e.time
+	}
+	return bytes, t
+}
+
+func TestTierStatsSpillKeepsInsertionOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	devs := make([]*device.Device, tierInline+1)
+	for i := range devs {
+		devs[i] = device.New(eng, device.Params{Name: string(rune('a' + i)), PeakBandwidth: device.MB, MinEfficiency: 1})
+	}
+	same := func(what string, got TierStats, want *refStats) {
+		t.Helper()
+		gb, gt := got.Total()
+		wb, wt := want.total()
+		if math.Float64bits(gb) != math.Float64bits(wb) || math.Float64bits(gt) != math.Float64bits(wt) {
+			t.Fatalf("%s: Total = %v, %v; reference %v, %v", what, gb, gt, wb, wt)
+		}
+		for _, d := range devs {
+			var ref tierEntry
+			for _, e := range want.entries {
+				if e.dev == d {
+					ref = e
+				}
+			}
+			if got.BytesOn(d) != ref.bytes || got.TimeOn(d) != ref.time {
+				t.Fatalf("%s: dev %s = %v B, %v s; reference %v, %v", what, d.Name(), got.BytesOn(d), got.TimeOn(d), ref.bytes, ref.time)
+			}
+		}
+	}
+	// Magnitudes far enough apart that summing in any other order rounds
+	// differently; devices revisited so the find-then-accumulate arm runs
+	// on both sides of the spill.
+	rng := rand.New(rand.NewSource(7))
+	fill := func(order []int) (TierStats, *refStats) {
+		var ts TierStats
+		ref := &refStats{}
+		for round := 0; round < 3; round++ {
+			for _, i := range order {
+				b, tm := math.Ldexp(rng.Float64(), 10*i), math.Ldexp(rng.Float64(), -7*i)
+				ts.add(devs[i], b, tm)
+				ref.add(devs[i], b, tm)
+			}
+		}
+		return ts, ref
+	}
+	a, refA := fill([]int{4, 0, 3, 1, 2})
+	same("five devices", a, refA)
+	b, refB := fill([]int{2, 4, 1})
+	same("three devices", b, refB)
+	a.Merge(b)
+	refA.merge(refB)
+	same("merge into spilled", a, refA)
+	b.Merge(a)
+	refB.merge(refA)
+	same("merge that spills", b, refB)
+}
+
+func TestSegmentPartsSplitsAtCachePrefix(t *testing.T) {
+	eng := sim.NewEngine()
+	ssd, hdd := twoTier(eng)
+	h, err := refactor.Decompose(field(33, 5), refactor.Options{Levels: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Stage(h, []*device.Device{ssd, hdd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n0 := h.LevelEntries(0)
+	seg := refactor.Segment{Level: 0, Start: 0, End: n0, Bytes: h.LevelBytes(0, 0, n0)}
+	whole := segPart{hdd, n0, float64(seg.Bytes)}
+	if parts, n := s.segmentParts(seg); n != 1 || parts[0] != whole {
+		t.Fatalf("no cache: %d parts %+v, want the whole segment on its home tier", n, parts[:n])
+	}
+	sc := &stubCache{dev: ssd}
+	s.SetCache(sc)
+	mid := n0 / 3
+	for _, c := range []struct {
+		name   string
+		prefix int
+		want   []segPart
+	}{
+		{"empty prefix", 0, []segPart{whole}},
+		{"partial prefix", mid, []segPart{
+			{ssd, mid, float64(h.LevelBytes(0, 0, mid))},
+			{hdd, n0 - mid, float64(h.LevelBytes(0, mid, n0))},
+		}},
+		{"full prefix", n0, []segPart{{ssd, n0, whole.bytes}}},
+		{"over-claimed prefix", 2 * n0, []segPart{{ssd, n0, whole.bytes}}},
+	} {
+		sc.prefix, sc.calls = c.prefix, 0
+		parts, n := s.segmentParts(seg)
+		if sc.calls != 1 {
+			t.Fatalf("%s: Serve called %d times for one segment", c.name, sc.calls)
+		}
+		if n != len(c.want) {
+			t.Fatalf("%s: %d parts %+v, want %+v", c.name, n, parts[:n], c.want)
+		}
+		for i, w := range c.want {
+			if parts[i] != w {
+				t.Fatalf("%s: part %d = %+v, want %+v", c.name, i, parts[i], w)
+			}
+		}
+	}
+}
+
+// TestGuardedReadsSteadyStateZeroAlloc: the per-step read methods return
+// their stats by value and walk segments over stack scratch, so with
+// nobody to notify they allocate nothing, cache attached or not.
+func TestGuardedReadsSteadyStateZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	ssd, hdd := twoTier(eng)
+	h, err := refactor.Decompose(field(33, 5), refactor.Options{Levels: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Stage(h, []*device.Device{ssd, hdd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg := blkio.NewCgroup("app")
+	total := h.TotalEntries()
+	var sink TierStats
+	ops := []struct {
+		name string
+		fn   func(p *sim.Proc)
+	}{
+		{"ReadRangeGuarded", func(p *sim.Proc) { sink, _ = s.ReadRangeGuarded(p, cg, 0, total, total/2, nil) }},
+		{"ReadBaseGuarded", func(p *sim.Proc) { sink, _ = s.ReadBaseGuarded(p, cg, nil) }},
+		{"Probe", func(p *sim.Proc) { sink = s.Probe(p, cg, device.MB) }},
+	}
+	for _, cv := range []CacheView{nil, &stubCache{dev: ssd, prefix: h.LevelEntries(0) / 2}} {
+		s.SetCache(cv)
+		eng.Spawn("reader", func(p *sim.Proc) {
+			for _, op := range ops {
+				op.fn(p) // warm the device's flow and event freelists
+				if allocs := testing.AllocsPerRun(64, func() { op.fn(p) }); allocs != 0 {
+					t.Errorf("%s (cache %v): %.1f allocs/op, want 0", op.name, cv != nil, allocs)
+				}
+			}
+		})
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, _ := sink.Total(); b == 0 {
+		t.Fatal("reads moved no bytes")
 	}
 }

@@ -54,8 +54,8 @@ type Event struct {
 	Msg    string
 }
 
-// Recorder is a bounded event buffer. The zero value is inert (Disabled);
-// construct with New.
+// Recorder is a bounded event buffer. The zero value is inert (Disabled):
+// like a nil recorder it drops events and subscriptions; construct with New.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event       // guarded by mu
@@ -76,7 +76,7 @@ func New(max int) *Recorder {
 
 // Subscribe registers fn to be invoked synchronously on every event.
 func (r *Recorder) Subscribe(fn func(Event)) {
-	if r == nil {
+	if r == nil || r.cap == 0 {
 		return
 	}
 	r.mu.Lock()
@@ -84,14 +84,15 @@ func (r *Recorder) Subscribe(fn func(Event)) {
 	r.subs = append(r.subs, fn)
 }
 
-// Emit records an event. A nil recorder ignores it, so call sites do not
-// need to guard. When called with no args the format string is recorded
-// verbatim — hot call sites that already hold a complete message skip the
-// fmt.Sprintf pass (and its argument boxing) entirely.
+// Emit records an event. A nil (or zero-value) recorder ignores it, so
+// call sites need a guard only to skip boxing their arguments. When called
+// with no args the format string is recorded verbatim — hot call sites that
+// already hold a complete message skip the fmt.Sprintf pass (and its
+// argument boxing) entirely.
 //
 //tango:hotpath
 func (r *Recorder) Emit(t float64, source, kind, format string, args ...any) {
-	if r == nil {
+	if r == nil || r.cap == 0 {
 		return
 	}
 	msg := format
@@ -117,7 +118,7 @@ func (r *Recorder) Emit(t float64, source, kind, format string, args ...any) {
 
 // Events returns the retained events in chronological order.
 func (r *Recorder) Events() []Event {
-	if r == nil {
+	if r == nil || r.cap == 0 {
 		return nil
 	}
 	r.mu.Lock()

@@ -15,6 +15,22 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Subscribe(func(Event) {})
 }
 
+// TestZeroValueRecorderIsInert: the doc promises the zero value is
+// disabled; Emit used to index an empty ring and panic.
+func TestZeroValueRecorderIsInert(t *testing.T) {
+	r := &Recorder{}
+	r.Subscribe(func(Event) { t.Error("zero-value recorder delivered an event") })
+	r.Emit(1, "x", "k", "msg %d", 1)
+	r.Emit(2, "x", "k", "verbatim")
+	if r.Events() != nil || r.Len() != 0 || len(r.Filter("k")) != 0 {
+		t.Fatal("zero-value recorder should stay empty")
+	}
+	var sb strings.Builder
+	if n, err := r.WriteTo(&sb); n != 0 || err != nil || sb.Len() != 0 {
+		t.Fatalf("WriteTo = %d, %v, %q", n, err, sb.String())
+	}
+}
+
 func TestEmitAndEvents(t *testing.T) {
 	r := New(10)
 	r.Emit(1.5, "sess", "step", "step %d", 0)

@@ -4,6 +4,8 @@
 #
 # Not part of the check, and also make targets:
 #   make bench = go run ./benchmarks/perf   (host-time benchmark, BENCHMARK.json)
+#   make bench-allocs = sh scripts/alloc-ceilings.sh perf-bench.txt
+#                (allocs_per_unit ceilings over the log of `make bench`)
 #   make suite = go run ./cmd/tangobench -json -parallel 4 -grid 129 -steps 40 \
 #                  -skip 10 -dataset 512 > bench-suite.json
 #   make suite-check = the same command piped to `cmp - bench-baseline.json`
