@@ -51,6 +51,22 @@ func BenchmarkProlongate3D(b *testing.B) {
 	}
 }
 
+// BenchmarkRecompose1025 measures Algorithm 1's prolongate-and-add loop
+// at the full cursor: three levels, so two prolongations (513² and 1025²)
+// and every entry applied.
+func BenchmarkRecompose1025(b *testing.B) {
+	h, err := Decompose(benchGrid(1025), Options{Levels: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	total := h.TotalEntries()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Recompose(total)
+	}
+}
+
 func BenchmarkLadderSearch513(b *testing.B) {
 	f := benchGrid(513)
 	opts := Options{Levels: 3, Bounds: []float64{1e-1, 1e-2, 1e-3}}

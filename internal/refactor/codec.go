@@ -322,5 +322,24 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	// The ladder is the one part callers turn straight into cursors
+	// (CursorForBound → Recompose/Segments/staging), so it must address the
+	// stream that was actually decoded.
+	prev := 0
+	for i, r := range h.rungs {
+		if r.Cursor < prev || r.Cursor > h.TotalEntries() {
+			return nil, fmt.Errorf("refactor: rung %d cursor %d outside [%d,%d]", i, r.Cursor, prev, h.TotalEntries())
+		}
+		if r.Cardinality != r.Cursor-prev {
+			return nil, fmt.Errorf("refactor: rung %d cardinality %d, want %d", i, r.Cardinality, r.Cursor-prev)
+		}
+		if r.Level < 0 || r.Level >= h.opts.Levels {
+			return nil, fmt.Errorf("refactor: rung %d level %d outside [0,%d)", i, r.Level, h.opts.Levels)
+		}
+		if r.Bytes < 0 {
+			return nil, fmt.Errorf("refactor: rung %d has negative size %d", i, r.Bytes)
+		}
+		prev = r.Cursor
+	}
 	return h, nil
 }

@@ -408,6 +408,36 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsOutOfRangeRung: a ladder that does not address the
+// decoded stream is a decode error, not a panic in Recompose/Segments
+// when a caller follows CursorForBound.
+func TestDecodeRejectsOutOfRangeRung(t *testing.T) {
+	if _, err := Decode(bytes.NewReader(outOfRangeRungBytes(t))); err == nil {
+		t.Error("rung cursor past the end of the stream accepted")
+	}
+	twoRungs := func(h *Hierarchy) {
+		total := h.TotalEntries()
+		h.rungs = []Rung{
+			{Bound: 0.1, Cursor: total / 2, Cardinality: total / 2},
+			{Bound: 0.01, Cursor: total, Cardinality: total - total/2},
+		}
+	}
+	if _, err := Decode(bytes.NewReader(encodeWithRungs(t, twoRungs))); err != nil {
+		t.Fatalf("consistent two-rung ladder rejected: %v", err)
+	}
+	for name, edit := range map[string]func(h *Hierarchy){
+		"decreasing cursors": func(h *Hierarchy) { h.rungs[1].Cursor = h.rungs[0].Cursor - 1 },
+		"cardinality":        func(h *Hierarchy) { h.rungs[1].Cardinality++ },
+		"level":              func(h *Hierarchy) { h.rungs[0].Level = h.Levels() },
+		"negative bytes":     func(h *Hierarchy) { h.rungs[0].Bytes = -1 },
+	} {
+		data := encodeWithRungs(t, func(h *Hierarchy) { twoRungs(h); edit(h) })
+		if _, err := Decode(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: inconsistent ladder accepted", name)
+		}
+	}
+}
+
 func TestEntryCodecRoundTrip(t *testing.T) {
 	entries := []Entry{{0, 1.5}, {1000000, -2.25}, {7, 0}, {42, math.Pi}}
 	var buf bytes.Buffer

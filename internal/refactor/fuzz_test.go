@@ -19,6 +19,28 @@ func validHierarchyBytes(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// encodeWithRungs re-encodes the valid hierarchy after edit has rewritten
+// its ladder in place.
+func encodeWithRungs(tb testing.TB, edit func(h *Hierarchy)) []byte {
+	tb.Helper()
+	h, err := Decode(bytes.NewReader(validHierarchyBytes(tb)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	edit(h)
+	var buf bytes.Buffer
+	if err := h.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// outOfRangeRungBytes is the valid hierarchy with its first rung pointing
+// five entries past the end of the stream.
+func outOfRangeRungBytes(tb testing.TB) []byte {
+	return encodeWithRungs(tb, func(h *Hierarchy) { h.rungs[0].Cursor = h.TotalEntries() + 5 })
+}
+
 func validBundleBytes(tb testing.TB) []byte {
 	tb.Helper()
 	b, err := DecomposeBundle([]Var{
@@ -43,6 +65,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("TNGO1\n"))
 	f.Add(valid[:len(valid)/2])
+	f.Add(outOfRangeRungBytes(f))
 	// Corrupt single bytes at strategic offsets.
 	for _, off := range []int{6, 7, 8, 20, len(valid) / 2} {
 		c := append([]byte(nil), valid...)
@@ -57,8 +80,10 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		// A successfully decoded hierarchy must be internally usable.
-		_ = h.TotalEntries()
 		_ = h.Recompose(0)
+		for _, r := range h.Rungs() {
+			_ = h.Recompose(r.Cursor)
+		}
 		checkAppendSegments(t, h)
 	})
 }

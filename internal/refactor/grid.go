@@ -94,70 +94,143 @@ func Prolongate(coarse *tensor.Tensor, fineDims []int, d int) *tensor.Tensor {
 			panic(fmt.Sprintf("refactor: coarse dims %v incompatible with fine dims %v at d=%d", cd, fineDims, d))
 		}
 	}
-	rank := len(fineDims)
 	out := tensor.New(fineDims...)
 	src := coarse.Data()
 	dst := out.Data()
-
-	// Per-dimension interpolation tables: for each fine coordinate x,
-	// the lower coarse node, and the fractional weight of the upper node.
-	lo := make([][]int, rank)
-	fr := make([][]float64, rank)
-	for i := 0; i < rank; i++ {
-		n := fineDims[i]
-		nc := cd[i]
-		lo[i] = make([]int, n)
-		fr[i] = make([]float64, n)
-		for x := 0; x < n; x++ {
-			p := x / d
-			f := float64(x-p*d) / float64(d)
-			if p >= nc-1 {
-				p = nc - 1
-				f = 0
-			}
-			lo[i][x] = p
-			fr[i][x] = f
-		}
-	}
-
-	cStrides := make([]int, rank)
-	st := 1
-	for i := rank - 1; i >= 0; i-- {
-		cStrides[i] = st
-		st *= cd[i]
-	}
-
-	corners := 1 << rank
-	par.For(len(dst), func(from, to int) {
-		idx := make([]int, rank)
-		unravel(from, fineDims, idx)
-		for off := from; off < to; off++ {
-			var v float64
-			for c := 0; c < corners; c++ {
-				w := 1.0
-				cOff := 0
-				for i := 0; i < rank; i++ {
-					x := idx[i]
-					if c&(1<<i) != 0 {
-						f := fr[i][x]
-						if f == 0 {
-							w = 0
-							break
-						}
-						w *= f
-						cOff += (lo[i][x] + 1) * cStrides[i]
-					} else {
-						w *= 1 - fr[i][x]
-						cOff += lo[i][x] * cStrides[i]
-					}
-				}
-				if w != 0 {
-					v += w * src[cOff]
-				}
-			}
-			dst[off] = v
-			increment(idx, fineDims)
-		}
-	})
+	p := newProlongation(cd, fineDims, d)
+	// Workers own disjoint output ranges (a range may start and end
+	// mid-row), so the parallel execution is bit-identical to the
+	// sequential one.
+	par.For(len(dst), func(from, to int) { p.fill(dst, src, from, to) })
 	return out
+}
+
+// prolongation holds one coarse→fine step's interpolation tables. The
+// value of a fine point is defined as a sum over its 2^rank surrounding
+// coarse corners, and every evaluation keeps that definition's float
+// operations in order so results do not depend on how points are grouped:
+// v starts at +0; corners are visited c = 0 … 2^rank−1 with bit i of c
+// selecting the upper node along dimension i; a corner's weight is the
+// left-to-right product ((1·a₀)·a₁)… with a_i = 1−f_i (lower) or f_i
+// (upper); a corner with any upper f_i == 0 is skipped rather than
+// multiplied by zero (an Inf/NaN at a zero-weight node must not leak);
+// then v += w·src[corner].
+//
+// The last (contiguous) dimension is the most significant bit of c, so
+// for one output row the order is "every surviving outer corner with the
+// lower x node, then every surviving outer corner with the upper x node",
+// and the outer dimensions' prefix of the weight product is the same for
+// the whole row: corners computes those (prefix, source row base) pairs
+// once per row and segment does two multiplies and an add per pair and
+// point.
+type prolongation struct {
+	dims    []int       // fine dims
+	lo      [][]int     // lo[i][x]: lower coarse node of fine coordinate x
+	fr      [][]float64 // fr[i][x]: weight of the upper node; 0 at a coarse node and in the clamped tail
+	strides []int       // coarse row-major strides
+}
+
+func newProlongation(cd, fineDims []int, d int) *prolongation {
+	rank := len(fineDims)
+	p := &prolongation{
+		dims:    fineDims,
+		lo:      make([][]int, rank),
+		fr:      make([][]float64, rank),
+		strides: rowMajorStrides(cd),
+	}
+	for i, n := range fineDims {
+		nc := cd[i]
+		lo, fr := make([]int, n), make([]float64, n)
+		for x := range lo {
+			q := x / d
+			f := float64(x-q*d) / float64(d)
+			if q >= nc-1 {
+				q, f = nc-1, 0
+			}
+			lo[x], fr[x] = q, f
+		}
+		p.lo[i], p.fr[i] = lo, fr
+	}
+	return p
+}
+
+// stackCorners is the outer-corner count (2^(rank−1)) up to which fill
+// keeps its scratch on the stack: rank <= 4.
+const stackCorners = 8
+
+// fill computes the fine points at flat offsets [from, to).
+//
+//tango:hotpath
+func (p *prolongation) fill(dst, src []float64, from, to int) {
+	outer := p.dims[:len(p.dims)-1]
+	var idxBuf, baseBuf [stackCorners]int
+	var wBuf [stackCorners]float64
+	idx, bases, ws := idxBuf[:], baseBuf[:], wBuf[:]
+	if n := 1 << len(outer); n > stackCorners {
+		idx, bases, ws = make([]int, len(outer)), make([]int, n), make([]float64, n)
+	}
+	idx = idx[:len(outer)]
+
+	nx := p.dims[len(outer)]
+	row := from / nx
+	x := from - row*nx
+	unravel(row, outer, idx)
+	for off := from; off < to; {
+		n := p.corners(idx, ws, bases)
+		end := min(to, off+nx-x)
+		p.segment(dst[off:end], src, ws[:n], bases[:n], x)
+		off, x = end, 0
+		increment(idx, outer)
+	}
+}
+
+// corners lists the surviving outer corners — dimensions 0 … rank−2 — of
+// the row at outer multi-index idx, in corner order: the prefix weight
+// into ws and the coarse offset of the corner's source row into bases.
+// It returns how many survive (at least one: the all-lower corner).
+func (p *prolongation) corners(idx []int, ws []float64, bases []int) int {
+	n := 0
+corner:
+	for c := 0; c < 1<<len(idx); c++ {
+		w := 1.0
+		base := 0
+		for i, x := range idx {
+			if c&(1<<i) != 0 {
+				f := p.fr[i][x]
+				if f == 0 {
+					continue corner
+				}
+				w *= f
+				base += (p.lo[i][x] + 1) * p.strides[i]
+			} else {
+				w *= 1 - p.fr[i][x]
+				base += p.lo[i][x] * p.strides[i]
+			}
+		}
+		ws[n], bases[n] = w, base
+		n++
+	}
+	return n
+}
+
+// segment computes the len(dst) consecutive points of one row that start
+// at last-dimension coordinate x0, from that row's outer corners.
+func (p *prolongation) segment(dst, src, ws []float64, bases []int, x0 int) {
+	last := len(p.dims) - 1
+	lo, fr := p.lo[last][x0:], p.fr[last][x0:]
+	bases = bases[:len(ws)] // one bounds check here, none per bases[k] below
+	for j := range dst {
+		l, f := lo[j], fr[j]
+		g := 1 - f
+		var v float64
+		for k, w := range ws {
+			v += (w * g) * src[bases[k]+l]
+		}
+		if f != 0 {
+			for k, w := range ws {
+				v += (w * f) * src[bases[k]+l+1]
+			}
+		}
+		dst[j] = v
+	}
 }

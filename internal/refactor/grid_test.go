@@ -3,6 +3,7 @@ package refactor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tango/internal/tensor"
@@ -172,5 +173,125 @@ func TestRestrictDecimation4(t *testing.T) {
 	p := Prolongate(c, []int{9}, 4)
 	if p.Data()[2] != 2 { // linear between 0 and 4
 		t.Fatalf("d=4 prolongate: %v", p.Data())
+	}
+}
+
+// prolongateReference is the per-point definition Prolongate's row kernel
+// must reproduce bit for bit: for every output point, walk all 2^rank
+// corners, rebuild the weight from 1.0, skip zero-weight corners.
+func prolongateReference(coarse *tensor.Tensor, fineDims []int, d int) *tensor.Tensor {
+	cd := coarse.Dims()
+	rank := len(fineDims)
+	out := tensor.New(fineDims...)
+	src := coarse.Data()
+	dst := out.Data()
+
+	lo := make([][]int, rank)
+	fr := make([][]float64, rank)
+	for i := 0; i < rank; i++ {
+		n := fineDims[i]
+		nc := cd[i]
+		lo[i] = make([]int, n)
+		fr[i] = make([]float64, n)
+		for x := 0; x < n; x++ {
+			p := x / d
+			f := float64(x-p*d) / float64(d)
+			if p >= nc-1 {
+				p = nc - 1
+				f = 0
+			}
+			lo[i][x] = p
+			fr[i][x] = f
+		}
+	}
+	cStrides := rowMajorStrides(cd)
+
+	corners := 1 << rank
+	idx := make([]int, rank)
+	for off := range dst {
+		var v float64
+		for c := 0; c < corners; c++ {
+			w := 1.0
+			cOff := 0
+			for i := 0; i < rank; i++ {
+				x := idx[i]
+				if c&(1<<i) != 0 {
+					f := fr[i][x]
+					if f == 0 {
+						w = 0
+						break
+					}
+					w *= f
+					cOff += (lo[i][x] + 1) * cStrides[i]
+				} else {
+					w *= 1 - fr[i][x]
+					cOff += lo[i][x] * cStrides[i]
+				}
+			}
+			if w != 0 {
+				v += w * src[cOff]
+			}
+		}
+		dst[off] = v
+		increment(idx, fineDims)
+	}
+	return out
+}
+
+func TestProlongateMatchesReference(t *testing.T) {
+	shapes := [][]int{
+		{1}, {2}, {7}, {40000}, // rank 1, the last one parallel
+		{1, 9}, {9, 1}, {6, 11}, {17, 17},
+		{257, 260}, {1025, 1025}, // >= par.Threshold, rows straddle chunks
+		{1, 1, 1}, {5, 1, 7}, {9, 10, 11}, {33, 34, 35},
+		{3, 1, 4, 6}, {7, 8, 9, 10}, {14, 15, 16, 17},
+		{3, 2, 3, 2, 3}, // rank 5: scratch beyond the stack arrays
+	}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, dims := range shapes {
+			for _, d := range []int{2, 3, 4} {
+				if dims[0] == 1025 && d != 2 {
+					continue // one pass over the large grid is enough
+				}
+				rng := rand.New(rand.NewSource(int64(len(dims)*100 + d)))
+				coarse := tensor.New(CoarseDims(dims, d)...)
+				cdat := coarse.Data()
+				for i := range cdat {
+					cdat[i] = rng.NormFloat64()
+				}
+				// Specials land on interior and boundary nodes alike, so
+				// some sit under a zero-weight corner (must not leak) and
+				// some under a positive one (must propagate).
+				for i := 0; i < len(cdat); i += 1 + len(cdat)/13 {
+					cdat[i] = specials[(i+d)%len(specials)]
+				}
+				cdat[len(cdat)-1] = specials[d%len(specials)]
+
+				want := prolongateReference(coarse, dims, d).Data()
+				got := Prolongate(coarse, dims, d).Data()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("GOMAXPROCS=%d dims=%v d=%d: point %d = %v (%#x), reference %v (%#x)",
+							procs, dims, d, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProlongateAllocsPerCall holds the objects one large call allocates
+// under the per-point loop's count (52 on two procs, 33 of them its
+// per-chunk index slices), so per-chunk heap scratch cannot creep into the
+// row kernel. Two procs because par's goroutines are part of the count.
+func TestProlongateAllocsPerCall(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	c := Restrict(benchGrid(1025), 2)
+	dims := []int{1025, 1025}
+	if got := testing.AllocsPerRun(5, func() { Prolongate(c, dims, 2) }); got > 52 {
+		t.Fatalf("Prolongate(1025x1025) allocates %v objects per call, want <= 52", got)
 	}
 }

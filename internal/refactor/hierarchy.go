@@ -268,26 +268,7 @@ func (h *Hierarchy) BytesForRange(from, to int) int64 {
 // prolongate-and-add loop: coarser levels are fully applied before finer
 // ones, and the result is interpolated up to the original grid.
 func (h *Hierarchy) Recompose(cursor int) *tensor.Tensor {
-	pos, take := h.split(cursor)
-	r := h.base.Clone()
-	d := h.opts.Decimation
-	for i, lvl := range h.order {
-		r = Prolongate(r, h.levelDims[lvl], d)
-		var n int
-		switch {
-		case i < pos:
-			n = len(h.augs[lvl])
-		case i == pos:
-			n = take
-		default:
-			n = 0
-		}
-		data := r.Data()
-		for _, e := range h.augs[lvl][:n] {
-			data[e.Index] += e.Value
-		}
-	}
-	return r
+	return h.RecomposeAtLevel(cursor, 0)
 }
 
 // RecomposeAtLevel reconstructs the representation at a chosen level

@@ -38,17 +38,16 @@ type prober struct {
 	rec    *tensor.Tensor
 
 	// Single-prolongation fast path (zone level interpolates straight to
-	// the finest level): Prolongate's per-dimension interpolation tables,
-	// rebuilt on zone entry.
+	// the finest level): Prolongate's interpolation tables, rebuilt on
+	// zone entry.
 	direct   bool
 	fineDims []int
 	cd       []int
-	lo       [][]int
-	fr       [][]float64
-	cStrides []int
+	pl       *prolongation
 	fStrides []int
 
-	jbuf, idxbuf, lobuf, hibuf []int // recomputeSupport scratch
+	jbuf, idxbuf, lobuf, hibuf, bases []int // recomputeSupport scratch
+	ws                                []float64
 }
 
 func newProber(h *Hierarchy, st errmetric.Stats, orig *tensor.Tensor, floors []*tensor.Tensor) *prober {
@@ -150,42 +149,27 @@ func (p *prober) reprolongate() *tensor.Tensor {
 	return r
 }
 
-// buildTables precomputes Prolongate's per-dimension interpolation
-// tables for the current zone's single-step prolongation, so support
-// recomputation evaluates the identical corner sums.
+// buildTables precomputes Prolongate's interpolation tables for the
+// current zone's single-step prolongation, so support recomputation
+// evaluates the identical corner sums.
 func (p *prober) buildTables() {
 	h := p.h
-	d := h.opts.Decimation
 	p.fineDims = h.levelDims[h.order[p.pos+1]]
 	p.cd = p.coarse.Dims()
 	rank := len(p.fineDims)
-	p.lo = make([][]int, rank)
-	p.fr = make([][]float64, rank)
-	for i := 0; i < rank; i++ {
-		n, nc := p.fineDims[i], p.cd[i]
-		p.lo[i] = make([]int, n)
-		p.fr[i] = make([]float64, n)
-		for x := 0; x < n; x++ {
-			q := x / d
-			f := float64(x-q*d) / float64(d)
-			if q >= nc-1 {
-				q = nc - 1
-				f = 0
-			}
-			p.lo[i][x] = q
-			p.fr[i][x] = f
-		}
-	}
-	p.cStrides = rowMajorStrides(p.cd)
+	p.pl = newProlongation(p.cd, p.fineDims, h.opts.Decimation)
 	p.fStrides = rowMajorStrides(p.fineDims)
 	p.jbuf = make([]int, rank)
 	p.idxbuf = make([]int, rank)
 	p.lobuf = make([]int, rank)
 	p.hibuf = make([]int, rank)
+	p.bases = make([]int, 1<<(rank-1))
+	p.ws = make([]float64, 1<<(rank-1))
 }
 
 // recomputeSupport refreshes the fine points whose interpolation reads
-// the coarse node at flat offset coarseOff.
+// the coarse node at flat offset coarseOff, a row segment at a time with
+// Prolongate's own kernel.
 func (p *prober) recomputeSupport(coarseOff int) {
 	d := p.h.opts.Decimation
 	rank := len(p.cd)
@@ -205,57 +189,29 @@ func (p *prober) recomputeSupport(coarseOff int) {
 		p.lobuf[i], p.hibuf[i] = lo, hi
 		p.idxbuf[i] = lo
 	}
+	last := rank - 1
+	x0, x1 := p.lobuf[last], p.hibuf[last]+1
+	outer := p.idxbuf[:last]
+	src, rec := p.coarse.Data(), p.rec.Data()
 	for {
-		p.recomputePoint(p.idxbuf)
-		i := rank - 1
+		off := x0
+		for i, x := range outer {
+			off += x * p.fStrides[i]
+		}
+		n := p.pl.corners(outer, p.ws, p.bases)
+		p.pl.segment(rec[off:off+x1-x0], src, p.ws[:n], p.bases[:n], x0)
+		i := last - 1
 		for ; i >= 0; i-- {
-			p.idxbuf[i]++
-			if p.idxbuf[i] <= p.hibuf[i] {
+			outer[i]++
+			if outer[i] <= p.hibuf[i] {
 				break
 			}
-			p.idxbuf[i] = p.lobuf[i]
+			outer[i] = p.lobuf[i]
 		}
 		if i < 0 {
 			return
 		}
 	}
-}
-
-// recomputePoint re-evaluates one fine point exactly as Prolongate's
-// inner loop does: same corner order, same weight products, same
-// accumulation order.
-func (p *prober) recomputePoint(idx []int) {
-	rank := len(idx)
-	corners := 1 << rank
-	src := p.coarse.Data()
-	var v float64
-	for c := 0; c < corners; c++ {
-		w := 1.0
-		cOff := 0
-		for i := 0; i < rank; i++ {
-			x := idx[i]
-			if c&(1<<i) != 0 {
-				f := p.fr[i][x]
-				if f == 0 {
-					w = 0
-					break
-				}
-				w *= f
-				cOff += (p.lo[i][x] + 1) * p.cStrides[i]
-			} else {
-				w *= 1 - p.fr[i][x]
-				cOff += p.lo[i][x] * p.cStrides[i]
-			}
-		}
-		if w != 0 {
-			v += w * src[cOff]
-		}
-	}
-	off := 0
-	for i := 0; i < rank; i++ {
-		off += idx[i] * p.fStrides[i]
-	}
-	p.rec.Data()[off] = v
 }
 
 // rowMajorStrides returns the row-major strides of dims.

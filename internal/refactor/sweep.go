@@ -54,34 +54,49 @@ type sweepResult struct {
 // of coarse node j's composed basis along that dimension. Prolongation
 // is separable, so a level-lvl entry's full basis is the tensor product
 // of its per-dimension columns.
+//
+// A column is the unit vector e_j prolongated level by level. Only its
+// support window is stored — w holds positions [a, a+len(w)) and reads as
+// 0 outside — since a node's basis spans at most its two neighbours'
+// interval at every level; x + f·0 == x, so the weights are those of the
+// dense vector.
 func (h *Hierarchy) composedColumns(lvl, dim int) [][]wpt {
 	d := h.opts.Decimation
 	m := func(l int) int { return h.levelDims[l][dim] }
 	cols := make([][]wpt, m(lvl))
 	for j := range cols {
-		w := make([]float64, m(lvl))
-		w[j] = 1
+		a, w := j, []float64{1}
+		at := func(p int) float64 {
+			if p < a || p >= a+len(w) {
+				return 0
+			}
+			return w[p-a]
+		}
 		for l := lvl; l >= 1; l-- {
 			nf, nc := m(l-1), m(l)
-			fine := make([]float64, nf)
-			for x := 0; x < nf; x++ {
+			// Fine x reads coarse nodes x/d and x/d+1 (the last node alone
+			// from the clamped tail on).
+			fa := max((a-1)*d+1, 0)
+			fb := min((a+len(w))*d-1, nf-1)
+			fine := make([]float64, fb-fa+1)
+			for x := fa; x <= fb; x++ {
 				p := x / d
 				f := float64(x-p*d) / float64(d)
 				if p >= nc-1 {
 					p, f = nc-1, 0
 				}
 				if f == 0 {
-					fine[x] = w[p]
+					fine[x-fa] = at(p)
 				} else {
-					fine[x] = (1-f)*w[p] + f*w[p+1]
+					fine[x-fa] = (1-f)*at(p) + f*at(p+1)
 				}
 			}
-			w = fine
+			a, w = fa, fine
 		}
 		var col []wpt
 		for x, v := range w {
 			if v != 0 {
-				col = append(col, wpt{x, v})
+				col = append(col, wpt{a + x, v})
 			}
 		}
 		cols[j] = col

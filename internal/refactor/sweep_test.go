@@ -286,3 +286,67 @@ func TestExtractEntriesParallelMatchesSequential(t *testing.T) {
 		t.Errorf("expected nil for zero-diff input, got %d entries", len(e))
 	}
 }
+
+// composedColumnsDense is the definition composedColumns' windowed
+// evaluation must reproduce: a dense length-m vector per coarse node,
+// prolongated whole at every level.
+func (h *Hierarchy) composedColumnsDense(lvl, dim int) [][]wpt {
+	d := h.opts.Decimation
+	m := func(l int) int { return h.levelDims[l][dim] }
+	cols := make([][]wpt, m(lvl))
+	for j := range cols {
+		w := make([]float64, m(lvl))
+		w[j] = 1
+		for l := lvl; l >= 1; l-- {
+			nf, nc := m(l-1), m(l)
+			fine := make([]float64, nf)
+			for x := 0; x < nf; x++ {
+				p := x / d
+				f := float64(x-p*d) / float64(d)
+				if p >= nc-1 {
+					p, f = nc-1, 0
+				}
+				if f == 0 {
+					fine[x] = w[p]
+				} else {
+					fine[x] = (1-f)*w[p] + f*w[p+1]
+				}
+			}
+			w = fine
+		}
+		var col []wpt
+		for x, v := range w {
+			if v != 0 {
+				col = append(col, wpt{x, v})
+			}
+		}
+		cols[j] = col
+	}
+	return cols
+}
+
+// TestComposedColumnsMatchDense: same positions and bitwise the same
+// weights, across decimations, clamped tails and single-node dimensions.
+func TestComposedColumnsMatchDense(t *testing.T) {
+	for _, dims := range [][]int{{129}, {100, 7}, {33, 1, 46}, {2, 65}} {
+		for _, d := range []int{2, 3, 4} {
+			h, err := Decompose(tensor.New(dims...), Options{Levels: 5, Decimation: d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lvl := 1; lvl < h.Levels(); lvl++ {
+				for dim := range dims {
+					got, want := h.composedColumns(lvl, dim), h.composedColumnsDense(lvl, dim)
+					if len(got) != len(want) {
+						t.Fatalf("dims=%v d=%d lvl=%d dim=%d: %d columns, want %d", dims, d, lvl, dim, len(got), len(want))
+					}
+					for j := range want {
+						if !slices.Equal(got[j], want[j]) {
+							t.Fatalf("dims=%v d=%d lvl=%d dim=%d node %d:\n got %v\nwant %v", dims, d, lvl, dim, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
