@@ -77,6 +77,15 @@ func (c *Cgroup) Weight() int {
 // cgroupfs file, a crashed agent, a read-only remount).
 var ErrWeightWrite = errors.New("blkio: weight write failed")
 
+// weightWriteError is TrySetWeight's failure: pointer-shaped, so boxing it
+// allocates nothing per injected fault; the text is built when read.
+type weightWriteError struct{ c *Cgroup }
+
+func (e weightWriteError) Unwrap() error { return ErrWeightWrite }
+func (e weightWriteError) Error() string {
+	return fmt.Sprintf("cgroup %q: %v", e.c.name, ErrWeightWrite)
+}
+
 // SetWeight adjusts the proportional weight at runtime, clamping to
 // [MinWeight, MaxWeight], and notifies subscribers. This mirrors a
 // fire-and-forget write to blkio.weight: it requires neither
@@ -95,7 +104,7 @@ func (c *Cgroup) TrySetWeight(w int) error {
 	c.mu.Lock()
 	if c.weightFail {
 		c.mu.Unlock()
-		return fmt.Errorf("cgroup %q: %w", c.name, ErrWeightWrite)
+		return weightWriteError{c}
 	}
 	c.weight = ClampWeight(w)
 	subs := c.subs

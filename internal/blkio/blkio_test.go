@@ -1,8 +1,11 @@
 package blkio
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestClampWeight(t *testing.T) {
@@ -120,4 +123,38 @@ func TestMustCreatePanicsOnDuplicate(t *testing.T) {
 		}
 	}()
 	ctl.MustCreate("x")
+}
+
+// TestWeightWriteErrorIsAllocationFree pins the failing TrySetWeight: the
+// text fmt.Errorf("cgroup %q: %w", name, ErrWeightWrite) used to build
+// per failure, errors.Is unchanged, and nothing allocated until the
+// message is read.
+func TestWeightWriteErrorIsAllocationFree(t *testing.T) {
+	cg := NewCgroup(`an "odd" name`)
+	cg.SetWeightFailing(true)
+	err := cg.TrySetWeight(500)
+	if !errors.Is(err, ErrWeightWrite) {
+		t.Fatalf("errors.Is(%v, ErrWeightWrite) = false", err)
+	}
+	if want := fmt.Errorf("cgroup %q: %w", cg.Name(), ErrWeightWrite).Error(); err.Error() != want {
+		t.Fatalf("message %q, want %q", err.Error(), want)
+	}
+	if cg.Weight() != DefaultWeight {
+		t.Fatalf("a failed write moved the weight to %d", cg.Weight())
+	}
+	var sink error
+	if n := testing.AllocsPerRun(100, func() { sink = cg.TrySetWeight(500) }); n != 0 {
+		t.Fatalf("failing TrySetWeight allocates %.1f objects/op, want 0", n)
+	}
+	_ = sink
+}
+
+// TestCgroupSizePinned holds Cgroup on the 96-byte size class it sits
+// exactly on: the fleet workload holds ~100 k of them and one more word
+// (an error field, say) moved fleet alloc_kb_per_unit +1.3 % against
+// BENCHMARK.json's 0.02 bound.
+func TestCgroupSizePinned(t *testing.T) {
+	if n := unsafe.Sizeof(Cgroup{}); n > 96 {
+		t.Errorf("sizeof(Cgroup) = %d, want <= 96 (fleet alloc_kb_per_unit)", n)
+	}
 }

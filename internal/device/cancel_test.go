@@ -16,7 +16,7 @@ func TestCancelMidFlightAccountsPartialBytes(t *testing.T) {
 	var elapsed float64
 	var err error
 	eng.Spawn("reader", func(p *sim.Proc) {
-		elapsed, err = d.TryReadCancel(p, cg, 1000, &tok)
+		elapsed, err = d.TryReadCancel(p, cg, 1000, &tok, 0)
 	})
 	eng.Spawn("canceller", func(p *sim.Proc) {
 		p.Sleep(4)
@@ -45,7 +45,7 @@ func TestCancelDuringLatencyMovesNothing(t *testing.T) {
 	var tok Token
 	var err error
 	eng.Spawn("reader", func(p *sim.Proc) {
-		_, err = d.TryReadCancel(p, cg, 1000, &tok)
+		_, err = d.TryReadCancel(p, cg, 1000, &tok, 0)
 	})
 	eng.Spawn("canceller", func(p *sim.Proc) {
 		p.Sleep(0.2) // inside the latency phase: no flow exists yet
@@ -69,7 +69,7 @@ func TestCancelAfterCompletionIsNoop(t *testing.T) {
 	cg := blkio.NewCgroup("a")
 	var tok Token
 	eng.Spawn("reader", func(p *sim.Proc) {
-		if _, err := d.TryReadCancel(p, cg, 1000, &tok); err != nil {
+		if _, err := d.TryReadCancel(p, cg, 1000, &tok, 0); err != nil {
 			t.Errorf("unfaulted read: %v", err)
 		}
 	})
@@ -91,10 +91,10 @@ func TestStaleTokenDoesNotCancelLaterFlow(t *testing.T) {
 	cg := blkio.NewCgroup("a")
 	var tok1, tok2 Token
 	eng.Spawn("reader", func(p *sim.Proc) {
-		if _, err := d.TryReadCancel(p, cg, 100, &tok1); err != nil {
+		if _, err := d.TryReadCancel(p, cg, 100, &tok1, 0); err != nil {
 			t.Errorf("first read: %v", err)
 		}
-		if _, err := d.TryReadCancel(p, cg, 100, &tok2); err != nil {
+		if _, err := d.TryReadCancel(p, cg, 100, &tok2, 0); err != nil {
 			t.Errorf("second read: %v", err)
 		}
 	})
@@ -117,7 +117,7 @@ func TestCancelRedistributesBandwidth(t *testing.T) {
 	var tok Token
 	var tb float64
 	eng.Spawn("a", func(p *sim.Proc) {
-		d.TryReadCancel(p, a, 1e6, &tok)
+		d.TryReadCancel(p, a, 1e6, &tok, 0)
 	})
 	eng.Spawn("b", func(p *sim.Proc) { tb = d.Read(p, b, 1000) })
 	eng.Spawn("canceller", func(p *sim.Proc) {
@@ -139,7 +139,7 @@ func TestNilTokenDegradesToTryRead(t *testing.T) {
 	cg := blkio.NewCgroup("a")
 	var err error
 	eng.Spawn("reader", func(p *sim.Proc) {
-		_, err = d.TryReadCancel(p, cg, 1000, nil)
+		_, err = d.TryReadCancel(p, cg, 1000, nil, 0)
 	})
 	if e := eng.RunAll(); e != nil {
 		t.Fatal(e)
@@ -159,7 +159,7 @@ func TestZeroByteCancellableReadPaysLatencyOnly(t *testing.T) {
 	var elapsed float64
 	var err error
 	eng.Spawn("reader", func(p *sim.Proc) {
-		elapsed, err = d.TryReadCancel(p, cg, 0, &tok)
+		elapsed, err = d.TryReadCancel(p, cg, 0, &tok, 0)
 	})
 	if e := eng.RunAll(); e != nil {
 		t.Fatal(e)
@@ -190,7 +190,7 @@ func TestReadErrorOnCancellablePath(t *testing.T) {
 	var elapsed float64
 	var err error
 	eng.Spawn("reader", func(p *sim.Proc) {
-		elapsed, err = d.TryReadCancel(p, cg, 1000, &tok)
+		elapsed, err = d.TryReadCancel(p, cg, 1000, &tok, 0)
 	})
 	if e := eng.RunAll(); e != nil {
 		t.Fatal(e)
@@ -219,10 +219,10 @@ func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 	eng.Spawn("reader", func(p *sim.Proc) {
 		for i := 0; i < 64; i++ {
 			d.Read(p, cg, 4*MB)
-			d.TryReadCancel(p, cg, 4*MB, &tok)
+			d.TryReadCancel(p, cg, 4*MB, &tok, 0)
 		}
 		plain = testing.AllocsPerRun(256, func() { d.Read(p, cg, 4*MB) })
-		cancellable = testing.AllocsPerRun(256, func() { d.TryReadCancel(p, cg, 4*MB, &tok) })
+		cancellable = testing.AllocsPerRun(256, func() { d.TryReadCancel(p, cg, 4*MB, &tok, 0) })
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)

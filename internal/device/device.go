@@ -147,15 +147,16 @@ func (p Params) validate() error {
 }
 
 // flow is one in-flight request stream. Structs are recycled through the
-// device's freelist: the issuing process returns its flow after observing
-// done, at which point the device holds no reference to it.
+// device's freelist by finish, once the flow has ended and the device
+// holds no reference to it. It fills the 80-byte size class exactly and
+// a fleet holds ~100 k: new per-transfer state goes on Token instead.
 type flow struct {
 	id       int64
 	d        *Device // owning device, for the Fire callback
 	cg       *blkio.Cgroup
-	proc     *sim.Proc
-	tok      *Token  // non-nil on a cancellable transfer; armed by issue
-	bytes    float64 // total requested
+	proc     *sim.Proc // the blocked issuer; nil on a StartRead flow, which the device finishes
+	tok      *Token    // non-nil on a cancellable transfer; armed by issue
+	bytes    float64   // total requested
 	bytesRem float64
 	rate     float64 // current bytes/sec
 	write    bool
@@ -166,10 +167,25 @@ type flow struct {
 	gi       int  // reshape scratch: index into Device.groups
 }
 
-// Fire issues the flow after its request-latency wait; it is the
-// sim.Callback body for the event transfer schedules, carrying the
-// per-transfer state without a per-call closure.
-func (f *flow) Fire() { f.d.issue(f) }
+// Fire is the flow as its own sim.Callback, carrying the per-transfer
+// state without a per-call closure: the issue after the request-latency
+// wait, then for an ended StartRead flow the finish no process will run.
+func (f *flow) Fire() {
+	d, tok := f.d, f.tok
+	if !f.done && !f.canceled {
+		d.issue(f)
+		return
+	}
+	tok.notify.TransferDone(tok, d.finish(f))
+}
+
+// deadline returns the time the flow's token cancels it at, +Inf for none.
+func (f *flow) deadline() float64 {
+	if f.tok == nil || f.tok.deadline <= 0 {
+		return math.Inf(1)
+	}
+	return f.tok.deadline
+}
 
 // wfGroup is reshape scratch: one (cgroup, direction) aggregation used by
 // the water-filling pass. Held in a reusable slice on the Device so the
@@ -193,8 +209,6 @@ type Device struct {
 	flows      []*flow // ordered by id for deterministic iteration
 	nextID     int64
 	lastUpdate float64
-	epoch      int64
-	armedEpoch int64 // epoch at which the completion timer was armed
 	timer      sim.Timer
 	onTimer    func() // cached completion callback; one alloc per device
 	onTouch    func() // cached Touch bound-method value for cgroup subscriptions
@@ -206,12 +220,13 @@ type Device struct {
 	wrappedReadErr   error
 	wrappedCancelErr error
 
-	flowFree []*flow   // recycled flow structs
-	groups   []wfGroup // reshape scratch: groups in first-appearance order
-	wfActive []int     // reshape scratch: water-filling round (group indices)
-	wfNext   []int     // reshape scratch: next round
-	wfCapped []int     // reshape scratch: groups capped this round
-	effMemo  []float64 // Efficiency(n) memo, indexed by n
+	flowFree  []*flow   // recycled flow structs
+	deadlined int       // active flows with a deadline; 0 keeps the scan and the expiry off the fault-free path
+	groups    []wfGroup // reshape scratch: groups in first-appearance order
+	wfActive  []int     // reshape scratch: water-filling round (group indices)
+	wfNext    []int     // reshape scratch: next round
+	wfCapped  []int     // reshape scratch: groups capped this round
+	effMemo   []float64 // Efficiency(n) memo, indexed by n
 
 	subscribed map[*blkio.Cgroup]bool
 
@@ -250,10 +265,10 @@ func New(eng *sim.Engine, p Params) *Device {
 		subscribed: make(map[*blkio.Cgroup]bool),
 	}
 	d.onTimer = func() {
-		if d.armedEpoch != d.epoch {
-			return
-		}
 		d.advance()
+		if d.deadlined > 0 {
+			d.expire() // before reshape completes the drained: a tie goes to the deadline
+		}
 		d.reshape()
 	}
 	d.onTouch = d.Touch
@@ -431,17 +446,24 @@ func (d *Device) Write(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
 }
 
 // Token identifies one in-flight cancellable transfer. The issuing call
-// (TryReadCancel) arms it; another event callback or process may then
-// call Cancel to abort the transfer. Tokens are plain values owned by the
-// caller and are re-armed on every call, so one long-lived Token per
-// retry context is the intended (zero-alloc) usage.
+// (TryReadCancel, StartRead) arms it; another event callback or process
+// may then call Cancel to abort the transfer. Tokens are plain values
+// owned by the caller and are re-armed on every call, so one long-lived
+// Token per retry context is the intended (zero-alloc) usage.
 type Token struct {
-	d     *Device
-	f     *flow
-	id    int64
-	pre   bool    // cancelled during the request-latency phase, before the flow was issued
-	spent bool    // the transfer has finished (success, error, or cancel); Cancel is a no-op
-	moved float64 // bytes actually transferred when the call returned
+	d        *Device
+	f        *flow
+	id       int64
+	pre      bool       // cancelled during the request-latency phase, before the flow was issued
+	spent    bool       // the transfer has finished (success, error, or cancel); Cancel is a no-op
+	moved    float64    // bytes actually transferred when the transfer ended
+	deadline float64    // virtual time at which the device cancels the transfer; 0 or +Inf = none
+	notify   Completion // StartRead only: told when the transfer ends
+}
+
+// Completion is told a StartRead ended; err is what a blocking read returns.
+type Completion interface {
+	TransferDone(tok *Token, err error)
 }
 
 // Moved reports the bytes the last transfer actually moved: the full
@@ -451,8 +473,7 @@ func (t *Token) Moved() float64 { return t.moved }
 // Cancel aborts the token's in-flight transfer, if any. It reports
 // whether a transfer was actually cancelled. Safe to call at any time
 // (including after completion, where it is a no-op) and from any sim
-// context — typically a timeout timer callback or the winning leg of a
-// hedged read.
+// context — typically the winning leg of a hedged read.
 //
 //tango:hotpath
 func (t *Token) Cancel() bool {
@@ -467,51 +488,70 @@ func (t *Token) Cancel() bool {
 }
 
 // TryReadCancel is TryRead with cooperative cancellation: tok is re-armed
-// for this transfer, and tok.Cancel() aborts it mid-flight (per-attempt
-// timeouts, hedged-read losers). A cancelled transfer accounts the bytes
-// it actually moved to the cgroup and returns an error wrapping
-// ErrCanceled; tok.Moved reports the partial progress. A nil tok degrades
-// to TryRead.
+// for this transfer, tok.Cancel() aborts it mid-flight (hedged-read
+// losers), and at virtual time deadline (per-attempt timeouts; 0 or +Inf
+// = none) the device's own completion timer does. A cancelled transfer
+// accounts the bytes it moved to the cgroup and returns an error wrapping
+// ErrCanceled; tok.Moved has the partial progress. A nil tok is TryRead.
 //
 //tango:hotpath
-func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok *Token) (float64, error) {
+func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok *Token, deadline float64) (float64, error) {
 	if tok != nil {
-		*tok = Token{d: d}
+		*tok = Token{d: d, deadline: deadline}
 	}
 	return d.transfer(p, cg, bytes, false, true, tok)
 }
 
-// transfer is the one request path behind Read, Write, TryRead and
-// TryReadCancel. The flow is issued from an engine-side event at
-// start+latency rather than by sleeping the process just to issue the
-// flow and park again: the issue event occupies exactly the queue slot a
-// Sleep's resume event would, and each transfer saves a coroutine
-// round-trip.
+// StartRead is TryReadCancel with nobody blocked on it (a hedge leg): when
+// the read drains, fails at issue, is cancelled or expires, the device
+// finishes it and calls done.TransferDone(tok, err) from an engine event
+// at that instant — the slot a blocked reader's wake-up would take.
+//
+//tango:hotpath
+func (d *Device) StartRead(cg *blkio.Cgroup, bytes float64, tok *Token, deadline float64, done Completion) {
+	*tok = Token{d: d, deadline: deadline, notify: done}
+	d.begin(nil, cg, bytes, false, true, tok)
+}
+
+// transfer is the blocking request path behind Read, Write, TryRead and
+// TryReadCancel: begin, park until the flow has ended, finish.
 //
 //tango:hotpath
 func (d *Device) transfer(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token) (float64, error) {
-	if bytes < 0 || math.IsNaN(bytes) {
-		panic(fmt.Sprintf("device %q: invalid transfer size %v", d.p.Name, bytes))
-	}
 	start := d.eng.Now()
-	f := d.newFlow()
-	f.d = d
-	f.cg = cg
-	f.proc = p
-	f.tok = tok
-	f.bytes = bytes
-	f.bytesRem = bytes
-	f.write = write
-	f.fallible = fallible
-	if lat := d.p.RequestLatency + d.extraLatency; lat > 0 {
-		d.eng.AtCall(start+lat, f)
-	} else {
-		d.issue(f)
-	}
+	f := d.begin(p, cg, bytes, write, fallible, tok)
 	for !f.done && !f.canceled {
 		p.Suspend()
 	}
-	moved := bytes
+	return d.eng.Now() - start, d.finish(f)
+}
+
+// begin starts every request. The flow is issued from an engine-side
+// event at start+latency rather than by sleeping the process just to
+// issue the flow and park again: the issue event occupies exactly the
+// queue slot a Sleep's resume event would, and each transfer saves a
+// coroutine round-trip.
+func (d *Device) begin(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token) *flow {
+	if bytes < 0 || math.IsNaN(bytes) {
+		panic(fmt.Sprintf("device %q: invalid transfer size %v", d.p.Name, bytes))
+	}
+	f := d.newFlow()
+	f.d, f.cg, f.proc, f.tok = d, cg, p, tok
+	f.bytes, f.bytesRem, f.write, f.fallible = bytes, bytes, write, fallible
+	if lat := d.p.RequestLatency + d.extraLatency; lat > 0 {
+		d.eng.AtCall(d.eng.Now()+lat, f)
+	} else {
+		d.issue(f)
+	}
+	return f
+}
+
+// finish ends every request, on the issuing process or from Fire: outcome,
+// flow recycled (it left the active set), token spent, bytes accounted.
+//
+//tango:hotpath
+func (d *Device) finish(f *flow) error {
+	moved := f.bytes
 	var err error
 	switch {
 	case f.canceled:
@@ -519,59 +559,70 @@ func (d *Device) transfer(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, f
 	case f.failed:
 		moved, err = 0, d.wrappedReadErr
 	}
-	// The device dropped its reference (issue, completeDrained or
-	// cancelFlow); the struct is ours to recycle.
+	cg, write, tok := f.cg, f.write, f.tok
 	*f = flow{}
 	d.flowFree = append(d.flowFree, f)
 	if tok != nil {
-		tok.f = nil
-		tok.spent = true
-		tok.moved = moved
+		tok.f, tok.spent, tok.moved = nil, true, moved
 	}
 	cg.Account(moved, write)
-	return d.eng.Now() - start, err
+	return err
 }
 
-// cancelFlow aborts a live flow: it integrates progress to now, credits
-// the partial bytes to the device counters, removes the flow from the
-// active set, and wakes the issuing process, which observes f.canceled
-// and returns ErrCanceled. The (pointer, id) pair guards against struct
-// recycling: a stale token whose flow already drained is a no-op.
+// end tells the issuer its flow has ended: a blocked process wakes up
+// and finishes it, a StartRead flow fires once more to finish itself.
+func (d *Device) end(f *flow) {
+	if f.proc != nil {
+		d.eng.Wake(f.proc)
+	} else {
+		d.eng.AtCall(d.eng.Now(), f)
+	}
+}
+
+// cancel aborts an active flow integrated to now, crediting its partial
+// bytes; the reshape every caller runs next drops it from d.flows.
+func (d *Device) cancel(f *flow) {
+	f.canceled = true
+	d.totalBytes += f.bytes - f.bytesRem
+	d.end(f)
+}
+
+// cancelFlow is Token.Cancel on a live flow. The (pointer, id) pair
+// guards against struct recycling: a stale token whose flow already
+// drained is a no-op.
 func (d *Device) cancelFlow(f *flow, id int64) bool {
 	if f.id != id || f.done || f.canceled {
 		return false
 	}
 	d.advance()
-	f.canceled = true
-	f.rate = 0
-	d.totalBytes += f.bytes - f.bytesRem
-	kept := d.flows[:0]
-	for _, g := range d.flows {
-		if g != f {
-			kept = append(kept, g)
-		}
-	}
-	for i := len(kept); i < len(d.flows); i++ {
-		d.flows[i] = nil
-	}
-	d.flows = kept
-	d.eng.Wake(f.proc)
+	d.cancel(f)
 	d.reshape()
 	return true
 }
 
+// expire is the completion timer cancelling the flows past their deadline.
+//
+//tango:hotpath
+func (d *Device) expire() {
+	now := d.eng.Now()
+	for _, f := range d.flows {
+		if f.deadline() <= now {
+			d.cancel(f)
+		}
+	}
+}
+
 // issue runs at the instant the request latency has been paid — inline
-// on the issuing process when there is none, else as the flow's Fire
-// event. A request that was cancelled while paying the latency, that
-// hits an injected read error, or that asks for zero bytes finishes here
-// without ever joining the active set; anything else subscribes the
-// cgroup, stamps the id (arming the token), integrates progress to now
-// and reshapes.
+// on the issuer when there is none, else as the flow's Fire event. A
+// request cancelled or past its deadline while paying the latency, one
+// that hits an injected read error, or one for zero bytes ends here
+// without joining the active set; anything else subscribes the cgroup,
+// stamps the id (arming the token), integrates to now and reshapes.
 //
 //tango:hotpath
 func (d *Device) issue(f *flow) {
 	switch {
-	case f.tok != nil && f.tok.pre:
+	case f.tok != nil && (f.tok.pre || f.deadline() <= d.eng.Now()):
 		f.canceled = true
 	case f.fallible && d.readErr:
 		f.failed = true
@@ -580,9 +631,9 @@ func (d *Device) issue(f *flow) {
 		f.done = true
 	}
 	if f.done || f.canceled {
-		// No-op when issue ran inline: the process is still running and
-		// sees the flag itself.
-		d.eng.Wake(f.proc)
+		// A no-op for a process when issue ran inline: it is still
+		// running and sees the flag itself.
+		d.end(f)
 		return
 	}
 	if !d.subscribed[f.cg] {
@@ -593,6 +644,9 @@ func (d *Device) issue(f *flow) {
 	d.nextID++
 	if f.tok != nil {
 		f.tok.f, f.tok.id = f, f.id
+		if !math.IsInf(f.deadline(), 1) {
+			d.deadlined++
+		}
 	}
 	d.advance()
 	d.flows = append(d.flows, f)
@@ -770,8 +824,9 @@ func (d *Device) reshape() {
 	d.scheduleCompletion()
 }
 
-// scheduleCompletion arms a timer for the earliest flow completion under
-// the current rates.
+// scheduleCompletion arms the one timer for the earliest completion under
+// the current rates or the earliest deadline — all there is when every
+// flow is stalled. Absolute time: a deadline as a delay drifts an ulp.
 func (d *Device) scheduleCompletion() {
 	next := math.Inf(1)
 	for _, f := range d.flows {
@@ -782,31 +837,41 @@ func (d *Device) scheduleCompletion() {
 			}
 		}
 	}
+	when := d.eng.Now() + next
+	if d.deadlined > 0 {
+		for _, f := range d.flows {
+			when = math.Min(when, f.deadline())
+		}
+	}
 	d.cancelTimer()
-	if !math.IsInf(next, 1) {
-		d.epoch++
-		d.armedEpoch = d.epoch
-		d.timer = d.eng.After(next, d.onTimer)
+	if !math.IsInf(when, 1) {
+		d.timer = d.eng.At(when, d.onTimer)
 	}
 }
 
+// completeDrained drops the drained and the cancelled from the active set.
 func (d *Device) completeDrained() {
 	kept := d.flows[:0]
 	for _, f := range d.flows {
-		// A flow is done when less than a nanosecond of work remains at
-		// its current rate (plus an absolute floor for idle rates). A
-		// fixed byte tolerance is not enough: clock arithmetic like
-		// (t0+dt)-t0 loses ~1e-13 s of precision, which at 100 MB/s
-		// leaves ~1e-5 bytes behind and would otherwise reschedule
-		// zero-length timers forever (a Zeno loop).
-		tiny := 1e-6 + f.rate*1e-9
-		if f.bytesRem <= tiny {
+		if !f.canceled {
+			// A flow is done when less than a nanosecond of work remains at
+			// its current rate (plus an absolute floor for idle rates). A
+			// fixed byte tolerance is not enough: clock arithmetic like
+			// (t0+dt)-t0 loses ~1e-13 s of precision, which at 100 MB/s
+			// leaves ~1e-5 bytes behind and would otherwise reschedule
+			// zero-length timers forever (a Zeno loop).
+			tiny := 1e-6 + f.rate*1e-9
+			if f.bytesRem > tiny {
+				kept = append(kept, f)
+				continue
+			}
 			f.bytesRem = 0
 			f.done = true
 			d.totalBytes += f.bytes
-			d.eng.Wake(f.proc)
-		} else {
-			kept = append(kept, f)
+			d.end(f)
+		}
+		if d.deadlined > 0 && !math.IsInf(f.deadline(), 1) {
+			d.deadlined--
 		}
 	}
 	for i := len(kept); i < len(d.flows); i++ {
@@ -818,5 +883,4 @@ func (d *Device) completeDrained() {
 func (d *Device) cancelTimer() {
 	d.timer.Stop()
 	d.timer = sim.Timer{}
-	d.epoch++
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -294,5 +295,95 @@ func TestInjectorSkipsNodeKill(t *testing.T) {
 	}
 	if in.Skipped() != 1 || in.Injected() != 0 {
 		t.Fatalf("skipped=%d injected=%d, want 1/0 (node kills are cluster-level)", in.Skipped(), in.Injected())
+	}
+}
+
+// TestInjectorTraceGolden pins the text of every message the injector
+// records — one plan crossing every kind's inject, clear and skip arms —
+// so the runbooks that grep them survive refactors of the emit path.
+func TestInjectorTraceGolden(t *testing.T) {
+	node := testNode(t)
+	handles := workload.LaunchNoiseSetControlled(node, node.Device("hdd"), workload.PaperNoiseSet()[:1])
+	node.MustLaunch("analytics", func(c *container.Container, p *sim.Proc) { p.Sleep(500) })
+	cg := node.Cgroups().Lookup("analytics")
+	cg.SetReadBpsLimit(7 * mb)
+	rec := trace.New(64)
+	plan := &Plan{Events: []Event{
+		{At: 1, Kind: BWCollapse, Target: "hdd", Factor: 0.25, Duration: 4},
+		{At: 2, Kind: LatencySpike, Target: "ssd", Factor: 0.5, Duration: 1},
+		{At: 3, Kind: Stuck, Target: "hdd", Duration: 1.5},
+		{At: 4, Kind: ReadError, Target: "hdd", Duration: 2},
+		{At: 10, Kind: WeightFail, Target: "analytics", Duration: 5},
+		{At: 11, Kind: WeightFail, Target: "ghost", Duration: 5},
+		{At: 12, Kind: ThrottleReset, Target: "analytics", Factor: 3, Duration: 2},
+		{At: 20, Kind: Join, Target: "late", Noise: workload.Noise{Name: "late", Period: 90, CheckpointBytes: 64 * mb}},
+		{At: 21, Kind: Join, Target: "late", Noise: workload.Noise{Name: "late", Period: 90, CheckpointBytes: 64 * mb}},
+		{At: 22, Kind: PeriodChange, Target: "noise1", Factor: 45},
+		{At: 23, Kind: Leave, Target: "noise1"},
+		{At: 24, Kind: Leave, Target: "nobody"},
+		{At: 25, Kind: NodeKill, Target: "node3", Duration: 9},
+	}}
+	in := NewInjector(node, rec, plan)
+	in.RegisterNoise(handles)
+	if err := in.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	node.Engine().At(13, func() {
+		if cg.ReadBpsLimit() != 3*mb {
+			t.Errorf("throttle inside the reset window = %v", cg.ReadBpsLimit())
+		}
+	})
+	if err := node.Engine().Run(40); err != nil {
+		t.Fatal(err)
+	}
+	if cg.ReadBpsLimit() != 7*mb || cg.WeightFailing() || node.Device("hdd").Faulted() || node.Device("hdd").ReadErrorActive() {
+		t.Error("a window did not restore what it found")
+	}
+	var got []string
+	for _, ev := range rec.Filter(trace.KindFault) {
+		got = append(got, fmt.Sprintf("%g %s %s", ev.T, ev.Source, ev.Msg))
+	}
+	want := []string{
+		"1 injector inject id=0 kind=bw-collapse dev=hdd factor=0.25 dur=4",
+		"2 injector inject id=1 kind=latency dev=ssd factor=0.5 dur=1",
+		"3 injector inject id=2 kind=stuck dev=hdd factor=0 dur=1.5",
+		"3 injector clear id=1 kind=latency dev=ssd",
+		"4 injector inject id=3 kind=read-err dev=hdd factor=0 dur=2",
+		"4.5 injector clear id=2 kind=stuck dev=hdd",
+		"5 injector clear id=0 kind=bw-collapse dev=hdd",
+		"6 injector clear id=3 kind=read-err dev=hdd",
+		"10 injector inject id=4 kind=weight-fail cg=analytics dur=5",
+		"11 injector skip id=5 kind=weight-fail cg=ghost (no such cgroup)",
+		"12 injector inject id=6 kind=throttle-reset cg=analytics mb=3 dur=2",
+		"14 injector clear id=6 kind=throttle-reset cg=analytics",
+		"15 injector clear id=4 kind=weight-fail cg=analytics",
+		"20 injector inject id=7 kind=join name=late period=90 mb=64",
+		"21 injector skip id=8 kind=join name=late (already running)",
+		"22 injector inject id=9 kind=period name=noise1 period=45",
+		"23 injector inject id=10 kind=leave name=noise1",
+		"24 injector skip id=11 kind=leave name=nobody (no such interferer)",
+		"25 injector skip id=12 kind=node-kill node=node3 (no cluster)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("trace:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if in.Injected() != 9 || in.Cleared() != 6 || in.Skipped() != 4 {
+		t.Fatalf("counts = %d/%d/%d, want 9/6/4", in.Injected(), in.Cleared(), in.Skipped())
+	}
+}
+
+// TestInjectorRecordBoxesNothingUntraced: with no recorder, counting an
+// event costs no allocation — record's arguments are typed, so nothing
+// is boxed for a message nobody reads.
+func TestInjectorRecordBoxesNothingUntraced(t *testing.T) {
+	in := NewInjector(testNode(t), nil, &Plan{Events: []Event{{At: 1, Kind: Stuck, Target: "hdd", Duration: 1}}})
+	tm := &timer{in: in, id: 3, e: Event{Kind: BWCollapse, Target: "hdd", Factor: 0.3, Duration: 12.5}}
+	if n := testing.AllocsPerRun(100, func() {
+		in.record(&in.injected, tm, "inject id=%d kind=%s dev=%s factor=%g dur=%g", tm.e.Factor, tm.e.Duration)
+	}); n != 0 {
+		t.Fatalf("record allocates %.1f objects/op with a nil recorder, want 0", n)
+	}
+	if in.Injected() != 101 {
+		t.Fatalf("injected = %d after 101 calls", in.Injected())
 	}
 }

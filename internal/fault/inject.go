@@ -45,6 +45,19 @@ type deviceFault struct {
 	latency  float64
 }
 
+// timer is one plan event's slot in Arm's slab. fn is its fire method bound
+// once, for the injection and then the clearance — a func value, not a
+// sim.Callback, which would put all Join launches under the hotpath lint.
+type timer struct {
+	in           *Injector
+	id           int
+	e            Event
+	fn           func()
+	clearing     bool          // injected: the next fire is the clearance
+	cg           *blkio.Cgroup // resolved at injection
+	prevR, prevW float64       // the throttles a ThrottleReset restores
+}
+
 // NewInjector binds a validated plan to a node. The recorder may be nil
 // (faults still inject, nothing is recorded). It panics on an invalid
 // plan — plans are validated at parse/construction time, so this is a
@@ -90,10 +103,12 @@ func (in *Injector) Arm() error {
 		}
 	}
 	in.armed = true
-	eng := in.node.Engine()
+	timers := make([]timer, len(in.plan.Events))
 	for i, e := range in.plan.Sorted() {
-		id, e := i, e
-		eng.At(e.At, func() { in.fire(id, e) })
+		t := &timers[i]
+		*t = timer{in: in, id: i, e: e}
+		t.fn = t.fire
+		in.node.Engine().At(e.At, t.fn)
 	}
 	return nil
 }
@@ -113,34 +128,46 @@ func (in *Injector) Injected() int { return in.injected }
 func (in *Injector) Cleared() int  { return in.cleared }
 func (in *Injector) Skipped() int  { return in.skipped }
 
-func (in *Injector) emit(kind, format string, args ...any) {
-	in.rec.Emit(in.node.Engine().Now(), "injector", kind, format, args...)
+// record counts an event under *n and, with a recorder, describes it:
+// format takes the id, kind and target, then vals. All typed, so a call
+// boxes nothing while rec is nil, as a variadic ...any would before any
+// check inside could run (ROADMAP item 4's typed events replace this).
+func (in *Injector) record(n *int, t *timer, format string, vals ...float64) {
+	*n++
+	if in.rec == nil {
+		return
+	}
+	args := []any{t.id, t.e.Kind, t.e.Target}
+	for _, v := range vals {
+		args = append(args, v)
+	}
+	in.rec.Emit(in.node.Engine().Now(), "injector", trace.KindFault, format, args...)
 }
 
-// fire applies one event in sim context.
-func (in *Injector) fire(id int, e Event) {
+// fire applies the event in sim context, or clears it the second time.
+func (t *timer) fire() {
+	in, e := t.in, &t.e
 	switch {
+	case t.clearing:
+		in.clear(t)
 	case e.Kind.deviceFault():
-		in.fireDevice(id, e)
-	case e.Kind == WeightFail:
-		in.fireWeightFail(id, e)
-	case e.Kind == ThrottleReset:
-		in.fireThrottleReset(id, e)
+		in.fireDevice(t)
+	case e.Kind == WeightFail, e.Kind == ThrottleReset:
+		in.fireCgroup(t)
 	case e.Kind == Join:
-		in.fireJoin(id, e)
+		in.fireJoin(t)
 	case e.Kind == NodeKill:
 		// Node kills are cluster-level: internal/fleet interprets them at
 		// epoch barriers. A single-node injector has no fleet to act on.
-		in.skipped++
-		in.emit(trace.KindFault, "skip id=%d kind=node-kill node=%s (no cluster)", id, e.Target)
+		in.record(&in.skipped, t, "skip id=%d kind=%s node=%s (no cluster)")
 	default: // Leave, PeriodChange
-		in.fireChurn(id, e)
+		in.fireChurn(t)
 	}
 }
 
-func (in *Injector) fireDevice(id int, e Event) {
-	dev := in.node.Device(e.Target)
-	df := deviceFault{id: id, kind: e.Kind, bwFactor: 1}
+func (in *Injector) fireDevice(t *timer) {
+	e := &t.e
+	df := deviceFault{id: t.id, kind: e.Kind, bwFactor: 1}
 	switch e.Kind {
 	case BWCollapse:
 		df.bwFactor = e.Factor
@@ -150,21 +177,41 @@ func (in *Injector) fireDevice(id int, e Event) {
 		df.bwFactor = 0
 	}
 	in.active[e.Target] = append(in.active[e.Target], df)
-	in.applyDeviceState(dev)
-	in.injected++
-	in.emit(trace.KindFault, "inject id=%d kind=%s dev=%s factor=%g dur=%g", id, e.Kind, e.Target, e.Factor, e.Duration)
-	in.node.Engine().After(e.Duration, func() {
+	in.applyDeviceState(in.node.Device(e.Target))
+	in.record(&in.injected, t, "inject id=%d kind=%s dev=%s factor=%g dur=%g", e.Factor, e.Duration)
+	t.clearAfter()
+}
+
+// clearAfter arms the clearance of the fault t just injected.
+func (t *timer) clearAfter() {
+	t.clearing = true
+	t.in.node.Engine().After(t.e.Duration, t.fn)
+}
+
+// clear closes the window of a device or cgroup fault.
+func (in *Injector) clear(t *timer) {
+	e, format := &t.e, "clear id=%d kind=%s cg=%s"
+	switch e.Kind {
+	case WeightFail:
+		in.weightFail[e.Target]--
+		if in.weightFail[e.Target] == 0 {
+			t.cg.SetWeightFailing(false)
+		}
+	case ThrottleReset:
+		t.cg.SetReadBpsLimit(t.prevR)
+		t.cg.SetWriteBpsLimit(t.prevW)
+	default:
+		format = "clear id=%d kind=%s dev=%s"
 		open := in.active[e.Target][:0]
 		for _, f := range in.active[e.Target] {
-			if f.id != id {
+			if f.id != t.id {
 				open = append(open, f)
 			}
 		}
 		in.active[e.Target] = open
-		in.applyDeviceState(dev)
-		in.cleared++
-		in.emit(trace.KindFault, "clear id=%d kind=%s dev=%s", id, e.Kind, e.Target)
-	})
+		in.applyDeviceState(in.node.Device(e.Target))
+	}
+	in.record(&in.cleared, t, format)
 }
 
 // applyDeviceState recomputes the composed fault state of one device
@@ -188,84 +235,53 @@ func (in *Injector) applyDeviceState(dev *device.Device) {
 	}
 }
 
-// cgroup resolves a cgroup target at fire time, recording a skip when it
-// does not exist (the session it names was never launched).
-func (in *Injector) cgroup(id int, e Event) *blkio.Cgroup {
-	cg := in.node.Cgroups().Lookup(e.Target)
-	if cg == nil {
-		in.skipped++
-		in.emit(trace.KindFault, "skip id=%d kind=%s cg=%s (no such cgroup)", id, e.Kind, e.Target)
-	}
-	return cg
-}
-
-func (in *Injector) fireWeightFail(id int, e Event) {
-	cg := in.cgroup(id, e)
-	if cg == nil {
+// fireCgroup injects a WeightFail or ThrottleReset. The cgroup is resolved
+// at fire time; one that does not exist (the session it names was never
+// launched) is a recorded skip.
+func (in *Injector) fireCgroup(t *timer) {
+	e := &t.e
+	if t.cg = in.node.Cgroups().Lookup(e.Target); t.cg == nil {
+		in.record(&in.skipped, t, "skip id=%d kind=%s cg=%s (no such cgroup)")
 		return
 	}
-	in.weightFail[e.Target]++
-	cg.SetWeightFailing(true)
-	in.injected++
-	in.emit(trace.KindFault, "inject id=%d kind=%s cg=%s dur=%g", id, e.Kind, e.Target, e.Duration)
-	in.node.Engine().After(e.Duration, func() {
-		in.weightFail[e.Target]--
-		if in.weightFail[e.Target] == 0 {
-			cg.SetWeightFailing(false)
-		}
-		in.cleared++
-		in.emit(trace.KindFault, "clear id=%d kind=%s cg=%s", id, e.Kind, e.Target)
-	})
-}
-
-func (in *Injector) fireThrottleReset(id int, e Event) {
-	cg := in.cgroup(id, e)
-	if cg == nil {
-		return
+	if e.Kind == WeightFail {
+		in.weightFail[e.Target]++
+		t.cg.SetWeightFailing(true)
+		in.record(&in.injected, t, "inject id=%d kind=%s cg=%s dur=%g", e.Duration)
+	} else {
+		t.prevR, t.prevW = t.cg.ReadBpsLimit(), t.cg.WriteBpsLimit()
+		t.cg.SetReadBpsLimit(e.Factor * mb)
+		t.cg.SetWriteBpsLimit(0)
+		in.record(&in.injected, t, "inject id=%d kind=%s cg=%s mb=%g dur=%g", e.Factor, e.Duration)
 	}
-	prevR, prevW := cg.ReadBpsLimit(), cg.WriteBpsLimit()
-	cg.SetReadBpsLimit(e.Factor * mb)
-	cg.SetWriteBpsLimit(0)
-	in.injected++
-	in.emit(trace.KindFault, "inject id=%d kind=%s cg=%s mb=%g dur=%g", id, e.Kind, e.Target, e.Factor, e.Duration)
-	in.node.Engine().After(e.Duration, func() {
-		cg.SetReadBpsLimit(prevR)
-		cg.SetWriteBpsLimit(prevW)
-		in.cleared++
-		in.emit(trace.KindFault, "clear id=%d kind=%s cg=%s", id, e.Kind, e.Target)
-	})
+	t.clearAfter()
 }
 
-func (in *Injector) fireJoin(id int, e Event) {
+func (in *Injector) fireJoin(t *timer) {
+	e := &t.e
 	if _, ok := in.handles[e.Target]; ok || in.node.Container(e.Target) != nil {
-		in.skipped++
-		in.emit(trace.KindFault, "skip id=%d kind=join name=%s (already running)", id, e.Target)
+		in.record(&in.skipped, t, "skip id=%d kind=%s name=%s (already running)")
 		return
 	}
 	tiers := in.node.Tiers()
 	dev := tiers[len(tiers)-1]
 	_, h := workload.LaunchNoiseControlled(in.node, dev, e.Noise)
 	in.handles[e.Target] = h
-	in.injected++
-	in.emit(trace.KindFault, "inject id=%d kind=join name=%s period=%g mb=%g", id, e.Target, e.Noise.Period, e.Noise.CheckpointBytes/mb)
+	in.record(&in.injected, t, "inject id=%d kind=%s name=%s period=%g mb=%g", e.Noise.Period, e.Noise.CheckpointBytes/mb)
 }
 
-func (in *Injector) fireChurn(id int, e Event) {
+func (in *Injector) fireChurn(t *timer) {
+	e := &t.e
 	h := in.handles[e.Target]
-	if h == nil {
-		in.skipped++
-		in.emit(trace.KindFault, "skip id=%d kind=%s name=%s (no such interferer)", id, e.Kind, e.Target)
-		return
-	}
-	switch e.Kind {
-	case Leave:
+	switch {
+	case h == nil:
+		in.record(&in.skipped, t, "skip id=%d kind=%s name=%s (no such interferer)")
+	case e.Kind == Leave:
 		h.Stop()
-		in.injected++
-		in.emit(trace.KindFault, "inject id=%d kind=leave name=%s", id, e.Target)
-	case PeriodChange:
+		in.record(&in.injected, t, "inject id=%d kind=%s name=%s")
+	case e.Kind == PeriodChange:
 		h.SetPeriod(e.Factor)
-		in.injected++
-		in.emit(trace.KindFault, "inject id=%d kind=period name=%s period=%g", id, e.Target, e.Factor)
+		in.record(&in.injected, t, "inject id=%d kind=%s name=%s period=%g", e.Factor)
 	}
 }
 

@@ -30,7 +30,7 @@ func BenchmarkAttemptNoTimeout(b *testing.B) {
 }
 
 // BenchmarkAttemptDeadlined measures the deadlined attempt path: pooled
-// cancel context, timer arm/stop, cancellable transfer.
+// token, cancellable transfer carrying its deadline (no timer of its own).
 func BenchmarkAttemptDeadlined(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
@@ -70,21 +70,17 @@ func BenchmarkBudgetTake(b *testing.B) {
 
 // TestAttemptFastPathZeroAlloc pins the //tango:hotpath contract with the
 // runtime allocator, complementing the static lint: successful deadlined
-// attempts — pooled token context, timer, cancellable transfer, breaker
-// and budget bookkeeping — allocate nothing in steady state. The sim
-// engine's own freelists (timers, flows) make the whole stack warm after
-// the first iteration.
+// attempts — pooled token, cancellable transfer carrying its deadline,
+// breaker and budget bookkeeping — allocate nothing in steady state. The
+// sim engine's own freelists (events, flows) make the whole stack warm
+// after the first iteration.
 func TestAttemptFastPathZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	c := New(eng, Options{})
 	d := device.New(eng, flatParams("ssd", 500*device.MB))
 	cg := blkio.NewCgroup("a")
 	k := c.Key(KeyStagingReadOptional)
-	// Warmup must outlast the deadline/elapsed ratio: a stopped deadline
-	// timer stays neutered in the event heap until its fire time, so the
-	// engine's event freelist only saturates once deadline-seconds of
-	// back-to-back reads have drained (~1400 events here).
-	const warm, measured = 4096, 256
+	const warm, measured = 64, 256
 	var allocs float64
 	eng.Spawn("bench", func(p *sim.Proc) {
 		for i := 0; i < warm; i++ {
@@ -126,7 +122,7 @@ func TestRetriedReadZeroAllocUntraced(t *testing.T) {
 	}
 	var allocs float64
 	eng.Spawn("bench", func(p *sim.Proc) {
-		for i := 0; i < 64; i++ { // outlast the 210 s deadline timers, as above
+		for i := 0; i < 64; i++ {
 			read(p)
 		}
 		allocs = testing.AllocsPerRun(64, func() { read(p) })

@@ -9,32 +9,49 @@ import (
 	"tango/internal/trace"
 )
 
-// attemptCtx is a pooled per-attempt context: a cancellable device token
-// plus a prebuilt timer callback that cancels it, so arming a per-attempt
-// deadline costs no allocation in steady state.
-type attemptCtx struct {
-	tok    device.Token
-	cancel func()
+// race is the pooled state of one operation's device transfers: the token
+// of a deadlined attempt (toks[0] alone) or both legs of a hedged read. A
+// device holds the token until the transfer ends, so it cannot be a local.
+type race struct {
+	toks    [2]device.Token // fast leg, slow leg
+	winner  int             // index of the first leg to deliver; -1 while none has
+	pending int             // legs still in flight
+	waiter  *sim.Proc       // the process HedgedRead parked
 }
 
 //tango:hotpath
-func (c *Controller) getAttempt() *attemptCtx {
-	if n := len(c.attemptFree); n > 0 {
-		a := c.attemptFree[n-1]
-		c.attemptFree[n-1] = nil
-		c.attemptFree = c.attemptFree[:n-1]
-		return a
+func (c *Controller) getRace() *race {
+	if n := len(c.raceFree); n > 0 {
+		r := c.raceFree[n-1]
+		c.raceFree[n-1] = nil
+		c.raceFree = c.raceFree[:n-1]
+		return r
 	}
-	a := new(attemptCtx)
-	//lint:ignore hotpath pool refill: the closure is created once per pooled context at miss time and amortized by the freelist, the same budget as the make/new refill idiom
-	a.cancel = func() { a.tok.Cancel() }
-	return a
+	return new(race)
 }
 
 //tango:hotpath
-func (c *Controller) putAttempt(a *attemptCtx) {
-	a.tok = device.Token{}
-	c.attemptFree = append(c.attemptFree, a)
+func (c *Controller) putRace(r *race) {
+	*r = race{}
+	c.raceFree = append(c.raceFree, r)
+}
+
+// TransferDone is a device reporting that a leg ended, finished and
+// accounted: the first to deliver wins and cancels the other, the last
+// to end wakes the waiter.
+//
+//tango:hotpath
+func (r *race) TransferDone(tok *device.Token, err error) {
+	if err == nil && r.winner < 0 {
+		r.winner = 0
+		if tok == &r.toks[1] {
+			r.winner = 1
+		}
+		r.toks[1-r.winner].Cancel()
+	}
+	if r.pending--; r.pending == 0 {
+		r.waiter.Engine().Wake(r.waiter)
+	}
 }
 
 // ReadResult reports one policy-keyed read operation.
@@ -51,12 +68,11 @@ type ReadResult struct {
 }
 
 // attemptRead issues exactly one policy-governed attempt: a cancellable
-// read with the policy's bandwidth-bound deadline armed, or a plain
+// read carrying the policy's bandwidth-bound deadline, or a plain
 // fallible read when the policy has no timeout. This is the non-fault
-// fast path of the control plane — no tracing, no formatting, no
-// allocation (the token and its timer callback come from the controller
-// pool); everything above it (retries, classification consequences,
-// emission) lives in the cold wrapper.
+// fast path of the control plane — no tracing, no formatting, no timer
+// (the deadline rides the device's own), no allocation (the token is
+// pooled); retries, classification and emission live in the cold wrapper.
 //
 //tango:hotpath
 func (k *Key) attemptRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64) (elapsed, moved float64, err error) {
@@ -67,14 +83,17 @@ func (k *Key) attemptRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, byt
 		}
 		return elapsed, moved, err
 	}
-	a := k.c.getAttempt()
-	deadline := k.pol.TimeoutFloor + bytes/k.pol.TimeoutMinBW
-	tm := k.c.eng.After(deadline, a.cancel)
-	elapsed, err = dev.TryReadCancel(p, cg, bytes, &a.tok)
-	tm.Stop()
-	moved = a.tok.Moved()
-	k.c.putAttempt(a)
+	r := k.c.getRace()
+	elapsed, err = dev.TryReadCancel(p, cg, bytes, &r.toks[0], k.deadline(bytes))
+	moved = r.toks[0].Moved()
+	k.c.putRace(r)
 	return elapsed, moved, err
+}
+
+// deadline is when an attempt moving bytes from now is declared stuck; the
+// sim_digests pin this float: now + (delay), not any other association.
+func (k *Key) deadline(bytes float64) float64 {
+	return k.c.eng.Now() + (k.pol.TimeoutFloor + bytes/k.pol.TimeoutMinBW)
 }
 
 // Read runs one guarded read of bytes from dev under the key's policy:
@@ -86,7 +105,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 	var res ReadResult
 	k.stats.Ops++
 	c := k.c
-	br := c.breakerFor(dev.Name(), &k.pol)
+	br := k.breaker(dev.Name())
 	delay := k.pol.Backoff
 	if delay <= 0 {
 		delay = 0.05
@@ -102,7 +121,9 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 				// after at least one attempt are interesting enough to log.
 				return res
 			}
-			if c.rec != nil { // guard, here and below: a variadic emit boxes its args
+			// Every emit in this file sits behind c.rec != nil: a variadic
+			// call boxes its args first (ROADMAP item 4 deletes the guards).
+			if c.rec != nil {
 				c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.name, dev.Name())
 			}
 			return res
@@ -138,15 +159,17 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		}
 		if cls == ClassTerminal {
 			k.stats.Failures++
-			c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %v",
-				k.name, dev.Name(), res.Attempts, err)
+			if c.rec != nil {
+				c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %v", k.name, dev.Name(), res.Attempts, err)
+			}
 			return res
 		}
 		if k.pol.MaxAttempts > 0 && res.Attempts >= k.pol.MaxAttempts {
 			k.stats.Degraded++
 			res.Degraded = true
-			c.emit(trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached",
-				k.name, dev.Name(), res.Attempts)
+			if c.rec != nil {
+				c.emit(trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", k.name, dev.Name(), res.Attempts)
+			}
 			return res
 		}
 		paced := false
@@ -155,8 +178,9 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 				k.stats.BudgetDenied++
 				k.stats.Degraded++
 				res.Degraded = true
-				c.emit(trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading",
-					k.name, dev.Name())
+				if c.rec != nil {
+					c.emit(trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading", k.name, dev.Name())
+				}
 				return res
 			}
 			// Mandatory work: degrade to a trickle paced at the refill
@@ -167,8 +191,9 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 			if wait > delay {
 				delay = wait
 			}
-			c.emit(trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry",
-				k.name, dev.Name(), delay)
+			if c.rec != nil {
+				c.emit(trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry", k.name, dev.Name(), delay)
+			}
 		}
 		k.stats.Retries++
 		res.Retries++
@@ -202,7 +227,7 @@ type WeightResult struct {
 func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	k.stats.Ops++
 	c := k.c
-	br := c.breakerFor(cg.Name(), &k.pol)
+	br := k.breaker(cg.Name())
 	now := c.eng.Now()
 	if br != nil && !br.allow(now) {
 		k.stats.BreakerDenied++
@@ -211,7 +236,7 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	k.stats.Attempts++
 	err := cg.TrySetWeight(w)
 	if k.pol.Classify(err) == ClassOK {
-		if br != nil && br.onSuccess() {
+		if br != nil && br.onSuccess() && c.rec != nil {
 			c.emit(trace.KindRecover, "weight write recovered key=%s target=%s: re-applied w=%d",
 				k.name, cg.Name(), w)
 		}
@@ -220,11 +245,11 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	k.stats.Failures++
 	if br != nil && br.onFailure(now) {
 		c.brOpens++
-		c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed",
-			k.name, cg.Name(), br.fails, br.cooldown)
-	} else {
-		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick",
-			k.name, cg.Name(), w)
+		if c.rec != nil {
+			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.name, cg.Name(), br.fails, br.cooldown)
+		}
+	} else if c.rec != nil {
+		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.name, cg.Name(), w)
 	}
 	return WeightResult{}
 }
@@ -279,7 +304,9 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	now := c.eng.Now()
 	if !k.takeToken(now) {
 		k.stats.BudgetDenied++
-		c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.name)
+		if c.rec != nil {
+			c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.name)
+		}
 		return res
 	}
 	k.stats.Ops++
@@ -291,41 +318,27 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 			k.name, fast.Name(), slow.Name(), bytes)
 	}
 
-	deadline := k.pol.TimeoutFloor + bytes/k.pol.TimeoutMinBW
-	var fastTok, slowTok device.Token
-	winner := -1
-	wg := sim.NewWaitGroup(c.eng)
-	wg.Go("hedge-fast", func(hp *sim.Proc) {
-		tm := c.eng.After(deadline, func() { fastTok.Cancel() })
-		_, err := fast.TryReadCancel(hp, cg, bytes, &fastTok)
-		tm.Stop()
-		if err == nil && winner < 0 {
-			winner = 0
-			slowTok.Cancel()
-		}
-	})
-	wg.Go("hedge-slow", func(hp *sim.Proc) {
-		tm := c.eng.After(deadline, func() { slowTok.Cancel() })
-		_, err := slow.TryReadCancel(hp, cg, bytes, &slowTok)
-		tm.Stop()
-		if err == nil && winner < 0 {
-			winner = 1
-			fastTok.Cancel()
-		}
-	})
-	wg.Wait(p)
-
+	// The legs are transfers, not processes: each device tells r.
+	r := c.getRace()
+	r.winner, r.pending, r.waiter = -1, 2, p
+	deadline := k.deadline(bytes)
+	fast.StartRead(cg, bytes, &r.toks[0], deadline, r)
+	slow.StartRead(cg, bytes, &r.toks[1], deadline, r)
+	for r.pending > 0 {
+		p.Suspend()
+	}
 	res.Elapsed = c.eng.Now() - now
-	res.FastMoved = fastTok.Moved()
-	res.SlowMoved = slowTok.Moved()
-	if winner < 0 {
+	res.FastMoved, res.SlowMoved = r.toks[0].Moved(), r.toks[1].Moved()
+	res.OK, res.FastWon = r.winner >= 0, r.winner == 0
+	c.putRace(r)
+	if !res.OK {
 		k.stats.Degraded++
 		k.stats.WastedBytes += res.FastMoved + res.SlowMoved
-		c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.name)
+		if c.rec != nil {
+			c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.name)
+		}
 		return res
 	}
-	res.OK = true
-	res.FastWon = winner == 0
 	winDev, wasted := slow, res.FastMoved
 	if res.FastWon {
 		k.stats.HedgeFastWins++

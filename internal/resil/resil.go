@@ -257,6 +257,9 @@ type Key struct {
 	pol    Policy
 	bucket bucket
 	stats  KeyStats
+
+	br       *Breaker // of brTarget, the last target guarded: saves a map lookup per operation
+	brTarget string
 }
 
 // Name returns the policy key string.
@@ -299,7 +302,7 @@ type Controller struct {
 	hedge    HedgeConfig
 	forecast func() (next, peak float64, ok bool)
 
-	attemptFree []*attemptCtx
+	raceFree []*race
 }
 
 // New creates a controller bound to an engine and registers the policy
@@ -413,23 +416,25 @@ func (c *Controller) HedgingEnabled() bool { return c.hedge.Enabled }
 // touched it yet.
 func (c *Controller) Breaker(target string) *Breaker { return c.breakers[target] }
 
-// breakerFor lazily creates the breaker for a target using pol's
-// parameters; an existing breaker is reused as-is. Keys with
-// BreakerThreshold 0 get no breaker (nil).
-func (c *Controller) breakerFor(target string, pol *Policy) *Breaker {
-	if pol.BreakerThreshold <= 0 {
+// breaker returns the breaker guarding target for this key, lazily
+// created with the key's parameters; an existing one is reused as-is.
+// Keys with BreakerThreshold 0 get no breaker (nil).
+func (k *Key) breaker(target string) *Breaker {
+	if k.pol.BreakerThreshold <= 0 {
 		return nil
 	}
-	b := c.breakers[target]
-	if b == nil {
-		b = &Breaker{target: target, threshold: pol.BreakerThreshold, cooldown: pol.BreakerCooldown}
-		c.breakers[target] = b
+	if k.br == nil || k.brTarget != target {
+		b := k.c.breakers[target]
+		if b == nil {
+			b = &Breaker{target: target, threshold: k.pol.BreakerThreshold, cooldown: k.pol.BreakerCooldown}
+			k.c.breakers[target] = b
+		}
+		k.br, k.brTarget = b, target
 	}
-	return b
+	return k.br
 }
 
+// emit records one decision; every caller checks c.rec != nil first.
 func (c *Controller) emit(kind, format string, args ...any) {
-	if c.rec != nil {
-		c.rec.Emit(c.eng.Now(), c.src, kind, format, args...)
-	}
+	c.rec.Emit(c.eng.Now(), c.src, kind, format, args...)
 }

@@ -467,3 +467,41 @@ func TestUnknownKeyPanics(t *testing.T) {
 	}()
 	c.Key("no.such.key")
 }
+
+// TestBreakerCacheFollowsTarget: a key remembers the breaker of the last
+// target it guarded; alternating targets must still reach each target's
+// own breaker, shared with every other key that guards the same target.
+func TestBreakerCacheFollowsTarget(t *testing.T) {
+	eng := sim.NewEngine()
+	c := New(eng, Options{})
+	bad, good := device.New(eng, flatParams("bad", 100)), device.New(eng, flatParams("good", 100))
+	bad.SetReadError(true)
+	cg := blkio.NewCgroup("a")
+	opt, probe := c.Key(KeyStagingReadOptional), c.Key(KeyStagingProbe)
+	eng.Spawn("reader", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ { // interleaved: the cache flips on every call
+			if res := opt.Read(p, bad, cg, 100); res.OK {
+				t.Errorf("read %d of the failing device succeeded", i)
+			}
+			if res := opt.Read(p, good, cg, 100); !res.OK || res.Denied {
+				t.Errorf("read %d of the healthy device: %+v", i, res)
+			}
+			p.Sleep(0.5)
+		}
+		if res := probe.Read(p, bad, cg, 100); !res.Denied {
+			t.Errorf("the probe key must see the breaker the optional key tripped: %+v", res)
+		}
+	})
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if b := c.Breaker("bad"); b == nil || b.State(eng.Now()) != BreakerOpen || b == c.Breaker("good") {
+		t.Fatalf("breakers: bad %+v good %+v", c.Breaker("bad"), c.Breaker("good"))
+	}
+	if c.Breaker("good").Opens() != 0 {
+		t.Fatal("the healthy target's breaker opened")
+	}
+	if k := c.Key(KeyStagingReadCapacity); k.breaker("bad") != nil {
+		t.Fatal("a key with BreakerThreshold 0 has no breaker")
+	}
+}

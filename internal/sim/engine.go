@@ -154,12 +154,14 @@ func (e *Engine) Run(until float64) error {
 			break
 		}
 		e.events.pop()
-		e.now = ev.t
-		fn, cb := ev.fn, ev.cb
+		t, fn, cb := ev.t, ev.fn, ev.cb
 		e.recycle(ev) // before firing: the callback may reschedule and reuse it
+		// Only a live event moves the clock: one neutered by Stop just drains.
 		if fn != nil {
+			e.now = t
 			fn()
 		} else if cb != nil {
+			e.now = t
 			cb.Fire()
 		}
 	}
@@ -176,12 +178,13 @@ func (e *Engine) Run(until float64) error {
 func (e *Engine) RunAll() error {
 	for len(e.events) > 0 && e.err == nil {
 		ev := e.events.pop()
-		e.now = ev.t
-		fn, cb := ev.fn, ev.cb
+		t, fn, cb := ev.t, ev.fn, ev.cb
 		e.recycle(ev)
-		if fn != nil {
+		if fn != nil { // as in Run: a stopped timer does not move the clock
+			e.now = t
 			fn()
 		} else if cb != nil {
+			e.now = t
 			cb.Fire()
 		}
 	}

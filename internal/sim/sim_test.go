@@ -78,6 +78,39 @@ func TestTimerStop(t *testing.T) {
 	}
 }
 
+// TestStoppedTimerDoesNotAdvanceClock: a timer neutered by Stop drains
+// from the heap without moving the clock, so after RunAll Now is the time
+// of the last event that ran — every early-finished deadlined attempt
+// used to leave one behind, and Now reported its cancelled deadline.
+func TestStoppedTimerDoesNotAdvanceClock(t *testing.T) {
+	e := NewEngine()
+	e.At(1, func() {})
+	e.After(5, func() { t.Error("stopped func timer fired") }).Stop()
+	e.AtCall(7, e.NewProc("never")).Stop()
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 1 || e.Pending() != 0 {
+		t.Fatalf("after RunAll: Now %v (want 1, the last live event), %d pending", e.Now(), e.Pending())
+	}
+	// Run(until) is unchanged: it still ends at until, past the corpse.
+	e.At(3, func() {}).Stop()
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 2 {
+		t.Fatalf("Run(2) left the clock at %v", e.Now())
+	}
+	var at float64
+	e.At(4, func() { at = e.Now() })
+	if err := e.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if at != 4 || e.Now() != 10 {
+		t.Fatalf("live event saw %v (want 4), Run(10) ended at %v", at, e.Now())
+	}
+}
+
 func TestPastEventClampsToNow(t *testing.T) {
 	e := NewEngine()
 	e.Run(10)

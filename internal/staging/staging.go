@@ -148,7 +148,8 @@ func StageScaled(h *refactor.Hierarchy, tiers []*device.Device, scale float64) (
 // levelBytes returns the staged size of one level's full augmentation.
 func (s *Store) levelBytes(level int) float64 {
 	var total float64
-	for _, seg := range s.h.Segments(0, s.h.TotalEntries()) {
+	var buf [segScratch]refactor.Segment
+	for _, seg := range s.h.AppendSegments(buf[:0], 0, s.h.TotalEntries()) {
 		if seg.Level == level {
 			total += float64(seg.Bytes)
 		}
