@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"tango/internal/slab"
 )
 
 // Weight bounds as enforced by the kernel (and Docker's --blkio-weight).
@@ -50,12 +52,16 @@ type Cgroup struct {
 	writeBps   float64 // guarded by mu (0 = unlimited)
 	weightFail bool    // guarded by mu; injected fault: weight writes error
 
-	subs []func() // guarded by mu; snapshot before invoking outside the lock
+	subs []Subscriber // guarded by mu; snapshot before invoking outside the lock
 
 	// accounting
 	bytesRead    float64 // guarded by mu
 	bytesWritten float64 // guarded by mu
 }
+
+// Subscriber is told after any parameter change of a cgroup it subscribed
+// to. Implementations are compared with ==, so they must be pointers.
+type Subscriber interface{ Touch() }
 
 // NewCgroup creates a cgroup with the default weight and no throttles.
 func NewCgroup(name string) *Cgroup {
@@ -109,8 +115,8 @@ func (c *Cgroup) TrySetWeight(w int) error {
 	c.weight = ClampWeight(w)
 	subs := c.subs
 	c.mu.Unlock()
-	for _, fn := range subs {
-		fn()
+	for _, s := range subs {
+		s.Touch()
 	}
 	return nil
 }
@@ -154,8 +160,8 @@ func (c *Cgroup) SetReadBpsLimit(bps float64) {
 	c.readBps = bps
 	subs := c.subs
 	c.mu.Unlock()
-	for _, fn := range subs {
-		fn()
+	for _, s := range subs {
+		s.Touch()
 	}
 }
 
@@ -168,17 +174,29 @@ func (c *Cgroup) SetWriteBpsLimit(bps float64) {
 	c.writeBps = bps
 	subs := c.subs
 	c.mu.Unlock()
-	for _, fn := range subs {
-		fn()
+	for _, s := range subs {
+		s.Touch()
 	}
 }
 
-// Subscribe registers fn to be invoked after any parameter change. Devices
-// subscribe once per cgroup so weight updates reshape in-flight shares.
-func (c *Cgroup) Subscribe(fn func()) {
+// Subscribe registers s to be told after any parameter change, once: a
+// device subscribes at every flow it issues and the cgroup keeps the first,
+// so weight updates reshape the in-flight shares of exactly the devices the
+// cgroup ever had a flow on, in first-issue order.
+//
+//tango:hotpath
+func (c *Cgroup) Subscribe(s Subscriber) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.subs = append(c.subs, fn)
+	for _, have := range c.subs {
+		if have == s {
+			return
+		}
+	}
+	if c.subs == nil {
+		c.subs = make([]Subscriber, 0, 2) // a node's tiers: sized once, not grown per device
+	}
+	c.subs = append(c.subs, s)
 }
 
 // Account records served bytes (called by devices on flow completion).
@@ -210,7 +228,8 @@ func (c *Cgroup) BytesWritten() float64 {
 // cgroup hierarchy root.
 type Controller struct {
 	mu     sync.Mutex
-	groups map[string]*Cgroup // guarded by mu
+	groups map[string]*Cgroup  // guarded by mu
+	slab   slab.Chunks[Cgroup] // guarded by mu; where Create's cgroups live
 }
 
 // NewController returns an empty cgroup registry.
@@ -225,7 +244,10 @@ func (ctl *Controller) Create(name string) (*Cgroup, error) {
 	if _, ok := ctl.groups[name]; ok {
 		return nil, fmt.Errorf("blkio: cgroup %q already exists", name)
 	}
-	cg := NewCgroup(name)
+	// A zero slot made what NewCgroup returns; weight is guarded by cg.mu.
+	cg := ctl.slab.Next()
+	cg.name = name
+	cg.SetWeight(DefaultWeight)
 	ctl.groups[name] = cg
 	return cg, nil
 }

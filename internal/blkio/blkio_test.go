@@ -3,6 +3,7 @@ package blkio
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -43,10 +44,15 @@ func TestNewCgroupDefaults(t *testing.T) {
 	}
 }
 
+// touchCount is a Subscriber that counts its notifications.
+type touchCount struct{ calls int }
+
+func (c *touchCount) Touch() { c.calls++ }
+
 func TestSetWeightClampsAndNotifies(t *testing.T) {
 	cg := NewCgroup("a")
-	calls := 0
-	cg.Subscribe(func() { calls++ })
+	sub := new(touchCount)
+	cg.Subscribe(sub)
 	cg.SetWeight(5000)
 	if cg.Weight() != MaxWeight {
 		t.Fatalf("weight = %d", cg.Weight())
@@ -55,15 +61,15 @@ func TestSetWeightClampsAndNotifies(t *testing.T) {
 	if cg.Weight() != MinWeight {
 		t.Fatalf("weight = %d", cg.Weight())
 	}
-	if calls != 2 {
-		t.Fatalf("subscriber calls = %d, want 2", calls)
+	if sub.calls != 2 {
+		t.Fatalf("subscriber calls = %d, want 2", sub.calls)
 	}
 }
 
 func TestThrottleSettersNotify(t *testing.T) {
 	cg := NewCgroup("a")
-	calls := 0
-	cg.Subscribe(func() { calls++ })
+	sub := new(touchCount)
+	cg.Subscribe(sub)
 	cg.SetReadBpsLimit(100)
 	cg.SetWriteBpsLimit(200)
 	cg.SetReadBpsLimit(-5) // negative disables
@@ -73,8 +79,8 @@ func TestThrottleSettersNotify(t *testing.T) {
 	if cg.WriteBpsLimit() != 200 {
 		t.Fatalf("write limit = %v", cg.WriteBpsLimit())
 	}
-	if calls != 3 {
-		t.Fatalf("subscriber calls = %d, want 3", calls)
+	if sub.calls != 3 {
+		t.Fatalf("subscriber calls = %d, want 3", sub.calls)
 	}
 }
 
@@ -158,3 +164,73 @@ func TestCgroupSizePinned(t *testing.T) {
 		t.Errorf("sizeof(Cgroup) = %d, want <= 96 (fleet alloc_kb_per_unit)", n)
 	}
 }
+
+// TestCreatedCgroupsStayDistinct: Create hands out slots of controller-held
+// chunks, so a pointer returned before a chunk boundary must stay valid and
+// its own after it, a removed name must be creatable again, and two
+// controllers must never hand out the same slot. A goroutine drives each
+// controller (run under -race -count=10).
+func TestCreatedCgroupsStayDistinct(t *testing.T) {
+	const n = 1000
+	ctls := [2]*Controller{NewController(), NewController()}
+	var cgs [2][]*Cgroup
+	var wg sync.WaitGroup
+	for k := range ctls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				cg := ctls[k].MustCreate(fmt.Sprintf("cg%d", i))
+				cg.SetWeight(MinWeight + (i+k)%900)
+				cgs[k] = append(cgs[k], cg)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[*Cgroup]bool{}
+	for k := range cgs {
+		for i, cg := range cgs[k] {
+			if seen[cg] {
+				t.Fatalf("controller %d cgroup %d handed out twice", k, i)
+			}
+			seen[cg] = true
+			if cg.Name() != fmt.Sprintf("cg%d", i) || cg.Weight() != MinWeight+(i+k)%900 || ctls[k].Lookup(cg.Name()) != cg {
+				t.Fatalf("controller %d cgroup %d reads %q w=%d after later chunks were made", k, i, cg.Name(), cg.Weight())
+			}
+		}
+	}
+	old := cgs[0][7]
+	ctls[0].Remove("cg7")
+	again, err := ctls[0].Create("cg7")
+	if err != nil || again == old || seen[again] || again.Weight() != DefaultWeight {
+		t.Fatalf("re-Create after Remove: %v, same slot %t, weight %d", err, again == old || seen[again], again.Weight())
+	}
+	if old.Weight() != MinWeight+7 {
+		t.Fatalf("the removed cgroup's slot was reused: weight %d", old.Weight())
+	}
+}
+
+// TestSubscribeKeepsFirst: a device subscribes at every flow it issues;
+// the cgroup keeps one entry per subscriber, in first-subscription order.
+func TestSubscribeKeepsFirst(t *testing.T) {
+	cg := NewCgroup("a")
+	var order []int
+	subs := [3]*orderSub{{&order, 0}, {&order, 1}, {&order, 2}}
+	for _, i := range []int{1, 0, 1, 1, 2, 0, 2} {
+		cg.Subscribe(subs[i])
+	}
+	cg.SetWeight(500)
+	if len(order) != 3 || order[0] != 1 || order[1] != 0 || order[2] != 2 {
+		t.Fatalf("notified %v, want [1 0 2]: once each, in first-subscription order", order)
+	}
+	if n := testing.AllocsPerRun(100, func() { cg.Subscribe(subs[2]) }); n != 0 {
+		t.Fatalf("re-subscribing allocates %v objects", n)
+	}
+}
+
+type orderSub struct {
+	order *[]int
+	id    int
+}
+
+func (s *orderSub) Touch() { *s.order = append(*s.order, s.id) }

@@ -27,6 +27,7 @@ import (
 
 	"tango/internal/blkio"
 	"tango/internal/resil"
+	"tango/internal/slab"
 	"tango/internal/trace"
 )
 
@@ -52,6 +53,7 @@ type Allocator struct {
 	maxDesired  int                        // guarded by mu: largest active desired (the scale)
 	lastMax     int                        // guarded by mu: scale the current grants were computed at
 	targets     []target                   // guarded by applyMu: reusable write scratch
+	slab        slab.Chunks[entry]         // guarded by mu: where Attach's entries live
 }
 
 type entry struct {
@@ -81,7 +83,8 @@ func (a *Allocator) Attach(name string, cg *blkio.Cgroup) error {
 	if _, ok := a.entries[name]; ok {
 		return fmt.Errorf("coordinator: session %q already attached", name)
 	}
-	e := &entry{name: name, cg: cg, grant: cg.Weight()}
+	e := a.slab.Next()
+	*e = entry{name: name, cg: cg, grant: cg.Weight()}
 	a.entries[name] = e
 	a.list = append(a.list, e)
 	return nil

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -357,4 +358,66 @@ func TestActiveCountSurvivesChurn(t *testing.T) {
 	mustActive(1)
 	a.Release("a")
 	mustActive(0)
+}
+
+// TestAttachedEntriesStayDistinct: Attach hands out slots of allocator-held
+// chunks. A thousand sessions attached to each of two allocators
+// (interleaved, so a shared chunk would alternate owners) must each keep
+// their own grant across every chunk boundary, and a detached name must
+// attach again as a fresh entry.
+func TestAttachedEntriesStayDistinct(t *testing.T) {
+	const n = 1000
+	allocs := [2]*Allocator{New(), New()}
+	var cgs [2][]*blkio.Cgroup
+	name := func(i int) string { return fmt.Sprintf("s%d", i) }
+	// Increasing in i, so session n-1 sets each allocator's scale.
+	desired := func(i, k int) int { return blkio.MinWeight + (i+k)*(blkio.MaxWeight-blkio.MinWeight)/n }
+	for i := 0; i < n; i++ {
+		for k, a := range allocs {
+			cg := blkio.NewCgroup(name(i))
+			if err := a.Attach(name(i), cg); err != nil {
+				t.Fatal(err)
+			}
+			cgs[k] = append(cgs[k], cg)
+		}
+	}
+	seen := map[*entry]bool{}
+	for k, a := range allocs {
+		for _, e := range a.list {
+			if seen[e] {
+				t.Fatalf("allocator %d: entry %q handed out twice", k, e.name)
+			}
+			seen[e] = true
+		}
+		for i := n - 1; i >= 0; i-- {
+			if _, err := a.Request(name(i), desired(i, k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for k, a := range allocs {
+		max := desired(n-1, k)
+		for i, cg := range cgs[k] {
+			e := a.entries[name(i)]
+			want := blkio.ClampWeight(desired(i, k) * blkio.MaxWeight / max)
+			if e.cg != cg || e.name != name(i) || e.desired != desired(i, k) || cg.Weight() != want {
+				t.Fatalf("allocator %d session %d: entry %+v, cgroup weight %d, want %d", k, i, *e, cg.Weight(), want)
+			}
+		}
+	}
+	a := allocs[0]
+	old := a.entries[name(7)]
+	a.Detach(name(7))
+	if cgs[0][7].Weight() != blkio.DefaultWeight || a.Active() != n-1 {
+		t.Fatalf("after Detach: weight %d, active %d", cgs[0][7].Weight(), a.Active())
+	}
+	if err := a.Attach(name(7), cgs[0][7]); err != nil {
+		t.Fatal(err)
+	}
+	if e := a.entries[name(7)]; e == old || seen[e] || e.active || e.desired != 0 {
+		t.Fatalf("re-Attach reused a live slot or kept state: %+v", *e)
+	}
+	if g, err := a.Request(name(7), blkio.MaxWeight); err != nil || g != blkio.MaxWeight {
+		t.Fatalf("request after re-Attach: %d, %v", g, err)
+	}
 }

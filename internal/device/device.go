@@ -211,7 +211,6 @@ type Device struct {
 	lastUpdate float64
 	timer      sim.Timer
 	onTimer    func() // cached completion callback; one alloc per device
-	onTouch    func() // cached Touch bound-method value for cgroup subscriptions
 
 	// wrappedReadErr is the "device %q: ErrRead" chain TryRead returns,
 	// built once at construction so the fallible read path does not call
@@ -228,7 +227,7 @@ type Device struct {
 	wfCapped  []int     // reshape scratch: groups capped this round
 	effMemo   []float64 // Efficiency(n) memo, indexed by n
 
-	subscribed map[*blkio.Cgroup]bool
+	lastSub *blkio.Cgroup // of the last flow issued; the next of the same skips Subscribe's lock
 
 	// Injected degradation (see internal/fault): bwFactor scales the
 	// delivered bandwidth (1 = healthy, 0 = stuck device), extraLatency
@@ -257,12 +256,11 @@ func New(eng *sim.Engine, p Params) *Device {
 		panic(err)
 	}
 	d := &Device{
-		eng:        eng,
-		p:          p,
-		bwFactor:   1,
-		share:      1,
-		nextID:     1, // 0 is reserved so a zero Token can never match a live flow
-		subscribed: make(map[*blkio.Cgroup]bool),
+		eng:      eng,
+		p:        p,
+		bwFactor: 1,
+		share:    1,
+		nextID:   1, // 0 is reserved so a zero Token can never match a live flow
 	}
 	d.onTimer = func() {
 		d.advance()
@@ -271,7 +269,6 @@ func New(eng *sim.Engine, p Params) *Device {
 		}
 		d.reshape()
 	}
-	d.onTouch = d.Touch
 	d.wrappedReadErr = fmt.Errorf("device %q: %w", p.Name, ErrRead)
 	d.wrappedCancelErr = fmt.Errorf("device %q: %w", p.Name, ErrCanceled)
 	return d
@@ -311,7 +308,8 @@ func (d *Device) Efficiency(n int) float64 {
 			return v
 		}
 	} else if n <= 1024 {
-		grown := make([]float64, n+1)
+		// Doubling: a node's flow count creeps up by one per new arrival.
+		grown := make([]float64, max(n+1, min(2*len(d.effMemo), 1025)))
 		copy(grown, d.effMemo)
 		d.effMemo = grown
 	}
@@ -636,9 +634,9 @@ func (d *Device) issue(f *flow) {
 		d.end(f)
 		return
 	}
-	if !d.subscribed[f.cg] {
-		d.subscribed[f.cg] = true
-		f.cg.Subscribe(d.onTouch)
+	if f.cg != d.lastSub {
+		f.cg.Subscribe(d) // the cgroup keeps the first: "ever had a flow here"
+		d.lastSub = f.cg
 	}
 	f.id = d.nextID
 	d.nextID++
@@ -665,7 +663,8 @@ func (d *Device) newFlow() *flow {
 }
 
 // Touch forces a share recomputation at the current instant; cgroup
-// parameter changes call this so weight adjustments take effect on
+// parameter changes call this (the device is the blkio.Subscriber of every
+// cgroup it issued a flow for) so weight adjustments take effect on
 // in-flight flows immediately.
 //
 //tango:hotpath

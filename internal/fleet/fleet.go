@@ -32,7 +32,9 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -45,7 +47,6 @@ import (
 	"tango/internal/objstore"
 	"tango/internal/resil"
 	"tango/internal/runpool"
-	"tango/internal/sim"
 	"tango/internal/tokenctl"
 	"tango/internal/trace"
 )
@@ -124,7 +125,8 @@ func (c Config) validate() error {
 	if c.Nodes < 1 || c.Sessions < 1 {
 		return fmt.Errorf("fleet: need at least one node and one session (%d/%d)", c.Nodes, c.Sessions)
 	}
-	if c.EpochSec <= 0 || c.Epochs < 1 || c.WarmEpochs < 0 || c.WarmEpochs >= c.Epochs {
+	// Not "EpochSec <= 0": that is false for NaN, and +Inf passes it too.
+	if !(c.EpochSec > 0) || math.IsInf(c.EpochSec, 1) || c.Epochs < 1 || c.WarmEpochs < 0 || c.WarmEpochs >= c.Epochs {
 		return fmt.Errorf("fleet: bad epoch shape (len %g, %d epochs, %d warm)",
 			c.EpochSec, c.Epochs, c.WarmEpochs)
 	}
@@ -193,8 +195,10 @@ type node struct {
 	demandSum float64 // observed L3 bytes/s, summed over epochs
 	demandN   int
 
-	sessions []*session // owned sessions, id-sorted
+	sessions []*session // owned sessions, id-sorted once sortTouched has run
+	unsorted bool       // attach appended since the last sort
 	load     float64    // Σ session step-cost (placement score term)
+	epochSec float64    // cfg.EpochSec, where a step body finds it
 
 	alive     bool
 	killUntil float64
@@ -216,6 +220,7 @@ type node struct {
 // New, run with Run; a Cluster is single-use.
 type Cluster struct {
 	cfg   Config
+	ran   bool // Run was called
 	store *objstore.Store
 	nodes []*node
 	sess  []*session
@@ -278,7 +283,7 @@ func New(cfg Config) (*Cluster, error) {
 // buildNode constructs (or, with attach=false, rebuilds after a kill)
 // the engine-bound state of node i.
 func (c *Cluster) buildNode(i int, attach bool) *node {
-	nd := &node{idx: i, name: fmt.Sprintf("node%d", i), alive: true}
+	nd := &node{idx: i, name: fmt.Sprintf("node%d", i), alive: true, epochSec: c.cfg.EpochSec}
 	nd.cn = container.NewNode(nd.name)
 	nd.ssd = nd.cn.MustAddDevice(device.SSD("ssd"))
 	if attach {
@@ -345,9 +350,13 @@ func (nd *node) predictFrac(nodeBW float64) float64 {
 	}
 }
 
-// Run executes the configured epochs and returns the report. Single
-// use: a finished cluster's engines are closed.
+// Run executes the configured epochs and returns the report. Single use:
+// a finished cluster's engines are closed, and a second Run is an error.
 func (c *Cluster) Run() (*Report, error) {
+	if c.ran {
+		return nil, errors.New("fleet: Run called twice")
+	}
+	c.ran = true
 	cfg := c.cfg
 	nodeBW := cfg.Store.NodeBandwidth
 	for e := 0; e < cfg.Epochs; e++ {
@@ -432,7 +441,7 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 			s.busy = false
 			s.resident = 0
 			s.restore = 0
-			s.node = -1
+			s.nd = nil
 			s.cg = nil
 			s.tb = nil // the bucket died with the node's controller
 			c.migrations++
@@ -489,9 +498,7 @@ func (c *Cluster) place(list []*session, t float64, why string) {
 		c.attach(nd, s)
 		c.heap.push(idx, score+s.cost)
 	}
-	for _, nd := range c.nodes {
-		sortSessions(nd.sessions)
-	}
+	c.sortTouched()
 	if c.rec != nil { // guard: the variadic emit boxes its args
 		c.emit(t, trace.KindPlace, "placed=%d reason=%s alive=%d", len(list), why, c.aliveCount())
 	}
@@ -500,7 +507,7 @@ func (c *Cluster) place(list []*session, t float64, why string) {
 // attach binds a session to a node: cgroup, coordinator weight, and the
 // ownership links placement and stepping run on.
 func (c *Cluster) attach(nd *node, s *session) {
-	s.node = nd.idx
+	s.nd = nd
 	cg := nd.cn.Cgroups().Lookup(s.name)
 	if cg == nil {
 		cg = nd.cn.Cgroups().MustCreate(s.name)
@@ -523,15 +530,14 @@ func (c *Cluster) attach(nd *node, s *session) {
 		}
 	}
 	nd.sessions = append(nd.sessions, s)
+	nd.unsorted = true
 	nd.load += s.cost
 	// Rebind the step machinery to this node: scheduleSteps starts the
 	// proc at each step instant, inserting exactly one resume event per
 	// step at the arm instant — the queue slot the old Spawn-per-step
 	// pattern's arm event occupied, which is the byte-identity contract
 	// with it.
-	epochSec := c.cfg.EpochSec
 	s.proc = nd.cn.Engine().NewProc(s.name)
-	s.stepFn = func(p *sim.Proc) { nd.step(p, s, epochSec, nd.measured) }
 }
 
 // detach unbinds a session from its current node (planned migrations
@@ -551,13 +557,11 @@ func (c *Cluster) detach(nd *node, s *session) {
 	}
 	nd.sessions = kept
 	nd.load -= s.cost
-	s.node = -1
+	s.nd = nil
 	s.cg = nil
-	// The proc (finished: busy sessions do not move) and its step closure
-	// belong to the old node's engine; attach on the destination rebuilds
-	// them.
+	// The proc (finished: busy sessions do not move) belongs to the old
+	// node's engine; attach on the destination makes another.
 	s.proc = nil
-	s.stepFn = nil
 }
 
 // settle rebalances session counts across alive nodes at a barrier:
@@ -630,9 +634,7 @@ func (c *Cluster) settle(t float64) {
 	}
 	c.topoDirty = blocked
 	if moved > 0 {
-		for _, nd := range c.nodes {
-			sortSessions(nd.sessions)
-		}
+		c.sortTouched()
 		c.emit(t, trace.KindMigrate, "moved=%d drained=%.0fMB restore=%.0fMB target=%d",
 			moved, drained/mb, restored/mb, target)
 	}
@@ -770,10 +772,17 @@ func (c *Cluster) emit(t float64, kind, format string, args ...any) {
 	c.rec.Emit(t, "fleet", kind, format, args...)
 }
 
-func sortSessions(ss []*session) {
-	// ids are unique, so this order is total and stability is moot;
-	// slices.SortFunc avoids sort.Slice's reflect-based interface boxing.
-	slices.SortFunc(ss, func(a, b *session) int { return a.id - b.id })
+// sortTouched restores id order on the nodes attach appended to since the
+// last call; a detach keeps the order, so every other node still has it.
+func (c *Cluster) sortTouched() {
+	for _, nd := range c.nodes {
+		if nd.unsorted {
+			nd.unsorted = false
+			// ids are unique, so this order is total and stability is moot;
+			// slices.SortFunc avoids sort.Slice's reflect-based interface boxing.
+			slices.SortFunc(nd.sessions, func(a, b *session) int { return a.id - b.id })
+		}
+	}
 }
 
 // placer is a tiny binary min-heap over (node index, score), ties broken

@@ -1,8 +1,9 @@
 package fleet
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"tango/internal/blkio"
 	"tango/internal/sim"
@@ -32,7 +33,7 @@ type session struct {
 	// Mutable state. Owned by the session's current node: mutated either
 	// from that node's engine context (step procs) or at a barrier while
 	// the session is idle — never both at once (busy pins it).
-	node     int // current node index, -1 while unplaced
+	nd       *node // current node, nil while unplaced
 	cg       *blkio.Cgroup
 	tb       *tokenctl.Bucket // token-mode bucket (nil in central mode)
 	resident float64          // bytes warm on the current node's L2
@@ -40,19 +41,30 @@ type session struct {
 	busy     bool             // a step proc is in flight
 
 	// Step machinery, rebuilt at attach: one reusable proc runs each of
-	// this session's steps on its current node. The barrier starts it at
-	// the step instant (StartAt: one event, no allocation) and it is
-	// finished between steps, so the node's engine holds a coroutine per
-	// step in flight, not per session. stepFn is the proc body, one step.
-	proc   *sim.Proc
-	stepFn func(p *sim.Proc)
+	// this session's steps on its current node, with the session itself as
+	// the body (Run). The barrier starts it at the step instant (StartAt:
+	// one event, no allocation) and it is finished between steps, so the
+	// node's engine holds a coroutine per step in flight, not per session.
+	proc *sim.Proc
 }
 
 // genSessions draws the session population. The generator is the only
-// randomness in the fleet, fully determined by the seed.
+// randomness in the fleet, fully determined by the seed. The sessions are
+// elements of one slab and their names ("sess<id>") substrings of one
+// string: two objects for the population, not three per session.
 func genSessions(n int, seed int64, epochSec, nodeBW float64) []*session {
 	rng := rand.New(rand.NewSource(seed))
 	prios := [3]int{1, 5, 10}
+	// Exact size, so the builder never moves and every name shares its
+	// buffer: "sess" and one digit per id, one more for each id >= 10^k.
+	var names strings.Builder
+	size := 5 * n
+	for pow := 10; pow < n; pow *= 10 {
+		size += n - pow
+	}
+	names.Grow(size)
+	var digits [20]byte
+	slab := make([]session, n)
 	out := make([]*session, n)
 	for i := range out {
 		ws := (16 + rng.Float64()*16) * mb
@@ -60,15 +72,18 @@ func genSessions(n int, seed int64, epochSec, nodeBW float64) []*session {
 		if step > ws {
 			step = ws
 		}
-		s := &session{
+		off := names.Len()
+		names.WriteString("sess")
+		names.Write(strconv.AppendInt(digits[:0], int64(i), 10))
+		s := &slab[i]
+		*s = session{
 			id:         i,
-			name:       fmt.Sprintf("sess%d", i),
+			name:       names.String()[off:],
 			priority:   prios[rng.Intn(3)],
 			workingSet: ws,
 			stepRead:   step,
 			dirtyFrac:  0.05 + rng.Float64()*0.15,
 			phase:      rng.Float64() * epochSec * 0.5,
-			node:       -1,
 		}
 		s.weight = 100 * s.priority
 		s.cost = step / epochSec / nodeBW
@@ -85,8 +100,7 @@ func genSessions(n int, seed int64, epochSec, nodeBW float64) []*session {
 // The barrier commits each step directly at its step instant (StartAt):
 // one event per step, taking the queue slot the per-step arm event used
 // to occupy, so step bodies still run at the same instant and in the
-// same barrier order. nd.measured is read at step start, inside the
-// epoch that armed it, so it matches the value the barrier published.
+// same barrier order.
 func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 	eng := nd.cn.Engine()
 	nd.measured = measured
@@ -96,11 +110,12 @@ func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 			continue
 		}
 		s.busy = true
-		eng.StartAt(t0+s.phase, s.proc, s.stepFn)
+		eng.StartAt(t0+s.phase, s.proc, s)
 	}
 }
 
-// step runs one analysis period on the session's node:
+// Run is the session as the body of its own step proc (sim.Body): one
+// analysis period on the node it is attached to:
 //
 //  1. restore — a planned migration left the working set store-side;
 //     re-fetch it through the frontend and admit it to L2;
@@ -112,8 +127,11 @@ func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 // Steps run entirely inside the node's engine window; the only
 // cluster-visible effects are the Remote's traffic ledger and the
 // node's epoch accumulators, both harvested at the next barrier.
-func (nd *node) step(p *sim.Proc, s *session, epochSec float64, measured bool) {
-	start := p.Now()
+// nd.measured is read at step start, inside the epoch that armed it, so it
+// is the value the barrier published.
+func (s *session) Run(p *sim.Proc) {
+	nd := s.nd
+	start, measured := p.Now(), nd.measured
 	if nd.tok != nil && s.tb != nil {
 		// Token mode funds the weight per step: sessions idle between
 		// steps accrue lendable surplus, and the grant reverts at step
@@ -137,7 +155,7 @@ func (nd *node) step(p *sim.Proc, s *session, epochSec float64, measured bool) {
 	if nd.tok != nil && s.tb != nil {
 		nd.tok.Release(s.tb)
 	}
-	if elapsed := p.Now() - start; elapsed > epochSec && measured {
+	if elapsed := p.Now() - start; elapsed > nd.epochSec && measured {
 		nd.viol++
 	}
 	nd.stepBytes += s.stepRead

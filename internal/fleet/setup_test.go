@@ -1,0 +1,165 @@
+package fleet
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+	"unsafe"
+)
+
+// mallocs counts the heap objects f allocates (runtime-internal ones
+// included, as the benchmark's allocs_per_unit does).
+func mallocs(f func()) int {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return int(after.Mallocs - before.Mallocs)
+}
+
+// TestSetupAllocCeilings holds the fleet's set-up path at the layer: with
+// sessions, names, cgroups, procs, coordinator entries and events coming
+// from chunks, and a breaker made only on a failure, building a cluster
+// costs under one object per session on top of a per-node constant
+// (device, controllers, eleven resil keys: ~65), and building plus running
+// it — first-touch subscriptions, coroutines up to the steps in flight,
+// device scratch — stays under eight. One object per session creeping back
+// (a closure per attach, a breaker per cgroup) trips the first; before the
+// chunks the two read 8.4 and 15.4 at this shape.
+func TestSetupAllocCeilings(t *testing.T) {
+	const nodes, sessions = 8, 800
+	var c *Cluster
+	var err error
+	build := mallocs(func() { c, err = New(Config{Nodes: nodes, Sessions: sessions, Seed: 7}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := mallocs(func() { _, err = c.Run() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 1*sessions + 80*nodes; build > limit {
+		t.Errorf("New allocated %d objects (%.2f per session), want <= %d", build, float64(build)/sessions, limit)
+	}
+	if limit := 8*sessions + 150*nodes; build+run > limit {
+		t.Errorf("New + Run allocated %d objects (%.2f per session), want <= %d", build+run, float64(build+run)/sessions, limit)
+	}
+}
+
+// The name arena spells every id as fmt.Sprintf("sess%d", i) does, across
+// the digit boundaries its size formula counts (9/10 … 99 999/100 000), in
+// one buffer sized exactly, and the population costs a handful of objects.
+func TestSessionNamesMatchSprintf(t *testing.T) {
+	for _, n := range []int{1, 9, 10, 11, 100, 101, 100_001} {
+		ss := genSessions(n, 42, 60, 1)
+		for i, s := range ss {
+			if want := fmt.Sprintf("sess%d", i); s.name != want || s.id != i {
+				t.Fatalf("n=%d: session %d is %q (id %d), want %q", n, i, s.name, s.id, want)
+			}
+			// One arena that never moved: each name starts where the last ended.
+			if i > 0 && unsafe.StringData(s.name) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(ss[i-1].name)), len(ss[i-1].name))) {
+				t.Fatalf("n=%d: name %d does not continue the arena", n, i)
+			}
+		}
+	}
+	if n := mallocs(func() { genSessions(1000, 42, 60, 1) }); n > 10 {
+		t.Fatalf("1000 sessions cost %d objects, want the slab, the arena, the pointer list and the rng", n)
+	}
+}
+
+func TestRunTwiceIsAnError(t *testing.T) {
+	c, err := New(Config{Nodes: 2, Sessions: 8, Seed: 1, Epochs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	epochs := slices.Clone(first.EpochMBps)
+	again, err := c.Run()
+	if again != nil || err == nil || err.Error() != "fleet: Run called twice" {
+		t.Fatalf("second Run: report %v, err %v", again, err)
+	}
+	if !slices.Equal(first.EpochMBps, epochs) || first.SkippedSteps != 0 {
+		t.Fatalf("the second Run touched the first report: %+v", first)
+	}
+}
+
+// NaN and +Inf pass "EpochSec <= 0"; New used to accept both and Run
+// panicked scheduling a step at a NaN time.
+func TestConfigRejectsBadEpochSec(t *testing.T) {
+	for _, tc := range []struct {
+		epochSec float64
+		ok       bool
+	}{
+		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+		{-60, false}, {-math.SmallestNonzeroFloat64, false},
+		{0, true}, // unset: the 60 s default
+		{0.5, true}, {60, true},
+	} {
+		c, err := New(Config{Nodes: 1, Sessions: 2, Epochs: 2, EpochSec: tc.epochSec})
+		if (err == nil) != tc.ok {
+			t.Errorf("EpochSec %v: err %v, want ok=%t", tc.epochSec, err, tc.ok)
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "bad epoch shape") {
+				t.Errorf("EpochSec %v: error %q does not name the epoch shape", tc.epochSec, err)
+			}
+			continue
+		}
+		if _, err := c.Run(); err != nil {
+			t.Errorf("EpochSec %v: %v", tc.epochSec, err)
+		}
+	}
+	if err := (Config{Nodes: 1, Sessions: 1, Epochs: 1}).validate(); err == nil {
+		t.Error("validate accepted EpochSec 0 (withDefaults had not run)")
+	}
+}
+
+// place and settle sort only the nodes that received a session; every node
+// must still end id-sorted, own each session once, and leave a dead node
+// with none.
+func TestSessionsStaySortedThroughKillAndSettle(t *testing.T) {
+	c, err := New(Config{
+		Nodes: 6, Sessions: 90, Seed: 5, Epochs: 10,
+		Plan: killPlan(t, "node-kill@120:node=node2,dur=120;node-kill@180:node=node4,dur=600"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		owned := map[*session]bool{}
+		for _, nd := range c.nodes {
+			if !nd.alive && len(nd.sessions) != 0 {
+				t.Fatalf("%s: dead %s owns %d sessions", when, nd.name, len(nd.sessions))
+			}
+			if !slices.IsSortedFunc(nd.sessions, func(a, b *session) int { return a.id - b.id }) {
+				t.Fatalf("%s: %s sessions out of id order", when, nd.name)
+			}
+			for _, s := range nd.sessions {
+				if owned[s] || s.nd != nd {
+					t.Fatalf("%s: %s on %s: owned twice %t, points at its node %t", when, s.name, nd.name, owned[s], s.nd == nd)
+				}
+				owned[s] = true
+			}
+		}
+		if len(owned) != c.cfg.Sessions {
+			t.Fatalf("%s: %d of %d sessions placed", when, len(owned), c.cfg.Sessions)
+		}
+	}
+	check("after New")
+	r, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Kills != 2 || r.Migrations <= 30 {
+		t.Fatalf("plan did not kill, re-place and settle back: %+v", r)
+	}
+	check("after Run")
+}

@@ -105,7 +105,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 	var res ReadResult
 	k.stats.Ops++
 	c := k.c
-	br := k.breaker(dev.Name())
+	br := k.breaker(dev.Name(), true)
 	delay := k.pol.Backoff
 	if delay <= 0 {
 		delay = 0.05
@@ -227,7 +227,7 @@ type WeightResult struct {
 func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	k.stats.Ops++
 	c := k.c
-	br := k.breaker(cg.Name())
+	br := k.breaker(cg.Name(), false) // nil until the cgroup's first failed write
 	now := c.eng.Now()
 	if br != nil && !br.allow(now) {
 		k.stats.BreakerDenied++
@@ -243,6 +243,9 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 		return WeightResult{OK: true}
 	}
 	k.stats.Failures++
+	if br == nil {
+		br = k.breaker(cg.Name(), true)
+	}
 	if br != nil && br.onFailure(now) {
 		c.brOpens++
 		if c.rec != nil {

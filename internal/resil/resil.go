@@ -148,7 +148,7 @@ type Policy struct {
 
 	// Circuit breaker per target (device or cgroup name). Threshold 0
 	// disables the breaker for this key (mandatory work must never be
-	// denied). The first key to touch a target fixes the breaker's
+	// denied). The first key to make a target's breaker fixes its
 	// parameters; the catalog keeps them uniform per target class.
 	BreakerThreshold int     // consecutive failures before opening
 	BreakerCooldown  float64 // seconds open before a half-open probe
@@ -412,20 +412,27 @@ func (c *Controller) SetForecast(fn func() (next, peak float64, ok bool)) {
 // HedgingEnabled reports whether hedged reads are switched on.
 func (c *Controller) HedgingEnabled() bool { return c.hedge.Enabled }
 
-// Breaker returns the breaker for a target, or nil if no policy has
-// touched it yet.
+// Breaker returns the breaker for a target, or nil if there is none yet:
+// a read key makes its target's at the first read, a weight key only at
+// the target's first failed write.
 func (c *Controller) Breaker(target string) *Breaker { return c.breakers[target] }
 
-// breaker returns the breaker guarding target for this key, lazily
-// created with the key's parameters; an existing one is reused as-is.
-// Keys with BreakerThreshold 0 get no breaker (nil).
-func (k *Key) breaker(target string) *Breaker {
+// breaker returns the breaker guarding target for this key. Where there is
+// none yet, create makes one with the key's parameters; without it the
+// answer is nil, which reads as closed with no failures — all a breaker
+// that never saw one has to say — and is not cached in k.br: the next
+// failure makes the breaker and the key must then find it. Keys with
+// BreakerThreshold 0 get no breaker (nil).
+func (k *Key) breaker(target string, create bool) *Breaker {
 	if k.pol.BreakerThreshold <= 0 {
 		return nil
 	}
 	if k.br == nil || k.brTarget != target {
 		b := k.c.breakers[target]
 		if b == nil {
+			if !create {
+				return nil
+			}
 			b = &Breaker{target: target, threshold: k.pol.BreakerThreshold, cooldown: k.pol.BreakerCooldown}
 			k.c.breakers[target] = b
 		}

@@ -501,7 +501,7 @@ func TestBreakerCacheFollowsTarget(t *testing.T) {
 	if c.Breaker("good").Opens() != 0 {
 		t.Fatal("the healthy target's breaker opened")
 	}
-	if k := c.Key(KeyStagingReadCapacity); k.breaker("bad") != nil {
+	if k := c.Key(KeyStagingReadCapacity); k.breaker("bad", true) != nil {
 		t.Fatal("a key with BreakerThreshold 0 has no breaker")
 	}
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"tango/internal/slab"
+)
 
 // Engine is a discrete-event scheduler over a virtual clock measured in
 // seconds. The zero value is not usable; construct with NewEngine.
@@ -19,6 +23,9 @@ type Engine struct {
 	procs  []*Proc   // live (not yet finished) processes; Proc.slot indexes it
 	idle   []*worker // parked coroutines of finished reusable procs; Close stops them
 	err    error
+
+	evSlab   slab.Chunks[event] // where a freelist miss takes its struct from
+	procSlab slab.Chunks[Proc]  // NewProc's structs
 }
 
 // NewEngine returns an engine with the clock at t=0.
@@ -31,25 +38,6 @@ func (e *Engine) Now() float64 { return e.now }
 
 // Err returns the first process failure observed by the engine, if any.
 func (e *Engine) Err() error { return e.err }
-
-// newEvent takes a struct off the freelist (or allocates one) and stamps it
-// with the next sequence number. seq is monotone and never reused, so a
-// Timer holding a stale pointer can always detect that its event is gone.
-func (e *Engine) newEvent(t float64, fn func()) *event {
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = new(event)
-	}
-	ev.t = t
-	ev.seq = e.seq
-	ev.fn = fn
-	e.seq++
-	return ev
-}
 
 // recycle returns a drained event to the freelist. The callback reference
 // is dropped so the freelist does not pin closures.
@@ -73,32 +61,41 @@ type Callback interface {
 // the same sequence slot an At call at this point would.
 //
 //tango:hotpath
-func (e *Engine) AtCall(t float64, cb Callback) Timer {
-	if t < e.now {
-		t = e.now
-	}
-	if math.IsNaN(t) {
-		panic("sim: event scheduled at NaN time")
-	}
-	ev := e.newEvent(t, nil)
-	ev.cb = cb
-	e.events.push(ev)
-	return Timer{ev: ev, seq: ev.seq, when: t}
-}
+func (e *Engine) AtCall(t float64, cb Callback) Timer { return e.schedule(t, nil, cb) }
 
 // At schedules fn to run at virtual time t. Times in the past are clamped
 // to the present (the event still fires, after already-scheduled events at
 // the current instant). Returns a handle that can cancel the event.
 //
 //tango:hotpath
-func (e *Engine) At(t float64, fn func()) Timer {
+func (e *Engine) At(t float64, fn func()) Timer { return e.schedule(t, fn, nil) }
+
+// schedule is At and AtCall (exactly one of fn and cb is set), which are
+// thin enough to inline: scheduling an event stays one call deep. The
+// struct comes off the freelist, or from the next slot of a chunk — a
+// barrier queues a node's every step start before one drains — and is
+// stamped with the next sequence number. seq is monotone and never reused,
+// so a Timer holding a stale pointer can always detect that its event is
+// gone.
+//
+//tango:hotpath
+func (e *Engine) schedule(t float64, fn func(), cb Callback) Timer {
 	if t < e.now {
 		t = e.now
 	}
 	if math.IsNaN(t) {
 		panic("sim: event scheduled at NaN time")
 	}
-	ev := e.newEvent(t, fn)
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = e.evSlab.Next()
+	}
+	ev.t, ev.seq, ev.fn, ev.cb = t, e.seq, fn, cb
+	e.seq++
 	e.events.push(ev)
 	return Timer{ev: ev, seq: ev.seq, when: t}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // goroutinesSettleTo waits for coroutines that were just stopped to
@@ -70,7 +71,7 @@ func TestStartAtPoolsWorkersUntilClose(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i, p := range procs {
 			// Three starts per 1 s slot, each run 0.9 s long: three in flight.
-			e.StartAt(e.Now()+float64(i/3)+0.25*float64(i%3), p, body)
+			e.StartAt(e.Now()+float64(i/3)+0.25*float64(i%3), p, BodyFunc(body))
 		}
 		if err := e.RunAll(); err != nil {
 			t.Fatal(err)
@@ -98,10 +99,10 @@ func TestProcPanicWorkerNotPooled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine()
 	p := e.NewProc("bad")
-	e.StartAt(0, p, func(p *Proc) {
+	e.StartAt(0, p, BodyFunc(func(p *Proc) {
 		p.Sleep(1)
 		panic("boom")
-	})
+	}))
 	err := e.RunAll()
 	if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want the proc name and panic value", err)
@@ -118,19 +119,19 @@ func TestStartAtMisusePanics(t *testing.T) {
 	e := NewEngine()
 	body := func(p *Proc) { p.Sleep(1) }
 	live := e.NewProc("live")
-	e.StartAt(0, live, body)
-	mustPanic(t, "StartAt on a started proc", func() { e.StartAt(0, live, body) })
+	e.StartAt(0, live, BodyFunc(body))
+	mustPanic(t, "StartAt on a started proc", func() { e.StartAt(0, live, BodyFunc(body)) })
 	if err := e.Run(0.5); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "StartAt on a parked proc", func() { e.StartAt(0, live, body) })
+	mustPanic(t, "StartAt on a parked proc", func() { e.StartAt(0, live, BodyFunc(body)) })
 	e.Kill(live)
-	mustPanic(t, "StartAt on a killed proc", func() { e.StartAt(0, live, body) })
+	mustPanic(t, "StartAt on a killed proc", func() { e.StartAt(0, live, BodyFunc(body)) })
 	spawned := e.Spawn("spawned", func(p *Proc) {})
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	mustPanic(t, "StartAt on a Spawn-ed proc", func() { e.StartAt(0, spawned, body) })
+	mustPanic(t, "StartAt on a Spawn-ed proc", func() { e.StartAt(0, spawned, BodyFunc(body)) })
 }
 
 // StartAt and SpawnAt each take exactly one (t, seq) slot, at the call,
@@ -144,7 +145,7 @@ func TestStartAtSpawnAtTakeOneSlotInCallOrder(t *testing.T) {
 	p := e.NewProc("p")
 	seq0 := e.seq
 	e.At(5, mark("a"))
-	e.StartAt(5, p, body("b"))
+	e.StartAt(5, p, BodyFunc(body("b")))
 	e.At(5, mark("c"))
 	e.SpawnAt(5, "d", body("d"))
 	e.At(5, mark("e"))
@@ -159,7 +160,7 @@ func TestStartAtSpawnAtTakeOneSlotInCallOrder(t *testing.T) {
 	}
 	// A finished run leaves nothing queued, so a second one is again one slot.
 	seq0 = e.seq
-	e.StartAt(6, p, body("f"))
+	e.StartAt(6, p, BodyFunc(body("f")))
 	if e.seq-seq0 != 1 || e.Pending() != 1 {
 		t.Fatalf("restart took %d seqs, %d events pending", e.seq-seq0, e.Pending())
 	}
@@ -174,7 +175,7 @@ func TestStartAtSteadyStateZeroAlloc(t *testing.T) {
 	p := e.NewProc("step")
 	body := func(p *Proc) { p.Sleep(1) }
 	run := func() {
-		e.StartAt(e.Now(), p, body)
+		e.StartAt(e.Now(), p, BodyFunc(body))
 		if err := e.RunAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +200,7 @@ func TestFinishedProcDropsBody(t *testing.T) {
 	spawned := start(func(fn func(*Proc)) *Proc { return e.Spawn("spawned", fn) })
 	reused := start(func(fn func(*Proc)) *Proc {
 		p := e.NewProc("reused")
-		e.StartAt(0, p, fn)
+		e.StartAt(0, p, BodyFunc(fn))
 		return p
 	})
 	if err := e.RunAll(); err != nil {
@@ -215,4 +216,85 @@ func TestFinishedProcDropsBody(t *testing.T) {
 	}
 	runtime.KeepAlive(spawned)
 	runtime.KeepAlive(reused)
+}
+
+// countBody is a Body that is its own state, the way the fleet's session
+// is: StartAt boxes the pointer, nothing is built per run.
+type countBody struct{ id, runs int }
+
+func (b *countBody) Run(p *Proc) {
+	p.Sleep(float64(b.id%7) * 0.125)
+	b.runs += b.id + 1
+}
+
+// NewProc hands out slots of engine-held chunks and schedule takes its
+// freelist misses from another: procs made before a chunk boundary must
+// stay valid and their own after it, each must run the body it was
+// started with, and two engines must never hand out the same slot.
+func TestNewProcsStayDistinct(t *testing.T) {
+	const n = 1000
+	engs := [2]*Engine{NewEngine(), NewEngine()}
+	seen := map[*Proc]bool{}
+	var procs [2][]*Proc
+	var bodies [2][]*countBody
+	for i := 0; i < n; i++ {
+		for k, e := range engs { // interleaved: a shared chunk would alternate owners
+			p := e.NewProc("p")
+			if seen[p] || p.Engine() != e || !p.Done() {
+				t.Fatalf("engine %d proc %d: duplicate %t, engine ok %t, done %t", k, i, seen[p], p.Engine() == e, p.Done())
+			}
+			seen[p] = true
+			procs[k] = append(procs[k], p)
+			bodies[k] = append(bodies[k], &countBody{id: i})
+		}
+	}
+	for round := 1; round <= 2; round++ {
+		for k, e := range engs {
+			// All n starts queued before one drains: n events, far past the
+			// freelist, so the event chunks cross their boundaries too.
+			for i, p := range procs[k] {
+				e.StartAt(e.Now()+float64(i%5), p, bodies[k][i])
+			}
+			if err := e.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range bodies[k] {
+				if b.runs != round*(i+1) || !procs[k][i].Done() {
+					t.Fatalf("engine %d proc %d after round %d: runs %d, done %t", k, i, round, b.runs, procs[k][i].Done())
+				}
+			}
+		}
+	}
+	for _, e := range engs {
+		if e.LiveProcs() != 0 || e.Pending() != 0 {
+			t.Fatalf("live %d, pending %d", e.LiveProcs(), e.Pending())
+		}
+		e.Close()
+	}
+}
+
+// A thousand procs and the events that start them cost a few chunks each,
+// not an object each; the proc struct stays on its 64-byte size class with
+// the body as an interface (an extra word would put it in the 80-byte one).
+func TestNewProcAndEventsComeFromChunks(t *testing.T) {
+	if n := unsafe.Sizeof(Proc{}); n > 64 {
+		t.Errorf("sizeof(Proc) = %d, want <= 64", n)
+	}
+	if n := unsafe.Sizeof(event{}); n > 40 {
+		t.Errorf("sizeof(event) = %d, want <= 40", n)
+	}
+	const n = 1000
+	body := &countBody{}
+	allocs := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for i := 0; i < n; i++ {
+			e.StartAt(1, e.NewProc("p"), body)
+		}
+		e.Close()
+	})
+	// One object per proc and per event before; now chunks of each plus the
+	// log-many growth steps of the event heap and the live list.
+	if allocs > n/4 {
+		t.Fatalf("%d procs armed cost %v objects, want <= %d", n, allocs, n/4)
+	}
 }

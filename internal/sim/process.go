@@ -17,8 +17,8 @@ type Proc struct {
 	eng  *Engine
 	name string
 
-	fn func(p *Proc) // body of the current run; nil once it has returned
-	w  *worker       // coroutine running fn; bound at first resume, nil before and after
+	body Body    // what the current run executes; nil once it has returned
+	w    *worker // coroutine running body; bound at first resume, nil before and after
 
 	slot     int  // index in eng.procs while live
 	reusable bool // made by NewProc: StartAt may run it again, on a pooled worker
@@ -42,6 +42,17 @@ type worker struct {
 	yield func(struct{}) bool
 }
 
+// Body is what a process runs: an interface rather than a func, so that an
+// object which already holds a run's state (the fleet's session) is the
+// body itself — a pointer boxes for free, a func would be a closure each.
+type Body interface{ Run(p *Proc) }
+
+// BodyFunc adapts a plain func to Body; func values box for free too.
+type BodyFunc func(p *Proc)
+
+// Run calls f(p).
+func (f BodyFunc) Run(p *Proc) { f(p) }
+
 // procKilled is the panic a killed proc unwinds with, raised at its yield
 // point and recovered in worker.exec.
 type procKilled struct{}
@@ -60,34 +71,36 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // insert two.
 func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}
-	e.start(t, p, fn)
+	e.start(t, p, BodyFunc(fn))
 	return p
 }
 
 // NewProc returns a finished process that StartAt can run, any number of
-// times. It costs one small struct: no coroutine exists until a run's
-// first resume, and that one comes from the engine's idle list when a
-// previous run of any reusable proc left one there.
+// times. It costs one slot of an engine-held chunk: no coroutine exists
+// until a run's first resume, and that one comes from the engine's idle
+// list when a previous run of any reusable proc left one there.
 func (e *Engine) NewProc(name string) *Proc {
-	return &Proc{eng: e, name: name, reusable: true, done: true}
+	p := e.procSlab.Next()
+	*p = Proc{eng: e, name: name, reusable: true, done: true}
+	return p
 }
 
-// StartAt runs fn as the body of p, a finished process made by NewProc,
-// from the top at virtual time t (clamped to the present, like At). Like
-// SpawnAt it inserts exactly one event, at the call: the first resume.
-// A process drops its body when it finishes, so every run names fn again.
-// Starting a live process, a killed one (resumes queued for the run that
-// was killed may still be pending) or one not made by NewProc panics.
-func (e *Engine) StartAt(t float64, p *Proc, fn func(p *Proc)) {
+// StartAt runs body in p, a finished process made by NewProc, from the
+// top at virtual time t (clamped to the present, like At). Like SpawnAt
+// it inserts exactly one event, at the call: the first resume. A process
+// drops its body when it finishes, so every run names it again. Starting
+// a live process, a killed one (resumes queued for the run that was
+// killed may still be pending) or one not made by NewProc panics.
+func (e *Engine) StartAt(t float64, p *Proc, body Body) {
 	if !p.reusable || !p.done || p.killed {
 		panic(fmt.Sprintf("sim: StartAt on process %q, which is live, killed or not from NewProc", p.name))
 	}
-	e.start(t, p, fn)
+	e.start(t, p, body)
 }
 
 // start lists p as live and arms its first resume.
-func (e *Engine) start(t float64, p *Proc, fn func(p *Proc)) {
-	p.fn = fn
+func (e *Engine) start(t float64, p *Proc, body Body) {
+	p.body = body
 	p.done = false
 	p.slot = len(e.procs)
 	e.procs = append(e.procs, p)
@@ -156,7 +169,7 @@ func (w *worker) exec() (reuse bool) {
 		reuse = r == nil && p.reusable
 		p.finish()
 	}()
-	p.fn(p)
+	p.body.Run(p)
 	return
 }
 
@@ -165,7 +178,7 @@ func (w *worker) exec() (reuse bool) {
 // a *Proc kept after its run pins none of it.
 func (p *Proc) finish() {
 	p.done = true
-	p.fn = nil
+	p.body = nil
 	if p.w != nil {
 		p.w.p = nil
 		p.w = nil
