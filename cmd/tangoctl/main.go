@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strings"
 
 	"tango"
 	"tango/internal/cliutil"
@@ -63,6 +62,10 @@ func decompose(args []string) error {
 	if err != nil {
 		return err
 	}
+	m, err := cliutil.ParseMetric(*metric)
+	if err != nil {
+		return err
+	}
 	n := 1
 	for _, d := range dims {
 		n *= d
@@ -74,10 +77,6 @@ func decompose(args []string) error {
 	bounds, err := cliutil.ParseBounds(*boundsStr)
 	if err != nil {
 		return err
-	}
-	m := tango.NRMSE
-	if strings.EqualFold(*metric, "psnr") {
-		m = tango.PSNR
 	}
 	h, err := tango.Decompose(data, dims, tango.RefactorOptions{
 		Levels: *levels, Decimation: *decim, Metric: m, Bounds: bounds,

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"tango/internal/core"
+	"tango/internal/errmetric"
 	"tango/internal/tokenctl"
 )
 
@@ -49,6 +50,17 @@ func ParseBounds(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// ParseMetric maps the -metric flag onto an error metric, any case.
+func ParseMetric(s string) (errmetric.Kind, error) {
+	switch strings.ToLower(s) {
+	case "nrmse":
+		return errmetric.NRMSE, nil
+	case "psnr":
+		return errmetric.PSNR, nil
+	}
+	return 0, fmt.Errorf("unknown metric %q (nrmse|psnr)", s)
 }
 
 // ParsePolicy maps user-facing policy names onto core policies.

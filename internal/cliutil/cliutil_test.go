@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tango/internal/core"
+	"tango/internal/errmetric"
 	"tango/internal/tokenctl"
 )
 
@@ -56,6 +57,25 @@ func TestParseBounds(t *testing.T) {
 	}
 	if _, err := ParseBounds("0.1,oops"); err == nil {
 		t.Fatal("bad bound accepted")
+	}
+}
+
+func TestParseMetric(t *testing.T) {
+	cases := map[string]errmetric.Kind{
+		"nrmse": errmetric.NRMSE, "NRMSE": errmetric.NRMSE,
+		"psnr": errmetric.PSNR, "PSNR": errmetric.PSNR, "Psnr": errmetric.PSNR,
+	}
+	for in, want := range cases {
+		got, err := ParseMetric(in)
+		if err != nil || got != want {
+			t.Errorf("ParseMetric(%q) = %v, %v", in, got, err)
+		}
+	}
+	// Anything else used to mean NRMSE without saying so.
+	for _, in := range []string{"foo", "", "nrmse ", "rmse", "psnr2"} {
+		if got, err := ParseMetric(in); err == nil {
+			t.Errorf("ParseMetric(%q) = %v, want an error", in, got)
+		}
 	}
 }
 

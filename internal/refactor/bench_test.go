@@ -1,6 +1,7 @@
 package refactor
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -140,7 +141,7 @@ func BenchmarkSegmentsQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkEncodeDecode(b *testing.B) {
+func BenchmarkEncode(b *testing.B) {
 	f := benchGrid(257)
 	h, err := Decompose(f, Options{Levels: 3})
 	if err != nil {
@@ -151,6 +152,29 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var buf writeCounter
 		if err := h.Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecode1025 reads back the hierarchy the `refactor` workload
+// writes (three levels, ~985k entries): the entry streams are all but
+// 1/16 of the bytes, so this is DecodeEntries' in-buffer parse plus the
+// prefix sums.
+func BenchmarkDecode1025(b *testing.B) {
+	h, err := Decompose(benchGrid(1025), Options{Levels: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := h.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

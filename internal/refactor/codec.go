@@ -57,10 +57,20 @@ func EncodeEntries(w io.Writer, entries []Entry) (int64, error) {
 	return total, nil
 }
 
-// DecodeEntries reads exactly n entries from r.
+// DecodeEntries reads exactly n entries from r. A *bufio.Reader has its
+// buffered bytes parsed in place (decodeBuffered); everything else, and
+// whatever entry straddles the end of the buffer, is read a byte at a
+// time, so r sees the same reads and a truncated stream fails at the same
+// entry either way.
 func DecodeEntries(r io.ByteReader, n int) ([]Entry, error) {
 	entries := make([]Entry, n)
+	br, _ := r.(*bufio.Reader)
 	for i := 0; i < n; i++ {
+		if br != nil {
+			if i += decodeBuffered(br, entries[i:]); i == n {
+				break
+			}
+		}
 		idx, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, fmt.Errorf("refactor: entry %d index: %w", i, err)
@@ -79,6 +89,30 @@ func DecodeEntries(r io.ByteReader, n int) ([]Entry, error) {
 		}
 	}
 	return entries, nil
+}
+
+// decodeBuffered fills entries from the bytes br already holds, for as
+// long as a longest-possible entry is wholly buffered, and returns how
+// many it decoded. It never reads from the underlying reader, and stops
+// short of a varint that overflows so that the byte-wise path reports it.
+func decodeBuffered(br *bufio.Reader, entries []Entry) int {
+	const maxEntry = binary.MaxVarintLen64 + 8
+	buf, _ := br.Peek(br.Buffered())
+	i := 0
+	for i < len(entries) && len(buf) >= maxEntry {
+		idx, m := binary.Uvarint(buf)
+		if m <= 0 {
+			break
+		}
+		entries[i] = Entry{
+			Index: int(idx),
+			Value: math.Float64frombits(binary.LittleEndian.Uint64(buf[m:])),
+		}
+		buf = buf[m+8:]
+		i++
+	}
+	_, _ = br.Discard(br.Buffered() - len(buf)) // buffered bytes: cannot fail
+	return i
 }
 
 const fileMagic = "TNGO1\n"

@@ -58,13 +58,20 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 		origLen:   orig.Len(),
 	}
 
+	// One level-0 field holds each level's prolongation here, then the
+	// sweep's prolongated floor and the prober's reconstruction; one
+	// ping-pong buffer, sized by the finest level, serves every sort.
+	h.scratch = make([]float64, orig.Len())
+	defer func() { h.scratch = nil }()
+	var sortTmp []Entry
 	for l := 0; l < L-1; l++ {
-		pro := Prolongate(levels[l+1], levelDims[l], opts.Decimation)
-		entries := extractEntries(levels[l].Data(), pro.Data())
+		pro := h.scratch[:levels[l].Len()]
+		prolongateInto(pro, levels[l+1], levelDims[l], opts.Decimation)
+		entries := extractEntries(levels[l].Data(), pro)
 		// Descending |value|; ties broken by index for determinism.
 		// (NoSort keeps index order — ablation of §III-B2 step 3.)
 		if !opts.NoSort {
-			sortEntries(entries)
+			sortTmp = sortEntries(entries, sortTmp)
 		}
 		h.augs[l] = entries
 	}
@@ -97,6 +104,15 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 		return nil, err
 	}
 	return h, nil
+}
+
+// workField returns Decompose's level-0 scratch, or a fresh field on a
+// finished hierarchy (tests drive runSweep and the prober directly).
+func (h *Hierarchy) workField() []float64 {
+	if h.scratch == nil {
+		return make([]float64, h.origLen)
+	}
+	return h.scratch
 }
 
 func allOnes(dims []int) bool {

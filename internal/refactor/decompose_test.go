@@ -1,7 +1,10 @@
 package refactor
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -455,6 +458,64 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	for i := range entries {
 		if got[i] != entries[i] {
 			t.Fatalf("entry %d: %+v vs %+v", i, got[i], entries[i])
+		}
+	}
+}
+
+// byteAtATime hides a reader's type so DecodeEntries takes the byte-wise
+// path for every entry.
+type byteAtATime struct{ io.ByteReader }
+
+// TestDecodeEntriesBufferedMatchesByteWise holds the in-buffer parse to
+// the byte-wise loop: same entries, and for every truncation point and an
+// overflowing index the same error naming the same entry, at buffer sizes
+// from "never a whole entry buffered" to "the whole stream at once". What
+// follows the entries in the stream must still be there afterwards.
+func TestDecodeEntriesBufferedMatchesByteWise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	entries := make([]Entry, 700)
+	for i := range entries {
+		// Index widths from one varint byte to ten.
+		entries[i] = Entry{Index: int(rng.Uint64() >> uint(rng.Intn(64)) & math.MaxInt64), Value: rng.NormFloat64()}
+	}
+	var enc bytes.Buffer
+	if _, err := EncodeEntries(&enc, entries); err != nil {
+		t.Fatal(err)
+	}
+	const trailer = "next section"
+	whole := append(enc.Bytes(), trailer...)
+
+	overflow := slices.Clone(whole[:enc.Len()])
+	at := 0 // start of entry 350's index
+	for _, e := range entries[:350] {
+		at += entrySize(e)
+	}
+	overflow = append(overflow[:at], bytes.Repeat([]byte{0xff}, 11)...)
+
+	streams := map[string][]byte{"whole": whole, "overflowing index": overflow}
+	for cut := 0; cut < enc.Len(); cut += 1 + cut/40 {
+		streams[fmt.Sprintf("cut at %d", cut)] = whole[:cut]
+	}
+	for name, stream := range streams {
+		want, wantErr := DecodeEntries(byteAtATime{bytes.NewReader(stream)}, len(entries))
+		if (name == "whole") != (wantErr == nil) {
+			t.Fatalf("%s: byte-wise error %v", name, wantErr)
+		}
+		for _, size := range []int{16, 17, 18, 19, 37, 4096, 1 << 16} {
+			br := bufio.NewReaderSize(bytes.NewReader(stream), size)
+			got, err := DecodeEntries(br, len(entries))
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s, buffer %d: error %v, byte-wise %v", name, size, err, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, buffer %d: entries differ from the byte-wise decode", name, size)
+			}
+			if err == nil {
+				rest, _ := io.ReadAll(br)
+				if string(rest) != trailer {
+					t.Fatalf("%s, buffer %d: %q left in the stream, want %q", name, size, rest, trailer)
+				}
+			}
 		}
 	}
 }

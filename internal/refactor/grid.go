@@ -81,6 +81,15 @@ func Restrict(t *tensor.Tensor, d int) *tensor.Tensor {
 // Prolongation is exact at coarse-node positions, which is what makes
 // augmentation values zero there.
 func Prolongate(coarse *tensor.Tensor, fineDims []int, d int) *tensor.Tensor {
+	out := tensor.New(fineDims...)
+	prolongateInto(out.Data(), coarse, fineDims, d)
+	return out
+}
+
+// prolongateInto is Prolongate into a caller-owned field: dst must hold
+// exactly the fine grid's points and may be dirty — every point is
+// assigned, none accumulated into.
+func prolongateInto(dst []float64, coarse *tensor.Tensor, fineDims []int, d int) {
 	if d < 2 {
 		panic(fmt.Sprintf("refactor: decimation factor %d must be >= 2", d))
 	}
@@ -89,20 +98,22 @@ func Prolongate(coarse *tensor.Tensor, fineDims []int, d int) *tensor.Tensor {
 	if len(cd) != len(fineDims) {
 		panic("refactor: rank mismatch in Prolongate")
 	}
+	n := 1
 	for i := range cd {
 		if cd[i] != want[i] {
 			panic(fmt.Sprintf("refactor: coarse dims %v incompatible with fine dims %v at d=%d", cd, fineDims, d))
 		}
+		n *= fineDims[i]
 	}
-	out := tensor.New(fineDims...)
+	if len(dst) != n {
+		panic(fmt.Sprintf("refactor: prolongation target holds %d points, fine dims %v need %d", len(dst), fineDims, n))
+	}
 	src := coarse.Data()
-	dst := out.Data()
 	p := newProlongation(cd, fineDims, d)
 	// Workers own disjoint output ranges (a range may start and end
 	// mid-row), so the parallel execution is bit-identical to the
 	// sequential one.
 	par.For(len(dst), func(from, to int) { p.fill(dst, src, from, to) })
-	return out
 }
 
 // prolongation holds one coarse→fine step's interpolation tables. The

@@ -272,10 +272,22 @@ func TestProlongateMatchesReference(t *testing.T) {
 
 				want := prolongateReference(coarse, dims, d).Data()
 				got := Prolongate(coarse, dims, d).Data()
+				// prolongateInto must assign every point of a buffer that
+				// holds something else: a poison NaN left behind, or one
+				// added into, keeps a payload no computed value has.
+				dirty := make([]float64, len(want))
+				for i := range dirty {
+					dirty[i] = math.Float64frombits(0x7ff8dead00000000)
+				}
+				prolongateInto(dirty, coarse, dims, d)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("GOMAXPROCS=%d dims=%v d=%d: point %d = %v (%#x), reference %v (%#x)",
 							procs, dims, d, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+					if math.Float64bits(dirty[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("GOMAXPROCS=%d dims=%v d=%d: prolongateInto point %d = %v (%#x), reference %v (%#x)",
+							procs, dims, d, i, dirty[i], math.Float64bits(dirty[i]), want[i], math.Float64bits(want[i]))
 					}
 				}
 			}

@@ -101,6 +101,10 @@ type Hierarchy struct {
 	rungs     []Rung
 	baseAcc   float64
 	origLen   int
+
+	// scratch is the level-0 work field Decompose lends its stages (see
+	// workField); nil once Decompose has returned.
+	scratch []float64
 }
 
 // Opts returns the (defaulted) options the hierarchy was built with.
@@ -166,8 +170,9 @@ func (h *Hierarchy) DoFFraction(cursor int) float64 {
 	return (float64(h.base.Len()) + float64(cursor)) / float64(h.origLen)
 }
 
-// levelAt returns (order position, level, entries taken at that level)
-// for a cursor.
+// split returns the order position of the zone a cursor falls in and how
+// many of that zone's entries the cursor takes. A cursor on a zone
+// boundary belongs to the zone it completes.
 func (h *Hierarchy) split(cursor int) (pos int, take int) {
 	if cursor < 0 || cursor > h.TotalEntries() {
 		panic(fmt.Sprintf("refactor: cursor %d out of range [0,%d]", cursor, h.TotalEntries()))
@@ -281,7 +286,7 @@ func (h *Hierarchy) RecomposeAtLevel(cursor, level int) *tensor.Tensor {
 		panic(fmt.Sprintf("refactor: level %d out of range [0,%d)", level, len(h.levelDims)))
 	}
 	pos, take := h.split(cursor)
-	r := h.base.Clone()
+	r := h.base // read-only until the first Prolongate replaces it
 	d := h.opts.Decimation
 	for i, lvl := range h.order {
 		if lvl < level {
@@ -301,6 +306,9 @@ func (h *Hierarchy) RecomposeAtLevel(cursor, level int) *tensor.Tensor {
 		for _, e := range h.augs[lvl][:n] {
 			data[e.Index] += e.Value
 		}
+	}
+	if r == h.base {
+		r = r.Clone() // the caller owns what it gets
 	}
 	return r
 }

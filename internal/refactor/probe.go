@@ -13,8 +13,8 @@ import (
 // time. The prober instead keeps the cursor zone's coarse field and its
 // prolongation, and on a cursor step:
 //
-//   - applies (or exactly un-applies, from saved pre-apply values) the
-//     delta entries to the coarse field, and
+//   - applies (or exactly un-applies, from the zone's floor) the delta
+//     entries to the coarse field, and
 //   - recomputes only the fine points inside the changed coarse nodes'
 //     interpolation support, with the same corner-sum expression
 //     Prolongate evaluates.
@@ -29,18 +29,18 @@ type prober struct {
 	h      *Hierarchy
 	st     errmetric.Stats
 	ref    []float64
-	floors []*tensor.Tensor
+	floors []*tensor.Tensor // read-only: un-apply restores from them
 
 	pos    int // current zone (order position); -1 before the first probe
 	take   int // entries of zone pos currently applied to coarse
 	coarse *tensor.Tensor
-	saved  []float64 // pre-apply coarse values, aligned with entry order
-	rec    *tensor.Tensor
+	// rec is the level-0 reconstruction at the current cursor. Nothing
+	// prolongates below the finest zone, so there coarse is a view of it.
+	rec []float64
 
-	// Single-prolongation fast path (zone level interpolates straight to
-	// the finest level): Prolongate's interpolation tables, rebuilt on
+	// Single-prolongation fast path (a level-1 zone interpolates straight
+	// to the finest level): Prolongate's interpolation tables, rebuilt on
 	// zone entry.
-	direct   bool
 	fineDims []int
 	cd       []int
 	pl       *prolongation
@@ -51,7 +51,7 @@ type prober struct {
 }
 
 func newProber(h *Hierarchy, st errmetric.Stats, orig *tensor.Tensor, floors []*tensor.Tensor) *prober {
-	return &prober{h: h, st: st, ref: orig.Data(), floors: floors, pos: -1}
+	return &prober{h: h, st: st, ref: orig.Data(), floors: floors, rec: h.workField(), pos: -1}
 }
 
 // achieved returns the exact accuracy of Recompose(cursor) against the
@@ -63,7 +63,7 @@ func (p *prober) achieved(cursor int) float64 {
 	} else {
 		p.moveTo(take)
 	}
-	return p.st.Measure(p.h.opts.Metric, p.ref, p.rec.Data())
+	return p.st.Measure(p.h.opts.Metric, p.ref, p.rec)
 }
 
 // enterZone initializes probe state for the zone at order position pos
@@ -71,27 +71,25 @@ func (p *prober) achieved(cursor int) float64 {
 func (p *prober) enterZone(pos, take int) {
 	h := p.h
 	lvl := h.order[pos]
+	floor := p.floors[pos]
 	p.pos = pos
-	p.coarse = p.floors[pos].Clone()
-	p.saved = p.saved[:0]
+	if lvl == 0 {
+		// The finest zone's field is the reconstruction: build it in rec.
+		copy(p.rec, floor.Data())
+		p.coarse = tensor.FromData(p.rec, floor.Dims()...)
+	} else {
+		p.coarse = floor.Clone()
+	}
 	data := p.coarse.Data()
 	for _, e := range h.augs[lvl][:take] {
-		p.saved = append(p.saved, data[e.Index])
 		data[e.Index] += e.Value
 	}
 	p.take = take
-	switch len(h.order) - pos - 1 {
-	case 0:
-		// Finest zone: the coarse field is the reconstruction.
-		p.direct = false
-		p.rec = p.coarse
-	case 1:
-		p.direct = true
+	if lvl == 1 {
 		p.buildTables()
-		p.rec = Prolongate(p.coarse, p.fineDims, h.opts.Decimation)
-	default:
-		p.direct = false
-		p.rec = p.reprolongate()
+	}
+	if lvl > 0 {
+		h.prolongateToFinest(p.rec, p.coarse, lvl)
 	}
 }
 
@@ -107,46 +105,35 @@ func (p *prober) moveTo(take int) {
 	case take > p.take:
 		lo, hi = p.take, take
 		for _, e := range h.augs[lvl][lo:hi] {
-			p.saved = append(p.saved, data[e.Index])
 			data[e.Index] += e.Value
 		}
 	default:
-		// Un-apply by restoring saved values: exact, where subtracting
-		// the entry back out would round.
-		for i := p.take - 1; i >= take; i-- {
-			data[h.augs[lvl][i].Index] = p.saved[i]
+		// Un-apply by restoring floor values: exact, where subtracting
+		// the entry back out would round. extractEntries emits an index at
+		// most once per level, so the floor at an entry's index is that
+		// entry's pre-apply value whatever else is applied.
+		floor := p.floors[p.pos].Data()
+		for _, e := range h.augs[lvl][lo:hi] {
+			data[e.Index] = floor[e.Index]
 		}
-		p.saved = p.saved[:take]
 	}
 	p.take = take
-	switch {
-	case p.rec == p.coarse:
-		// Finest zone: the single-point coarse writes were the update.
-	case p.direct:
+	if lvl == 0 {
+		return // the single-point coarse writes were the update
+	}
+	if lvl == 1 {
 		sup := 1
 		for range p.cd {
 			sup *= 2*h.opts.Decimation - 1
 		}
-		if (hi-lo)*sup >= p.rec.Len() {
-			p.rec = Prolongate(p.coarse, p.fineDims, h.opts.Decimation)
+		if (hi-lo)*sup < len(p.rec) {
+			for _, e := range h.augs[lvl][lo:hi] {
+				p.recomputeSupport(e.Index)
+			}
 			return
 		}
-		for _, e := range h.augs[lvl][lo:hi] {
-			p.recomputeSupport(e.Index)
-		}
-	default:
-		p.rec = p.reprolongate()
 	}
-}
-
-// reprolongate runs the prolongation chain below the current zone.
-func (p *prober) reprolongate() *tensor.Tensor {
-	h := p.h
-	r := p.coarse
-	for _, j := range h.order[p.pos+1:] {
-		r = Prolongate(r, h.levelDims[j], h.opts.Decimation)
-	}
-	return r
+	h.prolongateToFinest(p.rec, p.coarse, lvl)
 }
 
 // buildTables precomputes Prolongate's interpolation tables for the
@@ -192,7 +179,7 @@ func (p *prober) recomputeSupport(coarseOff int) {
 	last := rank - 1
 	x0, x1 := p.lobuf[last], p.hibuf[last]+1
 	outer := p.idxbuf[:last]
-	src, rec := p.coarse.Data(), p.rec.Data()
+	src, rec := p.coarse.Data(), p.rec
 	for {
 		off := x0
 		for i, x := range outer {

@@ -39,9 +39,10 @@ type sweepResult struct {
 	candidates []int
 	// floors[pos] is the level-order[pos] field at that zone's boundary
 	// (coarser zones fully applied, none of this zone's entries) — the
-	// state Recompose reaches right after its pos-th prolongation.
-	// exactAchieved resumes a reconstruction from here instead of
-	// replaying the whole prolongate-and-add chain from the base.
+	// state Recompose reaches right after its pos-th prolongation. The
+	// prober resumes a reconstruction from here instead of replaying the
+	// whole prolongate-and-add chain from the base, and reads an entry's
+	// pre-apply value back out of it; it must not be written.
 	floors []*tensor.Tensor
 	// baseAcc is the exact (sequential-measure) accuracy of the base
 	// alone, computed from the first boundary's prolongated floor —
@@ -104,6 +105,16 @@ func (h *Hierarchy) composedColumns(lvl, dim int) [][]wpt {
 	return cols
 }
 
+// prolongateToFinest interpolates r, a level-lvl field with lvl >= 1, down
+// to level 0 into dst. Only the intermediate levels allocate.
+func (h *Hierarchy) prolongateToFinest(dst []float64, r *tensor.Tensor, lvl int) {
+	d := h.opts.Decimation
+	for j := lvl - 1; j >= 1; j-- {
+		r = Prolongate(r, h.levelDims[j], d)
+	}
+	prolongateInto(dst, r, h.levelDims[0], d)
+}
+
 // runSweep walks the augmentation stream once in retrieval order,
 // maintaining the reconstruction error against orig, and returns the
 // per-bound candidate cursors. The
@@ -137,24 +148,21 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 
 	dims0 := h.levelDims[0]
 	rank := len(dims0)
-	strides0 := make([]int, rank)
-	stv := 1
-	for i := rank - 1; i >= 0; i-- {
-		strides0[i] = stv
-		stv *= dims0[i]
-	}
+	strides0 := rowMajorStrides(dims0)
 
 	d := h.opts.Decimation
 	res.floors = make([]*tensor.Tensor, len(h.order))
-	cur := h.base.Clone()
+	work := h.workField()
+	cur := h.base // read-only: the first Prolongate below replaces it
 	for pos, lvl := range h.order {
 		cur = Prolongate(cur, h.levelDims[lvl], d)
-		res.floors[pos] = cur.Clone()
-		floor := cur
-		for j := lvl - 1; j >= 0; j-- {
-			floor = Prolongate(floor, h.levelDims[j], d)
+		res.floors[pos] = cur
+		fd := cur.Data() // the finest zone's floor is its own prolongation
+		if lvl > 0 {
+			cur = cur.Clone() // takes this zone's entries below; the floor stays
+			h.prolongateToFinest(work, cur, lvl)
+			fd = work
 		}
-		fd := floor.Data()
 		if pos == 0 {
 			// fd is Recompose(0)'s data; measure ε_0 here sequentially
 			// rather than reconstructing it a second time.
@@ -177,7 +185,7 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 		if lvl == 0 {
 			// Finest level: the basis is a single point — O(1) per entry.
 			// Nothing prolongates after this zone, so cur itself needs no
-			// update (the cached floor was cloned above).
+			// update.
 			for _, e := range h.augs[0] {
 				old := errv[e.Index]
 				nw := old - e.Value

@@ -219,6 +219,110 @@ func TestProber3D(t *testing.T) {
 	}
 }
 
+// TestEntryIndicesUniquePerLevel pins what the prober's un-apply rests
+// on: a level's stream names each grid point at most once, so the floor
+// at an entry's index is that entry's pre-apply value whatever else has
+// been applied. extractEntries emits strictly ascending indices (chunked
+// path included: 257² is above par.Threshold), and sorting only permutes.
+func TestEntryIndicesUniquePerLevel(t *testing.T) {
+	orig := smoothField(257, 3)
+	coarse := Restrict(orig, 2)
+	pro := Prolongate(coarse, orig.Dims(), 2)
+	entries := extractEntries(orig.Data(), pro.Data())
+	if len(entries) < 40_000 {
+		t.Fatalf("only %d entries: the field is not exercising the chunked path", len(entries))
+	}
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Index <= entries[i-1].Index {
+			t.Fatalf("entry %d index %d after index %d: not strictly ascending", i, entries[i].Index, entries[i-1].Index)
+		}
+	}
+	for _, noSort := range []bool{false, true} {
+		h := mustDecompose(t, orig, Options{Levels: 4, NoSort: noSort})
+		for lvl, aug := range h.augs {
+			points := 1
+			for _, d := range h.levelDims[lvl] {
+				points *= d
+			}
+			seen := make([]bool, points)
+			for _, e := range aug {
+				if seen[e.Index] {
+					t.Fatalf("NoSort=%v level %d: index %d occurs twice", noSort, lvl, e.Index)
+				}
+				seen[e.Index] = true
+			}
+		}
+	}
+}
+
+// TestProberUnapplyRestoresFromFloor walks the prober backward and forward
+// in strides of thousands of entries through all three zone kinds of a
+// four-level 257² hierarchy (above par.Threshold, so every prolongation
+// and measure is chunked) — the finest zone, where the coarse field is the
+// reconstruction; the level-1 ("direct") zone one prolongation above it,
+// both its support-recompute and its re-prolongate branch; and the chained
+// zone above that — and compares the
+// reconstruction itself, not only its accuracy, with Recompose bit for
+// bit after every step.
+func TestProberUnapplyRestoresFromFloor(t *testing.T) {
+	orig := smoothField(257, 11)
+	h := mustDecompose(t, orig, Options{Levels: 4, Bounds: []float64{1e-1}})
+	st := errmetric.NewStats(orig.Data())
+	sw := h.runSweep(orig, st)
+	pr := newProber(h, st, orig, sw.floors)
+	check := func(what string, cursor int) {
+		t.Helper()
+		got := pr.achieved(cursor)
+		if want := h.achievedWith(st, orig, cursor); got != want {
+			t.Fatalf("%s cursor %d: prober %v, Achieved %v", what, cursor, got, want)
+		}
+		want := h.Recompose(cursor).Data()
+		for i, v := range pr.rec {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%s cursor %d: point %d = %v (%#x), Recompose %v (%#x)", what, cursor, i,
+					v, math.Float64bits(v), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+	unapplied := 0
+	lo := 0
+	for pos, hi := range h.cum {
+		n := hi - lo
+		zone := fmt.Sprintf("zone %d (level %d, %d entries)", pos, h.order[pos], n)
+		check(zone+" enter full", hi)
+		// Down in uneven strides, partway back up, one stride long enough
+		// for the direct zone to re-prolongate, then down to the floor:
+		// a restore must be exact after applies and earlier restores alike.
+		for _, frac := range []float64{0.93, 0.61, 0.6, 0.85, 0.15, 0.16, 0.05, 0} {
+			c := lo + int(frac*float64(n))
+			if c < pr.take+lo {
+				unapplied += pr.take + lo - c
+			}
+			check(zone, c)
+		}
+		check(zone+" re-apply all", hi)
+		lo = hi
+	}
+	if unapplied < 50_000 {
+		t.Fatalf("the walk un-applied %d entries, want tens of thousands", unapplied)
+	}
+	// Leaving the finest zone and coming back must not see what the other
+	// zones wrote into the shared level-0 field.
+	total := h.TotalEntries()
+	check("finest", total-1000)
+	check("direct", h.cum[1]-500)
+	check("finest again", total-3000)
+	// The floors themselves are never written.
+	for pos, f := range sw.floors {
+		want := h.RecomposeAtLevel(h.cum[pos]-h.LevelEntries(h.order[pos]), h.order[pos]).Data()
+		for i, v := range f.Data() {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("floor %d point %d changed under the prober: %v, want %v", pos, i, v, want[i])
+			}
+		}
+	}
+}
+
 // TestSortEntriesMatchesComparator pins the radix sort to the
 // comparison order on adversarial value patterns: duplicated
 // magnitudes, ±0, sign pairs, denormals, and infinities.
@@ -234,7 +338,7 @@ func TestSortEntriesMatchesComparator(t *testing.T) {
 	}
 	want := append([]Entry(nil), entries...)
 	slices.SortFunc(want, compareEntries)
-	sortEntries(entries)
+	sortEntries(entries, nil)
 	for i := range entries {
 		if entries[i] != want[i] {
 			t.Fatalf("order differs at %d: got %+v, want %+v", i, entries[i], want[i])
@@ -242,7 +346,7 @@ func TestSortEntriesMatchesComparator(t *testing.T) {
 	}
 	// Small slices take the comparison path; spot-check it too.
 	small := []Entry{{3, 1}, {1, -2}, {2, 1}, {0, 2}}
-	sortEntries(small)
+	sortEntries(small, nil)
 	wantSmall := []Entry{{0, 2}, {1, -2}, {2, 1}, {3, 1}}
 	for i := range small {
 		if small[i] != wantSmall[i] {
