@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check bench bench-allocs suite suite-check loc clean
+.PHONY: all build vet lint lint-json race test check bench bench-allocs suite suite-check loc loc-check clean
 
 all: build
 
@@ -70,6 +70,20 @@ loc:
 		c=$$(awk -v n=$$n '$$0 == "type " n " struct {" {on=1; next} on && /^}/ {on=0} on && /^\t[A-Z]/ {c++} END {print c+0}' $$f); \
 		echo "exported fields $$f $$n: $$c"; total=$$((total+c)); \
 	done; echo "exported config fields: $$total"
+
+# Ceilings on loc's two figures, set to what PR 24's caller audit left
+# (the same idea as scripts/alloc-ceilings.sh: the number that was bought
+# is held). Lower them with the next audit; raise one only in the PR that
+# says what the lines or the option bought.
+LOC_MAX = 21015
+CONFIG_FIELDS_MAX = 28
+
+loc-check:
+	@$(MAKE) -s loc | awk -v lines=$(LOC_MAX) -v fields=$(CONFIG_FIELDS_MAX) ' \
+		/^non-test Go lines:/ && $$NF > lines { print "loc-check: " $$NF " non-test Go lines > " lines; bad = 1 } \
+		/^exported config fields:/ && $$NF > fields { print "loc-check: " $$NF " exported config fields > " fields; bad = 1 } \
+		/^(non-test Go lines|exported config fields):/ { seen++ } \
+		END { if (seen != 2) { print "loc-check: make loc printed " seen " of its 2 figures"; bad = 1 }; exit bad }'
 
 clean:
 	$(GO) clean ./...

@@ -9,6 +9,10 @@
 //	tangobench -list           # list experiment IDs
 //	tangobench -grid 1025      # paper-scale fields (slower)
 //	tangobench -parallel 4     # scenario-runner workers (default GOMAXPROCS)
+//
+// A scale no experiment can run at (-steps not above -skip, -grid below
+// the decomposition's minimum, a non-positive -dataset or -fleetscale) or
+// an unknown -format is reported before anything runs, with exit status 2.
 package main
 
 import (
@@ -48,24 +52,29 @@ func main() {
 		return
 	}
 
+	// Everything the flags can get wrong is reported before anything runs.
+	cfg := harness.Config{GridN: *gridN, Seed: *seed, Steps: *steps, SkipWarmup: *skip,
+		DatasetMB: *dataset, FleetScale: *fscale}.WithDefaults()
+	if err := cfg.Validate(); err != nil {
+		fail(err)
+	}
+	if err := harness.CheckFormat(*format); err != nil {
+		fail(err)
+	}
+
 	runpool.SetWorkers(*parallel)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tangobench:", err)
-			os.Exit(2)
+			fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "tangobench:", err)
-			os.Exit(2)
+			fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-
-	cfg := harness.Config{GridN: *gridN, Seed: *seed, Steps: *steps, SkipWarmup: *skip,
-		DatasetMB: *dataset, FleetScale: *fscale}
 
 	var collected []*harness.Result
 	run := func(e harness.Experiment) {
@@ -76,8 +85,7 @@ func main() {
 			return
 		}
 		if err := res.Format(os.Stdout, *format); err != nil {
-			fmt.Fprintln(os.Stderr, "tangobench:", err)
-			os.Exit(2)
+			fail(err)
 		}
 		if *format == "table" {
 			fmt.Printf("(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
@@ -95,8 +103,7 @@ func main() {
 			}
 			e, err := harness.LookupErr(id)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tangobench:", err)
-				os.Exit(2)
+				fail(err)
 			}
 			todo = append(todo, e)
 		}
@@ -110,21 +117,24 @@ func main() {
 	}
 	if *jsonOut {
 		if err := harness.WriteSuiteJSON(os.Stdout, collected); err != nil {
-			fmt.Fprintln(os.Stderr, "tangobench:", err)
-			os.Exit(2)
+			fail(err)
 		}
 	}
 
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tangobench:", err)
-			os.Exit(2)
+			fail(err)
 		}
 		defer f.Close()
 		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "tangobench:", err)
-			os.Exit(2)
+			fail(err)
 		}
 	}
+}
+
+// fail reports a usage or I/O error and exits 2.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "tangobench:", err)
+	os.Exit(2)
 }

@@ -15,6 +15,7 @@ import (
 
 	"tango"
 	"tango/internal/cliutil"
+	"tango/internal/harness"
 )
 
 func main() {
@@ -44,13 +45,11 @@ func main() {
 
 	mode, err := cliutil.ParseControl(*control)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(2)
+		die(2, err)
 	}
 
 	if most := len(tango.TableIVNoise()); *noise < 0 || *noise > most {
-		fmt.Fprintf(os.Stderr, "tangosim: -noise %d out of range (want 0-%d)\n", *noise, most)
-		os.Exit(2)
+		die(2, fmt.Errorf("-noise %d out of range (want 0-%d)", *noise, most))
 	}
 
 	if *nodes > 1 || *objstore {
@@ -60,8 +59,7 @@ func main() {
 
 	pol, err := cliutil.ParsePolicy(*policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(2)
+		die(2, err)
 	}
 	var app tango.App
 	switch strings.ToLower(*appName) {
@@ -72,8 +70,15 @@ func main() {
 	case "cfd":
 		app = tango.CFDApp()
 	default:
-		fmt.Fprintf(os.Stderr, "tangosim: unknown app %q\n", *appName)
-		os.Exit(2)
+		die(2, fmt.Errorf("unknown app %q", *appName))
+	}
+
+	// The summary skips the paper's 30-step estimation period, or half of
+	// a shorter run.
+	warmup := min(30, *steps/2)
+	if err := (harness.Config{GridN: *grid, Seed: *seed, Steps: *steps, SkipWarmup: warmup,
+		DatasetMB: *dataset, FleetScale: 1}).Validate(); err != nil {
+		die(2, err)
 	}
 
 	fmt.Printf("generating %s field (%dx%d, seed %d)...\n", app.Name, *grid, *grid, *seed)
@@ -86,8 +91,7 @@ func main() {
 		Bounds: bounds,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 	for _, rg := range h.Rungs() {
 		fmt.Printf("  rung eps=%-8g cursor=%-9d +%d entries (%.1f%% DoF)\n",
@@ -113,8 +117,7 @@ func main() {
 		plan, err = tango.ParseFaultPlan(*faults)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(2)
+		die(2, err)
 	}
 
 	scale := *dataset * 1024 * 1024 / float64(h.BaseBytes()+h.TotalAugBytes())
@@ -123,8 +126,7 @@ func main() {
 	}
 	store, err := tango.StageScaled(h, node.Tiers(), scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 
 	// -prefetch (or -cache) upgrades a cross-layer run to the cache
@@ -181,20 +183,17 @@ func main() {
 	}
 	sess, err := tango.NewSession(app.Name, store, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 	if err := sess.Launch(node); err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 	var injector *tango.FaultInjector
 	if plan != nil {
 		injector = tango.NewFaultInjector(node, rec, plan)
 		injector.RegisterNoise(noiseHandles)
 		if err := injector.Arm(); err != nil {
-			fmt.Fprintln(os.Stderr, "tangosim:", err)
-			os.Exit(2)
+			die(2, err)
 		}
 		fmt.Printf("fault plan armed: %s\n", plan)
 	}
@@ -202,8 +201,7 @@ func main() {
 	err = node.Engine().Run(float64(*steps)*60 + 3600)
 	node.Engine().Close()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 
 	fmt.Printf("%5s %9s %10s %10s %9s %7s %8s\n",
@@ -216,9 +214,9 @@ func main() {
 			st.Step, st.Start, st.IOTime, st.Bytes/(1024*1024),
 			st.Predicted/(1024*1024), st.Degree, len(st.Buckets))
 	}
-	sum := sess.Summary(30)
-	fmt.Printf("\nsummary (steps 30+): mean I/O %.3fs  std %.3fs  min %.3fs  max %.3fs  mean %.1f MB/step\n",
-		sum.MeanIO, sum.StdIO, sum.MinIO, sum.MaxIO, sum.MeanBytes/(1024*1024))
+	sum := sess.Summary(warmup)
+	fmt.Printf("\nsummary (steps %d+): mean I/O %.3fs  std %.3fs  min %.3fs  max %.3fs  mean %.1f MB/step\n",
+		warmup, sum.MeanIO, sum.StdIO, sum.MinIO, sum.MaxIO, sum.MeanBytes/(1024*1024))
 	if c := sess.Cache(); c != nil {
 		cs := c.Stats()
 		fmt.Printf("cache: %d hits / %d misses, %.1f MB served fast, %.1f MB staged, %.1f MB evicted, %.0f/%.0f MB used\n",
@@ -257,6 +255,12 @@ func main() {
 	}
 }
 
+// die reports err and exits: 2 for a bad invocation, 1 for a failed run.
+func die(code int, err error) {
+	fmt.Fprintln(os.Stderr, "tangosim:", err)
+	os.Exit(code)
+}
+
 // runFleet is tangosim's cluster mode (-nodes / -objstore): an N-node
 // fleet of single-node stacks over a shared object store, with optional
 // node-kill fault plans, printing per-epoch aggregate throughput and the
@@ -267,8 +271,7 @@ func runFleet(nodes, sessions int, seed int64, mode tango.ControlMode, faults st
 		var err error
 		plan, err = tango.ParseFaultPlan(faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tangosim:", err)
-			os.Exit(2)
+			die(2, err)
 		}
 	}
 	rec := tango.NewTraceRecorder(16384)
@@ -282,8 +285,7 @@ func runFleet(nodes, sessions int, seed int64, mode tango.ControlMode, faults st
 	}
 	c, err := tango.NewFleet(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(2)
+		die(2, err)
 	}
 	if sessions == 0 {
 		sessions = nodes * 10
@@ -300,8 +302,7 @@ func runFleet(nodes, sessions int, seed int64, mode tango.ControlMode, faults st
 	}
 	rep, err := c.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tangosim:", err)
-		os.Exit(1)
+		die(1, err)
 	}
 	for e, mbps := range rep.EpochMBps {
 		warm := ""

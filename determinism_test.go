@@ -187,6 +187,16 @@ func TestSyntheticFieldsByteMatch(t *testing.T) {
 	}
 }
 
+// experimentResult enters a harness experiment by ID, as tangobench does.
+func experimentResult(t *testing.T, id string, cfg harness.Config) *harness.Result {
+	t.Helper()
+	e, err := harness.LookupErr(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Run(cfg)
+}
+
 // TestResilExperimentByteMatch extends the contract to the resilience
 // control plane: policy-keyed retries, budget pacing, breaker
 // transitions, and hedged-read races (the hedged arm runs faulted with
@@ -196,7 +206,7 @@ func TestSyntheticFieldsByteMatch(t *testing.T) {
 // reports.
 func TestResilExperimentByteMatch(t *testing.T) {
 	run := func() []byte {
-		r := harness.Resil(harness.Config{
+		r := experimentResult(t, "resil", harness.Config{
 			GridN: 65, Seed: 7, Steps: 40, SkipWarmup: 30, DatasetMB: 256,
 		})
 		return []byte(r.String())
@@ -218,7 +228,7 @@ func TestResilExperimentByteMatch(t *testing.T) {
 // two runs of `-exp prefetch` at the same seed must render identically.
 func TestPrefetchExperimentByteMatch(t *testing.T) {
 	run := func() []byte {
-		r := harness.Prefetch(harness.Config{
+		r := experimentResult(t, "prefetch", harness.Config{
 			GridN: 65, Seed: 7, Steps: 40, SkipWarmup: 30, DatasetMB: 256,
 		})
 		return []byte(r.String())
@@ -245,7 +255,7 @@ func TestFleetExperimentByteMatch(t *testing.T) {
 		prev := runpool.Workers()
 		runpool.SetWorkers(workers)
 		defer runpool.SetWorkers(prev)
-		r := harness.Fleet(harness.Config{Seed: 7, FleetScale: 0.02})
+		r := experimentResult(t, "fleet", harness.Config{Seed: 7, FleetScale: 0.02})
 		return []byte(r.String())
 	}
 	a, b := run(1), run(4)
@@ -271,7 +281,7 @@ func TestTokensExperimentByteMatch(t *testing.T) {
 		prev := runpool.Workers()
 		runpool.SetWorkers(workers)
 		defer runpool.SetWorkers(prev)
-		r := harness.Tokens(harness.Config{
+		r := experimentResult(t, "tokens", harness.Config{
 			GridN: 65, Seed: 7, Steps: 40, SkipWarmup: 30, DatasetMB: 256,
 		})
 		return []byte(r.String())
@@ -300,7 +310,7 @@ func TestFleetFaultedByteMatch(t *testing.T) {
 		prev := runpool.Workers()
 		runpool.SetWorkers(workers)
 		defer runpool.SetWorkers(prev)
-		r := harness.Fleet(harness.Config{Seed: 11, FleetScale: 0.05, FaultPlan: plan})
+		r := experimentResult(t, "fleet", harness.Config{Seed: 11, FleetScale: 0.05, FaultPlan: plan})
 		return []byte(r.String())
 	}
 	a, b := run(1), run(4)

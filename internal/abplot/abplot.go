@@ -43,11 +43,3 @@ func (p Plot) Degree(bw float64) float64 {
 		return (bw - p.BWLow) / (p.BWHigh - p.BWLow)
 	}
 }
-
-// Coefficients returns the (k1, b1) of the paper's linear form
-// abplot(BW) = k1·BW + b1 on the interior interval.
-func (p Plot) Coefficients() (k1, b1 float64) {
-	k1 = 1 / (p.BWHigh - p.BWLow)
-	b1 = -p.BWLow * k1
-	return k1, b1
-}

@@ -33,7 +33,9 @@ func TestDegreeEndpoints(t *testing.T) {
 
 func TestDegreeLinearInterior(t *testing.T) {
 	p := Plot{BWLow: 30, BWHigh: 120}
-	k1, b1 := p.Coefficients()
+	// The paper's linear form abplot(BW) = k1·BW + b1 on the interior.
+	k1 := 1 / (p.BWHigh - p.BWLow)
+	b1 := -p.BWLow * k1
 	for bw := 31.0; bw < 120; bw += 7 {
 		if got, want := p.Degree(bw), k1*bw+b1; math.Abs(got-want) > 1e-12 {
 			t.Fatalf("Degree(%v) = %v, want linear %v", bw, got, want)

@@ -15,7 +15,6 @@ package blkio
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"tango/internal/slab"
@@ -274,16 +273,4 @@ func (ctl *Controller) Remove(name string) {
 	ctl.mu.Lock()
 	defer ctl.mu.Unlock()
 	delete(ctl.groups, name)
-}
-
-// Names returns the registered cgroup names in sorted order.
-func (ctl *Controller) Names() []string {
-	ctl.mu.Lock()
-	defer ctl.mu.Unlock()
-	names := make([]string, 0, len(ctl.groups))
-	for n := range ctl.groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

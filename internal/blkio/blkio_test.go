@@ -110,10 +110,6 @@ func TestControllerLifecycle(t *testing.T) {
 	if ctl.Lookup("a") != a {
 		t.Fatal("lookup mismatch")
 	}
-	names := ctl.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
 	ctl.Remove("a")
 	if ctl.Lookup("a") != nil {
 		t.Fatal("removed cgroup still present")

@@ -163,9 +163,6 @@ func New(store *staging.Store, dev *device.Device, cfg Config) *Cache {
 	return c
 }
 
-// Device returns the device holding cached data.
-func (c *Cache) Device() *device.Device { return c.dev }
-
 // Capacity returns the current (possibly shrunk) byte budget.
 func (c *Cache) Capacity() float64 { return c.capacity }
 

@@ -7,7 +7,6 @@ package container
 
 import (
 	"fmt"
-	"sort"
 
 	"tango/internal/blkio"
 	"tango/internal/device"
@@ -36,9 +35,6 @@ func NewNode(name string) *Node {
 		containers: make(map[string]*Container),
 	}
 }
-
-// Name returns the node name.
-func (n *Node) Name() string { return n.name }
 
 // Engine returns the node's simulation engine.
 func (n *Node) Engine() *sim.Engine { return n.eng }
@@ -75,16 +71,6 @@ func (n *Node) Device(name string) *device.Device { return n.devices[name] }
 // indexing where ST^{L-1} is the fastest/smallest and ST^0 the
 // slowest/largest. Tiers[0] here is the fastest.
 func (n *Node) Tiers() []*device.Device { return n.tiers }
-
-// DeviceNames returns device names in sorted order.
-func (n *Node) DeviceNames() []string {
-	names := make([]string, 0, len(n.devices))
-	for name := range n.devices {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Container is one application container: a name, its blkio cgroup, and
 // optionally a running process.

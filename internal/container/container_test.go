@@ -25,11 +25,7 @@ func TestNodeDevices(t *testing.T) {
 	}
 	tiers := n.Tiers()
 	if len(tiers) != 2 || tiers[0].Name() != "ssd" || tiers[1].Name() != "hdd" {
-		t.Fatalf("tiers = %v", n.DeviceNames())
-	}
-	names := n.DeviceNames()
-	if len(names) != 2 || names[0] != "hdd" || names[1] != "ssd" {
-		t.Fatalf("names = %v", names)
+		t.Fatalf("tiers = %v", tiers)
 	}
 }
 

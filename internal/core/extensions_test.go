@@ -100,13 +100,16 @@ func TestWeightBoostBounds(t *testing.T) {
 }
 
 func TestTimeToBoundNaNForMissingBound(t *testing.T) {
-	st := StepStats{Buckets: []BucketStat{{Bound: 0.01, Start: 1, Elapsed: 2}}}
-	if got := st.TimeToBound(0.5); !math.IsNaN(got) {
-		t.Fatalf("missing bound = %v, want NaN", got)
+	st := StepStats{BaseTime: 0.25, Buckets: []BucketStat{{Bound: 0.01, To: 10, Start: 1, Elapsed: 2}}}
+	if got := st.TimeToBound(11); !math.IsNaN(got) {
+		t.Fatalf("unreached rung = %v, want NaN", got)
 	}
 	st.Start = 0.5
-	if got := st.TimeToBound(0.01); math.Abs(got-2.5) > 1e-12 {
+	if got := st.TimeToBound(10); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("TimeToBound = %v", got)
+	}
+	if got := st.TimeToBound(0); got != 0.25 {
+		t.Fatalf("base-only rung = %v, want the base read time", got)
 	}
 }
 

@@ -58,13 +58,19 @@ type StepStats struct {
 	CacheHitBytes float64 // bytes served from the cache device
 }
 
-// TimeToBound returns the elapsed time from step start until the bucket
-// elevating to `bound` finished retrieving, or NaN if the step never
-// reached that accuracy. This is Fig 13's "latency to retrieve the
+// TimeToBound returns the elapsed time from step start until the
+// retrieval had covered rung entries of the augmentation stream — the
+// cursor of the accuracy being asked about (Hierarchy.CursorForBound):
+// the base read time when the base alone satisfies the bound, otherwise
+// the completion time of the bucket whose range reaches the rung, or NaN
+// if the step never got there. This is Fig 13's "latency to retrieve the
 // augmentation that elevates the accuracy to ε".
-func (st StepStats) TimeToBound(bound float64) float64 {
+func (st StepStats) TimeToBound(rung int) float64 {
+	if rung == 0 {
+		return st.BaseTime
+	}
 	for _, b := range st.Buckets {
-		if b.Bound == bound {
+		if b.To >= rung {
 			return b.Start + b.Elapsed - st.Start
 		}
 	}
@@ -193,9 +199,6 @@ func (s *Session) Container() *container.Container { return s.cont }
 
 // Estimator exposes the session's bandwidth estimator (read-only use).
 func (s *Session) Estimator() *dftestim.Estimator { return s.est }
-
-// WeightFunc exposes the calibrated weight function.
-func (s *Session) WeightFunc() *weightfn.Func { return s.wf }
 
 // SetBound changes the prescribed error bound at runtime — the paper's
 // exploratory-analytics scenario, where the accuracy a user needs becomes

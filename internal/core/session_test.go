@@ -213,6 +213,10 @@ func TestCrossLayerWeightEventsPerBucket(t *testing.T) {
 		c.ErrorControl = true
 		c.Bound = 0.001
 	})
+	tightest, err := s.store.Hierarchy().CursorForBound(0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, st := range s.Stats() {
 		if len(st.Buckets) == 0 {
 			t.Fatal("cross-layer step recorded no buckets")
@@ -230,7 +234,7 @@ func TestCrossLayerWeightEventsPerBucket(t *testing.T) {
 		}
 		// Time-to-bound must be measurable for the tightest bound and
 		// exceed the base retrieval time.
-		if lt := st.TimeToBound(0.001); math.IsNaN(lt) || lt <= 0 {
+		if lt := st.TimeToBound(tightest); math.IsNaN(lt) || lt <= 0 {
 			t.Fatalf("TimeToBound = %v", lt)
 		}
 	}

@@ -196,18 +196,6 @@ func (p *Plan) Sorted() []Event {
 	return out
 }
 
-// Horizon returns the virtual time at which the last fault window closes.
-func (p *Plan) Horizon() float64 {
-	var h float64
-	for _, e := range p.Events {
-		end := e.At + e.Duration
-		if end > h {
-			h = end
-		}
-	}
-	return h
-}
-
 // String renders the plan in the spec grammar accepted by ParsePlan.
 func (p *Plan) String() string {
 	var b strings.Builder

@@ -6,7 +6,8 @@ import (
 	"tango/internal/analytics"
 	"tango/internal/core"
 	"tango/internal/fault"
-	"tango/internal/runpool"
+	"tango/internal/refactor"
+	"tango/internal/resil"
 	"tango/internal/trace"
 )
 
@@ -20,7 +21,7 @@ const chaosSession = "analytics"
 // tier, the analytics session's cgroup, the first three Table IV
 // interferers).
 func ChaosPlan(cfg Config) *fault.Plan {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	plan, err := fault.Generate(cfg.Seed, fault.GenerateOptions{
 		Horizon:     float64(cfg.Steps) * 60,
 		Device:      "hdd",
@@ -34,14 +35,45 @@ func ChaosPlan(cfg Config) *fault.Plan {
 	return plan
 }
 
-// Chaos runs the four policies through an identical fault schedule —
+// faultedRun is one chaosSession run replayed through a fault plan.
+type faultedRun struct {
+	sess     *core.Session
+	rc       *resil.Controller // nil on the ad-hoc recovery paths
+	injected int               // faults the injector fired
+	unpaired int               // faults left without a recorded recovery action
+}
+
+// runFaulted replays plan against policy pol (NRMSE 0.01, p=10) on a fresh
+// three-interferer scenario with a trace recorder attached, recovering
+// through a resil.Controller when withResil is set. RefitEvery 10 keeps
+// the recovery cadence dense enough that a refit (periodic or
+// regime-triggered) lands after the last scheduled fault for any step
+// count divisible by 10.
+func runFaulted(scenName string, h *refactor.Hierarchy, cfg Config, plan *fault.Plan, pol core.Policy, withResil, hedge bool) faultedRun {
+	rec := trace.New(32768)
+	scen := NewScenario(scenName, 3)
+	cfg.FaultPlan = plan
+	sc := core.Config{
+		Policy: pol, ErrorControl: true, Bound: 0.01, Priority: 10,
+		RefitEvery: 10, Trace: rec,
+	}
+	if withResil {
+		sc.Resil = resil.New(scen.Node.Engine(), resil.Options{
+			Trace: rec,
+			Hedge: resil.HedgeConfig{Enabled: hedge},
+		})
+	}
+	sess := runOnScenario(scen, chaosSession, h, cfg, sc)
+	return faultedRun{sess, sc.Resil, scen.Injector.Injected(), len(fault.Unpaired(rec.Events()))}
+}
+
+// chaos runs the four policies through an identical fault schedule —
 // device degradations, cgroup faults, and workload churn — and reports
 // what each salvaged: perceived bandwidth, retries spent, steps that
 // shed above-bound augmentation, prescribed-bound violations (always 0:
 // mandatory data retries through faults), and faults left without a
 // recorded recovery action.
-func Chaos(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func chaos(cfg Config) *Result {
 	plan := ChaosPlan(cfg)
 	if cfg.FaultPlan != nil {
 		plan = cfg.FaultPlan
@@ -51,56 +83,29 @@ func Chaos(cfg Config) *Result {
 		Title:  "Fault injection and cross-layer recovery (XGC)",
 		Header: []string{"policy", "mean I/O (s)", "mean BW MB/s", "retries", "degraded steps", "bound viol", "faults", "unpaired"},
 	}
-	app := analytics.XGCApp()
-	h := appHierarchy(app, cfg, defaultOpts())
-	const bound = 0.01
-	mandatory, err := h.CursorForBound(bound)
-	if err != nil {
-		panic(err)
-	}
+	h := appHierarchy(analytics.XGCApp(), cfg, defaultOpts())
+	mandatory := rung(h, 0.01)
 	// ExtendedPolicies adds cross-layer+prefetch: pre-staged fast-tier
 	// data keeps serving through capacity-tier bandwidth collapses, so
 	// the cache variant should salvage more perceived bandwidth. Each
 	// policy replays the same immutable plan on its own scenario, so the
 	// runs are independent pool jobs.
-	policies := core.ExtendedPolicies()
-	rows := make([]*runpool.Task[[]string], len(policies))
-	for i, pol := range policies {
-		rows[i] = runpool.Submit("chaos/"+pol.String(), func() []string {
-			rec := trace.New(32768)
-			scen := NewScenario(fmt.Sprintf("chaos-%d", int(pol)), 3)
-			runCfg := cfg
-			runCfg.FaultPlan = plan
-			// RefitEvery 10 keeps the recovery cadence dense enough that a
-			// refit (periodic or regime-triggered) lands after the last
-			// scheduled fault for any step count divisible by 10.
-			sc := core.Config{
-				Policy: pol, ErrorControl: true, Bound: bound, Priority: 10,
-				RefitEvery: 10, Trace: rec,
+	addRows(r, core.ExtendedPolicies(), func(pol core.Policy) []string {
+		run := runFaulted(fmt.Sprintf("chaos-%d", int(pol)), h, cfg, plan, pol, false, false)
+		sum := run.sess.Summary(cfg.SkipWarmup)
+		retries, degraded := 0, 0
+		for _, st := range run.sess.Stats() {
+			retries += st.Retries
+			if st.Degraded {
+				degraded++
 			}
-			sess := runOnScenario(scen, chaosSession, h, runCfg, sc)
-			sum := sess.Summary(cfg.SkipWarmup)
-			retries, degraded, viol := 0, 0, 0
-			for _, st := range sess.Stats() {
-				retries += st.Retries
-				if st.Degraded {
-					degraded++
-				}
-				if st.Cursor < mandatory {
-					viol++
-				}
-			}
-			unpaired := len(fault.Unpaired(rec.Events()))
-			return []string{pol.String(), fmtS(sum.MeanIO), fmtMB(sum.MeanBW),
-				fmt.Sprintf("%d", retries), fmt.Sprintf("%d", degraded),
-				fmt.Sprintf("%d", viol),
-				fmt.Sprintf("%d", scen.Injector.Injected()),
-				fmt.Sprintf("%d", unpaired)}
-		})
-	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
+		}
+		return []string{pol.String(), fmtS(sum.MeanIO), fmtMB(sum.MeanBW),
+			fmt.Sprintf("%d", retries), fmt.Sprintf("%d", degraded),
+			fmt.Sprintf("%d", boundViolations(run.sess.Stats(), mandatory)),
+			fmt.Sprintf("%d", run.injected),
+			fmt.Sprintf("%d", run.unpaired)}
+	})
 	r.Notef("Identical fault plan per policy: %s", plan)
 	r.Notef("Recovery paths: staging retries reads with backoff and sheds only above-bound augmentation; the controller refits on sustained misprediction; failed weight writes are tolerated and re-applied.")
 	return r

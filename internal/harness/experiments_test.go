@@ -6,7 +6,7 @@ import (
 )
 
 func TestFig08PolicyOrdering(t *testing.T) {
-	r := Fig08(smallCfg())
+	r := run("fig8", smallCfg())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -20,7 +20,7 @@ func TestFig08PolicyOrdering(t *testing.T) {
 }
 
 func TestFig09ErrorControlRows(t *testing.T) {
-	r := Fig09(smallCfg())
+	r := run("fig9", smallCfg())
 	// 3 apps x 2 metrics.
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -33,7 +33,7 @@ func TestFig09ErrorControlRows(t *testing.T) {
 }
 
 func TestFig10NoAugmentationWorst(t *testing.T) {
-	r := Fig10(smallCfg())
+	r := run("fig10", smallCfg())
 	for i := range r.Rows {
 		cross := cell(t, r, i, 1)
 		noAug := cell(t, r, i, 3)
@@ -44,7 +44,7 @@ func TestFig10NoAugmentationWorst(t *testing.T) {
 }
 
 func TestFig13AblationMonotone(t *testing.T) {
-	r := Fig13(smallCfg())
+	r := run("fig13", smallCfg())
 	// XGC row: latency must not increase as terms are added.
 	card := cell(t, r, 0, 2)
 	cardPrio := cell(t, r, 0, 3)
@@ -55,7 +55,7 @@ func TestFig13AblationMonotone(t *testing.T) {
 }
 
 func TestFig14aPriorityMonotone(t *testing.T) {
-	r := Fig14a(smallCfg())
+	r := run("fig14a", smallCfg())
 	for i := range r.Rows {
 		p1 := cell(t, r, i, 1)
 		p10 := cell(t, r, i, 3)
@@ -66,7 +66,7 @@ func TestFig14aPriorityMonotone(t *testing.T) {
 }
 
 func TestFig14bBoundMonotone(t *testing.T) {
-	r := Fig14b(smallCfg())
+	r := run("fig14b", smallCfg())
 	for i := range r.Rows {
 		loose := cell(t, r, i, 1)
 		tight := cell(t, r, i, 4)
@@ -77,7 +77,7 @@ func TestFig14bBoundMonotone(t *testing.T) {
 }
 
 func TestFig15WeightDecreasesWithinStep(t *testing.T) {
-	r := Fig15(smallCfg())
+	r := run("fig15", smallCfg())
 	if len(r.Rows) == 0 {
 		t.Fatal("no weight events in the window")
 	}
@@ -97,7 +97,7 @@ func TestFig15WeightDecreasesWithinStep(t *testing.T) {
 }
 
 func TestFig07ThreshMonotone(t *testing.T) {
-	r := Fig07(smallCfg())
+	r := run("fig7", smallCfg())
 	m25 := cell(t, r, 0, 2)
 	m75 := cell(t, r, 2, 2)
 	if !(m75 >= m25) {
@@ -106,7 +106,7 @@ func TestFig07ThreshMonotone(t *testing.T) {
 }
 
 func TestHeadlinePositive(t *testing.T) {
-	r := Headline(smallCfg())
+	r := run("headline", smallCfg())
 	// Mean row: improvement over no-adaptivity must be positive.
 	last := len(r.Rows) - 1
 	if r.Rows[last][0] != "mean" {
@@ -118,7 +118,7 @@ func TestHeadlinePositive(t *testing.T) {
 }
 
 func TestFIFOAblationCollapsesGain(t *testing.T) {
-	r := AblationFIFO(smallCfg())
+	r := run("ablation-fifo", smallCfg())
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -130,7 +130,7 @@ func TestFIFOAblationCollapsesGain(t *testing.T) {
 }
 
 func TestThrottleNoiseThroughputReported(t *testing.T) {
-	r := ThrottleVsTango(smallCfg())
+	r := run("throttle", smallCfg())
 	for i := range r.Rows {
 		if v := cell(t, r, i, 2); v <= 0 {
 			t.Fatalf("row %d noise throughput = %v", i, v)

@@ -25,7 +25,7 @@ func cell(t *testing.T, r *Result, row, col int) float64 {
 }
 
 func TestCoexistEqualPriorityIsSymmetric(t *testing.T) {
-	r := Coexist(smallCfg())
+	r := run("coexist", smallCfg())
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -40,7 +40,7 @@ func TestCoexistEqualPriorityIsSymmetric(t *testing.T) {
 }
 
 func TestRegimeStaleModelWindowWorst(t *testing.T) {
-	r := Regime(smallCfg())
+	r := run("regime", smallCfg())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -52,7 +52,7 @@ func TestRegimeStaleModelWindowWorst(t *testing.T) {
 }
 
 func TestThrottleExperimentShape(t *testing.T) {
-	r := ThrottleVsTango(smallCfg())
+	r := run("throttle", smallCfg())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -64,7 +64,7 @@ func TestThrottleExperimentShape(t *testing.T) {
 }
 
 func TestRandomNoisePerturbationSmallerWithThreshold(t *testing.T) {
-	r := RandomNoiseRobustness(smallCfg())
+	r := run("random-noise", smallCfg())
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -76,7 +76,7 @@ func TestRandomNoisePerturbationSmallerWithThreshold(t *testing.T) {
 }
 
 func TestParallelAblationNotSlower(t *testing.T) {
-	r := AblationParallelReads(smallCfg())
+	r := run("ablation-parallel", smallCfg())
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -88,7 +88,7 @@ func TestParallelAblationNotSlower(t *testing.T) {
 }
 
 func TestAblationSeekNarrowsGap(t *testing.T) {
-	r := AblationNoSeekThrash(smallCfg())
+	r := run("ablation-seek", smallCfg())
 	withRatio := cell(t, r, 0, 3)
 	withoutRatio := cell(t, r, 1, 3)
 	if !(withoutRatio >= withRatio) {
@@ -97,7 +97,7 @@ func TestAblationSeekNarrowsGap(t *testing.T) {
 }
 
 func TestFig12StorageDegradesWithNoise(t *testing.T) {
-	r := Fig12(smallCfg())
+	r := run("fig12", smallCfg())
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -109,7 +109,7 @@ func TestFig12StorageDegradesWithNoise(t *testing.T) {
 }
 
 func TestFig16FlatScaling(t *testing.T) {
-	r := Fig16(smallCfg())
+	r := run("fig16", smallCfg())
 	one := cell(t, r, 0, 1)
 	four := cell(t, r, 3, 1)
 	if one != four {
@@ -118,7 +118,7 @@ func TestFig16FlatScaling(t *testing.T) {
 }
 
 func TestCSVAndJSONFormats(t *testing.T) {
-	r := Table1(smallCfg())
+	r := run("table1", smallCfg())
 	var csvB, jsonB strings.Builder
 	if err := r.Format(&csvB, "csv"); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestCSVAndJSONFormats(t *testing.T) {
 // never violates the prescribed bound, exercises the retry path, and
 // leaves no injected fault without a later recovery/refit event.
 func TestChaosCrossLayerRecovers(t *testing.T) {
-	r := Chaos(smallCfg())
+	r := run("chaos", smallCfg())
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d, want one per extended policy", len(r.Rows))
 	}
@@ -187,7 +187,7 @@ func TestChaosCrossLayerRecovers(t *testing.T) {
 // experiment started do not outlive it.
 func TestChaosLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	Chaos(Config{GridN: 65, Seed: 7, Steps: 20, SkipWarmup: 10})
+	run("chaos", Config{GridN: 65, Seed: 7, Steps: 20, SkipWarmup: 10})
 	// runpool workers and just-killed procs finish exiting asynchronously.
 	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
 		time.Sleep(time.Millisecond)

@@ -5,15 +5,14 @@ import (
 
 	"tango/internal/device"
 	"tango/internal/refactor"
-	"tango/internal/runpool"
 	"tango/internal/workload"
 )
 
-// Table1 reproduces the paper's Table I: the QoS capabilities of major
+// table1 reproduces the paper's Table I: the QoS capabilities of major
 // HPC file systems (a static survey motivating node-local cgroup-based
 // control, which Ext4-with-cgroups uniquely provides per-application and
 // at runtime).
-func Table1(cfg Config) *Result {
+func table1(cfg Config) *Result {
 	r := &Result{
 		ID:     "table1",
 		Title:  "QoS in HPC file systems",
@@ -28,13 +27,12 @@ func Table1(cfg Config) *Result {
 	return r
 }
 
-// Fig01 reproduces Fig 1: three data analytics containers with equal
+// fig01 reproduces Fig 1: three data analytics containers with equal
 // blkio weights reading periodically from the shared HDD. The perceived
 // bandwidth of each collapses while the others' reads and the checkpoint
 // noise overlap, and recovers when a container runs alone — static
 // proportional weights do not isolate.
-func Fig01(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig01(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig1",
 		Title:  "I/O performance of data analytics with equal weights (shared HDD)",
@@ -101,37 +99,29 @@ func Fig01(cfg Config) *Result {
 	return r
 }
 
-// Fig02 reproduces Fig 2: PSNR of the reduced representation and the
+// fig02 reproduces Fig 2: PSNR of the reduced representation and the
 // relative error of each analysis outcome as the decimation ratio grows.
 // Even at extreme ratios the outcome error stays bounded (Motivation 3).
-func Fig02(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig02(cfg Config) *Result {
 	r := &Result{
 		ID:    "fig2",
 		Title: "Accuracy of using a reduced representation",
 		Header: []string{"decimation", "XGC PSNR", "XGC relerr", "GenASiS PSNR", "GenASiS relerr",
 			"CFD PSNR", "CFD relerr"},
 	}
-	ratios := []float64{4, 16, 64, 256, 512, 8192}
-	rows := make([]*runpool.Task[[]string], len(ratios))
-	for i, ratio := range ratios {
-		rows[i] = runpool.Submit(fmt.Sprintf("fig2/ratio%.0f", ratio), func() []string {
-			row := []string{fmt.Sprintf("%.0f", ratio)}
-			for _, app := range appsUnderTest() {
-				orig := appField(app, cfg)
-				levels := refactor.LevelsForRatio(ratio, 2, 2)
-				h := appHierarchy(app, cfg, refactor.Options{Levels: levels})
-				rec := h.Recompose(0) // reduced representation only
-				psnr := appStats(app, cfg).PSNR(orig.Data(), rec.Data())
-				relerr := app.OutcomeErr(orig, rec)
-				row = append(row, fmt.Sprintf("%.1f", psnr), fmt.Sprintf("%.3f", relerr))
-			}
-			return row
-		})
-	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
+	addRows(r, []float64{4, 16, 64, 256, 512, 8192}, func(ratio float64) []string {
+		row := []string{fmt.Sprintf("%.0f", ratio)}
+		for _, app := range appsUnderTest() {
+			orig := appField(app, cfg)
+			levels := refactor.LevelsForRatio(ratio, 2, 2)
+			h := appHierarchy(app, cfg, refactor.Options{Levels: levels})
+			rec := h.Recompose(0) // reduced representation only
+			psnr := appStats(app, cfg).PSNR(orig.Data(), rec.Data())
+			relerr := app.OutcomeErr(orig, rec)
+			row = append(row, fmt.Sprintf("%.1f", psnr), fmt.Sprintf("%.3f", relerr))
+		}
+		return row
+	})
 	r.Notef("Reduced representation = base level only (no augmentation); ratio maps to levels via LevelsForRatio (achieved point-count ratio is the nearest power of 4).")
 	return r
 }

@@ -6,16 +6,15 @@ import (
 
 	"tango/internal/analytics"
 	"tango/internal/core"
+	"tango/internal/device"
 	"tango/internal/errmetric"
 	"tango/internal/refactor"
-	"tango/internal/runpool"
 )
 
-// Fig11 reproduces Fig 11: the percentage of the degrees of freedom that
+// fig11 reproduces Fig 11: the percentage of the degrees of freedom that
 // must be retrieved to satisfy each error bound, per application, for
 // both metrics.
-func Fig11(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig11(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig11",
 		Title:  "Percentage of degrees of freedom vs error bound",
@@ -31,29 +30,17 @@ func Fig11(cfg Config) *Result {
 	} {
 		// One hierarchy per app with the full ladder; the decompositions
 		// are independent, so they build as parallel pool jobs.
-		tasks := map[string]*runpool.Task[*refactor.Hierarchy]{}
-		for _, app := range appsUnderTest() {
-			tasks[app.Name] = runpool.Submit("fig11/"+v.metric.String()+"/"+app.Name, func() *refactor.Hierarchy {
-				return appHierarchy(app, cfg, refactor.Options{
-					Levels: refactor.LevelsForRatio(16, 2, 2),
-					Metric: v.metric,
-					Bounds: v.bounds,
-				})
+		hs := fanOut("fig11/"+v.metric.String(), appsUnderTest(), func(app analytics.App) *refactor.Hierarchy {
+			return appHierarchy(app, cfg, refactor.Options{
+				Levels: refactor.LevelsForRatio(16, 2, 2),
+				Metric: v.metric,
+				Bounds: v.bounds,
 			})
-		}
-		hs := map[string]*refactor.Hierarchy{}
-		for _, app := range appsUnderTest() {
-			hs[app.Name] = tasks[app.Name].Wait()
-		}
+		})
 		for _, bound := range v.bounds {
 			row := []string{v.metric.String(), fmt.Sprintf("%g", bound)}
-			for _, app := range appsUnderTest() {
-				h := hs[app.Name]
-				cur, err := h.CursorForBound(bound)
-				if err != nil {
-					panic(err)
-				}
-				row = append(row, fmt.Sprintf("%.1f%%", 100*h.DoFFraction(cur)))
+			for _, h := range hs {
+				row = append(row, fmt.Sprintf("%.1f%%", 100*h.DoFFraction(rung(h, bound))))
 			}
 			r.Add(row...)
 		}
@@ -62,11 +49,10 @@ func Fig11(cfg Config) *Result {
 	return r
 }
 
-// Fig12 reproduces Fig 12: average I/O time of cross-layer vs
+// fig12 reproduces Fig 12: average I/O time of cross-layer vs
 // single-layer (storage) as interfering containers are added 3 → 6
 // (containers #1–#3 first, then #4, #5, #6 — Table IV).
-func Fig12(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig12(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig12",
 		Title:  "Performance vs noise intensity (XGC, p=10, NRMSE 0.01; avg I/O time ± std, s)",
@@ -74,51 +60,33 @@ func Fig12(cfg Config) *Result {
 	}
 	app := analytics.XGCApp()
 	h := appHierarchy(app, cfg, defaultOpts())
-	run := func(n int, p core.Policy) *runpool.Task[core.Summary] {
-		sc := core.Config{ErrorControl: true, Bound: 0.01, Priority: 10, Policy: p}
-		return runpool.Submit(fmt.Sprintf("fig12/n%d/%s", n, p), func() core.Summary {
-			return runOne(app.Name, n, h, cfg, sc).Summary(cfg.SkipWarmup)
-		})
+	type run struct {
+		n int
+		p core.Policy
 	}
-	type pair struct{ cross, storage *runpool.Task[core.Summary] }
-	var pairs []pair
+	var runs []run
 	for n := 3; n <= 6; n++ {
-		pairs = append(pairs, pair{run(n, core.CrossLayer), run(n, core.StorageOnly)})
+		runs = append(runs, run{n, core.CrossLayer}, run{n, core.StorageOnly})
 	}
-	for i, p := range pairs {
-		cross, storage := p.cross.Wait(), p.storage.Wait()
-		r.Add(fmt.Sprintf("%d", i+3),
-			fmt.Sprintf("%s±%s", fmtS(cross.MeanIO), fmtS(cross.StdIO)),
-			fmt.Sprintf("%s±%s", fmtS(storage.MeanIO), fmtS(storage.StdIO)))
+	cells := fanOut("fig12", runs, func(v run) string {
+		sc := core.Config{ErrorControl: true, Bound: 0.01, Priority: 10, Policy: v.p}
+		return ioCell(runOne(app.Name, v.n, h, cfg, sc).Summary(cfg.SkipWarmup))
+	})
+	for i := 0; i < len(cells); i += 2 {
+		r.Add(fmt.Sprintf("%d", runs[i].n), cells[i], cells[i+1])
 	}
 	r.Notef("Cross-layer stays nearly flat; the storage-only mean and variance degrade with noise intensity (Fig 12's observation).")
 	return r
 }
 
-// latencyToBound averages, over measured steps, the time from step start
-// until the retrieval has covered the rung of `bound`: the base read time
-// when the base alone satisfies the bound, otherwise the completion time
-// of the bucket whose range reaches the rung cursor.
+// latencyToBound averages StepStats.TimeToBound for the rung of bound
+// over the measured steps that reached it.
 func latencyToBound(sess *core.Session, h *refactor.Hierarchy, bound float64, skip int) float64 {
-	rung, err := h.CursorForBound(bound)
-	if err != nil {
-		panic(err)
-	}
+	cur := rung(h, bound)
 	var sum float64
 	var n int
-	for _, st := range sess.Stats()[skip:] {
-		lt := math.NaN()
-		if rung == 0 {
-			lt = st.BaseTime
-		} else {
-			for _, b := range st.Buckets {
-				if b.To >= rung {
-					lt = b.Start + b.Elapsed - st.Start
-					break
-				}
-			}
-		}
-		if !math.IsNaN(lt) {
+	for _, st := range measured(sess, skip) {
+		if lt := st.TimeToBound(cur); !math.IsNaN(lt) {
 			sum += lt
 			n++
 		}
@@ -129,126 +97,83 @@ func latencyToBound(sess *core.Session, h *refactor.Hierarchy, bound float64, sk
 	return sum / float64(n)
 }
 
-// Fig13 reproduces Fig 13: the latency to retrieve the augmentation that
+// fig13 reproduces Fig 13: the latency to retrieve the augmentation that
 // elevates the accuracy to ε₁ = 0.01, as the weight function
 // progressively incorporates cardinality, priority, and accuracy —
 // against the single-layer (application) baseline.
-func Fig13(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig13(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig13",
 		Title:  "Latency to elevate accuracy to 0.01 NRMSE (p=10; avg s)",
 		Header: []string{"app", "single-layer", "cardinality", "card+priority", "card+prio+accuracy"},
 	}
-	apps := appsUnderTest()
-	rows := make([]*runpool.Task[[]string], len(apps))
-	for i, app := range apps {
-		rows[i] = runpool.Submit("fig13/"+app.Name, func() []string {
-			h := appHierarchy(app, cfg, defaultOpts())
-			base := core.Config{ErrorControl: true, Bound: 0.01, Priority: 10}
-
-			run := func(label string, policy core.Policy, disablePrio, disableAcc bool) *runpool.Task[float64] {
-				sc := base
-				sc.Policy = policy
-				sc.DisablePriorityTerm = disablePrio
-				sc.DisableAccuracyTerm = disableAcc
-				return runpool.Submit("fig13/"+app.Name+"/"+label, func() float64 {
-					return latencyToBound(runOne(app.Name, 6, h, cfg, sc), h, 0.01, cfg.SkipWarmup)
-				})
-			}
-			single := run("single", core.AppOnly, false, false)
-			cardOnly := run("card", core.CrossLayer, true, true)
-			cardPrio := run("card+prio", core.CrossLayer, false, true)
-			full := run("full", core.CrossLayer, false, false)
-			return []string{app.Name, fmtS(single.Wait()), fmtS(cardOnly.Wait()), fmtS(cardPrio.Wait()), fmtS(full.Wait())}
+	full := core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: 0.01, Priority: 10}
+	single, card, cardPrio := full, full, full
+	single.Policy = core.AppOnly
+	card.DisablePriorityTerm, card.DisableAccuracyTerm = true, true
+	cardPrio.DisableAccuracyTerm = true
+	cols := []core.Config{single, card, cardPrio, full}
+	addRows(r, appsUnderTest(), func(app analytics.App) []string {
+		h := appHierarchy(app, cfg, defaultOpts())
+		lat := fanOut("fig13/"+app.Name, cols, func(sc core.Config) string {
+			return fmtS(latencyToBound(runOne(app.Name, 6, h, cfg, sc), h, 0.01, cfg.SkipWarmup))
 		})
-	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
+		return append([]string{app.Name}, lat...)
+	})
 	r.Notef("Cardinality-only equals single-layer storage adaptivity (paper note under Fig 13).")
 	return r
 }
 
-// Fig14a reproduces Fig 14a: cross-layer average I/O time at ε = 0.01 for
+// sweepIO fills r with one row per application: the cross-layer mean±std
+// I/O time under each of cols, one column per config.
+func sweepIO(r *Result, cfg Config, cols []core.Config) {
+	addRows(r, appsUnderTest(), func(app analytics.App) []string {
+		h := appHierarchy(app, cfg, defaultOpts())
+		cells := fanOut(r.ID+"/"+app.Name, cols, func(sc core.Config) string {
+			return ioCell(runOne(app.Name, 6, h, cfg, sc).Summary(cfg.SkipWarmup))
+		})
+		return append([]string{app.Name}, cells...)
+	})
+}
+
+// fig14a reproduces Fig 14a: cross-layer average I/O time at ε = 0.01 for
 // priorities 1, 5, 10.
-func Fig14a(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig14a(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig14a",
 		Title:  "Impact of priority (NRMSE 0.01; avg I/O time ± std, s)",
 		Header: []string{"app", "p=1", "p=5", "p=10"},
 	}
-	apps := appsUnderTest()
-	rows := make([]*runpool.Task[[]string], len(apps))
-	for i, app := range apps {
-		rows[i] = runpool.Submit("fig14a/"+app.Name, func() []string {
-			h := appHierarchy(app, cfg, defaultOpts())
-			prios := []float64{1, 5, 10}
-			tasks := make([]*runpool.Task[core.Summary], len(prios))
-			for j, p := range prios {
-				sc := core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: 0.01, Priority: p}
-				tasks[j] = runpool.Submit(fmt.Sprintf("fig14a/%s/p%g", app.Name, p), func() core.Summary {
-					return runOne(app.Name, 6, h, cfg, sc).Summary(cfg.SkipWarmup)
-				})
-			}
-			row := []string{app.Name}
-			for _, t := range tasks {
-				s := t.Wait()
-				row = append(row, fmt.Sprintf("%s±%s", fmtS(s.MeanIO), fmtS(s.StdIO)))
-			}
-			return row
-		})
+	var cols []core.Config
+	for _, p := range []float64{1, 5, 10} {
+		cols = append(cols, core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: 0.01, Priority: p})
 	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
+	sweepIO(r, cfg, cols)
 	r.Notef("Doubling priority does not halve I/O time: weight shares are relative (paper's 100→200 weight example yields 100→133 MB/s).")
 	return r
 }
 
-// Fig14b reproduces Fig 14b: cross-layer average I/O time at p = 10
+// fig14b reproduces Fig 14b: cross-layer average I/O time at p = 10
 // across error bounds.
-func Fig14b(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig14b(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig14b",
 		Title:  "Impact of error bound (p=10; avg I/O time ± std, s)",
 		Header: []string{"app", "eps=1e-1", "eps=1e-2", "eps=1e-3", "eps=1e-4"},
 	}
-	apps := appsUnderTest()
-	rows := make([]*runpool.Task[[]string], len(apps))
-	for i, app := range apps {
-		rows[i] = runpool.Submit("fig14b/"+app.Name, func() []string {
-			h := appHierarchy(app, cfg, defaultOpts())
-			bounds := []float64{1e-1, 1e-2, 1e-3, 1e-4}
-			tasks := make([]*runpool.Task[core.Summary], len(bounds))
-			for j, eps := range bounds {
-				sc := core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: eps, Priority: 10}
-				tasks[j] = runpool.Submit(fmt.Sprintf("fig14b/%s/eps%g", app.Name, eps), func() core.Summary {
-					return runOne(app.Name, 6, h, cfg, sc).Summary(cfg.SkipWarmup)
-				})
-			}
-			row := []string{app.Name}
-			for _, t := range tasks {
-				s := t.Wait()
-				row = append(row, fmt.Sprintf("%s±%s", fmtS(s.MeanIO), fmtS(s.StdIO)))
-			}
-			return row
-		})
+	var cols []core.Config
+	for _, eps := range []float64{1e-1, 1e-2, 1e-3, 1e-4} {
+		cols = append(cols, core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: eps, Priority: 10})
 	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
+	sweepIO(r, cfg, cols)
 	r.Notef("Tighter bounds force larger mandatory retrievals, raising I/O time.")
 	return r
 }
 
-// Fig15 reproduces Fig 15: the weight assignment over time for XGC in the
+// fig15 reproduces Fig 15: the weight assignment over time for XGC in the
 // window 1800–1950 s (p=10, target NRMSE 0.01): within each step the
 // accuracy rises 1e-2 → 1e-4 and the weight is lowered accordingly.
-func Fig15(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig15(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig15",
 		Title:  "Weight assignment across time (XGC, p=10, target NRMSE 0.01)",
@@ -274,11 +199,10 @@ func Fig15(cfg Config) *Result {
 	return r
 }
 
-// Fig16 reproduces Fig 16: weak scaling. Tango's recomposition needs no
+// fig16 reproduces Fig 16: weak scaling. Tango's recomposition needs no
 // inter-node communication, so per-node average I/O time stays flat from
 // 1 to 4 nodes. Node simulations run on real parallel goroutines.
-func Fig16(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fig16(cfg Config) *Result {
 	r := &Result{
 		ID:     "fig16",
 		Title:  "Weak scaling (p=10, NRMSE 0.01; per-node avg I/O time, s)",
@@ -286,20 +210,15 @@ func Fig16(cfg Config) *Result {
 	}
 	app := analytics.XGCApp()
 	h := appHierarchy(app, cfg, defaultOpts())
-	for _, nodes := range []int{1, 2, 3, 4} {
-		tasks := make([]*runpool.Task[float64], nodes)
-		for i := 0; i < nodes; i++ {
-			name := fmt.Sprintf("xgc-node%d", i)
-			tasks[i] = runpool.Submit("fig16/"+name, func() float64 {
-				sc := core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: 0.01, Priority: 10}
-				sess := runOne(name, 6, h, cfg, sc)
-				return sess.Summary(cfg.SkipWarmup).MeanIO
-			})
+	for nodes := 1; nodes <= 4; nodes++ {
+		names := make([]string, nodes)
+		for i := range names {
+			names[i] = fmt.Sprintf("xgc-node%d", i)
 		}
-		means := make([]float64, nodes)
-		for i, t := range tasks {
-			means[i] = t.Wait()
-		}
+		means := fanOut("fig16", names, func(name string) float64 {
+			sc := core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: 0.01, Priority: 10}
+			return runOne(name, 6, h, cfg, sc).Summary(cfg.SkipWarmup).MeanIO
+		})
 		var sum, maxDev float64
 		for _, m := range means {
 			sum += m
@@ -316,11 +235,10 @@ func Fig16(cfg Config) *Result {
 	return r
 }
 
-// Headline aggregates the Fig 8 data into the paper's headline claim:
+// headline aggregates the Fig 8 data into the paper's headline claim:
 // I/O performance improvement of cross-layer vs no adaptivity and vs the
 // best single-layer approach.
-func Headline(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func headline(cfg Config) *Result {
 	r := &Result{
 		ID:     "headline",
 		Title:  "Headline improvement (from Fig 8 conditions)",
@@ -328,36 +246,31 @@ func Headline(cfg Config) *Result {
 	}
 	type imp struct{ no, single float64 }
 	apps := appsUnderTest()
-	tasks := make([]*runpool.Task[imp], len(apps))
-	for i, app := range apps {
-		tasks[i] = runpool.Submit("headline/"+app.Name, func() imp {
-			h := appHierarchy(app, cfg, defaultOpts())
-			s := policySummaries(app, h, cfg, core.Config{})
-			cross := s[core.CrossLayer].MeanIO
-			noAd := s[core.NoAdapt].MeanIO
-			single := math.Min(s[core.StorageOnly].MeanIO, s[core.AppOnly].MeanIO)
-			return imp{100 * (1 - cross/noAd), 100 * (1 - cross/single)}
-		})
-	}
+	imps := fanOut("headline", apps, func(app analytics.App) imp {
+		h := appHierarchy(app, cfg, defaultOpts())
+		s := policySummaries(app, h, cfg, core.Config{})
+		cross := s[core.CrossLayer].MeanIO
+		noAd := s[core.NoAdapt].MeanIO
+		single := math.Min(s[core.StorageOnly].MeanIO, s[core.AppOnly].MeanIO)
+		return imp{100 * (1 - cross/noAd), 100 * (1 - cross/single)}
+	})
 	var aggNo, aggSingle, n float64
-	for i, app := range apps {
-		v := tasks[i].Wait()
+	for i, v := range imps {
 		aggNo += v.no
 		aggSingle += v.single
 		n++
-		r.Add(app.Name, fmt.Sprintf("%.0f%%", v.no), fmt.Sprintf("%.0f%%", v.single))
+		r.Add(apps[i].Name, fmt.Sprintf("%.0f%%", v.no), fmt.Sprintf("%.0f%%", v.single))
 	}
 	r.Add("mean", fmt.Sprintf("%.0f%%", aggNo/n), fmt.Sprintf("%.0f%%", aggSingle/n))
 	r.Notef("Paper reports 52%% vs no adaptivity and 36%% vs single-layer on Chameleon; shape (ordering and rough magnitude), not absolute numbers, is the reproduction target.")
 	return r
 }
 
-// AblationNoSeekThrash removes the HDD's concurrency-collapse term: the
+// ablationNoSeekThrash removes the HDD's concurrency-collapse term: the
 // advantage of application adaptivity over storage-only weight
 // redistribution shrinks, confirming the model ingredient behind Fig 8's
 // explanation ("weight adjustment only re-distributes bandwidth").
-func AblationNoSeekThrash(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func ablationNoSeekThrash(cfg Config) *Result {
 	r := &Result{
 		ID:     "ablation-seek",
 		Title:  "Ablation: HDD seek-thrash term (XGC, no error control)",
@@ -365,63 +278,50 @@ func AblationNoSeekThrash(cfg Config) *Result {
 	}
 	app := analytics.XGCApp()
 	h := appHierarchy(app, cfg, defaultOpts())
-	type pair struct {
-		variant     string
-		storage, cr *runpool.Task[core.Summary]
+	type run struct {
+		variant string
+		hdd     device.Params
+		p       core.Policy
 	}
-	var pairs []pair
+	var runs []run
 	for _, variant := range []string{"with seek thrash", "no seek thrash"} {
 		hdd := hddParamsReal()
 		if variant == "no seek thrash" {
 			hdd = hddParamsNoThrash()
 		}
-		run := func(p core.Policy) *runpool.Task[core.Summary] {
-			return runpool.Submit("ablation-seek/"+variant+"/"+p.String(), func() core.Summary {
-				scen := newScenarioWithHDD("abl", 6, hdd)
-				sess := runOnScenario(scen, app.Name, h, cfg, core.Config{Policy: p})
-				return sess.Summary(cfg.SkipWarmup)
-			})
-		}
-		pairs = append(pairs, pair{variant, run(core.StorageOnly), run(core.CrossLayer)})
+		runs = append(runs, run{variant, hdd, core.StorageOnly}, run{variant, hdd, core.CrossLayer})
 	}
-	for _, p := range pairs {
-		st, cr := p.storage.Wait(), p.cr.Wait()
-		r.Add(p.variant, fmtS(st.MeanIO), fmtS(cr.MeanIO), fmt.Sprintf("%.2f", cr.MeanIO/st.MeanIO))
+	means := fanOut("ablation-seek", runs, func(v run) float64 {
+		scen := newScenarioWithHDD("abl", 6, v.hdd)
+		return runOnScenario(scen, app.Name, h, cfg, core.Config{Policy: v.p}).Summary(cfg.SkipWarmup).MeanIO
+	})
+	for i := 0; i < len(means); i += 2 {
+		st, cr := means[i], means[i+1]
+		r.Add(runs[i].variant, fmtS(st), fmtS(cr), fmt.Sprintf("%.2f", cr/st))
 	}
 	r.Notef("Without the thrash term the gap narrows: weight redistribution alone suffices when total throughput never collapses.")
 	return r
 }
 
-// AblationUnsortedBuckets disables the magnitude ordering of augmentation
+// ablationUnsortedBuckets disables the magnitude ordering of augmentation
 // entries (paper §III-B2 step 3) and measures how many more entries each
 // bound needs — the ingredient behind Fig 11's feasibility.
-func AblationUnsortedBuckets(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func ablationUnsortedBuckets(cfg Config) *Result {
 	r := &Result{
 		ID:     "ablation-sort",
 		Title:  "Ablation: magnitude-ordered buckets (XGC, NRMSE ladder)",
 		Header: []string{"bound", "sorted DoF%", "unsorted DoF%", "inflation"},
 	}
 	app := analytics.XGCApp()
-	sortedT := runpool.Submit("ablation-sort/sorted", func() *refactor.Hierarchy {
-		return appHierarchy(app, cfg, defaultOpts())
-	})
-	unsortedT := runpool.Submit("ablation-sort/unsorted", func() *refactor.Hierarchy {
+	hs := fanOut("ablation-sort", []bool{false, true}, func(noSort bool) *refactor.Hierarchy {
 		opts := defaultOpts()
-		opts.NoSort = true
+		opts.NoSort = noSort
 		return appHierarchy(app, cfg, opts)
 	})
-	sorted, unsorted := sortedT.Wait(), unsortedT.Wait()
+	sorted, unsorted := hs[0], hs[1]
 	for _, bound := range []float64{1e-1, 1e-2, 1e-3} {
-		cs, err := sorted.CursorForBound(bound)
-		if err != nil {
-			panic(err)
-		}
-		cu, err := unsorted.CursorForBound(bound)
-		if err != nil {
-			panic(err)
-		}
-		ds, du := sorted.DoFFraction(cs), unsorted.DoFFraction(cu)
+		ds := sorted.DoFFraction(rung(sorted, bound))
+		du := unsorted.DoFFraction(rung(unsorted, bound))
 		r.Add(fmt.Sprintf("%g", bound),
 			fmt.Sprintf("%.1f%%", 100*ds), fmt.Sprintf("%.1f%%", 100*du),
 			fmt.Sprintf("%.2fx", du/ds))

@@ -7,7 +7,6 @@ import (
 	"tango/internal/fault"
 	"tango/internal/fleet"
 	"tango/internal/objstore"
-	"tango/internal/runpool"
 )
 
 // fleetPoint is one sweep point of the fleet experiment: a cluster shape
@@ -57,7 +56,20 @@ func fleetKillPlan(nodes int) *fault.Plan {
 	return p
 }
 
-// Fleet sweeps cluster shapes from tens to (at FleetScale 1) a thousand
+// runFleet builds the cluster fc describes and runs it to its report.
+func runFleet(fc fleet.Config) *fleet.Report {
+	c, err := fleet.New(fc)
+	if err != nil {
+		panic(err)
+	}
+	rep, err := c.Run()
+	if err != nil {
+		panic(err)
+	}
+	return rep
+}
+
+// fleetExp sweeps cluster shapes from tens to (at FleetScale 1) a thousand
 // nodes, with and without a mass node-kill, and reports aggregate
 // delivered throughput, per-node bound violations, migrations,
 // object-store egress, and post-kill throughput recovery. Each run is an
@@ -65,60 +77,42 @@ func fleetKillPlan(nodes int) *fault.Plan {
 // (internal/fleet); the whole sweep is deterministic in cfg.Seed at any
 // -parallel width. A non-nil cfg.FaultPlan replaces the canonical kill
 // schedule on the faulted arm.
-func Fleet(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func fleetExp(cfg Config) *Result {
 	r := &Result{
 		ID:    "fleet",
 		Title: "Fleet-scale cluster over a shared object-store capacity tier",
 		Header: []string{"scale", "plan", "agg MB/s", "bound viol", "migrations",
 			"kills", "egress GB", "cost $", "recovery %"},
 	}
-	points := fleetSweep(cfg.FleetScale)
 	type arm struct {
+		fleetPoint
 		name string
-		plan func(nodes int) *fault.Plan
+		plan *fault.Plan
 	}
-	arms := []arm{
-		{"none", func(int) *fault.Plan { return nil }},
-		{"node-kill", func(n int) *fault.Plan {
-			if cfg.FaultPlan != nil {
-				return cfg.FaultPlan
-			}
-			return fleetKillPlan(n)
-		}},
-	}
-	rows := make([]*runpool.Task[[]string], 0, len(points)*len(arms))
-	for _, p := range points {
-		for _, a := range arms {
-			p, a := p, a
-			rows = append(rows, runpool.Submit("fleet/"+p.label+"/"+a.name, func() []string {
-				c, err := fleet.New(fleet.Config{
-					Nodes:    p.nodes,
-					Sessions: p.sessions,
-					Seed:     cfg.Seed,
-					Plan:     a.plan(p.nodes),
-				})
-				if err != nil {
-					panic(err)
-				}
-				rep, err := c.Run()
-				if err != nil {
-					panic(err)
-				}
-				return []string{p.label, a.name,
-					fmt.Sprintf("%.1f", rep.AggMBps),
-					fmt.Sprintf("%d", rep.Violations),
-					fmt.Sprintf("%d", rep.Migrations),
-					fmt.Sprintf("%d", rep.Kills),
-					objstore.FmtGB(rep.Store.EgressBytes),
-					fmt.Sprintf("%.4f", rep.StoreCost),
-					fmt.Sprintf("%.0f", 100*rep.RecoveryFrac)}
-			}))
+	var arms []arm
+	for _, p := range fleetSweep(cfg.FleetScale) {
+		kill := cfg.FaultPlan
+		if kill == nil {
+			kill = fleetKillPlan(p.nodes)
 		}
+		arms = append(arms, arm{p, "none", nil}, arm{p, "node-kill", kill})
 	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
+	addRows(r, arms, func(a arm) []string {
+		rep := runFleet(fleet.Config{
+			Nodes:    a.nodes,
+			Sessions: a.sessions,
+			Seed:     cfg.Seed,
+			Plan:     a.plan,
+		})
+		return []string{a.label, a.name,
+			fmt.Sprintf("%.1f", rep.AggMBps),
+			fmt.Sprintf("%d", rep.Violations),
+			fmt.Sprintf("%d", rep.Migrations),
+			fmt.Sprintf("%d", rep.Kills),
+			objstore.FmtGB(rep.Store.EgressBytes),
+			fmt.Sprintf("%.4f", rep.StoreCost),
+			fmt.Sprintf("%.0f", 100*rep.RecoveryFrac)}
+	})
 	r.Notef("Store: %s per-node frontend, 4:1 oversubscribed shared egress, 30 ms/request (objstore.Default).",
 		"200 MB/s")
 	r.Notef("node-kill arm takes max(1, N/10) nodes out at the epoch-4 barrier for two epochs; their sessions restart cold on survivors and settle back after revival (docs/fleet.md).")

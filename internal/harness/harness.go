@@ -8,6 +8,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -54,7 +55,8 @@ type Config struct {
 	FaultPlan *fault.Plan
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills every zero field with its default.
+func (c Config) WithDefaults() Config {
 	if c.GridN == 0 {
 		c.GridN = 513
 	}
@@ -74,6 +76,32 @@ func (c Config) withDefaults() Config {
 		c.FleetScale = 1
 	}
 	return c
+}
+
+// minGridN is the smallest field side the default decomposition
+// (defaultOpts: three levels at decimation 2, 3 → 2 → 1) takes without
+// clamping its levels.
+const minGridN = 3
+
+// Validate reports the first reason a filled-in config cannot run, naming
+// the tangobench flag that sets the field. The experiments index
+// Stats()[SkipWarmup:] and size fields by GridN, so a config that fails
+// here panics or prints empty summaries further in.
+func (c Config) Validate() error {
+	finite := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	switch {
+	case c.SkipWarmup < 0:
+		return fmt.Errorf("-skip %d: warm-up steps cannot be negative", c.SkipWarmup)
+	case c.Steps <= c.SkipWarmup:
+		return fmt.Errorf("-steps %d: no measured step is left after %d warm-up steps", c.Steps, c.SkipWarmup)
+	case c.GridN < minGridN:
+		return fmt.Errorf("-grid %d: the default decomposition needs a side of at least %d", c.GridN, minGridN)
+	case !finite(c.DatasetMB):
+		return fmt.Errorf("-dataset %g: want a finite size above 0 MB", c.DatasetMB)
+	case !finite(c.FleetScale):
+		return fmt.Errorf("-fleetscale %g: want a finite scale above 0", c.FleetScale)
+	}
+	return nil
 }
 
 // Default NRMSE and PSNR ladders used across experiments.
@@ -142,42 +170,46 @@ func (r *Result) String() string {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Config) *Result
+	run   func(Config) *Result
 }
+
+// Run is the one place experiments are entered: the body reads every
+// field of cfg as given, so the defaults are filled here.
+func (e Experiment) Run(cfg Config) *Result { return e.run(cfg.WithDefaults()) }
 
 // Experiments returns the full suite in the paper's order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "QoS in HPC file systems (survey, Table I)", Table1},
-		{"fig1", "Equal static blkio weights do not isolate (Fig 1)", Fig01},
-		{"fig2", "Accuracy of reduced representations (Fig 2)", Fig02},
-		{"fig7", "DFT-based interference estimation (Fig 7)", Fig07},
-		{"fig8", "Cross-layer vs single-layer, no error control (Fig 8)", Fig08},
-		{"fig9", "Interference mitigation with error control (Fig 9)", Fig09},
-		{"fig10", "Data quality of analysis outcomes (Fig 10)", Fig10},
-		{"fig11", "Degrees of freedom vs error bound (Fig 11)", Fig11},
-		{"fig12", "Sensitivity to noise intensity (Fig 12)", Fig12},
-		{"fig13", "Weight-function ablation latency (Fig 13)", Fig13},
-		{"fig14a", "Impact of priority (Fig 14a)", Fig14a},
-		{"fig14b", "Impact of error bound (Fig 14b)", Fig14b},
-		{"fig15", "Weight assignment across time (Fig 15)", Fig15},
-		{"fig16", "Weak scaling across nodes (Fig 16)", Fig16},
-		{"headline", "Headline improvement vs baselines (§I, §IV)", Headline},
-		{"ablation-seek", "Ablation: HDD seek-thrash model (DESIGN.md #1)", AblationNoSeekThrash},
-		{"ablation-sort", "Ablation: magnitude-ordered buckets (DESIGN.md #3)", AblationUnsortedBuckets},
-		{"ablation-parallel", "Extension: parallel tier reads", AblationParallelReads},
-		{"coexist", "Extension: concurrent analytics with priorities", Coexist},
-		{"regime", "Extension: interference regime change", Regime},
-		{"throttle", "Extension: static throttling vs Tango", ThrottleVsTango},
-		{"coordinated", "Extension: node-level weight coordination", Coordinated},
-		{"ablation-fifo", "Ablation: FIFO vs proportional-share scheduling", AblationFIFO},
-		{"random-noise", "Extension: DFT robustness to aperiodic noise", RandomNoiseRobustness},
-		{"tracking", "Extension: blob dynamics on reduced data", Tracking},
-		{"chaos", "Extension: fault injection and cross-layer recovery", Chaos},
-		{"prefetch", "Extension: predictive fast-tier cache + prefetcher", Prefetch},
-		{"resil", "Extension: resilience control plane (retries, breakers, hedging)", Resil},
-		{"fleet", "Extension: fleet-scale cluster with object-store capacity tier", Fleet},
-		{"tokens", "Extension: decentralized token-bucket weight control", Tokens},
+		{"table1", "QoS in HPC file systems (survey, Table I)", table1},
+		{"fig1", "Equal static blkio weights do not isolate (Fig 1)", fig01},
+		{"fig2", "Accuracy of reduced representations (Fig 2)", fig02},
+		{"fig7", "DFT-based interference estimation (Fig 7)", fig07},
+		{"fig8", "Cross-layer vs single-layer, no error control (Fig 8)", fig08},
+		{"fig9", "Interference mitigation with error control (Fig 9)", fig09},
+		{"fig10", "Data quality of analysis outcomes (Fig 10)", fig10},
+		{"fig11", "Degrees of freedom vs error bound (Fig 11)", fig11},
+		{"fig12", "Sensitivity to noise intensity (Fig 12)", fig12},
+		{"fig13", "Weight-function ablation latency (Fig 13)", fig13},
+		{"fig14a", "Impact of priority (Fig 14a)", fig14a},
+		{"fig14b", "Impact of error bound (Fig 14b)", fig14b},
+		{"fig15", "Weight assignment across time (Fig 15)", fig15},
+		{"fig16", "Weak scaling across nodes (Fig 16)", fig16},
+		{"headline", "Headline improvement vs baselines (§I, §IV)", headline},
+		{"ablation-seek", "Ablation: HDD seek-thrash model (DESIGN.md #1)", ablationNoSeekThrash},
+		{"ablation-sort", "Ablation: magnitude-ordered buckets (DESIGN.md #3)", ablationUnsortedBuckets},
+		{"ablation-parallel", "Extension: parallel tier reads", ablationParallelReads},
+		{"coexist", "Extension: concurrent analytics with priorities", coexist},
+		{"regime", "Extension: interference regime change", regime},
+		{"throttle", "Extension: static throttling vs Tango", throttleVsTango},
+		{"coordinated", "Extension: node-level weight coordination", coordinated},
+		{"ablation-fifo", "Ablation: FIFO vs proportional-share scheduling", ablationFIFO},
+		{"random-noise", "Extension: DFT robustness to aperiodic noise", randomNoiseRobustness},
+		{"tracking", "Extension: blob dynamics on reduced data", tracking},
+		{"chaos", "Extension: fault injection and cross-layer recovery", chaos},
+		{"prefetch", "Extension: predictive fast-tier cache + prefetcher", prefetch},
+		{"resil", "Extension: resilience control plane (retries, breakers, hedging)", resilExp},
+		{"fleet", "Extension: fleet-scale cluster with object-store capacity tier", fleetExp},
+		{"tokens", "Extension: decentralized token-bucket weight control", tokens},
 	}
 }
 
@@ -242,89 +274,73 @@ type hierKey struct {
 	noSort bool
 }
 
-// hierEntry / fieldEntry make the caches single-flight: the map lookup
-// inserts a once-guarded entry under the lock, then the expensive compute
-// runs inside the entry's Once outside the lock. Concurrent callers with
-// the same key block on the Once instead of duplicating the work (the old
-// code dropped the lock around Decompose, so two parallel scenarios could
-// each decompose the same hierarchy).
-type hierEntry struct {
-	once sync.Once
-	h    *refactor.Hierarchy
+// memo is a single-flight cache: get inserts a once-guarded entry under
+// the lock, then the expensive compute runs inside the entry's Once
+// outside the lock. Concurrent callers with the same key block on the
+// Once instead of duplicating the work (dropping the lock around
+// Decompose would let two parallel scenarios each decompose the same
+// hierarchy).
+type memo[V any] struct {
+	mu sync.Mutex
+	m  map[hierKey]*memoEntry[V] // guarded by mu
 }
 
-type fieldEntry struct {
+type memoEntry[V any] struct {
 	once sync.Once
-	t    *tensor.Tensor
+	v    V
 }
 
-type statsEntry struct {
-	once sync.Once
-	st   errmetric.Stats
+func (c *memo[V]) get(key hierKey, compute func() V) V {
+	c.mu.Lock()
+	e, ok := c.m[key]
+	if !ok {
+		if c.m == nil {
+			c.m = map[hierKey]*memoEntry[V]{}
+		}
+		e = &memoEntry[V]{}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v
 }
 
 var (
-	hierMu     sync.Mutex
-	hierCache  = map[hierKey]*hierEntry{}  // guarded by hierMu
-	fieldCache = map[hierKey]*fieldEntry{} // guarded by hierMu
-	statsCache = map[hierKey]*statsEntry{} // guarded by hierMu
+	fieldCache memo[*tensor.Tensor]
+	statsCache memo[errmetric.Stats]
+	hierCache  memo[*refactor.Hierarchy]
 )
 
 // appField returns the app's (memoized) synthetic field.
 func appField(app analytics.App, cfg Config) *tensor.Tensor {
 	key := hierKey{app: app.Name, n: cfg.GridN, seed: cfg.Seed}
-	hierMu.Lock()
-	e, ok := fieldCache[key]
-	if !ok {
-		e = &fieldEntry{}
-		fieldCache[key] = e
-	}
-	hierMu.Unlock()
-	e.once.Do(func() { e.t = app.Generate(cfg.GridN, cfg.Seed) })
-	return e.t
+	return fieldCache.get(key, func() *tensor.Tensor { return app.Generate(cfg.GridN, cfg.Seed) })
 }
 
-// appStats returns the (memoized, single-flight) reference statistics of
-// the app's field, so figures that measure many reconstructions against
-// it (Fig 2's PSNR table) scan the reference once per field instead of
-// once per ratio. Stats are order-independent, so the derived metrics
-// are bit-identical to the unmemoized free functions.
+// appStats returns the (memoized) reference statistics of the app's
+// field, so figures that measure many reconstructions against it (Fig 2's
+// PSNR table) scan the reference once per field instead of once per
+// ratio. Stats are order-independent, so the derived metrics are
+// bit-identical to the unmemoized free functions.
 func appStats(app analytics.App, cfg Config) errmetric.Stats {
 	key := hierKey{app: app.Name, n: cfg.GridN, seed: cfg.Seed}
-	hierMu.Lock()
-	e, ok := statsCache[key]
-	if !ok {
-		e = &statsEntry{}
-		statsCache[key] = e
-	}
-	hierMu.Unlock()
-	e.once.Do(func() { e.st = errmetric.NewStats(appField(app, cfg).Data()) })
-	return e.st
+	return statsCache.get(key, func() errmetric.Stats { return errmetric.NewStats(appField(app, cfg).Data()) })
 }
 
-// appHierarchy decomposes (memoized, single-flight) the app's field.
+// appHierarchy decomposes (memoized) the app's field.
 func appHierarchy(app analytics.App, cfg Config, opts refactor.Options) *refactor.Hierarchy {
 	key := hierKey{
 		app: app.Name, n: cfg.GridN, seed: cfg.Seed,
 		levels: opts.Levels, metric: opts.Metric,
 		bounds: fmt.Sprint(opts.Bounds), noSort: opts.NoSort,
 	}
-	hierMu.Lock()
-	e, ok := hierCache[key]
-	if !ok {
-		e = &hierEntry{}
-		hierCache[key] = e
-	}
-	hierMu.Unlock()
-	e.once.Do(func() {
-		orig := appField(app, cfg)
-		h, err := refactor.Decompose(orig, opts)
+	return hierCache.get(key, func() *refactor.Hierarchy {
+		h, err := refactor.Decompose(appField(app, cfg), opts)
 		if err != nil {
 			panic(fmt.Sprintf("harness: decompose %s: %v", app.Name, err))
 		}
-		e.h = h
+		return h
 	})
-	return e.h
 }
 
 // fmtMB formats bytes/s as MB/s.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,6 +11,64 @@ import (
 // pipeline.
 func smallCfg() Config {
 	return Config{GridN: 129, Seed: 7, Steps: 40, SkipWarmup: 30}
+}
+
+// run enters experiment id the way tangobench does.
+func run(id string, cfg Config) *Result {
+	e, ok := Lookup(id)
+	if !ok {
+		panic("no experiment " + id)
+	}
+	return e.Run(cfg)
+}
+
+// TestConfigValidate: every value the experiments cannot run with is
+// refused with an error naming the flag that set it; the defaults and the
+// scale `make suite` runs at pass.
+func TestConfigValidate(t *testing.T) {
+	for _, ok := range []Config{
+		{},
+		{GridN: 129, Steps: 40, SkipWarmup: 10, DatasetMB: 512},
+		{GridN: minGridN, Steps: 31, FleetScale: 0.02},
+	} {
+		if err := ok.WithDefaults().Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+	// SkipWarmup 0 means the default 30, so "no warm-up" is not reachable
+	// through WithDefaults; Validate itself takes it.
+	if err := (Config{GridN: 65, Steps: 1, DatasetMB: 1, FleetScale: 1}).Validate(); err != nil {
+		t.Errorf("one step, no warm-up: %v", err)
+	}
+	for _, tc := range []struct {
+		flag string
+		bad  Config
+	}{
+		{"-steps 20", Config{Steps: 20}},
+		{"-steps 30", Config{Steps: 30}},
+		{"-steps -4", Config{Steps: -4}},
+		{"-skip -1", Config{SkipWarmup: -1}},
+		{"-grid -5", Config{GridN: -5}},
+		{"-grid 2", Config{GridN: minGridN - 1}},
+		{"-dataset -1", Config{DatasetMB: -1}},
+		{"-dataset +Inf", Config{DatasetMB: math.Inf(1)}},
+		{"-dataset NaN", Config{DatasetMB: math.NaN()}},
+		{"-fleetscale -0.5", Config{FleetScale: -0.5}},
+		{"-fleetscale +Inf", Config{FleetScale: math.Inf(1)}},
+	} {
+		err := tc.bad.WithDefaults().Validate()
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) {
+			t.Errorf("%+v: got %v, want an error starting %q", tc.bad, err, tc.flag)
+		}
+	}
+	for _, format := range []string{"", "table", "csv", "json", "JSON"} {
+		if err := CheckFormat(format); err != nil {
+			t.Errorf("CheckFormat(%q): %v", format, err)
+		}
+	}
+	if err := CheckFormat("xml"); err == nil || !strings.Contains(err.Error(), "table|csv|json") {
+		t.Errorf("CheckFormat(xml) = %v, want the known formats named", err)
+	}
 }
 
 func TestResultFormatting(t *testing.T) {
@@ -38,14 +97,14 @@ func TestLookup(t *testing.T) {
 			t.Fatalf("duplicate experiment id %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Run == nil || e.Title == "" {
+		if e.run == nil || e.Title == "" {
 			t.Fatalf("experiment %s incomplete", e.ID)
 		}
 	}
 }
 
 func TestTable1Static(t *testing.T) {
-	r := Table1(smallCfg())
+	r := run("table1", smallCfg())
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -61,7 +120,7 @@ func TestTable1Static(t *testing.T) {
 }
 
 func TestFig01ShowsInterferenceDrop(t *testing.T) {
-	r := Fig01(smallCfg())
+	r := run("fig1", smallCfg())
 	if len(r.Rows) != 30 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -71,7 +130,7 @@ func TestFig01ShowsInterferenceDrop(t *testing.T) {
 }
 
 func TestFig02ErrorsGrowWithDecimation(t *testing.T) {
-	r := Fig02(smallCfg())
+	r := run("fig2", smallCfg())
 	if len(r.Rows) < 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -90,14 +149,14 @@ func TestFig02ErrorsGrowWithDecimation(t *testing.T) {
 }
 
 func TestFig07EstimationAccuracy(t *testing.T) {
-	r := Fig07(smallCfg())
+	r := run("fig7", smallCfg())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 }
 
 func TestFig11DoFMonotone(t *testing.T) {
-	r := Fig11(smallCfg())
+	r := run("fig11", smallCfg())
 	// Within the NRMSE block (first 5 rows), DoF% must not decrease as
 	// bounds tighten.
 	var prev float64 = -1
@@ -114,7 +173,7 @@ func TestFig11DoFMonotone(t *testing.T) {
 }
 
 func TestAblationUnsorted(t *testing.T) {
-	r := AblationUnsortedBuckets(smallCfg())
+	r := run("ablation-sort", smallCfg())
 	for _, row := range r.Rows {
 		var inf float64
 		if _, err := fmtSscan(strings.TrimSuffix(row[3], "x"), &inf); err != nil {

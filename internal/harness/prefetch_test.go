@@ -24,7 +24,7 @@ func TestLookupErrSuggests(t *testing.T) {
 }
 
 func TestPrefetchBeatsCrossLayer(t *testing.T) {
-	r := Prefetch(smallCfg())
+	r := run("prefetch", smallCfg())
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 3 apps x 2 policies", len(r.Rows))
 	}

@@ -6,15 +6,13 @@ import (
 	"tango/internal/analytics"
 	"tango/internal/core"
 	"tango/internal/device"
-	"tango/internal/dftestim"
 	"tango/internal/refactor"
-	"tango/internal/runpool"
 	"tango/internal/synth"
 	"tango/internal/tensor"
 	"tango/internal/workload"
 )
 
-// ThrottleVsTango contrasts the QoS mechanism the file systems of Table I
+// throttleVsTango contrasts the QoS mechanism the file systems of Table I
 // offer — static administrator-set throttling of the interferers — with
 // Tango's cross-layer adaptation. On rotational media throttling
 // backfires: capping each checkpoint's rate stretches its write window,
@@ -22,8 +20,7 @@ import (
 // active streams (seek thrash), so the analytics gets slower even though
 // every individual interferer is "tamed". Tango needs no administrator
 // action and adapts at runtime (Motivations 1/2).
-func ThrottleVsTango(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func throttleVsTango(cfg Config) *Result {
 	r := &Result{
 		ID:     "throttle",
 		Title:  "Static throttling (Table I style) vs Tango (XGC, NRMSE 0.01)",
@@ -32,16 +29,25 @@ func ThrottleVsTango(cfg Config) *Result {
 	app := analytics.XGCApp()
 	h := appHierarchy(app, cfg, defaultOpts())
 
-	run := func(throttleBps float64, policy core.Policy) (float64, float64) {
+	type arm struct {
+		label       string
+		throttleBps float64
+		policy      core.Policy
+	}
+	addRows(r, []arm{
+		{"none (baseline)", 0, core.NoAdapt},
+		{"admin throttles noise to 10 MB/s each", 10 * device.MB, core.NoAdapt},
+		{"tango cross-layer (no admin action)", 0, core.CrossLayer},
+	}, func(a arm) []string {
 		scen := NewScenario("qos", 6)
-		if throttleBps > 0 {
+		if a.throttleBps > 0 {
 			for _, n := range workload.PaperNoiseSet() {
 				if c := scen.Node.Container(n.Name); c != nil {
-					c.Cgroup().SetWriteBpsLimit(throttleBps)
+					c.Cgroup().SetWriteBpsLimit(a.throttleBps)
 				}
 			}
 		}
-		sc := core.Config{Policy: policy, ErrorControl: true, Bound: 0.01, Priority: 10}
+		sc := core.Config{Policy: a.policy, ErrorControl: true, Bound: 0.01, Priority: 10}
 		sess := runOnScenario(scen, app.Name, h, cfg, sc)
 		var noiseBytes float64
 		for _, n := range workload.PaperNoiseSet() {
@@ -50,36 +56,19 @@ func ThrottleVsTango(cfg Config) *Result {
 			}
 		}
 		elapsed := scen.Node.Engine().Now()
-		return sess.Summary(cfg.SkipWarmup).MeanIO, noiseBytes / elapsed / device.MB
-	}
-
-	type res struct{ io, noise float64 }
-	submit := func(label string, throttleBps float64, policy core.Policy) *runpool.Task[res] {
-		return runpool.Submit("throttle/"+label, func() res {
-			io, n := run(throttleBps, policy)
-			return res{io, n}
-		})
-	}
-	t0 := submit("baseline", 0, core.NoAdapt)
-	t1 := submit("throttled", 10*device.MB, core.NoAdapt)
-	t2 := submit("tango", 0, core.CrossLayer)
-	v0 := t0.Wait()
-	r.Add("none (baseline)", fmtS(v0.io), fmt.Sprintf("%.1f", v0.noise))
-	v1 := t1.Wait()
-	r.Add("admin throttles noise to 10 MB/s each", fmtS(v1.io), fmt.Sprintf("%.1f", v1.noise))
-	v2 := t2.Wait()
-	r.Add("tango cross-layer (no admin action)", fmtS(v2.io), fmt.Sprintf("%.1f", v2.noise))
+		return []string{a.label, fmtS(sess.Summary(cfg.SkipWarmup).MeanIO),
+			fmt.Sprintf("%.1f", noiseBytes/elapsed/device.MB)}
+	})
 	r.Notef("Static throttling stretches each checkpoint's write window (1 GB at 10 MB/s holds the disk ~100 s), so interference becomes near-continuous and seek thrash collapses aggregate throughput — the analytics gets SLOWER. Tango improves the analytics without admin action and without taxing the checkpoints.")
 	return r
 }
 
-// RandomNoiseRobustness tests the §II claim that non-recurrent random
+// randomNoiseRobustness tests the §II claim that non-recurrent random
 // activity (compilation, shell commands) is low-impact and is filtered
 // out by DFT thresholding: adding an aperiodic writer barely moves the
 // thresholded estimator's accuracy, while an unthresholded fit chases the
 // noise.
-func RandomNoiseRobustness(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func randomNoiseRobustness(cfg Config) *Result {
 	r := &Result{
 		ID:     "random-noise",
 		Title:  "DFT thresholding filters aperiodic noise (XGC probe run)",
@@ -87,39 +76,17 @@ func RandomNoiseRobustness(cfg Config) *Result {
 	}
 	app := analytics.XGCApp()
 	h := appHierarchy(app, cfg, defaultOpts())
-
-	collect := func(withRandom bool) []float64 {
+	series := fanOut("random-noise", []bool{false, true}, func(withRandom bool) []float64 {
 		scen := NewScenario("rnd", 4)
 		if withRandom {
 			workload.RandomNoise(scen.Node, scen.HDD, "adhoc", 25, 8*device.MB, 64*device.MB, 77)
 		}
-		sess := runOnScenario(scen, app.Name, h, cfg, core.Config{Policy: core.NoAdapt, Steps: 60})
-		out := make([]float64, 0, 60)
-		for _, st := range sess.Stats() {
-			out = append(out, st.SlowBW)
-		}
-		return out
-	}
-
-	cleanT := runpool.Submit("random-noise/periodic-only", func() []float64 { return collect(false) })
-	noisyT := runpool.Submit("random-noise/with-aperiodic", func() []float64 { return collect(true) })
-	clean := cleanT.Wait()
-	noisy := noisyT.Wait()
-	mae := func(samples []float64, frac float64) float64 {
-		est := dftestim.NewEstimator()
-		est.ThreshFrac = frac
-		est.Window = 30
-		for _, bw := range samples[:30] {
-			est.Observe(bw)
-		}
-		if err := est.Fit(); err != nil {
-			panic(err)
-		}
-		return est.MeanAbsError(30, samples[30:])
-	}
+		return slowBW(runOnScenario(scen, app.Name, h, cfg, core.Config{Policy: core.NoAdapt, Steps: 60}))
+	})
+	clean, noisy := series[0], series[1]
 	for _, frac := range []float64{0, 0.5} {
-		mc := mae(clean, frac)
-		mn := mae(noisy, frac)
+		mc := holdoutMAE(clean, frac)
+		mn := holdoutMAE(noisy, frac)
 		r.Add(fmt.Sprintf("%.0f%%", frac*100), fmtMB(mc), fmtMB(mn),
 			fmt.Sprintf("+%.1f MB/s", (mn-mc)/device.MB))
 	}
@@ -127,14 +94,13 @@ func RandomNoiseRobustness(cfg Config) *Result {
 	return r
 }
 
-// AblationFIFO replaces the HDD's proportional-share scheduler with FIFO
+// ablationFIFO replaces the HDD's proportional-share scheduler with FIFO
 // head-of-line service. FIFO ignores cgroup weights entirely, so the
 // storage layer loses its control knob and cross-layer degenerates to
 // application-only adaptivity — why Tango presumes the "Ext4 with
 // cgroups" row of Table I (proportional-share semantics) as its
 // substrate.
-func AblationFIFO(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func ablationFIFO(cfg Config) *Result {
 	r := &Result{
 		ID:     "ablation-fifo",
 		Title:  "Ablation: FIFO removes the storage-layer knob (XGC, NRMSE 0.01, p=10)",
@@ -142,39 +108,36 @@ func AblationFIFO(cfg Config) *Result {
 	}
 	app := analytics.XGCApp()
 	h := appHierarchy(app, cfg, defaultOpts())
-	type pair struct {
-		sched          device.Scheduler
-		appOnly, cross *runpool.Task[float64]
+	type run struct {
+		sched  device.Scheduler
+		policy core.Policy
 	}
-	var pairs []pair
+	var runs []run
 	for _, sched := range []device.Scheduler{device.ProportionalShare, device.FIFO} {
-		run := func(policy core.Policy) *runpool.Task[float64] {
-			return runpool.Submit("ablation-fifo/"+sched.String()+"/"+policy.String(), func() float64 {
-				hdd := device.HDD("hdd")
-				hdd.Scheduler = sched
-				scen := newScenarioWithHDD("fifo", 6, hdd)
-				sc := core.Config{Policy: policy, ErrorControl: true, Bound: 0.01, Priority: 10}
-				return runOnScenario(scen, app.Name, h, cfg, sc).Summary(cfg.SkipWarmup).MeanIO
-			})
-		}
-		pairs = append(pairs, pair{sched, run(core.AppOnly), run(core.CrossLayer)})
+		runs = append(runs, run{sched, core.AppOnly}, run{sched, core.CrossLayer})
 	}
-	for _, p := range pairs {
-		appOnly, cross := p.appOnly.Wait(), p.cross.Wait()
-		r.Add(p.sched.String(), fmtS(appOnly), fmtS(cross),
+	means := fanOut("ablation-fifo", runs, func(v run) float64 {
+		hdd := device.HDD("hdd")
+		hdd.Scheduler = v.sched
+		scen := newScenarioWithHDD("fifo", 6, hdd)
+		sc := core.Config{Policy: v.policy, ErrorControl: true, Bound: 0.01, Priority: 10}
+		return runOnScenario(scen, app.Name, h, cfg, sc).Summary(cfg.SkipWarmup).MeanIO
+	})
+	for i := 0; i < len(means); i += 2 {
+		appOnly, cross := means[i], means[i+1]
+		r.Add(runs[i].sched.String(), fmtS(appOnly), fmtS(cross),
 			fmt.Sprintf("%.0f%%", 100*(1-cross/appOnly)))
 	}
 	r.Notef("Under FIFO the weight function has nothing to act on, so the cross-layer gain over application-only adaptivity collapses; proportional share is the substrate assumption.")
 	return r
 }
 
-// Tracking extends Fig 2's static accuracy story to blob DYNAMICS, the
+// tracking extends Fig 2's static accuracy story to blob DYNAMICS, the
 // physics the XGC analysis actually chases: blobs are tracked across a
 // short sequence of frames, on full data versus bound-controlled
 // reconstructions. The temporal statistics (track count, persistence,
 // convective speed) survive moderate bounds.
-func Tracking(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func tracking(cfg Config) *Result {
 	r := &Result{
 		ID:     "tracking",
 		Title:  "Blob tracking on reduced data (XGC sequence, 6 frames)",
@@ -188,31 +151,20 @@ func Tracking(cfg Config) *Result {
 	r.Add("full", fmt.Sprintf("%d", ref.Tracks), fmt.Sprintf("%.1f", ref.MeanLength),
 		fmt.Sprintf("%.2f", ref.MeanSpeed), "0.0000")
 
-	bounds := []float64{0.05, 0.1}
-	rows := make([]*runpool.Task[[]string], len(bounds))
-	for i, bound := range bounds {
-		rows[i] = runpool.Submit(fmt.Sprintf("tracking/nrmse%g", bound), func() []string {
-			var reduced []*tensor.Tensor
-			for _, f := range frames {
-				h, err := refactor.Decompose(f, refactor.Options{Levels: 3, Bounds: []float64{bound}})
-				if err != nil {
-					panic(err)
-				}
-				cur, err := h.CursorForBound(bound)
-				if err != nil {
-					panic(err)
-				}
-				reduced = append(reduced, h.Recompose(cur))
+	addRows(r, []float64{0.05, 0.1}, func(bound float64) []string {
+		var reduced []*tensor.Tensor
+		for _, f := range frames {
+			h, err := refactor.Decompose(f, refactor.Options{Levels: 3, Bounds: []float64{bound}})
+			if err != nil {
+				panic(err)
 			}
-			st := analytics.SummarizeTracks(analytics.TrackBlobs(reduced, o, 8), 2)
-			return []string{fmt.Sprintf("NRMSE %g", bound), fmt.Sprintf("%d", st.Tracks),
-				fmt.Sprintf("%.1f", st.MeanLength), fmt.Sprintf("%.2f", st.MeanSpeed),
-				fmt.Sprintf("%.4f", st.RelErrVs(ref))}
-		})
-	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
+			reduced = append(reduced, h.Recompose(rung(h, bound)))
+		}
+		st := analytics.SummarizeTracks(analytics.TrackBlobs(reduced, o, 8), 2)
+		return []string{fmt.Sprintf("NRMSE %g", bound), fmt.Sprintf("%d", st.Tracks),
+			fmt.Sprintf("%.1f", st.MeanLength), fmt.Sprintf("%.2f", st.MeanSpeed),
+			fmt.Sprintf("%.4f", st.RelErrVs(ref))}
+	})
 	r.Notef("Greedy nearest-centroid tracking, gate 8 cells/frame; blobs drift 1.5 cells/frame.")
 	return r
 }

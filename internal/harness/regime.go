@@ -11,13 +11,12 @@ import (
 	"tango/internal/workload"
 )
 
-// Regime tests the paper's claim that "when the interference pattern
+// regime tests the paper's claim that "when the interference pattern
 // changes, the estimation can be re-adjusted" (§III-C step 1): the run
 // starts with three interferers, and three more join mid-run. Prediction
 // error spikes in the window right after the change (the fitted model is
 // stale) and recovers after the next periodic refit.
-func Regime(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func regime(cfg Config) *Result {
 	r := &Result{
 		ID:     "regime",
 		Title:  "Estimator re-adjustment under an interference regime change (XGC)",

@@ -107,18 +107,28 @@ func WriteSuiteJSON(w io.Writer, results []*Result) error {
 	return enc.Encode(suite)
 }
 
+// CheckFormat reports whether Format knows the format name, so a CLI can
+// refuse a bad -format before running anything.
+func CheckFormat(format string) error {
+	switch strings.ToLower(format) {
+	case "", "table", "text", "csv", "json":
+		return nil
+	}
+	return fmt.Errorf("harness: unknown format %q (table|csv|json)", format)
+}
+
 // Format renders the result in the named format: "table" (default),
 // "csv", or "json".
 func (r *Result) Format(w io.Writer, format string) error {
 	switch strings.ToLower(format) {
-	case "", "table", "text":
-		_, err := io.WriteString(w, r.String())
-		return err
 	case "csv":
 		return r.WriteCSV(w)
 	case "json":
 		return r.WriteJSON(w)
-	default:
-		return fmt.Errorf("harness: unknown format %q (table|csv|json)", format)
 	}
+	if err := CheckFormat(format); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, r.String())
+	return err
 }

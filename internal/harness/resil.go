@@ -6,9 +6,6 @@ import (
 	"tango/internal/analytics"
 	"tango/internal/core"
 	"tango/internal/fault"
-	"tango/internal/resil"
-	"tango/internal/runpool"
-	"tango/internal/trace"
 )
 
 // MassFaultPlan is the resilience experiment's heavy schedule: a denser
@@ -16,7 +13,7 @@ import (
 // legs of a hedged read see faults and the retry budget is actually
 // contended. Deterministic in cfg.Seed like every generated plan.
 func MassFaultPlan(cfg Config) *fault.Plan {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	horizon := float64(cfg.Steps) * 60
 	hdd, err := fault.Generate(cfg.Seed, fault.GenerateOptions{
 		Horizon:     horizon,
@@ -39,7 +36,7 @@ func MassFaultPlan(cfg Config) *fault.Plan {
 	return &fault.Plan{Events: append(hdd.Events, ssd.Events...)}
 }
 
-// Resil compares fault recovery disciplines under identical fault plans:
+// resilExp compares fault recovery disciplines under identical fault plans:
 // the legacy ad-hoc retry loops (PR 2's recovery paths), the resilience
 // control plane (policy-keyed retries, retry budgets, circuit breakers),
 // and the control plane with forecast-driven hedged reads on top of the
@@ -47,94 +44,61 @@ func MassFaultPlan(cfg Config) *fault.Plan {
 // schedule that also faults the fast tier. The control plane must salvage
 // at least the ad-hoc throughput while bounding retry amplification
 // (attempts per operation) and never violating the prescribed bound.
-func Resil(cfg Config) *Result {
-	cfg = cfg.withDefaults()
+func resilExp(cfg Config) *Result {
 	r := &Result{
 		ID:    "resil",
 		Title: "Resilience control plane: ad-hoc vs policy-keyed vs hedged recovery",
 		Header: []string{"recovery", "plan", "mean I/O (s)", "mean BW MB/s", "retries",
 			"amp", "degraded", "bound viol", "breaker opens", "hedges", "unpaired"},
 	}
-	app := analytics.XGCApp()
-	h := appHierarchy(app, cfg, defaultOpts())
-	const bound = 0.01
-	mandatory, err := h.CursorForBound(bound)
-	if err != nil {
-		panic(err)
+	h := appHierarchy(analytics.XGCApp(), cfg, defaultOpts())
+	mandatory := rung(h, 0.01)
+	chaosPlan, massPlan := ChaosPlan(cfg), MassFaultPlan(cfg)
+	type arm struct {
+		name     string
+		pol      core.Policy
+		resil    bool
+		hedge    bool
+		planName string
+		plan     *fault.Plan
 	}
-	arms := []struct {
-		name  string
-		pol   core.Policy
-		resil bool
-		hedge bool
-	}{
+	var arms []arm
+	for _, a := range []arm{
 		// The hedged arm runs on the prefetch policy: hedging races the
 		// cache's fast-tier copy against the capacity tier, so it needs
 		// cached prefixes to exist.
-		{"ad-hoc", core.CrossLayer, false, false},
-		{"policy-keyed", core.CrossLayer, true, false},
-		{"hedged", core.CrossLayerPrefetch, true, true},
+		{name: "ad-hoc", pol: core.CrossLayer},
+		{name: "policy-keyed", pol: core.CrossLayer, resil: true},
+		{name: "hedged", pol: core.CrossLayerPrefetch, resil: true, hedge: true},
+	} {
+		a.planName, a.plan = "chaos", chaosPlan
+		arms = append(arms, a)
+		a.planName, a.plan = "mass", massPlan
+		arms = append(arms, a)
 	}
-	plans := []struct {
-		name string
-		plan *fault.Plan
-	}{
-		{"chaos", ChaosPlan(cfg)},
-		{"mass", MassFaultPlan(cfg)},
-	}
-	rows := make([]*runpool.Task[[]string], 0, len(arms)*len(plans))
-	for _, arm := range arms {
-		for _, pl := range plans {
-			arm, pl := arm, pl
-			rows = append(rows, runpool.Submit("resil/"+arm.name+"/"+pl.name, func() []string {
-				rec := trace.New(32768)
-				scen := NewScenario(fmt.Sprintf("resil-%s-%s", arm.name, pl.name), 3)
-				runCfg := cfg
-				runCfg.FaultPlan = pl.plan
-				sc := core.Config{
-					Policy: arm.pol, ErrorControl: true, Bound: bound, Priority: 10,
-					RefitEvery: 10, Trace: rec,
-				}
-				var rc *resil.Controller
-				if arm.resil {
-					rc = resil.New(scen.Node.Engine(), resil.Options{
-						Trace: rec,
-						Hedge: resil.HedgeConfig{Enabled: arm.hedge},
-					})
-					sc.Resil = rc
-				}
-				sess := runOnScenario(scen, chaosSession, h, runCfg, sc)
-				sum := sess.Summary(cfg.SkipWarmup)
-				viol := 0
-				stepRetries := 0
-				for _, st := range sess.Stats() {
-					stepRetries += st.Retries
-					if st.Cursor < mandatory {
-						viol++
-					}
-				}
-				unpaired := len(fault.Unpaired(rec.Events()))
-				retries, amp, degraded, opens, hedges := stepRetries, "-", "-", "-", "-"
-				if rc != nil {
-					tot := rc.Totals()
-					retries = tot.Retries
-					amp = fmt.Sprintf("%.3f", tot.Amplification())
-					degraded = fmt.Sprintf("%d", tot.Degraded)
-					opens = fmt.Sprintf("%d", tot.BreakerOpens)
-					hedges = fmt.Sprintf("%d", tot.Hedges)
-				}
-				return []string{arm.name, pl.name, fmtS(sum.MeanIO), fmtMB(sum.MeanBW),
-					fmt.Sprintf("%d", retries), amp, degraded,
-					fmt.Sprintf("%d", viol), opens, hedges,
-					fmt.Sprintf("%d", unpaired)}
-			}))
+	addRows(r, arms, func(a arm) []string {
+		run := runFaulted(fmt.Sprintf("resil-%s-%s", a.name, a.planName), h, cfg, a.plan, a.pol, a.resil, a.hedge)
+		sum := run.sess.Summary(cfg.SkipWarmup)
+		retries := 0
+		for _, st := range run.sess.Stats() {
+			retries += st.Retries
 		}
-	}
-	for _, t := range rows {
-		r.Add(t.Wait()...)
-	}
-	r.Notef("Identical plans per arm — chaos: %s", plans[0].plan)
-	r.Notef("mass adds SSD-tier faults: %s", plans[1].plan)
+		amp, degraded, opens, hedges := "-", "-", "-", "-"
+		if run.rc != nil {
+			tot := run.rc.Totals()
+			retries = tot.Retries
+			amp = fmt.Sprintf("%.3f", tot.Amplification())
+			degraded = fmt.Sprintf("%d", tot.Degraded)
+			opens = fmt.Sprintf("%d", tot.BreakerOpens)
+			hedges = fmt.Sprintf("%d", tot.Hedges)
+		}
+		return []string{a.name, a.planName, fmtS(sum.MeanIO), fmtMB(sum.MeanBW),
+			fmt.Sprintf("%d", retries), amp, degraded,
+			fmt.Sprintf("%d", boundViolations(run.sess.Stats(), mandatory)), opens, hedges,
+			fmt.Sprintf("%d", run.unpaired)}
+	})
+	r.Notef("Identical plans per arm — chaos: %s", chaosPlan)
+	r.Notef("mass adds SSD-tier faults: %s", massPlan)
 	r.Notef("Policy catalog: mandatory reads retry unbounded (budget-paced when dry), optional reads are deadlined at a minimum useful bandwidth and degrade, weight writes are breaker-gated per cgroup, hedged reads race the cache tier against the capacity tier during forecast-contended windows (see docs/resil.md).")
 	return r
 }

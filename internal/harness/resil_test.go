@@ -10,7 +10,7 @@ import "testing"
 // hedged arm actually races; and no injected fault is left without a
 // recorded recovery action.
 func TestResilControlPlaneRecovers(t *testing.T) {
-	r := Resil(smallCfg())
+	r := run("resil", smallCfg())
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 3 arms x 2 plans", len(r.Rows))
 	}

@@ -7,8 +7,10 @@ import (
 	"tango/internal/container"
 	"tango/internal/core"
 	"tango/internal/device"
+	"tango/internal/dftestim"
 	"tango/internal/fault"
 	"tango/internal/refactor"
+	"tango/internal/runpool"
 	"tango/internal/staging"
 	"tango/internal/trace"
 	"tango/internal/workload"
@@ -102,36 +104,146 @@ func (s *Scenario) Stage(h *refactor.Hierarchy, datasetMB float64) *staging.Stor
 	return st
 }
 
-// runOne stages h on a fresh scenario, runs a session to completion, and
-// returns it.
-func runOne(name string, nNoise int, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
-	scen := NewScenario(name, nNoise)
-	return runOnScenario(scen, name, h, cfg, sc)
-}
-
-func runOnScenario(scen *Scenario, name string, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
+// launch stages h on the scenario and starts one session over it; a zero
+// sc.Steps takes cfg.Steps. Every experiment's sessions start here.
+func (s *Scenario) launch(name string, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
 	if sc.Steps == 0 {
 		sc.Steps = cfg.Steps
 	}
+	sess, err := core.NewSession(name, s.Stage(h, cfg.DatasetMB), sc)
+	if err != nil {
+		panic(fmt.Sprintf("harness: session %s: %v", name, err))
+	}
+	if err := sess.Launch(s.Node); err != nil {
+		panic(err)
+	}
+	return sess
+}
+
+// runOne stages h on a fresh scenario, runs a session to completion, and
+// returns it.
+func runOne(name string, nNoise int, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
+	return runOnScenario(NewScenario(name, nNoise), name, h, cfg, sc)
+}
+
+func runOnScenario(scen *Scenario, name string, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
 	if cfg.FaultPlan != nil && scen.Injector == nil {
 		scen.ArmFaults(cfg.FaultPlan, sc.Trace)
 	}
 	if sc.Allocator != nil && sc.Trace != nil {
 		sc.Allocator.SetTrace(sc.Trace, scen.Node.Engine().Now)
 	}
-	sess, err := core.NewSession(name, scen.Stage(h, cfg.DatasetMB), sc)
-	if err != nil {
-		panic(fmt.Sprintf("harness: session %s: %v", name, err))
-	}
-	if err := sess.Launch(scen.Node); err != nil {
-		panic(err)
-	}
-	scen.run(sc.Steps, 3600)
-	if got := len(sess.Stats()); got != sc.Steps {
-		panic(fmt.Sprintf("harness: %s finished %d of %d steps", name, got, sc.Steps))
+	sess := scen.launch(name, h, cfg, sc)
+	steps := sess.Config.Steps
+	scen.run(steps, 3600)
+	if got := len(sess.Stats()); got != steps {
+		panic(fmt.Sprintf("harness: %s finished %d of %d steps", name, got, steps))
 	}
 	return sess
 }
+
+// sessionPair is the two-session scenario of the coexist, coordinated and
+// tokens experiments after it ran.
+type sessionPair struct{ interactive, batch *core.Session }
+
+// runPair launches an "interactive" and a "batch" cross-layer session at
+// NRMSE 0.01 over the same hierarchy, differing in priority only, and
+// runs the scenario to completion. sc carries what the two share.
+func (s *Scenario) runPair(h *refactor.Hierarchy, cfg Config, sc core.Config, pInteractive, pBatch float64) sessionPair {
+	sc.Policy, sc.ErrorControl, sc.Bound = core.CrossLayer, true, 0.01
+	var p sessionPair
+	sc.Priority = pInteractive
+	p.interactive = s.launch("interactive", h, cfg, sc)
+	sc.Priority = pBatch
+	p.batch = s.launch("batch", h, cfg, sc)
+	s.run(cfg.Steps, 3600)
+	return p
+}
+
+// row renders both mean I/O times and how much sooner the interactive
+// session finishes its steps.
+func (p sessionPair) row(label string, skip int) []string {
+	i, b := p.interactive.Summary(skip).MeanIO, p.batch.Summary(skip).MeanIO
+	return []string{label, fmtS(i), fmtS(b), fmt.Sprintf("%.0f%%", 100*(1-i/b))}
+}
+
+// rung is the cursor that satisfies bound on h's ladder; every bound the
+// experiments ask for is one the hierarchy was decomposed with.
+func rung(h *refactor.Hierarchy, bound float64) int {
+	cur, err := h.CursorForBound(bound)
+	if err != nil {
+		panic(err)
+	}
+	return cur
+}
+
+// measured is the session's steps after the warm-up.
+func measured(sess *core.Session, skip int) []core.StepStats {
+	st := sess.Stats()
+	return st[min(skip, len(st)):]
+}
+
+// boundViolations counts the steps whose retrieval stopped short of the
+// mandatory cursor (the prescribed bound's rung).
+func boundViolations(steps []core.StepStats, mandatory int) int {
+	viol := 0
+	for _, st := range steps {
+		if st.Cursor < mandatory {
+			viol++
+		}
+	}
+	return viol
+}
+
+// slowBW is the per-step capacity-tier bandwidth sample series of a
+// finished session.
+func slowBW(sess *core.Session) []float64 {
+	out := make([]float64, 0, len(sess.Stats()))
+	for _, st := range sess.Stats() {
+		out = append(out, st.SlowBW)
+	}
+	return out
+}
+
+// holdoutMAE trains a DFT estimator (amplitude threshold frac) on the
+// first 30 samples and returns its mean absolute error predicting the
+// rest — the paper's Fig 7 protocol.
+func holdoutMAE(samples []float64, frac float64) float64 {
+	est := dftestim.NewEstimator()
+	est.ThreshFrac = frac
+	est.Window = 30
+	for _, bw := range samples[:30] {
+		est.Observe(bw)
+	}
+	if err := est.Fit(); err != nil {
+		panic(err)
+	}
+	return est.MeanAbsError(30, samples[30:])
+}
+
+// fanOut runs f over items as parallel pool jobs (labelled name/index)
+// and returns the results in item order, whatever order they finish in.
+func fanOut[T, R any](name string, items []T, f func(T) R) []R {
+	tasks := make([]*runpool.Task[R], len(items))
+	for i, it := range items {
+		tasks[i] = runpool.Submit(fmt.Sprintf("%s/%d", name, i), func() R { return f(it) })
+	}
+	out := make([]R, len(items))
+	for i, t := range tasks {
+		out[i] = t.Wait()
+	}
+	return out
+}
+
+// addRows appends one row per item, each computed as a parallel pool job.
+func addRows[T any](r *Result, items []T, row func(T) []string) {
+	for _, cells := range fanOut(r.ID, items, row) {
+		r.Add(cells...)
+	}
+}
+
+// ioCell renders a summary's I/O time as the figures' mean±std cell.
+func ioCell(s core.Summary) string { return fmtS(s.MeanIO) + "±" + fmtS(s.StdIO) }
 
 // defaultOpts is the decomposition used by the performance experiments:
 // the paper's default decimation ratio of 16 (two augmentation levels in

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"strconv"
 	"strings"
@@ -29,52 +28,9 @@ func runDeterTaint(prog *Program, cfg *config, report progReportFunc) {
 	g := prog.Graph()
 
 	// Local sources per node.
-	type srcInfo struct {
-		pos      token.Pos
-		desc     string
-		isSelect bool
-	}
-	sources := map[*FuncNode][]srcInfo{}
+	sources := map[*FuncNode][]nondetSource{}
 	for _, n := range g.Nodes {
-		if n.Decl.Body == nil {
-			continue
-		}
-		var ss []srcInfo
-		info := n.Pkg.Info
-		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-			switch e := m.(type) {
-			case *ast.CallExpr:
-				sel, ok := e.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				path, ok := importedPkgPath(info, sel.X)
-				if !ok {
-					return true
-				}
-				switch {
-				case path == "time" && wallClockFuncs[sel.Sel.Name]:
-					ss = append(ss, srcInfo{pos: e.Pos(), desc: "reads the wall clock via time." + sel.Sel.Name})
-				case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[sel.Sel.Name]:
-					ss = append(ss, srcInfo{pos: e.Pos(), desc: "draws from global math/rand state via rand." + sel.Sel.Name})
-				}
-			case *ast.SelectStmt:
-				comm := 0
-				for _, c := range e.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-						comm++
-					}
-				}
-				if comm >= 2 {
-					ss = append(ss, srcInfo{pos: e.Pos(), desc: "selects across multiple channels (ready-case choice is nondeterministic)", isSelect: true})
-				}
-			}
-			return true
-		})
-		for _, leak := range mapOrderLeaks(n.Pkg, n.Decl) {
-			ss = append(ss, srcInfo{pos: leak.pos, desc: "leaks map iteration order (range over " + leak.mapExpr + ")"})
-		}
-		if len(ss) > 0 {
+		if ss := nondetSources(n.Pkg, n.Decl); len(ss) > 0 {
 			sources[n] = ss
 		}
 	}
@@ -124,7 +80,7 @@ func runDeterTaint(prog *Program, cfg *config, report progReportFunc) {
 			cur = h.next
 		}
 		s := sources[cur][0]
-		return witness, s.desc, s.pos
+		return witness, s.taint(), s.pos
 	}
 
 	for _, n := range g.Nodes {
@@ -133,9 +89,9 @@ func runDeterTaint(prog *Program, cfg *config, report progReportFunc) {
 		}
 		// Multi-way selects directly in sim-driven code.
 		for _, s := range sources[n] {
-			if s.isSelect {
+			if s.kind == "select" {
 				report(s.pos, []string{n.DisplayName()},
-					"%s in sim-driven package %q; drain channels in a fixed order or add a deterministic arbiter", s.desc, n.Pkg.Name)
+					"%s in sim-driven package %q; drain channels in a fixed order or add a deterministic arbiter", s.taint(), n.Pkg.Name)
 			}
 		}
 		// Frontier edges into tainted functions outside the sim set.

@@ -80,23 +80,29 @@ var DefaultParPackages = []string{
 	"fleet", "objstore", "tokenctl",
 }
 
-type reportFunc func(pos token.Pos, format string, args ...any)
+// reportFunc reports a finding of a package-at-a-time analyzer;
+// progReportFunc adds the witness chain the interprocedural ones attach.
+type (
+	reportFunc     func(pos token.Pos, format string, args ...any)
+	progReportFunc func(pos token.Pos, witness []string, format string, args ...any)
+)
 
+// analyzer is one named check. Every analyzer runs once over the whole
+// loaded program (all packages plus the shared call graph, see
+// callgraph.go); perPackage adapts the ones that scan a package at a
+// time.
 type analyzer struct {
 	name string
 	doc  string
-	run  func(p *Package, cfg *config, report reportFunc)
+	run  func(prog *Program, cfg *config, report progReportFunc)
 }
 
-// progReportFunc reports a whole-program finding with its witness chain.
-type progReportFunc func(pos token.Pos, witness []string, format string, args ...any)
-
-// programAnalyzer runs once over the whole loaded program (all packages
-// plus the shared call graph), rather than per package.
-type programAnalyzer struct {
-	name string
-	doc  string
-	run  func(prog *Program, cfg *config, report progReportFunc)
+func perPackage(run func(p *Package, cfg *config, report reportFunc)) func(*Program, *config, progReportFunc) {
+	return func(prog *Program, cfg *config, report progReportFunc) {
+		for _, p := range prog.Pkgs {
+			run(p, cfg, func(pos token.Pos, format string, args ...any) { report(pos, nil, format, args...) })
+		}
+	}
 }
 
 // config is the resolved per-run analyzer configuration.
@@ -110,30 +116,23 @@ func analyzers() []*analyzer {
 		{
 			name: "simdeterminism",
 			doc:  "forbid wall-clock time, global math/rand, and map-order-dependent emission in sim-driven packages",
-			run:  runSimDeterminism,
+			run:  perPackage(runSimDeterminism),
 		},
 		{
 			name: "locksafety",
 			doc:  "forbid copied mutexes, unbalanced Lock/Unlock, and unguarded access to `// guarded by <mu>` fields",
-			run:  runLockSafety,
+			run:  perPackage(runLockSafety),
 		},
 		{
 			name: "errdiscard",
 			doc:  "forbid silently discarded error returns in internal packages",
-			run:  runErrDiscard,
+			run:  perPackage(runErrDiscard),
 		},
 		{
 			name: "parhygiene",
 			doc:  "forbid goroutine closures capturing loop variables or writing shared state unsynchronized",
-			run:  runParHygiene,
+			run:  perPackage(runParHygiene),
 		},
-	}
-}
-
-// programAnalyzers lists the interprocedural analyzers that run over the
-// whole program (see callgraph.go).
-func programAnalyzers() []*programAnalyzer {
-	return []*programAnalyzer{
 		{
 			name: "detertaint",
 			doc:  "propagate nondeterminism taint (wall clock, global rand, map order, multi-way select) through the call graph into sim-driven packages",
@@ -158,9 +157,6 @@ func AnalyzerNames() []string {
 	for _, a := range analyzers() {
 		names = append(names, a.name)
 	}
-	for _, a := range programAnalyzers() {
-		names = append(names, a.name)
-	}
 	return names
 }
 
@@ -171,15 +167,10 @@ func AnalyzerDoc(name string) string {
 			return a.doc
 		}
 	}
-	for _, a := range programAnalyzers() {
-		if a.name == name {
-			return a.doc
-		}
-	}
 	return ""
 }
 
-func (o *Options) resolved() (*config, []*analyzer, []*programAnalyzer, error) {
+func (o *Options) resolved() (*config, []*analyzer, error) {
 	sim := o.SimPackages
 	if sim == nil {
 		sim = DefaultSimPackages
@@ -196,41 +187,30 @@ func (o *Options) resolved() (*config, []*analyzer, []*programAnalyzer, error) {
 		cfg.parPackages[n] = true
 	}
 	all := analyzers()
-	allProg := programAnalyzers()
 	if len(o.Analyzers) == 0 {
-		return cfg, all, allProg, nil
+		return cfg, all, nil
 	}
 	byName := map[string]*analyzer{}
 	for _, a := range all {
 		byName[a.name] = a
 	}
-	progByName := map[string]*programAnalyzer{}
-	for _, a := range allProg {
-		progByName[a.name] = a
-	}
 	var sel []*analyzer
-	var selProg []*programAnalyzer
 	for _, n := range o.Analyzers {
-		if a, ok := byName[n]; ok {
-			sel = append(sel, a)
-			continue
+		a, ok := byName[n]
+		if !ok {
+			return nil, nil, fmt.Errorf("lint: unknown analyzer %q (have %s)", n, strings.Join(AnalyzerNames(), ", "))
 		}
-		if a, ok := progByName[n]; ok {
-			selProg = append(selProg, a)
-			continue
-		}
-		return nil, nil, nil, fmt.Errorf("lint: unknown analyzer %q (have %s)", n, strings.Join(AnalyzerNames(), ", "))
+		sel = append(sel, a)
 	}
-	return cfg, sel, selProg, nil
+	return cfg, sel, nil
 }
 
 // Run loads the module at opts.Root and applies the analyzers, returning
-// unsuppressed findings sorted by position. Per-package analyzers run
-// over the selected packages; interprocedural analyzers always see the
-// whole program (cross-package evidence), with their findings filtered
-// to the selected directories afterwards.
+// unsuppressed findings sorted by position. Every analyzer sees the whole
+// program (the interprocedural ones need cross-package evidence); the
+// findings are filtered to the selected directories afterwards.
 func Run(opts Options) ([]Finding, error) {
-	cfg, sel, selProg, err := opts.resolved()
+	cfg, sel, err := opts.resolved()
 	if err != nil {
 		return nil, err
 	}
@@ -238,43 +218,24 @@ func Run(opts Options) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
-	var findings []Finding
+	byDir := map[string]*Package{}
 	for _, p := range pkgs {
-		if !dirSelected(p.RelDir, opts.Dirs) {
+		byDir[p.Dir] = p
+	}
+	var findings []Finding
+	for _, f := range analyze(NewProgram(pkgs), cfg, sel) {
+		if p, ok := byDir[filepath.Dir(f.Pos.Filename)]; ok && !dirSelected(p.RelDir, opts.Dirs) {
 			continue
 		}
-		findings = append(findings, analyzePackage(p, cfg, sel)...)
-	}
-	if len(selProg) > 0 {
-		prog := NewProgram(pkgs)
-		byDir := map[string]*Package{}
-		for _, p := range pkgs {
-			byDir[p.Dir] = p
-		}
-		for _, f := range analyzeProgram(prog, cfg, selProg) {
-			if p, ok := byDir[filepath.Dir(f.Pos.Filename)]; ok && !dirSelected(p.RelDir, opts.Dirs) {
-				continue
-			}
-			findings = append(findings, f)
-		}
+		findings = append(findings, f)
 	}
 	sortFindings(findings)
 	return findings, nil
 }
 
-// CheckFixtureDir analyzes one standalone directory as a package with
-// the given synthetic import path (fixture corpora live outside the
-// module build graph, under testdata/).
-func CheckFixtureDir(dir, importPath string, opts Options) ([]Finding, *Package, error) {
-	findings, pkgs, err := CheckFixtureProgram([]FixtureDir{{Dir: dir, ImportPath: importPath}}, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return findings, pkgs[0], nil
-}
-
 // FixtureDir names one fixture directory and the synthetic import path it
-// is loaded under.
+// is loaded under (fixture corpora live outside the module build graph,
+// under testdata/).
 type FixtureDir struct {
 	Dir        string
 	ImportPath string
@@ -282,11 +243,10 @@ type FixtureDir struct {
 
 // CheckFixtureProgram loads several standalone directories as one
 // program, in order (later directories may import earlier ones by their
-// synthetic paths), and applies both the per-package and the
-// interprocedural analyzers. Fixture corpora for the call-graph
-// analyzers use this to seed cross-package chains.
+// synthetic paths), and applies the analyzers. Fixture corpora for the
+// call-graph analyzers use this to seed cross-package chains.
 func CheckFixtureProgram(dirs []FixtureDir, opts Options) ([]Finding, []*Package, error) {
-	cfg, sel, selProg, err := opts.resolved()
+	cfg, sel, err := opts.resolved()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -294,20 +254,14 @@ func CheckFixtureProgram(dirs []FixtureDir, opts Options) ([]Finding, []*Package
 	if err != nil {
 		return nil, nil, err
 	}
-	var findings []Finding
-	for _, p := range pkgs {
-		findings = append(findings, analyzePackage(p, cfg, sel)...)
-	}
-	if len(selProg) > 0 {
-		findings = append(findings, analyzeProgram(NewProgram(pkgs), cfg, selProg)...)
-	}
+	findings := analyze(NewProgram(pkgs), cfg, sel)
 	sortFindings(findings)
 	return findings, pkgs, nil
 }
 
-// analyzeProgram runs the interprocedural analyzers over the whole
-// program, applying //lint:ignore suppressions from every package.
-func analyzeProgram(prog *Program, cfg *config, sel []*programAnalyzer) []Finding {
+// analyze runs the analyzers over the program, applying //lint:ignore
+// suppressions from every package.
+func analyze(prog *Program, cfg *config, sel []*analyzer) []Finding {
 	sup := suppressions{}
 	for _, p := range prog.Pkgs {
 		for file, byLine := range collectSuppressions(p) {
@@ -345,27 +299,6 @@ func dirSelected(relDir string, dirs []string) bool {
 		}
 	}
 	return false
-}
-
-func analyzePackage(p *Package, cfg *config, sel []*analyzer) []Finding {
-	sup := collectSuppressions(p)
-	var findings []Finding
-	for _, a := range sel {
-		a := a
-		report := func(pos token.Pos, format string, args ...any) {
-			position := p.Fset.Position(pos)
-			if sup.suppressed(a.name, position) {
-				return
-			}
-			findings = append(findings, Finding{
-				Pos:      position,
-				Analyzer: a.name,
-				Message:  fmt.Sprintf(format, args...),
-			})
-		}
-		a.run(p, cfg, report)
-	}
-	return findings
 }
 
 func sortFindings(fs []Finding) {

@@ -79,12 +79,12 @@ func TestFixtures(t *testing.T) {
 				SimPackages: append(append([]string{}, DefaultSimPackages...), "simdet"),
 				ParPackages: append(append([]string{}, DefaultParPackages...), "parfix"),
 			}
-			findings, pkg, err := CheckFixtureDir(dir, "tango/internal/fixture/"+tc.dir, opts)
+			findings, pkgs, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/" + tc.dir}}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pkg.TypeErrs) > 0 {
-				t.Fatalf("fixture does not type-check: %v", pkg.TypeErrs)
+			if len(pkgs[0].TypeErrs) > 0 {
+				t.Fatalf("fixture does not type-check: %v", pkgs[0].TypeErrs)
 			}
 			wants := parseWants(t, dir)
 			if len(wants) < 2 {
@@ -125,38 +125,54 @@ func matchWants(t *testing.T, findings []Finding, wants []*wantLine) {
 	}
 }
 
-// TestDeterTaintFixture loads the tickutil helper and the detfix sim
-// package as one program, so the taint chain crosses a package boundary
-// exactly the way a real helper package would smuggle a wall-clock read
-// past the per-package scan. Every finding must carry a non-empty
-// witness chain.
+// TestDeterTaintFixture loads the tickutil helper and a sim package as
+// one program, so the taint chain crosses a package boundary exactly the
+// way a real helper package would smuggle a wall-clock read past the
+// per-package scan. Every detertaint finding must carry a non-empty
+// witness chain. The bothfix case runs both determinism analyzers over a
+// function that holds a local source and a frontier call: matchWants
+// holds them to one finding each, so the recogniser they share reports
+// nothing twice.
 func TestDeterTaintFixture(t *testing.T) {
-	dirs := []FixtureDir{
-		{Dir: filepath.Join("testdata", "src", "tickutil"), ImportPath: "tango/internal/fixture/tickutil"},
-		{Dir: filepath.Join("testdata", "src", "detfix"), ImportPath: "tango/internal/fixture/detfix"},
-	}
-	opts := Options{
-		Analyzers:   []string{"detertaint"},
-		SimPackages: append(append([]string{}, DefaultSimPackages...), "detfix"),
-	}
-	findings, pkgs, err := CheckFixtureProgram(dirs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pkgs {
-		if len(p.TypeErrs) > 0 {
-			t.Fatalf("fixture %s does not type-check: %v", p.Path, p.TypeErrs)
-		}
-	}
-	var wants []*wantLine
-	for _, d := range dirs {
-		wants = append(wants, parseWants(t, d.Dir)...)
-	}
-	matchWants(t, findings, wants)
-	for _, f := range findings {
-		if len(f.Witness) == 0 {
-			t.Errorf("detertaint finding without witness: %s", f)
-		}
+	for _, tc := range []struct {
+		dir       string
+		analyzers []string
+	}{
+		{"detfix", []string{"detertaint"}},
+		{"bothfix", []string{"simdeterminism", "detertaint"}},
+	} {
+		t.Run(tc.dir, func(t *testing.T) {
+			dirs := []FixtureDir{
+				{Dir: filepath.Join("testdata", "src", "tickutil"), ImportPath: "tango/internal/fixture/tickutil"},
+				{Dir: filepath.Join("testdata", "src", tc.dir), ImportPath: "tango/internal/fixture/" + tc.dir},
+			}
+			opts := Options{
+				Analyzers:   tc.analyzers,
+				SimPackages: append(append([]string{}, DefaultSimPackages...), tc.dir),
+			}
+			findings, pkgs, err := CheckFixtureProgram(dirs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pkgs {
+				if len(p.TypeErrs) > 0 {
+					t.Fatalf("fixture %s does not type-check: %v", p.Path, p.TypeErrs)
+				}
+			}
+			var wants []*wantLine
+			for _, d := range dirs {
+				wants = append(wants, parseWants(t, d.Dir)...)
+			}
+			if len(wants) != 2 {
+				t.Fatalf("fixture %s seeds %d violations, want 2", tc.dir, len(wants))
+			}
+			matchWants(t, findings, wants)
+			for _, f := range findings {
+				if f.Analyzer == "detertaint" && len(f.Witness) == 0 {
+					t.Errorf("detertaint finding without witness: %s", f)
+				}
+			}
+		})
 	}
 }
 
@@ -165,7 +181,7 @@ func TestDeterTaintFixture(t *testing.T) {
 // name the whole chain from the annotated root.
 func TestHotpathWitness(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "hotfix")
-	findings, _, err := CheckFixtureDir(dir, "tango/internal/fixture/hotfix", Options{Analyzers: []string{"hotpath"}})
+	findings, _, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/hotfix"}}, Options{Analyzers: []string{"hotpath"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +228,7 @@ func f() int64 {
 		Analyzers:   []string{"simdeterminism"},
 		SimPackages: []string{"simdet"},
 	}
-	findings, _, err := CheckFixtureDir(dir, "tango/internal/fixture/noreason", opts)
+	findings, _, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/noreason"}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,28 +147,51 @@ func namedTypeDisplay(t types.Type) string {
 	return obj.Pkg().Name() + "." + obj.Name()
 }
 
-// lockOpOf classifies call as a sync.Mutex/RWMutex operation, returning
-// the receiver expression, whether it locks (vs unlocks), and ok.
-func lockOpOf(p *Package, call *ast.CallExpr) (recv ast.Expr, lock bool, ok bool) {
+// lockOp is one sync.Mutex/RWMutex method call: the single recogniser
+// locksafety's intraprocedural scanner and lockorder's held-set walk both
+// read lock operations through.
+type lockOp struct {
+	recv ast.Expr
+	lock bool // acquires (Lock, RLock, TryLock, TryRLock) rather than releases
+	read bool // the RWMutex read side (RLock, TryRLock, RUnlock)
+	try  bool // TryLock/TryRLock: the acquisition may fail
+}
+
+// key names the mutex instance and mode: a read hold and a write hold of
+// one RWMutex are tracked apart.
+func (o lockOp) key() string {
+	if o.read {
+		return exprText(o.recv) + ":r"
+	}
+	return exprText(o.recv)
+}
+
+// lockOpOf classifies call, reporting false for anything but the six
+// lock methods of sync.Mutex and sync.RWMutex.
+func lockOpOf(p *Package, call *ast.CallExpr) (lockOp, bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
-		return nil, false, false
+		return lockOp{}, false
 	}
 	fn, isFn := p.Info.Uses[sel.Sel].(*types.Func)
 	if !isFn {
-		return nil, false, false
+		return lockOp{}, false
 	}
 	full := fn.FullName()
 	if !strings.HasPrefix(full, "(*sync.Mutex).") && !strings.HasPrefix(full, "(*sync.RWMutex).") {
-		return nil, false, false
+		return lockOp{}, false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		return sel.X, true, true
-	case "Unlock", "RUnlock":
-		return sel.X, false, true
+	case "Lock", "TryLock":
+		return lockOp{recv: sel.X, lock: true, try: sel.Sel.Name == "TryLock"}, true
+	case "RLock", "TryRLock":
+		return lockOp{recv: sel.X, lock: true, read: true, try: sel.Sel.Name == "TryRLock"}, true
+	case "Unlock":
+		return lockOp{recv: sel.X}, true
+	case "RUnlock":
+		return lockOp{recv: sel.X, read: true}, true
 	}
-	return nil, false, false
+	return lockOp{}, false
 }
 
 func (lo *lockOrder) collectLocal(n *FuncNode) {
@@ -177,11 +200,11 @@ func (lo *lockOrder) collectLocal(n *FuncNode) {
 		if !ok {
 			return true
 		}
-		recv, lock, ok := lockOpOf(n.Pkg, call)
-		if !ok || !lock {
+		op, ok := lockOpOf(n.Pkg, call)
+		if !ok || !op.lock {
 			return true
 		}
-		if class := lockClass(n.Pkg, recv); class != "" {
+		if class := lockClass(n.Pkg, op.recv); class != "" {
 			lo.acq[n] = append(lo.acq[n], localAcq{class: class, pos: call.Pos()})
 		}
 		return true
@@ -276,7 +299,7 @@ func (lo *lockOrder) walkHeld(n *FuncNode) {
 		ast.Inspect(body, func(m ast.Node) bool {
 			switch s := m.(type) {
 			case *ast.DeferStmt:
-				if _, lock, ok := lockOpOf(n.Pkg, s.Call); ok && !lock {
+				if op, ok := lockOpOf(n.Pkg, s.Call); ok && !op.lock {
 					// Deferred unlock: the lock stays held to the end of
 					// the function, which the walk models by never
 					// popping it. Nothing to do at the defer site.
@@ -307,10 +330,10 @@ func (lo *lockOrder) walkHeld(n *FuncNode) {
 				contexts = append(contexts, s.Body)
 				return false
 			case *ast.CallExpr:
-				if recv, lock, ok := lockOpOf(n.Pkg, s); ok {
-					inst := exprText(recv)
-					if lock {
-						class := lockClass(n.Pkg, recv)
+				if op, ok := lockOpOf(n.Pkg, s); ok {
+					inst := exprText(op.recv)
+					if op.lock {
+						class := lockClass(n.Pkg, op.recv)
 						if class != "" {
 							for _, h := range *held {
 								lo.addEdge(h.class, class, s.Pos(), n, nil)

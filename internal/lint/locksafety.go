@@ -262,35 +262,6 @@ func (sc *lockScanner) flush() {
 	}
 }
 
-// lockOp classifies a call as a sync lock operation on a receiver key.
-// The key encodes the receiver expression and read/write mode.
-func (sc *lockScanner) lockOp(call *ast.CallExpr) (key, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	fn, isFn := sc.p.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn {
-		return "", "", false
-	}
-	full := fn.FullName()
-	if !strings.HasPrefix(full, "(*sync.Mutex).") && !strings.HasPrefix(full, "(*sync.RWMutex).") {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	key = exprText(sel.X)
-	if name == "RLock" || name == "RUnlock" {
-		key += ":r"
-	}
-	switch name {
-	case "Lock", "RLock":
-		return key, "lock", true
-	case "Unlock", "RUnlock":
-		return key, "unlock", true
-	}
-	return "", "", false
-}
-
 // scanStmts walks a statement list updating st; reports guard misuse and
 // records Lock() leaks. Returns true if every path through the list
 // terminates (return/panic).
@@ -307,12 +278,13 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if key, op, ok := sc.lockOp(call); ok {
-				if op == "lock" {
-					st.held[key] = call.Pos()
+			// A Try(R)Lock may not acquire, so it claims nothing here.
+			if op, ok := lockOpOf(sc.p, call); ok && !op.try {
+				if op.lock {
+					st.held[op.key()] = call.Pos()
 				} else {
-					delete(st.held, key)
-					delete(st.deferred, key)
+					delete(st.held, op.key())
+					delete(st.deferred, op.key())
 				}
 				return false
 			}
@@ -323,8 +295,8 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 		}
 		sc.visitExprs(s, st)
 	case *ast.DeferStmt:
-		if key, op, ok := sc.lockOp(s.Call); ok && op == "unlock" {
-			st.deferred[key] = true
+		if op, ok := lockOpOf(sc.p, s.Call); ok && !op.lock {
+			st.deferred[op.key()] = true
 			return false
 		}
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
@@ -332,8 +304,8 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 			// unlock for each mutex it releases.
 			ast.Inspect(fl.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if key, op, ok := sc.lockOp(call); ok && op == "unlock" {
-						st.deferred[key] = true
+					if op, ok := lockOpOf(sc.p, call); ok && !op.lock {
+						st.deferred[op.key()] = true
 					}
 				}
 				return true

@@ -25,21 +25,41 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// runSimDeterminism enforces the determinism contract in sim-driven
-// packages: no wall-clock reads, no global math/rand state, and no map
-// iteration order flowing into appended/emitted results without an
-// intervening sort.
-func runSimDeterminism(p *Package, cfg *config, report reportFunc) {
-	if !cfg.simPackages[p.Name] {
-		return
+// nondetSource is one place a declaration observes something the seed
+// does not fix. It is the single recogniser both determinism analyzers
+// report from: simdeterminism names each source written in a sim-driven
+// package, detertaint propagates them through the call graph.
+type nondetSource struct {
+	pos    token.Pos
+	kind   string // "clock", "rand", "select", or an order leak: "send", "append"
+	name   string // the time/rand function, or the ranged map expression
+	target string // the appended slice ("append" only)
+}
+
+// taint describes the source as detertaint's witness chains end on it.
+func (s nondetSource) taint() string {
+	switch s.kind {
+	case "clock":
+		return "reads the wall clock via time." + s.name
+	case "rand":
+		return "draws from global math/rand state via rand." + s.name
+	case "select":
+		return "selects across multiple channels (ready-case choice is nondeterministic)"
 	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
+	return "leaks map iteration order (range over " + s.name + ")"
+}
+
+// nondetSources lists the sources written directly in one top-level
+// declaration: wall-clock and global math/rand calls and selects over
+// two or more channels in source order (a package-level initialiser can
+// hold the first two), then — for a function — the range-over-map loops
+// whose iteration order escapes.
+func nondetSources(p *Package, decl ast.Decl) []nondetSource {
+	var ss []nondetSource
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := e.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
@@ -49,56 +69,63 @@ func runSimDeterminism(p *Package, cfg *config, report reportFunc) {
 			}
 			switch {
 			case path == "time" && wallClockFuncs[sel.Sel.Name]:
-				report(call.Pos(), "wall-clock call time.%s in sim-driven package %q; use the engine's virtual clock", sel.Sel.Name, p.Name)
+				ss = append(ss, nondetSource{pos: e.Pos(), kind: "clock", name: sel.Sel.Name})
 			case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[sel.Sel.Name]:
-				report(call.Pos(), "global math/rand call rand.%s in sim-driven package %q; thread an explicit *rand.Rand seeded from the config", sel.Sel.Name, p.Name)
+				ss = append(ss, nondetSource{pos: e.Pos(), kind: "rand", name: sel.Sel.Name})
 			}
-			return true
-		})
+		case *ast.SelectStmt:
+			comm := 0
+			for _, c := range e.Body.List {
+				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+					comm++
+				}
+			}
+			if comm >= 2 {
+				ss = append(ss, nondetSource{pos: e.Pos(), kind: "select"})
+			}
+		}
+		return true
+	})
+	if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+		ss = append(ss, mapOrderLeaks(p, fd)...)
 	}
+	return ss
+}
 
+// runSimDeterminism enforces the determinism contract in sim-driven
+// packages: no wall-clock reads, no global math/rand state, and no map
+// iteration order flowing into appended/emitted results without an
+// intervening sort. (A multi-way select is detertaint's to report.)
+func runSimDeterminism(p *Package, cfg *config, report reportFunc) {
+	if !cfg.simPackages[p.Name] {
+		return
+	}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			for _, s := range nondetSources(p, decl) {
+				switch s.kind {
+				case "clock":
+					report(s.pos, "wall-clock call time.%s in sim-driven package %q; use the engine's virtual clock", s.name, p.Name)
+				case "rand":
+					report(s.pos, "global math/rand call rand.%s in sim-driven package %q; thread an explicit *rand.Rand seeded from the config", s.name, p.Name)
+				case "send":
+					report(s.pos, "channel send inside range over map %s leaks iteration order; collect and sort first", s.name)
+				case "append":
+					report(s.pos, "range over map %s appends to %s in iteration order with no later sort; sort keys first or sort %s after the loop", s.name, s.target, s.target)
+				}
 			}
-			checkMapRangeOrder(p, fd, report)
 		}
 	}
 }
 
-// mapLeak is one range-over-map loop whose iteration order escapes the
-// loop. Shared between simdeterminism (which reports it directly in
-// sim-driven packages) and detertaint (which treats it as a taint source
-// anywhere in the program).
-type mapLeak struct {
-	pos     token.Pos
-	kind    string // "send" or "append"
-	mapExpr string
-	target  string // appended slice name (append leaks only)
-}
-
-// checkMapRangeOrder flags range-over-map loops whose iteration order
-// escapes: appends to a slice declared outside the loop, or sends on a
-// channel declared outside the loop, with no later sort of that slice in
-// the same function. Order-insensitive folds (counting, summing, max)
-// pass untouched.
-func checkMapRangeOrder(p *Package, fd *ast.FuncDecl, report reportFunc) {
-	for _, leak := range mapOrderLeaks(p, fd) {
-		switch leak.kind {
-		case "send":
-			report(leak.pos, "channel send inside range over map %s leaks iteration order; collect and sort first", leak.mapExpr)
-		case "append":
-			report(leak.pos, "range over map %s appends to %s in iteration order with no later sort; sort keys first or sort %s after the loop", leak.mapExpr, leak.target, leak.target)
-		}
-	}
-}
-
-// mapOrderLeaks collects the order-escaping map ranges of one function.
-func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []mapLeak {
+// mapOrderLeaks collects the range-over-map loops of one function whose
+// iteration order escapes: appends to a slice declared outside the loop,
+// or sends on a channel declared outside the loop, with no later sort of
+// that slice in the same function. Order-insensitive folds (counting,
+// summing, max) pass untouched.
+func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
 	info := p.Info
-	var leaks []mapLeak
+	var leaks []nondetSource
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -143,13 +170,13 @@ func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []mapLeak {
 			return true
 		})
 		if sendPos.IsValid() {
-			leaks = append(leaks, mapLeak{pos: sendPos, kind: "send", mapExpr: exprText(rng.X)})
+			leaks = append(leaks, nondetSource{pos: sendPos, kind: "send", name: exprText(rng.X)})
 		}
 		for _, id := range escapes {
 			if sortedLater(info, fd, rng, info.ObjectOf(id)) {
 				continue
 			}
-			leaks = append(leaks, mapLeak{pos: rng.Pos(), kind: "append", mapExpr: exprText(rng.X), target: id.Name})
+			leaks = append(leaks, nondetSource{pos: rng.Pos(), kind: "append", name: exprText(rng.X), target: id.Name})
 		}
 		return true
 	})

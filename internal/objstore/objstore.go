@@ -121,9 +121,6 @@ func New(p Params) *Store {
 	return &Store{p: p}
 }
 
-// Params returns the store parameters.
-func (s *Store) Params() Params { return s.p }
-
 // Totals returns the harvested cluster-wide traffic ledger.
 func (s *Store) Totals() Stats { return s.totals }
 

@@ -52,9 +52,6 @@ func (b *Breaker) State(now float64) BreakerState {
 	return b.state
 }
 
-// Target returns the device or cgroup name the breaker guards.
-func (b *Breaker) Target() string { return b.target }
-
 // Opens returns how many times the breaker has tripped.
 func (b *Breaker) Opens() int { return b.opens }
 

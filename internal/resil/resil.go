@@ -262,9 +262,6 @@ type Key struct {
 	brTarget string
 }
 
-// Name returns the policy key string.
-func (k *Key) Name() string { return k.name }
-
 // Stats returns the key's counters.
 func (k *Key) Stats() KeyStats { return k.stats }
 
@@ -408,9 +405,6 @@ func (c *Controller) Totals() Totals {
 func (c *Controller) SetForecast(fn func() (next, peak float64, ok bool)) {
 	c.forecast = fn
 }
-
-// HedgingEnabled reports whether hedged reads are switched on.
-func (c *Controller) HedgingEnabled() bool { return c.hedge.Enabled }
 
 // Breaker returns the breaker for a target, or nil if there is none yet:
 // a read key makes its target's at the first read, a weight key only at

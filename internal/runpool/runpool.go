@@ -93,9 +93,6 @@ func (t *Task[T]) Wait() T {
 	return t.res
 }
 
-// Name returns the label the task was submitted under.
-func (t *Task[T]) Name() string { return t.name }
-
 // pool is the process-wide queue and worker accounting. Workers are
 // spawned lazily up to the configured width and exit when the queue
 // drains, so an idle pool holds no goroutines.

@@ -36,9 +36,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Err returns the first process failure observed by the engine, if any.
-func (e *Engine) Err() error { return e.err }
-
 // recycle returns a drained event to the freelist. The callback reference
 // is dropped so the freelist does not pin closures.
 func (e *Engine) recycle(ev *event) {

@@ -185,19 +185,6 @@ func (t *Tensor) Range() float64 {
 	return max - min
 }
 
-// Equal reports exact element-wise equality (and shape equality).
-func (t *Tensor) Equal(o *Tensor) bool {
-	if !t.SameShape(o) {
-		return false
-	}
-	for i := range t.data {
-		if t.data[i] != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // AbsDiffMax returns the maximum absolute element-wise difference.
 // Panics on shape mismatch.
 func (t *Tensor) AbsDiffMax(o *Tensor) float64 {
@@ -211,10 +198,6 @@ func (t *Tensor) AbsDiffMax(o *Tensor) float64 {
 	}
 	return m
 }
-
-// Bytes returns the in-memory size of the payload in bytes (8 per
-// element), used for staging and I/O sizing.
-func (t *Tensor) Bytes() float64 { return float64(len(t.data) * 8) }
 
 // String summarizes the tensor (shape and value range) for debugging.
 func (t *Tensor) String() string {

@@ -16,9 +16,6 @@ func TestNewAndShape(t *testing.T) {
 	if d[0] != 3 || d[1] != 4 || d[2] != 5 {
 		t.Fatalf("dims %v", d)
 	}
-	if a.Bytes() != 480 {
-		t.Fatalf("bytes %v", a.Bytes())
-	}
 }
 
 func TestNewPanicsOnBadDims(t *testing.T) {
@@ -144,17 +141,11 @@ func TestMinMaxRange(t *testing.T) {
 func TestEqualAndAbsDiffMax(t *testing.T) {
 	a := FromData([]float64{1, 2}, 2)
 	b := FromData([]float64{1, 2.5}, 2)
-	if a.Equal(b) {
-		t.Fatal("unequal tensors compare equal")
-	}
-	if a.Equal(New(3)) {
-		t.Fatal("different shapes compare equal")
-	}
 	if got := a.AbsDiffMax(b); got != 0.5 {
 		t.Fatalf("absdiffmax = %v", got)
 	}
-	if !a.Equal(a.Clone()) {
-		t.Fatal("clone not equal")
+	if got := a.AbsDiffMax(a.Clone()); got != 0 {
+		t.Fatalf("absdiffmax against a clone = %v", got)
 	}
 }
 

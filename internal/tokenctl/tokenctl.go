@@ -143,12 +143,6 @@ type Bucket struct {
 	debtors []*Bucket // buckets owing this one (len ≤ maxDebtors, preallocated)
 }
 
-// Name returns the session name the bucket was attached under.
-func (b *Bucket) Name() string { return b.name }
-
-// Tokens returns the current fill (tokens are weight·seconds).
-func (b *Bucket) Tokens() float64 { return b.tokens }
-
 // LentOut returns the outstanding principal this bucket has on loan.
 func (b *Bucket) LentOut() float64 { return b.lentOut }
 
@@ -203,14 +197,6 @@ func New(now func() float64, opts Options) *Controller {
 		c.nextEpoch = c.opts.EpochSec
 	}
 	return c
-}
-
-// Mode reports the control mode this controller implements.
-func (c *Controller) Mode() Mode {
-	if c.opts.EpochSec > 0 {
-		return ModeHybrid
-	}
-	return ModeTokens
 }
 
 // SetTrace routes borrow/repay ledger events to rec. May be nil.

@@ -39,12 +39,6 @@ func TestModeRoundTrip(t *testing.T) {
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Error("ParseMode(bogus) did not fail")
 	}
-	if New(nil, Options{}).Mode() != ModeTokens {
-		t.Error("EpochSec=0 should be ModeTokens")
-	}
-	if New(nil, Options{EpochSec: 300}).Mode() != ModeHybrid {
-		t.Error("EpochSec>0 should be ModeHybrid")
-	}
 }
 
 // TestSoloSessionSustainsTarget: a lone session holding its desired

@@ -1,8 +1,8 @@
 // Package workload generates the I/O workloads of the paper's evaluation:
-// periodic checkpointing interferers (Table IV), the generic HPC
-// application pattern I(C^x W)* F (§II "HPC application pattern"), and
-// non-periodic random noise (compilation, shell commands) that the DFT
-// estimator is supposed to filter out.
+// periodic checkpointing interferers (Table IV — the §II "HPC application
+// pattern" I(C^x W)* F with one compute phase per checkpoint), the
+// periodic analytics reader, and non-periodic random noise (compilation,
+// shell commands) that the DFT estimator is supposed to filter out.
 package workload
 
 import (
@@ -63,9 +63,6 @@ type Handle struct {
 	stopped bool
 	period  float64 // 0 = keep the configured period
 }
-
-// Name returns the interferer name.
-func (h *Handle) Name() string { return h.name }
 
 // Stop makes the interferer exit after the checkpoint currently being
 // written (the competing job left the node).
@@ -152,34 +149,6 @@ func RandomNoise(node *container.Node, dev *device.Device, name string, meanGap,
 			size := minB + rng.Float64()*(maxB-minB)
 			c.Write(p, dev, size)
 		}
-	})
-}
-
-// PhasedApp runs the canonical HPC pattern I(C^x W)* F: an init phase,
-// then rounds of x compute iterations (each ComputeIter seconds) followed
-// by an I/O phase writing WriteBytes, for Rounds rounds, then a finalize
-// phase.
-type PhasedApp struct {
-	Name        string
-	InitTime    float64
-	ComputeIter float64
-	X           int // compute iterations per I/O phase
-	WriteBytes  float64
-	Rounds      int // 0 = run forever
-	FinalTime   float64
-}
-
-// Launch starts the phased application writing to dev.
-func (a PhasedApp) Launch(node *container.Node, dev *device.Device) *container.Container {
-	return node.MustLaunch(a.Name, func(c *container.Container, p *sim.Proc) {
-		p.Sleep(a.InitTime)
-		for r := 0; a.Rounds == 0 || r < a.Rounds; r++ {
-			for i := 0; i < a.X; i++ {
-				p.Sleep(a.ComputeIter)
-			}
-			c.Write(p, dev, a.WriteBytes)
-		}
-		p.Sleep(a.FinalTime)
 	})
 }
 

@@ -113,30 +113,6 @@ func TestRandomNoiseDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestPhasedAppPattern(t *testing.T) {
-	n, hdd := newTestNode()
-	app := PhasedApp{
-		Name:        "sim",
-		InitTime:    10,
-		ComputeIter: 2,
-		X:           5,
-		WriteBytes:  100 * device.MB,
-		Rounds:      3,
-		FinalTime:   4,
-	}
-	c := app.Launch(n, hdd)
-	if err := n.Engine().RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Cgroup().BytesWritten(); got != 3*100*float64(device.MB) {
-		t.Fatalf("bytes = %v", got)
-	}
-	// init 10 + 3 rounds of (10 compute + 1 write) + final 4 = 47
-	if now := n.Engine().Now(); math.Abs(now-47) > 0.01 {
-		t.Fatalf("finished at %v, want ~47", now)
-	}
-}
-
 func TestPeriodicReaderObservations(t *testing.T) {
 	n, hdd := newTestNode()
 	type obs struct{ start, io, bytes float64 }

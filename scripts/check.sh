@@ -16,6 +16,7 @@
 #                plus the exported-field count of core.Config, cache.Config,
 #                tokenctl.Options, resil.Options and resil.HedgeConfig (awk
 #                over the struct bodies; see the Makefile)
+#   make loc-check = fails when either figure exceeds LOC_MAX / CONFIG_FIELDS_MAX
 set -eu
 
 cd "$(dirname "$0")/.."

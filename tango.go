@@ -44,7 +44,6 @@ import (
 	"io"
 
 	"tango/internal/analytics"
-	"tango/internal/blkio"
 	"tango/internal/cache"
 	"tango/internal/container"
 	"tango/internal/coordinator"
@@ -84,9 +83,6 @@ type RefactorOptions = refactor.Options
 // Hierarchy is a refactored dataset: base representation, augmentation
 // streams, and the error-bound ladder.
 type Hierarchy = refactor.Hierarchy
-
-// Rung is one step of the error-bound ladder.
-type Rung = refactor.Rung
 
 // Tensor is a dense N-dimensional float64 grid.
 type Tensor = tensor.Tensor
@@ -151,12 +147,6 @@ type Container = container.Container
 
 // Device is a simulated shared block device.
 type Device = device.Device
-
-// DeviceParams describes a device's performance envelope.
-type DeviceParams = device.Params
-
-// Cgroup is a blkio control group.
-type Cgroup = blkio.Cgroup
 
 // NewNode creates a node with its own deterministic simulation engine.
 func NewNode(name string) *Node { return container.NewNode(name) }
@@ -270,9 +260,6 @@ const (
 // internal/cache and docs/cache.md).
 type CacheConfig = cache.Config
 
-// Cache is the fast-tier augmentation cache of a launched session.
-type Cache = cache.Cache
-
 // DefaultCacheConfig returns the cache defaults spelled out.
 func DefaultCacheConfig() CacheConfig { return cache.DefaultConfig() }
 
@@ -282,9 +269,6 @@ type SessionConfig = core.Config
 
 // Session runs one data-analytics container under a policy.
 type Session = core.Session
-
-// StepStats records one analysis step.
-type StepStats = core.StepStats
 
 // Summary aggregates step records (mean/std I/O time, etc).
 type Summary = core.Summary
@@ -316,9 +300,6 @@ type ResilOptions = resil.Options
 // HedgeConfig controls forecast-driven hedged reads.
 type HedgeConfig = resil.HedgeConfig
 
-// ResilPolicy is the declarative resilience contract for one policy key.
-type ResilPolicy = resil.Policy
-
 // NewResilController builds a controller on the node's engine and
 // registers the default policy catalog (resil.Catalog).
 func NewResilController(eng *Engine, opts ResilOptions) *ResilController {
@@ -345,9 +326,6 @@ type TokenController = tokenctl.Controller
 // TokenOptions tunes the bucket and borrow-ledger geometry; the zero
 // value selects the defaults documented on each field.
 type TokenOptions = tokenctl.Options
-
-// TokenBucket is one session's bucket handle, returned by Attach.
-type TokenBucket = tokenctl.Bucket
 
 // ControlMode selects the weight-control mode: ModeCentral (coordinator
 // rescale), ModeTokens (decentralized buckets), or ModeHybrid (tokens
