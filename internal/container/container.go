@@ -72,19 +72,17 @@ func (n *Node) Device(name string) *device.Device { return n.devices[name] }
 // slowest/largest. Tiers[0] here is the fastest.
 func (n *Node) Tiers() []*device.Device { return n.tiers }
 
-// Container is one application container: a name, its blkio cgroup, and
-// optionally a running process.
+// Container is one application container: a name and its blkio cgroup.
+// It holds no pointer back to its node, so the node is in no cycle and a
+// finalizer on it can run.
 type Container struct {
 	name string
-	node *Node
 	cg   *blkio.Cgroup
-	proc *sim.Proc
 }
 
-// Launch creates a container with a fresh cgroup and starts body as its
-// process. The body receives the container so it can reach the node,
-// devices, and cgroup.
-func (n *Node) Launch(name string, body func(c *Container, p *sim.Proc)) (*Container, error) {
+// Create registers a container with a fresh cgroup and no process: the
+// caller drives its I/O from engine events (the Table IV interferers).
+func (n *Node) Create(name string) (*Container, error) {
 	if _, ok := n.containers[name]; ok {
 		return nil, fmt.Errorf("container: %q already running on node %q", name, n.name)
 	}
@@ -92,10 +90,18 @@ func (n *Node) Launch(name string, body func(c *Container, p *sim.Proc)) (*Conta
 	if err != nil {
 		return nil, err
 	}
-	c := &Container{name: name, node: n, cg: cg}
-	c.proc = n.eng.Spawn(name, func(p *sim.Proc) { body(c, p) })
+	c := &Container{name: name, cg: cg}
 	n.containers[name] = c
 	return c, nil
+}
+
+// Launch is Create, then body spawned as the container's process.
+func (n *Node) Launch(name string, body func(c *Container, p *sim.Proc)) (*Container, error) {
+	c, err := n.Create(name)
+	if err == nil {
+		n.eng.Spawn(name, func(p *sim.Proc) { body(c, p) })
+	}
+	return c, err
 }
 
 // MustLaunch is Launch that panics on error.
@@ -113,14 +119,8 @@ func (n *Node) Container(name string) *Container { return n.containers[name] }
 // Name returns the container name.
 func (c *Container) Name() string { return c.name }
 
-// Node returns the node hosting this container.
-func (c *Container) Node() *Node { return c.node }
-
 // Cgroup returns the container's blkio cgroup.
 func (c *Container) Cgroup() *blkio.Cgroup { return c.cg }
-
-// Proc returns the container's main process.
-func (c *Container) Proc() *sim.Proc { return c.proc }
 
 // SetWeight adjusts the container's blkio weight at runtime.
 func (c *Container) SetWeight(w int) { c.cg.SetWeight(w) }

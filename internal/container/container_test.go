@@ -49,13 +49,13 @@ func TestLaunchAndIO(t *testing.T) {
 		t.Fatalf("elapsed = %v, want 10", elapsed)
 	}
 	c := n.Container("analytics")
-	if c == nil || c.Name() != "analytics" || c.Node() != n {
+	if c == nil || c.Name() != "analytics" {
 		t.Fatal("container lookup broken")
 	}
 	if c.Cgroup().BytesRead() != 1000 {
 		t.Fatalf("cgroup read accounting = %v", c.Cgroup().BytesRead())
 	}
-	if !c.Proc().Done() {
+	if n.Engine().LiveProcs() != 0 {
 		t.Fatal("proc should be done")
 	}
 }

@@ -137,7 +137,7 @@ func TestStopEndsSessionEarlyAndReleases(t *testing.T) {
 	if used := node.Device("ssd").Used() + node.Device("hdd").Used(); used != 0 {
 		t.Fatalf("staging not released: %v bytes", used)
 	}
-	if !s.Container().Proc().Done() {
+	if node.Engine().LiveProcs() != 0 {
 		t.Fatal("container still running")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"tango/internal/blkio"
 	"tango/internal/container"
@@ -459,5 +460,44 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	}
 	if perStep := float64(m1-m0) / float64(n1-n0); perStep > 1 {
 		t.Fatalf("%.2f objects per steady-state step (%d over %d steps), want <= 1", perStep, m1-m0, n1-n0)
+	}
+}
+
+// TestFinishedNodeIsGarbage: once Run has returned, a node with all six
+// Table IV interferers and a finished session holds no process and no
+// goroutine, so dropping it frees it without Engine.Close. An interferer
+// that parked a coroutine kept its whole node reachable.
+func TestFinishedNodeIsGarbage(t *testing.T) {
+	before := runtime.NumGoroutine()
+	freed := make(chan struct{}, 1)
+	live := func() int {
+		node, st := scenario(t, 6)
+		s, err := NewSession("analytics", st, Config{Policy: CrossLayer, Steps: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Launch(node); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Engine().Run(5*s.Config.Period + 600); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(s.Stats()); got != 5 {
+			t.Fatalf("completed %d of 5 steps", got)
+		}
+		runtime.SetFinalizer(node, func(*container.Node) { freed <- struct{}{} })
+		return node.Engine().LiveProcs()
+	}()
+	if live != 0 {
+		t.Fatalf("%d processes still live after Run", live)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines before the run, %d after", before, n)
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the finished node was not collected")
 	}
 }

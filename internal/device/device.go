@@ -154,7 +154,7 @@ type flow struct {
 	id       int64
 	d        *Device // owning device, for the Fire callback
 	cg       *blkio.Cgroup
-	proc     *sim.Proc // the blocked issuer; nil on a StartRead flow, which the device finishes
+	proc     *sim.Proc // the blocked issuer; nil on a StartRead/Write flow, which the device finishes
 	tok      *Token    // non-nil on a cancellable transfer; armed by issue
 	bytes    float64   // total requested
 	bytesRem float64
@@ -169,7 +169,7 @@ type flow struct {
 
 // Fire is the flow as its own sim.Callback, carrying the per-transfer
 // state without a per-call closure: the issue after the request-latency
-// wait, then for an ended StartRead flow the finish no process will run.
+// wait, then for an ended StartRead/Write flow the finish no process runs.
 func (f *flow) Fire() {
 	d, tok := f.d, f.tok
 	if !f.done && !f.canceled {
@@ -444,8 +444,8 @@ func (d *Device) Write(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
 }
 
 // Token identifies one in-flight cancellable transfer. The issuing call
-// (TryReadCancel, StartRead) arms it; another event callback or process
-// may then call Cancel to abort the transfer. Tokens are plain values
+// (TryReadCancel, StartRead, StartWrite) arms it; another event callback or
+// process may then call Cancel to abort the transfer. Tokens are plain values
 // owned by the caller and are re-armed on every call, so one long-lived
 // Token per retry context is the intended (zero-alloc) usage.
 type Token struct {
@@ -456,10 +456,10 @@ type Token struct {
 	spent    bool       // the transfer has finished (success, error, or cancel); Cancel is a no-op
 	moved    float64    // bytes actually transferred when the transfer ended
 	deadline float64    // virtual time at which the device cancels the transfer; 0 or +Inf = none
-	notify   Completion // StartRead only: told when the transfer ends
+	notify   Completion // StartRead/Write only: told when the transfer ends
 }
 
-// Completion is told a StartRead ended; err is what a blocking read returns.
+// Completion is told a StartRead/Write ended; err is what a blocking call returns.
 type Completion interface {
 	TransferDone(tok *Token, err error)
 }
@@ -509,6 +509,16 @@ func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok
 func (d *Device) StartRead(cg *blkio.Cgroup, bytes float64, tok *Token, deadline float64, done Completion) {
 	*tok = Token{d: d, deadline: deadline, notify: done}
 	d.begin(nil, cg, bytes, false, true, tok)
+}
+
+// StartWrite is Write with nobody blocked on it (a checkpoint writer made of
+// engine callbacks): the device finishes it and calls done.TransferDone in
+// the slot a blocked writer's wake-up would take, as StartRead does.
+//
+//tango:hotpath
+func (d *Device) StartWrite(cg *blkio.Cgroup, bytes float64, tok *Token, done Completion) {
+	*tok = Token{d: d, notify: done}
+	d.begin(nil, cg, bytes, true, false, tok)
 }
 
 // transfer is the blocking request path behind Read, Write, TryRead and
@@ -568,7 +578,7 @@ func (d *Device) finish(f *flow) error {
 }
 
 // end tells the issuer its flow has ended: a blocked process wakes up
-// and finishes it, a StartRead flow fires once more to finish itself.
+// and finishes it, a StartRead/Write flow fires once more to finish itself.
 func (d *Device) end(f *flow) {
 	if f.proc != nil {
 		d.eng.Wake(f.proc)

@@ -67,15 +67,6 @@ func FFTReal(x []float64) []complex128 {
 	return out
 }
 
-// Amplitudes returns |X[k]| for each frequency component.
-func Amplitudes(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	for i, v := range spec {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
-}
-
 // Threshold zeroes every component of spec whose amplitude is below
 // frac × (maximum non-DC amplitude). The DC component (k=0, the mean
 // bandwidth level) is always kept: thresholding targets recurring

@@ -153,14 +153,6 @@ func TestEmptyFFT(t *testing.T) {
 	}
 }
 
-func TestAmplitudes(t *testing.T) {
-	spec := []complex128{3 + 4i, 1}
-	a := Amplitudes(spec)
-	if math.Abs(a[0]-5) > 1e-12 || math.Abs(a[1]-1) > 1e-12 {
-		t.Fatalf("amplitudes = %v", a)
-	}
-}
-
 func TestThresholdKeepsDCAndStrongTones(t *testing.T) {
 	n := 32
 	x := make([]float64, n)

@@ -232,14 +232,3 @@ func RelErr(want, got float64) float64 {
 	}
 	return math.Abs(got-want) / math.Abs(want)
 }
-
-// EquivalentNRMSE converts an accuracy expressed under k into the NRMSE
-// domain so quantities measured under different metrics can be ranked.
-// For NRMSE it is the identity. For PSNR it inverts the PSNR formula
-// assuming a unit-peak signal: NRMSE ≈ 10^(-PSNR/20).
-func EquivalentNRMSE(k Kind, acc float64) float64 {
-	if k == NRMSE {
-		return acc
-	}
-	return math.Pow(10, -acc/20)
-}

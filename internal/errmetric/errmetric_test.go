@@ -106,20 +106,6 @@ func TestMeasureDispatch(t *testing.T) {
 	}
 }
 
-func TestEquivalentNRMSE(t *testing.T) {
-	if got := EquivalentNRMSE(NRMSE, 0.03); got != 0.03 {
-		t.Fatalf("identity = %v", got)
-	}
-	// PSNR 40 dB -> 10^-2 = 0.01
-	if got := EquivalentNRMSE(PSNR, 40); math.Abs(got-0.01) > 1e-12 {
-		t.Fatalf("psnr equiv = %v", got)
-	}
-	// Monotone: higher PSNR -> smaller equivalent NRMSE.
-	if !(EquivalentNRMSE(PSNR, 80) < EquivalentNRMSE(PSNR, 30)) {
-		t.Fatal("not monotone")
-	}
-}
-
 func TestNRMSEScaleInvarianceProperty(t *testing.T) {
 	// NRMSE is invariant to affine rescaling of both signals.
 	f := func(seed int64) bool {

@@ -97,13 +97,9 @@ func (k Kind) windowed() bool {
 	return false
 }
 
-// DeviceFault reports whether the kind targets a device. Exported for
-// cluster-scope plan filtering: internal/fleet arms only device faults
-// on each node's local injector and interprets NodeKill itself.
-func (k Kind) DeviceFault() bool { return k.deviceFault() }
-
-// deviceFault reports whether the kind targets a device.
-func (k Kind) deviceFault() bool {
+// DeviceFault reports whether the kind targets a device (internal/fleet
+// arms only these on each node's injector and interprets NodeKill itself).
+func (k Kind) DeviceFault() bool {
 	switch k {
 	case BWCollapse, LatencySpike, ReadError, Stuck:
 		return true
@@ -132,40 +128,42 @@ type Event struct {
 	Noise workload.Noise
 }
 
+// validate reports e's first problem (Plan.Validate names the event).
 func (e Event) validate() error {
-	if e.At < 0 || math.IsNaN(e.At) {
-		return fmt.Errorf("fault: %s at invalid time %v", e.Kind, e.At)
-	}
-	if e.Target == "" {
-		return fmt.Errorf("fault: %s at t=%g has no target", e.Kind, e.At)
-	}
-	if e.Kind.windowed() && !(e.Duration > 0) {
-		return fmt.Errorf("fault: %s on %q needs a positive duration", e.Kind, e.Target)
+	switch {
+	case !(e.At >= 0) || math.IsInf(e.At, 1):
+		return fmt.Errorf("time %v is not finite and >= 0", e.At)
+	case e.Target == "":
+		return fmt.Errorf("no target")
+	case math.IsNaN(e.Factor) || math.IsInf(e.Factor, 0):
+		return fmt.Errorf("factor %v is not finite", e.Factor)
+	case math.IsNaN(e.Duration) || math.IsInf(e.Duration, 0):
+		return fmt.Errorf("duration %v is not finite", e.Duration)
+	case e.Kind.windowed() && !(e.Duration > 0):
+		return fmt.Errorf("needs a positive duration, got %v", e.Duration)
 	}
 	switch e.Kind {
 	case BWCollapse:
 		if e.Factor < 0 || e.Factor > 1 {
-			return fmt.Errorf("fault: bw-collapse factor %v out of [0,1]", e.Factor)
+			return fmt.Errorf("factor %v out of [0,1]", e.Factor)
 		}
 	case LatencySpike:
 		if e.Factor <= 0 {
-			return fmt.Errorf("fault: latency spike needs a positive add, got %v", e.Factor)
+			return fmt.Errorf("needs a positive add, got %v", e.Factor)
 		}
 	case ThrottleReset:
 		if e.Factor < 0 {
-			return fmt.Errorf("fault: throttle-reset MB/s %v must be >= 0", e.Factor)
+			return fmt.Errorf("MB/s %v must be >= 0", e.Factor)
 		}
 	case PeriodChange:
 		if e.Factor <= 0 {
-			return fmt.Errorf("fault: period change needs a positive period, got %v", e.Factor)
+			return fmt.Errorf("needs a positive period, got %v", e.Factor)
 		}
 	case Join:
 		if e.Noise.Name != e.Target {
-			return fmt.Errorf("fault: join noise name %q != target %q", e.Noise.Name, e.Target)
+			return fmt.Errorf("noise name %q != target", e.Noise.Name)
 		}
-		if e.Noise.Period <= 0 || e.Noise.CheckpointBytes <= 0 {
-			return fmt.Errorf("fault: join %q needs positive period and bytes", e.Target)
-		}
+		return e.Noise.Validate()
 	}
 	return nil
 }
@@ -181,7 +179,7 @@ type Plan struct {
 func (p *Plan) Validate() error {
 	for _, e := range p.Events {
 		if err := e.validate(); err != nil {
-			return err
+			return fmt.Errorf("fault: %s@%g on %q: %w", e.Kind, e.At, e.Target, err)
 		}
 	}
 	return nil
@@ -207,7 +205,7 @@ func (p *Plan) String() string {
 		var params []string
 		add := func(k string, v string) { params = append(params, k+"="+v) }
 		switch {
-		case e.Kind.deviceFault():
+		case e.Kind.DeviceFault():
 			add("dev", e.Target)
 		case e.Kind == WeightFail || e.Kind == ThrottleReset:
 			add("cg", e.Target)
@@ -231,12 +229,9 @@ func (p *Plan) String() string {
 			if e.Noise.Phase != 0 {
 				add("phase", fmt.Sprintf("%g", e.Noise.Phase))
 			}
-			if e.Noise.Jitter != 0 {
-				add("jitter", fmt.Sprintf("%g", e.Noise.Jitter))
-			}
-			if e.Noise.Seed != 0 {
-				add("seed", fmt.Sprintf("%d", e.Noise.Seed))
-			}
+			// Always: ParsePlan's defaults for an omitted jitter or seed are not 0.
+			add("jitter", fmt.Sprintf("%g", e.Noise.Jitter))
+			add("seed", fmt.Sprintf("%d", e.Noise.Seed))
 		}
 		if e.Kind.windowed() {
 			add("dur", fmt.Sprintf("%g", e.Duration))

@@ -2,6 +2,8 @@ package fault
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -226,14 +228,18 @@ func TestInjectorChurn(t *testing.T) {
 	if err := in.Arm(); err != nil {
 		t.Fatal(err)
 	}
+	// The checkpoints are 1 MB, long finished by t=45.
+	n1, n2 := node.Cgroups().Lookup("n1"), node.Cgroups().Lookup("n2")
+	var n1At45, n2At45 float64
+	node.Engine().At(45, func() { n1At45, n2At45 = n1.BytesWritten(), n2.BytesWritten() })
 	if err := node.Engine().Run(200); err != nil {
 		t.Fatal(err)
 	}
-	if !noises["n1"].Stopped() {
-		t.Fatal("leave did not stop the interferer")
+	if got := n1.BytesWritten(); got != n1At45 {
+		t.Fatalf("leave did not stop the interferer: %v bytes at t=45, %v at t=200", n1At45, got)
 	}
-	if noises["n2"].Stopped() {
-		t.Fatal("period change stopped the interferer")
+	if got := n2.BytesWritten(); got <= n2At45 {
+		t.Fatalf("period change stopped the interferer: %v bytes at t=45, %v at t=200", n2At45, got)
 	}
 	if node.Container("extra") == nil {
 		t.Fatal("join did not launch the interferer")
@@ -386,4 +392,101 @@ func TestInjectorRecordBoxesNothingUntraced(t *testing.T) {
 	if in.Injected() != 101 {
 		t.Fatalf("injected = %d after 101 calls", in.Injected())
 	}
+}
+
+// nonFiniteSpecs reached the simulator before their values were checked:
+// panics, a run that printed zeros, a fault that changed nothing. Each is
+// now an error naming its event.
+var nonFiniteSpecs = []struct{ spec, names string }{
+	{"latency@10:dev=hdd,add=NaN,dur=5", `latency@10 on "hdd"`},
+	{"latency@10:dev=hdd,add=Inf,dur=5", `latency@10 on "hdd"`},
+	{"bw-collapse@10:dev=hdd,factor=NaN,dur=5", `bw-collapse@10 on "hdd"`},
+	{"bw-collapse@Inf:dev=hdd,factor=0.5,dur=5", `bw-collapse@+Inf on "hdd"`},
+	{"stuck@10:dev=hdd,dur=Inf", `stuck@10 on "hdd"`},
+	{"throttle-reset@10:cg=analytics,mb=NaN,dur=5", `throttle-reset@10 on "analytics"`},
+	{"period@10:name=noise2,period=Inf", `period@10 on "noise2"`},
+	{"join@10:name=noise9,period=60,mb=NaN", `join@10 on "noise9"`},
+	{"join@10:name=noise9,period=60,mb=Inf", `join@10 on "noise9"`},
+	{"join@10:name=noise9,period=NaN,mb=64", `join@10 on "noise9"`},
+	{"join@10:name=noise9,period=60,mb=64,jitter=NaN", `join@10 on "noise9"`},
+	{"join@10:name=noise9,period=60,mb=64,jitter=1", `join@10 on "noise9"`},
+	{"join@10:name=noise9,period=60,mb=64,phase=-1", `join@10 on "noise9"`},
+	{"join@10:name=noise9,period=60,mb=64,seed=1.5", `join@10`},
+	{"leave@10:name=noise1,dur=5", `leave@10`}, // String would drop the dur
+}
+
+// TestParseRejectsNonFiniteValues: every spec above is an error that
+// names its event; the documented examples and generated plans are still
+// accepted, and each re-parses from its String to the same plan.
+func TestParseRejectsNonFiniteValues(t *testing.T) {
+	for _, tc := range nonFiniteSpecs {
+		if _, err := ParsePlan(tc.spec); err == nil || !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("ParsePlan(%q) = %v, want an error naming %s", tc.spec, err, tc.names)
+		}
+	}
+	good := []string{
+		spec,
+		"bw-collapse@900:dev=hdd,factor=0.2,dur=120; read-err@1500:dev=hdd,dur=45; leave@2400:name=noise1",
+		"join@10:name=x,period=60,mb=64,jitter=0,seed=0",
+		"join@10:name=x,period=60,mb=64",
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		p, err := Generate(seed, GenerateOptions{
+			Horizon: 3600, Device: "hdd", Cgroup: "analytics",
+			Interferers: []string{"noise1", "noise2"}, Events: 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = append(good, p.String())
+	}
+	for _, s := range good {
+		p, err := ParsePlan(s)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q): %v", s, err)
+		}
+		checkRoundTrip(t, p)
+	}
+	p, _ := ParsePlan("join@10:name=x,period=60,mb=64,jitter=0,seed=0")
+	if n := p.Events[0].Noise; n.Jitter != 0 || n.Seed != 0 {
+		t.Fatalf("jitter=0,seed=0 parsed as jitter %v, seed %d", n.Jitter, n.Seed)
+	}
+}
+
+// checkRoundTrip: an accepted plan has only finite fields, and its String
+// parses back to the same events (in the time order String writes them).
+func checkRoundTrip(t *testing.T, p *Plan) {
+	t.Helper()
+	for _, e := range p.Events {
+		for _, v := range []float64{e.At, e.Factor, e.Duration, e.Noise.Period, e.Noise.CheckpointBytes, e.Noise.Phase, e.Noise.Jitter} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted %+v with a non-finite field", e)
+			}
+		}
+	}
+	q, err := ParsePlan(p.String())
+	if err != nil {
+		t.Fatalf("String %q does not re-parse: %v", p.String(), err)
+	}
+	if !reflect.DeepEqual(q.Events, p.Sorted()) {
+		t.Fatalf("String %q re-parses to another plan:\n%+v\nwant\n%+v", p.String(), q.Events, p.Sorted())
+	}
+}
+
+// FuzzParsePlan: ParsePlan returns a plan or an error, never panics, and
+// what it accepts survives String → ParsePlan unchanged.
+func FuzzParsePlan(f *testing.F) {
+	f.Add(spec)
+	for _, tc := range nonFiniteSpecs {
+		f.Add(tc.spec)
+	}
+	f.Add("join@10:name=x,period=60,mb=64,jitter=0,seed=0")
+	f.Add("node-kill@120:node=node3,dur=180; leave@-0:name=a=b; period@1e-300:name=c:d,period=0x1p-3")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, p)
+	})
 }

@@ -95,7 +95,7 @@ func (in *Injector) Arm() error {
 		return fmt.Errorf("fault: injector already armed")
 	}
 	for _, e := range in.plan.Events {
-		if e.Kind.deviceFault() || e.Kind == Join {
+		if e.Kind.DeviceFault() || e.Kind == Join {
 			dev := in.targetDevice(e)
 			if in.node.Device(dev) == nil {
 				return fmt.Errorf("fault: %s targets unknown device %q", e.Kind, dev)
@@ -150,7 +150,7 @@ func (t *timer) fire() {
 	switch {
 	case t.clearing:
 		in.clear(t)
-	case e.Kind.deviceFault():
+	case e.Kind.DeviceFault():
 		in.fireDevice(t)
 	case e.Kind == WeightFail, e.Kind == ThrottleReset:
 		in.fireCgroup(t)
@@ -263,9 +263,7 @@ func (in *Injector) fireJoin(t *timer) {
 		in.record(&in.skipped, t, "skip id=%d kind=%s name=%s (already running)")
 		return
 	}
-	tiers := in.node.Tiers()
-	dev := tiers[len(tiers)-1]
-	_, h := workload.LaunchNoiseControlled(in.node, dev, e.Noise)
+	_, h := workload.LaunchNoiseControlled(in.node, in.node.Device(in.targetDevice(*e)), e.Noise)
 	in.handles[e.Target] = h
 	in.record(&in.injected, t, "inject id=%d kind=%s name=%s period=%g mb=%g", e.Noise.Period, e.Noise.CheckpointBytes/mb)
 }

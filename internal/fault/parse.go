@@ -82,17 +82,20 @@ func parseEvent(s string) (Event, error) {
 		}
 		kv[strings.TrimSpace(k)] = strings.TrimSpace(v)
 	}
-	num := func(key string) (float64, bool, error) {
+	// num parses key into *dst if present; the first bad value fails at the end.
+	var bad error
+	num := func(key string, dst *float64) bool {
 		v, ok := kv[key]
 		if !ok {
-			return 0, false, nil
+			return false
 		}
 		delete(kv, key)
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, false, fmt.Errorf("fault: bad %s in %q: %v", key, s, err)
+		if err != nil && bad == nil {
+			bad = fmt.Errorf("fault: bad %s in %q: %v", key, s, err)
 		}
-		return f, true, nil
+		*dst = f
+		return true
 	}
 	str := func(key string) string {
 		v := kv[key]
@@ -101,7 +104,7 @@ func parseEvent(s string) (Event, error) {
 	}
 
 	switch {
-	case kind.deviceFault():
+	case kind.DeviceFault():
 		ev.Target = str("dev")
 	case kind == WeightFail || kind == ThrottleReset:
 		ev.Target = str("cg")
@@ -110,56 +113,40 @@ func parseEvent(s string) (Event, error) {
 	default:
 		ev.Target = str("name")
 	}
-	if d, ok, err := num("dur"); err != nil {
-		return Event{}, err
-	} else if ok {
-		ev.Duration = d
+	if kind.windowed() { // elsewhere dur is an unknown param, which String would drop
+		num("dur", &ev.Duration)
 	}
 	factorKey := map[Kind]string{
 		BWCollapse: "factor", LatencySpike: "add",
 		ThrottleReset: "mb", PeriodChange: "period",
 	}[kind]
-	if factorKey != "" {
-		if f, ok, err := num(factorKey); err != nil {
-			return Event{}, err
-		} else if ok {
-			ev.Factor = f
-		} else if kind != ThrottleReset {
-			return Event{}, fmt.Errorf("fault: %s in %q needs %s=", kind, s, factorKey)
-		}
+	if factorKey != "" && !num(factorKey, &ev.Factor) && kind != ThrottleReset {
+		return Event{}, fmt.Errorf("fault: %s in %q needs %s=", kind, s, factorKey)
 	}
 	if kind == Join {
 		n := workload.Noise{Name: ev.Target, Jitter: 0.08}
-		var ok bool
-		var err error
-		if n.Period, ok, err = num("period"); err != nil || !ok {
-			return Event{}, fmt.Errorf("fault: join in %q needs period= (err: %v)", s, err)
-		}
 		var sizeMB float64
-		if sizeMB, ok, err = num("mb"); err != nil || !ok {
-			return Event{}, fmt.Errorf("fault: join in %q needs mb= (err: %v)", s, err)
+		if !num("period", &n.Period) || !num("mb", &sizeMB) {
+			return Event{}, fmt.Errorf("fault: join in %q needs period= and mb=", s)
 		}
 		n.CheckpointBytes = sizeMB * mb
-		if v, ok, err := num("phase"); err != nil {
-			return Event{}, err
-		} else if ok {
-			n.Phase = v
-		}
-		if v, ok, err := num("jitter"); err != nil {
-			return Event{}, err
-		} else if ok {
-			n.Jitter = v
-		}
-		if v, ok, err := num("seed"); err != nil {
-			return Event{}, err
-		} else if ok {
-			n.Seed = int64(v)
+		num("phase", &n.Phase)
+		num("jitter", &n.Jitter)
+		if v, ok := kv["seed"]; ok {
+			delete(kv, "seed")
+			var err error
+			if n.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
+				return Event{}, fmt.Errorf("fault: bad seed in %q: %v", s, err)
+			}
 		} else {
 			// Deterministic default: derived from the name so the same
 			// spec always drives the same jitter stream.
 			n.Seed = int64(7000 + len(n.Name)*131 + int(n.Period))
 		}
 		ev.Noise = n
+	}
+	if bad != nil {
+		return Event{}, bad
 	}
 	if len(kv) > 0 {
 		var extra []string

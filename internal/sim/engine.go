@@ -94,7 +94,7 @@ func (e *Engine) schedule(t float64, fn func(), cb Callback) Timer {
 	ev.t, ev.seq, ev.fn, ev.cb = t, e.seq, fn, cb
 	e.seq++
 	e.events.push(ev)
-	return Timer{ev: ev, seq: ev.seq, when: t}
+	return Timer{ev: ev, seq: ev.seq}
 }
 
 // After schedules fn to run d seconds from now.
@@ -107,9 +107,8 @@ func (e *Engine) After(d float64, fn func()) Timer {
 // Timer is a handle to a scheduled event. Timers are small values; copy
 // them freely. The zero Timer is valid and behaves as already expired.
 type Timer struct {
-	ev   *event
-	seq  int64
-	when float64
+	ev  *event
+	seq int64
 }
 
 // Stop cancels the event if it has not fired. It reports whether the event
@@ -127,10 +126,6 @@ func (t Timer) Stop() bool {
 	t.ev.cb = nil
 	return true
 }
-
-// When returns the virtual time at which the timer fires (or fired). It
-// stays valid after the event drains and the struct is recycled.
-func (t Timer) When() float64 { return t.when }
 
 // Run processes events in order until the clock would pass `until`, then
 // sets the clock to `until` and returns. Events scheduled exactly at

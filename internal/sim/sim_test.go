@@ -313,14 +313,6 @@ func TestNestedSpawnFromProc(t *testing.T) {
 	}
 }
 
-func TestTimerWhen(t *testing.T) {
-	e := NewEngine()
-	tm := e.At(7.5, func() {})
-	if tm.When() != 7.5 {
-		t.Fatalf("When = %v", tm.When())
-	}
-}
-
 func BenchmarkEventThroughput(b *testing.B) {
 	// Measures raw event scheduling/dispatch cost.
 	b.ReportAllocs()

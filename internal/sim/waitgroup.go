@@ -34,9 +34,6 @@ func (wg *WaitGroup) Add(n int) {
 // Done completes one task.
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
-// Count returns the outstanding-task count.
-func (wg *WaitGroup) Count() int { return wg.count }
-
 // Wait parks p until the count reaches zero. It returns immediately if
 // the count is already zero. Only one process may wait at a time.
 func (wg *WaitGroup) Wait(p *Proc) {

@@ -66,12 +66,19 @@ func TestWaitGroupCount(t *testing.T) {
 	e := NewEngine()
 	wg := NewWaitGroup(e)
 	wg.Add(3)
-	if wg.Count() != 3 {
-		t.Fatalf("count = %d", wg.Count())
-	}
 	wg.Done()
-	if wg.Count() != 2 {
-		t.Fatalf("count = %d", wg.Count())
+	released := -1.0
+	e.Spawn("waiter", func(p *Proc) {
+		wg.Wait(p)
+		released = p.Now()
+	})
+	e.At(5, wg.Done)
+	e.At(9, wg.Done)
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if released != 9 {
+		t.Fatalf("waiter released at %v, want 9 (the third Done)", released)
 	}
 }
 

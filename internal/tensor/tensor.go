@@ -98,16 +98,6 @@ func (t *Tensor) At(idx ...int) float64 { return t.data[t.Offset(idx...)] }
 // Set stores v at the multi-index.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.Offset(idx...)] = v }
 
-// Unravel converts a flat offset to a multi-index (allocates).
-func (t *Tensor) Unravel(off int) []int {
-	idx := make([]int, len(t.dims))
-	for i, s := range t.strides {
-		idx[i] = off / s
-		off %= s
-	}
-	return idx
-}
-
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.dims...)

@@ -54,16 +54,6 @@ func TestRowMajorLayout(t *testing.T) {
 	}
 }
 
-func TestOffsetUnravelRoundTrip(t *testing.T) {
-	a := New(3, 5, 7)
-	for off := 0; off < a.Len(); off++ {
-		idx := a.Unravel(off)
-		if got := a.Offset(idx...); got != off {
-			t.Fatalf("round trip %d -> %v -> %d", off, idx, got)
-		}
-	}
-}
-
 func TestIndexBoundsPanic(t *testing.T) {
 	a := New(2, 2)
 	defer func() {

@@ -119,9 +119,6 @@ func (f *Func) DisablePriority() { f.usePriority = false }
 // ablation: "cardinality+priority").
 func (f *Func) DisableAccuracy() { f.useAccuracy = false }
 
-// Coefficients returns the calibrated (k2, b2).
-func (f *Func) Coefficients() (k2, b2 float64) { return f.k2, f.b2 }
-
 // Weight returns the blkio weight for retrieving a bucket of the given
 // cardinality at accuracy level bound with application priority p,
 // clamped to the valid blkio range.

@@ -174,12 +174,3 @@ func TestDegenerateCalibrationFallsBack(t *testing.T) {
 		t.Fatalf("degenerate weight = %d", w)
 	}
 }
-
-func TestCoefficientsExposed(t *testing.T) {
-	f := calibNRMSE(t)
-	k2, b2 := f.Coefficients()
-	if k2 <= 0 {
-		t.Fatalf("k2 = %v, want > 0", k2)
-	}
-	_ = b2
-}

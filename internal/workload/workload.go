@@ -6,8 +6,11 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
+	"tango/internal/blkio"
 	"tango/internal/container"
 	"tango/internal/device"
 	"tango/internal/sim"
@@ -53,37 +56,44 @@ func FirstPaperNoise(n int) []Noise {
 	return set[:max(0, min(n, len(set)))]
 }
 
-// Handle controls a running interferer: workload churn (an interferer
-// leaving mid-run, or its checkpoint cadence changing when the producing
-// simulation is rescaled) mutates the handle, and the interferer's loop
-// observes the change at its next iteration. All methods must be called
-// from sim context (same engine).
+// Validate checks a finite period and checkpoint size above zero, a finite
+// phase of at least zero, and a jitter in [0,1) (so every interval is > 0).
+func (n Noise) Validate() error {
+	switch { // NaN fails every comparison
+	case !(n.Period > 0) || math.IsInf(n.Period, 1):
+		return fmt.Errorf("workload: noise %q: period %v is not finite and > 0", n.Name, n.Period)
+	case !(n.CheckpointBytes > 0) || math.IsInf(n.CheckpointBytes, 1):
+		return fmt.Errorf("workload: noise %q: checkpoint bytes %v are not finite and > 0", n.Name, n.CheckpointBytes)
+	case !(n.Phase >= 0) || math.IsInf(n.Phase, 1):
+		return fmt.Errorf("workload: noise %q: phase %v is not finite and >= 0", n.Name, n.Phase)
+	case !(n.Jitter >= 0 && n.Jitter < 1):
+		return fmt.Errorf("workload: noise %q: jitter %v is not in [0,1)", n.Name, n.Jitter)
+	}
+	return nil
+}
+
+// Handle controls a running interferer through workload churn (it leaves
+// mid-run, or its producing simulation is rescaled); the interferer sees a
+// change at its next checkpoint. Call its methods from sim context.
 type Handle struct {
-	name    string
 	stopped bool
-	period  float64 // 0 = keep the configured period
+	period  float64 // <= 0 keeps the configured period
 }
 
 // Stop makes the interferer exit after the checkpoint currently being
 // written (the competing job left the node).
 func (h *Handle) Stop() { h.stopped = true }
 
-// Stopped reports whether Stop was called.
-func (h *Handle) Stopped() bool { return h.stopped }
-
 // SetPeriod changes the checkpoint period from the next interval on
 // (p <= 0 restores the configured period).
-func (h *Handle) SetPeriod(p float64) {
-	if p <= 0 {
-		p = 0
-	}
-	h.period = p
-}
+func (h *Handle) SetPeriod(p float64) { h.period = p }
 
 // LaunchNoise starts one interfering container on node writing to dev.
 // The period is measured start-to-start: if a checkpoint takes longer than
 // the period under contention, the next one starts immediately after
 // (back-to-back), which is how checkpointing loops behave in practice.
+// A Noise that fails Validate panics here, as bad device.Params do: the
+// interferer runs as engine callbacks, whose panic would unwind Run.
 func LaunchNoise(node *container.Node, dev *device.Device, n Noise) *container.Container {
 	c, _ := LaunchNoiseControlled(node, dev, n)
 	return c
@@ -93,27 +103,68 @@ func LaunchNoise(node *container.Node, dev *device.Device, n Noise) *container.C
 // the container, so the interferer can be stopped or re-paced mid-run
 // (see internal/fault).
 func LaunchNoiseControlled(node *container.Node, dev *device.Device, n Noise) (*container.Container, *Handle) {
-	rng := rand.New(rand.NewSource(n.Seed))
-	h := &Handle{name: n.Name}
-	c := node.MustLaunch(n.Name, func(c *container.Container, p *sim.Proc) {
-		p.Sleep(n.Phase)
-		for !h.stopped {
-			start := p.Now()
-			c.Write(p, dev, n.CheckpointBytes)
-			period := n.Period
-			if h.period > 0 {
-				period = h.period
-			}
-			if n.Jitter > 0 {
-				period *= 1 + n.Jitter*(2*rng.Float64()-1)
-			}
-			wait := period - (p.Now() - start)
-			if wait > 0 {
-				p.Sleep(wait)
-			}
-		}
-	})
-	return c, h
+	if err := n.Validate(); err != nil {
+		panic(err)
+	}
+	c, err := node.Create(n.Name)
+	if err != nil {
+		panic(err)
+	}
+	x := &interferer{n: n, dev: dev, cg: c.Cgroup(), rng: rand.New(rand.NewSource(n.Seed))}
+	node.Engine().AtCall(node.Engine().Now(), x)
+	return c, &x.Handle
+}
+
+// interferer is the loop "sleep Phase; until stopped: write, sleep what is
+// left of the period" as engine callbacks, arming each event where a
+// process running the loop did: its first resume, the phase (also 0), the
+// write's issue and wake-up (the device's), and the rest of the period
+// only when some is left. Every event's seq and every float are the
+// process's, and nothing stays parked: a dropped node is garbage.
+type interferer struct {
+	Handle
+	n      Noise
+	dev    *device.Device
+	cg     *blkio.Cgroup
+	rng    *rand.Rand
+	tok    device.Token
+	start  float64 // of the checkpoint in flight
+	phased bool    // the first resume is past: each Fire starts a checkpoint
+}
+
+// Fire takes the launch hop, then starts a checkpoint unless stopped.
+//
+//tango:hotpath
+func (x *interferer) Fire() {
+	eng := x.dev.Engine()
+	switch {
+	case !x.phased:
+		x.phased = true
+		eng.AtCall(eng.Now()+x.n.Phase, x)
+	case !x.stopped:
+		x.start = eng.Now()
+		x.dev.StartWrite(x.cg, x.n.CheckpointBytes, &x.tok, x)
+	}
+}
+
+// TransferDone ends a checkpoint: it draws the jittered period and sleeps
+// what is left of it, or starts the next one at once after an overrun.
+//
+//tango:hotpath
+func (x *interferer) TransferDone(*device.Token, error) {
+	period := x.n.Period
+	if x.period > 0 {
+		period = x.period
+	}
+	if x.n.Jitter > 0 {
+		period *= 1 + x.n.Jitter*(2*x.rng.Float64()-1)
+	}
+	eng := x.dev.Engine()
+	if wait := period - (eng.Now() - x.start); wait > 0 {
+		eng.AtCall(eng.Now()+wait, x)
+	} else {
+		x.Fire()
+	}
 }
 
 // LaunchNoiseSet starts the given interferers and returns their containers.
