@@ -71,12 +71,12 @@ loc:
 		echo "exported fields $$f $$n: $$c"; total=$$((total+c)); \
 	done; echo "exported config fields: $$total"
 
-# Ceilings on loc's two figures, set to what PR 24's caller audit left and
-# held by PR 26, which paid for its lines with deletions (the same idea as
-# scripts/alloc-ceilings.sh: the number that was bought is held). Lower
-# them with the next audit; raise one only in the PR that says what the
-# lines or the option bought.
-LOC_MAX = 21015
+# Ceilings on loc's two figures, set to what the caller audits left and
+# held by the PRs since, which paid for their lines with deletions (the
+# same idea as scripts/alloc-ceilings.sh: the number that was bought is
+# held). Lower them with the next audit; raise one only in the PR that
+# says what the lines or the option bought.
+LOC_MAX = 20954
 CONFIG_FIELDS_MAX = 28
 
 loc-check:

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"tango/internal/refactor"
@@ -77,6 +78,37 @@ func TestRenderNormalizes(t *testing.T) {
 	}
 	if min < 0 || max > 1 || max-min < 0.5 {
 		t.Fatalf("render range [%v,%v]", min, max)
+	}
+}
+
+// TestRenderMatchesSerialLoop compares Render with its serial loop bit
+// for bit at one and two workers, below and above par.Threshold, and
+// checks the property SSIM's copy-free path needs: the image's minimum
+// is +0 and its maximum exactly 1.
+func TestRenderMatchesSerialLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{64, 257} {
+		f := synth.GenASiS(n, 6)
+		min, max := f.MinMax()
+		want := make([]float64, f.Len())
+		for i, v := range f.Data() {
+			x := (v - min) / (max - min)
+			want[i] = math.Sqrt(x)
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			img := Render(f)
+			lo, hi := math.Inf(1), math.Inf(-1)
+			for i, v := range img {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d procs=%d pixel %d: %v, serial %v", n, procs, i, v, want[i])
+				}
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+			}
+			if math.Float64bits(lo) != 0 || hi != 1 {
+				t.Fatalf("n=%d: render range [%v, %v], want [+0, 1]", n, lo, hi)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tango/internal/errmetric"
+	"tango/internal/par"
 	"tango/internal/tensor"
 )
 
@@ -21,11 +22,13 @@ func Render(t *tensor.Tensor) []float64 {
 	if scale == 0 {
 		scale = 1
 	}
-	out := make([]float64, t.Len())
-	for i, v := range t.Data() {
-		x := (v - min) / scale
-		out[i] = math.Sqrt(x) // gamma 0.5 brightens the dim exterior
-	}
+	data, out := t.Data(), make([]float64, t.Len())
+	par.For(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x := (data[i] - min) / scale
+			out[i] = math.Sqrt(x) // gamma 0.5 brightens the dim exterior
+		}
+	})
 	return out
 }
 

@@ -3,6 +3,8 @@ package errmetric
 import (
 	"fmt"
 	"math"
+
+	"tango/internal/par"
 )
 
 // SSIM computes the mean structural similarity index between two 2D
@@ -19,27 +21,47 @@ func SSIM(ref, img []float64, rows, cols int) float64 {
 		panic(fmt.Sprintf("errmetric: SSIM shape mismatch rows=%d cols=%d len=%d/%d",
 			rows, cols, len(ref), len(img)))
 	}
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range ref {
-		if v < min {
-			min = v
+	// min and max are exact in any grouping; folding the chunks in order
+	// keeps the first of equal extremes, as one scan does.
+	type span struct{ min, max float64 }
+	rng := par.MapReduce(len(ref), func(lo, hi int) span {
+		s := span{math.Inf(1), math.Inf(-1)}
+		for _, v := range ref[lo:hi] {
+			if v < s.min {
+				s.min = v
+			}
+			if v > s.max {
+				s.max = v
+			}
 		}
-		if v > max {
-			max = v
+		return s
+	}, func(a, b span) span {
+		if b.min < a.min {
+			a.min = b.min
 		}
-	}
-	scale := max - min
+		if b.max > a.max {
+			a.max = b.max
+		}
+		return a
+	})
+	scale := rng.max - rng.min
 	if scale == 0 {
 		scale = 1
 	}
-	norm := func(src []float64) []float64 {
-		out := make([]float64, len(src))
-		for i, v := range src {
-			out[i] = (v - min) / scale
+	// (v − (+0))/1 == v bit for bit, so that normalisation — the one
+	// analytics.Render's [0,1] output always gets — reads the inputs in
+	// place instead of copying them.
+	a, b := ref, img
+	if math.Float64bits(rng.min) != 0 || scale != 1 {
+		norm := func(src []float64) []float64 {
+			out := make([]float64, len(src))
+			for i, v := range src {
+				out[i] = (v - rng.min) / scale
+			}
+			return out
 		}
-		return out
+		a, b = norm(ref), norm(img)
 	}
-	a, b := norm(ref), norm(img)
 
 	const (
 		win = 8
@@ -47,24 +69,27 @@ func SSIM(ref, img []float64, rows, cols int) float64 {
 		c2  = 0.03 * 0.03
 	)
 	stepR, stepC := win/2, win/2
-	var total float64
-	var windows int
-	for r0 := 0; r0 < rows; r0 += stepR {
-		r1 := r0 + win
-		if r1 > rows {
-			r1 = rows
+	// Window origins run 0, step, 2·step, … while at least two rows (or
+	// columns) remain under the window: a prefix of the origins.
+	origins := func(n, step int) int {
+		if n < 2 {
+			return 0
 		}
-		if r1-r0 < 2 {
-			continue
-		}
-		for c0 := 0; c0 < cols; c0 += stepC {
-			c1e := c0 + win
-			if c1e > cols {
-				c1e = cols
-			}
-			if c1e-c0 < 2 {
-				continue
-			}
+		return (n-2)/step + 1
+	}
+	nc := origins(cols, stepC)
+	windows := origins(rows, stepR) * nc
+	if windows == 0 {
+		panic("errmetric: SSIM image too small for any window")
+	}
+	// Each window is scored on its own into its slot, in parallel; the
+	// scores are summed serially in window order, as one raster loop does.
+	vals := make([]float64, windows)
+	par.For(windows, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			r0, c0 := k/nc*stepR, k%nc*stepC
+			r1 := min(r0+win, rows)
+			c1e := min(c0+win, cols)
 			n := float64((r1 - r0) * (c1e - c0))
 			var sa, sb float64
 			for r := r0; r < r1; r++ {
@@ -87,14 +112,13 @@ func SSIM(ref, img []float64, rows, cols int) float64 {
 			va /= n - 1
 			vb /= n - 1
 			cov /= n - 1
-			ssim := ((2*ma*mb + c1) * (2*cov + c2)) /
+			vals[k] = ((2*ma*mb + c1) * (2*cov + c2)) /
 				((ma*ma + mb*mb + c1) * (va + vb + c2))
-			total += ssim
-			windows++
 		}
-	}
-	if windows == 0 {
-		panic("errmetric: SSIM image too small for any window")
+	})
+	var total float64
+	for _, v := range vals {
+		total += v
 	}
 	return total / float64(windows)
 }
@@ -106,29 +130,35 @@ func Dice(a, b []bool) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("errmetric: Dice length mismatch %d vs %d", len(a), len(b)))
 	}
-	var inter, na, nb int
-	for i := range a {
-		if a[i] {
-			na++
+	type counts struct{ inter, na, nb int }
+	k := par.MapReduce(len(a), func(lo, hi int) counts {
+		var k counts
+		for i := lo; i < hi; i++ {
+			if a[i] {
+				k.na++
+			}
+			if b[i] {
+				k.nb++
+			}
+			if a[i] && b[i] {
+				k.inter++
+			}
 		}
-		if b[i] {
-			nb++
-		}
-		if a[i] && b[i] {
-			inter++
-		}
-	}
-	if na+nb == 0 {
+		return k
+	}, func(x, y counts) counts { return counts{x.inter + y.inter, x.na + y.na, x.nb + y.nb} })
+	if k.na+k.nb == 0 {
 		return 1
 	}
-	return 2 * float64(inter) / float64(na+nb)
+	return 2 * float64(k.inter) / float64(k.na+k.nb)
 }
 
 // ThresholdMask returns the mask x >= thresh.
 func ThresholdMask(x []float64, thresh float64) []bool {
 	m := make([]bool, len(x))
-	for i, v := range x {
-		m[i] = v >= thresh
-	}
+	par.For(len(x), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m[i] = x[i] >= thresh
+		}
+	})
 	return m
 }

@@ -1,0 +1,211 @@
+package errmetric
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"tango/internal/par"
+)
+
+// ssimSerial, diceSerial and thresholdMaskSerial are SSIM, Dice and
+// ThresholdMask as they stood before they went onto par — one raster loop
+// over the windows, two normalised copies per call — kept verbatim as the
+// oracles.
+func ssimSerial(ref, img []float64, rows, cols int) float64 {
+	if rows <= 0 || cols <= 0 || rows*cols != len(ref) || len(ref) != len(img) {
+		panic(fmt.Sprintf("errmetric: SSIM shape mismatch rows=%d cols=%d len=%d/%d",
+			rows, cols, len(ref), len(img)))
+	}
+	min, max := math.Inf(1), math.Inf(-1)
+	for _, v := range ref {
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	scale := max - min
+	if scale == 0 {
+		scale = 1
+	}
+	norm := func(src []float64) []float64 {
+		out := make([]float64, len(src))
+		for i, v := range src {
+			out[i] = (v - min) / scale
+		}
+		return out
+	}
+	a, b := norm(ref), norm(img)
+
+	const (
+		win = 8
+		c1  = 0.01 * 0.01
+		c2  = 0.03 * 0.03
+	)
+	stepR, stepC := win/2, win/2
+	var total float64
+	var windows int
+	for r0 := 0; r0 < rows; r0 += stepR {
+		r1 := r0 + win
+		if r1 > rows {
+			r1 = rows
+		}
+		if r1-r0 < 2 {
+			continue
+		}
+		for c0 := 0; c0 < cols; c0 += stepC {
+			c1e := c0 + win
+			if c1e > cols {
+				c1e = cols
+			}
+			if c1e-c0 < 2 {
+				continue
+			}
+			n := float64((r1 - r0) * (c1e - c0))
+			var sa, sb float64
+			for r := r0; r < r1; r++ {
+				for c := c0; c < c1e; c++ {
+					sa += a[r*cols+c]
+					sb += b[r*cols+c]
+				}
+			}
+			ma, mb := sa/n, sb/n
+			var va, vb, cov float64
+			for r := r0; r < r1; r++ {
+				for c := c0; c < c1e; c++ {
+					da := a[r*cols+c] - ma
+					db := b[r*cols+c] - mb
+					va += da * da
+					vb += db * db
+					cov += da * db
+				}
+			}
+			va /= n - 1
+			vb /= n - 1
+			cov /= n - 1
+			ssim := ((2*ma*mb + c1) * (2*cov + c2)) /
+				((ma*ma + mb*mb + c1) * (va + vb + c2))
+			total += ssim
+			windows++
+		}
+	}
+	if windows == 0 {
+		panic("errmetric: SSIM image too small for any window")
+	}
+	return total / float64(windows)
+}
+
+func diceSerial(a, b []bool) float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("errmetric: Dice length mismatch %d vs %d", len(a), len(b)))
+	}
+	var inter, na, nb int
+	for i := range a {
+		if a[i] {
+			na++
+		}
+		if b[i] {
+			nb++
+		}
+		if a[i] && b[i] {
+			inter++
+		}
+	}
+	if na+nb == 0 {
+		return 1
+	}
+	return 2 * float64(inter) / float64(na+nb)
+}
+
+func thresholdMaskSerial(x []float64, thresh float64) []bool {
+	m := make([]bool, len(x))
+	for i, v := range x {
+		m[i] = v >= thresh
+	}
+	return m
+}
+
+// renderLike maps a field onto [0,1] the way analytics.Render does, so
+// its minimum is +0 and its maximum exactly 1: SSIM's identity
+// normalisation.
+func renderLike(x []float64) []float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range x {
+		lo, hi = math.Min(lo, v), math.Max(hi, v)
+	}
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = math.Sqrt((v - lo) / (hi - lo))
+	}
+	return out
+}
+
+// TestSSIMMatchesSerialWindowLoop compares SSIM, Dice and ThresholdMask
+// with their serial forms bit for bit at one and two workers, on images
+// whose window grid is below par.Threshold and ones whose grid (and
+// pixel count) spans several chunks, with the identity normalisation
+// and without it.
+func TestSSIMMatchesSerialWindowLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(8))
+	for _, shape := range [][2]int{{2, 2}, {9, 10}, {32, 32}, {700, 1030}, {1025, 1025}} {
+		rows, cols := shape[0], shape[1]
+		field := make([]float64, rows*cols)
+		noisy := make([]float64, rows*cols)
+		for i := range field {
+			r, c := float64(i/cols), float64(i%cols)
+			field[i] = 3*math.Sin(r/40)*math.Cos(c/25) + 0.2*rng.NormFloat64()
+			noisy[i] = field[i] + 0.3*rng.NormFloat64()
+		}
+		if rows == 1025 && (rows/4)*(cols/4) <= par.Threshold {
+			t.Fatal("the window grid no longer spans several chunks")
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, in := range []struct {
+				name     string
+				ref, img []float64
+			}{
+				{"raw", field, noisy},
+				{"rendered", renderLike(field), renderLike(noisy)},
+			} {
+				got, want := SSIM(in.ref, in.img, rows, cols), ssimSerial(in.ref, in.img, rows, cols)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%dx%d procs=%d %s: SSIM %v, serial %v", rows, cols, procs, in.name, got, want)
+				}
+				ma, mb := ThresholdMask(in.ref, 0.6), ThresholdMask(in.img, 0.6)
+				wa := thresholdMaskSerial(in.ref, 0.6)
+				for i := range wa {
+					if ma[i] != wa[i] {
+						t.Fatalf("%dx%d procs=%d %s: mask point %d differs", rows, cols, procs, in.name, i)
+					}
+				}
+				if got, want := Dice(ma, mb), diceSerial(ma, mb); got != want {
+					t.Fatalf("%dx%d procs=%d %s: Dice %v, serial %v", rows, cols, procs, in.name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSSIMIdentityNormalisationCopiesNothing: on [0,1] images with a +0
+// minimum and a maximum of 1 SSIM allocates two objects fewer — the
+// normalised copies — than on the same images shifted off zero.
+func TestSSIMIdentityNormalisationCopiesNothing(t *testing.T) {
+	rows, cols := 64, 64
+	ref, img := make([]float64, rows*cols), make([]float64, rows*cols)
+	for i := range ref {
+		ref[i] = float64(i%17) / 16
+		img[i] = float64(i%13) / 12
+	}
+	identity := testing.AllocsPerRun(5, func() { SSIM(ref, img, rows, cols) })
+	ref[0] = -0.5
+	copying := testing.AllocsPerRun(5, func() { SSIM(ref, img, rows, cols) })
+	if identity > copying-2 {
+		t.Fatalf("SSIM allocates %v objects on identity-normalised images, %v with copies", identity, copying)
+	}
+}

@@ -76,7 +76,7 @@ var DefaultSimPackages = []string{
 var DefaultParPackages = []string{
 	"sim", "device", "core", "coordinator", "harness", "dftestim", "weightfn",
 	"fault", "staging", "cache", "resil", "par", "runpool", "refactor", "trace",
-	"workload", "analytics", "lint", "main",
+	"workload", "analytics", "synth", "errmetric", "lint", "main",
 	"fleet", "objstore", "tokenctl",
 }
 

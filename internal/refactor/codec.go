@@ -183,7 +183,7 @@ func (h *Hierarchy) Encode(w io.Writer) error {
 // Decode reads a hierarchy previously written by Encode. When r is
 // already a *bufio.Reader it is used directly (no read-ahead beyond the
 // hierarchy's own bytes is introduced), so hierarchies can be decoded
-// back-to-back from one stream (see DecodeBundle).
+// back-to-back from one stream.
 func Decode(r io.Reader) (*Hierarchy, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
@@ -293,6 +293,8 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 		return nil, fmt.Errorf("refactor: aug level count %d, want %d", nAugs, h.opts.Levels-1)
 	}
 	h.augs = make([][]Entry, nAugs)
+	// One bit per grid point: level 0 is the largest and sizes it.
+	var seen []uint64
 	for l := range h.augs {
 		n := int(readU())
 		if firstErr != nil {
@@ -309,10 +311,23 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Recompose scatters a level's entries in parallel, so an index
+		// must not repeat within a level.
+		if words := (levelLen + 63) / 64; seen == nil {
+			seen = make([]uint64, words)
+		} else {
+			seen = seen[:words]
+			clear(seen)
+		}
 		for i, e := range entries {
 			if e.Index < 0 || e.Index >= levelLen {
 				return nil, fmt.Errorf("refactor: level %d entry %d index %d out of grid", l, i, e.Index)
 			}
+			word, bit := e.Index/64, uint64(1)<<(e.Index%64)
+			if seen[word]&bit != 0 {
+				return nil, fmt.Errorf("refactor: level %d entry %d repeats index %d", l, i, e.Index)
+			}
+			seen[word] |= bit
 		}
 		h.augs[l] = entries
 	}

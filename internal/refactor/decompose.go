@@ -60,10 +60,10 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 
 	// One level-0 field holds each level's prolongation here, then the
 	// sweep's prolongated floor and the prober's reconstruction; one
-	// ping-pong buffer, sized by the finest level, serves every sort.
+	// sort scratch, sized by the finest level, serves every sort.
 	h.scratch = make([]float64, orig.Len())
 	defer func() { h.scratch = nil }()
-	var sortTmp []Entry
+	var ss sortScratch
 	for l := 0; l < L-1; l++ {
 		pro := h.scratch[:levels[l].Len()]
 		prolongateInto(pro, levels[l+1], levelDims[l], opts.Decimation)
@@ -71,7 +71,7 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 		// Descending |value|; ties broken by index for determinism.
 		// (NoSort keeps index order — ablation of §III-B2 step 3.)
 		if !opts.NoSort {
-			sortTmp = sortEntries(entries, sortTmp)
+			sortEntries(entries, &ss)
 		}
 		h.augs[l] = entries
 	}

@@ -7,11 +7,14 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"tango/internal/errmetric"
+	"tango/internal/par"
 	"tango/internal/tensor"
 )
 
@@ -411,6 +414,32 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsRepeatedIndex: a level that names a grid point twice
+// is a decode error naming the level and the index, not a race in
+// Recompose's parallel scatter.
+func TestDecodeRejectsRepeatedIndex(t *testing.T) {
+	h, err := Decode(bytes.NewReader(validHierarchyBytes(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, aug := range h.augs {
+		if len(aug) < 2 {
+			continue
+		}
+		// The repeat is the stream's last entry: every check before it passes.
+		idx := aug[0].Index
+		data := encodeWithRungs(t, func(h *Hierarchy) { h.augs[l][len(aug)-1].Index = idx })
+		_, err := Decode(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("level %d: index %d twice accepted", l, idx)
+		}
+		want := fmt.Sprintf("level %d entry %d repeats index %d", l, len(aug)-1, idx)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("level %d: error %q does not say %q", l, err, want)
+		}
+	}
+}
+
 // TestDecodeRejectsOutOfRangeRung: a ladder that does not address the
 // decoded stream is a decode error, not a panic in Recompose/Segments
 // when a caller follows CursorForBound.
@@ -604,6 +633,74 @@ func TestRecomposeAtLevel(t *testing.T) {
 	// Dims match the level's grid.
 	if !sameInts(inter.Dims(), h.levelDims[lvl]) {
 		t.Fatalf("dims %v, want %v", inter.Dims(), h.levelDims[lvl])
+	}
+}
+
+// recomposeSerial is RecomposeAtLevel as it stood before its entry
+// scatter went onto par.For, kept verbatim as the oracle.
+func recomposeSerial(h *Hierarchy, cursor, level int) *tensor.Tensor {
+	if level < 0 || level >= len(h.levelDims) {
+		panic(fmt.Sprintf("refactor: level %d out of range [0,%d)", level, len(h.levelDims)))
+	}
+	pos, take := h.split(cursor)
+	r := h.base // read-only until the first Prolongate replaces it
+	d := h.opts.Decimation
+	for i, lvl := range h.order {
+		if lvl < level {
+			break
+		}
+		r = Prolongate(r, h.levelDims[lvl], d)
+		var n int
+		switch {
+		case i < pos:
+			n = len(h.augs[lvl])
+		case i == pos:
+			n = take
+		default:
+			n = 0
+		}
+		data := r.Data()
+		for _, e := range h.augs[lvl][:n] {
+			data[e.Index] += e.Value
+		}
+	}
+	if r == h.base {
+		r = r.Clone() // the caller owns what it gets
+	}
+	return r
+}
+
+// TestRecomposeMatchesSerialScatter compares RecomposeAtLevel with the
+// serial scatter bit for bit at one and two workers, on a hierarchy whose
+// level-0 stream is below par.Threshold and one whose stream spans
+// several chunks, at cursors inside and on the edges of every zone.
+func TestRecomposeMatchesSerialScatter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{65, 257} {
+		h := mustDecompose(t, smoothField(n, 4), Options{Levels: 4})
+		if n == 257 && len(h.augs[0]) <= par.Threshold {
+			t.Fatalf("level 0 has %d entries: not several chunks", len(h.augs[0]))
+		}
+		var cursors []int
+		prev := 0
+		for _, c := range h.cum {
+			cursors = append(cursors, prev, (prev+c)/2, c)
+			prev = c
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for level := 0; level < h.Levels(); level++ {
+				for _, cursor := range cursors {
+					got, want := h.RecomposeAtLevel(cursor, level).Data(), recomposeSerial(h, cursor, level).Data()
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("n=%d procs=%d level %d cursor %d point %d: %v, serial %v",
+								n, procs, level, cursor, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,10 +2,12 @@ package refactor
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"testing"
 )
 
-// fuzz seeds: a valid hierarchy, a valid bundle, and garbage.
+// fuzz seeds: a valid hierarchy, edits of it, and garbage.
 func validHierarchyBytes(tb testing.TB) []byte {
 	tb.Helper()
 	h, err := Decompose(smoothField(17, 1), Options{Levels: 3, Bounds: []float64{0.1}})
@@ -41,24 +43,17 @@ func outOfRangeRungBytes(tb testing.TB) []byte {
 	return encodeWithRungs(tb, func(h *Hierarchy) { h.rungs[0].Cursor = h.TotalEntries() + 5 })
 }
 
-func validBundleBytes(tb testing.TB) []byte {
-	tb.Helper()
-	b, err := DecomposeBundle([]Var{
-		{Name: "a", Data: smoothField(17, 2)},
-		{Name: "b", Data: smoothField(17, 3)},
-	}, Options{Levels: 2})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+// repeatedIndexBytes is the valid hierarchy with its level-0 stream naming
+// its first grid point twice.
+func repeatedIndexBytes(tb testing.TB) []byte {
+	return encodeWithRungs(tb, func(h *Hierarchy) { h.augs[0][1].Index = h.augs[0][0].Index })
 }
 
 // FuzzDecode: Decode must never panic or over-allocate on adversarial
-// input — it either returns a hierarchy or an error.
+// input — it either returns a hierarchy or an error. What it accepts
+// names each grid point at most once per level, so Recompose's parallel
+// scatter writes disjoint points and gives the same bits at any worker
+// count.
 func FuzzDecode(f *testing.F) {
 	valid := validHierarchyBytes(f)
 	f.Add(valid)
@@ -74,10 +69,20 @@ func FuzzDecode(f *testing.F) {
 			f.Add(c)
 		}
 	}
+	f.Add(repeatedIndexBytes(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for l, aug := range h.augs {
+			seen := map[int]bool{}
+			for _, e := range aug {
+				if seen[e.Index] {
+					t.Fatalf("level %d: index %d accepted twice", l, e.Index)
+				}
+				seen[e.Index] = true
+			}
 		}
 		// A successfully decoded hierarchy must be internally usable.
 		_ = h.Recompose(0)
@@ -85,22 +90,14 @@ func FuzzDecode(f *testing.F) {
 			_ = h.Recompose(r.Cursor)
 		}
 		checkAppendSegments(t, h)
-	})
-}
-
-// FuzzDecodeBundle: same contract for bundle streams.
-func FuzzDecodeBundle(f *testing.F) {
-	valid := validBundleBytes(f)
-	f.Add(valid)
-	f.Add([]byte("TNGB1\n"))
-	f.Add(valid[:len(valid)*2/3])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBundle(bytes.NewReader(data))
-		if err != nil {
-			return
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		one := h.Recompose(h.TotalEntries()).Data()
+		runtime.GOMAXPROCS(2)
+		for i, v := range h.Recompose(h.TotalEntries()).Data() {
+			if math.Float64bits(v) != math.Float64bits(one[i]) {
+				t.Fatalf("point %d: %v at two workers, %v at one", i, v, one[i])
+			}
 		}
-		_ = b.Names()
-		_ = b.TotalBytes()
 	})
 }
 
@@ -119,9 +116,5 @@ func TestFuzzSeedsAsRegressions(t *testing.T) {
 			// Either decodes or errors; must not panic.
 			_, _ = Decode(bytes.NewReader(c))
 		}
-	}
-	vb := validBundleBytes(t)
-	if _, err := DecodeBundle(bytes.NewReader(vb)); err != nil {
-		t.Fatalf("valid bundle rejected: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tango/internal/errmetric"
+	"tango/internal/par"
 	"tango/internal/tensor"
 )
 
@@ -302,10 +303,15 @@ func (h *Hierarchy) RecomposeAtLevel(cursor, level int) *tensor.Tensor {
 		default:
 			n = 0
 		}
-		data := r.Data()
-		for _, e := range h.augs[lvl][:n] {
-			data[e.Index] += e.Value
-		}
+		// A level names each point at most once (extractEntries emits
+		// ascending indices, Decode rejects a repeat), so the chunks write
+		// disjoint points and each point takes its one add.
+		data, aug := r.Data(), h.augs[lvl][:n]
+		par.For(n, func(lo, hi int) {
+			for _, e := range aug[lo:hi] {
+				data[e.Index] += e.Value
+			}
+		})
 	}
 	if r == h.base {
 		r = r.Clone() // the caller owns what it gets

@@ -3,6 +3,8 @@ package refactor
 import (
 	"math"
 	"slices"
+
+	"tango/internal/par"
 )
 
 // radixMin is the slice length above which sortEntries switches from
@@ -14,6 +16,14 @@ const radixMin = 1 << 12
 // each pass derives it from the entry it moves, no key array beside them.
 func radixKey(v float64) uint64 {
 	return ^(math.Float64bits(v) &^ (1 << 63))
+}
+
+// sortScratch is what sortEntries keeps between calls: the radix passes'
+// ping-pong buffer and one digit histogram per par chunk. Decompose
+// passes one across its levels, so it pays for the longest level only.
+type sortScratch struct {
+	tmp  []Entry
+	hist [][256]int
 }
 
 // sortEntries orders entries by descending |value|, ties broken by
@@ -28,52 +38,77 @@ func radixKey(v float64) uint64 {
 // incomparable under compareEntries and pdqsort may place it
 // arbitrarily — the radix order is the better-defined of the two.
 //
-// tmp is the radix path's ping-pong buffer; it is grown when shorter
-// than entries and returned, so a caller sorting several slices pays for
-// the longest one only.
-func sortEntries(entries, tmp []Entry) []Entry {
+// Each pass runs on par's fixed chunks: every chunk counts its digits,
+// the offsets are handed out digit-major and, within a digit, in chunk
+// order, and every chunk then scatters its own entries in order. An
+// entry lands where the serial stable pass puts it — after all smaller
+// digits, after the same digit in earlier chunks, after the same digit
+// earlier in its own chunk — so the permutation is the serial one at
+// any worker count, and the writes are disjoint.
+func sortEntries(entries []Entry, s *sortScratch) {
 	n := len(entries)
 	if n < radixMin {
 		slices.SortFunc(entries, compareEntries)
-		return tmp
+		return
 	}
 
-	// One scan builds all eight digit histograms; digit counts do not
-	// depend on the order of earlier passes.
-	var count [8][256]int
-	for _, e := range entries {
-		k := radixKey(e.Value)
-		for b := uint(0); b < 8; b++ {
-			count[b][byte(k>>(8*b))]++
+	// A digit every key shares permutes nothing: there the AND and the
+	// OR of all keys agree, and the pass is skipped.
+	type andOr struct{ and, or uint64 }
+	all := par.MapReduce(n, func(lo, hi int) andOr {
+		m := andOr{^uint64(0), 0}
+		for _, e := range entries[lo:hi] {
+			k := radixKey(e.Value)
+			m.and &= k
+			m.or |= k
 		}
-	}
+		return m
+	}, func(a, b andOr) andOr { return andOr{a.and & b.and, a.or | b.or} })
+	varying := all.and ^ all.or
 
-	if len(tmp) < n {
-		tmp = make([]Entry, n)
+	if len(s.tmp) < n {
+		s.tmp = make([]Entry, n)
 	}
-	src, dst := entries, tmp[:n]
-	for b := uint(0); b < 8; b++ {
-		c := &count[b]
-		// A digit every key shares permutes nothing; skip the pass.
-		if c[byte(radixKey(src[0].Value)>>(8*b))] == n {
-			continue
+	nc := par.NumChunks(n)
+	if len(s.hist) < nc {
+		s.hist = make([][256]int, nc)
+	}
+	src, dst := entries, s.tmp[:n]
+	for shift := uint(0); shift < 64; shift += 8 {
+		if byte(varying>>shift) != 0 {
+			radixPass(src, dst, s.hist[:nc], shift)
+			src, dst = dst, src
 		}
-		var offs [256]int
-		off := 0
-		for v := 0; v < 256; v++ {
-			offs[v] = off
-			off += c[v]
-		}
-		for _, e := range src {
-			v := byte(radixKey(e.Value) >> (8 * b))
-			o := offs[v]
-			offs[v] = o + 1
-			dst[o] = e
-		}
-		src, dst = dst, src
 	}
 	if &src[0] != &entries[0] {
 		copy(entries, src)
 	}
-	return tmp
+}
+
+// radixPass moves src into dst stably by the key byte at shift, with
+// hist holding one histogram per par chunk of src.
+func radixPass(src, dst []Entry, hist [][256]int, shift uint) {
+	par.ForChunk(len(src), func(c, lo, hi int) {
+		h := &hist[c]
+		*h = [256]int{}
+		for _, e := range src[lo:hi] {
+			h[byte(radixKey(e.Value)>>shift)]++
+		}
+	})
+	off := 0
+	for v := 0; v < 256; v++ {
+		for c := range hist {
+			k := hist[c][v]
+			hist[c][v] = off
+			off += k
+		}
+	}
+	par.ForChunk(len(src), func(c, lo, hi int) {
+		offs := &hist[c]
+		for _, e := range src[lo:hi] {
+			v := byte(radixKey(e.Value) >> shift)
+			dst[offs[v]] = e
+			offs[v]++
+		}
+	})
 }

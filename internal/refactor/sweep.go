@@ -60,26 +60,44 @@ type sweepResult struct {
 // support window is stored — w holds positions [a, a+len(w)) and reads as
 // 0 outside — since a node's basis spans at most its two neighbours'
 // interval at every level; x + f·0 == x, so the weights are those of the
-// dense vector.
+// dense vector. The windows do not depend on the weights, so a first pass
+// sizes them: every column is then carved from one backing array, and
+// the weights ping-pong between two buffers as wide as the widest window.
 func (h *Hierarchy) composedColumns(lvl, dim int) [][]wpt {
 	d := h.opts.Decimation
 	m := func(l int) int { return h.levelDims[l][dim] }
+	// Fine x reads coarse nodes x/d and x/d+1 (the last node alone from
+	// the clamped tail on), so the level-l window [a, a+k) lands on the
+	// level-(l-1) window [fa, fb].
+	fine := func(l, a, k int) (fa, fb int) {
+		return max((a-1)*d+1, 0), min((a+k)*d-1, m(l-1)-1)
+	}
+	total, widest := 0, 1
+	for j := 0; j < m(lvl); j++ {
+		a, k := j, 1
+		for l := lvl; l >= 1; l-- {
+			fa, fb := fine(l, a, k)
+			a, k = fa, fb-fa+1
+			widest = max(widest, k)
+		}
+		total += k
+	}
+	backing := make([]wpt, 0, total)
+	bufs := [2][]float64{make([]float64, widest), make([]float64, widest)}
 	cols := make([][]wpt, m(lvl))
 	for j := range cols {
-		a, w := j, []float64{1}
+		a, w := j, bufs[0][:1]
+		w[0] = 1
 		at := func(p int) float64 {
 			if p < a || p >= a+len(w) {
 				return 0
 			}
 			return w[p-a]
 		}
-		for l := lvl; l >= 1; l-- {
-			nf, nc := m(l-1), m(l)
-			// Fine x reads coarse nodes x/d and x/d+1 (the last node alone
-			// from the clamped tail on).
-			fa := max((a-1)*d+1, 0)
-			fb := min((a+len(w))*d-1, nf-1)
-			fine := make([]float64, fb-fa+1)
+		for l, side := lvl, 1; l >= 1; l, side = l-1, 1-side {
+			nc := m(l)
+			fa, fb := fine(l, a, len(w))
+			next := bufs[side][:fb-fa+1]
 			for x := fa; x <= fb; x++ {
 				p := x / d
 				f := float64(x-p*d) / float64(d)
@@ -87,22 +105,79 @@ func (h *Hierarchy) composedColumns(lvl, dim int) [][]wpt {
 					p, f = nc-1, 0
 				}
 				if f == 0 {
-					fine[x-fa] = at(p)
+					next[x-fa] = at(p)
 				} else {
-					fine[x-fa] = (1-f)*at(p) + f*at(p+1)
+					next[x-fa] = (1-f)*at(p) + f*at(p+1)
 				}
 			}
-			a, w = fa, fine
+			a, w = fa, next
 		}
-		var col []wpt
+		start := len(backing)
 		for x, v := range w {
 			if v != 0 {
-				col = append(col, wpt{a + x, v})
+				backing = append(backing, wpt{a + x, v})
 			}
 		}
-		cols[j] = col
+		cols[j] = backing[start:len(backing):len(backing)]
 	}
 	return cols
+}
+
+// basisWalk applies one coarse entry's composed basis — the tensor
+// product of one column per dimension — to the error field, for any
+// rank, with one odometer instead of a recursion per dimension. It
+// visits the points in the order the recursion did (dim 0 outermost)
+// and forms each weight as ((1·w₀)·w₁)…, so every float is the same.
+type basisWalk struct {
+	basis   [][]wpt   // the entry's column along each dimension
+	strides []int     // level-0 row-major strides
+	k       []int     // odometer: position in basis[dim], dims 0..rank-2
+	ws      []float64 // ws[dim] is the weight product of dims < dim
+	offs    []int     // offs[dim] is the offset sum of dims < dim
+}
+
+func newBasisWalk(strides []int) *basisWalk {
+	rank := len(strides)
+	b := &basisWalk{
+		basis:   make([][]wpt, rank),
+		strides: strides,
+		k:       make([]int, rank),
+		ws:      make([]float64, rank),
+		offs:    make([]int, rank),
+	}
+	b.ws[0] = 1
+	return b
+}
+
+// apply subtracts v·basis from errv and returns sse moved by the same
+// point updates, in visiting order. No column is empty: node j's own fine
+// position carries weight 1.
+func (b *basisWalk) apply(errv []float64, sse, v float64) float64 {
+	last := len(b.basis) - 1
+	ws, offs := b.ws, b.offs
+	for dim := 0; ; {
+		for ; dim < last; dim++ {
+			p := b.basis[dim][b.k[dim]]
+			ws[dim+1] = ws[dim] * p.w
+			offs[dim+1] = offs[dim] + p.pos*b.strides[dim]
+		}
+		for _, p := range b.basis[last] {
+			off, w := offs[last]+p.pos*b.strides[last], ws[last]*p.w
+			old := errv[off]
+			nw := old - v*w
+			sse += nw*nw - old*old
+			errv[off] = nw
+		}
+		for dim = last - 1; dim >= 0; dim-- {
+			if b.k[dim]++; b.k[dim] < len(b.basis[dim]) {
+				break
+			}
+			b.k[dim] = 0
+		}
+		if dim < 0 {
+			return sse
+		}
+	}
 }
 
 // prolongateToFinest interpolates r, a level-lvl field with lvl >= 1, down
@@ -148,7 +223,8 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 
 	dims0 := h.levelDims[0]
 	rank := len(dims0)
-	strides0 := rowMajorStrides(dims0)
+	idx := make([]int, rank)
+	walk := newBasisWalk(rowMajorStrides(dims0))
 
 	d := h.opts.Decimation
 	res.floors = make([]*tensor.Tensor, len(h.order))
@@ -202,26 +278,13 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 			cols[dim] = h.composedColumns(lvl, dim)
 		}
 		cd := h.levelDims[lvl]
-		idx := make([]int, rank)
-		var v float64
-		var apply func(dim, off int, w float64)
-		apply = func(dim, off int, w float64) {
-			if dim == rank {
-				old := errv[off]
-				nw := old - v*w
-				sse += nw*nw - old*old
-				errv[off] = nw
-				return
-			}
-			for _, p := range cols[dim][idx[dim]] {
-				apply(dim+1, off+p.pos*strides0[dim], w*p.w)
-			}
-		}
 		for _, e := range h.augs[lvl] {
 			curData[e.Index] += e.Value
 			unravel(e.Index, cd, idx)
-			v = e.Value
-			apply(0, 0, 1)
+			for dim, j := range idx {
+				walk.basis[dim] = cols[dim][j]
+			}
+			sse = walk.apply(errv, sse, e.Value)
 			cursor++
 			check()
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -338,7 +339,7 @@ func TestSortEntriesMatchesComparator(t *testing.T) {
 	}
 	want := append([]Entry(nil), entries...)
 	slices.SortFunc(want, compareEntries)
-	sortEntries(entries, nil)
+	sortEntries(entries, &sortScratch{})
 	for i := range entries {
 		if entries[i] != want[i] {
 			t.Fatalf("order differs at %d: got %+v, want %+v", i, entries[i], want[i])
@@ -346,7 +347,7 @@ func TestSortEntriesMatchesComparator(t *testing.T) {
 	}
 	// Small slices take the comparison path; spot-check it too.
 	small := []Entry{{3, 1}, {1, -2}, {2, 1}, {0, 2}}
-	sortEntries(small, nil)
+	sortEntries(small, &sortScratch{})
 	wantSmall := []Entry{{0, 2}, {1, -2}, {2, 1}, {3, 1}}
 	for i := range small {
 		if small[i] != wantSmall[i] {
@@ -450,6 +451,98 @@ func TestComposedColumnsMatchDense(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// applyRecursive is the sweep's per-entry basis application as it stood
+// before basisWalk — a closure recursing once per dimension — kept
+// verbatim as the oracle.
+func applyRecursive(errv []float64, sse, v float64, cols [][][]wpt, idx, strides0 []int) float64 {
+	rank := len(cols)
+	var apply func(dim, off int, w float64)
+	apply = func(dim, off int, w float64) {
+		if dim == rank {
+			old := errv[off]
+			nw := old - v*w
+			sse += nw*nw - old*old
+			errv[off] = nw
+			return
+		}
+		for _, p := range cols[dim][idx[dim]] {
+			apply(dim+1, off+p.pos*strides0[dim], w*p.w)
+		}
+	}
+	apply(0, 0, 1)
+	return sse
+}
+
+// TestBasisWalkMatchesRecursiveApply runs every coarse entry of rank-1,
+// -2 and -3 hierarchies through basisWalk and through the recursion it
+// replaced, from the same error field, and compares the SSE after every
+// entry and the field after every level bit for bit. Four levels give
+// both a one-step (level 1) and a chained (level 2) composition.
+func TestBasisWalkMatchesRecursiveApply(t *testing.T) {
+	for _, dims := range [][]int{{4097}, {129, 65}, {17, 9, 33}} {
+		orig := tensor.New(dims...)
+		for i := range orig.Data() {
+			orig.Data()[i] = math.Sin(float64(i)*0.37) * float64(i%11)
+		}
+		h := mustDecompose(t, orig, Options{Levels: 4})
+		strides := rowMajorStrides(dims)
+		walk := newBasisWalk(strides)
+		idx := make([]int, len(dims))
+		rng := rand.New(rand.NewSource(3))
+		for lvl := 1; lvl < len(h.augs); lvl++ {
+			cols := make([][][]wpt, len(dims))
+			for dim := range cols {
+				cols[dim] = h.composedColumns(lvl, dim)
+			}
+			want := make([]float64, orig.Len())
+			for i := range want {
+				want[i] = rng.NormFloat64()
+			}
+			got := slices.Clone(want)
+			wantSSE, gotSSE := 0.5, 0.5
+			for i, e := range h.augs[lvl] {
+				unravel(e.Index, h.levelDims[lvl], idx)
+				wantSSE = applyRecursive(want, wantSSE, e.Value, cols, idx, strides)
+				for dim, j := range idx {
+					walk.basis[dim] = cols[dim][j]
+				}
+				gotSSE = walk.apply(got, gotSSE, e.Value)
+				if math.Float64bits(gotSSE) != math.Float64bits(wantSSE) {
+					t.Fatalf("dims=%v level %d entry %d: SSE %v, recursion %v", dims, lvl, i, gotSSE, wantSSE)
+				}
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("dims=%v level %d point %d: %v, recursion %v", dims, lvl, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestSweepMatchesBinarySearchAnyRank is TestSweepMatchesBinarySearch on
+// rank-1 and rank-3 grids above par.Threshold, at one and two workers.
+func TestSweepMatchesBinarySearchAnyRank(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, dims := range [][]int{{40_000}, {33, 35, 37}} {
+		orig := tensor.New(dims...)
+		for i := range orig.Data() {
+			orig.Data()[i] = math.Sin(float64(i)*0.013) + 0.1*math.Cos(float64(i)*0.7)
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			h := mustDecompose(t, orig, Options{Levels: 4, Bounds: []float64{1e-1, 1e-2, 1e-3}})
+			want, err := referenceLadder(h, orig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Rungs(); !slices.Equal(got, want) {
+				t.Fatalf("dims=%v procs=%d:\n got %+v\nwant %+v", dims, procs, got, want)
 			}
 		}
 	}

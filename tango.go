@@ -109,21 +109,6 @@ func DecomposeTensor(t *Tensor, o RefactorOptions) (*Hierarchy, error) {
 // DecodeHierarchy reads a hierarchy serialized with Hierarchy.Encode.
 func DecodeHierarchy(r io.Reader) (*Hierarchy, error) { return refactor.Decode(r) }
 
-// Var is one named variable of a multi-variable dataset.
-type Var = refactor.Var
-
-// Bundle refactors several variables under one error-bound ladder.
-type Bundle = refactor.Bundle
-
-// DecomposeBundle refactors each variable with the same options, giving a
-// uniform per-bound guarantee across variables.
-func DecomposeBundle(vars []Var, o RefactorOptions) (*Bundle, error) {
-	return refactor.DecomposeBundle(vars, o)
-}
-
-// DecodeBundle reads a bundle serialized with Bundle.Encode.
-func DecodeBundle(r io.Reader) (*Bundle, error) { return refactor.DecodeBundle(r) }
-
 // LevelsForRatio converts a target decimation ratio (point-count
 // reduction of the base representation) into a level count.
 func LevelsForRatio(ratio float64, rank, d int) int {

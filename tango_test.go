@@ -221,30 +221,3 @@ func TestNoMachineLocalPathsInTests(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBundleViaFacade(t *testing.T) {
-	b, err := tango.DecomposeBundle([]tango.Var{
-		{Name: "dpot", Data: tango.XGCApp().Generate(65, 1)},
-		{Name: "density", Data: tango.XGCApp().Generate(65, 2)},
-	}, tango.RefactorOptions{Levels: 3, Bounds: []float64{0.1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 2 {
-		t.Fatalf("len = %d", b.Len())
-	}
-	recs, err := b.RecomposeAll(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("recs = %d", len(recs))
-	}
-	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tango.DecodeBundle(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
