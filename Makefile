@@ -76,7 +76,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 20954
+LOC_MAX = 20936
 CONFIG_FIELDS_MAX = 28
 
 loc-check:

@@ -15,6 +15,7 @@ package blkio
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"tango/internal/slab"
@@ -42,20 +43,26 @@ func ClampWeight(w int) int {
 // by reference between the container that owns it and the devices that
 // schedule its flows. Mutations notify subscribed devices so that
 // proportional shares are recomputed immediately (runtime adjustment).
+//
+// A Cgroup has no lock: like the rest of a node's state it is touched only
+// from its engine's goroutine, or from a fleet barrier while that engine
+// is idle (package sim: all simulation state is serialized).
 type Cgroup struct {
-	mu   sync.Mutex
 	name string // immutable after construction
 
-	weight     int     // guarded by mu
-	readBps    float64 // guarded by mu (0 = unlimited)
-	writeBps   float64 // guarded by mu (0 = unlimited)
-	weightFail bool    // guarded by mu; injected fault: weight writes error
+	weight     int
+	readBps    float64 // 0 = unlimited
+	writeBps   float64 // 0 = unlimited
+	weightFail bool    // injected fault: weight writes error
 
-	subs []Subscriber // guarded by mu; snapshot before invoking outside the lock
+	// Subscribers in first-subscription order: a node's two tiers inline,
+	// any more in spill.
+	subs  [2]Subscriber
+	spill []Subscriber
 
 	// accounting
-	bytesRead    float64 // guarded by mu
-	bytesWritten float64 // guarded by mu
+	bytesRead    float64
+	bytesWritten float64
 }
 
 // Subscriber is told after any parameter change of a cgroup it subscribed
@@ -71,11 +78,7 @@ func NewCgroup(name string) *Cgroup {
 func (c *Cgroup) Name() string { return c.name }
 
 // Weight returns the current proportional weight.
-func (c *Cgroup) Weight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.weight
-}
+func (c *Cgroup) Weight() int { return c.weight }
 
 // ErrWeightWrite is returned by TrySetWeight while a weight-write fault
 // is injected (the kernel rejecting the blkio.weight write: EIO on the
@@ -106,74 +109,59 @@ func (c *Cgroup) SetWeight(w int) {
 // fault is injected (SetWeightFailing) it returns ErrWeightWrite and
 // leaves the weight unchanged.
 func (c *Cgroup) TrySetWeight(w int) error {
-	c.mu.Lock()
 	if c.weightFail {
-		c.mu.Unlock()
 		return weightWriteError{c}
 	}
 	c.weight = ClampWeight(w)
-	subs := c.subs
-	c.mu.Unlock()
-	for _, s := range subs {
-		s.Touch()
-	}
+	c.touch()
 	return nil
 }
 
 // SetWeightFailing toggles the injected weight-write fault (see
 // internal/fault). While failing, TrySetWeight errors and SetWeight is a
 // silent no-op; reads and throttle writes are unaffected.
-func (c *Cgroup) SetWeightFailing(fail bool) {
-	c.mu.Lock()
-	c.weightFail = fail
-	c.mu.Unlock()
-}
+func (c *Cgroup) SetWeightFailing(fail bool) { c.weightFail = fail }
 
 // WeightFailing reports whether weight writes are currently failing.
-func (c *Cgroup) WeightFailing() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.weightFail
-}
+func (c *Cgroup) WeightFailing() bool { return c.weightFail }
 
 // ReadBpsLimit returns the read throttle in bytes/sec (0 = unlimited).
-func (c *Cgroup) ReadBpsLimit() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readBps
-}
+func (c *Cgroup) ReadBpsLimit() float64 { return c.readBps }
 
 // WriteBpsLimit returns the write throttle in bytes/sec (0 = unlimited).
-func (c *Cgroup) WriteBpsLimit() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeBps
+func (c *Cgroup) WriteBpsLimit() float64 { return c.writeBps }
+
+// SetReadBpsLimit sets blkio.throttle.read_bps_device (0 or less disables).
+// A NaN or +Inf rate panics: a device would read either as "unlimited".
+func (c *Cgroup) SetReadBpsLimit(bps float64) {
+	c.readBps = c.throttle(bps)
+	c.touch()
 }
 
-// SetReadBpsLimit sets blkio.throttle.read_bps_device (0 disables).
-func (c *Cgroup) SetReadBpsLimit(bps float64) {
-	c.mu.Lock()
-	if bps < 0 {
-		bps = 0
+// SetWriteBpsLimit sets blkio.throttle.write_bps_device, like
+// SetReadBpsLimit.
+func (c *Cgroup) SetWriteBpsLimit(bps float64) {
+	c.writeBps = c.throttle(bps)
+	c.touch()
+}
+
+// throttle checks and clamps a byte-rate limit for the setters.
+func (c *Cgroup) throttle(bps float64) float64 {
+	if math.IsNaN(bps) || math.IsInf(bps, 1) {
+		panic(fmt.Sprintf("blkio: cgroup %q: throttle %v bytes/s is not a finite rate", c.name, bps))
 	}
-	c.readBps = bps
-	subs := c.subs
-	c.mu.Unlock()
-	for _, s := range subs {
+	return max(bps, 0)
+}
+
+// touch tells every subscriber, in first-subscription order.
+func (c *Cgroup) touch() {
+	for _, s := range c.subs {
+		if s == nil {
+			return
+		}
 		s.Touch()
 	}
-}
-
-// SetWriteBpsLimit sets blkio.throttle.write_bps_device (0 disables).
-func (c *Cgroup) SetWriteBpsLimit(bps float64) {
-	c.mu.Lock()
-	if bps < 0 {
-		bps = 0
-	}
-	c.writeBps = bps
-	subs := c.subs
-	c.mu.Unlock()
-	for _, s := range subs {
+	for _, s := range c.spill {
 		s.Touch()
 	}
 }
@@ -185,23 +173,25 @@ func (c *Cgroup) SetWriteBpsLimit(bps float64) {
 //
 //tango:hotpath
 func (c *Cgroup) Subscribe(s Subscriber) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, have := range c.subs {
+	for i, have := range c.subs {
+		switch have {
+		case s:
+			return
+		case nil:
+			c.subs[i] = s
+			return
+		}
+	}
+	for _, have := range c.spill {
 		if have == s {
 			return
 		}
 	}
-	if c.subs == nil {
-		c.subs = make([]Subscriber, 0, 2) // a node's tiers: sized once, not grown per device
-	}
-	c.subs = append(c.subs, s)
+	c.spill = append(c.spill, s)
 }
 
 // Account records served bytes (called by devices on flow completion).
 func (c *Cgroup) Account(bytes float64, write bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if write {
 		c.bytesWritten += bytes
 	} else {
@@ -210,18 +200,10 @@ func (c *Cgroup) Account(bytes float64, write bool) {
 }
 
 // BytesRead returns cumulative bytes read through this cgroup.
-func (c *Cgroup) BytesRead() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytesRead
-}
+func (c *Cgroup) BytesRead() float64 { return c.bytesRead }
 
 // BytesWritten returns cumulative bytes written through this cgroup.
-func (c *Cgroup) BytesWritten() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytesWritten
-}
+func (c *Cgroup) BytesWritten() float64 { return c.bytesWritten }
 
 // Controller is a registry of cgroups on a node, analogous to the blkio
 // cgroup hierarchy root.
@@ -243,10 +225,9 @@ func (ctl *Controller) Create(name string) (*Cgroup, error) {
 	if _, ok := ctl.groups[name]; ok {
 		return nil, fmt.Errorf("blkio: cgroup %q already exists", name)
 	}
-	// A zero slot made what NewCgroup returns; weight is guarded by cg.mu.
+	// A zero slot made what NewCgroup returns.
 	cg := ctl.slab.Next()
-	cg.name = name
-	cg.SetWeight(DefaultWeight)
+	cg.name, cg.weight = name, DefaultWeight
 	ctl.groups[name] = cg
 	return cg, nil
 }

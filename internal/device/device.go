@@ -227,8 +227,6 @@ type Device struct {
 	wfCapped  []int     // reshape scratch: groups capped this round
 	effMemo   []float64 // Efficiency(n) memo, indexed by n
 
-	lastSub *blkio.Cgroup // of the last flow issued; the next of the same skips Subscribe's lock
-
 	// Injected degradation (see internal/fault): bwFactor scales the
 	// delivered bandwidth (1 = healthy, 0 = stuck device), extraLatency
 	// adds to the per-request cost, and readErr makes TryRead fail.
@@ -644,10 +642,7 @@ func (d *Device) issue(f *flow) {
 		d.end(f)
 		return
 	}
-	if f.cg != d.lastSub {
-		f.cg.Subscribe(d) // the cgroup keeps the first: "ever had a flow here"
-		d.lastSub = f.cg
-	}
+	f.cg.Subscribe(d) // the cgroup keeps the first: "ever had a flow here"
 	f.id = d.nextID
 	d.nextID++
 	if f.tok != nil {

@@ -162,21 +162,10 @@ func (s Stats) Measure(k Kind, x, xhat []float64) float64 {
 	return s.NRMSE(x, xhat)
 }
 
-// FromSSE converts a sum of squared errors over the reference's N points
-// into the metric value, using the same formulas as the free functions —
-// the incremental path of refactor's single-sweep ladder construction.
-func (s Stats) FromSSE(k Kind, sse float64) float64 {
-	mse := sse / float64(s.N)
-	if k == PSNR {
-		return s.psnrFromMSE(mse)
-	}
-	return s.nrmseFromRMSE(math.Sqrt(mse))
-}
-
 // SSEBudget returns the largest sum of squared errors over N points that
-// still satisfies bound under k (FromSSE inverted at the bound), so a
-// running SSE can be checked with one comparison instead of a sqrt or
-// log10 per probe. Degenerate references (zero range, zero peak) get a
+// still satisfies bound under k (the metric's formula inverted at the
+// bound), so a running SSE can be checked with one comparison instead of a
+// sqrt or log10 per probe. Degenerate references (zero range, zero peak) get a
 // zero budget: only an exact reconstruction satisfies.
 func (s Stats) SSEBudget(k Kind, bound float64) float64 {
 	if k == PSNR {

@@ -280,9 +280,19 @@ func TestStatsMatchesFreeFunctions(t *testing.T) {
 	}
 }
 
-// TestStatsFromSSERoundTrip checks that FromSSE applied to the exact sum
-// of squared errors reproduces the direct metric computation, and that
-// SSEBudget inverts FromSSE at the bound.
+// fromSSE is the metric of a sum of squared errors over st's N points,
+// through the formulas the free functions use.
+func fromSSE(st Stats, k Kind, sse float64) float64 {
+	mse := sse / float64(st.N)
+	if k == PSNR {
+		return st.psnrFromMSE(mse)
+	}
+	return st.nrmseFromRMSE(math.Sqrt(mse))
+}
+
+// TestStatsFromSSERoundTrip checks that the metric of the exact sum of
+// squared errors reproduces the direct metric computation, and that
+// SSEBudget inverts it at the bound.
 func TestStatsFromSSERoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	x := make([]float64, 5000)
@@ -298,10 +308,10 @@ func TestStatsFromSSERoundTrip(t *testing.T) {
 		sse += d * d
 	}
 	for _, k := range []Kind{NRMSE, PSNR} {
-		got := st.FromSSE(k, sse)
+		got := fromSSE(st, k, sse)
 		want := Measure(k, x, xhat)
 		if got != want {
-			t.Errorf("FromSSE(%v) = %v, direct measure %v", k, got, want)
+			t.Errorf("%v of the SSE = %v, direct measure %v", k, got, want)
 		}
 	}
 	// Budget inversion: an SSE exactly at the budget satisfies the
@@ -315,14 +325,14 @@ func TestStatsFromSSERoundTrip(t *testing.T) {
 		if budget <= 0 {
 			t.Fatalf("budget %v for %v bound %v", budget, tc.k, tc.bound)
 		}
-		if acc := st.FromSSE(tc.k, budget); !tc.k.Satisfies(acc, tc.bound) {
+		if acc := fromSSE(st, tc.k, budget); !tc.k.Satisfies(acc, tc.bound) {
 			// The analytic inversion can land a rounding step past the
 			// bound; it must be within one ulp of satisfying.
-			if acc2 := st.FromSSE(tc.k, math.Nextafter(budget, 0)); !tc.k.Satisfies(acc2, tc.bound) {
-				t.Errorf("%v bound %v: FromSSE(budget)=%v does not satisfy", tc.k, tc.bound, acc)
+			if acc2 := fromSSE(st, tc.k, math.Nextafter(budget, 0)); !tc.k.Satisfies(acc2, tc.bound) {
+				t.Errorf("%v bound %v: the metric of the budget, %v, does not satisfy", tc.k, tc.bound, acc)
 			}
 		}
-		if acc := st.FromSSE(tc.k, budget*1.01); tc.k.Satisfies(acc, tc.bound) {
+		if acc := fromSSE(st, tc.k, budget*1.01); tc.k.Satisfies(acc, tc.bound) {
 			t.Errorf("%v bound %v: SSE 1%% over budget still satisfies (%v)", tc.k, tc.bound, acc)
 		}
 	}

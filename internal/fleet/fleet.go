@@ -429,8 +429,8 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 			c.killEpoch = epoch
 		}
 		// End the node's step procs (on an overrun, parked inside a
-		// transfer that will never complete) and idle step workers: a
-		// coroutine left parked keeps its whole cluster reachable.
+		// transfer that will never complete): a coroutine left bound to
+		// one keeps its whole cluster reachable.
 		nd.cn.Engine().Close()
 		orphans := nd.sessions
 		nd.sessions = nil

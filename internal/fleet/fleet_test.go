@@ -143,27 +143,38 @@ func TestNodeKillRebalanceAndRecovery(t *testing.T) {
 
 // A finished run leaves no step goroutine behind — not on surviving
 // nodes, not on the killed node's abandoned engine, not for sessions that
-// migrated away from their proc.
+// migrated away from their proc. Idle step coroutines are parked
+// process-wide for the next engine, so the first run fills the parked
+// list and a second, identical run must add no goroutine. Node windows run
+// one at a time: which ones overlap on a wider pool, and so how many
+// coroutines a run needs at once, depends on the host's timing.
 func TestRunLeavesNoGoroutines(t *testing.T) {
+	prev := runpool.Workers()
+	runpool.SetWorkers(1)
+	defer runpool.SetWorkers(prev)
+	run := func() {
+		c, err := New(Config{
+			Nodes: 4, Sessions: 32, Seed: 11,
+			Plan: killPlan(t, "node-kill@240:node=node1,dur=120"),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		live := 0
+		for _, nd := range c.nodes {
+			live += nd.cn.Engine().LiveProcs()
+		}
+		if live != 0 {
+			t.Fatalf("%d step procs still live after Run", live)
+		}
+	}
+	run()
 	before := runtime.NumGoroutine()
-	c, err := New(Config{
-		Nodes: 4, Sessions: 32, Seed: 11,
-		Plan: killPlan(t, "node-kill@240:node=node1,dur=120"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	live := 0
-	for _, nd := range c.nodes {
-		live += nd.cn.Engine().LiveProcs()
-	}
-	if live != 0 {
-		t.Fatalf("%d step procs still live after Run", live)
-	}
-	// runpool workers and just-killed procs finish exiting asynchronously.
+	run()
+	// Just-killed procs finish exiting asynchronously.
 	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
 		time.Sleep(time.Millisecond)
 	}

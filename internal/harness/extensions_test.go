@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tango/internal/runpool"
 )
 
 func cell(t *testing.T, r *Result, row, col int) float64 {
@@ -184,11 +186,20 @@ func TestChaosCrossLayerRecovers(t *testing.T) {
 
 // TestChaosLeavesNoGoroutines: a scenario closes its engine where it
 // reads results, so the interferer, prefetcher and injector procs an
-// experiment started do not outlive it.
+// experiment started do not outlive it. Their idle coroutines are parked
+// process-wide for the next engine, so the first run fills the parked list
+// and a second, identical run must add no goroutine. Scenarios run one at
+// a time: which ones overlap on a wider pool, and so how many coroutines a
+// run needs at once, depends on the host's timing.
 func TestChaosLeavesNoGoroutines(t *testing.T) {
+	prev := runpool.Workers()
+	runpool.SetWorkers(1)
+	defer runpool.SetWorkers(prev)
+	cfg := Config{GridN: 65, Seed: 7, Steps: 20, SkipWarmup: 10}
+	run("chaos", cfg)
 	before := runtime.NumGoroutine()
-	run("chaos", Config{GridN: 65, Seed: 7, Steps: 20, SkipWarmup: 10})
-	// runpool workers and just-killed procs finish exiting asynchronously.
+	run("chaos", cfg)
+	// Just-killed procs finish exiting asynchronously.
 	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
 		time.Sleep(time.Millisecond)
 	}

@@ -21,7 +21,7 @@ type Engine struct {
 	events eventHeap
 	free   []*event  // recycled event structs; bounds steady-state allocation
 	procs  []*Proc   // live (not yet finished) processes; Proc.slot indexes it
-	idle   []*worker // parked coroutines of finished reusable procs; Close stops them
+	idle   []*worker // coroutines of finished procs; Run, RunAll and Close park them
 	err    error
 
 	evSlab   slab.Chunks[event] // where a freelist miss takes its struct from
@@ -157,6 +157,7 @@ func (e *Engine) Run(until float64) error {
 	if e.err == nil && e.now < until {
 		e.now = until
 	}
+	e.park()
 	return e.err
 }
 
@@ -177,6 +178,7 @@ func (e *Engine) RunAll() error {
 			cb.Fire()
 		}
 	}
+	e.park()
 	return e.err
 }
 

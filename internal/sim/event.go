@@ -10,9 +10,12 @@
 // and no trip through the Go scheduler. At any instant exactly one of them
 // (the engine or one process) is running, so all simulation state is
 // serialized without locks, and runs are bit-deterministic for a given
-// seed and spawn order. A coroutine exists from a process's first resume
-// to the end of its body; processes made to run many short bodies
-// (NewProc, StartAt) share a pool of them that Engine.Close drains.
+// seed and spawn order. A process is bound to a coroutine at its first
+// resume; when its body returns, the coroutine waits on the engine's idle
+// list for the next process to start, and when Run, RunAll or Close
+// returns, the engine parks its idle coroutines on one process-wide list
+// that every engine draws from. A parked coroutine references no engine,
+// so it keeps no finished node reachable.
 package sim
 
 // event is a scheduled callback. Events fire in (time, seq) order; seq is a

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -17,6 +18,18 @@ func goroutinesSettleTo(want int) bool {
 	return runtime.NumGoroutine() <= want
 }
 
+// drainParked stops every parked worker, so that a test counting
+// goroutines does not depend on what earlier tests left on the list.
+func drainParked() {
+	parked.mu.Lock()
+	ws := parked.workers
+	parked.workers = nil
+	parked.mu.Unlock()
+	for _, w := range ws {
+		w.stop()
+	}
+}
+
 func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -28,8 +41,9 @@ func mustPanic(t *testing.T, what string, fn func()) {
 }
 
 // A proc killed before its first resume never had a coroutine; one killed
-// while parked gives its coroutine back at once.
+// while parked ends its coroutine at once, and nothing is parked for it.
 func TestKillReleasesCoroutine(t *testing.T) {
+	drainParked()
 	before := runtime.NumGoroutine()
 	e := NewEngine()
 	ran := false
@@ -55,47 +69,162 @@ func TestKillReleasesCoroutine(t *testing.T) {
 	if err := e.RunAll(); err != nil || ran { // the queued start and wake-up no-op
 		t.Fatalf("err %v, unstarted body ran %v", err, ran)
 	}
+	if len(parked.workers) != 0 {
+		t.Fatalf("%d workers parked for killed procs", len(parked.workers))
+	}
 }
 
-// Reusable procs share workers: the idle list grows to the number of runs
-// in flight at once, not the number of procs, and Close stops them all.
-func TestStartAtPoolsWorkersUntilClose(t *testing.T) {
+// An engine parks its idle workers when a run returns, with the engine
+// cleared, and the next engine short of one takes them: a second engine
+// running the same schedule, with Spawn-ed bodies this time, makes no
+// coroutine of its own.
+func TestParkedWorkersServeTheNextEngine(t *testing.T) {
+	drainParked()
 	before := runtime.NumGoroutine()
-	e := NewEngine()
-	procs := make([]*Proc, 12)
-	for i := range procs {
-		procs[i] = e.NewProc("step")
-	}
 	steps := 0
 	body := func(p *Proc) { p.Sleep(0.9); steps++ }
+	// Three starts per 1 s slot, each run 0.9 s long: three in flight.
+	at := func(e *Engine, i int) float64 { return e.Now() + float64(i/3) + 0.25*float64(i%3) }
+	first := NewEngine()
+	procs := make([]*Proc, 12)
+	for i := range procs {
+		procs[i] = first.NewProc("step")
+	}
 	for round := 0; round < 3; round++ {
 		for i, p := range procs {
-			// Three starts per 1 s slot, each run 0.9 s long: three in flight.
-			e.StartAt(e.Now()+float64(i/3)+0.25*float64(i%3), p, BodyFunc(body))
+			first.StartAt(at(first, i), p, BodyFunc(body))
 		}
-		if err := e.RunAll(); err != nil {
+		if err := first.RunAll(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if steps != 36 || e.LiveProcs() != 0 {
-		t.Fatalf("steps %d (want 36), live %d", steps, e.LiveProcs())
+	if len(first.idle) != 0 || len(parked.workers) != 3 {
+		t.Fatalf("%d idle, %d parked after the first engine's runs; want 0 and 3", len(first.idle), len(parked.workers))
 	}
-	if len(e.idle) != 3 {
-		t.Fatalf("%d idle workers, want 3", len(e.idle))
+	for _, w := range parked.workers {
+		if w.eng != nil || w.p != nil {
+			t.Fatal("a parked worker still references its engine or proc")
+		}
 	}
 	if n := runtime.NumGoroutine(); n != before+3 {
 		t.Fatalf("%d goroutines, want %d", n, before+3)
 	}
-	e.Close()
-	if len(e.idle) != 0 || !goroutinesSettleTo(before) {
-		t.Fatalf("after Close: %d idle, %d goroutines (before: %d)", len(e.idle), runtime.NumGoroutine(), before)
+	second := NewEngine()
+	for i := 0; i < 12; i++ {
+		second.SpawnAt(at(second, i), "spawned", body)
 	}
-	e.Close()
+	if err := second.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	second.Close()
+	if steps != 48 || len(parked.workers) != 3 {
+		t.Fatalf("steps %d (want 48), %d parked (want 3)", steps, len(parked.workers))
+	}
+	if n := runtime.NumGoroutine(); n != before+3 {
+		t.Fatalf("%d goroutines after the second engine, want %d", n, before+3)
+	}
+}
+
+// A parked worker keeps no engine alive: once the engine that ran it is
+// dropped, the collector frees it while its workers wait on the parked
+// list. The witness is a sentinel only the engine's pending event holds.
+func TestParkedWorkerPinsNoEngine(t *testing.T) {
+	drainParked()
+	freed := make(chan struct{}, 1)
+	func() {
+		e := NewEngine()
+		sentinel := new([64]byte)
+		runtime.SetFinalizer(sentinel, func(*[64]byte) { freed <- struct{}{} })
+		e.At(100, func() { sentinel[0]++ })
+		e.StartAt(0, e.NewProc("step"), BodyFunc(func(p *Proc) { p.Sleep(1) }))
+		e.Spawn("spawned", func(p *Proc) { p.Sleep(2) })
+		if err := e.Run(10); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if len(parked.workers) != 2 {
+		t.Fatalf("%d workers parked, want 2", len(parked.workers))
+	}
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the engine is still reachable from its parked workers")
+	}
+}
+
+// The parked list holds parkCap workers; park stops the ones past it.
+func TestParkStopsWorkersPastTheCap(t *testing.T) {
+	drainParked()
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	for i := 0; i < parkCap+5; i++ {
+		e.Spawn("wide", func(p *Proc) { p.Sleep(1) })
+	}
+	if err := e.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if len(parked.workers) != parkCap || !goroutinesSettleTo(before+parkCap) {
+		t.Fatalf("%d parked (want %d), %d goroutines (want %d)", len(parked.workers), parkCap, runtime.NumGoroutine(), before+parkCap)
+	}
+	drainParked()
+	if !goroutinesSettleTo(before) {
+		t.Fatalf("%d goroutines before, %d after draining", before, runtime.NumGoroutine())
+	}
+}
+
+// Four goroutines run engines at once through the one parked list, with
+// StartAt and Spawn-ed bodies, and a run that returns with procs still in
+// flight: every body runs to its end on a worker bound to its own engine
+// (run under -race -count=10).
+func TestParkedListSharedByConcurrentEngines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 25; k++ {
+				e := NewEngine()
+				spawned := 0
+				bodies := make([]*countBody, 8)
+				for i := range bodies {
+					bodies[i] = &countBody{id: g + i}
+					e.StartAt(float64(i%3), e.NewProc("step"), bodies[i])
+					e.SpawnAt(float64(i%4), "spawned", func(p *Proc) {
+						p.Sleep(0.5)
+						if p.w.eng == e {
+							spawned++
+						}
+					})
+				}
+				if err := e.Run(2); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := e.RunAll(); err != nil {
+					t.Error(err)
+					return
+				}
+				e.Close()
+				for _, b := range bodies {
+					if b.runs != b.id+1 {
+						t.Errorf("goroutine %d engine %d: body %d ran %d, want %d", g, k, b.id, b.runs, b.id+1)
+					}
+				}
+				if spawned != len(bodies) {
+					t.Errorf("goroutine %d engine %d: %d of %d spawned bodies ran on their engine's worker", g, k, spawned, len(bodies))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // A body panic surfaces through Engine.Err, and the worker it unwound is
 // not trusted with another proc.
 func TestProcPanicWorkerNotPooled(t *testing.T) {
+	drainParked()
 	before := runtime.NumGoroutine()
 	e := NewEngine()
 	p := e.NewProc("bad")
@@ -107,8 +236,8 @@ func TestProcPanicWorkerNotPooled(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v, want the proc name and panic value", err)
 	}
-	if !p.Done() || e.LiveProcs() != 0 || len(e.idle) != 0 {
-		t.Fatalf("done %v, live %d, idle %d; want true 0 0", p.Done(), e.LiveProcs(), len(e.idle))
+	if !p.Done() || e.LiveProcs() != 0 || len(e.idle) != 0 || len(parked.workers) != 0 {
+		t.Fatalf("done %v, live %d, idle %d, parked %d; want true 0 0 0", p.Done(), e.LiveProcs(), len(e.idle), len(parked.workers))
 	}
 	if !goroutinesSettleTo(before) {
 		t.Fatalf("%d goroutines before, %d after", before, runtime.NumGoroutine())
@@ -168,7 +297,8 @@ func TestStartAtSpawnAtTakeOneSlotInCallOrder(t *testing.T) {
 
 // Starting, running and finishing a reusable proc on a warm pool
 // allocates nothing: the event comes off the freelist, the worker off the
-// idle list, and the proc is its own callback.
+// parked list that the previous RunAll returned it to, and the proc is its
+// own callback.
 func TestStartAtSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	defer e.Close()

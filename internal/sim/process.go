@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime/debug"
+	"sync"
 )
 
 // Proc is a simulated process: a coroutine that runs user code and
@@ -21,22 +22,22 @@ type Proc struct {
 	w    *worker // coroutine running body; bound at first resume, nil before and after
 
 	slot     int  // index in eng.procs while live
-	reusable bool // made by NewProc: StartAt may run it again, on a pooled worker
+	reusable bool // made by NewProc: StartAt may run it again
 
 	done      bool
 	suspended bool
 	killed    bool
 }
 
-// worker is one coroutine (iter.Pull) that runs proc bodies. A Spawn-ed
-// proc gets a worker of its own, which ends with the body. The workers of
-// reusable procs outlive the body: they park on the engine's idle list
-// and run whichever reusable proc resumes next, until Close stops them —
-// so an engine holds as many of them as it ever had reusable procs in
-// flight at once, not one per proc.
+// worker is one coroutine (iter.Pull) that runs proc bodies. A worker
+// whose body returned waits on its engine's idle list and runs whichever
+// proc resumes next, so a running engine holds as many of them as it has
+// procs in flight at once, not one per proc. When Run, RunAll or Close
+// returns, the engine parks its idle workers process-wide, where the next
+// engine short of one takes it. A killed or panicked body ends its worker.
 type worker struct {
-	eng   *Engine
-	p     *Proc // the proc whose body is running; nil while idle
+	eng   *Engine // the engine it runs procs for; nil while parked
+	p     *Proc   // the proc whose body is running; nil while idle
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
@@ -76,9 +77,9 @@ func (e *Engine) SpawnAt(t float64, name string, fn func(p *Proc)) *Proc {
 }
 
 // NewProc returns a finished process that StartAt can run, any number of
-// times. It costs one slot of an engine-held chunk: no coroutine exists
-// until a run's first resume, and that one comes from the engine's idle
-// list when a previous run of any reusable proc left one there.
+// times. It costs one slot of an engine-held chunk: no coroutine is bound
+// to it until a run's first resume, and that one comes from the engine's
+// idle list or the parked list when either has one.
 func (e *Engine) NewProc(name string) *Proc {
 	p := e.procSlab.Next()
 	*p = Proc{eng: e, name: name, reusable: true, done: true}
@@ -125,26 +126,73 @@ func (e *Engine) resume(p *Proc) {
 	w.next()
 }
 
-// bind gives p the coroutine that runs its body: an idle worker when p is
-// reusable and one is parked, a new one otherwise.
+// bind gives p the coroutine that runs its body: one of the engine's idle
+// workers, else a parked one, else a new one.
 func (e *Engine) bind(p *Proc) *worker {
 	var w *worker
-	if n := len(e.idle); p.reusable && n > 0 {
+	if n := len(e.idle); n > 0 {
 		w = e.idle[n-1]
 		e.idle[n-1] = nil
 		e.idle = e.idle[:n-1]
+	} else if w = unpark(); w != nil {
+		w.eng = e
 	} else {
 		w = &worker{eng: e}
-		//lint:ignore hotpath coroutine creation: once per un-pooled proc (what its goroutine and two channels cost before) and once per pool miss for a reusable one, amortized by the idle list like the make/new refill idiom
+		//lint:ignore hotpath coroutine creation: once per miss of both the idle and the parked list, amortized by them like the make/new refill idiom
 		w.next, w.stop = iter.Pull(w.run)
 	}
 	w.p, p.w = p, w
 	return w
 }
 
-// run is the coroutine body: run the bound proc to its end, then park
+// parkCap bounds the stacks left parked (park stops the rest); a
+// 1000-node fleet run makes 53 workers in all.
+const parkCap = 256
+
+// parked holds the idle workers of every engine between runs.
+var parked struct {
+	mu      sync.Mutex
+	workers []*worker // guarded by mu
+}
+
+// park hands e's idle workers to the parked list, each with its engine
+// cleared so that it keeps no node reachable, and stops those past
+// parkCap.
+func (e *Engine) park() {
+	if len(e.idle) == 0 {
+		return
+	}
+	for _, w := range e.idle {
+		w.eng = nil
+	}
+	parked.mu.Lock()
+	n := min(len(e.idle), parkCap-len(parked.workers))
+	parked.workers = append(parked.workers, e.idle[:n]...)
+	parked.mu.Unlock()
+	for _, w := range e.idle[n:] {
+		w.stop()
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
+}
+
+// unpark takes a worker off the parked list, or returns nil if it is empty.
+func unpark() *worker {
+	parked.mu.Lock()
+	defer parked.mu.Unlock()
+	n := len(parked.workers)
+	if n == 0 {
+		return nil
+	}
+	w := parked.workers[n-1]
+	parked.workers[n-1] = nil
+	parked.workers = parked.workers[:n-1]
+	return w
+}
+
+// run is the coroutine body: run the bound proc to its end, then wait
 // idle until bind hands over another, or end when exec says not to go on
-// or Close stops the parked worker.
+// or park stops the worker.
 func (w *worker) run(yield func(struct{}) bool) {
 	w.yield = yield
 	for w.exec() {
@@ -157,8 +205,8 @@ func (w *worker) run(yield func(struct{}) bool) {
 
 // exec runs the bound proc's body and finishes the proc however the body
 // ends: by returning, by a panic (reported through Engine.Err) or by the
-// procKilled unwind. Only a worker of a reusable proc whose body returned
-// is fit to run another.
+// procKilled unwind. Only a worker whose body returned is fit to run
+// another.
 func (w *worker) exec() (reuse bool) {
 	p := w.p
 	defer func() {
@@ -166,7 +214,7 @@ func (w *worker) exec() (reuse bool) {
 		if _, killed := r.(procKilled); r != nil && !killed {
 			w.eng.fail(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
 		}
-		reuse = r == nil && p.reusable
+		reuse = r == nil
 		p.finish()
 	}()
 	p.body.Run(p)
@@ -229,18 +277,16 @@ func (e *Engine) unlist(p *Proc) {
 	e.procs = e.procs[:last]
 }
 
-// Close kills every live process and stops every idle worker, so no
-// coroutine outlives the engine parked on a goroutine that keeps its
-// whole node reachable. Call it once Run has returned for the last time;
-// the engine must not run afterwards. A second Close is a no-op.
+// Close kills every live process, which ends its coroutine, and parks
+// the idle workers process-wide like Run does, so no coroutine is left
+// that keeps the engine's node reachable. Call it once Run has returned
+// for the last time; the engine must not run afterwards. A second Close is
+// a no-op.
 func (e *Engine) Close() {
 	for len(e.procs) > 0 {
 		e.Kill(e.procs[len(e.procs)-1])
 	}
-	for _, w := range e.idle {
-		w.stop()
-	}
-	e.idle = nil
+	e.park()
 }
 
 // Name returns the process name given at Spawn or NewProc.

@@ -118,42 +118,6 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// Add adds o element-wise in place. Panics on shape mismatch.
-func (t *Tensor) Add(o *Tensor) {
-	t.requireSameShape(o, "Add")
-	for i, v := range o.data {
-		t.data[i] += v
-	}
-}
-
-// Sub subtracts o element-wise in place. Panics on shape mismatch.
-func (t *Tensor) Sub(o *Tensor) {
-	t.requireSameShape(o, "Sub")
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-}
-
-// Scale multiplies every element by s in place.
-func (t *Tensor) Scale(s float64) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
-func (t *Tensor) requireSameShape(o *Tensor, op string) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, t.dims, o.dims))
-	}
-}
-
 // MinMax returns the minimum and maximum element values. For an empty
 // tensor (impossible by construction) it would return (+Inf, -Inf).
 func (t *Tensor) MinMax() (min, max float64) {
@@ -178,7 +142,9 @@ func (t *Tensor) Range() float64 {
 // AbsDiffMax returns the maximum absolute element-wise difference.
 // Panics on shape mismatch.
 func (t *Tensor) AbsDiffMax(o *Tensor) float64 {
-	t.requireSameShape(o, "AbsDiffMax")
+	if !t.SameShape(o) {
+		panic(fmt.Sprintf("tensor: AbsDiffMax shape mismatch %v vs %v", t.dims, o.dims))
+	}
 	var m float64
 	for i := range t.data {
 		d := math.Abs(t.data[i] - o.data[i])
