@@ -11,6 +11,8 @@ all: build
 build:
 	$(GO) build ./...
 
+# go vet is the copied-lock gate (copylocks): tangolint leaves that check
+# to it.
 vet:
 	$(GO) vet ./...
 
@@ -76,7 +78,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 20936
+LOC_MAX = 20412
 CONFIG_FIELDS_MAX = 28
 
 loc-check:

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"tango"
@@ -56,6 +57,9 @@ func export(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("export needs -out")
 	}
+	if *count < 1 {
+		return fmt.Errorf("-count must be at least 1, got %d", *count)
+	}
 	set := workload.PaperNoiseSet()
 	if *nNoise < 1 || *nNoise > len(set) {
 		return fmt.Errorf("-noise must be 1..%d", len(set))
@@ -92,13 +96,23 @@ func replay(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("replay needs -in")
 	}
+	if !(*probe >= 0) || math.IsInf(*probe, 1) {
+		return fmt.Errorf("-probe must be a finite period ≥ 0, got %g", *probe)
+	}
+	if *probe > 0 && (!(*probeMB > 0) || math.IsInf(*probeMB, 1)) {
+		return fmt.Errorf("-probe-mb must be finite and > 0, got %g", *probeMB)
+	}
 	load := func(path string) ([]workload.TraceOp, error) {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
-		return workload.ParseTrace(f)
+		ops, err := workload.ParseTrace(f)
+		if err == nil && len(ops) == 0 {
+			err = fmt.Errorf("%s: trace has no ops", path)
+		}
+		return ops, err
 	}
 	ops, err := load(*in)
 	if err != nil {

@@ -69,7 +69,7 @@ func runSmallScenario(t *testing.T) []byte {
 // TestSameSeedByteMatch is the determinism regression test: two
 // independent runs of the same configuration must produce byte-identical
 // outputs. This is the contract docs/determinism.md describes and the
-// simdeterminism analyzer enforces statically — if it ever fails, a
+// detertaint analyzer enforces statically — if it ever fails, a
 // wall-clock, global-rand, or map-order dependence has crept in.
 func TestSameSeedByteMatch(t *testing.T) {
 	a := runSmallScenario(t)

@@ -23,7 +23,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -116,15 +116,18 @@ func shortenPkgPaths(full string) string {
 type CallGraph struct {
 	Nodes []*FuncNode
 	ByObj map[*types.Func]*FuncNode
+
+	in map[*FuncNode][]Edge // reversed Out edges, built by Callers
 }
 
 // Program is the set of loaded packages presented to whole-program
-// analyzers, with the call graph built on demand.
+// analyzers, with the call graph and the lock scan built on demand.
 type Program struct {
 	Pkgs []*Package
 	Fset *token.FileSet
 
-	graph *CallGraph
+	graph    *CallGraph
+	lockScan *lockScan
 }
 
 // NewProgram wraps loaded packages. All packages share one FileSet.
@@ -503,72 +506,69 @@ func (b *graphBuilder) resolvePending() {
 
 // --- traversal helpers ---
 
-// ReachEntry records how a node was first reached during Reach.
-type ReachEntry struct {
-	Parent *FuncNode // nil for roots
-	Via    token.Pos // call site in Parent
+// Reach performs a deterministic BFS from roots following edges accepted
+// by follow. It maps every reached node to the node it was first reached
+// from (roots map to nil).
+func (g *CallGraph) Reach(roots []*FuncNode, follow func(Edge) bool) map[*FuncNode]*FuncNode {
+	return bfs(roots, func(n *FuncNode) []Edge { return n.Out }, follow)
 }
 
-// Reach performs a deterministic BFS from roots following edges accepted
-// by follow, returning the first-reach parent map (roots map to a
-// zero-value entry).
-func (g *CallGraph) Reach(roots []*FuncNode, follow func(Edge) bool) map[*FuncNode]ReachEntry {
-	seen := map[*FuncNode]ReachEntry{}
+// Callers is Reach over the reversed edges: the caller closure of roots,
+// each caller mapped to its callee one hop nearer a root. The reversed
+// edges keep graph order, so the closure is deterministic.
+func (g *CallGraph) Callers(roots []*FuncNode, follow func(Edge) bool) map[*FuncNode]*FuncNode {
+	if g.in == nil {
+		g.in = map[*FuncNode][]Edge{}
+		for _, n := range g.Nodes {
+			for _, e := range n.Out {
+				g.in[e.Callee] = append(g.in[e.Callee], Edge{Callee: n, Pos: e.Pos, Kind: e.Kind})
+			}
+		}
+	}
+	return bfs(roots, func(n *FuncNode) []Edge { return g.in[n] }, follow)
+}
+
+func bfs(roots []*FuncNode, next func(*FuncNode) []Edge, follow func(Edge) bool) map[*FuncNode]*FuncNode {
+	seen := map[*FuncNode]*FuncNode{}
 	queue := make([]*FuncNode, 0, len(roots))
 	for _, r := range roots {
 		if _, ok := seen[r]; ok {
 			continue
 		}
-		seen[r] = ReachEntry{}
+		seen[r] = nil
 		queue = append(queue, r)
 	}
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, e := range n.Out {
+		for _, e := range next(n) {
 			if !follow(e) {
 				continue
 			}
 			if _, ok := seen[e.Callee]; ok {
 				continue
 			}
-			seen[e.Callee] = ReachEntry{Parent: n, Via: e.Pos}
+			seen[e.Callee] = n
 			queue = append(queue, e.Callee)
 		}
 	}
 	return seen
 }
 
-// Chain reconstructs the witness path root → … → n from a Reach result,
-// as display names.
-func Chain(reach map[*FuncNode]ReachEntry, n *FuncNode) []string {
-	var rev []*FuncNode
-	for cur := n; cur != nil; {
-		rev = append(rev, cur)
-		entry, ok := reach[cur]
-		if !ok {
-			break
-		}
-		cur = entry.Parent
-	}
-	out := make([]string, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i].DisplayName())
+// hops lists the display names of n and the nodes it was reached
+// through, back to its root.
+func hops(reach map[*FuncNode]*FuncNode, n *FuncNode) []string {
+	var out []string
+	for cur := n; cur != nil; cur = reach[cur] {
+		out = append(out, cur.DisplayName())
 	}
 	return out
 }
 
-// sortedNodeSet returns the nodes of set in graph order — analyzers use
-// it to iterate deterministically.
-func (g *CallGraph) sortedNodeSet(set map[*FuncNode]ReachEntry) []*FuncNode {
-	idx := make(map[*FuncNode]int, len(g.Nodes))
-	for i, n := range g.Nodes {
-		idx[n] = i
-	}
-	out := make([]*FuncNode, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return idx[out[i]] < idx[out[j]] })
+// Chain reconstructs the witness path root → … → n from a Reach result,
+// as display names.
+func Chain(reach map[*FuncNode]*FuncNode, n *FuncNode) []string {
+	out := hops(reach, n)
+	slices.Reverse(out)
 	return out
 }

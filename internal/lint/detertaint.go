@@ -1,100 +1,73 @@
 package lint
 
 import (
+	"fmt"
+	"go/ast"
 	"go/token"
+	"go/types"
 	"strconv"
 	"strings"
 )
 
-// runDeterTaint propagates nondeterminism taint through the whole-program
-// call graph. A function is tainted when it (or anything it can reach
-// through calls, interface dispatch, stored callbacks, or func values)
-// observes a nondeterminism source:
+// runDeterTaint enforces the determinism contract in sim-driven packages.
+// A nondeterminism source is
 //
-//   - the wall clock (time.Now, time.Sleep, …);
-//   - global math/rand state;
-//   - map iteration order that escapes the loop (see simdeterminism);
-//   - a select over two or more channels (runtime picks a ready case
+//   - a wall-clock call (time.Now, time.Sleep, …);
+//   - a call drawing from global math/rand state;
+//   - map iteration order that escapes the loop (an append with no later
+//     sort, or a channel send);
+//   - a select over two or more channels (the runtime picks a ready case
 //     pseudo-randomly).
 //
-// simdeterminism already reports time/rand/map sources *inside* the
-// sim-driven packages; detertaint is the interprocedural backstop. It
-// reports (a) the frontier edge where a sim-driven function calls or
-// captures a tainted function outside the sim-driven set — so a helper
-// package cannot smuggle a wall-clock read past the per-package scan —
-// and (b) multi-way selects written directly in sim-driven code, which
-// the per-package scan does not cover.
+// It reports (a) every source written directly in a sim-driven package,
+// package-level initialisers included, and (b) the frontier edge where a
+// sim-driven function calls or captures a function outside the
+// sim-driven set that reaches a source through calls, interface
+// dispatch, stored callbacks or func values — so a helper package cannot
+// smuggle a wall-clock read past (a). Every finding's witness names the
+// function holding the source ("pkg.init" for an initialiser), or the
+// call chain from the sim-driven caller down to it.
 func runDeterTaint(prog *Program, cfg *config, report progReportFunc) {
 	g := prog.Graph()
 
-	// Local sources per node.
 	sources := map[*FuncNode][]nondetSource{}
+	var roots []*FuncNode
 	for _, n := range g.Nodes {
-		if ss := nondetSources(n.Pkg, n.Decl); len(ss) > 0 {
-			sources[n] = ss
+		ss := nondetSources(n.Pkg, n.Decl)
+		if len(ss) == 0 {
+			continue
 		}
-	}
-
-	// Propagate taint backwards: tainted[n] records the next hop towards
-	// a source (nil hop = the source is local to n).
-	type hop struct {
-		next *FuncNode
-		via  token.Pos
-	}
-	tainted := map[*FuncNode]hop{}
-	rev := map[*FuncNode][]Edge{} // callee -> incoming edges (Callee field reused as caller)
-	for _, n := range g.Nodes {
-		for _, e := range n.Out {
-			rev[e.Callee] = append(rev[e.Callee], Edge{Callee: n, Pos: e.Pos, Kind: e.Kind})
-		}
-	}
-	var queue []*FuncNode
-	for _, n := range g.Nodes {
-		if _, ok := sources[n]; ok {
-			tainted[n] = hop{}
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, in := range rev[n] {
-			caller := in.Callee
-			if _, ok := tainted[caller]; ok {
-				continue
+		sources[n] = ss
+		roots = append(roots, n)
+		if cfg.simPackages[n.Pkg.Name] {
+			for _, s := range ss {
+				report(s.pos, []string{n.DisplayName()}, "%s", s.direct(n.Pkg.Name))
 			}
-			tainted[caller] = hop{next: n, via: in.Pos}
-			queue = append(queue, caller)
 		}
 	}
-
-	// chainFrom builds the witness from a tainted node down to its source.
-	chainFrom := func(n *FuncNode) (witness []string, srcDesc string, srcPos token.Pos) {
-		cur := n
-		for {
-			witness = append(witness, cur.DisplayName())
-			h := tainted[cur]
-			if h.next == nil {
-				break
+	// Package-level initialisers are not call-graph nodes: only their own
+	// sources count.
+	for _, p := range prog.Pkgs {
+		if !cfg.simPackages[p.Name] {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok {
+					for _, s := range nondetSources(p, gd) {
+						report(s.pos, []string{p.Name + ".init"}, "%s", s.direct(p.Name))
+					}
+				}
 			}
-			cur = h.next
 		}
-		s := sources[cur][0]
-		return witness, s.taint(), s.pos
 	}
 
+	// tainted[n] is n's next hop towards a source (nil: the source is n's).
+	tainted := g.Callers(roots, func(Edge) bool { return true })
 	for _, n := range g.Nodes {
 		if !cfg.simPackages[n.Pkg.Name] {
 			continue
 		}
-		// Multi-way selects directly in sim-driven code.
-		for _, s := range sources[n] {
-			if s.kind == "select" {
-				report(s.pos, []string{n.DisplayName()},
-					"%s in sim-driven package %q; drain channels in a fixed order or add a deterministic arbiter", s.taint(), n.Pkg.Name)
-			}
-		}
-		// Frontier edges into tainted functions outside the sim set.
 		seen := map[*FuncNode]bool{}
 		for _, e := range n.Out {
 			c := e.Callee
@@ -105,14 +78,19 @@ func runDeterTaint(prog *Program, cfg *config, report progReportFunc) {
 				continue
 			}
 			seen[c] = true
-			witness, srcDesc, srcPos := chainFrom(c)
+			witness := hops(tainted, c)
+			root := c
+			for tainted[root] != nil {
+				root = tainted[root]
+			}
+			src := sources[root][0]
 			verb := "call into"
 			if e.Kind == EdgeRef {
 				verb = "captured reference to"
 			}
 			report(e.Pos, append([]string{n.DisplayName()}, witness...),
 				"%s nondeterministic %s from sim-driven package %q: %s %s (%s); thread virtual time or an explicit seeded generator instead",
-				verb, c.DisplayName(), n.Pkg.Name, strings.Join(witness, " → "), srcDesc, posString(prog.Fset, srcPos))
+				verb, c.DisplayName(), n.Pkg.Name, strings.Join(witness, " → "), src.taint(), posString(prog.Fset, src.pos))
 		}
 	}
 }
@@ -125,4 +103,220 @@ func posString(fset *token.FileSet, pos token.Pos) string {
 		name = name[i+1:]
 	}
 	return name + ":" + strconv.Itoa(p.Line)
+}
+
+// wallClockFuncs are the package-level time functions that read or wait
+// on the wall clock. Pure conversions/constructors (time.Duration,
+// time.Unix) are fine: the ban is on *observing real time*, which the
+// virtual-clock engine must never do.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true, "Sleep": true,
+	"After": true, "Tick": true, "NewTicker": true, "NewTimer": true,
+	"AfterFunc": true,
+}
+
+// randConstructors are the math/rand package-level functions that build
+// explicit generators — the only allowed way to obtain randomness in
+// sim-driven code.
+var randConstructors = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
+	// math/rand/v2 names, accepted so a future migration stays legal.
+	"NewPCG": true, "NewChaCha8": true,
+}
+
+// nondetSource is one place a declaration observes something the seed
+// does not fix.
+type nondetSource struct {
+	pos    token.Pos
+	kind   string // "clock", "rand", "select", or an order leak: "send", "append"
+	name   string // the time/rand function, or the ranged map expression
+	target string // the appended slice ("append" only)
+}
+
+// taint describes the source as a frontier finding's witness chain ends
+// on it.
+func (s nondetSource) taint() string {
+	switch s.kind {
+	case "clock":
+		return "reads the wall clock via time." + s.name
+	case "rand":
+		return "draws from global math/rand state via rand." + s.name
+	case "select":
+		return "selects across multiple channels (ready-case choice is nondeterministic)"
+	}
+	return "leaks map iteration order (range over " + s.name + ")"
+}
+
+// direct is the finding for the source written in sim-driven package pkg.
+func (s nondetSource) direct(pkg string) string {
+	switch s.kind {
+	case "clock":
+		return fmt.Sprintf("wall-clock call time.%s in sim-driven package %q; use the engine's virtual clock", s.name, pkg)
+	case "rand":
+		return fmt.Sprintf("global math/rand call rand.%s in sim-driven package %q; thread an explicit *rand.Rand seeded from the config", s.name, pkg)
+	case "select":
+		return fmt.Sprintf("%s in sim-driven package %q; drain channels in a fixed order or add a deterministic arbiter", s.taint(), pkg)
+	case "send":
+		return fmt.Sprintf("channel send inside range over map %s leaks iteration order; collect and sort first", s.name)
+	}
+	return fmt.Sprintf("range over map %s appends to %s in iteration order with no later sort; sort keys first or sort %s after the loop", s.name, s.target, s.target)
+}
+
+// nondetSources lists the sources written directly in one top-level
+// declaration: wall-clock and global math/rand calls and selects over
+// two or more channels in source order (a package-level initialiser can
+// hold the first two), then — for a function — the range-over-map loops
+// whose iteration order escapes.
+func nondetSources(p *Package, decl ast.Decl) []nondetSource {
+	var ss []nondetSource
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := e.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			path, ok := importedPkgPath(p.Info, sel.X)
+			if !ok {
+				return true
+			}
+			switch {
+			case path == "time" && wallClockFuncs[sel.Sel.Name]:
+				ss = append(ss, nondetSource{pos: e.Pos(), kind: "clock", name: sel.Sel.Name})
+			case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[sel.Sel.Name]:
+				ss = append(ss, nondetSource{pos: e.Pos(), kind: "rand", name: sel.Sel.Name})
+			}
+		case *ast.SelectStmt:
+			comm := 0
+			for _, c := range e.Body.List {
+				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
+					comm++
+				}
+			}
+			if comm >= 2 {
+				ss = append(ss, nondetSource{pos: e.Pos(), kind: "select"})
+			}
+		}
+		return true
+	})
+	if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+		ss = append(ss, mapOrderLeaks(p, fd)...)
+	}
+	return ss
+}
+
+// mapOrderLeaks collects the range-over-map loops of one function whose
+// iteration order escapes: appends to a slice declared outside the loop,
+// or sends on a channel declared outside the loop, with no later sort of
+// that slice in the same function. Order-insensitive folds (counting,
+// summing, max) pass untouched.
+func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
+	info := p.Info
+	var leaks []nondetSource
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		rng, ok := n.(*ast.RangeStmt)
+		if !ok {
+			return true
+		}
+		t := info.TypeOf(rng.X)
+		if t == nil {
+			return true
+		}
+		if _, isMap := t.Underlying().(*types.Map); !isMap {
+			return true
+		}
+		// Collect outer-declared slice variables appended to inside the
+		// body, and outer-declared channels sent on.
+		var escapes []*ast.Ident
+		var sendPos token.Pos
+		ast.Inspect(rng.Body, func(m ast.Node) bool {
+			switch s := m.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range s.Rhs {
+					call, ok := rhs.(*ast.CallExpr)
+					if !ok || !isBuiltinAppend(info, call) || i >= len(s.Lhs) {
+						continue
+					}
+					id, ok := s.Lhs[i].(*ast.Ident)
+					if !ok {
+						continue
+					}
+					obj := info.ObjectOf(id)
+					if obj != nil && !nodeContains(rng, obj.Pos()) {
+						escapes = append(escapes, id)
+					}
+				}
+			case *ast.SendStmt:
+				if id, ok := s.Chan.(*ast.Ident); ok {
+					obj := info.ObjectOf(id)
+					if obj != nil && !nodeContains(rng, obj.Pos()) {
+						sendPos = s.Pos()
+					}
+				}
+			}
+			return true
+		})
+		if sendPos.IsValid() {
+			leaks = append(leaks, nondetSource{pos: sendPos, kind: "send", name: exprText(rng.X)})
+		}
+		for _, id := range escapes {
+			if sortedLater(info, fd, rng, info.ObjectOf(id)) {
+				continue
+			}
+			leaks = append(leaks, nondetSource{pos: rng.Pos(), kind: "append", name: exprText(rng.X), target: id.Name})
+		}
+		return true
+	})
+	return leaks
+}
+
+// sortedLater reports whether obj (the appended slice) is passed to a
+// sort/slices ordering function after the range statement, anywhere
+// later in the function.
+func sortedLater(info *types.Info, fd *ast.FuncDecl, rng *ast.RangeStmt, obj types.Object) bool {
+	if obj == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < rng.End() {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		path, ok := importedPkgPath(info, sel.X)
+		if !ok || (path != "sort" && path != "slices") {
+			return true
+		}
+		for _, arg := range call.Args {
+			used := false
+			ast.Inspect(arg, func(a ast.Node) bool {
+				if id, ok := a.(*ast.Ident); ok && info.ObjectOf(id) == obj {
+					used = true
+				}
+				return !used
+			})
+			if used {
+				found = true
+				break
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || id.Name != "append" {
+		return false
+	}
+	_, isBuiltin := info.ObjectOf(id).(*types.Builtin)
+	return isBuiltin
 }

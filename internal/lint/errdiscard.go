@@ -25,38 +25,40 @@ var errDiscardAllowedRecv = []string{
 // call a function returning an error and drop it on the floor. Explicit
 // discards (`_ = f()`) and defers are left alone: they are visible
 // decisions, not accidents.
-func runErrDiscard(p *Package, _ *config, report reportFunc) {
-	if !strings.Contains("/"+p.Path+"/", "/internal/") {
-		return
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			es, ok := n.(*ast.ExprStmt)
-			if !ok {
-				return true
-			}
-			call, ok := es.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if !callReturnsError(p.Info, call) {
-				return true
-			}
-			if name, ok := calleeName(p.Info, call); ok {
-				if errDiscardAllowed[name] {
+func runErrDiscard(prog *Program, _ *config, report progReportFunc) {
+	for _, p := range prog.Pkgs {
+		if !strings.Contains("/"+p.Path+"/", "/internal/") {
+			continue
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				es, ok := n.(*ast.ExprStmt)
+				if !ok {
 					return true
 				}
-				for _, prefix := range errDiscardAllowedRecv {
-					if strings.HasPrefix(name, prefix) {
+				call, ok := es.X.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if !callReturnsError(p.Info, call) {
+					return true
+				}
+				if name, ok := calleeName(p.Info, call); ok {
+					if errDiscardAllowed[name] {
 						return true
 					}
+					for _, prefix := range errDiscardAllowedRecv {
+						if strings.HasPrefix(name, prefix) {
+							return true
+						}
+					}
+					report(call.Pos(), nil, "error return of %s is silently discarded; handle it or assign to _ explicitly", name)
+					return true
 				}
-				report(call.Pos(), "error return of %s is silently discarded; handle it or assign to _ explicitly", name)
+				report(call.Pos(), nil, "error return is silently discarded; handle it or assign to _ explicitly")
 				return true
-			}
-			report(call.Pos(), "error return is silently discarded; handle it or assign to _ explicitly")
-			return true
-		})
+			})
+		}
 	}
 }
 

@@ -63,8 +63,8 @@ func runHotPath(prog *Program, cfg *config, report progReportFunc) {
 		return e.Kind == EdgeCall || e.Kind == EdgeIface
 	})
 
-	for _, n := range g.sortedNodeSet(reach) {
-		if n.Decl.Body == nil {
+	for _, n := range g.Nodes {
+		if _, hot := reach[n]; !hot || n.Decl.Body == nil {
 			continue
 		}
 		chain := Chain(reach, n)

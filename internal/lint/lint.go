@@ -2,14 +2,16 @@
 // suite. It enforces the cross-cutting correctness rules the simulator's
 // results depend on (see docs/determinism.md):
 //
-//   - simdeterminism: sim-driven packages must not consult wall clocks,
-//     global math/rand state, or map iteration order.
-//   - locksafety: no copied mutexes, no Lock without an Unlock on every
-//     return path, no access to `// guarded by <mu>` fields outside a
-//     critical section.
+//   - detertaint: sim-driven packages must not consult wall clocks,
+//     global math/rand state, map iteration order or a multi-way select,
+//     neither directly nor through any function they call.
+//   - locksafety: no Lock without an Unlock on every return path, no
+//     access to `// guarded by <mu>` fields outside a critical section.
+//     (Copied locks are `go vet`'s copylocks check.)
+//   - lockorder: no cycle in the global lock-acquisition order.
 //   - errdiscard: internal packages must not silently drop error returns.
-//   - parhygiene: goroutine closures must own their loop variables and
-//     must not write shared variables without synchronization.
+//   - hotpath: nothing reachable from a //tango:hotpath function may
+//     allocate per call.
 //
 // The implementation uses only the standard library (go/ast, go/parser,
 // go/types); go.mod stays dependency-free. Findings can be suppressed
@@ -52,10 +54,8 @@ type Options struct {
 	Dirs []string
 	// Analyzers, when non-empty, restricts which analyzers run.
 	Analyzers []string
-	// SimPackages overrides the package names subject to simdeterminism.
+	// SimPackages overrides the package names subject to detertaint.
 	SimPackages []string
-	// ParPackages overrides the package names subject to parhygiene.
-	ParPackages []string
 }
 
 // DefaultSimPackages are the sim-driven package names in which
@@ -68,80 +68,48 @@ var DefaultSimPackages = []string{
 	"fleet", "objstore", "tokenctl",
 }
 
-// DefaultParPackages are the package names parhygiene audits: every
-// package that spawns goroutines itself (the engine, the chunked-loop
-// and scenario-runner pools, the transform fan-outs) plus the sim-driven
-// set those workers call into, and "main" so the cmd binaries stay
-// covered.
-var DefaultParPackages = []string{
-	"sim", "device", "core", "coordinator", "harness", "dftestim", "weightfn",
-	"fault", "staging", "cache", "resil", "par", "runpool", "refactor", "trace",
-	"workload", "analytics", "synth", "errmetric", "lint", "main",
-	"fleet", "objstore", "tokenctl",
-}
-
-// reportFunc reports a finding of a package-at-a-time analyzer;
-// progReportFunc adds the witness chain the interprocedural ones attach.
+// reportFunc reports a finding without a witness; progReportFunc adds
+// the witness chain the interprocedural analyzers attach.
 type (
 	reportFunc     func(pos token.Pos, format string, args ...any)
 	progReportFunc func(pos token.Pos, witness []string, format string, args ...any)
 )
 
 // analyzer is one named check. Every analyzer runs once over the whole
-// loaded program (all packages plus the shared call graph, see
-// callgraph.go); perPackage adapts the ones that scan a package at a
-// time.
+// loaded program (all packages plus the shared call graph and lock scan,
+// see callgraph.go and locksafety.go).
 type analyzer struct {
 	name string
 	doc  string
 	run  func(prog *Program, cfg *config, report progReportFunc)
 }
 
-func perPackage(run func(p *Package, cfg *config, report reportFunc)) func(*Program, *config, progReportFunc) {
-	return func(prog *Program, cfg *config, report progReportFunc) {
-		for _, p := range prog.Pkgs {
-			run(p, cfg, func(pos token.Pos, format string, args ...any) { report(pos, nil, format, args...) })
-		}
-	}
-}
-
 // config is the resolved per-run analyzer configuration.
 type config struct {
 	simPackages map[string]bool
-	parPackages map[string]bool
 }
 
 func analyzers() []*analyzer {
 	return []*analyzer{
 		{
-			name: "simdeterminism",
-			doc:  "forbid wall-clock time, global math/rand, and map-order-dependent emission in sim-driven packages",
-			run:  perPackage(runSimDeterminism),
+			name: "detertaint",
+			doc:  "forbid wall-clock time, global math/rand, map-order-dependent emission and multi-way selects in sim-driven packages, written there or reached through the call graph",
+			run:  runDeterTaint,
 		},
 		{
 			name: "locksafety",
-			doc:  "forbid copied mutexes, unbalanced Lock/Unlock, and unguarded access to `// guarded by <mu>` fields",
-			run:  perPackage(runLockSafety),
-		},
-		{
-			name: "errdiscard",
-			doc:  "forbid silently discarded error returns in internal packages",
-			run:  perPackage(runErrDiscard),
-		},
-		{
-			name: "parhygiene",
-			doc:  "forbid goroutine closures capturing loop variables or writing shared state unsynchronized",
-			run:  perPackage(runParHygiene),
-		},
-		{
-			name: "detertaint",
-			doc:  "propagate nondeterminism taint (wall clock, global rand, map order, multi-way select) through the call graph into sim-driven packages",
-			run:  runDeterTaint,
+			doc:  "forbid unbalanced Lock/Unlock and unguarded access to `// guarded by <mu>` fields (copied locks are go vet's)",
+			run:  runLockSafety,
 		},
 		{
 			name: "lockorder",
 			doc:  "report cycles in the global lock-acquisition-order graph (potential deadlocks) with the witness chain",
 			run:  runLockOrder,
+		},
+		{
+			name: "errdiscard",
+			doc:  "forbid silently discarded error returns in internal packages",
+			run:  runErrDiscard,
 		},
 		{
 			name: "hotpath",
@@ -175,16 +143,9 @@ func (o *Options) resolved() (*config, []*analyzer, error) {
 	if sim == nil {
 		sim = DefaultSimPackages
 	}
-	par := o.ParPackages
-	if par == nil {
-		par = DefaultParPackages
-	}
-	cfg := &config{simPackages: map[string]bool{}, parPackages: map[string]bool{}}
+	cfg := &config{simPackages: map[string]bool{}}
 	for _, n := range sim {
 		cfg.simPackages[n] = true
-	}
-	for _, n := range par {
-		cfg.parPackages[n] = true
 	}
 	all := analyzers()
 	if len(o.Analyzers) == 0 {

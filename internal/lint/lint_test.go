@@ -61,10 +61,9 @@ func TestFixtures(t *testing.T) {
 		dir      string
 		analyzer string
 	}{
-		{"simdet", "simdeterminism"},
+		{"simdet", "detertaint"},
 		{"locks", "locksafety"},
 		{"errs", "errdiscard"},
-		{"parfix", "parhygiene"},
 		{"lockfix", "lockorder"},
 		{"hotfix", "hotpath"},
 	}
@@ -74,10 +73,8 @@ func TestFixtures(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.dir)
 			opts := Options{
 				Analyzers: []string{tc.analyzer},
-				// The fixtures play the roles of sim-driven and
-				// goroutine-spawning packages respectively.
+				// The simdet fixture plays a sim-driven package.
 				SimPackages: append(append([]string{}, DefaultSimPackages...), "simdet"),
-				ParPackages: append(append([]string{}, DefaultParPackages...), "parfix"),
 			}
 			findings, pkgs, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/" + tc.dir}}, opts)
 			if err != nil {
@@ -129,26 +126,19 @@ func matchWants(t *testing.T, findings []Finding, wants []*wantLine) {
 // one program, so the taint chain crosses a package boundary exactly the
 // way a real helper package would smuggle a wall-clock read past the
 // per-package scan. Every detertaint finding must carry a non-empty
-// witness chain. The bothfix case runs both determinism analyzers over a
-// function that holds a local source and a frontier call: matchWants
-// holds them to one finding each, so the recogniser they share reports
-// nothing twice.
+// witness chain. The bothfix case is a function that holds a local
+// source and a frontier call: matchWants holds detertaint to one finding
+// each, so nothing is reported twice.
 func TestDeterTaintFixture(t *testing.T) {
-	for _, tc := range []struct {
-		dir       string
-		analyzers []string
-	}{
-		{"detfix", []string{"detertaint"}},
-		{"bothfix", []string{"simdeterminism", "detertaint"}},
-	} {
-		t.Run(tc.dir, func(t *testing.T) {
+	for _, dir := range []string{"detfix", "bothfix"} {
+		t.Run(dir, func(t *testing.T) {
 			dirs := []FixtureDir{
 				{Dir: filepath.Join("testdata", "src", "tickutil"), ImportPath: "tango/internal/fixture/tickutil"},
-				{Dir: filepath.Join("testdata", "src", tc.dir), ImportPath: "tango/internal/fixture/" + tc.dir},
+				{Dir: filepath.Join("testdata", "src", dir), ImportPath: "tango/internal/fixture/" + dir},
 			}
 			opts := Options{
-				Analyzers:   tc.analyzers,
-				SimPackages: append(append([]string{}, DefaultSimPackages...), tc.dir),
+				Analyzers:   []string{"detertaint"},
+				SimPackages: append(append([]string{}, DefaultSimPackages...), dir),
 			}
 			findings, pkgs, err := CheckFixtureProgram(dirs, opts)
 			if err != nil {
@@ -164,11 +154,11 @@ func TestDeterTaintFixture(t *testing.T) {
 				wants = append(wants, parseWants(t, d.Dir)...)
 			}
 			if len(wants) != 2 {
-				t.Fatalf("fixture %s seeds %d violations, want 2", tc.dir, len(wants))
+				t.Fatalf("fixture %s seeds %d violations, want 2", dir, len(wants))
 			}
 			matchWants(t, findings, wants)
 			for _, f := range findings {
-				if f.Analyzer == "detertaint" && len(f.Witness) == 0 {
+				if len(f.Witness) == 0 {
 					t.Errorf("detertaint finding without witness: %s", f)
 				}
 			}
@@ -217,7 +207,7 @@ func TestSuppressionRequiresReason(t *testing.T) {
 import "time"
 
 func f() int64 {
-	//lint:ignore simdeterminism
+	//lint:ignore detertaint
 	return time.Now().UnixNano()
 }
 `
@@ -225,7 +215,7 @@ func f() int64 {
 		t.Fatal(err)
 	}
 	opts := Options{
-		Analyzers:   []string{"simdeterminism"},
+		Analyzers:   []string{"detertaint"},
 		SimPackages: []string{"simdet"},
 	}
 	findings, _, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/noreason"}}, opts)
@@ -250,10 +240,7 @@ func TestFindingFormat(t *testing.T) {
 
 // TestAnalyzerNames guards the documented analyzer set.
 func TestAnalyzerNames(t *testing.T) {
-	want := []string{
-		"simdeterminism", "locksafety", "errdiscard", "parhygiene",
-		"detertaint", "lockorder", "hotpath",
-	}
+	want := []string{"detertaint", "locksafety", "lockorder", "errdiscard", "hotpath"}
 	got := AnalyzerNames()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("AnalyzerNames() = %v, want %v", got, want)
@@ -265,17 +252,20 @@ func TestAnalyzerNames(t *testing.T) {
 	}
 }
 
-// TestRunUnknownAnalyzer checks option validation.
+// TestRunUnknownAnalyzer checks option validation, including the names
+// of the analyzers folded into others or left to go vet and -race.
 func TestRunUnknownAnalyzer(t *testing.T) {
-	_, err := Run(Options{Root: "../..", Analyzers: []string{"nope"}})
-	if err == nil || !strings.Contains(err.Error(), "unknown analyzer") {
-		t.Fatalf("want unknown-analyzer error, got %v", err)
+	for _, name := range []string{"nope", "simdeterminism", "parhygiene"} {
+		_, err := Run(Options{Root: "../..", Analyzers: []string{name}})
+		if err == nil || !strings.Contains(err.Error(), "unknown analyzer") || !strings.Contains(err.Error(), "(have detertaint, ") {
+			t.Fatalf("-analyzers %s: want unknown-analyzer error, got %v", name, err)
+		}
 	}
 }
 
 // BenchmarkLintRepo measures a full-repo run of every analyzer —
-// module load, type check, call-graph construction, and all seven
-// analyzers. The whole-repo budget is a few seconds (the CI lint gate
+// module load, type check, call-graph construction and lock scan, and
+// all five analyzers. The whole-repo budget is a few seconds (the CI lint gate
 // runs this exact configuration).
 func BenchmarkLintRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,137 +1,134 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"sort"
 	"strings"
 )
 
-// runLockSafety enforces three rules:
+// runLockSafety reports the program lock scan's findings:
 //
-//  1. no lock-bearing value is copied (value receivers/params/results,
-//     dereference copies, range-value copies);
-//  2. every sync.Mutex/RWMutex Lock has a deferred or path-covering
+//  1. every sync.Mutex/RWMutex Lock has a deferred or path-covering
 //     Unlock — no return while a lock is held;
-//  3. struct fields annotated `// guarded by <mu>` are only touched
+//  2. struct fields annotated `// guarded by <mu>` are only touched
 //     while <mu> is held (methods named *Locked are assumed to be
 //     called with the lock held, the project's convention).
-func runLockSafety(p *Package, _ *config, report reportFunc) {
-	guards := collectGuards(p)
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkLockCopies(p, fd, report)
-			if fd.Body == nil {
-				continue
-			}
-			sc := &lockScanner{
-				p:           p,
-				report:      report,
-				guards:      guards,
-				checkGuards: !strings.HasSuffix(fd.Name.Name, "Locked"),
-				leaks:       map[token.Pos]string{},
-			}
-			st := newLockState()
-			terminated := sc.scanStmts(fd.Body.List, st)
-			if !terminated {
-				sc.checkExit(st, fd.Body.Rbrace)
-			}
-			sc.flush()
-		}
+//
+// A lock-bearing value copied by value is `go vet`'s copylocks finding.
+func runLockSafety(prog *Program, _ *config, report progReportFunc) {
+	for _, f := range prog.locks().findings {
+		report(f.pos, nil, "%s", f.msg)
 	}
 }
 
-// --- rule 1: copied locks ---
-
-func checkLockCopies(p *Package, fd *ast.FuncDecl, report reportFunc) {
-	checkFieldList := func(fl *ast.FieldList, kind string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := p.Info.TypeOf(field.Type)
-			if t == nil || !typeContainsLock(t, nil) {
-				continue
-			}
-			report(field.Pos(), "%s of %s copies a lock; use a pointer", kind, fd.Name.Name)
-		}
-	}
-	checkFieldList(fd.Recv, "value receiver")
-	if fd.Type.Params != nil {
-		checkFieldList(fd.Type.Params, "value parameter")
-	}
-	if fd.Type.Results != nil {
-		checkFieldList(fd.Type.Results, "result")
-	}
-	if fd.Body == nil {
-		return
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range s.Rhs {
-				// Assigning to the blank identifier is a visible
-				// discard, not a copy anyone can misuse.
-				if i < len(s.Lhs) {
-					if id, ok := s.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-						continue
-					}
-				}
-				switch rhs.(type) {
-				case *ast.StarExpr, *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-					t := p.Info.TypeOf(rhs)
-					if t != nil && typeContainsLock(t, nil) {
-						report(rhs.Pos(), "assignment copies lock-bearing value %s; use a pointer", exprText(rhs))
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if s.Value != nil {
-				t := p.Info.TypeOf(s.Value)
-				if t != nil && typeContainsLock(t, nil) {
-					report(s.Value.Pos(), "range value copies lock-bearing element; range over indices or pointers")
-				}
-			}
-		}
-		return true
-	})
+// lockScan is the branch-aware must-held scan of every function body,
+// run once per program: locksafety reports its findings, and lockorder
+// builds the acquisition-order graph from its events.
+type lockScan struct {
+	findings []lockFinding
+	events   map[*ast.FuncDecl][]lockEvent
 }
 
-// typeContainsLock reports whether t (held by value) embeds sync
-// primitive state that must not be copied.
-func typeContainsLock(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
+type lockFinding struct {
+	pos token.Pos
+	msg string
+}
+
+// lockEvent is one lock acquisition (class set) or call site (class
+// empty) in a function, closures included, with the lock classes
+// must-held there. A call site is recorded only under a classed lock.
+type lockEvent struct {
+	pos   token.Pos
+	class string
+	held  []string
+}
+
+// locks returns the lock scan, running it on first use.
+func (prog *Program) locks() *lockScan {
+	if prog.lockScan != nil {
+		return prog.lockScan
 	}
-	if seen == nil {
-		seen = map[types.Type]bool{}
+	ls := &lockScan{events: map[*ast.FuncDecl][]lockEvent{}}
+	report := func(pos token.Pos, format string, args ...any) {
+		ls.findings = append(ls.findings, lockFinding{pos, fmt.Sprintf(format, args...)})
 	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return true
+	for _, p := range prog.Pkgs {
+		guards := collectGuards(p)
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				sc := &lockScanner{
+					p:           p,
+					report:      report,
+					guards:      guards,
+					checkGuards: !strings.HasSuffix(fd.Name.Name, "Locked"),
+					leaks:       map[token.Pos]string{},
+					classOf:     map[string]string{},
+				}
+				st := newLockState()
+				if !sc.scanStmts(fd.Body.List, st) {
+					sc.checkExit(st)
+				}
+				sc.flush()
+				ls.events[fd] = sc.events
 			}
 		}
-		return typeContainsLock(named.Underlying(), seen)
 	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeContainsLock(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeContainsLock(u.Elem(), seen)
+	prog.lockScan = ls
+	return ls
+}
+
+// lockOp is one sync.Mutex/RWMutex method call, as the scanner reads
+// lock operations.
+type lockOp struct {
+	recv ast.Expr
+	lock bool // acquires (Lock, RLock, TryLock, TryRLock) rather than releases
+	read bool // the RWMutex read side (RLock, TryRLock, RUnlock)
+	try  bool // TryLock/TryRLock: the acquisition may fail
+}
+
+// key names the mutex instance and mode: a read hold and a write hold of
+// one RWMutex are tracked apart.
+func (o lockOp) key() string {
+	if o.read {
+		return exprText(o.recv) + ":r"
 	}
-	return false
+	return exprText(o.recv)
+}
+
+// lockOpOf classifies call, reporting false for anything but the six
+// lock methods of sync.Mutex and sync.RWMutex.
+func lockOpOf(p *Package, call *ast.CallExpr) (lockOp, bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return lockOp{}, false
+	}
+	fn, isFn := p.Info.Uses[sel.Sel].(*types.Func)
+	if !isFn {
+		return lockOp{}, false
+	}
+	full := fn.FullName()
+	if !strings.HasPrefix(full, "(*sync.Mutex).") && !strings.HasPrefix(full, "(*sync.RWMutex).") {
+		return lockOp{}, false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "TryLock":
+		return lockOp{recv: sel.X, lock: true, try: sel.Sel.Name == "TryLock"}, true
+	case "RLock", "TryRLock":
+		return lockOp{recv: sel.X, lock: true, read: true, try: sel.Sel.Name == "TryRLock"}, true
+	case "Unlock":
+		return lockOp{recv: sel.X}, true
+	case "RUnlock":
+		return lockOp{recv: sel.X, read: true}, true
+	}
+	return lockOp{}, false
 }
 
 // --- guarded-by annotations ---
@@ -212,7 +209,7 @@ func guardName(cg *ast.CommentGroup) string {
 	return ""
 }
 
-// --- rules 2 and 3: the lock-state scanner ---
+// --- the lock-state scanner ---
 
 // lockState is the set of mutexes that MUST be held at a program point
 // (branch merges intersect, so it never over-claims).
@@ -254,6 +251,24 @@ type lockScanner struct {
 	guards      map[types.Object]string
 	checkGuards bool
 	leaks       map[token.Pos]string // Lock() pos -> message (deduped)
+	classOf     map[string]string    // lock key -> class (lockClass) at its Lock()
+	events      []lockEvent
+}
+
+// event records a lock acquisition of class, or with class "" a call
+// site, against the classes held in st.
+func (sc *lockScanner) event(pos token.Pos, class string, st *lockState) {
+	var held []string
+	for key := range st.held {
+		if c := sc.classOf[key]; c != "" && !slices.Contains(held, c) {
+			held = append(held, c)
+		}
+	}
+	if class == "" && len(held) == 0 {
+		return
+	}
+	sort.Strings(held)
+	sc.events = append(sc.events, lockEvent{pos: pos, class: class, held: held})
 }
 
 func (sc *lockScanner) flush() {
@@ -281,6 +296,10 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 			// A Try(R)Lock may not acquire, so it claims nothing here.
 			if op, ok := lockOpOf(sc.p, call); ok && !op.try {
 				if op.lock {
+					if class := lockClass(sc.p, op.recv); class != "" {
+						sc.event(call.Pos(), class, st)
+						sc.classOf[op.key()] = class
+					}
 					st.held[op.key()] = call.Pos()
 				} else {
 					delete(st.held, op.key())
@@ -310,12 +329,13 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 				}
 				return true
 			})
-			return false
 		}
+		// A deferred call or closure is scanned as if it ran here, the
+		// closest source-order stand-in for running at exit.
 		sc.visitExprs(s, st)
 	case *ast.ReturnStmt:
 		sc.visitExprs(s, st)
-		sc.checkExit(st, s.Pos())
+		sc.checkExit(st)
 		return true
 	case *ast.BranchStmt:
 		// break/continue/goto: treat as terminating this path for merge
@@ -367,18 +387,19 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		return sc.scanBranches(s, st)
 	case *ast.GoStmt:
+		// Goroutines do not inherit the caller's locks, so the spawned
+		// call is no call site under them; its arguments are.
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// Goroutines do not inherit the caller's locks.
 			fresh := newLockState()
 			if !sc.scanStmts(fl.Body.List, fresh) {
-				sc.checkExit(fresh, fl.Body.Rbrace)
+				sc.checkExit(fresh)
 			}
-			for _, arg := range s.Call.Args {
-				sc.visitExprs(arg, st)
-			}
-			return false
+		} else {
+			sc.visitExprs(s.Call.Fun, st)
 		}
-		sc.visitExprs(s, st)
+		for _, arg := range s.Call.Args {
+			sc.visitExprs(arg, st)
+		}
 	default:
 		sc.visitExprs(stmt, st)
 	}
@@ -419,6 +440,9 @@ func (sc *lockScanner) scanBranches(stmt ast.Stmt, st *lockState) bool {
 			if c.List == nil {
 				hasDefault = true
 			}
+			for _, e := range c.List {
+				sc.visitExprs(e, st)
+			}
 			stmts = c.Body
 		case *ast.CommClause:
 			cs := st.clone()
@@ -456,7 +480,7 @@ func (sc *lockScanner) scanBranches(stmt ast.Stmt, st *lockState) bool {
 
 // checkExit records a leak for every mutex still held (and not deferred)
 // at a return or at the end of the function body.
-func (sc *lockScanner) checkExit(st *lockState, _ token.Pos) {
+func (sc *lockScanner) checkExit(st *lockState) {
 	for key, lockPos := range st.held {
 		if st.deferred[key] {
 			continue
@@ -473,14 +497,17 @@ func unlockCallFor(key string) string {
 	return key + ".Unlock()"
 }
 
-// visitExprs checks guarded-field accesses in any expression tree and
-// scans nested function literals.
+// visitExprs checks guarded-field accesses in any expression tree,
+// records its call sites and scans nested function literals.
 func (sc *lockScanner) visitExprs(n ast.Node, st *lockState) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch e := m.(type) {
+		case *ast.CallExpr:
+			sc.event(e.Pos(), "", st)
 		case *ast.FuncLit:
-			// A closure invoked in place sees the caller's locks; its own
-			// extra locks must still balance by its end.
+			// A closure sees the locks held where it is written (a
+			// callback passed down runs under them); its own extra locks
+			// must still balance by its end.
 			inner := st.clone()
 			if !sc.scanStmts(e.Body.List, inner) {
 				leaked := newLockState()
@@ -490,7 +517,7 @@ func (sc *lockScanner) visitExprs(n ast.Node, st *lockState) {
 					}
 				}
 				leaked.deferred = inner.deferred
-				sc.checkExit(leaked, e.Body.Rbrace)
+				sc.checkExit(leaked)
 			}
 			return false
 		case *ast.SelectorExpr:

@@ -1,7 +1,6 @@
-// Package bothfix is a tangolint fixture for the recogniser the two
-// determinism analyzers share. One sim-driven function holds a source of
-// its own and a frontier call: simdeterminism must name the first,
-// detertaint the second, and neither may report the other's.
+// Package bothfix is a tangolint fixture for detertaint's two kinds of
+// finding. One sim-driven function holds a source of its own and a
+// frontier call: each must be reported once, and neither as the other.
 package bothfix
 
 import (
@@ -12,6 +11,6 @@ import (
 
 // Step reads the wall clock itself and again through tickutil.
 func Step() int64 {
-	local := time.Now().UnixNano()  // want simdeterminism "wall-clock call time.Now"
+	local := time.Now().UnixNano()  // want detertaint "wall-clock call time.Now"
 	return local + tickutil.Stamp() // want detertaint "call into nondeterministic tickutil.Stamp"
 }

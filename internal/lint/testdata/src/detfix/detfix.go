@@ -1,9 +1,9 @@
 // Package detfix is a tangolint fixture: seeded violations of the
 // detertaint analyzer. The package name is added to SimPackages by the
 // test, so calls that smuggle nondeterminism in through the tickutil
-// helper package — where simdeterminism's per-package scan cannot see
-// them — must be flagged at the frontier, with the call chain down to
-// the wall-clock read as witness.
+// helper package — which is not sim-driven, so its own sources are not
+// reported — must be flagged at the frontier, with the call chain down
+// to the wall-clock read as witness.
 package detfix
 
 import "tango/internal/fixture/tickutil"

@@ -1,7 +1,7 @@
 // Package lockfix is a tangolint fixture: seeded lock-order cycles for
 // the lockorder analyzer. Each want-comment marks where the analyzer
-// reports the representative cycle (the first edge of the cycle starting
-// from the alphabetically-first class in the SCC).
+// reports the cycle (its first edge, from its alphabetically-first
+// class).
 package lockfix
 
 import "sync"

@@ -1,6 +1,7 @@
 // Package locks is a tangolint fixture: seeded violations of the
-// locksafety analyzer (copied mutexes, unbalanced Lock/Unlock, and
-// `// guarded by <mu>` fields touched outside the critical section).
+// locksafety analyzer (unbalanced Lock/Unlock, and `// guarded by <mu>`
+// fields touched outside the critical section). Copied mutexes are
+// go vet's copylocks check, not tangolint's.
 package locks
 
 import "sync"
@@ -8,22 +9,6 @@ import "sync"
 type counter struct {
 	mu sync.Mutex
 	n  int // guarded by mu
-}
-
-// A value receiver copies the mutex with the struct.
-func (c counter) badValueReceiver() int { // want locksafety "value receiver"
-	return 0
-}
-
-// A value parameter does too.
-func badParam(c counter) { // want locksafety "value parameter"
-	_ = c
-}
-
-// Dereferencing copies the lock out of the shared value.
-func badDeref(c *counter) {
-	v := *c // want locksafety "assignment copies lock-bearing value"
-	_ = v
 }
 
 // Early return with the lock still held.

@@ -1,7 +1,8 @@
-// Package simdet is a tangolint fixture: seeded violations of the
-// simdeterminism analyzer. Every `// want <analyzer> "substr"` comment
-// is asserted by lint_test.go, in both directions: each want must be
-// reported, and each report must be wanted.
+// Package simdet is a tangolint fixture: nondeterminism sources written
+// directly in a sim-driven package, which detertaint reports. Every
+// `// want <analyzer> "substr"` comment is asserted by lint_test.go, in
+// both directions: each want must be reported, and each report must be
+// wanted.
 package simdet
 
 import (
@@ -10,18 +11,21 @@ import (
 	"time"
 )
 
+// A package-level initialiser is no function, yet its sources count.
+var started = time.Now() // want detertaint "wall-clock call time.Now"
+
 // Wall-clock reads are forbidden in sim-driven packages: the engine has
 // a virtual clock, and real time makes runs unreproducible.
 func wallClock() float64 {
-	t0 := time.Now()                  // want simdeterminism "wall-clock call time.Now"
-	time.Sleep(10 * time.Millisecond) // want simdeterminism "wall-clock call time.Sleep"
-	return time.Since(t0).Seconds()   // want simdeterminism "wall-clock call time.Since"
+	t0 := time.Now()                  // want detertaint "wall-clock call time.Now"
+	time.Sleep(10 * time.Millisecond) // want detertaint "wall-clock call time.Sleep"
+	return time.Since(t0).Seconds()   // want detertaint "wall-clock call time.Since"
 }
 
 // Global math/rand functions draw from shared process-wide state.
 func globalRand() int {
-	x := rand.Intn(10)        // want simdeterminism "global math/rand call rand.Intn"
-	if rand.Float64() > 0.5 { // want simdeterminism "global math/rand call rand.Float64"
+	x := rand.Intn(10)        // want detertaint "global math/rand call rand.Intn"
+	if rand.Float64() > 0.5 { // want detertaint "global math/rand call rand.Float64"
 		x++
 	}
 	return x
@@ -36,7 +40,7 @@ func seededRand(seed int64) int {
 // Map iteration order must not flow into an appended result.
 func mapOrderLeak(m map[string]int) []string {
 	var keys []string
-	for k := range m { // want simdeterminism "appends to keys in iteration order"
+	for k := range m { // want detertaint "appends to keys in iteration order"
 		keys = append(keys, k)
 	}
 	return keys
@@ -45,7 +49,7 @@ func mapOrderLeak(m map[string]int) []string {
 // Nor into a channel the consumer will drain in arrival order.
 func mapOrderLeakChan(m map[string]int, out chan<- string) {
 	for k := range m {
-		out <- k // want simdeterminism "leaks iteration order"
+		out <- k // want detertaint "leaks iteration order"
 	}
 }
 
@@ -70,6 +74,6 @@ func mapCount(m map[string]int) int {
 
 // The escape hatch: an explained ignore silences the finding.
 func suppressed() int64 {
-	//lint:ignore simdeterminism fixture demonstrates the escape hatch
+	//lint:ignore detertaint fixture demonstrates the escape hatch
 	return time.Now().UnixNano()
 }

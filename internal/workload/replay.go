@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,8 +23,9 @@ type TraceOp struct {
 }
 
 // ParseTrace reads a CSV-like trace: one op per line,
-// "time_seconds,bytes[,r|w]". Blank lines and lines starting with '#' are
-// skipped. Ops are returned sorted by time.
+// "time_seconds,bytes[,r|w]", with time and bytes finite and ≥ 0. Blank
+// lines and lines starting with '#' are skipped. Ops are returned sorted
+// by time.
 func ParseTrace(r io.Reader) ([]TraceOp, error) {
 	var ops []TraceOp
 	sc := bufio.NewScanner(r)
@@ -39,11 +41,11 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 			return nil, fmt.Errorf("workload: trace line %d: want time,bytes[,r|w]", lineNo)
 		}
 		t, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-		if err != nil || t < 0 {
+		if err != nil || !finiteNonNeg(t) {
 			return nil, fmt.Errorf("workload: trace line %d: bad time %q", lineNo, parts[0])
 		}
 		b, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil || b < 0 {
+		if err != nil || !finiteNonNeg(b) {
 			return nil, fmt.Errorf("workload: trace line %d: bad bytes %q", lineNo, parts[1])
 		}
 		op := TraceOp{T: t, Bytes: b}
@@ -64,6 +66,8 @@ func ParseTrace(r io.Reader) ([]TraceOp, error) {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].T < ops[j].T })
 	return ops, nil
 }
+
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // ReplayTrace launches a container that replays the ops against dev: each
 // op is issued at its recorded time (or immediately, if the previous op

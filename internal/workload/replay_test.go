@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,20 +35,79 @@ func TestParseTrace(t *testing.T) {
 	}
 }
 
+// TestParseTraceErrors is the rejection table: every bad line is an error
+// naming its line number and what is wrong with it. NaN and ±Inf used to
+// parse, and a trace of them replayed as "bytes served: 0.0 GB".
 func TestParseTraceErrors(t *testing.T) {
-	for _, bad := range []string{
-		"x,100",
-		"5,y",
-		"5,100,z",
-		"5",
-		"5,100,w,extra",
-		"-1,100",
-		"5,-100",
+	for _, tc := range []struct{ in, want string }{
+		{"x,100", `line 1: bad time "x"`},
+		{"5,y", `line 1: bad bytes "y"`},
+		{"5,100,z", `line 1: bad direction "z"`},
+		{"5", "line 1: want time,bytes"},
+		{"5,100,w,extra", "line 1: want time,bytes"},
+		{"-1,100", `line 1: bad time "-1"`},
+		{"5,-100", `line 1: bad bytes "-100"`},
+		{"# header\nNaN,1e6,w", `trace line 2: bad time "NaN"`},
+		{"5,+Inf,w", `line 1: bad bytes "+Inf"`},
+		{"Inf,1", `line 1: bad time "Inf"`},
+		{"5,NaN", `line 1: bad bytes "NaN"`},
+		{"-Inf,1", `line 1: bad time "-Inf"`},
+		{"1e400,1", `line 1: bad time "1e400"`},
 	} {
-		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
-			t.Errorf("ParseTrace(%q) accepted", bad)
+		_, err := ParseTrace(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseTrace(%q): error %v, want one containing %q", tc.in, err, tc.want)
 		}
 	}
+}
+
+// FuzzParseTrace: ParseTrace never panics; it accepts only ops with a
+// finite T ≥ 0 and Bytes ≥ 0, sorted by T; and WriteTrace of what it
+// accepted parses back to the same ops, bit for bit.
+func FuzzParseTrace(f *testing.F) {
+	// The inputs tangotrace once crashed on or replayed as garbage: no
+	// ops, NaN and +Inf, a negative read, a negative time. Then a valid
+	// trace in every accepted form.
+	for _, seed := range []string{
+		"# time_seconds,bytes,direction\n",
+		"# time_seconds,bytes,direction\nNaN,1e6,w\n5,+Inf,w\n",
+		"0,-5242880,r\n",
+		"# time_seconds,bytes,direction\n0,1e9,w\n-1,1e9,w\n",
+		"# comment\n10,1000,w\n5, 500 ,r\n\n20,2000\n-0,0x1p-2,\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		ops, err := ParseTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, op := range ops {
+			if !finiteNonNeg(op.T) || !finiteNonNeg(op.Bytes) {
+				t.Fatalf("accepted op %d = %+v", i, op)
+			}
+			if i > 0 && op.T < ops[i-1].T {
+				t.Fatalf("ops %d and %d out of order: %v > %v", i-1, i, ops[i-1].T, op.T)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, ops); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseTrace(&buf)
+		if err != nil {
+			t.Fatalf("written trace does not parse: %v\n%s", err, buf.String())
+		}
+		if len(back) != len(ops) {
+			t.Fatalf("round trip: %d ops, want %d", len(back), len(ops))
+		}
+		for i := range ops {
+			a, b := ops[i], back[i]
+			if math.Float64bits(a.T) != math.Float64bits(b.T) || math.Float64bits(a.Bytes) != math.Float64bits(b.Bytes) || a.Read != b.Read {
+				t.Fatalf("round trip op %d: %+v, want %+v", i, b, a)
+			}
+		}
+	})
 }
 
 func TestTraceRoundTrip(t *testing.T) {

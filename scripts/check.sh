@@ -24,6 +24,7 @@ cd "$(dirname "$0")/.."
 echo '>> go build ./...'
 go build ./...
 
+# go vet is the copied-lock gate (copylocks); tangolint does not check it.
 echo '>> go vet ./...'
 go vet ./...
 
