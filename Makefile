@@ -78,8 +78,8 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 20412
-CONFIG_FIELDS_MAX = 28
+LOC_MAX = 20410
+CONFIG_FIELDS_MAX = 25
 
 loc-check:
 	@$(MAKE) -s loc | awk -v lines=$(LOC_MAX) -v fields=$(CONFIG_FIELDS_MAX) ' \

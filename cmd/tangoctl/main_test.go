@@ -1,13 +1,60 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"tango/internal/cliutil"
 )
+
+// TestMain runs tangoctl itself when a test re-executes the binary with
+// TANGOCTL_TEST_MAIN set, so a test sees a real exit status and stderr.
+func TestMain(m *testing.M) {
+	if os.Getenv("TANGOCTL_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs tangoctl with args and returns its exit status and stderr.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TANGOCTL_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestDecomposeRejectsOversizedDims: a point count that wraps int used to
+// pass the data-length check and panic in makeslice, and one the file
+// cannot hold allocated all n floats before failing. Each is one error
+// line and a non-zero exit now.
+func TestDecomposeRejectsOversizedDims(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "two.raw")
+	if err := cliutil.WriteRawFloat64s(in, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dims := range []string{"4294967296x4294967296", "100000x100000", "3"} {
+		code, stderr := runMain(t, "decompose", "-in", in, "-dims", dims, "-out", filepath.Join(dir, "x.tng"))
+		lines := strings.Split(strings.TrimSpace(stderr), "\n")
+		if code == 0 || len(lines) != 1 || !strings.HasPrefix(lines[0], "tangoctl: ") {
+			t.Errorf("-dims %s: exit %d, stderr %q; want one tangoctl: line and a non-zero exit", dims, code, stderr)
+		}
+	}
+}
 
 // TestDecomposeRejectsUnknownMetric: `-metric foo` used to fall through to
 // NRMSE and write a hierarchy whose ladder meant something other than what

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -50,6 +51,14 @@ func main() {
 
 	if most := len(tango.TableIVNoise()); *noise < 0 || *noise > most {
 		die(2, fmt.Errorf("-noise %d out of range (want 0-%d)", *noise, most))
+	}
+	switch {
+	case !(*bound >= 0) || math.IsInf(*bound, 1):
+		die(2, fmt.Errorf("-bound %v is not finite and >= 0", *bound))
+	case *cacheMB < 0:
+		die(2, fmt.Errorf("-cache %d is negative", *cacheMB))
+	case *nodes < 1:
+		die(2, fmt.Errorf("-nodes %d is below 1", *nodes))
 	}
 
 	if *nodes > 1 || *objstore {

@@ -7,8 +7,6 @@
 //	otherwise       -> linear interpolation between the two
 package abplot
 
-import "fmt"
-
 // Plot is an augmentation-bandwidth plot with the two thresholds in
 // bytes/sec. The paper's defaults are BWLow = 30 MB/s, BWHigh = 120 MB/s
 // (§IV-A).
@@ -21,14 +19,6 @@ type Plot struct {
 func Default() Plot {
 	const mb = 1024 * 1024
 	return Plot{BWLow: 30 * mb, BWHigh: 120 * mb}
-}
-
-// Validate reports configuration errors.
-func (p Plot) Validate() error {
-	if p.BWLow < 0 || p.BWHigh <= p.BWLow {
-		return fmt.Errorf("abplot: need 0 <= BWLow < BWHigh, have %v, %v", p.BWLow, p.BWHigh)
-	}
-	return nil
 }
 
 // Degree returns the augmentation degree abplot(B̃W) ∈ [0,1] for an

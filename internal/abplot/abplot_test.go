@@ -13,9 +13,6 @@ func TestDefaultMatchesPaper(t *testing.T) {
 	if p.BWLow != 30*mb || p.BWHigh != 120*mb {
 		t.Fatalf("default = %+v", p)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestDegreeEndpoints(t *testing.T) {
@@ -61,17 +58,5 @@ func TestDegreeBoundedAndMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestValidateRejectsBadThresholds(t *testing.T) {
-	for _, p := range []Plot{
-		{BWLow: -1, BWHigh: 10},
-		{BWLow: 10, BWHigh: 10},
-		{BWLow: 20, BWHigh: 10},
-	} {
-		if p.Validate() == nil {
-			t.Errorf("Validate(%+v) should fail", p)
-		}
 	}
 }

@@ -213,17 +213,11 @@ func (c *Cache) Serve(level, start, end int) (*device.Device, int) {
 		bytes := float64(c.h.LevelBytes(level, start, start+served)) * c.scale
 		c.stats.Hits++
 		c.stats.HitBytes += bytes
-		if c.cfg.Trace != nil { // guard: the variadic emit boxes its args
-			//lint:ignore hotpath recorder-on only: a traced run pays for its own formatting
-			c.emit(trace.KindCacheHit, "level=%d entries=[%d,%d) served=%d bytes=%.0f", level, start, end, served, bytes)
-		}
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheHit, "level=%d entries=[%d,%d) served=%d bytes=%.0f", level, start, end, served, bytes)
 	}
 	if served < end-start {
 		c.stats.Misses++
-		if c.cfg.Trace != nil {
-			//lint:ignore hotpath recorder-on only, as above
-			c.emit(trace.KindCacheMiss, "level=%d entries=[%d,%d) uncached=%d", level, start, end, end-start-served)
-		}
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheMiss, "level=%d entries=[%d,%d) uncached=%d", level, start, end, end-start-served)
 	}
 	if served == 0 {
 		return nil, 0

@@ -132,10 +132,8 @@ func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 		}
 		if pf.paused(next) {
 			pf.stats.Paused++
-			if pf.cache.cfg.Trace != nil { // guard: the variadic emit boxes its args
-				pf.cache.emit(trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
-					pf.Observed(), pauseFrac*100, next)
-			}
+			pf.cache.emit(trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
+				pf.Observed(), pauseFrac*100, next)
 			continue
 		}
 		if next < lowWaterFrac*peak {
@@ -148,10 +146,8 @@ func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 		}
 		if staged > 0 {
 			pf.stats.Runs++
-			if pf.cache.cfg.Trace != nil {
-				pf.cache.emit(trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
-					staged, pf.cache.Used(), pf.cache.Capacity(), pf.cache.CachedEntries())
-			}
+			pf.cache.emit(trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
+				staged, pf.cache.Used(), pf.cache.Capacity(), pf.cache.CachedEntries())
 		}
 	}
 }

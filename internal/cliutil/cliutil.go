@@ -17,15 +17,20 @@ import (
 	"tango/internal/tokenctl"
 )
 
-// ParseDims parses "512x512x128"-style grid dimensions.
+// ParseDims parses "512x512x128"-style grid dimensions whose point count fits an int.
 func ParseDims(s string) ([]int, error) {
 	parts := strings.Split(s, "x")
 	dims := make([]int, 0, len(parts))
+	points := 1
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("bad dims %q", s)
 		}
+		if points > math.MaxInt/v {
+			return nil, fmt.Errorf("dims %q: point count overflows int", s)
+		}
+		points *= v
 		dims = append(dims, v)
 	}
 	if len(dims) == 0 {
@@ -91,13 +96,22 @@ func ParseControl(s string) (tokenctl.Mode, error) {
 	return tokenctl.ParseMode(v)
 }
 
-// ReadRawFloat64s reads n little-endian float64 values from path.
+// ReadRawFloat64s reads n little-endian float64 values from path, which
+// must hold exactly 8·n bytes: the size is checked before n floats are
+// allocated.
 func ReadRawFloat64s(path string, n int) ([]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if n > math.MaxInt64/8 || st.Size() != 8*int64(n) {
+		return nil, fmt.Errorf("%s holds %d bytes, not %d float64 values", path, st.Size(), n)
+	}
 	br := bufio.NewReader(f)
 	data := make([]float64, n)
 	var b [8]byte

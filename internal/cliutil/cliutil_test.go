@@ -25,6 +25,9 @@ func TestParseDims(t *testing.T) {
 		{"0x4", nil, false},
 		{"-3", nil, false},
 		{"axb", nil, false},
+		{"4294967296x4294967296", nil, false}, // 2^64 points: wrapped to 0
+		{"3037000500x3037000500", nil, false}, // just over MaxInt64
+		{"3037000499x3037000499", []int{3037000499, 3037000499}, true},
 	}
 	for _, c := range cases {
 		got, err := ParseDims(c.in)
@@ -129,9 +132,12 @@ func TestRawFileRoundTrip(t *testing.T) {
 			t.Fatalf("value %d: %v vs %v", i, got[i], data[i])
 		}
 	}
-	// Short file rejected.
-	if _, err := ReadRawFloat64s(path, len(data)+1); err == nil {
-		t.Fatal("short file accepted")
+	// Short and long files rejected, before allocating: a point count
+	// far past the file's size fails at once.
+	for _, n := range []int{len(data) + 1, len(data) - 1, 1e10, math.MaxInt} {
+		if _, err := ReadRawFloat64s(path, n); err == nil {
+			t.Fatalf("%d-byte file accepted for %d points", 8*len(data), n)
+		}
 	}
 	// Missing file.
 	if _, err := ReadRawFloat64s(filepath.Join(t.TempDir(), "nope"), 1); err == nil {

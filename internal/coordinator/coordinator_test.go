@@ -225,7 +225,7 @@ func TestApplyReappliesAfterWeightFault(t *testing.T) {
 	}
 	found := false
 	for _, ev := range rec.Filter(trace.KindRecover) {
-		if strings.Contains(ev.Msg, "re-applied") {
+		if strings.Contains(ev.Msg(), "re-applied") {
 			found = true
 		}
 	}

@@ -7,8 +7,8 @@ package core
 
 import (
 	"fmt"
+	"math"
 
-	"tango/internal/abplot"
 	"tango/internal/cache"
 	"tango/internal/coordinator"
 	"tango/internal/device"
@@ -85,6 +85,13 @@ func (p Policy) crossLayer() bool {
 	return p == CrossLayer || p == CrossLayerPrefetch
 }
 
+// The paper's fixed controller parameters (§IV-A); the augmentation-
+// bandwidth plot is abplot.Default.
+const (
+	threshFrac = 0.5 // DFT amplitude threshold, as a fraction of the peak
+	period     = 60  // analytics step period, seconds (start to start)
+)
+
 // Config parameterizes an analysis session. Zero values take the paper's
 // defaults (§IV-A).
 type Config struct {
@@ -100,19 +107,12 @@ type Config struct {
 	// bounds the hierarchy was decomposed with.
 	Bound float64
 
-	// Plot is the augmentation-bandwidth plot (default 30–120 MB/s).
-	Plot abplot.Plot
-
-	// ThreshFrac is the DFT amplitude threshold (default 0.5).
-	ThreshFrac float64
 	// Window is the estimator window in steps (default 30).
 	Window int
 	// RefitEvery re-runs the estimation every this many steps
 	// (default 30).
 	RefitEvery int
 
-	// Period is the analytics step period in seconds (default 60).
-	Period float64
 	// Steps is the number of analysis steps to run (required).
 	Steps int
 
@@ -166,20 +166,11 @@ func (c Config) withDefaults() Config {
 	if c.Priority == 0 {
 		c.Priority = weightfn.PriorityHigh
 	}
-	if c.Plot == (abplot.Plot{}) {
-		c.Plot = abplot.Default()
-	}
-	if c.ThreshFrac == 0 {
-		c.ThreshFrac = 0.5
-	}
 	if c.Window == 0 {
 		c.Window = 30
 	}
 	if c.RefitEvery == 0 {
 		c.RefitEvery = 30
-	}
-	if c.Period == 0 {
-		c.Period = 60
 	}
 	if c.ProbeBytes == 0 {
 		c.ProbeBytes = 4 * device.MB
@@ -195,17 +186,8 @@ func (c Config) validate() error {
 	if c.Steps <= 0 {
 		return fmt.Errorf("core: Steps must be > 0")
 	}
-	if c.Priority <= 0 {
-		return fmt.Errorf("core: Priority must be > 0")
-	}
-	if err := c.Plot.Validate(); err != nil {
-		return err
-	}
-	if c.ThreshFrac < 0 || c.ThreshFrac > 1 {
-		return fmt.Errorf("core: ThreshFrac %v out of [0,1]", c.ThreshFrac)
-	}
-	if c.Period <= 0 {
-		return fmt.Errorf("core: Period must be > 0")
+	if !(c.Priority > 0) || math.IsInf(c.Priority, 1) {
+		return fmt.Errorf("core: Priority %v is not finite and > 0", c.Priority)
 	}
 	if c.Allocator != nil && c.Tokens != nil {
 		return fmt.Errorf("core: Allocator and Tokens are mutually exclusive weight-control modes")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tango/internal/abplot"
 	"tango/internal/blkio"
 	"tango/internal/cache"
 	"tango/internal/container"
@@ -136,7 +137,7 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 		return nil, err
 	}
 	est := dftestim.NewEstimator()
-	est.ThreshFrac = cfg.ThreshFrac
+	est.ThreshFrac = threshFrac
 	est.Window = cfg.Window
 	return &Session{Name: name, Config: cfg, store: store, wf: wf, wfSize: wfSize, est: est,
 		stats: make([]StepStats, 0, cfg.Steps)}, nil
@@ -230,6 +231,7 @@ func (s *Session) Stopped() bool { return s.stopped }
 // Config.Steps steps, each period seconds apart (start-to-start), and
 // records StepStats.
 func (s *Session) Launch(node *container.Node) error {
+	s.store.SetTrace(s.Config.Trace, s.Name)
 	if rc := s.Config.Resil; rc != nil {
 		// Route the store's guarded reads/probes and this session's
 		// weight writes through the resilience control plane, and give
@@ -357,7 +359,7 @@ func (s *Session) prefetchTarget() int {
 		boost = s.weightBoost()
 	}
 	for i := 0; i < prefetchLookahead; i++ {
-		deg := s.Config.Plot.Degree(s.est.Predict(n+i) * boost)
+		deg := abplot.Default().Degree(s.est.Predict(n+i) * boost)
 		if cur := h.CursorForFraction(deg); cur > target {
 			target = cur
 		}
@@ -403,7 +405,7 @@ func (s *Session) planCursor(step int) (cursor int, predicted, degree float64) {
 	if s.Config.Policy.crossLayer() {
 		planBW *= s.weightBoost()
 	}
-	degree = s.Config.Plot.Degree(planBW)
+	degree = abplot.Default().Degree(planBW)
 	cursor = h.CursorForFraction(degree)
 	if m := s.mandatoryCursor(); cursor < m {
 		cursor = m
@@ -503,17 +505,13 @@ func (s *Session) applyWeight(c *container.Container, now float64, w int) int {
 	}
 	if err := c.Cgroup().TrySetWeight(w); err != nil {
 		s.weightPending = true
-		if s.Config.Trace != nil { // guard, here and below: a variadic emit boxes its args
-			s.Config.Trace.Emit(now, s.Name, trace.KindRecover,
-				"weight write failed (w=%d): continuing at w=%d, will re-apply", w, c.Cgroup().Weight())
-		}
+		s.Config.Trace.Emit(now, s.Name, trace.KindRecover,
+			"weight write failed (w=%d): continuing at w=%d, will re-apply", w, c.Cgroup().Weight())
 		return c.Cgroup().Weight()
 	}
 	if s.weightPending {
 		s.weightPending = false
-		if s.Config.Trace != nil {
-			s.Config.Trace.Emit(now, s.Name, trace.KindRecover, "weight write recovered: re-applied w=%d", w)
-		}
+		s.Config.Trace.Emit(now, s.Name, trace.KindRecover, "weight write recovered: re-applied w=%d", w)
 	}
 	return w
 }
@@ -537,16 +535,12 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	}
 	b0 := len(s.bktArena)
 	var tier staging.TierStats
-	var notify staging.Notify // nil untraced: the store formats only for a listener
-	if cfg.Trace != nil {
-		notify = func(kind, msg string) { cfg.Trace.Emit(p.Now(), s.Name, kind, msg) }
-	}
 	mandatory := s.mandatoryCursor()
 
 	// Line 1: retrieve the base representation from the fastest tier.
 	// The base is always mandatory, so its guarded read retries through
 	// transient faults rather than failing.
-	baseStats, baseOut := s.store.ReadBaseGuarded(p, c.Cgroup(), notify)
+	baseStats, baseOut := s.store.ReadBaseGuarded(p, c.Cgroup())
 	_, st.BaseTime = baseStats.Total()
 	st.Retries += baseOut.Retries
 	tier.Merge(baseStats)
@@ -561,14 +555,14 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	slow := s.store.SlowestDevice()
 	readBucket := func(b bucket, weight int) bool {
 		bs := BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: p.Now()}
-		if weight > 0 && cfg.Trace != nil { // guard: the variadic emit boxes its args
+		if weight > 0 {
 			cfg.Trace.Emit(p.Now(), s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, b.bound, b.to-b.from)
 		}
 		if cfg.ParallelTierReads {
 			tier.Merge(s.store.ReadRangeParallel(p, c.Cgroup(), b.from, b.to))
 			st.Cursor = b.to
 		} else {
-			ts, out := s.store.ReadRangeGuarded(p, c.Cgroup(), b.from, b.to, mandatory, notify)
+			ts, out := s.store.ReadRangeGuarded(p, c.Cgroup(), b.from, b.to, mandatory)
 			tier.Merge(ts)
 			st.Retries += out.Retries
 			st.Cursor = out.Cursor
@@ -576,9 +570,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		}
 		bs.Elapsed = p.Now() - bs.Start
 		s.bktArena = append(s.bktArena, bs)
-		if cfg.Trace != nil { // guard: as above
-			cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
-		}
+		cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
 		return !st.Degraded
 	}
 	// setWeight routes through the node-level allocator when configured
@@ -671,9 +663,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		if err := s.est.Fit(); err != nil {
 			panic(err) // unreachable: sample count checked
 		}
-		if cfg.Trace != nil { // guard: as above
-			cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, cfg.ThreshFrac)
-		}
+		cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, threshFrac)
 		refitted = true
 		s.regimeStreak = 0
 	}
@@ -693,10 +683,8 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 			if err := s.est.Fit(); err != nil {
 				panic(err) // unreachable: sample count checked
 			}
-			if cfg.Trace != nil { // guard: as above
-				cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit,
-					"regime change: relerr=%.2f for %d steps, refit (samples=%d)", relErr, s.regimeStreak, s.est.Samples())
-			}
+			cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit,
+				"regime change: relerr=%.2f for %d steps, refit (samples=%d)", relErr, s.regimeStreak, s.est.Samples())
 			s.regimeStreak = 0
 		}
 	}
@@ -718,13 +706,11 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	st.IOTime = p.Now() - start
 	st.Buckets = s.bktArena[b0:len(s.bktArena):len(s.bktArena)]
 	s.stats = append(s.stats, st)
-	if cfg.Trace != nil { // guard: as above
-		cfg.Trace.Emit(p.Now(), s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
-			step, st.IOTime, st.Bytes, st.Cursor, st.Predicted, st.Degree)
-	}
+	cfg.Trace.Emit(p.Now(), s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
+		step, st.IOTime, st.Bytes, st.Cursor, st.Predicted, st.Degree)
 
 	// Compute/render phase: the remainder of the period.
-	if wait := cfg.Period - (p.Now() - start); wait > 0 {
+	if wait := period - (p.Now() - start); wait > 0 {
 		p.Sleep(wait)
 	}
 }

@@ -92,7 +92,7 @@ func runSession(t *testing.T, policy Policy, nNoise, steps int, mut func(*Config
 	if err := s.Launch(node); err != nil {
 		t.Fatal(err)
 	}
-	if err := node.Engine().Run(float64(steps)*s.Config.Period + 1000); err != nil {
+	if err := node.Engine().Run(float64(steps)*period + 1000); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.Stats()); got != steps {
@@ -109,8 +109,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSession("a", st, Config{Steps: 1, Priority: -1}); err == nil {
 		t.Fatal("negative priority accepted")
 	}
-	if _, err := NewSession("a", st, Config{Steps: 1, ThreshFrac: 2}); err == nil {
-		t.Fatal("bad thresh accepted")
+	for _, pri := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewSession("a", st, Config{Steps: 1, Priority: pri}); err == nil {
+			t.Fatalf("priority %v accepted", pri)
+		}
 	}
 	if _, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: 0.42}); err == nil {
 		t.Fatal("unknown bound accepted")
@@ -446,7 +448,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	mallocsAfter := func(steps int) (uint64, int) {
-		if err := node.Engine().Run(float64(steps) * s.Config.Period); err != nil {
+		if err := node.Engine().Run(float64(steps) * period); err != nil {
 			t.Fatal(err)
 		}
 		var ms runtime.MemStats
@@ -481,7 +483,7 @@ func TestFinishedNodeIsGarbage(t *testing.T) {
 		if err := s.Launch(node); err != nil {
 			t.Fatal(err)
 		}
-		if err := node.Engine().Run(5*s.Config.Period + 600); err != nil {
+		if err := node.Engine().Run(5*period + 600); err != nil {
 			t.Fatal(err)
 		}
 		if got := len(s.Stats()); got != 5 {

@@ -251,16 +251,16 @@ func TestInjectorChurn(t *testing.T) {
 
 func TestUnpaired(t *testing.T) {
 	evs := []trace.Event{
-		{T: 10, Kind: trace.KindFault, Msg: "inject id=0 kind=stuck dev=hdd"},
-		{T: 12, Kind: trace.KindRecover, Msg: "retry dev=hdd attempt=1"},
-		{T: 20, Kind: trace.KindFault, Msg: "inject id=1 kind=leave name=n1"},
-		{T: 21, Kind: trace.KindFault, Msg: "clear id=0 kind=stuck dev=hdd"},
+		{T: 10, Kind: trace.KindFault, Format: "inject id=0 kind=stuck dev=hdd"},
+		{T: 12, Kind: trace.KindRecover, Format: "retry dev=hdd attempt=1"},
+		{T: 20, Kind: trace.KindFault, Format: "inject id=1 kind=leave name=n1"},
+		{T: 21, Kind: trace.KindFault, Format: "clear id=0 kind=stuck dev=hdd"},
 	}
 	up := Unpaired(evs)
-	if len(up) != 1 || !strings.Contains(up[0].Msg, "id=1") {
+	if len(up) != 1 || !strings.Contains(up[0].Msg(), "id=1") {
 		t.Fatalf("unpaired = %+v", up)
 	}
-	evs = append(evs, trace.Event{T: 30, Kind: trace.KindRefit, Msg: "regime change"})
+	evs = append(evs, trace.Event{T: 30, Kind: trace.KindRefit, Format: "regime change"})
 	if got := Unpaired(evs); len(got) != 0 {
 		t.Fatalf("unpaired after refit = %+v", got)
 	}
@@ -347,7 +347,7 @@ func TestInjectorTraceGolden(t *testing.T) {
 	}
 	var got []string
 	for _, ev := range rec.Filter(trace.KindFault) {
-		got = append(got, fmt.Sprintf("%g %s %s", ev.T, ev.Source, ev.Msg))
+		got = append(got, fmt.Sprintf("%g %s %s", ev.T, ev.Source, ev.Msg()))
 	}
 	want := []string{
 		"1 injector inject id=0 kind=bw-collapse dev=hdd factor=0.25 dur=4",

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"strings"
 
 	"tango/internal/blkio"
 	"tango/internal/container"
@@ -128,20 +129,14 @@ func (in *Injector) Injected() int { return in.injected }
 func (in *Injector) Cleared() int  { return in.cleared }
 func (in *Injector) Skipped() int  { return in.skipped }
 
-// record counts an event under *n and, with a recorder, describes it:
-// format takes the id, kind and target, then vals. All typed, so a call
-// boxes nothing while rec is nil, as a variadic ...any would before any
-// check inside could run (ROADMAP item 4's typed events replace this).
+// record counts an event under *n and describes it: format takes the id,
+// kind and target, then vals (at most two).
 func (in *Injector) record(n *int, t *timer, format string, vals ...float64) {
 	*n++
-	if in.rec == nil {
-		return
-	}
-	args := []any{t.id, t.e.Kind, t.e.Target}
-	for _, v := range vals {
-		args = append(args, v)
-	}
-	in.rec.Emit(in.node.Engine().Now(), "injector", trace.KindFault, format, args...)
+	var v [2]float64
+	copy(v[:], vals)
+	args := [5]any{t.id, t.e.Kind.String(), t.e.Target, v[0], v[1]}
+	in.rec.Emit(in.node.Engine().Now(), "injector", trace.KindFault, format, args[:3+len(vals)]...)
 }
 
 // fire applies the event in sim context, or clears it the second time.
@@ -294,7 +289,7 @@ func (in *Injector) fireChurn(t *timer) {
 func Unpaired(events []trace.Event) []trace.Event {
 	var out []trace.Event
 	for _, f := range events {
-		if f.Kind != trace.KindFault || len(f.Msg) < 6 || f.Msg[:6] != "inject" {
+		if f.Kind != trace.KindFault || !strings.HasPrefix(f.Format, "inject") {
 			continue
 		}
 		paired := false

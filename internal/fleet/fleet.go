@@ -489,7 +489,8 @@ func (c *Cluster) place(list []*session, t float64, why string) {
 			c.heap.push(nd.idx, nd.predictFrac(nodeBW)+nd.load)
 		}
 	}
-	if c.heap.len() == 0 {
+	alive := c.heap.len()
+	if alive == 0 {
 		panic("fleet: no alive nodes to place on")
 	}
 	for _, s := range list {
@@ -499,9 +500,7 @@ func (c *Cluster) place(list []*session, t float64, why string) {
 		c.heap.push(idx, score+s.cost)
 	}
 	c.sortTouched()
-	if c.rec != nil { // guard: the variadic emit boxes its args
-		c.emit(t, trace.KindPlace, "placed=%d reason=%s alive=%d", len(list), why, c.aliveCount())
-	}
+	c.emit(t, trace.KindPlace, "placed=%d reason=%s alive=%d", len(list), why, alive)
 }
 
 // attach binds a session to a node: cgroup, coordinator weight, and the
@@ -656,7 +655,7 @@ func (c *Cluster) reshare(epoch int, nodeBW float64) {
 	}
 	grants := c.store.Reshare(demands)
 	if c.rec == nil {
-		return // guard: the grant-summary scan and emit box/format per epoch
+		return // guard: skips the O(nodes) grant-summary scan below, which only the emit reads
 	}
 	lo, hi := 0.0, 0.0
 	first := true

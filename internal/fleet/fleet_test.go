@@ -276,7 +276,7 @@ func TestKillUnknownNodeSkips(t *testing.T) {
 		want := "skip node-kill node=" + target + " (no such live node)"
 		found := false
 		for _, ev := range rec.Events() {
-			found = found || (ev.Kind == trace.KindFault && ev.Msg == want)
+			found = found || (ev.Kind == trace.KindFault && ev.Msg() == want)
 		}
 		if !found {
 			t.Errorf("target %q: trace lacks %q", target, want)

@@ -27,7 +27,9 @@ import (
 //   - map and slice composite literals;
 //   - go statements (a new goroutine is never free on a hot path);
 //   - interface boxing: passing or converting a concrete non-pointer
-//     value into an interface-typed slot;
+//     value into an interface-typed slot — except (*trace.Recorder).Emit's
+//     variadic, which it copies by value: there any type but int, float64,
+//     string or bool is reported instead, since Emit panics on it;
 //   - append through a local slice with no capacity evidence (a 3-arg
 //     make or a reslice like buf[:0] assigned to it in the same
 //     function). Appends to fields, parameters, and package-level
@@ -240,12 +242,19 @@ func (h *hotScan) checkCall(call *ast.CallExpr) {
 		return
 	}
 	params := sig.Params()
+	name, _ := calleeName(info, call)
 	for i, arg := range call.Args {
 		var pt types.Type
 		switch {
 		case sig.Variadic() && i >= params.Len()-1:
 			if call.Ellipsis.IsValid() {
 				continue // s... forwards the slice, no boxing
+			}
+			if name == emitFunc {
+				if t := info.TypeOf(arg); !emitStores(t) {
+					h.report(arg.Pos(), "trace argument of type %s: Emit stores only int, float64, string and bool and panics on anything else; convert it at the call site", t)
+				}
+				continue // copied into the event by value: the box stays on the stack
 			}
 			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
 		case i < params.Len():
@@ -261,6 +270,16 @@ func (h *hotScan) checkCall(call *ast.CallExpr) {
 				info.TypeOf(arg).String(), pt.String())
 		}
 	}
+}
+
+// emitFunc stores its variadic arguments by value instead of boxing them
+// to the heap (internal/trace).
+const emitFunc = "(*tango/internal/trace.Recorder).Emit"
+
+// emitStores reports whether Emit stores an argument of static type t.
+func emitStores(t types.Type) bool {
+	b, ok := types.Unalias(types.Default(t)).(*types.Basic)
+	return ok && (b.Kind() == types.Int || b.Kind() == types.Float64 || b.Kind() == types.String || b.Kind() == types.Bool)
 }
 
 // checkAppend flags append through a local slice variable that has no

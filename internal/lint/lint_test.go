@@ -60,12 +60,13 @@ func TestFixtures(t *testing.T) {
 	cases := []struct {
 		dir      string
 		analyzer string
+		deps     []FixtureDir
 	}{
-		{"simdet", "detertaint"},
-		{"locks", "locksafety"},
-		{"errs", "errdiscard"},
-		{"lockfix", "lockorder"},
-		{"hotfix", "hotpath"},
+		{"simdet", "detertaint", nil},
+		{"locks", "locksafety", nil},
+		{"errs", "errdiscard", nil},
+		{"lockfix", "lockorder", nil},
+		{"hotfix", "hotpath", []FixtureDir{traceStub}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -76,12 +77,15 @@ func TestFixtures(t *testing.T) {
 				// The simdet fixture plays a sim-driven package.
 				SimPackages: append(append([]string{}, DefaultSimPackages...), "simdet"),
 			}
-			findings, pkgs, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/" + tc.dir}}, opts)
+			dirs := append(append([]FixtureDir{}, tc.deps...), FixtureDir{dir, "tango/internal/fixture/" + tc.dir})
+			findings, pkgs, err := CheckFixtureProgram(dirs, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pkgs[0].TypeErrs) > 0 {
-				t.Fatalf("fixture does not type-check: %v", pkgs[0].TypeErrs)
+			for _, p := range pkgs {
+				if len(p.TypeErrs) > 0 {
+					t.Fatalf("fixture %s does not type-check: %v", p.Path, p.TypeErrs)
+				}
 			}
 			wants := parseWants(t, dir)
 			if len(wants) < 2 {
@@ -96,6 +100,9 @@ func TestFixtures(t *testing.T) {
 		})
 	}
 }
+
+// traceStub stands in for tango/internal/trace in the hotfix fixture.
+var traceStub = FixtureDir{Dir: filepath.Join("testdata", "src", "tracestub"), ImportPath: "tango/internal/trace"}
 
 // matchWants asserts findings against `// want` expectations both ways:
 // every want must be found, and every finding must be wanted.
@@ -171,7 +178,7 @@ func TestDeterTaintFixture(t *testing.T) {
 // name the whole chain from the annotated root.
 func TestHotpathWitness(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "hotfix")
-	findings, _, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/hotfix"}}, Options{Analyzers: []string{"hotpath"}})
+	findings, _, err := CheckFixtureProgram([]FixtureDir{traceStub, {dir, "tango/internal/fixture/hotfix"}}, Options{Analyzers: []string{"hotpath"}})
 	if err != nil {
 		t.Fatal(err)
 	}

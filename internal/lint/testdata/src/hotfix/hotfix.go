@@ -4,13 +4,18 @@
 // witness from Emit.
 package hotfix
 
-import "fmt"
+import (
+	"fmt"
+
+	"tango/internal/trace"
+)
 
 // Sink is a zero-alloc emitter with preallocated scratch state.
 type Sink struct {
 	buf   []byte
 	items []int
 	cb    func()
+	rec   *trace.Recorder
 }
 
 // Emit is the hot entry point; everything it reaches inherits the
@@ -28,6 +33,7 @@ func (s *Sink) record(v int) {
 	s.items = append(s.items, v) // field append: amortized reuse, allowed
 	s.format(v, "x")
 	s.evident(v)
+	s.trace(v, 0.5)
 }
 
 func (s *Sink) format(v int, name string) {
@@ -49,6 +55,17 @@ func (s *Sink) format(v int, name string) {
 }
 
 func (s *Sink) flush() { s.items = s.items[:0] }
+
+// level is an int the trace stub cannot store: a named type.
+type level int
+
+// Emit's variadic arguments are copied by value, so passing an int,
+// float64, string or bool draws no boxing finding; any other type is
+// reported, since Emit panics on it.
+func (s *Sink) trace(v int, f float64) {
+	s.rec.Emit(f, "sink", "k", "v=%d f=%g ok=%t src=%s", v, f, v > 0, "sink")
+	s.rec.Emit(f, "sink", "k", "lvl=%d", level(v)) // want hotpath "trace argument of type tango/internal/fixture/hotfix.level"
+}
 
 func accept(x any) { _ = x }
 

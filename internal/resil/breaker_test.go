@@ -118,7 +118,7 @@ func playWeights(t *testing.T, ops []weightOp, write func(*Key, *blkio.Cgroup, i
 		fmt.Fprintf(&out, "%s w=%d failing=%t\n", cg.Name(), cg.Weight(), cg.WeightFailing())
 	}
 	for _, ev := range rec.Events() {
-		fmt.Fprintf(&out, "%x %s %s %s\n", math.Float64bits(ev.T), ev.Source, ev.Kind, ev.Msg)
+		fmt.Fprintf(&out, "%x %s %s %s\n", math.Float64bits(ev.T), ev.Source, ev.Kind, ev.Msg())
 	}
 	return out.String(), c
 }

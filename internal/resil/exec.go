@@ -2,6 +2,7 @@ package resil
 
 import (
 	"errors"
+	"fmt"
 
 	"tango/internal/blkio"
 	"tango/internal/device"
@@ -121,11 +122,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 				// after at least one attempt are interesting enough to log.
 				return res
 			}
-			// Every emit in this file sits behind c.rec != nil: a variadic
-			// call boxes its args first (ROADMAP item 4 deletes the guards).
-			if c.rec != nil {
-				c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.name, dev.Name())
-			}
+			c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.name, dev.Name())
 			return res
 		}
 		res.Attempts++
@@ -135,7 +132,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		res.Moved += moved
 		cls := k.pol.Classify(err)
 		if cls == ClassOK {
-			if br != nil && br.onSuccess() && c.rec != nil {
+			if br != nil && br.onSuccess() {
 				c.emit(trace.KindBreaker, "close key=%s target=%s", k.name, dev.Name())
 			}
 			res.OK = true
@@ -152,24 +149,20 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		now := c.eng.Now()
 		if br != nil && br.onFailure(now) {
 			c.brOpens++
-			if c.rec != nil {
-				c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs",
-					k.name, dev.Name(), br.fails, br.cooldown)
-			}
+			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs",
+				k.name, dev.Name(), br.fails, br.cooldown)
 		}
 		if cls == ClassTerminal {
 			k.stats.Failures++
-			if c.rec != nil {
-				c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %v", k.name, dev.Name(), res.Attempts, err)
+			if c.rec != nil { // guard: fmt.Sprint formats the error, work an untraced run skips
+				c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %s", k.name, dev.Name(), res.Attempts, fmt.Sprint(err))
 			}
 			return res
 		}
 		if k.pol.MaxAttempts > 0 && res.Attempts >= k.pol.MaxAttempts {
 			k.stats.Degraded++
 			res.Degraded = true
-			if c.rec != nil {
-				c.emit(trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", k.name, dev.Name(), res.Attempts)
-			}
+			c.emit(trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", k.name, dev.Name(), res.Attempts)
 			return res
 		}
 		paced := false
@@ -178,9 +171,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 				k.stats.BudgetDenied++
 				k.stats.Degraded++
 				res.Degraded = true
-				if c.rec != nil {
-					c.emit(trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading", k.name, dev.Name())
-				}
+				c.emit(trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading", k.name, dev.Name())
 				return res
 			}
 			// Mandatory work: degrade to a trickle paced at the refill
@@ -191,16 +182,12 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 			if wait > delay {
 				delay = wait
 			}
-			if c.rec != nil {
-				c.emit(trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry", k.name, dev.Name(), delay)
-			}
+			c.emit(trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry", k.name, dev.Name(), delay)
 		}
 		k.stats.Retries++
 		res.Retries++
-		if c.rec != nil {
-			c.emit(trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t",
-				k.name, dev.Name(), res.Attempts+1, delay, timedOut)
-		}
+		c.emit(trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t",
+			k.name, dev.Name(), res.Attempts+1, delay, timedOut)
 		p.Sleep(delay)
 		if paced {
 			k.takeToken(c.eng.Now()) // best-effort: the pacing sleep covered the refill
@@ -236,7 +223,7 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	k.stats.Attempts++
 	err := cg.TrySetWeight(w)
 	if k.pol.Classify(err) == ClassOK {
-		if br != nil && br.onSuccess() && c.rec != nil {
+		if br != nil && br.onSuccess() {
 			c.emit(trace.KindRecover, "weight write recovered key=%s target=%s: re-applied w=%d",
 				k.name, cg.Name(), w)
 		}
@@ -248,10 +235,8 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	}
 	if br != nil && br.onFailure(now) {
 		c.brOpens++
-		if c.rec != nil {
-			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.name, cg.Name(), br.fails, br.cooldown)
-		}
-	} else if c.rec != nil {
+		c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.name, cg.Name(), br.fails, br.cooldown)
+	} else {
 		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.name, cg.Name(), w)
 	}
 	return WeightResult{}
@@ -307,19 +292,15 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	now := c.eng.Now()
 	if !k.takeToken(now) {
 		k.stats.BudgetDenied++
-		if c.rec != nil {
-			c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.name)
-		}
+		c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.name)
 		return res
 	}
 	k.stats.Ops++
 	k.stats.Hedges++
 	k.stats.Attempts += 2
 	res.Hedged = true
-	if c.rec != nil {
-		c.emit(trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
-			k.name, fast.Name(), slow.Name(), bytes)
-	}
+	c.emit(trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
+		k.name, fast.Name(), slow.Name(), bytes)
 
 	// The legs are transfers, not processes: each device tells r.
 	r := c.getRace()
@@ -337,9 +318,7 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	if !res.OK {
 		k.stats.Degraded++
 		k.stats.WastedBytes += res.FastMoved + res.SlowMoved
-		if c.rec != nil {
-			c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.name)
-		}
+		c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.name)
 		return res
 	}
 	winDev, wasted := slow, res.FastMoved
@@ -350,9 +329,7 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 		k.stats.HedgeSlowWins++
 	}
 	k.stats.WastedBytes += wasted
-	if c.rec != nil {
-		c.emit(trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
-			k.name, winDev.Name(), wasted, res.Elapsed)
-	}
+	c.emit(trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
+		k.name, winDev.Name(), wasted, res.Elapsed)
 	return res
 }

@@ -213,7 +213,7 @@ func (sc hedgeScript) play(t *testing.T, hedge hedgeFn) (fp string, results []He
 	}
 	fmt.Fprintf(&out, "cg read=%s writer written=%s now=%s live=%d\n", bits(cg.BytesRead()), bits(wcg.BytesWritten()), bits(eng.Now()), eng.LiveProcs())
 	for _, ev := range rec.Events() {
-		fmt.Fprintf(&out, "%s %s %s %s\n", bits(ev.T), ev.Source, ev.Kind, ev.Msg)
+		fmt.Fprintf(&out, "%s %s %s %s\n", bits(ev.T), ev.Source, ev.Kind, ev.Msg())
 	}
 	return out.String(), results
 }

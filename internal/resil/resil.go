@@ -435,7 +435,7 @@ func (k *Key) breaker(target string, create bool) *Breaker {
 	return k.br
 }
 
-// emit records one decision; every caller checks c.rec != nil first.
+// emit records one decision.
 func (c *Controller) emit(kind, format string, args ...any) {
 	c.rec.Emit(c.eng.Now(), c.src, kind, format, args...)
 }

@@ -56,12 +56,19 @@ type Store struct {
 	kOpt   *resil.Key // staging.read.optional
 	kHedge *resil.Key // staging.read.hedge
 	kProbe *resil.Key // staging.probe.capacity
+
+	rec *trace.Recorder // the ad-hoc paths' retries and degrades (nil: untraced)
+	src string          // their event source
 }
 
 // SetCache attaches a fast-tier cache to the augmentation read paths:
 // each segment's cached prefix is read from the cache device instead of
 // the level's home tier. Pass nil to detach.
 func (s *Store) SetCache(c CacheView) { s.cache = c }
+
+// SetTrace records the ad-hoc guarded reads' recovery actions (retries,
+// degrades) to rec under source; nil leaves them untraced.
+func (s *Store) SetTrace(rec *trace.Recorder, source string) { s.rec, s.src = rec, source }
 
 // SetResil routes the guarded read paths (and Probe) through the
 // resilience control plane: per-attempt deadlines, classified retries,
@@ -413,16 +420,12 @@ type GuardedOutcome struct {
 	Degraded bool // optional augmentation was abandoned mid-range
 }
 
-// Notify receives recovery actions as they happen (kind is a
-// trace.Kind* string, msg is formatted); nil disables notification.
-type Notify func(kind, msg string)
-
 // retryRead reads bytes from dev, retrying transient errors with
 // exponential virtual-time backoff. If bounded is true the retry budget
 // is retryAttempts, after which it gives up and reports failure;
 // otherwise it retries until the fault clears. Returns the elapsed time
 // (including backoff sleeps), the retries spent, and success.
-func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64, bounded bool, notify Notify) (float64, int, bool) {
+func (s *Store) retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64, bounded bool) (float64, int, bool) {
 	start := p.Now()
 	delay := retryBackoff
 	retries := 0
@@ -435,9 +438,7 @@ func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
 			return p.Now() - start, retries, false
 		}
 		retries++
-		if notify != nil {
-			notify(trace.KindRecover, fmt.Sprintf("retry dev=%s attempt=%d backoff=%.3fs bytes=%.0f", dev.Name(), attempt, delay, bytes))
-		}
+		s.rec.Emit(p.Now(), s.src, trace.KindRecover, "retry dev=%s attempt=%d backoff=%.3fs bytes=%.0f", dev.Name(), attempt, delay, bytes)
 		p.Sleep(delay)
 		delay *= retryFactor
 		if delay > retryMax {
@@ -449,14 +450,14 @@ func retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64,
 // ReadBaseGuarded is ReadBase with unbounded retry: the base
 // representation is mandatory at every step, so a transient fault delays
 // the read rather than failing it.
-func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, notify Notify) (ts TierStats, _ GuardedOutcome) {
+func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup) (ts TierStats, _ GuardedOutcome) {
 	bytes := float64(s.h.BaseBytes()) * s.scale
 	if s.rc != nil {
 		res := s.kBase.Read(p, s.baseDev, cg, bytes)
 		ts.add(s.baseDev, res.Moved, res.Elapsed)
 		return ts, GuardedOutcome{Cursor: 0, Retries: res.Retries}
 	}
-	el, retries, _ := retryRead(p, s.baseDev, cg, bytes, false, notify)
+	el, retries, _ := s.retryRead(p, s.baseDev, cg, bytes, false)
 	ts.add(s.baseDev, bytes, el)
 	return ts, GuardedOutcome{Cursor: 0, Retries: retries}
 }
@@ -468,7 +469,7 @@ func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup, notify Notify) (t
 // DEGRADES: the remaining optional augmentation is skipped and the
 // outcome reports the cursor actually reached. The caller's accuracy
 // never drops below the bound — only above-bound augmentation is shed.
-func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int, notify Notify) (ts TierStats, out GuardedOutcome) {
+func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int) (ts TierStats, out GuardedOutcome) {
 	out.Cursor = from
 	var buf [segScratch]refactor.Segment
 	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
@@ -482,15 +483,13 @@ func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandat
 				retries, ok = s.resilPart(p, cg, &ts, part, home, needed)
 			} else {
 				var el float64
-				el, retries, ok = retryRead(p, part.dev, cg, part.bytes, !needed, notify)
+				el, retries, ok = s.retryRead(p, part.dev, cg, part.bytes, !needed)
 				ts.add(part.dev, part.bytes, el)
 			}
 			out.Retries += retries
 			if !ok {
 				out.Degraded = true
-				if notify != nil {
-					notify(trace.KindRecover, fmt.Sprintf("degrade dev=%s cursor=%d of %d (fall back to lower augmentation)", part.dev.Name(), out.Cursor, to))
-				}
+				s.rec.Emit(p.Now(), s.src, trace.KindRecover, "degrade dev=%s cursor=%d of %d (fall back to lower augmentation)", part.dev.Name(), out.Cursor, to)
 				return ts, out
 			}
 			out.Cursor += part.entries

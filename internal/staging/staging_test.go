@@ -459,8 +459,8 @@ func TestSegmentPartsSplitsAtCachePrefix(t *testing.T) {
 }
 
 // TestGuardedReadsSteadyStateZeroAlloc: the per-step read methods return
-// their stats by value and walk segments over stack scratch, so with
-// nobody to notify they allocate nothing, cache attached or not.
+// their stats by value and walk segments over stack scratch, so
+// untraced they allocate nothing, cache attached or not.
 func TestGuardedReadsSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	ssd, hdd := twoTier(eng)
@@ -479,8 +479,8 @@ func TestGuardedReadsSteadyStateZeroAlloc(t *testing.T) {
 		name string
 		fn   func(p *sim.Proc)
 	}{
-		{"ReadRangeGuarded", func(p *sim.Proc) { sink, _ = s.ReadRangeGuarded(p, cg, 0, total, total/2, nil) }},
-		{"ReadBaseGuarded", func(p *sim.Proc) { sink, _ = s.ReadBaseGuarded(p, cg, nil) }},
+		{"ReadRangeGuarded", func(p *sim.Proc) { sink, _ = s.ReadRangeGuarded(p, cg, 0, total, total/2) }},
+		{"ReadBaseGuarded", func(p *sim.Proc) { sink, _ = s.ReadBaseGuarded(p, cg) }},
 		{"Probe", func(p *sim.Proc) { sink = s.Probe(p, cg, device.MB) }},
 	}
 	for _, cv := range []CacheView{nil, &stubCache{dev: ssd, prefix: h.LevelEntries(0) / 2}} {

@@ -394,10 +394,7 @@ func (c *Controller) settle(b *Bucket, now float64) {
 		}
 		if l.owed <= 0 && l.pts == 0 {
 			c.stats.Repays++
-			if c.rec != nil {
-				//lint:ignore hotpath the formatted emit only runs with a recorder attached; benchmark and zero-alloc configurations leave rec nil
-				c.rec.Emit(now, b.name, trace.KindRepay, "debt to %s cleared", l.lender.name)
-			}
+			c.rec.Emit(now, b.name, trace.KindRepay, "debt to %s cleared", l.lender.name)
 		}
 	}
 	b.compactLoans()
@@ -522,10 +519,7 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 		short -= pts
 		lenders++
 		c.stats.Borrows++
-		if c.rec != nil {
-			//lint:ignore hotpath the formatted emit only runs with a recorder attached; benchmark and zero-alloc configurations leave rec nil
-			c.rec.Emit(now, b.name, trace.KindBorrow, "borrowed %d pts from %s", pts, l.name)
-		}
+		c.rec.Emit(now, b.name, trace.KindBorrow, "borrowed %d pts from %s", pts, l.name)
 	}
 	return short
 }
@@ -598,9 +592,7 @@ func (c *Controller) recall(b *Bucket, short int) int {
 				}
 				c.write(d, d.grant)
 			}
-			if c.rec != nil {
-				c.rec.Emit(c.now(), b.name, trace.KindBorrow, "recalled %d pts from %s", r, d.name)
-			}
+			c.rec.Emit(c.now(), b.name, trace.KindBorrow, "recalled %d pts from %s", r, d.name)
 		}
 	}
 	// The reclaimed principal is back in b.tokens; spend it.
@@ -645,7 +637,7 @@ func (c *Controller) resync(now float64) {
 		b.burstStart = now - burstSec
 	}
 	c.stats.Repays += forgiven
-	if c.rec != nil && forgiven > 0 {
+	if forgiven > 0 {
 		c.rec.Emit(now, "tokenctl", trace.KindRepay, "epoch resync forgave %d debts", forgiven)
 	}
 	if maxDesired == 0 {

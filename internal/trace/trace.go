@@ -8,6 +8,8 @@ package trace
 import (
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"sync"
 )
 
@@ -46,12 +48,44 @@ const (
 	KindRepay  = "repay"  // a borrow ledger debt cleared (refill-paced) or epoch-forgiven
 )
 
+// maxArgs is how many arguments one event keeps.
+const maxArgs = 6
+
 // Event is one recorded occurrence at virtual time T.
 type Event struct {
 	T      float64
 	Source string // e.g. the session or device name
 	Kind   string // one of the Kind* constants
-	Msg    string
+	Format string // the Emit format; Msg applies it to the arguments
+
+	// The arguments by value: a tag per slot ('i' int, 'f' float64, 's'
+	// string, 'b' bool, 0 past the last), numbers as bits in nums.
+	tags [maxArgs]byte
+	nums [maxArgs]uint64
+	strs [maxArgs]string
+}
+
+// Msg formats the event: fmt.Sprintf(Format, args...) over the arguments
+// Emit stored, or Format verbatim for an event emitted without any.
+func (ev Event) Msg() string {
+	var args [maxArgs]any
+	n := 0
+	for ; n < maxArgs && ev.tags[n] != 0; n++ {
+		switch v := ev.nums[n]; ev.tags[n] {
+		case 'i':
+			args[n] = int(v)
+		case 'f':
+			args[n] = math.Float64frombits(v)
+		case 's':
+			args[n] = ev.strs[n]
+		default:
+			args[n] = v != 0
+		}
+	}
+	if n == 0 {
+		return ev.Format
+	}
+	return fmt.Sprintf(ev.Format, args[:n]...)
 }
 
 // Recorder is a bounded event buffer. The zero value is inert (Disabled):
@@ -71,7 +105,7 @@ func New(max int) *Recorder {
 	if max <= 0 {
 		max = 4096
 	}
-	return &Recorder{events: make([]Event, 0, max), cap: max}
+	return &Recorder{cap: max}
 }
 
 // Subscribe registers fn to be invoked synchronously on every event.
@@ -84,26 +118,38 @@ func (r *Recorder) Subscribe(fn func(Event)) {
 	r.subs = append(r.subs, fn)
 }
 
-// Emit records an event. A nil (or zero-value) recorder ignores it, so
-// call sites need a guard only to skip boxing their arguments. When called
-// with no args the format string is recorded verbatim — hot call sites that
-// already hold a complete message skip the fmt.Sprintf pass (and its
-// argument boxing) entirely.
+// Emit records an event. A nil (or zero-value) recorder ignores it. Up to
+// six arguments are copied by value and formatted only when the event is
+// read, so a call site needs no guard: its arguments stay on its stack.
+// Each must be an int, float64, string or bool; anything else panics, and
+// tangolint's hotpath analyzer reports it at hot call sites.
 //
 //tango:hotpath
 func (r *Recorder) Emit(t float64, source, kind, format string, args ...any) {
 	if r == nil || r.cap == 0 {
 		return
 	}
-	msg := format
-	if len(args) > 0 {
-		//lint:ignore hotpath the formatted path is opt-in: hot call sites pass zero args and skip it (documented above); cold call sites pay for their own formatting
-		msg = fmt.Sprintf(format, args...)
+	ev := Event{T: t, Source: source, Kind: kind, Format: format}
+	for i, a := range args {
+		switch v := a.(type) {
+		case int:
+			ev.tags[i], ev.nums[i] = 'i', uint64(v)
+		case float64:
+			ev.tags[i], ev.nums[i] = 'f', math.Float64bits(v)
+		case string:
+			ev.tags[i], ev.strs[i] = 's', v
+		case bool:
+			ev.tags[i] = 'b'
+			if v {
+				ev.nums[i] = 1
+			}
+		default:
+			panic("trace: unsupported Emit argument type " + reflect.TypeOf(a).String())
+		}
 	}
-	ev := Event{T: t, Source: source, Kind: kind, Msg: msg}
 	r.mu.Lock()
 	if len(r.events) < r.cap {
-		r.events = append(r.events, ev)
+		r.events = append(r.events, ev) // the ring grows as it fills
 	} else {
 		r.events[r.next] = ev
 		r.next = (r.next + 1) % r.cap
@@ -162,7 +208,7 @@ func (r *Recorder) Len() int {
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	for _, ev := range r.Events() {
-		n, err := fmt.Fprintf(w, "%10.3f %-12s %-8s %s\n", ev.T, ev.Source, ev.Kind, ev.Msg)
+		n, err := fmt.Fprintf(w, "%10.3f %-12s %-8s %s\n", ev.T, ev.Source, ev.Kind, ev.Msg())
 		total += int64(n)
 		if err != nil {
 			return total, err

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilRecorderSafe(t *testing.T) {
@@ -39,7 +42,7 @@ func TestEmitAndEvents(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("events = %d", len(evs))
 	}
-	if evs[0].Msg != "step 0" || evs[1].Msg != "w=300" {
+	if evs[0].Msg() != "step 0" || evs[1].Msg() != "w=300" {
 		t.Fatalf("messages: %+v", evs)
 	}
 	if r.Len() != 2 {
@@ -58,7 +61,7 @@ func TestRingWrapKeepsMostRecent(t *testing.T) {
 	}
 	want := []string{"4", "5", "6"}
 	for i, w := range want {
-		if evs[i].Msg != w {
+		if evs[i].Msg() != w {
 			t.Fatalf("events = %+v", evs)
 		}
 	}
@@ -73,7 +76,7 @@ func TestFilter(t *testing.T) {
 	r.Emit(2, "s", "b", "y")
 	r.Emit(3, "s", "a", "z")
 	as := r.Filter("a")
-	if len(as) != 2 || as[1].Msg != "z" {
+	if len(as) != 2 || as[1].Msg() != "z" {
 		t.Fatalf("filter = %+v", as)
 	}
 	if len(r.Filter("missing")) != 0 {
@@ -86,8 +89,95 @@ func TestSubscribe(t *testing.T) {
 	var got []Event
 	r.Subscribe(func(ev Event) { got = append(got, ev) })
 	r.Emit(1, "s", "k", "hello")
-	if len(got) != 1 || got[0].Msg != "hello" {
+	if len(got) != 1 || got[0].Msg() != "hello" {
 		t.Fatalf("subscriber: %+v", got)
+	}
+}
+
+// TestMsgMatchesSprintf: Msg() is fmt.Sprintf(format, args...) for each
+// stored type and at six arguments; an event with no arguments keeps its
+// format verbatim, verbs and all.
+func TestMsgMatchesSprintf(t *testing.T) {
+	cases := []struct {
+		format string
+		args   []any
+	}{
+		{"w=%d", []any{-300}},
+		{"io=%.3fs bytes=%.0f g=%g", []any{1.25, 3e9, math.Inf(-1)}},
+		{"dev=%s %q", []any{"hdd", "a b"}},
+		{"timeout=%t/%v", []any{true, false}},
+		{"step=%d io=%.3fs dev=%s ok=%t pred=%.0f degree=%.2f", []any{7, 0.5, "ssd", true, 1e8, 0.75}},
+		{"raw 100%", nil},
+		{"", nil},
+	}
+	r := New(len(cases))
+	for _, c := range cases {
+		r.Emit(0, "s", "k", c.format, c.args...)
+	}
+	for i, ev := range r.Events() {
+		want := cases[i].format
+		if len(cases[i].args) > 0 {
+			want = fmt.Sprintf(cases[i].format, cases[i].args...)
+		}
+		if got := ev.Msg(); got != want {
+			t.Errorf("Msg() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestEmitUnsupportedTypePanics: an argument Emit cannot store by value
+// is a programming error, named in the panic.
+func TestEmitUnsupportedTypePanics(t *testing.T) {
+	for _, r := range []*Recorder{New(4), nil} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if r == nil {
+					if msg != "" {
+						t.Errorf("nil recorder panicked: %q", msg)
+					}
+					return
+				}
+				if !strings.Contains(msg, "time.Duration") {
+					t.Errorf("panic %q does not name the argument type", msg)
+				}
+			}()
+			r.Emit(0, "s", "k", "d=%v", time.Second)
+		}()
+	}
+}
+
+// emitVia is a forwarding wrapper of the shape the stack uses (resil.emit,
+// cache.emit): it passes its variadic through whole.
+func emitVia(r *Recorder, kind, format string, args ...any) {
+	r.Emit(1, "wrap", kind, format, args...)
+}
+
+// TestEmitZeroAlloc: with the recorder nil or live, subscribed, direct or
+// through a forwarding wrapper, an emit of every stored type allocates
+// nothing — the argument boxes stay on the caller's stack.
+func TestEmitZeroAlloc(t *testing.T) {
+	live := New(8)
+	var seen int
+	live.Subscribe(func(ev Event) { seen += len(ev.Format) })
+	for i := 0; i < 8; i++ {
+		live.Emit(0, "", "", "") // fill the ring: it allocates as it grows
+	}
+	names := []string{"hdd", "ssd"}
+	for _, r := range []*Recorder{nil, live} {
+		i := 1000
+		allocs := testing.AllocsPerRun(200, func() {
+			i++
+			f := float64(i) * 1.5
+			r.Emit(f, "sess", KindStep, "step=%d io=%.3fs dev=%s ok=%t bytes=%.0f cursor=%d", i, f, names[i%2], i%3 == 0, f*1e6, i+7)
+			emitVia(r, KindBucket, "bound=%g entries=[%d,%d) dev=%s", f, i, i+300, names[i%2])
+		})
+		if allocs != 0 {
+			t.Errorf("recorder %v: %v allocs/op, want 0", r != nil, allocs)
+		}
+	}
+	if seen == 0 {
+		t.Fatal("subscriber saw nothing")
 	}
 }
 
