@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"tango/internal/slab"
 )
@@ -206,11 +205,12 @@ func (c *Cgroup) BytesRead() float64 { return c.bytesRead }
 func (c *Cgroup) BytesWritten() float64 { return c.bytesWritten }
 
 // Controller is a registry of cgroups on a node, analogous to the blkio
-// cgroup hierarchy root.
+// cgroup hierarchy root. Like a Cgroup it has no lock: it is touched only
+// from its engine's goroutine, or from a fleet barrier while that engine
+// is idle.
 type Controller struct {
-	mu     sync.Mutex
-	groups map[string]*Cgroup  // guarded by mu
-	slab   slab.Chunks[Cgroup] // guarded by mu; where Create's cgroups live
+	groups map[string]*Cgroup
+	slab   slab.Chunks[Cgroup] // where Create's cgroups live
 }
 
 // NewController returns an empty cgroup registry.
@@ -220,8 +220,6 @@ func NewController() *Controller {
 
 // Create registers and returns a new cgroup. It fails if the name exists.
 func (ctl *Controller) Create(name string) (*Cgroup, error) {
-	ctl.mu.Lock()
-	defer ctl.mu.Unlock()
 	if _, ok := ctl.groups[name]; ok {
 		return nil, fmt.Errorf("blkio: cgroup %q already exists", name)
 	}
@@ -243,15 +241,7 @@ func (ctl *Controller) MustCreate(name string) *Cgroup {
 }
 
 // Lookup returns the named cgroup, or nil.
-func (ctl *Controller) Lookup(name string) *Cgroup {
-	ctl.mu.Lock()
-	defer ctl.mu.Unlock()
-	return ctl.groups[name]
-}
+func (ctl *Controller) Lookup(name string) *Cgroup { return ctl.groups[name] }
 
 // Remove deletes the named cgroup from the registry.
-func (ctl *Controller) Remove(name string) {
-	ctl.mu.Lock()
-	defer ctl.mu.Unlock()
-	delete(ctl.groups, name)
-}
+func (ctl *Controller) Remove(name string) { delete(ctl.groups, name) }

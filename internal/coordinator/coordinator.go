@@ -23,7 +23,6 @@ package coordinator
 
 import (
 	"fmt"
-	"sync"
 
 	"tango/internal/blkio"
 	"tango/internal/resil"
@@ -31,29 +30,23 @@ import (
 	"tango/internal/trace"
 )
 
-// Allocator coordinates the weights of registered sessions. It is safe
-// for use from a single simulation engine (its mutexes additionally
-// allow multi-engine tests to share one instance, though that is not
-// the intended deployment). Lock order: applyMu, then mu. applyMu
-// serializes whole operations so the grant scratch can be reused;
-// weight writes happen with mu released (they notify device
-// subscribers).
+// Allocator coordinates the weights of registered sessions. It has no
+// lock: like the rest of a node's state it is touched only from its
+// engine's goroutine, or from a fleet barrier while that engine is idle.
 type Allocator struct {
-	applyMu sync.Mutex // serializes Request/Release/Detach end to end
-	mu      sync.Mutex
-	list    []*entry          // guarded by mu (insertion order: keeps rebalancing deterministic)
-	entries map[string]*entry // guarded by mu
-	rec     *trace.Recorder   // guarded by mu
-	now     func() float64    // guarded by mu
-	kApply  *resil.Key        // guarded by mu (coord.weight.apply; nil = legacy path)
+	list    []*entry // insertion order: keeps rebalancing deterministic
+	entries map[string]*entry
+	rec     *trace.Recorder
+	now     func() float64
+	kApply  *resil.Key // coord.weight.apply; nil = legacy path
 
-	active      int                        // guarded by mu: sessions between Request and Release
-	pendingAct  int                        // guarded by mu: active entries with a failed write to retry
-	desireCount [blkio.MaxWeight + 1]int32 // guarded by mu: active sessions per desired weight
-	maxDesired  int                        // guarded by mu: largest active desired (the scale)
-	lastMax     int                        // guarded by mu: scale the current grants were computed at
-	targets     []target                   // guarded by applyMu: reusable write scratch
-	slab        slab.Chunks[entry]         // guarded by mu: where Attach's entries live
+	active      int                        // sessions between Request and Release
+	pendingAct  int                        // active entries with a failed write to retry
+	desireCount [blkio.MaxWeight + 1]int32 // active sessions per desired weight
+	maxDesired  int                        // largest active desired (the scale)
+	lastMax     int                        // scale the current grants were computed at
+	targets     []target                   // reusable write scratch
+	slab        slab.Chunks[entry]         // where Attach's entries live
 }
 
 type entry struct {
@@ -78,8 +71,6 @@ func New() *Allocator {
 
 // Attach registers a session's cgroup. It fails on duplicate names.
 func (a *Allocator) Attach(name string, cg *blkio.Cgroup) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if _, ok := a.entries[name]; ok {
 		return fmt.Errorf("coordinator: session %q already attached", name)
 	}
@@ -94,10 +85,7 @@ func (a *Allocator) Attach(name string, cg *blkio.Cgroup) error {
 // re-applied weight writes) to rec, timestamped via now (typically the
 // node engine's Now). Either may be nil.
 func (a *Allocator) SetTrace(rec *trace.Recorder, now func() float64) {
-	a.mu.Lock()
-	a.rec = rec
-	a.now = now
-	a.mu.Unlock()
+	a.rec, a.now = rec, now
 }
 
 // SetResil routes the allocator's weight writes through the
@@ -106,41 +94,33 @@ func (a *Allocator) SetTrace(rec *trace.Recorder, now func() float64) {
 // re-written on every rebalance. An allocator it was never called on
 // keeps the ad-hoc tolerate-and-retry path.
 func (a *Allocator) SetResil(rc *resil.Controller) {
-	a.mu.Lock()
 	a.kApply = rc.Key(resil.KeyCoordWeightApply)
-	a.mu.Unlock()
 }
 
 // setWeight performs one weight write through the resil key when one is
 // attached (breaker-gated, self-tracing) or directly otherwise. It
 // reports whether the write landed; skipped (breaker-suppressed) and
-// failed writes both leave the entry pending for the next rebalance.
+// failed writes both leave the entry pending.
 func (a *Allocator) setWeight(cg *blkio.Cgroup, w int) bool {
-	a.mu.Lock()
-	k := a.kApply
-	a.mu.Unlock()
-	if k != nil {
-		return k.Weight(cg, w).OK
+	if a.kApply != nil {
+		return a.kApply.Weight(cg, w).OK
 	}
 	return cg.TrySetWeight(w) == nil
 }
 
 func (a *Allocator) emit(format string, args ...any) {
-	a.mu.Lock()
-	rec, now := a.rec, a.now
-	a.mu.Unlock()
 	t := 0.0
-	if now != nil {
-		t = now()
+	if a.now != nil {
+		t = a.now()
 	}
-	rec.Emit(t, "allocator", trace.KindRecover, format, args...)
+	a.rec.Emit(t, "allocator", trace.KindRecover, format, args...)
 }
 
-// setPendingLocked flips the entry's pending flag, keeping the count of
-// active pending entries (the sweep trigger) in step.
+// setPending flips the entry's pending flag, keeping the count of active
+// pending entries (the sweep trigger) in step.
 //
 //tango:hotpath
-func (a *Allocator) setPendingLocked(e *entry, v bool) {
+func (a *Allocator) setPending(e *entry, v bool) {
 	if e.pending == v {
 		return
 	}
@@ -154,22 +134,21 @@ func (a *Allocator) setPendingLocked(e *entry, v bool) {
 	}
 }
 
-// countAddLocked registers an active desired weight in the scale index.
+// countAdd registers an active desired weight in the scale index.
 //
 //tango:hotpath
-func (a *Allocator) countAddLocked(d int) {
+func (a *Allocator) countAdd(d int) {
 	a.desireCount[d]++
 	if d > a.maxDesired {
 		a.maxDesired = d
 	}
 }
 
-// countRemoveLocked drops an active desired weight from the scale
-// index. The downward rescan is bounded by the weight range, not the
-// session count.
+// countRemove drops an active desired weight from the scale index. The
+// downward rescan is bounded by the weight range, not the session count.
 //
 //tango:hotpath
-func (a *Allocator) countRemoveLocked(d int) {
+func (a *Allocator) countRemove(d int) {
 	a.desireCount[d]--
 	if d != a.maxDesired || a.desireCount[d] > 0 {
 		return
@@ -184,15 +163,26 @@ func (a *Allocator) countRemoveLocked(d int) {
 	a.maxDesired = m
 }
 
-// rebalanceLocked queues the weight writes this operation requires into
-// the targets scratch (in attach order, like the full-sweep original).
-// If the scale is unchanged and no faulted write awaits retry, only the
-// touched entry is considered — O(1); the sweep runs only when the
-// scale moved (every active grant changes) or a pending write must be
-// retried.
+// deactivate takes an active entry out of the scale index and the
+// active counts.
+func (a *Allocator) deactivate(e *entry) {
+	a.countRemove(e.desired)
+	a.active--
+	if e.pending {
+		a.pendingAct--
+	}
+	e.active = false
+}
+
+// rebalance queues the weight writes this operation requires into the
+// targets scratch (in attach order, like the full-sweep original). If the
+// scale is unchanged and no faulted write awaits retry, only the touched
+// entry is considered — O(1); the sweep runs only when the scale moved
+// (every active grant changes) or a pending write must be retried.
+// Inactive entries are never queued.
 //
 //tango:hotpath
-func (a *Allocator) rebalanceLocked(touched *entry) {
+func (a *Allocator) rebalance(touched *entry) {
 	a.targets = a.targets[:0]
 	max := a.maxDesired
 	scaleMoved := max != a.lastMax
@@ -204,7 +194,7 @@ func (a *Allocator) rebalanceLocked(touched *entry) {
 		if touched == nil || !touched.active {
 			return
 		}
-		g := blkio.ClampWeight(touched.desired * blkio.MaxWeight / max)
+		g := a.grant(touched)
 		if g != touched.grant || touched.pending {
 			a.targets = append(a.targets, target{touched, g, touched.pending})
 		}
@@ -214,18 +204,17 @@ func (a *Allocator) rebalanceLocked(touched *entry) {
 		if !e.active {
 			continue
 		}
-		g := blkio.ClampWeight(e.desired * blkio.MaxWeight / max)
+		g := a.grant(e)
 		if g != e.grant || e.pending {
 			a.targets = append(a.targets, target{e, g, e.pending})
 		}
 	}
 }
 
-// grantLocked is the rescaled weight the entry holds at the current
-// scale.
+// grant is the rescaled weight the entry holds at the current scale.
 //
 //tango:hotpath
-func (a *Allocator) grantLocked(e *entry) int {
+func (a *Allocator) grant(e *entry) int {
 	return blkio.ClampWeight(e.desired * blkio.MaxWeight / a.maxDesired)
 }
 
@@ -233,16 +222,12 @@ func (a *Allocator) grantLocked(e *entry) int {
 // for its current retrieval, and rebalances every active session whose
 // grant that moves. It returns the granted weight.
 func (a *Allocator) Request(name string, desired int) (int, error) {
-	a.applyMu.Lock()
-	defer a.applyMu.Unlock()
-	a.mu.Lock()
 	e, ok := a.entries[name]
 	if !ok {
-		a.mu.Unlock()
 		return 0, fmt.Errorf("coordinator: session %q not attached", name)
 	}
 	if e.active {
-		a.countRemoveLocked(e.desired)
+		a.countRemove(e.desired)
 	} else {
 		a.active++
 		if e.pending {
@@ -251,35 +236,25 @@ func (a *Allocator) Request(name string, desired int) (int, error) {
 	}
 	e.desired = blkio.ClampWeight(desired)
 	e.active = true
-	a.countAddLocked(e.desired)
-	a.rebalanceLocked(e)
-	granted := a.grantLocked(e)
-	a.mu.Unlock()
-	a.applyLocked()
+	a.countAdd(e.desired)
+	a.rebalance(e)
+	granted := a.grant(e)
+	a.apply()
 	return granted, nil
 }
 
 // Release marks the session's retrieval finished: its weight reverts to
 // the default and the remaining active sessions rebalance.
 func (a *Allocator) Release(name string) {
-	a.applyMu.Lock()
-	defer a.applyMu.Unlock()
-	a.mu.Lock()
 	e, ok := a.entries[name]
 	if ok && e.active {
-		a.countRemoveLocked(e.desired)
-		a.active--
-		if e.pending {
-			a.pendingAct--
-		}
-		e.active = false
+		a.deactivate(e)
 	}
-	a.rebalanceLocked(nil)
-	a.mu.Unlock()
+	a.rebalance(nil)
 	if ok {
 		a.revert(e, true)
 	}
-	a.applyLocked()
+	a.apply()
 }
 
 // Detach removes a session: its weight reverts to the default and the
@@ -287,9 +262,6 @@ func (a *Allocator) Release(name string) {
 // departing desired weight would keep the survivors' grants scaled down
 // against interferers until their next Request).
 func (a *Allocator) Detach(name string) {
-	a.applyMu.Lock()
-	defer a.applyMu.Unlock()
-	a.mu.Lock()
 	e, ok := a.entries[name]
 	if ok {
 		delete(a.entries, name)
@@ -300,63 +272,52 @@ func (a *Allocator) Detach(name string) {
 			}
 		}
 		if e.active {
-			a.countRemoveLocked(e.desired)
-			a.active--
-			if e.pending {
-				a.pendingAct--
-			}
-			e.active = false
+			a.deactivate(e)
 		}
 	}
-	a.rebalanceLocked(nil)
-	a.mu.Unlock()
+	a.rebalance(nil)
 	if ok {
 		a.revert(e, false)
 	}
-	a.applyLocked()
+	a.apply()
 }
 
 // revert returns a departing or released session's cgroup to the
 // default weight, tolerating injected weight-write faults: the failure
-// is recorded and, while the session stays attached, the next rebalance
-// re-applies.
+// is recorded and, for a released session, the entry is left pending.
+// Nothing re-applies it while the session stays idle, since rebalance
+// queues only active entries: the cgroup keeps its stale weight until
+// the session's own next Request or Release.
 func (a *Allocator) revert(e *entry, attached bool) {
 	landed := a.setWeight(e.cg, blkio.DefaultWeight)
-	a.mu.Lock()
-	legacy := a.kApply == nil
 	if attached {
 		if landed {
 			e.grant = blkio.DefaultWeight
 		}
-		a.setPendingLocked(e, !landed)
+		a.setPending(e, !landed)
 	}
-	a.mu.Unlock()
-	if !landed && legacy {
+	if !landed && a.kApply == nil {
 		a.emit("weight revert failed for %s: tolerated, cgroup keeps w=%d", e.name, e.cg.Weight())
 	}
 }
 
-// applyLocked pushes the queued grants to the cgroups outside the state lock
-// (weight writes notify device subscribers). Failed writes (injected
-// weight faults) are tolerated and recorded: the entry is marked
-// pending so the write is retried on every subsequent rebalance until
-// it lands, at which point the re-apply is recorded as the recovery.
-// The caller holds applyMu, which owns the targets scratch.
-func (a *Allocator) applyLocked() {
+// apply pushes the queued grants to the cgroups. Failed writes (injected
+// weight faults) are tolerated and recorded: the entry is marked pending,
+// so while it stays active every subsequent rebalance retries the write
+// until it lands, at which point the re-apply is recorded as the
+// recovery.
+func (a *Allocator) apply() {
 	for i := range a.targets {
 		t := &a.targets[i]
 		if t.e.cg.Weight() == t.w && !t.pending {
 			continue
 		}
 		landed := a.setWeight(t.e.cg, t.w)
-		a.mu.Lock()
-		legacy := a.kApply == nil
 		if landed {
 			t.e.grant = t.w
 		}
-		a.setPendingLocked(t.e, !landed)
-		a.mu.Unlock()
-		if legacy {
+		a.setPending(t.e, !landed)
+		if a.kApply == nil {
 			if !landed {
 				a.emit("weight write failed for %s (w=%d): will re-apply", t.e.name, t.w)
 			} else if t.pending {
@@ -369,8 +330,4 @@ func (a *Allocator) applyLocked() {
 
 // Active reports how many sessions are currently retrieving. The count
 // is maintained incrementally; no sweep.
-func (a *Allocator) Active() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.active
-}
+func (a *Allocator) Active() int { return a.active }

@@ -42,7 +42,7 @@ type plan struct {
 
 var (
 	planMu sync.Mutex
-	plans  map[int]*plan
+	plans  map[int]*plan // guarded by planMu
 )
 
 // planFor returns the shared plan for length n, building it on first use.

@@ -1,5 +1,5 @@
 // Whole-program call graph shared by the interprocedural analyzers
-// (detertaint, lockorder, hotpath). Resolution is CHA-style over the
+// (detertaint, hotpath). Resolution is CHA-style over the
 // module's own types, stdlib-only:
 //
 //   - direct calls and concrete method calls resolve to their single
@@ -121,13 +121,12 @@ type CallGraph struct {
 }
 
 // Program is the set of loaded packages presented to whole-program
-// analyzers, with the call graph and the lock scan built on demand.
+// analyzers, with the call graph built on demand.
 type Program struct {
 	Pkgs []*Package
 	Fset *token.FileSet
 
-	graph    *CallGraph
-	lockScan *lockScan
+	graph *CallGraph
 }
 
 // NewProgram wraps loaded packages. All packages share one FileSet.

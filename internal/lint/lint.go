@@ -7,8 +7,8 @@
 //     neither directly nor through any function they call.
 //   - locksafety: no Lock without an Unlock on every return path, no
 //     access to `// guarded by <mu>` fields outside a critical section.
-//     (Copied locks are `go vet`'s copylocks check.)
-//   - lockorder: no cycle in the global lock-acquisition order.
+//     (Copied locks are `go vet`'s copylocks check. There is no
+//     lock-order check: every lock is a leaf, taken with no other held.)
 //   - errdiscard: internal packages must not silently drop error returns.
 //   - hotpath: nothing reachable from a //tango:hotpath function may
 //     allocate per call.
@@ -31,8 +31,8 @@ import (
 )
 
 // Finding is one analyzer diagnosis. Witness, set by the interprocedural
-// analyzers, is the call-chain (or lock-cycle) evidence trail, outermost
-// first; intra-procedural analyzers leave it nil.
+// analyzers, is the call-chain evidence trail, outermost first;
+// intra-procedural analyzers leave it nil.
 type Finding struct {
 	Pos      token.Position
 	Analyzer string
@@ -76,8 +76,8 @@ type (
 )
 
 // analyzer is one named check. Every analyzer runs once over the whole
-// loaded program (all packages plus the shared call graph and lock scan,
-// see callgraph.go and locksafety.go).
+// loaded program (all packages plus the shared call graph, see
+// callgraph.go).
 type analyzer struct {
 	name string
 	doc  string
@@ -100,11 +100,6 @@ func analyzers() []*analyzer {
 			name: "locksafety",
 			doc:  "forbid unbalanced Lock/Unlock and unguarded access to `// guarded by <mu>` fields (copied locks are go vet's)",
 			run:  runLockSafety,
-		},
-		{
-			name: "lockorder",
-			doc:  "report cycles in the global lock-acquisition-order graph (potential deadlocks) with the witness chain",
-			run:  runLockOrder,
 		},
 		{
 			name: "errdiscard",

@@ -65,7 +65,6 @@ func TestFixtures(t *testing.T) {
 		{"simdet", "detertaint", nil},
 		{"locks", "locksafety", nil},
 		{"errs", "errdiscard", nil},
-		{"lockfix", "lockorder", nil},
 		{"hotfix", "hotpath", []FixtureDir{traceStub}},
 	}
 	for _, tc := range cases {
@@ -247,7 +246,7 @@ func TestFindingFormat(t *testing.T) {
 
 // TestAnalyzerNames guards the documented analyzer set.
 func TestAnalyzerNames(t *testing.T) {
-	want := []string{"detertaint", "locksafety", "lockorder", "errdiscard", "hotpath"}
+	want := []string{"detertaint", "locksafety", "errdiscard", "hotpath"}
 	got := AnalyzerNames()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("AnalyzerNames() = %v, want %v", got, want)
@@ -260,9 +259,10 @@ func TestAnalyzerNames(t *testing.T) {
 }
 
 // TestRunUnknownAnalyzer checks option validation, including the names
-// of the analyzers folded into others or left to go vet and -race.
+// of the analyzers folded into others, left to go vet and -race, or
+// deleted because every lock is a leaf (lockorder).
 func TestRunUnknownAnalyzer(t *testing.T) {
-	for _, name := range []string{"nope", "simdeterminism", "parhygiene"} {
+	for _, name := range []string{"nope", "simdeterminism", "parhygiene", "lockorder"} {
 		_, err := Run(Options{Root: "../..", Analyzers: []string{name}})
 		if err == nil || !strings.Contains(err.Error(), "unknown analyzer") || !strings.Contains(err.Error(), "(have detertaint, ") {
 			t.Fatalf("-analyzers %s: want unknown-analyzer error, got %v", name, err)
@@ -271,9 +271,9 @@ func TestRunUnknownAnalyzer(t *testing.T) {
 }
 
 // BenchmarkLintRepo measures a full-repo run of every analyzer —
-// module load, type check, call-graph construction and lock scan, and
-// all five analyzers. The whole-repo budget is a few seconds (the CI lint gate
-// runs this exact configuration).
+// module load, type check, call-graph construction and all four
+// analyzers. The whole-repo budget is a few seconds (the CI lint gate runs
+// this exact configuration).
 func BenchmarkLintRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(Options{Root: "../.."}); err != nil {

@@ -1,61 +1,24 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"slices"
-	"sort"
 	"strings"
 )
 
-// runLockSafety reports the program lock scan's findings:
+// runLockSafety runs a branch-aware must-held scan over every function
+// body and reports:
 //
 //  1. every sync.Mutex/RWMutex Lock has a deferred or path-covering
 //     Unlock — no return while a lock is held;
-//  2. struct fields annotated `// guarded by <mu>` are only touched
-//     while <mu> is held (methods named *Locked are assumed to be
-//     called with the lock held, the project's convention).
+//  2. struct fields and package vars annotated `// guarded by <mu>` are
+//     only touched while <mu> is held (methods named *Locked are assumed
+//     to be called with the lock held, the project's convention).
 //
 // A lock-bearing value copied by value is `go vet`'s copylocks finding.
 func runLockSafety(prog *Program, _ *config, report progReportFunc) {
-	for _, f := range prog.locks().findings {
-		report(f.pos, nil, "%s", f.msg)
-	}
-}
-
-// lockScan is the branch-aware must-held scan of every function body,
-// run once per program: locksafety reports its findings, and lockorder
-// builds the acquisition-order graph from its events.
-type lockScan struct {
-	findings []lockFinding
-	events   map[*ast.FuncDecl][]lockEvent
-}
-
-type lockFinding struct {
-	pos token.Pos
-	msg string
-}
-
-// lockEvent is one lock acquisition (class set) or call site (class
-// empty) in a function, closures included, with the lock classes
-// must-held there. A call site is recorded only under a classed lock.
-type lockEvent struct {
-	pos   token.Pos
-	class string
-	held  []string
-}
-
-// locks returns the lock scan, running it on first use.
-func (prog *Program) locks() *lockScan {
-	if prog.lockScan != nil {
-		return prog.lockScan
-	}
-	ls := &lockScan{events: map[*ast.FuncDecl][]lockEvent{}}
-	report := func(pos token.Pos, format string, args ...any) {
-		ls.findings = append(ls.findings, lockFinding{pos, fmt.Sprintf(format, args...)})
-	}
+	reportf := func(pos token.Pos, format string, args ...any) { report(pos, nil, format, args...) }
 	for _, p := range prog.Pkgs {
 		guards := collectGuards(p)
 		for _, f := range p.Files {
@@ -66,23 +29,19 @@ func (prog *Program) locks() *lockScan {
 				}
 				sc := &lockScanner{
 					p:           p,
-					report:      report,
+					report:      reportf,
 					guards:      guards,
 					checkGuards: !strings.HasSuffix(fd.Name.Name, "Locked"),
 					leaks:       map[token.Pos]string{},
-					classOf:     map[string]string{},
 				}
 				st := newLockState()
 				if !sc.scanStmts(fd.Body.List, st) {
 					sc.checkExit(st)
 				}
 				sc.flush()
-				ls.events[fd] = sc.events
 			}
 		}
 	}
-	prog.lockScan = ls
-	return ls
 }
 
 // lockOp is one sync.Mutex/RWMutex method call, as the scanner reads
@@ -133,55 +92,38 @@ func lockOpOf(p *Package, call *ast.CallExpr) (lockOp, bool) {
 
 // --- guarded-by annotations ---
 
-// collectGuards maps annotated field objects to the name of the mutex
-// field that guards them. Annotation syntax (field doc or trailing
-// comment): `// guarded by mu`.
+// collectGuards maps annotated field and variable objects to the name of
+// the mutex that guards them. Annotation syntax (doc or trailing comment):
+// `// guarded by mu`. Fields of every struct type count, including the
+// anonymous struct of a package-level `var pool struct { mu …; … }`.
 func collectGuards(p *Package) map[types.Object]string {
 	guards := map[types.Object]string{}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				switch sp := spec.(type) {
-				case *ast.TypeSpec:
-					st, ok := sp.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, field := range st.Fields.List {
-						mu := guardName(field.Doc)
-						if mu == "" {
-							mu = guardName(field.Comment)
-						}
-						if mu == "" {
-							continue
-						}
-						for _, name := range field.Names {
-							if obj := p.Info.Defs[name]; obj != nil {
-								guards[obj] = mu
-							}
-						}
-					}
-				case *ast.ValueSpec:
-					// Package-level vars: `// guarded by <mu>` on the spec.
-					mu := guardName(sp.Doc)
-					if mu == "" {
-						mu = guardName(sp.Comment)
-					}
-					if mu == "" {
-						continue
-					}
-					for _, name := range sp.Names {
-						if obj := p.Info.Defs[name]; obj != nil {
-							guards[obj] = mu
-						}
-					}
-				}
+	add := func(names []*ast.Ident, doc, comment *ast.CommentGroup) {
+		mu := guardName(doc)
+		if mu == "" {
+			mu = guardName(comment)
+		}
+		if mu == "" {
+			return
+		}
+		for _, name := range names {
+			if obj := p.Info.Defs[name]; obj != nil {
+				guards[obj] = mu
 			}
 		}
+	}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.StructType:
+				for _, field := range x.Fields.List {
+					add(field.Names, field.Doc, field.Comment)
+				}
+			case *ast.ValueSpec:
+				add(x.Names, x.Doc, x.Comment)
+			}
+			return true
+		})
 	}
 	return guards
 }
@@ -251,24 +193,6 @@ type lockScanner struct {
 	guards      map[types.Object]string
 	checkGuards bool
 	leaks       map[token.Pos]string // Lock() pos -> message (deduped)
-	classOf     map[string]string    // lock key -> class (lockClass) at its Lock()
-	events      []lockEvent
-}
-
-// event records a lock acquisition of class, or with class "" a call
-// site, against the classes held in st.
-func (sc *lockScanner) event(pos token.Pos, class string, st *lockState) {
-	var held []string
-	for key := range st.held {
-		if c := sc.classOf[key]; c != "" && !slices.Contains(held, c) {
-			held = append(held, c)
-		}
-	}
-	if class == "" && len(held) == 0 {
-		return
-	}
-	sort.Strings(held)
-	sc.events = append(sc.events, lockEvent{pos: pos, class: class, held: held})
 }
 
 func (sc *lockScanner) flush() {
@@ -296,10 +220,6 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 			// A Try(R)Lock may not acquire, so it claims nothing here.
 			if op, ok := lockOpOf(sc.p, call); ok && !op.try {
 				if op.lock {
-					if class := lockClass(sc.p, op.recv); class != "" {
-						sc.event(call.Pos(), class, st)
-						sc.classOf[op.key()] = class
-					}
 					st.held[op.key()] = call.Pos()
 				} else {
 					delete(st.held, op.key())
@@ -387,8 +307,8 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		return sc.scanBranches(s, st)
 	case *ast.GoStmt:
-		// Goroutines do not inherit the caller's locks, so the spawned
-		// call is no call site under them; its arguments are.
+		// Goroutines do not inherit the caller's locks: a spawned
+		// literal starts with none held.
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			fresh := newLockState()
 			if !sc.scanStmts(fl.Body.List, fresh) {
@@ -497,13 +417,11 @@ func unlockCallFor(key string) string {
 	return key + ".Unlock()"
 }
 
-// visitExprs checks guarded-field accesses in any expression tree,
-// records its call sites and scans nested function literals.
+// visitExprs checks guarded-field accesses in any expression tree and
+// scans nested function literals.
 func (sc *lockScanner) visitExprs(n ast.Node, st *lockState) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch e := m.(type) {
-		case *ast.CallExpr:
-			sc.event(e.Pos(), "", st)
 		case *ast.FuncLit:
 			// A closure sees the locks held where it is written (a
 			// callback passed down runs under them); its own extra locks
@@ -560,6 +478,9 @@ func (sc *lockScanner) checkGuardedAccess(sel *ast.SelectorExpr, st *lockState) 
 		return
 	}
 	obj := sc.p.Info.ObjectOf(sel.Sel)
+	if v, ok := obj.(*types.Var); ok {
+		obj = v.Origin() // a field of an instantiated generic type
+	}
 	mu, guarded := sc.guards[obj]
 	if !guarded {
 		return

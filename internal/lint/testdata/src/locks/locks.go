@@ -47,6 +47,28 @@ func badVarAccess() int {
 	return len(table) // want locksafety "guarded by tableMu but accessed without holding it"
 }
 
+// The fields of a package-level anonymous struct (runpool's pool, sim's
+// parked list).
+var registry struct {
+	mu    sync.Mutex
+	names []string // guarded by mu
+}
+
+func badAnonField() int {
+	return len(registry.names) // want locksafety "guarded by registry.mu but accessed without holding it"
+}
+
+// A field of a generic type, read through an instantiation (harness's
+// memo).
+type cache[V any] struct {
+	mu sync.Mutex
+	m  map[string]V // guarded by mu
+}
+
+func (c *cache[V]) badGenericField() int {
+	return len(c.m) // want locksafety "guarded by c.mu but accessed without holding it"
+}
+
 // --- correct forms, which must stay silent ---
 
 func goodDefer(c *counter) int {
@@ -73,4 +95,16 @@ func goodVarAccess() int {
 	tableMu.Lock()
 	defer tableMu.Unlock()
 	return len(table)
+}
+
+func goodAnonField() int {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	return len(registry.names)
+}
+
+func (c *cache[V]) goodGenericField(k string) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m[k]
 }

@@ -1,8 +1,10 @@
 // Package trace records structured events from a simulation run — weight
 // adjustments, bucket retrievals, estimator refits — for debugging and
 // for experiments that plot controller behavior over time (e.g. Fig 15).
-// A Recorder is a bounded ring buffer: cheap enough to leave enabled, and
-// safe for the concurrent multi-node runs of the weak-scaling experiment.
+// A Recorder is a bounded ring buffer, cheap enough to leave enabled. It
+// has no lock: like the rest of a node's state it belongs to one engine's
+// goroutine, or to a fleet barrier while that engine is idle, so runs
+// that execute concurrently each keep their own.
 package trace
 
 import (
@@ -10,7 +12,6 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"sync"
 )
 
 // Event kinds emitted by the controller, the coordinator, and the fault
@@ -91,12 +92,10 @@ func (ev Event) Msg() string {
 // Recorder is a bounded event buffer. The zero value is inert (Disabled):
 // like a nil recorder it drops events and subscriptions; construct with New.
 type Recorder struct {
-	mu     sync.Mutex
-	events []Event       // guarded by mu
-	next   int           // guarded by mu
-	filled bool          // guarded by mu
-	cap    int           // immutable after construction
-	subs   []func(Event) // guarded by mu; snapshot before invoking outside the lock
+	events []Event // the ring: grows to cap, then wraps at next
+	next   int
+	cap    int
+	subs   []func(Event)
 }
 
 // New creates a recorder retaining the most recent max events (max <= 0
@@ -113,8 +112,6 @@ func (r *Recorder) Subscribe(fn func(Event)) {
 	if r == nil || r.cap == 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.subs = append(r.subs, fn)
 }
 
@@ -147,17 +144,13 @@ func (r *Recorder) Emit(t float64, source, kind, format string, args ...any) {
 			panic("trace: unsupported Emit argument type " + reflect.TypeOf(a).String())
 		}
 	}
-	r.mu.Lock()
 	if len(r.events) < r.cap {
-		r.events = append(r.events, ev) // the ring grows as it fills
+		r.events = append(r.events, ev)
 	} else {
 		r.events[r.next] = ev
 		r.next = (r.next + 1) % r.cap
-		r.filled = true
 	}
-	subs := r.subs
-	r.mu.Unlock()
-	for _, fn := range subs {
+	for _, fn := range r.subs {
 		fn(ev)
 	}
 }
@@ -167,17 +160,9 @@ func (r *Recorder) Events() []Event {
 	if r == nil || r.cap == 0 {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.filled {
-		out := make([]Event, len(r.events))
-		copy(out, r.events)
-		return out
-	}
-	out := make([]Event, 0, r.cap)
+	out := make([]Event, 0, len(r.events))
 	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
+	return append(out, r.events[:r.next]...)
 }
 
 // Filter returns retained events of one kind.
@@ -195,11 +180,6 @@ func (r *Recorder) Filter(kind string) []Event {
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.filled {
-		return r.cap
 	}
 	return len(r.events)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -200,24 +199,6 @@ func TestWriteTo(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "dev") || !strings.Contains(sb.String(), "done") {
 		t.Fatalf("output: %q", sb.String())
-	}
-}
-
-func TestConcurrentEmit(t *testing.T) {
-	r := New(128)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Emit(float64(i), "g", "k", "%d", g)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() != 128 {
-		t.Fatalf("len = %d", r.Len())
 	}
 }
 

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Full verification sequence — the same steps as `make check` and CI
-# (.github/workflows/ci.yml), for environments without make.
+# Full verification sequence — the same steps as `make check`, for
+# environments without make. CI (.github/workflows/ci.yml) runs them too,
+# beside the benchmark gates listed below.
 #
 # Not part of the check, and also make targets:
 #   make bench = go run ./benchmarks/perf   (host-time benchmark, BENCHMARK.json)
@@ -10,13 +11,8 @@
 #                  -skip 10 -dataset 512 > bench-suite.json
 #   make suite-check = the same command piped to `cmp - bench-baseline.json`
 #                (the behaviour gate: byte-identity with the committed baseline)
-#   make loc   = non-test Go lines:
-#                find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' \
-#                  -not -path '*/testdata/*' | xargs cat | wc -l
-#                plus the exported-field count of core.Config, cache.Config,
-#                tokenctl.Options, resil.Options and resil.HedgeConfig (awk
-#                over the struct bodies; see the Makefile)
-#   make loc-check = fails when either figure exceeds LOC_MAX / CONFIG_FIELDS_MAX
+#   make loc   = sh scripts/loc.sh (non-test Go lines and the exported
+#                fields of the five config structs)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,5 +29,9 @@ go run ./cmd/tangolint ./...
 
 echo '>> go test -race ./...'
 go test -race ./...
+
+# The size ceilings CI gates (make loc-check), read from the Makefile.
+echo '>> loc-check'
+sh scripts/loc.sh "$(sed -n 's/^LOC_MAX = //p' Makefile)" "$(sed -n 's/^CONFIG_FIELDS_MAX = //p' Makefile)"
 
 echo 'check: ok'

@@ -293,9 +293,10 @@ func NewResilController(eng *Engine, opts ResilOptions) *ResilController {
 
 // ---- Coordination -------------------------------------------------------------
 
-// Allocator arbitrates blkio weights across concurrent Tango sessions on
-// one node, preserving priority ratios; pass it via
-// SessionConfig.Allocator.
+// Allocator arbitrates blkio weights across the Tango sessions retrieving
+// at once on one node, preserving priority ratios; pass it via
+// SessionConfig.Allocator. It takes no lock: use it from that node's
+// engine only.
 type Allocator = coordinator.Allocator
 
 // NewAllocator creates an empty weight allocator.
@@ -335,7 +336,8 @@ func NewTokenController(now func() float64, opts TokenOptions) *TokenController 
 
 // TraceRecorder is a bounded ring buffer of controller events; pass one
 // via SessionConfig.Trace to observe weight adjustments, bucket
-// retrievals, and estimator refits.
+// retrievals, and estimator refits. It takes no lock: give each engine
+// (or each concurrent run) its own.
 type TraceRecorder = trace.Recorder
 
 // TraceEvent is one recorded controller event.
