@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check bench bench-allocs suite suite-check loc loc-check clean
+.PHONY: all build vet lint lint-json race test check fuzz bench bench-allocs suite suite-check loc loc-check clean
 
 all: build
 
@@ -31,6 +31,17 @@ race:
 
 test:
 	$(GO) test ./...
+
+# Each fuzz target past its seed corpus for 20 s (go test fuzzes one
+# target of one package per run). A failing input is written under that
+# package's testdata/fuzz/; run it from a scratch copy to keep the tree clean.
+FUZZ_TARGETS = FuzzSpec:./internal/harness FuzzParsePlan:./internal/fault \
+	FuzzDecode:./internal/refactor FuzzParseTrace:./internal/workload
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}\$$" -fuzztime 20s "$${t#*:}" || exit 1; \
+	done
 
 # loc-check is CI's size gate too, so a change over a ceiling fails here first.
 check: build vet lint race loc-check

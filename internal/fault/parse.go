@@ -170,9 +170,9 @@ func allKindNames() string {
 
 // GenerateOptions parameterizes Generate.
 type GenerateOptions struct {
-	// Horizon bounds injection times: faults land in
-	// [0.1·Horizon, 0.85·Horizon] so recovery is observable before the
-	// run ends. Required.
+	// Horizon scales the plan: faults land in [0.1, 0.85]·Horizon and
+	// windowed ones last 2–8 % of it, so a short run draws faults too
+	// brief for a recovery step to follow (unpaired). Required.
 	Horizon float64
 	// Device is the device faults target (required for device kinds).
 	Device string

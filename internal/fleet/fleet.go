@@ -404,8 +404,10 @@ func (c *Cluster) Run() (*Report, error) {
 
 // applyPlan interprets the fault plan at the barrier opening epoch e:
 // kills whose time has come take their node out and restart its
-// sessions cold on the survivors; nodes whose kill window has closed
-// are rebuilt empty.
+// sessions cold on the survivors (a kill that would leave none is
+// skipped); then nodes whose kill window has closed are rebuilt empty.
+// Kills go first, so a kill is checked against the nodes alive before
+// this barrier's revivals.
 func (c *Cluster) applyPlan(epoch int, t0 float64) {
 	if c.cfg.Plan == nil {
 		return
@@ -418,6 +420,10 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 		idx, ok := nodeIndex(ev.Target)
 		if !ok || idx < 0 || idx >= len(c.nodes) || !c.nodes[idx].alive {
 			c.emit(t0, trace.KindFault, "skip node-kill node=%s (no such live node)", ev.Target)
+			continue
+		}
+		if c.aliveCount() == 1 {
+			c.emit(t0, trace.KindFault, "skip node-kill node=%s (would leave no live node)", ev.Target)
 			continue
 		}
 		nd := c.nodes[idx]

@@ -284,6 +284,40 @@ func TestKillUnknownNodeSkips(t *testing.T) {
 	}
 }
 
+// TestKillLastLiveNodeSkips: a plan that kills every live node used to
+// panic in place ("no alive nodes to place on"); the kill that would leave
+// no survivor is skipped and recorded instead, and the run completes. The
+// second plan is the same-barrier case: node1's kill at 130 s is applied
+// at the 180 s barrier, before node0's revival there, so it is skipped too.
+func TestKillLastLiveNodeSkips(t *testing.T) {
+	for _, node0Dur := range []float64{600, 60} {
+		rec := trace.New(4096)
+		c, err := New(Config{Nodes: 2, Sessions: 4, Seed: 5, Trace: rec,
+			Plan: &fault.Plan{Events: []fault.Event{
+				{At: 120, Kind: fault.NodeKill, Target: "node0", Duration: node0Dur},
+				{At: 130, Kind: fault.NodeKill, Target: "node1", Duration: 60},
+			}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Kills != 1 {
+			t.Errorf("node0 down %gs: kills = %d, want 1 (the second would leave no live node)", node0Dur, r.Kills)
+		}
+		want := "skip node-kill node=node1 (would leave no live node)"
+		found := false
+		for _, ev := range rec.Events() {
+			found = found || (ev.Kind == trace.KindFault && ev.Msg() == want)
+		}
+		if !found {
+			t.Errorf("node0 down %gs: trace lacks %q", node0Dur, want)
+		}
+	}
+}
+
 func TestNodeIndex(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -96,8 +96,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("-steps %d: no measured step is left after %d warm-up steps", c.Steps, c.SkipWarmup)
 	case c.GridN < minGridN:
 		return fmt.Errorf("-grid %d: the default decomposition needs a side of at least %d", c.GridN, minGridN)
-	case !finite(c.DatasetMB):
-		return fmt.Errorf("-dataset %g: want a finite size above 0 MB", c.DatasetMB)
+	case !finite(c.DatasetMB) || c.DatasetMB > 512*1024: // staging puts up to half on the 400 GB SSD
+		return fmt.Errorf("-dataset %g: want a size above 0 MB that the tiers hold (at most 524288)", c.DatasetMB)
 	case !finite(c.FleetScale):
 		return fmt.Errorf("-fleetscale %g: want a finite scale above 0", c.FleetScale)
 	}

@@ -53,6 +53,7 @@ func TestConfigValidate(t *testing.T) {
 		{"-dataset -1", Config{DatasetMB: -1}},
 		{"-dataset +Inf", Config{DatasetMB: math.Inf(1)}},
 		{"-dataset NaN", Config{DatasetMB: math.NaN()}},
+		{"-dataset 1e+09", Config{DatasetMB: 1e9}}, // staging used to panic: more than the tiers hold
 		{"-fleetscale -0.5", Config{FleetScale: -0.5}},
 		{"-fleetscale +Inf", Config{FleetScale: math.Inf(1)}},
 	} {

@@ -64,14 +64,15 @@ func newScenarioWithHDD(name string, nNoise int, hdd device.Params) *Scenario {
 
 // ArmFaults binds and arms plan on this scenario, recording injections
 // into rec (which may be nil). Call after the scenario is built and
-// before the engine runs.
-func (s *Scenario) ArmFaults(plan *fault.Plan, rec *trace.Recorder) {
+// before the engine runs. It fails on a device the scenario lacks.
+func (s *Scenario) ArmFaults(plan *fault.Plan, rec *trace.Recorder) error {
 	in := fault.NewInjector(s.Node, rec, plan)
 	in.RegisterNoise(s.Noise)
 	if err := in.Arm(); err != nil {
-		panic(fmt.Sprintf("harness: arming faults: %v", err))
+		return err
 	}
 	s.Injector = in
+	return nil
 }
 
 // run advances the scenario steps analysis periods plus slack seconds
@@ -128,7 +129,9 @@ func runOne(name string, nNoise int, h *refactor.Hierarchy, cfg Config, sc core.
 
 func runOnScenario(scen *Scenario, name string, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
 	if cfg.FaultPlan != nil && scen.Injector == nil {
-		scen.ArmFaults(cfg.FaultPlan, sc.Trace)
+		if err := scen.ArmFaults(cfg.FaultPlan, sc.Trace); err != nil {
+			panic(fmt.Sprintf("harness: arming faults: %v", err))
+		}
 	}
 	if sc.Allocator != nil && sc.Trace != nil {
 		sc.Allocator.SetTrace(sc.Trace, scen.Node.Engine().Now)

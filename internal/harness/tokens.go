@@ -78,7 +78,9 @@ func tokens(cfg Config) *Result {
 	addRows(r, arms, func(a arm) []string {
 		scen := NewScenario(fmt.Sprintf("tok-%s-%s", a.mode, a.planName), 4)
 		if a.plan != nil {
-			scen.ArmFaults(a.plan, nil)
+			if err := scen.ArmFaults(a.plan, nil); err != nil {
+				panic(fmt.Sprintf("harness: arming faults: %v", err))
+			}
 		}
 		var sc core.Config
 		switch a.mode {

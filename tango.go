@@ -245,9 +245,6 @@ const (
 // internal/cache and docs/cache.md).
 type CacheConfig = cache.Config
 
-// DefaultCacheConfig returns the cache defaults spelled out.
-func DefaultCacheConfig() CacheConfig { return cache.DefaultConfig() }
-
 // SessionConfig parameterizes an analysis session (zero values take the
 // paper's §IV-A defaults).
 type SessionConfig = core.Config
@@ -376,9 +373,6 @@ type Fleet = fleet.Cluster
 
 // ObjstoreParams describes the shared object store backing a fleet.
 type ObjstoreParams = objstore.Params
-
-// DefaultObjstore returns object-store parameters sized for n nodes.
-func DefaultObjstore(n int) ObjstoreParams { return objstore.Default(n) }
 
 // NewFleet builds a cluster: the object store, the per-node stacks, and
 // the seed-deterministic session population, placed by predicted
