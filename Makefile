@@ -80,8 +80,8 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 20053
-CONFIG_FIELDS_MAX = 25
+LOC_MAX = 19958
+CONFIG_FIELDS_MAX = 23
 
 loc-check:
 	@sh scripts/loc.sh $(LOC_MAX) $(CONFIG_FIELDS_MAX)

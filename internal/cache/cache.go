@@ -107,16 +107,14 @@ type Cache struct {
 	mandatory int
 	closed    bool
 	stats     Stats
-	kStage    *resil.Key // prefetch.stage handle (nil = plain reads)
+	rc        *resil.Controller // stages through prefetch.stage (nil = plain reads)
 }
 
 // SetResil routes the staging reads PrefetchTo issues against the home
 // tier through the prefetch.stage policy: deadlined, budgeted, and
 // breaker-gated, so a faulted capacity tier pauses background staging
 // instead of wedging the prefetch process.
-func (c *Cache) SetResil(rc *resil.Controller) {
-	c.kStage = rc.Key(resil.KeyPrefetchStage)
-}
+func (c *Cache) SetResil(rc *resil.Controller) { c.rc = rc }
 
 // New builds a cache over the staged hierarchy, holding data on dev (the
 // fast tier). Only augmentation levels homed on other devices are
@@ -351,8 +349,8 @@ func (c *Cache) PrefetchTo(p *sim.Proc, cg *blkio.Cgroup, target int, keepGoing 
 					c.shrink()
 					return staged, false
 				}
-				if c.kStage != nil {
-					res := c.kStage.Read(p, r.home, cg, bytes)
+				if c.rc != nil {
+					res := c.rc.Key(resil.KeyPrefetchStage).Read(p, r.home, cg, bytes)
 					if !res.OK {
 						// The home tier is faulted or the stage budget ran
 						// out: give the reservation back and end this run —

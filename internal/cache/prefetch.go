@@ -63,9 +63,8 @@ type Prefetcher struct {
 	// through prefetch.stage (deadlined and budgeted). Set before Run.
 	Resil *resil.Controller
 
-	cache  *Cache
-	stats  PrefetchStats
-	kFloor *resil.Key
+	cache *Cache
+	stats PrefetchStats
 }
 
 // NewPrefetcher builds a prefetcher over the cache.
@@ -91,10 +90,7 @@ func (pf *Prefetcher) paused(forecast float64) bool {
 // returns (ending the container) once Done reports the session exited.
 func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 	cg := c.Cgroup()
-	if pf.Resil != nil {
-		pf.kFloor = pf.Resil.Key(resil.KeyPrefetchWeightFloor)
-		pf.cache.SetResil(pf.Resil)
-	}
+	pf.cache.SetResil(pf.Resil)
 	for {
 		p.Sleep(tickInterval)
 		if pf.Done != nil && pf.Done() {
@@ -109,14 +105,10 @@ func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
 		// Through the control plane the write is breaker-gated: a wedged
 		// cgroup is probed on the breaker's half-open schedule instead
 		// of re-asserted blindly every tick.
-		if pf.kFloor != nil {
-			switch res := pf.kFloor.Weight(cg, blkio.MinWeight); {
-			case res.Skipped:
-				pf.stats.WeightSkips++
-			case !res.OK:
-				pf.stats.WeightRetries++
-			}
-		} else if err := cg.TrySetWeight(blkio.MinWeight); err != nil {
+		switch res := pf.Resil.Key(resil.KeyPrefetchWeightFloor).Weight(cg, blkio.MinWeight); {
+		case res.Skipped:
+			pf.stats.WeightSkips++
+		case !res.OK:
 			pf.stats.WeightRetries++
 		}
 		cg.SetReadBpsLimit(bpsLimit)

@@ -38,7 +38,7 @@ type Allocator struct {
 	entries map[string]*entry
 	rec     *trace.Recorder
 	now     func() float64
-	kApply  *resil.Key // coord.weight.apply; nil = legacy path
+	rc      *resil.Controller // nil = the direct write, traced here
 
 	active      int                        // sessions between Request and Release
 	pendingAct  int                        // active entries with a failed write to retry
@@ -93,20 +93,7 @@ func (a *Allocator) SetTrace(rec *trace.Recorder, now func() float64) {
 // weight file is probed on the breaker's half-open schedule instead of
 // re-written on every rebalance. An allocator it was never called on
 // keeps the ad-hoc tolerate-and-retry path.
-func (a *Allocator) SetResil(rc *resil.Controller) {
-	a.kApply = rc.Key(resil.KeyCoordWeightApply)
-}
-
-// setWeight performs one weight write through the resil key when one is
-// attached (breaker-gated, self-tracing) or directly otherwise. It
-// reports whether the write landed; skipped (breaker-suppressed) and
-// failed writes both leave the entry pending.
-func (a *Allocator) setWeight(cg *blkio.Cgroup, w int) bool {
-	if a.kApply != nil {
-		return a.kApply.Weight(cg, w).OK
-	}
-	return cg.TrySetWeight(w) == nil
-}
+func (a *Allocator) SetResil(rc *resil.Controller) { a.rc = rc }
 
 func (a *Allocator) emit(format string, args ...any) {
 	t := 0.0
@@ -289,14 +276,14 @@ func (a *Allocator) Detach(name string) {
 // queues only active entries: the cgroup keeps its stale weight until
 // the session's own next Request or Release.
 func (a *Allocator) revert(e *entry, attached bool) {
-	landed := a.setWeight(e.cg, blkio.DefaultWeight)
+	landed := a.rc.Key(resil.KeyCoordWeightApply).Weight(e.cg, blkio.DefaultWeight).OK
 	if attached {
 		if landed {
 			e.grant = blkio.DefaultWeight
 		}
 		a.setPending(e, !landed)
 	}
-	if !landed && a.kApply == nil {
+	if !landed && a.rc == nil {
 		a.emit("weight revert failed for %s: tolerated, cgroup keeps w=%d", e.name, e.cg.Weight())
 	}
 }
@@ -312,12 +299,14 @@ func (a *Allocator) apply() {
 		if t.e.cg.Weight() == t.w && !t.pending {
 			continue
 		}
-		landed := a.setWeight(t.e.cg, t.w)
+		// Skipped (breaker-suppressed) and failed writes both leave the
+		// entry pending.
+		landed := a.rc.Key(resil.KeyCoordWeightApply).Weight(t.e.cg, t.w).OK
 		if landed {
 			t.e.grant = t.w
 		}
 		a.setPending(t.e, !landed)
-		if a.kApply == nil {
+		if a.rc == nil {
 			if !landed {
 				a.emit("weight write failed for %s (w=%d): will re-apply", t.e.name, t.w)
 			} else if t.pending {

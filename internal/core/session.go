@@ -103,8 +103,6 @@ type Session struct {
 	weightPending bool // a weight write failed; re-apply on next success
 
 	tb *tokenctl.Bucket // this session's bucket (nil without Config.Tokens)
-
-	kWeight *resil.Key // blkio.weight.apply handle (nil without Config.Resil)
 }
 
 // NewSession validates the configuration against the staged hierarchy and
@@ -237,7 +235,6 @@ func (s *Session) Launch(node *container.Node) error {
 		// weight writes through the resilience control plane, and give
 		// its hedging decision the session's demand forecast.
 		s.store.SetResil(rc)
-		s.kWeight = rc.Key(resil.KeyWeightApply)
 		rc.SetForecast(s.forecast)
 		if s.Config.Allocator != nil {
 			s.Config.Allocator.SetResil(rc)
@@ -494,25 +491,19 @@ func (s *Session) buckets(cursor int) []bucket {
 // suppresses writes to a wedged cgroup until its half-open probe lands,
 // and the control plane records the per-attempt timeline.
 func (s *Session) applyWeight(c *container.Container, now float64, w int) int {
-	if s.kWeight != nil {
-		res := s.kWeight.Weight(c.Cgroup(), w)
-		if !res.OK {
-			s.weightPending = true
-			return c.Cgroup().Weight()
-		}
-		s.weightPending = false
-		return w
-	}
-	if err := c.Cgroup().TrySetWeight(w); err != nil {
+	adHoc := s.Config.Resil == nil // the control plane traces its own writes
+	if !s.Config.Resil.Key(resil.KeyWeightApply).Weight(c.Cgroup(), w).OK {
 		s.weightPending = true
-		s.Config.Trace.Emit(now, s.Name, trace.KindRecover,
-			"weight write failed (w=%d): continuing at w=%d, will re-apply", w, c.Cgroup().Weight())
+		if adHoc {
+			s.Config.Trace.Emit(now, s.Name, trace.KindRecover,
+				"weight write failed (w=%d): continuing at w=%d, will re-apply", w, c.Cgroup().Weight())
+		}
 		return c.Cgroup().Weight()
 	}
-	if s.weightPending {
-		s.weightPending = false
+	if s.weightPending && adHoc {
 		s.Config.Trace.Emit(now, s.Name, trace.KindRecover, "weight write recovered: re-applied w=%d", w)
 	}
+	s.weightPending = false
 	return w
 }
 

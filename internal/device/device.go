@@ -385,8 +385,8 @@ func (d *Device) ReadErrorActive() bool { return d.readErr }
 // error if the device would exceed its capacity; staging planners use this
 // to decide tier placement.
 func (d *Device) Reserve(bytes float64) error {
-	if bytes < 0 {
-		return fmt.Errorf("device %q: negative reservation", d.p.Name)
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		return fmt.Errorf("device %q: invalid reservation of %v bytes", d.p.Name, bytes)
 	}
 	if d.p.Capacity > 0 && d.used+bytes > d.p.Capacity {
 		return fmt.Errorf("device %q: capacity exceeded (%.0f + %.0f > %.0f bytes)",

@@ -227,6 +227,31 @@ func TestCapacityReservation(t *testing.T) {
 	almost(t, d.Used(), 900, 0, "used bytes")
 }
 
+// TestReserveRejectsNonFinite: a NaN reservation used to pass both checks
+// (NaN < 0 and used+NaN > cap are false) and poison Used(), after which any
+// reservation fit and the first read panicked on a NaN transfer size.
+func TestReserveRejectsNonFinite(t *testing.T) {
+	for _, bytes := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		eng := sim.NewEngine()
+		p := flatParams(100)
+		p.Capacity = 1000
+		d := New(eng, p)
+		if err := d.Reserve(bytes); err == nil {
+			t.Errorf("Reserve(%v) accepted", bytes)
+		}
+		if d.Used() != 0 {
+			t.Errorf("Reserve(%v) left Used() = %v", bytes, d.Used())
+		}
+		if err := d.Reserve(1e30); err == nil {
+			t.Errorf("after Reserve(%v), an over-capacity reservation fits", bytes)
+		}
+	}
+	d := New(sim.NewEngine(), flatParams(100))
+	if err := d.Reserve(0); err != nil {
+		t.Errorf("Reserve(0): %v", err)
+	}
+}
+
 func TestBusyTimeAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, flatParams(100))

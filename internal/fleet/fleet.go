@@ -189,7 +189,6 @@ type node struct {
 	alloc *coordinator.Allocator // central mode (nil otherwise)
 	tok   *tokenctl.Controller   // tokens/hybrid mode (nil in central)
 	rc    *resil.Controller
-	kObj  *resil.Key
 
 	est       *dftestim.Estimator
 	demandSum float64 // observed L3 bytes/s, summed over epochs
@@ -292,7 +291,6 @@ func (c *Cluster) buildNode(i int, attach bool) *node {
 		nd.rem = c.store.Detach(i, nd.cn.Engine())
 	}
 	nd.rc = resil.New(nd.cn.Engine(), resil.Options{})
-	nd.kObj = nd.rc.Key(resil.KeyFleetReadObjstore)
 	if c.cfg.Control == tokenctl.ModeCentral {
 		nd.alloc = coordinator.New()
 		nd.alloc.SetResil(nd.rc)

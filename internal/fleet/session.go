@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"tango/internal/blkio"
+	"tango/internal/resil"
 	"tango/internal/sim"
 	"tango/internal/tokenctl"
 )
@@ -165,7 +166,7 @@ func (s *session) Run(p *sim.Proc) {
 // fetch reads bytes of the session's working set from the object store
 // (guarded by fleet.read.objstore) and admits what arrived to L2.
 func (nd *node) fetch(p *sim.Proc, s *session, bytes float64) {
-	res := nd.kObj.Read(p, nd.rem.Device(), s.cg, bytes)
+	res := nd.rc.Key(resil.KeyFleetReadObjstore).Read(p, nd.rem.Device(), s.cg, bytes)
 	nd.rem.AccountGet(res.Moved)
 	nd.demandBytes += res.Moved
 	if res.Moved > 0 {

@@ -25,8 +25,9 @@ func mallocs(f func()) int {
 // sessions, names, cgroups, procs, coordinator entries and events coming
 // from chunks, and a breaker made only on a failure, building a cluster
 // costs under one object per session on top of a per-node constant
-// (device, controllers, eleven resil keys: ~65), and building plus running
-// it — first-touch subscriptions, coroutines up to the steps in flight,
+// (device, controllers, the one-object resil controller: ~42), and
+// building plus running it — first-touch subscriptions, coroutines up to
+// the steps in flight,
 // device scratch — stays under eight. One object per session creeping back
 // (a closure per attach, a breaker per cgroup) trips the first; before the
 // chunks the two read 8.4 and 15.4 at this shape.
@@ -42,7 +43,7 @@ func TestSetupAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limit := 1*sessions + 80*nodes; build > limit {
+	if limit := 1*sessions + 57*nodes; build > limit {
 		t.Errorf("New allocated %d objects (%.2f per session), want <= %d", build, float64(build)/sessions, limit)
 	}
 	if limit := 8*sessions + 150*nodes; build+run > limit {

@@ -31,7 +31,7 @@ func weightReference(k *Key, cg *blkio.Cgroup, w int) WeightResult {
 	if k.pol.Classify(err) == ClassOK {
 		if br != nil && br.onSuccess() && c.rec != nil {
 			c.emit(trace.KindRecover, "weight write recovered key=%s target=%s: re-applied w=%d",
-				k.name, cg.Name(), w)
+				k.pol.Name, cg.Name(), w)
 		}
 		return WeightResult{OK: true}
 	}
@@ -39,10 +39,10 @@ func weightReference(k *Key, cg *blkio.Cgroup, w int) WeightResult {
 	if br != nil && br.onFailure(now) {
 		c.brOpens++
 		if c.rec != nil {
-			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.name, cg.Name(), br.fails, br.cooldown)
+			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.pol.Name, cg.Name(), br.fails, br.cooldown)
 		}
 	} else if c.rec != nil {
-		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.name, cg.Name(), w)
+		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.pol.Name, cg.Name(), w)
 	}
 	return WeightResult{}
 }
@@ -61,7 +61,7 @@ type weightOp struct {
 // weightKeys are the catalog's weight keys — one breaker-parameter class,
 // as the catalog promises per target class — plus a read key whose policy
 // has no breaker at all.
-var weightKeys = []string{KeyWeightApply, KeyCoordWeightApply, KeyPrefetchWeightFloor, KeyTokenWeightApply, KeyStagingReadBase}
+var weightKeys = []KeyID{KeyWeightApply, KeyCoordWeightApply, KeyPrefetchWeightFloor, KeyTokenWeightApply, KeyStagingReadBase}
 
 const weightScriptCgroups = 4
 
@@ -104,14 +104,14 @@ func playWeights(t *testing.T, ops []weightOp, write func(*Key, *blkio.Cgroup, i
 				cgs[op.flip].SetWeightFailing(!cgs[op.flip].WeightFailing())
 			}
 			res := write(c.Key(weightKeys[op.key]), cgs[op.cg], op.w)
-			fmt.Fprintf(&out, "%x %s %s %+v\n", math.Float64bits(eng.Now()), weightKeys[op.key], cgs[op.cg].Name(), res)
+			fmt.Fprintf(&out, "%x %s %s %+v\n", math.Float64bits(eng.Now()), catalog[weightKeys[op.key]].Name, cgs[op.cg].Name(), res)
 		}
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range c.Keys() {
-		fmt.Fprintf(&out, "%s %+v\n", name, c.Stats(name))
+	for i := range c.keys {
+		fmt.Fprintf(&out, "%s %+v\n", c.keys[i].pol.Name, c.keys[i].stats)
 	}
 	fmt.Fprintf(&out, "totals %+v\n", c.Totals())
 	for _, cg := range cgs {

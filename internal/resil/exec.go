@@ -122,7 +122,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 				// after at least one attempt are interesting enough to log.
 				return res
 			}
-			c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.name, dev.Name())
+			c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.pol.Name, dev.Name())
 			return res
 		}
 		res.Attempts++
@@ -133,7 +133,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		cls := k.pol.Classify(err)
 		if cls == ClassOK {
 			if br != nil && br.onSuccess() {
-				c.emit(trace.KindBreaker, "close key=%s target=%s", k.name, dev.Name())
+				c.emit(trace.KindBreaker, "close key=%s target=%s", k.pol.Name, dev.Name())
 			}
 			res.OK = true
 			res.Err = nil
@@ -150,19 +150,19 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		if br != nil && br.onFailure(now) {
 			c.brOpens++
 			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs",
-				k.name, dev.Name(), br.fails, br.cooldown)
+				k.pol.Name, dev.Name(), br.fails, br.cooldown)
 		}
 		if cls == ClassTerminal {
 			k.stats.Failures++
 			if c.rec != nil { // guard: fmt.Sprint formats the error, work an untraced run skips
-				c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %s", k.name, dev.Name(), res.Attempts, fmt.Sprint(err))
+				c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %s", k.pol.Name, dev.Name(), res.Attempts, fmt.Sprint(err))
 			}
 			return res
 		}
 		if k.pol.MaxAttempts > 0 && res.Attempts >= k.pol.MaxAttempts {
 			k.stats.Degraded++
 			res.Degraded = true
-			c.emit(trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", k.name, dev.Name(), res.Attempts)
+			c.emit(trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", k.pol.Name, dev.Name(), res.Attempts)
 			return res
 		}
 		paced := false
@@ -171,7 +171,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 				k.stats.BudgetDenied++
 				k.stats.Degraded++
 				res.Degraded = true
-				c.emit(trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading", k.name, dev.Name())
+				c.emit(trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading", k.pol.Name, dev.Name())
 				return res
 			}
 			// Mandatory work: degrade to a trickle paced at the refill
@@ -182,12 +182,12 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 			if wait > delay {
 				delay = wait
 			}
-			c.emit(trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry", k.name, dev.Name(), delay)
+			c.emit(trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry", k.pol.Name, dev.Name(), delay)
 		}
 		k.stats.Retries++
 		res.Retries++
 		c.emit(trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t",
-			k.name, dev.Name(), res.Attempts+1, delay, timedOut)
+			k.pol.Name, dev.Name(), res.Attempts+1, delay, timedOut)
 		p.Sleep(delay)
 		if paced {
 			k.takeToken(c.eng.Now()) // best-effort: the pacing sleep covered the refill
@@ -210,8 +210,13 @@ type WeightResult struct {
 // attempt, breaker-gated per cgroup target. The caller's own control
 // tick is the retry loop — the breaker's job is to stop a wedged cgroup
 // file from being hammered every tick, and its half-open probe is the
-// recovery detector. Safe to call from any sim context (no sleeping).
+// recovery detector. A nil key makes the one direct write, never
+// skipped and never traced. Safe to call from any sim context (no
+// sleeping).
 func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
+	if k == nil {
+		return WeightResult{OK: cg.TrySetWeight(w) == nil}
+	}
 	k.stats.Ops++
 	c := k.c
 	br := k.breaker(cg.Name(), false) // nil until the cgroup's first failed write
@@ -225,7 +230,7 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	if k.pol.Classify(err) == ClassOK {
 		if br != nil && br.onSuccess() {
 			c.emit(trace.KindRecover, "weight write recovered key=%s target=%s: re-applied w=%d",
-				k.name, cg.Name(), w)
+				k.pol.Name, cg.Name(), w)
 		}
 		return WeightResult{OK: true}
 	}
@@ -235,9 +240,9 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	}
 	if br != nil && br.onFailure(now) {
 		c.brOpens++
-		c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.name, cg.Name(), br.fails, br.cooldown)
+		c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.pol.Name, cg.Name(), br.fails, br.cooldown)
 	} else {
-		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.name, cg.Name(), w)
+		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.pol.Name, cg.Name(), w)
 	}
 	return WeightResult{}
 }
@@ -292,7 +297,7 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	now := c.eng.Now()
 	if !k.takeToken(now) {
 		k.stats.BudgetDenied++
-		c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.name)
+		c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.pol.Name)
 		return res
 	}
 	k.stats.Ops++
@@ -300,7 +305,7 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	k.stats.Attempts += 2
 	res.Hedged = true
 	c.emit(trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
-		k.name, fast.Name(), slow.Name(), bytes)
+		k.pol.Name, fast.Name(), slow.Name(), bytes)
 
 	// The legs are transfers, not processes: each device tells r.
 	r := c.getRace()
@@ -318,7 +323,7 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	if !res.OK {
 		k.stats.Degraded++
 		k.stats.WastedBytes += res.FastMoved + res.SlowMoved
-		c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.name)
+		c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.pol.Name)
 		return res
 	}
 	winDev, wasted := slow, res.FastMoved
@@ -330,6 +335,6 @@ func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgrou
 	}
 	k.stats.WastedBytes += wasted
 	c.emit(trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
-		k.name, winDev.Name(), wasted, res.Elapsed)
+		k.pol.Name, winDev.Name(), wasted, res.Elapsed)
 	return res
 }

@@ -27,7 +27,7 @@ func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blk
 	now := c.eng.Now()
 	if !k.takeToken(now) {
 		k.stats.BudgetDenied++
-		c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.name)
+		c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.pol.Name)
 		return res
 	}
 	k.stats.Ops++
@@ -36,7 +36,7 @@ func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blk
 	res.Hedged = true
 	if c.rec != nil {
 		c.emit(trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
-			k.name, fast.Name(), slow.Name(), bytes)
+			k.pol.Name, fast.Name(), slow.Name(), bytes)
 	}
 
 	deadline := k.pol.TimeoutFloor + bytes/k.pol.TimeoutMinBW
@@ -69,7 +69,7 @@ func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blk
 	if winner < 0 {
 		k.stats.Degraded++
 		k.stats.WastedBytes += res.FastMoved + res.SlowMoved
-		c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.name)
+		c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.pol.Name)
 		return res
 	}
 	res.OK = true
@@ -84,7 +84,7 @@ func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blk
 	k.stats.WastedBytes += wasted
 	if c.rec != nil {
 		c.emit(trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
-			k.name, winDev.Name(), wasted, res.Elapsed)
+			k.pol.Name, winDev.Name(), wasted, res.Elapsed)
 	}
 	return res
 }
@@ -268,14 +268,14 @@ func TestHedgedReadMatchesReference(t *testing.T) {
 // healthy, a budget that never runs dry.
 func hedgeBench(tb testing.TB, body func(read func())) {
 	eng := sim.NewEngine()
-	pol := Policy{Key: KeyStagingReadHedge, MaxAttempts: 1, TimeoutFloor: 5, TimeoutMinBW: 2 * mib,
-		Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 1e9}
-	c := New(eng, Options{Hedge: HedgeConfig{Enabled: true}, Policies: []Policy{pol}})
+	c := New(eng, Options{Hedge: HedgeConfig{Enabled: true}})
 	c.node.refill = 1e9
 	c.SetForecast(func() (next, peak float64, ok bool) { return 10, 100, true })
 	fast, slow := device.New(eng, device.SSD("ssd")), device.New(eng, device.HDD("hdd"))
 	cg := blkio.NewCgroup("a")
 	k := c.Key(KeyStagingReadHedge)
+	k.setPolicy(Policy{Name: "staging.read.hedge", MaxAttempts: 1, Factor: 2, TimeoutFloor: 5, TimeoutMinBW: 2 * mib,
+		Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 1e9})
 	eng.Spawn("reader", func(p *sim.Proc) {
 		body(func() {
 			if res := k.HedgedRead(p, fast, slow, cg, 64*mib); !res.OK || !res.FastWon || res.SlowMoved <= 0 {
@@ -321,13 +321,13 @@ func BenchmarkHedgedRead(b *testing.B) {
 // closure, no per-attempt event beyond the device's.
 func TestDeadlinedAttemptZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	pol := Policy{Key: "stuck", MaxAttempts: 3, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
-		TimeoutFloor: 0.5, TimeoutMinBW: 4 * mib, Classify: ClassifyRead, BudgetRefill: 1e9}
-	c := New(eng, Options{Policies: []Policy{pol}})
+	c := New(eng, Options{})
 	c.node.refill = 1e9
 	d := device.New(eng, device.HDD("hdd"))
 	cg := blkio.NewCgroup("a")
-	k := c.Key("stuck")
+	k := c.Key(KeyStagingReadOptional)
+	k.setPolicy(Policy{Name: "stuck", MaxAttempts: 3, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		TimeoutFloor: 0.5, TimeoutMinBW: 4 * mib, Classify: ClassifyRead, BudgetRefill: 1e9})
 	stick := func() { d.SetFault(0, 0) }
 	read := func(p *sim.Proc) {
 		d.ClearFault()

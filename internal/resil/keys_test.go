@@ -7,7 +7,7 @@ import (
 	"tango/internal/sim"
 )
 
-// TestRegisteredKeysAreStable pins the registered policy-key set and its
+// TestRegisteredKeysAreStable pins the catalog's key names and their
 // order. Keys are part of the operator contract — runbooks and trace
 // filters select on them — so renaming or reordering one is a breaking
 // change that must be made deliberately, updating this golden list and
@@ -27,59 +27,78 @@ func TestRegisteredKeysAreStable(t *testing.T) {
 		"tokens.weight.apply",
 	}
 	c := New(sim.NewEngine(), Options{})
-	if got := c.Keys(); !reflect.DeepEqual(got, golden) {
-		t.Fatalf("registered key set drifted:\n got  %q\n want %q", got, golden)
+	var got []string
+	for id := KeyID(0); id < numKeys; id++ {
+		got = append(got, c.Key(id).Policy().Name)
 	}
-	// The exported constants must spell the same strings the catalog
-	// registers (call sites resolve handles by constant).
-	consts := []string{
+	if !reflect.DeepEqual(got, golden) {
+		t.Fatalf("catalog key set drifted:\n got  %q\n want %q", got, golden)
+	}
+	// The exported constants index the rows of the same names (call
+	// sites ask for their key by constant).
+	consts := []KeyID{
 		KeyStagingReadBase, KeyStagingReadCapacity, KeyStagingReadOptional,
 		KeyStagingReadHedge, KeyStagingProbe, KeyWeightApply,
 		KeyCoordWeightApply, KeyPrefetchWeightFloor, KeyPrefetchStage,
 		KeyFleetReadObjstore, KeyTokenWeightApply,
 	}
-	if !reflect.DeepEqual(consts, golden) {
-		t.Fatalf("key constants drifted from the golden list:\n got  %q\n want %q", consts, golden)
+	for i, id := range consts {
+		if name := c.Key(id).Policy().Name; name != golden[i] {
+			t.Errorf("key constant %d names %q, want %q", i, name, golden[i])
+		}
 	}
 }
 
 // TestCatalogPolicyShape pins the structural invariants the call sites
 // rely on, without golden-testing every number.
 func TestCatalogPolicyShape(t *testing.T) {
-	c := New(sim.NewEngine(), Options{})
-	for _, name := range c.Keys() {
-		pol := c.Key(name).Policy()
+	for id, pol := range catalog {
 		if pol.Classify == nil {
-			t.Errorf("%s: nil classifier", name)
+			t.Errorf("%s: nil classifier", pol.Name)
 		}
 		if pol.Factor < 1 {
-			t.Errorf("%s: backoff factor %v < 1", name, pol.Factor)
+			t.Errorf("%s: backoff factor %v < 1", pol.Name, pol.Factor)
+		}
+		if pol.Name == "" {
+			t.Errorf("key %d has no name", id)
 		}
 	}
 	// Mandatory read keys: unbounded, no per-attempt timeout (cancelling
 	// a stalled-but-progressing flow would discard its progress).
-	for _, name := range []string{KeyStagingReadBase, KeyStagingReadCapacity, KeyFleetReadObjstore} {
-		pol := c.Key(name).Policy()
+	for _, id := range []KeyID{KeyStagingReadBase, KeyStagingReadCapacity, KeyFleetReadObjstore} {
+		pol := catalog[id]
 		if pol.MaxAttempts != 0 || pol.TimeoutMinBW != 0 {
-			t.Errorf("%s: mandatory key must be unbounded with no timeout: %+v", name, pol)
+			t.Errorf("%s: mandatory key must be unbounded with no timeout: %+v", pol.Name, pol)
 		}
 		if pol.BreakerThreshold != 0 {
-			t.Errorf("%s: mandatory key must not be breaker-denied", name)
+			t.Errorf("%s: mandatory key must not be breaker-denied", pol.Name)
 		}
 	}
 	// Optional/background read keys: bounded and deadlined.
-	for _, name := range []string{KeyStagingReadOptional, KeyStagingProbe, KeyPrefetchStage} {
-		pol := c.Key(name).Policy()
+	for _, id := range []KeyID{KeyStagingReadOptional, KeyStagingProbe, KeyPrefetchStage} {
+		pol := catalog[id]
 		if pol.MaxAttempts == 0 || pol.TimeoutMinBW == 0 {
-			t.Errorf("%s: optional key must bound attempts and deadline them: %+v", name, pol)
+			t.Errorf("%s: optional key must bound attempts and deadline them: %+v", pol.Name, pol)
 		}
 	}
 	// Weight keys: single attempt (the control tick is the retry loop),
 	// breaker-gated, weight classifier.
-	for _, name := range []string{KeyWeightApply, KeyCoordWeightApply, KeyPrefetchWeightFloor, KeyTokenWeightApply} {
-		pol := c.Key(name).Policy()
+	for _, id := range []KeyID{KeyWeightApply, KeyCoordWeightApply, KeyPrefetchWeightFloor, KeyTokenWeightApply} {
+		pol := catalog[id]
 		if pol.MaxAttempts != 1 || pol.BreakerThreshold == 0 {
-			t.Errorf("%s: weight key must be single-attempt and breaker-gated: %+v", name, pol)
+			t.Errorf("%s: weight key must be single-attempt and breaker-gated: %+v", pol.Name, pol)
 		}
+	}
+}
+
+// TestNewControllerAllocs: a controller is one object — the keys live in
+// it and the breaker map is made with the first breaker.
+func TestNewControllerAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	if n := testing.AllocsPerRun(100, func() { New(eng, Options{}) }); n > 1 {
+		t.Fatalf("New allocates %.0f objects, want 1", n)
+	}
+	if (*Controller)(nil).Key(KeyWeightApply) != nil {
+		t.Fatal("a nil controller's key must be nil")
 	}
 }

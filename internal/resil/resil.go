@@ -12,7 +12,7 @@
 //     policies: max attempts, backoff curve, per-attempt timeout in
 //     virtual time, and an outcome classifier. Keys are part of the
 //     operator contract (runbooks filter traces by key), so the
-//     registered set is golden-tested.
+//     catalog's names are golden-tested.
 //   - Protocol-aware classifiers distinguish retryable faults (a stuck
 //     or bandwidth-collapsed device surfaces as a cancelled-by-timeout
 //     read, a media error as device.ErrRead, a throttle/weight fault as
@@ -37,7 +37,6 @@ package resil
 
 import (
 	"errors"
-	"fmt"
 
 	"tango/internal/blkio"
 	"tango/internal/device"
@@ -105,25 +104,30 @@ func ClassifyWeight(err error) Class {
 	}
 }
 
-// Stable policy keys, one per call site. Renaming one breaks operator
-// runbooks and trace filters; keys_test.go pins the registered set.
+// KeyID names one call site's policy: an index into the catalog.
+type KeyID int
+
+// Stable policy keys, one per call site, in catalog order. Their names
+// are part of the operator contract (runbooks and trace filters select on
+// them); keys_test.go pins the names and the order.
 const (
-	KeyStagingReadBase     = "staging.read.base"      // whole-range base read (mandatory, unbounded)
-	KeyStagingReadCapacity = "staging.read.capacity"  // mandatory capacity-tier range read (unbounded)
-	KeyStagingReadOptional = "staging.read.optional"  // above-bound augmentation read (bounded, degradable)
-	KeyStagingReadHedge    = "staging.read.hedge"     // cache-resident prefix: fast-vs-capacity hedge race
-	KeyStagingProbe        = "staging.probe.capacity" // background bandwidth probe on the slow tier
-	KeyWeightApply         = "blkio.weight.apply"     // session weight writes to the analytics cgroup
-	KeyCoordWeightApply    = "coord.weight.apply"     // coordinator grant/revert weight writes
-	KeyPrefetchWeightFloor = "prefetch.weight.floor"  // prefetcher re-asserting its low-priority floor
-	KeyPrefetchStage       = "prefetch.stage"         // background staging read into the fast tier
-	KeyFleetReadObjstore   = "fleet.read.objstore"    // mandatory L3 object-store miss read (unbounded)
-	KeyTokenWeightApply    = "tokens.weight.apply"    // token-controller grant/revert/recall weight writes
+	KeyStagingReadBase     KeyID = iota // staging.read.base: whole-range base read (mandatory, unbounded)
+	KeyStagingReadCapacity              // staging.read.capacity: mandatory capacity-tier range read (unbounded)
+	KeyStagingReadOptional              // staging.read.optional: above-bound augmentation read (bounded, degradable)
+	KeyStagingReadHedge                 // staging.read.hedge: cache-resident prefix, fast-vs-capacity hedge race
+	KeyStagingProbe                     // staging.probe.capacity: background bandwidth probe on the slow tier
+	KeyWeightApply                      // blkio.weight.apply: session weight writes to the analytics cgroup
+	KeyCoordWeightApply                 // coord.weight.apply: coordinator grant/revert weight writes
+	KeyPrefetchWeightFloor              // prefetch.weight.floor: prefetcher re-asserting its low-priority floor
+	KeyPrefetchStage                    // prefetch.stage: background staging read into the fast tier
+	KeyFleetReadObjstore                // fleet.read.objstore: mandatory L3 object-store miss read (unbounded)
+	KeyTokenWeightApply                 // tokens.weight.apply: token-controller grant/revert/recall weight writes
+	numKeys
 )
 
 // Policy is the declarative resilience contract for one key.
 type Policy struct {
-	Key         string
+	Name        string  // the key's stable name, as traces print it
 	MaxAttempts int     // per operation; 0 = unbounded (mandatory work never gives up)
 	Backoff     float64 // seconds before the first retry
 	Factor      float64 // backoff multiplier per retry (>= 1)
@@ -154,45 +158,42 @@ type Policy struct {
 	BreakerCooldown  float64 // seconds open before a half-open probe
 }
 
-// Catalog returns the default policy catalog: one policy per registered
-// key. Mandatory read keys are unbounded with no timeout (blocking on a
-// stalled-but-progressing flow preserves its progress; cancelling would
-// discard it), optional/augmentation keys time out at a minimum-useful
-// bandwidth and degrade, and weight keys are single-attempt with a
-// short-cooldown breaker (the next control tick is the retry).
-func Catalog() []Policy {
-	const mb = 1024 * 1024
-	return []Policy{
-		{Key: KeyStagingReadBase, MaxAttempts: 0, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
-			Classify: ClassifyRead, BudgetCap: 32, BudgetRefill: 0.5},
-		{Key: KeyStagingReadCapacity, MaxAttempts: 0, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
-			Classify: ClassifyRead, BudgetCap: 32, BudgetRefill: 0.5},
-		{Key: KeyStagingReadOptional, MaxAttempts: 3, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
-			TimeoutFloor: 10, TimeoutMinBW: 4 * mb,
-			Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 0.25,
-			BreakerThreshold: 4, BreakerCooldown: 20},
-		{Key: KeyStagingReadHedge, MaxAttempts: 1, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
-			TimeoutFloor: 5, TimeoutMinBW: 2 * mb,
-			Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 0.25},
-		{Key: KeyStagingProbe, MaxAttempts: 1, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
-			TimeoutFloor: 5, TimeoutMinBW: 1 * mb,
-			Classify: ClassifyRead, BudgetCap: 8, BudgetRefill: 0.1,
-			BreakerThreshold: 4, BreakerCooldown: 20},
-		{Key: KeyWeightApply, MaxAttempts: 1,
-			Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
-		{Key: KeyCoordWeightApply, MaxAttempts: 1,
-			Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
-		{Key: KeyPrefetchWeightFloor, MaxAttempts: 1,
-			Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
-		{Key: KeyPrefetchStage, MaxAttempts: 2, Backoff: 0.1, Factor: 2, MaxBackoff: 5,
-			TimeoutFloor: 5, TimeoutMinBW: 2 * mb,
-			Classify: ClassifyRead, BudgetCap: 8, BudgetRefill: 0.1,
-			BreakerThreshold: 4, BreakerCooldown: 20},
-		{Key: KeyFleetReadObjstore, MaxAttempts: 0, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
-			Classify: ClassifyRead, BudgetCap: 32, BudgetRefill: 0.5},
-		{Key: KeyTokenWeightApply, MaxAttempts: 1,
-			Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
-	}
+// catalog is the policy table, one row per KeyID. Mandatory read keys are
+// unbounded with no timeout (blocking on a stalled-but-progressing flow
+// preserves its progress; cancelling would discard it), optional and
+// augmentation keys time out at a minimum-useful bandwidth and degrade,
+// and weight keys are single-attempt with a short-cooldown breaker (the
+// next control tick is the retry).
+var catalog = [numKeys]Policy{
+	KeyStagingReadBase: {Name: "staging.read.base", MaxAttempts: 0, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		Classify: ClassifyRead, BudgetCap: 32, BudgetRefill: 0.5},
+	KeyStagingReadCapacity: {Name: "staging.read.capacity", MaxAttempts: 0, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		Classify: ClassifyRead, BudgetCap: 32, BudgetRefill: 0.5},
+	KeyStagingReadOptional: {Name: "staging.read.optional", MaxAttempts: 3, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		TimeoutFloor: 10, TimeoutMinBW: 4 * device.MB,
+		Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 0.25,
+		BreakerThreshold: 4, BreakerCooldown: 20},
+	KeyStagingReadHedge: {Name: "staging.read.hedge", MaxAttempts: 1, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		TimeoutFloor: 5, TimeoutMinBW: 2 * device.MB,
+		Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 0.25},
+	KeyStagingProbe: {Name: "staging.probe.capacity", MaxAttempts: 1, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		TimeoutFloor: 5, TimeoutMinBW: 1 * device.MB,
+		Classify: ClassifyRead, BudgetCap: 8, BudgetRefill: 0.1,
+		BreakerThreshold: 4, BreakerCooldown: 20},
+	KeyWeightApply: {Name: "blkio.weight.apply", MaxAttempts: 1, Factor: 2,
+		Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
+	KeyCoordWeightApply: {Name: "coord.weight.apply", MaxAttempts: 1, Factor: 2,
+		Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
+	KeyPrefetchWeightFloor: {Name: "prefetch.weight.floor", MaxAttempts: 1, Factor: 2,
+		Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
+	KeyPrefetchStage: {Name: "prefetch.stage", MaxAttempts: 2, Backoff: 0.1, Factor: 2, MaxBackoff: 5,
+		TimeoutFloor: 5, TimeoutMinBW: 2 * device.MB,
+		Classify: ClassifyRead, BudgetCap: 8, BudgetRefill: 0.1,
+		BreakerThreshold: 4, BreakerCooldown: 20},
+	KeyFleetReadObjstore: {Name: "fleet.read.objstore", MaxAttempts: 0, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		Classify: ClassifyRead, BudgetCap: 32, BudgetRefill: 0.5},
+	KeyTokenWeightApply: {Name: "tokens.weight.apply", MaxAttempts: 1, Factor: 2,
+		Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
 }
 
 // HedgeConfig controls forecast-driven hedged reads.
@@ -230,7 +231,7 @@ type KeyStats struct {
 	WastedBytes   float64 // bytes moved by cancelled attempts and hedge losers
 }
 
-// Totals aggregates stats across every registered key.
+// Totals aggregates stats across every key.
 type Totals struct {
 	Ops, Attempts, Retries, Timeouts, Degraded int
 	BudgetDenied, BreakerDenied, BreakerOpens  int
@@ -247,13 +248,12 @@ func (t Totals) Amplification() float64 {
 	return float64(t.Attempts) / float64(t.Ops)
 }
 
-// Key is the per-call-site handle for one registered policy: call sites
-// resolve theirs once (at SetResil time) and execute operations through
-// it, so the per-operation path is a direct method call with no map
-// lookups or allocation.
+// Key is one policy's state in its controller: the policy, its retry
+// budget and its counters. Call sites ask for it by KeyID where they read
+// or write (Controller.Key, an array index). A nil *Key — the key of a nil
+// controller — is the direct path: its Weight is one plain write.
 type Key struct {
 	c      *Controller
-	name   string
 	pol    Policy
 	bucket bucket
 	stats  KeyStats
@@ -268,32 +268,32 @@ func (k *Key) Stats() KeyStats { return k.stats }
 // Policy returns the key's policy.
 func (k *Key) Policy() Policy { return k.pol }
 
-// Options configures a Controller.
-type Options struct {
-	Trace  *trace.Recorder // per-attempt timeline sink (nil = silent)
-	Source string          // trace source label; default "resil"
-
-	Hedge HedgeConfig
-
-	// Policies overrides the default Catalog() (tests, ablations). Nil
-	// registers the catalog.
-	Policies []Policy
+// setPolicy puts pol on k with a full retry budget.
+func (k *Key) setPolicy(pol Policy) {
+	k.pol = pol
+	k.bucket = bucket{cap: pol.BudgetCap, refill: pol.BudgetRefill, tokens: pol.BudgetCap}
 }
 
-// Controller owns the policy registry, budgets, breakers, and hedging
-// state for one node. Like the rest of the stack it is engine-serialized:
-// one controller per sim engine, no locking.
+// Options configures a Controller.
+type Options struct {
+	Trace *trace.Recorder // per-attempt timeline sink (nil = silent)
+	Hedge HedgeConfig
+}
+
+// source labels the controller's trace events.
+const source = "resil"
+
+// Controller owns the policy table, budgets, breakers, and hedging state
+// for one node. Like the rest of the stack it is engine-serialized: one
+// controller per sim engine, no locking.
 type Controller struct {
 	eng *sim.Engine
 	rec *trace.Recorder
-	src string
 
-	keys   []*Key // registration order (golden-tested)
-	byName map[string]*Key
+	keys [numKeys]Key // indexed by KeyID
+	node bucket       // node-wide retry budget
 
-	node bucket // node-wide retry budget
-
-	breakers map[string]*Breaker // by target (device or cgroup name)
+	breakers map[string]*Breaker // by target (device or cgroup name); made with the first breaker
 	brOpens  int
 
 	hedge    HedgeConfig
@@ -302,86 +302,35 @@ type Controller struct {
 	raceFree []*race
 }
 
-// New creates a controller bound to an engine and registers the policy
-// catalog. It panics on duplicate keys (construction is programmer-
-// controlled).
+// New creates a controller bound to an engine, with every key of the
+// catalog. It is one allocation: the keys live in the controller.
 func New(eng *sim.Engine, opts Options) *Controller {
 	c := &Controller{
-		eng:      eng,
-		rec:      opts.Trace,
-		src:      opts.Source,
-		breakers: make(map[string]*Breaker),
-		hedge:    opts.Hedge,
-		byName:   make(map[string]*Key),
+		eng:   eng,
+		rec:   opts.Trace,
+		hedge: opts.Hedge,
+		node:  bucket{cap: nodeBudget, refill: nodeRefill, tokens: nodeBudget},
 	}
-	if c.src == "" {
-		c.src = "resil"
-	}
-	c.node = bucket{cap: nodeBudget, refill: nodeRefill, tokens: nodeBudget}
-	pols := opts.Policies
-	if pols == nil {
-		pols = Catalog()
-	}
-	for _, pol := range pols {
-		c.register(pol)
+	for id := range c.keys {
+		c.keys[id].c = c
+		c.keys[id].setPolicy(catalog[id])
 	}
 	return c
 }
 
-func (c *Controller) register(pol Policy) {
-	if pol.Key == "" {
-		panic("resil: policy with empty key")
+// Key returns the controller's key id, or nil on a nil controller.
+func (c *Controller) Key(id KeyID) *Key {
+	if c == nil {
+		return nil
 	}
-	if _, dup := c.byName[pol.Key]; dup {
-		panic(fmt.Sprintf("resil: duplicate policy key %q", pol.Key))
-	}
-	if pol.Factor < 1 {
-		pol.Factor = 2
-	}
-	if pol.Classify == nil {
-		pol.Classify = ClassifyRead
-	}
-	k := &Key{
-		c:    c,
-		name: pol.Key,
-		pol:  pol,
-		bucket: bucket{
-			cap: pol.BudgetCap, refill: pol.BudgetRefill, tokens: pol.BudgetCap,
-		},
-	}
-	c.keys = append(c.keys, k)
-	c.byName[pol.Key] = k
+	return &c.keys[id]
 }
-
-// Key returns the handle for a registered policy key; call sites resolve
-// their handle once (SetResil time) so the per-operation path is a plain
-// method call. It panics on an unknown key — a misspelled key is a
-// programming error, not a runtime condition.
-func (c *Controller) Key(name string) *Key {
-	k, ok := c.byName[name]
-	if !ok {
-		panic(fmt.Sprintf("resil: unknown policy key %q", name))
-	}
-	return k
-}
-
-// Keys returns the registered policy keys in registration order.
-func (c *Controller) Keys() []string {
-	out := make([]string, len(c.keys))
-	for i, k := range c.keys {
-		out[i] = k.name
-	}
-	return out
-}
-
-// Stats returns the named key's counters.
-func (c *Controller) Stats(name string) KeyStats { return c.Key(name).stats }
 
 // Totals aggregates counters across all keys.
 func (c *Controller) Totals() Totals {
 	var t Totals
-	for _, k := range c.keys {
-		s := k.stats
+	for i := range c.keys {
+		s := c.keys[i].stats
 		t.Ops += s.Ops
 		t.Attempts += s.Attempts
 		t.Retries += s.Retries
@@ -427,6 +376,9 @@ func (k *Key) breaker(target string, create bool) *Breaker {
 			if !create {
 				return nil
 			}
+			if k.c.breakers == nil {
+				k.c.breakers = make(map[string]*Breaker)
+			}
 			b = &Breaker{target: target, threshold: k.pol.BreakerThreshold, cooldown: k.pol.BreakerCooldown}
 			k.c.breakers[target] = b
 		}
@@ -437,5 +389,5 @@ func (k *Key) breaker(target string, create bool) *Breaker {
 
 // emit records one decision.
 func (c *Controller) emit(kind, format string, args ...any) {
-	c.rec.Emit(c.eng.Now(), c.src, kind, format, args...)
+	c.rec.Emit(c.eng.Now(), source, kind, format, args...)
 }

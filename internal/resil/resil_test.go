@@ -126,15 +126,15 @@ func TestDeadlineCancelsStuckDevice(t *testing.T) {
 
 func TestTerminalErrorFailsImmediately(t *testing.T) {
 	eng := sim.NewEngine()
-	pols := []Policy{{Key: "t", MaxAttempts: 5, Backoff: 0.1,
-		Classify: func(error) Class { return ClassTerminal }}}
-	c := New(eng, Options{Policies: pols})
+	k := New(eng, Options{}).Key(KeyStagingReadOptional)
+	k.setPolicy(Policy{Name: "t", MaxAttempts: 5, Backoff: 0.1, Factor: 2,
+		Classify: func(error) Class { return ClassTerminal }})
 	d := device.New(eng, flatParams("hdd", 100))
 	d.SetReadError(true)
 	cg := blkio.NewCgroup("a")
 	var res ReadResult
 	eng.Spawn("reader", func(p *sim.Proc) {
-		res = c.Key("t").Read(p, d, cg, 1000)
+		res = k.Read(p, d, cg, 1000)
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -142,20 +142,19 @@ func TestTerminalErrorFailsImmediately(t *testing.T) {
 	if res.OK || res.Attempts != 1 || res.Retries != 0 {
 		t.Fatalf("terminal outcome must not retry: %+v", res)
 	}
-	if c.Key("t").Stats().Failures != 1 {
-		t.Fatalf("failure not counted: %+v", c.Key("t").Stats())
+	if k.Stats().Failures != 1 {
+		t.Fatalf("failure not counted: %+v", k.Stats())
 	}
 }
 
 func TestBudgetPacesMandatoryRetries(t *testing.T) {
 	eng := sim.NewEngine()
-	pols := []Policy{{Key: "m", MaxAttempts: 0, Backoff: 0.01, Factor: 1,
-		Classify: ClassifyRead, BudgetCap: 2, BudgetRefill: 0.5}}
-	c := New(eng, Options{Policies: pols})
+	k := New(eng, Options{}).Key(KeyStagingReadCapacity)
+	k.setPolicy(Policy{Name: "m", MaxAttempts: 0, Backoff: 0.01, Factor: 1,
+		Classify: ClassifyRead, BudgetCap: 2, BudgetRefill: 0.5})
 	d := device.New(eng, flatParams("hdd", 100))
 	d.SetReadError(true)
 	cg := blkio.NewCgroup("a")
-	k := c.Key("m")
 	var res ReadResult
 	eng.Spawn("reader", func(p *sim.Proc) {
 		res = k.Read(p, d, cg, 100)
@@ -183,13 +182,12 @@ func TestBudgetPacesMandatoryRetries(t *testing.T) {
 
 func TestBudgetDeniesBoundedRetries(t *testing.T) {
 	eng := sim.NewEngine()
-	pols := []Policy{{Key: "b", MaxAttempts: 10, Backoff: 0.01, Factor: 1,
-		Classify: ClassifyRead, BudgetCap: 2, BudgetRefill: 0.001}}
-	c := New(eng, Options{Policies: pols})
+	k := New(eng, Options{}).Key(KeyStagingReadOptional)
+	k.setPolicy(Policy{Name: "b", MaxAttempts: 10, Backoff: 0.01, Factor: 1,
+		Classify: ClassifyRead, BudgetCap: 2, BudgetRefill: 0.001})
 	d := device.New(eng, flatParams("hdd", 100))
 	d.SetReadError(true)
 	cg := blkio.NewCgroup("a")
-	k := c.Key("b")
 	var res ReadResult
 	eng.Spawn("reader", func(p *sim.Proc) {
 		res = k.Read(p, d, cg, 100)
@@ -449,23 +447,24 @@ func TestAmplification(t *testing.T) {
 	}
 }
 
-func TestDuplicateKeyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate key")
+// TestNilKeyWeightIsDirectWrite: the key of a nil controller is the
+// direct path — one TrySetWeight, its outcome as OK, never Skipped — on a
+// healthy and on a weight-faulted cgroup alike.
+func TestNilKeyWeightIsDirectWrite(t *testing.T) {
+	var k *Key = (*Controller)(nil).Key(KeyWeightApply)
+	for _, failing := range []bool{false, true} {
+		got, want := blkio.NewCgroup("a"), blkio.NewCgroup("b")
+		got.SetWeightFailing(failing)
+		want.SetWeightFailing(failing)
+		for w := 700; w < 705; w++ { // past any breaker threshold: there is no breaker
+			res := k.Weight(got, w)
+			err := want.TrySetWeight(w)
+			if res.OK != (err == nil) || res.Skipped || got.Weight() != want.Weight() {
+				t.Fatalf("failing=%t: nil key gave %+v, weight %d; direct write gave err %v, weight %d",
+					failing, res, got.Weight(), err, want.Weight())
+			}
 		}
-	}()
-	New(sim.NewEngine(), Options{Policies: []Policy{{Key: "x"}, {Key: "x"}}})
-}
-
-func TestUnknownKeyPanics(t *testing.T) {
-	c := New(sim.NewEngine(), Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on unknown key")
-		}
-	}()
-	c.Key("no.such.key")
+	}
 }
 
 // TestBreakerCacheFollowsTarget: a key remembers the breaker of the last

@@ -15,6 +15,7 @@ package staging
 
 import (
 	"fmt"
+	"math"
 
 	"tango/internal/blkio"
 	"tango/internal/device"
@@ -47,15 +48,7 @@ type Store struct {
 	released bool
 	cache    CacheView
 
-	// Resilience control plane (nil = ad-hoc retry loops). Key
-	// handles are resolved once at SetResil time so the read paths pay
-	// no lookups.
-	rc     *resil.Controller
-	kBase  *resil.Key // staging.read.base
-	kMand  *resil.Key // staging.read.capacity
-	kOpt   *resil.Key // staging.read.optional
-	kHedge *resil.Key // staging.read.hedge
-	kProbe *resil.Key // staging.probe.capacity
+	rc *resil.Controller // resilience control plane (nil = ad-hoc retry loops)
 
 	rec *trace.Recorder // the ad-hoc paths' retries and degrades (nil: untraced)
 	src string          // their event source
@@ -75,14 +68,7 @@ func (s *Store) SetTrace(rec *trace.Recorder, source string) { s.rec, s.src = re
 // budgets, breakers, and — when the controller enables it — hedged reads
 // racing a cache-resident prefix against its capacity-tier home copy.
 // A store SetResil was never called on keeps its ad-hoc retry loop.
-func (s *Store) SetResil(rc *resil.Controller) {
-	s.rc = rc
-	s.kBase = rc.Key(resil.KeyStagingReadBase)
-	s.kMand = rc.Key(resil.KeyStagingReadCapacity)
-	s.kOpt = rc.Key(resil.KeyStagingReadOptional)
-	s.kHedge = rc.Key(resil.KeyStagingReadHedge)
-	s.kProbe = rc.Key(resil.KeyStagingProbe)
-}
+func (s *Store) SetResil(rc *resil.Controller) { s.rc = rc }
 
 // Stage places h across the given tiers (fastest first, as returned by
 // container.Node.Tiers) and reserves capacity. It fails if any tier would
@@ -103,8 +89,8 @@ func StageScaled(h *refactor.Hierarchy, tiers []*device.Device, scale float64) (
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("staging: no tiers")
 	}
-	if scale <= 0 {
-		return nil, fmt.Errorf("staging: scale %v must be > 0", scale)
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return nil, fmt.Errorf("staging: scale %v must be finite and > 0", scale)
 	}
 	s := &Store{h: h, baseDev: tiers[0], scale: scale}
 	augLevels := h.Levels() - 1
@@ -453,7 +439,7 @@ func (s *Store) retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, byt
 func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup) (ts TierStats, _ GuardedOutcome) {
 	bytes := float64(s.h.BaseBytes()) * s.scale
 	if s.rc != nil {
-		res := s.kBase.Read(p, s.baseDev, cg, bytes)
+		res := s.rc.Key(resil.KeyStagingReadBase).Read(p, s.baseDev, cg, bytes)
 		ts.add(s.baseDev, res.Moved, res.Elapsed)
 		return ts, GuardedOutcome{Cursor: 0, Retries: res.Retries}
 	}
@@ -507,7 +493,7 @@ func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandat
 // degradable for optional augmentation.
 func (s *Store) resilPart(p *sim.Proc, cg *blkio.Cgroup, ts *TierStats, part segPart, home *device.Device, needed bool) (retries int, ok bool) {
 	if part.dev != home {
-		hr := s.kHedge.HedgedRead(p, part.dev, home, cg, part.bytes)
+		hr := s.rc.Key(resil.KeyStagingReadHedge).HedgedRead(p, part.dev, home, cg, part.bytes)
 		if hr.OK {
 			winDev, loserDev := part.dev, home
 			winMoved, loserMoved := hr.FastMoved, hr.SlowMoved
@@ -527,11 +513,11 @@ func (s *Store) resilPart(p *sim.Proc, cg *blkio.Cgroup, ts *TierStats, part seg
 		// Hedged but both legs failed (the controller counted the waste):
 		// fall through to the single-device policy path.
 	}
-	k := s.kOpt
+	id := resil.KeyStagingReadOptional
 	if needed {
-		k = s.kMand
+		id = resil.KeyStagingReadCapacity
 	}
-	res := k.Read(p, part.dev, cg, part.bytes)
+	res := s.rc.Key(id).Read(p, part.dev, cg, part.bytes)
 	ts.add(part.dev, res.Moved, res.Elapsed)
 	return res.Retries, res.OK
 }
@@ -547,7 +533,7 @@ func (s *Store) resilPart(p *sim.Proc, cg *blkio.Cgroup, ts *TierStats, part seg
 func (s *Store) Probe(p *sim.Proc, cg *blkio.Cgroup, bytes float64) (ts TierStats) {
 	dev := s.SlowestDevice()
 	if s.rc != nil {
-		res := s.kProbe.Read(p, dev, cg, bytes)
+		res := s.rc.Key(resil.KeyStagingProbe).Read(p, dev, cg, bytes)
 		if res.Moved > 0 {
 			ts.add(dev, res.Moved, res.Elapsed)
 		}

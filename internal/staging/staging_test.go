@@ -107,6 +107,26 @@ func TestStageNoTiers(t *testing.T) {
 	}
 }
 
+// TestStageScaledRejectsBadScale: a NaN scale passed `scale <= 0` and
+// reserved NaN bytes, which let any later reservation fit and made the
+// first ReadBase panic on a NaN transfer size.
+func TestStageScaledRejectsBadScale(t *testing.T) {
+	h, err := refactor.Decompose(field(17, 5), refactor.Options{Levels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		eng := sim.NewEngine()
+		ssd, hdd := twoTier(eng)
+		if _, err := StageScaled(h, []*device.Device{ssd, hdd}, scale); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+		if ssd.Used() != 0 || hdd.Used() != 0 {
+			t.Errorf("scale %v reserved ssd=%v hdd=%v", scale, ssd.Used(), hdd.Used())
+		}
+	}
+}
+
 func TestReadBaseTouchesOnlyFastTier(t *testing.T) {
 	eng := sim.NewEngine()
 	ssd, hdd := twoTier(eng)

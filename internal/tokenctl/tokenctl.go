@@ -167,10 +167,10 @@ type Stats struct {
 // that node's engine context (engine-serialized, like blkio and the
 // device layer): it holds no locks.
 type Controller struct {
-	opts   Options
-	now    func() float64
-	rec    *trace.Recorder
-	kApply *resil.Key
+	opts Options
+	now  func() float64
+	rec  *trace.Recorder
+	rc   *resil.Controller
 
 	buckets []*Bucket
 	byName  map[string]*Bucket
@@ -203,11 +203,8 @@ func New(now func() float64, opts Options) *Controller {
 func (c *Controller) SetTrace(rec *trace.Recorder) { c.rec = rec }
 
 // SetResil routes weight writes through the tokens.weight.apply policy
-// (breaker-gated per cgroup); without it they are direct TrySetWeight
-// calls.
-func (c *Controller) SetResil(rc *resil.Controller) {
-	c.kApply = rc.Key(resil.KeyTokenWeightApply)
-}
+// (breaker-gated per cgroup); without it they are direct writes.
+func (c *Controller) SetResil(rc *resil.Controller) { c.rc = rc }
 
 // Stats returns the ledger-traffic counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -655,16 +652,12 @@ func (c *Controller) resync(now float64) {
 	}
 }
 
-// write issues one weight write through the resil key when attached
-// (breaker-gated, self-tracing) or directly otherwise. Failures mark
-// the bucket pending; the next Request re-asserts the grant.
+// write issues one weight write through the tokens.weight.apply key
+// (breaker-gated and self-tracing with a controller, direct without).
+// Failures mark the bucket pending; the next Request re-asserts the grant.
 func (c *Controller) write(b *Bucket, w int) {
 	c.stats.Writes++
-	if c.kApply != nil {
-		b.pending = !c.kApply.Weight(b.cg, w).OK
-		return
-	}
-	b.pending = b.cg.TrySetWeight(w) != nil
+	b.pending = !c.rc.Key(resil.KeyTokenWeightApply).Weight(b.cg, w).OK
 }
 
 // compactLoans drops ledger entries that are fully repaid and out of

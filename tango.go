@@ -282,8 +282,8 @@ type ResilOptions = resil.Options
 // HedgeConfig controls forecast-driven hedged reads.
 type HedgeConfig = resil.HedgeConfig
 
-// NewResilController builds a controller on the node's engine and
-// registers the default policy catalog (resil.Catalog).
+// NewResilController builds a controller on the node's engine, holding
+// one key per entry of resil's fixed policy catalog.
 func NewResilController(eng *Engine, opts ResilOptions) *ResilController {
 	return resil.New(eng, opts)
 }
