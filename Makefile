@@ -80,7 +80,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 19958
+LOC_MAX = 20140
 CONFIG_FIELDS_MAX = 23
 
 loc-check:

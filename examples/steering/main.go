@@ -53,13 +53,13 @@ func main() {
 
 	// At t=600 s the scientist spots blob activity and tightens to 1e-2;
 	// at t=1200 s they zoom in further to 1e-3.
-	node.Engine().After(600, func() {
+	node.Engine().At(node.Engine().Now()+600, func() {
 		fmt.Println(">>> t=600s: tightening bound to 1e-2")
 		if err := sess.SetBound(1e-2); err != nil {
 			log.Fatal(err)
 		}
 	})
-	node.Engine().After(1200, func() {
+	node.Engine().At(node.Engine().Now()+1200, func() {
 		fmt.Println(">>> t=1200s: tightening bound to 1e-3")
 		if err := sess.SetBound(1e-3); err != nil {
 			log.Fatal(err)

@@ -223,20 +223,21 @@ func (ctl *Controller) Create(name string) (*Cgroup, error) {
 	if _, ok := ctl.groups[name]; ok {
 		return nil, fmt.Errorf("blkio: cgroup %q already exists", name)
 	}
+	return ctl.MustCreate(name), nil
+}
+
+// MustCreate is Create that panics on duplicates; used by scenario setup
+// code where names are program constants. It builds no error value, so an
+// engine callback may call it (a fault plan's join launches an
+// interferer from one).
+func (ctl *Controller) MustCreate(name string) *Cgroup {
+	if _, ok := ctl.groups[name]; ok {
+		panic(fmt.Sprintf("blkio: cgroup %q already exists", name))
+	}
 	// A zero slot made what NewCgroup returns.
 	cg := ctl.slab.Next()
 	cg.name, cg.weight = name, DefaultWeight
 	ctl.groups[name] = cg
-	return cg, nil
-}
-
-// MustCreate is Create that panics on duplicates; used by scenario setup
-// code where names are program constants.
-func (ctl *Controller) MustCreate(name string) *Cgroup {
-	cg, err := ctl.Create(name)
-	if err != nil {
-		panic(err)
-	}
 	return cg
 }
 

@@ -142,7 +142,7 @@ func New(store *staging.Store, dev *device.Device, cfg Config) *Cache {
 				c.capacity = 0
 			}
 			c.stats.Shrinks++
-			c.emit(trace.KindCacheEvict, "capacity clamped to %.0f B free on %s (staged data keeps priority)", c.capacity, dev.Name())
+			cfg.Trace.Emit(dev.Engine().Now(), cfg.Source, trace.KindCacheEvict, "capacity clamped to %.0f B free on %s (staged data keeps priority)", c.capacity, dev.Name())
 		}
 	}
 	g := 0
@@ -183,10 +183,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // requires: cached runs inside it are sticky under eviction (they will be
 // re-requested every step by construction).
 func (c *Cache) SetMandatory(cursor int) { c.mandatory = cursor }
-
-func (c *Cache) emit(kind, format string, args ...any) {
-	c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, kind, format, args...)
-}
 
 // Serve implements staging.CacheView: it reports how many leading entries
 // of the level-local range [start, end) are resident, and on which
@@ -305,7 +301,7 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 		c.used -= freed
 		c.dev.Release(freed)
 		c.stats.EvictedBytes += freed
-		c.emit(trace.KindCacheEvict, "level=%d trimmed to %d entries (freed %.0f B, score=%.3g)", victim.level, newPrefix, freed, worst)
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheEvict, "level=%d trimmed to %d entries (freed %.0f B, score=%.3g)", victim.level, newPrefix, freed, worst)
 	}
 	return true
 }
@@ -316,15 +312,29 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 func (c *Cache) shrink() {
 	c.capacity = c.used
 	c.stats.Shrinks++
-	c.emit(trace.KindCacheEvict, "device %s full: capacity shrunk to %.0f B", c.dev.Name(), c.capacity)
+	c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheEvict, "device %s full: capacity shrunk to %.0f B", c.dev.Name(), c.capacity)
 }
 
 // PrefetchTo stages augmentation up to the global cursor `target` into
 // the cache, transferring home-tier bytes chunk by chunk under cg (the
 // background cgroup). keepGoing, when non-nil, is polled between chunks
 // so the prefetcher can abort mid-run when interference returns. Returns
-// the bytes staged and whether the run was aborted.
+// the bytes staged and whether the run was aborted. A cache closed while
+// a chunk is in flight gives that chunk back and stops.
 func (c *Cache) PrefetchTo(p *sim.Proc, cg *blkio.Cgroup, target int, keepGoing func() bool) (staged float64, aborted bool) {
+	return c.prefetchTo(p, cg, target, pollFunc(keepGoing))
+}
+
+// poller is what prefetchTo polls between chunks: false aborts the run.
+// The prefetcher is one itself, so its runs allocate no closure.
+type poller interface{ keepGoing() bool }
+
+// pollFunc is PrefetchTo's keepGoing as a poller; nil keeps going.
+type pollFunc func() bool
+
+func (f pollFunc) keepGoing() bool { return f == nil || f() }
+
+func (c *Cache) prefetchTo(p *sim.Proc, cg *blkio.Cgroup, target int, poll poller) (staged float64, aborted bool) {
 	if c.closed {
 		return 0, false
 	}
@@ -363,13 +373,19 @@ func (c *Cache) PrefetchTo(p *sim.Proc, cg *blkio.Cgroup, target int, keepGoing 
 					r.home.Read(p, cg, bytes)
 				}
 				c.dev.Write(p, cg, bytes)
+				if c.closed {
+					// Close ran during the transfers and released every
+					// reservation but this one, which no run holds yet.
+					c.dev.Release(bytes)
+					return staged, false
+				}
 				c.used += bytes
 				r.bytes += bytes
 				c.stats.StagedBytes += bytes
 				staged += bytes
 			}
 			r.prefix = next
-			if keepGoing != nil && !keepGoing() {
+			if !poll.keepGoing() {
 				return staged, true
 			}
 		}

@@ -36,40 +36,55 @@ type PrefetchStats struct {
 	WeightSkips   int // floor-weight writes suppressed by an open resil breaker
 }
 
+// Inputs is what a prefetcher reads from the controller that owns it, so
+// the package stays independent of the controller.
+type Inputs interface {
+	// Forecast returns the next-step capacity-tier bandwidth forecast,
+	// the fitted model's peak, and whether a model is ready.
+	Forecast() (next, peak float64, ok bool)
+	// Observed returns the most recent measured capacity-tier bandwidth
+	// (0 when nothing has been measured yet).
+	Observed() float64
+	// Target returns the global cursor to stage up to (the controller's
+	// planned cursors over the lookahead horizon).
+	Target() int
+	// Done reports that the owning session has exited; the prefetcher
+	// stops at the next tick.
+	Done() bool
+}
+
 // Prefetcher drives the cache from inside the simulation: it wakes every
 // tickInterval, re-asserts its background cgroup's floor weight and
 // byte-rate caps (cross-layer: the prefetch flow must never steal
 // bandwidth from foreground analytics), and stages upcoming augmentation
-// only during predicted low-interference windows. The decision inputs
-// are injected as closures so the package stays independent of the
-// controller.
+// only during predicted low-interference windows.
+//
+// A tick is an engine callback. A staging run blocks on its reads, so it
+// runs on the prefetcher's one process, started inside the tick's event,
+// and arms the next tick when it ends; every other tick arms the next one
+// itself, after its weight and throttle writes. Each event is where the
+// prefetch process that ran the same loop armed one.
 type Prefetcher struct {
-	// Forecast returns the next-step capacity-tier bandwidth forecast,
-	// the fitted model's peak, and whether a model is ready.
-	Forecast func() (next, peak float64, ok bool)
-	// Observed returns the most recent measured capacity-tier bandwidth
-	// (0 when nothing has been measured yet).
-	Observed func() float64
-	// Target returns the global cursor to stage up to (the controller's
-	// planned cursors over the lookahead horizon).
-	Target func() int
-	// Done reports that the owning session has exited; the prefetcher
-	// stops at the next tick.
-	Done func() bool
 	// Resil, when non-nil, routes the heal loop's floor-weight writes
 	// through the prefetch.weight.floor policy (breaker-gated per
 	// cgroup: a wedged controller file is probed on the breaker's
 	// schedule instead of hammered every tick) and the staging reads
-	// through prefetch.stage (deadlined and budgeted). Set before Run.
+	// through prefetch.stage (deadlined and budgeted). Set before the
+	// engine runs the launch.
 	Resil *resil.Controller
 
-	cache *Cache
-	stats PrefetchStats
+	in       Inputs
+	cache    *Cache
+	cont     *container.Container
+	proc     *sim.Proc // runs staging; made at the first run
+	launched bool      // the launch hop is past: each Fire is a tick
+	next     float64   // the forecast the staging run in flight was started on
+	stats    PrefetchStats
 }
 
-// NewPrefetcher builds a prefetcher over the cache.
-func NewPrefetcher(c *Cache) *Prefetcher {
-	return &Prefetcher{cache: c}
+// NewPrefetcher builds a prefetcher over the cache, reading in.
+func NewPrefetcher(c *Cache, in Inputs) *Prefetcher {
+	return &Prefetcher{cache: c, in: in}
 }
 
 // Stats returns a snapshot of the decision counters.
@@ -79,67 +94,101 @@ func (pf *Prefetcher) Stats() PrefetchStats { return pf.stats }
 // fraction of the forecast — the quiet window the model promised is not
 // materializing, so staging must stop.
 func (pf *Prefetcher) paused(forecast float64) bool {
-	if pf.Observed == nil {
-		return false
-	}
-	obs := pf.Observed()
+	obs := pf.in.Observed()
 	return obs > 0 && forecast > 0 && obs < pauseFrac*forecast
 }
 
-// Run is the container body of the background prefetch process. It
-// returns (ending the container) once Done reports the session exited.
-func (pf *Prefetcher) Run(c *container.Container, p *sim.Proc) {
-	cg := c.Cgroup()
-	pf.cache.SetResil(pf.Resil)
-	for {
-		p.Sleep(tickInterval)
-		if pf.Done != nil && pf.Done() {
-			return
-		}
-		pf.stats.Ticks++
-		// Re-assert the floor weight and throttles every tick: an
-		// injected weight-write fault may have swallowed an earlier
-		// write, and a throttle-reset fault may have cleared the caps.
-		// MinWeight pins the flow to the smallest proportional share the
-		// controller can grant, so foreground weight boosts always win.
-		// Through the control plane the write is breaker-gated: a wedged
-		// cgroup is probed on the breaker's half-open schedule instead
-		// of re-asserted blindly every tick.
-		switch res := pf.Resil.Key(resil.KeyPrefetchWeightFloor).Weight(cg, blkio.MinWeight); {
-		case res.Skipped:
-			pf.stats.WeightSkips++
-		case !res.OK:
-			pf.stats.WeightRetries++
-		}
-		cg.SetReadBpsLimit(bpsLimit)
-		cg.SetWriteBpsLimit(bpsLimit)
-		if pf.Forecast == nil || pf.Target == nil {
-			pf.stats.NotReady++
-			continue
-		}
-		next, peak, ok := pf.Forecast()
-		if !ok {
-			pf.stats.NotReady++
-			continue
-		}
-		if pf.paused(next) {
-			pf.stats.Paused++
-			pf.cache.emit(trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
-				pf.Observed(), pauseFrac*100, next)
-			continue
-		}
-		if next < lowWaterFrac*peak {
-			pf.stats.Busy++
-			continue // not a quiet window: stay off the device
-		}
-		staged, aborted := pf.cache.PrefetchTo(p, cg, pf.Target(), func() bool { return !pf.paused(next) })
-		if aborted {
-			pf.stats.Aborted++
-		}
-		if staged > 0 {
-			pf.stats.Runs++
-			pf.cache.emit(trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
-				staged, pf.cache.Used(), pf.cache.Capacity(), pf.cache.CachedEntries())
-		}
+// keepGoing polls the staging run in flight between chunks.
+func (pf *Prefetcher) keepGoing() bool { return !pf.paused(pf.next) }
+
+// Launch starts the prefetcher in c, its background container: a launch
+// hop now, then a tick every tickInterval until the inputs report Done.
+func (pf *Prefetcher) Launch(c *container.Container) {
+	pf.cont = c
+	eng := pf.cache.dev.Engine()
+	eng.AtCall(eng.Now(), pf)
+}
+
+// Fire takes the launch hop, then runs a tick.
+func (pf *Prefetcher) Fire() {
+	if !pf.launched {
+		pf.launched = true
+		pf.cache.SetResil(pf.Resil)
+		pf.sleep()
+		return
 	}
+	if pf.in.Done() {
+		return
+	}
+	if pf.tick() {
+		eng := pf.cache.dev.Engine()
+		if pf.proc == nil {
+			pf.proc = eng.NewProc(pf.cont.Name())
+		}
+		eng.StartNow(pf.proc, pf)
+		return
+	}
+	pf.sleep()
+}
+
+// sleep arms the next tick.
+func (pf *Prefetcher) sleep() {
+	eng := pf.cache.dev.Engine()
+	eng.AtCall(eng.Now()+tickInterval, pf)
+}
+
+// tick makes one tick's decisions and reports whether to stage.
+func (pf *Prefetcher) tick() bool {
+	cg := pf.cont.Cgroup()
+	pf.stats.Ticks++
+	// Re-assert the floor weight and throttles every tick: an injected
+	// weight-write fault may have swallowed an earlier write, and a
+	// throttle-reset fault may have cleared the caps. MinWeight pins the
+	// flow to the smallest proportional share the controller can grant,
+	// so foreground weight boosts always win. Through the control plane
+	// the write is breaker-gated: a wedged cgroup is probed on the
+	// breaker's half-open schedule instead of re-asserted blindly every
+	// tick.
+	switch res := pf.Resil.Key(resil.KeyPrefetchWeightFloor).Weight(cg, blkio.MinWeight); {
+	case res.Skipped:
+		pf.stats.WeightSkips++
+	case !res.OK:
+		pf.stats.WeightRetries++
+	}
+	cg.SetReadBpsLimit(bpsLimit)
+	cg.SetWriteBpsLimit(bpsLimit)
+	next, peak, ok := pf.in.Forecast()
+	if !ok {
+		pf.stats.NotReady++
+		return false
+	}
+	if pf.paused(next) {
+		pf.stats.Paused++
+		c := pf.cache
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
+			pf.in.Observed(), pauseFrac*100, next)
+		return false
+	}
+	if next < lowWaterFrac*peak {
+		pf.stats.Busy++
+		return false // not a quiet window: stay off the device
+	}
+	pf.next = next
+	return true
+}
+
+// Run is a staging run, on the prefetcher's process: it stages up to the
+// target while the quiet window holds, then arms the next tick.
+func (pf *Prefetcher) Run(p *sim.Proc) {
+	c := pf.cache
+	staged, aborted := c.prefetchTo(p, pf.cont.Cgroup(), pf.in.Target(), pf)
+	if aborted {
+		pf.stats.Aborted++
+	}
+	if staged > 0 {
+		pf.stats.Runs++
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
+			staged, c.Used(), c.Capacity(), c.CachedEntries())
+	}
+	pf.sleep()
 }

@@ -90,9 +90,22 @@ func (n *Node) Create(name string) (*Container, error) {
 	if err != nil {
 		return nil, err
 	}
+	return n.add(name, cg), nil
+}
+
+// MustCreate is Create that panics where Create fails. It builds no error
+// value, so an engine callback may call it (see blkio's MustCreate).
+func (n *Node) MustCreate(name string) *Container {
+	if _, ok := n.containers[name]; ok {
+		panic(fmt.Sprintf("container: %q already running on node %q", name, n.name))
+	}
+	return n.add(name, n.ctl.MustCreate(name))
+}
+
+func (n *Node) add(name string, cg *blkio.Cgroup) *Container {
 	c := &Container{name: name, cg: cg}
 	n.containers[name] = c
-	return c, nil
+	return c
 }
 
 // Launch is Create, then body spawned as the container's process.

@@ -122,7 +122,7 @@ func TestStopEndsSessionEarlyAndReleases(t *testing.T) {
 	if err := s.Launch(node); err != nil {
 		t.Fatal(err)
 	}
-	node.Engine().After(150, func() { s.Stop() }) // during step 2
+	node.Engine().At(node.Engine().Now()+150, func() { s.Stop() }) // during step 2
 	if err := node.Engine().Run(100*60 + 600); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSetBoundAtRuntime(t *testing.T) {
 	if err := s.Launch(node); err != nil {
 		t.Fatal(err)
 	}
-	node.Engine().After(4*60+1, func() {
+	node.Engine().At(node.Engine().Now()+(4*60+1), func() {
 		if err := s.SetBound(0.001); err != nil {
 			t.Errorf("SetBound: %v", err)
 		}

@@ -308,20 +308,30 @@ func (s *Session) launchPrefetcher(node *container.Node) error {
 	cc.SetMandatory(s.mandatoryCursor())
 	s.store.SetCache(cc)
 	s.cache = cc
-	pf := cache.NewPrefetcher(cc)
-	pf.Forecast = s.forecast
-	pf.Resil = s.Config.Resil
-	pf.Observed = func() float64 {
-		if len(s.stats) == 0 {
-			return 0
-		}
-		return s.stats[len(s.stats)-1].SlowBW
+	cont, err := node.Create(s.Name + "-prefetch")
+	if err != nil {
+		return err
 	}
-	pf.Target = s.prefetchTarget
-	pf.Done = func() bool { return s.finished }
+	pf := cache.NewPrefetcher(cc, prefetchInputs{s})
+	pf.Resil = s.Config.Resil
+	pf.Launch(cont)
 	s.pf = pf
-	_, err := node.Launch(s.Name+"-prefetch", pf.Run)
-	return err
+	return nil
+}
+
+// prefetchInputs is the session as the prefetcher's cache.Inputs. It holds
+// only the session pointer, so boxing it allocates nothing.
+type prefetchInputs struct{ s *Session }
+
+func (in prefetchInputs) Forecast() (next, peak float64, ok bool) { return in.s.forecast() }
+func (in prefetchInputs) Target() int                             { return in.s.prefetchTarget() }
+func (in prefetchInputs) Done() bool                              { return in.s.finished }
+
+func (in prefetchInputs) Observed() float64 {
+	if len(in.s.stats) == 0 {
+		return 0
+	}
+	return in.s.stats[len(in.s.stats)-1].SlowBW
 }
 
 // forecast reports the estimator's next-window demand prediction and the

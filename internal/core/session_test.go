@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tango/internal/blkio"
+	"tango/internal/cache"
 	"tango/internal/container"
 	"tango/internal/device"
 	"tango/internal/refactor"
@@ -508,5 +509,16 @@ func TestFinishedNodeIsGarbage(t *testing.T) {
 	case <-freed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the finished node was not collected")
+	}
+}
+
+// TestPrefetchInputsBoxFree: the session hands itself to its prefetcher as
+// a struct holding only the session pointer, which boxes into
+// cache.Inputs without allocating.
+func TestPrefetchInputsBoxFree(t *testing.T) {
+	s := &Session{}
+	var in cache.Inputs
+	if n := testing.AllocsPerRun(100, func() { in = prefetchInputs{s} }); n != 0 || in == nil {
+		t.Fatalf("boxing the prefetch inputs allocates %v objects", n)
 	}
 }

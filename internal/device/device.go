@@ -154,7 +154,7 @@ type flow struct {
 	id       int64
 	d        *Device // owning device, for the Fire callback
 	cg       *blkio.Cgroup
-	proc     *sim.Proc // the blocked issuer; nil on a StartRead/Write flow, which the device finishes
+	proc     *sim.Proc // the blocked issuer; nil on a StartRead/Start flow, which the device finishes
 	tok      *Token    // non-nil on a cancellable transfer; armed by issue
 	bytes    float64   // total requested
 	bytesRem float64
@@ -169,7 +169,7 @@ type flow struct {
 
 // Fire is the flow as its own sim.Callback, carrying the per-transfer
 // state without a per-call closure: the issue after the request-latency
-// wait, then for an ended StartRead/Write flow the finish no process runs.
+// wait, then for an ended StartRead/Start flow the finish no process runs.
 func (f *flow) Fire() {
 	d, tok := f.d, f.tok
 	if !f.done && !f.canceled {
@@ -442,7 +442,7 @@ func (d *Device) Write(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
 }
 
 // Token identifies one in-flight cancellable transfer. The issuing call
-// (TryReadCancel, StartRead, StartWrite) arms it; another event callback or
+// (TryReadCancel, StartRead, Start) arms it; another event callback or
 // process may then call Cancel to abort the transfer. Tokens are plain values
 // owned by the caller and are re-armed on every call, so one long-lived
 // Token per retry context is the intended (zero-alloc) usage.
@@ -454,10 +454,10 @@ type Token struct {
 	spent    bool       // the transfer has finished (success, error, or cancel); Cancel is a no-op
 	moved    float64    // bytes actually transferred when the transfer ended
 	deadline float64    // virtual time at which the device cancels the transfer; 0 or +Inf = none
-	notify   Completion // StartRead/Write only: told when the transfer ends
+	notify   Completion // StartRead/Start only: told when the transfer ends
 }
 
-// Completion is told a StartRead/Write ended; err is what a blocking call returns.
+// Completion is told a StartRead/Start transfer ended; err is what a blocking call returns.
 type Completion interface {
 	TransferDone(tok *Token, err error)
 }
@@ -509,14 +509,19 @@ func (d *Device) StartRead(cg *blkio.Cgroup, bytes float64, tok *Token, deadline
 	d.begin(nil, cg, bytes, false, true, tok)
 }
 
-// StartWrite is Write with nobody blocked on it (a checkpoint writer made of
-// engine callbacks): the device finishes it and calls done.TransferDone in
-// the slot a blocked writer's wake-up would take, as StartRead does.
+// Start is Read (write false) or Write with nobody blocked on it (a
+// writer or reader made of engine callbacks): infallible like them and
+// with no deadline, it is finished by the device, which calls
+// done.TransferDone in the slot a blocked issuer's wake-up would take, as
+// StartRead does. One case has no such slot: a zero-byte transfer on a
+// device with no request latency ends inside the call, where a blocked
+// issuer carries on at once; done still hears of it from an event at
+// that instant.
 //
 //tango:hotpath
-func (d *Device) StartWrite(cg *blkio.Cgroup, bytes float64, tok *Token, done Completion) {
+func (d *Device) Start(cg *blkio.Cgroup, bytes float64, write bool, tok *Token, done Completion) {
 	*tok = Token{d: d, notify: done}
-	d.begin(nil, cg, bytes, true, false, tok)
+	d.begin(nil, cg, bytes, write, false, tok)
 }
 
 // transfer is the blocking request path behind Read, Write, TryRead and
@@ -576,7 +581,7 @@ func (d *Device) finish(f *flow) error {
 }
 
 // end tells the issuer its flow has ended: a blocked process wakes up
-// and finishes it, a StartRead/Write flow fires once more to finish itself.
+// and finishes it, a StartRead/Start flow fires once more to finish itself.
 func (d *Device) end(f *flow) {
 	if f.proc != nil {
 		d.eng.Wake(f.proc)

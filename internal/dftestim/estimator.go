@@ -152,18 +152,19 @@ func (e *Estimator) Fit() error {
 }
 
 // ensureScratch sizes the fit buffers for window length w, reusing their
-// backing arrays whenever the capacity suffices.
+// backing arrays whenever the capacity suffices. Each pair of same-typed
+// buffers is split from one array, capped so neither grows into the other.
 func (e *Estimator) ensureScratch(w int) {
 	if e.plan == nil || e.plan.n != w {
 		e.plan = planFor(w)
 	}
 	if cap(e.spec) < w {
-		e.spec = make([]complex128, w)
-		e.rec = make([]complex128, w)
+		c := make([]complex128, 2*w)
+		e.spec, e.rec = c[:w:w], c[w:]
 	}
 	if cap(e.winBuf) < w {
-		e.winBuf = make([]float64, w)
-		e.model = make([]float64, w)
+		f := make([]float64, 2*w)
+		e.winBuf, e.model = f[:w:w], f[w:]
 	}
 	e.spec = e.spec[:w]
 	e.rec = e.rec[:w]

@@ -356,3 +356,33 @@ func TestModelAtAppendModel(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchRegrowthTwoObjects: each time the fitted window outgrows the
+// scratch (a session fits at 10, 20 and 30 samples), ensureScratch makes
+// one array per element type and splits each pair from it: two objects a
+// growth, not four. The halves are capped, so neither grows into the other.
+func TestScratchRegrowthTwoObjects(t *testing.T) {
+	for _, w := range []int{10, 20, 30} {
+		planFor(w) // plans are shared and cached: warm them
+	}
+	var e Estimator
+	if allocs := testing.AllocsPerRun(100, func() {
+		e = Estimator{}
+		for _, w := range []int{10, 20, 30} {
+			e.ensureScratch(w)
+		}
+		e.ensureScratch(20) // shrinking reuses
+	}); allocs != 6 {
+		t.Fatalf("three growths allocate %v objects, want 6", allocs)
+	}
+	e.ensureScratch(30) // the halves at full length: an append must move
+	for i := range e.spec {
+		e.spec[i], e.rec[i] = 1, 2
+		e.winBuf[i], e.model[i] = 3, 4
+	}
+	spec := append(e.spec, 9)
+	wb := append(e.winBuf, 9)
+	if e.rec[0] != 2 || e.model[0] != 4 || &spec[0] == &e.spec[0] || &wb[0] == &e.winBuf[0] {
+		t.Fatal("a scratch half grew into its pair")
+	}
+}

@@ -80,12 +80,14 @@ var kindNames = map[Kind]string{
 	NodeKill:      "node-kill",
 }
 
-// String returns the kind's spec-grammar name.
+// String returns the kind's spec-grammar name ("Kind(?)" for a value no
+// kind has: fault timers fire on the hot path, where formatting one would
+// allocate).
 func (k Kind) String() string {
 	if n, ok := kindNames[k]; ok {
 		return n
 	}
-	return fmt.Sprintf("Kind(%d)", int(k))
+	return "Kind(?)"
 }
 
 // windowed reports whether the kind has a clearance event after Duration.

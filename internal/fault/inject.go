@@ -46,14 +46,12 @@ type deviceFault struct {
 	latency  float64
 }
 
-// timer is one plan event's slot in Arm's slab. fn is its fire method bound
-// once, for the injection and then the clearance — a func value, not a
-// sim.Callback, which would put all Join launches under the hotpath lint.
+// timer is one plan event's slot in Arm's slab, and the sim.Callback that
+// fires its injection and then its clearance.
 type timer struct {
 	in           *Injector
 	id           int
 	e            Event
-	fn           func()
 	clearing     bool          // injected: the next fire is the clearance
 	cg           *blkio.Cgroup // resolved at injection
 	prevR, prevW float64       // the throttles a ThrottleReset restores
@@ -104,12 +102,12 @@ func (in *Injector) Arm() error {
 		}
 	}
 	in.armed = true
+	eng := in.node.Engine()
 	timers := make([]timer, len(in.plan.Events))
 	for i, e := range in.plan.Sorted() {
 		t := &timers[i]
 		*t = timer{in: in, id: i, e: e}
-		t.fn = t.fire
-		in.node.Engine().At(e.At, t.fn)
+		eng.AtCall(e.At, t)
 	}
 	return nil
 }
@@ -139,8 +137,8 @@ func (in *Injector) record(n *int, t *timer, format string, vals ...float64) {
 	in.rec.Emit(in.node.Engine().Now(), "injector", trace.KindFault, format, args[:3+len(vals)]...)
 }
 
-// fire applies the event in sim context, or clears it the second time.
-func (t *timer) fire() {
+// Fire applies the event in sim context, or clears it the second time.
+func (t *timer) Fire() {
 	in, e := t.in, &t.e
 	switch {
 	case t.clearing:
@@ -180,7 +178,8 @@ func (in *Injector) fireDevice(t *timer) {
 // clearAfter arms the clearance of the fault t just injected.
 func (t *timer) clearAfter() {
 	t.clearing = true
-	t.in.node.Engine().After(t.e.Duration, t.fn)
+	eng := t.in.node.Engine()
+	eng.AtCall(eng.Now()+t.e.Duration, t)
 }
 
 // clear closes the window of a device or cgroup fault.
@@ -252,13 +251,16 @@ func (in *Injector) fireCgroup(t *timer) {
 	t.clearAfter()
 }
 
+// fireJoin launches a Join's interferer unless one by that name already
+// runs. NewInjector validated the join's Noise with the plan, so the launch
+// builds no error value: it runs inside Fire, which is on the hot path.
 func (in *Injector) fireJoin(t *timer) {
 	e := &t.e
 	if _, ok := in.handles[e.Target]; ok || in.node.Container(e.Target) != nil {
 		in.record(&in.skipped, t, "skip id=%d kind=%s name=%s (already running)")
 		return
 	}
-	_, h := workload.LaunchNoiseControlled(in.node, in.node.Device(in.targetDevice(*e)), e.Noise)
+	_, h := workload.LaunchValidNoise(in.node, in.node.Device(in.targetDevice(*e)), e.Noise)
 	in.handles[e.Target] = h
 	in.record(&in.injected, t, "inject id=%d kind=%s name=%s period=%g mb=%g", e.Noise.Period, e.Noise.CheckpointBytes/mb)
 }

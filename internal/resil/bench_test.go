@@ -115,7 +115,7 @@ func TestRetriedReadZeroAllocUntraced(t *testing.T) {
 	// (and the node's) from running dry, which is a different path.
 	read := func(p *sim.Proc) {
 		d.SetReadError(true)
-		eng.After(0.01, heal)
+		eng.At(eng.Now()+0.01, heal)
 		if res := k.Read(p, d, cg, 800*device.MB); !res.OK || res.Retries != 1 {
 			t.Errorf("read = %+v, want one retry then success", res)
 		}

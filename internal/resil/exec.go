@@ -229,7 +229,7 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	err := cg.TrySetWeight(w)
 	if k.pol.Classify(err) == ClassOK {
 		if br != nil && br.onSuccess() {
-			c.emit(trace.KindRecover, "weight write recovered key=%s target=%s: re-applied w=%d",
+			c.rec.Emit(now, source, trace.KindRecover, "weight write recovered key=%s target=%s: re-applied w=%d",
 				k.pol.Name, cg.Name(), w)
 		}
 		return WeightResult{OK: true}
@@ -240,9 +240,9 @@ func (k *Key) Weight(cg *blkio.Cgroup, w int) WeightResult {
 	}
 	if br != nil && br.onFailure(now) {
 		c.brOpens++
-		c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.pol.Name, cg.Name(), br.fails, br.cooldown)
+		c.rec.Emit(now, source, trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs: weight writes suppressed", k.pol.Name, cg.Name(), br.fails, br.cooldown)
 	} else {
-		c.emit(trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.pol.Name, cg.Name(), w)
+		c.rec.Emit(now, source, trace.KindAttempt, "fail key=%s target=%s w=%d: tolerated, re-apply next tick", k.pol.Name, cg.Name(), w)
 	}
 	return WeightResult{}
 }

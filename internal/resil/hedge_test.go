@@ -14,9 +14,10 @@ import (
 )
 
 // hedgedReadReference is HedgedRead as it was while a hedge leg was a
-// process: a sim.WaitGroup, two spawned legs, a deadline timer armed and
-// stopped per leg. Kept verbatim (only the token's deadline argument is
-// new, and unused) as the reference TestHedgedReadMatchesReference
+// process: two spawned legs joined by a count the caller suspends on (the
+// sim.WaitGroup it used, inlined), a deadline timer armed and stopped per
+// leg. Kept as it was otherwise (the token's deadline argument is new, and
+// unused) as the reference TestHedgedReadMatchesReference
 // compares the transfer-based race with.
 func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64) HedgeResult {
 	var res HedgeResult
@@ -42,9 +43,18 @@ func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blk
 	deadline := k.pol.TimeoutFloor + bytes/k.pol.TimeoutMinBW
 	var fastTok, slowTok device.Token
 	winner := -1
-	wg := sim.NewWaitGroup(c.eng)
-	wg.Go("hedge-fast", func(hp *sim.Proc) {
-		tm := c.eng.After(deadline, func() { fastTok.Cancel() })
+	legs := 0
+	spawnLeg := func(name string, fn func(hp *sim.Proc)) {
+		legs++
+		c.eng.Spawn(name, func(hp *sim.Proc) {
+			fn(hp)
+			if legs--; legs == 0 {
+				c.eng.Wake(p)
+			}
+		})
+	}
+	spawnLeg("hedge-fast", func(hp *sim.Proc) {
+		tm := c.eng.At(c.eng.Now()+deadline, func() { fastTok.Cancel() })
 		_, err := fast.TryReadCancel(hp, cg, bytes, &fastTok, 0)
 		tm.Stop()
 		if err == nil && winner < 0 {
@@ -52,8 +62,8 @@ func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blk
 			slowTok.Cancel()
 		}
 	})
-	wg.Go("hedge-slow", func(hp *sim.Proc) {
-		tm := c.eng.After(deadline, func() { slowTok.Cancel() })
+	spawnLeg("hedge-slow", func(hp *sim.Proc) {
+		tm := c.eng.At(c.eng.Now()+deadline, func() { slowTok.Cancel() })
 		_, err := slow.TryReadCancel(hp, cg, bytes, &slowTok, 0)
 		tm.Stop()
 		if err == nil && winner < 0 {
@@ -61,7 +71,9 @@ func hedgedReadReference(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blk
 			fastTok.Cancel()
 		}
 	})
-	wg.Wait(p)
+	for legs > 0 {
+		p.Suspend()
+	}
 
 	res.Elapsed = c.eng.Now() - now
 	res.FastMoved = fastTok.Moved()
@@ -228,7 +240,7 @@ func TestHedgedReadMatchesReference(t *testing.T) {
 		got, results := sc.play(t, hedgedReadCurrent)
 		want, _ := sc.play(t, hedgedReadReference)
 		if got != want {
-			t.Fatalf("seed %d: race differs from the WaitGroup reference\n--- transfers\n%s--- processes\n%s", seed, got, want)
+			t.Fatalf("seed %d: race differs from the process reference\n--- transfers\n%s--- processes\n%s", seed, got, want)
 		}
 		for _, r := range results {
 			loser := r.SlowMoved
@@ -331,7 +343,7 @@ func TestDeadlinedAttemptZeroAlloc(t *testing.T) {
 	stick := func() { d.SetFault(0, 0) }
 	read := func(p *sim.Proc) {
 		d.ClearFault()
-		eng.After(0.2, stick) // sticks mid-flight: partial bytes, then the deadline
+		eng.At(eng.Now()+0.2, stick) // sticks mid-flight: partial bytes, then the deadline
 		if res := k.Read(p, d, cg, 64*mib); res.OK || res.Timeouts != 3 || res.Moved <= 0 {
 			t.Errorf("read = %+v, want three timed-out attempts with partial bytes", res)
 		}

@@ -97,13 +97,6 @@ func (e *Engine) schedule(t float64, fn func(), cb Callback) Timer {
 	return Timer{ev: ev, seq: ev.seq}
 }
 
-// After schedules fn to run d seconds from now.
-//
-//tango:hotpath
-func (e *Engine) After(d float64, fn func()) Timer {
-	return e.At(e.now+d, fn)
-}
-
 // Timer is a handle to a scheduled event. Timers are small values; copy
 // them freely. The zero Timer is valid and behaves as already expired.
 type Timer struct {

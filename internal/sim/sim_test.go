@@ -85,7 +85,7 @@ func TestTimerStop(t *testing.T) {
 func TestStoppedTimerDoesNotAdvanceClock(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
-	e.After(5, func() { t.Error("stopped func timer fired") }).Stop()
+	e.At(e.Now()+5, func() { t.Error("stopped func timer fired") }).Stop()
 	e.AtCall(7, e.NewProc("never")).Stop()
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
@@ -283,14 +283,16 @@ func TestManyProcsStressDeterminism(t *testing.T) {
 	}
 }
 
-func TestAfterHelper(t *testing.T) {
+// TestAtRelativeToAdvancedClock: an event armed d after Now, once Run has
+// moved the clock to its limit, fires at that limit plus d.
+func TestAtRelativeToAdvancedClock(t *testing.T) {
 	e := NewEngine()
 	e.Run(2)
 	var at float64
-	e.After(3, func() { at = e.Now() })
+	e.At(e.Now()+3, func() { at = e.Now() })
 	e.RunAll()
 	if at != 5 {
-		t.Fatalf("After fired at %v, want 5", at)
+		t.Fatalf("event fired at %v, want 5", at)
 	}
 }
 
@@ -323,10 +325,10 @@ func BenchmarkEventThroughput(b *testing.B) {
 		tick = func() {
 			n++
 			if n < 10000 {
-				e.After(1, tick)
+				e.At(e.Now()+1, tick)
 			}
 		}
-		e.After(1, tick)
+		e.At(e.Now()+1, tick)
 		if err := e.RunAll(); err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,10 @@
 package staging
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"tango/internal/blkio"
@@ -110,5 +114,158 @@ func TestParallelReadDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic parallel read: %v vs %v", a, b)
+	}
+}
+
+// readRangeParallelReference is ReadRangeParallel as it ran while each
+// tier had a reader process: one spawned per tier group, joined by a count
+// the caller suspended on (the sim.WaitGroup it used, inlined). Kept as the
+// reference TestParallelReadMatchesProcesses holds the tier reads to.
+func readRangeParallelReference(s *Store, p *sim.Proc, cg *blkio.Cgroup, from, to int) (ts TierStats) {
+	type group struct {
+		dev   *device.Device
+		parts []segPart
+	}
+	var groups []*group
+	byDev := map[*device.Device]*group{}
+	var buf [segScratch]refactor.Segment
+	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
+		parts, n := s.segmentParts(seg)
+		for _, part := range parts[:n] {
+			g, ok := byDev[part.dev]
+			if !ok {
+				g = &group{dev: part.dev}
+				byDev[part.dev] = g
+				groups = append(groups, g)
+			}
+			g.parts = append(g.parts, part)
+		}
+	}
+	if len(groups) == 0 {
+		return ts
+	}
+	if len(groups) == 1 {
+		for _, part := range groups[0].parts {
+			el := part.dev.Read(p, cg, part.bytes)
+			ts.add(part.dev, part.bytes, el)
+		}
+		return ts
+	}
+	eng := p.Engine()
+	results := make([]TierStats, len(groups))
+	left := 0
+	for i, g := range groups {
+		left++
+		eng.Spawn("tier-read", func(cp *sim.Proc) {
+			r := &results[i]
+			for _, part := range g.parts {
+				el := g.dev.Read(cp, cg, part.bytes)
+				r.add(g.dev, part.bytes, el)
+			}
+			if left--; left == 0 {
+				eng.Wake(p)
+			}
+		})
+	}
+	for left > 0 {
+		p.Suspend()
+	}
+	for _, r := range results {
+		ts.Merge(r)
+	}
+	return ts
+}
+
+// splitCache serves a fixed share of every segment from dev, so that a
+// segment read splits across two devices.
+type splitCache struct {
+	dev  *device.Device
+	frac float64
+}
+
+func (c splitCache) Serve(level, start, end int) (*device.Device, int) {
+	return c.dev, int(float64(end-start) * c.frac)
+}
+
+// TestParallelReadMatchesProcesses: over seeded scenarios — two or three
+// tiers, a cache that splits segments, competing readers, device faults,
+// ranges read back to back — the tier reads as Start flows return every
+// TierStats entry and leave every device float and the event queue where
+// the per-tier processes left them, bit for bit.
+func TestParallelReadMatchesProcesses(t *testing.T) {
+	run := func(seed int64, read func(*Store, *sim.Proc, *blkio.Cgroup, int, int) TierStats) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		eng := sim.NewEngine()
+		var devs []*device.Device
+		for i, n := 0, 2+rng.Intn(2); i < n; i++ {
+			devs = append(devs, device.New(eng, device.Params{
+				Name:           fmt.Sprintf("d%d", i),
+				PeakBandwidth:  float64(50+rng.Intn(500)) * device.MB,
+				RequestLatency: []float64{0, 1e-4, 8e-3}[rng.Intn(3)],
+				SeekThrash:     0.3 * rng.Float64(),
+				MinEfficiency:  0.2 + 0.8*rng.Float64(),
+			}))
+		}
+		h, err := refactor.Decompose(field(33, seed%7), refactor.Options{Levels: 3 + rng.Intn(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := StageScaled(h, devs, float64(1+rng.Intn(4000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(2) == 0 {
+			s.SetCache(splitCache{devs[rng.Intn(len(devs))], rng.Float64()})
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			dev, mb, gap := devs[rng.Intn(len(devs))], float64(1+rng.Intn(200)), float64(rng.Intn(5))
+			bg := blkio.NewCgroup(fmt.Sprintf("bg%d", i))
+			bg.SetWeight(100 + rng.Intn(900))
+			eng.Spawn(bg.Name(), func(p *sim.Proc) {
+				for p.Now() < 100 {
+					dev.Read(p, bg, mb*device.MB)
+					p.Sleep(gap)
+				}
+			})
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			dev, at, dur, bw := devs[rng.Intn(len(devs))], float64(rng.Intn(60)), float64(1+rng.Intn(20)), rng.Float64()
+			eng.At(at, func() { dev.SetFault(bw, 0) })
+			eng.At(at+dur, dev.ClearFault)
+		}
+		var out []float64
+		cg := blkio.NewCgroup("reader")
+		total := h.TotalEntries()
+		eng.Spawn("reader", func(p *sim.Proc) {
+			for i := 0; i < 8; i++ {
+				from := rng.Intn(total + 1)
+				to := from + rng.Intn(total-from+1)
+				ts := read(s, p, cg, from, to)
+				for _, e := range ts.entries() {
+					out = append(out, float64(slices.Index(devs, e.dev)), e.bytes, e.time)
+				}
+				out = append(out, p.Now())
+				p.Sleep(float64(rng.Intn(3)))
+			}
+		})
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range devs {
+			out = append(out, d.TotalBytes(), d.BusyTime())
+		}
+		return append(out, eng.Now(), float64(eng.Pending()), float64(eng.LiveProcs()))
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		want := run(seed, readRangeParallelReference)
+		got := run(seed, (*Store).ReadRangeParallel)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d outcome values, processes %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d: outcome %d: flows %v, processes %v", seed, i, got, want)
+			}
+		}
 	}
 }

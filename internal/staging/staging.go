@@ -334,57 +334,92 @@ func (s *Store) ReadRange(p *sim.Proc, cg *blkio.Cgroup, from, to int) (ts TierS
 // step time but gives up the coarse-first completion order that the
 // sequential path provides.
 func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) (ts TierStats) {
-	type group struct {
-		dev   *device.Device
-		parts []segPart
-	}
-	var groups []*group
-	byDev := map[*device.Device]*group{}
 	// Split every segment once up front (Serve does per-call hit/miss
 	// bookkeeping, so it must run exactly once per segment), then group
-	// the resulting parts by device.
+	// the resulting parts by device, in first-appearance order.
+	var reads []tierRead
 	var buf [segScratch]refactor.Segment
 	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
 		parts, n := s.segmentParts(seg)
 		for _, part := range parts[:n] {
-			g, ok := byDev[part.dev]
-			if !ok {
-				g = &group{dev: part.dev}
-				byDev[part.dev] = g
-				groups = append(groups, g)
+			i := 0
+			for i < len(reads) && reads[i].dev != part.dev {
+				i++
 			}
-			g.parts = append(g.parts, part)
+			if i == len(reads) {
+				reads = append(reads, tierRead{dev: part.dev})
+			}
+			reads[i].parts = append(reads[i].parts, part)
 		}
 	}
-	if len(groups) == 0 {
+	if len(reads) == 0 {
 		return ts
 	}
-	if len(groups) == 1 {
+	if len(reads) == 1 {
 		// Single tier: no concurrency to exploit.
-		for _, part := range groups[0].parts {
+		for _, part := range reads[0].parts {
 			el := part.dev.Read(p, cg, part.bytes)
 			ts.add(part.dev, part.bytes, el)
 		}
 		return ts
 	}
+	j := &tierJoin{cg: cg, p: p, left: len(reads)}
 	eng := p.Engine()
-	results := make([]TierStats, len(groups))
-	wg := sim.NewWaitGroup(eng)
-	for i, g := range groups {
-		i, g := i, g
-		wg.Go("tier-read", func(cp *sim.Proc) {
-			r := &results[i]
-			for _, part := range g.parts {
-				el := g.dev.Read(cp, cg, part.bytes)
-				r.add(g.dev, part.bytes, el)
-			}
-		})
+	for i := range reads {
+		reads[i].j = j
+		eng.AtCall(eng.Now(), &reads[i])
 	}
-	wg.Wait(p)
-	for _, r := range results {
-		ts.Merge(r)
+	for j.left > 0 {
+		p.Suspend()
+	}
+	for i := range reads {
+		ts.Merge(reads[i].ts)
 	}
 	return ts
+}
+
+// tierRead is one tier's share of a ReadRangeParallel: its parts read
+// back to back as Start flows, the next one started from the last one's
+// TransferDone. Its first Fire is armed where a per-tier reader process
+// used to be spawned, and each flow ends in the slot that process's
+// wake-up took, so the reads are the process loop's, event for event.
+type tierRead struct {
+	j     *tierJoin
+	dev   *device.Device
+	parts []segPart
+	next  int     // the part in flight
+	start float64 // when it started
+	tok   device.Token
+	ts    TierStats
+}
+
+// tierJoin is what a ReadRangeParallel's tier reads share: the cgroup they
+// read under and the blocked caller, woken by the last one to end.
+type tierJoin struct {
+	cg   *blkio.Cgroup
+	p    *sim.Proc
+	left int
+}
+
+// Fire starts the tier's next part: the first one from its own event,
+// each later one from the last one's TransferDone.
+func (r *tierRead) Fire() {
+	r.start = r.dev.Engine().Now()
+	r.dev.Start(r.j.cg, r.parts[r.next].bytes, false, &r.tok, r)
+}
+
+// TransferDone records the part that ended and starts the next, or wakes
+// the caller when this was the last part of the last tier still reading.
+func (r *tierRead) TransferDone(*device.Token, error) {
+	eng := r.dev.Engine()
+	r.ts.add(r.dev, r.parts[r.next].bytes, eng.Now()-r.start)
+	if r.next++; r.next < len(r.parts) {
+		r.Fire()
+		return
+	}
+	if r.j.left--; r.j.left == 0 {
+		eng.Wake(r.j.p)
+	}
 }
 
 // The ad-hoc guarded read paths' reaction to transient read errors (see

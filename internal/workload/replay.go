@@ -9,9 +9,9 @@ import (
 	"strconv"
 	"strings"
 
+	"tango/internal/blkio"
 	"tango/internal/container"
 	"tango/internal/device"
-	"tango/internal/sim"
 )
 
 // TraceOp is one recorded I/O operation to replay: at virtual time T,
@@ -72,20 +72,52 @@ func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 // ReplayTrace launches a container that replays the ops against dev: each
 // op is issued at its recorded time (or immediately, if the previous op
 // is still in flight past that time — open-loop arrival with a closed-
-// loop device, like a real replayer). Returns the container.
+// loop device, like a real replayer). Returns the container. An op whose
+// time or size is not finite and >= 0 panics here, as in RandomNoise.
 func ReplayTrace(node *container.Node, dev *device.Device, name string, ops []TraceOp) *container.Container {
-	return node.MustLaunch(name, func(c *container.Container, p *sim.Proc) {
-		for _, op := range ops {
-			if wait := op.T - p.Now(); wait > 0 {
-				p.Sleep(wait)
-			}
-			if op.Read {
-				c.Read(p, dev, op.Bytes)
-			} else {
-				c.Write(p, dev, op.Bytes)
-			}
-		}
-	})
+	for _, op := range ops {
+		mustNonNeg(name, "op time", op.T)
+		mustNonNeg(name, "op size", op.Bytes)
+	}
+	c := node.MustCreate(name)
+	r := &replayer{dev: dev, cg: c.Cgroup(), ops: ops}
+	node.Engine().AtCall(node.Engine().Now(), r)
+	return c
+}
+
+// replayer is the loop "sleep until the op's time if it is ahead, then
+// transfer it" as engine callbacks: the launch hop, each sleep armed at
+// now+wait, and each op's issue and end (the device's).
+type replayer struct {
+	dev   *device.Device
+	cg    *blkio.Cgroup
+	ops   []TraceOp
+	next  int  // the next op to issue
+	slept bool // the wait before ops[next] is over
+	tok   device.Token
+}
+
+// Fire takes the launch hop or ends a sleep.
+func (r *replayer) Fire() { r.issue() }
+
+// TransferDone goes on to the next op.
+func (r *replayer) TransferDone(*device.Token, error) { r.issue() }
+
+// issue starts the next op, or first sleeps until its time.
+func (r *replayer) issue() {
+	if r.next >= len(r.ops) {
+		return
+	}
+	op := r.ops[r.next]
+	eng := r.dev.Engine()
+	if wait := op.T - eng.Now(); wait > 0 && !r.slept {
+		r.slept = true
+		eng.AtCall(eng.Now()+wait, r)
+		return
+	}
+	r.slept = false
+	r.next++
+	r.dev.Start(r.cg, op.Bytes, !op.Read, &r.tok, r)
 }
 
 // SynthesizeTrace converts a Noise spec into an explicit trace of n

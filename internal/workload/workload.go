@@ -13,7 +13,6 @@ import (
 	"tango/internal/blkio"
 	"tango/internal/container"
 	"tango/internal/device"
-	"tango/internal/sim"
 )
 
 // Noise describes one periodic interfering container: every Period
@@ -106,10 +105,15 @@ func LaunchNoiseControlled(node *container.Node, dev *device.Device, n Noise) (*
 	if err := n.Validate(); err != nil {
 		panic(err)
 	}
-	c, err := node.Create(n.Name)
-	if err != nil {
-		panic(err)
-	}
+	return LaunchValidNoise(node, dev, n)
+}
+
+// LaunchValidNoise is LaunchNoiseControlled for a Noise the caller has
+// validated already (a fault plan validates its joins when it is built).
+// It builds no error value, so an engine callback may call it: a plan's
+// join launches its interferer from one.
+func LaunchValidNoise(node *container.Node, dev *device.Device, n Noise) (*container.Container, *Handle) {
+	c := node.MustCreate(n.Name)
 	x := &interferer{n: n, dev: dev, cg: c.Cgroup(), rng: rand.New(rand.NewSource(n.Seed))}
 	node.Engine().AtCall(node.Engine().Now(), x)
 	return c, &x.Handle
@@ -133,8 +137,6 @@ type interferer struct {
 }
 
 // Fire takes the launch hop, then starts a checkpoint unless stopped.
-//
-//tango:hotpath
 func (x *interferer) Fire() {
 	eng := x.dev.Engine()
 	switch {
@@ -143,14 +145,12 @@ func (x *interferer) Fire() {
 		eng.AtCall(eng.Now()+x.n.Phase, x)
 	case !x.stopped:
 		x.start = eng.Now()
-		x.dev.StartWrite(x.cg, x.n.CheckpointBytes, &x.tok, x)
+		x.dev.Start(x.cg, x.n.CheckpointBytes, true, &x.tok, x)
 	}
 }
 
 // TransferDone ends a checkpoint: it draws the jittered period and sleeps
 // what is left of it, or starts the next one at once after an overrun.
-//
-//tango:hotpath
 func (x *interferer) TransferDone(*device.Token, error) {
 	period := x.n.Period
 	if x.period > 0 {
@@ -191,16 +191,50 @@ func LaunchNoiseSetControlled(node *container.Node, dev *device.Device, set []No
 // (compilation artifacts, shell commands). Inter-arrival times are
 // exponential with the given mean; sizes are uniform in [minB, maxB].
 // This is the low-intensity random activity the paper says can be
-// neglected / filtered by DFT thresholding.
+// neglected / filtered by DFT thresholding. A gap or size that is not
+// finite and >= 0 panics here: the writer runs as engine callbacks,
+// whose panic would unwind Run.
 func RandomNoise(node *container.Node, dev *device.Device, name string, meanGap, minB, maxB float64, seed int64) *container.Container {
-	rng := rand.New(rand.NewSource(seed))
-	return node.MustLaunch(name, func(c *container.Container, p *sim.Proc) {
-		for {
-			p.Sleep(rng.ExpFloat64() * meanGap)
-			size := minB + rng.Float64()*(maxB-minB)
-			c.Write(p, dev, size)
-		}
-	})
+	mustNonNeg(name, "mean gap", meanGap)
+	mustNonNeg(name, "min size", minB)
+	mustNonNeg(name, "max size", maxB)
+	c := node.MustCreate(name)
+	w := &randomWriter{dev: dev, cg: c.Cgroup(), rng: rand.New(rand.NewSource(seed)), meanGap: meanGap, minB: minB, maxB: maxB}
+	node.Engine().AtCall(node.Engine().Now(), w)
+	return c
+}
+
+// randomWriter is the loop "sleep a drawn gap, write a drawn size" as
+// engine callbacks: the launch hop, each gap armed at now+gap and each
+// write's issue and end (the device's), drawing from the RNG in the
+// loop's order.
+type randomWriter struct {
+	dev        *device.Device
+	cg         *blkio.Cgroup
+	rng        *rand.Rand
+	meanGap    float64
+	minB, maxB float64
+	tok        device.Token
+	launched   bool
+}
+
+// Fire takes the launch hop, then starts a write at the end of each gap.
+func (w *randomWriter) Fire() {
+	if !w.launched {
+		w.launched = true
+		w.sleep()
+		return
+	}
+	size := w.minB + w.rng.Float64()*(w.maxB-w.minB)
+	w.dev.Start(w.cg, size, true, &w.tok, w)
+}
+
+// TransferDone sleeps the next gap.
+func (w *randomWriter) TransferDone(*device.Token, error) { w.sleep() }
+
+func (w *randomWriter) sleep() {
+	eng := w.dev.Engine()
+	eng.AtCall(eng.Now()+w.rng.ExpFloat64()*w.meanGap, w)
 }
 
 // StepFunc is invoked once per analytics step with the step index; it
@@ -211,22 +245,65 @@ type StepFunc func(step int) float64
 // bytesFn(step) from dev every period seconds (period measured
 // start-to-start) and reports each step's perceived bandwidth through
 // observe. This is the shape of the paper's data analytics containers,
-// which "retrieve and analyze data iteratively from the shared disk".
+// which "retrieve and analyze data iteratively from the shared disk". A
+// period that is not finite and >= 0, or a negative step count, panics
+// here, as in RandomNoise.
 func PeriodicReader(node *container.Node, dev *device.Device, name string,
 	period float64, steps int, bytesFn StepFunc,
 	observe func(step int, start, ioTime, bytes float64)) *container.Container {
-	return node.MustLaunch(name, func(c *container.Container, p *sim.Proc) {
-		for s := 0; s < steps; s++ {
-			start := p.Now()
-			bytes := bytesFn(s)
-			ioTime := c.Read(p, dev, bytes)
-			if observe != nil {
-				observe(s, start, ioTime, bytes)
-			}
-			wait := period - (p.Now() - start)
-			if wait > 0 {
-				p.Sleep(wait)
-			}
-		}
-	})
+	mustNonNeg(name, "period", period)
+	if steps < 0 {
+		panic(fmt.Sprintf("workload: %q: step count %d is negative", name, steps))
+	}
+	c := node.MustCreate(name)
+	r := &periodicReader{dev: dev, cg: c.Cgroup(), period: period, steps: steps, bytesFn: bytesFn, observe: observe}
+	node.Engine().AtCall(node.Engine().Now(), r)
+	return c
+}
+
+// periodicReader is the loop "read, observe, sleep what is left of the
+// period" as engine callbacks: the launch hop, each read's issue and end
+// (the device's), and the rest of the period only when some is left —
+// also after the last step, where the loop slept before it ended.
+type periodicReader struct {
+	dev          *device.Device
+	cg           *blkio.Cgroup
+	period       float64
+	steps, step  int
+	bytesFn      StepFunc
+	observe      func(step int, start, ioTime, bytes float64)
+	start, bytes float64 // of the step in flight
+	tok          device.Token
+}
+
+// Fire starts the next step's read, if a step is left.
+func (r *periodicReader) Fire() {
+	if r.step >= r.steps {
+		return
+	}
+	r.start = r.dev.Engine().Now()
+	r.bytes = r.bytesFn(r.step)
+	r.dev.Start(r.cg, r.bytes, false, &r.tok, r)
+}
+
+// TransferDone reports the step and sleeps what is left of the period, or
+// starts the next step at once after an overrun.
+func (r *periodicReader) TransferDone(*device.Token, error) {
+	eng := r.dev.Engine()
+	if r.observe != nil {
+		r.observe(r.step, r.start, eng.Now()-r.start, r.bytes)
+	}
+	r.step++
+	if wait := r.period - (eng.Now() - r.start); wait > 0 {
+		eng.AtCall(eng.Now()+wait, r)
+	} else {
+		r.Fire()
+	}
+}
+
+// mustNonNeg panics unless v is finite and >= 0.
+func mustNonNeg(name, what string, v float64) {
+	if !finiteNonNeg(v) {
+		panic(fmt.Sprintf("workload: %q: %s %v is not finite and >= 0", name, what, v))
+	}
 }
