@@ -28,9 +28,9 @@ func benchCfg() harness.Config {
 
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
-	e, ok := harness.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
+	e, err := harness.Lookup(id)
+	if err != nil {
+		b.Fatal(err)
 	}
 	cfg := benchCfg()
 	b.ReportAllocs()
@@ -70,9 +70,9 @@ func BenchmarkExtRandomNoise(b *testing.B)          { runExperiment(b, "random-n
 // (2% of the canonical 10→1000-node ladder) so `go test -bench=.` stays
 // fast; cmd/tangobench runs it full-scale.
 func BenchmarkExtFleet(b *testing.B) {
-	e, ok := harness.Lookup("fleet")
-	if !ok {
-		b.Fatal("fleet experiment not registered")
+	e, err := harness.Lookup("fleet")
+	if err != nil {
+		b.Fatal(err)
 	}
 	cfg := benchCfg()
 	cfg.FleetScale = 0.02

@@ -101,7 +101,7 @@ func main() {
 			if id == "" {
 				continue
 			}
-			e, err := harness.LookupErr(id)
+			e, err := harness.Lookup(id)
 			if err != nil {
 				fail(err)
 			}

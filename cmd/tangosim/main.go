@@ -103,8 +103,9 @@ func runFleet(cfg tango.FleetConfig, traceOut, verbose bool) {
 		die(2, err)
 	}
 	fmt.Printf("fleet: %d nodes, %d sessions, seed %d, %s control\n", cfg.Nodes, cfg.Sessions, cfg.Seed, cfg.Control)
+	obj := c.Objstore()
 	fmt.Printf("objstore: %.0f MB/s per-node frontend, %.0f MB/s shared egress, %.0f ms/request\n",
-		cfg.Store.NodeBandwidth/(1<<20), cfg.Store.TotalEgress/(1<<20), 1000*cfg.Store.RequestLatency)
+		obj.NodeBandwidth/(1<<20), obj.TotalEgress/(1<<20), 1000*obj.RequestLatency)
 	if cfg.Plan != nil {
 		fmt.Printf("fault plan: %s\n", cfg.Plan)
 	}

@@ -190,7 +190,7 @@ func TestSyntheticFieldsByteMatch(t *testing.T) {
 // experimentResult enters a harness experiment by ID, as tangobench does.
 func experimentResult(t *testing.T, id string, cfg harness.Config) *harness.Result {
 	t.Helper()
-	e, err := harness.LookupErr(id)
+	e, err := harness.Lookup(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +298,9 @@ func TestTokensExperimentByteMatch(t *testing.T) {
 }
 
 // TestFleetFaultedByteMatch repeats the width sweep with an explicit
-// node-kill plan on the faulted arm: kill/rebalance/revive/settle-back
-// all happen at barriers, so the fault path must be exactly as
-// reproducible as the quiet one.
+// node-kill plan on the fleet experiment's 5% shapes: kill/rebalance/
+// revive/settle-back all happen at barriers, so the fault path, cluster
+// trace included, must be exactly as reproducible as the quiet one.
 func TestFleetFaultedByteMatch(t *testing.T) {
 	plan, err := fault.ParsePlan("node-kill@240:node=node0,dur=120; node-kill@240:node=node3,dur=180")
 	if err != nil {
@@ -310,10 +310,28 @@ func TestFleetFaultedByteMatch(t *testing.T) {
 		prev := runpool.Workers()
 		runpool.SetWorkers(workers)
 		defer runpool.SetWorkers(prev)
-		r := experimentResult(t, "fleet", harness.Config{Seed: 11, FleetScale: 0.05, FaultPlan: plan})
-		return []byte(r.String())
+		var out bytes.Buffer
+		for _, shape := range [][2]int{{2, 8}, {5, 500}, {50, 5000}} {
+			rec := tango.NewTraceRecorder(1024)
+			c, err := tango.NewFleet(tango.FleetConfig{Nodes: shape[0], Sessions: shape[1], Seed: 11, Plan: plan, Trace: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "%s\n%v\n", rep.TotalsLine(), rep.EpochMBps)
+			if _, err := rec.WriteTo(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out.Bytes()
 	}
 	a, b := run(1), run(4)
+	if !bytes.Contains(a, []byte("node-kill node=node3")) || !bytes.Contains(a, []byte("node-revive node=node0")) {
+		t.Fatalf("the plan's kills and revivals are missing from the trace:\n%s", a)
+	}
 	if !bytes.Equal(a, b) {
 		for i := range a {
 			if i >= len(b) || a[i] != b[i] {

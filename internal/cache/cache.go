@@ -48,17 +48,16 @@ type Config struct {
 	CapacityMB int
 
 	// Trace, when non-nil, receives cache hit/miss/evict and prefetch
-	// events; Source labels them (the session name).
-	Trace  *trace.Recorder
-	Source string
+	// events, from source "cache".
+	Trace *trace.Recorder
 }
+
+// source labels the cache's trace events.
+const source = "cache"
 
 func (c Config) withDefaults() Config {
 	if c.CapacityMB == 0 {
 		c.CapacityMB = 512
-	}
-	if c.Source == "" {
-		c.Source = "cache"
 	}
 	return c
 }
@@ -142,7 +141,7 @@ func New(store *staging.Store, dev *device.Device, cfg Config) *Cache {
 				c.capacity = 0
 			}
 			c.stats.Shrinks++
-			cfg.Trace.Emit(dev.Engine().Now(), cfg.Source, trace.KindCacheEvict, "capacity clamped to %.0f B free on %s (staged data keeps priority)", c.capacity, dev.Name())
+			cfg.Trace.Emit(dev.Engine().Now(), source, trace.KindCacheEvict, "capacity clamped to %.0f B free on %s (staged data keeps priority)", c.capacity, dev.Name())
 		}
 	}
 	g := 0
@@ -207,11 +206,11 @@ func (c *Cache) Serve(level, start, end int) (*device.Device, int) {
 		bytes := float64(c.h.LevelBytes(level, start, start+served)) * c.scale
 		c.stats.Hits++
 		c.stats.HitBytes += bytes
-		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheHit, "level=%d entries=[%d,%d) served=%d bytes=%.0f", level, start, end, served, bytes)
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindCacheHit, "level=%d entries=[%d,%d) served=%d bytes=%.0f", level, start, end, served, bytes)
 	}
 	if served < end-start {
 		c.stats.Misses++
-		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheMiss, "level=%d entries=[%d,%d) uncached=%d", level, start, end, end-start-served)
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindCacheMiss, "level=%d entries=[%d,%d) uncached=%d", level, start, end, end-start-served)
 	}
 	if served == 0 {
 		return nil, 0
@@ -301,7 +300,7 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 		c.used -= freed
 		c.dev.Release(freed)
 		c.stats.EvictedBytes += freed
-		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheEvict, "level=%d trimmed to %d entries (freed %.0f B, score=%.3g)", victim.level, newPrefix, freed, worst)
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindCacheEvict, "level=%d trimmed to %d entries (freed %.0f B, score=%.3g)", victim.level, newPrefix, freed, worst)
 	}
 	return true
 }
@@ -312,7 +311,7 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 func (c *Cache) shrink() {
 	c.capacity = c.used
 	c.stats.Shrinks++
-	c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindCacheEvict, "device %s full: capacity shrunk to %.0f B", c.dev.Name(), c.capacity)
+	c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindCacheEvict, "device %s full: capacity shrunk to %.0f B", c.dev.Name(), c.capacity)
 }
 
 // PrefetchTo stages augmentation up to the global cursor `target` into

@@ -165,7 +165,7 @@ func (pf *Prefetcher) tick() bool {
 	if pf.paused(next) {
 		pf.stats.Paused++
 		c := pf.cache
-		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
 			pf.in.Observed(), pauseFrac*100, next)
 		return false
 	}
@@ -187,7 +187,7 @@ func (pf *Prefetcher) Run(p *sim.Proc) {
 	}
 	if staged > 0 {
 		pf.stats.Runs++
-		c.cfg.Trace.Emit(c.dev.Engine().Now(), c.cfg.Source, trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
+		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
 			staged, c.Used(), c.Capacity(), c.CachedEntries())
 	}
 	pf.sleep()

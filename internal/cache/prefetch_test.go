@@ -46,7 +46,7 @@ func prefetchReference(pf *Prefetcher, c *container.Container, p *sim.Proc) {
 		}
 		if pf.paused(next) {
 			pf.stats.Paused++
-			pf.cache.cfg.Trace.Emit(p.Now(), pf.cache.cfg.Source, trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
+			pf.cache.cfg.Trace.Emit(p.Now(), source, trace.KindPrefetch, "paused: observed %.0f B/s below %.0f%% of forecast %.0f B/s",
 				pf.in.Observed(), pauseFrac*100, next)
 			continue
 		}
@@ -60,7 +60,7 @@ func prefetchReference(pf *Prefetcher, c *container.Container, p *sim.Proc) {
 		}
 		if staged > 0 {
 			pf.stats.Runs++
-			pf.cache.cfg.Trace.Emit(p.Now(), pf.cache.cfg.Source, trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
+			pf.cache.cfg.Trace.Emit(p.Now(), source, trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
 				staged, pf.cache.Used(), pf.cache.Capacity(), pf.cache.CachedEntries())
 		}
 	}
@@ -194,7 +194,7 @@ func runPrefetchScenario(t *testing.T, sc prefetchScenario, reference bool) pref
 		t.Fatal(err)
 	}
 	rec := trace.New(0)
-	c := New(store, ssd, Config{CapacityMB: sc.capMB, Trace: rec, Source: "pf"})
+	c := New(store, ssd, Config{CapacityMB: sc.capMB, Trace: rec})
 	store.SetCache(c)
 	for _, n := range sc.noise {
 		workload.LaunchNoise(node, hdd, n)

@@ -14,7 +14,6 @@ import (
 
 	"tango/internal/core"
 	"tango/internal/errmetric"
-	"tango/internal/tokenctl"
 )
 
 // ParseDims parses "512x512x128"-style grid dimensions whose point count fits an int.
@@ -83,17 +82,6 @@ func ParsePolicy(s string) (core.Policy, error) {
 		return core.CrossLayerPrefetch, nil
 	}
 	return 0, fmt.Errorf("unknown policy %q (none|storage|app|cross|prefetch)", s)
-}
-
-// ParseControl maps user-facing weight-control mode names onto tokenctl
-// modes: central (coordinator rescale), tokens (decentralized buckets),
-// or hybrid (tokens with periodic coordinator-style resync).
-func ParseControl(s string) (tokenctl.Mode, error) {
-	v := strings.ToLower(strings.TrimSpace(s))
-	if v == "token" { // common singular spelling
-		v = "tokens"
-	}
-	return tokenctl.ParseMode(v)
 }
 
 // ReadRawFloat64s reads n little-endian float64 values from path, which

@@ -8,7 +8,6 @@ import (
 
 	"tango/internal/core"
 	"tango/internal/errmetric"
-	"tango/internal/tokenctl"
 )
 
 func TestParseDims(t *testing.T) {
@@ -97,23 +96,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Fatal("bogus policy accepted")
-	}
-}
-
-func TestParseControl(t *testing.T) {
-	cases := map[string]tokenctl.Mode{
-		"central": tokenctl.ModeCentral, "Central": tokenctl.ModeCentral,
-		"tokens": tokenctl.ModeTokens, "token": tokenctl.ModeTokens,
-		"hybrid": tokenctl.ModeHybrid,
-	}
-	for in, want := range cases {
-		got, err := ParseControl(in)
-		if err != nil || got != want {
-			t.Errorf("ParseControl(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseControl("bogus"); err == nil {
-		t.Fatal("bogus control mode accepted")
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 
 	"tango/internal/container"
 	"tango/internal/device"
+	"tango/internal/fault"
 	"tango/internal/refactor"
+	"tango/internal/resil"
 	"tango/internal/staging"
 	"tango/internal/trace"
 )
@@ -185,20 +187,42 @@ func TestSetBoundAtRuntime(t *testing.T) {
 	}
 }
 
-func TestProbeDisabledCarriesForwardSamples(t *testing.T) {
-	s := runSession(t, CrossLayer, 2, 6, func(c *Config) {
-		c.ProbeBytes = -1 // disable probing
-		c.Window = 3
-		c.RefitEvery = 3
-	})
-	// Warm-up steps read everything (HDD touched), so samples exist;
-	// adaptive steps that skip the HDD reuse the last sample.
-	for i, st := range s.Stats() {
+// TestStuckProbeCarriesForwardSamples: under the resilience control plane
+// the probe is deadlined, so on a stuck capacity tier it moves nothing.
+// Such a step measures no bandwidth and repeats the last sample, keeping
+// one estimator sample per step.
+func TestStuckProbeCarriesForwardSamples(t *testing.T) {
+	const steps, stuckFrom, stuckSteps = 8, 3, 2
+	node, st := scenario(t, 2)
+	plan := &fault.Plan{Events: []fault.Event{{At: stuckFrom*period - 1, Kind: fault.Stuck,
+		Target: "hdd", Duration: stuckSteps * period}}}
+	if err := fault.NewInjector(node, nil, plan).Arm(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession("analytics", st, Config{Policy: CrossLayer, Steps: steps, Window: 3, RefitEvery: 3,
+		Resil: resil.New(node.Engine(), resil.Options{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Launch(node); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Engine().Run(steps*period + 1000); err != nil {
+		t.Fatal(err)
+	}
+	stats := s.Stats()
+	if len(stats) != steps {
+		t.Fatalf("completed %d of %d steps", len(stats), steps)
+	}
+	for i, st := range stats {
 		if st.SlowBW <= 0 {
 			t.Fatalf("step %d sample = %v", i, st.SlowBW)
 		}
+		if i >= stuckFrom && i < stuckFrom+stuckSteps && st.SlowBW != stats[i-1].SlowBW {
+			t.Errorf("stuck step %d: sample %v, want the previous %v carried forward", i, st.SlowBW, stats[i-1].SlowBW)
+		}
 	}
-	if s.Estimator().Samples() != 6 {
+	if s.Estimator().Samples() != steps {
 		t.Fatalf("samples = %d", s.Estimator().Samples())
 	}
 }

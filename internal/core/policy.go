@@ -73,6 +73,10 @@ func ExtendedPolicies() []Policy {
 	return append(AllPolicies(), CrossLayerPrefetch)
 }
 
+// adaptive reports whether the policy sizes its retrieval from the
+// interference forecast (the others always retrieve everything).
+func (p Policy) adaptive() bool { return p == AppOnly || p.crossLayer() }
+
 // adjustsWeights reports whether the policy writes blkio weights (and so
 // must probe for default-share bandwidth samples).
 func (p Policy) adjustsWeights() bool {
@@ -88,8 +92,9 @@ func (p Policy) crossLayer() bool {
 // The paper's fixed controller parameters (§IV-A); the augmentation-
 // bandwidth plot is abplot.Default.
 const (
-	threshFrac = 0.5 // DFT amplitude threshold, as a fraction of the peak
-	period     = 60  // analytics step period, seconds (start to start)
+	threshFrac = 0.5           // DFT amplitude threshold, as a fraction of the peak
+	period     = 60            // analytics step period, seconds (start to start)
+	probeBytes = 4 * device.MB // capacity-tier probe when a step read too little to measure
 )
 
 // Config parameterizes an analysis session. Zero values take the paper's
@@ -115,11 +120,6 @@ type Config struct {
 
 	// Steps is the number of analysis steps to run (required).
 	Steps int
-
-	// ProbeBytes is read from the capacity tier when a step otherwise
-	// touched it too little to measure bandwidth (default 4 MB,
-	// 0 keeps the default; negative disables probing).
-	ProbeBytes float64
 
 	// Weight-function ablations (Fig 13).
 	DisablePriorityTerm bool
@@ -172,9 +172,6 @@ func (c Config) withDefaults() Config {
 	if c.RefitEvery == 0 {
 		c.RefitEvery = 30
 	}
-	if c.ProbeBytes == 0 {
-		c.ProbeBytes = 4 * device.MB
-	}
 	if c.Policy == CrossLayerPrefetch && c.Cache == nil {
 		cc := cache.DefaultConfig()
 		c.Cache = &cc
@@ -185,6 +182,9 @@ func (c Config) withDefaults() Config {
 func (c Config) validate() error {
 	if c.Steps <= 0 {
 		return fmt.Errorf("core: Steps must be > 0")
+	}
+	if c.Window < 0 || c.RefitEvery < 0 {
+		return fmt.Errorf("core: Window %d and RefitEvery %d must not be negative", c.Window, c.RefitEvery)
 	}
 	if !(c.Priority > 0) || math.IsInf(c.Priority, 1) {
 		return fmt.Errorf("core: Priority %v is not finite and > 0", c.Priority)

@@ -84,13 +84,13 @@ type Session struct {
 	Name   string
 	Config Config
 
-	store  *staging.Store
-	wf     *weightfn.Func
-	wfSize *weightfn.Func // cardinality-only pricing (StorageOnly policy)
-	est    *dftestim.Estimator
+	store *staging.Store
+	wf    *weightfn.Func // the policy's bucket pricing (cardinality only for StorageOnly)
+	est   *dftestim.Estimator
 
 	stats    []StepStats
 	bktBuf   []bucket     // buckets' scratch, reused every step
+	whole    [1]bucket    // the one bucket of a policy that retrieves everything
 	bktArena []BucketStat // chunk the steps' retained Buckets are carved from
 	cont     *container.Container
 	stopped  bool
@@ -124,20 +124,17 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 	if err != nil {
 		return nil, err
 	}
-	// StorageOnly prices the retrieval by size alone (the paper's
-	// "weight set proportionally according to the augmentation size",
-	// equal to cross-layer with cardinality only — Fig 13 note).
-	sizeCfg := cfg
-	sizeCfg.DisablePriorityTerm = true
-	sizeCfg.DisableAccuracyTerm = true
-	wfSize, err := calibrate(h, sizeCfg)
-	if err != nil {
-		return nil, err
+	if cfg.Policy == StorageOnly {
+		// StorageOnly prices the retrieval by size alone (the paper's
+		// "weight set proportionally according to the augmentation size",
+		// equal to cross-layer with cardinality only — Fig 13 note).
+		wf.DisablePriority()
+		wf.DisableAccuracy()
 	}
 	est := dftestim.NewEstimator()
 	est.ThreshFrac = threshFrac
 	est.Window = cfg.Window
-	return &Session{Name: name, Config: cfg, store: store, wf: wf, wfSize: wfSize, est: est,
+	return &Session{Name: name, Config: cfg, store: store, wf: wf, est: est,
 		stats: make([]StepStats, 0, cfg.Steps)}, nil
 }
 
@@ -301,9 +298,6 @@ func (s *Session) launchPrefetcher(node *container.Node) error {
 	if ccfg.Trace == nil {
 		ccfg.Trace = s.Config.Trace
 	}
-	if ccfg.Source == "" {
-		ccfg.Source = s.Name + "-prefetch"
-	}
 	cc := cache.New(s.store, s.store.BaseDevice(), ccfg)
 	cc.SetMandatory(s.mandatoryCursor())
 	s.store.SetCache(cc)
@@ -353,23 +347,15 @@ func (s *Session) forecast() (next, peak float64, ok bool) {
 // prefetchTarget is the global cursor the prefetcher should stage up to:
 // the maximum cursor the controller would plan over the next
 // prefetchLookahead steps, floored by the prescribed bound's rung.
-// Mirrors planCursor.
 func (s *Session) prefetchTarget() int {
 	target := s.mandatoryCursor()
 	if !s.est.Ready() {
 		return target
 	}
-	h := s.store.Hierarchy()
 	n := s.est.Samples()
-	boost := 1.0
-	if s.Config.Policy.crossLayer() {
-		boost = s.weightBoost()
-	}
-	for i := 0; i < prefetchLookahead; i++ {
-		deg := abplot.Default().Degree(s.est.Predict(n+i) * boost)
-		if cur := h.CursorForFraction(deg); cur > target {
-			target = cur
-		}
+	for i := range prefetchLookahead {
+		cur, _ := s.cursorFor(s.est.Predict(n + i))
+		target = max(target, cur)
 	}
 	return target
 }
@@ -397,27 +383,24 @@ func (s *Session) mandatoryCursor() int {
 // a factor 2w/(w+100). We use the previous step's applied average weight
 // as w (1.0 boost before any weight has been applied).
 func (s *Session) planCursor(step int) (cursor int, predicted, degree float64) {
-	h := s.store.Hierarchy()
-	total := h.TotalEntries()
-	switch s.Config.Policy {
-	case NoAdapt, StorageOnly:
-		return total, 0, 1
-	}
-	if !s.est.Ready() {
+	if !s.Config.Policy.adaptive() || !s.est.Ready() {
 		// Early steps: retrieve fully while collecting history.
-		return total, 0, 1
+		return s.store.Hierarchy().TotalEntries(), 0, 1
 	}
 	predicted = s.est.Predict(step)
-	planBW := predicted
+	cursor, degree = s.cursorFor(predicted)
+	return max(cursor, s.mandatoryCursor()), predicted, degree
+}
+
+// cursorFor is Algorithm 1's line 6 for a forecast default-share
+// bandwidth bw: the abplot degree of the bandwidth the session plans
+// against, and the cursor of that augmentation fraction.
+func (s *Session) cursorFor(bw float64) (cursor int, degree float64) {
 	if s.Config.Policy.crossLayer() {
-		planBW *= s.weightBoost()
+		bw *= s.weightBoost()
 	}
-	degree = abplot.Default().Degree(planBW)
-	cursor = h.CursorForFraction(degree)
-	if m := s.mandatoryCursor(); cursor < m {
-		cursor = m
-	}
-	return cursor, predicted, degree
+	degree = abplot.Default().Degree(bw)
+	return s.store.Hierarchy().CursorForFraction(degree), degree
 }
 
 // weightBoost estimates how much more bandwidth the session's elevated
@@ -517,6 +500,24 @@ func (s *Session) applyWeight(c *container.Container, now float64, w int) int {
 	return w
 }
 
+// setWeight routes a bucket's weight through the node-level allocator
+// when configured (weight arbitration across concurrent sessions),
+// through the decentralized token controller when that mode is selected,
+// directly to the cgroup otherwise. It returns the weight in force.
+func (s *Session) setWeight(c *container.Container, now float64, w int) int {
+	switch {
+	case s.Config.Allocator != nil:
+		granted, err := s.Config.Allocator.Request(s.Name, w)
+		if err != nil {
+			panic(err) // attached at Launch
+		}
+		return granted
+	case s.Config.Tokens != nil:
+		return s.Config.Tokens.Request(s.tb, w)
+	}
+	return s.applyWeight(c, now, w)
+}
+
 func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	cfg := s.Config
 	start := p.Now()
@@ -546,15 +547,25 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	st.Retries += baseOut.Retries
 	tier.Merge(baseStats)
 
-	// Lines 9–13: bucket-wise retrieval; CrossLayer additionally applies
-	// the weight function per bucket, StorageOnly applies a single
-	// size-proportional weight over the whole retrieval. The sequential
-	// path reads guarded: transient read errors retry with backoff, and
-	// augmentation beyond the prescribed bound degrades (is shed) once
-	// the retry budget is spent. Returns false when the step degraded —
-	// remaining buckets are above-bound augmentation and are skipped too.
-	slow := s.store.SlowestDevice()
-	readBucket := func(b bucket, weight int) bool {
+	// Lines 9–13: bucket-wise retrieval. The adaptive policies read the
+	// retrieval bucket by bucket; the others read it as one bucket.
+	// Weight-adjusting policies price each bucket and set its weight
+	// first (StorageOnly's one bucket by size alone). The sequential path
+	// reads guarded: transient read errors retry with backoff, and
+	// augmentation beyond the prescribed bound degrades (is shed) once the
+	// retry budget is spent; a degraded step skips its remaining buckets,
+	// which are above-bound augmentation too.
+	bkts := s.whole[:]
+	if cfg.Policy.adaptive() {
+		bkts = s.buckets(cursor)
+	} else {
+		s.whole[0] = bucket{0, cursor, math.NaN()}
+	}
+	for _, b := range bkts {
+		weight := 0
+		if cfg.Policy.adjustsWeights() {
+			weight = s.setWeight(c, p.Now(), s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
+		}
 		bs := BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: p.Now()}
 		if weight > 0 {
 			cfg.Trace.Emit(p.Now(), s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, b.bound, b.to-b.from)
@@ -572,47 +583,18 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		bs.Elapsed = p.Now() - bs.Start
 		s.bktArena = append(s.bktArena, bs)
 		cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
-		return !st.Degraded
-	}
-	// setWeight routes through the node-level allocator when configured
-	// (weight arbitration across concurrent sessions), through the
-	// decentralized token controller when that mode is selected, directly
-	// to the cgroup otherwise. It returns the weight actually in force.
-	setWeight := func(w int) int {
-		if cfg.Allocator != nil {
-			granted, err := cfg.Allocator.Request(s.Name, w)
-			if err != nil {
-				panic(err) // attached at Launch
-			}
-			return granted
-		}
-		if cfg.Tokens != nil {
-			return cfg.Tokens.Request(s.tb, w)
-		}
-		return s.applyWeight(c, p.Now(), w)
-	}
-	switch cfg.Policy {
-	case NoAdapt:
-		readBucket(bucket{0, cursor, math.NaN()}, 0)
-	case StorageOnly:
-		w := setWeight(s.wfSize.Weight(float64(cursor), 0, 1))
-		readBucket(bucket{0, cursor, math.NaN()}, w)
-	case AppOnly:
-		for _, b := range s.buckets(cursor) {
-			if !readBucket(b, 0) {
-				break
-			}
-		}
-	case CrossLayer, CrossLayerPrefetch:
-		for _, b := range s.buckets(cursor) {
-			card := b.to - b.from
-			w := setWeight(s.wf.Weight(float64(card), b.bound, cfg.Priority))
-			if !readBucket(b, w) {
-				break
-			}
+		if st.Degraded {
+			break
 		}
 	}
-	// Weight reverts to the default outside the retrieval window.
+	// Feed the estimator with the capacity-tier bandwidth at the DEFAULT
+	// weight share — the quantity abplot's BW_low/BW_high thresholds
+	// describe. Policies that boost their weight perceive inflated
+	// bandwidth during their own reads, so they revert the weight to the
+	// default outside the retrieval window and sample via a small probe
+	// read issued after that. Policies that never adjust weights sample
+	// from their retrieval directly (probing only when the step barely
+	// touched the capacity tier).
 	if cfg.Policy.adjustsWeights() {
 		switch {
 		case cfg.Allocator != nil:
@@ -622,26 +604,16 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		default:
 			s.applyWeight(c, p.Now(), blkio.DefaultWeight)
 		}
-	}
-
-	// Feed the estimator with the capacity-tier bandwidth at the DEFAULT
-	// weight share — the quantity abplot's BW_low/BW_high thresholds
-	// describe. Policies that boost their weight perceive inflated
-	// bandwidth during their own reads, so they sample via a small probe
-	// read issued after the weight has reverted to the default. Policies
-	// that never adjust weights sample from their retrieval directly
-	// (probing only when the step barely touched the capacity tier).
-	weightAdjusting := cfg.Policy.adjustsWeights()
-	if weightAdjusting && cfg.ProbeBytes > 0 {
-		pt := s.store.Probe(p, c.Cgroup(), cfg.ProbeBytes)
+		pt := s.store.Probe(p, c.Cgroup(), probeBytes)
 		bytes, elapsed := pt.Total()
 		tier.Merge(pt)
 		if elapsed > 0 {
 			st.SlowBW = bytes / elapsed
 		}
 	} else {
-		if cfg.ProbeBytes > 0 && tier.BytesOn(slow) < cfg.ProbeBytes {
-			tier.Merge(s.store.Probe(p, c.Cgroup(), cfg.ProbeBytes))
+		slow := s.store.SlowestDevice()
+		if tier.BytesOn(slow) < probeBytes {
+			tier.Merge(s.store.Probe(p, c.Cgroup(), probeBytes))
 		}
 		if slowBytes, slowTime := tier.BytesOn(slow), tier.TimeOn(slow); slowTime > 0 && slowBytes > 0 {
 			st.SlowBW = slowBytes / slowTime

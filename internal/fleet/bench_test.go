@@ -11,7 +11,7 @@ import (
 // shape — the end-to-end cost of barriers + parallel windows.
 func BenchmarkFleetEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := New(Config{Nodes: 4, Sessions: 32, Seed: 7, Epochs: 4, WarmEpochs: 1})
+		c, err := New(Config{Nodes: 4, Sessions: 32, Seed: 7, Epochs: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func BenchmarkFleetBarrier1000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nodeBW := c.cfg.Store.NodeBandwidth
+	nodeBW := c.obj.NodeBandwidth
 	for _, nd := range c.nodes {
 		for k := 0; k < 8; k++ {
 			nd.est.Observe(float64(50+k%5) * mb)

@@ -34,7 +34,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -51,27 +50,24 @@ import (
 	"tango/internal/trace"
 )
 
-const mb = 1024 * 1024
+const (
+	mb = 1024 * 1024
+	// epochSec is the epoch length in virtual seconds and every session's
+	// analysis period: one step per session per epoch (the paper's 60 s
+	// period, §IV-A).
+	epochSec = 60
+)
 
-// Config sizes one cluster run.
+// Config sizes one cluster run. The object store is
+// objstore.Default(Nodes), and the first min(2, Epochs-1) epochs warm L2
+// from it: they are left out of violation counting and throughput
+// summaries.
 type Config struct {
 	Nodes    int   // simulated nodes (>= 1)
 	Sessions int   // sessions placed across the fleet (>= 1)
 	Seed     int64 // drives session parameter generation
-	// EpochSec is the epoch length in virtual seconds and every
-	// session's analysis period: one step per session per epoch
-	// (default 60, the paper's period).
-	EpochSec float64
 	// Epochs is the number of epochs to run (default 8).
 	Epochs int
-	// WarmEpochs are leading epochs excluded from violation counting and
-	// throughput summaries while L2 warms from the store. Zero means the
-	// default (2, clamped to Epochs-1 on short runs); a negative value
-	// means no warm epochs at all.
-	WarmEpochs int
-	// Store overrides the object-store parameters (zero Name: sized by
-	// objstore.Default(Nodes)).
-	Store objstore.Params
 	// Plan is a fault plan. NodeKill events (target "node<i>") are
 	// interpreted by the cluster coordinator at epoch barriers; device
 	// faults are armed on every node's local devices; other kinds are
@@ -79,8 +75,8 @@ type Config struct {
 	Plan *fault.Plan
 	// Trace receives barrier-time cluster events (KindPlace,
 	// KindMigrate, KindEgress, KindFault). Session steps do not emit —
-	// windows run in parallel and the recorder's lock order would not be
-	// deterministic. May be nil.
+	// windows run in parallel, and a shared recorder's event order would
+	// not be deterministic. May be nil.
 	Trace *trace.Recorder
 	// Control selects each node's weight-control mode: the central
 	// coordinator (default), decentralized token buckets, or hybrid —
@@ -100,23 +96,8 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.EpochSec == 0 {
-		c.EpochSec = 60
-	}
 	if c.Epochs == 0 {
 		c.Epochs = 8
-	}
-	switch {
-	case c.WarmEpochs < 0:
-		c.WarmEpochs = 0
-	case c.WarmEpochs == 0:
-		c.WarmEpochs = 2
-		if c.WarmEpochs >= c.Epochs {
-			c.WarmEpochs = c.Epochs - 1
-		}
-	}
-	if c.Store.Name == "" {
-		c.Store = objstore.Default(c.Nodes)
 	}
 	return c
 }
@@ -125,12 +106,14 @@ func (c Config) validate() error {
 	if c.Nodes < 1 || c.Sessions < 1 {
 		return fmt.Errorf("fleet: need at least one node and one session (%d/%d)", c.Nodes, c.Sessions)
 	}
-	// Not "EpochSec <= 0": that is false for NaN, and +Inf passes it too.
-	if !(c.EpochSec > 0) || math.IsInf(c.EpochSec, 1) || c.Epochs < 1 || c.WarmEpochs < 0 || c.WarmEpochs >= c.Epochs {
-		return fmt.Errorf("fleet: bad epoch shape (len %g, %d epochs, %d warm)",
-			c.EpochSec, c.Epochs, c.WarmEpochs)
+	if c.Epochs < 1 {
+		return fmt.Errorf("fleet: need at least one epoch (%d)", c.Epochs)
 	}
-	return nil
+	switch c.Control {
+	case tokenctl.ModeCentral, tokenctl.ModeTokens, tokenctl.ModeHybrid:
+		return nil
+	}
+	return fmt.Errorf("fleet: unknown control mode %v (want central, tokens or hybrid)", c.Control)
 }
 
 // Report is the outcome of one cluster run.
@@ -197,7 +180,6 @@ type node struct {
 	sessions []*session // owned sessions, id-sorted once sortTouched has run
 	unsorted bool       // attach appended since the last sort
 	load     float64    // Σ session step-cost (placement score term)
-	epochSec float64    // cfg.EpochSec, where a step body finds it
 
 	alive     bool
 	killUntil float64
@@ -219,7 +201,9 @@ type node struct {
 // New, run with Run; a Cluster is single-use.
 type Cluster struct {
 	cfg   Config
-	ran   bool // Run was called
+	warm  int             // leading warm-up epochs: min(2, Epochs-1)
+	obj   objstore.Params // objstore.Default(Nodes)
+	ran   bool            // Run was called
 	store *objstore.Store
 	nodes []*node
 	sess  []*session
@@ -258,9 +242,12 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
+	obj := objstore.Default(cfg.Nodes)
 	c := &Cluster{
 		cfg:        cfg,
-		store:      objstore.New(cfg.Store),
+		warm:       min(2, cfg.Epochs-1),
+		obj:        obj,
+		store:      objstore.New(obj),
 		rec:        cfg.Trace,
 		killEpoch:  -1,
 		violByNode: make([]int, cfg.Nodes),
@@ -274,7 +261,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i := range c.nodes {
 		c.nodes[i] = c.buildNode(i, true)
 	}
-	c.sess = genSessions(cfg.Sessions, cfg.Seed, cfg.EpochSec, cfg.Store.NodeBandwidth)
+	c.sess = genSessions(cfg.Sessions, cfg.Seed, obj.NodeBandwidth)
 	c.place(c.sess, 0, "arrival")
 	return c, nil
 }
@@ -282,7 +269,7 @@ func New(cfg Config) (*Cluster, error) {
 // buildNode constructs (or, with attach=false, rebuilds after a kill)
 // the engine-bound state of node i.
 func (c *Cluster) buildNode(i int, attach bool) *node {
-	nd := &node{idx: i, name: fmt.Sprintf("node%d", i), alive: true, epochSec: c.cfg.EpochSec}
+	nd := &node{idx: i, name: fmt.Sprintf("node%d", i), alive: true}
 	nd.cn = container.NewNode(nd.name)
 	nd.ssd = nd.cn.MustAddDevice(device.SSD("ssd"))
 	if attach {
@@ -297,7 +284,7 @@ func (c *Cluster) buildNode(i int, attach bool) *node {
 	} else {
 		var topts tokenctl.Options
 		if c.cfg.Control == tokenctl.ModeHybrid {
-			topts.EpochSec = 5 * c.cfg.EpochSec
+			topts.EpochSec = 5 * epochSec
 		}
 		nd.tok = tokenctl.New(nd.cn.Engine().Now, topts)
 		nd.tok.SetResil(nd.rc)
@@ -355,11 +342,10 @@ func (c *Cluster) Run() (*Report, error) {
 		return nil, errors.New("fleet: Run called twice")
 	}
 	c.ran = true
-	cfg := c.cfg
-	nodeBW := cfg.Store.NodeBandwidth
-	for e := 0; e < cfg.Epochs; e++ {
-		t0 := float64(e) * cfg.EpochSec
-		end := t0 + cfg.EpochSec
+	nodeBW := c.obj.NodeBandwidth
+	for e := 0; e < c.cfg.Epochs; e++ {
+		t0 := float64(e) * epochSec
+		end := t0 + epochSec
 
 		// ---- barrier: cluster mutation, node-index order ----
 		c.applyPlan(e, t0)
@@ -367,7 +353,7 @@ func (c *Cluster) Run() (*Report, error) {
 			c.settle(t0)
 		}
 		c.reshare(e, nodeBW)
-		measured := e >= cfg.WarmEpochs
+		measured := e >= c.warm
 		for _, nd := range c.nodes {
 			if nd.alive {
 				c.scheduleSteps(nd, t0, measured)
@@ -486,7 +472,7 @@ func (c *Cluster) place(list []*session, t float64, why string) {
 	if len(list) == 0 {
 		return
 	}
-	nodeBW := c.cfg.Store.NodeBandwidth
+	nodeBW := c.obj.NodeBandwidth
 	c.heap.reset(len(c.nodes))
 	for _, nd := range c.nodes {
 		if nd.alive {
@@ -658,9 +644,6 @@ func (c *Cluster) reshare(epoch int, nodeBW float64) {
 		demands[i] = nd.predictFrac(nodeBW) * nodeBW * 1.25
 	}
 	grants := c.store.Reshare(demands)
-	if c.rec == nil {
-		return // guard: skips the O(nodes) grant-summary scan below, which only the emit reads
-	}
 	lo, hi := 0.0, 0.0
 	first := true
 	for i, g := range grants {
@@ -675,8 +658,8 @@ func (c *Cluster) reshare(epoch int, nodeBW float64) {
 		}
 		first = false
 	}
-	c.emit(float64(epoch)*c.cfg.EpochSec, trace.KindEgress,
-		"epoch=%d grants MB/s min=%.1f max=%.1f total=%.1f", epoch, lo/mb, hi/mb, c.cfg.Store.TotalEgress/mb)
+	c.emit(float64(epoch)*epochSec, trace.KindEgress,
+		"epoch=%d grants MB/s min=%.1f max=%.1f total=%.1f", epoch, lo/mb, hi/mb, c.obj.TotalEgress/mb)
 }
 
 // harvest folds per-node epoch accumulators into the cluster totals at
@@ -688,7 +671,7 @@ func (c *Cluster) harvest(epoch int) {
 		if !nd.alive {
 			continue
 		}
-		obs := nd.demandBytes / c.cfg.EpochSec
+		obs := nd.demandBytes / epochSec
 		nd.est.Observe(obs)
 		nd.demandSum += obs
 		nd.demandN++
@@ -703,7 +686,7 @@ func (c *Cluster) harvest(epoch int) {
 		c.skips += nd.skips
 		nd.demandBytes, nd.stepBytes, nd.viol, nd.skips = 0, 0, 0, 0
 	}
-	c.epochMBps = append(c.epochMBps, bytes/c.cfg.EpochSec/mb)
+	c.epochMBps = append(c.epochMBps, bytes/epochSec/mb)
 	c.store.Harvest()
 }
 
@@ -748,11 +731,11 @@ func (c *Cluster) report() *Report {
 		}
 		return s / float64(len(xs))
 	}
-	r.AggMBps = mean(c.epochMBps[cfg.WarmEpochs:])
-	if c.killEpoch > cfg.WarmEpochs {
+	r.AggMBps = mean(c.epochMBps[c.warm:])
+	if c.killEpoch > c.warm {
 		// A kill at or before the warm-up boundary leaves no measured
 		// pre-kill baseline; RecoveryFrac stays at its default 1.
-		pre := c.epochMBps[cfg.WarmEpochs:c.killEpoch]
+		pre := c.epochMBps[c.warm:c.killEpoch]
 		post := c.epochMBps[c.killEpoch:]
 		if len(pre) > 0 && len(post) > 0 && mean(pre) > 0 {
 			r.RecoveryFrac = mean(post) / mean(pre)
@@ -859,6 +842,9 @@ func (h *placer) pop() (int, float64) {
 	}
 	return idx, score
 }
+
+// Objstore is the object store the cluster runs over.
+func (c *Cluster) Objstore() objstore.Params { return c.obj }
 
 // Describe renders a short per-node table (first max rows) for the CLI.
 func (c *Cluster) Describe(max int) string {

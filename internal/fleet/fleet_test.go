@@ -227,25 +227,24 @@ func TestHarvestCountsViolationsOnce(t *testing.T) {
 }
 
 func TestShortRunsAndZeroWarmup(t *testing.T) {
-	// Epochs <= 2 with the default warm-up must construct (the default
-	// clamps to Epochs-1)...
+	// Epochs <= 2 must construct: the warm-up is min(2, Epochs-1)...
 	c, err := New(Config{Nodes: 1, Sessions: 2, Seed: 1, Epochs: 2})
 	if err != nil {
-		t.Fatalf("Epochs=2 with default warm-up must construct: %v", err)
+		t.Fatalf("Epochs=2 must construct: %v", err)
 	}
-	if c.cfg.WarmEpochs != 1 {
-		t.Fatalf("warm epochs should clamp to Epochs-1, got %d", c.cfg.WarmEpochs)
+	if c.warm != 1 {
+		t.Fatalf("warm epochs should clamp to Epochs-1, got %d", c.warm)
 	}
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// ...and a negative WarmEpochs means no warm epochs at all.
-	c2, err := New(Config{Nodes: 1, Sessions: 2, Seed: 1, Epochs: 1, WarmEpochs: -1})
+	// ...so a single epoch has no warm-up at all.
+	c2, err := New(Config{Nodes: 1, Sessions: 2, Seed: 1, Epochs: 1})
 	if err != nil {
-		t.Fatalf("WarmEpochs=-1 must mean zero warm epochs: %v", err)
+		t.Fatalf("Epochs=1 must construct: %v", err)
 	}
-	if c2.cfg.WarmEpochs != 0 {
-		t.Fatalf("WarmEpochs -1 should resolve to 0, got %d", c2.cfg.WarmEpochs)
+	if c2.warm != 0 {
+		t.Fatalf("a single epoch should have no warm-up, got %d", c2.warm)
 	}
 	r, err := c2.Run()
 	if err != nil {

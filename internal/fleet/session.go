@@ -53,7 +53,7 @@ type session struct {
 // randomness in the fleet, fully determined by the seed. The sessions are
 // elements of one slab and their names ("sess<id>") substrings of one
 // string: two objects for the population, not three per session.
-func genSessions(n int, seed int64, epochSec, nodeBW float64) []*session {
+func genSessions(n int, seed int64, nodeBW float64) []*session {
 	rng := rand.New(rand.NewSource(seed))
 	prios := [3]int{1, 5, 10}
 	// Exact size, so the builder never moves and every name shares its
@@ -156,7 +156,7 @@ func (s *session) Run(p *sim.Proc) {
 	if nd.tok != nil && s.tb != nil {
 		nd.tok.Release(s.tb)
 	}
-	if elapsed := p.Now() - start; elapsed > nd.epochSec && measured {
+	if elapsed := p.Now() - start; elapsed > epochSec && measured {
 		nd.viol++
 	}
 	nd.stepBytes += s.stepRead

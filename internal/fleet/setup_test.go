@@ -2,12 +2,12 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"unsafe"
+
+	"tango/internal/tokenctl"
 )
 
 // mallocs counts the heap objects f allocates (runtime-internal ones
@@ -56,7 +56,7 @@ func TestSetupAllocCeilings(t *testing.T) {
 // one buffer sized exactly, and the population costs a handful of objects.
 func TestSessionNamesMatchSprintf(t *testing.T) {
 	for _, n := range []int{1, 9, 10, 11, 100, 101, 100_001} {
-		ss := genSessions(n, 42, 60, 1)
+		ss := genSessions(n, 42, 1)
 		for i, s := range ss {
 			if want := fmt.Sprintf("sess%d", i); s.name != want || s.id != i {
 				t.Fatalf("n=%d: session %d is %q (id %d), want %q", n, i, s.name, s.id, want)
@@ -67,7 +67,7 @@ func TestSessionNamesMatchSprintf(t *testing.T) {
 			}
 		}
 	}
-	if n := mallocs(func() { genSessions(1000, 42, 60, 1) }); n > 10 {
+	if n := mallocs(func() { genSessions(1000, 42, 1) }); n > 10 {
 		t.Fatalf("1000 sessions cost %d objects, want the slab, the arena, the pointer list and the rng", n)
 	}
 }
@@ -91,34 +91,23 @@ func TestRunTwiceIsAnError(t *testing.T) {
 	}
 }
 
-// NaN and +Inf pass "EpochSec <= 0"; New used to accept both and Run
-// panicked scheduling a step at a NaN time.
-func TestConfigRejectsBadEpochSec(t *testing.T) {
-	for _, tc := range []struct {
-		epochSec float64
-		ok       bool
-	}{
-		{math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
-		{-60, false}, {-math.SmallestNonzeroFloat64, false},
-		{0, true}, // unset: the 60 s default
-		{0.5, true}, {60, true},
+// A Control outside the three modes used to run as token control
+// (buildNode took every non-central value for tokens); New rejects it,
+// and a run needs at least one epoch.
+func TestConfigRejectsBadControlAndEpochs(t *testing.T) {
+	for _, cfg := range []Config{
+		{Nodes: 1, Sessions: 2, Control: tokenctl.Mode(7)},
+		{Nodes: 1, Sessions: 2, Control: tokenctl.Mode(-1)},
+		{Nodes: 1, Sessions: 2, Epochs: -1},
 	} {
-		c, err := New(Config{Nodes: 1, Sessions: 2, Epochs: 2, EpochSec: tc.epochSec})
-		if (err == nil) != tc.ok {
-			t.Errorf("EpochSec %v: err %v, want ok=%t", tc.epochSec, err, tc.ok)
-		}
-		if err != nil {
-			if !strings.Contains(err.Error(), "bad epoch shape") {
-				t.Errorf("EpochSec %v: error %q does not name the epoch shape", tc.epochSec, err)
-			}
-			continue
-		}
-		if _, err := c.Run(); err != nil {
-			t.Errorf("EpochSec %v: %v", tc.epochSec, err)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted control %v, %d epochs", cfg.Control, cfg.Epochs)
 		}
 	}
-	if err := (Config{Nodes: 1, Sessions: 1, Epochs: 1}).validate(); err == nil {
-		t.Error("validate accepted EpochSec 0 (withDefaults had not run)")
+	for _, m := range []tokenctl.Mode{tokenctl.ModeCentral, tokenctl.ModeTokens, tokenctl.ModeHybrid} {
+		if _, err := New(Config{Nodes: 1, Sessions: 2, Epochs: 1, Control: m}); err != nil {
+			t.Errorf("control %v: %v", m, err)
+		}
 	}
 }
 

@@ -52,7 +52,6 @@ type faultedRun struct {
 func runFaulted(scenName string, h *refactor.Hierarchy, cfg Config, plan *fault.Plan, pol core.Policy, withResil, hedge bool) faultedRun {
 	rec := trace.New(32768)
 	scen := NewScenario(scenName, 3)
-	cfg.FaultPlan = plan
 	sc := core.Config{
 		Policy: pol, ErrorControl: true, Bound: 0.01, Priority: 10,
 		RefitEvery: 10, Trace: rec,
@@ -62,6 +61,9 @@ func runFaulted(scenName string, h *refactor.Hierarchy, cfg Config, plan *fault.
 			Trace: rec,
 			Hedge: resil.HedgeConfig{Enabled: hedge},
 		})
+	}
+	if err := scen.ArmFaults(plan, rec); err != nil {
+		panic(fmt.Sprintf("harness: arming faults: %v", err))
 	}
 	sess := runOnScenario(scen, chaosSession, h, cfg, sc)
 	return faultedRun{sess, sc.Resil, scen.Injector.Injected(), len(fault.Unpaired(rec.Events()))}
@@ -75,9 +77,6 @@ func runFaulted(scenName string, h *refactor.Hierarchy, cfg Config, plan *fault.
 // recorded recovery action.
 func chaos(cfg Config) *Result {
 	plan := ChaosPlan(cfg)
-	if cfg.FaultPlan != nil {
-		plan = cfg.FaultPlan
-	}
 	r := &Result{
 		ID:     "chaos",
 		Title:  "Fault injection and cross-layer recovery (XGC)",

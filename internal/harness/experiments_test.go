@@ -142,9 +142,9 @@ func TestExperimentIDsMatchResults(t *testing.T) {
 	// Cheap experiments only; each must return a Result whose ID matches
 	// the registry ID.
 	for _, id := range []string{"table1", "fig11"} {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("missing %s", id)
+		e, err := Lookup(id)
+		if err != nil {
+			t.Fatal(err)
 		}
 		res := e.Run(smallCfg())
 		if res.ID != id {

@@ -75,8 +75,7 @@ func runFleet(fc fleet.Config) *fleet.Report {
 // object-store egress, and post-kill throughput recovery. Each run is an
 // N-node fleet of full single-node stacks over a shared object store
 // (internal/fleet); the whole sweep is deterministic in cfg.Seed at any
-// -parallel width. A non-nil cfg.FaultPlan replaces the canonical kill
-// schedule on the faulted arm.
+// -parallel width.
 func fleetExp(cfg Config) *Result {
 	r := &Result{
 		ID:    "fleet",
@@ -91,11 +90,7 @@ func fleetExp(cfg Config) *Result {
 	}
 	var arms []arm
 	for _, p := range fleetSweep(cfg.FleetScale) {
-		kill := cfg.FaultPlan
-		if kill == nil {
-			kill = fleetKillPlan(p.nodes)
-		}
-		arms = append(arms, arm{p, "none", nil}, arm{p, "node-kill", kill})
+		arms = append(arms, arm{p, "none", nil}, arm{p, "node-kill", fleetKillPlan(p.nodes)})
 	}
 	addRows(r, arms, func(a arm) []string {
 		rep := runFleet(fleet.Config{

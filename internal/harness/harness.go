@@ -14,7 +14,6 @@ import (
 
 	"tango/internal/analytics"
 	"tango/internal/errmetric"
-	"tango/internal/fault"
 	"tango/internal/refactor"
 	"tango/internal/tensor"
 )
@@ -46,13 +45,6 @@ type Config struct {
 	// (10→1000 nodes, 100→100k sessions). Default 1; tests and quick
 	// runs use small fractions (e.g. 0.02). Other experiments ignore it.
 	FleetScale float64
-	// FaultPlan, when non-nil, is armed on every scenario the
-	// experiment builds: each run replays the same virtual-time fault
-	// schedule (see internal/fault and the chaos experiment). Events
-	// naming a cgroup resolve against the session launched on that
-	// scenario; events naming interferers resolve against the Table IV
-	// noise set.
-	FaultPlan *fault.Plan
 }
 
 // WithDefaults fills every zero field with its default.
@@ -213,24 +205,15 @@ func Experiments() []Experiment {
 	}
 }
 
-// Lookup finds an experiment by ID.
-func Lookup(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
-// LookupErr is Lookup with a helpful error: unknown IDs name the closest
-// registered experiment (by edit distance) before pointing at -list.
-func LookupErr(id string) (Experiment, error) {
-	if e, ok := Lookup(id); ok {
-		return e, nil
-	}
+// Lookup finds an experiment by ID. An unknown ID's error names the
+// closest registered experiment (by edit distance) before pointing at
+// -list.
+func Lookup(id string) (Experiment, error) {
 	best, bestDist := "", -1
 	for _, e := range Experiments() {
+		if e.ID == id {
+			return e, nil
+		}
 		if d := editDistance(id, e.ID); bestDist < 0 || d < bestDist {
 			best, bestDist = e.ID, d
 		}

@@ -15,9 +15,9 @@ func smallCfg() Config {
 
 // run enters experiment id the way tangobench does.
 func run(id string, cfg Config) *Result {
-	e, ok := Lookup(id)
-	if !ok {
-		panic("no experiment " + id)
+	e, err := Lookup(id)
+	if err != nil {
+		panic(err)
 	}
 	return e.Run(cfg)
 }
@@ -86,10 +86,10 @@ func TestResultFormatting(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	if _, ok := Lookup("fig8"); !ok {
-		t.Fatal("fig8 missing")
+	if _, err := Lookup("fig8"); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := Lookup("nope"); ok {
+	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("bogus id found")
 	}
 	seen := map[string]bool{}

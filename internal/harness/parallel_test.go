@@ -20,9 +20,9 @@ func TestParallelSuiteByteIdentical(t *testing.T) {
 		defer runpool.SetWorkers(0)
 		var results []*Result
 		for _, id := range ids {
-			e, ok := Lookup(id)
-			if !ok {
-				t.Fatalf("experiment %s missing", id)
+			e, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
 			}
 			results = append(results, e.Run(cfg))
 		}

@@ -7,14 +7,14 @@ import (
 )
 
 func TestLookupErrSuggests(t *testing.T) {
-	if e, err := LookupErr("prefetch"); err != nil || e.ID != "prefetch" {
-		t.Fatalf("LookupErr(prefetch) = %v, %v", e.ID, err)
+	if e, err := Lookup("prefetch"); err != nil || e.ID != "prefetch" {
+		t.Fatalf("Lookup(prefetch) = %v, %v", e.ID, err)
 	}
-	_, err := LookupErr("prefetchh")
+	_, err := Lookup("prefetchh")
 	if err == nil || !strings.Contains(err.Error(), `did you mean "prefetch"`) {
 		t.Fatalf("no typo suggestion: %v", err)
 	}
-	_, err = LookupErr("zzzzzzzz")
+	_, err = Lookup("zzzzzzzz")
 	if err == nil || strings.Contains(err.Error(), "did you mean") {
 		t.Fatalf("far-off id should not get a suggestion: %v", err)
 	}

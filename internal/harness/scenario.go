@@ -27,8 +27,8 @@ type Scenario struct {
 	// name; the fault injector's churn events (leave, period) act on
 	// these.
 	Noise map[string]*workload.Handle
-	// Injector is the armed fault injector when the experiment config
-	// carries a FaultPlan (nil otherwise).
+	// Injector is the armed fault injector once ArmFaults has run (nil
+	// otherwise).
 	Injector *fault.Injector
 }
 
@@ -128,11 +128,6 @@ func runOne(name string, nNoise int, h *refactor.Hierarchy, cfg Config, sc core.
 }
 
 func runOnScenario(scen *Scenario, name string, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
-	if cfg.FaultPlan != nil && scen.Injector == nil {
-		if err := scen.ArmFaults(cfg.FaultPlan, sc.Trace); err != nil {
-			panic(fmt.Sprintf("harness: arming faults: %v", err))
-		}
-	}
 	if sc.Allocator != nil && sc.Trace != nil {
 		sc.Allocator.SetTrace(sc.Trace, scen.Node.Engine().Now)
 	}

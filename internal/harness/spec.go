@@ -15,7 +15,6 @@ import (
 	"tango/internal/core"
 	"tango/internal/fault"
 	"tango/internal/fleet"
-	"tango/internal/objstore"
 	"tango/internal/refactor"
 	"tango/internal/resil"
 	"tango/internal/tokenctl"
@@ -27,13 +26,17 @@ import (
 // Spec is one tangosim run, a field per run flag (SpecFlags). Its text
 // form is the argument list ParseSpec reads: any spec reproduces as
 // `tangosim <args>`. Config carries -grid, -seed, -steps and -dataset,
-// and Validate resolves -faults into Config.FaultPlan.
+// and Validate resolves -faults into FaultPlan.
 type Spec struct {
 	Config
 	Policy, App, Faults, Control     string
 	Noise, CacheMB, Nodes, Sessions  int
 	Bound, Priority                  float64
 	Prefetch, Resil, Hedge, Objstore bool
+
+	// FaultPlan is the -faults plan Validate resolved (nil without one):
+	// armed on the single-node scenario, or the fleet's node-kill plan.
+	FaultPlan *fault.Plan
 
 	pol  core.Policy // resolved by Validate
 	app  analytics.App
@@ -87,7 +90,7 @@ func (s *Spec) Validate() error {
 	if s.pol, err = cliutil.ParsePolicy(s.Policy); err != nil {
 		return err
 	}
-	if s.mode, err = cliutil.ParseControl(s.Control); err != nil {
+	if s.mode, err = tokenctl.ParseMode(s.Control); err != nil {
 		return err
 	}
 	apps := analytics.Apps()
@@ -186,8 +189,8 @@ func (s *Spec) Run(rec *trace.Recorder, w io.Writer) (*SpecRun, error) {
 }
 
 // FleetConfig is the cluster a validated fleet-mode spec describes, with
-// the fleet's session and object-store defaults filled in; rec may be nil.
+// the fleet's session default filled in; rec may be nil.
 func (s *Spec) FleetConfig(rec *trace.Recorder) fleet.Config {
-	return fleet.Config{Nodes: s.Nodes, Sessions: cmp.Or(s.Sessions, 10*s.Nodes), Seed: s.Seed, Store: objstore.Default(s.Nodes),
+	return fleet.Config{Nodes: s.Nodes, Sessions: cmp.Or(s.Sessions, 10*s.Nodes), Seed: s.Seed,
 		Plan: s.FaultPlan, Trace: rec, Control: s.mode}
 }

@@ -59,10 +59,7 @@ func tokens(cfg Config) *Result {
 	mandatory := rung(h, 0.01)
 
 	modes := []tokenctl.Mode{tokenctl.ModeCentral, tokenctl.ModeTokens, tokenctl.ModeHybrid}
-	massFail, chaosPlan := cfg.FaultPlan, tokensChaosPlan(cfg)
-	if massFail == nil {
-		massFail = tokensMassFailPlan(cfg)
-	}
+	massFail, chaosPlan := tokensMassFailPlan(cfg), tokensChaosPlan(cfg)
 	type arm struct {
 		mode     tokenctl.Mode
 		planName string

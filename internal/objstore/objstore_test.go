@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"tango/internal/blkio"
@@ -208,5 +209,138 @@ func TestDetachPreservesLedger(t *testing.T) {
 	}
 	if fresh.Device().Share() != 1 {
 		t.Fatalf("fresh frontend share %v", fresh.Device().Share())
+	}
+}
+
+// reshareReference is a naive model of Reshare's contract, rebuilt from
+// scratch every round: every in-service node (demand >= 0) holds a floor
+// of min(1% of NodeBandwidth, an even split of the link), and the rest of
+// the link is a max-min fair water level over what each node wants above
+// its floor (demand capped at NodeBandwidth). Each round recomputes the
+// level over the nodes not yet satisfied and every grant from nothing;
+// it stops when a round satisfies no one.
+func reshareReference(p Params, demands []float64) []float64 {
+	grants := make([]float64, len(demands))
+	live := 0
+	for _, d := range demands {
+		if d >= 0 {
+			live++
+		}
+	}
+	if live == 0 {
+		return grants
+	}
+	floor := min(0.01*p.NodeBandwidth, p.TotalEgress/float64(live))
+	want := make([]float64, len(demands))
+	satisfied := make([]bool, len(demands))
+	for {
+		open, taken := 0, 0.0
+		for i, d := range demands {
+			want[i] = max(min(d, p.NodeBandwidth)-floor, 0)
+			switch {
+			case d < 0:
+			case satisfied[i]:
+				taken += want[i]
+			default:
+				open++
+			}
+		}
+		level := 0.0
+		if open > 0 {
+			level = max(p.TotalEgress-floor*float64(live)-taken, 0) / float64(open)
+		}
+		more := false
+		for i, d := range demands {
+			grants[i] = 0
+			if d < 0 {
+				continue
+			}
+			if !satisfied[i] && want[i] <= level {
+				satisfied[i], more = true, true
+			}
+			if satisfied[i] {
+				grants[i] = floor + want[i]
+			} else {
+				grants[i] = floor + level
+			}
+		}
+		if !more {
+			return grants
+		}
+	}
+}
+
+// TestReshareMatchesReference drives Reshare and the naive model with 10^4
+// seeded demand vectors — out-of-service nodes, floors larger than the
+// link, demands above NodeBandwidth, and ties — and checks that the grants
+// agree to 1e-9 relative, sum to at most TotalEgress (to rounding), and
+// that every live grant lies between the floor and NodeBandwidth and every
+// out-of-service grant is 0.
+func TestReshareMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 10_000; iter++ {
+		n := 1 + rng.Intn(24)
+		p := Default(n)
+		p.NodeBandwidth = (50 + rng.Float64()*350) * mb
+		switch rng.Intn(3) {
+		case 0: // floors larger than the link
+			p.TotalEgress = p.NodeBandwidth * 0.01 * float64(n) * rng.Float64()
+		case 1: // oversubscribed
+			p.TotalEgress = p.NodeBandwidth * float64(n) * (0.05 + rng.Float64()*0.9)
+		default: // room for every frontend
+			p.TotalEgress = p.NodeBandwidth * float64(n) * (1 + rng.Float64())
+		}
+		if p.TotalEgress <= 0 {
+			p.TotalEgress = p.NodeBandwidth * 0.001
+		}
+		s := New(p)
+		eng := sim.NewEngine()
+		demands := make([]float64, n)
+		for i := range demands {
+			s.Attach(eng)
+			switch r := rng.Float64(); {
+			case r < 0.15:
+				demands[i] = -1 // out of service
+			case r < 0.3 && i > 0:
+				demands[i] = demands[rng.Intn(i)] // a tie
+			case r < 0.4:
+				demands[i] = 0
+			case r < 0.55:
+				demands[i] = p.NodeBandwidth * (1 + rng.Float64()*3) // above the frontend
+			default:
+				demands[i] = p.NodeBandwidth * rng.Float64()
+			}
+		}
+		want := reshareReference(p, demands)
+		got := s.Reshare(demands)
+		live := 0
+		for _, d := range demands {
+			if d >= 0 {
+				live++
+			}
+		}
+		floor := 0.0
+		if live > 0 {
+			floor = min(0.01*p.NodeBandwidth, p.TotalEgress/float64(live))
+		}
+		var sum float64
+		for i, g := range got {
+			sum += g
+			if math.Abs(g-want[i]) > 1e-9*max(math.Abs(g), math.Abs(want[i])) {
+				t.Fatalf("iter %d node %d: Reshare %v, reference %v\nparams %+v\ndemands %v", iter, i, g, want[i], p, demands)
+			}
+			switch {
+			case demands[i] < 0 && g != 0:
+				t.Fatalf("iter %d: out-of-service node %d granted %v", iter, i, g)
+			case demands[i] >= 0 && (g < floor || g > p.NodeBandwidth):
+				t.Fatalf("iter %d: node %d grant %v outside [floor %v, frontend %v]", iter, i, g, floor, p.NodeBandwidth)
+			}
+		}
+		// n floors of TotalEgress/n can sum an ulp or two above the link
+		// when the floors take all of it, so the bound is held to 1e-12
+		// relative rather than exactly.
+		if sum > p.TotalEgress*(1+1e-12) {
+			t.Fatalf("iter %d: grants sum %v > TotalEgress %v\ndemands %v", iter, sum, p.TotalEgress, demands)
+		}
 	}
 }

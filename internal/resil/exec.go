@@ -2,7 +2,6 @@ package resil
 
 import (
 	"errors"
-	"fmt"
 
 	"tango/internal/blkio"
 	"tango/internal/device"
@@ -154,9 +153,7 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 		}
 		if cls == ClassTerminal {
 			k.stats.Failures++
-			if c.rec != nil { // guard: fmt.Sprint formats the error, work an untraced run skips
-				c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %s", k.pol.Name, dev.Name(), res.Attempts, fmt.Sprint(err))
-			}
+			c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %s", k.pol.Name, dev.Name(), res.Attempts, err.Error())
 			return res
 		}
 		if k.pol.MaxAttempts > 0 && res.Attempts >= k.pol.MaxAttempts {

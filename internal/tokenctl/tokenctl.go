@@ -29,6 +29,7 @@ package tokenctl
 
 import (
 	"fmt"
+	"strings"
 
 	"tango/internal/blkio"
 	"tango/internal/resil"
@@ -64,12 +65,14 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// ParseMode parses the CLI spelling of a control mode.
+// ParseMode parses the CLI spelling of a control mode, any case:
+// central (coordinator rescale), tokens (decentralized buckets; "token"
+// too), or hybrid (tokens with periodic coordinator-style resync).
 func ParseMode(s string) (Mode, error) {
-	switch s {
+	switch s = strings.ToLower(strings.TrimSpace(s)); s {
 	case "central":
 		return ModeCentral, nil
-	case "tokens":
+	case "tokens", "token":
 		return ModeTokens, nil
 	case "hybrid":
 		return ModeHybrid, nil

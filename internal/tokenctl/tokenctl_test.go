@@ -41,6 +41,24 @@ func TestModeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseModeSpellings: the CLI spellings ParseMode accepts beyond
+// Mode.String — any case, surrounding spaces, and the singular "token".
+func TestParseModeSpellings(t *testing.T) {
+	cases := map[string]Mode{
+		"central": ModeCentral, "Central": ModeCentral,
+		"tokens": ModeTokens, "token": ModeTokens,
+		"hybrid": ModeHybrid, " HYBRID ": ModeHybrid,
+	}
+	for in, want := range cases {
+		if got, err := ParseMode(in); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseMode("bogus"); err == nil {
+		t.Fatal("bogus control mode accepted")
+	}
+}
+
 // TestSoloSessionSustainsTarget: a lone session holding its desired
 // weight is self-funding — the bucket refills as fast as the burst
 // drains, so the boosted grant persists across steps.

@@ -3,12 +3,12 @@
 # the file, runs nothing. allocs_per_unit and alloc_kb_per_unit spread
 # < 0.3 % run to run, so unlike the timings a hard ceiling means something
 # on a shared runner. Objects sit ~5 % above what the workload allocates
-# (node_quiet 0.1921, node_faulted 0.9422, fleet 0.3000, refactor 0.000866 at
+# (node_quiet 0.1904, node_faulted 0.9339, fleet 0.3000, refactor 0.000866 at
 # seed 42): every figure is set-up — per scenario on node_*, per session on
 # fleet — so one object per step or per session that creeps back trips them.
-# Bytes sit 2 % above (0.31127, 0.52735, 0.11526, 0.22064 KiB): what a chunk
+# Bytes sit 2 % above (0.31122, 0.52696, 0.11526, 0.22064 KiB): what a chunk
 # policy that trades objects for half-filled chunks moves first.
-awk -v objs='node_quiet=0.202 node_faulted=0.990 fleet=0.315 refactor=0.00091' \
+awk -v objs='node_quiet=0.200 node_faulted=0.981 fleet=0.315 refactor=0.00091' \
     -v kib='node_quiet=0.3175 node_faulted=0.538 fleet=0.1176 refactor=0.2251' '
 function limits(list, metric,    n, kv, p, i) {
 	n = split(list, kv, " ")

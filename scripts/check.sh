@@ -7,6 +7,8 @@
 #   make bench = go run ./benchmarks/perf   (host-time benchmark, BENCHMARK.json)
 #   make bench-allocs = sh scripts/alloc-ceilings.sh perf-bench.txt
 #                (allocs_per_unit ceilings over the log of `make bench`)
+#   make bench-digests = sh scripts/digest-check.sh perf-bench.txt
+#                (every workload's sim_digest unchanged, from the same log)
 #   make suite = go run ./cmd/tangobench -json -parallel 4 -grid 129 -steps 40 \
 #                  -skip 10 -dataset 512 > bench-suite.json
 #   make suite-check = the same command piped to `cmp - bench-baseline.json`
