@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check fuzz bench bench-allocs bench-digests suite suite-check loc loc-check clean
+.PHONY: all build vet lint lint-json race test check fuzz bench bench-allocs bench-digests bench-record suite suite-check loc loc-check clean
 
 all: build
 
@@ -61,6 +61,12 @@ bench-allocs:
 bench-digests:
 	sh scripts/digest-check.sh perf-bench.txt
 
+# The performance series: appends the same log's metrics to the committed
+# perf-history.jsonl, one line per workload (scripts/bench-record.sh;
+# runs nothing). Timings are recorded there, not gated.
+bench-record:
+	sh scripts/bench-record.sh perf-bench.txt perf-history.jsonl
+
 # The behaviour gate: the CI-scale experiment suite must be byte-identical
 # to the committed baseline (the simulator is bit-deterministic at every
 # -parallel width). `suite` writes bench-suite.json; `suite-check` is the
@@ -85,7 +91,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 20058
+LOC_MAX = 20208
 CONFIG_FIELDS_MAX = 21
 
 loc-check:

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"tango/internal/slab"
 )
@@ -90,7 +91,12 @@ type weightWriteError struct{ c *Cgroup }
 
 func (e weightWriteError) Unwrap() error { return ErrWeightWrite }
 func (e weightWriteError) Error() string {
-	return fmt.Sprintf("cgroup %q: %v", e.c.name, ErrWeightWrite)
+	msg := ErrWeightWrite.Error()
+	b := make([]byte, 0, len(`cgroup "": `)+len(e.c.name)+len(msg))
+	b = append(b, "cgroup "...)
+	b = strconv.AppendQuote(b, e.c.name)
+	b = append(b, ": "...)
+	return string(append(b, msg...))
 }
 
 // SetWeight adjusts the proportional weight at runtime, clamping to

@@ -109,7 +109,7 @@ type Cache struct {
 	rc        *resil.Controller // stages through prefetch.stage (nil = plain reads)
 }
 
-// SetResil routes the staging reads PrefetchTo issues against the home
+// SetResil routes the staging reads a staging run issues against the home
 // tier through the prefetch.stage policy: deadlined, budgeted, and
 // breaker-gated, so a faulted capacity tier pauses background staging
 // instead of wedging the prefetch process.
@@ -316,81 +316,179 @@ func (c *Cache) shrink() {
 
 // PrefetchTo stages augmentation up to the global cursor `target` into
 // the cache, transferring home-tier bytes chunk by chunk under cg (the
-// background cgroup). keepGoing, when non-nil, is polled between chunks
-// so the prefetcher can abort mid-run when interference returns. Returns
-// the bytes staged and whether the run was aborted. A cache closed while
-// a chunk is in flight gives that chunk back and stops.
+// background cgroup), and blocks p until the staging run ends; the
+// prefetcher runs the same staging on engine callbacks. keepGoing, when
+// non-nil, is polled between chunks so a caller can abort mid-run when
+// interference returns. Returns the bytes staged and whether the run was
+// aborted. A cache closed while a chunk is in flight gives that chunk
+// back and stops.
 func (c *Cache) PrefetchTo(p *sim.Proc, cg *blkio.Cgroup, target int, keepGoing func() bool) (staged float64, aborted bool) {
-	return c.prefetchTo(p, cg, target, pollFunc(keepGoing))
-}
-
-// poller is what prefetchTo polls between chunks: false aborts the run.
-// The prefetcher is one itself, so its runs allocate no closure.
-type poller interface{ keepGoing() bool }
-
-// pollFunc is PrefetchTo's keepGoing as a poller; nil keeps going.
-type pollFunc func() bool
-
-func (f pollFunc) keepGoing() bool { return f == nil || f() }
-
-func (c *Cache) prefetchTo(p *sim.Proc, cg *blkio.Cgroup, target int, poll poller) (staged float64, aborted bool) {
-	if c.closed {
-		return 0, false
-	}
-	for _, r := range c.runs {
-		want := target - r.globalStart
-		if want > r.total {
-			want = r.total
-		}
-		for r.prefix < want {
-			next := r.prefix + c.chunkEntries(r)
-			if next > want {
-				next = want
-			}
-			bytes := float64(c.h.LevelBytes(r.level, r.prefix, next)) * c.scale
-			if bytes > 0 {
-				if !c.makeRoom(bytes, r) {
-					return staged, false // capacity-bound: higher-value data stays
-				}
-				if err := c.dev.Reserve(bytes); err != nil {
-					// The device filled up underneath us (more data was
-					// staged): the cache shrinks rather than displacing it.
-					c.shrink()
-					return staged, false
-				}
-				if c.rc != nil {
-					res := c.rc.Key(resil.KeyPrefetchStage).Read(p, r.home, cg, bytes)
-					if !res.OK {
-						// The home tier is faulted or the stage budget ran
-						// out: give the reservation back and end this run —
-						// the next quiet-window tick resumes from r.prefix.
-						c.dev.Release(bytes)
-						c.stats.StageFailures++
-						return staged, true
-					}
-				} else {
-					r.home.Read(p, cg, bytes)
-				}
-				c.dev.Write(p, cg, bytes)
-				if c.closed {
-					// Close ran during the transfers and released every
-					// reservation but this one, which no run holds yet.
-					c.dev.Release(bytes)
-					return staged, false
-				}
-				c.used += bytes
-				r.bytes += bytes
-				c.stats.StagedBytes += bytes
-				staged += bytes
-			}
-			r.prefix = next
-			if !poll.keepGoing() {
-				return staged, true
-			}
+	w := &stageWaiter{p: p, poll: keepGoing, waiting: true}
+	if w.run.start(c, cg, target, w) {
+		for w.waiting {
+			p.Suspend()
 		}
 	}
-	return staged, false
+	return w.run.staged, w.run.aborted
 }
+
+// stageWaiter is a process blocked on a staging run.
+type stageWaiter struct {
+	run     stageRun
+	p       *sim.Proc
+	poll    func() bool
+	waiting bool
+}
+
+func (w *stageWaiter) keepGoing() bool { return w.poll == nil || w.poll() }
+
+func (w *stageWaiter) stageDone() {
+	w.waiting = false
+	w.p.Engine().Wake(w.p)
+}
+
+// stager is what a staging run polls between chunks (false aborts it) and
+// tells when it has ended, if start left it in flight. The prefetcher is
+// one itself, so its runs allocate nothing.
+type stager interface {
+	keepGoing() bool
+	stageDone()
+}
+
+// stageRun is a staging run made of engine callbacks: per chunk, a read
+// from the level's home tier (a prefetch.stage key read, or a plain read
+// without a controller), its write into the cache device, and the poll.
+// Each transfer reports to the run in the slot where a process blocked
+// on it was woken.
+type stageRun struct {
+	c       *Cache
+	cg      *blkio.Cgroup
+	target  int
+	by      stager
+	phase   stagePhase
+	ri      int     // the run (cache level) being staged
+	next    int     // the chunk in flight ends at this entry of it
+	bytes   float64 // the chunk's bytes
+	staged  float64
+	aborted bool
+	tok     device.Token
+	rop     *resil.ReadOp // made at the first read through a controller
+}
+
+type stagePhase uint8
+
+const (
+	stagePick    stagePhase = iota // pick, reserve and read the next chunk
+	stageRead                      // the chunk's read has ended: write it
+	stageWritten                   // its write has ended: take it in, then poll
+)
+
+// start begins staging up to target and reports whether the run is in
+// flight.
+func (sr *stageRun) start(c *Cache, cg *blkio.Cgroup, target int, by stager) bool {
+	*sr = stageRun{c: c, cg: cg, target: target, by: by, rop: sr.rop}
+	return !c.closed && sr.run()
+}
+
+// run carries the staging on until a transfer is in flight (true) or the
+// run has ended (false). A chunk that was taken in, or had no bytes, is
+// followed by the poll.
+func (sr *stageRun) run() bool {
+	c := sr.c
+	for {
+		switch sr.phase {
+		case stagePick:
+			r := sr.pick()
+			if r == nil {
+				return false
+			}
+			if sr.bytes <= 0 {
+				r.prefix = sr.next
+				break
+			}
+			if !c.makeRoom(sr.bytes, r) {
+				return false // capacity-bound: higher-value data stays
+			}
+			if !c.dev.TryReserve(sr.bytes) {
+				// The device filled up underneath us (more data was
+				// staged): the cache shrinks rather than displacing it.
+				c.shrink()
+				return false
+			}
+			sr.phase = stageRead
+			if c.rc != nil {
+				if sr.rop == nil {
+					sr.rop = new(resil.ReadOp)
+				}
+				if sr.rop.Start(c.rc.Key(resil.KeyPrefetchStage), r.home, sr.cg, sr.bytes, sr) {
+					return true
+				}
+			} else if ended, _ := r.home.Begin(sr.cg, sr.bytes, false, false, &sr.tok, 0, sr); !ended {
+				return true
+			}
+			continue
+		case stageRead:
+			if c.rc != nil && !sr.rop.Res.OK {
+				// The home tier is faulted or the stage budget ran out:
+				// give the reservation back and end this run — the next
+				// quiet-window tick resumes from the level's prefix.
+				c.dev.Release(sr.bytes)
+				c.stats.StageFailures++
+				sr.aborted = true
+				return false
+			}
+			sr.phase = stageWritten
+			if ended, _ := c.dev.Begin(sr.cg, sr.bytes, true, false, &sr.tok, 0, sr); !ended {
+				return true
+			}
+			continue
+		case stageWritten:
+			if c.closed {
+				// Close ran during the transfers and released every
+				// reservation but this one, which no run holds yet.
+				c.dev.Release(sr.bytes)
+				return false
+			}
+			r := c.runs[sr.ri]
+			c.used += sr.bytes
+			r.bytes += sr.bytes
+			c.stats.StagedBytes += sr.bytes
+			sr.staged += sr.bytes
+			r.prefix = sr.next
+		}
+		if !sr.by.keepGoing() {
+			sr.aborted = true
+			return false
+		}
+		sr.phase = stagePick
+	}
+}
+
+// pick finds the next chunk to stage, coarse level first, and returns its
+// run, or nil when every level is staged up to the target.
+func (sr *stageRun) pick() *run {
+	c := sr.c
+	for ; sr.ri < len(c.runs); sr.ri++ {
+		r := c.runs[sr.ri]
+		want := min(sr.target-r.globalStart, r.total)
+		if r.prefix < want {
+			sr.next = min(r.prefix+c.chunkEntries(r), want)
+			sr.bytes = float64(c.h.LevelBytes(r.level, r.prefix, sr.next)) * c.scale
+			return r
+		}
+	}
+	return nil
+}
+
+// carryOn goes on from a transfer that ended.
+func (sr *stageRun) carryOn() {
+	if !sr.run() {
+		sr.by.stageDone()
+	}
+}
+
+// TransferDone is the chunk's read or its write ending.
+func (sr *stageRun) TransferDone(*device.Token, error) { sr.carryOn() }
 
 // Close releases every reservation and detaches the cache from service:
 // Serve misses and PrefetchTo is a no-op afterwards. Idempotent; called

@@ -5,7 +5,6 @@ import (
 	"tango/internal/container"
 	"tango/internal/device"
 	"tango/internal/resil"
-	"tango/internal/sim"
 	"tango/internal/trace"
 )
 
@@ -59,9 +58,9 @@ type Inputs interface {
 // bandwidth from foreground analytics), and stages upcoming augmentation
 // only during predicted low-interference windows.
 //
-// A tick is an engine callback. A staging run blocks on its reads, so it
-// runs on the prefetcher's one process, started inside the tick's event,
-// and arms the next tick when it ends; every other tick arms the next one
+// A tick is an engine callback. A tick that stages starts a staging run
+// inside its event — a chain of transfers that report to it — and the
+// run arms the next tick when it ends; every other tick arms the next one
 // itself, after its weight and throttle writes. Each event is where the
 // prefetch process that ran the same loop armed one.
 type Prefetcher struct {
@@ -76,9 +75,9 @@ type Prefetcher struct {
 	in       Inputs
 	cache    *Cache
 	cont     *container.Container
-	proc     *sim.Proc // runs staging; made at the first run
-	launched bool      // the launch hop is past: each Fire is a tick
-	next     float64   // the forecast the staging run in flight was started on
+	run      stageRun
+	launched bool    // the launch hop is past: each Fire is a tick
+	next     float64 // the forecast the staging run in flight was started on
 	stats    PrefetchStats
 }
 
@@ -120,15 +119,14 @@ func (pf *Prefetcher) Fire() {
 	if pf.in.Done() {
 		return
 	}
-	if pf.tick() {
-		eng := pf.cache.dev.Engine()
-		if pf.proc == nil {
-			pf.proc = eng.NewProc(pf.cont.Name())
-		}
-		eng.StartNow(pf.proc, pf)
+	if !pf.tick() {
+		pf.sleep()
 		return
 	}
-	pf.sleep()
+	// Stage up to the target while the quiet window holds.
+	if !pf.run.start(pf.cache, pf.cont.Cgroup(), pf.in.Target(), pf) {
+		pf.stageDone()
+	}
 }
 
 // sleep arms the next tick.
@@ -177,15 +175,13 @@ func (pf *Prefetcher) tick() bool {
 	return true
 }
 
-// Run is a staging run, on the prefetcher's process: it stages up to the
-// target while the quiet window holds, then arms the next tick.
-func (pf *Prefetcher) Run(p *sim.Proc) {
+// stageDone ends a staging run: its counts and trace, then the next tick.
+func (pf *Prefetcher) stageDone() {
 	c := pf.cache
-	staged, aborted := c.prefetchTo(p, pf.cont.Cgroup(), pf.in.Target(), pf)
-	if aborted {
+	if pf.run.aborted {
 		pf.stats.Aborted++
 	}
-	if staged > 0 {
+	if staged := pf.run.staged; staged > 0 {
 		pf.stats.Runs++
 		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindPrefetch, "staged %.0f B (cache %.0f/%.0f B, %d entries)",
 			staged, c.Used(), c.Capacity(), c.CachedEntries())

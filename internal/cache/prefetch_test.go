@@ -18,10 +18,65 @@ import (
 	"tango/internal/workload"
 )
 
+// prefetchToReference is a staging run as it ran while it blocked a
+// process on each chunk's read and write, kept as the reference the
+// staging chain is held to.
+func prefetchToReference(c *Cache, p *sim.Proc, cg *blkio.Cgroup, target int, keepGoing func() bool) (staged float64, aborted bool) {
+	if c.closed {
+		return 0, false
+	}
+	for _, r := range c.runs {
+		want := target - r.globalStart
+		if want > r.total {
+			want = r.total
+		}
+		for r.prefix < want {
+			next := r.prefix + c.chunkEntries(r)
+			if next > want {
+				next = want
+			}
+			bytes := float64(c.h.LevelBytes(r.level, r.prefix, next)) * c.scale
+			if bytes > 0 {
+				if !c.makeRoom(bytes, r) {
+					return staged, false
+				}
+				if err := c.dev.Reserve(bytes); err != nil {
+					c.shrink()
+					return staged, false
+				}
+				if c.rc != nil {
+					res := c.rc.Key(resil.KeyPrefetchStage).Read(p, r.home, cg, bytes)
+					if !res.OK {
+						c.dev.Release(bytes)
+						c.stats.StageFailures++
+						return staged, true
+					}
+				} else {
+					r.home.Read(p, cg, bytes)
+				}
+				c.dev.Write(p, cg, bytes)
+				if c.closed {
+					c.dev.Release(bytes)
+					return staged, false
+				}
+				c.used += bytes
+				r.bytes += bytes
+				c.stats.StagedBytes += bytes
+				staged += bytes
+			}
+			r.prefix = next
+			if !keepGoing() {
+				return staged, true
+			}
+		}
+	}
+	return staged, false
+}
+
 // prefetchReference is the prefetcher as it ran while it was a process:
 // the loop that the tick callback and its staging runs replaced, kept as
 // the reference TestPrefetcherMatchesProcessLoop holds them to. A staging
-// run polls a closure through PrefetchTo, as the loop did.
+// run polls a closure, as the loop did.
 func prefetchReference(pf *Prefetcher, c *container.Container, p *sim.Proc) {
 	cg := c.Cgroup()
 	pf.cache.SetResil(pf.Resil)
@@ -54,7 +109,7 @@ func prefetchReference(pf *Prefetcher, c *container.Container, p *sim.Proc) {
 			pf.stats.Busy++
 			continue
 		}
-		staged, aborted := pf.cache.PrefetchTo(p, cg, pf.in.Target(), func() bool { return !pf.paused(next) })
+		staged, aborted := prefetchToReference(pf.cache, p, cg, pf.in.Target(), func() bool { return !pf.paused(next) })
 		if aborted {
 			pf.stats.Aborted++
 		}
@@ -123,6 +178,7 @@ type prefetchScenario struct {
 	resets   []float64    // throttle resets on the prefetch cgroup
 	doneAt   float64
 	horizon  float64
+	zeroLat  bool // the capacity tier has no request latency: a failed read ends at issue
 }
 
 func drawPrefetchScenario(seed int64) prefetchScenario {
@@ -166,6 +222,7 @@ func drawPrefetchScenario(seed int64) prefetchScenario {
 	if rng.Intn(2) == 0 {
 		sc.doneAt += 15 * rng.Float64()
 	}
+	sc.zeroLat = rng.Intn(4) == 0
 	return sc
 }
 
@@ -183,7 +240,11 @@ func runPrefetchScenario(t *testing.T, sc prefetchScenario, reference bool) pref
 	node := container.NewNode("pf")
 	ssdP := device.Params{Name: "ssd", PeakBandwidth: 500 * device.MB, RequestLatency: 1e-4, SeekThrash: 0.02, MinEfficiency: 0.7, Capacity: sc.ssdCap}
 	ssd := node.MustAddDevice(ssdP)
-	hdd := node.MustAddDevice(device.HDD("hdd"))
+	hddP := device.HDD("hdd")
+	if sc.zeroLat {
+		hddP.RequestLatency = 0
+	}
+	hdd := node.MustAddDevice(hddP)
 	eng := node.Engine()
 	h, err := refactor.Decompose(field(65, sc.seed%5), refactor.Options{Levels: 3})
 	if err != nil {
@@ -258,7 +319,7 @@ func runPrefetchScenario(t *testing.T, sc prefetchScenario, reference bool) pref
 		pf:    pf.Stats(),
 		cache: c.Stats(),
 		floats: []float64{ssd.TotalBytes(), ssd.BusyTime(), ssd.Used(), hdd.TotalBytes(), hdd.BusyTime(),
-			cg.BytesRead(), cg.BytesWritten(), c.Used(), float64(c.CachedEntries()), eng.Now(), float64(eng.Pending())},
+			cg.BytesRead(), cg.BytesWritten(), c.Used(), float64(c.CachedEntries()), eng.Now(), float64(eng.Pending()), float64(eng.Scheduled())},
 		events: ev.String(),
 	}
 }

@@ -95,12 +95,14 @@ func (a *Allocator) SetTrace(rec *trace.Recorder, now func() float64) {
 // keeps the ad-hoc tolerate-and-retry path.
 func (a *Allocator) SetResil(rc *resil.Controller) { a.rc = rc }
 
-func (a *Allocator) emit(format string, args ...any) {
+// emit records a weight write's recovery action on session name, w the
+// weight in question; its arguments are typed, so a callback may call it.
+func (a *Allocator) emit(format, name string, w int) {
 	t := 0.0
 	if a.now != nil {
 		t = a.now()
 	}
-	a.rec.Emit(t, "allocator", trace.KindRecover, format, args...)
+	a.rec.Emit(t, "allocator", trace.KindRecover, format, name, w)
 }
 
 // setPending flips the entry's pending flag, keeping the count of active
@@ -213,6 +215,20 @@ func (a *Allocator) Request(name string, desired int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("coordinator: session %q not attached", name)
 	}
+	return a.request(e, desired), nil
+}
+
+// MustRequest is Request for a session known to be attached, and panics
+// otherwise. It builds no error value, so an engine callback may call it.
+func (a *Allocator) MustRequest(name string, desired int) int {
+	e, ok := a.entries[name]
+	if !ok {
+		panic(fmt.Sprintf("coordinator: session %q not attached", name))
+	}
+	return a.request(e, desired)
+}
+
+func (a *Allocator) request(e *entry, desired int) int {
 	if e.active {
 		a.countRemove(e.desired)
 	} else {
@@ -227,7 +243,7 @@ func (a *Allocator) Request(name string, desired int) (int, error) {
 	a.rebalance(e)
 	granted := a.grant(e)
 	a.apply()
-	return granted, nil
+	return granted
 }
 
 // Release marks the session's retrieval finished: its weight reverts to

@@ -21,9 +21,9 @@ import (
 
 const (
 	regimeTol         = 0.5 // relative forecast error that counts as a misprediction
-	regimeRun         = 4   // consecutive mispredicted steps that force a refit (runStep)
+	regimeRun         = 4   // consecutive mispredicted steps that force a refit (record)
 	prefetchLookahead = 2   // future steps of planned cursors the prefetch target covers
-	bucketChunkSteps  = 64  // steps of BucketStat records one arena refill covers (runStep)
+	bucketChunkSteps  = 64  // steps of BucketStat records one arena refill covers (beginStep)
 )
 
 // BucketStat records the retrieval of one augmentation bucket Aug_{ε_m}:
@@ -89,16 +89,27 @@ type Session struct {
 	est   *dftestim.Estimator
 
 	stats    []StepStats
-	bktBuf   []bucket     // buckets' scratch, reused every step
-	whole    [1]bucket    // the one bucket of a policy that retrieves everything
+	bktBuf   []bucket     // the step's buckets: room for one per rung and the tail
 	bktArena []BucketStat // chunk the steps' retained Buckets are carved from
+	eng      *sim.Engine
 	cont     *container.Container
 	stopped  bool
-	finished bool // set when the step loop exits (stops the prefetcher)
+	finished bool // set when the last step has ended (stops the prefetcher)
+
+	// The step in flight (Fire), number len(stats): where it stands, its
+	// record so far, and the read it waits on.
+	phase     stepPhase
+	cur       *StepStats // its record, in the slot past the end of stats
+	b0        int        // the step's first bucket in bktArena; the last is the one being read
+	tier      staging.TierStats
+	mandatory int
+	bi        int // the bucket being read
+	rd        staging.Op
 
 	cache *cache.Cache
 	pf    *cache.Prefetcher
 
+	rung          int  // the prescribed bound's cursor; 0 without error control
 	regimeStreak  int  // consecutive mispredicted steps (regime detector)
 	weightPending bool // a weight write failed; re-apply on next success
 
@@ -115,8 +126,10 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 		return nil, err
 	}
 	h := store.Hierarchy()
+	rung := 0
 	if cfg.ErrorControl {
-		if _, err := h.CursorForBound(cfg.Bound); err != nil {
+		var err error
+		if rung, err = h.CursorForBound(cfg.Bound); err != nil {
 			return nil, fmt.Errorf("core: prescribed bound: %w", err)
 		}
 	}
@@ -134,8 +147,8 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 	est := dftestim.NewEstimator()
 	est.ThreshFrac = threshFrac
 	est.Window = cfg.Window
-	return &Session{Name: name, Config: cfg, store: store, wf: wf, est: est,
-		stats: make([]StepStats, 0, cfg.Steps)}, nil
+	return &Session{Name: name, Config: cfg, store: store, wf: wf, est: est, rung: rung,
+		stats: make([]StepStats, 0, cfg.Steps), bktBuf: make([]bucket, 0, len(h.Rungs())+1)}, nil
 }
 
 // calibrate solves the weight function's (k2, b2) from the hierarchy.
@@ -202,13 +215,15 @@ func (s *Session) Estimator() *dftestim.Estimator { return s.est }
 // bound must be one of the hierarchy's ladder bounds; it takes effect at
 // the next step. Must be called from sim context.
 func (s *Session) SetBound(bound float64) error {
-	if _, err := s.store.Hierarchy().CursorForBound(bound); err != nil {
+	rung, err := s.store.Hierarchy().CursorForBound(bound)
+	if err != nil {
 		return err
 	}
 	s.Config.ErrorControl = true
 	s.Config.Bound = bound
+	s.rung = rung
 	if s.cache != nil {
-		s.cache.SetMandatory(s.mandatoryCursor())
+		s.cache.SetMandatory(rung)
 	}
 	return nil
 }
@@ -224,7 +239,9 @@ func (s *Session) Stopped() bool { return s.stopped }
 
 // Launch starts the analytics container on node. The container executes
 // Config.Steps steps, each period seconds apart (start-to-start), and
-// records StepStats.
+// records StepStats. The session is its own engine callback: Launch arms
+// the first step once its containers and weight-control entry exist, so
+// a failed Launch leaves nothing attached and nothing to run.
 func (s *Session) Launch(node *container.Node) error {
 	s.store.SetTrace(s.Config.Trace, s.Name)
 	if rc := s.Config.Resil; rc != nil {
@@ -240,23 +257,11 @@ func (s *Session) Launch(node *container.Node) error {
 			s.Config.Tokens.SetResil(rc)
 		}
 	}
-	cont, err := node.Launch(s.Name, func(c *container.Container, p *sim.Proc) {
-		for step := 0; step < s.Config.Steps && !s.stopped; step++ {
-			s.runStep(c, p, step)
-		}
-		s.finished = true
-		if s.cache != nil {
-			s.cache.Close()
-		}
-		s.store.Release()
-		if s.Config.Allocator != nil {
-			s.Config.Allocator.Detach(s.Name)
-		}
-		if s.Config.Tokens != nil {
-			s.Config.Tokens.Detach(s.tb)
-			s.tb = nil
-		}
-	})
+	cont, err := node.Create(s.Name)
+	var pfCont *container.Container
+	if err == nil && s.Config.Cache != nil {
+		pfCont, err = node.Create(s.Name + "-prefetch")
+	}
 	if err != nil {
 		return err
 	}
@@ -273,10 +278,10 @@ func (s *Session) Launch(node *container.Node) error {
 		}
 		s.tb = tb
 	}
-	if s.Config.Cache != nil {
-		if err := s.launchPrefetcher(node); err != nil {
-			return err
-		}
+	s.eng = node.Engine()
+	s.eng.AtCall(s.eng.Now(), s)
+	if pfCont != nil {
+		s.launchPrefetcher(pfCont)
 	}
 	return nil
 }
@@ -289,11 +294,11 @@ func (s *Session) Cache() *cache.Cache { return s.cache }
 func (s *Session) Prefetcher() *cache.Prefetcher { return s.pf }
 
 // launchPrefetcher builds the fast-tier cache over the session's store
-// and starts the background prefetch container. The cache lives on the
+// and starts the background prefetcher in cont. The cache lives on the
 // store's base (fastest) device; the prefetcher's decision inputs are
 // wired to the session's estimator and planner so internal/cache stays
 // free of controller dependencies.
-func (s *Session) launchPrefetcher(node *container.Node) error {
+func (s *Session) launchPrefetcher(cont *container.Container) {
 	ccfg := *s.Config.Cache
 	if ccfg.Trace == nil {
 		ccfg.Trace = s.Config.Trace
@@ -302,15 +307,10 @@ func (s *Session) launchPrefetcher(node *container.Node) error {
 	cc.SetMandatory(s.mandatoryCursor())
 	s.store.SetCache(cc)
 	s.cache = cc
-	cont, err := node.Create(s.Name + "-prefetch")
-	if err != nil {
-		return err
-	}
 	pf := cache.NewPrefetcher(cc, prefetchInputs{s})
 	pf.Resil = s.Config.Resil
 	pf.Launch(cont)
 	s.pf = pf
-	return nil
 }
 
 // prefetchInputs is the session as the prefetcher's cache.Inputs. It holds
@@ -360,17 +360,9 @@ func (s *Session) prefetchTarget() int {
 	return target
 }
 
-// mandatoryCursor is the cursor the prescribed bound's rung requires.
-func (s *Session) mandatoryCursor() int {
-	if !s.Config.ErrorControl {
-		return 0
-	}
-	cur, err := s.store.Hierarchy().CursorForBound(s.Config.Bound)
-	if err != nil {
-		panic(err) // validated at NewSession / SetBound
-	}
-	return cur
-}
+// mandatoryCursor is the cursor the prescribed bound's rung requires,
+// found when NewSession or SetBound validated the bound.
+func (s *Session) mandatoryCursor() int { return s.rung }
 
 // planCursor implements lines 6–7 of Algorithm 1: the augmentation degree
 // from the estimated bandwidth, floored by the prescribed bound.
@@ -507,115 +499,202 @@ func (s *Session) applyWeight(c *container.Container, now float64, w int) int {
 func (s *Session) setWeight(c *container.Container, now float64, w int) int {
 	switch {
 	case s.Config.Allocator != nil:
-		granted, err := s.Config.Allocator.Request(s.Name, w)
-		if err != nil {
-			panic(err) // attached at Launch
-		}
-		return granted
+		return s.Config.Allocator.MustRequest(s.Name, w) // attached at Launch
 	case s.Config.Tokens != nil:
 		return s.Config.Tokens.Request(s.tb, w)
 	}
 	return s.applyWeight(c, now, w)
 }
 
-func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
-	cfg := s.Config
-	start := p.Now()
-	st := StepStats{Step: step, Start: start}
-	var cs0 cache.Stats
-	if s.cache != nil {
-		cs0 = s.cache.Stats()
-	}
+// stepPhase is where a step stands: what Fire does next.
+type stepPhase uint8
 
-	cursor, predicted, degree := s.planCursor(step)
-	st.Cursor, st.Predicted, st.Degree = cursor, predicted, degree
+const (
+	phaseStart      stepPhase = iota // begin a step, or past the last one end the session
+	phaseBase                        // the base read has ended
+	phaseBucket                      // weight and read the next bucket
+	phaseBucketRead                  // a bucket's read has ended
+	phaseProbe                       // revert the weight and probe, if the step needs a sample
+	phaseProbed                      // the probe has ended
+	phaseRecord                      // sample, refit and record; then the period wait
+)
+
+// OpDone is the store read the step waits on ending.
+func (s *Session) OpDone() { s.Fire() }
+
+// Fire carries the step loop on from where it stands — a step's start,
+// from Launch's event or the period wait's, or a read that ended —
+// through every read that ends inside its call, until a read is in
+// flight or the period wait is armed. It does at each instant what the
+// loop did when it ran as a process, which blocked at the same reads
+// and waits.
+func (s *Session) Fire() {
+	cfg := &s.Config
+	c := s.cont
+	for {
+		switch s.phase {
+		case phaseStart:
+			if len(s.stats) >= cfg.Steps || s.stopped {
+				s.finish()
+				return
+			}
+			s.beginStep()
+			// Line 1: retrieve the base representation from the
+			// fastest tier. The base is always mandatory, so its
+			// guarded read retries through transient faults rather
+			// than failing.
+			s.phase = phaseBase
+			if s.rd.ReadBase(s.store, c.Cgroup(), s) {
+				return
+			}
+		case phaseBase:
+			_, s.cur.BaseTime = s.rd.TS.Total()
+			s.cur.Retries += s.rd.Out.Retries
+			s.tier.Merge(s.rd.TS)
+			s.phase = phaseBucket
+		case phaseBucket:
+			// Lines 9–13: bucket-wise retrieval. Weight-adjusting
+			// policies price each bucket and set its weight first
+			// (StorageOnly's one bucket by size alone). The sequential
+			// path reads guarded: transient read errors retry with
+			// backoff, and augmentation beyond the prescribed bound
+			// degrades (is shed) once the retry budget is spent; a
+			// degraded step skips its remaining buckets, which are
+			// above-bound augmentation too.
+			if s.bi == len(s.bktBuf) {
+				s.phase = phaseProbe
+				continue
+			}
+			b := s.bktBuf[s.bi]
+			now := s.eng.Now()
+			weight := 0
+			if cfg.Policy.adjustsWeights() {
+				weight = s.setWeight(c, now, s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
+			}
+			s.bktArena = append(s.bktArena, BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: now})
+			if weight > 0 {
+				cfg.Trace.Emit(now, s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, b.bound, b.to-b.from)
+			}
+			s.phase = phaseBucketRead
+			if cfg.ParallelTierReads {
+				if s.rd.ReadRangeParallel(s.store, c.Cgroup(), b.from, b.to, s) {
+					return
+				}
+			} else if s.rd.ReadRange(s.store, c.Cgroup(), b.from, b.to, s.mandatory, s) {
+				return
+			}
+		case phaseBucketRead:
+			bs := &s.bktArena[len(s.bktArena)-1]
+			s.tier.Merge(s.rd.TS)
+			if cfg.ParallelTierReads {
+				s.cur.Cursor = bs.To
+			} else {
+				s.cur.Retries += s.rd.Out.Retries
+				s.cur.Cursor = s.rd.Out.Cursor
+				s.cur.Degraded = s.rd.Out.Degraded
+			}
+			now := s.eng.Now()
+			bs.Elapsed = now - bs.Start
+			cfg.Trace.Emit(now, s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", bs.Bound, bs.From, bs.To, bs.Elapsed)
+			s.bi++
+			if s.cur.Degraded {
+				s.bi = len(s.bktBuf)
+			}
+			s.phase = phaseBucket
+		case phaseProbe:
+			// Feed the estimator with the capacity-tier bandwidth at the
+			// DEFAULT weight share — the quantity abplot's
+			// BW_low/BW_high thresholds describe. Policies that boost
+			// their weight perceive inflated bandwidth during their own
+			// reads, so they revert the weight to the default outside
+			// the retrieval window and sample via a small probe read
+			// issued after that. Policies that never adjust weights
+			// sample from their retrieval directly (probing only when
+			// the step barely touched the capacity tier).
+			if cfg.Policy.adjustsWeights() {
+				switch {
+				case cfg.Allocator != nil:
+					cfg.Allocator.Release(s.Name)
+				case cfg.Tokens != nil:
+					cfg.Tokens.Release(s.tb)
+				default:
+					s.applyWeight(c, s.eng.Now(), blkio.DefaultWeight)
+				}
+			} else if s.tier.BytesOn(s.store.SlowestDevice()) >= probeBytes {
+				s.phase = phaseRecord
+				continue
+			}
+			s.phase = phaseProbed
+			if s.rd.Probe(s.store, c.Cgroup(), probeBytes, s) {
+				return
+			}
+		case phaseProbed:
+			bytes, elapsed := s.rd.TS.Total()
+			s.tier.Merge(s.rd.TS)
+			if cfg.Policy.adjustsWeights() && elapsed > 0 {
+				s.cur.SlowBW = bytes / elapsed
+			}
+			s.phase = phaseRecord
+		case phaseRecord:
+			s.record()
+			// Compute/render phase: the remainder of the period.
+			s.phase = phaseStart
+			now := s.eng.Now()
+			if wait := period - (now - s.cur.Start); wait > 0 {
+				s.eng.AtCall(now+wait, s)
+				return
+			}
+		}
+	}
+}
+
+// beginStep plans a step: its record, the cursor (lines 6–7 of Algorithm
+// 1) and the buckets that retrieve it.
+func (s *Session) beginStep() {
+	// The record is written in place and joins stats when the step ends.
+	n := len(s.stats)
+	if n == cap(s.stats) {
+		s.stats = append(s.stats, StepStats{})[:n]
+	}
+	s.cur = &s.stats[:n+1][n]
+	*s.cur = StepStats{Step: n, Start: s.eng.Now()}
+	if s.cache != nil {
+		// The cache's counters when the step began, until record takes
+		// the difference.
+		cs := s.cache.Stats()
+		s.cur.CacheHits, s.cur.CacheMisses, s.cur.CacheHitBytes = cs.Hits, cs.Misses, cs.HitBytes
+	}
+	cursor, predicted, degree := s.planCursor(n)
+	s.cur.Cursor, s.cur.Predicted, s.cur.Degree = cursor, predicted, degree
 
 	// The step's retained Buckets are carved from a chunk that always has
-	// room for one step's worth, so recording a bucket never allocates.
+	// room for one step's worth, so recording a bucket never allocates;
+	// each is recorded when its read begins.
 	if maxB := len(s.store.Hierarchy().Rungs()) + 1; cap(s.bktArena)-len(s.bktArena) < maxB {
-		s.bktArena = make([]BucketStat, 0, maxB*min(bucketChunkSteps, cfg.Steps-step))
+		s.bktArena = make([]BucketStat, 0, maxB*min(bucketChunkSteps, s.Config.Steps-n))
 	}
-	b0 := len(s.bktArena)
-	var tier staging.TierStats
-	mandatory := s.mandatoryCursor()
-
-	// Line 1: retrieve the base representation from the fastest tier.
-	// The base is always mandatory, so its guarded read retries through
-	// transient faults rather than failing.
-	baseStats, baseOut := s.store.ReadBaseGuarded(p, c.Cgroup())
-	_, st.BaseTime = baseStats.Total()
-	st.Retries += baseOut.Retries
-	tier.Merge(baseStats)
-
-	// Lines 9–13: bucket-wise retrieval. The adaptive policies read the
-	// retrieval bucket by bucket; the others read it as one bucket.
-	// Weight-adjusting policies price each bucket and set its weight
-	// first (StorageOnly's one bucket by size alone). The sequential path
-	// reads guarded: transient read errors retry with backoff, and
-	// augmentation beyond the prescribed bound degrades (is shed) once the
-	// retry budget is spent; a degraded step skips its remaining buckets,
-	// which are above-bound augmentation too.
-	bkts := s.whole[:]
-	if cfg.Policy.adaptive() {
-		bkts = s.buckets(cursor)
+	s.b0 = len(s.bktArena)
+	s.tier = staging.TierStats{}
+	s.mandatory = s.mandatoryCursor()
+	// The adaptive policies read the retrieval bucket by bucket; the
+	// others read it as one bucket.
+	if s.Config.Policy.adaptive() {
+		s.buckets(cursor)
 	} else {
-		s.whole[0] = bucket{0, cursor, math.NaN()}
+		s.bktBuf = append(s.bktBuf[:0], bucket{0, cursor, math.NaN()})
 	}
-	for _, b := range bkts {
-		weight := 0
-		if cfg.Policy.adjustsWeights() {
-			weight = s.setWeight(c, p.Now(), s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
-		}
-		bs := BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: p.Now()}
-		if weight > 0 {
-			cfg.Trace.Emit(p.Now(), s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, b.bound, b.to-b.from)
-		}
-		if cfg.ParallelTierReads {
-			tier.Merge(s.store.ReadRangeParallel(p, c.Cgroup(), b.from, b.to))
-			st.Cursor = b.to
-		} else {
-			ts, out := s.store.ReadRangeGuarded(p, c.Cgroup(), b.from, b.to, mandatory)
-			tier.Merge(ts)
-			st.Retries += out.Retries
-			st.Cursor = out.Cursor
-			st.Degraded = out.Degraded
-		}
-		bs.Elapsed = p.Now() - bs.Start
-		s.bktArena = append(s.bktArena, bs)
-		cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
-		if st.Degraded {
-			break
-		}
-	}
-	// Feed the estimator with the capacity-tier bandwidth at the DEFAULT
-	// weight share — the quantity abplot's BW_low/BW_high thresholds
-	// describe. Policies that boost their weight perceive inflated
-	// bandwidth during their own reads, so they revert the weight to the
-	// default outside the retrieval window and sample via a small probe
-	// read issued after that. Policies that never adjust weights sample
-	// from their retrieval directly (probing only when the step barely
-	// touched the capacity tier).
-	if cfg.Policy.adjustsWeights() {
-		switch {
-		case cfg.Allocator != nil:
-			cfg.Allocator.Release(s.Name)
-		case cfg.Tokens != nil:
-			cfg.Tokens.Release(s.tb)
-		default:
-			s.applyWeight(c, p.Now(), blkio.DefaultWeight)
-		}
-		pt := s.store.Probe(p, c.Cgroup(), probeBytes)
-		bytes, elapsed := pt.Total()
-		tier.Merge(pt)
-		if elapsed > 0 {
-			st.SlowBW = bytes / elapsed
-		}
-	} else {
+	s.bi = 0
+}
+
+// record ends a step: the bandwidth sample and the estimator's refits,
+// the cache's share, and the step's record.
+func (s *Session) record() {
+	cfg := &s.Config
+	st := s.cur
+	now := s.eng.Now()
+	if !cfg.Policy.adjustsWeights() {
 		slow := s.store.SlowestDevice()
-		if tier.BytesOn(slow) < probeBytes {
-			tier.Merge(s.store.Probe(p, c.Cgroup(), probeBytes))
-		}
-		if slowBytes, slowTime := tier.BytesOn(slow), tier.TimeOn(slow); slowTime > 0 && slowBytes > 0 {
+		if slowBytes, slowTime := s.tier.BytesOn(slow), s.tier.TimeOn(slow); slowTime > 0 && slowBytes > 0 {
 			st.SlowBW = slowBytes / slowTime
 		}
 	}
@@ -632,11 +711,12 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 		s.est.Observe(last)
 	}
 	refitted := false
+	step := len(s.stats)
 	if (step+1)%cfg.RefitEvery == 0 && s.est.Samples() >= 4 {
 		if err := s.est.Fit(); err != nil {
 			panic(err) // unreachable: sample count checked
 		}
-		cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, threshFrac)
+		cfg.Trace.Emit(now, s.Name, trace.KindRefit, "samples=%d window=%d thresh=%.2f", s.est.Samples(), cfg.Window, threshFrac)
 		refitted = true
 		s.regimeStreak = 0
 	}
@@ -656,7 +736,7 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 			if err := s.est.Fit(); err != nil {
 				panic(err) // unreachable: sample count checked
 			}
-			cfg.Trace.Emit(p.Now(), s.Name, trace.KindRefit,
+			cfg.Trace.Emit(now, s.Name, trace.KindRefit,
 				"regime change: relerr=%.2f for %d steps, refit (samples=%d)", relErr, s.regimeStreak, s.est.Samples())
 			s.regimeStreak = 0
 		}
@@ -666,24 +746,36 @@ func (s *Session) runStep(c *container.Container, p *sim.Proc, step int) {
 	// update its per-run reuse statistics.
 	if s.cache != nil {
 		cs := s.cache.Stats()
-		st.CacheHits = cs.Hits - cs0.Hits
-		st.CacheMisses = cs.Misses - cs0.Misses
-		st.CacheHitBytes = cs.HitBytes - cs0.HitBytes
+		st.CacheHits = cs.Hits - st.CacheHits
+		st.CacheMisses = cs.Misses - st.CacheMisses
+		st.CacheHitBytes = cs.HitBytes - st.CacheHitBytes
 		s.cache.EndStep()
 	}
 
 	// IOTime is wall-clock retrieval time (base + buckets + probe). For
 	// serial retrieval it equals the sum of device times; with parallel
 	// tier reads the overlapped portion counts once.
-	st.Bytes, _ = tier.Total()
-	st.IOTime = p.Now() - start
-	st.Buckets = s.bktArena[b0:len(s.bktArena):len(s.bktArena)]
-	s.stats = append(s.stats, st)
-	cfg.Trace.Emit(p.Now(), s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
+	st.Bytes, _ = s.tier.Total()
+	st.IOTime = now - st.Start
+	st.Buckets = s.bktArena[s.b0:len(s.bktArena):len(s.bktArena)]
+	s.stats = s.stats[:len(s.stats)+1]
+	cfg.Trace.Emit(now, s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
 		step, st.IOTime, st.Bytes, st.Cursor, st.Predicted, st.Degree)
+}
 
-	// Compute/render phase: the remainder of the period.
-	if wait := period - (p.Now() - start); wait > 0 {
-		p.Sleep(wait)
+// finish ends the session after its last step: the prefetcher stops, the
+// ephemeral staging is released and the weight controller lets go.
+func (s *Session) finish() {
+	s.finished = true
+	if s.cache != nil {
+		s.cache.Close()
+	}
+	s.store.Release()
+	if s.Config.Allocator != nil {
+		s.Config.Allocator.Detach(s.Name)
+	}
+	if s.Config.Tokens != nil {
+		s.Config.Tokens.Detach(s.tb)
+		s.tb = nil
 	}
 }

@@ -11,10 +11,12 @@ import (
 	"tango/internal/blkio"
 	"tango/internal/cache"
 	"tango/internal/container"
+	"tango/internal/coordinator"
 	"tango/internal/device"
 	"tango/internal/refactor"
 	"tango/internal/staging"
 	"tango/internal/tensor"
+	"tango/internal/tokenctl"
 	"tango/internal/workload"
 )
 
@@ -42,7 +44,7 @@ var (
 
 // testHierarchy is shared across tests (decomposition is deterministic
 // and read-only at analysis time).
-func testHierarchy(t *testing.T) *refactor.Hierarchy {
+func testHierarchy(t testing.TB) *refactor.Hierarchy {
 	t.Helper()
 	hierOnce.Do(func() {
 		h, err := refactor.Decompose(testField(1), refactor.Options{
@@ -462,34 +464,86 @@ func TestOffLadderBoundRejected(t *testing.T) {
 
 // TestStepSteadyStateAllocs pins the retrieval step's allocation budget:
 // past warm-up, an untraced cross-layer step (interferers, probe and
-// refits included) allocates nothing but the occasional Buckets chunk.
-// (0.06 objects per step measured; ~28 before TierStats became a value
-// and the segment and bucket slices scratch).
+// refits included) allocates nothing but the occasional Buckets chunk,
+// with sequential or parallel tier reads. (0.06 objects per step
+// measured; ~28 before TierStats became a value and the segment and
+// bucket slices scratch, and 9.84 on parallel reads before their tier
+// reads became the session's scratch.)
 func TestStepSteadyStateAllocs(t *testing.T) {
 	const warm, measured = 100, 200
-	node, st := scenario(t, 3)
-	s, err := NewSession("analytics", st, Config{Policy: CrossLayer, ErrorControl: true, Bound: 0.01, Steps: warm + measured})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Launch(node); err != nil {
-		t.Fatal(err)
-	}
-	mallocsAfter := func(steps int) (uint64, int) {
-		if err := node.Engine().Run(float64(steps) * period); err != nil {
+	for _, parallel := range []bool{false, true} {
+		node, st := scenario(t, 3)
+		s, err := NewSession("analytics", st, Config{Policy: CrossLayer, ErrorControl: true, Bound: 0.01, Steps: warm + measured,
+			ParallelTierReads: parallel})
+		if err != nil {
 			t.Fatal(err)
 		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs, len(s.Stats())
+		if err := s.Launch(node); err != nil {
+			t.Fatal(err)
+		}
+		mallocsAfter := func(steps int) (uint64, int) {
+			if err := node.Engine().Run(float64(steps) * period); err != nil {
+				t.Fatal(err)
+			}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return ms.Mallocs, len(s.Stats())
+		}
+		m0, n0 := mallocsAfter(warm)
+		m1, n1 := mallocsAfter(warm + measured)
+		if n1-n0 < measured-1 {
+			t.Fatalf("parallel %t: measured %d steps, want about %d", parallel, n1-n0, measured)
+		}
+		if perStep := float64(m1-m0) / float64(n1-n0); perStep > 1 {
+			t.Fatalf("parallel %t: %.2f objects per steady-state step (%d over %d steps), want <= 1", parallel, perStep, m1-m0, n1-n0)
+		}
 	}
-	m0, n0 := mallocsAfter(warm)
-	m1, n1 := mallocsAfter(warm + measured)
-	if n1-n0 < measured-1 {
-		t.Fatalf("measured %d steps, want about %d", n1-n0, measured)
-	}
-	if perStep := float64(m1-m0) / float64(n1-n0); perStep > 1 {
-		t.Fatalf("%.2f objects per steady-state step (%d over %d steps), want <= 1", perStep, m1-m0, n1-n0)
+}
+
+// TestFailedLaunchLeavesNoSession: a session whose Launch fails — its name
+// already attached to the shared weight controller by a session on
+// another node — runs no step and leaves the first session's entry alone,
+// so the first runs all its steps. Before, the failed session's step
+// process was spawned ahead of the attach: it ran on the first session's
+// entry, detached it at its end, and the first then panicked.
+func TestFailedLaunchLeavesNoSession(t *testing.T) {
+	for _, mode := range []string{"central", "tokens"} {
+		var nodes [2]*container.Node
+		var sessions [2]*Session
+		alloc := coordinator.New()
+		var tokens *tokenctl.Controller
+		for i := range nodes {
+			node, st := scenario(t, 1)
+			nodes[i] = node
+			if i == 0 && mode == "tokens" {
+				tokens = tokenctl.New(node.Engine().Now, tokenctl.Options{})
+			}
+			cfg := Config{Policy: CrossLayer, Steps: 5}
+			if mode == "central" {
+				cfg.Allocator = alloc
+			} else {
+				cfg.Tokens = tokens
+			}
+			s, err := NewSession("a", st, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sessions[i] = s
+			if err := s.Launch(node); (err == nil) != (i == 0) {
+				t.Fatalf("%s: launch %d: %v", mode, i, err)
+			}
+		}
+		for i, node := range nodes {
+			if err := node.Engine().Run(5*period + 600); err != nil {
+				t.Fatalf("%s: node %d: %v", mode, i, err)
+			}
+		}
+		if got := len(sessions[0].Stats()); got != 5 {
+			t.Fatalf("%s: the launched session ran %d of 5 steps", mode, got)
+		}
+		if got := len(sessions[1].Stats()); got != 0 || sessions[1].finished {
+			t.Fatalf("%s: the session whose launch failed ran %d steps (finished %t)", mode, got, sessions[1].finished)
+		}
 	}
 }
 

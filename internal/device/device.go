@@ -154,7 +154,7 @@ type flow struct {
 	id       int64
 	d        *Device // owning device, for the Fire callback
 	cg       *blkio.Cgroup
-	proc     *sim.Proc // the blocked issuer; nil on a StartRead/Start flow, which the device finishes
+	proc     *sim.Proc // the blocked issuer; nil on a StartRead/Start/Begin flow, which the device finishes
 	tok      *Token    // non-nil on a cancellable transfer; armed by issue
 	bytes    float64   // total requested
 	bytesRem float64
@@ -169,11 +169,14 @@ type flow struct {
 
 // Fire is the flow as its own sim.Callback, carrying the per-transfer
 // state without a per-call closure: the issue after the request-latency
-// wait, then for an ended StartRead/Start flow the finish no process runs.
+// wait, then for an ended StartRead/Start/Begin flow the finish no
+// process runs.
 func (f *flow) Fire() {
 	d, tok := f.d, f.tok
 	if !f.done && !f.canceled {
-		d.issue(f)
+		if d.issue(f) {
+			d.end(f)
+		}
 		return
 	}
 	tok.notify.TransferDone(tok, d.finish(f))
@@ -388,12 +391,21 @@ func (d *Device) Reserve(bytes float64) error {
 	if !(bytes >= 0) || math.IsInf(bytes, 1) {
 		return fmt.Errorf("device %q: invalid reservation of %v bytes", d.p.Name, bytes)
 	}
-	if d.p.Capacity > 0 && d.used+bytes > d.p.Capacity {
+	if !d.TryReserve(bytes) {
 		return fmt.Errorf("device %q: capacity exceeded (%.0f + %.0f > %.0f bytes)",
 			d.p.Name, d.used, bytes, d.p.Capacity)
 	}
-	d.used += bytes
 	return nil
+}
+
+// TryReserve is Reserve of a valid count with no error value built, so an
+// engine callback may call it.
+func (d *Device) TryReserve(bytes float64) bool {
+	if d.p.Capacity > 0 && d.used+bytes > d.p.Capacity {
+		return false
+	}
+	d.used += bytes
+	return true
 }
 
 // Release returns previously reserved capacity (ephemeral data erased
@@ -442,8 +454,8 @@ func (d *Device) Write(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
 }
 
 // Token identifies one in-flight cancellable transfer. The issuing call
-// (TryReadCancel, StartRead, Start) arms it; another event callback or
-// process may then call Cancel to abort the transfer. Tokens are plain values
+// (TryReadCancel, StartRead, Start, Begin) arms it; another event callback
+// or process may then call Cancel to abort the transfer. Tokens are plain values
 // owned by the caller and are re-armed on every call, so one long-lived
 // Token per retry context is the intended (zero-alloc) usage.
 type Token struct {
@@ -454,10 +466,10 @@ type Token struct {
 	spent    bool       // the transfer has finished (success, error, or cancel); Cancel is a no-op
 	moved    float64    // bytes actually transferred when the transfer ended
 	deadline float64    // virtual time at which the device cancels the transfer; 0 or +Inf = none
-	notify   Completion // StartRead/Start only: told when the transfer ends
+	notify   Completion // StartRead/Start/Begin only: told when the transfer ends
 }
 
-// Completion is told a StartRead/Start transfer ended; err is what a blocking call returns.
+// Completion is told a StartRead/Start/Begin transfer ended; err is what a blocking call returns.
 type Completion interface {
 	TransferDone(tok *Token, err error)
 }
@@ -506,7 +518,9 @@ func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok
 //tango:hotpath
 func (d *Device) StartRead(cg *blkio.Cgroup, bytes float64, tok *Token, deadline float64, done Completion) {
 	*tok = Token{d: d, deadline: deadline, notify: done}
-	d.begin(nil, cg, bytes, false, true, tok)
+	if f, ended := d.begin(nil, cg, bytes, false, true, tok); ended {
+		d.end(f)
+	}
 }
 
 // Start is Read (write false) or Write with nobody blocked on it (a
@@ -521,7 +535,24 @@ func (d *Device) StartRead(cg *blkio.Cgroup, bytes float64, tok *Token, deadline
 //tango:hotpath
 func (d *Device) Start(cg *blkio.Cgroup, bytes float64, write bool, tok *Token, done Completion) {
 	*tok = Token{d: d, notify: done}
-	d.begin(nil, cg, bytes, write, false, tok)
+	if f, ended := d.begin(nil, cg, bytes, write, false, tok); ended {
+		d.end(f)
+	}
+}
+
+// Begin is Read, Write, TryRead or TryReadCancel for engine callbacks that
+// stand where a blocked issuer stood, told of the end where it was: one
+// at issue inside the call (no request latency) is finished and returned,
+// ended true with the blocking call's error, as the issuer carried on at
+// once; any other is told to done, as StartRead's is.
+//
+//tango:hotpath
+func (d *Device) Begin(cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token, deadline float64, done Completion) (ended bool, err error) {
+	*tok = Token{d: d, deadline: deadline, notify: done}
+	if f, ended := d.begin(nil, cg, bytes, write, fallible, tok); ended {
+		return true, d.finish(f)
+	}
+	return false, nil
 }
 
 // transfer is the blocking request path behind Read, Write, TryRead and
@@ -530,7 +561,7 @@ func (d *Device) Start(cg *blkio.Cgroup, bytes float64, write bool, tok *Token, 
 //tango:hotpath
 func (d *Device) transfer(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token) (float64, error) {
 	start := d.eng.Now()
-	f := d.begin(p, cg, bytes, write, fallible, tok)
+	f, _ := d.begin(p, cg, bytes, write, fallible, tok)
 	for !f.done && !f.canceled {
 		p.Suspend()
 	}
@@ -541,8 +572,9 @@ func (d *Device) transfer(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, f
 // event at start+latency rather than by sleeping the process just to
 // issue the flow and park again: the issue event occupies exactly the
 // queue slot a Sleep's resume event would, and each transfer saves a
-// coroutine round-trip.
-func (d *Device) begin(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token) *flow {
+// coroutine round-trip. With no latency it is issued inline, and begin
+// reports whether it ended there; the caller tells the issuer.
+func (d *Device) begin(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token) (*flow, bool) {
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("device %q: invalid transfer size %v", d.p.Name, bytes))
 	}
@@ -551,10 +583,9 @@ func (d *Device) begin(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fall
 	f.bytes, f.bytesRem, f.write, f.fallible = bytes, bytes, write, fallible
 	if lat := d.p.RequestLatency + d.extraLatency; lat > 0 {
 		d.eng.AtCall(d.eng.Now()+lat, f)
-	} else {
-		d.issue(f)
+		return f, false
 	}
-	return f
+	return f, d.issue(f)
 }
 
 // finish ends every request, on the issuing process or from Fire: outcome,
@@ -581,7 +612,8 @@ func (d *Device) finish(f *flow) error {
 }
 
 // end tells the issuer its flow has ended: a blocked process wakes up
-// and finishes it, a StartRead/Start flow fires once more to finish itself.
+// and finishes it, a StartRead/Start/Begin flow fires once more to
+// finish itself.
 func (d *Device) end(f *flow) {
 	if f.proc != nil {
 		d.eng.Wake(f.proc)
@@ -627,11 +659,12 @@ func (d *Device) expire() {
 // on the issuer when there is none, else as the flow's Fire event. A
 // request cancelled or past its deadline while paying the latency, one
 // that hits an injected read error, or one for zero bytes ends here
-// without joining the active set; anything else subscribes the cgroup,
-// stamps the id (arming the token), integrates to now and reshapes.
+// without joining the active set, and issue reports it for its caller to
+// tell the issuer; anything else subscribes the cgroup, stamps the id
+// (arming the token), integrates to now and reshapes.
 //
 //tango:hotpath
-func (d *Device) issue(f *flow) {
+func (d *Device) issue(f *flow) (ended bool) {
 	switch {
 	case f.tok != nil && (f.tok.pre || f.deadline() <= d.eng.Now()):
 		f.canceled = true
@@ -642,10 +675,7 @@ func (d *Device) issue(f *flow) {
 		f.done = true
 	}
 	if f.done || f.canceled {
-		// A no-op for a process when issue ran inline: it is still
-		// running and sees the flag itself.
-		d.end(f)
-		return
+		return true
 	}
 	f.cg.Subscribe(d) // the cgroup keeps the first: "ever had a flow here"
 	f.id = d.nextID
@@ -659,6 +689,7 @@ func (d *Device) issue(f *flow) {
 	d.advance()
 	d.flows = append(d.flows, f)
 	d.reshape()
+	return false
 }
 
 // newFlow takes a zeroed struct off the freelist or allocates one.

@@ -76,9 +76,9 @@ func (s *Scenario) ArmFaults(plan *fault.Plan, rec *trace.Recorder) error {
 }
 
 // run advances the scenario steps analysis periods plus slack seconds
-// and then closes the engine: every session has finished by then, and the
-// interferer and prefetcher procs still parked would otherwise outlive
-// the scenario, each pinning its node. Results are read after it returns.
+// and then closes the engine: every session has finished by then, and a
+// process still parked would otherwise outlive the scenario, pinning its
+// node. Results are read after it returns.
 func (s *Scenario) run(steps int, slack float64) {
 	eng := s.Node.Engine()
 	err := eng.Run(float64(steps)*60 + slack)

@@ -9,49 +9,24 @@ import (
 	"tango/internal/trace"
 )
 
-// race is the pooled state of one operation's device transfers: the token
-// of a deadlined attempt (toks[0] alone) or both legs of a hedged read. A
-// device holds the token until the transfer ends, so it cannot be a local.
-type race struct {
-	toks    [2]device.Token // fast leg, slow leg
-	winner  int             // index of the first leg to deliver; -1 while none has
-	pending int             // legs still in flight
-	waiter  *sim.Proc       // the process HedgedRead parked
-}
-
-//tango:hotpath
-func (c *Controller) getRace() *race {
-	if n := len(c.raceFree); n > 0 {
-		r := c.raceFree[n-1]
-		c.raceFree[n-1] = nil
-		c.raceFree = c.raceFree[:n-1]
-		return r
-	}
-	return new(race)
-}
-
-//tango:hotpath
-func (c *Controller) putRace(r *race) {
-	*r = race{}
-	c.raceFree = append(c.raceFree, r)
-}
-
-// TransferDone is a device reporting that a leg ended, finished and
-// accounted: the first to deliver wins and cancels the other, the last
-// to end wakes the waiter.
+// getTok takes a pooled token for a blocking deadlined attempt: a device
+// holds the token until the transfer ends, so it cannot be a local.
 //
 //tango:hotpath
-func (r *race) TransferDone(tok *device.Token, err error) {
-	if err == nil && r.winner < 0 {
-		r.winner = 0
-		if tok == &r.toks[1] {
-			r.winner = 1
-		}
-		r.toks[1-r.winner].Cancel()
+func (c *Controller) getTok() *device.Token {
+	if n := len(c.tokFree); n > 0 {
+		t := c.tokFree[n-1]
+		c.tokFree[n-1] = nil
+		c.tokFree = c.tokFree[:n-1]
+		return t
 	}
-	if r.pending--; r.pending == 0 {
-		r.waiter.Engine().Wake(r.waiter)
-	}
+	return new(device.Token)
+}
+
+//tango:hotpath
+func (c *Controller) putTok(t *device.Token) {
+	*t = device.Token{}
+	c.tokFree = append(c.tokFree, t)
 }
 
 // ReadResult reports one policy-keyed read operation.
@@ -69,131 +44,232 @@ type ReadResult struct {
 
 // attemptRead issues exactly one policy-governed attempt: a cancellable
 // read carrying the policy's bandwidth-bound deadline, or a plain
-// fallible read when the policy has no timeout. This is the non-fault
-// fast path of the control plane — no tracing, no formatting, no timer
-// (the deadline rides the device's own), no allocation (the token is
-// pooled); retries, classification and emission live in the cold wrapper.
+// fallible read when the policy has no timeout (a fleet node runs a
+// hundred of those at once, each of which would hold a token). This is
+// the non-fault fast path of the control plane — no tracing, no
+// formatting, no timer (the deadline rides the device's own), no
+// allocation (the token is pooled); retries, classification and emission
+// live in settle.
 //
 //tango:hotpath
 func (k *Key) attemptRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64) (elapsed, moved float64, err error) {
 	if k.pol.TimeoutMinBW <= 0 {
-		elapsed, err = dev.TryRead(p, cg, bytes)
-		if err == nil {
+		if elapsed, err = dev.TryRead(p, cg, bytes); err == nil {
 			moved = bytes
 		}
 		return elapsed, moved, err
 	}
-	r := k.c.getRace()
-	elapsed, err = dev.TryReadCancel(p, cg, bytes, &r.toks[0], k.deadline(bytes))
-	moved = r.toks[0].Moved()
-	k.c.putRace(r)
+	tok := k.c.getTok()
+	elapsed, err = dev.TryReadCancel(p, cg, bytes, tok, k.deadline(bytes))
+	moved = tok.Moved()
+	k.c.putTok(tok)
 	return elapsed, moved, err
 }
 
-// deadline is when an attempt moving bytes from now is declared stuck; the
-// sim_digests pin this float: now + (delay), not any other association.
+// deadline is when an attempt moving bytes from now is declared stuck, 0
+// (never) for a policy with no timeout; the sim_digests pin this float:
+// now + (delay), not any other association.
 func (k *Key) deadline(bytes float64) float64 {
+	if k.pol.TimeoutMinBW <= 0 {
+		return 0
+	}
 	return k.c.eng.Now() + (k.pol.TimeoutFloor + bytes/k.pol.TimeoutMinBW)
+}
+
+// readRun is one read operation's policy state — breaker admission,
+// classified outcomes, budgeted exponential backoff — shared by its two
+// drivers: Read, which blocks a process, and ReadOp, made of engine
+// callbacks. Both call it at the same instants, so the two leave the same
+// counters, budgets, breakers and trace.
+type readRun struct {
+	Res   ReadResult
+	k     *Key
+	dev   *device.Device
+	br    *Breaker
+	delay float64 // the backoff before the next retry
+	paced bool    // it was stretched to the budget's refill
+}
+
+// open counts one read operation of k on dev.
+func (r *readRun) open(k *Key, dev *device.Device) {
+	k.stats.Ops++
+	*r = readRun{k: k, dev: dev, br: k.breaker(dev.Name(), true), delay: k.pol.Backoff}
+	if r.delay <= 0 {
+		r.delay = 0.05
+	}
+}
+
+// admit counts an attempt the breaker lets through; when an open breaker
+// denies it instead, the operation ends.
+func (r *readRun) admit() bool {
+	k, c := r.k, r.k.c
+	if r.br != nil && !r.br.allow(c.eng.Now()) {
+		k.stats.BreakerDenied++
+		r.Res.Denied = true
+		r.Res.Degraded = true
+		if r.Res.Attempts > 0 {
+			// Deny-on-entry is the breaker doing its job; one trace
+			// line per op would flood the ring, so only entry denials
+			// after at least one attempt are interesting enough to log.
+			c.rec.Emit(c.eng.Now(), source, trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.pol.Name, r.dev.Name())
+		}
+		return false
+	}
+	r.Res.Attempts++
+	k.stats.Attempts++
+	return true
+}
+
+// settle takes an attempt that took el and moved bytes and reports whether
+// the operation retries, after a backoff of r.delay.
+func (r *readRun) settle(el, moved float64, err error) bool {
+	k, c, res, dev := r.k, r.k.c, &r.Res, r.dev.Name()
+	res.Elapsed += el
+	res.Moved += moved
+	cls := k.pol.Classify(err)
+	if cls == ClassOK {
+		if r.br != nil && r.br.onSuccess() {
+			c.rec.Emit(c.eng.Now(), source, trace.KindBreaker, "close key=%s target=%s", k.pol.Name, dev)
+		}
+		res.OK = true
+		res.Err = nil
+		return false
+	}
+	res.Err = err
+	timedOut := errors.Is(err, device.ErrCanceled)
+	if timedOut {
+		k.stats.Timeouts++
+		res.Timeouts++
+		k.stats.WastedBytes += moved
+	}
+	now := c.eng.Now()
+	if r.br != nil && r.br.onFailure(now) {
+		c.brOpens++
+		c.rec.Emit(now, source, trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs",
+			k.pol.Name, dev, r.br.fails, r.br.cooldown)
+	}
+	if cls == ClassTerminal {
+		k.stats.Failures++
+		c.rec.Emit(now, source, trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %s", k.pol.Name, dev, res.Attempts, err.Error())
+		return false
+	}
+	if k.pol.MaxAttempts > 0 && res.Attempts >= k.pol.MaxAttempts {
+		k.stats.Degraded++
+		res.Degraded = true
+		c.rec.Emit(now, source, trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", k.pol.Name, dev, res.Attempts)
+		return false
+	}
+	r.paced = false
+	if !k.takeToken(now) {
+		if k.pol.MaxAttempts > 0 {
+			k.stats.BudgetDenied++
+			k.stats.Degraded++
+			res.Degraded = true
+			c.rec.Emit(now, source, trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading", k.pol.Name, dev)
+			return false
+		}
+		// Mandatory work: degrade to a trickle paced at the refill
+		// rate rather than hammering the device or giving up.
+		k.stats.BudgetPaced++
+		r.paced = true
+		r.delay = max(r.delay, k.tokenWait(now))
+		c.rec.Emit(now, source, trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry", k.pol.Name, dev, r.delay)
+	}
+	k.stats.Retries++
+	res.Retries++
+	c.rec.Emit(now, source, trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t",
+		k.pol.Name, dev, res.Attempts+1, r.delay, timedOut)
+	return true
+}
+
+// backoff ends a retry's wait and grows the next one.
+func (r *readRun) backoff() {
+	k := r.k
+	if r.paced {
+		k.takeToken(k.c.eng.Now()) // best-effort: the pacing sleep covered the refill
+	}
+	r.Res.Elapsed += r.delay
+	r.delay *= k.pol.Factor
+	if k.pol.MaxBackoff > 0 && r.delay > k.pol.MaxBackoff {
+		r.delay = k.pol.MaxBackoff
+	}
 }
 
 // Read runs one guarded read of bytes from dev under the key's policy:
 // breaker admission, per-attempt deadline, classified outcomes, budgeted
 // exponential backoff. Unbounded (MaxAttempts 0) keys never give up —
 // when the retry budget runs dry they pace to the refill rate instead.
-// Must be called from a simulated process.
+// Must be called from a simulated process; ReadOp is the same read made
+// of engine callbacks.
 func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64) ReadResult {
-	var res ReadResult
-	k.stats.Ops++
-	c := k.c
-	br := k.breaker(dev.Name(), true)
-	delay := k.pol.Backoff
-	if delay <= 0 {
-		delay = 0.05
+	var r readRun
+	r.open(k, dev)
+	for r.admit() {
+		if !r.settle(k.attemptRead(p, dev, cg, bytes)) {
+			break
+		}
+		p.Sleep(r.delay)
+		r.backoff()
 	}
-	for {
-		if br != nil && !br.allow(c.eng.Now()) {
-			k.stats.BreakerDenied++
-			res.Denied = true
-			res.Degraded = true
-			if res.Attempts == 0 {
-				// Deny-on-entry is the breaker doing its job; one trace
-				// line per op would flood the ring, so only entry denials
-				// after at least one attempt are interesting enough to log.
-				return res
-			}
-			c.emit(trace.KindBreaker, "deny key=%s target=%s: open mid-retry", k.pol.Name, dev.Name())
-			return res
-		}
-		res.Attempts++
-		k.stats.Attempts++
-		el, moved, err := k.attemptRead(p, dev, cg, bytes)
-		res.Elapsed += el
-		res.Moved += moved
-		cls := k.pol.Classify(err)
-		if cls == ClassOK {
-			if br != nil && br.onSuccess() {
-				c.emit(trace.KindBreaker, "close key=%s target=%s", k.pol.Name, dev.Name())
-			}
-			res.OK = true
-			res.Err = nil
-			return res
-		}
-		res.Err = err
-		timedOut := errors.Is(err, device.ErrCanceled)
-		if timedOut {
-			k.stats.Timeouts++
-			res.Timeouts++
-			k.stats.WastedBytes += moved
-		}
-		now := c.eng.Now()
-		if br != nil && br.onFailure(now) {
-			c.brOpens++
-			c.emit(trace.KindBreaker, "open key=%s target=%s fails=%d cooldown=%.3gs",
-				k.pol.Name, dev.Name(), br.fails, br.cooldown)
-		}
-		if cls == ClassTerminal {
-			k.stats.Failures++
-			c.emit(trace.KindAttempt, "fail key=%s target=%s attempt=%d: terminal: %s", k.pol.Name, dev.Name(), res.Attempts, err.Error())
-			return res
-		}
-		if k.pol.MaxAttempts > 0 && res.Attempts >= k.pol.MaxAttempts {
-			k.stats.Degraded++
-			res.Degraded = true
-			c.emit(trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", k.pol.Name, dev.Name(), res.Attempts)
-			return res
-		}
-		paced := false
-		if !k.takeToken(now) {
-			if k.pol.MaxAttempts > 0 {
-				k.stats.BudgetDenied++
-				k.stats.Degraded++
-				res.Degraded = true
-				c.emit(trace.KindBudget, "deny key=%s target=%s: retry budget exhausted, degrading", k.pol.Name, dev.Name())
-				return res
-			}
-			// Mandatory work: degrade to a trickle paced at the refill
-			// rate rather than hammering the device or giving up.
-			wait := k.tokenWait(now)
-			k.stats.BudgetPaced++
-			paced = true
-			if wait > delay {
-				delay = wait
-			}
-			c.emit(trace.KindBudget, "pace key=%s target=%s wait=%.3gs: budget dry", k.pol.Name, dev.Name(), delay)
-		}
-		k.stats.Retries++
-		res.Retries++
-		c.emit(trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t",
-			k.pol.Name, dev.Name(), res.Attempts+1, delay, timedOut)
-		p.Sleep(delay)
-		if paced {
-			k.takeToken(c.eng.Now()) // best-effort: the pacing sleep covered the refill
-		}
-		res.Elapsed += delay
-		delay *= k.pol.Factor
-		if k.pol.MaxBackoff > 0 && delay > k.pol.MaxBackoff {
-			delay = k.pol.MaxBackoff
-		}
+	return r.Res
+}
+
+// ReadOp is Key.Read made of engine callbacks, for a caller that embeds
+// it where a blocked process would stand: each attempt is a transfer that
+// reports to the op, each backoff its own timer. Start returns false when
+// the read ended inside the call (an open breaker, an attempt that ended
+// at issue), as Read returns at once there; otherwise done is told, as of
+// a transfer, in the event Read returned in. Either way the outcome is Res.
+type ReadOp struct {
+	readRun
+	cg           *blkio.Cgroup
+	bytes, start float64 // start: when the attempt in flight began
+	tok          device.Token
+	done         device.Completion
+}
+
+// Start begins a read of bytes from dev under k's policy and reports
+// whether it is in flight.
+func (o *ReadOp) Start(k *Key, dev *device.Device, cg *blkio.Cgroup, bytes float64, done device.Completion) bool {
+	o.open(k, dev)
+	o.cg, o.bytes, o.done = cg, bytes, done
+	return o.attempt()
+}
+
+// attempt issues the next attempt if the breaker admits it, and reports
+// whether the read is in flight.
+func (o *ReadOp) attempt() bool {
+	if !o.admit() {
+		return false
+	}
+	o.start = o.k.c.eng.Now()
+	ended, err := o.dev.Begin(o.cg, o.bytes, false, true, &o.tok, o.k.deadline(o.bytes), o)
+	return !ended || o.ended(err)
+}
+
+// ended takes the attempt that ended and reports whether the read goes on,
+// its backoff armed.
+func (o *ReadOp) ended(err error) bool {
+	eng := o.k.c.eng
+	retry := o.settle(eng.Now()-o.start, o.tok.Moved(), err)
+	if retry {
+		eng.AtCall(eng.Now()+o.delay, o)
+	}
+	return retry
+}
+
+// TransferDone is the attempt in flight ending.
+func (o *ReadOp) TransferDone(_ *device.Token, err error) {
+	if !o.ended(err) {
+		o.done.TransferDone(&o.tok, o.Res.Err)
+	}
+}
+
+// Fire is the backoff ending: the next attempt.
+func (o *ReadOp) Fire() {
+	o.backoff()
+	if !o.attempt() {
+		o.done.TransferDone(&o.tok, o.Res.Err)
 	}
 }
 
@@ -278,60 +354,92 @@ func (c *Controller) shouldHedge(fast *device.Device, bytes float64) bool {
 	return next < hedgeContentionFrac*peak
 }
 
-// HedgedRead races a fast-tier copy of the payload against the capacity
-// tier, cancelling the loser mid-flight. If the decision rule says the
-// race is not worth it (or the budget has no token for the extra leg) it
-// returns Hedged == false and the caller proceeds on its normal path; if
-// both legs fail the caller likewise falls back (OK == false). The loser
-// leg's partial bytes are real I/O and are accounted to its device and
-// cgroup; the result reports them so callers can track waste.
-func (k *Key) HedgedRead(p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64) HedgeResult {
-	var res HedgeResult
+// Hedge is a hedged read run by engine callbacks, embedded by its caller:
+// it races a fast-tier copy of the payload against the capacity tier,
+// cancelling the loser mid-flight. If the decision rule says the race is
+// not worth it (or the budget has no token for the extra leg) Start
+// returns false and the caller proceeds on its normal path. Otherwise the
+// legs are transfers that report to the Hedge, and the last one to end
+// is told to done, which picks the outcome up with Result once it carries
+// on (a blocked reader did so at its wake-up, an event later). If both legs
+// fail the caller likewise falls back (OK == false). The loser leg's
+// partial bytes are real I/O and are accounted to its device and cgroup;
+// the result reports them so callers can track waste.
+type Hedge struct {
+	toks       [2]device.Token // fast leg, slow leg
+	winner     int             // index of the first leg to deliver; -1 while none has
+	pending    int             // legs still in flight
+	k          *Key
+	fast, slow *device.Device
+	start      float64
+	done       device.Completion
+}
+
+// Start makes the hedging decision for a read of bytes and, when it says
+// yes, launches both legs and reports true.
+func (h *Hedge) Start(k *Key, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64, done device.Completion) bool {
 	c := k.c
 	if !c.shouldHedge(fast, bytes) {
-		return res
+		return false
 	}
 	now := c.eng.Now()
 	if !k.takeToken(now) {
 		k.stats.BudgetDenied++
-		c.emit(trace.KindBudget, "deny key=%s: no budget for hedge leg", k.pol.Name)
-		return res
+		c.rec.Emit(now, source, trace.KindBudget, "deny key=%s: no budget for hedge leg", k.pol.Name)
+		return false
 	}
 	k.stats.Ops++
 	k.stats.Hedges++
 	k.stats.Attempts += 2
-	res.Hedged = true
-	c.emit(trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
+	c.rec.Emit(now, source, trace.KindHedge, "launch key=%s fast=%s slow=%s bytes=%.0f",
 		k.pol.Name, fast.Name(), slow.Name(), bytes)
-
-	// The legs are transfers, not processes: each device tells r.
-	r := c.getRace()
-	r.winner, r.pending, r.waiter = -1, 2, p
+	h.winner, h.pending = -1, 2
+	h.k, h.fast, h.slow, h.start, h.done = k, fast, slow, now, done
 	deadline := k.deadline(bytes)
-	fast.StartRead(cg, bytes, &r.toks[0], deadline, r)
-	slow.StartRead(cg, bytes, &r.toks[1], deadline, r)
-	for r.pending > 0 {
-		p.Suspend()
+	fast.StartRead(cg, bytes, &h.toks[0], deadline, h)
+	slow.StartRead(cg, bytes, &h.toks[1], deadline, h)
+	return true
+}
+
+// TransferDone is a device reporting that a leg ended, finished and
+// accounted: the first to deliver wins and cancels the other, the last
+// to end tells done.
+func (h *Hedge) TransferDone(tok *device.Token, err error) {
+	if err == nil && h.winner < 0 {
+		h.winner = 0
+		if tok == &h.toks[1] {
+			h.winner = 1
+		}
+		h.toks[1-h.winner].Cancel()
 	}
-	res.Elapsed = c.eng.Now() - now
-	res.FastMoved, res.SlowMoved = r.toks[0].Moved(), r.toks[1].Moved()
-	res.OK, res.FastWon = r.winner >= 0, r.winner == 0
-	c.putRace(r)
+	if h.pending--; h.pending == 0 {
+		h.done.TransferDone(tok, err)
+	}
+}
+
+// Result counts and traces the race's outcome and returns it; call it
+// once, when done's caller carries on.
+func (h *Hedge) Result() HedgeResult {
+	k := h.k
+	c := k.c
+	now := c.eng.Now()
+	res := HedgeResult{Hedged: true, Elapsed: now - h.start, FastMoved: h.toks[0].Moved(), SlowMoved: h.toks[1].Moved()}
+	res.OK, res.FastWon = h.winner >= 0, h.winner == 0
 	if !res.OK {
 		k.stats.Degraded++
 		k.stats.WastedBytes += res.FastMoved + res.SlowMoved
-		c.emit(trace.KindHedge, "lose key=%s: both legs failed, falling back", k.pol.Name)
+		c.rec.Emit(now, source, trace.KindHedge, "lose key=%s: both legs failed, falling back", k.pol.Name)
 		return res
 	}
-	winDev, wasted := slow, res.FastMoved
+	winDev, wasted := h.slow, res.FastMoved
 	if res.FastWon {
 		k.stats.HedgeFastWins++
-		winDev, wasted = fast, res.SlowMoved
+		winDev, wasted = h.fast, res.SlowMoved
 	} else {
 		k.stats.HedgeSlowWins++
 	}
 	k.stats.WastedBytes += wasted
-	c.emit(trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
+	c.rec.Emit(now, source, trace.KindHedge, "win key=%s winner=%s wasted=%.0f elapsed=%.3gs",
 		k.pol.Name, winDev.Name(), wasted, res.Elapsed)
 	return res
 }

@@ -163,8 +163,39 @@ func randomHedgeScript(rng *rand.Rand) hedgeScript {
 
 type hedgeFn func(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64) HedgeResult
 
-func hedgedReadCurrent(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64) HedgeResult {
-	return k.HedgedRead(p, fast, slow, cg, bytes)
+// hedgeWaiter runs a Hedge for a process blocked on it, as the blocking
+// HedgedRead did: the last leg to end wakes the process, which then takes
+// the result.
+type hedgeWaiter struct {
+	h       Hedge
+	p       *sim.Proc
+	waiting bool
+}
+
+func (w *hedgeWaiter) TransferDone(*device.Token, error) {
+	w.waiting = false
+	w.p.Engine().Wake(w.p)
+}
+
+func (w *hedgeWaiter) read(k *Key, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64) HedgeResult {
+	if !w.h.Start(k, fast, slow, cg, bytes, w) {
+		return HedgeResult{}
+	}
+	for w.waiting = true; w.waiting; {
+		w.p.Suspend()
+	}
+	return w.h.Result()
+}
+
+// hedgedRead is one hedged read by p.
+func hedgedRead(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64) HedgeResult {
+	w := &hedgeWaiter{p: p}
+	return w.read(k, fast, slow, cg, bytes)
+}
+
+// emit is the trace call the references make.
+func (c *Controller) emit(kind, format string, args ...any) {
+	c.rec.Emit(c.eng.Now(), source, kind, format, args...)
 }
 
 func bits(v float64) string { return fmt.Sprintf("%x", math.Float64bits(v)) }
@@ -237,7 +268,7 @@ func TestHedgedReadMatchesReference(t *testing.T) {
 	seen := map[string]int{}
 	for seed := int64(1); seed <= 400; seed++ {
 		sc := randomHedgeScript(rand.New(rand.NewSource(seed)))
-		got, results := sc.play(t, hedgedReadCurrent)
+		got, results := sc.play(t, hedgedRead)
 		want, _ := sc.play(t, hedgedReadReference)
 		if got != want {
 			t.Fatalf("seed %d: race differs from the process reference\n--- transfers\n%s--- processes\n%s", seed, got, want)
@@ -289,8 +320,9 @@ func hedgeBench(tb testing.TB, body func(read func())) {
 	k.setPolicy(Policy{Name: "staging.read.hedge", MaxAttempts: 1, Factor: 2, TimeoutFloor: 5, TimeoutMinBW: 2 * mib,
 		Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 1e9})
 	eng.Spawn("reader", func(p *sim.Proc) {
+		w := &hedgeWaiter{p: p}
 		body(func() {
-			if res := k.HedgedRead(p, fast, slow, cg, 64*mib); !res.OK || !res.FastWon || res.SlowMoved <= 0 {
+			if res := w.read(k, fast, slow, cg, 64*mib); !res.OK || !res.FastWon || res.SlowMoved <= 0 {
 				tb.Fatalf("warm hedge: %+v", res)
 			}
 		})
@@ -301,8 +333,8 @@ func hedgeBench(tb testing.TB, body func(read func())) {
 }
 
 // TestHedgedReadSteadyStateZeroAlloc: with no recorder a hedged read —
-// pooled race, two proc-less transfers, the loser cancelled mid-flight,
-// the waiter woken — allocates nothing once the pools are warm.
+// two proc-less transfers, the loser cancelled mid-flight, done told —
+// allocates nothing once the device's freelists are warm.
 func TestHedgedReadSteadyStateZeroAlloc(t *testing.T) {
 	hedgeBench(t, func(read func()) {
 		for i := 0; i < 16; i++ {

@@ -299,7 +299,7 @@ type Controller struct {
 	hedge    HedgeConfig
 	forecast func() (next, peak float64, ok bool)
 
-	raceFree []*race
+	tokFree []*device.Token // Read's pooled attempt tokens
 }
 
 // New creates a controller bound to an engine, with every key of the
@@ -385,9 +385,4 @@ func (k *Key) breaker(target string, create bool) *Breaker {
 		k.br, k.brTarget = b, target
 	}
 	return k.br
-}
-
-// emit records one decision.
-func (c *Controller) emit(kind, format string, args ...any) {
-	c.rec.Emit(c.eng.Now(), source, kind, format, args...)
 }

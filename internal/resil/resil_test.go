@@ -310,7 +310,7 @@ func TestHedgedReadFastTierWins(t *testing.T) {
 	bytes := 8.0 * 1024 * 1024
 	var res HedgeResult
 	eng.Spawn("reader", func(p *sim.Proc) {
-		res = k.HedgedRead(p, fast, slow, cg, bytes)
+		res = hedgedRead(k, p, fast, slow, cg, bytes)
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestHedgedReadSlowTierCoversFastFault(t *testing.T) {
 	k := c.Key(KeyStagingReadHedge)
 	var res HedgeResult
 	eng.Spawn("reader", func(p *sim.Proc) {
-		res = k.HedgedRead(p, fast, slow, cg, 8*1024*1024)
+		res = hedgedRead(k, p, fast, slow, cg, 8*1024*1024)
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestHedgeLoserCancelledInsideRequestLatency(t *testing.T) {
 	bytes := 8.0 * 1024 * 1024
 	var res HedgeResult
 	eng.Spawn("reader", func(p *sim.Proc) {
-		res = k.HedgedRead(p, fast, slow, cg, bytes)
+		res = hedgedRead(k, p, fast, slow, cg, bytes)
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestHedgeDecisionRule(t *testing.T) {
 	cg := blkio.NewCgroup("a")
 	eng.Spawn("reader", func(p *sim.Proc) {
 		// Quiet forecast: no hedge regardless of size.
-		if res := quiet.Key(KeyStagingReadHedge).HedgedRead(p, fast, slow, cg, 64*1024*1024); res.Hedged {
+		if res := hedgedRead(quiet.Key(KeyStagingReadHedge), p, fast, slow, cg, 64*1024*1024); res.Hedged {
 			t.Errorf("quiet window must not hedge: %+v", res)
 		}
 	})
@@ -413,7 +413,7 @@ func TestHedgeDecisionRule(t *testing.T) {
 	slow2 := device.New(eng2, flatParams("hdd", 10*1024*1024))
 	eng2.Spawn("reader", func(p *sim.Proc) {
 		// Below hedgeMinBytes the race cannot pay for itself.
-		if res := contended.Key(KeyStagingReadHedge).HedgedRead(p, fast2, slow2, blkio.NewCgroup("b"), 1024); res.Hedged {
+		if res := hedgedRead(contended.Key(KeyStagingReadHedge), p, fast2, slow2, blkio.NewCgroup("b"), 1024); res.Hedged {
 			t.Errorf("tiny read must not hedge: %+v", res)
 		}
 	})
@@ -429,7 +429,7 @@ func TestHedgeSkippedWithoutForecast(t *testing.T) {
 	slow := device.New(eng, flatParams("hdd", 10*1024*1024))
 	cg := blkio.NewCgroup("a")
 	eng.Spawn("reader", func(p *sim.Proc) {
-		if res := c.Key(KeyStagingReadHedge).HedgedRead(p, fast, slow, cg, 64*1024*1024); res.Hedged {
+		if res := hedgedRead(c.Key(KeyStagingReadHedge), p, fast, slow, cg, 64*1024*1024); res.Hedged {
 			t.Errorf("no forecast and closed breaker: must not hedge: %+v", res)
 		}
 	})

@@ -178,6 +178,10 @@ func (e *Engine) RunAll() error {
 // Pending reports the number of scheduled (possibly cancelled) events.
 func (e *Engine) Pending() int { return len(e.events) }
 
+// Scheduled reports how many events have been armed since the engine was
+// made: two runs that took the same hops read the same count.
+func (e *Engine) Scheduled() int64 { return e.seq }
+
 // LiveProcs reports the number of spawned processes that have not finished.
 func (e *Engine) LiveProcs() int { return len(e.procs) }
 

@@ -295,39 +295,6 @@ func TestStartAtSpawnAtTakeOneSlotInCallOrder(t *testing.T) {
 	}
 }
 
-// StartNow runs the body inline, in the slot of the event that calls it:
-// up to its first block before StartNow returns, ahead of everything else
-// queued at that instant, with no event of its own. Its misuse panics as
-// StartAt's does.
-func TestStartNowRunsInline(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	mark := func(s string) { got = append(got, s) }
-	p := e.NewProc("p")
-	body := BodyFunc(func(p *Proc) { mark("body"); p.Sleep(1); mark("woke") })
-	e.At(5, func() {
-		e.At(5, func() { mark("queued") })
-		seq0 := e.seq
-		e.StartNow(p, body)
-		if e.seq-seq0 != 1 {
-			t.Errorf("StartNow and the body's Sleep took %d seqs, want the Sleep's 1", e.seq-seq0)
-		}
-		mustPanic(t, "StartNow on a live proc", func() { e.StartNow(p, body) })
-		mark("after")
-	})
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if s := strings.Join(got, " "); s != "body after queued woke" || e.Now() != 6 || !p.Done() {
-		t.Fatalf("order %q at %v (done %v), want \"body after queued woke\" at 6", s, e.Now(), p.Done())
-	}
-	e.At(7, func() { e.StartNow(p, BodyFunc(func(*Proc) { mark("again") })) })
-	if err := e.RunAll(); err != nil || got[len(got)-1] != "again" || !p.Done() {
-		t.Fatalf("restart: %v, %q", err, got)
-	}
-	mustPanic(t, "StartNow on a Spawn-ed proc", func() { e.StartNow(e.Spawn("s", func(*Proc) {}), body) })
-}
-
 // Starting, running and finishing a reusable proc on a warm pool
 // allocates nothing: the event comes off the freelist, the worker off the
 // parked list that the previous RunAll returned it to, and the proc is its

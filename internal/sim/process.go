@@ -94,29 +94,14 @@ func (e *Engine) NewProc(name string) *Proc {
 // a live process, a killed one (resumes queued for the run that was
 // killed may still be pending) or one not made by NewProc panics.
 func (e *Engine) StartAt(t float64, p *Proc, body Body) {
-	e.restart(p, body)
+	if !p.reusable || !p.done || p.killed {
+		panic(fmt.Sprintf("sim: StartAt on process %q, which is live, killed or not from NewProc", p.name))
+	}
+	e.list(p, body)
 	e.AtCall(t, p)
 }
 
-// StartNow is StartAt with no queued first resume: body runs inline, up
-// to its first blocking call, before StartNow returns — in the slot of
-// the event that calls it, ahead of anything else queued at this instant.
-// Call it only from the engine context (an event callback), where a
-// resume may run; it panics where StartAt does.
-func (e *Engine) StartNow(p *Proc, body Body) {
-	e.restart(p, body)
-	e.resume(p)
-}
-
-// restart checks that p may run again and lists it live with body.
-func (e *Engine) restart(p *Proc, body Body) {
-	if !p.reusable || !p.done || p.killed {
-		panic(fmt.Sprintf("sim: start of process %q, which is live, killed or not from NewProc", p.name))
-	}
-	e.list(p, body)
-}
-
-// list makes p live with body; the caller arms or runs its first resume.
+// list makes p live with body; the caller arms its first resume.
 func (e *Engine) list(p *Proc, body Body) {
 	p.body = body
 	p.done = false

@@ -28,6 +28,34 @@ func stagedFixture(t *testing.T) (*sim.Engine, *Store, *device.Device, *device.D
 	return eng, s, ssd, hdd
 }
 
+// opWaiter blocks a process on an Op, as a blocking read did: the op's
+// end wakes it.
+type opWaiter struct {
+	op      Op
+	p       *sim.Proc
+	waiting bool
+}
+
+func (w *opWaiter) OpDone() {
+	w.waiting = false
+	w.p.Engine().Wake(w.p)
+}
+
+// wait blocks p until the read an Op method started ends; pending is what
+// the method returned.
+func (w *opWaiter) wait(pending bool) TierStats {
+	for w.waiting = pending; w.waiting; {
+		w.p.Suspend()
+	}
+	return w.op.TS
+}
+
+// readParallel is a parallel read of [from, to) by p.
+func readParallel(s *Store, p *sim.Proc, cg *blkio.Cgroup, from, to int) TierStats {
+	w := &opWaiter{p: p}
+	return w.wait(w.op.ReadRangeParallel(s, cg, from, to, w))
+}
+
 func TestParallelReadSameBytesAsSequential(t *testing.T) {
 	eng, s, ssd, hdd := stagedFixture(t)
 	h := s.Hierarchy()
@@ -35,7 +63,7 @@ func TestParallelReadSameBytesAsSequential(t *testing.T) {
 	var seq, par TierStats
 	eng.Spawn("seq", func(p *sim.Proc) {
 		seq = s.ReadRange(p, cg, 0, h.TotalEntries())
-		par = s.ReadRangeParallel(p, cg, 0, h.TotalEntries())
+		par = readParallel(s, p, cg, 0, h.TotalEntries())
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -56,7 +84,7 @@ func TestParallelReadOverlapsTiers(t *testing.T) {
 		s.ReadRange(p, cg, 0, h.TotalEntries())
 		tSeq = p.Now() - start
 		start = p.Now()
-		s.ReadRangeParallel(p, cg, 0, h.TotalEntries())
+		readParallel(s, p, cg, 0, h.TotalEntries())
 		tPar = p.Now() - start
 	})
 	if err := eng.RunAll(); err != nil {
@@ -75,7 +103,7 @@ func TestParallelReadEmptyAndSingleTierRanges(t *testing.T) {
 	cg := blkio.NewCgroup("a")
 	eng.Spawn("driver", func(p *sim.Proc) {
 		// Empty range.
-		ts := s.ReadRangeParallel(p, cg, 5, 5)
+		ts := readParallel(s, p, cg, 5, 5)
 		if b, _ := ts.Total(); b != 0 {
 			t.Errorf("empty range read %v bytes", b)
 		}
@@ -86,7 +114,7 @@ func TestParallelReadEmptyAndSingleTierRanges(t *testing.T) {
 			t.Fatalf("unexpected segment layout: %+v", segs)
 		}
 		from := h.TotalEntries() - (last.End - last.Start)
-		ts = s.ReadRangeParallel(p, cg, from, h.TotalEntries())
+		ts = readParallel(s, p, cg, from, h.TotalEntries())
 		if ts.BytesOn(hdd) == 0 {
 			t.Error("single-tier range read nothing from hdd")
 		}
@@ -104,7 +132,7 @@ func TestParallelReadDeterministic(t *testing.T) {
 		var elapsed float64
 		eng.Spawn("driver", func(p *sim.Proc) {
 			start := p.Now()
-			s.ReadRangeParallel(p, cg, 0, h.TotalEntries())
+			readParallel(s, p, cg, 0, h.TotalEntries())
 			elapsed = p.Now() - start
 		})
 		if err := eng.RunAll(); err != nil {
@@ -187,13 +215,49 @@ func (c splitCache) Serve(level, start, end int) (*device.Device, int) {
 	return c.dev, int(float64(end-start) * c.frac)
 }
 
+// parallelDriver reads eight seeded ranges back to back with an Op, a
+// seeded pause after each, as the reference's reader process does with
+// the blocking read: an engine callback standing where the process stood.
+type parallelDriver struct {
+	op   Op
+	s    *Store
+	cg   *blkio.Cgroup
+	rng  *rand.Rand
+	devs []*device.Device
+	out  []float64
+	n    int
+}
+
+func (d *parallelDriver) Fire() {
+	if d.n == 8 {
+		return
+	}
+	total := d.s.h.TotalEntries()
+	from := d.rng.Intn(total + 1)
+	to := from + d.rng.Intn(total-from+1)
+	if !d.op.ReadRangeParallel(d.s, d.cg, from, to, d) {
+		d.OpDone()
+	}
+}
+
+func (d *parallelDriver) OpDone() {
+	eng := d.s.baseDev.Engine()
+	for _, e := range d.op.TS.entries() {
+		d.out = append(d.out, float64(slices.Index(d.devs, e.dev)), e.bytes, e.time)
+	}
+	d.out = append(d.out, eng.Now())
+	d.n++
+	eng.AtCall(eng.Now()+float64(d.rng.Intn(3)), d)
+}
+
 // TestParallelReadMatchesProcesses: over seeded scenarios — two or three
 // tiers, a cache that splits segments, competing readers, device faults,
-// ranges read back to back — the tier reads as Start flows return every
-// TierStats entry and leave every device float and the event queue where
-// the per-tier processes left them, bit for bit.
+// ranges read back to back — the tier reads as Start flows, driven by a
+// callback, return every TierStats entry and leave every device float
+// and the event queue where the per-tier processes of a blocked reader
+// left them, bit for bit.
 func TestParallelReadMatchesProcesses(t *testing.T) {
-	run := func(seed int64, read func(*Store, *sim.Proc, *blkio.Cgroup, int, int) TierStats) []float64 {
+	run := func(seed int64, reference bool) []float64 {
 		rng := rand.New(rand.NewSource(seed))
 		eng := sim.NewEngine()
 		var devs []*device.Device
@@ -233,32 +297,37 @@ func TestParallelReadMatchesProcesses(t *testing.T) {
 			eng.At(at, func() { dev.SetFault(bw, 0) })
 			eng.At(at+dur, dev.ClearFault)
 		}
-		var out []float64
 		cg := blkio.NewCgroup("reader")
-		total := h.TotalEntries()
-		eng.Spawn("reader", func(p *sim.Proc) {
-			for i := 0; i < 8; i++ {
-				from := rng.Intn(total + 1)
-				to := from + rng.Intn(total-from+1)
-				ts := read(s, p, cg, from, to)
-				for _, e := range ts.entries() {
-					out = append(out, float64(slices.Index(devs, e.dev)), e.bytes, e.time)
+		d := &parallelDriver{s: s, cg: cg, rng: rng, devs: devs}
+		if reference {
+			total := h.TotalEntries()
+			eng.Spawn("reader", func(p *sim.Proc) {
+				for i := 0; i < 8; i++ {
+					from := rng.Intn(total + 1)
+					to := from + rng.Intn(total-from+1)
+					ts := readRangeParallelReference(s, p, cg, from, to)
+					for _, e := range ts.entries() {
+						d.out = append(d.out, float64(slices.Index(devs, e.dev)), e.bytes, e.time)
+					}
+					d.out = append(d.out, p.Now())
+					p.Sleep(float64(rng.Intn(3)))
 				}
-				out = append(out, p.Now())
-				p.Sleep(float64(rng.Intn(3)))
-			}
-		})
+			})
+		} else {
+			eng.AtCall(0, d)
+		}
 		if err := eng.RunAll(); err != nil {
 			t.Fatal(err)
 		}
+		out := d.out
 		for _, d := range devs {
 			out = append(out, d.TotalBytes(), d.BusyTime())
 		}
-		return append(out, eng.Now(), float64(eng.Pending()), float64(eng.LiveProcs()))
+		return append(out, eng.Now(), float64(eng.Pending()), float64(eng.Scheduled()), float64(eng.LiveProcs()))
 	}
 	for seed := int64(1); seed <= 300; seed++ {
-		want := run(seed, readRangeParallelReference)
-		got := run(seed, (*Store).ReadRangeParallel)
+		want := run(seed, true)
+		got := run(seed, false)
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: %d outcome values, processes %d", seed, len(got), len(want))
 		}

@@ -63,11 +63,12 @@ func (s *Store) SetCache(c CacheView) { s.cache = c }
 // degrades) to rec under source; nil leaves them untraced.
 func (s *Store) SetTrace(rec *trace.Recorder, source string) { s.rec, s.src = rec, source }
 
-// SetResil routes the guarded read paths (and Probe) through the
+// SetResil routes the guarded reads and the probe of an Op through the
 // resilience control plane: per-attempt deadlines, classified retries,
 // budgets, breakers, and — when the controller enables it — hedged reads
 // racing a cache-resident prefix against its capacity-tier home copy.
-// A store SetResil was never called on keeps its ad-hoc retry loop.
+// A store SetResil was never called on keeps its ad-hoc retry loop. The
+// blocking ReadBase, ReadRange and Probe ignore the controller.
 func (s *Store) SetResil(rc *resil.Controller) { s.rc = rc }
 
 // Stage places h across the given tiers (fastest first, as returned by
@@ -326,256 +327,11 @@ func (s *Store) ReadRange(p *sim.Proc, cg *blkio.Cgroup, from, to int) (ts TierS
 	return ts
 }
 
-// ReadRangeParallel reads the augmentation cursor range [from, to) with
-// one concurrent reader per tier, overlapping fast- and capacity-tier
-// transfers. The caller's process blocks until every tier finishes. This
-// is an optimization beyond the paper's sequential Algorithm 1 loop
-// (evaluated by the ablation-parallel experiment): it shortens the total
-// step time but gives up the coarse-first completion order that the
-// sequential path provides.
-func (s *Store) ReadRangeParallel(p *sim.Proc, cg *blkio.Cgroup, from, to int) (ts TierStats) {
-	// Split every segment once up front (Serve does per-call hit/miss
-	// bookkeeping, so it must run exactly once per segment), then group
-	// the resulting parts by device, in first-appearance order.
-	var reads []tierRead
-	var buf [segScratch]refactor.Segment
-	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
-		parts, n := s.segmentParts(seg)
-		for _, part := range parts[:n] {
-			i := 0
-			for i < len(reads) && reads[i].dev != part.dev {
-				i++
-			}
-			if i == len(reads) {
-				reads = append(reads, tierRead{dev: part.dev})
-			}
-			reads[i].parts = append(reads[i].parts, part)
-		}
-	}
-	if len(reads) == 0 {
-		return ts
-	}
-	if len(reads) == 1 {
-		// Single tier: no concurrency to exploit.
-		for _, part := range reads[0].parts {
-			el := part.dev.Read(p, cg, part.bytes)
-			ts.add(part.dev, part.bytes, el)
-		}
-		return ts
-	}
-	j := &tierJoin{cg: cg, p: p, left: len(reads)}
-	eng := p.Engine()
-	for i := range reads {
-		reads[i].j = j
-		eng.AtCall(eng.Now(), &reads[i])
-	}
-	for j.left > 0 {
-		p.Suspend()
-	}
-	for i := range reads {
-		ts.Merge(reads[i].ts)
-	}
-	return ts
-}
-
-// tierRead is one tier's share of a ReadRangeParallel: its parts read
-// back to back as Start flows, the next one started from the last one's
-// TransferDone. Its first Fire is armed where a per-tier reader process
-// used to be spawned, and each flow ends in the slot that process's
-// wake-up took, so the reads are the process loop's, event for event.
-type tierRead struct {
-	j     *tierJoin
-	dev   *device.Device
-	parts []segPart
-	next  int     // the part in flight
-	start float64 // when it started
-	tok   device.Token
-	ts    TierStats
-}
-
-// tierJoin is what a ReadRangeParallel's tier reads share: the cgroup they
-// read under and the blocked caller, woken by the last one to end.
-type tierJoin struct {
-	cg   *blkio.Cgroup
-	p    *sim.Proc
-	left int
-}
-
-// Fire starts the tier's next part: the first one from its own event,
-// each later one from the last one's TransferDone.
-func (r *tierRead) Fire() {
-	r.start = r.dev.Engine().Now()
-	r.dev.Start(r.j.cg, r.parts[r.next].bytes, false, &r.tok, r)
-}
-
-// TransferDone records the part that ended and starts the next, or wakes
-// the caller when this was the last part of the last tier still reading.
-func (r *tierRead) TransferDone(*device.Token, error) {
-	eng := r.dev.Engine()
-	r.ts.add(r.dev, r.parts[r.next].bytes, eng.Now()-r.start)
-	if r.next++; r.next < len(r.parts) {
-		r.Fire()
-		return
-	}
-	if r.j.left--; r.j.left == 0 {
-		eng.Wake(r.j.p)
-	}
-}
-
-// The ad-hoc guarded read paths' reaction to transient read errors (see
-// internal/fault). Only OPTIONAL augmentation has a retry budget;
-// mandatory data (the base representation and augmentation the error
-// bound requires) is retried indefinitely, because degradation must
-// never violate the bound.
-const (
-	retryAttempts = 4    // tries per optional segment before the read degrades
-	retryBackoff  = 0.05 // first retry delay, virtual seconds
-	retryFactor   = 2.0  // delay multiplier per attempt
-	retryMax      = 5.0  // delay cap, virtual seconds
-)
-
-// GuardedOutcome reports what a guarded read actually achieved.
-type GuardedOutcome struct {
-	Cursor   int  // absolute cursor reached (== `to` unless degraded)
-	Retries  int  // failed requests that were retried
-	Degraded bool // optional augmentation was abandoned mid-range
-}
-
-// retryRead reads bytes from dev, retrying transient errors with
-// exponential virtual-time backoff. If bounded is true the retry budget
-// is retryAttempts, after which it gives up and reports failure;
-// otherwise it retries until the fault clears. Returns the elapsed time
-// (including backoff sleeps), the retries spent, and success.
-func (s *Store) retryRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64, bounded bool) (float64, int, bool) {
-	start := p.Now()
-	delay := retryBackoff
-	retries := 0
-	for attempt := 1; ; attempt++ {
-		_, err := dev.TryRead(p, cg, bytes)
-		if err == nil {
-			return p.Now() - start, retries, true
-		}
-		if bounded && attempt >= retryAttempts {
-			return p.Now() - start, retries, false
-		}
-		retries++
-		s.rec.Emit(p.Now(), s.src, trace.KindRecover, "retry dev=%s attempt=%d backoff=%.3fs bytes=%.0f", dev.Name(), attempt, delay, bytes)
-		p.Sleep(delay)
-		delay *= retryFactor
-		if delay > retryMax {
-			delay = retryMax
-		}
-	}
-}
-
-// ReadBaseGuarded is ReadBase with unbounded retry: the base
-// representation is mandatory at every step, so a transient fault delays
-// the read rather than failing it.
-func (s *Store) ReadBaseGuarded(p *sim.Proc, cg *blkio.Cgroup) (ts TierStats, _ GuardedOutcome) {
-	bytes := float64(s.h.BaseBytes()) * s.scale
-	if s.rc != nil {
-		res := s.rc.Key(resil.KeyStagingReadBase).Read(p, s.baseDev, cg, bytes)
-		ts.add(s.baseDev, res.Moved, res.Elapsed)
-		return ts, GuardedOutcome{Cursor: 0, Retries: res.Retries}
-	}
-	el, retries, _ := s.retryRead(p, s.baseDev, cg, bytes, false)
-	ts.add(s.baseDev, bytes, el)
-	return ts, GuardedOutcome{Cursor: 0, Retries: retries}
-}
-
-// ReadRangeGuarded is ReadRange hardened against injected read errors.
-// Segments whose entries fall at or below `mandatory` (the cursor the
-// prescribed error bound requires) are retried until they succeed;
-// optional segments get retryAttempts tries each, after which the read
-// DEGRADES: the remaining optional augmentation is skipped and the
-// outcome reports the cursor actually reached. The caller's accuracy
-// never drops below the bound — only above-bound augmentation is shed.
-func (s *Store) ReadRangeGuarded(p *sim.Proc, cg *blkio.Cgroup, from, to, mandatory int) (ts TierStats, out GuardedOutcome) {
-	out.Cursor = from
-	var buf [segScratch]refactor.Segment
-	for _, seg := range s.h.AppendSegments(buf[:0], from, to) {
-		home := s.DeviceForLevel(seg.Level)
-		parts, n := s.segmentParts(seg)
-		for _, part := range parts[:n] {
-			needed := out.Cursor < mandatory // part starts inside the mandatory prefix
-			var retries int
-			var ok bool
-			if s.rc != nil {
-				retries, ok = s.resilPart(p, cg, &ts, part, home, needed)
-			} else {
-				var el float64
-				el, retries, ok = s.retryRead(p, part.dev, cg, part.bytes, !needed)
-				ts.add(part.dev, part.bytes, el)
-			}
-			out.Retries += retries
-			if !ok {
-				out.Degraded = true
-				s.rec.Emit(p.Now(), s.src, trace.KindRecover, "degrade dev=%s cursor=%d of %d (fall back to lower augmentation)", part.dev.Name(), out.Cursor, to)
-				return ts, out
-			}
-			out.Cursor += part.entries
-		}
-	}
-	return ts, out
-}
-
-// resilPart reads one segment part through the resilience control plane.
-// A cache-resident prefix (part.dev != home) is a hedging opportunity:
-// the same byte range exists on both the cache device and the level's
-// home tier, so the controller may race them and cancel the loser. On
-// any non-hedged (or failed-hedge) path the part goes through the
-// policy-keyed guarded read: unbounded for mandatory data, bounded and
-// degradable for optional augmentation.
-func (s *Store) resilPart(p *sim.Proc, cg *blkio.Cgroup, ts *TierStats, part segPart, home *device.Device, needed bool) (retries int, ok bool) {
-	if part.dev != home {
-		hr := s.rc.Key(resil.KeyStagingReadHedge).HedgedRead(p, part.dev, home, cg, part.bytes)
-		if hr.OK {
-			winDev, loserDev := part.dev, home
-			winMoved, loserMoved := hr.FastMoved, hr.SlowMoved
-			if !hr.FastWon {
-				winDev, loserDev = home, part.dev
-				winMoved, loserMoved = hr.SlowMoved, hr.FastMoved
-			}
-			ts.add(winDev, winMoved, hr.Elapsed)
-			if loserMoved > 0 {
-				// The cancelled leg's partial bytes are real transfers on
-				// that device; its time overlapped the winner's, so only
-				// the bytes are recorded.
-				ts.add(loserDev, loserMoved, 0)
-			}
-			return 0, true
-		}
-		// Hedged but both legs failed (the controller counted the waste):
-		// fall through to the single-device policy path.
-	}
-	id := resil.KeyStagingReadOptional
-	if needed {
-		id = resil.KeyStagingReadCapacity
-	}
-	res := s.rc.Key(id).Read(p, part.dev, cg, part.bytes)
-	ts.add(part.dev, res.Moved, res.Elapsed)
-	return res.Retries, res.OK
-}
-
-// Probe reads `bytes` from the slowest tier to sample its available
-// bandwidth; used by the controller when a step retrieved nothing from
-// the capacity tier but the estimator still needs a measurement. With
-// the resilience control plane attached the probe is deadlined
-// (staging.probe.capacity): a stuck capacity tier can no longer wedge
-// the control loop — the partial transfer still yields an honest (low)
-// bandwidth sample, and a probe that moved nothing yields no sample,
-// which the controller treats like a step with no capacity-tier reads.
+// Probe reads `bytes` from the slowest tier under cg, blocking p, to
+// sample its available bandwidth. Op.Probe is the controller's probe.
 func (s *Store) Probe(p *sim.Proc, cg *blkio.Cgroup, bytes float64) (ts TierStats) {
 	dev := s.SlowestDevice()
-	if s.rc != nil {
-		res := s.rc.Key(resil.KeyStagingProbe).Read(p, dev, cg, bytes)
-		if res.Moved > 0 {
-			ts.add(dev, res.Moved, res.Elapsed)
-		}
-		return ts
-	}
-	el := dev.Read(p, cg, bytes)
-	ts.add(dev, bytes, el)
+	ts.add(dev, bytes, dev.Read(p, cg, bytes))
 	return ts
 }
 

@@ -278,7 +278,7 @@ func TestCachedReadSplitsSegmentAndConsultsOnce(t *testing.T) {
 		var ts TierStats
 		eng.Spawn("reader", func(p *sim.Proc) {
 			if parallel {
-				ts = s.ReadRangeParallel(p, cg, 0, total)
+				ts = readParallel(s, p, cg, 0, total)
 			} else {
 				ts = s.ReadRange(p, cg, 0, total)
 			}
@@ -324,20 +324,27 @@ func TestCachedReadSplitsSegmentAndConsultsOnce(t *testing.T) {
 	}
 
 	// Probe must bypass the cache so capacity-tier bandwidth samples
-	// stay truthful.
-	sc.calls = 0
-	var probe TierStats
-	eng.Spawn("probe", func(p *sim.Proc) {
-		probe = s.Probe(p, cg, 4*device.MB)
-	})
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if sc.calls != 0 {
-		t.Fatal("Probe consulted the cache")
-	}
-	if probe.BytesOn(hdd) != 4*device.MB {
-		t.Fatalf("probe read %v from the capacity tier", probe.BytesOn(hdd))
+	// stay truthful: the blocking form and the Op a session runs.
+	for _, op := range []bool{false, true} {
+		sc.calls = 0
+		var probe TierStats
+		eng.Spawn("probe", func(p *sim.Proc) {
+			if op {
+				w := &opWaiter{p: p}
+				probe = w.wait(w.op.Probe(s, cg, 4*device.MB, w))
+			} else {
+				probe = s.Probe(p, cg, 4*device.MB)
+			}
+		})
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if sc.calls != 0 {
+			t.Fatalf("Probe (op %t) consulted the cache", op)
+		}
+		if probe.BytesOn(hdd) != 4*device.MB {
+			t.Fatalf("probe (op %t) read %v from the capacity tier", op, probe.BytesOn(hdd))
+		}
 	}
 
 	// Cached reads never touch staging reservations.
@@ -478,9 +485,9 @@ func TestSegmentPartsSplitsAtCachePrefix(t *testing.T) {
 	}
 }
 
-// TestGuardedReadsSteadyStateZeroAlloc: the per-step read methods return
-// their stats by value and walk segments over stack scratch, so
-// untraced they allocate nothing, cache attached or not.
+// TestGuardedReadsSteadyStateZeroAlloc: the per-step reads keep their
+// stats, segments and tier reads in the Op's scratch, so untraced they
+// allocate nothing once warm, cache attached or not.
 func TestGuardedReadsSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	ssd, hdd := twoTier(eng)
@@ -495,17 +502,20 @@ func TestGuardedReadsSteadyStateZeroAlloc(t *testing.T) {
 	cg := blkio.NewCgroup("app")
 	total := h.TotalEntries()
 	var sink TierStats
+	w := &opWaiter{}
 	ops := []struct {
 		name string
 		fn   func(p *sim.Proc)
 	}{
-		{"ReadRangeGuarded", func(p *sim.Proc) { sink, _ = s.ReadRangeGuarded(p, cg, 0, total, total/2) }},
-		{"ReadBaseGuarded", func(p *sim.Proc) { sink, _ = s.ReadBaseGuarded(p, cg) }},
-		{"Probe", func(p *sim.Proc) { sink = s.Probe(p, cg, device.MB) }},
+		{"ReadRange", func(p *sim.Proc) { sink = w.wait(w.op.ReadRange(s, cg, 0, total, total/2, w)) }},
+		{"ReadBase", func(p *sim.Proc) { sink = w.wait(w.op.ReadBase(s, cg, w)) }},
+		{"Probe", func(p *sim.Proc) { sink = w.wait(w.op.Probe(s, cg, device.MB, w)) }},
+		{"ReadRangeParallel", func(p *sim.Proc) { sink = w.wait(w.op.ReadRangeParallel(s, cg, 0, total, w)) }},
 	}
 	for _, cv := range []CacheView{nil, &stubCache{dev: ssd, prefix: h.LevelEntries(0) / 2}} {
 		s.SetCache(cv)
 		eng.Spawn("reader", func(p *sim.Proc) {
+			w.p = p
 			for _, op := range ops {
 				op.fn(p) // warm the device's flow and event freelists
 				if allocs := testing.AllocsPerRun(64, func() { op.fn(p) }); allocs != 0 {
