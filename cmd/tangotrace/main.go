@@ -144,9 +144,7 @@ func replay(args []string) error {
 				samples = append(samples, bytes/ioTime)
 			})
 	}
-	err = node.Engine().Run(horizon)
-	node.Engine().Close()
-	if err != nil {
+	if err := node.Engine().Run(horizon); err != nil {
 		return err
 	}
 

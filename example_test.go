@@ -64,7 +64,7 @@ func ExampleNewNode() {
 
 	var elapsed float64
 	node.MustLaunch("reader", func(c *tango.Container, p *tango.Proc) {
-		elapsed = c.Read(p, hdd, 160*tango.MB)
+		elapsed = hdd.Read(p, c.Cgroup(), 160*tango.MB)
 	})
 	if err := node.Engine().RunAll(); err != nil {
 		panic(err)

@@ -43,17 +43,7 @@ func DetectBlobs(t *tensor.Tensor, o BlobOptions) BlobStats {
 	rows, cols := dims[0], dims[1]
 	data := t.Data()
 
-	var mean float64
-	for _, v := range data {
-		mean += v
-	}
-	mean /= float64(len(data))
-	var variance float64
-	for _, v := range data {
-		d := v - mean
-		variance += d * d
-	}
-	variance /= float64(len(data))
+	mean, variance := meanVariance(data)
 	if variance == 0 {
 		// A constant field has no background fluctuation to deviate from.
 		return BlobStats{}
@@ -123,4 +113,19 @@ func (b BlobStats) RelErrVs(ref BlobStats) float64 {
 		sum += e
 	}
 	return sum / float64(len(errs))
+}
+
+// meanVariance returns the mean and the population variance of data, the
+// two moments every detection threshold (mean + k·σ) is drawn from.
+func meanVariance(data []float64) (mean, variance float64) {
+	for _, v := range data {
+		mean += v
+	}
+	mean /= float64(len(data))
+	for _, v := range data {
+		d := v - mean
+		variance += d * d
+	}
+	variance /= float64(len(data))
+	return mean, variance
 }

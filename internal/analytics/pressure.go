@@ -35,17 +35,7 @@ func AnalyzePressure(t *tensor.Tensor, o PressureOptions) PressureStats {
 		panic(fmt.Sprintf("analytics: AnalyzePressure expects 2D, got %v", t.Dims()))
 	}
 	data := t.Data()
-	var mean float64
-	for _, v := range data {
-		mean += v
-	}
-	mean /= float64(len(data))
-	var variance float64
-	for _, v := range data {
-		d := v - mean
-		variance += d * d
-	}
-	variance /= float64(len(data))
+	mean, variance := meanVariance(data)
 	k := o.SigmaK
 	if k == 0 {
 		k = 2

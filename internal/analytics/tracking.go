@@ -26,17 +26,7 @@ func DetectComponents(t *tensor.Tensor, o BlobOptions) []Component {
 	rows, cols := dims[0], dims[1]
 	data := t.Data()
 
-	var mean float64
-	for _, v := range data {
-		mean += v
-	}
-	mean /= float64(len(data))
-	var variance float64
-	for _, v := range data {
-		d := v - mean
-		variance += d * d
-	}
-	variance /= float64(len(data))
+	mean, variance := meanVariance(data)
 	if variance == 0 {
 		return nil
 	}

@@ -137,13 +137,3 @@ func (c *Container) Cgroup() *blkio.Cgroup { return c.cg }
 
 // SetWeight adjusts the container's blkio weight at runtime.
 func (c *Container) SetWeight(w int) { c.cg.SetWeight(w) }
-
-// Read performs a read of `bytes` from dev under this container's cgroup.
-func (c *Container) Read(p *sim.Proc, dev *device.Device, bytes float64) float64 {
-	return dev.Read(p, c.cg, bytes)
-}
-
-// Write performs a write of `bytes` to dev under this container's cgroup.
-func (c *Container) Write(p *sim.Proc, dev *device.Device, bytes float64) float64 {
-	return dev.Write(p, c.cg, bytes)
-}

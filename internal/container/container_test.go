@@ -40,7 +40,7 @@ func TestLaunchAndIO(t *testing.T) {
 	n := testNode(t)
 	var elapsed float64
 	n.MustLaunch("analytics", func(c *Container, p *sim.Proc) {
-		elapsed = c.Read(p, n.Device("hdd"), 1000)
+		elapsed = n.Device("hdd").Read(p, c.Cgroup(), 1000)
 	})
 	if err := n.Engine().RunAll(); err != nil {
 		t.Fatal(err)
@@ -74,10 +74,10 @@ func TestSetWeightAffectsSharing(t *testing.T) {
 	var tHeavy, tLight float64
 	n.MustLaunch("heavy", func(c *Container, p *sim.Proc) {
 		c.SetWeight(900)
-		tHeavy = c.Read(p, hdd, 900)
+		tHeavy = hdd.Read(p, c.Cgroup(), 900)
 	})
 	n.MustLaunch("light", func(c *Container, p *sim.Proc) {
-		tLight = c.Read(p, hdd, 900)
+		tLight = hdd.Read(p, c.Cgroup(), 900)
 	})
 	if err := n.Engine().RunAll(); err != nil {
 		t.Fatal(err)

@@ -548,12 +548,10 @@ func TestFailedLaunchLeavesNoSession(t *testing.T) {
 }
 
 // TestFinishedNodeIsGarbage: once Run has returned, a node with all six
-// Table IV interferers and a finished session holds no process, and the
-// coroutines its session ran on are parked process-wide with no reference
-// to it, so dropping it frees it without Engine.Close. An interferer that
-// parked a coroutine kept its whole node reachable. The first run fills
-// the parked list; a second, identical run takes its coroutines from
-// there and adds no goroutine.
+// Table IV interferers and a finished session holds no process and no
+// coroutine, so dropping it frees it without Engine.Close. An interferer
+// that parked a coroutine kept its whole node reachable. A second,
+// identical run adds no goroutine.
 func TestFinishedNodeIsGarbage(t *testing.T) {
 	freed := make(chan struct{}, 1)
 	run := func(watch bool) int {

@@ -26,9 +26,9 @@
 // contract: same-seed runs are byte-identical at any -parallel width.
 //
 // A node killed mid-run abandons its engine wholesale: session steps
-// parked mid-transfer on its devices are never resumed (the engine is
-// closed, which ends them), and a revived node is rebuilt from scratch
-// with an empty L2 — exactly the semantics of losing the machine.
+// mid-transfer on its devices never go on (their events are never run),
+// and a revived node is rebuilt from scratch with an empty L2 — exactly
+// the semantics of losing the machine.
 package fleet
 
 import (
@@ -46,6 +46,8 @@ import (
 	"tango/internal/objstore"
 	"tango/internal/resil"
 	"tango/internal/runpool"
+	"tango/internal/sim"
+	"tango/internal/slab"
 	"tango/internal/tokenctl"
 	"tango/internal/trace"
 )
@@ -185,8 +187,11 @@ type node struct {
 	killUntil float64
 
 	// measured mirrors the current epoch's measured flag (published at
-	// the barrier, read by step procs inside the window).
+	// the barrier, read by steps inside the window).
 	measured bool
+
+	ops    []*stepOp           // ops of finished steps, taken again at a step instant
+	opSlab slab.Chunks[stepOp] // where a freelist miss takes its op from
 
 	// per-epoch accumulators; reset at each barrier. Written only from
 	// this node's engine context (the parallel window) or the barrier.
@@ -336,54 +341,59 @@ func (nd *node) predictFrac(nodeBW float64) float64 {
 }
 
 // Run executes the configured epochs and returns the report. Single use:
-// a finished cluster's engines are closed, and a second Run is an error.
+// a second Run is an error.
 func (c *Cluster) Run() (*Report, error) {
 	if c.ran {
 		return nil, errors.New("fleet: Run called twice")
 	}
 	c.ran = true
-	nodeBW := c.obj.NodeBandwidth
 	for e := 0; e < c.cfg.Epochs; e++ {
-		t0 := float64(e) * epochSec
-		end := t0 + epochSec
-
-		// ---- barrier: cluster mutation, node-index order ----
-		c.applyPlan(e, t0)
-		if c.topoDirty {
-			c.settle(t0)
+		if err := c.epoch(e, armStep); err != nil {
+			return nil, err
 		}
-		c.reshare(e, nodeBW)
-		measured := e >= c.warm
-		for _, nd := range c.nodes {
-			if nd.alive {
-				c.scheduleSteps(nd, t0, measured)
-			}
-		}
-
-		// ---- parallel: per-node windows, any worker width ----
-		tasks := c.tasks[:0]
-		for _, nd := range c.nodes {
-			if !nd.alive {
-				continue
-			}
-			eng := nd.cn.Engine()
-			tasks = append(tasks, runpool.Submit(nd.name, func() error {
-				return eng.Run(end)
-			}))
-		}
-		for _, t := range tasks {
-			if err := t.Wait(); err != nil {
-				return nil, err
-			}
-		}
-
-		// ---- barrier: harvest, node-index order ----
-		c.harvest(e)
-	}
-	for _, nd := range c.nodes {
-		nd.cn.Engine().Close()
 	}
 	return c.report(), nil
+}
+
+// epoch runs epoch e: the opening barrier, every live node's window, and
+// the closing barrier. arm commits a step at its step instant.
+func (c *Cluster) epoch(e int, arm func(eng *sim.Engine, t float64, s *session)) error {
+	t0 := float64(e) * epochSec
+	end := t0 + epochSec
+
+	// ---- barrier: cluster mutation, node-index order ----
+	c.applyPlan(e, t0)
+	if c.topoDirty {
+		c.settle(t0)
+	}
+	c.reshare(e, c.obj.NodeBandwidth)
+	measured := e >= c.warm
+	for _, nd := range c.nodes {
+		if nd.alive {
+			c.scheduleSteps(nd, t0, measured, arm)
+		}
+	}
+
+	// ---- parallel: per-node windows, any worker width ----
+	tasks := c.tasks[:0]
+	for _, nd := range c.nodes {
+		if !nd.alive {
+			continue
+		}
+		eng := nd.cn.Engine()
+		tasks = append(tasks, runpool.Submit(nd.name, func() error {
+			return eng.Run(end)
+		}))
+	}
+	for _, t := range tasks {
+		if err := t.Wait(); err != nil {
+			return err
+		}
+	}
+
+	// ---- barrier: harvest, node-index order ----
+	c.harvest(e)
+	return nil
 }
 
 // applyPlan interprets the fault plan at the barrier opening epoch e:
@@ -418,10 +428,6 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 		if c.killEpoch < 0 {
 			c.killEpoch = epoch
 		}
-		// End the node's step procs (on an overrun, parked inside a
-		// transfer that will never complete): a coroutine left bound to
-		// one keeps its whole cluster reachable.
-		nd.cn.Engine().Close()
 		orphans := nd.sessions
 		nd.sessions = nil
 		nd.load = 0
@@ -521,12 +527,6 @@ func (c *Cluster) attach(nd *node, s *session) {
 	nd.sessions = append(nd.sessions, s)
 	nd.unsorted = true
 	nd.load += s.cost
-	// Rebind the step machinery to this node: scheduleSteps starts the
-	// proc at each step instant, inserting exactly one resume event per
-	// step at the arm instant — the queue slot the old Spawn-per-step
-	// pattern's arm event occupied, which is the byte-identity contract
-	// with it.
-	s.proc = nd.cn.Engine().NewProc(s.name)
 }
 
 // detach unbinds a session from its current node (planned migrations
@@ -548,9 +548,6 @@ func (c *Cluster) detach(nd *node, s *session) {
 	nd.load -= s.cost
 	s.nd = nil
 	s.cg = nil
-	// The proc (finished: busy sessions do not move) belongs to the old
-	// node's engine; attach on the destination makes another.
-	s.proc = nil
 }
 
 // settle rebalances session counts across alive nodes at a barrier:

@@ -141,18 +141,17 @@ func TestNodeKillRebalanceAndRecovery(t *testing.T) {
 	}
 }
 
-// A finished run leaves no step goroutine behind — not on surviving
-// nodes, not on the killed node's abandoned engine, not for sessions that
-// migrated away from their proc. Idle step coroutines are parked
-// process-wide for the next engine, so the first run fills the parked
-// list and a second, identical run must add no goroutine. Node windows run
-// one at a time: which ones overlap on a wider pool, and so how many
-// coroutines a run needs at once, depends on the host's timing.
+// A fleet run leaves no goroutine behind: no step runs on a process, so
+// every node engine — surviving, killed and revived — holds no live
+// process at any barrier, and once the run's node windows have drained,
+// the goroutine count is back where it started, from the first run on,
+// with one node window at a time and with two.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	prev := runpool.Workers()
-	runpool.SetWorkers(1)
 	defer runpool.SetWorkers(prev)
-	run := func() {
+	for _, workers := range []int{1, 2} {
+		runpool.SetWorkers(workers)
+		before := runtime.NumGoroutine()
 		c, err := New(Config{
 			Nodes: 4, Sessions: 32, Seed: 11,
 			Plan: killPlan(t, "node-kill@240:node=node1,dur=120"),
@@ -160,26 +159,20 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Run(); err != nil {
-			t.Fatal(err)
+		runEpochs(t, c, armStep, func(e int) {
+			for _, nd := range c.nodes {
+				if n := nd.cn.Engine().LiveProcs(); n != 0 {
+					t.Fatalf("width %d, epoch %d: %s has %d live procs", workers, e, nd.name, n)
+				}
+			}
+		})
+		// runpool's workers exit once their queue drains.
+		for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+			time.Sleep(time.Millisecond)
 		}
-		live := 0
-		for _, nd := range c.nodes {
-			live += nd.cn.Engine().LiveProcs()
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("width %d: %d goroutines before the run, %d after", workers, before, n)
 		}
-		if live != 0 {
-			t.Fatalf("%d step procs still live after Run", live)
-		}
-	}
-	run()
-	before := runtime.NumGoroutine()
-	run()
-	// Just-killed procs finish exiting asynchronously.
-	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines before the run, %d after", before, n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"tango/internal/blkio"
+	"tango/internal/device"
 	"tango/internal/resil"
 	"tango/internal/sim"
 	"tango/internal/tokenctl"
@@ -32,21 +33,14 @@ type session struct {
 	cost float64
 
 	// Mutable state. Owned by the session's current node: mutated either
-	// from that node's engine context (step procs) or at a barrier while
+	// from that node's engine context (its steps) or at a barrier while
 	// the session is idle — never both at once (busy pins it).
 	nd       *node // current node, nil while unplaced
 	cg       *blkio.Cgroup
 	tb       *tokenctl.Bucket // token-mode bucket (nil in central mode)
 	resident float64          // bytes warm on the current node's L2
 	restore  float64          // bytes to re-fetch from the store before stepping
-	busy     bool             // a step proc is in flight
-
-	// Step machinery, rebuilt at attach: one reusable proc runs each of
-	// this session's steps on its current node, with the session itself as
-	// the body (Run). The barrier starts it at the step instant (StartAt:
-	// one event, no allocation) and it is finished between steps, so the
-	// node's engine holds a coroutine per step in flight, not per session.
-	proc *sim.Proc
+	busy     bool             // a step is armed or in flight
 }
 
 // genSessions draws the session population. The generator is the only
@@ -97,12 +91,11 @@ func genSessions(n int, seed int64, nodeBW float64) []*session {
 // node. A session whose previous step is still in flight (an overrun:
 // the step crossed one or more epoch boundaries) skips this period —
 // back-pressure instead of pile-up, and the overrun itself is already
-// counted as a bound violation when it completes.
-// The barrier commits each step directly at its step instant (StartAt):
-// one event per step, taking the queue slot the per-step arm event used
-// to occupy, so step bodies still run at the same instant and in the
-// same barrier order.
-func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
+// counted as a bound violation when it completes. arm commits each step
+// at its step instant with one event (armStep), in session order, so
+// steps start at the same instant and in the same order at every worker
+// width.
+func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool, arm func(eng *sim.Engine, t float64, s *session)) {
 	eng := nd.cn.Engine()
 	nd.measured = measured
 	for _, s := range nd.sessions {
@@ -111,66 +104,146 @@ func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool) {
 			continue
 		}
 		s.busy = true
-		eng.StartAt(t0+s.phase, s.proc, s)
+		arm(eng, t0+s.phase, s)
 	}
 }
 
-// Run is the session as the body of its own step proc (sim.Body): one
-// analysis period on the node it is attached to:
-//
-//  1. restore — a planned migration left the working set store-side;
-//     re-fetch it through the frontend and admit it to L2;
-//  2. read — the resident fraction of the step comes from local L2, the
-//     rest is a store miss (guarded by fleet.read.objstore) admitted to
-//     L2 on the way in;
-//  3. writeback — the dirty fraction of the step flushes to L2.
-//
-// Steps run entirely inside the node's engine window; the only
-// cluster-visible effects are the Remote's traffic ledger and the
-// node's epoch accumulators, both harvested at the next barrier.
-// nd.measured is read at step start, inside the epoch that armed it, so it
-// is the value the barrier published.
-func (s *session) Run(p *sim.Proc) {
+// armStep arms s's step: the session is its step instant's callback.
+func armStep(eng *sim.Engine, t float64, s *session) { eng.AtCall(t, s) }
+
+// Fire is the step instant: it takes a step op off the node's freelist,
+// or a new one, and runs the step. nd.measured is read here, inside the
+// epoch that armed the step, so it is the value the barrier published.
+func (s *session) Fire() {
 	nd := s.nd
-	start, measured := p.Now(), nd.measured
+	var op *stepOp
+	if n := len(nd.ops); n > 0 {
+		op, nd.ops = nd.ops[n-1], nd.ops[:n-1]
+	} else {
+		op = nd.opSlab.Next()
+	}
+	*op = stepOp{s: s, start: nd.cn.Engine().Now(), measured: nd.measured}
 	if nd.tok != nil && s.tb != nil {
 		// Token mode funds the weight per step: sessions idle between
 		// steps accrue lendable surplus, and the grant reverts at step
 		// end. Central mode keeps the attach-time weight in force.
 		nd.tok.Request(s.tb, s.weight)
 	}
-	if s.restore > 0 {
-		nd.fetch(p, s, s.restore)
-		s.restore = 0
-	}
-	hit := s.stepRead * (s.resident / s.workingSet)
-	if hit > 0 {
-		nd.ssd.Read(p, s.cg, hit)
-	}
-	if miss := s.stepRead - hit; miss > 0 {
-		nd.fetch(p, s, miss)
-	}
-	if dirty := s.stepRead * s.dirtyFrac; dirty > 0 {
-		nd.ssd.Write(p, s.cg, dirty)
-	}
-	if nd.tok != nil && s.tb != nil {
-		nd.tok.Release(s.tb)
-	}
-	if elapsed := p.Now() - start; elapsed > epochSec && measured {
-		nd.viol++
-	}
-	nd.stepBytes += s.stepRead
-	s.busy = false
+	op.run()
 }
 
-// fetch reads bytes of the session's working set from the object store
-// (guarded by fleet.read.objstore) and admits what arrived to L2.
-func (nd *node) fetch(p *sim.Proc, s *session, bytes float64) {
-	res := nd.rc.Key(resil.KeyFleetReadObjstore).Read(p, nd.rem.Device(), s.cg, bytes)
-	nd.rem.AccountGet(res.Moved)
-	nd.demandBytes += res.Moved
-	if res.Moved > 0 {
-		nd.ssd.Write(p, s.cg, res.Moved)
-		s.resident = min(s.resident+res.Moved, s.workingSet)
+// stepOp is one session step in flight: one analysis period on the node
+// the session is attached to, made of engine callbacks — every fetch and
+// SSD transfer reports its end to the op (TransferDone). A node takes an
+// op off its freelist at the step instant and puts it back when the step
+// ends, so it holds one per step in flight, never one per session. A
+// killed node's ops die with its engine.
+//
+// Steps run entirely inside the node's engine window; the only
+// cluster-visible effects are the Remote's traffic ledger and the node's
+// epoch accumulators, both harvested at the next barrier.
+type stepOp struct {
+	s        *session
+	start    float64 // the step instant
+	miss     float64 // bytes of the step L2 does not hold
+	measured bool    // the epoch that armed the step is measured
+	stage    stepStage
+	after    stepStage    // where a fetch goes once its bytes are in L2
+	fetch    resil.ReadOp // the guarded store read in flight
+	tok      device.Token // the SSD transfer in flight
+}
+
+// stepStage is where a step stands: what run does next.
+type stepStage uint8
+
+const (
+	stageRestore  stepStage = iota // re-fetch what a planned migration left store-side
+	stageFetched                   // a store fetch has ended: admit what arrived to L2
+	stageAdmitted                  // the admit write has ended
+	stageHit                       // read the resident fraction of the step from L2
+	stageMiss                      // fetch the rest from the store
+	stageDirty                     // write the dirty fraction back to L2
+	stageEnd                       // account the step and free the op
+)
+
+// run carries the step on from where it stands through every transfer
+// that ends inside its call, until one is in flight or the step ends. It
+// does at each instant what the step did when it ran as a process, which
+// blocked at the same transfers.
+func (op *stepOp) run() {
+	s := op.s
+	nd := s.nd
+	for {
+		switch op.stage {
+		case stageRestore:
+			op.stage = stageHit
+			if bytes := s.restore; bytes > 0 {
+				s.restore = 0
+				if op.fetchStore(bytes, stageHit) {
+					return
+				}
+			}
+		case stageFetched:
+			moved := op.fetch.Res.Moved
+			nd.rem.AccountGet(moved)
+			nd.demandBytes += moved
+			op.stage = op.after
+			if moved > 0 {
+				op.stage = stageAdmitted
+				if op.transfer(moved, true) {
+					return
+				}
+			}
+		case stageAdmitted:
+			s.resident = min(s.resident+op.fetch.Res.Moved, s.workingSet)
+			op.stage = op.after
+		case stageHit:
+			hit := s.stepRead * (s.resident / s.workingSet)
+			op.miss = s.stepRead - hit
+			op.stage = stageMiss
+			if hit > 0 && op.transfer(hit, false) {
+				return
+			}
+		case stageMiss:
+			op.stage = stageDirty
+			if op.miss > 0 && op.fetchStore(op.miss, stageDirty) {
+				return
+			}
+		case stageDirty:
+			op.stage = stageEnd
+			if dirty := s.stepRead * s.dirtyFrac; dirty > 0 && op.transfer(dirty, true) {
+				return
+			}
+		case stageEnd:
+			if nd.tok != nil && s.tb != nil {
+				nd.tok.Release(s.tb)
+			}
+			if elapsed := nd.cn.Engine().Now() - op.start; elapsed > epochSec && op.measured {
+				nd.viol++
+			}
+			nd.stepBytes += s.stepRead
+			s.busy = false
+			nd.ops = append(nd.ops, op)
+			return
+		}
 	}
 }
+
+// fetchStore starts a read of bytes from the object store, guarded by
+// fleet.read.objstore, and reports whether it is in flight; the step goes
+// on at stageFetched, then at after.
+func (op *stepOp) fetchStore(bytes float64, after stepStage) bool {
+	nd := op.s.nd
+	op.stage, op.after = stageFetched, after
+	return op.fetch.Start(nd.rc.Key(resil.KeyFleetReadObjstore), nd.rem.Device(), op.s.cg, bytes, op)
+}
+
+// transfer starts an SSD read or write of bytes and reports whether it is
+// in flight.
+func (op *stepOp) transfer(bytes float64, write bool) bool {
+	ended, _ := op.s.nd.ssd.Begin(op.s.cg, bytes, write, false, &op.tok, 0, op)
+	return !ended
+}
+
+// TransferDone is the fetch or SSD transfer in flight ending.
+func (op *stepOp) TransferDone(*device.Token, error) { op.run() }

@@ -22,15 +22,16 @@ func mallocs(f func()) int {
 }
 
 // TestSetupAllocCeilings holds the fleet's set-up path at the layer: with
-// sessions, names, cgroups, procs, coordinator entries and events coming
-// from chunks, and a breaker made only on a failure, building a cluster
-// costs under one object per session on top of a per-node constant
-// (device, controllers, the one-object resil controller: ~42), and
-// building plus running it — first-touch subscriptions, coroutines up to
-// the steps in flight,
-// device scratch — stays under eight. One object per session creeping back
-// (a closure per attach, a breaker per cgroup) trips the first; before the
-// chunks the two read 8.4 and 15.4 at this shape.
+// sessions, names, cgroups, coordinator entries and events coming from
+// chunks, and a breaker made only on a failure, building a cluster costs
+// under one object per session, per-node constants (devices, controllers,
+// chunks) included: 737 at this shape with go1.24, and 818 while attach
+// made a proc per session. Building plus running it — first-touch
+// subscriptions, step ops up to the steps in flight, device scratch —
+// stays under eight per session (1,849, from 2,494). One object per
+// session creeping back (a closure per attach, a breaker per cgroup)
+// trips the first; before the chunks the two read 8.4 and 15.4 at this
+// shape.
 func TestSetupAllocCeilings(t *testing.T) {
 	const nodes, sessions = 8, 800
 	var c *Cluster
@@ -43,7 +44,11 @@ func TestSetupAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limit := 1*sessions + 57*nodes; build > limit {
+	limit := sessions
+	if raceEnabled {
+		limit += 100 // 767–797 over three -race runs
+	}
+	if build > limit {
 		t.Errorf("New allocated %d objects (%.2f per session), want <= %d", build, float64(build)/sessions, limit)
 	}
 	if limit := 8*sessions + 150*nodes; build+run > limit {

@@ -184,13 +184,10 @@ func TestChaosCrossLayerRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosLeavesNoGoroutines: a scenario closes its engine where it
-// reads results, so the interferer, prefetcher and injector procs an
-// experiment started do not outlive it. Their idle coroutines are parked
-// process-wide for the next engine, so the first run fills the parked list
-// and a second, identical run must add no goroutine. Scenarios run one at
-// a time: which ones overlap on a wider pool, and so how many coroutines a
-// run needs at once, depends on the host's timing.
+// TestChaosLeavesNoGoroutines: a scenario's interferers, prefetcher,
+// injector and session are engine callbacks, none a process, so a chaos
+// experiment leaves no goroutine behind once the pool's workers have
+// drained: a second, identical run adds none.
 func TestChaosLeavesNoGoroutines(t *testing.T) {
 	prev := runpool.Workers()
 	runpool.SetWorkers(1)
@@ -199,7 +196,7 @@ func TestChaosLeavesNoGoroutines(t *testing.T) {
 	run("chaos", cfg)
 	before := runtime.NumGoroutine()
 	run("chaos", cfg)
-	// Just-killed procs finish exiting asynchronously.
+	// runpool's workers exit once their queue drains.
 	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
 		time.Sleep(time.Millisecond)
 	}

@@ -75,15 +75,10 @@ func (s *Scenario) ArmFaults(plan *fault.Plan, rec *trace.Recorder) error {
 	return nil
 }
 
-// run advances the scenario steps analysis periods plus slack seconds
-// and then closes the engine: every session has finished by then, and a
-// process still parked would otherwise outlive the scenario, pinning its
-// node. Results are read after it returns.
+// run advances the scenario steps analysis periods plus slack seconds:
+// every session has finished by then. Results are read after it returns.
 func (s *Scenario) run(steps int, slack float64) {
-	eng := s.Node.Engine()
-	err := eng.Run(float64(steps)*60 + slack)
-	eng.Close()
-	if err != nil {
+	if err := s.Node.Engine().Run(float64(steps)*60 + slack); err != nil {
 		panic(err)
 	}
 }

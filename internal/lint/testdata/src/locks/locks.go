@@ -47,8 +47,7 @@ func badVarAccess() int {
 	return len(table) // want locksafety "guarded by tableMu but accessed without holding it"
 }
 
-// The fields of a package-level anonymous struct (runpool's pool, sim's
-// parked list).
+// The fields of a package-level anonymous struct (runpool's pool).
 var registry struct {
 	mu    sync.Mutex
 	names []string // guarded by mu

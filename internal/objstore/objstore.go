@@ -135,14 +135,7 @@ func (s *Store) Cost() float64 {
 // latency and no seek thrash. Returns the node's Remote. The attach
 // order fixes the node index Reshare grants are keyed by.
 func (s *Store) Attach(eng *sim.Engine) *Remote {
-	dev := device.New(eng, device.Params{
-		Name:           s.p.Name,
-		PeakBandwidth:  s.p.NodeBandwidth,
-		RequestLatency: s.p.RequestLatency,
-		SeekThrash:     0,
-		MinEfficiency:  1,
-	})
-	r := &Remote{store: s, dev: dev, index: len(s.remotes)}
+	r := &Remote{store: s, dev: s.frontend(eng), index: len(s.remotes)}
 	s.remotes = append(s.remotes, r)
 	return r
 }
@@ -155,16 +148,20 @@ func (s *Store) Attach(eng *sim.Engine) *Remote {
 func (s *Store) Detach(index int, eng *sim.Engine) *Remote {
 	old := s.remotes[index]
 	s.totals.add(old.take())
-	dev := device.New(eng, device.Params{
+	r := &Remote{store: s, dev: s.frontend(eng), index: index}
+	s.remotes[index] = r
+	return r
+}
+
+// frontend is one node's store device on eng.
+func (s *Store) frontend(eng *sim.Engine) *device.Device {
+	return device.New(eng, device.Params{
 		Name:           s.p.Name,
 		PeakBandwidth:  s.p.NodeBandwidth,
 		RequestLatency: s.p.RequestLatency,
 		SeekThrash:     0,
 		MinEfficiency:  1,
 	})
-	r := &Remote{store: s, dev: dev, index: index}
-	s.remotes[index] = r
-	return r
 }
 
 // Harvest folds every Remote's locally accumulated traffic into the

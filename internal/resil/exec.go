@@ -44,9 +44,8 @@ type ReadResult struct {
 
 // attemptRead issues exactly one policy-governed attempt: a cancellable
 // read carrying the policy's bandwidth-bound deadline, or a plain
-// fallible read when the policy has no timeout (a fleet node runs a
-// hundred of those at once, each of which would hold a token). This is
-// the non-fault fast path of the control plane — no tracing, no
+// fallible read, which takes no token, when the policy has no timeout.
+// This is the non-fault fast path of the blocking Key.Read — no tracing, no
 // formatting, no timer (the deadline rides the device's own), no
 // allocation (the token is pooled); retries, classification and emission
 // live in settle.

@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"tango/internal/blkio"
 	"tango/internal/device"
@@ -10,8 +12,10 @@ import (
 
 // Close ends every live process wherever it is parked — asleep, suspended
 // inside a device transfer that will never complete, not yet started —
-// runs their deferred calls, and is a no-op the second time.
+// runs their deferred calls, ends every coroutine, and is a no-op the
+// second time.
 func TestEngineCloseEndsParkedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := sim.NewEngine()
 	d := device.New(e, device.Params{Name: "flat", PeakBandwidth: 100, MinEfficiency: 1})
 	cg := blkio.NewCgroup("reader")
@@ -36,6 +40,12 @@ func TestEngineCloseEndsParkedProcs(t *testing.T) {
 	e.Close()
 	if e.LiveProcs() != 0 {
 		t.Fatalf("live procs %d after Close", e.LiveProcs())
+	}
+	for i := 0; i < 200 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after Close", before, n)
 	}
 	// The unstarted proc never reached its body, so only two defers ran.
 	if deferred != 2 || after != 0 {

@@ -19,13 +19,11 @@ type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
-	free   []*event  // recycled event structs; bounds steady-state allocation
-	procs  []*Proc   // live (not yet finished) processes; Proc.slot indexes it
-	idle   []*worker // coroutines of finished procs; Run, RunAll and Close park them
+	free   []*event // recycled event structs; bounds steady-state allocation
+	procs  []*Proc  // live (not yet finished) processes; Proc.slot indexes it
 	err    error
 
-	evSlab   slab.Chunks[event] // where a freelist miss takes its struct from
-	procSlab slab.Chunks[Proc]  // NewProc's structs
+	evSlab slab.Chunks[event] // where a freelist miss takes its struct from
 }
 
 // NewEngine returns an engine with the clock at t=0.
@@ -124,18 +122,33 @@ func (t Timer) Stop() bool {
 // sets the clock to `until` and returns. Events scheduled exactly at
 // `until` do fire. Returns the first process error, if any.
 //
-// The dispatch loop is the simulator's innermost loop
-// (BenchmarkEngine*); tangolint's hotpath analyzer verifies it and
-// everything it reaches stay free of per-event allocation.
-//
 //tango:hotpath
 func (e *Engine) Run(until float64) error {
-	for len(e.events) > 0 && e.err == nil {
-		ev := e.events[0]
-		if ev.t > until {
-			break
-		}
-		e.events.pop()
+	e.dispatch(until)
+	if e.err == nil && e.now < until {
+		e.now = until
+	}
+	return e.err
+}
+
+// RunAll processes events until no events remain (every process has
+// finished or is parked indefinitely). Returns the first process error.
+//
+//tango:hotpath
+func (e *Engine) RunAll() error {
+	e.dispatch(math.Inf(1))
+	return e.err
+}
+
+// dispatch fires the events due at or before until, in order, until a
+// process fails. It is the simulator's innermost loop (BenchmarkEngine*);
+// tangolint's hotpath analyzer verifies it and everything it reaches
+// stay free of per-event allocation.
+//
+//tango:hotpath
+func (e *Engine) dispatch(until float64) {
+	for len(e.events) > 0 && e.err == nil && e.events[0].t <= until {
+		ev := e.events.pop()
 		t, fn, cb := ev.t, ev.fn, ev.cb
 		e.recycle(ev) // before firing: the callback may reschedule and reuse it
 		// Only a live event moves the clock: one neutered by Stop just drains.
@@ -147,32 +160,6 @@ func (e *Engine) Run(until float64) error {
 			cb.Fire()
 		}
 	}
-	if e.err == nil && e.now < until {
-		e.now = until
-	}
-	e.park()
-	return e.err
-}
-
-// RunAll processes events until no events remain (all processes have
-// finished or parked indefinitely). Returns the first process error.
-//
-//tango:hotpath
-func (e *Engine) RunAll() error {
-	for len(e.events) > 0 && e.err == nil {
-		ev := e.events.pop()
-		t, fn, cb := ev.t, ev.fn, ev.cb
-		e.recycle(ev)
-		if fn != nil { // as in Run: a stopped timer does not move the clock
-			e.now = t
-			fn()
-		} else if cb != nil {
-			e.now = t
-			cb.Fire()
-		}
-	}
-	e.park()
-	return e.err
 }
 
 // Pending reports the number of scheduled (possibly cancelled) events.

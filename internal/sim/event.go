@@ -1,21 +1,17 @@
-// Package sim implements a deterministic, process-oriented discrete-event
-// simulation engine. It is the substrate on which the storage devices,
-// cgroup controllers, interfering workloads, and data analytics of this
+// Package sim implements a deterministic discrete-event simulation
+// engine. It is the substrate on which the storage devices, cgroup
+// controllers, interfering workloads, and data analytics of this
 // repository run in virtual time.
 //
-// The engine follows the SimPy coroutine model: each simulated process is a
-// coroutine (iter.Pull) that the engine switches to when the process's
-// resume event fires and that switches back when the process blocks or
-// ends — a direct hand-off on the engine's own thread, with no channel
-// and no trip through the Go scheduler. At any instant exactly one of them
-// (the engine or one process) is running, so all simulation state is
-// serialized without locks, and runs are bit-deterministic for a given
-// seed and spawn order. A process is bound to a coroutine at its first
-// resume; when its body returns, the coroutine waits on the engine's idle
-// list for the next process to start, and when Run, RunAll or Close
-// returns, the engine parks its idle coroutines on one process-wide list
-// that every engine draws from. A parked coroutine references no engine,
-// so it keeps no finished node reachable.
+// Work is events: a func or a Callback armed at a virtual time, fired in
+// (time, seq) order on the engine's own thread, so all simulation state is
+// serialized without locks and runs are bit-deterministic for a given
+// seed and arming order. A blocking process (Spawn) is kept for callers
+// that are written as straight-line code: it follows the SimPy coroutine
+// model, one coroutine (iter.Pull) per process from spawn to end, which
+// the engine switches to when its resume event fires and which switches
+// back when the process blocks or ends — a direct hand-off with no
+// channel and no trip through the Go scheduler.
 package sim
 
 // event is a scheduled callback. Events fire in (time, seq) order; seq is a

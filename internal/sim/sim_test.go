@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -13,10 +15,16 @@ func TestEventOrdering(t *testing.T) {
 	e.At(1.0, func() { got = append(got, 1) })
 	e.At(3.0, func() { got = append(got, 3) })
 	e.At(1.0, func() { got = append(got, 10) }) // same time: FIFO
+	// A process start and a Callback each take one slot, at the call.
+	e.SpawnAt(1.0, "p", func(*Proc) { got = append(got, 11) })
+	e.AtCall(1.0, fireFunc(func() { got = append(got, 12) }))
+	if n := e.Scheduled(); n != 6 {
+		t.Fatalf("6 calls armed %d events", n)
+	}
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 10, 2, 3}
+	want := []int{1, 10, 11, 12, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -26,6 +34,11 @@ func TestEventOrdering(t *testing.T) {
 		}
 	}
 }
+
+// fireFunc is a func as a Callback.
+type fireFunc func()
+
+func (f fireFunc) Fire() { f() }
 
 func TestRunUntilStopsClock(t *testing.T) {
 	e := NewEngine()
@@ -86,7 +99,7 @@ func TestStoppedTimerDoesNotAdvanceClock(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
 	e.At(e.Now()+5, func() { t.Error("stopped func timer fired") }).Stop()
-	e.AtCall(7, e.NewProc("never")).Stop()
+	e.AtCall(7, &countCallback{}).Stop()
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +205,7 @@ func TestSuspendWake(t *testing.T) {
 	})
 	e.Spawn("waker", func(p *Proc) {
 		p.Sleep(7)
-		p.Wake(sleeper)
+		e.Wake(sleeper)
 	})
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
@@ -212,8 +225,8 @@ func TestDoubleWakeIsIdempotent(t *testing.T) {
 	})
 	e.Spawn("waker", func(p *Proc) {
 		p.Sleep(1)
-		p.Wake(sleeper)
-		p.Wake(sleeper) // duplicate at the same instant
+		e.Wake(sleeper)
+		e.Wake(sleeper) // duplicate at the same instant
 	})
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
@@ -228,22 +241,28 @@ func TestWakeFinishedProcIsNoop(t *testing.T) {
 	done := e.Spawn("quick", func(p *Proc) {})
 	e.Spawn("waker", func(p *Proc) {
 		p.Sleep(1)
-		p.Wake(done) // must not hang or panic
+		e.Wake(done) // must not hang or panic
 	})
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// A body panic surfaces through Engine.Err with the proc's name and the
+// panic value, and finishes the proc, which ends its coroutine.
 func TestProcPanicSurfacesAsError(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
-	e.Spawn("bad", func(p *Proc) {
+	p := e.Spawn("bad", func(p *Proc) {
 		p.Sleep(1)
 		panic("boom")
 	})
 	err := e.RunAll()
-	if err == nil {
-		t.Fatal("expected error from panicking process")
+	if err == nil || !strings.Contains(err.Error(), `"bad"`) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want the proc name and panic value", err)
+	}
+	if !p.Done() || e.LiveProcs() != 0 || !goroutinesSettleTo(before) {
+		t.Fatalf("done %v, live %d, %d goroutines (want true, 0, %d)", p.Done(), e.LiveProcs(), runtime.NumGoroutine(), before)
 	}
 }
 

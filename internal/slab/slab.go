@@ -1,7 +1,7 @@
 // Package slab hands out small structs from owner-held chunks instead of
 // one heap object each. An owner that creates one T per session (an engine
-// its procs and events, a blkio controller its cgroups, a weight allocator
-// its entries) embeds a Chunks[T]: a 100-session node then costs a handful
+// its events, a blkio controller its cgroups, a weight allocator its
+// entries) embeds a Chunks[T]: a 100-session node then costs a handful
 // of chunks per type, and the collector walks those instead of hundreds of
 // objects. Chunks change only where a struct lives, never what it holds.
 package slab

@@ -22,24 +22,23 @@ func New(dims ...int) *Tensor {
 	if len(dims) == 0 {
 		panic("tensor: no dimensions")
 	}
-	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			panic(fmt.Sprintf("tensor: invalid dimension %d", d))
-		}
-		n *= d
-	}
-	t := &Tensor{
-		dims: append([]int(nil), dims...),
-		data: make([]float64, n),
-	}
-	t.strides = strides(t.dims)
-	return t
+	return FromData(make([]float64, size(dims)), dims...)
 }
 
 // FromData wraps existing data (not copied) with the given dims. It panics
 // if len(data) does not match the shape.
 func FromData(data []float64, dims ...int) *Tensor {
+	if n := size(dims); len(data) != n {
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), dims, n))
+	}
+	t := &Tensor{dims: append([]int(nil), dims...), data: data}
+	t.strides = strides(t.dims)
+	return t
+}
+
+// size returns the element count of dims; it panics on a non-positive
+// dimension.
+func size(dims []int) int {
 	n := 1
 	for _, d := range dims {
 		if d <= 0 {
@@ -47,12 +46,7 @@ func FromData(data []float64, dims ...int) *Tensor {
 		}
 		n *= d
 	}
-	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), dims, n))
-	}
-	t := &Tensor{dims: append([]int(nil), dims...), data: data}
-	t.strides = strides(t.dims)
-	return t
+	return n
 }
 
 func strides(dims []int) []int {

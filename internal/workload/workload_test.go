@@ -170,7 +170,7 @@ func launchNoiseReference(node *container.Node, dev *device.Device, n Noise) (*c
 		p.Sleep(n.Phase)
 		for !h.stopped {
 			start := p.Now()
-			c.Write(p, dev, n.CheckpointBytes)
+			dev.Write(p, c.Cgroup(), n.CheckpointBytes)
 			period := n.Period
 			if h.period > 0 {
 				period = h.period

@@ -21,7 +21,7 @@ func randomNoiseReference(node *container.Node, dev *device.Device, name string,
 		for {
 			p.Sleep(rng.ExpFloat64() * meanGap)
 			size := minB + rng.Float64()*(maxB-minB)
-			c.Write(p, dev, size)
+			dev.Write(p, c.Cgroup(), size)
 		}
 	})
 }
@@ -33,7 +33,7 @@ func periodicReaderReference(node *container.Node, dev *device.Device, name stri
 		for s := 0; s < steps; s++ {
 			start := p.Now()
 			bytes := bytesFn(s)
-			ioTime := c.Read(p, dev, bytes)
+			ioTime := dev.Read(p, c.Cgroup(), bytes)
 			if observe != nil {
 				observe(s, start, ioTime, bytes)
 			}
@@ -52,9 +52,9 @@ func replayTraceReference(node *container.Node, dev *device.Device, name string,
 				p.Sleep(wait)
 			}
 			if op.Read {
-				c.Read(p, dev, op.Bytes)
+				dev.Read(p, c.Cgroup(), op.Bytes)
 			} else {
-				c.Write(p, dev, op.Bytes)
+				dev.Write(p, c.Cgroup(), op.Bytes)
 			}
 		}
 	})
