@@ -5,7 +5,6 @@
 package analytics
 
 import (
-	"fmt"
 	"math"
 
 	"tango/internal/errmetric"
@@ -36,60 +35,13 @@ func DefaultBlobOptions() BlobOptions { return BlobOptions{SigmaK: 3, MinArea: 9
 // 4-connected components, the standard blob-filament detection the paper
 // cites ([36], [37]).
 func DetectBlobs(t *tensor.Tensor, o BlobOptions) BlobStats {
-	dims := t.Dims()
-	if len(dims) != 2 {
-		panic(fmt.Sprintf("analytics: DetectBlobs expects 2D, got %v", dims))
-	}
-	rows, cols := dims[0], dims[1]
-	data := t.Data()
-
-	mean, variance := meanVariance(data)
-	if variance == 0 {
-		// A constant field has no background fluctuation to deviate from.
-		return BlobStats{}
-	}
-	thresh := mean + o.SigmaK*math.Sqrt(variance)
-
-	// Connected components by iterative flood fill (explicit stack; the
-	// grid can be millions of cells).
-	visited := make([]bool, len(data))
 	var stats BlobStats
-	var stack []int
-	for start := range data {
-		if visited[start] || data[start] < thresh {
-			continue
-		}
-		area := 0
-		peak := math.Inf(-1)
-		stack = append(stack[:0], start)
-		visited[start] = true
-		for len(stack) > 0 {
-			idx := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			area++
-			if data[idx] > peak {
-				peak = data[idx]
-			}
-			r, c := idx/cols, idx%cols
-			for _, nb := range [4][2]int{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
-				nr, nc := nb[0], nb[1]
-				if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
-					continue
-				}
-				ni := nr*cols + nc
-				if !visited[ni] && data[ni] >= thresh {
-					visited[ni] = true
-					stack = append(stack, ni)
-				}
-			}
-		}
-		if area >= o.MinArea {
-			stats.Count++
-			stats.TotalArea += float64(area)
-			stats.AvgDiameter += 2 * math.Sqrt(float64(area)/math.Pi)
-			stats.MeanPeak += peak
-		}
-	}
+	eachComponent(t, o, func(c Component) {
+		stats.Count++
+		stats.TotalArea += c.Area
+		stats.AvgDiameter += 2 * math.Sqrt(c.Area/math.Pi)
+		stats.MeanPeak += c.Peak
+	})
 	if stats.Count > 0 {
 		stats.AvgDiameter /= float64(stats.Count)
 		stats.MeanPeak /= float64(stats.Count)
@@ -101,10 +53,13 @@ func DetectBlobs(t *tensor.Tensor, o BlobOptions) BlobStats {
 // (full-data) outcome, averaged over blob count and average diameter —
 // the characteristics the paper reports for XGC.
 func (b BlobStats) RelErrVs(ref BlobStats) float64 {
-	errs := []float64{
-		errmetric.RelErr(float64(ref.Count), float64(b.Count)),
-		errmetric.RelErr(ref.AvgDiameter, b.AvgDiameter),
-	}
+	return meanRelErr(errmetric.RelErr(float64(ref.Count), float64(b.Count)),
+		errmetric.RelErr(ref.AvgDiameter, b.AvgDiameter))
+}
+
+// meanRelErr averages relative errors, an infinite one (against a zero
+// reference) counting as 1.
+func meanRelErr(errs ...float64) float64 {
 	var sum float64
 	for _, e := range errs {
 		if math.IsInf(e, 1) {

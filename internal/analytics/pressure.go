@@ -69,16 +69,6 @@ func AnalyzePressureAt(t *tensor.Tensor, thresh float64) PressureStats {
 // RelErrVs returns the relative error against a reference outcome,
 // averaged over area and force.
 func (p PressureStats) RelErrVs(ref PressureStats) float64 {
-	errs := []float64{
-		errmetric.RelErr(ref.HighArea, p.HighArea),
-		errmetric.RelErr(ref.TotalForce, p.TotalForce),
-	}
-	var sum float64
-	for _, e := range errs {
-		if math.IsInf(e, 1) {
-			e = 1
-		}
-		sum += e
-	}
-	return sum / float64(len(errs))
+	return meanRelErr(errmetric.RelErr(ref.HighArea, p.HighArea),
+		errmetric.RelErr(ref.TotalForce, p.TotalForce))
 }

@@ -16,24 +16,34 @@ type Component struct {
 	Peak     float64
 }
 
-// DetectComponents runs the same threshold + 4-connected flood fill as
-// DetectBlobs but returns each surviving component with its centroid.
+// DetectComponents returns each blob DetectBlobs counts, with its
+// centroid.
 func DetectComponents(t *tensor.Tensor, o BlobOptions) []Component {
+	var out []Component
+	eachComponent(t, o, func(c Component) { out = append(out, c) })
+	return out
+}
+
+// eachComponent thresholds the field at mean + SigmaK·std and calls visit
+// with each 4-connected component of at least MinArea cells, in scan order.
+func eachComponent(t *tensor.Tensor, o BlobOptions, visit func(Component)) {
 	dims := t.Dims()
 	if len(dims) != 2 {
-		panic(fmt.Sprintf("analytics: DetectComponents expects 2D, got %v", dims))
+		panic(fmt.Sprintf("analytics: blob detection expects 2D, got %v", dims))
 	}
 	rows, cols := dims[0], dims[1]
 	data := t.Data()
 
 	mean, variance := meanVariance(data)
 	if variance == 0 {
-		return nil
+		// A constant field has no background fluctuation to deviate from.
+		return
 	}
 	thresh := mean + o.SigmaK*math.Sqrt(variance)
 
+	// Iterative flood fill (explicit stack; the grid can be millions of
+	// cells).
 	visited := make([]bool, len(data))
-	var out []Component
 	var stack []int
 	for start := range data {
 		if visited[start] || data[start] < thresh {
@@ -66,10 +76,9 @@ func DetectComponents(t *tensor.Tensor, o BlobOptions) []Component {
 			}
 		}
 		if int(area) >= o.MinArea {
-			out = append(out, Component{Row: sumR / area, Col: sumC / area, Area: area, Peak: peak})
+			visit(Component{Row: sumR / area, Col: sumC / area, Area: area, Peak: peak})
 		}
 	}
-	return out
 }
 
 // Track is one blob followed across frames.
@@ -174,17 +183,7 @@ func SummarizeTracks(tracks []Track, minLen int) TrackStats {
 // RelErrVs returns the mean relative error of track count, length, and
 // speed against a reference.
 func (s TrackStats) RelErrVs(ref TrackStats) float64 {
-	errs := []float64{
-		errmetric.RelErr(float64(ref.Tracks), float64(s.Tracks)),
+	return meanRelErr(errmetric.RelErr(float64(ref.Tracks), float64(s.Tracks)),
 		errmetric.RelErr(ref.MeanLength, s.MeanLength),
-		errmetric.RelErr(ref.MeanSpeed, s.MeanSpeed),
-	}
-	var sum float64
-	for _, e := range errs {
-		if math.IsInf(e, 1) {
-			e = 1
-		}
-		sum += e
-	}
-	return sum / float64(len(errs))
+		errmetric.RelErr(ref.MeanSpeed, s.MeanSpeed))
 }

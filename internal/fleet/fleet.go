@@ -18,12 +18,14 @@
 //     filled across per-node demand forecasts every epoch, granting each
 //     node's store frontend a bandwidth share (device.SetShare).
 //
-// Time advances in epochs. Within an epoch, every node's engine runs its
-// window independently — internal/runpool executes the windows with any
-// worker width — and all cross-node state (placement, migration, egress
-// shares, ledger harvesting) mutates only at the sequential barrier
-// between windows, in node-index order. That split is the determinism
-// contract: same-seed runs are byte-identical at any -parallel width.
+// Time advances in epochs. Within an epoch, every node's window arms its
+// sessions' steps and runs its engine independently — internal/runpool
+// executes the windows with any worker width — and all cross-node state
+// (placement, migration, egress shares, ledger harvesting) mutates only
+// at the sequential barrier between windows, in node-index order. A
+// window touches its own node's state alone, so each engine is armed in
+// the same order at any width. That split is the determinism contract:
+// same-seed runs are byte-identical at any -parallel width.
 //
 // A node killed mid-run abandons its engine wholesale: session steps
 // mid-transfer on its devices never go on (their events are never run),
@@ -186,10 +188,11 @@ type node struct {
 	alive     bool
 	killUntil float64
 
-	// measured mirrors the current epoch's measured flag (published at
-	// the barrier, read by steps inside the window).
+	// measured mirrors the current epoch's measured flag (set at the head
+	// of the window, read by the steps it arms).
 	measured bool
 
+	steps  sim.Calendar        // this epoch's step starts: one event slot
 	ops    []*stepOp           // ops of finished steps, taken again at a step instant
 	opSlab slab.Chunks[stepOp] // where a freelist miss takes its op from
 
@@ -199,7 +202,6 @@ type node struct {
 	stepBytes   float64 // session bytes delivered this epoch
 	viol        int
 	skips       int
-	weightErrs  int
 }
 
 // Cluster is an N-node fleet bound to one object store. Construct with
@@ -356,8 +358,9 @@ func (c *Cluster) Run() (*Report, error) {
 }
 
 // epoch runs epoch e: the opening barrier, every live node's window, and
-// the closing barrier. arm commits a step at its step instant.
-func (c *Cluster) epoch(e int, arm func(eng *sim.Engine, t float64, s *session)) error {
+// the closing barrier. Each window first arms its node's steps; arm
+// commits a step at its step instant.
+func (c *Cluster) epoch(e int, arm func(nd *node, t float64, s *session)) error {
 	t0 := float64(e) * epochSec
 	end := t0 + epochSec
 
@@ -368,11 +371,6 @@ func (c *Cluster) epoch(e int, arm func(eng *sim.Engine, t float64, s *session))
 	}
 	c.reshare(e, c.obj.NodeBandwidth)
 	measured := e >= c.warm
-	for _, nd := range c.nodes {
-		if nd.alive {
-			c.scheduleSteps(nd, t0, measured, arm)
-		}
-	}
 
 	// ---- parallel: per-node windows, any worker width ----
 	tasks := c.tasks[:0]
@@ -380,9 +378,9 @@ func (c *Cluster) epoch(e int, arm func(eng *sim.Engine, t float64, s *session))
 		if !nd.alive {
 			continue
 		}
-		eng := nd.cn.Engine()
 		tasks = append(tasks, runpool.Submit(nd.name, func() error {
-			return eng.Run(end)
+			nd.scheduleSteps(t0, measured, arm)
+			return nd.cn.Engine().Run(end)
 		}))
 	}
 	for _, t := range tasks {
@@ -518,11 +516,7 @@ func (c *Cluster) attach(nd *node, s *session) {
 		if err := nd.alloc.Attach(s.name, cg); err != nil {
 			panic(err) // unreachable: sessions detach before re-attaching
 		}
-		if _, err := nd.alloc.Request(s.name, s.weight); err != nil {
-			// A faulted weight write: the coordinator re-applies on the next
-			// rebalance; the session runs at its previous weight meanwhile.
-			nd.weightErrs++
-		}
+		nd.alloc.MustRequest(s.name, s.weight) // attached just above
 	}
 	nd.sessions = append(nd.sessions, s)
 	nd.unsorted = true

@@ -8,7 +8,6 @@ import (
 	"tango/internal/blkio"
 	"tango/internal/device"
 	"tango/internal/resil"
-	"tango/internal/sim"
 	"tango/internal/tokenctl"
 )
 
@@ -88,32 +87,34 @@ func genSessions(n int, seed int64, nodeBW float64) []*session {
 }
 
 // scheduleSteps arms this epoch's step for every idle session on the
-// node. A session whose previous step is still in flight (an overrun:
-// the step crossed one or more epoch boundaries) skips this period —
-// back-pressure instead of pile-up, and the overrun itself is already
-// counted as a bound violation when it completes. arm commits each step
-// at its step instant with one event (armStep), in session order, so
-// steps start at the same instant and in the same order at every worker
-// width.
-func (c *Cluster) scheduleSteps(nd *node, t0 float64, measured bool, arm func(eng *sim.Engine, t float64, s *session)) {
-	eng := nd.cn.Engine()
+// node, at the head of the node's window. A session whose previous step
+// is still in flight (an overrun: the step crossed one or more epoch
+// boundaries) skips this period — back-pressure instead of pile-up, and
+// the overrun itself is already counted as a bound violation when it
+// completes. arm commits each step at its step instant, in session order
+// (armStep: an item of the node's calendar, one event slot for them all);
+// only the node's own state is touched, so steps start at the same
+// instant and in the same order at every worker width.
+func (nd *node) scheduleSteps(t0 float64, measured bool, arm func(nd *node, t float64, s *session)) {
 	nd.measured = measured
+	nd.steps.Reset(nd.cn.Engine(), len(nd.sessions))
 	for _, s := range nd.sessions {
 		if s.busy {
 			nd.skips++
 			continue
 		}
 		s.busy = true
-		arm(eng, t0+s.phase, s)
+		arm(nd, t0+s.phase, s)
 	}
+	nd.steps.Arm()
 }
 
 // armStep arms s's step: the session is its step instant's callback.
-func armStep(eng *sim.Engine, t float64, s *session) { eng.AtCall(t, s) }
+func armStep(nd *node, t float64, s *session) { nd.steps.Add(t, s) }
 
 // Fire is the step instant: it takes a step op off the node's freelist,
 // or a new one, and runs the step. nd.measured is read here, inside the
-// epoch that armed the step, so it is the value the barrier published.
+// window that armed the step, so it is the value that window set.
 func (s *session) Fire() {
 	nd := s.nd
 	var op *stepOp

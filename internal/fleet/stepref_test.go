@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"tango/internal/resil"
@@ -57,7 +58,7 @@ func refFetch(nd *node, p *sim.Proc, s *session, bytes float64) {
 
 // runEpochs drives c epoch by epoch as Run does, arming steps with arm,
 // and calls barrier after each epoch's closing barrier.
-func runEpochs(t *testing.T, c *Cluster, arm func(*sim.Engine, float64, *session), barrier func(e int)) *Report {
+func runEpochs(t *testing.T, c *Cluster, arm func(*node, float64, *session), barrier func(e int)) *Report {
 	t.Helper()
 	for e := 0; e < c.cfg.Epochs; e++ {
 		if err := c.epoch(e, arm); err != nil {
@@ -74,9 +75,10 @@ func runEpochs(t *testing.T, c *Cluster, arm func(*sim.Engine, float64, *session
 func exact(v any) string { return fmt.Sprintf("%+b", v) }
 
 // runStepRef runs cfg at the given worker width with the step as a
-// stepOp (ref false) or as a process (ref true), and returns the report
-// and, per epoch, every node's figures: events armed, device bytes,
-// store demand and its sessions' residency.
+// stepOp armed on the node's calendar (ref false) or as a process armed
+// by its own SpawnAt (ref true), and returns the report and, per epoch,
+// every node's figures: events armed, device bytes, store demand and its
+// sessions' residency.
 func runStepRef(t *testing.T, cfg Config, workers int, ref bool) (string, []string) {
 	t.Helper()
 	prev := runpool.Workers()
@@ -88,9 +90,15 @@ func runStepRef(t *testing.T, cfg Config, workers int, ref bool) (string, []stri
 	}
 	arm := armStep
 	if ref {
-		engines := map[*sim.Engine]bool{} // every engine a proc ran on, killed nodes' too
-		arm = func(eng *sim.Engine, at float64, s *session) {
+		// Every engine a proc ran on, killed nodes' too. Steps are armed
+		// inside the node windows, which may run in parallel.
+		var mu sync.Mutex
+		engines := map[*sim.Engine]bool{}
+		arm = func(nd *node, at float64, s *session) {
+			eng := nd.cn.Engine()
+			mu.Lock()
 			engines[eng] = true
+			mu.Unlock()
 			eng.SpawnAt(at, s.name, func(p *sim.Proc) { refStep(s, p) })
 		}
 		defer func() {
@@ -114,12 +122,13 @@ func runStepRef(t *testing.T, cfg Config, workers int, ref bool) (string, []stri
 	return exact(rep), epochs
 }
 
-// TestStepMatchesProcStep holds the step's state machine to the blocking
-// process it replaced, hop for hop: the same report, the same per-epoch
-// figures and the same count of events armed on every node engine, bit
-// for bit, under every control mode, node kills with and without a
-// revival and its settle-back, SSD faults that stall steps across
-// barriers, and one and two node windows at a time.
+// TestStepMatchesProcStep holds the step's state machine, its starts
+// armed on one calendar per node, to the blocking process it replaced,
+// each start armed by its own SpawnAt, hop for hop: the same report, the
+// same per-epoch figures and the same count of events armed on every node
+// engine, bit for bit, under every control mode, node kills with and
+// without a revival and its settle-back, SSD faults that stall steps
+// across barriers, and one and two node windows at a time.
 func TestStepMatchesProcStep(t *testing.T) {
 	plans := []string{
 		"node-kill@240:node=node1,dur=120",

@@ -332,23 +332,7 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 		h.augs[l] = entries
 	}
 
-	for l := h.opts.Levels - 2; l >= 0; l-- {
-		h.order = append(h.order, l)
-	}
-	h.cum = make([]int, len(h.order))
-	c := 0
-	for i, l := range h.order {
-		c += len(h.augs[l])
-		h.cum[i] = c
-	}
-	h.byteCum = make([][]int64, nAugs)
-	for l := 0; l < nAugs; l++ {
-		pre := make([]int64, len(h.augs[l])+1)
-		for i, e := range h.augs[l] {
-			pre[i+1] = pre[i] + int64(entrySize(e))
-		}
-		h.byteCum[l] = pre
-	}
+	h.index()
 
 	nRungs := int(readU())
 	if firstErr != nil {

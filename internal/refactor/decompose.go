@@ -76,26 +76,7 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 		h.augs[l] = entries
 	}
 
-	// Retrieval order: coarsest augmentation first.
-	for l := L - 2; l >= 0; l-- {
-		h.order = append(h.order, l)
-	}
-	h.cum = make([]int, len(h.order))
-	c := 0
-	for i, l := range h.order {
-		c += len(h.augs[l])
-		h.cum[i] = c
-	}
-
-	// Per-level encoded-size prefix sums.
-	h.byteCum = make([][]int64, max(L-1, 0))
-	for l := 0; l < L-1; l++ {
-		pre := make([]int64, len(h.augs[l])+1)
-		for i, e := range h.augs[l] {
-			pre[i+1] = pre[i] + int64(entrySize(e))
-		}
-		h.byteCum[l] = pre
-	}
+	h.index()
 
 	if len(opts.Bounds) == 0 || len(h.order) == 0 {
 		h.baseAcc = h.Achieved(orig, 0)

@@ -147,7 +147,7 @@ func newProlongation(cd, fineDims []int, d int) *prolongation {
 		dims:    fineDims,
 		lo:      make([][]int, rank),
 		fr:      make([][]float64, rank),
-		strides: rowMajorStrides(cd),
+		strides: tensor.Strides(cd),
 	}
 	for i, n := range fineDims {
 		nc := cd[i]

@@ -204,7 +204,7 @@ func prolongateReference(coarse *tensor.Tensor, fineDims []int, d int) *tensor.T
 			fr[i][x] = f
 		}
 	}
-	cStrides := rowMajorStrides(cd)
+	cStrides := tensor.Strides(cd)
 
 	corners := 1 << rank
 	idx := make([]int, rank)

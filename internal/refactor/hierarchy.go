@@ -252,6 +252,29 @@ func (h *Hierarchy) LevelBytes(level, start, end int) int64 {
 	return cum[end] - cum[start]
 }
 
+// index builds what retrieval reads off the augmentations: the order
+// (coarsest first), the entry counts summed along it and each level's
+// encoded-size prefix sums.
+func (h *Hierarchy) index() {
+	for l := len(h.augs) - 1; l >= 0; l-- {
+		h.order = append(h.order, l)
+	}
+	h.cum = make([]int, len(h.order))
+	c := 0
+	for i, l := range h.order {
+		c += len(h.augs[l])
+		h.cum[i] = c
+	}
+	h.byteCum = make([][]int64, len(h.augs))
+	for l, entries := range h.augs {
+		pre := make([]int64, len(entries)+1)
+		for i, e := range entries {
+			pre[i+1] = pre[i] + int64(entrySize(e))
+		}
+		h.byteCum[l] = pre
+	}
+}
+
 // LevelEntries returns the number of augmentation entries at one level.
 func (h *Hierarchy) LevelEntries(level int) int {
 	if level < 0 || level >= len(h.augs) {

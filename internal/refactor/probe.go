@@ -145,7 +145,7 @@ func (p *prober) buildTables() {
 	p.cd = p.coarse.Dims()
 	rank := len(p.fineDims)
 	p.pl = newProlongation(p.cd, p.fineDims, h.opts.Decimation)
-	p.fStrides = rowMajorStrides(p.fineDims)
+	p.fStrides = tensor.Strides(p.fineDims)
 	p.jbuf = make([]int, rank)
 	p.idxbuf = make([]int, rank)
 	p.lobuf = make([]int, rank)
@@ -199,15 +199,4 @@ func (p *prober) recomputeSupport(coarseOff int) {
 			return
 		}
 	}
-}
-
-// rowMajorStrides returns the row-major strides of dims.
-func rowMajorStrides(dims []int) []int {
-	s := make([]int, len(dims))
-	st := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		s[i] = st
-		st *= dims[i]
-	}
-	return s
 }

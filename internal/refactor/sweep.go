@@ -224,7 +224,7 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 	dims0 := h.levelDims[0]
 	rank := len(dims0)
 	idx := make([]int, rank)
-	walk := newBasisWalk(rowMajorStrides(dims0))
+	walk := newBasisWalk(tensor.Strides(dims0))
 
 	d := h.opts.Decimation
 	res.floors = make([]*tensor.Tensor, len(h.order))

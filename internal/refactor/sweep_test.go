@@ -490,7 +490,7 @@ func TestBasisWalkMatchesRecursiveApply(t *testing.T) {
 			orig.Data()[i] = math.Sin(float64(i)*0.37) * float64(i%11)
 		}
 		h := mustDecompose(t, orig, Options{Levels: 4})
-		strides := rowMajorStrides(dims)
+		strides := tensor.Strides(dims)
 		walk := newBasisWalk(strides)
 		idx := make([]int, len(dims))
 		rng := rand.New(rand.NewSource(3))

@@ -61,3 +61,28 @@ func BenchmarkProcSleepLoop(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkCalendar is BenchmarkScheduleDispatch with each batch armed as
+// one Calendar: the queue holds one slot for the batch instead of one per
+// event. Reported per event.
+func BenchmarkCalendar(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	var c Calendar
+	fired := new(calCount)
+	const batch = 1024
+	for n := 0; n < b.N; n += batch {
+		base := e.Now()
+		c.Reset(e, batch)
+		for i := 0; i < batch; i++ {
+			c.Add(base+float64((i*7)%batch)+1, fired)
+		}
+		c.Arm()
+		if err := e.Run(base + batch + 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if *fired == 0 {
+		b.Fatal("no events fired")
+	}
+}

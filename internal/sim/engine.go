@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"tango/internal/slab"
 )
@@ -66,21 +67,33 @@ func (e *Engine) AtCall(t float64, cb Callback) Timer { return e.schedule(t, nil
 func (e *Engine) At(t float64, fn func()) Timer { return e.schedule(t, fn, nil) }
 
 // schedule is At and AtCall (exactly one of fn and cb is set), which are
-// thin enough to inline: scheduling an event stays one call deep. The
-// struct comes off the freelist, or from the next slot of a chunk — a
-// barrier queues a node's every step start before one drains — and is
-// stamped with the next sequence number. seq is monotone and never reused,
-// so a Timer holding a stale pointer can always detect that its event is
-// gone.
+// thin enough to inline. The event takes the next sequence number: seq is
+// monotone and never reused, so a Timer holding a stale pointer can always
+// detect that its event is gone.
 //
 //tango:hotpath
 func (e *Engine) schedule(t float64, fn func(), cb Callback) Timer {
+	ev := e.push(e.clamp(t), e.seq, fn, cb)
+	e.seq++
+	return Timer{ev: ev, seq: ev.seq}
+}
+
+// clamp is t as the queue takes it: a past time is the present.
+func (e *Engine) clamp(t float64) float64 {
 	if t < e.now {
 		t = e.now
 	}
 	if math.IsNaN(t) {
 		panic("sim: event scheduled at NaN time")
 	}
+	return t
+}
+
+// push queues an event under the key (t, seq), its struct taken off the
+// freelist or from the next slot of a chunk.
+//
+//tango:hotpath
+func (e *Engine) push(t float64, seq int64, fn func(), cb Callback) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -89,10 +102,78 @@ func (e *Engine) schedule(t float64, fn func(), cb Callback) Timer {
 	} else {
 		ev = e.evSlab.Next()
 	}
-	ev.t, ev.seq, ev.fn, ev.cb = t, e.seq, fn, cb
-	e.seq++
+	ev.t, ev.seq, ev.fn, ev.cb = t, seq, fn, cb
 	e.events.push(ev)
-	return Timer{ev: ev, seq: ev.seq}
+	return ev
+}
+
+// Calendar is a batch of callbacks that holds one event-queue slot at a
+// time: Add takes the sequence number an AtCall would take but queues
+// nothing, Arm sorts the batch by (time, seq) and queues its first item,
+// and each item's event queues the next item before it fires its own. The
+// queue's minimum is always the one AtCall per item would give, so the
+// firing order, the clock and Scheduled are the same; Pending counts the
+// batch as one. The items buffer is reused from batch to batch.
+type Calendar struct {
+	e     *Engine
+	items []calItem
+	next  int // the first item not yet fired
+}
+
+// calItem is a batched callback under its event key: an event without the
+// fn word, so Arm's sort moves a fifth fewer bytes than events would.
+type calItem struct {
+	t   float64
+	seq int64
+	cb  Callback
+}
+
+// Reset empties c for a new batch on e, with room for n items. It panics
+// if an item of the last batch has not fired.
+func (c *Calendar) Reset(e *Engine, n int) {
+	if c.next < len(c.items) {
+		panic("sim: Calendar reset with items pending")
+	}
+	if cap(c.items) < n {
+		c.items = make([]calItem, 0, n)
+	}
+	c.e, c.items, c.next = e, c.items[:0], 0
+}
+
+// Add puts cb at virtual time t, clamped as by AtCall, into the batch.
+//
+//tango:hotpath
+func (c *Calendar) Add(t float64, cb Callback) {
+	c.items = append(c.items, calItem{t: c.e.clamp(t), seq: c.e.seq, cb: cb})
+	c.e.seq++
+}
+
+// Arm queues the batch, once all of it is added.
+func (c *Calendar) Arm() {
+	slices.SortFunc(c.items, func(a, b calItem) int { // seqs differ: no ties
+		if a.t < b.t || a.t == b.t && a.seq < b.seq {
+			return -1
+		}
+		return 1
+	})
+	c.queueNext()
+}
+
+// Fire is an item's event: it queues the next item, then fires its own.
+//
+//tango:hotpath
+func (c *Calendar) Fire() {
+	cb := c.items[c.next].cb
+	c.next++
+	c.queueNext()
+	cb.Fire()
+}
+
+func (c *Calendar) queueNext() {
+	if c.next < len(c.items) {
+		it := &c.items[c.next]
+		c.e.push(it.t, it.seq, nil, c)
+	}
 }
 
 // Timer is a handle to a scheduled event. Timers are small values; copy

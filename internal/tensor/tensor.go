@@ -32,7 +32,7 @@ func FromData(data []float64, dims ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), dims, n))
 	}
 	t := &Tensor{dims: append([]int(nil), dims...), data: data}
-	t.strides = strides(t.dims)
+	t.strides = Strides(t.dims)
 	return t
 }
 
@@ -49,7 +49,8 @@ func size(dims []int) int {
 	return n
 }
 
-func strides(dims []int) []int {
+// Strides returns the row-major strides of dims.
+func Strides(dims []int) []int {
 	s := make([]int, len(dims))
 	st := 1
 	for i := len(dims) - 1; i >= 0; i-- {

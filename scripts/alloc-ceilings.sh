@@ -3,17 +3,18 @@
 # the file, runs nothing. allocs_per_unit and alloc_kb_per_unit spread
 # < 0.3 % run to run, so unlike the timings a hard ceiling means something
 # on a shared runner. Objects sit ~5 % above what the workload allocates
-# (node_quiet 0.1810, node_faulted 0.8603, fleet 0.2832, refactor 0.000866 at
+# (node_quiet 0.1810, node_faulted 0.8603, fleet 0.2674, refactor 0.000866 at
 # seed 42): every figure is set-up — per scenario on node_*, per session on
 # fleet — so one object per step or per session that creeps back trips them.
-# Bytes were set 2 % above 0.31122, 0.52696, 0.11276 and 0.22064 KiB: what a
+# Bytes were set 2 % above 0.31122, 0.52696, 0.10944 and 0.22064 KiB: what a
 # chunk policy that trades objects for half-filled chunks moves first. The
 # session's step state and its callback reads live on the session now
-# (0.31200 and 0.53098 KiB on node_quiet and node_faulted), inside them;
-# fleet holds a step op per step in flight where it held a proc per session
-# (0.3000 objects and 0.11526 KiB before).
-awk -v objs='node_quiet=0.190 node_faulted=0.903 fleet=0.297 refactor=0.00091' \
-    -v kib='node_quiet=0.3175 node_faulted=0.538 fleet=0.1150 refactor=0.2251' '
+# (0.31193 and 0.53078 KiB on node_quiet and node_faulted), inside them.
+# fleet holds a step op per step in flight, and its step starts queue one
+# calendar slot per node instead of an event each (0.2832 objects and
+# 0.11276 KiB before).
+awk -v objs='node_quiet=0.190 node_faulted=0.903 fleet=0.281 refactor=0.00091' \
+    -v kib='node_quiet=0.3175 node_faulted=0.538 fleet=0.1117 refactor=0.2251' '
 function limits(list, metric,    n, kv, p, i) {
 	n = split(list, kv, " ")
 	for (i = 1; i <= n; i++) { split(kv[i], p, "="); max[metric, p[1]] = p[2] }
