@@ -106,13 +106,14 @@ type Cache struct {
 	mandatory int
 	closed    bool
 	stats     Stats
-	rc        *resil.Controller // stages through prefetch.stage (nil = plain reads)
+	rc        *resil.Controller // its prefetch.stage key reads the home tier (nil: plain reads)
 }
 
 // SetResil routes the staging reads a staging run issues against the home
-// tier through the prefetch.stage policy: deadlined, budgeted, and
-// breaker-gated, so a faulted capacity tier pauses background staging
-// instead of wedging the prefetch process.
+// tier through rc's prefetch.stage key: under the catalog of resil.New
+// deadlined, budgeted, and breaker-gated, so a faulted capacity tier
+// pauses background staging instead of wedging the prefetch process; the
+// adhoc catalog's row is direct, a plain read.
 func (c *Cache) SetResil(rc *resil.Controller) { c.rc = rc }
 
 // New builds a cache over the staged hierarchy, holding data on dev (the
@@ -371,8 +372,8 @@ type stageRun struct {
 	bytes   float64 // the chunk's bytes
 	staged  float64
 	aborted bool
-	tok     device.Token
-	rop     *resil.ReadOp // made at the first read through a controller
+	tok     device.Token // the chunk's write
+	rop     resil.ReadOp // the chunk's read
 }
 
 type stagePhase uint8
@@ -386,7 +387,7 @@ const (
 // start begins staging up to target and reports whether the run is in
 // flight.
 func (sr *stageRun) start(c *Cache, cg *blkio.Cgroup, target int, by stager) bool {
-	*sr = stageRun{c: c, cg: cg, target: target, by: by, rop: sr.rop}
+	*sr = stageRun{c: c, cg: cg, target: target, by: by}
 	return !c.closed && sr.run()
 }
 
@@ -416,19 +417,12 @@ func (sr *stageRun) run() bool {
 				return false
 			}
 			sr.phase = stageRead
-			if c.rc != nil {
-				if sr.rop == nil {
-					sr.rop = new(resil.ReadOp)
-				}
-				if sr.rop.Start(c.rc.Key(resil.KeyPrefetchStage), r.home, sr.cg, sr.bytes, sr) {
-					return true
-				}
-			} else if ended, _ := r.home.Begin(sr.cg, sr.bytes, false, false, &sr.tok, 0, sr); !ended {
+			if sr.rop.Start(c.rc.Key(resil.KeyPrefetchStage), r.home, sr.cg, sr.bytes, sr) {
 				return true
 			}
 			continue
 		case stageRead:
-			if c.rc != nil && !sr.rop.Res.OK {
+			if !sr.rop.Res.OK {
 				// The home tier is faulted or the stage budget ran out:
 				// give the reservation back and end this run — the next
 				// quiet-window tick resumes from the level's prefix.

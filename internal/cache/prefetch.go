@@ -64,12 +64,12 @@ type Inputs interface {
 // itself, after its weight and throttle writes. Each event is where the
 // prefetch process that ran the same loop armed one.
 type Prefetcher struct {
-	// Resil, when non-nil, routes the heal loop's floor-weight writes
-	// through the prefetch.weight.floor policy (breaker-gated per
-	// cgroup: a wedged controller file is probed on the breaker's
-	// schedule instead of hammered every tick) and the staging reads
-	// through prefetch.stage (deadlined and budgeted). Set before the
-	// engine runs the launch.
+	// Resil routes the heal loop's floor-weight writes and the staging
+	// reads through its prefetch.weight.floor and prefetch.stage keys:
+	// under resil.New breaker-gated per cgroup (a wedged controller file
+	// is probed on the breaker's schedule, not hammered every tick) and
+	// deadlined and budgeted; under the adhoc catalog one traced write
+	// and plain reads. Set before the engine runs the launch.
 	Resil *resil.Controller
 
 	in       Inputs

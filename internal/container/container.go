@@ -10,7 +10,9 @@ import (
 
 	"tango/internal/blkio"
 	"tango/internal/device"
+	"tango/internal/resil"
 	"tango/internal/sim"
+	"tango/internal/trace"
 )
 
 // Node is one compute node: an engine, a set of local devices forming the
@@ -23,6 +25,7 @@ type Node struct {
 	devices    map[string]*device.Device
 	tiers      []*device.Device // fastest first (ST^{L-1} … ST^0)
 	containers map[string]*Container
+	adhoc      *resil.Controller // made by the first Adhoc call
 }
 
 // NewNode creates an empty node with its own simulation engine.
@@ -38,6 +41,16 @@ func NewNode(name string) *Node {
 
 // Engine returns the node's simulation engine.
 func (n *Node) Engine() *sim.Engine { return n.eng }
+
+// Adhoc returns the node's adhoc resilience controller (resil.NewAdhoc),
+// the recovery of every session on the node given no controller of its
+// own; the first call makes it, tracing to rec.
+func (n *Node) Adhoc(rec *trace.Recorder) *resil.Controller {
+	if n.adhoc == nil {
+		n.adhoc = resil.NewAdhoc(n.eng, rec)
+	}
+	return n.adhoc
+}
 
 // Cgroups returns the node's blkio controller.
 func (n *Node) Cgroups() *blkio.Controller { return n.ctl }

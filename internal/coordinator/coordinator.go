@@ -36,9 +36,7 @@ import (
 type Allocator struct {
 	list    []*entry // insertion order: keeps rebalancing deterministic
 	entries map[string]*entry
-	rec     *trace.Recorder
-	now     func() float64
-	rc      *resil.Controller // nil = the direct write, traced here
+	rc      *resil.Controller // its coord.weight.apply key writes (nil: the direct write)
 
 	active      int                        // sessions between Request and Release
 	pendingAct  int                        // active entries with a failed write to retry
@@ -81,29 +79,18 @@ func (a *Allocator) Attach(name string, cg *blkio.Cgroup) error {
 	return nil
 }
 
-// SetTrace routes the allocator's recovery events (tolerated and
-// re-applied weight writes) to rec, timestamped via now (typically the
-// node engine's Now). Either may be nil.
-func (a *Allocator) SetTrace(rec *trace.Recorder, now func() float64) {
-	a.rec, a.now = rec, now
-}
+// SetTrace does nothing: the allocator's weight writes are traced by the
+// controller SetResil attaches. It stays for callers that still set a
+// recorder.
+func (a *Allocator) SetTrace(*trace.Recorder, func() float64) {}
 
-// SetResil routes the allocator's weight writes through the
-// coord.weight.apply policy: breaker-gated per cgroup, so a wedged
-// weight file is probed on the breaker's half-open schedule instead of
-// re-written on every rebalance. An allocator it was never called on
-// keeps the ad-hoc tolerate-and-retry path.
+// SetResil routes the allocator's weight writes through rc's
+// coord.weight.apply key, which records a failed write: under the catalog
+// of resil.New breaker-gated per cgroup, so a wedged weight file is probed
+// on the breaker's half-open schedule instead of re-written on every
+// rebalance; under the adhoc catalog one attempt per write. An allocator
+// it was never called on writes directly, untraced.
 func (a *Allocator) SetResil(rc *resil.Controller) { a.rc = rc }
-
-// emit records a weight write's recovery action on session name, w the
-// weight in question; its arguments are typed, so a callback may call it.
-func (a *Allocator) emit(format, name string, w int) {
-	t := 0.0
-	if a.now != nil {
-		t = a.now()
-	}
-	a.rec.Emit(t, "allocator", trace.KindRecover, format, name, w)
-}
 
 // setPending flips the entry's pending flag, keeping the count of active
 // pending entries (the sweep trigger) in step.
@@ -286,8 +273,8 @@ func (a *Allocator) Detach(name string) {
 }
 
 // revert returns a departing or released session's cgroup to the
-// default weight, tolerating injected weight-write faults: the failure
-// is recorded and, for a released session, the entry is left pending.
+// default weight, tolerating injected weight-write faults: for a released
+// session, a failed write leaves the entry pending.
 // Nothing re-applies it while the session stays idle, since rebalance
 // queues only active entries: the cgroup keeps its stale weight until
 // the session's own next Request or Release.
@@ -299,16 +286,12 @@ func (a *Allocator) revert(e *entry, attached bool) {
 		}
 		a.setPending(e, !landed)
 	}
-	if !landed && a.rc == nil {
-		a.emit("weight revert failed for %s: tolerated, cgroup keeps w=%d", e.name, e.cg.Weight())
-	}
 }
 
 // apply pushes the queued grants to the cgroups. Failed writes (injected
-// weight faults) are tolerated and recorded: the entry is marked pending,
-// so while it stays active every subsequent rebalance retries the write
-// until it lands, at which point the re-apply is recorded as the
-// recovery.
+// weight faults) are tolerated: the entry is marked pending, so while it
+// stays active every subsequent rebalance retries the write until it
+// lands.
 func (a *Allocator) apply() {
 	for i := range a.targets {
 		t := &a.targets[i]
@@ -322,13 +305,6 @@ func (a *Allocator) apply() {
 			t.e.grant = t.w
 		}
 		a.setPending(t.e, !landed)
-		if a.rc == nil {
-			if !landed {
-				a.emit("weight write failed for %s (w=%d): will re-apply", t.e.name, t.w)
-			} else if t.pending {
-				a.emit("weight write recovered for %s: re-applied w=%d", t.e.name, t.w)
-			}
-		}
 	}
 	a.targets = a.targets[:0]
 }

@@ -152,13 +152,13 @@ type Config struct {
 	// policy is CrossLayerPrefetch, which defaults it.
 	Cache *cache.Config
 
-	// Resil, when non-nil, routes every I/O-issuing layer of this
-	// session — staging guarded reads and probes, session and
-	// coordinator weight writes, the prefetcher's heal loop and staging
-	// reads — through the resilience control plane (see internal/resil):
-	// policy-keyed retries, retry budgets, circuit breakers, and
-	// forecast-driven hedged reads. nil keeps the legacy ad-hoc
-	// recovery paths.
+	// Resil routes every I/O-issuing layer of this session — staging
+	// guarded reads and probes, session and coordinator weight writes,
+	// the prefetcher's heal loop and staging reads — through the
+	// resilience control plane (see internal/resil): policy-keyed
+	// retries, retry budgets, circuit breakers, and forecast-driven
+	// hedged reads. nil runs them on the node's adhoc controller
+	// (container.Node.Adhoc): unbudgeted fixed retries, no hedging.
 	Resil *resil.Controller
 }
 

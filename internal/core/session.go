@@ -109,11 +109,11 @@ type Session struct {
 	cache *cache.Cache
 	pf    *cache.Prefetcher
 
-	rung          int  // the prescribed bound's cursor; 0 without error control
-	regimeStreak  int  // consecutive mispredicted steps (regime detector)
-	weightPending bool // a weight write failed; re-apply on next success
+	rung         int // the prescribed bound's cursor; 0 without error control
+	regimeStreak int // consecutive mispredicted steps (regime detector)
 
-	tb *tokenctl.Bucket // this session's bucket (nil without Config.Tokens)
+	rc *resil.Controller // Config.Resil, or its node's adhoc controller (Launch)
+	tb *tokenctl.Bucket  // this session's bucket (nil without Config.Tokens)
 }
 
 // NewSession validates the configuration against the staged hierarchy and
@@ -243,20 +243,7 @@ func (s *Session) Stopped() bool { return s.stopped }
 // the first step once its containers and weight-control entry exist, so
 // a failed Launch leaves nothing attached and nothing to run.
 func (s *Session) Launch(node *container.Node) error {
-	s.store.SetTrace(s.Config.Trace, s.Name)
-	if rc := s.Config.Resil; rc != nil {
-		// Route the store's guarded reads/probes and this session's
-		// weight writes through the resilience control plane, and give
-		// its hedging decision the session's demand forecast.
-		s.store.SetResil(rc)
-		rc.SetForecast(s.forecast)
-		if s.Config.Allocator != nil {
-			s.Config.Allocator.SetResil(rc)
-		}
-		if s.Config.Tokens != nil {
-			s.Config.Tokens.SetResil(rc)
-		}
-	}
+	s.attachResil(node)
 	cont, err := node.Create(s.Name)
 	var pfCont *container.Container
 	if err == nil && s.Config.Cache != nil {
@@ -286,6 +273,26 @@ func (s *Session) Launch(node *container.Node) error {
 	return nil
 }
 
+// attachResil routes the session's reads and weight writes through
+// Config.Resil, or the node's adhoc controller, and gives a given
+// controller's hedging the session's forecast (adhoc does not hedge).
+func (s *Session) attachResil(node *container.Node) {
+	s.store.SetTrace(s.Config.Trace, s.Name)
+	s.rc = s.Config.Resil
+	if s.rc == nil {
+		s.rc = node.Adhoc(s.Config.Trace)
+	} else {
+		s.rc.SetForecast(s.forecast)
+	}
+	s.store.SetResil(s.rc)
+	if s.Config.Allocator != nil {
+		s.Config.Allocator.SetResil(s.rc)
+	}
+	if s.Config.Tokens != nil {
+		s.Config.Tokens.SetResil(s.rc)
+	}
+}
+
 // Cache exposes the fast-tier cache (nil unless Config.Cache is set and
 // the session has been launched).
 func (s *Session) Cache() *cache.Cache { return s.cache }
@@ -308,7 +315,7 @@ func (s *Session) launchPrefetcher(cont *container.Container) {
 	s.store.SetCache(cc)
 	s.cache = cc
 	pf := cache.NewPrefetcher(cc, prefetchInputs{s})
-	pf.Resil = s.Config.Resil
+	pf.Resil = s.rc
 	pf.Launch(cont)
 	s.pf = pf
 }
@@ -467,28 +474,15 @@ func (s *Session) buckets(cursor int) []bucket {
 	return out
 }
 
-// applyWeight writes w to the container's cgroup, tolerating injected
-// weight-write faults: a failed write leaves the previous weight in
-// force (recorded as a recovery decision), and the first write that
-// lands after a failure is recorded as the re-apply. Returns the weight
-// actually in force. With the resilience control plane attached the
-// write goes through the blkio.weight.apply policy instead: the breaker
-// suppresses writes to a wedged cgroup until its half-open probe lands,
-// and the control plane records the per-attempt timeline.
-func (s *Session) applyWeight(c *container.Container, now float64, w int) int {
-	adHoc := s.Config.Resil == nil // the control plane traces its own writes
-	if !s.Config.Resil.Key(resil.KeyWeightApply).Weight(c.Cgroup(), w).OK {
-		s.weightPending = true
-		if adHoc {
-			s.Config.Trace.Emit(now, s.Name, trace.KindRecover,
-				"weight write failed (w=%d): continuing at w=%d, will re-apply", w, c.Cgroup().Weight())
-		}
+// applyWeight writes w to the container's cgroup through the session
+// controller's blkio.weight.apply key, tolerating injected weight-write
+// faults: a failed (or, under a breaker, suppressed) write leaves the
+// previous weight in force, and the controller records it; the next
+// write is the re-apply. Returns the weight actually in force.
+func (s *Session) applyWeight(c *container.Container, w int) int {
+	if !s.rc.Key(resil.KeyWeightApply).Weight(c.Cgroup(), w).OK {
 		return c.Cgroup().Weight()
 	}
-	if s.weightPending && adHoc {
-		s.Config.Trace.Emit(now, s.Name, trace.KindRecover, "weight write recovered: re-applied w=%d", w)
-	}
-	s.weightPending = false
 	return w
 }
 
@@ -496,14 +490,14 @@ func (s *Session) applyWeight(c *container.Container, now float64, w int) int {
 // when configured (weight arbitration across concurrent sessions),
 // through the decentralized token controller when that mode is selected,
 // directly to the cgroup otherwise. It returns the weight in force.
-func (s *Session) setWeight(c *container.Container, now float64, w int) int {
+func (s *Session) setWeight(c *container.Container, w int) int {
 	switch {
 	case s.Config.Allocator != nil:
 		return s.Config.Allocator.MustRequest(s.Name, w) // attached at Launch
 	case s.Config.Tokens != nil:
 		return s.Config.Tokens.Request(s.tb, w)
 	}
-	return s.applyWeight(c, now, w)
+	return s.applyWeight(c, w)
 }
 
 // stepPhase is where a step stands: what Fire does next.
@@ -569,7 +563,7 @@ func (s *Session) Fire() {
 			now := s.eng.Now()
 			weight := 0
 			if cfg.Policy.adjustsWeights() {
-				weight = s.setWeight(c, now, s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
+				weight = s.setWeight(c, s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
 			}
 			s.bktArena = append(s.bktArena, BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: now})
 			if weight > 0 {
@@ -618,7 +612,7 @@ func (s *Session) Fire() {
 				case cfg.Tokens != nil:
 					cfg.Tokens.Release(s.tb)
 				default:
-					s.applyWeight(c, s.eng.Now(), blkio.DefaultWeight)
+					s.applyWeight(c, blkio.DefaultWeight)
 				}
 			} else if s.tier.BytesOn(s.store.SlowestDevice()) >= probeBytes {
 				s.phase = phaseRecord

@@ -101,8 +101,9 @@ func refParts(s *Session, seg refactor.Segment) (parts [2]refPart, n int) {
 	return parts, 2
 }
 
-// refRetryRead is the ad-hoc retry loop.
-func refRetryRead(s *Session, p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64, bounded bool) (float64, int, bool) {
+// refRetryRead is the ad-hoc retry loop the adhoc catalog's read keys
+// reproduce, tracing in their words as key.
+func refRetryRead(s *Session, p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64, key string, bounded bool) (float64, int, bool) {
 	start := p.Now()
 	delay := 0.05
 	retries := 0
@@ -112,10 +113,11 @@ func refRetryRead(s *Session, p *sim.Proc, dev *device.Device, cg *blkio.Cgroup,
 			return p.Now() - start, retries, true
 		}
 		if bounded && attempt >= 4 {
+			s.Config.Trace.Emit(p.Now(), "resil", trace.KindAttempt, "degrade key=%s target=%s attempts=%d: attempt limit reached", key, dev.Name(), attempt)
 			return p.Now() - start, retries, false
 		}
 		retries++
-		s.Config.Trace.Emit(p.Now(), s.Name, trace.KindRecover, "retry dev=%s attempt=%d backoff=%.3fs bytes=%.0f", dev.Name(), attempt, delay, bytes)
+		s.Config.Trace.Emit(p.Now(), "resil", trace.KindAttempt, "retry key=%s target=%s attempt=%d backoff=%.3gs timeout=%t", key, dev.Name(), attempt+1, delay, false)
 		p.Sleep(delay)
 		delay *= 2
 		if delay > 5 {
@@ -133,7 +135,7 @@ func refReadBaseGuarded(s *Session, p *sim.Proc, cg *blkio.Cgroup) (ts refTier, 
 		ts.add(dev, res.Moved, res.Elapsed)
 		return ts, res.Retries
 	}
-	el, retries, _ := refRetryRead(s, p, dev, cg, bytes, false)
+	el, retries, _ := refRetryRead(s, p, dev, cg, bytes, "adhoc.staging.read.base", false)
 	ts.add(dev, bytes, el)
 	return ts, retries
 }
@@ -150,8 +152,12 @@ func refReadRangeGuarded(s *Session, p *sim.Proc, cg *blkio.Cgroup, from, to, ma
 			if s.Config.Resil != nil {
 				retries, ok = refResilPart(s, p, cg, &ts, part, home, needed)
 			} else {
+				key := "adhoc.staging.read.optional"
+				if needed {
+					key = "adhoc.staging.read.capacity"
+				}
 				var el float64
-				el, retries, ok = refRetryRead(s, p, part.dev, cg, part.bytes, !needed)
+				el, retries, ok = refRetryRead(s, p, part.dev, cg, part.bytes, key, !needed)
 				ts.add(part.dev, part.bytes, el)
 			}
 			out.Retries += retries
@@ -278,17 +284,7 @@ func refProbe(s *Session, p *sim.Proc, cg *blkio.Cgroup, bytes float64) (ts refT
 // launchReference is Launch as it was while the step loop was the
 // container's process, spawned before the weight controller attached.
 func launchReference(s *Session, node *container.Node) error {
-	s.store.SetTrace(s.Config.Trace, s.Name)
-	if rc := s.Config.Resil; rc != nil {
-		s.store.SetResil(rc)
-		rc.SetForecast(s.forecast)
-		if s.Config.Allocator != nil {
-			s.Config.Allocator.SetResil(rc)
-		}
-		if s.Config.Tokens != nil {
-			s.Config.Tokens.SetResil(rc)
-		}
-	}
+	s.attachResil(node)
 	cont, err := node.Launch(s.Name, func(c *container.Container, p *sim.Proc) {
 		for step := 0; step < s.Config.Steps && !s.stopped; step++ {
 			runStepReference(s, c, p, step)
@@ -351,7 +347,7 @@ func runStepReference(s *Session, c *container.Container, p *sim.Proc, step int)
 	for _, b := range bkts {
 		weight := 0
 		if cfg.Policy.adjustsWeights() {
-			weight = s.setWeight(c, p.Now(), s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
+			weight = s.setWeight(c, s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
 		}
 		bs := BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: p.Now()}
 		if weight > 0 {
@@ -381,7 +377,7 @@ func runStepReference(s *Session, c *container.Container, p *sim.Proc, step int)
 		case cfg.Tokens != nil:
 			cfg.Tokens.Release(s.tb)
 		default:
-			s.applyWeight(c, p.Now(), blkio.DefaultWeight)
+			s.applyWeight(c, blkio.DefaultWeight)
 		}
 		pt := refProbe(s, p, c.Cgroup(), probeBytes)
 		bytes, elapsed := pt.total()
@@ -673,7 +669,7 @@ func TestStepMatchesProcessLoop(t *testing.T) {
 		}
 		for _, e := range rec.Events() {
 			msg := e.Msg()
-			for _, k := range []string{"retry dev", "degrade dev", "launch key", "win key", "lose key", "pace key", "open key", "staged", "regime change"} {
+			for _, k := range []string{"retry key=adhoc", "degrade dev", "launch key", "win key", "lose key", "pace key", "open key", "staged", "regime change"} {
 				if strings.HasPrefix(msg, k) {
 					seen[k]++
 				}
@@ -686,7 +682,7 @@ func TestStepMatchesProcessLoop(t *testing.T) {
 			seen["parallel"]++
 		}
 	}
-	for _, k := range []string{"retry dev", "degrade dev", "launch key", "win key", "open key", "staged", "zero-latency faulted", "parallel"} {
+	for _, k := range []string{"retry key=adhoc", "degrade dev", "launch key", "win key", "open key", "staged", "zero-latency faulted", "parallel"} {
 		if seen[k] == 0 {
 			t.Errorf("no scenario reached %q: %v", k, seen)
 		}

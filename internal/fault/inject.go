@@ -282,8 +282,8 @@ func (in *Injector) fireChurn(t *timer) {
 
 // Unpaired scans a trace for injected faults with no recovery action at
 // or after the injection time, returning the unpaired fault events. A
-// recovery action is a trace.KindRecover or trace.KindRefit event (the
-// ad-hoc recovery paths), or any resil control-plane event —
+// recovery action is a trace.KindRecover or trace.KindRefit event (a
+// staging degrade, a forecast refit), or any resil control-plane event —
 // KindAttempt/KindBreaker/KindHedge/KindBudget — since each of those
 // records an explicit per-fault decision. The chaos and resil
 // experiments and their tests use this to enforce the "every injected

@@ -38,7 +38,7 @@ func ChaosPlan(cfg Config) *fault.Plan {
 // faultedRun is one chaosSession run replayed through a fault plan.
 type faultedRun struct {
 	sess     *core.Session
-	rc       *resil.Controller // nil on the ad-hoc recovery paths
+	rc       *resil.Controller // nil: the session ran on its node's adhoc controller
 	injected int               // faults the injector fired
 	unpaired int               // faults left without a recorded recovery action
 }

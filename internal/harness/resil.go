@@ -37,10 +37,11 @@ func MassFaultPlan(cfg Config) *fault.Plan {
 }
 
 // resilExp compares fault recovery disciplines under identical fault plans:
-// the legacy ad-hoc retry loops (PR 2's recovery paths), the resilience
-// control plane (policy-keyed retries, retry budgets, circuit breakers),
-// and the control plane with forecast-driven hedged reads on top of the
-// fast-tier cache. Two plans: the standard chaos schedule and a mass
+// the ad-hoc arm — a session given no controller, which runs on its node's
+// adhoc catalog (resil.NewAdhoc: the original fixed, unbudgeted retries) —
+// the resilience control plane (policy-keyed retries, retry budgets,
+// circuit breakers), and the control plane with forecast-driven hedged
+// reads on top of the fast-tier cache. Two plans: the standard chaos schedule and a mass
 // schedule that also faults the fast tier. The control plane must salvage
 // at least the ad-hoc throughput while bounding retry amplification
 // (attempts per operation) and never violating the prescribed bound.

@@ -123,9 +123,6 @@ func runOne(name string, nNoise int, h *refactor.Hierarchy, cfg Config, sc core.
 }
 
 func runOnScenario(scen *Scenario, name string, h *refactor.Hierarchy, cfg Config, sc core.Config) *core.Session {
-	if sc.Allocator != nil && sc.Trace != nil {
-		sc.Allocator.SetTrace(sc.Trace, scen.Node.Engine().Now)
-	}
 	sess := scen.launch(name, h, cfg, sc)
 	steps := sess.Config.Steps
 	scen.run(steps, 3600)

@@ -81,18 +81,21 @@ func (k *Key) deadline(bytes float64) float64 {
 // callbacks. Both call it at the same instants, so the two leave the same
 // counters, budgets, breakers and trace.
 type readRun struct {
-	Res   ReadResult
-	k     *Key
-	dev   *device.Device
-	br    *Breaker
-	delay float64 // the backoff before the next retry
-	paced bool    // it was stretched to the budget's refill
+	Res          ReadResult
+	k            *Key
+	dev          *device.Device
+	br           *Breaker
+	bytes, begun float64 // the request, and when the operation began
+	delay        float64 // the backoff before the next retry
+	paced        bool    // it was stretched to the budget's refill
 }
 
 // open counts one read operation of k on dev.
-func (r *readRun) open(k *Key, dev *device.Device) {
+func (r *readRun) open(k *Key, dev *device.Device, bytes float64) {
 	k.stats.Ops++
-	*r = readRun{k: k, dev: dev, br: k.breaker(dev.Name(), true), delay: k.pol.Backoff}
+	// Field by field: a composite literal would be built aside and copied.
+	r.Res, r.paced = ReadResult{}, false
+	r.k, r.dev, r.br, r.bytes, r.begun, r.delay = k, dev, k.breaker(dev.Name(), true), bytes, k.c.eng.Now(), k.pol.Backoff
 	if r.delay <= 0 {
 		r.delay = 0.05
 	}
@@ -120,11 +123,16 @@ func (r *readRun) admit() bool {
 }
 
 // settle takes an attempt that took el and moved bytes and reports whether
-// the operation retries, after a backoff of r.delay.
+// the operation retries, after a backoff of r.delay. Under a ChargeRequest
+// policy the operation so far is the request over its span.
 func (r *readRun) settle(el, moved float64, err error) bool {
 	k, c, res, dev := r.k, r.k.c, &r.Res, r.dev.Name()
-	res.Elapsed += el
-	res.Moved += moved
+	if k.pol.ChargeRequest {
+		res.Moved, res.Elapsed = r.bytes, c.eng.Now()-r.begun
+	} else {
+		res.Elapsed += el
+		res.Moved += moved
+	}
 	cls := k.pol.Classify(err)
 	if cls == ClassOK {
 		if r.br != nil && r.br.onSuccess() {
@@ -202,7 +210,7 @@ func (r *readRun) backoff() {
 // of engine callbacks.
 func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64) ReadResult {
 	var r readRun
-	r.open(k, dev)
+	r.open(k, dev, bytes)
 	for r.admit() {
 		if !r.settle(k.attemptRead(p, dev, cg, bytes)) {
 			break
@@ -219,19 +227,25 @@ func (k *Key) Read(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes floa
 // the read ended inside the call (an open breaker, an attempt that ended
 // at issue), as Read returns at once there; otherwise done is told, as of
 // a transfer, in the event Read returned in. Either way the outcome is Res.
+// A nil key's read is one plain read: infallible, undeadlined, uncounted.
 type ReadOp struct {
 	readRun
-	cg           *blkio.Cgroup
-	bytes, start float64 // start: when the attempt in flight began
-	tok          device.Token
-	done         device.Completion
+	cg    *blkio.Cgroup
+	start float64 // when the attempt in flight began
+	tok   device.Token
+	done  device.Completion
 }
 
 // Start begins a read of bytes from dev under k's policy and reports
 // whether it is in flight.
 func (o *ReadOp) Start(k *Key, dev *device.Device, cg *blkio.Cgroup, bytes float64, done device.Completion) bool {
-	o.open(k, dev)
-	o.cg, o.bytes, o.done = cg, bytes, done
+	o.cg, o.done = cg, done
+	if k == nil {
+		o.k, o.dev, o.bytes, o.begun = nil, dev, bytes, dev.Engine().Now()
+		ended, _ := dev.Begin(cg, bytes, false, false, &o.tok, 0, o)
+		return !ended || o.ended(nil)
+	}
+	o.open(k, dev, bytes)
 	return o.attempt()
 }
 
@@ -249,7 +263,11 @@ func (o *ReadOp) attempt() bool {
 // ended takes the attempt that ended and reports whether the read goes on,
 // its backoff armed.
 func (o *ReadOp) ended(err error) bool {
-	eng := o.k.c.eng
+	eng := o.dev.Engine()
+	if o.k == nil {
+		o.Res = ReadResult{OK: true, Attempts: 1, Elapsed: eng.Now() - o.begun, Moved: o.bytes}
+		return false
+	}
 	retry := o.settle(eng.Now()-o.start, o.tok.Moved(), err)
 	if retry {
 		eng.AtCall(eng.Now()+o.delay, o)

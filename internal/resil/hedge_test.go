@@ -317,7 +317,7 @@ func hedgeBench(tb testing.TB, body func(read func())) {
 	fast, slow := device.New(eng, device.SSD("ssd")), device.New(eng, device.HDD("hdd"))
 	cg := blkio.NewCgroup("a")
 	k := c.Key(KeyStagingReadHedge)
-	k.setPolicy(Policy{Name: "staging.read.hedge", MaxAttempts: 1, Factor: 2, TimeoutFloor: 5, TimeoutMinBW: 2 * mib,
+	k.setPolicy(&Policy{Name: "staging.read.hedge", MaxAttempts: 1, Factor: 2, TimeoutFloor: 5, TimeoutMinBW: 2 * mib,
 		Classify: ClassifyRead, BudgetCap: 16, BudgetRefill: 1e9})
 	eng.Spawn("reader", func(p *sim.Proc) {
 		w := &hedgeWaiter{p: p}
@@ -370,7 +370,7 @@ func TestDeadlinedAttemptZeroAlloc(t *testing.T) {
 	d := device.New(eng, device.HDD("hdd"))
 	cg := blkio.NewCgroup("a")
 	k := c.Key(KeyStagingReadOptional)
-	k.setPolicy(Policy{Name: "stuck", MaxAttempts: 3, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+	k.setPolicy(&Policy{Name: "stuck", MaxAttempts: 3, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
 		TimeoutFloor: 0.5, TimeoutMinBW: 4 * mib, Classify: ClassifyRead, BudgetRefill: 1e9})
 	stick := func() { d.SetFault(0, 0) }
 	read := func(p *sim.Proc) {

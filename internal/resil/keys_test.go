@@ -3,6 +3,7 @@ package resil
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"tango/internal/sim"
 )
@@ -47,6 +48,26 @@ func TestRegisteredKeysAreStable(t *testing.T) {
 			t.Errorf("key constant %d names %q, want %q", i, name, golden[i])
 		}
 	}
+	// The adhoc catalog names its rows after the catalog's; every other
+	// row is direct (a nil key).
+	adhocGolden := map[KeyID]string{
+		KeyStagingReadBase:     "adhoc.staging.read.base",
+		KeyStagingReadCapacity: "adhoc.staging.read.capacity",
+		KeyStagingReadOptional: "adhoc.staging.read.optional",
+		KeyWeightApply:         "adhoc.blkio.weight.apply",
+		KeyCoordWeightApply:    "adhoc.coord.weight.apply",
+		KeyPrefetchWeightFloor: "adhoc.prefetch.weight.floor",
+		KeyTokenWeightApply:    "adhoc.tokens.weight.apply",
+	}
+	ac := NewAdhoc(sim.NewEngine(), nil)
+	for id := KeyID(0); id < numKeys; id++ {
+		want, keyed := adhocGolden[id]
+		if k := ac.Key(id); !keyed && k != nil {
+			t.Errorf("adhoc row %s must be direct, has key %q", golden[id], k.Policy().Name)
+		} else if keyed && (k == nil || k.Policy().Name != want) {
+			t.Errorf("adhoc row %s: key %v, want %q", golden[id], k, want)
+		}
+	}
 }
 
 // TestCatalogPolicyShape pins the structural invariants the call sites
@@ -89,14 +110,34 @@ func TestCatalogPolicyShape(t *testing.T) {
 			t.Errorf("%s: weight key must be single-attempt and breaker-gated: %+v", pol.Name, pol)
 		}
 	}
+	// Only the adhoc catalog charges the request, and only its reads; it
+	// has no deadline, budget or breaker, so every failed write is traced.
+	for id := range catalog {
+		if catalog[id].ChargeRequest {
+			t.Errorf("%s charges the request", catalog[id].Name)
+		}
+		if pol := adhoc[id]; pol.Name != "" {
+			read := KeyID(id) <= KeyStagingReadOptional
+			if pol.ChargeRequest != read || pol.TimeoutMinBW != 0 || pol.BudgetCap != 0 || pol.BreakerThreshold != 0 || pol.Classify == nil {
+				t.Errorf("%s: adhoc row shape %+v", pol.Name, pol)
+			}
+		}
+	}
 }
 
-// TestNewControllerAllocs: a controller is one object — the keys live in
-// it and the breaker map is made with the first breaker.
+// TestNewControllerAllocs: a controller is one object of at most 2 KiB —
+// the keys live in it, each pointing at its catalog row, and the breaker
+// map is made with the first breaker.
 func TestNewControllerAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	if n := testing.AllocsPerRun(100, func() { New(eng, Options{}) }); n > 1 {
 		t.Fatalf("New allocates %.0f objects, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { NewAdhoc(eng, nil) }); n > 1 {
+		t.Fatalf("NewAdhoc allocates %.0f objects, want 1", n)
+	}
+	if size := unsafe.Sizeof(Controller{}); size > 2048 {
+		t.Fatalf("Controller is %d B, want at most 2048", size)
 	}
 	if (*Controller)(nil).Key(KeyWeightApply) != nil {
 		t.Fatal("a nil controller's key must be nil")

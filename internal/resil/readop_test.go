@@ -118,16 +118,7 @@ func (sc readScript) play(t *testing.T, reference bool) string {
 	} else {
 		eng.AtCall(0, d)
 	}
-	if sc.writeAt >= 0 {
-		eng.SpawnAt(sc.writeAt, "writer", func(p *sim.Proc) { dev.Write(p, wcg, 500*mib) })
-	}
-	for _, f := range sc.faults {
-		eng.At(f.at, func() { dev.SetFault(f.bw, f.lat); dev.SetReadError(f.readErr) })
-		eng.At(f.at+f.dur, func() { dev.ClearFault(); dev.SetReadError(false) })
-	}
-	if err := eng.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	sc.arm(t, eng, dev, wcg)
 	var out strings.Builder
 	for i, r := range d.results {
 		fmt.Fprintf(&out, "read%d ok=%t denied=%t degraded=%t attempts=%d retries=%d timeouts=%d el=%s moved=%s err=%v\n",
@@ -145,6 +136,22 @@ func (sc readScript) play(t *testing.T, reference bool) string {
 		fmt.Fprintf(&out, "%s %s %s %s\n", bits(ev.T), ev.Source, ev.Kind, ev.Msg())
 	}
 	return out.String()
+}
+
+// arm arms the script's competing writer and faults, and runs the engine
+// dry.
+func (sc readScript) arm(t *testing.T, eng *sim.Engine, dev *device.Device, wcg *blkio.Cgroup) {
+	t.Helper()
+	if sc.writeAt >= 0 {
+		eng.SpawnAt(sc.writeAt, "writer", func(p *sim.Proc) { dev.Write(p, wcg, 500*mib) })
+	}
+	for _, f := range sc.faults {
+		eng.At(f.at, func() { dev.SetFault(f.bw, f.lat); dev.SetReadError(f.readErr) })
+		eng.At(f.at+f.dur, func() { dev.ClearFault(); dev.SetReadError(false) })
+	}
+	if err := eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestReadOpMatchesRead: over seeded scenarios — every read key, bounded
@@ -170,6 +177,131 @@ func TestReadOpMatchesRead(t *testing.T) {
 	for _, k := range []string{"retry key", "degrade key", "open key", "pace key", "deny key", "timeout=true", "zero-latency retry"} {
 		if seen[k] == 0 {
 			t.Errorf("no scenario reached %q: %v", k, seen)
+		}
+	}
+}
+
+// adhocRetryLoop is the blocking ad-hoc retry loop the adhoc catalog's
+// read rows reproduce: a fallible read retried after a backoff of 0.05 s
+// doubling to 5 s, without bound or, bounded, for four attempts at most,
+// and charged the bytes requested over its wall-clock span.
+func adhocRetryLoop(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64, bounded bool) (r ReadResult) {
+	start, delay := p.Now(), 0.05
+	for {
+		r.Attempts++
+		if _, err := dev.TryRead(p, cg, bytes); err == nil {
+			r.OK = true
+			break
+		}
+		if bounded && r.Attempts >= 4 {
+			r.Degraded = true
+			break
+		}
+		r.Retries++
+		p.Sleep(delay)
+		delay = min(delay*2, 5)
+	}
+	r.Moved, r.Elapsed = bytes, p.Now()-start
+	return r
+}
+
+// TestAdhocReadMatchesRetryLoop: over seeded scenarios — the three adhoc
+// read keys, read-error windows among stalls and slowdowns, a device with
+// no request latency — ReadOp under NewAdhoc's keys leaves every result,
+// device float and the count of events armed where the blocking retry
+// loop left them: a mandatory read recovers, an optional one degrades at
+// its fourth attempt charged the bytes requested.
+func TestAdhocReadMatchesRetryLoop(t *testing.T) {
+	play := func(sc readScript, reference bool) (string, []ReadResult) {
+		eng := sim.NewEngine()
+		c := NewAdhoc(eng, nil)
+		dev := device.New(eng, sc.p)
+		cg, wcg := blkio.NewCgroup("reader"), blkio.NewCgroup("writer")
+		d := &readDriver{sc: sc, c: c, dev: dev, cg: cg}
+		if reference {
+			eng.Spawn("reader", func(p *sim.Proc) {
+				for i, id := range sc.keys {
+					p.Sleep(sc.gaps[i])
+					d.results = append(d.results, adhocRetryLoop(p, dev, cg, sc.bytes[i], id == KeyStagingReadOptional))
+				}
+			})
+		} else {
+			eng.AtCall(0, d)
+		}
+		sc.arm(t, eng, dev, wcg)
+		var out strings.Builder
+		for i, r := range d.results {
+			fmt.Fprintf(&out, "read%d ok=%t degraded=%t attempts=%d retries=%d el=%s moved=%s\n",
+				i, r.OK, r.Degraded, r.Attempts, r.Retries, bits(r.Elapsed), bits(r.Moved))
+		}
+		fmt.Fprintf(&out, "dev total=%s busy=%s cg=%s now=%s armed=%d\n", bits(dev.TotalBytes()), bits(dev.BusyTime()),
+			bits(cg.BytesRead()), bits(eng.Now()), eng.Scheduled())
+		return out.String(), d.results
+	}
+	keys := []KeyID{KeyStagingReadBase, KeyStagingReadCapacity, KeyStagingReadOptional}
+	seen := map[string]int{}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sc := randomReadScript(rng)
+		for i := range sc.keys {
+			sc.keys[i] = keys[rng.Intn(len(keys))]
+		}
+		sc.faults = append(sc.faults, hedgeFault{at: rng.Float64() * 5, dur: rng.Float64() * 3, bw: 1, readErr: true})
+		want, _ := play(sc, true)
+		got, res := play(sc, false)
+		if got != want {
+			t.Fatalf("seed %d: ReadOp under the adhoc keys differs from the retry loop\n--- ReadOp\n%s--- loop\n%s", seed, got, want)
+		}
+		for i, r := range res {
+			switch {
+			case r.OK && r.Retries > 0 && sc.keys[i] != KeyStagingReadOptional:
+				seen["mandatory recovered"]++
+			case !r.OK && r.Attempts == 4 && r.Moved == sc.bytes[i]:
+				seen["optional degraded"]++
+			}
+		}
+		if sc.p.RequestLatency == 0 && strings.Contains(got, "retries=1") {
+			seen["zero-latency retry"]++
+		}
+	}
+	for _, k := range []string{"mandatory recovered", "optional degraded", "zero-latency retry"} {
+		if seen[k] == 0 {
+			t.Errorf("no scenario reached %q: %v", k, seen)
+		}
+	}
+}
+
+// plainDone records that a read ended.
+type plainDone struct{ ended int }
+
+func (d *plainDone) TransferDone(*device.Token, error) { d.ended++ }
+
+// TestNilKeyReadIsPlain: a direct row's nil key reads plainly — one
+// infallible, undeadlined read that moves every byte through a read-error
+// fault — whether it ends at issue or is told later.
+func TestNilKeyReadIsPlain(t *testing.T) {
+	for _, lat := range []float64{0, 0.008} {
+		eng := sim.NewEngine()
+		p := device.HDD("hdd")
+		p.RequestLatency = lat
+		dev := device.New(eng, p)
+		dev.SetReadError(true)
+		cg := blkio.NewCgroup("reader")
+		k := NewAdhoc(eng, nil).Key(KeyStagingProbe)
+		if k != nil {
+			t.Fatalf("the adhoc probe row has key %q, want direct", k.Policy().Name)
+		}
+		var op ReadOp
+		var done plainDone
+		if !op.Start(k, dev, cg, 8*mib, &done) {
+			done.ended++
+		}
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		want := ReadResult{OK: true, Attempts: 1, Elapsed: eng.Now(), Moved: 8 * mib}
+		if done.ended != 1 || op.Res != want || dev.TotalBytes() != 8*mib || cg.BytesRead() != 8*mib {
+			t.Fatalf("latency %v: ended %d, %+v (want %+v), device %v, cgroup %v", lat, done.ended, op.Res, want, dev.TotalBytes(), cg.BytesRead())
 		}
 	}
 }

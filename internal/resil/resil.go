@@ -156,6 +156,12 @@ type Policy struct {
 	// parameters; the catalog keeps them uniform per target class.
 	BreakerThreshold int     // consecutive failures before opening
 	BreakerCooldown  float64 // seconds open before a half-open probe
+
+	// ChargeRequest reports a read as the bytes requested over the
+	// operation's wall-clock span, whatever its attempts moved: the
+	// accounting of the adhoc catalog's retry loop, a failed optional
+	// read included (a recorded defect, kept for byte identity).
+	ChargeRequest bool
 }
 
 // catalog is the policy table, one row per KeyID. Mandatory read keys are
@@ -194,6 +200,25 @@ var catalog = [numKeys]Policy{
 		Classify: ClassifyRead, BudgetCap: 32, BudgetRefill: 0.5},
 	KeyTokenWeightApply: {Name: "tokens.weight.apply", MaxAttempts: 1, Factor: 2,
 		Classify: ClassifyWeight, BreakerThreshold: 3, BreakerCooldown: 5},
+}
+
+// adhoc is the catalog of a controller made by NewAdhoc, the recovery of a
+// session given no controller: mandatory reads retry without bound and
+// optional ones four times, backing off 0.05 s doubling to 5 s, with no
+// deadline, budget or breaker, and weight writes make one traced attempt.
+// A row with no name is direct: its Key is nil, so a read is one plain
+// read and a weight one plain write.
+var adhoc = [numKeys]Policy{
+	KeyStagingReadBase: {Name: "adhoc.staging.read.base", Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		Classify: ClassifyRead, ChargeRequest: true},
+	KeyStagingReadCapacity: {Name: "adhoc.staging.read.capacity", Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		Classify: ClassifyRead, ChargeRequest: true},
+	KeyStagingReadOptional: {Name: "adhoc.staging.read.optional", MaxAttempts: 4, Backoff: 0.05, Factor: 2, MaxBackoff: 5,
+		Classify: ClassifyRead, ChargeRequest: true},
+	KeyWeightApply:         {Name: "adhoc.blkio.weight.apply", MaxAttempts: 1, Factor: 2, Classify: ClassifyWeight},
+	KeyCoordWeightApply:    {Name: "adhoc.coord.weight.apply", MaxAttempts: 1, Factor: 2, Classify: ClassifyWeight},
+	KeyPrefetchWeightFloor: {Name: "adhoc.prefetch.weight.floor", MaxAttempts: 1, Factor: 2, Classify: ClassifyWeight},
+	KeyTokenWeightApply:    {Name: "adhoc.tokens.weight.apply", MaxAttempts: 1, Factor: 2, Classify: ClassifyWeight},
 }
 
 // HedgeConfig controls forecast-driven hedged reads.
@@ -248,13 +273,14 @@ func (t Totals) Amplification() float64 {
 	return float64(t.Attempts) / float64(t.Ops)
 }
 
-// Key is one policy's state in its controller: the policy, its retry
+// Key is one policy's state in its controller: its catalog row, its retry
 // budget and its counters. Call sites ask for it by KeyID where they read
 // or write (Controller.Key, an array index). A nil *Key — the key of a nil
-// controller — is the direct path: its Weight is one plain write.
+// controller or of a direct row — is the direct path: its Weight is one
+// plain write and its ReadOp one plain read.
 type Key struct {
 	c      *Controller
-	pol    Policy
+	pol    *Policy
 	bucket bucket
 	stats  KeyStats
 
@@ -266,10 +292,10 @@ type Key struct {
 func (k *Key) Stats() KeyStats { return k.stats }
 
 // Policy returns the key's policy.
-func (k *Key) Policy() Policy { return k.pol }
+func (k *Key) Policy() Policy { return *k.pol }
 
 // setPolicy puts pol on k with a full retry budget.
-func (k *Key) setPolicy(pol Policy) {
+func (k *Key) setPolicy(pol *Policy) {
 	k.pol = pol
 	k.bucket = bucket{cap: pol.BudgetCap, refill: pol.BudgetRefill, tokens: pol.BudgetCap}
 }
@@ -305,22 +331,35 @@ type Controller struct {
 // New creates a controller bound to an engine, with every key of the
 // catalog. It is one allocation: the keys live in the controller.
 func New(eng *sim.Engine, opts Options) *Controller {
-	c := &Controller{
-		eng:   eng,
-		rec:   opts.Trace,
-		hedge: opts.Hedge,
-		node:  bucket{cap: nodeBudget, refill: nodeRefill, tokens: nodeBudget},
-	}
+	c := newController(eng, opts.Trace, &catalog)
+	c.hedge, c.node = opts.Hedge, bucket{cap: nodeBudget, refill: nodeRefill, tokens: nodeBudget}
+	return c
+}
+
+// NewAdhoc creates a controller over the adhoc catalog, with no node-wide
+// retry budget and no hedging: the recovery a session given no controller
+// runs on. Like New it is one allocation.
+func NewAdhoc(eng *sim.Engine, rec *trace.Recorder) *Controller {
+	return newController(eng, rec, &adhoc)
+}
+
+// newController puts each named row of table on its key with a full retry
+// budget; an unnamed row's key stays direct.
+func newController(eng *sim.Engine, rec *trace.Recorder, table *[numKeys]Policy) *Controller {
+	c := &Controller{eng: eng, rec: rec}
 	for id := range c.keys {
-		c.keys[id].c = c
-		c.keys[id].setPolicy(catalog[id])
+		if table[id].Name != "" {
+			c.keys[id].c = c
+			c.keys[id].setPolicy(&table[id])
+		}
 	}
 	return c
 }
 
-// Key returns the controller's key id, or nil on a nil controller.
+// Key returns the controller's key id, or nil on a nil controller or for
+// a direct row.
 func (c *Controller) Key(id KeyID) *Key {
-	if c == nil {
+	if c == nil || c.keys[id].pol == nil {
 		return nil
 	}
 	return &c.keys[id]

@@ -127,7 +127,7 @@ func TestDeadlineCancelsStuckDevice(t *testing.T) {
 func TestTerminalErrorFailsImmediately(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, Options{}).Key(KeyStagingReadOptional)
-	k.setPolicy(Policy{Name: "t", MaxAttempts: 5, Backoff: 0.1, Factor: 2,
+	k.setPolicy(&Policy{Name: "t", MaxAttempts: 5, Backoff: 0.1, Factor: 2,
 		Classify: func(error) Class { return ClassTerminal }})
 	d := device.New(eng, flatParams("hdd", 100))
 	d.SetReadError(true)
@@ -150,7 +150,7 @@ func TestTerminalErrorFailsImmediately(t *testing.T) {
 func TestBudgetPacesMandatoryRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, Options{}).Key(KeyStagingReadCapacity)
-	k.setPolicy(Policy{Name: "m", MaxAttempts: 0, Backoff: 0.01, Factor: 1,
+	k.setPolicy(&Policy{Name: "m", MaxAttempts: 0, Backoff: 0.01, Factor: 1,
 		Classify: ClassifyRead, BudgetCap: 2, BudgetRefill: 0.5})
 	d := device.New(eng, flatParams("hdd", 100))
 	d.SetReadError(true)
@@ -183,7 +183,7 @@ func TestBudgetPacesMandatoryRetries(t *testing.T) {
 func TestBudgetDeniesBoundedRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	k := New(eng, Options{}).Key(KeyStagingReadOptional)
-	k.setPolicy(Policy{Name: "b", MaxAttempts: 10, Backoff: 0.01, Factor: 1,
+	k.setPolicy(&Policy{Name: "b", MaxAttempts: 10, Backoff: 0.01, Factor: 1,
 		Classify: ClassifyRead, BudgetCap: 2, BudgetRefill: 0.001})
 	d := device.New(eng, flatParams("hdd", 100))
 	d.SetReadError(true)

@@ -8,18 +8,6 @@ import (
 	"tango/internal/trace"
 )
 
-// The ad-hoc guarded reads' reaction to transient read errors (see
-// internal/fault). Only OPTIONAL augmentation has a retry budget;
-// mandatory data (the base representation and augmentation the error
-// bound requires) is retried indefinitely, because degradation must
-// never violate the bound.
-const (
-	retryAttempts = 4    // tries per optional segment before the read degrades
-	retryBackoff  = 0.05 // first retry delay, virtual seconds
-	retryFactor   = 2.0  // delay multiplier per attempt
-	retryMax      = 5.0  // delay cap, virtual seconds
-)
-
 // GuardedOutcome reports what a guarded read actually achieved.
 type GuardedOutcome struct {
 	Cursor   int  // absolute cursor reached (== `to` unless degraded)
@@ -28,34 +16,31 @@ type GuardedOutcome struct {
 }
 
 // Op is one read of a store run by engine callbacks, for a caller that
-// embeds it where a blocked process would stand. Every transfer reports
-// to the op and every backoff is its own timer. A method returns false
-// when the read ended inside the call, as a blocked reader carried on at
-// once there; otherwise done hears of the end from the event the blocked
-// reader carried on in. Either way the outcome is TS, and Out for a
-// guarded read.
+// embeds it where a blocked process would stand. Every part is a read
+// through the store's controller (Store.SetResil): a resil.ReadOp, whose
+// transfers and backoffs report to it, or a hedge race. A method returns
+// false when the read ended inside the call, as a blocked reader carried
+// on at once there; otherwise done hears of the end from the event the
+// blocked reader carried on in. Either way the outcome is TS, and Out for
+// a guarded read.
 type Op struct {
 	TS  TierStats
 	Out GuardedOutcome
 
-	s      *Store
-	cg     *blkio.Cgroup
-	done   Done
-	kind   opKind
-	mode   partMode // how the part in flight is read: what ends it
-	needed bool     // the part in flight starts inside the mandatory prefix
+	s    *Store
+	cg   *blkio.Cgroup
+	done Done
+	kind opKind
+	mode partMode // how the part in flight is read: what ends it
 
 	at, to, mandatory int // a range read's next segment start, end and mandatory cursor
 	home              *device.Device
 	parts             [2]segPart // of the segment being read
 	np, pi            int        // its parts, the part in flight
 
-	p                *segPart // the part in flight
-	start, delay     float64  // when it began; ad hoc, the next backoff
-	attempt, retries int
-	tok              device.Token
-	rop              *resil.ReadOp // made at the first key read
-	hedge            *resil.Hedge  // made at the first cached part read through a controller
+	p     *segPart // the part in flight
+	rop   resil.ReadOp
+	hedge *resil.Hedge // made at the first cached part a hedging key may race
 
 	reads []tierRead // a parallel read's tiers, scratch kept across reads
 	left  int        // tiers still reading
@@ -76,8 +61,7 @@ const (
 type partMode uint8
 
 const (
-	modeRetry partMode = iota // the ad-hoc retry loop, or a plain read's one attempt
-	modeKey                   // a resil key's read
+	modeKey   partMode = iota // a resil key's read
 	modeHedge                 // a hedge race, then the wake-up after its last leg
 	modeJoin                  // parallel tiers, then the wake-up after the last
 )
@@ -94,11 +78,10 @@ func (o *Op) ReadBase(s *Store, cg *blkio.Cgroup, done Done) bool {
 // ReadRange is the guarded read of the augmentation cursor range [from,
 // to) under cg, coarse level first. Segments whose entries fall at or
 // below mandatory (the cursor the prescribed error bound requires) are
-// retried until they succeed; optional segments get a bounded number of
-// tries each, after which the read DEGRADES: the remaining optional
-// augmentation is skipped and Out reports the cursor actually reached.
-// With the resilience control plane attached each part is a policy-keyed
-// read, and a cached part may race its home copy (a hedge).
+// read through an unbounded key, retried until they succeed; optional
+// segments through a bounded one, after which the read DEGRADES: the
+// remaining optional augmentation is skipped and Out reports the cursor
+// actually reached. A cached part may race its home copy (a hedge).
 func (o *Op) ReadRange(s *Store, cg *blkio.Cgroup, from, to, mandatory int, done Done) bool {
 	o.begin(s, cg, opRange, done)
 	o.Out.Cursor, o.at, o.to, o.mandatory = from, from, to, mandatory
@@ -147,7 +130,7 @@ func (o *Op) ReadRangeParallel(s *Store, cg *blkio.Cgroup, from, to int, done Do
 }
 
 // Probe reads bytes from the slowest tier, as Store.Probe does, through
-// the staging.probe.capacity key with a controller attached.
+// the store controller's probe key.
 func (o *Op) Probe(s *Store, cg *blkio.Cgroup, bytes float64, done Done) bool {
 	o.begin(s, cg, opProbe, done)
 	o.parts[0], o.np = segPart{dev: s.SlowestDevice(), bytes: bytes}, 1
@@ -199,12 +182,7 @@ func (o *Op) startPart() bool {
 	} else {
 		o.p = &o.parts[o.pi]
 	}
-	o.start, o.needed = o.s.baseDev.Engine().Now(), o.Out.Cursor < o.mandatory
-	if o.kind == opSeq || o.s.rc == nil {
-		o.mode, o.delay, o.attempt, o.retries = modeRetry, retryBackoff, 1, 0
-		return o.try()
-	}
-	if o.kind == opRange && o.p.dev != o.home {
+	if k := o.s.rc.Key(resil.KeyStagingReadHedge); k != nil && o.kind == opRange && o.p.dev != o.home {
 		// A cache-resident prefix is a hedging opportunity: the same
 		// bytes are on the cache device and the level's home tier, so
 		// the controller may race them and cancel the loser.
@@ -212,7 +190,7 @@ func (o *Op) startPart() bool {
 			o.hedge = new(resil.Hedge)
 		}
 		o.mode = modeHedge
-		if o.hedge.Start(o.s.rc.Key(resil.KeyStagingReadHedge), o.p.dev, o.home, o.cg, o.p.bytes, o) {
+		if o.hedge.Start(k, o.p.dev, o.home, o.cg, o.p.bytes, o) {
 			return true
 		}
 	}
@@ -221,49 +199,30 @@ func (o *Op) startPart() bool {
 
 // readKey reads the part through its resil key — unbounded for mandatory
 // data, bounded and degradable for optional augmentation — and reports
-// whether the read is in flight.
+// whether the read is in flight. A parallel read's one tier reads through
+// no key: plain reads.
 func (o *Op) readKey() bool {
-	id := resil.KeyStagingReadBase
+	var k *resil.Key
 	switch {
+	case o.kind == opBase:
+		k = o.s.rc.Key(resil.KeyStagingReadBase)
 	case o.kind == opProbe:
-		id = resil.KeyStagingProbe
-	case o.kind == opRange && o.needed:
-		id = resil.KeyStagingReadCapacity
+		k = o.s.rc.Key(resil.KeyStagingProbe)
+	case o.kind == opRange && o.Out.Cursor < o.mandatory:
+		k = o.s.rc.Key(resil.KeyStagingReadCapacity)
 	case o.kind == opRange:
-		id = resil.KeyStagingReadOptional
-	}
-	if o.rop == nil {
-		o.rop = new(resil.ReadOp)
+		k = o.s.rc.Key(resil.KeyStagingReadOptional)
 	}
 	o.mode = modeKey
-	return o.rop.Start(o.s.rc.Key(id), o.p.dev, o.cg, o.p.bytes, o) || o.ended(nil)
-}
-
-// try issues the part's ad-hoc attempt and reports whether the part is in
-// flight. A parallel read's and a probe's reads are plain: infallible.
-func (o *Op) try() bool {
-	fallible := o.kind == opBase || o.kind == opRange
-	ended, err := o.p.dev.Begin(o.cg, o.p.bytes, false, fallible, &o.tok, 0, o)
-	return !ended || o.ended(err)
+	return o.rop.Start(k, o.p.dev, o.cg, o.p.bytes, o) || o.ended()
 }
 
 // ended takes the part read that ended and reports whether the part is in
-// flight again: an ad-hoc attempt's backoff, or the key read after a race
-// both legs lost. The ad-hoc path charges a part its full bytes whatever
-// the outcome; a probe that moved nothing yields no sample; the base is
-// read until it lands.
-func (o *Op) ended(err error) bool {
-	eng, p := o.s.baseDev.Engine(), o.p
+// flight again: the key read after a race both legs lost. A probe that
+// moved nothing yields no sample; the base is read until it lands.
+func (o *Op) ended() bool {
+	p := o.p
 	switch o.mode {
-	case modeRetry:
-		if err != nil && (o.kind != opRange || o.needed || o.attempt < retryAttempts) {
-			o.retries++
-			o.s.rec.Emit(eng.Now(), o.s.src, trace.KindRecover, "retry dev=%s attempt=%d backoff=%.3fs bytes=%.0f", p.dev.Name(), o.attempt, o.delay, p.bytes)
-			eng.AtCall(eng.Now()+o.delay, o)
-			return true
-		}
-		o.TS.add(p.dev, p.bytes, eng.Now()-o.start)
-		o.partDone(o.retries, err == nil)
 	case modeKey:
 		res := &o.rop.Res
 		if o.kind != opProbe || res.Moved > 0 {
@@ -305,39 +264,28 @@ func (o *Op) partDone(retries int, ok bool) {
 	o.pi++
 }
 
-// TransferDone is the part read in flight ending: a plain read, an ad-hoc
-// attempt, a key read, or a race whose last leg woke the blocked reader
-// from an event, where the op carries on.
-func (o *Op) TransferDone(_ *device.Token, err error) {
+// TransferDone is the part read in flight ending: a key read, or a race
+// whose last leg woke the blocked reader from an event, where the op
+// carries on.
+func (o *Op) TransferDone(*device.Token, error) {
 	if eng := o.s.baseDev.Engine(); o.mode == modeHedge {
 		eng.AtCall(eng.Now(), o)
-	} else if !o.ended(err) {
+	} else if !o.ended() {
 		o.carryOn()
 	}
 }
 
-// Fire ends the op's timer: an ad-hoc backoff, or the wake-up after a
-// race or after the tiers of a parallel read.
+// Fire ends the op's timer: the wake-up after a race or after the tiers of
+// a parallel read.
 func (o *Op) Fire() {
-	switch o.mode {
-	case modeRetry:
-		o.delay = min(o.delay*retryFactor, retryMax)
-		o.attempt++
-		if o.try() {
-			return
-		}
-	case modeHedge:
-		if o.ended(nil) {
-			return
-		}
-	case modeJoin:
+	if o.mode == modeJoin {
 		for i := range o.reads {
 			o.TS.Merge(o.reads[i].ts)
 		}
 		o.done.OpDone()
-		return
+	} else if !o.ended() {
+		o.carryOn()
 	}
-	o.carryOn()
 }
 
 // carryOn goes on from a part that ended: the next part, or done.

@@ -48,10 +48,9 @@ type Store struct {
 	released bool
 	cache    CacheView
 
-	rc *resil.Controller // resilience control plane (nil = ad-hoc retry loops)
-
-	rec *trace.Recorder // the ad-hoc paths' retries and degrades (nil: untraced)
-	src string          // their event source
+	rc  *resil.Controller // what an Op reads through (nil: plain reads)
+	rec *trace.Recorder   // an Op's degrades (nil: untraced)
+	src string            // their event source
 }
 
 // SetCache attaches a fast-tier cache to the augmentation read paths:
@@ -59,16 +58,17 @@ type Store struct {
 // the level's home tier. Pass nil to detach.
 func (s *Store) SetCache(c CacheView) { s.cache = c }
 
-// SetTrace records the ad-hoc guarded reads' recovery actions (retries,
-// degrades) to rec under source; nil leaves them untraced.
+// SetTrace records an Op's degrades to rec under source; nil leaves them
+// untraced. The controller traces its own retries.
 func (s *Store) SetTrace(rec *trace.Recorder, source string) { s.rec, s.src = rec, source }
 
-// SetResil routes the guarded reads and the probe of an Op through the
-// resilience control plane: per-attempt deadlines, classified retries,
+// SetResil routes the guarded reads and the probe of an Op through rc's
+// keys: under resil.New per-attempt deadlines, classified retries,
 // budgets, breakers, and — when the controller enables it — hedged reads
-// racing a cache-resident prefix against its capacity-tier home copy.
-// A store SetResil was never called on keeps its ad-hoc retry loop. The
-// blocking ReadBase, ReadRange and Probe ignore the controller.
+// racing a cache-resident prefix against its capacity-tier home copy;
+// under resil.NewAdhoc fixed unbudgeted retries and a plain probe. A
+// store SetResil was never called on reads plainly. The blocking
+// ReadBase, ReadRange and Probe ignore the controller.
 func (s *Store) SetResil(rc *resil.Controller) { s.rc = rc }
 
 // Stage places h across the given tiers (fastest first, as returned by

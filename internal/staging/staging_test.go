@@ -8,6 +8,7 @@ import (
 	"tango/internal/blkio"
 	"tango/internal/device"
 	"tango/internal/refactor"
+	"tango/internal/resil"
 	"tango/internal/sim"
 	"tango/internal/tensor"
 )
@@ -487,7 +488,8 @@ func TestSegmentPartsSplitsAtCachePrefix(t *testing.T) {
 
 // TestGuardedReadsSteadyStateZeroAlloc: the per-step reads keep their
 // stats, segments and tier reads in the Op's scratch, so untraced they
-// allocate nothing once warm, cache attached or not.
+// allocate nothing once warm, cache attached or not, reading plainly or
+// through an adhoc controller's keys.
 func TestGuardedReadsSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	ssd, hdd := twoTier(eng)
@@ -512,19 +514,22 @@ func TestGuardedReadsSteadyStateZeroAlloc(t *testing.T) {
 		{"Probe", func(p *sim.Proc) { sink = w.wait(w.op.Probe(s, cg, device.MB, w)) }},
 		{"ReadRangeParallel", func(p *sim.Proc) { sink = w.wait(w.op.ReadRangeParallel(s, cg, 0, total, w)) }},
 	}
-	for _, cv := range []CacheView{nil, &stubCache{dev: ssd, prefix: h.LevelEntries(0) / 2}} {
-		s.SetCache(cv)
-		eng.Spawn("reader", func(p *sim.Proc) {
-			w.p = p
-			for _, op := range ops {
-				op.fn(p) // warm the device's flow and event freelists
-				if allocs := testing.AllocsPerRun(64, func() { op.fn(p) }); allocs != 0 {
-					t.Errorf("%s (cache %v): %.1f allocs/op, want 0", op.name, cv != nil, allocs)
+	for _, rc := range []*resil.Controller{nil, resil.NewAdhoc(eng, nil)} {
+		s.SetResil(rc)
+		for _, cv := range []CacheView{nil, &stubCache{dev: ssd, prefix: h.LevelEntries(0) / 2}} {
+			s.SetCache(cv)
+			eng.Spawn("reader", func(p *sim.Proc) {
+				w.p = p
+				for _, op := range ops {
+					op.fn(p) // warm the device's flow and event freelists
+					if allocs := testing.AllocsPerRun(64, func() { op.fn(p) }); allocs != 0 {
+						t.Errorf("%s (cache %v, controller %v): %.1f allocs/op, want 0", op.name, cv != nil, rc != nil, allocs)
+					}
 				}
+			})
+			if err := eng.RunAll(); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err := eng.RunAll(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	if b, _ := sink.Total(); b == 0 {

@@ -2,14 +2,16 @@
 # Allocation ceilings over a `make bench` log (default perf-bench.txt). Reads
 # the file, runs nothing. allocs_per_unit and alloc_kb_per_unit spread
 # < 0.3 % run to run, so unlike the timings a hard ceiling means something
-# on a shared runner. Objects sit ~5 % above what the workload allocates
-# (node_quiet 0.1810, node_faulted 0.8603, fleet 0.2674, refactor 0.000866 at
+# on a shared runner. Objects sit ~4-5 % above what the workload allocates
+# (node_quiet 0.1826, node_faulted 0.8561, fleet 0.2674, refactor 0.000866 at
 # seed 42): every figure is set-up — per scenario on node_*, per session on
 # fleet — so one object per step or per session that creeps back trips them.
 # Bytes were set 2 % above 0.31122, 0.52696, 0.10944 and 0.22064 KiB: what a
 # chunk policy that trades objects for half-filled chunks moves first. The
-# session's step state and its callback reads live on the session now
-# (0.31193 and 0.53078 KiB on node_quiet and node_faulted), inside them.
+# session's step state and its callback reads live on the session now, and
+# a session given no controller reads through its node's adhoc controller
+# (one 2 KiB object per node): 0.31547 and 0.53329 KiB on node_quiet and
+# node_faulted, inside them.
 # fleet holds a step op per step in flight, and its step starts queue one
 # calendar slot per node instead of an event each (0.2832 objects and
 # 0.11276 KiB before).
