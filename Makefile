@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check fuzz bench bench-allocs bench-digests bench-record suite suite-check loc loc-check clean
+.PHONY: all build vet lint lint-json race test check fuzz bench bench-allocs bench-digests bench-record bench-pairs suite suite-check loc loc-check clean
 
 all: build
 
@@ -66,6 +66,17 @@ bench-digests:
 # runs nothing). Timings are recorded there, not gated.
 bench-record:
 	sh scripts/bench-record.sh perf-bench.txt perf-history.jsonl
+
+# Paired timing against revision BASE: N runs of each side per workload,
+# alternating which goes first, appended to perf-history.jsonl as one
+# {"kind":"pair"} line per workload and metric (scripts/bench-pairs.sh;
+# label a dirty tree with CHANGE=<label>). A perf claim quotes these lines.
+# N and WORKLOADS count only when given on the command line; the script
+# owns their defaults (10 pairs, all four workloads).
+cmdline = $(if $(filter command,$(origin $1)),$($1))
+
+bench-pairs:
+	sh scripts/bench-pairs.sh "$(BASE)" "$(call cmdline,N)" "$(call cmdline,WORKLOADS)"
 
 # The behaviour gate: the CI-scale experiment suite must be byte-identical
 # to the committed baseline (the simulator is bit-deterministic at every

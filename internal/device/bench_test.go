@@ -65,3 +65,41 @@ func BenchmarkReshapeChurn(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// fanInReader is one cgroup's reader made of callbacks: the end of each
+// transfer starts the next, until its budget runs out.
+type fanInReader struct {
+	d    *Device
+	cg   *blkio.Cgroup
+	tok  Token
+	left int
+}
+
+func (r *fanInReader) TransferDone(*Token, error) { r.next() }
+
+func (r *fanInReader) next() {
+	if r.left > 0 {
+		r.left--
+		r.d.Start(r.cg, 4*MB, false, &r.tok, r)
+	}
+}
+
+// BenchmarkServiceLoopFanIn is fleet's tail at one device: 16 cgroups with
+// a flow each, kept busy through Start callbacks with no process, so every
+// reshape spans 15 or 16 flows and no coroutine switch is timed. Reported
+// per request.
+func BenchmarkServiceLoopFanIn(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	d := New(eng, HDD("hdd"))
+	readers := make([]fanInReader, 16)
+	for j := range readers {
+		cg := blkio.NewCgroup(fmt.Sprintf("cg%d", j))
+		cg.SetWeight(100 + 50*j)
+		readers[j] = fanInReader{d: d, cg: cg, left: b.N/len(readers) + 1}
+		readers[j].next()
+	}
+	if err := eng.RunAll(); err != nil {
+		b.Fatal(err)
+	}
+}

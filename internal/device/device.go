@@ -164,7 +164,7 @@ type flow struct {
 	canceled bool // aborted via Token.Cancel; issuer observes and recycles
 	fallible bool // check readErr at issue time
 	failed   bool // read error observed at issue time
-	gi       int  // reshape scratch: index into Device.groups
+	gi       int  // index of the flow's group in Device.groups, from issue to drain
 }
 
 // Fire is the flow as its own sim.Callback, carrying the per-transfer
@@ -190,17 +190,18 @@ func (f *flow) deadline() float64 {
 	return f.tok.deadline
 }
 
-// wfGroup is reshape scratch: one (cgroup, direction) aggregation used by
-// the water-filling pass. Held in a reusable slice on the Device so the
-// per-request service loop does not allocate.
+// wfGroup is one (cgroup, direction) aggregation of the active flows. A
+// flow joins its group at issue and a drain rebuilds the table (see
+// Device.groups); every reshape reads a group's weight and cap afresh and
+// water-fills it again.
 type wfGroup struct {
-	cg      *blkio.Cgroup
-	write   bool
-	weight  float64
-	cap     float64 // 0 = unlimited
-	alloc   float64
-	perFlow float64 // alloc / nflows, hoisted out of the per-flow loop
-	nflows  int
+	cg     *blkio.Cgroup
+	write  bool
+	fixed  bool // water-filling: capped, its alloc is its cap
+	weight float64
+	cap    float64 // 0 = unlimited
+	alloc  float64
+	nflows int
 }
 
 // Device is a simulated shared block device. All methods must be called
@@ -222,13 +223,13 @@ type Device struct {
 	wrappedReadErr   error
 	wrappedCancelErr error
 
-	flowFree  []*flow   // recycled flow structs
-	deadlined int       // active flows with a deadline; 0 keeps the scan and the expiry off the fault-free path
-	groups    []wfGroup // reshape scratch: groups in first-appearance order
-	wfActive  []int     // reshape scratch: water-filling round (group indices)
-	wfNext    []int     // reshape scratch: next round
-	wfCapped  []int     // reshape scratch: groups capped this round
-	effMemo   []float64 // Efficiency(n) memo, indexed by n
+	flowFree  []*flow // recycled flow structs
+	deadlined int     // active flows with a deadline; 0 keeps the scan and the expiry off the fault-free path
+	// groups holds the active flows' groups in the order of each group's
+	// oldest flow, the order the water-filling sums in: a new group goes
+	// last, and a drain rebuilds the table from the flows.
+	groups  []wfGroup
+	effMemo []float64 // Efficiency(n) memo, indexed by n
 
 	// Injected degradation (see internal/fault): bwFactor scales the
 	// delivered bandwidth (1 = healthy, 0 = stuck device), extraLatency
@@ -427,7 +428,7 @@ func (d *Device) Used() float64 { return d.used }
 //
 // The request path (transfer → reshape → water-filling) is the device
 // service loop; tangolint's hotpath analyzer verifies it allocates only
-// through the flow freelist (BenchmarkDeviceServiceLoop).
+// through the flow freelist (BenchmarkServiceLoop{1Flow,4Flows,8Flows}).
 //
 //tango:hotpath
 func (d *Device) Read(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
@@ -688,8 +689,25 @@ func (d *Device) issue(f *flow) (ended bool) {
 	}
 	d.advance()
 	d.flows = append(d.flows, f)
+	d.join(f)
 	d.reshape()
 	return false
+}
+
+// join adds f to its (cgroup, direction) group, a new one going last.
+// Groups are keyed by cgroup identity (not name): distinct cgroups that
+// happen to share a name still schedule independently. The group count is
+// small, so a linear scan beats a map.
+func (d *Device) join(f *flow) {
+	for j := range d.groups {
+		if g := &d.groups[j]; g.cg == f.cg && g.write == f.write {
+			g.nflows++
+			f.gi = j
+			return
+		}
+	}
+	d.groups = append(d.groups, wfGroup{cg: f.cg, write: f.write, nflows: 1})
+	f.gi = len(d.groups) - 1
 }
 
 // newFlow takes a zeroed struct off the freelist or allocates one.
@@ -750,98 +768,52 @@ func (d *Device) reshape() {
 	if d.p.Scheduler == FIFO {
 		// Head-of-line service: the oldest flow gets the full single-
 		// stream bandwidth, everyone else waits.
-		for i, f := range d.flows {
-			if i == 0 {
-				f.rate = d.p.PeakBandwidth * d.bwFactor * d.share
-			} else {
-				f.rate = 0
-			}
+		for _, f := range d.flows {
+			f.rate = 0
 		}
+		d.flows[0].rate = d.p.PeakBandwidth * d.bwFactor * d.share
 		d.scheduleCompletion()
 		return
 	}
-	total := d.EffectiveBandwidth(n)
-
-	// Group flows by (cgroup, direction): the kernel throttles read and
-	// write bytes separately per cgroup, and weight applies per cgroup.
-	// Groups are built in flow-id order so every run allocates identically,
-	// and keyed by cgroup identity (not name): distinct cgroups that happen
-	// to share a name still schedule independently. The group slice and the
-	// water-filling index slices are reusable scratch — the group count is
-	// small, so a linear membership scan beats a per-call map.
-	d.groups = d.groups[:0]
-	for _, f := range d.flows {
-		gi := -1
-		for j := range d.groups {
-			if d.groups[j].cg == f.cg && d.groups[j].write == f.write {
-				gi = j
-				break
-			}
-		}
-		if gi < 0 {
-			cap := f.cg.ReadBpsLimit()
-			if f.write {
-				cap = f.cg.WriteBpsLimit()
-			}
-			d.groups = append(d.groups, wfGroup{
-				cg: f.cg, write: f.write,
-				weight: float64(f.cg.Weight()), cap: cap,
-			})
-			gi = len(d.groups) - 1
-		}
-		d.groups[gi].nflows++
-		f.gi = gi
-	}
-
-	// Water-filling: proportional-by-weight allocation with per-group caps;
-	// capped groups' excess is redistributed among uncapped groups. Each
-	// round classifies against the round's starting `remaining`, then
-	// subtracts the caps in group order — the float operation order is part
-	// of the determinism contract.
-	cur := d.wfActive[:0]
+	// Water-filling: proportional-by-weight allocation with per-group caps
+	// (the kernel throttles read and write bytes separately per cgroup);
+	// capped groups' excess is redistributed among the rest. Each round
+	// classifies against the round's starting remaining and subtracts the
+	// caps in group order — the float operation order is part of the
+	// determinism contract. With no binding cap it is one round.
+	remaining := d.EffectiveBandwidth(n)
+	var sumW float64
 	for j := range d.groups {
-		cur = append(cur, j)
+		g := &d.groups[j]
+		g.weight, g.cap, g.fixed = float64(g.cg.Weight()), g.cg.ReadBpsLimit(), false
+		if g.write {
+			g.cap = g.cg.WriteBpsLimit()
+		}
+		sumW += g.weight
 	}
-	nxt := d.wfNext[:0]
-	capped := d.wfCapped[:0]
-	remaining := total
-	for len(cur) > 0 && remaining > 1e-9 {
-		var sumW float64
-		for _, j := range cur {
-			sumW += d.groups[j].weight
-		}
-		if sumW <= 0 {
-			break
-		}
-		capped = capped[:0]
-		nxt = nxt[:0]
-		for _, j := range cur {
+	settled := false
+	for !settled && remaining > 1e-9 && sumW > 0 {
+		start, next := remaining, 0.0
+		settled = true
+		for j := range d.groups {
 			g := &d.groups[j]
-			tent := remaining * g.weight / sumW
-			if g.cap > 0 && tent >= g.cap {
-				capped = append(capped, j)
+			if g.fixed {
+				continue
+			}
+			if g.alloc = start * g.weight / sumW; g.cap > 0 && g.alloc >= g.cap {
+				g.alloc, g.fixed, settled = g.cap, true, false
+				remaining -= g.cap
 			} else {
-				nxt = append(nxt, j)
+				next += g.weight
 			}
 		}
-		if len(capped) == 0 {
-			for _, j := range cur {
-				g := &d.groups[j]
-				g.alloc = remaining * g.weight / sumW
-			}
-			break
-		}
-		for _, j := range capped {
-			g := &d.groups[j]
-			g.alloc = g.cap
-			remaining -= g.cap
-		}
-		if remaining < 0 {
-			remaining = 0
-		}
-		cur, nxt = nxt, cur
+		remaining, sumW = max(remaining, 0), next
 	}
-	d.wfActive, d.wfNext, d.wfCapped = cur[:0], nxt[:0], capped[:0]
+	for j := 0; !settled && j < len(d.groups); j++ {
+		if g := &d.groups[j]; !g.fixed {
+			g.alloc = 0 // the bandwidth ran out first
+		}
+	}
 
 	// Within a group, CFQ services flows round-robin: equal split.
 	// Write flows stream at WriteFactor of their allocated rate.
@@ -849,16 +821,10 @@ func (d *Device) reshape() {
 	if wf == 0 {
 		wf = 1
 	}
-	for j := range d.groups {
-		g := &d.groups[j]
-		g.perFlow = g.alloc / float64(g.nflows)
-	}
 	for _, f := range d.flows {
-		per := d.groups[f.gi].perFlow
-		if f.write {
-			f.rate = per * wf
-		} else {
-			f.rate = per
+		g := &d.groups[f.gi]
+		if f.rate = g.alloc / float64(g.nflows); f.write {
+			f.rate *= wf
 		}
 	}
 	d.scheduleCompletion()
@@ -889,7 +855,8 @@ func (d *Device) scheduleCompletion() {
 	}
 }
 
-// completeDrained drops the drained and the cancelled from the active set.
+// completeDrained drops the drained and the cancelled from the active set
+// and their groups, keeping the group order (see Device.groups).
 func (d *Device) completeDrained() {
 	kept := d.flows[:0]
 	for _, f := range d.flows {
@@ -914,10 +881,19 @@ func (d *Device) completeDrained() {
 			d.deadlined--
 		}
 	}
+	if len(kept) == len(d.flows) {
+		return
+	}
 	for i := len(kept); i < len(d.flows); i++ {
 		d.flows[i] = nil
 	}
+	// A drained flow may have been its group's last or its oldest, so the
+	// table is rebuilt in first-appearance order.
 	d.flows = kept
+	d.groups = d.groups[:0]
+	for _, f := range d.flows {
+		d.join(f)
+	}
 }
 
 func (d *Device) cancelTimer() {

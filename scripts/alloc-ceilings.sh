@@ -3,7 +3,7 @@
 # the file, runs nothing. allocs_per_unit and alloc_kb_per_unit spread
 # < 0.3 % run to run, so unlike the timings a hard ceiling means something
 # on a shared runner. Objects sit ~4-5 % above what the workload allocates
-# (node_quiet 0.1826, node_faulted 0.8561, fleet 0.2674, refactor 0.000866 at
+# (node_quiet 0.1693, node_faulted 0.7991, fleet 0.2458, refactor 0.000866 at
 # seed 42): every figure is set-up — per scenario on node_*, per session on
 # fleet — so one object per step or per session that creeps back trips them.
 # Bytes were set 2 % above 0.31122, 0.52696, 0.10944 and 0.22064 KiB: what a
@@ -14,9 +14,12 @@
 # node_faulted, inside them.
 # fleet holds a step op per step in flight, and its step starts queue one
 # calendar slot per node instead of an event each (0.2832 objects and
-# 0.11276 KiB before).
-awk -v objs='node_quiet=0.190 node_faulted=0.903 fleet=0.281 refactor=0.00091' \
-    -v kib='node_quiet=0.3175 node_faulted=0.538 fleet=0.1117 refactor=0.2251' '
+# 0.11276 KiB before). A device keeps its flow groups from issue to drain
+# and water-fills in place, with no index slices to grow (0.1826, 0.8561
+# and 0.2674 objects and fleet's 0.10801 KiB before; fleet's bytes now
+# 0.10620).
+awk -v objs='node_quiet=0.178 node_faulted=0.839 fleet=0.258 refactor=0.00091' \
+    -v kib='node_quiet=0.3175 node_faulted=0.538 fleet=0.1083 refactor=0.2251' '
 function limits(list, metric,    n, kv, p, i) {
 	n = split(list, kv, " ")
 	for (i = 1; i <= n; i++) { split(kv[i], p, "="); max[metric, p[1]] = p[2] }
