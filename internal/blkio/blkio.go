@@ -247,8 +247,14 @@ func (ctl *Controller) MustCreate(name string) *Cgroup {
 	return cg
 }
 
+// Grow makes room for n more cgroups, so neither the registry nor its
+// slab grows one cgroup at a time while they arrive.
+func (ctl *Controller) Grow(n int) {
+	if len(ctl.groups) == 0 {
+		ctl.groups = make(map[string]*Cgroup, n)
+	}
+	ctl.slab.Grow(n)
+}
+
 // Lookup returns the named cgroup, or nil.
 func (ctl *Controller) Lookup(name string) *Cgroup { return ctl.groups[name] }
-
-// Remove deletes the named cgroup from the registry.
-func (ctl *Controller) Remove(name string) { delete(ctl.groups, name) }

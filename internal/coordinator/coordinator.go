@@ -23,6 +23,7 @@ package coordinator
 
 import (
 	"fmt"
+	"slices"
 
 	"tango/internal/blkio"
 	"tango/internal/resil"
@@ -77,6 +78,15 @@ func (a *Allocator) Attach(name string, cg *blkio.Cgroup) error {
 	a.entries[name] = e
 	a.list = append(a.list, e)
 	return nil
+}
+
+// Grow makes room for n more attached sessions.
+func (a *Allocator) Grow(n int) {
+	if len(a.entries) == 0 {
+		a.entries = make(map[string]*entry, n)
+	}
+	a.list = slices.Grow(a.list, n)
+	a.slab.Grow(n)
 }
 
 // SetTrace does nothing: the allocator's weight writes are traced by the
@@ -255,12 +265,8 @@ func (a *Allocator) Detach(name string) {
 	e, ok := a.entries[name]
 	if ok {
 		delete(a.entries, name)
-		for i, x := range a.list {
-			if x == e {
-				a.list = append(a.list[:i], a.list[i+1:]...)
-				break
-			}
-		}
+		i := slices.Index(a.list, e)
+		a.list = slices.Delete(a.list, i, i+1)
 		if e.active {
 			a.deactivate(e)
 		}
@@ -308,7 +314,3 @@ func (a *Allocator) apply() {
 	}
 	a.targets = a.targets[:0]
 }
-
-// Active reports how many sessions are currently retrieving. The count
-// is maintained incrementally; no sweep.
-func (a *Allocator) Active() int { return a.active }

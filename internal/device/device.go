@@ -26,9 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"tango/internal/blkio"
 	"tango/internal/sim"
+	"tango/internal/slab"
 )
 
 // ErrRead is returned by TryRead while a transient read-error fault is
@@ -41,6 +43,17 @@ var ErrRead = errors.New("device: transient read error")
 // other leg won). The bytes actually moved before the cancel are
 // accounted to the cgroup and reported by Token.Moved.
 var ErrCanceled = errors.New("device: transfer canceled")
+
+// devError is a device's ErrRead or ErrCanceled under the text
+// fmt.Errorf("device %q: %w") gives it, spelled once at New: TryRead and
+// a cancel return it, and Error() builds nothing.
+type devError struct {
+	msg string
+	err error
+}
+
+func (e *devError) Error() string { return e.msg }
+func (e *devError) Unwrap() error { return e.err }
 
 // Scheduler selects how concurrent flows share the device.
 type Scheduler int
@@ -146,10 +159,10 @@ func (p Params) validate() error {
 	return nil
 }
 
-// flow is one in-flight request stream. Structs are recycled through the
-// device's freelist by finish, once the flow has ended and the device
-// holds no reference to it. It fills the 80-byte size class exactly and
-// a fleet holds ~100 k: new per-transfer state goes on Token instead.
+// flow is one in-flight request stream. Structs come from the device's
+// slab and are recycled through its freelist by finish, once the flow has
+// ended and the device holds no reference to it. A fleet holds ~100 k, 80
+// bytes each: new per-transfer state goes on Token instead.
 type flow struct {
 	id       int64
 	d        *Device // owning device, for the Fire callback
@@ -162,7 +175,7 @@ type flow struct {
 	write    bool
 	done     bool
 	canceled bool // aborted via Token.Cancel; issuer observes and recycles
-	fallible bool // check readErr at issue time
+	fallible bool // check failReads at issue time
 	failed   bool // read error observed at issue time
 	gi       int  // index of the flow's group in Device.groups, from issue to drain
 }
@@ -216,27 +229,22 @@ type Device struct {
 	timer      sim.Timer
 	onTimer    func() // cached completion callback; one alloc per device
 
-	// wrappedReadErr is the "device %q: ErrRead" chain TryRead returns,
-	// built once at construction so the fallible read path does not call
-	// fmt.Errorf per request. wrappedCancelErr is the same idiom for
-	// ErrCanceled on the cancellable path.
-	wrappedReadErr   error
-	wrappedCancelErr error
+	readErr, cancelErr devError // what a failed and a cancelled transfer return
 
-	flowFree  []*flow // recycled flow structs
-	deadlined int     // active flows with a deadline; 0 keeps the scan and the expiry off the fault-free path
+	flowFree  []*flow           // recycled flow structs
+	flowSlab  slab.Chunks[flow] // where a freelist miss takes its flow from
+	deadlined int               // active flows with a deadline; 0 keeps the scan and the expiry off the fault-free path
 	// groups holds the active flows' groups in the order of each group's
 	// oldest flow, the order the water-filling sums in: a new group goes
 	// last, and a drain rebuilds the table from the flows.
-	groups  []wfGroup
-	effMemo []float64 // Efficiency(n) memo, indexed by n
+	groups []wfGroup
 
 	// Injected degradation (see internal/fault): bwFactor scales the
 	// delivered bandwidth (1 = healthy, 0 = stuck device), extraLatency
-	// adds to the per-request cost, and readErr makes TryRead fail.
+	// adds to the per-request cost, and failReads makes TryRead fail.
 	bwFactor     float64
 	extraLatency float64
-	readErr      bool
+	failReads    bool
 
 	// share is an externally managed bandwidth share in (0,1]: the
 	// fraction of the device a cluster-level allocator grants this node
@@ -271,8 +279,9 @@ func New(eng *sim.Engine, p Params) *Device {
 		}
 		d.reshape()
 	}
-	d.wrappedReadErr = fmt.Errorf("device %q: %w", p.Name, ErrRead)
-	d.wrappedCancelErr = fmt.Errorf("device %q: %w", p.Name, ErrCanceled)
+	name := strconv.Quote(p.Name)
+	d.readErr = devError{"device " + name + ": " + ErrRead.Error(), ErrRead}
+	d.cancelErr = devError{"device " + name + ": " + ErrCanceled.Error(), ErrCanceled}
 	return d
 }
 
@@ -298,28 +307,12 @@ func (d *Device) BusyTime() float64 {
 	return d.busyTime
 }
 
-// Efficiency returns eff(n) for n concurrent flows. Values are memoized
-// per flow count (the parameters are immutable after New), so the per-
-// reshape cost is an indexed load.
+// Efficiency returns eff(n) for n concurrent flows.
 func (d *Device) Efficiency(n int) float64 {
 	if n <= 1 {
 		return 1
 	}
-	if n < len(d.effMemo) {
-		if v := d.effMemo[n]; v != 0 {
-			return v
-		}
-	} else if n <= 1024 {
-		// Doubling: a node's flow count creeps up by one per new arrival.
-		grown := make([]float64, max(n+1, min(2*len(d.effMemo), 1025)))
-		copy(grown, d.effMemo)
-		d.effMemo = grown
-	}
-	eff := math.Max(1/(1+d.p.SeekThrash*float64(n-1)), d.p.MinEfficiency)
-	if n < len(d.effMemo) {
-		d.effMemo[n] = eff
-	}
-	return eff
+	return math.Max(1/(1+d.p.SeekThrash*float64(n-1)), d.p.MinEfficiency)
 }
 
 // EffectiveBandwidth returns the aggregate bandwidth the device delivers
@@ -380,10 +373,10 @@ func (d *Device) Faulted() bool { return d.bwFactor != 1 || d.extraLatency != 0 
 // pays the request latency and then fails without transferring. Read and
 // Write are unaffected (writes land in the page cache; the fault models a
 // read path returning EIO).
-func (d *Device) SetReadError(fail bool) { d.readErr = fail }
+func (d *Device) SetReadError(fail bool) { d.failReads = fail }
 
 // ReadErrorActive reports whether read errors are being injected.
-func (d *Device) ReadErrorActive() bool { return d.readErr }
+func (d *Device) ReadErrorActive() bool { return d.failReads }
 
 // Reserve accounts bytes of staged capacity on the device. It returns an
 // error if the device would exceed its capacity; staging planners use this
@@ -598,9 +591,9 @@ func (d *Device) finish(f *flow) error {
 	var err error
 	switch {
 	case f.canceled:
-		moved, err = math.Max(f.bytes-f.bytesRem, 0), d.wrappedCancelErr
+		moved, err = math.Max(f.bytes-f.bytesRem, 0), &d.cancelErr
 	case f.failed:
-		moved, err = 0, d.wrappedReadErr
+		moved, err = 0, &d.readErr
 	}
 	cg, write, tok := f.cg, f.write, f.tok
 	*f = flow{}
@@ -669,7 +662,7 @@ func (d *Device) issue(f *flow) (ended bool) {
 	switch {
 	case f.tok != nil && (f.tok.pre || f.deadline() <= d.eng.Now()):
 		f.canceled = true
-	case f.fallible && d.readErr:
+	case f.fallible && d.failReads:
 		f.failed = true
 		f.done = true
 	case f.bytes == 0:
@@ -710,7 +703,7 @@ func (d *Device) join(f *flow) {
 	f.gi = len(d.groups) - 1
 }
 
-// newFlow takes a zeroed struct off the freelist or allocates one.
+// newFlow takes a zeroed struct off the freelist or from the flow slab.
 func (d *Device) newFlow() *flow {
 	if n := len(d.flowFree); n > 0 {
 		f := d.flowFree[n-1]
@@ -718,7 +711,7 @@ func (d *Device) newFlow() *flow {
 		d.flowFree = d.flowFree[:n-1]
 		return f
 	}
-	return new(flow)
+	return d.flowSlab.Next()
 }
 
 // Touch forces a share recomputation at the current instant; cgroup
@@ -884,9 +877,7 @@ func (d *Device) completeDrained() {
 	if len(kept) == len(d.flows) {
 		return
 	}
-	for i := len(kept); i < len(d.flows); i++ {
-		d.flows[i] = nil
-	}
+	clear(d.flows[len(kept):])
 	// A drained flow may have been its group's last or its oldest, so the
 	// table is rebuilt in first-appearance order.
 	d.flows = kept

@@ -19,9 +19,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"tango/internal/workload"
@@ -192,7 +193,7 @@ func (p *Plan) Validate() error {
 func (p *Plan) Sorted() []Event {
 	out := make([]Event, len(p.Events))
 	copy(out, p.Events)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	return out
 }
 

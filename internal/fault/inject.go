@@ -2,11 +2,13 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tango/internal/blkio"
 	"tango/internal/container"
 	"tango/internal/device"
+	"tango/internal/sim"
 	"tango/internal/trace"
 	"tango/internal/workload"
 )
@@ -31,6 +33,7 @@ type Injector struct {
 	plan    *Plan
 	handles map[string]*workload.Handle
 	armed   bool
+	cal     sim.Calendar // the plan's timers: one event slot for them all
 
 	active     map[string][]deviceFault // device name -> open windows
 	weightFail map[string]int           // cgroup name -> open windows
@@ -84,11 +87,12 @@ func (in *Injector) RegisterNoise(handles map[string]*workload.Handle) {
 	}
 }
 
-// Arm schedules every plan event on the node's engine. Device targets
-// are validated eagerly; cgroup and interferer targets are resolved at
-// fire time (sessions attach after arming), and a still-missing target
-// skips the event with a recorded "skip" fault event. Arm may be called
-// once.
+// Arm schedules every plan event on the node's engine, as one calendar
+// (a clearance is armed on its own once its fault is injected). Device
+// targets are validated eagerly; cgroup and interferer targets are
+// resolved at fire time (sessions attach after arming), and a
+// still-missing target skips the event with a recorded "skip" fault
+// event. Arm may be called once.
 func (in *Injector) Arm() error {
 	if in.armed {
 		return fmt.Errorf("fault: injector already armed")
@@ -104,11 +108,13 @@ func (in *Injector) Arm() error {
 	in.armed = true
 	eng := in.node.Engine()
 	timers := make([]timer, len(in.plan.Events))
+	in.cal.Reset(eng, len(timers))
 	for i, e := range in.plan.Sorted() {
 		t := &timers[i]
 		*t = timer{in: in, id: i, e: e}
-		eng.AtCall(e.At, t)
+		in.cal.Add(e.At, t)
 	}
+	in.cal.Arm()
 	return nil
 }
 
@@ -196,13 +202,13 @@ func (in *Injector) clear(t *timer) {
 		t.cg.SetWriteBpsLimit(t.prevW)
 	default:
 		format = "clear id=%d kind=%s dev=%s"
-		open := in.active[e.Target][:0]
-		for _, f := range in.active[e.Target] {
-			if f.id != t.id {
-				open = append(open, f)
+		open := in.active[e.Target]
+		for i, f := range open {
+			if f.id == t.id {
+				in.active[e.Target] = slices.Delete(open, i, i+1)
+				break
 			}
 		}
-		in.active[e.Target] = open
 		in.applyDeviceState(in.node.Device(e.Target))
 	}
 	in.record(&in.cleared, t, format)

@@ -36,9 +36,11 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"tango/internal/container"
 	"tango/internal/coordinator"
@@ -183,6 +185,7 @@ type node struct {
 
 	sessions []*session // owned sessions, id-sorted once sortTouched has run
 	unsorted bool       // attach appended since the last sort
+	arrivals int        // sessions place has picked this node for, not yet attached
 	load     float64    // Σ session step-cost (placement score term)
 
 	alive     bool
@@ -191,6 +194,7 @@ type node struct {
 	// measured mirrors the current epoch's measured flag (set at the head
 	// of the window, read by the steps it arms).
 	measured bool
+	err      error // the engine's error at the end of the last window
 
 	steps  sim.Calendar        // this epoch's step starts: one event slot
 	ops    []*stepOp           // ops of finished steps, taken again at a step instant
@@ -228,7 +232,7 @@ type Cluster struct {
 
 	demandScratch []float64
 	heap          placer
-	tasks         []*runpool.Task[error] // per-epoch window tasks, reused
+	tasks         []*runpool.Task[struct{}] // per-epoch window tasks, one per worker, reused
 	// topoDirty is set when the alive set changes (kill, revive) and
 	// cleared once settle has fully rebalanced: in a steady no-fault run
 	// settle never fires and migrations stay at zero.
@@ -259,7 +263,6 @@ func New(cfg Config) (*Cluster, error) {
 		killEpoch:  -1,
 		violByNode: make([]int, cfg.Nodes),
 		epochMBps:  make([]float64, 0, cfg.Epochs),
-		tasks:      make([]*runpool.Task[error], 0, cfg.Nodes),
 	}
 	if cfg.Plan != nil {
 		c.planApplied = make([]bool, len(cfg.Plan.Events))
@@ -362,7 +365,6 @@ func (c *Cluster) Run() (*Report, error) {
 // commits a step at its step instant.
 func (c *Cluster) epoch(e int, arm func(nd *node, t float64, s *session)) error {
 	t0 := float64(e) * epochSec
-	end := t0 + epochSec
 
 	// ---- barrier: cluster mutation, node-index order ----
 	c.applyPlan(e, t0)
@@ -373,19 +375,28 @@ func (c *Cluster) epoch(e int, arm func(nd *node, t float64, s *session)) error 
 	measured := e >= c.warm
 
 	// ---- parallel: per-node windows, any worker width ----
-	tasks := c.tasks[:0]
-	for _, nd := range c.nodes {
-		if !nd.alive {
-			continue
+	// One task per worker, each taking the next node index until none is
+	// left: what an epoch submits does not grow with the node count.
+	var next atomic.Int64
+	window := func() struct{} {
+		for i := next.Add(1) - 1; i < int64(len(c.nodes)); i = next.Add(1) - 1 {
+			if nd := c.nodes[i]; nd.alive {
+				nd.scheduleSteps(t0, measured, arm)
+				nd.err = nd.cn.Engine().Run(t0 + epochSec)
+			}
 		}
-		tasks = append(tasks, runpool.Submit(nd.name, func() error {
-			nd.scheduleSteps(t0, measured, arm)
-			return nd.cn.Engine().Run(end)
-		}))
+		return struct{}{}
 	}
-	for _, t := range tasks {
-		if err := t.Wait(); err != nil {
-			return err
+	c.tasks = c.tasks[:0]
+	for w := min(runpool.Workers(), len(c.nodes)); w > 0; w-- {
+		c.tasks = append(c.tasks, runpool.Submit("fleet window", window))
+	}
+	for _, t := range c.tasks {
+		t.Wait()
+	}
+	for _, nd := range c.nodes {
+		if nd.alive && nd.err != nil {
+			return nd.err // the first in node order
 		}
 	}
 
@@ -430,14 +441,11 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 		nd.sessions = nil
 		nd.load = 0
 		for _, s := range orphans {
-			// The node is gone: in-flight steps are abandoned with it,
-			// and the L2 working set is lost — the session restarts cold.
-			s.busy = false
-			s.resident = 0
-			s.restore = 0
-			s.nd = nil
-			s.cg = nil
-			s.tb = nil // the bucket died with the node's controller
+			// The node is gone: in-flight steps are abandoned with it, the
+			// L2 working set is lost — the session restarts cold — and the
+			// bucket died with the node's controller.
+			s.busy, s.resident, s.restore = false, 0, 0
+			s.nd, s.cg, s.tb = nil, nil, nil
 			c.migrations++
 		}
 		c.emit(t0, trace.KindFault, "node-kill node=%s sessions=%d until=%g", nd.name, len(orphans), nd.killUntil)
@@ -471,7 +479,9 @@ func nodeIndex(name string) (int, bool) {
 // predicted interference: each session goes to the node minimizing
 // forecast store-demand fraction plus the load already placed on it,
 // ties broken by node index. Heap-based, so placing the whole fleet's
-// session population is O(S log N).
+// session population is O(S log N). The heap picks every session's node
+// first; each node's registries are then sized for its arrivals, which
+// attach in session order (DESIGN.md "Arrival attach").
 func (c *Cluster) place(list []*session, t float64, why string) {
 	if len(list) == 0 {
 		return
@@ -489,9 +499,22 @@ func (c *Cluster) place(list []*session, t float64, why string) {
 	}
 	for _, s := range list {
 		idx, score := c.heap.pop()
-		nd := c.nodes[idx]
-		c.attach(nd, s)
+		s.nd = c.nodes[idx]
+		s.nd.arrivals++
 		c.heap.push(idx, score+s.cost)
+	}
+	for _, nd := range c.nodes {
+		if nd.arrivals > 0 {
+			nd.sessions = slices.Grow(nd.sessions, nd.arrivals)
+			nd.cn.Cgroups().Grow(nd.arrivals)
+			if nd.alloc != nil {
+				nd.alloc.Grow(nd.arrivals)
+			}
+			nd.arrivals = 0
+		}
+	}
+	for _, s := range list {
+		c.attach(s.nd, s)
 	}
 	c.sortTouched()
 	c.emit(t, trace.KindPlace, "placed=%d reason=%s alive=%d", len(list), why, alive)
@@ -532,13 +555,7 @@ func (c *Cluster) detach(nd *node, s *session) {
 	} else {
 		nd.alloc.Detach(s.name)
 	}
-	kept := nd.sessions[:0]
-	for _, o := range nd.sessions {
-		if o != s {
-			kept = append(kept, o)
-		}
-	}
-	nd.sessions = kept
+	nd.sessions = slices.DeleteFunc(nd.sessions, func(o *session) bool { return o == s })
 	nd.load -= s.cost
 	s.nd = nil
 	s.cg = nil
@@ -635,19 +652,11 @@ func (c *Cluster) reshare(epoch int, nodeBW float64) {
 		demands[i] = nd.predictFrac(nodeBW) * nodeBW * 1.25
 	}
 	grants := c.store.Reshare(demands)
-	lo, hi := 0.0, 0.0
-	first := true
+	lo, hi := math.Inf(1), math.Inf(-1) // a barrier leaves a node alive
 	for i, g := range grants {
-		if demands[i] < 0 {
-			continue
+		if demands[i] >= 0 {
+			lo, hi = min(lo, g), max(hi, g)
 		}
-		if first || g < lo {
-			lo = g
-		}
-		if first || g > hi {
-			hi = g
-		}
-		first = false
 	}
 	c.emit(float64(epoch)*epochSec, trace.KindEgress,
 		"epoch=%d grants MB/s min=%.1f max=%.1f total=%.1f", epoch, lo/mb, hi/mb, c.obj.TotalEgress/mb)
@@ -763,75 +772,55 @@ func (c *Cluster) sortTouched() {
 }
 
 // placer is a tiny binary min-heap over (node index, score), ties broken
-// by lowest index — the deterministic placement queue. Scratch slices
-// are reused across barriers.
-type placer struct {
-	idx   []int
-	score []float64 // by heap position, parallel to idx
+// by lowest index — the deterministic placement queue. Its slice is
+// reused across barriers.
+type placer []placed
+
+type placed struct {
+	idx   int
+	score float64
 }
 
-func (h *placer) reset(capHint int) {
-	if cap(h.idx) < capHint {
-		h.idx = make([]int, 0, capHint)
-		h.score = make([]float64, 0, capHint)
-	}
-	h.idx = h.idx[:0]
-	h.score = h.score[:0]
-}
+func (a placed) less(b placed) bool { return a.score < b.score || a.score == b.score && a.idx < b.idx }
 
-func (h *placer) len() int { return len(h.idx) }
+func (h *placer) reset(capHint int) { *h = slices.Grow((*h)[:0], capHint) }
 
-func (h *placer) less(a, b int) bool {
-	if h.score[a] != h.score[b] {
-		return h.score[a] < h.score[b]
-	}
-	return h.idx[a] < h.idx[b]
-}
-
-func (h *placer) swap(a, b int) {
-	h.idx[a], h.idx[b] = h.idx[b], h.idx[a]
-	h.score[a], h.score[b] = h.score[b], h.score[a]
-}
+func (h placer) len() int { return len(h) }
 
 //tango:hotpath
 func (h *placer) push(idx int, score float64) {
-	h.idx = append(h.idx, idx)
-	h.score = append(h.score, score)
-	i := len(h.idx) - 1
-	for i > 0 {
+	*h = append(*h, placed{idx, score})
+	q := *h
+	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !q[i].less(q[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
 }
 
 //tango:hotpath
 func (h *placer) pop() (int, float64) {
-	idx, score := h.idx[0], h.score[0]
-	last := len(h.idx) - 1
-	h.swap(0, last)
-	h.idx = h.idx[:last]
-	h.score = h.score[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0], q = q[last], q[:last]
+	for i := 0; ; {
 		small := i
-		if l < last && h.less(l, small) {
-			small = l
-		}
-		if r < last && h.less(r, small) {
-			small = r
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < last && q[c].less(q[small]) {
+				small = c
+			}
 		}
 		if small == i {
 			break
 		}
-		h.swap(i, small)
+		q[i], q[small] = q[small], q[i]
 		i = small
 	}
-	return idx, score
+	*h = q
+	return top.idx, top.score
 }
 
 // Objstore is the object store the cluster runs over.

@@ -23,14 +23,15 @@ func mallocs(f func()) int {
 
 // TestSetupAllocCeilings holds the fleet's set-up path at the layer: with
 // sessions, names, cgroups, coordinator entries and events coming from
-// chunks, and a breaker made only on a failure, building a cluster costs
-// under one object per session, per-node constants (devices, controllers,
-// chunks) included: 737 at this shape with go1.24, and 818 while attach
-// made a proc per session. Building plus running it — first-touch
-// subscriptions, step ops up to the steps in flight, device scratch —
-// stays under eight per session (1,849, from 2,494). One object per
-// session creeping back (a closure per attach, a breaker per cgroup)
-// trips the first; before the chunks the two read 8.4 and 15.4 at this
+// chunks, each node's registries sized once for its arrivals, and a
+// breaker made only on a failure, building a cluster costs under half an
+// object per session, per-node constants (devices, controllers, chunks)
+// included: 338 at this shape with go1.24, 737 while registries grew one
+// attach at a time. Building plus running it — first-touch subscriptions,
+// step ops up to the steps in flight, flows from chunks, one window task
+// per worker — stays under 1.25 per session (884, from 1,585). One object
+// per session creeping back (a closure per attach, a breaker per cgroup)
+// trips either; before the chunks the two read 8.4 and 15.4 at this
 // shape.
 func TestSetupAllocCeilings(t *testing.T) {
 	const nodes, sessions = 8, 800
@@ -44,14 +45,14 @@ func TestSetupAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := sessions
+	limit := sessions / 2
 	if raceEnabled {
-		limit += 100 // 767–797 over three -race runs
+		limit += 40 // 355–359 over five -race runs
 	}
 	if build > limit {
 		t.Errorf("New allocated %d objects (%.2f per session), want <= %d", build, float64(build)/sessions, limit)
 	}
-	if limit := 8*sessions + 150*nodes; build+run > limit {
+	if limit := sessions + 25*nodes; build+run > limit {
 		t.Errorf("New + Run allocated %d objects (%.2f per session), want <= %d", build+run, float64(build+run)/sessions, limit)
 	}
 }

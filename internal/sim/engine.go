@@ -134,10 +134,7 @@ func (c *Calendar) Reset(e *Engine, n int) {
 	if c.next < len(c.items) {
 		panic("sim: Calendar reset with items pending")
 	}
-	if cap(c.items) < n {
-		c.items = make([]calItem, 0, n)
-	}
-	c.e, c.items, c.next = e, c.items[:0], 0
+	c.e, c.items, c.next = e, slices.Grow(c.items[:0], n), 0
 }
 
 // Add puts cb at virtual time t, clamped as by AtCall, into the batch.

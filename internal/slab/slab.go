@@ -36,3 +36,11 @@ func (c *Chunks[T]) Next() *T {
 	c.free = c.free[:n-1]
 	return p
 }
+
+// Grow makes room for n more Next calls in one chunk, dropping what was
+// left of the last: for an owner that knows how many it is about to take.
+func (c *Chunks[T]) Grow(n int) {
+	if len(c.free) < n {
+		c.free = make([]T, n)
+	}
+}
