@@ -137,14 +137,14 @@ func BenchmarkRecomposeFull257(b *testing.B) {
 }
 
 func BenchmarkFFT1024(b *testing.B) {
-	x := make([]complex128, 1024)
+	x := make([]float64, 1024)
 	for i := range x {
-		x[i] = complex(math.Sin(float64(i)/7), 0)
+		x[i] = math.Sin(float64(i) / 7)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dftestim.FFT(x)
+		dftestim.FFTReal(x)
 	}
 }
 

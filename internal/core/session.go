@@ -234,9 +234,6 @@ func (s *Session) SetBound(bound float64) error {
 // callback on the same engine).
 func (s *Session) Stop() { s.stopped = true }
 
-// Stopped reports whether Stop was called.
-func (s *Session) Stopped() bool { return s.stopped }
-
 // Launch starts the analytics container on node. The container executes
 // Config.Steps steps, each period seconds apart (start-to-start), and
 // records StepStats. The session is its own engine callback: Launch arms

@@ -108,7 +108,7 @@ func refRetryRead(s *Session, p *sim.Proc, dev *device.Device, cg *blkio.Cgroup,
 	delay := 0.05
 	retries := 0
 	for attempt := 1; ; attempt++ {
-		_, err := dev.TryRead(p, cg, bytes)
+		_, err := dev.TryReadCancel(p, cg, bytes, nil, 0)
 		if err == nil {
 			return p.Now() - start, retries, true
 		}

@@ -78,14 +78,16 @@ type fanInReader struct {
 func (r *fanInReader) TransferDone(*Token, error) { r.next() }
 
 func (r *fanInReader) next() {
-	if r.left > 0 {
+	for r.left > 0 {
 		r.left--
-		r.d.Start(r.cg, 4*MB, false, &r.tok, r)
+		if ended, _ := r.d.Begin(r.cg, 4*MB, false, false, &r.tok, 0, r); !ended {
+			return
+		}
 	}
 }
 
 // BenchmarkServiceLoopFanIn is fleet's tail at one device: 16 cgroups with
-// a flow each, kept busy through Start callbacks with no process, so every
+// a flow each, kept busy through Begin callbacks with no process, so every
 // reshape spans 15 or 16 flows and no coroutine switch is timed. Reported
 // per request.
 func BenchmarkServiceLoopFanIn(b *testing.B) {

@@ -23,7 +23,9 @@ func TestFlowsComeFromChunks(t *testing.T) {
 	batch := func() {
 		d := New(eng, flatParams(1<<30))
 		for i := range toks {
-			d.Start(cg, 1<<20, i%2 == 1, &toks[i], done)
+			if ended, _ := d.Begin(cg, 1<<20, i%2 == 1, false, &toks[i], 0, done); ended {
+				t.Fatal("a flow with bytes to move ended at issue")
+			}
 		}
 		if err := eng.RunAll(); err != nil {
 			t.Fatal(err)
@@ -38,7 +40,7 @@ func TestFlowsComeFromChunks(t *testing.T) {
 
 var errSink string
 
-// The errors TryRead and a cancel return read exactly as the
+// The errors a failed read and a cancel return read exactly as the
 // fmt.Errorf("device %q: %w") they replace, still wrap their sentinel, and
 // spell it without allocating.
 func TestWrappedErrorsMatchErrorf(t *testing.T) {
@@ -48,7 +50,7 @@ func TestWrappedErrorsMatchErrorf(t *testing.T) {
 		cg := blkio.NewCgroup("a")
 		d.SetReadError(true)
 		var readErr, cancelErr error
-		eng.Spawn("failed", func(p *sim.Proc) { _, readErr = d.TryRead(p, cg, 10) })
+		eng.Spawn("failed", func(p *sim.Proc) { _, readErr = d.TryReadCancel(p, cg, 10, nil, 0) })
 		if err := eng.RunAll(); err != nil {
 			t.Fatal(err)
 		}

@@ -319,7 +319,7 @@ func TestDeadlineMatchesReferenceRandomized(t *testing.T) {
 	t.Logf("outcomes: %v", outcomes)
 }
 
-// completions records StartRead notifications.
+// completions records Begin notifications.
 type completions struct {
 	eng  *sim.Engine
 	log  []string
@@ -333,12 +333,13 @@ func (c *completions) TransferDone(tok *Token, err error) {
 	}
 }
 
-// TestStartReadNotifiesEveryEnding: a proc-less read tells its Completion
-// once however it ends — drained, read error at issue, zero bytes,
-// cancelled mid-flight, cancelled during the latency, expired — always
-// finished first (Moved final, cgroup accounted, token spent), never
-// before StartRead returns, and a Completion may start the next read on
-// the same device from inside the notification.
+// TestStartReadNotifiesEveryEnding: a proc-less read begun on a device
+// with request latency tells its Completion once however it ends —
+// drained, read error at issue, zero bytes, cancelled mid-flight,
+// cancelled during the latency, expired — always finished first (Moved
+// final, cgroup accounted, token spent), never before Begin returns, and
+// a Completion may begin the next read on the same device from inside the
+// notification.
 func TestStartReadNotifiesEveryEnding(t *testing.T) {
 	eng := sim.NewEngine()
 	pp := flatParams(100)
@@ -347,19 +348,24 @@ func TestStartReadNotifiesEveryEnding(t *testing.T) {
 	cg := blkio.NewCgroup("a")
 	c := &completions{eng: eng}
 	var drained, failed, empty, cancelled, pre, expired, chained Token
-	d.StartRead(cg, 100, &drained, 0, c) // t=0.5..1.5
-	d.StartRead(cg, 0, &empty, 0, c)     // t=0.5
+	begin := func(bytes float64, tok *Token, deadline float64) {
+		if ended, _ := d.Begin(cg, bytes, false, true, tok, deadline, c); ended {
+			t.Fatalf("a %v-byte read ended inside Begin despite the request latency", bytes)
+		}
+	}
+	begin(100, &drained, 0) // t=0.5..1.5
+	begin(0, &empty, 0)     // t=0.5
 	if len(c.log) != 0 {
-		t.Fatalf("notified before StartRead returned: %v", c.log)
+		t.Fatalf("notified before Begin returned: %v", c.log)
 	}
 	eng.At(2, func() {
 		d.SetReadError(true)
-		d.StartRead(cg, 100, &failed, 0, c) // fails at t=2.5
+		begin(100, &failed, 0) // fails at t=2.5
 	})
 	eng.At(3, func() {
 		d.SetReadError(false)
-		d.StartRead(cg, 1000, &cancelled, 0, c) // issued 3.5, alone on the device, cancelled at 5: 150 B
-		d.StartRead(cg, 1000, &pre, 0, c)       // cancelled at 3.2, ends at 3.5 without joining
+		begin(1000, &cancelled, 0) // issued 3.5, alone on the device, cancelled at 5: 150 B
+		begin(1000, &pre, 0)       // cancelled at 3.2, ends at 3.5 without joining
 		eng.At(3.2, func() { pre.Cancel() })
 		eng.At(5, func() {
 			if !cancelled.Cancel() || cancelled.Cancel() {
@@ -370,9 +376,9 @@ func TestStartReadNotifiesEveryEnding(t *testing.T) {
 	eng.At(6, func() {
 		c.then = func(tok *Token) {
 			c.then = nil
-			d.StartRead(cg, 50, &chained, 0, c) // from inside the notification
+			begin(50, &chained, 0) // from inside the notification
 		}
-		d.StartRead(cg, 1000, &expired, 8, c) // issued 6.5, expires at 8: 150 B
+		begin(1000, &expired, 8) // issued 6.5, expires at 8: 150 B
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
@@ -402,9 +408,9 @@ func TestStartReadNotifiesEveryEnding(t *testing.T) {
 	}
 }
 
-// TestStartReadSteadyStateZeroAlloc: a proc-less read with a deadline —
-// the hedge leg — allocates nothing once the freelists are warm, whether
-// it drains or expires.
+// TestStartReadSteadyStateZeroAlloc: a proc-less read begun with a
+// deadline — the hedge leg — allocates nothing once the freelists are
+// warm, whether it drains or expires.
 func TestStartReadSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, HDD("hdd"))
@@ -413,7 +419,9 @@ func TestStartReadSteadyStateZeroAlloc(t *testing.T) {
 	sink := sinkCompletion{n: &done}
 	var tok Token
 	round := func(timeout float64) {
-		d.StartRead(cg, 64*MB, &tok, eng.Now()+timeout, sink)
+		if ended, _ := d.Begin(cg, 64*MB, false, true, &tok, eng.Now()+timeout, sink); ended {
+			t.Fatal("a read ended inside Begin despite the request latency")
+		}
 		if err := eng.RunAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +432,7 @@ func TestStartReadSteadyStateZeroAlloc(t *testing.T) {
 	}
 	before := done
 	if n := testing.AllocsPerRun(64, func() { round(10); round(0.1) }); n != 0 {
-		t.Fatalf("StartRead allocates %.1f objects per drained+expired pair, want 0", n)
+		t.Fatalf("Begin allocates %.1f objects per drained+expired pair, want 0", n)
 	}
 	if done-before != 2*65 {
 		t.Fatalf("%d notifications for %d reads", done-before, 2*65)

@@ -19,7 +19,8 @@
 //  3. Per-request latency (seek/setup cost) paid before streaming.
 //
 // Flows run inside the sim engine; a Read/Write call blocks the calling
-// simulated process until the flow drains.
+// simulated process until the flow drains, and Begin starts one for an
+// engine callback.
 package device
 
 import (
@@ -33,20 +34,21 @@ import (
 	"tango/internal/slab"
 )
 
-// ErrRead is returned by TryRead while a transient read-error fault is
-// injected on the device (media error, controller reset — the request is
-// issued, pays its latency, and fails without transferring data).
+// ErrRead is returned by a fallible read while a transient read-error
+// fault is injected on the device (media error, controller reset — the
+// request is issued, pays its latency, and fails without transferring
+// data).
 var ErrRead = errors.New("device: transient read error")
 
-// ErrCanceled is returned by TryReadCancel when the transfer's Token is
-// cancelled mid-flight (a per-attempt timeout fired, or a hedged read's
+// ErrCanceled is returned when a transfer's Token is cancelled
+// mid-flight (a per-attempt timeout fired, or a hedged read's
 // other leg won). The bytes actually moved before the cancel are
 // accounted to the cgroup and reported by Token.Moved.
 var ErrCanceled = errors.New("device: transfer canceled")
 
 // devError is a device's ErrRead or ErrCanceled under the text
-// fmt.Errorf("device %q: %w") gives it, spelled once at New: TryRead and
-// a cancel return it, and Error() builds nothing.
+// fmt.Errorf("device %q: %w") gives it, spelled once at New, so Error()
+// builds nothing.
 type devError struct {
 	msg string
 	err error
@@ -167,7 +169,7 @@ type flow struct {
 	id       int64
 	d        *Device // owning device, for the Fire callback
 	cg       *blkio.Cgroup
-	proc     *sim.Proc // the blocked issuer; nil on a StartRead/Start/Begin flow, which the device finishes
+	proc     *sim.Proc // the blocked issuer; nil on a Begin flow, which the device finishes
 	tok      *Token    // non-nil on a cancellable transfer; armed by issue
 	bytes    float64   // total requested
 	bytesRem float64
@@ -182,8 +184,7 @@ type flow struct {
 
 // Fire is the flow as its own sim.Callback, carrying the per-transfer
 // state without a per-call closure: the issue after the request-latency
-// wait, then for an ended StartRead/Start/Begin flow the finish no
-// process runs.
+// wait, then for an ended Begin flow the finish no process runs.
 func (f *flow) Fire() {
 	d, tok := f.d, f.tok
 	if !f.done && !f.canceled {
@@ -241,7 +242,7 @@ type Device struct {
 
 	// Injected degradation (see internal/fault): bwFactor scales the
 	// delivered bandwidth (1 = healthy, 0 = stuck device), extraLatency
-	// adds to the per-request cost, and failReads makes TryRead fail.
+	// adds to the per-request cost, and failReads fails fallible reads.
 	bwFactor     float64
 	extraLatency float64
 	failReads    bool
@@ -369,9 +370,10 @@ func (d *Device) ClearFault() {
 // Faulted reports whether a degradation fault is currently injected.
 func (d *Device) Faulted() bool { return d.bwFactor != 1 || d.extraLatency != 0 }
 
-// SetReadError toggles transient read errors: while enabled, TryRead
-// pays the request latency and then fails without transferring. Read and
-// Write are unaffected (writes land in the page cache; the fault models a
+// SetReadError toggles transient read errors: while enabled, a fallible
+// read (TryReadCancel, or Begin with fallible set) pays the request
+// latency and then fails without transferring. Read and Write are
+// unaffected (writes land in the page cache; the fault models a
 // read path returning EIO).
 func (d *Device) SetReadError(fail bool) { d.failReads = fail }
 
@@ -405,10 +407,7 @@ func (d *Device) TryReserve(bytes float64) bool {
 // Release returns previously reserved capacity (ephemeral data erased
 // after a job exits).
 func (d *Device) Release(bytes float64) {
-	d.used -= bytes
-	if d.used < 0 {
-		d.used = 0
-	}
+	d.used = max(d.used-bytes, 0)
 }
 
 // Used returns currently reserved bytes.
@@ -416,7 +415,7 @@ func (d *Device) Used() float64 { return d.used }
 
 // Read transfers `bytes` from the device under cgroup cg, blocking the
 // calling process until complete. It returns the elapsed virtual time.
-// Read never fails (injected read errors affect only TryRead; see
+// Read never fails (injected read errors affect only fallible reads; see
 // internal/fault).
 //
 // The request path (transfer → reshape → water-filling) is the device
@@ -429,15 +428,6 @@ func (d *Device) Read(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
 	return el
 }
 
-// TryRead is Read on a fallible path: while a read-error fault is
-// injected it pays the request latency and returns ErrRead without
-// transferring. Fault-aware read paths (staging retries) use this.
-//
-//tango:hotpath
-func (d *Device) TryRead(p *sim.Proc, cg *blkio.Cgroup, bytes float64) (float64, error) {
-	return d.transfer(p, cg, bytes, false, true, nil)
-}
-
 // Write transfers `bytes` to the device under cgroup cg, blocking the
 // calling process until complete. It returns the elapsed virtual time.
 //
@@ -448,10 +438,10 @@ func (d *Device) Write(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
 }
 
 // Token identifies one in-flight cancellable transfer. The issuing call
-// (TryReadCancel, StartRead, Start, Begin) arms it; another event callback
-// or process may then call Cancel to abort the transfer. Tokens are plain values
-// owned by the caller and are re-armed on every call, so one long-lived
-// Token per retry context is the intended (zero-alloc) usage.
+// (TryReadCancel or Begin) arms it; another event callback or process may
+// then call Cancel to abort the transfer. Tokens are plain values owned by
+// the caller and are re-armed on every call, so one long-lived Token per
+// retry context is the intended (zero-alloc) usage.
 type Token struct {
 	d        *Device
 	f        *flow
@@ -460,10 +450,10 @@ type Token struct {
 	spent    bool       // the transfer has finished (success, error, or cancel); Cancel is a no-op
 	moved    float64    // bytes actually transferred when the transfer ended
 	deadline float64    // virtual time at which the device cancels the transfer; 0 or +Inf = none
-	notify   Completion // StartRead/Start/Begin only: told when the transfer ends
+	notify   Completion // Begin only: told when the transfer ends after the call
 }
 
-// Completion is told a StartRead/Start/Begin transfer ended; err is what a blocking call returns.
+// Completion is told a Begin transfer ended; err is what a blocking call returns.
 type Completion interface {
 	TransferDone(tok *Token, err error)
 }
@@ -489,12 +479,14 @@ func (t *Token) Cancel() bool {
 	return true
 }
 
-// TryReadCancel is TryRead with cooperative cancellation: tok is re-armed
-// for this transfer, tok.Cancel() aborts it mid-flight (hedged-read
-// losers), and at virtual time deadline (per-attempt timeouts; 0 or +Inf
-// = none) the device's own completion timer does. A cancelled transfer
-// accounts the bytes it moved to the cgroup and returns an error wrapping
-// ErrCanceled; tok.Moved has the partial progress. A nil tok is TryRead.
+// TryReadCancel is Read on a fallible path: while a read-error fault is
+// injected it pays the request latency and returns an error wrapping
+// ErrRead without transferring. tok is re-armed for this transfer,
+// tok.Cancel() aborts it mid-flight, and at virtual time deadline
+// (per-attempt timeouts; 0 or +Inf = none) the device's own completion
+// timer does. A cancelled transfer accounts the bytes it moved to the
+// cgroup and returns an error wrapping ErrCanceled; tok.Moved has the
+// partial progress. A nil tok cannot be cancelled.
 //
 //tango:hotpath
 func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok *Token, deadline float64) (float64, error) {
@@ -504,41 +496,12 @@ func (d *Device) TryReadCancel(p *sim.Proc, cg *blkio.Cgroup, bytes float64, tok
 	return d.transfer(p, cg, bytes, false, true, tok)
 }
 
-// StartRead is TryReadCancel with nobody blocked on it (a hedge leg): when
-// the read drains, fails at issue, is cancelled or expires, the device
-// finishes it and calls done.TransferDone(tok, err) from an engine event
-// at that instant — the slot a blocked reader's wake-up would take.
-//
-//tango:hotpath
-func (d *Device) StartRead(cg *blkio.Cgroup, bytes float64, tok *Token, deadline float64, done Completion) {
-	*tok = Token{d: d, deadline: deadline, notify: done}
-	if f, ended := d.begin(nil, cg, bytes, false, true, tok); ended {
-		d.end(f)
-	}
-}
-
-// Start is Read (write false) or Write with nobody blocked on it (a
-// writer or reader made of engine callbacks): infallible like them and
-// with no deadline, it is finished by the device, which calls
-// done.TransferDone in the slot a blocked issuer's wake-up would take, as
-// StartRead does. One case has no such slot: a zero-byte transfer on a
-// device with no request latency ends inside the call, where a blocked
-// issuer carries on at once; done still hears of it from an event at
-// that instant.
-//
-//tango:hotpath
-func (d *Device) Start(cg *blkio.Cgroup, bytes float64, write bool, tok *Token, done Completion) {
-	*tok = Token{d: d, notify: done}
-	if f, ended := d.begin(nil, cg, bytes, write, false, tok); ended {
-		d.end(f)
-	}
-}
-
-// Begin is Read, Write, TryRead or TryReadCancel for engine callbacks that
-// stand where a blocked issuer stood, told of the end where it was: one
-// at issue inside the call (no request latency) is finished and returned,
-// ended true with the blocking call's error, as the issuer carried on at
-// once; any other is told to done, as StartRead's is.
+// Begin is Read, Write or TryReadCancel (fallible) for engine callbacks
+// that stand where a blocked issuer stood, told of the end where it was:
+// one at issue inside the call (no request latency) is finished and
+// returned, ended true with the blocking call's error, as the issuer
+// carried on at once; any other is finished by the device, which calls
+// done.TransferDone from the event a blocked issuer would have woken in.
 //
 //tango:hotpath
 func (d *Device) Begin(cg *blkio.Cgroup, bytes float64, write, fallible bool, tok *Token, deadline float64, done Completion) (ended bool, err error) {
@@ -549,7 +512,7 @@ func (d *Device) Begin(cg *blkio.Cgroup, bytes float64, write, fallible bool, to
 	return false, nil
 }
 
-// transfer is the blocking request path behind Read, Write, TryRead and
+// transfer is the blocking request path behind Read, Write and
 // TryReadCancel: begin, park until the flow has ended, finish.
 //
 //tango:hotpath
@@ -606,8 +569,7 @@ func (d *Device) finish(f *flow) error {
 }
 
 // end tells the issuer its flow has ended: a blocked process wakes up
-// and finishes it, a StartRead/Start/Begin flow fires once more to
-// finish itself.
+// and finishes it, a Begin flow fires once more to finish itself.
 func (d *Device) end(f *flow) {
 	if f.proc != nil {
 		d.eng.Wake(f.proc)
@@ -732,16 +694,10 @@ func (d *Device) Touch() {
 // rates and updates busy-time accounting.
 func (d *Device) advance() {
 	now := d.eng.Now()
-	dt := now - d.lastUpdate
-	if dt < 0 {
-		dt = 0
-	}
+	dt := max(now-d.lastUpdate, 0)
 	if len(d.flows) > 0 && dt > 0 {
 		for _, f := range d.flows {
-			f.bytesRem -= f.rate * dt
-			if f.bytesRem < 0 {
-				f.bytesRem = 0
-			}
+			f.bytesRem = max(f.bytesRem-f.rate*dt, 0)
 		}
 		d.busyTime += dt
 	}

@@ -28,7 +28,7 @@ func TestWeightChangeReachesOnlyDevicesWithAFlow(t *testing.T) {
 		// cancelled before the flow was issued.
 		refused.Read(p, cg, 0)
 		refused.SetReadError(true)
-		if _, err := refused.TryRead(p, cg, 10); err == nil {
+		if _, err := refused.TryReadCancel(p, cg, 10, nil, 0); err == nil {
 			t.Error("injected read error did not fail the read")
 		}
 		refused.SetReadError(false)

@@ -83,13 +83,7 @@ func (e *Estimator) Observe(bw float64) {
 // step slots.
 func (e *Estimator) resizeRing(w int) {
 	old := e.ring
-	avail := e.count
-	if avail > len(old) {
-		avail = len(old)
-	}
-	if avail > w {
-		avail = w
-	}
+	avail := min(e.count, len(old), w)
 	ring := make([]float64, w)
 	for i := 0; i < avail; i++ {
 		step := e.count - avail + i
@@ -120,13 +114,7 @@ func (e *Estimator) Fit() error {
 	if len(e.ring) != w {
 		e.resizeRing(w)
 	}
-	avail := e.count
-	if avail > len(e.ring) {
-		avail = len(e.ring)
-	}
-	if w > avail {
-		w = avail
-	}
+	w = min(w, e.count) // the ring holds w samples now
 	e.ensureScratch(w)
 	start := e.count - w
 
@@ -229,30 +217,16 @@ func (e *Estimator) PredictNext() float64 {
 	return e.Predict(e.count)
 }
 
-// Model returns a copy of the fitted one-period reconstruction.
-func (e *Estimator) Model() []float64 {
-	out := make([]float64, len(e.model))
-	copy(out, e.model)
-	return out
-}
-
 // ModelLen returns the fitted model's period length (0 before Fit).
 //
 //tango:hotpath
 func (e *Estimator) ModelLen() int { return len(e.model) }
 
-// ModelAt returns the fitted model value at index i without copying; it is
-// the zero-alloc companion to Model for hot callers. i must be in
-// [0, ModelLen()).
+// ModelAt returns the fitted model value at index i without copying. i
+// must be in [0, ModelLen()).
 //
 //tango:hotpath
 func (e *Estimator) ModelAt(i int) float64 { return e.model[i] }
-
-// AppendModel appends the fitted model to dst and returns the extended
-// slice, for callers that batch models into reused buffers.
-func (e *Estimator) AppendModel(dst []float64) []float64 {
-	return append(dst, e.model...)
-}
 
 // MeanAbsError reports the mean absolute prediction error of the fitted
 // model against a slice of actual future bandwidths beginning at

@@ -11,43 +11,15 @@ import (
 	"math/cmplx"
 )
 
-// FFT computes the discrete Fourier transform of x:
+// FFTReal computes the discrete Fourier transform of the real series x:
 //
 //	X[k] = Σ_n x[n]·e^(−2πi·kn/N)
 //
 // For power-of-two lengths it runs an iterative radix-2 Cooley–Tukey FFT
 // in O(N log N) over precomputed, process-shared twiddle tables; for other
 // lengths it falls back to the O(N²) direct transform (table-driven up to
-// length 128 — window sizes here are tens of samples, so this is cheap and
-// keeps the implementation dependency-free). Output is bit-identical to
-// the original per-call twiddle evaluation; see plan.go.
-func FFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	planFor(n).fft(out, x, false)
-	return out
-}
-
-// IFFT computes the inverse DFT with 1/N normalization, so
-// IFFT(FFT(x)) == x up to rounding.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	out := make([]complex128, n)
-	planFor(n).fft(out, x, true)
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
-}
-
-// FFTReal transforms a real series.
+// length 128 — window sizes here are tens of samples). Output is
+// bit-identical to the original per-call twiddle evaluation; see plan.go.
 func FFTReal(x []float64) []complex128 {
 	n := len(x)
 	if n == 0 {

@@ -37,7 +37,7 @@ func armedRun(t *testing.T, seed int64, perEvent bool) []string {
 	failed := 0
 	node.MustLaunch("analytics", func(c *container.Container, p *sim.Proc) {
 		for p.Now() < 400 {
-			if _, err := hdd.TryRead(p, c.Cgroup(), 16*mb); err != nil {
+			if _, err := hdd.TryReadCancel(p, c.Cgroup(), 16*mb, nil, 0); err != nil {
 				failed++
 			}
 			p.Sleep(2)

@@ -39,7 +39,7 @@ const (
 	// LatencySpike adds Factor seconds of per-request latency on the
 	// target device for Duration seconds.
 	LatencySpike
-	// ReadError makes fallible reads (device.TryRead) on the target
+	// ReadError makes fallible reads (device.TryReadCancel) on the target
 	// device fail for Duration seconds (transient media errors on the
 	// capacity tier).
 	ReadError

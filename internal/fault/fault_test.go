@@ -140,9 +140,9 @@ func TestInjectorReadErrorWindow(t *testing.T) {
 	var during, after error
 	node.MustLaunch("reader", func(c *container.Container, p *sim.Proc) {
 		p.Sleep(15)
-		_, during = dev.TryRead(p, c.Cgroup(), 1024)
+		_, during = dev.TryReadCancel(p, c.Cgroup(), 1024, nil, 0)
 		p.Sleep(30)
-		_, after = dev.TryRead(p, c.Cgroup(), 1024)
+		_, after = dev.TryReadCancel(p, c.Cgroup(), 1024, nil, 0)
 	})
 	if err := node.Engine().Run(100); err != nil {
 		t.Fatal(err)

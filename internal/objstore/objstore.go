@@ -51,14 +51,8 @@ type Params struct {
 // appears exactly when the fleet bursts together, e.g. cold starts and
 // mass migrations), ~30 ms per request, and list-price-shaped costs.
 func Default(n int) Params {
-	if n < 1 {
-		n = 1
-	}
 	nodeBW := 200.0 * mb
-	total := nodeBW * float64(n) / 4
-	if total < nodeBW {
-		total = nodeBW
-	}
+	total := max(nodeBW*float64(n)/4, nodeBW) // also for n < 1
 	return Params{
 		Name:           "objstore",
 		NodeBandwidth:  nodeBW,
@@ -191,41 +185,34 @@ func (s *Store) Reshare(demands []float64) []float64 {
 	if len(demands) != len(s.remotes) {
 		panic(fmt.Sprintf("objstore %q: %d demands for %d remotes", s.p.Name, len(demands), len(s.remotes)))
 	}
-	n := len(s.remotes)
 	s.grants = s.grants[:0]
-	for i := 0; i < n; i++ {
+	cur := s.active[:0] // the in-service nodes
+	for i := range s.remotes {
 		s.grants = append(s.grants, 0)
+		if demands[i] >= 0 {
+			cur = append(cur, i)
+		}
 	}
 	// Reserve the floor for every in-service node up front — deducted
 	// from the shared link, so floors can never oversubscribe it. If the
 	// link cannot cover even the floors, the floor shrinks to an even
 	// split (SetShare rejects 0, so keep it strictly positive).
-	live := 0
-	for i := 0; i < n; i++ {
-		if demands[i] >= 0 {
-			live++
-		}
-	}
-	if live == 0 {
+	if len(cur) == 0 {
 		return s.grants
 	}
+	live := float64(len(cur))
 	floor := 0.01 * s.p.NodeBandwidth
-	if floor*float64(live) > s.p.TotalEgress {
-		floor = s.p.TotalEgress / float64(live)
+	if floor*live > s.p.TotalEgress {
+		floor = s.p.TotalEgress / live
 	}
-	remaining := s.p.TotalEgress - floor*float64(live)
+	remaining := s.p.TotalEgress - floor*live
 	// Round-based water-filling of the rest: each round splits the
 	// remaining egress equally among still-unsatisfied nodes; nodes
 	// whose (headroom-padded) demand or frontend cap sits below the fair
 	// share are granted exactly that and leave the round, releasing the
 	// excess. Mirrors the cgroup water-filling in internal/device.
-	cur := s.active[:0]
-	for i := 0; i < n; i++ {
-		if demands[i] < 0 {
-			continue
-		}
+	for _, i := range cur {
 		s.grants[i] = floor
-		cur = append(cur, i)
 	}
 	nxt := s.next[:0]
 	for len(cur) > 0 && remaining > 1e-9 {
@@ -233,14 +220,7 @@ func (s *Store) Reshare(demands []float64) []float64 {
 		granted := false
 		nxt = nxt[:0]
 		for _, i := range cur {
-			want := demands[i]
-			if want > s.p.NodeBandwidth {
-				want = s.p.NodeBandwidth
-			}
-			want -= floor // already granted up front
-			if want < 0 {
-				want = 0
-			}
+			want := max(min(demands[i], s.p.NodeBandwidth)-floor, 0) // the floor is already granted
 			if want <= fair {
 				s.grants[i] += want
 				remaining -= want
@@ -292,9 +272,6 @@ func (r *Remote) Device() *device.Device { return r.dev }
 
 // Index returns the node index the store knows this remote by.
 func (r *Remote) Index() int { return r.index }
-
-// Granted returns the currently granted frontend bandwidth in bytes/s.
-func (r *Remote) Granted() float64 { return r.dev.Share() * r.store.p.NodeBandwidth }
 
 // AccountGet records one completed GET of the given bytes (egress).
 // Partial transfers (cancelled or failed attempts) account what actually

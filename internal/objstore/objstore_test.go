@@ -184,7 +184,7 @@ func TestReshareSlowsTransfers(t *testing.T) {
 	cg := blkio.NewCgroup("sess0")
 	var elapsed float64
 	eng.Spawn("get", func(pr *sim.Proc) {
-		elapsed, _ = r.Device().TryRead(pr, cg, 50*mb)
+		elapsed, _ = r.Device().TryReadCancel(pr, cg, 50*mb, nil, 0)
 	})
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)

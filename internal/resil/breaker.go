@@ -14,20 +14,6 @@ const (
 	BreakerHalfOpen
 )
 
-// String names the state.
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "BreakerState(?)"
-	}
-}
-
 // Breaker is a circuit breaker for one target (a device or cgroup name),
 // shared by every policy key that addresses the target. Transitions are
 // driven entirely by the virtual clock passed to allow, so breaker
@@ -51,9 +37,6 @@ func (b *Breaker) State(now float64) BreakerState {
 	}
 	return b.state
 }
-
-// Opens returns how many times the breaker has tripped.
-func (b *Breaker) Opens() int { return b.opens }
 
 // allow reports whether an attempt may proceed at virtual time now. An
 // open breaker past its cooldown admits exactly one half-open probe.

@@ -9,8 +9,8 @@ import (
 	"tango/internal/trace"
 )
 
-// getTok takes a pooled token for a blocking deadlined attempt: a device
-// holds the token until the transfer ends, so it cannot be a local.
+// getTok takes a pooled token for a blocking attempt: a device holds the
+// token until the transfer ends, so it cannot be a local.
 //
 //tango:hotpath
 func (c *Controller) getTok() *device.Token {
@@ -43,21 +43,14 @@ type ReadResult struct {
 }
 
 // attemptRead issues exactly one policy-governed attempt: a cancellable
-// read carrying the policy's bandwidth-bound deadline, or a plain
-// fallible read, which takes no token, when the policy has no timeout.
-// This is the non-fault fast path of the blocking Key.Read — no tracing, no
-// formatting, no timer (the deadline rides the device's own), no
-// allocation (the token is pooled); retries, classification and emission
-// live in settle.
+// read carrying the policy's bandwidth-bound deadline (none without a
+// timeout). This is the non-fault fast path of the blocking Key.Read — no
+// tracing, no formatting, no timer (the deadline rides the device's own),
+// no allocation (the token is pooled); retries, classification and
+// emission live in settle.
 //
 //tango:hotpath
 func (k *Key) attemptRead(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes float64) (elapsed, moved float64, err error) {
-	if k.pol.TimeoutMinBW <= 0 {
-		if elapsed, err = dev.TryRead(p, cg, bytes); err == nil {
-			moved = bytes
-		}
-		return elapsed, moved, err
-	}
 	tok := k.c.getTok()
 	elapsed, err = dev.TryReadCancel(p, cg, bytes, tok, k.deadline(bytes))
 	moved = tok.Moved()
@@ -377,8 +370,8 @@ func (c *Controller) shouldHedge(fast *device.Device, bytes float64) bool {
 // not worth it (or the budget has no token for the extra leg) Start
 // returns false and the caller proceeds on its normal path. Otherwise the
 // legs are transfers that report to the Hedge, and the last one to end
-// is told to done, which picks the outcome up with Result once it carries
-// on (a blocked reader did so at its wake-up, an event later). If both legs
+// is told to done (inside Start when both end at issue), which picks the
+// outcome up with Result once it carries on. If both legs
 // fail the caller likewise falls back (OK == false). The loser leg's
 // partial bytes are real I/O and are accounted to its device and cgroup;
 // the result reports them so callers can track waste.
@@ -412,9 +405,17 @@ func (h *Hedge) Start(k *Key, fast, slow *device.Device, cg *blkio.Cgroup, bytes
 		k.pol.Name, fast.Name(), slow.Name(), bytes)
 	h.winner, h.pending = -1, 2
 	h.k, h.fast, h.slow, h.start, h.done = k, fast, slow, now, done
+	// Both legs are begun before an end at issue is reported, in leg
+	// order: a leg that wins cancels the other, which must be begun.
 	deadline := k.deadline(bytes)
-	fast.StartRead(cg, bytes, &h.toks[0], deadline, h)
-	slow.StartRead(cg, bytes, &h.toks[1], deadline, h)
+	fastEnded, fastErr := fast.Begin(cg, bytes, false, true, &h.toks[0], deadline, h)
+	slowEnded, slowErr := slow.Begin(cg, bytes, false, true, &h.toks[1], deadline, h)
+	if fastEnded {
+		h.TransferDone(&h.toks[0], fastErr)
+	}
+	if slowEnded {
+		h.TransferDone(&h.toks[1], slowErr)
+	}
 	return true
 }
 

@@ -165,7 +165,8 @@ type hedgeFn func(k *Key, p *sim.Proc, fast, slow *device.Device, cg *blkio.Cgro
 
 // hedgeWaiter runs a Hedge for a process blocked on it, as the blocking
 // HedgedRead did: the last leg to end wakes the process, which then takes
-// the result.
+// the result. When both legs end at issue, done is told inside Start and
+// the process never parks.
 type hedgeWaiter struct {
 	h       Hedge
 	p       *sim.Proc
@@ -178,10 +179,11 @@ func (w *hedgeWaiter) TransferDone(*device.Token, error) {
 }
 
 func (w *hedgeWaiter) read(k *Key, fast, slow *device.Device, cg *blkio.Cgroup, bytes float64) HedgeResult {
+	w.waiting = true
 	if !w.h.Start(k, fast, slow, cg, bytes, w) {
 		return HedgeResult{}
 	}
-	for w.waiting = true; w.waiting; {
+	for w.waiting {
 		w.p.Suspend()
 	}
 	return w.h.Result()
@@ -305,6 +307,45 @@ func TestHedgedReadMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("endings: %v", seen)
+}
+
+// TestHedgeLegEndsAtIssue: a leg that fails at issue — a read error on a
+// tier with no request latency — ends inside Start, which reports it only
+// once both legs are issued. The race then ends as the process reference's
+// does, bit for bit: the slow leg still runs and wins, or, when it fails
+// at issue too, done is told inside Start and the reader falls back.
+func TestHedgeLegEndsAtIssue(t *testing.T) {
+	const bytes = 16 * mib
+	for _, c := range []struct {
+		name      string
+		slowP     device.Params
+		slowFails bool
+	}{
+		{"fast leg fails at issue", device.HDD("hdd"), false},
+		{"both legs fail at issue", flatParams("hdd", 100*mib), true},
+	} {
+		sc := hedgeScript{fastP: flatParams("ssd", 500*mib), slowP: c.slowP, reads: []float64{bytes}, gaps: []float64{1},
+			writerAt: -1, faults: []hedgeFault{{dur: 10, bw: 1, readErr: true}}}
+		if c.slowFails {
+			sc.faults = append(sc.faults, hedgeFault{dur: 10, slowTier: true, bw: 1, readErr: true})
+		}
+		got, results := sc.play(t, hedgedRead)
+		want, _ := sc.play(t, hedgedReadReference)
+		if got != want {
+			t.Fatalf("%s: race differs from the process reference\n--- transfers\n%s--- processes\n%s", c.name, got, want)
+		}
+		r := results[0]
+		if !r.Hedged || r.FastWon || r.FastMoved != 0 || r.OK == c.slowFails {
+			t.Fatalf("%s: %+v", c.name, r)
+		}
+		wantSlow := float64(bytes)
+		if c.slowFails {
+			wantSlow = 0
+		}
+		if r.SlowMoved != wantSlow {
+			t.Fatalf("%s: slow leg moved %v, want %v", c.name, r.SlowMoved, wantSlow)
+		}
+	}
 }
 
 // hedgeBench is a warm hedged-read loop: contended forecast, both tiers

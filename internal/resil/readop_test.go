@@ -189,7 +189,7 @@ func adhocRetryLoop(p *sim.Proc, dev *device.Device, cg *blkio.Cgroup, bytes flo
 	start, delay := p.Now(), 0.05
 	for {
 		r.Attempts++
-		if _, err := dev.TryRead(p, cg, bytes); err == nil {
+		if _, err := dev.TryReadCancel(p, cg, bytes, nil, 0); err == nil {
 			r.OK = true
 			break
 		}

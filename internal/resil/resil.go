@@ -56,20 +56,6 @@ const (
 	ClassTerminal
 )
 
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassOK:
-		return "ok"
-	case ClassRetryable:
-		return "retryable"
-	case ClassTerminal:
-		return "terminal"
-	default:
-		return "Class(?)"
-	}
-}
-
 // Classifier maps an attempt error to a Class. Classifiers are plain
 // func values so the zero-alloc attempt path can invoke them without
 // interface dispatch.

@@ -296,10 +296,10 @@ func (o *Op) carryOn() {
 }
 
 // tierRead is one tier's share of a parallel read: its parts read back to
-// back as Start flows, the next one started from the last one's
-// TransferDone. Its first Fire is armed where a per-tier reader process
-// used to be spawned, and each flow ends in the slot that process's
-// wake-up took, so the reads are the process loop's, event for event.
+// back, the next one started where the last one ended. Its first Fire is
+// armed where a per-tier reader process used to be spawned, and each flow
+// ends where that process carried on, so the reads are the process
+// loop's, event for event.
 type tierRead struct {
 	o     *Op
 	dev   *device.Device
@@ -313,7 +313,9 @@ type tierRead struct {
 // Fire starts the tier's next part.
 func (r *tierRead) Fire() {
 	r.start = r.dev.Engine().Now()
-	r.dev.Start(r.o.cg, r.parts[r.next].bytes, false, &r.tok, r)
+	if ended, _ := r.dev.Begin(r.o.cg, r.parts[r.next].bytes, false, false, &r.tok, 0, r); ended {
+		r.TransferDone(&r.tok, nil)
+	}
 }
 
 // TransferDone records the part that ended and starts the next; the last

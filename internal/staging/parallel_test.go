@@ -252,7 +252,7 @@ func (d *parallelDriver) OpDone() {
 
 // TestParallelReadMatchesProcesses: over seeded scenarios — two or three
 // tiers, a cache that splits segments, competing readers, device faults,
-// ranges read back to back — the tier reads as Start flows, driven by a
+// ranges read back to back — the tier reads as Begin flows, driven by a
 // callback, return every TierStats entry and leave every device float
 // and the event queue where the per-tier processes of a blocked reader
 // left them, bit for bit.

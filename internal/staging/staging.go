@@ -100,10 +100,7 @@ func StageScaled(h *refactor.Hierarchy, tiers []*device.Device, scale float64) (
 		// Paper tier indexing: ST^0 is the slowest. tiers[] is fastest
 		// first, so aug level l (0 = finest) maps to tiers[len-1-l],
 		// clamped to the fastest tier for deep hierarchies.
-		ti := len(tiers) - 1 - l
-		if ti < 0 {
-			ti = 0
-		}
+		ti := max(len(tiers)-1-l, 0)
 		s.levelDev[l] = tiers[ti]
 	}
 

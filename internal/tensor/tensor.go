@@ -63,9 +63,6 @@ func Strides(dims []int) []int {
 // Dims returns the tensor's dimensions (do not mutate).
 func (t *Tensor) Dims() []int { return t.dims }
 
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.dims) }
-
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.data) }
 

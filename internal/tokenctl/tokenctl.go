@@ -29,6 +29,7 @@ package tokenctl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tango/internal/blkio"
@@ -146,18 +147,6 @@ type Bucket struct {
 	debtors []*Bucket // buckets owing this one (len ≤ maxDebtors, preallocated)
 }
 
-// LentOut returns the outstanding principal this bucket has on loan.
-func (b *Bucket) LentOut() float64 { return b.lentOut }
-
-// Owed returns the outstanding principal this bucket owes its lenders.
-func (b *Bucket) Owed() float64 {
-	t := 0.0
-	for i := range b.loans {
-		t += b.loans[i].owed
-	}
-	return t
-}
-
 // Stats counts ledger traffic for experiment reporting.
 type Stats struct {
 	Borrows int // loans opened or topped up
@@ -252,10 +241,7 @@ func (c *Controller) Detach(b *Bucket) {
 	// Forgive what it still owes and write off what it lent.
 	for i := range b.loans {
 		l := &b.loans[i]
-		l.lender.lentOut -= l.owed
-		if l.lender.lentOut < 0 {
-			l.lender.lentOut = 0
-		}
+		l.lender.lentOut = max(l.lender.lentOut-l.owed, 0)
 		l.owed, l.pts = 0, 0
 		l.lender.removeDebtor(b)
 	}
@@ -274,11 +260,8 @@ func (c *Controller) Detach(b *Bucket) {
 		}
 	}
 	b.lentOut = 0
-	for i, x := range c.buckets {
-		if x == b {
-			c.buckets = append(c.buckets[:i], c.buckets[i+1:]...)
-			break
-		}
+	if i := slices.Index(c.buckets, b); i >= 0 {
+		c.buckets = slices.Delete(c.buckets, i, i+1)
 	}
 	if c.cursor >= len(c.buckets) {
 		c.cursor = 0
@@ -320,10 +303,7 @@ func (c *Controller) Request(b *Bucket, desired int) int {
 	want := c.wantPts(d)
 	chargeable := want - b.paidPts
 	if chargeable > 0 {
-		own := int(b.tokens / burstSec)
-		if own > chargeable {
-			own = chargeable
-		}
+		own := min(int(b.tokens/burstSec), chargeable)
 		b.tokens -= float64(own) * burstSec
 		short := chargeable - own
 		if short > 0 {
@@ -335,11 +315,7 @@ func (c *Controller) Request(b *Bucket, desired int) int {
 		b.paidPts += chargeable - short
 	}
 	b.active = true
-	funded := b.paidPts
-	if funded > want {
-		funded = want // desired dropped mid-window; no refunds
-	}
-	b.grant = blkio.MinWeight + funded
+	b.grant = blkio.MinWeight + min(b.paidPts, want) // desired dropped mid-window: no refunds
 	c.write(b, b.grant)
 	return b.grant
 }
@@ -378,30 +354,18 @@ func (c *Controller) settle(b *Bucket, now float64) {
 		if l.owed <= 0 {
 			continue
 		}
-		pay := inflow
-		if pay > l.owed {
-			pay = l.owed
-		}
+		pay := min(inflow, l.owed)
 		l.owed -= pay
 		inflow -= pay
-		l.lender.lentOut -= pay
-		if l.lender.lentOut < 0 {
-			l.lender.lentOut = 0
-		}
-		l.lender.tokens += pay
-		if l.lender.tokens > l.lender.cap {
-			l.lender.tokens = l.lender.cap
-		}
+		l.lender.lentOut = max(l.lender.lentOut-pay, 0)
+		l.lender.tokens = min(l.lender.tokens+pay, l.lender.cap)
 		if l.owed <= 0 && l.pts == 0 {
 			c.stats.Repays++
 			c.rec.Emit(now, b.name, trace.KindRepay, "debt to %s cleared", l.lender.name)
 		}
 	}
 	b.compactLoans()
-	b.tokens += inflow
-	if b.tokens > b.cap {
-		b.tokens = b.cap
-	}
+	b.tokens = min(b.tokens+inflow, b.cap)
 }
 
 // wantPts is the weight headroom one burst buys: the distance from the
@@ -444,10 +408,7 @@ func (c *Controller) writeOff(b *Bucket, excess float64) {
 			if l.lender != b || l.owed <= 0 {
 				continue
 			}
-			forgive := excess
-			if forgive > l.owed {
-				forgive = l.owed
-			}
+			forgive := min(excess, l.owed)
 			l.owed -= forgive
 			b.lentOut -= forgive
 			excess -= forgive
@@ -459,9 +420,7 @@ func (c *Controller) writeOff(b *Bucket, excess float64) {
 			}
 		}
 	}
-	if b.lentOut < 0 {
-		b.lentOut = 0
-	}
+	b.lentOut = max(b.lentOut, 0)
 }
 
 // endBoost takes the previous burst's borrowed points out of force.
@@ -484,10 +443,7 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 	if n <= 1 {
 		return short
 	}
-	scan := maxScan
-	if scan > n {
-		scan = n
-	}
+	scan := min(maxScan, n)
 	lenders := 0
 	for i := 0; i < scan && short > 0 && lenders < maxLenders; i++ {
 		if c.cursor >= n {
@@ -499,14 +455,8 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 			continue
 		}
 		c.settle(l, now)
-		avail := lendFrac*l.cap - l.lentOut
-		if avail > l.tokens {
-			avail = l.tokens
-		}
-		pts := int(avail / burstSec)
-		if pts > short {
-			pts = short
-		}
+		avail := min(lendFrac*l.cap-l.lentOut, l.tokens)
+		pts := min(int(avail/burstSec), short)
 		if pts <= 0 {
 			continue
 		}
@@ -539,7 +489,7 @@ func (b *Bucket) recordLoan(l *Bucket, pts int, principal float64) bool {
 	if len(b.loans) == maxLoans {
 		return false
 	}
-	if !l.hasDebtor(b) {
+	if !slices.Contains(l.debtors, b) {
 		if len(l.debtors) == maxDebtors {
 			return false
 		}
@@ -562,44 +512,26 @@ func (c *Controller) recall(b *Bucket, short int) int {
 			if l.lender != b || l.pts <= 0 {
 				continue
 			}
-			r := short
-			if r > l.pts {
-				r = l.pts
-			}
-			if byOwed := int(l.owed / burstSec); r > byOwed {
-				r = byOwed
-			}
+			r := min(short, l.pts, int(l.owed/burstSec))
 			if r <= 0 {
 				continue
 			}
 			principal := float64(r) * burstSec
 			l.pts -= r
 			l.owed -= principal
-			b.lentOut -= principal
-			if b.lentOut < 0 {
-				b.lentOut = 0
-			}
-			b.tokens += principal // reclaimed capacity funds this burst
-			if b.tokens > b.cap {
-				b.tokens = b.cap
-			}
+			b.lentOut = max(b.lentOut-principal, 0)
+			b.tokens = min(b.tokens+principal, b.cap) // reclaimed capacity funds this burst
 			short -= r
 			c.stats.Recalls++
 			if d.active {
-				d.grant -= r
-				if d.grant < blkio.MinWeight {
-					d.grant = blkio.MinWeight
-				}
+				d.grant = max(d.grant-r, blkio.MinWeight)
 				c.write(d, d.grant)
 			}
 			c.rec.Emit(c.now(), b.name, trace.KindBorrow, "recalled %d pts from %s", r, d.name)
 		}
 	}
 	// The reclaimed principal is back in b.tokens; spend it.
-	own := int(b.tokens / burstSec)
-	if own > short {
-		own = short
-	}
+	own := min(int(b.tokens/burstSec), short)
 	b.tokens -= float64(own) * burstSec
 	return short - own
 }
@@ -679,21 +611,9 @@ func (b *Bucket) compactLoans() {
 	b.loans = out
 }
 
-func (b *Bucket) hasDebtor(d *Bucket) bool {
-	for _, x := range b.debtors {
-		if x == d {
-			return true
-		}
-	}
-	return false
-}
-
 // removeDebtor removes d from b's debtor list.
 func (b *Bucket) removeDebtor(d *Bucket) {
-	for i, x := range b.debtors {
-		if x == d {
-			b.debtors = append(b.debtors[:i], b.debtors[i+1:]...)
-			return
-		}
+	if i := slices.Index(b.debtors, d); i >= 0 {
+		b.debtors = slices.Delete(b.debtors, i, i+1)
 	}
 }

@@ -1,7 +1,10 @@
 package weightfn
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"tango/internal/blkio"
 	"tango/internal/errmetric"
@@ -36,7 +39,71 @@ func TestCornersMapToWeightRange(t *testing.T) {
 	}
 }
 
+// Monotonicity axes checked by checkMonotone.
+const (
+	axisCardinality = iota
+	axisBound
+	axisPriority
+)
+
+// checkMonotone checks, over the whole calibrated domain of an NRMSE and a
+// PSNR function, with each ablation on and off, that the weight never
+// falls as the given axis grows (for the bound axis: as it loosens).
+// Draws in [0,1] map onto each axis (bounds log-spaced for NRMSE), two on
+// the checked axis with the rest of the point held fixed.
+func checkMonotone(t *testing.T, axis int) {
+	t.Helper()
+	lerp := func(lo, hi float64, u uint16) float64 { return lo + float64(u)/math.MaxUint16*(hi-lo) }
+	for _, cal := range []Calibration{
+		{Metric: errmetric.NRMSE, MaxCardinality: 1e6, MinCardinality: 100, LoosestBound: 0.1, TightestBound: 1e-5,
+			MaxPriority: PriorityHigh, MinPriority: PriorityLow},
+		{Metric: errmetric.PSNR, MaxCardinality: 1e6, MinCardinality: 100, LoosestBound: 30, TightestBound: 80,
+			MaxPriority: PriorityHigh, MinPriority: PriorityLow},
+	} {
+		// bound runs from the tightest (u = 0) to the loosest (u = max).
+		bound := func(u uint16) float64 { return lerp(cal.TightestBound, cal.LoosestBound, u) }
+		if cal.Metric == errmetric.NRMSE {
+			bound = func(u uint16) float64 {
+				return math.Exp(lerp(math.Log(cal.TightestBound), math.Log(cal.LoosestBound), u))
+			}
+		}
+		for _, ablate := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			f, err := New(cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ablate[0] {
+				f.DisablePriority()
+			}
+			if ablate[1] {
+				f.DisableAccuracy()
+			}
+			// The weight at the lower draw must not exceed the one at
+			// the higher.
+			prop := func(c, b, p, lo, hi uint16) bool {
+				lo, hi = min(lo, hi), max(lo, hi)
+				at := func(c, b, p uint16) int {
+					return f.Weight(lerp(cal.MinCardinality, cal.MaxCardinality, c), bound(b), lerp(cal.MinPriority, cal.MaxPriority, p))
+				}
+				switch axis {
+				case axisCardinality:
+					return at(lo, b, p) <= at(hi, b, p)
+				case axisBound:
+					return at(c, lo, p) <= at(c, hi, p)
+				default:
+					return at(c, b, lo) <= at(c, b, hi)
+				}
+			}
+			qc := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(1))}
+			if err := quick.Check(prop, qc); err != nil {
+				t.Errorf("%v, priority ablated %t, accuracy ablated %t: %v", cal.Metric, ablate[0], ablate[1], err)
+			}
+		}
+	}
+}
+
 func TestWeightMonotoneInCardinality(t *testing.T) {
+	checkMonotone(t, axisCardinality)
 	f := calibNRMSE(t)
 	if !(f.Weight(1e6, 0.01, 5) >= f.Weight(1e4, 0.01, 5)) {
 		t.Fatal("weight should grow with cardinality")
@@ -47,6 +114,7 @@ func TestWeightMonotoneInCardinality(t *testing.T) {
 }
 
 func TestWeightMonotoneInPriority(t *testing.T) {
+	checkMonotone(t, axisPriority)
 	f := calibNRMSE(t)
 	w1 := f.Weight(1e5, 0.01, PriorityLow)
 	w5 := f.Weight(1e5, 0.01, PriorityMedium)
@@ -60,6 +128,7 @@ func TestWeightMonotoneInPriority(t *testing.T) {
 }
 
 func TestWeightFavorsLowAccuracy(t *testing.T) {
+	checkMonotone(t, axisBound)
 	// Paper Fig 15: as the retrieved accuracy tightens from 1e-2 to
 	// 1e-4, the weight is lowered.
 	f := calibNRMSE(t)

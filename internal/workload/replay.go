@@ -117,7 +117,9 @@ func (r *replayer) issue() {
 	}
 	r.slept = false
 	r.next++
-	r.dev.Start(r.cg, op.Bytes, !op.Read, &r.tok, r)
+	if ended, _ := r.dev.Begin(r.cg, op.Bytes, !op.Read, false, &r.tok, 0, r); ended {
+		r.issue()
+	}
 }
 
 // SynthesizeTrace converts a Noise spec into an explicit trace of n

@@ -94,24 +94,18 @@ func (h *Handle) SetPeriod(p float64) { h.period = p }
 // A Noise that fails Validate panics here, as bad device.Params do: the
 // interferer runs as engine callbacks, whose panic would unwind Run.
 func LaunchNoise(node *container.Node, dev *device.Device, n Noise) *container.Container {
-	c, _ := LaunchNoiseControlled(node, dev, n)
-	return c
-}
-
-// LaunchNoiseControlled is LaunchNoise returning a churn handle alongside
-// the container, so the interferer can be stopped or re-paced mid-run
-// (see internal/fault).
-func LaunchNoiseControlled(node *container.Node, dev *device.Device, n Noise) (*container.Container, *Handle) {
 	if err := n.Validate(); err != nil {
 		panic(err)
 	}
-	return LaunchValidNoise(node, dev, n)
+	c, _ := LaunchValidNoise(node, dev, n)
+	return c
 }
 
-// LaunchValidNoise is LaunchNoiseControlled for a Noise the caller has
-// validated already (a fault plan validates its joins when it is built).
-// It builds no error value, so an engine callback may call it: a plan's
-// join launches its interferer from one.
+// LaunchValidNoise is LaunchNoise for a Noise the caller has validated
+// already, returning a churn handle alongside the container so the
+// interferer can be stopped or re-paced mid-run (see internal/fault). It
+// builds no error value, so an engine callback may call it: a fault
+// plan's join launches its interferer from one.
 func LaunchValidNoise(node *container.Node, dev *device.Device, n Noise) (*container.Container, *Handle) {
 	c := node.MustCreate(n.Name)
 	x := &interferer{n: n, dev: dev, cg: c.Cgroup(), rng: rand.New(rand.NewSource(n.Seed))}
@@ -145,7 +139,9 @@ func (x *interferer) Fire() {
 		eng.AtCall(eng.Now()+x.n.Phase, x)
 	case !x.stopped:
 		x.start = eng.Now()
-		x.dev.Start(x.cg, x.n.CheckpointBytes, true, &x.tok, x)
+		if ended, _ := x.dev.Begin(x.cg, x.n.CheckpointBytes, true, false, &x.tok, 0, x); ended {
+			x.TransferDone(&x.tok, nil)
+		}
 	}
 }
 
@@ -181,8 +177,10 @@ func LaunchNoiseSet(node *container.Node, dev *device.Device, set []Noise) []*co
 func LaunchNoiseSetControlled(node *container.Node, dev *device.Device, set []Noise) map[string]*Handle {
 	out := make(map[string]*Handle, len(set))
 	for _, n := range set {
-		_, h := LaunchNoiseControlled(node, dev, n)
-		out[n.Name] = h
+		if err := n.Validate(); err != nil {
+			panic(err)
+		}
+		_, out[n.Name] = LaunchValidNoise(node, dev, n)
 	}
 	return out
 }
@@ -226,7 +224,9 @@ func (w *randomWriter) Fire() {
 		return
 	}
 	size := w.minB + w.rng.Float64()*(w.maxB-w.minB)
-	w.dev.Start(w.cg, size, true, &w.tok, w)
+	if ended, _ := w.dev.Begin(w.cg, size, true, false, &w.tok, 0, w); ended {
+		w.sleep()
+	}
 }
 
 // TransferDone sleeps the next gap.
@@ -283,7 +283,9 @@ func (r *periodicReader) Fire() {
 	}
 	r.start = r.dev.Engine().Now()
 	r.bytes = r.bytesFn(r.step)
-	r.dev.Start(r.cg, r.bytes, false, &r.tok, r)
+	if ended, _ := r.dev.Begin(r.cg, r.bytes, false, false, &r.tok, 0, r); ended {
+		r.TransferDone(&r.tok, nil)
+	}
 }
 
 // TransferDone reports the step and sleeps what is left of the period, or

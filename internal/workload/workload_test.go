@@ -162,7 +162,7 @@ func TestPeriodicReaderUnderInterference(t *testing.T) {
 
 // launchNoiseReference is the Table IV interferer as it was written
 // before it became engine callbacks: one process running the checkpoint
-// loop. TestCallbackMatchesProcessLoop holds LaunchNoiseControlled to it.
+// loop. TestCallbackMatchesProcessLoop holds LaunchValidNoise to it.
 func launchNoiseReference(node *container.Node, dev *device.Device, n Noise) (*container.Container, *Handle) {
 	rng := rand.New(rand.NewSource(n.Seed))
 	h := &Handle{}
@@ -221,6 +221,9 @@ func drawScenario(seed int64) equivScenario {
 		sc.dev = device.HDD("hdd")
 	} else {
 		sc.dev = device.Params{Name: "zero-latency", PeakBandwidth: 200 * device.MB, SeekThrash: 0.2, MinEfficiency: 0.3, WriteFactor: 0.9}
+		if rng.Intn(4) == 0 {
+			sc.readerMB = 0 // every read ends inside Begin, amid the interferers' events
+		}
 	}
 	for i, count := 0, 1+rng.Intn(6); i < count; i++ {
 		n := Noise{
@@ -340,14 +343,14 @@ func TestCallbackMatchesProcessLoop(t *testing.T) {
 		readerMB: 30,
 		horizon:  300,
 	}
-	var backToBack, stuck, later int
+	var backToBack, stuck, later, zeroReads int
 	for seed := int64(0); seed <= 400; seed++ {
 		sc := tie
 		if seed > 0 {
 			sc = drawScenario(seed)
 		}
 		want := runScenario(t, sc, launchNoiseReference)
-		got := runScenario(t, sc, LaunchNoiseControlled)
+		got := runScenario(t, sc, LaunchValidNoise)
 		fail := func(what string, w, g any) {
 			t.Fatalf("seed %d: %s: callback %v, process loop %v (scenario %+v)", seed, what, g, w, sc)
 		}
@@ -381,10 +384,13 @@ func TestCallbackMatchesProcessLoop(t *testing.T) {
 			}
 		}
 		later += got.launchedLater
+		if sc.readerMB == 0 {
+			zeroReads++
+		}
 	}
 	// The draw covers what the comparison is for.
-	if backToBack == 0 || stuck == 0 || later == 0 {
-		t.Fatalf("draw missed a case: %d back-to-back writers, %d stuck windows, %d later launches", backToBack, stuck, later)
+	if backToBack == 0 || stuck == 0 || later == 0 || zeroReads == 0 {
+		t.Fatalf("draw missed a case: %d back-to-back writers, %d stuck windows, %d later launches, %d zero-byte readers", backToBack, stuck, later, zeroReads)
 	}
 }
 

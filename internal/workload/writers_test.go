@@ -91,15 +91,17 @@ func drawWriterScenario(seed int64) writerScenario {
 		sc.dev = device.HDD("hdd")
 	}
 	// A zero-byte transfer on a device with no request latency ends inside
-	// the start call: a process carried on at once, a callback hears of it
-	// from an event at that instant. Such a device gets no zero-byte ops.
+	// Begin, where a process carried on at once and a callback must too.
 	size := func() float64 {
-		if !zeroLatency && rng.Intn(8) == 0 {
+		if rng.Intn(8) == 0 {
 			return 0
 		}
 		return float64(1+rng.Intn(400)) * device.MB
 	}
 	sc.minB, sc.maxB = size(), size()
+	if zeroLatency && sc.gap == 0 {
+		sc.gap = 5 // zero gaps and sizes would loop forever at one instant, process and callbacks alike
+	}
 	for i := rng.Intn(4); i > 0; i-- {
 		sc.readMB = append(sc.readMB, size()/device.MB)
 	}
@@ -223,7 +225,7 @@ func TestWritersMatchProcessLoops(t *testing.T) {
 		ops:     ops,
 		horizon: 300,
 	}
-	var overruns, zeroOps, ties, later int
+	var overruns, zeroOps, instantOps, ties, later int
 	for seed := int64(0); seed <= 300; seed++ {
 		sc := tie
 		if seed > 0 {
@@ -248,6 +250,9 @@ func TestWritersMatchProcessLoops(t *testing.T) {
 		for i, op := range sc.ops {
 			if op.Bytes == 0 {
 				zeroOps++
+				if sc.dev.RequestLatency == 0 {
+					instantOps++
+				}
 			}
 			if i > 0 && op.T == sc.ops[i-1].T {
 				ties++
@@ -260,8 +265,9 @@ func TestWritersMatchProcessLoops(t *testing.T) {
 		}
 	}
 	// The draw covers what the comparison is for.
-	if overruns == 0 || zeroOps == 0 || ties == 0 || later == 0 {
-		t.Fatalf("draw missed a case: %d reader overruns, %d zero-byte ops, %d same-time ops, %d later launches", overruns, zeroOps, ties, later)
+	if overruns == 0 || zeroOps == 0 || instantOps == 0 || ties == 0 || later == 0 {
+		t.Fatalf("draw missed a case: %d reader overruns, %d zero-byte ops (%d at zero latency), %d same-time ops, %d later launches",
+			overruns, zeroOps, instantOps, ties, later)
 	}
 }
 
