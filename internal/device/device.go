@@ -227,8 +227,7 @@ type Device struct {
 	flows      []*flow // ordered by id for deterministic iteration
 	nextID     int64
 	lastUpdate float64
-	timer      sim.Timer
-	onTimer    func() // cached completion callback; one alloc per device
+	timer      sim.Timer // the completion timer, whose body is the device's Fire
 
 	readErr, cancelErr devError // what a failed and a cancelled transfer return
 
@@ -272,13 +271,6 @@ func New(eng *sim.Engine, p Params) *Device {
 		bwFactor: 1,
 		share:    1,
 		nextID:   1, // 0 is reserved so a zero Token can never match a live flow
-	}
-	d.onTimer = func() {
-		d.advance()
-		if d.deadlined > 0 {
-			d.expire() // before reshape completes the drained: a tie goes to the deadline
-		}
-		d.reshape()
 	}
 	name := strconv.Quote(p.Name)
 	d.readErr = devError{"device " + name + ": " + ErrRead.Error(), ErrRead}
@@ -800,8 +792,18 @@ func (d *Device) scheduleCompletion() {
 	}
 	d.cancelTimer()
 	if !math.IsInf(when, 1) {
-		d.timer = d.eng.At(when, d.onTimer)
+		d.timer = d.eng.AtCall(when, d)
 	}
+}
+
+// Fire is the device as its own sim.Callback: the completion timer's
+// event, armed without a closure.
+func (d *Device) Fire() {
+	d.advance()
+	if d.deadlined > 0 {
+		d.expire() // before reshape completes the drained: a tie goes to the deadline
+	}
+	d.reshape()
 }
 
 // completeDrained drops the drained and the cancelled from the active set

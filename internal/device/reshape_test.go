@@ -152,11 +152,12 @@ type churn struct {
 	cgs   []*blkio.Cgroup
 	idle  []*Token
 	live  []*Token
-	armed float64 // the reference's completion time after the last check
+	armed float64   // the reference's completion time after the last check
+	probe sim.Timer // the probe event at armed
 }
 
-// check compares every flow's rate and the armed completion time with the
-// reference's by bits.
+// check compares every flow's rate with the reference's by bits, and arms
+// the probe at the reference's completion time.
 func (c *churn) check(what string) {
 	rates := referenceRates(c.d)
 	for i, f := range c.d.flows {
@@ -166,6 +167,25 @@ func (c *churn) check(what string) {
 		}
 	}
 	c.armed = referenceWhen(c.d, rates)
+	c.probe.Stop()
+	if !math.IsInf(c.armed, 1) {
+		c.probe = c.eng.AtCall(c.armed, c)
+	}
+}
+
+// Fire is the probe: queued after the device armed its completion timer
+// for the same instant, it finds the device advanced to that instant
+// exactly when the timer fired at the reference's time, and nothing left
+// due then — every drained flow completed, every deadline expired.
+func (c *churn) Fire() {
+	if math.Float64bits(c.d.lastUpdate) != math.Float64bits(c.armed) {
+		c.t.Fatalf("seed %d: at the reference's completion time %v the device was last advanced at %v",
+			c.seed, c.armed, c.d.lastUpdate)
+	}
+	now := c.armed
+	if c.check("the completion timer"); c.armed <= now {
+		c.t.Fatalf("seed %d, t=%v: the completion timer left a completion or an expiry due", c.seed, now)
+	}
 }
 
 // TransferDone recycles the token and sometimes issues the next transfer
@@ -290,14 +310,6 @@ func runChurn(t *testing.T, seed int64) {
 	}
 	for i := 0; i < 24; i++ {
 		c.idle = append(c.idle, new(Token))
-	}
-	timer := c.d.onTimer
-	c.d.onTimer = func() {
-		if math.Float64bits(eng.Now()) != math.Float64bits(c.armed) {
-			t.Fatalf("seed %d: the completion timer fired at %v, the reference armed it for %v", seed, eng.Now(), c.armed)
-		}
-		timer()
-		c.check("the completion timer")
 	}
 	for i := 0; i < 300; i++ {
 		eng.At(rng.Float64()*60, c.op)

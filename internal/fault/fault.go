@@ -68,47 +68,47 @@ const (
 	NodeKill
 )
 
-var kindNames = map[Kind]string{
-	BWCollapse:    "bw-collapse",
-	LatencySpike:  "latency",
-	ReadError:     "read-err",
-	Stuck:         "stuck",
-	WeightFail:    "weight-fail",
-	ThrottleReset: "throttle-reset",
-	Join:          "join",
-	Leave:         "leave",
-	PeriodChange:  "period",
-	NodeKill:      "node-kill",
+// kindRow is a kind's spelling in the spec grammar: its name, the key
+// naming its target, the key of its Factor ("" for none), whether it has
+// a clearance event after Duration, and whether it targets a device
+// (internal/fleet arms only these on each node's injector and interprets
+// NodeKill itself).
+type kindRow struct {
+	name, target, factor string
+	windowed, device     bool
 }
 
-// String returns the kind's spec-grammar name ("Kind(?)" for a value no
-// kind has: fault timers fire on the hot path, where formatting one would
-// allocate).
-func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
-	}
-	return "Kind(?)"
+var kinds = [...]kindRow{
+	BWCollapse:    {"bw-collapse", "dev", "factor", true, true},
+	LatencySpike:  {"latency", "dev", "add", true, true},
+	ReadError:     {"read-err", "dev", "", true, true},
+	Stuck:         {"stuck", "dev", "", true, true},
+	WeightFail:    {"weight-fail", "cg", "", true, false},
+	ThrottleReset: {"throttle-reset", "cg", "mb", true, false},
+	Join:          {"join", "name", "", false, false},
+	Leave:         {"leave", "name", "", false, false},
+	PeriodChange:  {"period", "name", "period", false, false},
+	NodeKill:      {"node-kill", "node", "", true, false},
 }
+
+// row is k's row of kinds. A value no kind has is "Kind(?)", targeted by
+// name=: fault timers fire on the hot path, where formatting it would
+// allocate.
+func (k Kind) row() kindRow {
+	if k < 0 || int(k) >= len(kinds) {
+		return kindRow{name: "Kind(?)", target: "name"}
+	}
+	return kinds[k]
+}
+
+// String returns the kind's spec-grammar name.
+func (k Kind) String() string { return k.row().name }
 
 // windowed reports whether the kind has a clearance event after Duration.
-func (k Kind) windowed() bool {
-	switch k {
-	case BWCollapse, LatencySpike, ReadError, Stuck, WeightFail, ThrottleReset, NodeKill:
-		return true
-	}
-	return false
-}
+func (k Kind) windowed() bool { return k.row().windowed }
 
-// DeviceFault reports whether the kind targets a device (internal/fleet
-// arms only these on each node's injector and interprets NodeKill itself).
-func (k Kind) DeviceFault() bool {
-	switch k {
-	case BWCollapse, LatencySpike, ReadError, Stuck:
-		return true
-	}
-	return false
-}
+// DeviceFault reports whether the kind targets a device.
+func (k Kind) DeviceFault() bool { return k.row().device }
 
 // Event is one scheduled fault.
 type Event struct {
@@ -207,26 +207,12 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&b, "%s@%g:", e.Kind, e.At)
 		var params []string
 		add := func(k string, v string) { params = append(params, k+"="+v) }
-		switch {
-		case e.Kind.DeviceFault():
-			add("dev", e.Target)
-		case e.Kind == WeightFail || e.Kind == ThrottleReset:
-			add("cg", e.Target)
-		case e.Kind == NodeKill:
-			add("node", e.Target)
-		default:
-			add("name", e.Target)
+		row := e.Kind.row()
+		add(row.target, e.Target)
+		if row.factor != "" {
+			add(row.factor, fmt.Sprintf("%g", e.Factor))
 		}
-		switch e.Kind {
-		case BWCollapse:
-			add("factor", fmt.Sprintf("%g", e.Factor))
-		case LatencySpike:
-			add("add", fmt.Sprintf("%g", e.Factor))
-		case ThrottleReset:
-			add("mb", fmt.Sprintf("%g", e.Factor))
-		case PeriodChange:
-			add("period", fmt.Sprintf("%g", e.Factor))
-		case Join:
+		if e.Kind == Join {
 			add("period", fmt.Sprintf("%g", e.Noise.Period))
 			add("mb", fmt.Sprintf("%g", e.Noise.CheckpointBytes/mb))
 			if e.Noise.Phase != 0 {
@@ -236,7 +222,7 @@ func (p *Plan) String() string {
 			add("jitter", fmt.Sprintf("%g", e.Noise.Jitter))
 			add("seed", fmt.Sprintf("%d", e.Noise.Seed))
 		}
-		if e.Kind.windowed() {
+		if row.windowed {
 			add("dur", fmt.Sprintf("%g", e.Duration))
 		}
 		b.WriteString(strings.Join(params, ","))

@@ -3,7 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -54,15 +54,8 @@ func parseEvent(s string) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("fault: event %q missing '@time'", s)
 	}
-	var kind Kind
-	found := false
-	for k, name := range kindNames {
-		if name == strings.TrimSpace(kindStr) {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
+	kind := Kind(slices.IndexFunc(kinds[:], func(r kindRow) bool { return r.name == strings.TrimSpace(kindStr) }))
+	if kind < 0 {
 		return Event{}, fmt.Errorf("fault: unknown kind %q (want one of %s)", kindStr, allKindNames())
 	}
 	at, err := strconv.ParseFloat(strings.TrimSpace(atStr), 64)
@@ -103,25 +96,13 @@ func parseEvent(s string) (Event, error) {
 		return v
 	}
 
-	switch {
-	case kind.DeviceFault():
-		ev.Target = str("dev")
-	case kind == WeightFail || kind == ThrottleReset:
-		ev.Target = str("cg")
-	case kind == NodeKill:
-		ev.Target = str("node")
-	default:
-		ev.Target = str("name")
-	}
-	if kind.windowed() { // elsewhere dur is an unknown param, which String would drop
+	row := kind.row()
+	ev.Target = str(row.target)
+	if row.windowed { // elsewhere dur is an unknown param, which String would drop
 		num("dur", &ev.Duration)
 	}
-	factorKey := map[Kind]string{
-		BWCollapse: "factor", LatencySpike: "add",
-		ThrottleReset: "mb", PeriodChange: "period",
-	}[kind]
-	if factorKey != "" && !num(factorKey, &ev.Factor) && kind != ThrottleReset {
-		return Event{}, fmt.Errorf("fault: %s in %q needs %s=", kind, s, factorKey)
+	if row.factor != "" && !num(row.factor, &ev.Factor) && kind != ThrottleReset {
+		return Event{}, fmt.Errorf("fault: %s in %q needs %s=", kind, s, row.factor)
 	}
 	if kind == Join {
 		n := workload.Noise{Name: ev.Target, Jitter: 0.08}
@@ -154,7 +135,7 @@ func parseEvent(s string) (Event, error) {
 			extra = append(extra, k)
 		}
 		// Sorted for a deterministic message.
-		sort.Strings(extra)
+		slices.Sort(extra)
 		return Event{}, fmt.Errorf("fault: unknown params %v in %q", extra, s)
 	}
 	return ev, nil
@@ -162,8 +143,8 @@ func parseEvent(s string) (Event, error) {
 
 func allKindNames() string {
 	var names []string
-	for k := BWCollapse; k <= NodeKill; k++ {
-		names = append(names, k.String())
+	for _, r := range kinds {
+		names = append(names, r.name)
 	}
 	return strings.Join(names, "|")
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tango/internal/core"
 	"tango/internal/fleet"
 	"tango/internal/trace"
 )
@@ -123,16 +124,23 @@ func explore(args []string) (finding string) {
 		if n := run.Scenario.Node.Engine().LiveProcs(); n != 0 {
 			return fmt.Sprintf("%d procs live after the run", n)
 		}
-		for _, st := range stats {
-			runs[i] = append(runs[i], math.Float64bits(st.Start), math.Float64bits(st.IOTime),
-				math.Float64bits(st.Bytes), math.Float64bits(st.Predicted), math.Float64bits(st.Degree),
-				uint64(st.Cursor), uint64(st.Retries))
-		}
+		runs[i] = stepBits(stats)
 	}
 	if !slices.Equal(runs[0], runs[1]) || traces[0] != traces[1] {
 		return "a second run of the same spec differs"
 	}
 	return ""
+}
+
+// stepBits is every step's numbers, bit for bit.
+func stepBits(stats []core.StepStats) []uint64 {
+	var bits []uint64
+	for _, st := range stats {
+		bits = append(bits, math.Float64bits(st.Start), math.Float64bits(st.IOTime),
+			math.Float64bits(st.Bytes), math.Float64bits(st.Predicted), math.Float64bits(st.Degree),
+			uint64(st.Cursor), uint64(st.Retries))
+	}
+	return bits
 }
 
 // traceText formats every recorded event, so an event whose arguments do

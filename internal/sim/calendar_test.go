@@ -123,8 +123,8 @@ func TestCalendarResetPanicsWithPendingItems(t *testing.T) {
 	var c Calendar
 	c.Reset(e, 2)
 	fired := 0
-	c.Add(1, fireFunc(func() { fired++ }))
-	c.Add(2, fireFunc(func() { fired++ }))
+	c.Add(1, funcCall(func() { fired++ }))
+	c.Add(2, funcCall(func() { fired++ }))
 	c.Arm()
 	if err := e.Run(1); err != nil {
 		t.Fatal(err)

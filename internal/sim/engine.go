@@ -38,42 +38,40 @@ func (e *Engine) Now() float64 { return e.now }
 // recycle returns a drained event to the freelist. The callback reference
 // is dropped so the freelist does not pin closures.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
 	ev.cb = nil
 	e.free = append(e.free, ev)
 }
 
-// Callback is the allocation-free alternative to a func() event body: a
-// hot path that would otherwise build a fresh closure per scheduling (to
-// carry per-object state into the event) instead implements Fire on the
-// state object itself and passes its pointer — boxing a pointer into the
+// Callback is an event body: the engine calls Fire when the event is due.
+// A hot path that would otherwise build a fresh closure per scheduling (to
+// carry per-object state into the event) implements Fire on the state
+// object itself and passes its pointer — boxing a pointer into the
 // interface does not allocate. See Device's flow-issue events.
 type Callback interface {
 	Fire()
 }
 
-// AtCall schedules cb.Fire to run at virtual time t. Semantics (clamping,
-// ordering, Timer cancellation) are identical to At; the event occupies
-// the same sequence slot an At call at this point would.
-//
-//tango:hotpath
-func (e *Engine) AtCall(t float64, cb Callback) Timer { return e.schedule(t, nil, cb) }
+// funcCall is a func as a Callback. A func value is one pointer, so At
+// boxes it without allocating.
+type funcCall func()
 
-// At schedules fn to run at virtual time t. Times in the past are clamped
-// to the present (the event still fires, after already-scheduled events at
-// the current instant). Returns a handle that can cancel the event.
-//
-//tango:hotpath
-func (e *Engine) At(t float64, fn func()) Timer { return e.schedule(t, fn, nil) }
+func (f funcCall) Fire() { f() }
 
-// schedule is At and AtCall (exactly one of fn and cb is set), which are
-// thin enough to inline. The event takes the next sequence number: seq is
-// monotone and never reused, so a Timer holding a stale pointer can always
-// detect that its event is gone.
+// At schedules fn to run at virtual time t: AtCall with fn as the body.
 //
 //tango:hotpath
-func (e *Engine) schedule(t float64, fn func(), cb Callback) Timer {
-	ev := e.push(e.clamp(t), e.seq, fn, cb)
+func (e *Engine) At(t float64, fn func()) Timer { return e.AtCall(t, funcCall(fn)) }
+
+// AtCall schedules cb.Fire to run at virtual time t. Times in the past are
+// clamped to the present (the event still fires, after already-scheduled
+// events at the current instant). Returns a handle that can cancel the
+// event. The event takes the next sequence number: seq is monotone and
+// never reused, so a Timer holding a stale pointer can always detect that
+// its event is gone.
+//
+//tango:hotpath
+func (e *Engine) AtCall(t float64, cb Callback) Timer {
+	ev := e.push(e.clamp(t), e.seq, cb)
 	e.seq++
 	return Timer{ev: ev, seq: ev.seq}
 }
@@ -93,7 +91,7 @@ func (e *Engine) clamp(t float64) float64 {
 // freelist or from the next slot of a chunk.
 //
 //tango:hotpath
-func (e *Engine) push(t float64, seq int64, fn func(), cb Callback) *event {
+func (e *Engine) push(t float64, seq int64, cb Callback) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -102,7 +100,7 @@ func (e *Engine) push(t float64, seq int64, fn func(), cb Callback) *event {
 	} else {
 		ev = e.evSlab.Next()
 	}
-	ev.t, ev.seq, ev.fn, ev.cb = t, seq, fn, cb
+	ev.t, ev.seq, ev.cb = t, seq, cb
 	e.events.push(ev)
 	return ev
 }
@@ -116,16 +114,8 @@ func (e *Engine) push(t float64, seq int64, fn func(), cb Callback) *event {
 // batch as one. The items buffer is reused from batch to batch.
 type Calendar struct {
 	e     *Engine
-	items []calItem
+	items []event
 	next  int // the first item not yet fired
-}
-
-// calItem is a batched callback under its event key: an event without the
-// fn word, so Arm's sort moves a fifth fewer bytes than events would.
-type calItem struct {
-	t   float64
-	seq int64
-	cb  Callback
 }
 
 // Reset empties c for a new batch on e, with room for n items. It panics
@@ -141,13 +131,13 @@ func (c *Calendar) Reset(e *Engine, n int) {
 //
 //tango:hotpath
 func (c *Calendar) Add(t float64, cb Callback) {
-	c.items = append(c.items, calItem{t: c.e.clamp(t), seq: c.e.seq, cb: cb})
+	c.items = append(c.items, event{t: c.e.clamp(t), seq: c.e.seq, cb: cb})
 	c.e.seq++
 }
 
 // Arm queues the batch, once all of it is added.
 func (c *Calendar) Arm() {
-	slices.SortFunc(c.items, func(a, b calItem) int { // seqs differ: no ties
+	slices.SortFunc(c.items, func(a, b event) int { // seqs differ: no ties
 		if a.t < b.t || a.t == b.t && a.seq < b.seq {
 			return -1
 		}
@@ -169,7 +159,7 @@ func (c *Calendar) Fire() {
 func (c *Calendar) queueNext() {
 	if c.next < len(c.items) {
 		it := &c.items[c.next]
-		c.e.push(it.t, it.seq, nil, c)
+		c.e.push(it.t, it.seq, c)
 	}
 }
 
@@ -188,10 +178,9 @@ type Timer struct {
 //
 //tango:hotpath
 func (t Timer) Stop() bool {
-	if t.ev == nil || t.ev.seq != t.seq || (t.ev.fn == nil && t.ev.cb == nil) {
+	if t.ev == nil || t.ev.seq != t.seq || t.ev.cb == nil {
 		return false
 	}
-	t.ev.fn = nil
 	t.ev.cb = nil
 	return true
 }
@@ -227,13 +216,10 @@ func (e *Engine) RunAll() error {
 func (e *Engine) dispatch(until float64) {
 	for len(e.events) > 0 && e.err == nil && e.events[0].t <= until {
 		ev := e.events.pop()
-		t, fn, cb := ev.t, ev.fn, ev.cb
+		t, cb := ev.t, ev.cb
 		e.recycle(ev) // before firing: the callback may reschedule and reuse it
 		// Only a live event moves the clock: one neutered by Stop just drains.
-		if fn != nil {
-			e.now = t
-			fn()
-		} else if cb != nil {
+		if cb != nil {
 			e.now = t
 			cb.Fire()
 		}

@@ -3,9 +3,9 @@
 // controllers, interfering workloads, and data analytics of this
 // repository run in virtual time.
 //
-// Work is events: a func or a Callback armed at a virtual time, fired in
-// (time, seq) order on the engine's own thread, so all simulation state is
-// serialized without locks and runs are bit-deterministic for a given
+// Work is events: a Callback (a func, through At) armed at a virtual time,
+// fired in (time, seq) order on the engine's own thread, so all simulation
+// state is serialized without locks and runs are bit-deterministic for a given
 // seed and arming order. A blocking process (Spawn) is kept for callers
 // that are written as straight-line code: it follows the SimPy coroutine
 // model, one coroutine (iter.Pull) per process from spawn to end, which
@@ -21,8 +21,7 @@ package sim
 type event struct {
 	t   float64
 	seq int64
-	fn  func()
-	cb  Callback // used instead of fn by AtCall; exactly one of the two is set
+	cb  Callback // nil once fired or stopped
 }
 
 // before reports whether a fires strictly before b.

@@ -74,8 +74,8 @@ func TestFinishedProcDropsBody(t *testing.T) {
 
 // A thousand events armed at once cost a few chunks, not an object each.
 func TestEventsComeFromChunks(t *testing.T) {
-	if n := unsafe.Sizeof(event{}); n > 40 {
-		t.Errorf("sizeof(event) = %d, want <= 40", n)
+	if n := unsafe.Sizeof(event{}); n > 32 {
+		t.Errorf("sizeof(event) = %d, want <= 32", n)
 	}
 	const n = 1000
 	cb := &countCallback{}

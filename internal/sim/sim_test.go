@@ -17,14 +17,16 @@ func TestEventOrdering(t *testing.T) {
 	e.At(1.0, func() { got = append(got, 10) }) // same time: FIFO
 	// A process start and a Callback each take one slot, at the call.
 	e.SpawnAt(1.0, "p", func(*Proc) { got = append(got, 11) })
-	e.AtCall(1.0, fireFunc(func() { got = append(got, 12) }))
-	if n := e.Scheduled(); n != 6 {
-		t.Fatalf("6 calls armed %d events", n)
+	// At is AtCall of a func: the two interleave in scheduling order.
+	e.AtCall(1.0, funcCall(func() { got = append(got, 12) }))
+	e.At(1.0, func() { got = append(got, 13) })
+	if n := e.Scheduled(); n != 7 {
+		t.Fatalf("7 calls armed %d events", n)
 	}
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 10, 11, 12, 2, 3}
+	want := []int{1, 10, 11, 12, 13, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -35,10 +37,22 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
-// fireFunc is a func as a Callback.
-type fireFunc func()
-
-func (f fireFunc) Fire() { f() }
+// At boxes its func into the event without allocating: a func value is
+// one pointer.
+func TestAtAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := func() { n++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		e.At(e.Now()+1, fn)
+		if err := e.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || n != 101 {
+		t.Fatalf("At cost %v objects per call (want 0), fired %d (want 101)", allocs, n)
+	}
+}
 
 func TestRunUntilStopsClock(t *testing.T) {
 	e := NewEngine()
@@ -98,7 +112,9 @@ func TestTimerStop(t *testing.T) {
 func TestStoppedTimerDoesNotAdvanceClock(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
-	e.At(e.Now()+5, func() { t.Error("stopped func timer fired") }).Stop()
+	if !e.At(e.Now()+5, func() { t.Error("stopped func timer fired") }).Stop() {
+		t.Fatal("Stop on a pending At event reported false")
+	}
 	e.AtCall(7, &countCallback{}).Stop()
 	if err := e.RunAll(); err != nil {
 		t.Fatal(err)
