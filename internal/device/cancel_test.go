@@ -85,7 +85,8 @@ func TestCancelAfterCompletionIsNoop(t *testing.T) {
 
 func TestStaleTokenDoesNotCancelLaterFlow(t *testing.T) {
 	// A timer firing after its transfer finished must not kill whatever
-	// flow reused the struct: the (pointer, id) pair guards recycling.
+	// flow reused the struct: finish clears the token's flow pointer, so a
+	// spent token reaches no flow at all.
 	eng := sim.NewEngine()
 	d := New(eng, flatParams(100))
 	cg := blkio.NewCgroup("a")
@@ -208,8 +209,9 @@ func TestReadErrorOnCancellablePath(t *testing.T) {
 }
 
 // TestTransferSteadyStateZeroAlloc pins the single transfer path's
-// allocation contract with the runtime allocator: once the flow and event
-// freelists are warm, neither a plain nor a cancellable read allocates.
+// allocation contract with the runtime allocator: once the device's free
+// flows and the engine's spare events are warm, neither a plain nor a
+// cancellable read allocates.
 func TestTransferSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, HDD("hdd"))

@@ -9,10 +9,10 @@ import (
 	"tango/internal/sim"
 )
 
-// A freelist miss takes its flow from the device's slab: n flows in flight
-// at once on a fresh device cost chunks of them plus the log-many growth
-// steps of the active set and the freelist, not one object per flow. The
-// engine is warmed first, so its events come off its own freelist.
+// A miss on the free chain takes its flow from the device's slab: n flows
+// in flight at once on a fresh device cost chunks of them plus the
+// log-many growth steps of the active set, not one object per flow. The
+// engine is warmed first, so its events reuse the structs its heap kept.
 func TestFlowsComeFromChunks(t *testing.T) {
 	const n = 1024
 	eng := sim.NewEngine()

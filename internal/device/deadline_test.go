@@ -409,8 +409,8 @@ func TestStartReadNotifiesEveryEnding(t *testing.T) {
 }
 
 // TestStartReadSteadyStateZeroAlloc: a proc-less read begun with a
-// deadline — the hedge leg — allocates nothing once the freelists are
-// warm, whether it drains or expires.
+// deadline — the hedge leg — allocates nothing once the free flows and
+// spare events are warm, whether it drains or expires.
 func TestStartReadSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	d := New(eng, HDD("hdd"))

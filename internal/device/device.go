@@ -72,14 +72,10 @@ const (
 
 // String names the scheduler.
 func (s Scheduler) String() string {
-	switch s {
-	case ProportionalShare:
-		return "proportional-share"
-	case FIFO:
-		return "fifo"
-	default:
-		return "Scheduler(?)"
+	if names := [...]string{"proportional-share", "fifo"}; s >= 0 && int(s) < len(names) {
+		return names[s]
 	}
+	return "Scheduler(?)"
 }
 
 // Params describes the performance envelope of a device.
@@ -162,12 +158,12 @@ func (p Params) validate() error {
 }
 
 // flow is one in-flight request stream. Structs come from the device's
-// slab and are recycled through its freelist by finish, once the flow has
+// slab and are recycled onto its free chain by finish, once the flow has
 // ended and the device holds no reference to it. A fleet holds ~100 k, 80
 // bytes each: new per-transfer state goes on Token instead.
 type flow struct {
-	id       int64
 	d        *Device // owning device, for the Fire callback
+	next     *flow   // the device's chain of ended Begin flows, or its free chain
 	cg       *blkio.Cgroup
 	proc     *sim.Proc // the blocked issuer; nil on a Begin flow, which the device finishes
 	tok      *Token    // non-nil on a cancellable transfer; armed by issue
@@ -184,16 +180,18 @@ type flow struct {
 
 // Fire is the flow as its own sim.Callback, carrying the per-transfer
 // state without a per-call closure: the issue after the request-latency
-// wait, then for an ended Begin flow the finish no process runs.
+// wait (a device event), then for an ended Begin flow the finish.
 func (f *flow) Fire() {
 	d, tok := f.d, f.tok
-	if !f.done && !f.canceled {
-		if d.issue(f) {
-			d.end(f)
-		}
+	if f.done || f.canceled {
+		tok.notify.TransferDone(tok, d.finish(f))
 		return
 	}
-	tok.notify.TransferDone(tok, d.finish(f))
+	d.firing = true
+	if d.issue(f) {
+		d.end(f)
+	}
+	d.tellEnded()
 }
 
 // deadline returns the time the flow's token cancels it at, +Inf for none.
@@ -224,15 +222,20 @@ type Device struct {
 	eng *sim.Engine
 	p   Params
 
-	flows      []*flow // ordered by id for deterministic iteration
-	nextID     int64
+	flows      []*flow // in issue order, for deterministic iteration
 	lastUpdate float64
 	timer      sim.Timer // the completion timer, whose body is the device's Fire
 
 	readErr, cancelErr devError // what a failed and a cancelled transfer return
 
-	flowFree  []*flow           // recycled flow structs
-	flowSlab  slab.Chunks[flow] // where a freelist miss takes its flow from
+	// While a device event runs (firing), Begin flows that end join the
+	// ended chain under consecutive reserved seqs endSeq … endNext-1.
+	firing          bool
+	ended, endTail  *flow
+	endSeq, endNext int64
+
+	free      *flow             // recycled flow structs, chained through next
+	flowSlab  slab.Chunks[flow] // where a miss on the free chain takes its flow from
 	deadlined int               // active flows with a deadline; 0 keeps the scan and the expiry off the fault-free path
 	// groups holds the active flows' groups in the order of each group's
 	// oldest flow, the order the water-filling sums in: a new group goes
@@ -265,13 +268,7 @@ func New(eng *sim.Engine, p Params) *Device {
 	if err := p.validate(); err != nil {
 		panic(err)
 	}
-	d := &Device{
-		eng:      eng,
-		p:        p,
-		bwFactor: 1,
-		share:    1,
-		nextID:   1, // 0 is reserved so a zero Token can never match a live flow
-	}
+	d := &Device{eng: eng, p: p, bwFactor: 1, share: 1}
 	name := strconv.Quote(p.Name)
 	d.readErr = devError{"device " + name + ": " + ErrRead.Error(), ErrRead}
 	d.cancelErr = devError{"device " + name + ": " + ErrCanceled.Error(), ErrCanceled}
@@ -294,10 +291,12 @@ func (d *Device) ActiveFlows() int { return len(d.flows) }
 func (d *Device) TotalBytes() float64 { return d.totalBytes }
 
 // BusyTime returns cumulative seconds during which at least one flow was
-// active.
+// active. It only reads: integrating here would move later float bits.
 func (d *Device) BusyTime() float64 {
-	d.advance()
-	return d.busyTime
+	if len(d.flows) == 0 {
+		return d.busyTime
+	}
+	return d.busyTime + max(d.eng.Now()-d.lastUpdate, 0)
 }
 
 // Efficiency returns eff(n) for n concurrent flows.
@@ -353,11 +352,7 @@ func (d *Device) SetFault(bwFactor, extraLatency float64) {
 
 // ClearFault restores healthy bandwidth and latency; stalled flows resume.
 // Must be called from sim context.
-func (d *Device) ClearFault() {
-	d.bwFactor = 1
-	d.extraLatency = 0
-	d.Touch()
-}
+func (d *Device) ClearFault() { d.SetFault(1, 0) }
 
 // Faulted reports whether a degradation fault is currently injected.
 func (d *Device) Faulted() bool { return d.bwFactor != 1 || d.extraLatency != 0 }
@@ -398,9 +393,7 @@ func (d *Device) TryReserve(bytes float64) bool {
 
 // Release returns previously reserved capacity (ephemeral data erased
 // after a job exits).
-func (d *Device) Release(bytes float64) {
-	d.used = max(d.used-bytes, 0)
-}
+func (d *Device) Release(bytes float64) { d.used = max(d.used-bytes, 0) }
 
 // Used returns currently reserved bytes.
 func (d *Device) Used() float64 { return d.used }
@@ -412,7 +405,7 @@ func (d *Device) Used() float64 { return d.used }
 //
 // The request path (transfer → reshape → water-filling) is the device
 // service loop; tangolint's hotpath analyzer verifies it allocates only
-// through the flow freelist (BenchmarkServiceLoop{1Flow,4Flows,8Flows}).
+// through the flow slab (BenchmarkServiceLoop{1Flow,4Flows,8Flows}).
 //
 //tango:hotpath
 func (d *Device) Read(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
@@ -436,8 +429,7 @@ func (d *Device) Write(p *sim.Proc, cg *blkio.Cgroup, bytes float64) float64 {
 // retry context is the intended (zero-alloc) usage.
 type Token struct {
 	d        *Device
-	f        *flow
-	id       int64
+	f        *flow      // from issue to finish only: never a recycled flow
 	pre      bool       // cancelled during the request-latency phase, before the flow was issued
 	spent    bool       // the transfer has finished (success, error, or cancel); Cancel is a no-op
 	moved    float64    // bytes actually transferred when the transfer ended
@@ -461,8 +453,14 @@ func (t *Token) Moved() float64 { return t.moved }
 //
 //tango:hotpath
 func (t *Token) Cancel() bool {
-	if t.f != nil {
-		return t.d.cancelFlow(t.f, t.id)
+	if f, d := t.f, t.d; f != nil {
+		if f.done || f.canceled {
+			return false // ended: its finish is due
+		}
+		d.advance()
+		d.cancel(f)
+		d.reshape()
+		return true
 	}
 	if t.d == nil || t.spent || t.pre {
 		return false
@@ -527,7 +525,12 @@ func (d *Device) begin(p *sim.Proc, cg *blkio.Cgroup, bytes float64, write, fall
 	if bytes < 0 || math.IsNaN(bytes) {
 		panic(fmt.Sprintf("device %q: invalid transfer size %v", d.p.Name, bytes))
 	}
-	f := d.newFlow()
+	f := d.free
+	if f != nil {
+		d.free, f.next = f.next, nil
+	} else {
+		f = d.flowSlab.Next()
+	}
 	f.d, f.cg, f.proc, f.tok = d, cg, p, tok
 	f.bytes, f.bytesRem, f.write, f.fallible = bytes, bytes, write, fallible
 	if lat := d.p.RequestLatency + d.extraLatency; lat > 0 {
@@ -551,8 +554,8 @@ func (d *Device) finish(f *flow) error {
 		moved, err = 0, &d.readErr
 	}
 	cg, write, tok := f.cg, f.write, f.tok
-	*f = flow{}
-	d.flowFree = append(d.flowFree, f)
+	*f = flow{next: d.free}
+	d.free = f
 	if tok != nil {
 		tok.f, tok.spent, tok.moved = nil, true, moved
 	}
@@ -561,12 +564,35 @@ func (d *Device) finish(f *flow) error {
 }
 
 // end tells the issuer its flow has ended: a blocked process wakes up
-// and finishes it, a Begin flow fires once more to finish itself.
+// and finishes it, a Begin flow fires once more to finish itself — at the
+// tail of the device event it ended in, under the seq its own event would
+// take, while the chain's seqs run on; else from its own event.
 func (d *Device) end(f *flow) {
-	if f.proc != nil {
+	switch {
+	case f.proc != nil:
 		d.eng.Wake(f.proc)
-	} else {
+	case d.firing && (d.ended == nil || d.eng.Scheduled() == d.endNext):
+		seq := d.eng.Reserve()
+		if d.ended == nil {
+			d.ended, d.endSeq = f, seq
+		} else {
+			d.endTail.next = f
+		}
+		d.endTail, d.endNext = f, seq+1
+	default:
 		d.eng.AtCall(d.eng.Now(), f)
+	}
+}
+
+// tellEnded ends a device event: the ended chain fires in end order, each
+// flow under its reserved seq.
+func (d *Device) tellEnded() {
+	f, seq := d.ended, d.endSeq
+	d.firing, d.ended = false, nil
+	for f != nil {
+		next := f.next // finish puts f on the free chain
+		d.eng.FireReserved(seq, f)
+		f, seq = next, seq+1
 	}
 }
 
@@ -578,38 +604,13 @@ func (d *Device) cancel(f *flow) {
 	d.end(f)
 }
 
-// cancelFlow is Token.Cancel on a live flow. The (pointer, id) pair
-// guards against struct recycling: a stale token whose flow already
-// drained is a no-op.
-func (d *Device) cancelFlow(f *flow, id int64) bool {
-	if f.id != id || f.done || f.canceled {
-		return false
-	}
-	d.advance()
-	d.cancel(f)
-	d.reshape()
-	return true
-}
-
-// expire is the completion timer cancelling the flows past their deadline.
-//
-//tango:hotpath
-func (d *Device) expire() {
-	now := d.eng.Now()
-	for _, f := range d.flows {
-		if f.deadline() <= now {
-			d.cancel(f)
-		}
-	}
-}
-
 // issue runs at the instant the request latency has been paid — inline
 // on the issuer when there is none, else as the flow's Fire event. A
 // request cancelled or past its deadline while paying the latency, one
 // that hits an injected read error, or one for zero bytes ends here
 // without joining the active set, and issue reports it for its caller to
-// tell the issuer; anything else subscribes the cgroup, stamps the id
-// (arming the token), integrates to now and reshapes.
+// tell the issuer; anything else subscribes the cgroup, arms the token,
+// integrates to now and reshapes.
 //
 //tango:hotpath
 func (d *Device) issue(f *flow) (ended bool) {
@@ -626,10 +627,8 @@ func (d *Device) issue(f *flow) (ended bool) {
 		return true
 	}
 	f.cg.Subscribe(d) // the cgroup keeps the first: "ever had a flow here"
-	f.id = d.nextID
-	d.nextID++
 	if f.tok != nil {
-		f.tok.f, f.tok.id = f, f.id
+		f.tok.f = f
 		if !math.IsInf(f.deadline(), 1) {
 			d.deadlined++
 		}
@@ -657,17 +656,6 @@ func (d *Device) join(f *flow) {
 	f.gi = len(d.groups) - 1
 }
 
-// newFlow takes a zeroed struct off the freelist or from the flow slab.
-func (d *Device) newFlow() *flow {
-	if n := len(d.flowFree); n > 0 {
-		f := d.flowFree[n-1]
-		d.flowFree[n-1] = nil
-		d.flowFree = d.flowFree[:n-1]
-		return f
-	}
-	return d.flowSlab.Next()
-}
-
 // Touch forces a share recomputation at the current instant; cgroup
 // parameter changes call this (the device is the blkio.Subscriber of every
 // cgroup it issued a flow for) so weight adjustments take effect on
@@ -675,11 +663,10 @@ func (d *Device) newFlow() *flow {
 //
 //tango:hotpath
 func (d *Device) Touch() {
-	if len(d.flows) == 0 {
-		return
+	if len(d.flows) > 0 {
+		d.advance()
+		d.reshape()
 	}
-	d.advance()
-	d.reshape()
 }
 
 // advance integrates flow progress from lastUpdate to now at current
@@ -703,7 +690,7 @@ func (d *Device) reshape() {
 	d.completeDrained()
 	n := len(d.flows)
 	if n == 0 {
-		d.cancelTimer()
+		d.timer.Stop()
 		return
 	}
 	if d.p.Scheduler == FIFO {
@@ -790,20 +777,24 @@ func (d *Device) scheduleCompletion() {
 			when = math.Min(when, f.deadline())
 		}
 	}
-	d.cancelTimer()
+	d.timer.Stop() // a stale handle's Stop is a no-op
 	if !math.IsInf(when, 1) {
 		d.timer = d.eng.AtCall(when, d)
 	}
 }
 
-// Fire is the device as its own sim.Callback: the completion timer's
-// event, armed without a closure.
+// Fire is the device as its own sim.Callback, the completion timer's event:
+// integrate, cancel the flows past their deadline, reshape, tell the ended.
 func (d *Device) Fire() {
+	d.firing = true
 	d.advance()
-	if d.deadlined > 0 {
-		d.expire() // before reshape completes the drained: a tie goes to the deadline
+	for i := 0; d.deadlined > 0 && i < len(d.flows); i++ {
+		if f := d.flows[i]; f.deadline() <= d.eng.Now() {
+			d.cancel(f) // before reshape completes the drained: a tie goes to the deadline
+		}
 	}
 	d.reshape()
+	d.tellEnded()
 }
 
 // completeDrained drops the drained and the cancelled from the active set
@@ -843,9 +834,4 @@ func (d *Device) completeDrained() {
 	for _, f := range d.flows {
 		d.join(f)
 	}
-}
-
-func (d *Device) cancelTimer() {
-	d.timer.Stop()
-	d.timer = sim.Timer{}
 }

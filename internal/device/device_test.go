@@ -266,6 +266,52 @@ func TestBusyTimeAccounting(t *testing.T) {
 	almost(t, d.BusyTime(), 10, 1e-9, "busy time")
 }
 
+// BusyTime only reads: a scenario whose mid-run observer reads it at odd
+// instants moves no completion, nor the clock, the byte count or the final
+// busy time, by one bit against the same observer reading nothing.
+// Integrating the flows at the read would split their steps and round
+// differently.
+func TestBusyTimeMidRunChangesNothing(t *testing.T) {
+	run := func(read bool) (bits []uint64, busy float64) {
+		eng := sim.NewEngine()
+		d := New(eng, HDD("hdd"))
+		for i := range 6 {
+			cg := blkio.NewCgroup("cg")
+			cg.SetWeight(100 + 150*i)
+			eng.Spawn("reader", func(p *sim.Proc) {
+				p.Sleep(0.013 * float64(i))
+				for range 4 {
+					el := d.Read(p, cg, float64(3+i)*MB/3)
+					bits = append(bits, math.Float64bits(el), math.Float64bits(eng.Now()))
+				}
+			})
+		}
+		eng.Spawn("observer", func(p *sim.Proc) {
+			for range 40 {
+				p.Sleep(0.0371)
+				if read {
+					busy = max(busy, d.BusyTime())
+				}
+			}
+		})
+		if err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		return append(bits, math.Float64bits(d.TotalBytes()), math.Float64bits(eng.Now()), math.Float64bits(d.BusyTime())), busy
+	}
+	quiet, _ := run(false)
+	read, busy := run(true)
+	if busy <= 0 || len(read) != len(quiet) {
+		t.Fatalf("observer read busy %v; %d values against %d", busy, len(read), len(quiet))
+	}
+	for i := range quiet {
+		if read[i] != quiet[i] {
+			t.Fatalf("value %d moved when BusyTime was read mid-run: %v, unread %v", i,
+				math.Float64frombits(read[i]), math.Float64frombits(quiet[i]))
+		}
+	}
+}
+
 func TestDeterministicManyFlows(t *testing.T) {
 	run := func() []float64 {
 		eng := sim.NewEngine()

@@ -19,12 +19,14 @@ import (
 type Engine struct {
 	now    float64
 	seq    int64
-	events eventHeap
-	free   []*event // recycled event structs; bounds steady-state allocation
-	procs  []*Proc  // live (not yet finished) processes; Proc.slot indexes it
+	events eventHeap // its spare capacity holds the drained structs push reuses
+	procs  []*Proc   // live (not yet finished) processes; Proc.slot indexes it
 	err    error
+	inline bool // a reserved event is firing at once: FireReserved queues
 
-	evSlab slab.Chunks[event] // where a freelist miss takes its struct from
+	queued, fired int64 // events pushed, and live ones popped (work counts)
+
+	evSlab slab.Chunks[event] // where push takes a struct when the heap has none spare
 }
 
 // NewEngine returns an engine with the clock at t=0.
@@ -34,13 +36,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// recycle returns a drained event to the freelist. The callback reference
-// is dropped so the freelist does not pin closures.
-func (e *Engine) recycle(ev *event) {
-	ev.cb = nil
-	e.free = append(e.free, ev)
-}
 
 // Callback is an event body: the engine calls Fire when the event is due.
 // A hot path that would otherwise build a fresh closure per scheduling (to
@@ -87,22 +82,44 @@ func (e *Engine) clamp(t float64) float64 {
 	return t
 }
 
-// push queues an event under the key (t, seq), its struct taken off the
-// freelist or from the next slot of a chunk.
+// push queues an event under the key (t, seq), in the drained struct a pop
+// left just past the heap's end or else in the next slot of a chunk.
 //
 //tango:hotpath
 func (e *Engine) push(t float64, seq int64, cb Callback) *event {
 	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
+	if n := len(e.events); n < cap(e.events) {
+		ev = e.events[:n+1][n]
+	}
+	if ev == nil {
 		ev = e.evSlab.Next()
 	}
 	ev.t, ev.seq, ev.cb = t, seq, cb
-	e.events.push(ev)
+	e.events = append(e.events, ev)
+	e.events.siftUp(len(e.events) - 1)
+	e.queued++
 	return ev
+}
+
+// Reserve takes the seq AtCall(Now(), …) would take, queueing nothing:
+// Scheduled counts the event. Its owner fires its reservations with
+// FireReserved in the order taken, before the event it runs in returns.
+func (e *Engine) Reserve() int64 { e.seq++; return e.seq - 1 }
+
+// FireReserved fires cb as the zero-delay event reserved under seq: at once
+// if no process has failed, nothing queued comes before (Now, seq) and no
+// reserved event is firing at once (its reservations would come after the
+// caller's next), else queued under seq — where AtCall(Now(), cb) fires.
+//
+//tango:hotpath
+func (e *Engine) FireReserved(seq int64, cb Callback) {
+	if h := e.events; !e.inline && e.err == nil && (len(h) == 0 || h[0].t > e.now || h[0].seq > seq) {
+		e.inline = true
+		cb.Fire()
+		e.inline = false
+		return
+	}
+	e.push(e.now, seq, cb)
 }
 
 // Calendar is a batch of callbacks that holds one event-queue slot at a
@@ -131,8 +148,7 @@ func (c *Calendar) Reset(e *Engine, n int) {
 //
 //tango:hotpath
 func (c *Calendar) Add(t float64, cb Callback) {
-	c.items = append(c.items, event{t: c.e.clamp(t), seq: c.e.seq, cb: cb})
-	c.e.seq++
+	c.items = append(c.items, event{t: c.e.clamp(t), seq: c.e.Reserve(), cb: cb})
 }
 
 // Arm queues the batch, once all of it is added.
@@ -172,9 +188,9 @@ type Timer struct {
 
 // Stop cancels the event if it has not fired. It reports whether the event
 // was still pending. Cancellation is implemented by neutering the callback,
-// so the heap entry drains harmlessly. Fired events are recycled; the
-// sequence guard makes Stop on a stale handle a safe no-op even after the
-// underlying struct has been reused for a later event.
+// so the heap entry drains harmlessly. A fired event's struct is reused by a
+// later push; the sequence guard makes Stop on a stale handle a safe no-op
+// even then.
 //
 //tango:hotpath
 func (t Timer) Stop() bool {
@@ -215,12 +231,9 @@ func (e *Engine) RunAll() error {
 //tango:hotpath
 func (e *Engine) dispatch(until float64) {
 	for len(e.events) > 0 && e.err == nil && e.events[0].t <= until {
-		ev := e.events.pop()
-		t, cb := ev.t, ev.cb
-		e.recycle(ev) // before firing: the callback may reschedule and reuse it
 		// Only a live event moves the clock: one neutered by Stop just drains.
-		if cb != nil {
-			e.now = t
+		if t, cb := e.events.pop(); cb != nil {
+			e.now, e.fired = t, e.fired+1
 			cb.Fire()
 		}
 	}
@@ -232,6 +245,13 @@ func (e *Engine) Pending() int { return len(e.events) }
 // Scheduled reports how many events have been armed since the engine was
 // made: two runs that took the same hops read the same count.
 func (e *Engine) Scheduled() int64 { return e.seq }
+
+// Work reports the engine's work counts, exact like Scheduled: events armed
+// (Scheduled), put in the queue (a reserved event fired at once, or a
+// calendar item not yet due, is not), drained as stopped, and fired from it.
+func (e *Engine) Work() (armed, queued, tombs, fired int64) {
+	return e.seq, e.queued, e.queued - e.fired - int64(len(e.events)), e.fired
+}
 
 // LiveProcs reports the number of spawned processes that have not finished.
 func (e *Engine) LiveProcs() int { return len(e.procs) }

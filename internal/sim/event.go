@@ -15,9 +15,9 @@
 package sim
 
 // event is a scheduled callback. Events fire in (time, seq) order; seq is a
-// monotone counter that breaks ties deterministically in FIFO order. Event
-// structs are recycled through the engine's freelist once they drain from
-// the heap; Timer handles guard against reuse via the seq field.
+// monotone counter that breaks ties deterministically in FIFO order. A
+// drained struct waits in the heap's spare capacity for the next push;
+// Timer handles guard against reuse via the seq field.
 type event struct {
 	t   float64
 	seq int64
@@ -37,24 +37,21 @@ func before(a, b *event) bool {
 // engine's hot path, with no container/heap interface indirection.
 type eventHeap []*event
 
-// push appends ev and restores the heap property.
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	h.siftUp(len(*h) - 1)
-}
-
-// pop removes and returns the minimum event.
-func (h *eventHeap) pop() *event {
+// pop removes the minimum event and returns its time and body. Its struct
+// stays in the slot just past the new end for a push to reuse, its body
+// dropped: Stop on the handle of the event being fired is false.
+func (h *eventHeap) pop() (float64, Callback) {
 	old := *h
 	n := len(old) - 1
 	ev := old[0]
-	old[0] = old[n]
-	old[n] = nil
+	old[0], old[n] = old[n], ev
 	*h = old[:n]
 	if n > 0 {
 		h.siftDown(0)
 	}
-	return ev
+	cb := ev.cb
+	ev.cb = nil
+	return ev.t, cb
 }
 
 // siftUp bubbles the element at i toward the root, moving parents down into

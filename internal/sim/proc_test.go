@@ -89,7 +89,7 @@ func TestEventsComeFromChunks(t *testing.T) {
 		}
 	})
 	// One object per event before; now chunks of them plus the log-many
-	// growth steps of the event heap and the freelist.
+	// growth steps of the event heap.
 	if allocs > n/8 || cb.n != 6*n {
 		t.Fatalf("%d events armed cost %v objects (want <= %d), fired %d (want %d)", n, allocs, n/8, cb.n, 6*n)
 	}

@@ -138,9 +138,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// Done reports whether the process body has ended.
-func (p *Proc) Done() bool { return p.done }
-
 // Sleep blocks the process for d seconds of virtual time. Negative
 // durations are treated as zero (the process still yields, letting other
 // events at the same instant run first).
