@@ -81,8 +81,9 @@ bench-pairs:
 # The behaviour gate: the CI-scale experiment suite must be byte-identical
 # to the committed baseline (the simulator is bit-deterministic at every
 # -parallel width). `suite` writes bench-suite.json; `suite-check` is the
-# gate. Refresh bench-baseline.json in the same commit as any change that
-# moves an output on purpose.
+# gate, run four jobs wide and then one (the later -parallel wins). Refresh
+# bench-baseline.json in the same commit as any change that moves an
+# output on purpose.
 SUITE = $(GO) run ./cmd/tangobench -json -parallel 4 -grid 129 -steps 40 -skip 10 -dataset 512
 
 suite:
@@ -90,6 +91,7 @@ suite:
 
 suite-check:
 	$(SUITE) | cmp - bench-baseline.json
+	$(SUITE) -parallel 1 | cmp - bench-baseline.json
 
 # The two sizes the simplicity aim tracks (ROADMAP aim 2): non-test Go
 # lines, and the exported fields of the five config structs
@@ -102,7 +104,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 20036
+LOC_MAX = 20035
 CONFIG_FIELDS_MAX = 21
 
 loc-check:

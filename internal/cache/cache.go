@@ -18,6 +18,8 @@
 package cache
 
 import (
+	"math"
+
 	"tango/internal/blkio"
 	"tango/internal/device"
 	"tango/internal/refactor"
@@ -86,7 +88,7 @@ type run struct {
 	globalStart int     // cursor position where this level's entries begin
 	total       int     // entries at this level
 	prefix      int     // cached entries [0, prefix)
-	bytes       float64 // reserved bytes backing the prefix (scaled)
+	bytes       float64 // reserved bytes backing the prefix (scaled, whole: sums exactly)
 	reuse       float64 // EWMA of per-step requested fraction of the level
 
 	reqEntries int // entries requested this step (reset by EndStep)
@@ -297,9 +299,9 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 		}
 		freed := float64(c.h.LevelBytes(victim.level, newPrefix, victim.prefix)) * c.scale
 		victim.prefix = newPrefix
-		victim.bytes -= freed
+		victim.bytes -= math.Round(freed)
 		c.used -= freed
-		c.dev.Release(freed)
+		c.dev.Release(math.Round(freed))
 		c.stats.EvictedBytes += freed
 		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindCacheEvict, "level=%d trimmed to %d entries (freed %.0f B, score=%.3g)", victim.level, newPrefix, freed, worst)
 	}
@@ -410,7 +412,7 @@ func (sr *stageRun) run() bool {
 			if !c.makeRoom(sr.bytes, r) {
 				return false // capacity-bound: higher-value data stays
 			}
-			if !c.dev.TryReserve(sr.bytes) {
+			if !c.dev.TryReserve(math.Round(sr.bytes)) {
 				// The device filled up underneath us (more data was
 				// staged): the cache shrinks rather than displacing it.
 				c.shrink()
@@ -426,7 +428,7 @@ func (sr *stageRun) run() bool {
 				// The home tier is faulted or the stage budget ran out:
 				// give the reservation back and end this run — the next
 				// quiet-window tick resumes from the level's prefix.
-				c.dev.Release(sr.bytes)
+				c.dev.Release(math.Round(sr.bytes))
 				c.stats.StageFailures++
 				sr.aborted = true
 				return false
@@ -440,12 +442,12 @@ func (sr *stageRun) run() bool {
 			if c.closed {
 				// Close ran during the transfers and released every
 				// reservation but this one, which no run holds yet.
-				c.dev.Release(sr.bytes)
+				c.dev.Release(math.Round(sr.bytes))
 				return false
 			}
 			r := c.runs[sr.ri]
 			c.used += sr.bytes
-			r.bytes += sr.bytes
+			r.bytes += math.Round(sr.bytes)
 			c.stats.StagedBytes += sr.bytes
 			sr.staged += sr.bytes
 			r.prefix = sr.next

@@ -115,35 +115,6 @@ func TestTimeToBoundNaNForMissingBound(t *testing.T) {
 	}
 }
 
-func TestStopEndsSessionEarlyAndReleases(t *testing.T) {
-	node, st := scenario(t, 1)
-	s, err := NewSession("a", st, Config{Policy: CrossLayer, Steps: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Launch(node); err != nil {
-		t.Fatal(err)
-	}
-	node.Engine().At(node.Engine().Now()+150, func() { s.Stop() }) // during step 2
-	if err := node.Engine().Run(100*60 + 600); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Stopped() {
-		t.Fatal("Stopped() false after Stop")
-	}
-	got := len(s.Stats())
-	if got >= 100 || got < 3 {
-		t.Fatalf("steps after stop = %d", got)
-	}
-	// Ephemeral staging released on exit.
-	if used := node.Device("ssd").Used() + node.Device("hdd").Used(); used != 0 {
-		t.Fatalf("staging not released: %v bytes", used)
-	}
-	if node.Engine().LiveProcs() != 0 {
-		t.Fatal("container still running")
-	}
-}
-
 func TestSetBoundAtRuntime(t *testing.T) {
 	node, st := scenario(t, 0)
 	h := st.Hierarchy()

@@ -93,7 +93,6 @@ type Session struct {
 	bktArena []BucketStat // chunk the steps' retained Buckets are carved from
 	eng      *sim.Engine
 	cont     *container.Container
-	stopped  bool
 	finished bool // set when the last step has ended (stops the prefetcher)
 
 	// The step in flight (Fire), number len(stats): where it stands, its
@@ -227,12 +226,6 @@ func (s *Session) SetBound(bound float64) error {
 	}
 	return nil
 }
-
-// Stop makes the session exit after the step currently in progress (the
-// analysis campaign was cut short); the ephemeral staging is still
-// released. Must be called from sim context (another process or event
-// callback on the same engine).
-func (s *Session) Stop() { s.stopped = true }
 
 // Launch starts the analytics container on node. The container executes
 // Config.Steps steps, each period seconds apart (start-to-start), and
@@ -525,7 +518,7 @@ func (s *Session) Fire() {
 	for {
 		switch s.phase {
 		case phaseStart:
-			if len(s.stats) >= cfg.Steps || s.stopped {
+			if len(s.stats) >= cfg.Steps {
 				s.finish()
 				return
 			}

@@ -286,7 +286,7 @@ func refProbe(s *Session, p *sim.Proc, cg *blkio.Cgroup, bytes float64) (ts refT
 func launchReference(s *Session, node *container.Node) error {
 	s.attachResil(node)
 	cont, err := node.Launch(s.Name, func(c *container.Container, p *sim.Proc) {
-		for step := 0; step < s.Config.Steps && !s.stopped; step++ {
+		for step := 0; step < s.Config.Steps; step++ {
 			runStepReference(s, c, p, step)
 		}
 		s.finish()

@@ -393,7 +393,7 @@ func (d *Device) TryReserve(bytes float64) bool {
 
 // Release returns previously reserved capacity (ephemeral data erased
 // after a job exits).
-func (d *Device) Release(bytes float64) { d.used = max(d.used-bytes, 0) }
+func (d *Device) Release(bytes float64) { d.used -= bytes }
 
 // Used returns currently reserved bytes.
 func (d *Device) Used() float64 { return d.used }

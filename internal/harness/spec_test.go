@@ -3,15 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
-
-	"tango/internal/core"
-	"tango/internal/fleet"
-	"tango/internal/trace"
 )
 
 // The explorer's caps, which FuzzSpec shares: a spec larger than these is
@@ -77,87 +72,26 @@ func drawArgs(rng *rand.Rand, fleetMode bool) []string {
 	return args
 }
 
-// explore runs args and returns what the oracle found wrong with the run,
-// or "" for an invalid spec, one over the caps, or a clean run. The
-// oracle: no panic; a valid spec runs every step; no step retrieves below
-// the prescribed bound's rung; no process outlives the run; and a second
-// run of the same spec repeats the first bit for bit — every step's
-// numbers for one node, the totals line and the barrier trace for a
-// fleet. Single-node runs are not traced: recording doubles their cost
-// under -race, and determinism_test.go byte-compares faulted traces.
-func explore(args []string) (finding string) {
-	defer func() {
-		if r := recover(); r != nil {
-			finding = fmt.Sprintf("panic: %v", r)
-		}
-	}()
-	spec, err := ParseSpec(args)
-	if err != nil || overCaps(spec) {
-		return ""
+// explore runs args twice, traced, under the checker and returns the
+// first run with its findings, and one more if the second run simulated
+// something else (every step's numbers for one node, the totals line and
+// the barrier trace for a fleet).
+func explore(args []string) outcome {
+	a, ok := simulate(args, true)
+	if !ok || len(a.findings) > 0 {
+		return a
 	}
-	var runs [2][]uint64
-	var traces [2]string
-	for i := range runs {
-		if spec.Fleet() {
-			rec := trace.New(4096)
-			c, err := fleet.New(spec.FleetConfig(rec))
-			if err != nil {
-				return fmt.Sprintf("fleet.New: %v", err)
-			}
-			rep, err := c.Run()
-			if err != nil {
-				return fmt.Sprintf("fleet run: %v", err)
-			}
-			traces[i] = rep.TotalsLine() + "\n" + traceText(rec)
-			continue
-		}
-		run, err := spec.Run(nil, io.Discard)
-		if err != nil {
-			return fmt.Sprintf("run: %v", err)
-		}
-		stats := run.Session.Stats()
-		if spec.Bound > 0 {
-			if v := boundViolations(stats, rung(run.Hierarchy, spec.Bound)); v > 0 {
-				return fmt.Sprintf("%d steps below the -bound %v rung", v, spec.Bound)
-			}
-		}
-		if n := run.Scenario.Node.Engine().LiveProcs(); n != 0 {
-			return fmt.Sprintf("%d procs live after the run", n)
-		}
-		runs[i] = stepBits(stats)
+	if b, _ := simulate(args, true); b.sim != a.sim || b.trace != a.trace {
+		a.findings = append(a.findings, "a second run of the same spec differs")
 	}
-	if !slices.Equal(runs[0], runs[1]) || traces[0] != traces[1] {
-		return "a second run of the same spec differs"
-	}
-	return ""
-}
-
-// stepBits is every step's numbers, bit for bit.
-func stepBits(stats []core.StepStats) []uint64 {
-	var bits []uint64
-	for _, st := range stats {
-		bits = append(bits, math.Float64bits(st.Start), math.Float64bits(st.IOTime),
-			math.Float64bits(st.Bytes), math.Float64bits(st.Predicted), math.Float64bits(st.Degree),
-			uint64(st.Cursor), uint64(st.Retries))
-	}
-	return bits
-}
-
-// traceText formats every recorded event, so an event whose arguments do
-// not fit its format panics here.
-func traceText(rec *trace.Recorder) string {
-	var b strings.Builder
-	if _, err := rec.WriteTo(&b); err != nil {
-		panic(err)
-	}
-	return b.String()
+	return a
 }
 
 // shrink drops one argument at a time while the run still has a finding,
 // and returns the shortest failing list it reaches.
 func shrink(args []string) []string {
 	for i := 0; i < len(args); {
-		if cand := slices.Delete(slices.Clone(args), i, i+1); explore(cand) != "" {
+		if cand := slices.Delete(slices.Clone(args), i, i+1); len(explore(cand).findings) > 0 {
 			args = cand
 		} else {
 			i++
@@ -180,10 +114,9 @@ func resetMemos() {
 }
 
 // TestExplore is the seeded explorer over Spec: 1,000 single-node and 200
-// fleet argument lists, each run twice through ParseSpec and Run (or
-// fleet.New and Run) on the run pool, against explore's oracle. A finding
-// is shrunk flag by flag and reported as the tangosim command that
-// reproduces it.
+// fleet argument lists, each run twice on the run pool against explore's
+// oracle. A finding is shrunk flag by flag and reported as the tangosim
+// command that reproduces it.
 func TestExplore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explorer budget")
@@ -194,22 +127,18 @@ func TestExplore(t *testing.T) {
 	for i := range 1200 {
 		lists = append(lists, drawArgs(rng, i >= 1000))
 	}
+	var n tally
 	findings := 0
-	for i, finding := range fanOut("explore", lists, explore) {
-		if finding == "" {
+	for i, run := range fanOut("explore", lists, explore) {
+		if n.add(run); len(run.findings) == 0 {
 			continue
 		}
 		if findings++; findings > 5 {
 			t.Fatalf("more than 5 findings; stopping")
 		}
-		args := shrink(lists[i])
-		for j, a := range args {
-			if strings.ContainsAny(a, "; ") {
-				args[j] = "'" + a + "'"
-			}
-		}
-		t.Errorf("%s\n\treproduce: tangosim %s", finding, strings.Join(args, " "))
+		report(t, strings.Join(run.findings, "; "), shrink(lists[i]))
 	}
+	n.require(t)
 }
 
 // TestPriorityZeroIsDefault: -priority 0 runs at core's default priority,
@@ -233,9 +162,10 @@ func TestPriorityZeroIsDefault(t *testing.T) {
 }
 
 // FuzzSpec: any argument list either fails ParseSpec or, within the
-// explorer's caps, runs without a panic (a plan the scenario cannot arm
-// is an error, not a panic). The seeds are tangosim's past bad inputs,
-// the all-kill plan that crashed the fleet, and three runs that pass.
+// explorer's caps, runs traced without a finding of the checker (a plan
+// the scenario cannot arm is an error, not a finding). The seeds are
+// tangosim's past bad inputs, the all-kill plan that crashed the fleet,
+// and three runs that pass.
 func FuzzSpec(f *testing.F) {
 	for _, seed := range []string{
 		"-bound -1", "-bound NaN", "-bound +Inf", "-bound 0.05", "-cache -5",
@@ -254,18 +184,8 @@ func FuzzSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, argv string) {
 		defer resetMemos()
-		spec, err := ParseSpec(strings.Fields(argv))
-		if err != nil || overCaps(spec) {
-			return
-		}
-		if !spec.Fleet() {
-			_, _ = spec.Run(nil, io.Discard) // an unarmable plan is an error, not a panic
-			return
-		}
-		if c, err := fleet.New(spec.FleetConfig(nil)); err == nil {
-			if _, err := c.Run(); err != nil {
-				t.Fatal(err)
-			}
+		if run, _ := simulate(strings.Fields(argv), true); len(run.findings) > 0 {
+			t.Fatal(strings.Join(run.findings, "\n"))
 		}
 	})
 }

@@ -122,7 +122,7 @@ func StageScaled(h *refactor.Hierarchy, tiers []*device.Device, scale float64) (
 			r.dev.Release(r.bytes)
 		}
 	}
-	if err := reserve(s.baseDev, float64(h.BaseBytes())*scale); err != nil {
+	if err := reserve(s.baseDev, math.Round(float64(h.BaseBytes())*scale)); err != nil {
 		rollback()
 		return nil, fmt.Errorf("staging: base: %w", err)
 	}
@@ -136,7 +136,7 @@ func StageScaled(h *refactor.Hierarchy, tiers []*device.Device, scale float64) (
 	return s, nil
 }
 
-// levelBytes returns the staged size of one level's full augmentation.
+// levelBytes is one level's staged size in whole bytes, as the base's is.
 func (s *Store) levelBytes(level int) float64 {
 	var total float64
 	var buf [segScratch]refactor.Segment
@@ -145,7 +145,7 @@ func (s *Store) levelBytes(level int) float64 {
 			total += float64(seg.Bytes)
 		}
 	}
-	return total * s.scale
+	return math.Round(total * s.scale)
 }
 
 // Scale returns the store's payload scale factor.
@@ -339,7 +339,7 @@ func (s *Store) Release() {
 		return
 	}
 	s.released = true
-	s.baseDev.Release(float64(s.h.BaseBytes()) * s.scale)
+	s.baseDev.Release(math.Round(float64(s.h.BaseBytes()) * s.scale))
 	for l, dev := range s.levelDev {
 		dev.Release(s.levelBytes(l))
 	}
