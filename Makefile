@@ -104,7 +104,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 20035
+LOC_MAX = 20013
 CONFIG_FIELDS_MAX = 21
 
 loc-check:

@@ -87,8 +87,7 @@ type run struct {
 	home        *device.Device
 	globalStart int     // cursor position where this level's entries begin
 	total       int     // entries at this level
-	prefix      int     // cached entries [0, prefix)
-	bytes       float64 // reserved bytes backing the prefix (scaled, whole: sums exactly)
+	prefix      int     // cached entries [0, prefix); the device holds held(r, prefix) for them
 	reuse       float64 // EWMA of per-step requested fraction of the level
 
 	reqEntries int // entries requested this step (reset by EndStep)
@@ -104,7 +103,7 @@ type Cache struct {
 	scale     float64
 	runs      []*run // cursor order (coarse level first)
 	capacity  float64
-	used      float64
+	used      float64 // bytes staged and not evicted, as transferred (the device holds them in whole bytes)
 	mandatory int
 	closed    bool
 	stats     Stats
@@ -275,6 +274,13 @@ func (c *Cache) chunkEntries(r *run) int {
 	return n
 }
 
+// held is the device reservation backing r's entries [0, prefix): whole
+// bytes of the cumulative size, so every range's reservation is a
+// difference of two of them and the ranges staged and trimmed sum exactly.
+func (c *Cache) held(r *run, prefix int) float64 {
+	return math.Round(float64(c.h.LevelBytes(r.level, 0, prefix)) * c.scale)
+}
+
 // makeRoom evicts low-score tails until `need` more bytes fit, never
 // trimming a run that scores at least as high as the incoming one.
 // Returns false when the bytes cannot be freed.
@@ -298,10 +304,9 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 			newPrefix = 0
 		}
 		freed := float64(c.h.LevelBytes(victim.level, newPrefix, victim.prefix)) * c.scale
+		c.dev.Release(c.held(victim, victim.prefix) - c.held(victim, newPrefix))
 		victim.prefix = newPrefix
-		victim.bytes -= math.Round(freed)
 		c.used -= freed
-		c.dev.Release(math.Round(freed))
 		c.stats.EvictedBytes += freed
 		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindCacheEvict, "level=%d trimmed to %d entries (freed %.0f B, score=%.3g)", victim.level, newPrefix, freed, worst)
 	}
@@ -372,6 +377,7 @@ type stageRun struct {
 	ri      int     // the run (cache level) being staged
 	next    int     // the chunk in flight ends at this entry of it
 	bytes   float64 // the chunk's bytes
+	held    float64 // the chunk's device reservation, in whole bytes
 	staged  float64
 	aborted bool
 	tok     device.Token // the chunk's write
@@ -412,7 +418,7 @@ func (sr *stageRun) run() bool {
 			if !c.makeRoom(sr.bytes, r) {
 				return false // capacity-bound: higher-value data stays
 			}
-			if !c.dev.TryReserve(math.Round(sr.bytes)) {
+			if !c.dev.TryReserve(sr.held) {
 				// The device filled up underneath us (more data was
 				// staged): the cache shrinks rather than displacing it.
 				c.shrink()
@@ -428,7 +434,7 @@ func (sr *stageRun) run() bool {
 				// The home tier is faulted or the stage budget ran out:
 				// give the reservation back and end this run — the next
 				// quiet-window tick resumes from the level's prefix.
-				c.dev.Release(math.Round(sr.bytes))
+				c.dev.Release(sr.held)
 				c.stats.StageFailures++
 				sr.aborted = true
 				return false
@@ -442,12 +448,11 @@ func (sr *stageRun) run() bool {
 			if c.closed {
 				// Close ran during the transfers and released every
 				// reservation but this one, which no run holds yet.
-				c.dev.Release(math.Round(sr.bytes))
+				c.dev.Release(sr.held)
 				return false
 			}
 			r := c.runs[sr.ri]
 			c.used += sr.bytes
-			r.bytes += math.Round(sr.bytes)
 			c.stats.StagedBytes += sr.bytes
 			sr.staged += sr.bytes
 			r.prefix = sr.next
@@ -470,6 +475,7 @@ func (sr *stageRun) pick() *run {
 		if r.prefix < want {
 			sr.next = min(r.prefix+c.chunkEntries(r), want)
 			sr.bytes = float64(c.h.LevelBytes(r.level, r.prefix, sr.next)) * c.scale
+			sr.held = c.held(r, sr.next) - c.held(r, r.prefix)
 			return r
 		}
 	}
@@ -495,11 +501,8 @@ func (c *Cache) Close() {
 	}
 	c.closed = true
 	for _, r := range c.runs {
-		if r.bytes > 0 {
-			c.dev.Release(r.bytes)
-			r.bytes = 0
-			r.prefix = 0
-		}
+		c.dev.Release(c.held(r, r.prefix))
+		r.prefix = 0
 	}
 	c.used = 0
 }

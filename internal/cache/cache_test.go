@@ -206,6 +206,46 @@ func TestEvictionPrefersLowReuseAndKeepsMandatory(t *testing.T) {
 	}
 }
 
+// TestTrimmedLevelReturnsEveryByte: at a fractional payload scale, a
+// level staged chunk by chunk to a partial prefix and then trimmed back to
+// nothing leaves the fast tier holding what it held before, and once the
+// cache closes and the store is released both tiers hold exactly 0.
+// Staging and eviction cut the level at different entries, so their
+// whole-byte reservations agree only as differences of one cumulative
+// rounding.
+func TestTrimmedLevelReturnsEveryByte(t *testing.T) {
+	rg := newRig(t, 0)
+	rg.store.Release()
+	store, err := staging.StageScaled(rg.h, []*device.Device{rg.ssd, rg.hdd}, 10007.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(store, rg.ssd, Config{CapacityMB: 1024})
+	lo, _, entries := rg.hddLevelRange()
+	before := rg.ssd.Used()
+	cg := blkio.NewCgroup("bg")
+	rg.eng.Spawn("prefetch", func(p *sim.Proc) { c.PrefetchTo(p, cg, lo+entries*2/3+1, nil) })
+	if err := rg.eng.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	r := c.runForLevel(0)
+	if r.prefix <= 2*c.chunkEntries(r) || r.prefix%c.chunkEntries(r) == 0 {
+		t.Fatalf("staged %d entries in chunks of %d; want several and a partial one", r.prefix, c.chunkEntries(r))
+	}
+	// A level read more often trims this one a chunk at a time to nothing.
+	r.reuse = 0
+	c.capacity = 0
+	c.makeRoom(1, &run{level: r.level, home: r.home, reuse: 1})
+	if r.prefix != 0 || rg.ssd.Used() != before {
+		t.Fatalf("trimmed to %d entries, SSD holds %v B, %v B before staging", r.prefix, rg.ssd.Used(), before)
+	}
+	c.Close()
+	store.Release()
+	if rg.ssd.Used() != 0 || rg.hdd.Used() != 0 {
+		t.Fatalf("after Close and Release: SSD %v B, HDD %v B", rg.ssd.Used(), rg.hdd.Used())
+	}
+}
+
 // When the fast tier cannot hold base + cache headroom, the cache is the
 // side that shrinks: staged base representations are never displaced.
 func TestCapacityPressureShrinksCacheNotBase(t *testing.T) {

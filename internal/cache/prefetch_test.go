@@ -36,18 +36,19 @@ func prefetchToReference(c *Cache, p *sim.Proc, cg *blkio.Cgroup, target int, ke
 				next = want
 			}
 			bytes := float64(c.h.LevelBytes(r.level, r.prefix, next)) * c.scale
+			held := c.held(r, next) - c.held(r, r.prefix)
 			if bytes > 0 {
 				if !c.makeRoom(bytes, r) {
 					return staged, false
 				}
-				if err := c.dev.Reserve(bytes); err != nil {
+				if err := c.dev.Reserve(held); err != nil {
 					c.shrink()
 					return staged, false
 				}
 				if c.rc != nil {
 					res := c.rc.Key(resil.KeyPrefetchStage).Read(p, r.home, cg, bytes)
 					if !res.OK {
-						c.dev.Release(bytes)
+						c.dev.Release(held)
 						c.stats.StageFailures++
 						return staged, true
 					}
@@ -56,11 +57,10 @@ func prefetchToReference(c *Cache, p *sim.Proc, cg *blkio.Cgroup, target int, ke
 				}
 				c.dev.Write(p, cg, bytes)
 				if c.closed {
-					c.dev.Release(bytes)
+					c.dev.Release(held)
 					return staged, false
 				}
 				c.used += bytes
-				r.bytes += bytes
 				c.stats.StagedBytes += bytes
 				staged += bytes
 			}

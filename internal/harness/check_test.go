@@ -8,40 +8,43 @@ import (
 	"strings"
 	"testing"
 
-	"tango/internal/blkio"
 	"tango/internal/core"
 	"tango/internal/fleet"
 	"tango/internal/trace"
 )
 
 // A check is one invariant the checker holds every run to. A check that
-// needs state no event or accessor of a run gives stays in its package's
-// test: Σowed = ΣlentOut and the borrow/repay ledger rebuilt from its
-// events in tokenctl's TestLedgerInvariants (no spec puts two buckets on
-// one traced controller), grants within the documented ulp in objstore's
-// tests, the cache's Reserve/Release balance in cache's, and session
-// ownership in fleet's. Fleet steps emit no events, so here a fleet gets
-// determinism, no panic and its totals only.
+// needs state no event or accessor of a run gives, or that its package's
+// test already holds for every input, stays there: the cgroup weight
+// range in blkio's TestClampWeight and TestClampWeightProperty (every
+// write goes through ClampWeight), Σowed = ΣlentOut and the borrow/repay
+// ledger rebuilt from its events in tokenctl's TestLedgerInvariants (no
+// spec puts two buckets on one traced controller), grants within the
+// documented ulp in objstore's tests, the cache's Reserve/Release balance
+// in cache's, and session ownership in fleet's. Fleet steps emit no
+// events, so here a fleet gets determinism, no panic and its totals only.
 type check int
 
 const (
 	checkBound  check = iota // no step retrieves below the -bound rung
 	checkProcs               // no process outlives the run
-	checkWeight              // the session's cgroup weight is in [MinWeight, MaxWeight] after every write
 	checkCache               // the cache held no more than its capacity when it closed
 	checkStaged              // every tier's staged bytes are exactly 0 once the session has finished
 	checkFaults              // the trace clears every fault window that closed, and counts as the injector does
 	nChecks
 )
 
-var checkNames = [nChecks]string{"bound", "procs", "weight", "cache", "staged", "faults"}
+var checkNames = [nChecks]string{"bound", "procs", "cache", "staged", "faults"}
 
 // outcome is one run of an argument list: what it simulated (every step's
-// numbers for one node, the totals line for a fleet, or the run's error),
-// a traced fleet's barrier trace, what the checker found wrong, and which
-// checks had something to check.
+// numbers for one node, the totals line for a fleet), a traced fleet's
+// barrier trace, what the checker found wrong, and which checks had
+// something to check. A run that fails before it simulates anything (a
+// plan the scenario cannot arm, a fleet.New error) sets err, and its error
+// is the one finding.
 type outcome struct {
 	sim, trace string
+	err        error
 	stats      []core.StepStats
 	findings   []string
 	checked    [nChecks]bool
@@ -50,8 +53,7 @@ type outcome struct {
 // simulate is the one run path of the randomized tests: it parses args
 // and runs them on one node (Spec.Run's path) or as a fleet, traced or
 // not, under the checker. ok is false for an invalid spec or one over the
-// caps. A plan the scenario cannot arm is the run's error, not a finding;
-// a panic is a finding.
+// caps. A panic is a finding.
 func simulate(args []string, traced bool) (out outcome, ok bool) {
 	spec, err := ParseSpec(args)
 	if err != nil || overCaps(spec) {
@@ -72,6 +74,7 @@ func simulate(args []string, traced bool) (out outcome, ok bool) {
 	if spec.Fleet() {
 		c, err := fleet.New(spec.FleetConfig(rec))
 		if err != nil {
+			out.err = err
 			ck.fail(nChecks, "fleet.New: %v", err)
 			return out, true
 		}
@@ -83,15 +86,10 @@ func simulate(args []string, traced bool) (out outcome, ok bool) {
 		out.sim, out.trace = rep.TotalsLine(), traceText(rec)
 		return out, true
 	}
-	scen := NewScenario(spec.app.Name, spec.Noise)
-	// The session's container exists from Launch on, before any event.
-	scen.Node.Engine().At(0, func() {
-		ck.cg = scen.Node.Container(spec.app.Name).Cgroup()
-		ck.cg.Subscribe(ck)
-	})
-	run, err := spec.runOn(scen, rec, io.Discard)
+	run, err := spec.Run(rec, io.Discard)
 	if err != nil {
-		out.sim = fmt.Sprintf("run: %v", err)
+		out.err = err
+		ck.fail(nChecks, "run: %v", err)
 		return out, true
 	}
 	out.stats = run.Session.Stats()
@@ -121,14 +119,13 @@ func traceText(rec *trace.Recorder) string {
 	return b.String()
 }
 
-// checker holds one run to the checks: blkio tells it of every write to
-// the session's cgroup, a traced run's recorder of every event, and
-// finished reads the run's accessors once the engine has stopped.
+// checker holds one run to the checks: a traced run's recorder tells it
+// of every event, and finished reads the run's accessors once the engine
+// has stopped.
 type checker struct {
 	out               *outcome
 	failed            [nChecks + 1]bool // the last slot is the run's own failure
-	cg                *blkio.Cgroup
-	open              map[int]float64 // fault windows the trace opened: id → when it closes
+	open              map[int]float64   // fault windows the trace opened: id → when it closes
 	injected, cleared int
 }
 
@@ -137,14 +134,6 @@ func (ck *checker) fail(c check, format string, args ...any) {
 	if !ck.failed[c] {
 		ck.failed[c] = true
 		ck.out.findings = append(ck.out.findings, fmt.Sprintf(format, args...))
-	}
-}
-
-// Touch is blkio telling of a write to the session's cgroup.
-func (ck *checker) Touch() {
-	ck.out.checked[checkWeight] = true
-	if w := ck.cg.Weight(); w < blkio.MinWeight || w > blkio.MaxWeight {
-		ck.fail(checkWeight, "cgroup %s weight %d outside [%d, %d]", ck.cg.Name(), w, blkio.MinWeight, blkio.MaxWeight)
 	}
 }
 

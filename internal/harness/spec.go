@@ -147,11 +147,6 @@ type SpecRun struct {
 // each stage. rec may be nil. The one error is a plan naming a device the
 // scenario lacks.
 func (s *Spec) Run(rec *trace.Recorder, w io.Writer) (*SpecRun, error) {
-	return s.runOn(NewScenario(s.app.Name, s.Noise), rec, w)
-}
-
-// runOn is Run on scen, a fresh scenario of the spec's app and noise.
-func (s *Spec) runOn(scen *Scenario, rec *trace.Recorder, w io.Writer) (*SpecRun, error) {
 	fmt.Fprintf(w, "generating %s field (%dx%d, seed %d)...\n", s.app.Name, s.GridN, s.GridN, s.Seed)
 	fmt.Fprintln(w, "decomposing (decimation ratio 16, NRMSE ladder 1e-1..1e-4)...")
 	h := appHierarchy(s.app, s.Config, refactor.Options{Levels: refactor.LevelsForRatio(16, 2, 2), Bounds: NRMSEBounds[:4]})
@@ -159,6 +154,7 @@ func (s *Spec) runOn(scen *Scenario, rec *trace.Recorder, w io.Writer) (*SpecRun
 		fmt.Fprintf(w, "  rung eps=%-8g cursor=%-9d +%d entries (%.1f%% DoF)\n",
 			rg.Bound, rg.Cursor, rg.Cardinality, 100*h.DoFFraction(rg.Cursor))
 	}
+	scen := NewScenario(s.app.Name, s.Noise)
 	if s.FaultPlan != nil {
 		if err := scen.ArmFaults(s.FaultPlan, rec); err != nil {
 			return nil, err

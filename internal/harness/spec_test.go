@@ -162,8 +162,10 @@ func TestPriorityZeroIsDefault(t *testing.T) {
 }
 
 // FuzzSpec: any argument list either fails ParseSpec or, within the
-// explorer's caps, runs traced without a finding of the checker (a plan
-// the scenario cannot arm is an error, not a finding). The seeds are
+// explorer's caps, runs traced without a finding of the checker; a run
+// that fails before it starts (a plan the scenario cannot arm, a fleet
+// it cannot build) is an error the fuzzer lets pass, as tangosim reports
+// it. The seeds are
 // tangosim's past bad inputs, the all-kill plan that crashed the fleet,
 // and three runs that pass.
 func FuzzSpec(f *testing.F) {
@@ -184,7 +186,7 @@ func FuzzSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, argv string) {
 		defer resetMemos()
-		if run, _ := simulate(strings.Fields(argv), true); len(run.findings) > 0 {
+		if run, _ := simulate(strings.Fields(argv), true); run.err == nil && len(run.findings) > 0 {
 			t.Fatal(strings.Join(run.findings, "\n"))
 		}
 	})

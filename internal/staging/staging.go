@@ -104,48 +104,27 @@ func StageScaled(h *refactor.Hierarchy, tiers []*device.Device, scale float64) (
 		s.levelDev[l] = tiers[ti]
 	}
 
-	// Reserve capacity; roll back on failure.
-	type reservation struct {
-		dev   *device.Device
-		bytes float64
-	}
-	var done []reservation
-	reserve := func(dev *device.Device, bytes float64) error {
-		if err := dev.Reserve(bytes); err != nil {
-			return err
-		}
-		done = append(done, reservation{dev, bytes})
-		return nil
-	}
-	rollback := func() {
-		for _, r := range done {
-			r.dev.Release(r.bytes)
-		}
-	}
-	if err := reserve(s.baseDev, math.Round(float64(h.BaseBytes())*scale)); err != nil {
-		rollback()
+	// Reserve capacity; on failure, Release gives back the levels
+	// reserved so far and the base.
+	if err := s.baseDev.Reserve(s.baseBytes()); err != nil {
 		return nil, fmt.Errorf("staging: base: %w", err)
 	}
-	for l := 0; l < augLevels; l++ {
-		bytes := s.levelBytes(l)
-		if err := reserve(s.levelDev[l], bytes); err != nil {
-			rollback()
+	for l, dev := range s.levelDev {
+		if err := dev.Reserve(s.levelBytes(l)); err != nil {
+			s.levelDev = s.levelDev[:l]
+			s.Release()
 			return nil, fmt.Errorf("staging: aug level %d: %w", l, err)
 		}
 	}
 	return s, nil
 }
 
-// levelBytes is one level's staged size in whole bytes, as the base's is.
+// baseBytes and levelBytes are the base's and one level's staged sizes in
+// whole bytes, so every device's sum of its reservations is exact.
+func (s *Store) baseBytes() float64 { return math.Round(float64(s.h.BaseBytes()) * s.scale) }
+
 func (s *Store) levelBytes(level int) float64 {
-	var total float64
-	var buf [segScratch]refactor.Segment
-	for _, seg := range s.h.AppendSegments(buf[:0], 0, s.h.TotalEntries()) {
-		if seg.Level == level {
-			total += float64(seg.Bytes)
-		}
-	}
-	return math.Round(total * s.scale)
+	return math.Round(float64(s.h.LevelBytes(level, 0, s.h.LevelEntries(level))) * s.scale)
 }
 
 // Scale returns the store's payload scale factor.
@@ -339,7 +318,7 @@ func (s *Store) Release() {
 		return
 	}
 	s.released = true
-	s.baseDev.Release(math.Round(float64(s.h.BaseBytes()) * s.scale))
+	s.baseDev.Release(s.baseBytes())
 	for l, dev := range s.levelDev {
 		dev.Release(s.levelBytes(l))
 	}

@@ -3,6 +3,7 @@ package staging
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tango/internal/blkio"
@@ -81,20 +82,27 @@ func TestStageReservesAndReleases(t *testing.T) {
 	}
 }
 
+// TestStageCapacityFailureRollsBack: a fast tier too small for the base,
+// or one that holds the base but not the level staged on it after the
+// HDD's, leaves both tiers holding nothing.
 func TestStageCapacityFailureRollsBack(t *testing.T) {
-	eng := sim.NewEngine()
-	sp := device.Params{Name: "ssd", PeakBandwidth: 500, MinEfficiency: 1, Capacity: 64} // tiny
-	ssd := device.New(eng, sp)
-	_, hdd := twoTier(eng)
 	h, err := refactor.Decompose(field(33, 3), refactor.Options{Levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Stage(h, []*device.Device{ssd, hdd}); err == nil {
-		t.Fatal("staging should fail on tiny fast tier")
-	}
-	if ssd.Used() != 0 || hdd.Used() != 0 {
-		t.Fatalf("rollback incomplete: ssd=%v hdd=%v", ssd.Used(), hdd.Used())
+	for _, c := range []struct {
+		capacity float64
+		err      string
+	}{{64, "staging: base"}, {float64(h.BaseBytes()), "staging: aug level 1"}} {
+		eng := sim.NewEngine()
+		ssd := device.New(eng, device.Params{Name: "ssd", PeakBandwidth: 500, MinEfficiency: 1, Capacity: c.capacity})
+		_, hdd := twoTier(eng)
+		if _, err := Stage(h, []*device.Device{ssd, hdd}); err == nil || !strings.HasPrefix(err.Error(), c.err) {
+			t.Fatalf("SSD of %v B: staging error %v, want %q", c.capacity, err, c.err)
+		}
+		if ssd.Used() != 0 || hdd.Used() != 0 {
+			t.Fatalf("SSD of %v B: rollback incomplete: ssd=%v hdd=%v", c.capacity, ssd.Used(), hdd.Used())
+		}
 	}
 }
 
