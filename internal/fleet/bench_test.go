@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
 	"tango/internal/objstore"
@@ -21,14 +22,20 @@ func BenchmarkFleetEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetPlace measures cluster construction with a large
-// session population — dominated by the heap placement pass and the
-// per-session cgroup/coordinator attach.
+// BenchmarkFleetPlace measures cluster construction alone — nodes,
+// session population, the heap placement pass and each node's cgroup and
+// coordinator attach — at a mid shape and at the fleet benchmark's 1000
+// nodes and 100,000 sessions.
 func BenchmarkFleetPlace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := New(Config{Nodes: 64, Sessions: 4096, Seed: 7}); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct{ nodes, sessions int }{{64, 4096}, {1000, 100_000}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.nodes, shape.sessions), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(Config{Nodes: shape.nodes, Sessions: shape.sessions, Seed: 7}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -56,13 +63,13 @@ func BenchmarkFleetBarrier1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.reshare(0, nodeBW)
-		c.heap.reset(len(c.nodes))
+		c.heap = c.heap[:0]
 		for _, nd := range c.nodes {
 			if nd.alive {
 				c.heap.push(nd.idx, nd.predictFrac(nodeBW)+nd.load)
 			}
 		}
-		for c.heap.len() > 0 {
+		for len(c.heap) > 0 {
 			c.heap.pop()
 		}
 	}

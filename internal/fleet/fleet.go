@@ -34,6 +34,7 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -183,8 +184,7 @@ type node struct {
 	demandSum float64 // observed L3 bytes/s, summed over epochs
 	demandN   int
 
-	sessions []*session // owned sessions, id-sorted once sortTouched has run
-	unsorted bool       // attach appended since the last sort
+	sessions []*session // owned sessions in step order: phase, then id
 	arrivals int        // sessions place has picked this node for, not yet attached
 	load     float64    // Σ session step-cost (placement score term)
 
@@ -232,7 +232,7 @@ type Cluster struct {
 
 	demandScratch []float64
 	heap          placer
-	tasks         []*runpool.Task[struct{}] // per-epoch window tasks, one per worker, reused
+	tasks         []*runpool.Task[struct{}] // forNodes' tasks, one per worker, reused
 	// topoDirty is set when the alive set changes (kill, revive) and
 	// cleared once settle has fully rebalanced: in a steady no-fault run
 	// settle never fires and migrations stay at zero.
@@ -353,7 +353,7 @@ func (c *Cluster) Run() (*Report, error) {
 	}
 	c.ran = true
 	for e := 0; e < c.cfg.Epochs; e++ {
-		if err := c.epoch(e, armStep); err != nil {
+		if err := c.epoch(e, (*node).scheduleSteps); err != nil {
 			return nil, err
 		}
 	}
@@ -361,9 +361,9 @@ func (c *Cluster) Run() (*Report, error) {
 }
 
 // epoch runs epoch e: the opening barrier, every live node's window, and
-// the closing barrier. Each window first arms its node's steps; arm
-// commits a step at its step instant.
-func (c *Cluster) epoch(e int, arm func(nd *node, t float64, s *session)) error {
+// the closing barrier. Each window first arms its node's steps with
+// sched, then runs its engine to the epoch's end.
+func (c *Cluster) epoch(e int, sched func(nd *node, t0 float64)) error {
 	t0 := float64(e) * epochSec
 
 	// ---- barrier: cluster mutation, node-index order ----
@@ -375,25 +375,13 @@ func (c *Cluster) epoch(e int, arm func(nd *node, t float64, s *session)) error 
 	measured := e >= c.warm
 
 	// ---- parallel: per-node windows, any worker width ----
-	// One task per worker, each taking the next node index until none is
-	// left: what an epoch submits does not grow with the node count.
-	var next atomic.Int64
-	window := func() struct{} {
-		for i := next.Add(1) - 1; i < int64(len(c.nodes)); i = next.Add(1) - 1 {
-			if nd := c.nodes[i]; nd.alive {
-				nd.scheduleSteps(t0, measured, arm)
-				nd.err = nd.cn.Engine().Run(t0 + epochSec)
-			}
+	c.forNodes("fleet window", func(nd *node) {
+		if nd.alive {
+			nd.measured = measured
+			sched(nd, t0)
+			nd.err = nd.cn.Engine().Run(t0 + epochSec)
 		}
-		return struct{}{}
-	}
-	c.tasks = c.tasks[:0]
-	for w := min(runpool.Workers(), len(c.nodes)); w > 0; w-- {
-		c.tasks = append(c.tasks, runpool.Submit("fleet window", window))
-	}
-	for _, t := range c.tasks {
-		t.Wait()
-	}
+	})
 	for _, nd := range c.nodes {
 		if nd.alive && nd.err != nil {
 			return nd.err // the first in node order
@@ -403,6 +391,26 @@ func (c *Cluster) epoch(e int, arm func(nd *node, t float64, s *session)) error 
 	// ---- barrier: harvest, node-index order ----
 	c.harvest(e)
 	return nil
+}
+
+// forNodes runs f on every node from one runpool task per worker, each
+// taking the next node index until none is left, so what it submits does
+// not grow with the node count. f must touch only its node's state.
+func (c *Cluster) forNodes(name string, f func(nd *node)) {
+	var next atomic.Int64
+	window := func() struct{} {
+		for i := next.Add(1) - 1; i < int64(len(c.nodes)); i = next.Add(1) - 1 {
+			f(c.nodes[i])
+		}
+		return struct{}{}
+	}
+	c.tasks = c.tasks[:0]
+	for w := min(runpool.Workers(), len(c.nodes)); w > 0; w-- {
+		c.tasks = append(c.tasks, runpool.Submit(name, window))
+	}
+	for _, t := range c.tasks {
+		t.Wait()
+	}
 }
 
 // applyPlan interprets the fault plan at the barrier opening epoch e:
@@ -429,25 +437,11 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 			c.emit(t0, trace.KindFault, "skip node-kill node=%s (would leave no live node)", ev.Target)
 			continue
 		}
-		nd := c.nodes[idx]
-		nd.alive = false
-		nd.killUntil = ev.At + ev.Duration
-		c.kills++
-		c.topoDirty = true
 		if c.killEpoch < 0 {
 			c.killEpoch = epoch
 		}
-		orphans := nd.sessions
-		nd.sessions = nil
-		nd.load = 0
-		for _, s := range orphans {
-			// The node is gone: in-flight steps are abandoned with it, the
-			// L2 working set is lost — the session restarts cold — and the
-			// bucket died with the node's controller.
-			s.busy, s.resident, s.restore = false, 0, 0
-			s.nd, s.cg, s.tb = nil, nil, nil
-			c.migrations++
-		}
+		nd := c.nodes[idx]
+		orphans := c.kill(nd, ev.At+ev.Duration)
 		c.emit(t0, trace.KindFault, "node-kill node=%s sessions=%d until=%g", nd.name, len(orphans), nd.killUntil)
 		c.place(orphans, t0, "cold")
 	}
@@ -458,6 +452,25 @@ func (c *Cluster) applyPlan(epoch int, t0 float64) {
 			c.emit(t0, trace.KindFault, "node-revive node=%s", c.nodes[i].name)
 		}
 	}
+}
+
+// kill takes nd out of service until the given time and returns the
+// sessions it owned, in id order: the order place takes them in.
+func (c *Cluster) kill(nd *node, until float64) []*session {
+	nd.alive, nd.killUntil = false, until
+	c.kills++
+	c.topoDirty = true
+	orphans := nd.sessions
+	nd.sessions, nd.load = nil, 0
+	for _, s := range orphans {
+		// In-flight steps die with the node, the L2 working set is lost
+		// (a cold restart), and the bucket died with its controller.
+		s.busy, s.resident, s.restore = false, 0, 0
+		s.nd, s.cg, s.tb = nil, nil, nil
+		c.migrations++
+	}
+	slices.SortFunc(orphans, func(a, b *session) int { return a.id - b.id })
+	return orphans
 }
 
 // nodeIndex parses a "node<i>" target strictly: only the spelling the
@@ -480,20 +493,21 @@ func nodeIndex(name string) (int, bool) {
 // forecast store-demand fraction plus the load already placed on it,
 // ties broken by node index. Heap-based, so placing the whole fleet's
 // session population is O(S log N). The heap picks every session's node
-// first; each node's registries are then sized for its arrivals, which
-// attach in session order (DESIGN.md "Arrival attach").
+// first, serially; the arrivals are then bucketed per node in session
+// order, and each node registers its own, in that order, from a forNodes
+// window (DESIGN.md "Arrival attach").
 func (c *Cluster) place(list []*session, t float64, why string) {
 	if len(list) == 0 {
 		return
 	}
 	nodeBW := c.obj.NodeBandwidth
-	c.heap.reset(len(c.nodes))
+	c.heap = slices.Grow(c.heap[:0], len(c.nodes))
 	for _, nd := range c.nodes {
 		if nd.alive {
 			c.heap.push(nd.idx, nd.predictFrac(nodeBW)+nd.load)
 		}
 	}
-	alive := c.heap.len()
+	alive := len(c.heap)
 	if alive == 0 {
 		panic("fleet: no alive nodes to place on")
 	}
@@ -504,26 +518,31 @@ func (c *Cluster) place(list []*session, t float64, why string) {
 		c.heap.push(idx, score+s.cost)
 	}
 	for _, nd := range c.nodes {
+		nd.sessions = slices.Grow(nd.sessions, nd.arrivals)
+	}
+	for _, s := range list {
+		s.nd.sessions = append(s.nd.sessions, s)
+	}
+	c.forNodes("fleet attach", func(nd *node) {
 		if nd.arrivals > 0 {
-			nd.sessions = slices.Grow(nd.sessions, nd.arrivals)
 			nd.cn.Cgroups().Grow(nd.arrivals)
 			if nd.alloc != nil {
 				nd.alloc.Grow(nd.arrivals)
 			}
+			for _, s := range nd.sessions[len(nd.sessions)-nd.arrivals:] {
+				nd.register(s)
+			}
 			nd.arrivals = 0
+			slices.SortFunc(nd.sessions, byStep)
 		}
-	}
-	for _, s := range list {
-		c.attach(s.nd, s)
-	}
-	c.sortTouched()
+	})
 	c.emit(t, trace.KindPlace, "placed=%d reason=%s alive=%d", len(list), why, alive)
 }
 
-// attach binds a session to a node: cgroup, coordinator weight, and the
-// ownership links placement and stepping run on.
-func (c *Cluster) attach(nd *node, s *session) {
-	s.nd = nd
+// register binds a session to the node's registries — cgroup, allocator
+// entry and weight, or token bucket — and load, in the node's weight-request
+// order: session order (DESIGN.md "Arrival attach").
+func (nd *node) register(s *session) {
 	cg := nd.cn.Cgroups().Lookup(s.name)
 	if cg == nil {
 		cg = nd.cn.Cgroups().MustCreate(s.name)
@@ -541,24 +560,23 @@ func (c *Cluster) attach(nd *node, s *session) {
 		}
 		nd.alloc.MustRequest(s.name, s.weight) // attached just above
 	}
-	nd.sessions = append(nd.sessions, s)
-	nd.unsorted = true
 	nd.load += s.cost
 }
 
-// detach unbinds a session from its current node (planned migrations
-// only — killed nodes drop their whole allocator).
-func (c *Cluster) detach(nd *node, s *session) {
-	if nd.tok != nil {
-		nd.tok.Detach(s.tb)
-		s.tb = nil
+// move re-binds an idle session from src to dst at its step-order place
+// (planned migrations only — killed nodes drop their whole allocator).
+func (c *Cluster) move(s *session, src, dst *node) {
+	if src.tok != nil {
+		src.tok.Detach(s.tb)
 	} else {
-		nd.alloc.Detach(s.name)
+		src.alloc.Detach(s.name)
 	}
-	nd.sessions = slices.DeleteFunc(nd.sessions, func(o *session) bool { return o == s })
-	nd.load -= s.cost
-	s.nd = nil
-	s.cg = nil
+	src.sessions = slices.DeleteFunc(src.sessions, func(o *session) bool { return o == s })
+	src.load -= s.cost
+	s.nd = dst
+	dst.register(s)
+	i, _ := slices.BinarySearchFunc(dst.sessions, s, byStep)
+	dst.sessions = slices.Insert(dst.sessions, i, s)
 }
 
 // settle rebalances session counts across alive nodes at a barrier:
@@ -603,15 +621,13 @@ func (c *Cluster) settle(t float64) {
 		// Highest-id idle session moves (newest work is cheapest to
 		// shift; busy steps pin their session to the engine running it).
 		var s *session
-		for i := len(src.sessions) - 1; i >= 0; i-- {
-			if !src.sessions[i].busy {
-				s = src.sessions[i]
-				break
+		for _, o := range src.sessions {
+			if !o.busy && (s == nil || o.id > s.id) {
+				s = o
 			}
 		}
 		if s == nil {
-			// Every candidate on the most loaded node is mid-step; try
-			// again at the next barrier.
+			// Every candidate on src is mid-step: retry at the next barrier.
 			blocked = true
 			break
 		}
@@ -624,14 +640,12 @@ func (c *Cluster) settle(t float64) {
 		s.restore += s.resident
 		restored += s.resident
 		s.resident = 0
-		c.detach(src, s)
-		c.attach(dst, s)
+		c.move(s, src, dst)
 		c.migrations++
 		moved++
 	}
 	c.topoDirty = blocked
 	if moved > 0 {
-		c.sortTouched()
 		c.emit(t, trace.KindMigrate, "moved=%d drained=%.0fMB restore=%.0fMB target=%d",
 			moved, drained/mb, restored/mb, target)
 	}
@@ -758,18 +772,9 @@ func (c *Cluster) emit(t float64, kind, format string, args ...any) {
 	c.rec.Emit(t, "fleet", kind, format, args...)
 }
 
-// sortTouched restores id order on the nodes attach appended to since the
-// last call; a detach keeps the order, so every other node still has it.
-func (c *Cluster) sortTouched() {
-	for _, nd := range c.nodes {
-		if nd.unsorted {
-			nd.unsorted = false
-			// ids are unique, so this order is total and stability is moot;
-			// slices.SortFunc avoids sort.Slice's reflect-based interface boxing.
-			slices.SortFunc(nd.sessions, func(a, b *session) int { return a.id - b.id })
-		}
-	}
-}
+// byStep orders sessions by step instant, then id: a node's order, in which
+// scheduleSteps adds their steps as they fire (DESIGN.md "Step order").
+func byStep(a, b *session) int { return cmp.Or(cmp.Compare(a.phase, b.phase), a.id-b.id) }
 
 // placer is a tiny binary min-heap over (node index, score), ties broken
 // by lowest index — the deterministic placement queue. Its slice is
@@ -782,10 +787,6 @@ type placed struct {
 }
 
 func (a placed) less(b placed) bool { return a.score < b.score || a.score == b.score && a.idx < b.idx }
-
-func (h *placer) reset(capHint int) { *h = slices.Grow((*h)[:0], capHint) }
-
-func (h placer) len() int { return len(h) }
 
 //tango:hotpath
 func (h *placer) push(idx int, score float64) {

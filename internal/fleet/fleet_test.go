@@ -159,7 +159,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runEpochs(t, c, armStep, func(e int) {
+		runEpochs(t, c, (*node).scheduleSteps, func(e int) {
 			for _, nd := range c.nodes {
 				if n := nd.cn.Engine().LiveProcs(); n != 0 {
 					t.Fatalf("width %d, epoch %d: %s has %d live procs", workers, e, nd.name, n)

@@ -91,12 +91,11 @@ func genSessions(n int, seed int64, nodeBW float64) []*session {
 // is still in flight (an overrun: the step crossed one or more epoch
 // boundaries) skips this period — back-pressure instead of pile-up, and
 // the overrun itself is already counted as a bound violation when it
-// completes. arm commits each step at its step instant, in session order
-// (armStep: an item of the node's calendar, one event slot for them all);
-// only the node's own state is touched, so steps start at the same
-// instant and in the same order at every worker width.
-func (nd *node) scheduleSteps(t0 float64, measured bool, arm func(nd *node, t float64, s *session)) {
-	nd.measured = measured
+// completes. Each step is an item of the node's calendar, added in step
+// order, so Arm finds the items in order; only the node's own state is
+// touched, so steps start at the same instant and in the same order at
+// every worker width.
+func (nd *node) scheduleSteps(t0 float64) {
 	nd.steps.Reset(nd.cn.Engine(), len(nd.sessions))
 	for _, s := range nd.sessions {
 		if s.busy {
@@ -104,13 +103,10 @@ func (nd *node) scheduleSteps(t0 float64, measured bool, arm func(nd *node, t fl
 			continue
 		}
 		s.busy = true
-		arm(nd, t0+s.phase, s)
+		nd.steps.Add(t0+s.phase, s)
 	}
 	nd.steps.Arm()
 }
-
-// armStep arms s's step: the session is its step instant's callback.
-func armStep(nd *node, t float64, s *session) { nd.steps.Add(t, s) }
 
 // Fire is the step instant: it takes a step op off the node's freelist,
 // or a new one, and runs the step. nd.measured is read here, inside the

@@ -118,9 +118,9 @@ func TestConfigRejectsBadControlAndEpochs(t *testing.T) {
 	}
 }
 
-// place and settle sort only the nodes that received a session; every node
-// must still end id-sorted, own each session once, and leave a dead node
-// with none.
+// Every node keeps its sessions in step order (phase, then id) through
+// place's bucketed attach, kills and settle's single inserts, owns each
+// session once, and leaves a dead node with none.
 func TestSessionsStaySortedThroughKillAndSettle(t *testing.T) {
 	c, err := New(Config{
 		Nodes: 6, Sessions: 90, Seed: 5, Epochs: 10,
@@ -136,8 +136,8 @@ func TestSessionsStaySortedThroughKillAndSettle(t *testing.T) {
 			if !nd.alive && len(nd.sessions) != 0 {
 				t.Fatalf("%s: dead %s owns %d sessions", when, nd.name, len(nd.sessions))
 			}
-			if !slices.IsSortedFunc(nd.sessions, func(a, b *session) int { return a.id - b.id }) {
-				t.Fatalf("%s: %s sessions out of id order", when, nd.name)
+			if !slices.IsSortedFunc(nd.sessions, byStep) {
+				t.Fatalf("%s: %s sessions out of step order", when, nd.name)
 			}
 			for _, s := range nd.sessions {
 				if owned[s] || s.nd != nd {
@@ -159,4 +159,60 @@ func TestSessionsStaySortedThroughKillAndSettle(t *testing.T) {
 		t.Fatalf("plan did not kill, re-place and settle back: %+v", r)
 	}
 	check("after Run")
+}
+
+// settle moves the highest-id idle session off the most loaded node, as it
+// did while nodes kept their sessions in id order: through kills,
+// revivals and steps stalled across barriers, every idle session a source
+// node keeps has a lower id than each session settle moved off it, and
+// busy ones with higher ids stay.
+func TestSettleMovesHighestIDIdle(t *testing.T) {
+	c, err := New(Config{
+		Nodes: 6, Sessions: 120, Seed: 5, Epochs: 12,
+		Plan: killPlan(t, "stuck@100:dev=ssd,dur=150; node-kill@120:node=node2,dur=120; node-kill@180:node=node4,dur=180"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moves, pinned := 0, 0
+	for e := 0; e < c.cfg.Epochs; e++ {
+		t0 := float64(e) * epochSec
+		c.applyPlan(e, t0)
+		before := map[*session]*node{}
+		for _, nd := range c.nodes {
+			for _, s := range nd.sessions {
+				before[s] = nd
+			}
+		}
+		if c.topoDirty {
+			c.settle(t0)
+		}
+		lowest := map[*node]int{} // the lowest id settle moved off each node
+		for s, src := range before {
+			if s.nd != src {
+				moves++
+				if lo, ok := lowest[src]; !ok || s.id < lo {
+					lowest[src] = s.id
+				}
+			}
+		}
+		for src, lo := range lowest {
+			for _, s := range src.sessions {
+				switch {
+				case before[s] != src || s.id < lo:
+				case s.busy:
+					pinned++
+				default:
+					t.Fatalf("epoch %d: %s kept idle %s but moved sess%d", e, src.name, s.name, lo)
+				}
+			}
+		}
+		if err := c.epoch(e, (*node).scheduleSteps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d moves, %d busy sessions kept over a lower id moved", moves, pinned)
+	if moves == 0 || pinned == 0 {
+		t.Fatalf("%d moves, %d busy sessions kept; want both > 0", moves, pinned)
+	}
 }

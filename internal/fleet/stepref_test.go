@@ -56,12 +56,12 @@ func refFetch(nd *node, p *sim.Proc, s *session, bytes float64) {
 	}
 }
 
-// runEpochs drives c epoch by epoch as Run does, arming steps with arm,
+// runEpochs drives c epoch by epoch as Run does, arming steps with sched,
 // and calls barrier after each epoch's closing barrier.
-func runEpochs(t *testing.T, c *Cluster, arm func(*node, float64, *session), barrier func(e int)) *Report {
+func runEpochs(t *testing.T, c *Cluster, sched func(*node, float64), barrier func(e int)) *Report {
 	t.Helper()
 	for e := 0; e < c.cfg.Epochs; e++ {
-		if err := c.epoch(e, arm); err != nil {
+		if err := c.epoch(e, sched); err != nil {
 			t.Fatal(err)
 		}
 		barrier(e)
@@ -88,18 +88,25 @@ func runStepRef(t *testing.T, cfg Config, workers int, ref bool) (string, []stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm := armStep
+	sched := (*node).scheduleSteps
 	if ref {
 		// Every engine a proc ran on, killed nodes' too. Steps are armed
 		// inside the node windows, which may run in parallel.
 		var mu sync.Mutex
 		engines := map[*sim.Engine]bool{}
-		arm = func(nd *node, at float64, s *session) {
+		sched = func(nd *node, t0 float64) {
 			eng := nd.cn.Engine()
 			mu.Lock()
 			engines[eng] = true
 			mu.Unlock()
-			eng.SpawnAt(at, s.name, func(p *sim.Proc) { refStep(s, p) })
+			for _, s := range nd.sessions {
+				if s.busy {
+					nd.skips++
+					continue
+				}
+				s.busy = true
+				eng.SpawnAt(t0+s.phase, s.name, func(p *sim.Proc) { refStep(s, p) })
+			}
 		}
 		defer func() {
 			for eng := range engines {
@@ -108,7 +115,7 @@ func runStepRef(t *testing.T, cfg Config, workers int, ref bool) (string, []stri
 		}()
 	}
 	var epochs []string
-	rep := runEpochs(t, c, arm, func(e int) {
+	rep := runEpochs(t, c, sched, func(e int) {
 		for _, nd := range c.nodes {
 			eng := nd.cn.Engine()
 			fig := []any{nd.name, nd.alive, eng.Scheduled(), eng.Now(), nd.ssd.TotalBytes(),

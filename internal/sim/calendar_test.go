@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -41,9 +43,10 @@ type calOp struct {
 // one engine and through one AtCall per item on another, and holds the
 // two to the same firing order, the same clock at every firing and the
 // same Scheduled count. Batches draw their times from a small grid, so
-// items tie; some lie in the past and clamp; plain AtCalls are made
-// between the adds; and fired items arm events at other items' instants,
-// their own and the next one's included.
+// items tie; some lie in the past and clamp; every third batch is added
+// in time order, which Arm checks instead of sorting; plain AtCalls are
+// made between the adds; and fired items arm events at other items'
+// instants, their own and the next one's included.
 func TestCalendarMatchesAtCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cal, ref := NewEngine(), NewEngine()
@@ -59,6 +62,9 @@ func TestCalendarMatchesAtCall(t *testing.T) {
 			// Steps of 0.5 from 2 before the clock (clamped) to 6 after it.
 			ops[i] = calOp{item: rng.Intn(4) > 0, t: base + 0.5*float64(rng.Intn(17)-4)}
 			times = append(times, max(ops[i].t, base))
+		}
+		if batch%3 == 0 {
+			slices.SortStableFunc(ops, func(a, b calOp) int { return cmp.Compare(a.t, b.t) })
 		}
 		for i := range ops {
 			if rng.Intn(3) == 0 {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -151,14 +152,15 @@ func (c *Calendar) Add(t float64, cb Callback) {
 	c.items = append(c.items, event{t: c.e.clamp(t), seq: c.e.Reserve(), cb: cb})
 }
 
-// Arm queues the batch, once all of it is added.
+// Arm queues the batch, once all of it is added. A batch added in
+// (time, seq) order arms in one linear pass: it is checked, not sorted.
 func (c *Calendar) Arm() {
-	slices.SortFunc(c.items, func(a, b event) int { // seqs differ: no ties
-		if a.t < b.t || a.t == b.t && a.seq < b.seq {
-			return -1
+	for i := 1; i < len(c.items); i++ {
+		if before(&c.items[i], &c.items[i-1]) {
+			slices.SortFunc(c.items, func(a, b event) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.seq, b.seq)) })
+			break
 		}
-		return 1
-	})
+	}
 	c.queueNext()
 }
 
