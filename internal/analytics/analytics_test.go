@@ -198,3 +198,23 @@ func TestAppsNamed(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkOutcome1025 runs each application's OutcomeErr at the
+// `refactor` workload's size, on the reference and its reconstruction at
+// a quarter of the augmentation stream, as the workload does per rung.
+func BenchmarkOutcome1025(b *testing.B) {
+	for _, app := range Apps() {
+		ref := app.Generate(1025, 42)
+		h, err := refactor.Decompose(ref, refactor.Options{Levels: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := h.Recompose(h.TotalEntries() / 4)
+		b.Run(app.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				app.OutcomeErr(ref, rec)
+			}
+		})
+	}
+}

@@ -52,7 +52,7 @@ func CompareRenders(ref, rec *tensor.Tensor) RenderQuality {
 	const brightCut = 0.6
 	return RenderQuality{
 		SSIM: errmetric.SSIM(ri, xi, dims[0], dims[1]),
-		Dice: errmetric.Dice(errmetric.ThresholdMask(ri, brightCut), errmetric.ThresholdMask(xi, brightCut)),
+		Dice: errmetric.DiceAt(ri, xi, brightCut),
 	}
 }
 

@@ -42,17 +42,20 @@ func eachComponent(t *tensor.Tensor, o BlobOptions, visit func(Component)) {
 	thresh := mean + o.SigmaK*math.Sqrt(variance)
 
 	// Iterative flood fill (explicit stack; the grid can be millions of
-	// cells).
-	visited := make([]bool, len(data))
-	var stack []int
+	// cells), one visited bit per cell. The stack starts in an array deeper
+	// than XGC fills at 1025² reach (2,283), so the bitset is all they allocate.
+	visited := make([]uint64, (len(data)+63)/64)
+	seen := func(i int) bool { return visited[i/64]&(1<<(uint(i)%64)) != 0 }
+	var stackBuf [4096]int
+	stack := stackBuf[:0]
 	for start := range data {
-		if visited[start] || data[start] < thresh {
+		if seen(start) || data[start] < thresh {
 			continue
 		}
 		var area, sumR, sumC, peak float64
 		peak = math.Inf(-1)
 		stack = append(stack[:0], start)
-		visited[start] = true
+		visited[start/64] |= 1 << (uint(start) % 64)
 		for len(stack) > 0 {
 			idx := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -69,8 +72,8 @@ func eachComponent(t *tensor.Tensor, o BlobOptions, visit func(Component)) {
 					continue
 				}
 				ni := nr*cols + nc
-				if !visited[ni] && data[ni] >= thresh {
-					visited[ni] = true
+				if !seen(ni) && data[ni] >= thresh {
+					visited[ni/64] |= 1 << (uint(ni) % 64)
 					stack = append(stack, ni)
 				}
 			}

@@ -1,7 +1,9 @@
 package analytics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"tango/internal/refactor"
@@ -149,5 +151,115 @@ func TestTrackStatsRelErr(t *testing.T) {
 	zero := TrackStats{}
 	if e := zero.RelErrVs(a); e <= 0 || math.IsInf(e, 0) {
 		t.Fatalf("zero stats relerr = %v", e)
+	}
+}
+
+// eachComponentBool is eachComponent as it stood with one visited bool
+// per cell: the bitset flood fill's oracle.
+func eachComponentBool(t *tensor.Tensor, o BlobOptions, visit func(Component)) {
+	dims := t.Dims()
+	if len(dims) != 2 {
+		panic(fmt.Sprintf("analytics: blob detection expects 2D, got %v", dims))
+	}
+	rows, cols := dims[0], dims[1]
+	data := t.Data()
+
+	mean, variance := meanVariance(data)
+	if variance == 0 {
+		// A constant field has no background fluctuation to deviate from.
+		return
+	}
+	thresh := mean + o.SigmaK*math.Sqrt(variance)
+
+	// Iterative flood fill (explicit stack; the grid can be millions of
+	// cells).
+	visited := make([]bool, len(data))
+	var stack []int
+	for start := range data {
+		if visited[start] || data[start] < thresh {
+			continue
+		}
+		var area, sumR, sumC, peak float64
+		peak = math.Inf(-1)
+		stack = append(stack[:0], start)
+		visited[start] = true
+		for len(stack) > 0 {
+			idx := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			r, c := idx/cols, idx%cols
+			area++
+			sumR += float64(r)
+			sumC += float64(c)
+			if data[idx] > peak {
+				peak = data[idx]
+			}
+			for _, nb := range [4][2]int{{r - 1, c}, {r + 1, c}, {r, c - 1}, {r, c + 1}} {
+				nr, nc := nb[0], nb[1]
+				if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
+					continue
+				}
+				ni := nr*cols + nc
+				if !visited[ni] && data[ni] >= thresh {
+					visited[ni] = true
+					stack = append(stack, ni)
+				}
+			}
+		}
+		if int(area) >= o.MinArea {
+			visit(Component{Row: sumR / area, Col: sumC / area, Area: area, Peak: peak})
+		}
+	}
+}
+
+// TestBitsetFloodFillMatchesBool: eachComponent reports the components of
+// eachComponentBool — same order, same centroids, areas and peaks to the
+// bit — on XGC fields and on random fields whose cell counts are not
+// multiples of 64, with blobs on the last cells of a word and of the grid.
+func TestBitsetFloodFillMatchesBool(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var fields []*tensor.Tensor
+	for _, n := range []int{65, 129} {
+		fields = append(fields, XGCApp().Generate(n, int64(n)))
+	}
+	for _, dims := range [][2]int{{1, 1}, {7, 9}, {63, 65}, {100, 31}} {
+		f := tensor.New(dims[0], dims[1])
+		for i := range f.Data() {
+			f.Data()[i] = rng.NormFloat64()
+			if rng.Intn(8) == 0 || i%64 == 63 || i == f.Len()-1 {
+				f.Data()[i] += 6
+			}
+		}
+		fields = append(fields, f)
+	}
+	for fi, f := range fields {
+		for _, o := range []BlobOptions{DefaultBlobOptions(), {SigmaK: 1, MinArea: 1}, {SigmaK: 0.5, MinArea: 3}} {
+			var got, want []Component
+			eachComponent(f, o, func(c Component) { got = append(got, c) })
+			eachComponentBool(f, o, func(c Component) { want = append(want, c) })
+			if len(got) != len(want) {
+				t.Fatalf("field %d %+v: %d components, []bool fill %d", fi, o, len(got), len(want))
+			}
+			for i := range want {
+				g, w := got[i], want[i]
+				if math.Float64bits(g.Row) != math.Float64bits(w.Row) || math.Float64bits(g.Col) != math.Float64bits(w.Col) ||
+					g.Area != w.Area || math.Float64bits(g.Peak) != math.Float64bits(w.Peak) {
+					t.Fatalf("field %d %+v component %d: %+v, []bool fill %+v", fi, o, i, g, w)
+				}
+			}
+			if fi == 0 && o == DefaultBlobOptions() && len(want) == 0 {
+				t.Fatal("the XGC field has no blob to compare")
+			}
+		}
+	}
+}
+
+// TestFloodFillAllocatesOnlyItsBitset: on an XGC field the flood fill's
+// one heap object is its visited bitset, n/64 words; the stack stays in
+// its array.
+func TestFloodFillAllocatesOnlyItsBitset(t *testing.T) {
+	f := XGCApp().Generate(513, 42)
+	n := 0
+	if a := testing.AllocsPerRun(3, func() { eachComponent(f, DefaultBlobOptions(), func(Component) { n++ }) }); a != 1 || n == 0 {
+		t.Fatalf("eachComponent allocates %v objects over %d components, want the bitset alone", a, n)
 	}
 }

@@ -551,8 +551,22 @@ func TestFailedLaunchLeavesNoSession(t *testing.T) {
 // Table IV interferers and a finished session holds no process and no
 // coroutine, so dropping it frees it without Engine.Close. An interferer
 // that parked a coroutine kept its whole node reachable. A second,
-// identical run adds no goroutine.
+// identical run adds no goroutine: the counts on either side are read
+// once they hold still, and only a rise fails, so a goroutine of an
+// earlier test that exits meanwhile does not.
 func TestFinishedNodeIsGarbage(t *testing.T) {
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for try := 0; try < 100; try++ {
+			time.Sleep(5 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
 	freed := make(chan struct{}, 1)
 	run := func(watch bool) int {
 		node, st := scenario(t, 6)
@@ -575,12 +589,12 @@ func TestFinishedNodeIsGarbage(t *testing.T) {
 		return node.Engine().LiveProcs()
 	}
 	run(false)
-	before := runtime.NumGoroutine()
+	before := settled()
 	live := run(true)
 	if live != 0 {
 		t.Fatalf("%d processes still live after Run", live)
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	if n := settled(); n > before {
 		t.Fatalf("%d goroutines before the run, %d after", before, n)
 	}
 	runtime.GC()

@@ -8,6 +8,8 @@ package errmetric
 import (
 	"fmt"
 	"math"
+
+	"tango/internal/par"
 )
 
 // Kind selects which error metric governs error control.
@@ -71,18 +73,7 @@ func MSE(x, xhat []float64) float64 {
 func RMSE(x, xhat []float64) float64 { return math.Sqrt(MSE(x, xhat)) }
 
 // Range returns max(x) - min(x).
-func Range(x []float64) float64 {
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range x {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return max - min
-}
+func Range(x []float64) float64 { return extremes(x).Range() }
 
 // Stats holds single-pass statistics of a reference field, precomputed
 // once so hot loops that measure many reconstructions against the same
@@ -93,30 +84,47 @@ func Range(x []float64) float64 {
 type Stats struct {
 	Min, Max float64 // data range endpoints (Range() = Max − Min)
 	Peak     float64 // max |v|, PSNR's reference peak
-	Mean     float64
 	N        int
 }
 
-// NewStats scans x once. It panics on empty input, as MSE does.
+// NewStats folds x once (extremes). It panics on empty input, as MSE does.
 func NewStats(x []float64) Stats {
 	if len(x) == 0 {
 		panic("errmetric: empty input")
 	}
-	min, max := math.Inf(1), math.Inf(-1)
-	var peak, sum float64
-	for _, v := range x {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-		if a := math.Abs(v); a > peak {
-			peak = a
-		}
-		sum += v
+	return extremes(x)
+}
+
+// extremes folds x's min, max and peak per chunk on par. None is rounded,
+// a NaN never wins a comparison, and folding the chunks in order keeps
+// the first of equal extremes (of ±0, whichever comes first), so each has
+// the bits of one serial scan. No x gives Min +Inf and Max −Inf.
+func extremes(x []float64) Stats {
+	none := Stats{Min: math.Inf(1), Max: math.Inf(-1), N: len(x)}
+	if len(x) == 0 {
+		return none
 	}
-	return Stats{Min: min, Max: max, Peak: peak, Mean: sum / float64(len(x)), N: len(x)}
+	return par.MapReduce(len(x), func(lo, hi int) Stats {
+		s := none
+		for _, v := range x[lo:hi] {
+			s = s.widen(v, v, math.Abs(v))
+		}
+		return s
+	}, func(a, b Stats) Stats { return a.widen(b.Min, b.Max, b.Peak) })
+}
+
+// widen returns s taking in a low, a high and a peak value.
+func (s Stats) widen(lo, hi, peak float64) Stats {
+	if lo < s.Min {
+		s.Min = lo
+	}
+	if hi > s.Max {
+		s.Max = hi
+	}
+	if peak > s.Peak {
+		s.Peak = peak
+	}
+	return s
 }
 
 // Range returns max(x) − min(x), as the free Range computes it.
@@ -203,12 +211,7 @@ func PSNROf(x, xhat []float64) float64 {
 }
 
 // Measure computes the accuracy of xhat against x under k.
-func Measure(k Kind, x, xhat []float64) float64 {
-	if k == PSNR {
-		return PSNROf(x, xhat)
-	}
-	return NRMSEOf(x, xhat)
-}
+func Measure(k Kind, x, xhat []float64) float64 { return NewStats(x).Measure(k, x, xhat) }
 
 // RelErr returns |got-want| / |want|. A zero reference with a nonzero
 // value yields +Inf; 0/0 is 0.

@@ -3,8 +3,11 @@ package errmetric
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"tango/internal/par"
 )
 
 func TestRMSEKnownValues(t *testing.T) {
@@ -354,4 +357,84 @@ func TestNewStatsPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	NewStats(nil)
+}
+
+// statsSerial is NewStats as one serial scan (less the mean it kept):
+// the chunk fold's oracle.
+func statsSerial(x []float64) Stats {
+	s := Stats{Min: math.Inf(1), Max: math.Inf(-1), N: len(x)}
+	for _, v := range x {
+		if v < s.Min {
+			s.Min = v
+		}
+		if v > s.Max {
+			s.Max = v
+		}
+		if a := math.Abs(v); a > s.Peak {
+			s.Peak = a
+		}
+	}
+	return s
+}
+
+// TestRangeFoldsMatchSerialScans: NewStats' chunk fold, and Range,
+// NRMSEOf and PSNROf on it, give the bits of one serial scan on inputs
+// below par.Threshold and across several chunks, at one and two workers.
+// The inputs mix NaN, ±Inf and ±0, and some hold only zeros, or only
+// zeros and values of one sign, so that an extreme is a tie of +0 and −0
+// decided by which comes first.
+func TestRangeFoldsMatchSerialScans(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(5))
+	negZero := math.Copysign(0, -1)
+	draws := map[string]func() float64{
+		"mixed": func() float64 {
+			switch rng.Intn(20) {
+			case 0:
+				return math.NaN()
+			case 1:
+				return math.Inf(1 - 2*rng.Intn(2))
+			case 2:
+				return negZero
+			case 3:
+				return 0
+			}
+			return rng.NormFloat64() * 100
+		},
+		"zeros":    func() float64 { return []float64{0, negZero, negZero, math.NaN()}[rng.Intn(4)] },
+		"nonneg":   func() float64 { return []float64{0, negZero, rng.Float64(), math.NaN()}[rng.Intn(4)] },
+		"nonpos":   func() float64 { return []float64{0, negZero, -rng.Float64()}[rng.Intn(3)] },
+		"all-nan":  func() float64 { return math.NaN() },
+		"all-+inf": func() float64 { return math.Inf(1) },
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, n := range []int{1, 5, 4096, 5*par.Threshold + 3} {
+		for name, draw := range draws {
+			x, xhat := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i] = draw()
+				xhat[i] = x[i] + rng.NormFloat64()
+			}
+			want := statsSerial(x)
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				got := NewStats(x)
+				if !same(got.Min, want.Min) || !same(got.Max, want.Max) || !same(got.Peak, want.Peak) || got.N != n {
+					t.Fatalf("n=%d %s procs=%d: NewStats %+v, serial %+v", n, name, procs, got, want)
+				}
+				if r := Range(x); !same(r, want.Max-want.Min) {
+					t.Fatalf("n=%d %s procs=%d: Range %v, serial %v", n, name, procs, r, want.Max-want.Min)
+				}
+				if got, want := NRMSEOf(x, xhat), want.NRMSE(x, xhat); !same(got, want) {
+					t.Fatalf("n=%d %s procs=%d: NRMSEOf %v, serial %v", n, name, procs, got, want)
+				}
+				if got, want := PSNROf(x, xhat), want.PSNR(x, xhat); !same(got, want) {
+					t.Fatalf("n=%d %s procs=%d: PSNROf %v, serial %v", n, name, procs, got, want)
+				}
+			}
+		}
+	}
+	if r := Range(nil); !math.IsInf(r, -1) {
+		t.Fatalf("Range(nil) = %v, want -Inf as the serial scan gives", r)
+	}
 }

@@ -21,30 +21,8 @@ func SSIM(ref, img []float64, rows, cols int) float64 {
 		panic(fmt.Sprintf("errmetric: SSIM shape mismatch rows=%d cols=%d len=%d/%d",
 			rows, cols, len(ref), len(img)))
 	}
-	// min and max are exact in any grouping; folding the chunks in order
-	// keeps the first of equal extremes, as one scan does.
-	type span struct{ min, max float64 }
-	rng := par.MapReduce(len(ref), func(lo, hi int) span {
-		s := span{math.Inf(1), math.Inf(-1)}
-		for _, v := range ref[lo:hi] {
-			if v < s.min {
-				s.min = v
-			}
-			if v > s.max {
-				s.max = v
-			}
-		}
-		return s
-	}, func(a, b span) span {
-		if b.min < a.min {
-			a.min = b.min
-		}
-		if b.max > a.max {
-			a.max = b.max
-		}
-		return a
-	})
-	scale := rng.max - rng.min
+	rng := extremes(ref)
+	scale := rng.Range()
 	if scale == 0 {
 		scale = 1
 	}
@@ -52,11 +30,11 @@ func SSIM(ref, img []float64, rows, cols int) float64 {
 	// analytics.Render's [0,1] output always gets — reads the inputs in
 	// place instead of copying them.
 	a, b := ref, img
-	if math.Float64bits(rng.min) != 0 || scale != 1 {
+	if math.Float64bits(rng.Min) != 0 || scale != 1 {
 		norm := func(src []float64) []float64 {
 			out := make([]float64, len(src))
 			for i, v := range src {
-				out[i] = (v - rng.min) / scale
+				out[i] = (v - rng.Min) / scale
 			}
 			return out
 		}
@@ -123,10 +101,10 @@ func SSIM(ref, img []float64, rows, cols int) float64 {
 	return total / float64(windows)
 }
 
-// Dice computes Dice's coefficient between two boolean masks:
-// 2|A∩B| / (|A|+|B|). Two empty masks are defined as perfectly similar
-// (1). The paper uses Dice on thresholded renderings.
-func Dice(a, b []bool) float64 {
+// DiceAt is Dice's coefficient 2|A∩B| / (|A|+|B|) of the masks a >= cut
+// and b >= cut, counted in one pass without building them; two empty masks
+// score 1. The paper uses Dice on thresholded renderings.
+func DiceAt(a, b []float64, cut float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("errmetric: Dice length mismatch %d vs %d", len(a), len(b)))
 	}
@@ -134,13 +112,14 @@ func Dice(a, b []bool) float64 {
 	k := par.MapReduce(len(a), func(lo, hi int) counts {
 		var k counts
 		for i := lo; i < hi; i++ {
-			if a[i] {
+			ina, inb := a[i] >= cut, b[i] >= cut
+			if ina {
 				k.na++
 			}
-			if b[i] {
+			if inb {
 				k.nb++
 			}
-			if a[i] && b[i] {
+			if ina && inb {
 				k.inter++
 			}
 		}
@@ -150,15 +129,4 @@ func Dice(a, b []bool) float64 {
 		return 1
 	}
 	return 2 * float64(k.inter) / float64(k.na+k.nb)
-}
-
-// ThresholdMask returns the mask x >= thresh.
-func ThresholdMask(x []float64, thresh float64) []bool {
-	m := make([]bool, len(x))
-	par.For(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m[i] = x[i] >= thresh
-		}
-	})
-	return m
 }

@@ -10,10 +10,9 @@ import (
 	"tango/internal/par"
 )
 
-// ssimSerial, diceSerial and thresholdMaskSerial are SSIM, Dice and
-// ThresholdMask as they stood before they went onto par — one raster loop
-// over the windows, two normalised copies per call — kept verbatim as the
-// oracles.
+// ssimSerial is SSIM as it stood before it went onto par — one raster
+// loop over the windows, two normalised copies per call — kept verbatim
+// as the oracle.
 func ssimSerial(ref, img []float64, rows, cols int) float64 {
 	if rows <= 0 || cols <= 0 || rows*cols != len(ref) || len(ref) != len(img) {
 		panic(fmt.Sprintf("errmetric: SSIM shape mismatch rows=%d cols=%d len=%d/%d",
@@ -99,7 +98,9 @@ func ssimSerial(ref, img []float64, rows, cols int) float64 {
 	return total / float64(windows)
 }
 
-func diceSerial(a, b []bool) float64 {
+// Dice and ThresholdMask are the mask-building Dice that DiceAt replaced,
+// as they stood before they went onto par: DiceAt's oracle.
+func Dice(a, b []bool) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("errmetric: Dice length mismatch %d vs %d", len(a), len(b)))
 	}
@@ -121,7 +122,8 @@ func diceSerial(a, b []bool) float64 {
 	return 2 * float64(inter) / float64(na+nb)
 }
 
-func thresholdMaskSerial(x []float64, thresh float64) []bool {
+// ThresholdMask returns the mask x >= thresh.
+func ThresholdMask(x []float64, thresh float64) []bool {
 	m := make([]bool, len(x))
 	for i, v := range x {
 		m[i] = v >= thresh
@@ -144,8 +146,8 @@ func renderLike(x []float64) []float64 {
 	return out
 }
 
-// TestSSIMMatchesSerialWindowLoop compares SSIM, Dice and ThresholdMask
-// with their serial forms bit for bit at one and two workers, on images
+// TestSSIMMatchesSerialWindowLoop compares SSIM and DiceAt with their
+// serial forms bit for bit at one and two workers, on images
 // whose window grid is below par.Threshold and ones whose grid (and
 // pixel count) spans several chunks, with the identity normalisation
 // and without it.
@@ -177,15 +179,9 @@ func TestSSIMMatchesSerialWindowLoop(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%dx%d procs=%d %s: SSIM %v, serial %v", rows, cols, procs, in.name, got, want)
 				}
-				ma, mb := ThresholdMask(in.ref, 0.6), ThresholdMask(in.img, 0.6)
-				wa := thresholdMaskSerial(in.ref, 0.6)
-				for i := range wa {
-					if ma[i] != wa[i] {
-						t.Fatalf("%dx%d procs=%d %s: mask point %d differs", rows, cols, procs, in.name, i)
-					}
-				}
-				if got, want := Dice(ma, mb), diceSerial(ma, mb); got != want {
-					t.Fatalf("%dx%d procs=%d %s: Dice %v, serial %v", rows, cols, procs, in.name, got, want)
+				want = Dice(ThresholdMask(in.ref, 0.6), ThresholdMask(in.img, 0.6))
+				if got := DiceAt(in.ref, in.img, 0.6); got != want {
+					t.Fatalf("%dx%d procs=%d %s: DiceAt %v, masks %v", rows, cols, procs, in.name, got, want)
 				}
 			}
 		}
@@ -207,5 +203,41 @@ func TestSSIMIdentityNormalisationCopiesNothing(t *testing.T) {
 	copying := testing.AllocsPerRun(5, func() { SSIM(ref, img, rows, cols) })
 	if identity > copying-2 {
 		t.Fatalf("SSIM allocates %v objects on identity-normalised images, %v with copies", identity, copying)
+	}
+}
+
+// TestDiceAtMatchesMasks: DiceAt equals Dice of the two ThresholdMasks on
+// random images, below par.Threshold and across several chunks, whose
+// pixels include NaN (in no mask), ±Inf, ±0 and values exactly at the
+// cut, at one and two workers.
+func TestDiceAtMatchesMasks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(9))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for _, n := range []int{1, 7, 1000, 3*par.Threshold + 17} {
+		for _, cut := range []float64{0.6, 0, math.Inf(1)} {
+			a, b := make([]float64, n), make([]float64, n)
+			for _, img := range [][]float64{a, b} {
+				for i := range img {
+					switch r := rng.Intn(10); {
+					case r == 0:
+						img[i] = specials[rng.Intn(len(specials))]
+					case r <= 2:
+						img[i] = cut
+					case r == 3:
+						img[i] = math.Nextafter(cut, math.Inf(-1))
+					default:
+						img[i] = rng.Float64()
+					}
+				}
+			}
+			want := Dice(ThresholdMask(a, cut), ThresholdMask(b, cut))
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				if got := DiceAt(a, b, cut); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d cut=%v procs=%d: DiceAt %v, masks %v", n, cut, procs, got, want)
+				}
+			}
+		}
 	}
 }

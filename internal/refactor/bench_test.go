@@ -157,6 +157,25 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode1025 writes the hierarchy the `refactor` workload
+// writes into a fresh bytes.Buffer, as the workload does, so B/op shows
+// what the buffer allocates beside its output (SetBytes).
+func BenchmarkEncode1025(b *testing.B) {
+	h, err := Decompose(benchGrid(1025), Options{Levels: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(h.encodedLen()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := h.Encode(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDecode1025 reads back the hierarchy the `refactor` workload
 // writes (three levels, ~985k entries): the entry streams are all but
 // 1/16 of the bytes, so this is DecodeEntries' in-buffer parse plus the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"tango/internal/errmetric"
 	"tango/internal/tensor"
@@ -18,10 +19,11 @@ import (
 
 // entrySize returns the encoded size of one entry: uvarint index plus 8
 // value bytes.
-func entrySize(e Entry) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(buf[:], uint64(e.Index)) + 8
-}
+func entrySize(e Entry) int { return uvarintLen(uint64(e.Index)) + 8 }
+
+// uvarintLen returns how many bytes binary.PutUvarint writes for v: one
+// per started 7 bits, and one for 0.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // EncodeEntries writes a run of entries to w. Entries are staged into a
 // stack scratch buffer and flushed in batches, so a long stream costs a
@@ -119,8 +121,12 @@ const fileMagic = "TNGO1\n"
 
 // Encode serializes the hierarchy (options, ladder, base, augmentation
 // streams) to w. The format is self-contained: Decode reconstructs an
-// equivalent hierarchy without access to the original data.
+// equivalent hierarchy without access to the original data. A writer that
+// can Grow (*bytes.Buffer) is grown once to the exact length first.
 func (h *Hierarchy) Encode(w io.Writer) error {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(h.encodedLen())
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(fileMagic); err != nil {
 		return err
@@ -178,6 +184,26 @@ func (h *Hierarchy) Encode(w io.Writer) error {
 		writeU(uint64(r.Level))
 	}
 	return bw.Flush()
+}
+
+// encodedLen returns the number of bytes Encode writes, field by field in
+// its order; an entry stream's size is its byteCum total.
+func (h *Hierarchy) encodedLen() int {
+	u := func(v int) int { return uvarintLen(uint64(v)) }
+	dims := h.levelDims[0]
+	n := len(fileMagic) + u(h.opts.Levels) + u(h.opts.Decimation) + u(int(h.opts.Metric)) +
+		u(len(h.opts.Bounds)) + 8*len(h.opts.Bounds) + u(len(dims)) + u(h.origLen) + 8 +
+		u(h.base.Len()) + 8*h.base.Len() + u(len(h.augs)) + u(len(h.rungs))
+	for _, d := range dims {
+		n += u(d)
+	}
+	for l, entries := range h.augs {
+		n += u(len(entries)) + int(h.byteCum[l][len(entries)])
+	}
+	for _, r := range h.rungs {
+		n += 16 + u(r.Cursor) + u(r.Cardinality) + uvarintLen(uint64(r.Bytes)) + u(r.Level)
+	}
+	return n
 }
 
 // Decode reads a hierarchy previously written by Encode. When r is

@@ -200,11 +200,11 @@ func (h *Hierarchy) buildLadder(orig *tensor.Tensor) error {
 	if len(h.opts.Bounds) == 0 {
 		return nil
 	}
-	st := errmetric.NewStats(orig.Data())
 	if len(h.order) == 0 {
 		// Degenerate single-level hierarchy: the base is the original;
-		// every bound is satisfied (or unreachable) at cursor 0.
-		acc := h.achievedWith(st, orig, 0)
+		// every bound is satisfied (or unreachable) at cursor 0, whose
+		// accuracy Decompose has measured.
+		acc := h.baseAcc
 		for _, bound := range h.opts.Bounds {
 			if !h.opts.Metric.Satisfies(acc, bound) {
 				return fmt.Errorf("refactor: bound %v unreachable (full reconstruction achieves %v)", bound, acc)
@@ -213,6 +213,7 @@ func (h *Hierarchy) buildLadder(orig *tensor.Tensor) error {
 		}
 		return nil
 	}
+	st := errmetric.NewStats(orig.Data())
 	sw := h.runSweep(orig, st)
 	h.baseAcc = sw.baseAcc
 	pr := newProber(h, st, orig, sw.floors)
@@ -250,13 +251,6 @@ func (h *Hierarchy) buildLadder(orig *tensor.Tensor) error {
 		prevCursor = cursor
 	}
 	return nil
-}
-
-// achievedWith is Achieved with the reference statistics precomputed;
-// bit-identical results, one fewer reference scan per probe.
-func (h *Hierarchy) achievedWith(st errmetric.Stats, orig *tensor.Tensor, cursor int) float64 {
-	rec := h.Recompose(cursor)
-	return st.Measure(h.opts.Metric, orig.Data(), rec.Data())
 }
 
 func (h *Hierarchy) pushRung(bound, achieved float64, cursor, prevCursor int) {

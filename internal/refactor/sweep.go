@@ -192,10 +192,13 @@ func (h *Hierarchy) prolongateToFinest(dst []float64, r *tensor.Tensor, lvl int)
 
 // runSweep walks the augmentation stream once in retrieval order,
 // maintaining the reconstruction error against orig, and returns the
-// per-bound candidate cursors. The
-// per-entry updates are sequential in stream order and the boundary
-// re-anchor uses chunk-ordered reduction, so the result is deterministic
-// at any worker count.
+// per-bound candidate cursors. It keeps no error field of its own: a
+// coarse zone's error overwrites the work field it prolongates into, and
+// the finest zone, whose floor it must not write, gathers each entry's
+// SSE delta there instead (a level names each index once, so an entry's
+// old error is ref − floor). The deltas are gathered in parallel and
+// added in stream order: every addition is one serial walk's, at any
+// worker count.
 func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResult {
 	ref := orig.Data()
 	n := len(ref)
@@ -209,7 +212,6 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 		budgets[i] = st.SSEBudget(metric, b)
 	}
 
-	errv := make([]float64, n)
 	var sse float64
 	cursor := 0
 	nextBound := 0
@@ -244,29 +246,36 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 			// rather than reconstructing it a second time.
 			res.baseAcc = st.Measure(metric, ref, fd)
 		}
-		// Re-anchor err and SSE at the level boundary: the prolongated
-		// floor is fixed for every cursor inside this level.
+		// Re-anchor SSE at the level boundary: the prolongated floor is
+		// fixed for every cursor inside this level. A coarse zone's
+		// floor is the work field, which becomes its error field here.
 		sse = par.MapReduce(n, func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
 				e := ref[i] - fd[i]
-				errv[i] = e
+				if lvl > 0 {
+					fd[i] = e
+				}
 				s += e * e
 			}
 			return s
 		}, func(a, b float64) float64 { return a + b })
 		check()
 
-		curData := cur.Data()
 		if lvl == 0 {
 			// Finest level: the basis is a single point — O(1) per entry.
 			// Nothing prolongates after this zone, so cur itself needs no
 			// update.
-			for _, e := range h.augs[0] {
-				old := errv[e.Index]
-				nw := old - e.Value
-				sse += nw*nw - old*old
-				errv[e.Index] = nw
+			aug, delta := h.augs[0], work[:len(h.augs[0])]
+			par.For(len(aug), func(lo, hi int) {
+				for k, e := range aug[lo:hi] {
+					old := ref[e.Index] - fd[e.Index]
+					nw := old - e.Value
+					delta[lo+k] = nw*nw - old*old
+				}
+			})
+			for _, dv := range delta {
+				sse += dv
 				cursor++
 				check()
 			}
@@ -277,6 +286,7 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 		for dim := range cols {
 			cols[dim] = h.composedColumns(lvl, dim)
 		}
+		curData := cur.Data()
 		cd := h.levelDims[lvl]
 		for _, e := range h.augs[lvl] {
 			curData[e.Index] += e.Value
@@ -284,7 +294,7 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 			for dim, j := range idx {
 				walk.basis[dim] = cols[dim][j]
 			}
-			sse = walk.apply(errv, sse, e.Value)
+			sse = walk.apply(work, sse, e.Value)
 			cursor++
 			check()
 		}

@@ -10,6 +10,7 @@ import (
 
 	"tango/internal/analytics"
 	"tango/internal/errmetric"
+	"tango/internal/par"
 	"tango/internal/tensor"
 )
 
@@ -60,6 +61,13 @@ func referenceLadder(h *Hierarchy, orig *tensor.Tensor) ([]Rung, error) {
 		prevCursor = cursor
 	}
 	return rungs, nil
+}
+
+// achievedWith is Achieved with the reference statistics precomputed;
+// bit-identical results, one fewer reference scan per probe.
+func (h *Hierarchy) achievedWith(st errmetric.Stats, orig *tensor.Tensor, cursor int) float64 {
+	rec := h.Recompose(cursor)
+	return st.Measure(h.opts.Metric, orig.Data(), rec.Data())
 }
 
 // sweepCases spans the three applications, both metrics, and several
@@ -545,5 +553,187 @@ func TestSweepMatchesBinarySearchAnyRank(t *testing.T) {
 				t.Fatalf("dims=%v procs=%d:\n got %+v\nwant %+v", dims, procs, got, want)
 			}
 		}
+	}
+}
+
+// runSweepRef is runSweep as it stood with an error field of its own
+// (errv), re-anchored at every level boundary and updated entry by entry
+// in stream order: the oracle the in-place sweep must match bit for bit.
+func (h *Hierarchy) runSweepRef(orig *tensor.Tensor, st errmetric.Stats) sweepResult {
+	ref := orig.Data()
+	n := len(ref)
+	metric := h.opts.Metric
+	bounds := h.opts.Bounds
+
+	res := sweepResult{candidates: make([]int, len(bounds))}
+	budgets := make([]float64, len(bounds))
+	for i, b := range bounds {
+		res.candidates[i] = -1
+		budgets[i] = st.SSEBudget(metric, b)
+	}
+
+	errv := make([]float64, n)
+	var sse float64
+	cursor := 0
+	nextBound := 0
+
+	check := func() {
+		for nextBound < len(bounds) && sse <= budgets[nextBound] {
+			res.candidates[nextBound] = cursor
+			nextBound++
+		}
+	}
+
+	dims0 := h.levelDims[0]
+	rank := len(dims0)
+	idx := make([]int, rank)
+	walk := newBasisWalk(tensor.Strides(dims0))
+
+	d := h.opts.Decimation
+	res.floors = make([]*tensor.Tensor, len(h.order))
+	work := h.workField()
+	cur := h.base // read-only: the first Prolongate below replaces it
+	for pos, lvl := range h.order {
+		cur = Prolongate(cur, h.levelDims[lvl], d)
+		res.floors[pos] = cur
+		fd := cur.Data() // the finest zone's floor is its own prolongation
+		if lvl > 0 {
+			cur = cur.Clone() // takes this zone's entries below; the floor stays
+			h.prolongateToFinest(work, cur, lvl)
+			fd = work
+		}
+		if pos == 0 {
+			// fd is Recompose(0)'s data; measure ε_0 here sequentially
+			// rather than reconstructing it a second time.
+			res.baseAcc = st.Measure(metric, ref, fd)
+		}
+		// Re-anchor err and SSE at the level boundary: the prolongated
+		// floor is fixed for every cursor inside this level.
+		sse = par.MapReduce(n, func(lo, hi int) float64 {
+			var s float64
+			for i := lo; i < hi; i++ {
+				e := ref[i] - fd[i]
+				errv[i] = e
+				s += e * e
+			}
+			return s
+		}, func(a, b float64) float64 { return a + b })
+		check()
+
+		curData := cur.Data()
+		if lvl == 0 {
+			// Finest level: the basis is a single point — O(1) per entry.
+			// Nothing prolongates after this zone, so cur itself needs no
+			// update.
+			for _, e := range h.augs[0] {
+				old := errv[e.Index]
+				nw := old - e.Value
+				sse += nw*nw - old*old
+				errv[e.Index] = nw
+				cursor++
+				check()
+			}
+			continue
+		}
+
+		cols := make([][][]wpt, rank)
+		for dim := range cols {
+			cols[dim] = h.composedColumns(lvl, dim)
+		}
+		cd := h.levelDims[lvl]
+		for _, e := range h.augs[lvl] {
+			curData[e.Index] += e.Value
+			unravel(e.Index, cd, idx)
+			for dim, j := range idx {
+				walk.basis[dim] = cols[dim][j]
+			}
+			sse = walk.apply(errv, sse, e.Value)
+			cursor++
+			check()
+		}
+	}
+	return res
+}
+
+// TestSweepMatchesErrorFieldSweep compares runSweep with runSweepRef —
+// candidates, baseAcc and every floor by Float64bits — over random
+// hierarchies: ranks 1–3 (the larger grids above par.Threshold, so the
+// re-anchor and the finest zone's gather are chunked), 2–5 levels, NoSort,
+// both metrics with random ladders, constant and all-zero fields (zero
+// range and zero peak) and fields of a few integer values (many equal
+// magnitudes), at one and two workers.
+func TestSweepMatchesErrorFieldSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(51))
+	fields := []struct {
+		name string
+		fill func(i int) float64
+	}{
+		{"smooth", func(i int) float64 { return math.Sin(float64(i)*0.011) + 0.05*rng.NormFloat64() }},
+		{"constant", func(int) float64 { return 3.25 }},
+		{"zero", func(int) float64 { return 0 }},
+		{"few-values", func(int) float64 { return float64(rng.Intn(5) - 2) }},
+	}
+	for _, dims := range [][]int{{40_000}, {97}, {201, 181}, {23, 19}, {33, 35, 37}, {9, 7, 5}} {
+		for _, f := range fields {
+			orig := tensor.New(dims...)
+			for i := range orig.Data() {
+				orig.Data()[i] = f.fill(i)
+			}
+			st := errmetric.NewStats(orig.Data())
+			for trial := 0; trial < 3; trial++ {
+				opts := Options{Levels: 2 + rng.Intn(4), NoSort: rng.Intn(2) == 0}
+				h := mustDecompose(t, orig, opts)
+				h.opts.Metric = errmetric.Kind(rng.Intn(2))
+				h.opts.Bounds = nil
+				for b := 0.5; b > 1e-7; b /= 1 + 9*rng.Float64() {
+					if h.opts.Metric == errmetric.PSNR {
+						h.opts.Bounds = append(h.opts.Bounds, -20*math.Log10(b))
+					} else {
+						h.opts.Bounds = append(h.opts.Bounds, b)
+					}
+				}
+				name := fmt.Sprintf("dims=%v %s levels=%d NoSort=%v %s", dims, f.name, h.Levels(), opts.NoSort, h.opts.Metric)
+				want := h.runSweepRef(orig, st)
+				for _, procs := range []int{1, 2} {
+					runtime.GOMAXPROCS(procs)
+					got := h.runSweep(orig, st)
+					if !slices.Equal(got.candidates, want.candidates) {
+						t.Fatalf("%s procs=%d: candidates %v, want %v", name, procs, got.candidates, want.candidates)
+					}
+					if math.Float64bits(got.baseAcc) != math.Float64bits(want.baseAcc) {
+						t.Fatalf("%s procs=%d: baseAcc %v, want %v", name, procs, got.baseAcc, want.baseAcc)
+					}
+					for pos, fl := range want.floors {
+						for i, v := range fl.Data() {
+							if g := got.floors[pos].Data()[i]; math.Float64bits(g) != math.Float64bits(v) {
+								t.Fatalf("%s procs=%d: floor %d point %d = %v, want %v", name, procs, pos, i, g, v)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepKeepsNoErrorField: with Decompose's work field lent, runSweep
+// allocates the finest floor it returns and the coarse zones' fields
+// (1.5 level-0 fields at three levels), but no level-0 error field: under
+// two level-0 fields in all, where keeping one made it 2.5.
+func TestSweepKeepsNoErrorField(t *testing.T) {
+	orig := smoothField(257, 2)
+	h := mustDecompose(t, orig, Options{Levels: 3, Bounds: []float64{1e-2}})
+	h.scratch = make([]float64, orig.Len())
+	st := errmetric.NewStats(orig.Data())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.runSweep(orig, st)
+	runtime.ReadMemStats(&after)
+	field := uint64(8 * orig.Len())
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("runSweep allocated %d bytes, %.2f level-0 fields", got, float64(got)/float64(field))
+	if got >= 2*field {
+		t.Fatal("runSweep allocated a level-0 field beside its floors")
 	}
 }
