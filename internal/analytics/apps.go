@@ -25,10 +25,10 @@ func XGCApp() App {
 			t, _ := synth.XGC(synth.DefaultXGC(n, seed))
 			return t
 		},
-		OutcomeErr: func(ref, rec *tensor.Tensor) float64 {
+		OutcomeErr: outcomeErr(func(ref, rec *tensor.Tensor) float64 {
 			o := DefaultBlobOptions()
 			return DetectBlobs(rec, o).RelErrVs(DetectBlobs(ref, o))
-		},
+		}),
 	}
 }
 
@@ -37,9 +37,9 @@ func GenASiSApp() App {
 	return App{
 		Name:     "GenASiS",
 		Generate: synth.GenASiS,
-		OutcomeErr: func(ref, rec *tensor.Tensor) float64 {
+		OutcomeErr: outcomeErr(func(ref, rec *tensor.Tensor) float64 {
 			return CompareRenders(ref, rec).RelErr()
-		},
+		}),
 	}
 }
 
@@ -49,11 +49,22 @@ func CFDApp() App {
 	return App{
 		Name:     "CFD",
 		Generate: synth.CFD,
-		OutcomeErr: func(ref, rec *tensor.Tensor) float64 {
+		OutcomeErr: outcomeErr(func(ref, rec *tensor.Tensor) float64 {
 			refStats := AnalyzePressure(ref, DefaultPressureOptions())
 			recStats := AnalyzePressureAt(rec, refStats.Threshold)
 			return recStats.RelErrVs(refStats)
-		},
+		}),
+	}
+}
+
+// outcomeErr makes an analysis an OutcomeErr that rejects a
+// reconstruction of another shape before analysing either field.
+func outcomeErr(f func(ref, rec *tensor.Tensor) float64) func(ref, rec *tensor.Tensor) float64 {
+	return func(ref, rec *tensor.Tensor) float64 {
+		if !ref.SameShape(rec) {
+			panic("analytics: OutcomeErr shape mismatch")
+		}
+		return f(ref, rec)
 	}
 }
 

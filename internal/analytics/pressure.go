@@ -30,9 +30,6 @@ func DefaultPressureOptions() PressureOptions { return PressureOptions{SigmaK: 2
 
 // AnalyzePressure computes the high-pressure area and force.
 func AnalyzePressure(t *tensor.Tensor, o PressureOptions) PressureStats {
-	if len(t.Dims()) != 2 {
-		panic(fmt.Sprintf("analytics: AnalyzePressure expects 2D, got %v", t.Dims()))
-	}
 	mean, variance := meanVariance(t.Data())
 	k := o.SigmaK
 	if k == 0 {
@@ -45,6 +42,9 @@ func AnalyzePressure(t *tensor.Tensor, o PressureOptions) PressureStats {
 // (use the reference run's threshold so reduced data is judged on the
 // same physical criterion).
 func AnalyzePressureAt(t *tensor.Tensor, thresh float64) PressureStats {
+	if len(t.Dims()) != 2 {
+		panic(fmt.Sprintf("analytics: pressure analysis expects 2D, got %v", t.Dims()))
+	}
 	st := PressureStats{Threshold: thresh}
 	for _, v := range t.Data() {
 		if v >= thresh {

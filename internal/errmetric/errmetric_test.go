@@ -174,7 +174,7 @@ func TestSSIMIdentical(t *testing.T) {
 	for i := range img {
 		img[i] = rng.Float64()
 	}
-	if got := SSIM(img, img, 32, 32); math.Abs(got-1) > 1e-12 {
+	if got := ssimSlices(img, img, 32, 32); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("SSIM(x,x) = %v", got)
 	}
 }
@@ -195,8 +195,8 @@ func TestSSIMDegradesWithNoise(t *testing.T) {
 		}
 		return out
 	}
-	low := SSIM(ref, noisy(0.05), rows, cols)
-	high := SSIM(ref, noisy(0.8), rows, cols)
+	low := ssimSlices(ref, noisy(0.05), rows, cols)
+	high := ssimSlices(ref, noisy(0.8), rows, cols)
 	if !(low > high) {
 		t.Fatalf("SSIM not monotone: %v vs %v", low, high)
 	}
@@ -211,7 +211,7 @@ func TestSSIMShapePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SSIM(make([]float64, 10), make([]float64, 10), 3, 3)
+	SSIM(0, 3, func(int, []float64) {}, func(int, []float64) {})
 }
 
 func TestDice(t *testing.T) {
@@ -438,3 +438,7 @@ func TestRangeFoldsMatchSerialScans(t *testing.T) {
 		t.Fatalf("Range(nil) = %v, want -Inf as the serial scan gives", r)
 	}
 }
+
+// Range returns max(x) - min(x), one extremes fold: what NewStats(x).Range()
+// gives, without NewStats' panic on empty input.
+func Range(x []float64) float64 { return extremes(x).Range() }

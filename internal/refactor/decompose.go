@@ -50,10 +50,14 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 		levelDims[l] = append([]int(nil), levels[l].Dims()...)
 	}
 
+	base := levels[L-1] // Restrict built it, unless it is the caller's orig
+	if L == 1 {
+		base = orig.Clone()
+	}
 	h := &Hierarchy{
 		opts:      opts,
 		levelDims: levelDims,
-		base:      levels[L-1].Clone(),
+		base:      base,
 		augs:      make([][]Entry, max(L-1, 0)),
 		origLen:   orig.Len(),
 	}

@@ -602,6 +602,26 @@ func TestSingleLevelHierarchy(t *testing.T) {
 	}
 }
 
+// TestBaseNeverAliasesOrig: at one level the base is a copy of the
+// caller's field, and at more it is the coarsest level Restrict built, so
+// writing the field afterwards never reaches the hierarchy.
+func TestBaseNeverAliasesOrig(t *testing.T) {
+	for _, levels := range []int{1, 2, 3} {
+		orig := smoothField(17, 19)
+		h := mustDecompose(t, orig, Options{Levels: levels})
+		want := h.Base().Clone()
+		if &h.Base().Data()[0] == &orig.Data()[0] {
+			t.Fatalf("Levels=%d: the base shares the caller's field", levels)
+		}
+		for i := range orig.Data() {
+			orig.Data()[i] = -1
+		}
+		if h.Base().AbsDiffMax(want) != 0 {
+			t.Fatalf("Levels=%d: writing the caller's field moved the base", levels)
+		}
+	}
+}
+
 func TestRecomposeAtLevel(t *testing.T) {
 	orig := smoothField(33, 30)
 	h := mustDecompose(t, orig, Options{Levels: 4})
