@@ -235,15 +235,16 @@ func (ctl *Controller) Create(name string) (*Cgroup, error) {
 // MustCreate is Create that panics on duplicates; used by scenario setup
 // code where names are program constants. It builds no error value, so an
 // engine callback may call it (a fault plan's join launches an
-// interferer from one).
+// interferer from one). It hashes the name once: the insert's length
+// change is the check, so a duplicate replaces the cgroup, then panics.
 func (ctl *Controller) MustCreate(name string) *Cgroup {
-	if _, ok := ctl.groups[name]; ok {
-		panic(fmt.Sprintf("blkio: cgroup %q already exists", name))
-	}
 	// A zero slot made what NewCgroup returns.
 	cg := ctl.slab.Next()
 	cg.name, cg.weight = name, DefaultWeight
-	ctl.groups[name] = cg
+	n := len(ctl.groups)
+	if ctl.groups[name] = cg; len(ctl.groups) == n {
+		panic(fmt.Sprintf("blkio: cgroup %q already exists", name))
+	}
 	return cg
 }
 

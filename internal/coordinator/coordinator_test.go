@@ -252,10 +252,12 @@ func TestApplyReappliesAfterWeightFault(t *testing.T) {
 // naive O(sessions) model: on every Request, Release and Detach it
 // rescales every active session, and each write lands unless the cgroup's
 // weight writes are failing. 10⁴ seeded sequences mix Attach, Detach,
-// Request, Release and fault toggles over up to eight sessions, each with
-// one cgroup that outlives Detach and re-Attach. After every allocator
-// call it checks Active(), the scale (the largest active desired weight)
-// and every cgroup's weight against the model, and two rules directly:
+// Request (a third of them at the current scale, so its holders repeat it
+// and others join it), Release and fault toggles over up to eight
+// sessions, each with one cgroup that outlives Detach and re-Attach. After
+// every allocator call it checks Active(), the scale (the largest active
+// desired weight), how many active sessions hold it, and every cgroup's
+// weight against the model, and two rules directly:
 //   - after a rebalancing call, every active session whose cgroup is not
 //     failing carries clamp(desired·MaxWeight/maxDesired). Attach does not
 //     rebalance, so a write that failed before it is still pending after;
@@ -326,6 +328,9 @@ func TestIncrementalMatchesSweep(t *testing.T) {
 			case k < 7:
 				call = "Request"
 				d := 50 + rng.Intn(1001)
+				if m := scale(); m > 0 && rng.Intn(3) == 0 {
+					d = m // a holder of the scale repeats it, or another joins it
+				}
 				g, err := a.Request(s.name, d)
 				if !s.attached {
 					if err == nil {
@@ -350,14 +355,18 @@ func TestIncrementalMatchesSweep(t *testing.T) {
 				s.cg.SetWeightFailing(rng.Intn(3) == 0)
 				continue
 			}
-			nActive, max := 0, scale()
+			nActive, max, atMax := 0, scale(), 0
 			for _, x := range ss {
 				if x.active {
 					nActive++
+					if x.desired == max {
+						atMax++
+					}
 				}
 			}
-			if a.Active() != nActive || a.maxDesired != max {
-				t.Fatalf("seq %d op %d %s(%s): Active() = %d, scale %d; model %d, %d", seq, op, call, s.name, a.Active(), a.maxDesired, nActive, max)
+			if a.Active() != nActive || a.maxDesired != max || a.atMax != atMax {
+				t.Fatalf("seq %d op %d %s(%s): Active() = %d, scale %d held by %d; model %d, %d, %d",
+					seq, op, call, s.name, a.Active(), a.maxDesired, a.atMax, nActive, max, atMax)
 			}
 			for _, x := range ss {
 				got := x.cg.Weight()

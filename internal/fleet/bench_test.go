@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tango/internal/fault"
 	"tango/internal/objstore"
 	"tango/internal/sim"
 )
@@ -24,10 +25,10 @@ func BenchmarkFleetEpoch(b *testing.B) {
 
 // BenchmarkFleetPlace measures cluster construction alone — nodes,
 // session population, the heap placement pass and each node's cgroup and
-// coordinator attach — at a mid shape and at the fleet benchmark's 1000
-// nodes and 100,000 sessions.
+// coordinator attach — at a mid shape, at the fleet benchmark's 1000
+// nodes and 100,000 sessions, and at four times that.
 func BenchmarkFleetPlace(b *testing.B) {
-	for _, shape := range []struct{ nodes, sessions int }{{64, 4096}, {1000, 100_000}} {
+	for _, shape := range []struct{ nodes, sessions int }{{64, 4096}, {1000, 100_000}, {4000, 400_000}} {
 		b.Run(fmt.Sprintf("%dx%d", shape.nodes, shape.sessions), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -36,6 +37,51 @@ func BenchmarkFleetPlace(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFleetSettle measures settle at the fleet benchmark's shape and
+// at four times it, through the fleet benchmark's kill plan: per op, 1 %
+// of the nodes are killed and their sessions placed cold on the
+// survivors, settle evens the survivors out ("kill"), the killed nodes
+// come back empty, and settle fills them ("revive"). Only the settle the
+// case names is timed; each op kills the next 1 % of the nodes.
+func BenchmarkFleetSettle(b *testing.B) {
+	for _, shape := range []struct{ nodes, sessions int }{{1000, 100_000}, {4000, 400_000}} {
+		for _, timed := range []string{"kill", "revive"} {
+			b.Run(fmt.Sprintf("%s/%dx%d", timed, shape.nodes, shape.sessions), func(b *testing.B) {
+				c, err := New(Config{Nodes: shape.nodes, Sessions: shape.sessions, Seed: 7, Plan: &fault.Plan{}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				kills, moves := shape.nodes/100, 0
+				settle := func(after string) {
+					before := c.migrations
+					if after == timed {
+						b.StartTimer()
+					}
+					c.settle(0)
+					b.StopTimer()
+					if after == timed {
+						moves += c.migrations - before
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.StopTimer()
+				for i := 0; i < b.N; i++ {
+					for k := i * kills; k < (i+1)*kills; k++ {
+						c.place(c.kill(c.nodes[k%shape.nodes], 0), 0, "cold")
+					}
+					settle("kill")
+					for k := i * kills; k < (i+1)*kills; k++ {
+						c.nodes[k%shape.nodes] = c.buildNode(k%shape.nodes, false)
+					}
+					settle("revive")
+				}
+				b.ReportMetric(float64(moves)/float64(b.N), "moves/op")
+			})
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"tango/internal/fault"
 	"tango/internal/objstore"
 	"tango/internal/runpool"
+	"tango/internal/sim"
 )
 
 // onePassPlace is place as it was before arrivals were counted first and
@@ -159,7 +160,7 @@ func TestPlaceMatchesOnePass(t *testing.T) {
 func TestEpochDoesNotGrowWithNodes(t *testing.T) {
 	prev := runpool.Workers()
 	defer runpool.SetWorkers(prev)
-	idle := func(*node, float64) {}
+	idle := func(*node, *sim.Calendar, float64) {}
 	for _, workers := range []int{1, 2} {
 		runpool.SetWorkers(workers)
 		var allocs []int

@@ -8,6 +8,7 @@ import (
 	"tango/internal/blkio"
 	"tango/internal/device"
 	"tango/internal/resil"
+	"tango/internal/sim"
 	"tango/internal/tokenctl"
 )
 
@@ -91,21 +92,21 @@ func genSessions(n int, seed int64, nodeBW float64) []*session {
 // is still in flight (an overrun: the step crossed one or more epoch
 // boundaries) skips this period — back-pressure instead of pile-up, and
 // the overrun itself is already counted as a bound violation when it
-// completes. Each step is an item of the node's calendar, added in step
-// order, so Arm finds the items in order; only the node's own state is
-// touched, so steps start at the same instant and in the same order at
-// every worker width.
-func (nd *node) scheduleSteps(t0 float64) {
-	nd.steps.Reset(nd.cn.Engine(), len(nd.sessions))
+// completes. Each step is an item of the worker's calendar, taking the
+// node engine's seqs, added in step order, so Arm finds the items in
+// order; only the node's own state is touched, so steps start at the same
+// instant and in the same order at every worker width.
+func (nd *node) scheduleSteps(cal *sim.Calendar, t0 float64) {
+	cal.Reset(nd.cn.Engine(), len(nd.sessions))
 	for _, s := range nd.sessions {
 		if s.busy {
 			nd.skips++
 			continue
 		}
 		s.busy = true
-		nd.steps.Add(t0+s.phase, s)
+		cal.Add(t0+s.phase, s)
 	}
-	nd.steps.Arm()
+	cal.Arm()
 }
 
 // Fire is the step instant: it takes a step op off the node's freelist,

@@ -7,24 +7,25 @@ import (
 	"slices"
 	"testing"
 
+	"tango/internal/sim"
 	"tango/internal/tokenctl"
 )
 
 // idOrderSchedule is scheduleSteps as it was while a node kept its
 // sessions in id order: the steps go into the calendar in id order, and
 // Arm sorts them by (time, seq).
-func idOrderSchedule(nd *node, t0 float64) {
+func idOrderSchedule(nd *node, cal *sim.Calendar, t0 float64) {
 	ids := slices.SortedFunc(slices.Values(nd.sessions), func(a, b *session) int { return a.id - b.id })
-	nd.steps.Reset(nd.cn.Engine(), len(ids))
+	cal.Reset(nd.cn.Engine(), len(ids))
 	for _, s := range ids {
 		if s.busy {
 			nd.skips++
 			continue
 		}
 		s.busy = true
-		nd.steps.Add(t0+s.phase, s)
+		cal.Add(t0+s.phase, s)
 	}
-	nd.steps.Arm()
+	cal.Arm()
 }
 
 // stepAt is one calendar item: a step instant and its session.
@@ -33,11 +34,11 @@ type stepAt struct {
 	id int
 }
 
-// armed reads the node's calendar as Arm left it: every item's instant
-// and session, in the order the calendar fires them. sim keeps the items
-// to itself, so they are read by reflection.
-func armed(nd *node) []stepAt {
-	items := reflect.ValueOf(&nd.steps).Elem().FieldByName("items")
+// armed reads the calendar a worker lent the node's window as Arm left
+// it: every item's instant and session, in the order the calendar fires
+// them. sim keeps the items to itself, so they are read by reflection.
+func armed(cal *sim.Calendar) []stepAt {
+	items := reflect.ValueOf(cal).Elem().FieldByName("items")
 	out := make([]stepAt, items.Len())
 	for i := range out {
 		it := items.Index(i)
@@ -76,16 +77,16 @@ func TestStepOrderFiresAsIDOrder(t *testing.T) {
 			Nodes: nodes, Sessions: 1 + rng.Intn(30*nodes), Seed: rng.Int63n(1000) + 1,
 			Control: tokenctl.Mode(rng.Intn(3)), Plan: killPlan(t, spec),
 		}
-		run := func(sched func(*node, float64), product bool) (string, []string) {
+		run := func(sched func(*node, *sim.Calendar, float64), product bool) (string, []string) {
 			c, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			calendars := make([][]stepAt, cfg.Nodes) // each written by its node's window alone
-			logged := func(nd *node, t0 float64) {
+			logged := func(nd *node, cal *sim.Calendar, t0 float64) {
 				want := idleSteps(nd, t0)
-				sched(nd, t0)
-				calendars[nd.idx] = armed(nd)
+				sched(nd, cal, t0)
+				calendars[nd.idx] = armed(cal)
 				if product && !slices.Equal(want, calendars[nd.idx]) {
 					t.Errorf("trial %d, %s at %g: steps added as %v, fired as %v", trial, nd.name, t0, want, calendars[nd.idx])
 				}

@@ -58,7 +58,7 @@ func refFetch(nd *node, p *sim.Proc, s *session, bytes float64) {
 
 // runEpochs drives c epoch by epoch as Run does, arming steps with sched,
 // and calls barrier after each epoch's closing barrier.
-func runEpochs(t *testing.T, c *Cluster, sched func(*node, float64), barrier func(e int)) *Report {
+func runEpochs(t *testing.T, c *Cluster, sched func(*node, *sim.Calendar, float64), barrier func(e int)) *Report {
 	t.Helper()
 	for e := 0; e < c.cfg.Epochs; e++ {
 		if err := c.epoch(e, sched); err != nil {
@@ -94,7 +94,7 @@ func runStepRef(t *testing.T, cfg Config, workers int, ref bool) (string, []stri
 		// inside the node windows, which may run in parallel.
 		var mu sync.Mutex
 		engines := map[*sim.Engine]bool{}
-		sched = func(nd *node, t0 float64) {
+		sched = func(nd *node, _ *sim.Calendar, t0 float64) {
 			eng := nd.cn.Engine()
 			mu.Lock()
 			engines[eng] = true

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"tango/internal/runpool"
+	"tango/internal/trace"
 )
 
 // TestWorkCeilings holds the fleet shape — 20 nodes, 2,000 sessions and 8
@@ -47,6 +49,41 @@ func TestWorkCeilings(t *testing.T) {
 		if float64(n)/steps > ceil[i] {
 			t.Errorf("fleet: %s %.4f per step, over its ceiling %.2f", workNames[i], float64(n)/steps, ceil[i])
 		}
+	}
+	// settle's node visits per migration it makes (heap entries read, the
+	// seeding pass included) at the same shape with two nodes killed and
+	// revived: the index-order scan read every alive node per migration.
+	var visits, moves int
+	for i, at := range []struct{ procs, width int }{{1, 1}, {2, 4}, {1, 4}, {2, 1}} {
+		runtime.GOMAXPROCS(at.procs)
+		runpool.SetWorkers(at.width)
+		c, err := New(Config{Nodes: 20, Sessions: 2000, Seed: 42, Trace: trace.New(0),
+			Plan: killPlan(t, "node-kill@120:node=node3,dur=120; node-kill@180:node=node11,dur=120")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		settled := 0
+		for _, ev := range c.rec.Filter(trace.KindMigrate) {
+			var n int
+			if _, err := fmt.Sscanf(ev.Msg(), "moved=%d", &n); err != nil {
+				t.Fatal(err)
+			}
+			settled += n
+		}
+		if i == 0 {
+			visits, moves = c.visits, settled
+		} else if c.visits != visits || settled != moves {
+			t.Fatalf("GOMAXPROCS %d, width %d: %d visits over %d migrations, at 1 and 1 %d over %d",
+				at.procs, at.width, c.visits, settled, visits, moves)
+		}
+	}
+	const visitCeil = 2.38
+	t.Logf("fleet: settle visits %.4f nodes per migration over %d migrations, ceiling %.2f", float64(visits)/float64(moves), moves, visitCeil)
+	if float64(visits)/float64(moves) > visitCeil {
+		t.Errorf("fleet: settle visits %.4f nodes per migration, over its ceiling %.2f", float64(visits)/float64(moves), visitCeil)
 	}
 }
 

@@ -189,32 +189,6 @@ func Run(opts Options) ([]Finding, error) {
 	return findings, nil
 }
 
-// FixtureDir names one fixture directory and the synthetic import path it
-// is loaded under (fixture corpora live outside the module build graph,
-// under testdata/).
-type FixtureDir struct {
-	Dir        string
-	ImportPath string
-}
-
-// CheckFixtureProgram loads several standalone directories as one
-// program, in order (later directories may import earlier ones by their
-// synthetic paths), and applies the analyzers. Fixture corpora for the
-// call-graph analyzers use this to seed cross-package chains.
-func CheckFixtureProgram(dirs []FixtureDir, opts Options) ([]Finding, []*Package, error) {
-	cfg, sel, err := opts.resolved()
-	if err != nil {
-		return nil, nil, err
-	}
-	pkgs, err := loadFixtureDirs(dirs)
-	if err != nil {
-		return nil, nil, err
-	}
-	findings := analyze(NewProgram(pkgs), cfg, sel)
-	sortFindings(findings)
-	return findings, pkgs, nil
-}
-
 // analyze runs the analyzers over the program, applying //lint:ignore
 // suppressions from every package.
 func analyze(prog *Program, cfg *config, sel []*analyzer) []Finding {

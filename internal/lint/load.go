@@ -256,32 +256,3 @@ func typeCheck(fset *token.FileSet, p *parsedPkg, imp types.ImporterFrom) *Packa
 	out.Types = tpkg
 	return out
 }
-
-// loadFixtureDirs loads standalone directories as one program under
-// synthetic import paths, in the given order — later directories may
-// import earlier ones (everything else resolves to the stdlib). Used for
-// fixture corpora, including the cross-package chains the interprocedural
-// analyzers need.
-func loadFixtureDirs(dirs []FixtureDir) ([]*Package, error) {
-	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		src:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: map[string]*types.Package{},
-	}
-	var out []*Package
-	for _, fd := range dirs {
-		p, err := parseDir(fset, fd.Dir)
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			return nil, fmt.Errorf("lint: no Go files in %s", fd.Dir)
-		}
-		p.path = fd.ImportPath
-		p.relDir = filepath.Base(fd.Dir)
-		pkg := typeCheck(fset, p, imp)
-		imp.pkgs[fd.ImportPath] = pkg.Types
-		out = append(out, pkg)
-	}
-	return out, nil
-}
