@@ -372,14 +372,23 @@ func runReport(t *testing.T, workers int) (*Report, []trace.Event) {
 	return r, rec.Events()
 }
 
+// widths are the runpool widths and GOMAXPROCS settings the determinism
+// tests compare with width 1 at GOMAXPROCS 1; each worker lends its own
+// step calendar, so every width runs a different calendar per node.
+var widths = []struct{ procs, width int }{{2, 4}, {1, 4}, {2, 2}, {1, 3}, {2, 1}}
+
 func TestClusterDeterministicAcrossWorkerWidths(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r1, ev1 := runReport(t, 1)
-	r4, ev4 := runReport(t, 4)
-	if !reflect.DeepEqual(r1, r4) {
-		t.Fatalf("reports diverge across worker widths:\n%+v\n%+v", r1, r4)
-	}
-	if !reflect.DeepEqual(ev1, ev4) {
-		t.Fatalf("trace streams diverge: %d vs %d events", len(ev1), len(ev4))
+	for _, at := range widths {
+		runtime.GOMAXPROCS(at.procs)
+		r, ev := runReport(t, at.width)
+		if !reflect.DeepEqual(r1, r) {
+			t.Fatalf("GOMAXPROCS %d, width %d: reports diverge:\n%+v\n%+v", at.procs, at.width, r1, r)
+		}
+		if !reflect.DeepEqual(ev1, ev) {
+			t.Fatalf("GOMAXPROCS %d, width %d: trace streams diverge: %d vs %d events", at.procs, at.width, len(ev1), len(ev))
+		}
 	}
 }
 
@@ -444,8 +453,12 @@ func TestTokenModeDeterministicAcrossWorkerWidths(t *testing.T) {
 		}
 		return r
 	}
-	r1, r4 := run(1), run(4)
-	if !reflect.DeepEqual(r1, r4) {
-		t.Fatalf("token-mode reports diverge across worker widths:\n%+v\n%+v", r1, r4)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r1 := run(1)
+	for _, at := range widths {
+		runtime.GOMAXPROCS(at.procs)
+		if r := run(at.width); !reflect.DeepEqual(r1, r) {
+			t.Fatalf("GOMAXPROCS %d, width %d: token-mode reports diverge:\n%+v\n%+v", at.procs, at.width, r1, r)
+		}
 	}
 }
