@@ -219,10 +219,9 @@ type Controller struct {
 	slab   slab.Chunks[Cgroup] // where Create's cgroups live
 }
 
-// NewController returns an empty cgroup registry.
-func NewController() *Controller {
-	return &Controller{groups: make(map[string]*Cgroup)}
-}
+// NewController returns an empty cgroup registry. Its map is made once,
+// by Grow or the first insert: a lookup on a nil map already works.
+func NewController() *Controller { return &Controller{} }
 
 // Create registers and returns a new cgroup. It fails if the name exists.
 func (ctl *Controller) Create(name string) (*Cgroup, error) {
@@ -241,6 +240,9 @@ func (ctl *Controller) MustCreate(name string) *Cgroup {
 	// A zero slot made what NewCgroup returns.
 	cg := ctl.slab.Next()
 	cg.name, cg.weight = name, DefaultWeight
+	if ctl.groups == nil {
+		ctl.groups = make(map[string]*Cgroup)
+	}
 	n := len(ctl.groups)
 	if ctl.groups[name] = cg; len(ctl.groups) == n {
 		panic(fmt.Sprintf("blkio: cgroup %q already exists", name))

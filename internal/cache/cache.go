@@ -147,7 +147,8 @@ func New(store *staging.Store, dev *device.Device, cfg Config) *Cache {
 		}
 	}
 	g := 0
-	for _, seg := range h.Segments(0, h.TotalEntries()) {
+	var segs [8]refactor.Segment
+	for _, seg := range h.AppendSegments(segs[:0], 0, h.TotalEntries()) {
 		if home := store.DeviceForLevel(seg.Level); home != dev {
 			c.runs = append(c.runs, &run{
 				level:       seg.Level,
@@ -267,11 +268,7 @@ func (c *Cache) chunkEntries(r *run) int {
 	if avg <= 0 {
 		return r.total
 	}
-	n := int(chunkMB * device.MB / avg)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(int(chunkMB*device.MB/avg), 1)
 }
 
 // held is the device reservation backing r's entries [0, prefix): whole
@@ -299,10 +296,7 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 		if victim == nil || worst >= c.score(incoming) {
 			return false
 		}
-		newPrefix := victim.prefix - c.chunkEntries(victim)
-		if newPrefix < 0 {
-			newPrefix = 0
-		}
+		newPrefix := max(victim.prefix-c.chunkEntries(victim), 0)
 		freed := float64(c.h.LevelBytes(victim.level, newPrefix, victim.prefix)) * c.scale
 		c.dev.Release(c.held(victim, victim.prefix) - c.held(victim, newPrefix))
 		victim.prefix = newPrefix

@@ -63,16 +63,18 @@ type target struct {
 	pending bool
 }
 
-// New returns an empty allocator.
-func New() *Allocator {
-	return &Allocator{entries: map[string]*entry{}}
-}
+// New returns an empty allocator. Its map is made once, by Grow or the
+// first Attach: a lookup on a nil map already works.
+func New() *Allocator { return &Allocator{} }
 
 // Attach registers a session's cgroup. A duplicate name fails: the insert
 // hashes the name once, and a map whose length did not grow held it.
 func (a *Allocator) Attach(name string, cg *blkio.Cgroup) error {
 	e := a.slab.Next()
 	*e = entry{name: name, cg: cg, grant: cg.Weight()}
+	if a.entries == nil {
+		a.entries = map[string]*entry{}
+	}
 	n := len(a.entries)
 	if a.entries[name] = e; len(a.entries) == n {
 		a.entries[name] = a.list[slices.IndexFunc(a.list, func(o *entry) bool { return o.name == name })]

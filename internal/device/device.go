@@ -241,6 +241,9 @@ type Device struct {
 	// oldest flow, the order the water-filling sums in: a new group goes
 	// last, and a drain rebuilds the table from the flows.
 	groups []wfGroup
+	// flows and groups start here: a busier device than most spills them.
+	flowBuf  [2]*flow
+	groupBuf [2]wfGroup
 
 	// Injected degradation (see internal/fault): bwFactor scales the
 	// delivered bandwidth (1 = healthy, 0 = stuck device), extraLatency
@@ -263,15 +266,21 @@ type Device struct {
 }
 
 // New creates a device bound to an engine. It panics on invalid Params
-// (scenario construction is programmer-controlled).
+// (scenario construction is programmer-controlled). A Device is used only
+// through the pointer New returns: its tables point into it.
 func New(eng *sim.Engine, p Params) *Device {
 	if err := p.validate(); err != nil {
 		panic(err)
 	}
 	d := &Device{eng: eng, p: p, bwFactor: 1, share: 1}
-	name := strconv.Quote(p.Name)
-	d.readErr = devError{"device " + name + ": " + ErrRead.Error(), ErrRead}
-	d.cancelErr = devError{"device " + name + ": " + ErrCanceled.Error(), ErrCanceled}
+	d.flows, d.groups = d.flowBuf[:0], d.groupBuf[:0]
+	var buf [96]byte // both error texts in one string: one object, not three
+	b := append(strconv.AppendQuote(append(buf[:0], "device "...), p.Name), ": "...)
+	n := len(b)
+	b = append(append(b, ErrRead.Error()...), b[:n]...)
+	msgs := string(append(b, ErrCanceled.Error()...))
+	d.readErr = devError{msgs[:len(b)-n], ErrRead}
+	d.cancelErr = devError{msgs[len(b)-n:], ErrCanceled}
 	return d
 }
 

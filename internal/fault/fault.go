@@ -191,8 +191,7 @@ func (p *Plan) Validate() error {
 // Sorted returns the events ordered by injection time (stable, so
 // same-instant events keep their plan order).
 func (p *Plan) Sorted() []Event {
-	out := make([]Event, len(p.Events))
-	copy(out, p.Events)
+	out := slices.Clone(p.Events)
 	slices.SortStableFunc(out, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
 	return out
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -35,8 +36,8 @@ type Injector struct {
 	armed   bool
 	cal     sim.Calendar // the plan's timers: one event slot for them all
 
-	active     map[string][]deviceFault // device name -> open windows
-	weightFail map[string]int           // cgroup name -> open windows
+	active     []deviceFault  // open device windows, in fire order
+	weightFail map[string]int // cgroup name -> open windows
 	injected   int
 	cleared    int
 	skipped    int
@@ -44,6 +45,7 @@ type Injector struct {
 
 type deviceFault struct {
 	id       int
+	dev      string
 	kind     Kind
 	bwFactor float64
 	latency  float64
@@ -73,7 +75,6 @@ func NewInjector(node *container.Node, rec *trace.Recorder, plan *Plan) *Injecto
 		rec:        rec,
 		plan:       plan,
 		handles:    map[string]*workload.Handle{},
-		active:     map[string][]deviceFault{},
 		weightFail: map[string]int{},
 	}
 }
@@ -166,7 +167,7 @@ func (t *timer) Fire() {
 
 func (in *Injector) fireDevice(t *timer) {
 	e := &t.e
-	df := deviceFault{id: t.id, kind: e.Kind, bwFactor: 1}
+	df := deviceFault{id: t.id, dev: e.Target, kind: e.Kind, bwFactor: 1}
 	switch e.Kind {
 	case BWCollapse:
 		df.bwFactor = e.Factor
@@ -175,7 +176,7 @@ func (in *Injector) fireDevice(t *timer) {
 	case Stuck:
 		df.bwFactor = 0
 	}
-	in.active[e.Target] = append(in.active[e.Target], df)
+	in.active = append(in.active, df)
 	in.applyDeviceState(in.node.Device(e.Target))
 	in.record(&in.injected, t, "inject id=%d kind=%s dev=%s factor=%g dur=%g", e.Factor, e.Duration)
 	t.clearAfter()
@@ -202,10 +203,9 @@ func (in *Injector) clear(t *timer) {
 		t.cg.SetWriteBpsLimit(t.prevW)
 	default:
 		format = "clear id=%d kind=%s dev=%s"
-		open := in.active[e.Target]
-		for i, f := range open {
+		for i, f := range in.active {
 			if f.id == t.id {
-				in.active[e.Target] = slices.Delete(open, i, i+1)
+				in.active = slices.Delete(in.active, i, i+1)
 				break
 			}
 		}
@@ -215,10 +215,13 @@ func (in *Injector) clear(t *timer) {
 }
 
 // applyDeviceState recomputes the composed fault state of one device
-// from its open windows.
+// from its open windows, summing their latencies in fire order.
 func (in *Injector) applyDeviceState(dev *device.Device) {
 	bw, lat, readErr := 1.0, 0.0, false
-	for _, f := range in.active[dev.Name()] {
+	for _, f := range in.active {
+		if f.dev != dev.Name() {
+			continue
+		}
 		if f.bwFactor < bw {
 			bw = f.bwFactor
 		}
@@ -295,19 +298,15 @@ func (in *Injector) fireChurn(t *timer) {
 // experiments and their tests use this to enforce the "every injected
 // fault is answered by a recorded recovery" contract.
 func Unpaired(events []trace.Event) []trace.Event {
+	last := math.Inf(-1) // a fault at or before the last recovery is paired
+	for _, r := range events {
+		if recoveryKind(r.Kind) {
+			last = max(last, r.T)
+		}
+	}
 	var out []trace.Event
 	for _, f := range events {
-		if f.Kind != trace.KindFault || !strings.HasPrefix(f.Format, "inject") {
-			continue
-		}
-		paired := false
-		for _, r := range events {
-			if r.T >= f.T && recoveryKind(r.Kind) {
-				paired = true
-				break
-			}
-		}
-		if !paired {
+		if f.Kind == trace.KindFault && strings.HasPrefix(f.Format, "inject") && f.T > last {
 			out = append(out, f)
 		}
 	}

@@ -197,8 +197,8 @@ type node struct {
 	measured bool
 	err      error // the engine's error at the end of the last window
 
-	ops    []*stepOp           // ops of finished steps, taken again at a step instant
-	opSlab slab.Chunks[stepOp] // where a freelist miss takes its op from
+	ops    *stepOp             // ops of finished steps, chained through next, taken again at a step instant
+	opSlab slab.Chunks[stepOp] // where a miss on the free chain takes its op from
 
 	// per-epoch accumulators; reset at each barrier. Written only from
 	// this node's engine context (the parallel window) or the barrier.

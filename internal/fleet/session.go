@@ -109,14 +109,14 @@ func (nd *node) scheduleSteps(cal *sim.Calendar, t0 float64) {
 	cal.Arm()
 }
 
-// Fire is the step instant: it takes a step op off the node's freelist,
+// Fire is the step instant: it takes a step op off the node's free chain,
 // or a new one, and runs the step. nd.measured is read here, inside the
 // window that armed the step, so it is the value that window set.
 func (s *session) Fire() {
 	nd := s.nd
-	var op *stepOp
-	if n := len(nd.ops); n > 0 {
-		op, nd.ops = nd.ops[n-1], nd.ops[:n-1]
+	op := nd.ops
+	if op != nil {
+		nd.ops = op.next
 	} else {
 		op = nd.opSlab.Next()
 	}
@@ -133,7 +133,7 @@ func (s *session) Fire() {
 // stepOp is one session step in flight: one analysis period on the node
 // the session is attached to, made of engine callbacks — every fetch and
 // SSD transfer reports its end to the op (TransferDone). A node takes an
-// op off its freelist at the step instant and puts it back when the step
+// op off its free chain at the step instant and puts it back when the step
 // ends, so it holds one per step in flight, never one per session. A
 // killed node's ops die with its engine.
 //
@@ -142,6 +142,7 @@ func (s *session) Fire() {
 // epoch accumulators, both harvested at the next barrier.
 type stepOp struct {
 	s        *session
+	next     *stepOp // the node's free chain
 	start    float64 // the step instant
 	miss     float64 // bytes of the step L2 does not hold
 	measured bool    // the epoch that armed the step is measured
@@ -221,7 +222,7 @@ func (op *stepOp) run() {
 			}
 			nd.stepBytes += s.stepRead
 			s.busy = false
-			nd.ops = append(nd.ops, op)
+			op.next, nd.ops = nd.ops, op
 			return
 		}
 	}

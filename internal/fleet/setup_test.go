@@ -23,17 +23,20 @@ func mallocs(f func()) int {
 
 // TestSetupAllocCeilings holds the fleet's set-up path at the layer: with
 // sessions, names, cgroups, coordinator entries and events coming from
-// chunks, each node's registries sized once for its arrivals, and a
-// breaker made only on a failure, building a cluster costs under half an
-// object per session, per-node constants (devices, controllers, chunks)
-// included: 338 at this shape with go1.24, 737 while registries grew one
-// attach at a time. Building plus running it — first-touch subscriptions,
-// step ops up to the steps in flight, flows from chunks, one window task
-// per worker — stays under 1.1 per session (797; 884 while the engine
-// and each device kept their free structs in slices, 1,585 before
-// chunks). One object per session creeping back (a closure per attach, a
-// breaker per cgroup) trips either; before the chunks the two read 8.4
-// and 15.4 at this shape.
+// chunks, each node's registries made once and sized for its arrivals,
+// each device's two error texts one string, and a breaker made only on a
+// failure, building a cluster costs under 3/8 of an object per session,
+// per-node constants (devices, controllers, chunks) included: 280 at this
+// shape with go1.24, 338 while every registry was made empty and then
+// replaced and a device spelled its error texts in three strings, 737
+// while registries grew one attach at a time. Building plus running it —
+// first-touch subscriptions, step ops up to the steps in flight, flows
+// from chunks, one window task per worker — stays under 7/8 per session
+// (629; 797 while device tables and the op freelist grew from nil, 884
+// while the engine and each device kept their free structs in slices,
+// 1,585 before chunks). One object per session creeping back (a closure
+// per attach, a breaker per cgroup) trips either; before the chunks the
+// two read 8.4 and 15.4 at this shape.
 func TestSetupAllocCeilings(t *testing.T) {
 	const nodes, sessions = 8, 800
 	var c *Cluster
@@ -47,16 +50,65 @@ func TestSetupAllocCeilings(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("New allocated %d objects, New + Run %d", build, build+run)
-	limit := sessions / 2
+	limit := 3 * sessions / 8
 	if raceEnabled {
-		limit += 40 // 355–359 over five -race runs
+		limit += 30 // 300–303 over three -race runs
 	}
 	if build > limit {
 		t.Errorf("New allocated %d objects (%.2f per session), want <= %d", build, float64(build)/sessions, limit)
 	}
-	if limit := sessions + 10*nodes; build+run > limit {
+	if limit := 7 * sessions / 8; build+run > limit {
 		t.Errorf("New + Run allocated %d objects (%.2f per session), want <= %d", build+run, float64(build+run)/sessions, limit)
 	}
+}
+
+// A node chains the ops of ended steps and takes them again at the next
+// step instants: once the chain holds as many as a window has steps in
+// flight, a window takes no op from the node's slab. On a quiet cluster
+// every step ends inside its window, so the chain after a window holds
+// every op the node has taken, and an op it did not hold before the
+// window came from the slab.
+func TestStepOpsComeOffTheChain(t *testing.T) {
+	c, err := New(Config{Nodes: 3, Sessions: 60, Seed: 7, Epochs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained := func(nd *node) map[*stepOp]bool {
+		ops := map[*stepOp]bool{}
+		for op := nd.ops; op != nil; op = op.next {
+			ops[op] = true
+		}
+		return ops
+	}
+	reused := 0
+	for e := 0; e < c.cfg.Epochs; e++ {
+		before := make([]map[*stepOp]bool, len(c.nodes))
+		for i, nd := range c.nodes {
+			before[i] = chained(nd)
+		}
+		if err := c.epoch(e, (*node).scheduleSteps); err != nil {
+			t.Fatal(err)
+		}
+		for i, nd := range c.nodes {
+			after := chained(nd)
+			if len(after) == 0 {
+				t.Fatalf("epoch %d: %s chains no ended step", e, nd.name)
+			}
+			if len(after) > len(before[i]) {
+				continue // the chain held too few
+			}
+			reused++
+			for op := range after {
+				if !before[i][op] {
+					t.Fatalf("epoch %d: %s took an op from its slab with %d chained", e, nd.name, len(before[i]))
+				}
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no window ran on a chain that held enough")
+	}
+	t.Logf("%d windows took every op off the chain", reused)
 }
 
 // The name arena spells every id as fmt.Sprintf("sess%d", i) does, across

@@ -62,13 +62,7 @@ func workers(nChunks int) int {
 	if b := int(busy.Load()); b > 1 {
 		w /= b
 	}
-	if w > nChunks {
-		w = nChunks
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(min(w, nChunks), 1)
 }
 
 // run executes fn over the nChunks fixed chunks of [0, n) using at most
@@ -78,11 +72,7 @@ func run(n, nChunks, w int, fn func(chunk, lo, hi int)) {
 	if w == 1 {
 		for c := 0; c < nChunks; c++ {
 			lo := c * size
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			fn(c, lo, hi)
+			fn(c, lo, min(lo+size, n))
 		}
 		return
 	}
@@ -98,11 +88,7 @@ func run(n, nChunks, w int, fn func(chunk, lo, hi int)) {
 					return
 				}
 				lo := c * size
-				hi := lo + size
-				if hi > n {
-					hi = n
-				}
-				fn(c, lo, hi)
+				fn(c, lo, min(lo+size, n))
 			}
 		}()
 	}

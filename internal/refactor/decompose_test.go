@@ -256,7 +256,7 @@ func TestSegmentsPartitionRange(t *testing.T) {
 // checkAppendSegments: for every [from, to) — or a stride of them on a
 // large hierarchy — AppendSegments keeps dst's prefix, appends exactly
 // what Segments returns, and the appended runs cover to-from entries
-// priced as LevelBytes prices them.
+// priced as LevelBytes prices them, BytesForRange being their sum.
 func checkAppendSegments(tb testing.TB, h *Hierarchy) {
 	tb.Helper()
 	total := h.TotalEntries()
@@ -271,9 +271,9 @@ func checkAppendSegments(tb testing.TB, h *Hierarchy) {
 			if got[0] != sentinel || !slices.Equal(got[1:], want) {
 				tb.Fatalf("AppendSegments(%d,%d) = %+v, want prefix + %+v", from, to, got, want)
 			}
-			n := 0
+			n, bytes := 0, int64(0)
 			for _, s := range want {
-				n += s.End - s.Start
+				n, bytes = n+s.End-s.Start, bytes+s.Bytes
 				if s.Bytes != h.LevelBytes(s.Level, s.Start, s.End) {
 					tb.Fatalf("segment %+v of [%d,%d) priced %d by LevelBytes", s, from, to, h.LevelBytes(s.Level, s.Start, s.End))
 				}
@@ -281,7 +281,26 @@ func checkAppendSegments(tb testing.TB, h *Hierarchy) {
 			if n != to-from {
 				tb.Fatalf("segments of [%d,%d) cover %d entries", from, to, n)
 			}
+			if got := h.BytesForRange(from, to); got != bytes {
+				tb.Fatalf("BytesForRange(%d,%d) = %d, its segments sum to %d", from, to, got, bytes)
+			}
 		}
+	}
+}
+
+// BytesForRange and TotalAugBytes sum the prefix sums without building
+// segments, so a step or a summary pricing a range allocates nothing.
+func TestBytesForRangeAllocatesNothing(t *testing.T) {
+	h := mustDecompose(t, smoothField(33, 10), Options{Levels: 5})
+	total := h.TotalEntries()
+	var sink int64
+	if n := testing.AllocsPerRun(100, func() {
+		sink += h.BytesForRange(total/5, 4*total/5) + h.TotalAugBytes()
+	}); n != 0 {
+		t.Fatalf("BytesForRange and TotalAugBytes allocate %v objects, want 0", n)
+	}
+	if sink <= 0 {
+		t.Fatal("no bytes priced")
 	}
 }
 

@@ -283,10 +283,12 @@ func (h *Hierarchy) LevelEntries(level int) int {
 	return len(h.augs[level])
 }
 
-// BytesForRange returns the encoded size of the cursor range [from, to).
+// BytesForRange returns the encoded size of the cursor range [from, to),
+// walking its segments in a stack array.
 func (h *Hierarchy) BytesForRange(from, to int) int64 {
 	var total int64
-	for _, s := range h.Segments(from, to) {
+	var buf [8]Segment // one per level; a deeper hierarchy only makes AppendSegments grow
+	for _, s := range h.AppendSegments(buf[:0], from, to) {
 		total += s.Bytes
 	}
 	return total
