@@ -296,7 +296,9 @@ func TestUnpaired(t *testing.T) {
 	if len(up) != 1 || !strings.Contains(up[0].Msg(), "id=1") {
 		t.Fatalf("unpaired = %+v", up)
 	}
-	evs = append(evs, trace.Event{T: 30, Kind: trace.KindRefit, Format: "regime change"})
+	// A recovery at the injection's instant pairs it, wherever it sits in the trace.
+	evs = append(evs, trace.Event{T: 30, Kind: trace.KindRefit, Format: "regime change"},
+		trace.Event{T: 30, Kind: trace.KindFault, Format: "inject id=2 kind=stuck dev=ssd"})
 	if got := Unpaired(evs); len(got) != 0 {
 		t.Fatalf("unpaired after refit = %+v", got)
 	}
