@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json race test check fuzz bench bench-allocs bench-digests bench-record bench-pairs suite suite-check loc loc-check clean
+.PHONY: all build vet lint lint-json fused-check race test check fuzz bench bench-allocs bench-digests bench-record bench-pairs suite suite-check loc loc-check clean
 
 all: build
 
@@ -26,6 +26,11 @@ lint:
 lint-json:
 	$(GO) run ./cmd/tangolint -json ./... > tangolint.json
 
+# No fused multiply-add in the simulator packages on arm64, ppc64le, s390x
+# or riscv64 (scripts/fused-check.sh; compile-only, no emulator).
+fused-check:
+	sh scripts/fused-check.sh
+
 race:
 	$(GO) test -race ./...
 
@@ -44,7 +49,7 @@ fuzz:
 	done
 
 # loc-check is CI's size gate too, so a change over a ceiling fails here first.
-check: build vet lint race loc-check
+check: build vet lint fused-check race loc-check
 
 # The repo's host-time benchmark (BENCHMARK.json, benchmarks/perf/README.md):
 # four workloads, six gated end-to-end metrics, sim_digest output checks.
@@ -104,7 +109,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 19981
+LOC_MAX = 19480
 CONFIG_FIELDS_MAX = 21
 
 loc-check:

@@ -13,9 +13,10 @@
 // objects (witness is the call-chain evidence the interprocedural
 // analyzers attach), which is what CI archives as its lint artifact.
 //
-// Usage:
+// Every analyzer runs over the whole module; ./... may be named, nothing
+// else. Usage:
 //
-//	tangolint [-analyzers a,b] [-json] [-list] [-v] [./... | dir ...]
+//	tangolint [-json] [./...]
 package main
 
 import (
@@ -24,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"tango/internal/lint"
 )
@@ -46,24 +46,14 @@ func main() {
 
 func run() int {
 	fs := flag.NewFlagSet("tangolint", flag.ExitOnError)
-	analyzersFlag := fs.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	list := fs.Bool("list", false, "list analyzers and exit")
-	verbose := fs.Bool("v", false, "print a summary even when clean")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: tangolint [-analyzers a,b] [-json] [-list] [-v] [./... | dir ...]\n\nanalyzers:\n")
-		for _, name := range lint.AnalyzerNames() {
-			fmt.Fprintf(fs.Output(), "  %-16s %s\n", name, lint.AnalyzerDoc(name))
-		}
-	}
+	fs.Usage = func() { fmt.Fprintln(fs.Output(), "usage: tangolint [-json] [./...]") }
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return 2
 	}
-	if *list {
-		for _, name := range lint.AnalyzerNames() {
-			fmt.Printf("%-16s %s\n", name, lint.AnalyzerDoc(name))
-		}
-		return 0
+	if fs.NArg() > 1 || fs.NArg() == 1 && fs.Arg(0) != "./..." {
+		fs.Usage()
+		return 2
 	}
 
 	root, err := moduleRoot()
@@ -71,35 +61,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tangolint:", err)
 		return 2
 	}
-
-	opts := lint.Options{Root: root}
-	if *analyzersFlag != "" {
-		opts.Analyzers = strings.Split(*analyzersFlag, ",")
-	}
-	for _, arg := range fs.Args() {
-		if arg == "./..." || arg == "..." || arg == "." {
-			opts.Dirs = nil // whole module
-			break
-		}
-		dir := strings.TrimSuffix(arg, "/...")
-		abs, err := filepath.Abs(dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tangolint:", err)
-			return 2
-		}
-		rel, err := filepath.Rel(root, abs)
-		if err != nil || strings.HasPrefix(rel, "..") {
-			fmt.Fprintf(os.Stderr, "tangolint: %s is outside module root %s\n", arg, root)
-			return 2
-		}
-		if fi, err := os.Stat(abs); err != nil || !fi.IsDir() {
-			fmt.Fprintf(os.Stderr, "tangolint: no such directory: %s\n", arg)
-			return 2
-		}
-		opts.Dirs = append(opts.Dirs, rel)
-	}
-
-	findings, err := lint.Run(opts)
+	findings, err := lint.Run(lint.Options{Root: root})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tangolint:", err)
 		return 2
@@ -136,9 +98,6 @@ func run() int {
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "tangolint: %d finding(s)\n", len(findings))
 		return 1
-	}
-	if *verbose {
-		fmt.Println("tangolint: ok")
 	}
 	return 0
 }

@@ -79,7 +79,7 @@ func meanVariance(data []float64) (mean, variance float64) {
 	mean /= float64(len(data))
 	for _, v := range data {
 		d := v - mean
-		variance += d * d
+		variance += float64(d * d)
 	}
 	variance /= float64(len(data))
 	return mean, variance

@@ -35,7 +35,7 @@ func AnalyzePressure(t *tensor.Tensor, o PressureOptions) PressureStats {
 	if k == 0 {
 		k = 2
 	}
-	return AnalyzePressureAt(t, mean+k*math.Sqrt(variance))
+	return AnalyzePressureAt(t, mean+float64(k*math.Sqrt(variance)))
 }
 
 // AnalyzePressureAt computes area and force against a fixed threshold

@@ -39,7 +39,7 @@ func eachComponent(t *tensor.Tensor, o BlobOptions, visit func(Component)) {
 		// A constant field has no background fluctuation to deviate from.
 		return
 	}
-	thresh := mean + o.SigmaK*math.Sqrt(variance)
+	thresh := mean + float64(o.SigmaK*math.Sqrt(variance))
 
 	// Iterative flood fill (explicit stack; the grid can be millions of
 	// cells), one visited bit per cell. The stack starts in an array deeper

@@ -206,7 +206,7 @@ func (c *Cache) Serve(level, start, end int) (*device.Device, int) {
 		served = min(end, r.prefix) - start
 	}
 	if served > 0 {
-		bytes := float64(c.h.LevelBytes(level, start, start+served)) * c.scale
+		bytes := float64(float64(c.h.LevelBytes(level, start, start+served)) * c.scale)
 		c.stats.Hits++
 		c.stats.HitBytes += bytes
 		c.cfg.Trace.Emit(c.dev.Engine().Now(), source, trace.KindCacheHit, "level=%d entries=[%d,%d) served=%d bytes=%.0f", level, start, end, served, bytes)
@@ -232,7 +232,7 @@ func (c *Cache) EndStep() {
 		if req > 1 {
 			req = 1
 		}
-		r.reuse = (1-reuseDecay)*r.reuse + reuseDecay*req
+		r.reuse = float64((1-reuseDecay)*r.reuse) + float64(reuseDecay*req)
 		r.reqEntries = 0
 	}
 }
@@ -297,7 +297,7 @@ func (c *Cache) makeRoom(need float64, incoming *run) bool {
 			return false
 		}
 		newPrefix := max(victim.prefix-c.chunkEntries(victim), 0)
-		freed := float64(c.h.LevelBytes(victim.level, newPrefix, victim.prefix)) * c.scale
+		freed := float64(float64(c.h.LevelBytes(victim.level, newPrefix, victim.prefix)) * c.scale)
 		c.dev.Release(c.held(victim, victim.prefix) - c.held(victim, newPrefix))
 		victim.prefix = newPrefix
 		c.used -= freed

@@ -73,7 +73,7 @@ func Summarize(stats []StepStats, skip int) Summary {
 		var ss float64
 		for _, st := range stats {
 			d := st.IOTime - s.MeanIO
-			ss += d * d
+			ss += float64(d * d)
 		}
 		s.StdIO = math.Sqrt(ss / (n - 1))
 	}

@@ -313,7 +313,7 @@ func (d *Device) Efficiency(n int) float64 {
 	if n <= 1 {
 		return 1
 	}
-	return math.Max(1/(1+d.p.SeekThrash*float64(n-1)), d.p.MinEfficiency)
+	return math.Max(1/(1+float64(d.p.SeekThrash*float64(n-1))), d.p.MinEfficiency)
 }
 
 // EffectiveBandwidth returns the aggregate bandwidth the device delivers
@@ -685,7 +685,7 @@ func (d *Device) advance() {
 	dt := max(now-d.lastUpdate, 0)
 	if len(d.flows) > 0 && dt > 0 {
 		for _, f := range d.flows {
-			f.bytesRem = max(f.bytesRem-f.rate*dt, 0)
+			f.bytesRem = max(f.bytesRem-float64(f.rate*dt), 0)
 		}
 		d.busyTime += dt
 	}
@@ -818,7 +818,7 @@ func (d *Device) completeDrained() {
 			// (t0+dt)-t0 loses ~1e-13 s of precision, which at 100 MB/s
 			// leaves ~1e-5 bytes behind and would otherwise reschedule
 			// zero-length timers forever (a Zeno loop).
-			tiny := 1e-6 + f.rate*1e-9
+			tiny := 1e-6 + float64(f.rate*1e-9)
 			if f.bytesRem > tiny {
 				kept = append(kept, f)
 				continue

@@ -127,7 +127,7 @@ func (e *Estimator) Fit() error {
 	// multiply) followed by the clamp loop, so models stay bit-identical.
 	inv := complex(1/float64(w), 0)
 	for i, v := range e.rec {
-		v *= inv
+		v = mul(v, inv)
 		bw := real(v)
 		if bw < 0 {
 			bw = 0 // bandwidth cannot be negative; clamp ringing

@@ -62,6 +62,14 @@ func planFor(n int) *plan {
 	return p
 }
 
+// mul is a*b with each real product rounded before it is summed, as amd64
+// computes it: an explicit conversion is a rounding the compiler may not
+// fuse across, so arm64, ppc64le, s390x and riscv64 give the same bits.
+func mul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
+}
+
 func newPlan(n int) *plan {
 	p := &plan{n: n}
 	if n&(n-1) == 0 {
@@ -91,7 +99,7 @@ func stageTwiddles(n int, sign float64) []complex128 {
 		w := complex(1, 0)
 		for k := 0; k < half; k++ {
 			tbl = append(tbl, w)
-			w *= wBase
+			w = mul(w, wBase)
 		}
 	}
 	return tbl
@@ -151,7 +159,7 @@ func (p *plan) stages(dst []complex128, inverse bool) {
 		for start := 0; start < n; start += size {
 			for k := 0; k < half; k++ {
 				even := dst[start+k]
-				odd := dst[start+k+half] * stage[k]
+				odd := mul(dst[start+k+half], stage[k])
 				dst[start+k] = even + odd
 				dst[start+k+half] = even - odd
 			}
@@ -173,7 +181,7 @@ func (p *plan) direct(dst, src []complex128, inverse bool) {
 			row := tbl[k*n : k*n+n]
 			var sum complex128
 			for j, v := range src {
-				sum += v * row[j]
+				sum += mul(v, row[j])
 			}
 			dst[k] = sum
 		}
@@ -187,7 +195,7 @@ func (p *plan) direct(dst, src []complex128, inverse bool) {
 		var sum complex128
 		for j := 0; j < n; j++ {
 			angle := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			sum += src[j] * cmplx.Exp(complex(0, angle))
+			sum += mul(src[j], cmplx.Exp(complex(0, angle)))
 		}
 		dst[k] = sum
 	}

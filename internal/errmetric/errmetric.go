@@ -64,7 +64,7 @@ func MSE(x, xhat []float64) float64 {
 	var sum float64
 	for i := range x {
 		d := x[i] - xhat[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(x))
 }

@@ -69,16 +69,16 @@ func SSIM(rows, cols int, ref, img func(r int, dst []float64)) float64 {
 				for c, v := range a {
 					da := v - ma
 					db := b[c] - mb
-					va += da * da
-					vb += db * db
-					cov += da * db
+					va += float64(da * da)
+					vb += float64(db * db)
+					cov += float64(da * db)
 				}
 			}
 			va /= n - 1
 			vb /= n - 1
 			cov /= n - 1
-			vals[k] = ((2*ma*mb + c1) * (2*cov + c2)) /
-				((ma*ma + mb*mb + c1) * (va + vb + c2))
+			vals[k] = ((float64(2*ma*mb) + c1) * (float64(2*cov) + c2)) /
+				((float64(ma*ma) + float64(mb*mb) + c1) * (va + vb + c2))
 		}
 	})
 	var total float64

@@ -197,16 +197,16 @@ func Generate(seed int64, opts GenerateOptions) (*Plan, error) {
 	joined := 0
 	for i := 0; i < opts.Events; i++ {
 		k := kinds[i%len(kinds)]
-		at := opts.Horizon * (0.1 + 0.75*rng.Float64())
-		dur := opts.Horizon * (0.02 + 0.06*rng.Float64())
+		at := opts.Horizon * (0.1 + float64(0.75*rng.Float64()))
+		dur := opts.Horizon * (0.02 + float64(0.06*rng.Float64()))
 		ev := Event{At: at, Kind: k, Duration: dur}
 		switch k {
 		case BWCollapse:
 			ev.Target = opts.Device
-			ev.Factor = 0.1 + 0.4*rng.Float64()
+			ev.Factor = 0.1 + float64(0.4*rng.Float64())
 		case LatencySpike:
 			ev.Target = opts.Device
-			ev.Factor = 0.02 + 0.08*rng.Float64()
+			ev.Factor = 0.02 + float64(0.08*rng.Float64())
 		case ReadError, Stuck:
 			ev.Target = opts.Device
 			if k == Stuck {
@@ -216,7 +216,7 @@ func Generate(seed int64, opts GenerateOptions) (*Plan, error) {
 			ev.Target = opts.Cgroup
 		case ThrottleReset:
 			ev.Target = opts.Cgroup
-			ev.Factor = 20 + 40*rng.Float64()
+			ev.Factor = 20 + float64(40*rng.Float64())
 		case Join:
 			joined++
 			name := fmt.Sprintf("chaos%d", joined)
@@ -224,8 +224,8 @@ func Generate(seed int64, opts GenerateOptions) (*Plan, error) {
 			ev.Duration = 0
 			ev.Noise = workload.Noise{
 				Name:            name,
-				Period:          60 + 120*rng.Float64(),
-				CheckpointBytes: (256 + 512*rng.Float64()) * mb,
+				Period:          60 + float64(120*rng.Float64()),
+				CheckpointBytes: (256 + float64(512*rng.Float64())) * mb,
 				Jitter:          0.08,
 				Seed:            seed + int64(1000+joined),
 			}
@@ -233,7 +233,7 @@ func Generate(seed int64, opts GenerateOptions) (*Plan, error) {
 			ev.Target = opts.Interferers[rng.Intn(len(opts.Interferers))]
 			ev.Duration = 0
 			if k == PeriodChange {
-				ev.Factor = 45 + 90*rng.Float64()
+				ev.Factor = 45 + float64(90*rng.Float64())
 			}
 		}
 		p.Events = append(p.Events, ev)

@@ -662,7 +662,7 @@ func (c *Cluster) settle(t float64) {
 		// Drain: dirty fraction of the resident set flushes store-side.
 		// Restore: the moved working set re-fetches from the store on
 		// the destination before the session's next step.
-		drain := s.resident * s.dirtyFrac
+		drain := float64(s.resident * s.dirtyFrac)
 		src.rem.AccountPut(drain)
 		drained += drain
 		s.restore += s.resident

@@ -62,8 +62,8 @@ func genSessions(n int, seed int64, nodeBW float64) []*session {
 	slab := make([]session, n)
 	out := make([]*session, n)
 	for i := range out {
-		ws := (16 + rng.Float64()*16) * mb
-		step := (4 + rng.Float64()*8) * mb
+		ws := (16 + float64(rng.Float64()*16)) * mb
+		step := (4 + float64(rng.Float64()*8)) * mb
 		if step > ws {
 			step = ws
 		}
@@ -77,7 +77,7 @@ func genSessions(n int, seed int64, nodeBW float64) []*session {
 			priority:   prios[rng.Intn(3)],
 			workingSet: ws,
 			stepRead:   step,
-			dirtyFrac:  0.05 + rng.Float64()*0.15,
+			dirtyFrac:  0.05 + float64(rng.Float64()*0.15),
 			phase:      rng.Float64() * epochSec * 0.5,
 		}
 		s.weight = 100 * s.priority
@@ -197,7 +197,7 @@ func (op *stepOp) run() {
 			s.resident = min(s.resident+op.fetch.Res.Moved, s.workingSet)
 			op.stage = op.after
 		case stageHit:
-			hit := s.stepRead * (s.resident / s.workingSet)
+			hit := float64(s.stepRead * (s.resident / s.workingSet))
 			op.miss = s.stepRead - hit
 			op.stage = stageMiss
 			if hit > 0 && op.transfer(hit, false) {

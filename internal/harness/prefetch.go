@@ -49,7 +49,7 @@ func prefetch(cfg Config) *Result {
 		for _, st := range steps {
 			hits += st.CacheHits
 			misses += st.CacheMisses
-			savedMB += st.CacheHitBytes / (1024 * 1024)
+			savedMB += float64(st.CacheHitBytes / (1024 * 1024))
 			slowSum += st.SlowBW
 		}
 		// Foreground capacity-tier bandwidth: the default-share probe

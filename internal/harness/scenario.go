@@ -78,7 +78,7 @@ func (s *Scenario) ArmFaults(plan *fault.Plan, rec *trace.Recorder) error {
 // run advances the scenario steps analysis periods plus slack seconds:
 // every session has finished by then. Results are read after it returns.
 func (s *Scenario) run(steps int, slack float64) {
-	if err := s.Node.Engine().Run(float64(steps)*60 + slack); err != nil {
+	if err := s.Node.Engine().Run(float64(float64(steps)*60) + slack); err != nil {
 		panic(err)
 	}
 }

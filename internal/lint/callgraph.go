@@ -1,20 +1,15 @@
 // Whole-program call graph shared by the interprocedural analyzers
-// (detertaint, hotpath). Resolution is CHA-style over the
-// module's own types, stdlib-only:
+// (hotpath, and detertaint's interface frontier). Resolution is CHA-style
+// over the module's own types, stdlib-only, with two edge kinds:
 //
-//   - direct calls and concrete method calls resolve to their single
-//     declared target;
-//   - interface method calls resolve to every declared method of every
-//     project type that implements the interface (class-hierarchy
-//     analysis);
-//   - references to named functions and bound-method values are recorded
-//     as EdgeRef (the referent may be invoked later through the value);
-//   - calls through func-typed values resolve to every address-taken
-//     project function with a matching signature, restricted to packages
-//     the caller's package (transitively) imports — the static shape of
-//     "anything that could have been stored in this variable".
+//   - call: direct calls and concrete method calls resolve to their
+//     single declared target;
+//   - iface: interface method calls resolve to every declared method of
+//     every project type that implements the interface (class-hierarchy
+//     analysis).
 //
-// Function literals are attributed to their enclosing declared function:
+// Calls through func-typed values and functions passed as values get no
+// edge. Function literals are attributed to their enclosing declared function:
 // a closure's call sites, taint sources, and allocation constructs
 // belong to the function that created it.
 package lint
@@ -27,42 +22,10 @@ import (
 	"strings"
 )
 
-// EdgeKind classifies how a call-graph edge was resolved.
-type EdgeKind uint8
-
-const (
-	// EdgeCall is a direct static call (including concrete method calls).
-	EdgeCall EdgeKind = iota
-	// EdgeIface is an interface-dispatch candidate (CHA over project types).
-	EdgeIface
-	// EdgeFuncVal is a dynamic call through a func-typed value, resolved
-	// to address-taken project functions with a matching signature.
-	EdgeFuncVal
-	// EdgeRef records a function referenced as a value (address taken,
-	// passed as a callback, stored in a field) without a visible call.
-	EdgeRef
-)
-
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeCall:
-		return "call"
-	case EdgeIface:
-		return "iface"
-	case EdgeFuncVal:
-		return "funcval"
-	case EdgeRef:
-		return "ref"
-	default:
-		return "edge(?)"
-	}
-}
-
-// Edge is one resolved call (or reference) from a FuncNode.
+// Edge is one resolved call from a FuncNode.
 type Edge struct {
 	Callee *FuncNode
 	Pos    token.Pos
-	Kind   EdgeKind
 }
 
 // FuncNode is one declared project function or method.
@@ -116,8 +79,6 @@ func shortenPkgPaths(full string) string {
 type CallGraph struct {
 	Nodes []*FuncNode
 	ByObj map[*types.Func]*FuncNode
-
-	in map[*FuncNode][]Edge // reversed Out edges, built by Callers
 }
 
 // Program is the set of loaded packages presented to whole-program
@@ -151,21 +112,7 @@ func (prog *Program) Graph() *CallGraph {
 // --- construction ---
 
 type graphBuilder struct {
-	prog  *Program
-	g     *CallGraph
-	byPkg map[string]*Package // import path -> package
-
-	// importClosure[pkg path] = module-local packages visible from it
-	// (transitively imported, plus itself).
-	importClosure map[string]map[string]bool
-
-	// addrTaken indexes address-taken functions by normalized signature.
-	// The enclosing node of an address-taken function literal is indexed
-	// under the literal's signature (the literal is attributed to it).
-	addrTaken map[string][]*FuncNode
-
-	// pending dynamic calls awaiting the complete addrTaken index.
-	pending []pendingDyn
+	g *CallGraph
 
 	// ifaceCands caches CHA candidate lists per (interface, method).
 	ifaceCands map[ifaceKey][]*FuncNode
@@ -175,12 +122,6 @@ type graphBuilder struct {
 	namedTypes []*types.Named
 }
 
-type pendingDyn struct {
-	caller *FuncNode
-	pos    token.Pos
-	sig    string
-}
-
 type ifaceKey struct {
 	iface  *types.Interface
 	method string
@@ -188,174 +129,54 @@ type ifaceKey struct {
 
 func buildCallGraph(prog *Program) *CallGraph {
 	b := &graphBuilder{
-		prog:          prog,
-		g:             &CallGraph{ByObj: map[*types.Func]*FuncNode{}},
-		byPkg:         map[string]*Package{},
-		importClosure: map[string]map[string]bool{},
-		addrTaken:     map[string][]*FuncNode{},
-		ifaceCands:    map[ifaceKey][]*FuncNode{},
+		g:          &CallGraph{ByObj: map[*types.Func]*FuncNode{}},
+		ifaceCands: map[ifaceKey][]*FuncNode{},
 	}
 	for _, p := range prog.Pkgs {
-		b.byPkg[p.Path] = p
+		b.collect(p)
 	}
-	b.collectNodes()
-	b.collectNamedTypes()
-	b.computeImportClosures()
 	for _, n := range b.g.Nodes {
-		if n.Decl.Body != nil {
-			b.walkBody(n)
+		if n.Decl.Body == nil {
+			continue
 		}
+		ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				b.addCallEdges(n, call)
+			}
+			return true
+		})
 	}
-	b.resolvePending()
 	return b.g
 }
 
-func (b *graphBuilder) collectNodes() {
-	for _, p := range b.prog.Pkgs {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				obj, _ := p.Info.Defs[fd.Name].(*types.Func)
-				if obj == nil {
-					continue
-				}
-				n := &FuncNode{Obj: obj, Decl: fd, Pkg: p}
-				b.g.Nodes = append(b.g.Nodes, n)
-				b.g.ByObj[obj] = n
-			}
-		}
-	}
-}
-
-func (b *graphBuilder) collectNamedTypes() {
-	for _, p := range b.prog.Pkgs {
-		if p.Types == nil {
-			continue
-		}
-		scope := p.Types.Scope()
-		names := scope.Names() // already sorted
-		for _, name := range names {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
+// collect adds p's declared functions as nodes and its named
+// non-interface types to the CHA candidates.
+func (b *graphBuilder) collect(p *Package) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			if types.IsInterface(named) {
+			obj, _ := p.Info.Defs[fd.Name].(*types.Func)
+			if obj == nil {
 				continue
 			}
+			n := &FuncNode{Obj: obj, Decl: fd, Pkg: p}
+			b.g.Nodes = append(b.g.Nodes, n)
+			b.g.ByObj[obj] = n
+		}
+	}
+	scope := p.Types.Scope()
+	for _, name := range scope.Names() { // already sorted
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		if named, ok := tn.Type().(*types.Named); ok && !types.IsInterface(named) {
 			b.namedTypes = append(b.namedTypes, named)
 		}
 	}
-}
-
-// computeImportClosures walks the module-local import DAG once per
-// package (memoized).
-func (b *graphBuilder) computeImportClosures() {
-	var visit func(p *Package) map[string]bool
-	visit = func(p *Package) map[string]bool {
-		if c, ok := b.importClosure[p.Path]; ok {
-			return c
-		}
-		c := map[string]bool{p.Path: true}
-		b.importClosure[p.Path] = c // break cycles defensively
-		for _, f := range p.Files {
-			for _, imp := range f.Imports {
-				ip := strings.Trim(imp.Path.Value, `"`)
-				dep, ok := b.byPkg[ip]
-				if !ok {
-					continue
-				}
-				for k := range visit(dep) {
-					c[k] = true
-				}
-			}
-		}
-		return c
-	}
-	for _, p := range b.prog.Pkgs {
-		visit(p)
-	}
-}
-
-// sigKey normalizes a signature to parameter/result types only (receiver
-// and parameter names excluded), so a bound-method value and a plain
-// function with the same shape collide as intended.
-func sigKey(sig *types.Signature) string {
-	var sb strings.Builder
-	if sig.Variadic() {
-		sb.WriteByte('v')
-	}
-	sb.WriteByte('(')
-	for i := 0; i < sig.Params().Len(); i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(sig.Params().At(i).Type().String())
-	}
-	sb.WriteString(")(")
-	for i := 0; i < sig.Results().Len(); i++ {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(sig.Results().At(i).Type().String())
-	}
-	sb.WriteByte(')')
-	return sb.String()
-}
-
-// walkBody records edges for every call and function reference in n's
-// declaration, attributing nested function literals to n.
-func (b *graphBuilder) walkBody(n *FuncNode) {
-	info := n.Pkg.Info
-
-	// Identify the callee-head identifier of each call so plain walks can
-	// distinguish `f()` (call) from `g(f)` (reference).
-	calleeHeads := map[ast.Node]bool{}
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		calleeHeads[unwrapFun(call.Fun)] = true
-		return true
-	})
-
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		switch e := m.(type) {
-		case *ast.CallExpr:
-			b.addCallEdges(n, e)
-		case *ast.FuncLit:
-			// Attributed to n; register n as address-taken under the
-			// literal's signature so dynamic calls of that shape can
-			// reach the closure's body (conservatively, via n).
-			if sig, ok := info.TypeOf(e).(*types.Signature); ok && sig != nil {
-				b.registerAddrTaken(sigKey(sig), n)
-			}
-		case *ast.Ident:
-			if calleeHeads[e] {
-				return true
-			}
-			if fn, ok := info.Uses[e].(*types.Func); ok {
-				b.addRef(n, fn, e.Pos())
-			}
-		case *ast.SelectorExpr:
-			if calleeHeads[e] {
-				return true
-			}
-			// Bound-method value (x.M used as a value) or package-level
-			// function reference (pkg.F passed as a callback).
-			if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-				b.addRef(n, fn, e.Pos())
-			}
-		}
-		return true
-	})
 }
 
 // unwrapFun strips parens and generic instantiation from a call's Fun.
@@ -374,89 +195,27 @@ func unwrapFun(e ast.Expr) ast.Node {
 	}
 }
 
-func (b *graphBuilder) addRef(n *FuncNode, fn *types.Func, pos token.Pos) {
-	callee, ok := b.g.ByObj[fn]
-	if !ok {
-		return // external (stdlib) reference
-	}
-	n.Out = append(n.Out, Edge{Callee: callee, Pos: pos, Kind: EdgeRef})
-	b.registerAddrTaken(sigKey(stripRecv(fn)), callee)
-}
-
-// stripRecv returns fn's signature without the receiver, the shape it has
-// when used as a bound-method value.
-func stripRecv(fn *types.Func) *types.Signature {
-	sig := fn.Type().(*types.Signature)
-	if sig.Recv() == nil {
-		return sig
-	}
-	return types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
-}
-
-func (b *graphBuilder) registerAddrTaken(key string, n *FuncNode) {
-	for _, have := range b.addrTaken[key] {
-		if have == n {
-			return
-		}
-	}
-	b.addrTaken[key] = append(b.addrTaken[key], n)
-}
-
-// addCallEdges classifies one call expression.
+// addCallEdges resolves one call expression. Conversions, builtins,
+// immediately-invoked literals (their bodies are already attributed to
+// n) and calls through func values add nothing.
 func (b *graphBuilder) addCallEdges(n *FuncNode, call *ast.CallExpr) {
 	info := n.Pkg.Info
-	fun := unwrapFun(call.Fun)
-
-	// Type conversions and builtins are not calls.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		return
-	}
-
-	switch f := fun.(type) {
+	var fn *types.Func
+	switch f := unwrapFun(call.Fun).(type) {
 	case *ast.Ident:
-		switch obj := info.Uses[f].(type) {
-		case *types.Func:
-			b.addStatic(n, obj, call.Pos())
-			return
-		case *types.Builtin, *types.TypeName:
-			return
-		case nil:
-			return
-		}
+		fn, _ = info.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[f]; ok && sel.Kind() == types.MethodVal {
-			if types.IsInterface(sel.Recv()) {
-				b.addIfaceEdges(n, sel, f.Sel.Name, call.Pos())
-				return
-			}
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				b.addStatic(n, fn, call.Pos())
-				return
-			}
-		}
-		// Package-qualified function or method expression.
-		if fn, ok := info.Uses[f.Sel].(*types.Func); ok {
-			b.addStatic(n, fn, call.Pos())
+		if sel, ok := info.Selections[f]; ok && sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()) {
+			b.addIfaceEdges(n, sel, f.Sel.Name, call.Pos())
 			return
 		}
-	case *ast.FuncLit:
-		// Immediately-invoked literal: its body is already attributed
-		// to n; no edge needed.
-		return
+		// A concrete method, a package-qualified function or a method
+		// expression.
+		fn, _ = info.Uses[f.Sel].(*types.Func)
 	}
-
-	// Dynamic call through a func-typed value.
-	if sig, ok := info.TypeOf(call.Fun).(*types.Signature); ok && sig != nil {
-		b.pending = append(b.pending, pendingDyn{caller: n, pos: call.Pos(), sig: sigKey(sig)})
+	if callee, ok := b.g.ByObj[fn]; ok {
+		n.Out = append(n.Out, Edge{Callee: callee, Pos: call.Pos()})
 	}
-}
-
-func (b *graphBuilder) addStatic(n *FuncNode, fn *types.Func, pos token.Pos) {
-	callee, ok := b.g.ByObj[fn]
-	if !ok {
-		return // stdlib or generated; analyzers scan external calls locally
-	}
-	n.Out = append(n.Out, Edge{Callee: callee, Pos: pos, Kind: EdgeCall})
 }
 
 // addIfaceEdges adds CHA candidates for an interface method call.
@@ -485,21 +244,7 @@ func (b *graphBuilder) addIfaceEdges(n *FuncNode, sel *types.Selection, name str
 		b.ifaceCands[key] = cands
 	}
 	for _, c := range cands {
-		n.Out = append(n.Out, Edge{Callee: c, Pos: pos, Kind: EdgeIface})
-	}
-}
-
-// resolvePending resolves recorded dynamic calls against the complete
-// address-taken index, restricted to the caller's import closure.
-func (b *graphBuilder) resolvePending() {
-	for _, pd := range b.pending {
-		visible := b.importClosure[pd.caller.Pkg.Path]
-		for _, cand := range b.addrTaken[pd.sig] {
-			if !visible[cand.Pkg.Path] {
-				continue
-			}
-			pd.caller.Out = append(pd.caller.Out, Edge{Callee: cand, Pos: pd.pos, Kind: EdgeFuncVal})
-		}
+		n.Out = append(n.Out, Edge{Callee: c, Pos: pos})
 	}
 }
 
@@ -509,25 +254,6 @@ func (b *graphBuilder) resolvePending() {
 // by follow. It maps every reached node to the node it was first reached
 // from (roots map to nil).
 func (g *CallGraph) Reach(roots []*FuncNode, follow func(Edge) bool) map[*FuncNode]*FuncNode {
-	return bfs(roots, func(n *FuncNode) []Edge { return n.Out }, follow)
-}
-
-// Callers is Reach over the reversed edges: the caller closure of roots,
-// each caller mapped to its callee one hop nearer a root. The reversed
-// edges keep graph order, so the closure is deterministic.
-func (g *CallGraph) Callers(roots []*FuncNode, follow func(Edge) bool) map[*FuncNode]*FuncNode {
-	if g.in == nil {
-		g.in = map[*FuncNode][]Edge{}
-		for _, n := range g.Nodes {
-			for _, e := range n.Out {
-				g.in[e.Callee] = append(g.in[e.Callee], Edge{Callee: n, Pos: e.Pos, Kind: e.Kind})
-			}
-		}
-	}
-	return bfs(roots, func(n *FuncNode) []Edge { return g.in[n] }, follow)
-}
-
-func bfs(roots []*FuncNode, next func(*FuncNode) []Edge, follow func(Edge) bool) map[*FuncNode]*FuncNode {
 	seen := map[*FuncNode]*FuncNode{}
 	queue := make([]*FuncNode, 0, len(roots))
 	for _, r := range roots {
@@ -540,7 +266,7 @@ func bfs(roots []*FuncNode, next func(*FuncNode) []Edge, follow func(Edge) bool)
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, e := range next(n) {
+		for _, e := range n.Out {
 			if !follow(e) {
 				continue
 			}
@@ -554,20 +280,13 @@ func bfs(roots []*FuncNode, next func(*FuncNode) []Edge, follow func(Edge) bool)
 	return seen
 }
 
-// hops lists the display names of n and the nodes it was reached
-// through, back to its root.
-func hops(reach map[*FuncNode]*FuncNode, n *FuncNode) []string {
+// Chain reconstructs the witness path root → … → n from a Reach result,
+// as display names.
+func Chain(reach map[*FuncNode]*FuncNode, n *FuncNode) []string {
 	var out []string
 	for cur := n; cur != nil; cur = reach[cur] {
 		out = append(out, cur.DisplayName())
 	}
-	return out
-}
-
-// Chain reconstructs the witness path root → … → n from a Reach result,
-// as display names.
-func Chain(reach map[*FuncNode]*FuncNode, n *FuncNode) []string {
-	out := hops(reach, n)
 	slices.Reverse(out)
 	return out
 }

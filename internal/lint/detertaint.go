@@ -9,8 +9,8 @@ import (
 	"strings"
 )
 
-// runDeterTaint enforces the determinism contract in sim-driven packages.
-// A nondeterminism source is
+// runDeterTaint enforces the determinism contract on everything the
+// simulator runs. A nondeterminism source is
 //
 //   - a wall-clock call (time.Now, time.Sleep, …);
 //   - a call drawing from global math/rand state;
@@ -19,78 +19,93 @@ import (
 //   - a select over two or more channels (the runtime picks a ready case
 //     pseudo-randomly).
 //
-// It reports (a) every source written directly in a sim-driven package,
-// package-level initialisers included, and (b) the frontier edge where a
-// sim-driven function calls or captures a function outside the
-// sim-driven set that reaches a source through calls, interface
-// dispatch, stored callbacks or func values — so a helper package cannot
-// smuggle a wall-clock read past (a). Every finding's witness names the
-// function holding the source ("pkg.init" for an initialiser), or the
-// call chain from the sim-driven caller down to it.
+// It reports every source written in a package of the sim-driven
+// packages' module import closure (the sim-driven packages and every
+// module package they import, directly or not), package-level
+// initialisers included: a helper package cannot smuggle a wall-clock read
+// past the check, called or not. Code outside the closure can still run
+// in a simulation through an interface a closure package calls (a type in
+// cmd/ with a Fire method), so such an iface edge out of the closure is
+// reported when its callee reaches a source outside the closure. Every
+// finding's witness names the sim-driven package the source is imported
+// through and the function holding it ("pkg.init" for an initialiser), or
+// the call chain from the closure's caller down to the source.
 func runDeterTaint(prog *Program, cfg *config, report progReportFunc) {
-	g := prog.Graph()
-
-	sources := map[*FuncNode][]nondetSource{}
-	var roots []*FuncNode
-	for _, n := range g.Nodes {
-		ss := nondetSources(n.Pkg, n.Decl)
-		if len(ss) == 0 {
-			continue
+	byPath := map[string]*Package{}
+	for _, p := range prog.Pkgs {
+		byPath[p.Path] = p
+	}
+	// via[p] is the sim-driven package p is in the closure through.
+	via := map[*Package]*Package{}
+	var queue []*Package
+	for _, p := range prog.Pkgs {
+		if cfg.simPackages[p.Name] {
+			via[p] = p
+			queue = append(queue, p)
 		}
-		sources[n] = ss
-		roots = append(roots, n)
-		if cfg.simPackages[n.Pkg.Name] {
-			for _, s := range ss {
-				report(s.pos, []string{n.DisplayName()}, "%s", s.direct(n.Pkg.Name))
+	}
+	for len(queue) > 0 {
+		p := queue[0]
+		queue = queue[1:]
+		for _, ip := range p.Imports {
+			if dep := byPath[ip]; dep != nil && via[dep] == nil {
+				via[dep] = via[p]
+				queue = append(queue, dep)
 			}
 		}
 	}
-	// Package-level initialisers are not call-graph nodes: only their own
-	// sources count.
+
 	for _, p := range prog.Pkgs {
-		if !cfg.simPackages[p.Name] {
+		sim := via[p]
+		if sim == nil {
 			continue
+		}
+		where, witness := fmt.Sprintf("sim-driven package %q", p.Name), []string(nil)
+		if sim != p {
+			where = fmt.Sprintf("package %q, imported by sim-driven package %q", p.Name, sim.Name)
+			witness = []string{sim.Name}
 		}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				if gd, ok := decl.(*ast.GenDecl); ok {
-					for _, s := range nondetSources(p, gd) {
-						report(s.pos, []string{p.Name + ".init"}, "%s", s.direct(p.Name))
+				holder := p.Name + ".init"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					holder = p.Name + "." + fd.Name.Name
+					if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+						holder = shortenPkgPaths(obj.FullName())
 					}
+				}
+				for _, s := range nondetSources(p, decl) {
+					report(s.pos, append(witness, holder), "%s", s.direct(where))
 				}
 			}
 		}
 	}
 
-	// tainted[n] is n's next hop towards a source (nil: the source is n's).
-	tainted := g.Callers(roots, func(Edge) bool { return true })
+	g := prog.Graph()
+	outside := func(e Edge) bool { return via[e.Callee.Pkg] == nil }
 	for _, n := range g.Nodes {
-		if !cfg.simPackages[n.Pkg.Name] {
+		if via[n.Pkg] == nil {
 			continue
 		}
 		seen := map[*FuncNode]bool{}
 		for _, e := range n.Out {
-			c := e.Callee
-			if cfg.simPackages[c.Pkg.Name] || seen[c] {
+			if !outside(e) || seen[e.Callee] {
 				continue
 			}
-			if _, ok := tainted[c]; !ok {
-				continue
+			seen[e.Callee] = true
+			reach := g.Reach([]*FuncNode{e.Callee}, outside)
+			for _, m := range g.Nodes {
+				if _, ok := reach[m]; !ok || m.Decl.Body == nil {
+					continue
+				}
+				if ss := nondetSources(m.Pkg, m.Decl); len(ss) > 0 {
+					chain := Chain(reach, m)
+					report(e.Pos, append([]string{n.DisplayName()}, chain...),
+						"interface call reaches nondeterministic %s outside the sim-driven packages' import closure: %s %s (%s); thread virtual time or an explicit seeded generator instead",
+						e.Callee.DisplayName(), strings.Join(chain, " → "), ss[0].taint(), posString(prog.Fset, ss[0].pos))
+					break
+				}
 			}
-			seen[c] = true
-			witness := hops(tainted, c)
-			root := c
-			for tainted[root] != nil {
-				root = tainted[root]
-			}
-			src := sources[root][0]
-			verb := "call into"
-			if e.Kind == EdgeRef {
-				verb = "captured reference to"
-			}
-			report(e.Pos, append([]string{n.DisplayName()}, witness...),
-				"%s nondeterministic %s from sim-driven package %q: %s %s (%s); thread virtual time or an explicit seeded generator instead",
-				verb, c.DisplayName(), n.Pkg.Name, strings.Join(witness, " → "), src.taint(), posString(prog.Fset, src.pos))
 		}
 	}
 }
@@ -147,15 +162,15 @@ func (s nondetSource) taint() string {
 	return "leaks map iteration order (range over " + s.name + ")"
 }
 
-// direct is the finding for the source written in sim-driven package pkg.
-func (s nondetSource) direct(pkg string) string {
+// direct is the finding for the source written where where says.
+func (s nondetSource) direct(where string) string {
 	switch s.kind {
 	case "clock":
-		return fmt.Sprintf("wall-clock call time.%s in sim-driven package %q; use the engine's virtual clock", s.name, pkg)
+		return fmt.Sprintf("wall-clock call time.%s in %s; use the engine's virtual clock", s.name, where)
 	case "rand":
-		return fmt.Sprintf("global math/rand call rand.%s in sim-driven package %q; thread an explicit *rand.Rand seeded from the config", s.name, pkg)
+		return fmt.Sprintf("global math/rand call rand.%s in %s; thread an explicit *rand.Rand seeded from the config", s.name, where)
 	case "select":
-		return fmt.Sprintf("%s in sim-driven package %q; drain channels in a fixed order or add a deterministic arbiter", s.taint(), pkg)
+		return fmt.Sprintf("%s in %s; drain channels in a fixed order or add a deterministic arbiter", s.taint(), where)
 	case "send":
 		return fmt.Sprintf("channel send inside range over map %s leaks iteration order; collect and sort first", s.name)
 	}

@@ -5,7 +5,6 @@ import (
 	"go/importer"
 	"go/token"
 	"go/types"
-	"path/filepath"
 )
 
 // FixtureDir names one fixture directory and the synthetic import path it
@@ -21,15 +20,11 @@ type FixtureDir struct {
 // synthetic paths), and applies the analyzers. Fixture corpora for the
 // call-graph analyzers use this to seed cross-package chains.
 func CheckFixtureProgram(dirs []FixtureDir, opts Options) ([]Finding, []*Package, error) {
-	cfg, sel, err := opts.resolved()
-	if err != nil {
-		return nil, nil, err
-	}
 	pkgs, err := loadFixtureDirs(dirs)
 	if err != nil {
 		return nil, nil, err
 	}
-	findings := analyze(NewProgram(pkgs), cfg, sel)
+	findings := analyze(NewProgram(pkgs), opts.config())
 	sortFindings(findings)
 	return findings, pkgs, nil
 }
@@ -55,7 +50,6 @@ func loadFixtureDirs(dirs []FixtureDir) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: no Go files in %s", fd.Dir)
 		}
 		p.path = fd.ImportPath
-		p.relDir = filepath.Base(fd.Dir)
 		pkg := typeCheck(fset, p, imp)
 		imp.pkgs[fd.ImportPath] = pkg.Types
 		out = append(out, pkg)

@@ -14,9 +14,9 @@ import (
 //	func (e *Engine) Run() Time { ... }
 //
 // runHotPath computes everything reachable from annotated functions
-// through static calls and interface dispatch (func-value edges are
-// excluded: they model "anything of this shape", which would drag the
-// entire program into the hot set through generic runners) and flags
+// through static calls and interface dispatch (calls through func values
+// have no edge: "anything of this shape" would drag the entire program
+// into the hot set through generic runners) and flags
 // allocation-inducing constructs anywhere in that set, each finding
 // carrying the call chain from the nearest annotated root as witness:
 //
@@ -61,9 +61,7 @@ func runHotPath(prog *Program, cfg *config, report progReportFunc) {
 		return
 	}
 
-	reach := g.Reach(roots, func(e Edge) bool {
-		return e.Kind == EdgeCall || e.Kind == EdgeIface
-	})
+	reach := g.Reach(roots, func(Edge) bool { return true })
 
 	for _, n := range g.Nodes {
 		if _, hot := reach[n]; !hot || n.Decl.Body == nil {

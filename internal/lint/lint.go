@@ -2,13 +2,14 @@
 // suite. It enforces the cross-cutting correctness rules the simulator's
 // results depend on (see docs/determinism.md):
 //
-//   - detertaint: sim-driven packages must not consult wall clocks,
-//     global math/rand state, map iteration order or a multi-way select,
-//     neither directly nor through any function they call.
-//   - locksafety: no Lock without an Unlock on every return path, no
-//     access to `// guarded by <mu>` fields outside a critical section.
-//     (Copied locks are `go vet`'s copylocks check. There is no
-//     lock-order check: every lock is a leaf, taken with no other held.)
+//   - detertaint: the sim-driven packages and every module package they
+//     import must not consult wall clocks, global math/rand state, map
+//     iteration order or a multi-way select, nor call out of that closure
+//     through an interface into code that does.
+//   - locksafety: no access to `// guarded by <mu>` fields outside a
+//     critical section. (An unbalanced Lock deadlocks the tests; copied
+//     locks are `go vet`'s copylocks check. There is no lock-order check:
+//     every lock is a leaf, taken with no other held.)
 //   - errdiscard: internal packages must not silently drop error returns.
 //   - hotpath: nothing reachable from a //tango:hotpath function may
 //     allocate per call.
@@ -25,7 +26,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -48,20 +48,16 @@ func (f Finding) String() string {
 type Options struct {
 	// Root is the module root directory.
 	Root string
-	// Dirs, when non-empty, restricts *reported* packages to those whose
-	// module-relative directory equals or is under one of the entries.
-	// All packages are still loaded (imports must type-check).
-	Dirs []string
-	// Analyzers, when non-empty, restricts which analyzers run.
-	Analyzers []string
-	// SimPackages overrides the package names subject to detertaint.
+	// SimPackages overrides the sim-driven package names whose import
+	// closure detertaint checks.
 	SimPackages []string
 }
 
-// DefaultSimPackages are the sim-driven package names in which
-// wall-clock time, global randomness, and map-order dependence are
-// forbidden (DESIGN.md: the discrete-event engine and everything it
-// schedules must be bit-reproducible for a fixed seed).
+// DefaultSimPackages are the sim-driven package names: in them and in
+// every module package they import, wall-clock time, global randomness,
+// and map-order dependence are forbidden (DESIGN.md: the discrete-event
+// engine and everything it schedules must be bit-reproducible for a fixed
+// seed).
 var DefaultSimPackages = []string{
 	"sim", "device", "core", "coordinator", "harness", "dftestim", "weightfn",
 	"fault", "staging", "cache", "resil", "runpool", "refactor", "errmetric",
@@ -80,7 +76,6 @@ type (
 // callgraph.go).
 type analyzer struct {
 	name string
-	doc  string
 	run  func(prog *Program, cfg *config, report progReportFunc)
 }
 
@@ -89,51 +84,14 @@ type config struct {
 	simPackages map[string]bool
 }
 
-func analyzers() []*analyzer {
-	return []*analyzer{
-		{
-			name: "detertaint",
-			doc:  "forbid wall-clock time, global math/rand, map-order-dependent emission and multi-way selects in sim-driven packages, written there or reached through the call graph",
-			run:  runDeterTaint,
-		},
-		{
-			name: "locksafety",
-			doc:  "forbid unbalanced Lock/Unlock and unguarded access to `// guarded by <mu>` fields (copied locks are go vet's)",
-			run:  runLockSafety,
-		},
-		{
-			name: "errdiscard",
-			doc:  "forbid silently discarded error returns in internal packages",
-			run:  runErrDiscard,
-		},
-		{
-			name: "hotpath",
-			doc:  "forbid allocation-inducing constructs in functions reachable from //tango:hotpath annotations",
-			run:  runHotPath,
-		},
-	}
+var analyzers = []*analyzer{
+	{"detertaint", runDeterTaint},
+	{"locksafety", runLockSafety},
+	{"errdiscard", runErrDiscard},
+	{"hotpath", runHotPath},
 }
 
-// AnalyzerNames lists the available analyzers.
-func AnalyzerNames() []string {
-	var names []string
-	for _, a := range analyzers() {
-		names = append(names, a.name)
-	}
-	return names
-}
-
-// AnalyzerDoc returns the one-line documentation for an analyzer name.
-func AnalyzerDoc(name string) string {
-	for _, a := range analyzers() {
-		if a.name == name {
-			return a.doc
-		}
-	}
-	return ""
-}
-
-func (o *Options) resolved() (*config, []*analyzer, error) {
+func (o *Options) config() *config {
 	sim := o.SimPackages
 	if sim == nil {
 		sim = DefaultSimPackages
@@ -142,56 +100,24 @@ func (o *Options) resolved() (*config, []*analyzer, error) {
 	for _, n := range sim {
 		cfg.simPackages[n] = true
 	}
-	all := analyzers()
-	if len(o.Analyzers) == 0 {
-		return cfg, all, nil
-	}
-	byName := map[string]*analyzer{}
-	for _, a := range all {
-		byName[a.name] = a
-	}
-	var sel []*analyzer
-	for _, n := range o.Analyzers {
-		a, ok := byName[n]
-		if !ok {
-			return nil, nil, fmt.Errorf("lint: unknown analyzer %q (have %s)", n, strings.Join(AnalyzerNames(), ", "))
-		}
-		sel = append(sel, a)
-	}
-	return cfg, sel, nil
+	return cfg
 }
 
-// Run loads the module at opts.Root and applies the analyzers, returning
-// unsuppressed findings sorted by position. Every analyzer sees the whole
-// program (the interprocedural ones need cross-package evidence); the
-// findings are filtered to the selected directories afterwards.
+// Run loads the module at opts.Root and applies every analyzer to the
+// whole program, returning unsuppressed findings sorted by position.
 func Run(opts Options) ([]Finding, error) {
-	cfg, sel, err := opts.resolved()
-	if err != nil {
-		return nil, err
-	}
 	pkgs, err := loadModule(opts.Root)
 	if err != nil {
 		return nil, err
 	}
-	byDir := map[string]*Package{}
-	for _, p := range pkgs {
-		byDir[p.Dir] = p
-	}
-	var findings []Finding
-	for _, f := range analyze(NewProgram(pkgs), cfg, sel) {
-		if p, ok := byDir[filepath.Dir(f.Pos.Filename)]; ok && !dirSelected(p.RelDir, opts.Dirs) {
-			continue
-		}
-		findings = append(findings, f)
-	}
+	findings := analyze(NewProgram(pkgs), opts.config())
 	sortFindings(findings)
 	return findings, nil
 }
 
 // analyze runs the analyzers over the program, applying //lint:ignore
 // suppressions from every package.
-func analyze(prog *Program, cfg *config, sel []*analyzer) []Finding {
+func analyze(prog *Program, cfg *config) []Finding {
 	sup := suppressions{}
 	for _, p := range prog.Pkgs {
 		for file, byLine := range collectSuppressions(p) {
@@ -199,8 +125,7 @@ func analyze(prog *Program, cfg *config, sel []*analyzer) []Finding {
 		}
 	}
 	var findings []Finding
-	for _, a := range sel {
-		a := a
+	for _, a := range analyzers {
 		report := func(pos token.Pos, witness []string, format string, args ...any) {
 			position := prog.Fset.Position(pos)
 			if sup.suppressed(a.name, position) {
@@ -216,19 +141,6 @@ func analyze(prog *Program, cfg *config, sel []*analyzer) []Finding {
 		a.run(prog, cfg, report)
 	}
 	return findings
-}
-
-func dirSelected(relDir string, dirs []string) bool {
-	if len(dirs) == 0 {
-		return true
-	}
-	for _, d := range dirs {
-		d = filepath.Clean(d)
-		if d == "." || relDir == d || strings.HasPrefix(relDir, d+string(filepath.Separator)) {
-			return true
-		}
-	}
-	return false
 }
 
 func sortFindings(fs []Finding) {

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bufio"
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -71,11 +70,8 @@ func TestFixtures(t *testing.T) {
 		tc := tc
 		t.Run(tc.analyzer, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.dir)
-			opts := Options{
-				Analyzers: []string{tc.analyzer},
-				// The simdet fixture plays a sim-driven package.
-				SimPackages: append(append([]string{}, DefaultSimPackages...), "simdet"),
-			}
+			// The simdet fixture plays a sim-driven package.
+			opts := Options{SimPackages: append(append([]string{}, DefaultSimPackages...), "simdet")}
 			dirs := append(append([]FixtureDir{}, tc.deps...), FixtureDir{dir, "tango/internal/fixture/" + tc.dir})
 			findings, pkgs, err := CheckFixtureProgram(dirs, opts)
 			if err != nil {
@@ -90,14 +86,25 @@ func TestFixtures(t *testing.T) {
 			if len(wants) < 2 {
 				t.Fatalf("fixture %s must seed at least 2 violations, has %d", tc.dir, len(wants))
 			}
-			for _, f := range findings {
-				if f.Analyzer != tc.analyzer {
-					t.Errorf("unexpected analyzer %q in finding %s", f.Analyzer, f)
+			for _, w := range wants {
+				if w.analyzer != tc.analyzer {
+					t.Errorf("fixture %s wants analyzer %s, not %s", tc.dir, w.analyzer, tc.analyzer)
 				}
 			}
-			matchWants(t, findings, wants)
+			matchWants(t, only(findings, tc.analyzer), wants)
 		})
 	}
+}
+
+// only keeps the findings of one analyzer: every run applies them all.
+func only(findings []Finding, analyzer string) []Finding {
+	var out []Finding
+	for _, f := range findings {
+		if f.Analyzer == analyzer {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // traceStub stands in for tango/internal/trace in the hotfix fixture.
@@ -128,24 +135,31 @@ func matchWants(t *testing.T, findings []Finding, wants []*wantLine) {
 	}
 }
 
-// TestDeterTaintFixture loads the tickutil helper and a sim package as
-// one program, so the taint chain crosses a package boundary exactly the
-// way a real helper package would smuggle a wall-clock read past the
-// per-package scan. Every detertaint finding must carry a non-empty
-// witness chain. The bothfix case is a function that holds a local
-// source and a frontier call: matchWants holds detertaint to one finding
-// each, so nothing is reported twice.
+// TestDeterTaintFixture loads the tickutil helper, a sim package that
+// imports it and, for detfix, the outside package as one program.
+// tickutil is in the sim package's import closure, so its sources are
+// reported where they are written, whether a sim function calls them or
+// not. outside is not, and its Fire reads the clock: detfix's call through
+// the interface is reported instead. bothfix holds a source of its own
+// and calls into tickutil: matchWants holds detertaint to one finding per
+// source, so nothing is reported twice. Every finding must carry a witness
+// that names the holding function and, for a source outside the sim
+// package, the sim package it is imported through.
 func TestDeterTaintFixture(t *testing.T) {
-	for _, dir := range []string{"detfix", "bothfix"} {
-		t.Run(dir, func(t *testing.T) {
-			dirs := []FixtureDir{
-				{Dir: filepath.Join("testdata", "src", "tickutil"), ImportPath: "tango/internal/fixture/tickutil"},
-				{Dir: filepath.Join("testdata", "src", dir), ImportPath: "tango/internal/fixture/" + dir},
+	for _, tc := range []struct {
+		dir   string
+		extra []string
+		wants int
+	}{
+		{"detfix", []string{"outside"}, 4},
+		{"bothfix", nil, 3},
+	} {
+		t.Run(tc.dir, func(t *testing.T) {
+			var dirs []FixtureDir
+			for _, d := range append([]string{"tickutil", tc.dir}, tc.extra...) {
+				dirs = append(dirs, FixtureDir{Dir: filepath.Join("testdata", "src", d), ImportPath: "tango/internal/fixture/" + d})
 			}
-			opts := Options{
-				Analyzers:   []string{"detertaint"},
-				SimPackages: append(append([]string{}, DefaultSimPackages...), dir),
-			}
+			opts := Options{SimPackages: append(append([]string{}, DefaultSimPackages...), tc.dir)}
 			findings, pkgs, err := CheckFixtureProgram(dirs, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -159,13 +173,18 @@ func TestDeterTaintFixture(t *testing.T) {
 			for _, d := range dirs {
 				wants = append(wants, parseWants(t, d.Dir)...)
 			}
-			if len(wants) != 2 {
-				t.Fatalf("fixture %s seeds %d violations, want 2", dir, len(wants))
+			if len(wants) != tc.wants {
+				t.Fatalf("fixture %s seeds %d violations, want %d", tc.dir, len(wants), tc.wants)
 			}
+			findings = only(findings, "detertaint")
 			matchWants(t, findings, wants)
 			for _, f := range findings {
-				if len(f.Witness) == 0 {
+				w := f.Witness
+				switch {
+				case len(w) == 0:
 					t.Errorf("detertaint finding without witness: %s", f)
+				case strings.HasSuffix(f.Pos.Filename, "tickutil.go") && w[0] != tc.dir:
+					t.Errorf("witness %v does not name the importing sim package %s: %s", w, tc.dir, f)
 				}
 			}
 		})
@@ -177,10 +196,11 @@ func TestDeterTaintFixture(t *testing.T) {
 // name the whole chain from the annotated root.
 func TestHotpathWitness(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "hotfix")
-	findings, _, err := CheckFixtureProgram([]FixtureDir{traceStub, {dir, "tango/internal/fixture/hotfix"}}, Options{Analyzers: []string{"hotpath"}})
+	findings, _, err := CheckFixtureProgram([]FixtureDir{traceStub, {dir, "tango/internal/fixture/hotfix"}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings = only(findings, "hotpath")
 	if len(findings) == 0 {
 		t.Fatal("hotfix fixture produced no findings")
 	}
@@ -220,14 +240,12 @@ func f() int64 {
 	if err := os.WriteFile(filepath.Join(dir, "f.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{
-		Analyzers:   []string{"detertaint"},
-		SimPackages: []string{"simdet"},
-	}
+	opts := Options{SimPackages: []string{"simdet"}}
 	findings, _, err := CheckFixtureProgram([]FixtureDir{{dir, "tango/internal/fixture/noreason"}}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings = only(findings, "detertaint")
 	if len(findings) != 1 {
 		t.Fatalf("bare lint:ignore must not suppress; got %d findings, want 1", len(findings))
 	}
@@ -241,32 +259,6 @@ func TestFindingFormat(t *testing.T) {
 	f.Pos.Line = 12
 	if got, want := f.String(), "a/b.go:12: [locksafety] m"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
-	}
-}
-
-// TestAnalyzerNames guards the documented analyzer set.
-func TestAnalyzerNames(t *testing.T) {
-	want := []string{"detertaint", "locksafety", "errdiscard", "hotpath"}
-	got := AnalyzerNames()
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("AnalyzerNames() = %v, want %v", got, want)
-	}
-	for _, n := range want {
-		if AnalyzerDoc(n) == "" {
-			t.Errorf("analyzer %s has no doc", n)
-		}
-	}
-}
-
-// TestRunUnknownAnalyzer checks option validation, including the names
-// of the analyzers folded into others, left to go vet and -race, or
-// deleted because every lock is a leaf (lockorder).
-func TestRunUnknownAnalyzer(t *testing.T) {
-	for _, name := range []string{"nope", "simdeterminism", "parhygiene", "lockorder"} {
-		_, err := Run(Options{Root: "../..", Analyzers: []string{name}})
-		if err == nil || !strings.Contains(err.Error(), "unknown analyzer") || !strings.Contains(err.Error(), "(have detertaint, ") {
-			t.Fatalf("-analyzers %s: want unknown-analyzer error, got %v", name, err)
-		}
 	}
 }
 

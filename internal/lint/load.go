@@ -9,7 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -17,10 +17,9 @@ import (
 type Package struct {
 	Name     string // package name (clause)
 	Path     string // import path
-	Dir      string // absolute directory
-	RelDir   string // directory relative to the module root ("." for root)
 	Fset     *token.FileSet
 	Files    []*ast.File
+	Imports  []string // import paths of the package's files, sorted
 	Types    *types.Package
 	Info     *types.Info
 	TypeErrs []error
@@ -70,10 +69,8 @@ func skipDir(name string) bool {
 type parsedPkg struct {
 	name    string
 	path    string
-	dir     string
-	relDir  string
 	files   []*ast.File
-	imports map[string]bool // module-local imports only
+	imports []string // sorted, deduplicated
 }
 
 // parseDir parses the non-test Go files of one directory into a single
@@ -95,8 +92,8 @@ func parseDir(fset *token.FileSet, dir string) (*parsedPkg, error) {
 	if len(names) == 0 {
 		return nil, nil
 	}
-	sort.Strings(names)
-	p := &parsedPkg{dir: dir, imports: map[string]bool{}}
+	slices.Sort(names)
+	p := &parsedPkg{}
 	for _, n := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -106,7 +103,12 @@ func parseDir(fset *token.FileSet, dir string) (*parsedPkg, error) {
 			p.name = f.Name.Name
 		}
 		p.files = append(p.files, f)
+		for _, imp := range f.Imports {
+			p.imports = append(p.imports, strings.Trim(imp.Path.Value, `"`))
+		}
 	}
+	slices.Sort(p.imports)
+	p.imports = slices.Compact(p.imports)
 	return p, nil
 }
 
@@ -142,7 +144,6 @@ func loadModule(root string) ([]*Package, error) {
 		if err != nil {
 			return err
 		}
-		p.relDir = rel
 		p.path = mod
 		if rel != "." {
 			p.path = mod + "/" + filepath.ToSlash(rel)
@@ -157,17 +158,6 @@ func loadModule(root string) ([]*Package, error) {
 	byPath := make(map[string]*parsedPkg, len(pkgs))
 	for _, p := range pkgs {
 		byPath[p.path] = p
-	}
-	prefix := mod + "/"
-	for _, p := range pkgs {
-		for _, f := range p.files {
-			for _, imp := range f.Imports {
-				ip := strings.Trim(imp.Path.Value, `"`)
-				if ip == mod || strings.HasPrefix(ip, prefix) {
-					p.imports[ip] = true
-				}
-			}
-		}
 	}
 
 	order, err := topoSort(pkgs, byPath)
@@ -188,8 +178,8 @@ func loadModule(root string) ([]*Package, error) {
 	return out, nil
 }
 
-// topoSort orders packages so that every package follows its module-local
-// imports.
+// topoSort orders packages so that every package follows its imports
+// among them.
 func topoSort(pkgs []*parsedPkg, byPath map[string]*parsedPkg) ([]*parsedPkg, error) {
 	const (
 		white = 0
@@ -207,12 +197,7 @@ func topoSort(pkgs []*parsedPkg, byPath map[string]*parsedPkg) ([]*parsedPkg, er
 			return nil
 		}
 		state[p.path] = gray
-		deps := make([]string, 0, len(p.imports))
-		for ip := range p.imports {
-			deps = append(deps, ip)
-		}
-		sort.Strings(deps)
-		for _, ip := range deps {
+		for _, ip := range p.imports {
 			if dep, ok := byPath[ip]; ok {
 				if err := visit(dep); err != nil {
 					return err
@@ -235,8 +220,8 @@ func topoSort(pkgs []*parsedPkg, byPath map[string]*parsedPkg) ([]*parsedPkg, er
 // than failing on) type errors so syntactic analyzers still run.
 func typeCheck(fset *token.FileSet, p *parsedPkg, imp types.ImporterFrom) *Package {
 	out := &Package{
-		Name: p.name, Path: p.path, Dir: p.dir, RelDir: p.relDir,
-		Fset: fset, Files: p.files,
+		Name: p.name, Path: p.path,
+		Fset: fset, Files: p.files, Imports: p.imports,
 	}
 	conf := types.Config{
 		Importer: imp,

@@ -2,43 +2,30 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
-// runLockSafety runs a branch-aware must-held scan over every function
-// body and reports:
-//
-//  1. every sync.Mutex/RWMutex Lock has a deferred or path-covering
-//     Unlock — no return while a lock is held;
-//  2. struct fields and package vars annotated `// guarded by <mu>` are
-//     only touched while <mu> is held (methods named *Locked are assumed
-//     to be called with the lock held, the project's convention).
-//
-// A lock-bearing value copied by value is `go vet`'s copylocks finding.
+// runLockSafety reports every touch of a struct field or package var
+// annotated `// guarded by <mu>` at a point where <mu> is not held on
+// every path, from a branch-aware must-held scan of each function body
+// (methods named *Locked are assumed to be called with the lock held, the
+// project's convention). A Lock with no Unlock on some path is the
+// tests' to catch: each one deadlocks the next caller. A lock-bearing
+// value copied by value is `go vet`'s copylocks finding.
 func runLockSafety(prog *Program, _ *config, report progReportFunc) {
-	reportf := func(pos token.Pos, format string, args ...any) { report(pos, nil, format, args...) }
 	for _, p := range prog.Pkgs {
 		guards := collectGuards(p)
+		if len(guards) == 0 {
+			continue
+		}
+		sc := &lockScanner{p: p, guards: guards, report: report}
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && !strings.HasSuffix(fd.Name.Name, "Locked") {
+					sc.scanStmts(fd.Body.List, lockState{})
 				}
-				sc := &lockScanner{
-					p:           p,
-					report:      reportf,
-					guards:      guards,
-					checkGuards: !strings.HasSuffix(fd.Name.Name, "Locked"),
-					leaks:       map[token.Pos]string{},
-				}
-				st := newLockState()
-				if !sc.scanStmts(fd.Body.List, st) {
-					sc.checkExit(st)
-				}
-				sc.flush()
 			}
 		}
 	}
@@ -153,58 +140,28 @@ func guardName(cg *ast.CommentGroup) string {
 
 // --- the lock-state scanner ---
 
-// lockState is the set of mutexes that MUST be held at a program point
-// (branch merges intersect, so it never over-claims).
-type lockState struct {
-	held     map[string]token.Pos // lock key -> Lock() call position
-	deferred map[string]bool      // keys with a pending deferred unlock
-}
-
-func newLockState() *lockState {
-	return &lockState{held: map[string]token.Pos{}, deferred: map[string]bool{}}
-}
-
-func (s *lockState) clone() *lockState {
-	c := newLockState()
-	for k, v := range s.held {
-		c.held[k] = v
-	}
-	for k := range s.deferred {
-		c.deferred[k] = true
-	}
-	return c
-}
+// lockState is the set of mutex keys that MUST be held at a program
+// point (branch merges intersect, so it never over-claims).
+type lockState map[string]bool
 
 // intersect keeps only keys held in both states.
-func (s *lockState) intersect(o *lockState) {
-	for k := range s.held {
-		if _, ok := o.held[k]; !ok {
-			delete(s.held, k)
+func (s lockState) intersect(o lockState) {
+	for k := range s {
+		if !o[k] {
+			delete(s, k)
 		}
-	}
-	for k := range o.deferred {
-		s.deferred[k] = true
 	}
 }
 
 type lockScanner struct {
-	p           *Package
-	report      reportFunc
-	guards      map[types.Object]string
-	checkGuards bool
-	leaks       map[token.Pos]string // Lock() pos -> message (deduped)
+	p      *Package
+	guards map[types.Object]string
+	report progReportFunc
 }
 
-func (sc *lockScanner) flush() {
-	for pos, msg := range sc.leaks {
-		sc.report(pos, "%s", msg)
-	}
-}
-
-// scanStmts walks a statement list updating st; reports guard misuse and
-// records Lock() leaks. Returns true if every path through the list
-// terminates (return/panic).
-func (sc *lockScanner) scanStmts(stmts []ast.Stmt, st *lockState) bool {
+// scanStmts walks a statement list updating st and reports guard misuse.
+// Returns true if every path through the list terminates (return/panic).
+func (sc *lockScanner) scanStmts(stmts []ast.Stmt, st lockState) bool {
 	for _, stmt := range stmts {
 		if sc.scanStmt(stmt, st) {
 			return true
@@ -213,17 +170,16 @@ func (sc *lockScanner) scanStmts(stmts []ast.Stmt, st *lockState) bool {
 	return false
 }
 
-func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
+func (sc *lockScanner) scanStmt(stmt ast.Stmt, st lockState) bool {
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			// A Try(R)Lock may not acquire, so it claims nothing here.
 			if op, ok := lockOpOf(sc.p, call); ok && !op.try {
 				if op.lock {
-					st.held[op.key()] = call.Pos()
+					st[op.key()] = true
 				} else {
-					delete(st.held, op.key())
-					delete(st.deferred, op.key())
+					delete(st, op.key())
 				}
 				return false
 			}
@@ -234,28 +190,15 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 		}
 		sc.visitExprs(s, st)
 	case *ast.DeferStmt:
-		if op, ok := lockOpOf(sc.p, s.Call); ok && !op.lock {
-			st.deferred[op.key()] = true
+		// A deferred unlock releases at exit: the lock stays held here.
+		if _, ok := lockOpOf(sc.p, s.Call); ok {
 			return false
-		}
-		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			// A deferred closure that unlocks counts as a deferred
-			// unlock for each mutex it releases.
-			ast.Inspect(fl.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if op, ok := lockOpOf(sc.p, call); ok && !op.lock {
-						st.deferred[op.key()] = true
-					}
-				}
-				return true
-			})
 		}
 		// A deferred call or closure is scanned as if it ran here, the
 		// closest source-order stand-in for running at exit.
 		sc.visitExprs(s, st)
 	case *ast.ReturnStmt:
 		sc.visitExprs(s, st)
-		sc.checkExit(st)
 		return true
 	case *ast.BranchStmt:
 		// break/continue/goto: treat as terminating this path for merge
@@ -270,9 +213,9 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 			sc.scanStmt(s.Init, st)
 		}
 		sc.visitExprs(s.Cond, st)
-		bodySt := st.clone()
+		bodySt := maps.Clone(st)
 		bodyTerm := sc.scanStmts(s.Body.List, bodySt)
-		elseSt := st.clone()
+		elseSt := maps.Clone(st)
 		elseTerm := false
 		if s.Else != nil {
 			elseTerm = sc.scanStmt(s.Else, elseSt)
@@ -281,12 +224,12 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 		case bodyTerm && elseTerm:
 			return true
 		case bodyTerm:
-			*st = *elseSt
+			replace(st, elseSt)
 		case elseTerm:
-			*st = *bodySt
+			replace(st, bodySt)
 		default:
 			bodySt.intersect(elseSt)
-			*st = *bodySt
+			replace(st, bodySt)
 		}
 	case *ast.ForStmt:
 		if s.Init != nil {
@@ -295,25 +238,21 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 		if s.Cond != nil {
 			sc.visitExprs(s.Cond, st)
 		}
-		body := st.clone()
+		body := maps.Clone(st)
 		sc.scanStmts(s.Body.List, body)
 		if s.Post != nil {
 			sc.scanStmt(s.Post, body)
 		}
 	case *ast.RangeStmt:
 		sc.visitExprs(s.X, st)
-		body := st.clone()
-		sc.scanStmts(s.Body.List, body)
+		sc.scanStmts(s.Body.List, maps.Clone(st))
 	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
 		return sc.scanBranches(s, st)
 	case *ast.GoStmt:
 		// Goroutines do not inherit the caller's locks: a spawned
 		// literal starts with none held.
 		if fl, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			fresh := newLockState()
-			if !sc.scanStmts(fl.Body.List, fresh) {
-				sc.checkExit(fresh)
-			}
+			sc.scanStmts(fl.Body.List, lockState{})
 		} else {
 			sc.visitExprs(s.Call.Fun, st)
 		}
@@ -329,7 +268,7 @@ func (sc *lockScanner) scanStmt(stmt ast.Stmt, st *lockState) bool {
 // scanBranches handles switch/type-switch/select: each clause runs on a
 // clone; fall-through state is the intersection of non-terminating
 // clauses (plus the unchanged state when a switch has no default).
-func (sc *lockScanner) scanBranches(stmt ast.Stmt, st *lockState) bool {
+func (sc *lockScanner) scanBranches(stmt ast.Stmt, st lockState) bool {
 	var body *ast.BlockStmt
 	hasDefault := false
 	switch s := stmt.(type) {
@@ -351,7 +290,7 @@ func (sc *lockScanner) scanBranches(stmt ast.Stmt, st *lockState) bool {
 		body = s.Body
 		hasDefault = true // select always executes exactly one clause
 	}
-	var live []*lockState
+	var live []lockState
 	allTerm := true
 	for _, clause := range body.List {
 		var stmts []ast.Stmt
@@ -365,7 +304,7 @@ func (sc *lockScanner) scanBranches(stmt ast.Stmt, st *lockState) bool {
 			}
 			stmts = c.Body
 		case *ast.CommClause:
-			cs := st.clone()
+			cs := maps.Clone(st)
 			if c.Comm != nil {
 				sc.scanStmt(c.Comm, cs)
 			}
@@ -375,14 +314,14 @@ func (sc *lockScanner) scanBranches(stmt ast.Stmt, st *lockState) bool {
 			}
 			continue
 		}
-		cs := st.clone()
+		cs := maps.Clone(st)
 		if !sc.scanStmts(stmts, cs) {
 			live = append(live, cs)
 			allTerm = false
 		}
 	}
 	if !hasDefault {
-		live = append(live, st.clone())
+		live = append(live, maps.Clone(st))
 		allTerm = false
 	}
 	if allTerm && len(body.List) > 0 {
@@ -393,50 +332,26 @@ func (sc *lockScanner) scanBranches(stmt ast.Stmt, st *lockState) bool {
 		for _, o := range live[1:] {
 			merged.intersect(o)
 		}
-		*st = *merged
+		replace(st, merged)
 	}
 	return false
 }
 
-// checkExit records a leak for every mutex still held (and not deferred)
-// at a return or at the end of the function body.
-func (sc *lockScanner) checkExit(st *lockState) {
-	for key, lockPos := range st.held {
-		if st.deferred[key] {
-			continue
-		}
-		sc.leaks[lockPos] = "lock " + strings.TrimSuffix(key, ":r") +
-			" is not released on every return path; add `defer " + unlockCallFor(key) + "` or unlock before returning"
-	}
-}
-
-func unlockCallFor(key string) string {
-	if recv, ok := strings.CutSuffix(key, ":r"); ok {
-		return recv + ".RUnlock()"
-	}
-	return key + ".Unlock()"
+// replace makes s hold exactly o's keys, for the caller that shares s.
+func replace(s, o lockState) {
+	clear(s)
+	maps.Copy(s, o)
 }
 
 // visitExprs checks guarded-field accesses in any expression tree and
 // scans nested function literals.
-func (sc *lockScanner) visitExprs(n ast.Node, st *lockState) {
+func (sc *lockScanner) visitExprs(n ast.Node, st lockState) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch e := m.(type) {
 		case *ast.FuncLit:
 			// A closure sees the locks held where it is written (a
-			// callback passed down runs under them); its own extra locks
-			// must still balance by its end.
-			inner := st.clone()
-			if !sc.scanStmts(e.Body.List, inner) {
-				leaked := newLockState()
-				for k, pos := range inner.held {
-					if _, preHeld := st.held[k]; !preHeld {
-						leaked.held[k] = pos
-					}
-				}
-				leaked.deferred = inner.deferred
-				sc.checkExit(leaked)
-			}
+			// callback passed down runs under them).
+			sc.scanStmts(e.Body.List, maps.Clone(st))
 			return false
 		case *ast.SelectorExpr:
 			sc.checkGuardedAccess(e, st)
@@ -449,10 +364,7 @@ func (sc *lockScanner) visitExprs(n ast.Node, st *lockState) {
 
 // checkGuardedVar reports an annotated package-level variable touched
 // while its mutex is not held.
-func (sc *lockScanner) checkGuardedVar(id *ast.Ident, st *lockState) {
-	if !sc.checkGuards {
-		return
-	}
+func (sc *lockScanner) checkGuardedVar(id *ast.Ident, st lockState) {
 	obj := sc.p.Info.ObjectOf(id)
 	v, isVar := obj.(*types.Var)
 	if !isVar || v.IsField() {
@@ -462,21 +374,15 @@ func (sc *lockScanner) checkGuardedVar(id *ast.Ident, st *lockState) {
 	if !guarded {
 		return
 	}
-	if _, w := st.held[mu]; w {
+	if st[mu] || st[mu+":r"] {
 		return
 	}
-	if _, r := st.held[mu+":r"]; r {
-		return
-	}
-	sc.report(id.Pos(), "variable %s is guarded by %s but accessed without holding it", id.Name, mu)
+	sc.report(id.Pos(), nil, "variable %s is guarded by %s but accessed without holding it", id.Name, mu)
 }
 
 // checkGuardedAccess reports a guarded field touched while its mutex is
 // not (must-)held.
-func (sc *lockScanner) checkGuardedAccess(sel *ast.SelectorExpr, st *lockState) {
-	if !sc.checkGuards {
-		return
-	}
+func (sc *lockScanner) checkGuardedAccess(sel *ast.SelectorExpr, st lockState) {
 	obj := sc.p.Info.ObjectOf(sel.Sel)
 	if v, ok := obj.(*types.Var); ok {
 		obj = v.Origin() // a field of an instantiated generic type
@@ -487,11 +393,8 @@ func (sc *lockScanner) checkGuardedAccess(sel *ast.SelectorExpr, st *lockState) 
 	}
 	base := exprText(sel.X)
 	key := base + "." + mu
-	if _, w := st.held[key]; w {
+	if st[key] || st[key+":r"] {
 		return
 	}
-	if _, r := st.held[key+":r"]; r {
-		return
-	}
-	sc.report(sel.Pos(), "field %s.%s is guarded by %s.%s but accessed without holding it", base, sel.Sel.Name, base, mu)
+	sc.report(sel.Pos(), nil, "field %s.%s is guarded by %s.%s but accessed without holding it", base, sel.Sel.Name, base, mu)
 }

@@ -1,18 +1,28 @@
 // Package detfix is a tangolint fixture: seeded violations of the
 // detertaint analyzer. The package name is added to SimPackages by the
-// test, so calls that smuggle nondeterminism in through the tickutil
-// helper package — which is not sim-driven, so its own sources are not
-// reported — must be flagged at the frontier, with the call chain down
-// to the wall-clock read as witness.
+// test. Its calls into the tickutil helper package are not findings —
+// tickutil's own sources are, since detfix imports it — but its call
+// through Callback is: the outside package, which detfix does not import,
+// implements it with a wall-clock read.
 package detfix
 
 import "tango/internal/fixture/tickutil"
 
-// Step leaks the wall clock through two layers of tickutil, and picks
-// between two ready channels nondeterministically.
+// Callback is the interface the fixture's engine fires.
+type Callback interface{ Fire() }
+
+// Run fires each callback, as an engine's dispatch loop does.
+func Run(cbs []Callback) {
+	for _, cb := range cbs {
+		cb.Fire() // want detertaint "interface call reaches nondeterministic (*outside.Ticker).Fire"
+	}
+}
+
+// Step reads the wall clock through tickutil, and picks between two
+// ready channels nondeterministically.
 func Step(a, b chan int) int {
-	t := tickutil.Stamp() // want detertaint "call into nondeterministic tickutil.Stamp"
-	select {              // want detertaint "selects across multiple channels"
+	t := tickutil.Stamp()
+	select { // want detertaint "selects across multiple channels"
 	case v := <-a:
 		return v + int(t)
 	case v := <-b:
@@ -31,10 +41,4 @@ func drain(a chan int) int {
 	default:
 		return 0
 	}
-}
-
-// suppressed documents a deliberate frontier crossing.
-func suppressed() int64 {
-	//lint:ignore detertaint startup-only stamp; the value never reaches the scheduler
-	return tickutil.Stamp()
 }

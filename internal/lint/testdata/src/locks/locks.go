@@ -1,7 +1,8 @@
 // Package locks is a tangolint fixture: seeded violations of the
-// locksafety analyzer (unbalanced Lock/Unlock, and `// guarded by <mu>`
-// fields touched outside the critical section). Copied mutexes are
-// go vet's copylocks check, not tangolint's.
+// locksafety analyzer, `// guarded by <mu>` fields and vars touched
+// outside the critical section. Copied mutexes are go vet's copylocks
+// check, not tangolint's; an unbalanced Lock is the tests' (it deadlocks
+// the next caller).
 package locks
 
 import "sync"
@@ -11,20 +12,13 @@ type counter struct {
 	n  int // guarded by mu
 }
 
-// Early return with the lock still held.
-func badEarlyReturn(c *counter, cond bool) int {
-	c.mu.Lock() // want locksafety "not released on every return path"
+// Released on one branch: not held on every path after the if.
+func badAfterBranch(c *counter, cond bool) int {
+	c.mu.Lock()
 	if cond {
-		return 1
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
-	return 0
-}
-
-// Lock never released at all.
-func badLeak(c *counter) {
-	c.mu.Lock() // want locksafety "not released on every return path"
-	c.n++
+	return c.n // want locksafety "guarded by c.mu but accessed without holding it"
 }
 
 // Guarded field read outside any critical section.

@@ -121,7 +121,7 @@ func (s *Store) Totals() Stats { return s.totals }
 // Cost returns the dollar cost of the harvested traffic.
 func (s *Store) Cost() float64 {
 	gb := (s.totals.EgressBytes + s.totals.IngressBytes) / (1024 * mb)
-	return gb*s.p.CostPerGB + float64(s.totals.Requests)*s.p.CostPerReq
+	return float64(gb*s.p.CostPerGB) + float64(float64(s.totals.Requests)*s.p.CostPerReq)
 }
 
 // Attach creates the store frontend for one node: a device on the
@@ -205,7 +205,7 @@ func (s *Store) Reshare(demands []float64) []float64 {
 	if floor*live > s.p.TotalEgress {
 		floor = s.p.TotalEgress / live
 	}
-	remaining := s.p.TotalEgress - floor*live
+	remaining := s.p.TotalEgress - float64(floor*live)
 	// Round-based water-filling of the rest: each round splits the
 	// remaining egress equally among still-unsatisfied nodes; nodes
 	// whose (headroom-padded) demand or frontend cap sits below the fair

@@ -235,11 +235,11 @@ func (p *prolongation) segment(dst, src, ws []float64, bases []int, x0 int) {
 		g := 1 - f
 		var v float64
 		for k, w := range ws {
-			v += (w * g) * src[bases[k]+l]
+			v += float64((w * g) * src[bases[k]+l])
 		}
 		if f != 0 {
 			for k, w := range ws {
-				v += (w * f) * src[bases[k]+l+1]
+				v += float64((w * f) * src[bases[k]+l+1])
 			}
 		}
 		dst[j] = v

@@ -107,7 +107,7 @@ func (h *Hierarchy) composedColumns(lvl, dim int) [][]wpt {
 				if f == 0 {
 					next[x-fa] = at(p)
 				} else {
-					next[x-fa] = (1-f)*at(p) + f*at(p+1)
+					next[x-fa] = float64((1-f)*at(p)) + float64(f*at(p+1))
 				}
 			}
 			a, w = fa, next
@@ -164,8 +164,8 @@ func (b *basisWalk) apply(errv []float64, sse, v float64) float64 {
 		for _, p := range b.basis[last] {
 			off, w := offs[last]+p.pos*b.strides[last], ws[last]*p.w
 			old := errv[off]
-			nw := old - v*w
-			sse += nw*nw - old*old
+			nw := old - float64(v*w)
+			sse += float64(nw*nw) - float64(old*old)
 			errv[off] = nw
 		}
 		for dim = last - 1; dim >= 0; dim-- {
@@ -256,7 +256,7 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 				if lvl > 0 {
 					fd[i] = e
 				}
-				s += e * e
+				s += float64(e * e)
 			}
 			return s
 		}, func(a, b float64) float64 { return a + b })
@@ -271,7 +271,7 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 				for k, e := range aug[lo:hi] {
 					old := ref[e.Index] - fd[e.Index]
 					nw := old - e.Value
-					delta[lo+k] = nw*nw - old*old
+					delta[lo+k] = float64(nw*nw) - float64(old*old)
 				}
 			})
 			for _, dv := range delta {

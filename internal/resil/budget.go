@@ -19,7 +19,7 @@ func (b *bucket) advance(now float64) {
 		return
 	}
 	if dt := now - b.last; dt > 0 {
-		b.tokens = min(b.tokens+dt*b.refill, b.cap)
+		b.tokens = min(b.tokens+float64(dt*b.refill), b.cap)
 	}
 	b.last = now
 }

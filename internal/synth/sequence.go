@@ -21,11 +21,11 @@ func XGCSequence(o XGCOptions, steps int, speed float64) ([]*tensor.Tensor, [][]
 	modes := make([]mode, 12)
 	for i := range modes {
 		modes[i] = mode{
-			kr:    (rng.Float64() - 0.5) * 24 * math.Pi / float64(n),
-			kc:    (rng.Float64() - 0.5) * 24 * math.Pi / float64(n),
-			phase: rng.Float64() * 2 * math.Pi,
-			amp:   0.2 + 0.3*rng.Float64(),
-			drift: (rng.Float64() - 0.5) * 0.2,
+			kr:    (float64(rng.Float64()) - 0.5) * 24 * math.Pi / float64(n),
+			kc:    (float64(rng.Float64()) - 0.5) * 24 * math.Pi / float64(n),
+			phase: float64(rng.Float64()) * 2 * math.Pi,
+			amp:   0.2 + float64(0.3*rng.Float64()),
+			drift: (float64(rng.Float64()) - 0.5) * 0.2,
 		}
 	}
 
@@ -39,7 +39,7 @@ func XGCSequence(o XGCOptions, steps int, speed float64) ([]*tensor.Tensor, [][]
 	movers := make([]mover, len(blobs0))
 	vr2 := rand.New(rand.NewSource(o.Seed + 7777))
 	for i, b := range blobs0 {
-		ang := vr2.Float64() * 2 * math.Pi
+		ang := float64(vr2.Float64()) * 2 * math.Pi
 		movers[i] = mover{b: b, vr: speed * math.Sin(ang), vc: speed * math.Cos(ang)}
 	}
 
@@ -53,7 +53,7 @@ func XGCSequence(o XGCOptions, steps int, speed float64) ([]*tensor.Tensor, [][]
 			for c := 0; c < n; c++ {
 				v := 0.3 * noise.NormFloat64()
 				for _, m := range modes {
-					v += m.amp * math.Sin(m.kr*float64(r)+m.kc*float64(c)+m.phase+m.drift*float64(s))
+					v += float64(m.amp * math.Sin(float64(m.kr*float64(r))+float64(m.kc*float64(c))+m.phase+float64(m.drift*float64(s))))
 				}
 				data[r*n+c] = v
 			}
@@ -61,8 +61,8 @@ func XGCSequence(o XGCOptions, steps int, speed float64) ([]*tensor.Tensor, [][]
 		var cur []Blob
 		for _, m := range movers {
 			b := m.b
-			b.Row += m.vr * float64(s)
-			b.Col += m.vc * float64(s)
+			b.Row += float64(m.vr * float64(s))
+			b.Col += float64(m.vc * float64(s))
 			// Blobs that drift off the grid wrap (periodic domain).
 			b.Row = wrap(b.Row, float64(n))
 			b.Col = wrap(b.Col, float64(n))
@@ -88,12 +88,12 @@ func wrap(x, n float64) float64 {
 func paintBlob(t *tensor.Tensor, b Blob) {
 	n := t.Dims()[0]
 	data := t.Data()
-	r0, r1 := int(b.Row-4*b.Radius), int(b.Row+4*b.Radius)
-	c0, c1 := int(b.Col-4*b.Radius), int(b.Col+4*b.Radius)
+	r0, r1 := int(b.Row-float64(4*b.Radius)), int(b.Row+float64(4*b.Radius))
+	c0, c1 := int(b.Col-float64(4*b.Radius)), int(b.Col+float64(4*b.Radius))
 	for r := max(0, r0); r <= min(n-1, r1); r++ {
 		for c := max(0, c0); c <= min(n-1, c1); c++ {
 			dr, dc := float64(r)-b.Row, float64(c)-b.Col
-			data[r*n+c] += b.Amplitude * math.Exp(-(dr*dr+dc*dc)/(2*b.Radius*b.Radius))
+			data[r*n+c] += float64(b.Amplitude * math.Exp(-(float64(dr*dr)+float64(dc*dc))/(2*b.Radius*b.Radius)))
 		}
 	}
 }

@@ -61,10 +61,10 @@ func XGC(o XGCOptions) (*tensor.Tensor, []Blob) {
 	modes := make([]mode, 12)
 	for i := range modes {
 		modes[i] = mode{
-			kr:    (rng.Float64() - 0.5) * 24 * math.Pi / float64(n),
-			kc:    (rng.Float64() - 0.5) * 24 * math.Pi / float64(n),
-			phase: rng.Float64() * 2 * math.Pi,
-			amp:   0.2 + 0.3*rng.Float64(),
+			kr:    (float64(rng.Float64()) - 0.5) * 24 * math.Pi / float64(n),
+			kc:    (float64(rng.Float64()) - 0.5) * 24 * math.Pi / float64(n),
+			phase: float64(rng.Float64()) * 2 * math.Pi,
+			amp:   0.2 + float64(0.3*rng.Float64()),
 		}
 	}
 	drawNormals(data, rng)
@@ -73,7 +73,7 @@ func XGC(o XGCOptions) (*tensor.Tensor, []Blob) {
 			r, c := i/n, i%n
 			v := 0.3 * data[i]
 			for _, m := range modes {
-				v += m.amp * math.Sin(m.kr*float64(r)+m.kc*float64(c)+m.phase)
+				v += float64(m.amp * math.Sin(float64(m.kr*float64(r))+float64(m.kc*float64(c))+m.phase))
 			}
 			data[i] = v
 		}
@@ -91,13 +91,13 @@ func XGC(o XGCOptions) (*tensor.Tensor, []Blob) {
 			if tries > maxTries {
 				break
 			}
-			rad := o.MinRadius + rng.Float64()*(o.MaxRadius-o.MinRadius)
-			margin := 3 * rad
+			rad := o.MinRadius + float64(rng.Float64()*(o.MaxRadius-o.MinRadius))
+			margin := float64(3 * rad)
 			b = Blob{
-				Row:       margin + rng.Float64()*(float64(n)-2*margin),
-				Col:       margin + rng.Float64()*(float64(n)-2*margin),
+				Row:       margin + float64(rng.Float64()*(float64(n)-float64(2*margin))),
+				Col:       margin + float64(rng.Float64()*(float64(n)-float64(2*margin))),
 				Radius:    rad,
-				Amplitude: o.MinAmp + rng.Float64()*(o.MaxAmp-o.MinAmp),
+				Amplitude: o.MinAmp + float64(rng.Float64()*(o.MaxAmp-o.MinAmp)),
 			}
 			ok := true
 			for _, e := range blobs {
@@ -132,8 +132,8 @@ func GenASiS(n int, seed int64) *tensor.Tensor {
 	shockR := float64(n) * 0.31
 	// Angular perturbation of the shock radius (the SASI instability the
 	// GenASiS paper studies is a low-mode angular oscillation).
-	a1, a2 := 0.08+0.04*rng.Float64(), 0.05+0.03*rng.Float64()
-	p1, p2 := rng.Float64()*2*math.Pi, rng.Float64()*2*math.Pi
+	a1, a2 := 0.08+float64(0.04*rng.Float64()), 0.05+float64(0.03*rng.Float64())
+	p1, p2 := float64(rng.Float64())*2*math.Pi, float64(rng.Float64())*2*math.Pi
 	width := float64(n) * 0.012
 	drawNormals(data, rng)
 	par.For(n*n, func(lo, hi int) {
@@ -142,13 +142,13 @@ func GenASiS(n int, seed int64) *tensor.Tensor {
 			dr, dc := float64(r)-cr, float64(c)-cc
 			rad := math.Hypot(dr, dc)
 			theta := math.Atan2(dr, dc)
-			front := shockR * (1 + a1*math.Sin(2*theta+p1) + a2*math.Sin(3*theta+p2))
+			front := float64(shockR * (1 + float64(a1*math.Sin(float64(2*theta)+p1)) + float64(a2*math.Sin(float64(3*theta)+p2))))
 			// Behind the shock: accretion velocity rising toward the
 			// center (capped at small radii); outside: slow wind.
 			inner := 1.0 / math.Sqrt(math.Max(rad/float64(n)*8, 0.05))
 			outer := 0.15
 			s := 1 / (1 + math.Exp((rad-front)/width)) // 1 inside, 0 outside
-			v := s*inner + (1-s)*outer + 0.01*data[i]
+			v := float64(s*inner) + float64((1-s)*outer) + float64(0.01*data[i])
 			data[i] = v
 		}
 	})
@@ -171,15 +171,15 @@ func CFD(n int, seed int64) *tensor.Tensor {
 			dr, dc := float64(r)-nr, float64(c)-nc
 			d := math.Hypot(dr, dc)
 			// Stagnation pressure bump.
-			p := 2.5 * math.Exp(-d/(float64(n)*0.06))
+			p := float64(2.5 * math.Exp(-d/(float64(n)*0.06)))
 			// Suction (low pressure) lobes above/below the chord
 			// downstream of the nose.
 			if dc > 0 {
-				p -= 0.9 * math.Exp(-math.Abs(math.Abs(dr)-float64(n)*0.08)/(float64(n)*0.05)) *
-					math.Exp(-dc/(float64(n)*0.5))
+				p -= float64(0.9 * math.Exp(-math.Abs(math.Abs(dr)-float64(float64(n)*0.08))/(float64(n)*0.05)) *
+					math.Exp(-dc/(float64(n)*0.5)))
 			}
 			// Free stream + measurement noise.
-			p += 1.0 + 0.02*data[i]
+			p += 1.0 + float64(0.02*data[i])
 			data[i] = p
 		}
 	})

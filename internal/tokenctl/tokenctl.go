@@ -304,7 +304,7 @@ func (c *Controller) Request(b *Bucket, desired int) int {
 	chargeable := want - b.paidPts
 	if chargeable > 0 {
 		own := min(int(b.tokens/burstSec), chargeable)
-		b.tokens -= float64(own) * burstSec
+		b.tokens -= float64(float64(own) * burstSec)
 		short := chargeable - own
 		if short > 0 {
 			short = c.borrow(b, short, now)
@@ -393,7 +393,7 @@ func (c *Controller) resize(b *Bucket, desired int) {
 	b.cap = float64(c.wantPts(desired)) * burstSec
 	b.rate = b.cap / refillSec
 	b.tokens = frac * b.cap
-	if excess := b.lentOut - lendFrac*b.cap; excess > 0 {
+	if excess := b.lentOut - float64(lendFrac*b.cap); excess > 0 {
 		c.writeOff(b, excess)
 	}
 }
@@ -455,7 +455,7 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 			continue
 		}
 		c.settle(l, now)
-		avail := min(lendFrac*l.cap-l.lentOut, l.tokens)
+		avail := min(float64(lendFrac*l.cap)-l.lentOut, l.tokens)
 		pts := min(int(avail/burstSec), short)
 		if pts <= 0 {
 			continue
@@ -463,7 +463,7 @@ func (c *Controller) borrow(b *Bucket, short int, now float64) int {
 		if !b.recordLoan(l, pts, float64(pts)*burstSec) {
 			continue
 		}
-		principal := float64(pts) * burstSec
+		principal := float64(float64(pts) * burstSec)
 		l.tokens -= principal
 		l.lentOut += principal
 		short -= pts
@@ -516,7 +516,7 @@ func (c *Controller) recall(b *Bucket, short int) int {
 			if r <= 0 {
 				continue
 			}
-			principal := float64(r) * burstSec
+			principal := float64(float64(r) * burstSec)
 			l.pts -= r
 			l.owed -= principal
 			b.lentOut = max(b.lentOut-principal, 0)
@@ -532,7 +532,7 @@ func (c *Controller) recall(b *Bucket, short int) int {
 	}
 	// The reclaimed principal is back in b.tokens; spend it.
 	own := min(int(b.tokens/burstSec), short)
-	b.tokens -= float64(own) * burstSec
+	b.tokens -= float64(float64(own) * burstSec)
 	return short - own
 }
 

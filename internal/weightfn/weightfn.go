@@ -103,7 +103,7 @@ func New(c Calibration) (*Func, error) {
 		}, nil
 	}
 	k2 := float64(blkio.MaxWeight-blkio.MinWeight) / (maxScore - minScore)
-	b2 := blkio.MinWeight - k2*minScore
+	b2 := blkio.MinWeight - float64(k2*minScore)
 	return &Func{
 		metric: c.Metric, k2: k2, b2: b2,
 		usePriority: true, useAccuracy: true,
@@ -136,7 +136,7 @@ func (f *Func) Weight(cardinality float64, bound float64, priority float64) int 
 	} else {
 		score /= accuracyTerm(f.metric, f.referenceBound())
 	}
-	w := f.k2*score + f.b2
+	w := float64(f.k2*score) + f.b2
 	return blkio.ClampWeight(int(math.Round(w)))
 }
 

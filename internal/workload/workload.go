@@ -153,7 +153,7 @@ func (x *interferer) TransferDone(*device.Token, error) {
 		period = x.period
 	}
 	if x.n.Jitter > 0 {
-		period *= 1 + x.n.Jitter*(2*x.rng.Float64()-1)
+		period *= 1 + float64(x.n.Jitter*(2*float64(x.rng.Float64())-1))
 	}
 	eng := x.dev.Engine()
 	if wait := period - (eng.Now() - x.start); wait > 0 {
@@ -223,7 +223,7 @@ func (w *randomWriter) Fire() {
 		w.sleep()
 		return
 	}
-	size := w.minB + w.rng.Float64()*(w.maxB-w.minB)
+	size := w.minB + float64(w.rng.Float64()*(w.maxB-w.minB))
 	if ended, _ := w.dev.Begin(w.cg, size, true, false, &w.tok, 0, w); ended {
 		w.sleep()
 	}
@@ -234,7 +234,7 @@ func (w *randomWriter) TransferDone(*device.Token, error) { w.sleep() }
 
 func (w *randomWriter) sleep() {
 	eng := w.dev.Engine()
-	eng.AtCall(eng.Now()+w.rng.ExpFloat64()*w.meanGap, w)
+	eng.AtCall(eng.Now()+float64(w.rng.ExpFloat64()*w.meanGap), w)
 }
 
 // StepFunc is invoked once per analytics step with the step index; it

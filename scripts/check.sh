@@ -29,6 +29,11 @@ go vet ./...
 echo '>> tangolint ./...'
 go run ./cmd/tangolint ./...
 
+# The simulator packages compile to no fused multiply-add on arm64,
+# ppc64le, s390x or riscv64, so their outputs match amd64's.
+echo '>> fused-check'
+sh scripts/fused-check.sh
+
 echo '>> go test -race ./...'
 go test -race ./...
 
