@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -196,4 +197,45 @@ func TestThresholdFracBoundsPanic(t *testing.T) {
 		}
 	}()
 	Threshold([]complex128{1, 2}, 1.5)
+}
+
+func TestPlanForHitAllocatesNothing(t *testing.T) {
+	want := planFor(24)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if planFor(24) != want {
+			t.Fatal("planFor(24) changed on a hit")
+		}
+	}); allocs != 0 {
+		t.Fatalf("planFor hit allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestPlanForSharesOnePlanAtFirstUse: goroutines that miss together all
+// return the plan that was published, never one that lost the race, and
+// a length each asks for alone is not lost when another is published.
+func TestPlanForSharesOnePlanAtFirstUse(t *testing.T) {
+	plans.Store(nil) // first use of every length again
+	const n = 97     // non-power-of-two: a direct table slow enough to overlap
+	shared, own := make([]*plan, 8), make([]*plan, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range shared {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			shared[i] = planFor(n)
+			own[i] = planFor(n + 1 + i)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range shared {
+		if shared[i] != planFor(n) {
+			t.Errorf("goroutine %d got a plan for %d that is not the cached one", i, n)
+		}
+		if own[i] != planFor(n+1+i) {
+			t.Errorf("goroutine %d: the plan for %d was lost from the cache", i, n+1+i)
+		}
+	}
 }

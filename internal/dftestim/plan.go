@@ -1,10 +1,11 @@
 package dftestim
 
 import (
+	"maps"
 	"math"
 	"math/bits"
 	"math/cmplx"
-	"sync"
+	"sync/atomic"
 )
 
 // maxDirectTable bounds the per-length memory of the precomputed O(N²)
@@ -40,26 +41,36 @@ type plan struct {
 	dfwd, dinv []complex128
 }
 
-var (
-	planMu sync.Mutex
-	plans  map[int]*plan // guarded by planMu
-)
+// plans is the process-wide plan cache, copied on write: readers load
+// the map and never lock; a miss builds the plan, publishes a copy of
+// the map with it added, and retries if another goroutine published
+// first. The map is never written after it is published.
+var plans atomic.Pointer[map[int]*plan]
 
 // planFor returns the shared plan for length n, building it on first use.
-// The estimator caches the returned pointer, so the mutex is off the
-// steady-state path.
+// The estimator caches the returned pointer, so even the map lookup is
+// off the steady-state path.
 func planFor(n int) *plan {
-	planMu.Lock()
-	if plans == nil {
-		plans = make(map[int]*plan, 16)
+	var built *plan
+	for {
+		cur := plans.Load()
+		if cur != nil {
+			if p := (*cur)[n]; p != nil {
+				return p
+			}
+		}
+		if built == nil {
+			built = newPlan(n)
+		}
+		next := make(map[int]*plan, 16)
+		if cur != nil {
+			maps.Copy(next, *cur)
+		}
+		next[n] = built
+		if plans.CompareAndSwap(cur, &next) {
+			return built
+		}
 	}
-	p := plans[n]
-	if p == nil {
-		p = newPlan(n)
-		plans[n] = p
-	}
-	planMu.Unlock()
-	return p
 }
 
 // mul is a*b with each real product rounded before it is summed, as amd64

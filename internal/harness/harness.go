@@ -257,35 +257,16 @@ type hierKey struct {
 	noSort bool
 }
 
-// memo is a single-flight cache: get inserts a once-guarded entry under
-// the lock, then the expensive compute runs inside the entry's Once
-// outside the lock. Concurrent callers with the same key block on the
-// Once instead of duplicating the work (dropping the lock around
-// Decompose would let two parallel scenarios each decompose the same
+// memo is a single-flight cache: get stores a sync.OnceValue of the
+// compute under the key, and the first caller runs it. Concurrent callers
+// with the same key block in the same OnceValue instead of duplicating
+// the work (two parallel scenarios must not each decompose the same
 // hierarchy).
-type memo[V any] struct {
-	mu sync.Mutex
-	m  map[hierKey]*memoEntry[V] // guarded by mu
-}
-
-type memoEntry[V any] struct {
-	once sync.Once
-	v    V
-}
+type memo[V any] struct{ sync.Map } // hierKey → func() V
 
 func (c *memo[V]) get(key hierKey, compute func() V) V {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
-		if c.m == nil {
-			c.m = map[hierKey]*memoEntry[V]{}
-		}
-		e = &memoEntry[V]{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.v = compute() })
-	return e.v
+	f, _ := c.LoadOrStore(key, sync.OnceValue(compute))
+	return f.(func() V)()
 }
 
 var (

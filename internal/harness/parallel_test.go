@@ -2,7 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tango/internal/runpool"
 )
@@ -42,5 +45,38 @@ func TestParallelSuiteByteIdentical(t *testing.T) {
 			}
 		}
 		t.Fatalf("parallel output length differs: seq %d bytes, par %d bytes", len(seq), len(par))
+	}
+}
+
+// TestMemoComputesEachKeyOnce: callers that ask for one key together
+// share one compute and its value; another key computes its own.
+func TestMemoComputesEachKeyOnce(t *testing.T) {
+	var c memo[*int]
+	var computes atomic.Int32
+	compute := func() *int {
+		computes.Add(1)
+		time.Sleep(5 * time.Millisecond) // let the other callers arrive
+		return new(int)
+	}
+	got := make([]*int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.get(hierKey{app: "a"}, compute)
+		}()
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v != got[0] {
+			t.Fatalf("caller %d got another value than caller 0", i)
+		}
+	}
+	if c.get(hierKey{app: "b"}, compute) == got[0] || c.get(hierKey{app: "a"}, compute) != got[0] {
+		t.Fatal("memo keys do not select their own values")
+	}
+	if n := computes.Load(); n != 2 {
+		t.Fatalf("%d computes for 2 keys", n)
 	}
 }

@@ -100,17 +100,11 @@ func shrink(args []string) []string {
 	return args
 }
 
-// reset empties the memo, so explored fields do not outlive the test.
-func (c *memo[V]) reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-}
-
+// resetMemos empties the memos, so explored fields do not outlive the test.
 func resetMemos() {
-	fieldCache.reset()
-	statsCache.reset()
-	hierCache.reset()
+	fieldCache.Clear()
+	statsCache.Clear()
+	hierCache.Clear()
 }
 
 // TestExplore is the seeded explorer over Spec: 1,000 single-node and 200

@@ -14,8 +14,8 @@ import (
 //
 //   - a wall-clock call (time.Now, time.Sleep, …);
 //   - a call drawing from global math/rand state;
-//   - map iteration order that escapes the loop (an append with no later
-//     sort, or a channel send);
+//   - map iteration order that escapes the loop (an append to a variable
+//     or a field with no later sort, or a channel send);
 //   - a select over two or more channels (the runtime picks a ready case
 //     pseudo-randomly).
 //
@@ -221,10 +221,10 @@ func nondetSources(p *Package, decl ast.Decl) []nondetSource {
 }
 
 // mapOrderLeaks collects the range-over-map loops of one function whose
-// iteration order escapes: appends to a slice declared outside the loop,
-// or sends on a channel declared outside the loop, with no later sort of
-// that slice in the same function. Order-insensitive folds (counting,
-// summing, max) pass untouched.
+// iteration order escapes: appends to a slice declared outside the loop
+// (a variable, or a field of one), or sends on a channel declared outside
+// the loop, with no later sort of that slice in the same function.
+// Order-insensitive folds (counting, summing, max) pass untouched.
 func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
 	info := p.Info
 	var leaks []nondetSource
@@ -240,9 +240,10 @@ func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		// Collect outer-declared slice variables appended to inside the
-		// body, and outer-declared channels sent on.
-		var escapes []*ast.Ident
+		// Collect the slices appended to inside the body whose variable
+		// (or, for a field such as a.targets, whose root variable) is
+		// declared outside the loop, and outer-declared channels sent on.
+		var escapes []ast.Expr
 		var sendPos token.Pos
 		ast.Inspect(rng.Body, func(m ast.Node) bool {
 			switch s := m.(type) {
@@ -252,13 +253,17 @@ func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
 					if !ok || !isBuiltinAppend(info, call) || i >= len(s.Lhs) {
 						continue
 					}
-					id, ok := s.Lhs[i].(*ast.Ident)
+					root := s.Lhs[i]
+					for sel, ok := root.(*ast.SelectorExpr); ok; sel, ok = root.(*ast.SelectorExpr) {
+						root = sel.X
+					}
+					id, ok := root.(*ast.Ident)
 					if !ok {
 						continue
 					}
 					obj := info.ObjectOf(id)
 					if obj != nil && !nodeContains(rng, obj.Pos()) {
-						escapes = append(escapes, id)
+						escapes = append(escapes, s.Lhs[i])
 					}
 				}
 			case *ast.SendStmt:
@@ -274,20 +279,24 @@ func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
 		if sendPos.IsValid() {
 			leaks = append(leaks, nondetSource{pos: sendPos, kind: "send", name: exprText(rng.X)})
 		}
-		for _, id := range escapes {
+		for _, lhs := range escapes {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				id = lhs.(*ast.SelectorExpr).Sel // a field is matched by its object
+			}
 			if sortedLater(info, fd, rng, info.ObjectOf(id)) {
 				continue
 			}
-			leaks = append(leaks, nondetSource{pos: rng.Pos(), kind: "append", name: exprText(rng.X), target: id.Name})
+			leaks = append(leaks, nondetSource{pos: rng.Pos(), kind: "append", name: exprText(rng.X), target: exprText(lhs)})
 		}
 		return true
 	})
 	return leaks
 }
 
-// sortedLater reports whether obj (the appended slice) is passed to a
-// sort/slices ordering function after the range statement, anywhere
-// later in the function.
+// sortedLater reports whether obj (the appended variable or field) is
+// passed to a sort/slices ordering function after the range statement,
+// anywhere later in the function.
 func sortedLater(info *types.Info, fd *ast.FuncDecl, rng *ast.RangeStmt, obj types.Object) bool {
 	if obj == nil {
 		return false

@@ -6,10 +6,6 @@
 //     import must not consult wall clocks, global math/rand state, map
 //     iteration order or a multi-way select, nor call out of that closure
 //     through an interface into code that does.
-//   - locksafety: no access to `// guarded by <mu>` fields outside a
-//     critical section. (An unbalanced Lock deadlocks the tests; copied
-//     locks are `go vet`'s copylocks check. There is no lock-order check:
-//     every lock is a leaf, taken with no other held.)
 //   - errdiscard: internal packages must not silently drop error returns.
 //   - hotpath: nothing reachable from a //tango:hotpath function may
 //     allocate per call.
@@ -86,7 +82,6 @@ type config struct {
 
 var analyzers = []*analyzer{
 	{"detertaint", runDeterTaint},
-	{"locksafety", runLockSafety},
 	{"errdiscard", runErrDiscard},
 	{"hotpath", runHotPath},
 }
@@ -229,8 +224,7 @@ func nodeContains(outer ast.Node, pos token.Pos) bool {
 	return outer != nil && outer.Pos() <= pos && pos < outer.End()
 }
 
-// exprText renders an expression compactly for messages and for keying
-// mutexes by their receiver chain (e.g. "a.mu").
+// exprText renders an expression compactly for messages.
 func exprText(e ast.Expr) string {
 	return types.ExprString(e)
 }

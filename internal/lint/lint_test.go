@@ -62,7 +62,6 @@ func TestFixtures(t *testing.T) {
 		deps     []FixtureDir
 	}{
 		{"simdet", "detertaint", nil},
-		{"locks", "locksafety", nil},
 		{"errs", "errdiscard", nil},
 		{"hotfix", "hotpath", []FixtureDir{traceStub}},
 	}
@@ -254,10 +253,10 @@ func f() int64 {
 // TestFindingFormat pins the CLI output contract: file:line: [analyzer]
 // message.
 func TestFindingFormat(t *testing.T) {
-	f := Finding{Analyzer: "locksafety", Message: "m"}
+	f := Finding{Analyzer: "errdiscard", Message: "m"}
 	f.Pos.Filename = "a/b.go"
 	f.Pos.Line = 12
-	if got, want := f.String(), "a/b.go:12: [locksafety] m"; got != want {
+	if got, want := f.String(), "a/b.go:12: [errdiscard] m"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }

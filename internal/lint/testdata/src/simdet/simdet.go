@@ -46,6 +46,23 @@ func mapOrderLeak(m map[string]int) []string {
 	return keys
 }
 
+// Nor into a slice field, which outlives the function.
+type collector struct{ targets []string }
+
+func (c *collector) mapOrderLeakField(m map[string]int) {
+	for k := range m { // want detertaint "appends to c.targets in iteration order"
+		c.targets = append(c.targets, k)
+	}
+}
+
+// Sorting the field after the loop restores a canonical order: allowed.
+func (c *collector) mapOrderFieldSorted(m map[string]int) {
+	for k := range m {
+		c.targets = append(c.targets, k)
+	}
+	sort.Strings(c.targets)
+}
+
 // Nor into a channel the consumer will drain in arrival order.
 func mapOrderLeakChan(m map[string]int, out chan<- string) {
 	for k := range m {

@@ -1,7 +1,9 @@
 // Package runpool is the deterministic parallel scenario runner behind
-// tangobench: a bounded worker pool whose jobs are independent simulation
+// tangobench: a bounded pool whose jobs are independent simulation
 // scenarios (each owning its own sim.Engine, trace.Recorder, and staged
-// store), submitted as futures and collected in submission order.
+// store), submitted as futures and collected in submission order. The
+// bound is a channel of slots, one per concurrent job; the package holds
+// no lock.
 //
 // The determinism contract (docs/performance.md):
 //
@@ -18,10 +20,10 @@
 //
 // Nested submission is safe: a job may itself Submit sub-jobs and Wait on
 // them. Wait executes a still-unclaimed task inline on the waiting
-// goroutine (claim-or-wait), so progress never depends on a free worker
+// goroutine (claim-or-wait), so progress never depends on a free slot
 // and the pool cannot deadlock however deep the nesting.
 //
-// Scenario-level workers register with par.EnterBusy while a job runs, so
+// Pool goroutines register with par.EnterBusy while a job runs, so
 // kernel-level data parallelism (par.For) inside a job divides the
 // remaining GOMAXPROCS instead of oversubscribing it.
 package runpool
@@ -29,7 +31,6 @@ package runpool
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"tango/internal/par"
@@ -43,7 +44,7 @@ const (
 	stateDone
 )
 
-// runnable is the untyped view of a Task the queue holds.
+// runnable is the untyped view of a Task a pool goroutine runs.
 type runnable interface {
 	// tryRun claims and executes the task; it reports false if another
 	// goroutine had already claimed it.
@@ -93,15 +94,12 @@ func (t *Task[T]) Wait() T {
 	return t.res
 }
 
-// pool is the process-wide queue and worker accounting. Workers are
-// spawned lazily up to the configured width and exit when the queue
-// drains, so an idle pool holds no goroutines.
-var pool struct {
-	mu      sync.Mutex
-	queue   []runnable // guarded by mu; FIFO of submitted, possibly claimed tasks
-	workers int        // guarded by mu; configured width (0 = GOMAXPROCS)
-	live    int        // guarded by mu; running worker goroutines
-}
+// slots is the process-wide pool: its capacity is the width, and a job
+// runs on a pool goroutine only while that goroutine holds one of its
+// slots. It starts at GOMAXPROCS.
+var slots atomic.Pointer[chan struct{}]
+
+func init() { SetWorkers(0) }
 
 // SetWorkers configures the pool width: the maximum number of jobs
 // executing concurrently (not counting Wait running a job inline).
@@ -111,64 +109,32 @@ var pool struct {
 // Call between runs, not while jobs are in flight: tangobench sets it
 // once from -parallel before submitting anything.
 func SetWorkers(n int) {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	pool.workers = n
+	ch := make(chan struct{}, n)
+	slots.Store(&ch)
 }
 
 // Workers reports the configured pool width.
-func Workers() int {
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	if pool.workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return pool.workers
-}
+func Workers() int { return cap(*slots.Load()) }
 
 // Submit registers a job and returns its future. With pool width 1 the
 // job is only recorded — Wait runs it inline, preserving the sequential
-// execution order exactly. Otherwise the job is queued and a worker is
-// spawned if the pool is below width.
+// execution order exactly. Otherwise a goroutine is started that runs the
+// job once it holds a slot, unless Wait has claimed it first; an idle
+// pool holds no goroutines.
 func Submit[T any](name string, fn func() T) *Task[T] {
 	t := &Task[T]{name: name, fn: fn, done: make(chan struct{})}
-	pool.mu.Lock()
-	width := pool.workers
-	if width == 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
-	if width <= 1 {
-		pool.mu.Unlock()
-		return t
-	}
-	pool.queue = append(pool.queue, t)
-	spawn := pool.live < width
-	if spawn {
-		pool.live++
-	}
-	pool.mu.Unlock()
-	if spawn {
-		go work()
+	if p := *slots.Load(); cap(p) > 1 {
+		go run(p, t)
 	}
 	return t
 }
 
-// work drains the queue, claiming tasks FIFO, and exits when empty.
-func work() {
-	for {
-		pool.mu.Lock()
-		if len(pool.queue) == 0 {
-			pool.live--
-			pool.mu.Unlock()
-			return
-		}
-		t := pool.queue[0]
-		pool.queue[0] = nil
-		pool.queue = pool.queue[1:]
-		pool.mu.Unlock()
-		t.tryRun() // false when the submitter already ran it inline via Wait
-	}
+// run executes t on a pool goroutine while holding a slot of p.
+func run(p chan struct{}, t runnable) {
+	p <- struct{}{}
+	t.tryRun() // false when the submitter already ran it inline via Wait
+	<-p
 }

@@ -2,9 +2,11 @@ package runpool
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withWorkers runs fn with the pool temporarily at width n.
@@ -39,7 +41,9 @@ func TestSequentialModeRunsInlineAtWait(t *testing.T) {
 		var order []int
 		a := Submit("a", func() int { order = append(order, 1); return 1 })
 		b := Submit("b", func() int { order = append(order, 2); return 2 })
-		// Nothing may run before Wait in sequential mode.
+		// Nothing may run before Wait in sequential mode, however long
+		// Wait is put off.
+		time.Sleep(20 * time.Millisecond)
 		if len(order) != 0 {
 			t.Fatalf("jobs ran before Wait: %v", order)
 		}
@@ -128,7 +132,61 @@ func TestSetWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	prev := Workers()
 	defer SetWorkers(prev)
 	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d", Workers())
+	if got, want := Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("after SetWorkers(0), Workers() = %d, want GOMAXPROCS %d", got, want)
 	}
+	SetWorkers(3)
+	if got := Workers(); got != 3 {
+		t.Fatalf("after SetWorkers(3), Workers() = %d", got)
+	}
+}
+
+func TestPoolNeverExceedsWidth(t *testing.T) {
+	const width = 3
+	withWorkers(t, width, func() {
+		gate := make(chan struct{})
+		var started atomic.Int32
+		tasks := make([]*Task[struct{}], 4*width)
+		for i := range tasks {
+			tasks[i] = Submit("gated", func() struct{} {
+				started.Add(1)
+				<-gate
+				return struct{}{}
+			})
+		}
+		// Nothing runs inline before the first Wait, and no job ends
+		// before the gate opens, so every job started so far holds a slot.
+		for deadline := time.Now().Add(5 * time.Second); started.Load() < width && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // room for a job past the width to start
+		if got := started.Load(); got != width {
+			t.Errorf("%d jobs ran at once on a pool of width %d", got, width)
+		}
+		close(gate)
+		for _, task := range tasks {
+			task.Wait()
+		}
+	})
+}
+
+func TestIdlePoolLeavesNoGoroutines(t *testing.T) {
+	withWorkers(t, 4, func() {
+		base := runtime.NumGoroutine()
+		for round := 0; round < 5; round++ {
+			tasks := make([]*Task[int], 16)
+			for i := range tasks {
+				tasks[i] = Submit("idle", func() int { return i })
+			}
+			for _, task := range tasks {
+				task.Wait()
+			}
+			// A pool goroutine may still be handing its slot back.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: %d goroutines after Wait, %d before", round, runtime.NumGoroutine(), base)
+				}
+			}
+		}
+	})
 }

@@ -7,7 +7,9 @@ import (
 	"go/token"
 	"io/fs"
 	"math"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -215,6 +217,40 @@ func TestNoMachineLocalPathsInTests(t *testing.T) {
 			}
 			return true
 		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoLocksInProductCode keeps shared state in types that synchronise
+// themselves (atomics, channels, sync.Map, sync.OnceValue): no product
+// file holds a sync.Mutex or sync.RWMutex or a `// guarded by` field,
+// because no analyzer checks lock discipline any more. benchmarks/ is
+// exempt: it has its own frozen tracer lock.
+func TestNoLocksInProductCode(t *testing.T) {
+	lock := regexp.MustCompile(`sync\.(RW)?Mutex|//\s*guarded by`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmarks" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := lock.FindString(line); m != "" {
+				t.Errorf("%s:%d: %q: hold shared state in a type that synchronises itself, "+
+					"or restore the locksafety analyzer (internal/lint/locksafety.go) from git history in the same change", path, i+1, m)
+			}
+		}
 		return nil
 	})
 	if err != nil {
