@@ -6,8 +6,8 @@ import (
 )
 
 // benchEstimatorFit measures the steady-state Observe+Fit+Predict cycle at
-// a given window length: the tentpole target is 0 allocs/op and ≥3× the
-// seed's per-call twiddle evaluation.
+// a given window length: 0 allocs/op up to maxDirectTable samples, whose
+// scratch is on Fit's stack; a longer window allocates its scratch per fit.
 func benchEstimatorFit(b *testing.B, window int) {
 	est := &Estimator{ThreshFrac: 0.5, Window: window}
 	for i := 0; i < window; i++ {

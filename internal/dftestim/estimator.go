@@ -22,12 +22,13 @@ var errTooFewSamples = errors.New("dftestim: need at least 4 samples")
 // periodically (the paper refits every 30 steps) so the model tracks
 // workload changes.
 //
-// Memory is bounded: samples live in a ring sized to the window, and the
-// spectral scratch, model, and twiddle tables are reused across refits, so
-// a long-running (tangod-length) session neither grows nor allocates in
-// steady state. Absolute step indexing is preserved — Samples(), Predict,
-// and PredictNext see the same step numbers as the unbounded-history
-// implementation they replaced.
+// Memory is bounded: samples live in a ring sized to the window, the
+// model and the shared twiddle tables are reused across refits and the
+// spectrum lives on Fit's stack, so a long-running (tangod-length)
+// session at a window of up to maxDirectTable samples neither grows nor
+// allocates in steady state. Absolute step indexing is preserved —
+// Samples(), Predict, and PredictNext see the same step numbers as the
+// unbounded-history implementation they replaced.
 type Estimator struct {
 	// ThreshFrac is the amplitude threshold as a fraction of the maximum
 	// non-DC amplitude (the paper evaluates 25%, 50%, 75%; default 50%).
@@ -44,11 +45,6 @@ type Estimator struct {
 	model  []float64 // denoised one-period reconstruction (reused)
 	fitAt  int       // step index of the first sample in the fitted window
 	fitted bool
-
-	plan   *plan        // shared twiddle tables for the fitted length
-	spec   []complex128 // forward spectrum, thresholded in place (reused)
-	rec    []complex128 // inverse-transform scratch (reused)
-	winBuf []float64    // linearized window scratch (reused)
 }
 
 // NewEstimator returns an estimator with the paper's defaults.
@@ -102,8 +98,8 @@ func (e *Estimator) Ready() bool { return e.fitted }
 
 // Fit builds the denoised periodic model from the most recent Window
 // samples. It returns an error if fewer than 4 samples are available.
-// Steady state (unchanged window length) is allocation-free: the spectrum,
-// scratch, and model buffers are reused and the twiddle plan is shared.
+// Up to maxDirectTable samples the window and its spectrum live on the
+// stack and the model is reused, so a steady refit allocates nothing.
 //
 //tango:hotpath
 func (e *Estimator) Fit() error {
@@ -115,20 +111,36 @@ func (e *Estimator) Fit() error {
 		e.resizeRing(w)
 	}
 	w = min(w, e.count) // the ring holds w samples now
-	e.ensureScratch(w)
+	p := planFor(w)
+	// A growth at least doubles the model, up to the window (twice after a
+	// session's first fit at 10); the first is sized to w, as a fleet node
+	// fits once, short.
+	if cap(e.model) < w {
+		e.model = make([]float64, max(w, min(2*cap(e.model), e.effWindow())))
+	}
+	e.model = e.model[:w]
 	start := e.count - w
 
-	e.gatherWindow(start, w)
-	e.forward()
-	Threshold(e.spec, e.ThreshFrac)
-	e.inverse()
+	var winArr [maxDirectTable]float64
+	var specArr, recArr [maxDirectTable]complex128
+	win, spec, rec := winArr[:], specArr[:], recArr[:]
+	if w > maxDirectTable {
+		win, spec, rec = make([]float64, w), make([]complex128, w), make([]complex128, w)
+	}
+	win, spec, rec = win[:w], spec[:w], rec[:w]
+	pos := start % len(e.ring)
+	if n := copy(win, e.ring[pos:]); n < w {
+		copy(win[n:], e.ring[:w-n])
+	}
+	p.forwardReal(spec, win)
+	Threshold(spec, e.ThreshFrac)
+	p.inverse(rec, spec)
 
 	// Replicates the seed's IFFT normalization (out[i] *= inv as a complex
 	// multiply) followed by the clamp loop, so models stay bit-identical.
 	inv := complex(1/float64(w), 0)
-	for i, v := range e.rec {
-		v = mul(v, inv)
-		bw := real(v)
+	for i, v := range rec {
+		bw := real(mul(v, inv))
 		if bw < 0 {
 			bw = 0 // bandwidth cannot be negative; clamp ringing
 		}
@@ -137,61 +149,6 @@ func (e *Estimator) Fit() error {
 	e.fitAt = start
 	e.fitted = true
 	return nil
-}
-
-// ensureScratch sizes the fit buffers for window length w, reusing their
-// backing arrays whenever the capacity suffices. A growth at least doubles
-// them, up to the window (twice after a session's first fit at 10); the
-// first is sized to w, as a fleet node fits once, short. Each pair of
-// same-typed buffers is split from one array, capped so neither grows
-// into the other.
-func (e *Estimator) ensureScratch(w int) {
-	if e.plan == nil || e.plan.n != w {
-		e.plan = planFor(w)
-	}
-	if cap(e.spec) < w { // all four grow together
-		n := max(w, min(2*cap(e.spec), e.effWindow()))
-		c, f := make([]complex128, 2*n), make([]float64, 2*n)
-		e.spec, e.rec = c[:n:n], c[n:]
-		e.winBuf, e.model = f[:n:n], f[n:]
-	}
-	e.spec = e.spec[:w]
-	e.rec = e.rec[:w]
-	e.winBuf = e.winBuf[:w]
-	e.model = e.model[:w]
-}
-
-// gatherWindow linearizes ring samples [start, start+w) into winBuf.
-func (e *Estimator) gatherWindow(start, w int) {
-	r := e.ring
-	pos := start % len(r)
-	n := copy(e.winBuf, r[pos:])
-	if n < w {
-		copy(e.winBuf[n:], r[:w-n])
-	}
-}
-
-// forward computes the spectrum of winBuf into spec.
-func (e *Estimator) forward() {
-	p := e.plan
-	if p.pow2 {
-		p.fftReal(e.spec, e.winBuf)
-		return
-	}
-	for i, v := range e.winBuf {
-		e.rec[i] = complex(v, 0)
-	}
-	p.direct(e.spec, e.rec, false)
-}
-
-// inverse computes the unnormalized inverse transform of spec into rec.
-func (e *Estimator) inverse() {
-	p := e.plan
-	if p.pow2 {
-		p.fft(e.rec, e.spec, true)
-		return
-	}
-	p.direct(e.rec, e.spec, true)
 }
 
 // Predict returns B̃W for the given absolute step index, extrapolating the

@@ -1,6 +1,38 @@
 package dftestim
 
-// FFT is the complex forward transform FFTReal widens its input for.
+import "math/bits"
+
+// fft is the complex transform the estimator's real forward and
+// thresholded inverse specialise: radix-2 at a power of two, else direct.
+func (p *plan) fft(dst, src []complex128, inverse bool) {
+	if !p.pow2 {
+		p.direct(dst, src, inverse)
+		return
+	}
+	for i, v := range src {
+		dst[bits.Reverse64(uint64(i))>>p.shift] = v
+	}
+	p.stages(dst, inverse)
+}
+
+// direct is the O(N²) complex transform with its twiddles evaluated on the
+// fly.
+func (p *plan) direct(dst, src []complex128, inverse bool) {
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for k := range dst {
+		var sum complex128
+		for j, v := range src {
+			sum += mul(v, twiddle(sign, k, j, p.n))
+		}
+		dst[k] = sum
+	}
+}
+
+// FFT is the complex forward transform of which FFTReal is the
+// real-input case.
 func FFT(x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {

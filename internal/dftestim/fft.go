@@ -21,21 +21,11 @@ import (
 // length 128 — window sizes here are tens of samples). Output is
 // bit-identical to the original per-call twiddle evaluation; see plan.go.
 func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil
 	}
-	out := make([]complex128, n)
-	p := planFor(n)
-	if p.pow2 {
-		p.fftReal(out, x)
-		return out
-	}
-	c := make([]complex128, n)
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	p.direct(out, c, false)
+	out := make([]complex128, len(x))
+	planFor(len(x)).forwardReal(out, x)
 	return out
 }
 
@@ -44,21 +34,27 @@ func FFTReal(x []float64) []complex128 {
 // bandwidth level) is always kept: thresholding targets recurring
 // interference versus random noise, not the baseline. Conjugate symmetry
 // is preserved because symmetric components have equal amplitudes. It
-// returns the number of zeroed components.
+// returns the number of zeroed components. Each amplitude is taken once,
+// into a stack array up to maxDirectTable components.
 func Threshold(spec []complex128, frac float64) int {
 	if frac < 0 || frac > 1 {
 		panic(fmt.Sprintf("dftestim: threshold fraction %v out of [0,1]", frac))
 	}
+	var ampArr [maxDirectTable]float64
+	amp := ampArr[:]
+	if len(spec) > len(amp) {
+		amp = make([]float64, len(spec))
+	}
 	var maxAmp float64
 	for k := 1; k < len(spec); k++ {
-		if a := cmplx.Abs(spec[k]); a > maxAmp {
-			maxAmp = a
+		if amp[k] = cmplx.Abs(spec[k]); amp[k] > maxAmp { // a NaN amplitude is never the max
+			maxAmp = amp[k]
 		}
 	}
 	cut := frac * maxAmp
 	zeroed := 0
 	for k := 1; k < len(spec); k++ {
-		if cmplx.Abs(spec[k]) < cut {
+		if amp[k] < cut {
 			spec[k] = 0
 			zeroed++
 		}

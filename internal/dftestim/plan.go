@@ -47,9 +47,8 @@ type plan struct {
 // first. The map is never written after it is published.
 var plans atomic.Pointer[map[int]*plan]
 
-// planFor returns the shared plan for length n, building it on first use.
-// The estimator caches the returned pointer, so even the map lookup is
-// off the steady-state path.
+// planFor returns the shared plan for length n, building it on first use;
+// a hit is a load and a map lookup, and allocates nothing.
 func planFor(n int) *plan {
 	var built *plan
 	for {
@@ -116,42 +115,90 @@ func stageTwiddles(n int, sign float64) []complex128 {
 	return tbl
 }
 
-// directTable tabulates e^(sign·2πi·kj/n) with the exact angle expression
-// the O(N²) loop used, preserving bit-identity of every term.
+// directTable tabulates twiddle(sign, k, j, n) for every k, j.
 func directTable(n int, sign float64) []complex128 {
 	tbl := make([]complex128, n*n)
 	for k := 0; k < n; k++ {
 		for j := 0; j < n; j++ {
-			angle := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			tbl[k*n+j] = cmplx.Exp(complex(0, angle))
+			tbl[k*n+j] = twiddle(sign, k, j, n)
 		}
 	}
 	return tbl
 }
 
-// fft computes the unnormalized DFT (or conjugate-direction inverse) of
-// src into dst without allocating. dst and src must have length n and must
-// not alias. Callers that need the 1/N inverse normalization replicate the
-// seed's out[i] *= inv multiply themselves.
-func (p *plan) fft(dst, src []complex128, inverse bool) {
+// twiddle is e^(sign·2πi·kj/n) with the exact angle expression the seed's
+// O(N²) loop used, so a table entry and an on-the-fly term share bits.
+func twiddle(sign float64, k, j, n int) complex128 {
+	angle := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
+	return cmplx.Exp(complex(0, angle))
+}
+
+// at is twiddle(sign, k, j, n) read from tbl, or evaluated on the fly for
+// a length with no table.
+func (p *plan) at(tbl []complex128, sign float64, k, j int) complex128 {
+	if tbl == nil {
+		return twiddle(sign, k, j, p.n)
+	}
+	return tbl[k*p.n+j]
+}
+
+// forwardReal is the forward transform of a real series. The real→complex
+// widening happens during the bit-reversal copy (power-of-two n); a direct
+// term is the sample times the twiddle's two parts, 2 products where mul
+// takes 4. The two it skips multiply the sample's zero imaginary part, so
+// each is ±0 and moves the term by at most the sign of a zero, and a ±0
+// term never changes a running sum that starts at +0 (only −0 + −0 is −0):
+// every bin keeps the bits of the complex transform.
+func (p *plan) forwardReal(dst []complex128, src []float64) {
+	if p.pow2 {
+		for i, v := range src {
+			dst[bits.Reverse64(uint64(i))>>p.shift] = complex(v, 0)
+		}
+		p.stages(dst, false)
+		return
+	}
+	for k := range dst {
+		var re, im float64
+		for j, v := range src {
+			w := p.at(p.dfwd, -1, k, j)
+			re += float64(v * real(w))
+			im += float64(v * imag(w))
+		}
+		dst[k] = complex(re, im)
+	}
+}
+
+// inverse is the unnormalized inverse transform of a thresholded spectrum
+// into dst (not aliasing it; callers apply the seed's 1/N). A direct sum
+// runs over the bins Threshold kept: a zero bin's term is ±0 (the twiddles
+// are finite), which leaves the sum as it is, as above.
+func (p *plan) inverse(dst, src []complex128) {
 	if p.pow2 {
 		for i, v := range src {
 			dst[bits.Reverse64(uint64(i))>>p.shift] = v
 		}
-		p.stages(dst, inverse)
+		p.stages(dst, true)
 		return
 	}
-	p.direct(dst, src, inverse)
-}
-
-// fftReal is the forward transform of a real-valued source: the
-// real→complex widening happens during the bit-reversal copy (power-of-two
-// n) so no complex staging buffer is needed.
-func (p *plan) fftReal(dst []complex128, src []float64) {
-	for i, v := range src {
-		dst[bits.Reverse64(uint64(i))>>p.shift] = complex(v, 0)
+	var keptArr [maxDirectTable]int
+	kept := keptArr[:]
+	if len(src) > len(kept) {
+		kept = make([]int, len(src))
 	}
-	p.stages(dst, false)
+	m := 0
+	for k, v := range src {
+		if v != 0 {
+			kept[m] = k
+			m++
+		}
+	}
+	for i := range dst {
+		var sum complex128
+		for _, k := range kept[:m] {
+			sum += mul(src[k], p.at(p.dinv, 1, i, k))
+		}
+		dst[i] = sum
+	}
 }
 
 // stages runs the iterative radix-2 butterflies in place over dst, reading
@@ -176,38 +223,5 @@ func (p *plan) stages(dst []complex128, inverse bool) {
 			}
 		}
 		off += half
-	}
-}
-
-// direct is the O(N²) transform for non-power-of-two lengths: table-driven
-// when a table exists, otherwise the seed's on-the-fly evaluation.
-func (p *plan) direct(dst, src []complex128, inverse bool) {
-	n := p.n
-	tbl := p.dfwd
-	if inverse {
-		tbl = p.dinv
-	}
-	if tbl != nil {
-		for k := 0; k < n; k++ {
-			row := tbl[k*n : k*n+n]
-			var sum complex128
-			for j, v := range src {
-				sum += mul(v, row[j])
-			}
-			dst[k] = sum
-		}
-		return
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			angle := sign * 2 * math.Pi * float64(k) * float64(j) / float64(n)
-			sum += mul(src[j], cmplx.Exp(complex(0, angle)))
-		}
-		dst[k] = sum
 	}
 }

@@ -94,6 +94,21 @@ func seedDirect(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
+func seedThreshold(spec []complex128, frac float64) {
+	var maxAmp float64
+	for k := 1; k < len(spec); k++ {
+		if a := cmplx.Abs(spec[k]); a > maxAmp {
+			maxAmp = a
+		}
+	}
+	cut := frac * maxAmp
+	for k := 1; k < len(spec); k++ {
+		if cmplx.Abs(spec[k]) < cut {
+			spec[k] = 0
+		}
+	}
+}
+
 func seedFFTReal(x []float64) []complex128 {
 	c := make([]complex128, len(x))
 	for i, v := range x {
@@ -133,7 +148,7 @@ func (e *seedEstimator) Fit() error {
 	window := e.samples[start:]
 
 	spec := seedFFTReal(window)
-	Threshold(spec, e.ThreshFrac)
+	seedThreshold(spec, e.ThreshFrac)
 	rec := seedIFFT(spec)
 
 	e.model = make([]float64, w)
@@ -295,12 +310,11 @@ func TestEstimatorFitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRefitScheduleRegrowsByDoubling: the scratch at least doubles, up to
+// TestRefitScheduleRegrowsByDoubling: the model at least doubles, up to
 // the window, when a refit outgrows it, so a schedule that lengthens the
-// fit step by step regrows it log2(window/first) times, two objects each
-// (one array per element type), where sizing to each length made two per
-// lengthening. The first fit is sized to its own length: a fleet node fits
-// once, at 4 samples.
+// fit step by step regrows it log2(window/first) times, one object each
+// (the spectrum and the window are on Fit's stack). The first fit is sized
+// to its own length: a fleet node fits once, at 4 samples.
 func TestRefitScheduleRegrowsByDoubling(t *testing.T) {
 	every := make([]int, 0, 27)
 	for w := 4; w <= 30; w++ {
@@ -308,15 +322,15 @@ func TestRefitScheduleRegrowsByDoubling(t *testing.T) {
 		every = append(every, w)
 	}
 	for _, c := range []struct {
-		fits        []int
-		want, spec0 int
+		fits         []int
+		want, model0 int
 	}{
-		{[]int{10, 14, 20, 24, 30}, 1 + 3*2, 10}, // a session's refits and two regime refits
-		{every, 1 + 4*2, 4},                      // a refit at every sample: 4, 8, 16, 30
-		{[]int{4}, 1 + 2, 4},
+		{[]int{10, 14, 20, 24, 30}, 1 + 3, 10}, // a session's refits and two regime refits
+		{every, 1 + 4, 4},                      // a refit at every sample: 4, 8, 16, 30
+		{[]int{4}, 1 + 1, 4},
 	} {
 		var e Estimator
-		var spec0 int
+		var model0 int
 		allocs := testing.AllocsPerRun(20, func() {
 			e = Estimator{ThreshFrac: 0.5, Window: 30}
 			for i, at := range c.fits {
@@ -327,13 +341,114 @@ func TestRefitScheduleRegrowsByDoubling(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i == 0 {
-					spec0 = cap(e.spec)
+					model0 = cap(e.model)
 				}
 			}
 		})
-		if allocs != float64(c.want) || spec0 != c.spec0 || cap(e.spec) > 30 {
-			t.Fatalf("fits at %v: %v objects (want %d, the ring and two per growth), first scratch %d (want %d), last %d",
-				c.fits, allocs, c.want, spec0, c.spec0, cap(e.spec))
+		if allocs != float64(c.want) || model0 != c.model0 || cap(e.model) > 30 {
+			t.Fatalf("fits at %v: %v objects (want %d, the ring and one per growth), first model %d (want %d), last %d",
+				c.fits, allocs, c.want, model0, c.model0, cap(e.model))
+		}
+	}
+}
+
+// TestFirstFitAllocatesOnlyTheModel: up to maxDirectTable samples the
+// window, the spectrum, the inverse and the amplitudes live on the stack,
+// so a first fit at any such window (ring filled, plan cached) makes one
+// object, the model.
+func TestFirstFitAllocatesOnlyTheModel(t *testing.T) {
+	for w := 4; w <= maxDirectTable; w++ {
+		planFor(w)
+		filled := Estimator{ThreshFrac: 0.5, Window: w}
+		for i := 0; i < w; i++ {
+			filled.Observe(float64(i % 7))
+		}
+		if allocs := testing.AllocsPerRun(5, func() {
+			e := filled // shares the ring; the model starts nil
+			if err := e.Fit(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Fatalf("window %d: a first fit allocates %v objects, want 1 (the model)", w, allocs)
+		}
+	}
+}
+
+// TestRefitMatchesSeedEstimator is the oracle for the refit: the
+// real-input forward, the one-pass threshold and the inverse over the kept
+// bins must give the seed estimator's model and predictions to the bit at
+// every window from 4 to past maxDirectTable, every threshold fraction,
+// and windows whose transforms overflow (+Inf samples, ~1e300) or
+// underflow (subnormals) into signed zeros, infinities and NaNs; and the
+// one-pass Threshold must zero what the seed's two passes zeroed.
+func TestRefitMatchesSeedEstimator(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	kinds := []struct {
+		name   string
+		sample func(i int) float64
+	}{
+		{"sine", func(i int) float64 { return 100 + 40*math.Sin(2*math.Pi*float64(i)/7) + 5*rng.NormFloat64() }},
+		{"zeros", func(int) float64 { return 0 }},
+		{"constant", func(int) float64 { return 42.5 }},
+		{"inf", func(i int) float64 {
+			if i%11 == 3 {
+				return math.Inf(1)
+			}
+			return 50 + rng.Float64()
+		}},
+		{"huge", func(int) float64 { return 1e300 * (1 + rng.Float64()) }},
+		{"subnormal", func(int) float64 { return math.SmallestNonzeroFloat64 * float64(rng.Intn(1000)) }},
+	}
+	for w := 4; w <= maxDirectTable+7; w++ {
+		for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			for _, k := range kinds {
+				e := &Estimator{ThreshFrac: frac, Window: w}
+				ref := &seedEstimator{ThreshFrac: frac, Window: w}
+				for i := 0; i < w+3; i++ { // the ring has wrapped
+					v := k.sample(i)
+					e.Observe(v)
+					ref.Observe(v)
+				}
+				if err := e.Fit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.Fit(); err != nil {
+					t.Fatal(err)
+				}
+				for i, want := range ref.model {
+					if !sameBitsF(e.model[i], want) {
+						t.Fatalf("%s window=%d frac=%v model[%d]: got %v want %v (bits differ)",
+							k.name, w, frac, i, e.model[i], want)
+					}
+				}
+				for step := -w; step < 3*w; step += 5 {
+					if !sameBitsF(e.Predict(step), ref.Predict(step)) {
+						t.Fatalf("%s window=%d frac=%v Predict(%d) differs", k.name, w, frac, step)
+					}
+				}
+			}
+		}
+	}
+	// Threshold alone, on spectra no real window gives: a NaN amplitude
+	// beside finite ones is never the maximum, and is never zeroed.
+	odd := []complex128{0, complex(math.NaN(), 0), complex(math.Inf(-1), math.NaN()), complex(0, math.Copysign(0, -1))}
+	for n := 2; n < 40; n++ {
+		for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
+			got := make([]complex128, n)
+			for i := range got {
+				got[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				if rng.Intn(6) == 0 {
+					got[i] = odd[rng.Intn(len(odd))]
+				}
+			}
+			want := append([]complex128(nil), got...)
+			seedThreshold(want, frac)
+			Threshold(got, frac)
+			for i := range want {
+				if !sameBitsC(got[i], want[i]) {
+					t.Fatalf("n=%d frac=%v: Threshold bin %d is %v, the seed's %v", n, frac, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -397,35 +512,5 @@ func TestModelAtAppendModel(t *testing.T) {
 		if !sameBitsF(buf[i], model[i]) {
 			t.Fatalf("AppendModel[%d] mismatch", i)
 		}
-	}
-}
-
-// TestScratchRegrowthTwoObjects: each time the fitted window outgrows the
-// scratch (a session fits at 10, 20 and 30 samples), ensureScratch makes
-// one array per element type and splits each pair from it: two objects a
-// growth, not four. The halves are capped, so neither grows into the other.
-func TestScratchRegrowthTwoObjects(t *testing.T) {
-	for _, w := range []int{10, 20, 30} {
-		planFor(w) // plans are shared and cached: warm them
-	}
-	var e Estimator
-	if allocs := testing.AllocsPerRun(100, func() {
-		e = Estimator{}
-		for _, w := range []int{10, 20, 30} {
-			e.ensureScratch(w)
-		}
-		e.ensureScratch(20) // shrinking reuses
-	}); allocs != 6 {
-		t.Fatalf("three growths allocate %v objects, want 6", allocs)
-	}
-	e.ensureScratch(30) // the halves at full length: an append must move
-	for i := range e.spec {
-		e.spec[i], e.rec[i] = 1, 2
-		e.winBuf[i], e.model[i] = 3, 4
-	}
-	spec := append(e.spec, 9)
-	wb := append(e.winBuf, 9)
-	if e.rec[0] != 2 || e.model[0] != 4 || &spec[0] == &e.spec[0] || &wb[0] == &e.winBuf[0] {
-		t.Fatal("a scratch half grew into its pair")
 	}
 }

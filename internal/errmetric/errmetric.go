@@ -127,7 +127,12 @@ func (s Stats) widen(lo, hi, peak float64) Stats {
 // Range returns max(x) − min(x), as the free Range computes it.
 func (s Stats) Range() float64 { return s.Max - s.Min }
 
-// NRMSE is NRMSEOf with the reference range precomputed.
+// NRMSE returns RMSE normalized by the range of the reference x:
+//
+//	NRMSE = sqrt(mean((x-x̂)²)) / (x_max - x_min)
+//
+// A constant signal (zero range) with any mismatch yields +Inf; a perfect
+// reconstruction yields 0 even at zero range.
 func (s Stats) NRMSE(x, xhat []float64) float64 {
 	return s.nrmseFromRMSE(RMSE(x, xhat))
 }
@@ -143,7 +148,12 @@ func (s Stats) nrmseFromRMSE(rmse float64) float64 {
 	return rmse / r
 }
 
-// PSNR is PSNROf with the reference peak precomputed.
+// PSNR returns the peak signal-to-noise ratio in dB:
+//
+//	PSNR = 10·log10(x_max² / mean((x-x̂)²))
+//
+// following the paper's formula, with x_max taken as the peak magnitude of
+// the reference x. A perfect reconstruction yields +Inf.
 func (s Stats) PSNR(x, xhat []float64) float64 {
 	return s.psnrFromMSE(MSE(x, xhat))
 }
@@ -185,26 +195,6 @@ func (s Stats) SSEBudget(k Kind, bound float64) float64 {
 	}
 	t := bound * r
 	return t * t * float64(s.N)
-}
-
-// NRMSEOf returns RMSE normalized by the range of x:
-//
-//	NRMSE = sqrt(mean((x-x̂)²)) / (x_max - x_min)
-//
-// A constant signal (zero range) with any mismatch yields +Inf; a perfect
-// reconstruction yields 0 even at zero range.
-func NRMSEOf(x, xhat []float64) float64 {
-	return NewStats(x).NRMSE(x, xhat)
-}
-
-// PSNROf returns the peak signal-to-noise ratio in dB:
-//
-//	PSNR = 10·log10(x_max² / mean((x-x̂)²))
-//
-// following the paper's formula, with x_max taken as the peak magnitude of
-// the reference signal. A perfect reconstruction yields +Inf.
-func PSNROf(x, xhat []float64) float64 {
-	return NewStats(x).PSNR(x, xhat)
 }
 
 // Measure computes the accuracy of xhat against x under k.

@@ -10,6 +10,11 @@ import (
 	"tango/internal/par"
 )
 
+// NRMSEOf and PSNROf measure xhat against x with stats built for the
+// one call.
+func NRMSEOf(x, xhat []float64) float64 { return NewStats(x).NRMSE(x, xhat) }
+func PSNROf(x, xhat []float64) float64  { return NewStats(x).PSNR(x, xhat) }
+
 func TestRMSEKnownValues(t *testing.T) {
 	x := []float64{0, 0, 0, 0}
 	xhat := []float64{1, 1, 1, 1}

@@ -187,7 +187,7 @@ func (h *Hierarchy) Encode(w io.Writer) error {
 }
 
 // encodedLen returns the number of bytes Encode writes, field by field in
-// its order; an entry stream's size is its byteCum total.
+// its order.
 func (h *Hierarchy) encodedLen() int {
 	u := func(v int) int { return uvarintLen(uint64(v)) }
 	dims := h.levelDims[0]
@@ -197,8 +197,11 @@ func (h *Hierarchy) encodedLen() int {
 	for _, d := range dims {
 		n += u(d)
 	}
-	for l, entries := range h.augs {
-		n += u(len(entries)) + int(h.byteCum[l][len(entries)])
+	for _, entries := range h.augs {
+		n += u(len(entries))
+		for _, e := range entries {
+			n += entrySize(e)
+		}
 	}
 	for _, r := range h.rungs {
 		n += 16 + u(r.Cursor) + u(r.Cardinality) + uvarintLen(uint64(r.Bytes)) + u(r.Level)

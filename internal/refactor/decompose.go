@@ -257,13 +257,25 @@ func (h *Hierarchy) buildLadder(orig *tensor.Tensor) error {
 	return nil
 }
 
+// pushRung sums the rung's entry sizes directly: the ladder is built
+// before anything retrieves, and the retrieval index waits for that.
 func (h *Hierarchy) pushRung(bound, achieved float64, cursor, prevCursor int) {
+	var size int64
+	prev := 0
+	for i, c := range h.cum {
+		if lo, hi := max(prevCursor, prev), min(cursor, c); lo < hi {
+			for _, e := range h.augs[h.order[i]][lo-prev : hi-prev] {
+				size += int64(entrySize(e))
+			}
+		}
+		prev = c
+	}
 	h.rungs = append(h.rungs, Rung{
 		Bound:       bound,
 		Achieved:    achieved,
 		Cursor:      cursor,
 		Cardinality: cursor - prevCursor,
-		Bytes:       h.BytesForRange(prevCursor, cursor),
+		Bytes:       size,
 		Level:       h.LevelOfCursor(cursor),
 	})
 }

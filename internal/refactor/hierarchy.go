@@ -3,6 +3,7 @@ package refactor
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"tango/internal/errmetric"
 	"tango/internal/par"
@@ -98,7 +99,6 @@ type Hierarchy struct {
 	augs      [][]Entry // [level 0..L-2]
 	order     []int     // retrieval order of levels: L-2 … 0
 	cum       []int     // cumulative entry counts per order position
-	byteCum   [][]int64 // per level: prefix encoded sizes (len+1)
 	rungs     []Rung
 	baseAcc   float64
 	origLen   int
@@ -106,6 +106,11 @@ type Hierarchy struct {
 	// scratch is the level-0 work field Decompose lends its stages (see
 	// workField); nil once Decompose has returned.
 	scratch []float64
+
+	// byteCum holds each level's prefix encoded sizes (len+1), built by
+	// the first retrieval read (byteCums): a hierarchy that is only
+	// encoded or recomposed never pays 8 bytes an entry for it.
+	byteCum atomic.Pointer[[][]int64]
 }
 
 // Opts returns the (defaulted) options the hierarchy was built with.
@@ -217,20 +222,12 @@ func (h *Hierarchy) AppendSegments(dst []Segment, from, to int) []Segment {
 	if from > to {
 		panic(fmt.Sprintf("refactor: invalid segment range [%d,%d)", from, to))
 	}
+	byteCum := h.byteCums()
 	prev := 0
 	for i, c := range h.cum {
-		lvl := h.order[i]
-		lo, hi := prev, c
-		s := max(from, lo)
-		e := min(to, hi)
-		if s < e {
-			start, end := s-lo, e-lo
-			dst = append(dst, Segment{
-				Level: lvl,
-				Start: start,
-				End:   end,
-				Bytes: h.byteCum[lvl][end] - h.byteCum[lvl][start],
-			})
+		if s, e := max(from, prev), min(to, c); s < e {
+			lvl, start, end := h.order[i], s-prev, e-prev
+			dst = append(dst, Segment{Level: lvl, Start: start, End: end, Bytes: byteCum[lvl][end] - byteCum[lvl][start]})
 		}
 		prev = c
 	}
@@ -242,19 +239,15 @@ func (h *Hierarchy) AppendSegments(dst []Segment, from, to int) []Segment {
 // prefixes (the fast-tier cache) use this to price partial levels
 // without walking global-cursor segments.
 func (h *Hierarchy) LevelBytes(level, start, end int) int64 {
-	if level < 0 || level >= len(h.byteCum) {
-		panic(fmt.Sprintf("refactor: no augmentation level %d", level))
-	}
-	cum := h.byteCum[level]
-	if start < 0 || end < start || end > len(cum)-1 {
+	if n := h.LevelEntries(level); start < 0 || end < start || end > n {
 		panic(fmt.Sprintf("refactor: invalid level-%d entry range [%d,%d)", level, start, end))
 	}
+	cum := h.byteCums()[level]
 	return cum[end] - cum[start]
 }
 
-// index builds what retrieval reads off the augmentations: the order
-// (coarsest first), the entry counts summed along it and each level's
-// encoded-size prefix sums.
+// index builds the retrieval order (coarsest first) and the entry counts
+// summed along it.
 func (h *Hierarchy) index() {
 	for l := len(h.augs) - 1; l >= 0; l-- {
 		h.order = append(h.order, l)
@@ -265,14 +258,25 @@ func (h *Hierarchy) index() {
 		c += len(h.augs[l])
 		h.cum[i] = c
 	}
-	h.byteCum = make([][]int64, len(h.augs))
-	for l, entries := range h.augs {
-		pre := make([]int64, len(entries)+1)
-		for i, e := range entries {
-			pre[i+1] = pre[i] + int64(entrySize(e))
-		}
-		h.byteCum[l] = pre
+}
+
+// byteCums returns each level's encoded-size prefix sums, building them at
+// the first call. They are published as dftestim's plan cache is, so
+// goroutines sharing a hierarchy may race to build them: all take the sums
+// the CompareAndSwap published.
+func (h *Hierarchy) byteCums() [][]int64 {
+	if p := h.byteCum.Load(); p != nil {
+		return *p
 	}
+	built := make([][]int64, len(h.augs))
+	for l, entries := range h.augs {
+		built[l] = make([]int64, len(entries)+1)
+		for i, e := range entries {
+			built[l][i+1] = built[l][i] + int64(entrySize(e))
+		}
+	}
+	h.byteCum.CompareAndSwap(nil, &built)
+	return *h.byteCum.Load()
 }
 
 // LevelEntries returns the number of augmentation entries at one level.
@@ -299,34 +303,16 @@ func (h *Hierarchy) BytesForRange(from, to int) int64 {
 // prolongate-and-add loop: coarser levels are fully applied before finer
 // ones, and the result is interpolated up to the original grid.
 func (h *Hierarchy) Recompose(cursor int) *tensor.Tensor {
-	return h.RecomposeAtLevel(cursor, 0)
-}
-
-// RecomposeAtLevel reconstructs the representation at a chosen level
-// (0 = original resolution, L-1 = base) from the base plus the first
-// `cursor` augmentation entries. Entries at levels finer than `level` are
-// ignored — Fig 3's scenario where a low-accuracy analysis runs directly
-// on a coarser grid without interpolating to full resolution.
-func (h *Hierarchy) RecomposeAtLevel(cursor, level int) *tensor.Tensor {
-	if level < 0 || level >= len(h.levelDims) {
-		panic(fmt.Sprintf("refactor: level %d out of range [0,%d)", level, len(h.levelDims)))
-	}
 	pos, take := h.split(cursor)
 	r := h.base // read-only until the first Prolongate replaces it
 	d := h.opts.Decimation
 	for i, lvl := range h.order {
-		if lvl < level {
-			break
-		}
 		r = Prolongate(r, h.levelDims[lvl], d)
-		var n int
-		switch {
-		case i < pos:
+		n := 0 // a level past the cursor's zone takes nothing
+		if i < pos {
 			n = len(h.augs[lvl])
-		case i == pos:
+		} else if i == pos {
 			n = take
-		default:
-			n = 0
 		}
 		// A level names each point at most once (extractEntries emits
 		// ascending indices, Decode rejects a repeat), so the chunks write

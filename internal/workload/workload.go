@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"tango/internal/blkio"
 	"tango/internal/container"
@@ -45,6 +46,27 @@ func PaperNoiseSet() []Noise {
 		{Name: "noise5", Period: 150, CheckpointBytes: 1024 * device.MB, Phase: 67, Jitter: 0.08, Seed: 1005},
 		{Name: "noise6", Period: 120, CheckpointBytes: 1024 * device.MB, Phase: 101, Jitter: 0.08, Seed: 1006},
 	}
+}
+
+// paperDraws maps each Table IV seed to the first tabledDraws Float64
+// draws of rand.NewSource(seed), built once per process: every scenario
+// launches the same six interferers, and a source is a 4.9 KB state plus
+// ~10 µs of seeding. noise6, the shortest period (120 s), draws ≤ 359
+// times in the longest run here (39,600 s).
+var paperDraws = sync.OnceValue(tabulatePaperDraws)
+
+const tabledDraws = 1024
+
+func tabulatePaperDraws() map[int64][]float64 {
+	rows := make(map[int64][]float64)
+	for _, n := range PaperNoiseSet() {
+		rng, row := rand.New(rand.NewSource(n.Seed)), make([]float64, tabledDraws)
+		for i := range row {
+			row[i] = rng.Float64()
+		}
+		rows[n.Seed] = row
+	}
+	return rows
 }
 
 // FirstPaperNoise returns the first n interferers of Table IV, with n
@@ -108,7 +130,7 @@ func LaunchNoise(node *container.Node, dev *device.Device, n Noise) *container.C
 // plan's join launches its interferer from one.
 func LaunchValidNoise(node *container.Node, dev *device.Device, n Noise) (*container.Container, *Handle) {
 	c := node.MustCreate(n.Name)
-	x := &interferer{n: n, dev: dev, cg: c.Cgroup(), rng: rand.New(rand.NewSource(n.Seed))}
+	x := &interferer{n: n, dev: dev, cg: c.Cgroup(), draws: paperDraws()[n.Seed]}
 	node.Engine().AtCall(node.Engine().Now(), x)
 	return c, &x.Handle
 }
@@ -124,10 +146,29 @@ type interferer struct {
 	n      Noise
 	dev    *device.Device
 	cg     *blkio.Cgroup
-	rng    *rand.Rand
+	draws  []float64  // what is left of the seed's tabled draws, or nil
+	rng    *rand.Rand // seeded at the first draw past the table
 	tok    device.Token
 	start  float64 // of the checkpoint in flight
 	phased bool    // the first resume is past: each Fire starts a checkpoint
+}
+
+// draw returns the next Float64 of rand.NewSource(Seed): from the table
+// while it lasts, then from a source of its own past the draws a table
+// gave, so every period is the one a fresh source draws.
+func (x *interferer) draw() float64 {
+	if len(x.draws) > 0 {
+		v := x.draws[0]
+		x.draws = x.draws[1:]
+		return v
+	}
+	if x.rng == nil {
+		x.rng = rand.New(rand.NewSource(x.n.Seed))
+		for i := 0; x.draws != nil && i < tabledDraws; i++ {
+			x.rng.Float64()
+		}
+	}
+	return x.rng.Float64()
 }
 
 // Fire takes the launch hop, then starts a checkpoint unless stopped.
@@ -153,7 +194,7 @@ func (x *interferer) TransferDone(*device.Token, error) {
 		period = x.period
 	}
 	if x.n.Jitter > 0 {
-		period *= 1 + float64(x.n.Jitter*(2*float64(x.rng.Float64())-1))
+		period *= 1 + float64(x.n.Jitter*(2*float64(x.draw())-1))
 	}
 	eng := x.dev.Engine()
 	if wait := period - (eng.Now() - x.start); wait > 0 {

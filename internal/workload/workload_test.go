@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tango/internal/blkio"
 	"tango/internal/container"
 	"tango/internal/device"
+	"tango/internal/runpool"
 	"tango/internal/sim"
 )
 
@@ -456,5 +458,68 @@ func TestLaunchNoiseRejectsBadNoise(t *testing.T) {
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTableSeedsDrawTheSourceSequence: an interferer on a Table IV seed
+// draws what rand.NewSource(seed) draws, through the table and 3,000 draws
+// on, past it; any other seed has no table and draws from its own source.
+func TestTableSeedsDrawTheSourceSequence(t *testing.T) {
+	for _, n := range append(PaperNoiseSet(), Noise{Name: "other", Seed: 7}) {
+		x := &interferer{n: n, draws: paperDraws()[n.Seed]}
+		if tabled := n.Name != "other"; tabled != (len(x.draws) == tabledDraws) {
+			t.Fatalf("%s (seed %d): %d tabled draws", n.Name, n.Seed, len(x.draws))
+		}
+		ref := rand.New(rand.NewSource(n.Seed))
+		for i := 0; i < 3000; i++ {
+			if got, want := x.draw(), ref.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s (seed %d) draw %d: %v, want %v", n.Name, n.Seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestPaperRowsShareDrawTables: eight scenarios, each launching all six
+// Table IV rows, run on runpool four wide from fresh tables, so the first
+// draws race to build them (a -race check of their publication). Each run
+// is long enough for noise6 to draw past its table, and each ends where
+// the process-loop reference ends, to the bit.
+func TestPaperRowsShareDrawTables(t *testing.T) {
+	run := func(launch func(*container.Node, *device.Device, Noise) (*container.Container, *Handle)) []float64 {
+		node, hdd := newTestNode()
+		for _, n := range PaperNoiseSet() {
+			launch(node, hdd, n)
+		}
+		err := node.Engine().Run(130_000)
+		out := []float64{hdd.TotalBytes(), hdd.BusyTime(), float64(node.Engine().Pending())}
+		for _, n := range PaperNoiseSet() {
+			out = append(out, node.Cgroups().Lookup(n.Name).BytesWritten())
+		}
+		if err != nil {
+			out = nil
+		}
+		return out
+	}
+	want := run(launchNoiseReference)
+	if noise6 := PaperNoiseSet()[5]; want[3+5] <= tabledDraws*noise6.CheckpointBytes {
+		t.Fatalf("noise6 wrote %v bytes: fewer than %d checkpoints, so it never drew past its table", want[3+5], tabledDraws+1)
+	}
+	paperDraws = sync.OnceValue(tabulatePaperDraws)
+	defer runpool.SetWorkers(runpool.Workers())
+	runpool.SetWorkers(4)
+	tasks := make([]*runpool.Task[[]float64], 8)
+	for i := range tasks {
+		tasks[i] = runpool.Submit(fmt.Sprint("paper", i), func() []float64 { return run(LaunchValidNoise) })
+	}
+	for i, task := range tasks {
+		got := task.Wait()
+		if len(got) != len(want) {
+			t.Fatalf("scenario %d: outcome %v, want %v", i, got, want)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("scenario %d: outcome %v, want %v", i, got, want)
+			}
+		}
 	}
 }

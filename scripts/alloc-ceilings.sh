@@ -3,10 +3,17 @@
 # the file, runs nothing. allocs_per_unit and alloc_kb_per_unit spread
 # < 0.3 % run to run, so unlike the timings a hard ceiling means something
 # on a shared runner. Objects sit ~4-5 % above what the workload allocates
-# (node_quiet 0.11319, node_faulted 0.54485, fleet 0.08490, refactor
-# 0.000826 at seed 42): every figure is set-up — per scenario on node_*,
+# (node_quiet 0.10069, node_faulted 0.49485, fleet 0.08365, refactor
+# 0.000815 at seed 42): every figure is set-up — per scenario on node_*,
 # per session on fleet — so one object per step or per session that creeps
-# back trips them.
+# back trips them. Bytes sit ~2 % above (node_quiet 0.28316, node_faulted
+# 0.41853, fleet 0.07539, refactor 0.14508 KiB).
+# Before the Table IV interferers read their jitter from draws tabled once
+# per process, a refit kept its window and spectrum on its stack and a
+# hierarchy built its retrieval index at its first read, node_quiet read
+# 0.11319 objects and 0.31396 KiB, node_faulted 0.54485 and 0.50519, fleet
+# 0.08490 and 0.07568, refactor 0.000821 and 0.15975 (ceilings 0.1183 and
+# 0.3173, 0.5694 and 0.5153, 0.0887 and 0.0775, 0.00086 and 0.163).
 # Before staging reserved whole bytes without closures, node_quiet and
 # node_faulted read 0.14153 and 0.68513 (ceilings 0.1478 and 0.716).
 # Bytes are what a chunk policy that trades objects for half-filled chunks
@@ -39,8 +46,8 @@
 # one window task per worker, a device took its flows from chunks (with its
 # plan's timers one calendar on node_faulted) and a device's completion timer
 # was a closure: 0.1693, 0.7991 and 0.2458 objects, 0.10619 KiB on fleet.
-awk -v objs='node_quiet=0.1183 node_faulted=0.5694 fleet=0.0887 refactor=0.00086' \
-    -v kib='node_quiet=0.3173 node_faulted=0.5153 fleet=0.0775 refactor=0.163' '
+awk -v objs='node_quiet=0.1052 node_faulted=0.5171 fleet=0.0874 refactor=0.00085' \
+    -v kib='node_quiet=0.2888 node_faulted=0.4269 fleet=0.0769 refactor=0.1480' '
 function limits(list, metric,    n, kv, p, i) {
 	n = split(list, kv, " ")
 	for (i = 1; i <= n; i++) { split(kv[i], p, "="); max[metric, p[1]] = p[2] }
