@@ -12,7 +12,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"tango"
@@ -137,12 +136,19 @@ func inspect(args []string) error {
 func recompose(args []string) error {
 	fs := flag.NewFlagSet("recompose", flag.ExitOnError)
 	in := fs.String("in", "", "input .tng file")
-	bound := fs.Float64("bound", math.NaN(), "recompose to this error bound")
-	fraction := fs.Float64("fraction", math.NaN(), "or: fraction of augmentation stream [0,1]")
+	bound := fs.Float64("bound", 0, "recompose to this error bound")
+	fraction := fs.Float64("fraction", 0, "or: fraction of augmentation stream [0,1]")
 	out := fs.String("out", "", "output raw float64 file")
 	fs.Parse(args)
-	if *in == "" || *out == "" {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case *in == "" || *out == "":
 		return fmt.Errorf("recompose needs -in and -out")
+	case set["bound"] && set["fraction"]:
+		return fmt.Errorf("recompose takes -bound or -fraction, not both")
+	case !(*fraction >= 0 && *fraction <= 1):
+		return fmt.Errorf("-fraction %v is outside [0,1]", *fraction)
 	}
 	h, err := loadHierarchy(*in)
 	if err != nil {
@@ -150,12 +156,12 @@ func recompose(args []string) error {
 	}
 	cursor := h.TotalEntries()
 	switch {
-	case !math.IsNaN(*bound):
+	case set["bound"]:
 		cursor, err = h.CursorForBound(*bound)
 		if err != nil {
 			return err
 		}
-	case !math.IsNaN(*fraction):
+	case set["fraction"]:
 		cursor = h.CursorForFraction(*fraction)
 	}
 	rec := h.Recompose(cursor)

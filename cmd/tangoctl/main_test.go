@@ -92,3 +92,41 @@ func TestDecomposeRejectsUnknownMetric(t *testing.T) {
 		}
 	}
 }
+
+// TestRecomposeRejectsBadSelectors: -fraction 1.5 and -fraction -1 used to
+// be clamped to the full stream and the base, -fraction NaN read as unset
+// (the full stream), and -bound with -fraction took the bound. Each is one
+// error line and a non-zero exit now, before -out is created.
+func TestRecomposeRejectsBadSelectors(t *testing.T) {
+	dir := t.TempDir()
+	raw, tng, out := filepath.Join(dir, "field.raw"), filepath.Join(dir, "field.tng"), filepath.Join(dir, "rec.raw")
+	data := make([]float64, 9*9)
+	for i := range data {
+		data[i] = float64(i%7) * 0.5
+	}
+	if err := cliutil.WriteRawFloat64s(raw, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := decompose([]string{"-in", raw, "-dims", "9x9", "-levels", "2", "-bounds", "0.1", "-out", tng}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range [][]string{
+		{"-fraction", "1.5"}, {"-fraction", "-1"}, {"-fraction", "NaN"},
+		{"-bound", "0.1", "-fraction", "0.2"}, {"-bound", "NaN"},
+	} {
+		code, stderr := runMain(t, append([]string{"recompose", "-in", tng, "-out", out}, sel...)...)
+		lines := strings.Split(strings.TrimSpace(stderr), "\n")
+		if code == 0 || len(lines) != 1 || !strings.HasPrefix(lines[0], "tangoctl: ") {
+			t.Errorf("%v: exit %d, stderr %q; want one tangoctl: line and a non-zero exit", sel, code, stderr)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v left an output file behind (stat: %v)", sel, err)
+			os.Remove(out)
+		}
+	}
+	for _, sel := range [][]string{nil, {"-fraction", "0"}, {"-fraction", "1"}, {"-bound", "0.1"}} {
+		if code, stderr := runMain(t, append([]string{"recompose", "-in", tng, "-out", out}, sel...)...); code != 0 {
+			t.Errorf("%v: exit %d, stderr %q", sel, code, stderr)
+		}
+	}
+}

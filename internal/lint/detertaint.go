@@ -277,7 +277,7 @@ func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
 			return true
 		})
 		if sendPos.IsValid() {
-			leaks = append(leaks, nondetSource{pos: sendPos, kind: "send", name: exprText(rng.X)})
+			leaks = append(leaks, nondetSource{pos: sendPos, kind: "send", name: types.ExprString(rng.X)})
 		}
 		for _, lhs := range escapes {
 			id, ok := lhs.(*ast.Ident)
@@ -287,7 +287,7 @@ func mapOrderLeaks(p *Package, fd *ast.FuncDecl) []nondetSource {
 			if sortedLater(info, fd, rng, info.ObjectOf(id)) {
 				continue
 			}
-			leaks = append(leaks, nondetSource{pos: rng.Pos(), kind: "append", name: exprText(rng.X), target: exprText(lhs)})
+			leaks = append(leaks, nondetSource{pos: rng.Pos(), kind: "append", name: types.ExprString(rng.X), target: types.ExprString(lhs)})
 		}
 		return true
 	})

@@ -2,9 +2,11 @@ package lint
 
 import (
 	"fmt"
-	"go/importer"
 	"go/token"
-	"go/types"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // FixtureDir names one fixture directory and the synthetic import path it
@@ -31,28 +33,40 @@ func CheckFixtureProgram(dirs []FixtureDir, opts Options) ([]Finding, []*Package
 
 // loadFixtureDirs loads standalone directories as one program under
 // synthetic import paths, in the given order — later directories may
-// import earlier ones (everything else resolves to the stdlib). Used for
-// fixture corpora, including the cross-package chains the interprocedural
-// analyzers need.
+// import earlier ones (everything else resolves to the stdlib, through
+// the go command's export data). Used for fixture corpora, including the
+// cross-package chains the interprocedural analyzers need.
 func loadFixtureDirs(dirs []FixtureDir) ([]*Package, error) {
 	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		src:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: map[string]*types.Package{},
-	}
+	imp := newImporter(fset, nil)
 	var out []*Package
 	for _, fd := range dirs {
-		p, err := parseDir(fset, fd.Dir)
+		entries, err := os.ReadDir(fd.Dir)
 		if err != nil {
 			return nil, err
 		}
-		if p == nil {
+		var names []string
+		for _, e := range entries {
+			if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+				names = append(names, n)
+			}
+		}
+		if len(names) == 0 {
 			return nil, fmt.Errorf("lint: no Go files in %s", fd.Dir)
 		}
-		p.path = fd.ImportPath
-		pkg := typeCheck(fset, p, imp)
-		imp.pkgs[fd.ImportPath] = pkg.Types
-		out = append(out, pkg)
+		files, err := parseFiles(fset, fd.Dir, names)
+		if err != nil {
+			return nil, err
+		}
+		var imports []string
+		for _, f := range files {
+			for _, is := range f.Imports {
+				path, _ := strconv.Unquote(is.Path.Value)
+				imports = append(imports, path)
+			}
+		}
+		slices.Sort(imports)
+		out = append(out, typeCheck(fset, imp, fd.ImportPath, files, slices.Compact(imports)))
 	}
 	return out, nil
 }

@@ -192,7 +192,7 @@ func (h *hotScan) scan() {
 			}
 			if sel, ok := info.Selections[e]; ok && sel.Kind() == types.MethodVal {
 				if _, isFn := info.Uses[e.Sel].(*types.Func); isFn {
-					h.report(e.Pos(), "bound method value %s allocates a closure; store the receiver and call the method directly", exprText(e))
+					h.report(e.Pos(), "bound method value %s allocates a closure; store the receiver and call the method directly", types.ExprString(e))
 				}
 			}
 			return true

@@ -11,8 +11,10 @@
 //     allocate per call.
 //
 // The implementation uses only the standard library (go/ast, go/parser,
-// go/types); go.mod stays dependency-free. Findings can be suppressed
-// with an explanatory comment on the offending line or the line above:
+// go/types) and the go command, which lists the module's packages and the
+// standard library's export data (load.go); go.mod stays dependency-free.
+// Findings can be suppressed with an explanatory comment on the offending
+// line or the line above:
 //
 //	//lint:ignore <analyzer> <reason>
 package lint
@@ -222,9 +224,4 @@ func importedPkgPath(info *types.Info, e ast.Expr) (string, bool) {
 // nodeContains reports whether the span of outer contains pos.
 func nodeContains(outer ast.Node, pos token.Pos) bool {
 	return outer != nil && outer.Pos() <= pos && pos < outer.End()
-}
-
-// exprText renders an expression compactly for messages.
-func exprText(e ast.Expr) string {
-	return types.ExprString(e)
 }

@@ -1,16 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"slices"
-	"strings"
 )
 
 // Package is one type-checked module package presented to analyzers.
@@ -25,204 +27,96 @@ type Package struct {
 	TypeErrs []error
 }
 
-// moduleImporter resolves module-local import paths from the packages
-// type-checked so far and delegates everything else (stdlib) to the
-// go/importer source importer, which parses $GOROOT sources — keeping the
-// whole pipeline free of external dependencies and of the go command.
+// moduleImporter resolves module import paths from the packages
+// type-checked so far and delegates everything else (the standard
+// library) to the compiler's export data, read by the gc importer.
 type moduleImporter struct {
-	src  types.ImporterFrom
+	gc   types.Importer
 	pkgs map[string]*types.Package
 }
 
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	return m.ImportFrom(path, "", 0)
+// newImporter returns a moduleImporter whose standard-library export
+// data comes from lookup; a nil lookup asks the go command per package.
+func newImporter(fset *token.FileSet, lookup importer.Lookup) *moduleImporter {
+	return &moduleImporter{
+		gc:   importer.ForCompiler(fset, "gc", lookup),
+		pkgs: map[string]*types.Package{},
+	}
 }
 
-func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := m.pkgs[path]; ok {
 		return p, nil
 	}
-	return m.src.ImportFrom(path, dir, mode)
+	return m.gc.Import(path)
 }
 
-// modulePath reads the module path from root/go.mod.
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
+// listedPkg is one package of `go list -json`'s output.
+type listedPkg struct {
+	ImportPath, Dir, Export string
+	GoFiles, Imports        []string
+	Standard                bool
+}
+
+// loadModule parses and type-checks every non-test package of the module
+// at root, in the order `go list -deps` prints them: each after its
+// imports, the standard library's included, whose export data the same
+// call lists. -e keeps a module that does not type-check loadable: its
+// type errors are collected, not fatal.
+func loadModule(root string) ([]*Package, error) {
+	cmd := exec.Command("go", "list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,GoFiles,Imports,Standard", "./...")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); ok {
+		err = fmt.Errorf("%v\n%s", err, ee.Stderr)
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list: %v", err)
+	}
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	imp := newImporter(fset, func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	var pkgs []*Package
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p listedPkg
+		if err := dec.Decode(&p); err == io.EOF {
+			return pkgs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: go list: %v", err)
+		}
+		switch {
+		case p.Standard:
+			exports[p.ImportPath] = p.Export
+		case len(p.GoFiles) > 0:
+			files, err := parseFiles(fset, p.Dir, p.GoFiles)
+			if err != nil {
+				return nil, err
+			}
+			pkgs = append(pkgs, typeCheck(fset, imp, p.ImportPath, files, p.Imports))
 		}
 	}
-	return "", fmt.Errorf("lint: no module directive in %s/go.mod", root)
 }
 
-// skipDir reports whether a directory name is never analyzed.
-func skipDir(name string) bool {
-	return name == "testdata" || name == "vendor" ||
-		(strings.HasPrefix(name, ".") && name != ".") || name == "_"
-}
-
-type parsedPkg struct {
-	name    string
-	path    string
-	files   []*ast.File
-	imports []string // sorted, deduplicated
-}
-
-// parseDir parses the non-test Go files of one directory into a single
-// package. Returns nil if the directory holds no non-test Go files.
-func parseDir(fset *token.FileSet, dir string) (*parsedPkg, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") ||
-			strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") {
-			continue
-		}
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		return nil, nil
-	}
-	slices.Sort(names)
-	p := &parsedPkg{}
+// parseFiles parses the named files of dir, with comments (the
+// //lint:ignore and //tango:hotpath directives live in them).
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
-		if p.name == "" {
-			p.name = f.Name.Name
-		}
-		p.files = append(p.files, f)
-		for _, imp := range f.Imports {
-			p.imports = append(p.imports, strings.Trim(imp.Path.Value, `"`))
-		}
+		files = append(files, f)
 	}
-	slices.Sort(p.imports)
-	p.imports = slices.Compact(p.imports)
-	return p, nil
+	return files, nil
 }
 
-// loadModule discovers, parses, and type-checks every non-test package
-// under root, in dependency order.
-func loadModule(root string) ([]*Package, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := modulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-
-	var pkgs []*parsedPkg
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		if path != root && skipDir(d.Name()) {
-			return filepath.SkipDir
-		}
-		p, err := parseDir(fset, path)
-		if err != nil || p == nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		p.path = mod
-		if rel != "." {
-			p.path = mod + "/" + filepath.ToSlash(rel)
-		}
-		pkgs = append(pkgs, p)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	byPath := make(map[string]*parsedPkg, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.path] = p
-	}
-
-	order, err := topoSort(pkgs, byPath)
-	if err != nil {
-		return nil, err
-	}
-
-	imp := &moduleImporter{
-		src:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: map[string]*types.Package{},
-	}
-	var out []*Package
-	for _, p := range order {
-		pkg := typeCheck(fset, p, imp)
-		imp.pkgs[p.path] = pkg.Types
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// topoSort orders packages so that every package follows its imports
-// among them.
-func topoSort(pkgs []*parsedPkg, byPath map[string]*parsedPkg) ([]*parsedPkg, error) {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	state := map[string]int{}
-	var order []*parsedPkg
-	var visit func(p *parsedPkg) error
-	visit = func(p *parsedPkg) error {
-		switch state[p.path] {
-		case gray:
-			return fmt.Errorf("lint: import cycle through %s", p.path)
-		case black:
-			return nil
-		}
-		state[p.path] = gray
-		for _, ip := range p.imports {
-			if dep, ok := byPath[ip]; ok {
-				if err := visit(dep); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.path] = black
-		order = append(order, p)
-		return nil
-	}
-	for _, p := range pkgs {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return order, nil
-}
-
-// typeCheck runs go/types over one parsed package, collecting (rather
-// than failing on) type errors so syntactic analyzers still run.
-func typeCheck(fset *token.FileSet, p *parsedPkg, imp types.ImporterFrom) *Package {
-	out := &Package{
-		Name: p.name, Path: p.path,
-		Fset: fset, Files: p.files, Imports: p.imports,
-	}
+// typeCheck runs go/types over one parsed, non-empty package, collecting (rather
+// than failing on) type errors so syntactic analyzers still run, and
+// serves the result to the packages checked after it.
+func typeCheck(fset *token.FileSet, imp *moduleImporter, path string, files []*ast.File, imports []string) *Package {
+	out := &Package{Name: files[0].Name.Name, Path: path, Fset: fset, Files: files, Imports: imports}
 	conf := types.Config{
 		Importer: imp,
 		Error:    func(err error) { out.TypeErrs = append(out.TypeErrs, err) },
@@ -234,10 +128,7 @@ func typeCheck(fset *token.FileSet, p *parsedPkg, imp types.ImporterFrom) *Packa
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	tpkg, _ := conf.Check(p.path, fset, p.files, out.Info)
-	if tpkg == nil {
-		tpkg = types.NewPackage(p.path, p.name)
-	}
-	out.Types = tpkg
+	out.Types, _ = conf.Check(path, fset, files, out.Info)
+	imp.pkgs[path] = out.Types
 	return out
 }
