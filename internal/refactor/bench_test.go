@@ -3,6 +3,7 @@ package refactor
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"tango/internal/tensor"
@@ -108,6 +109,50 @@ func BenchmarkLadder1025(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepCoarseZone1025 isolates runSweep's basis walk over the
+// coarse (513²) zone of the `refactor` workload's 1025² hierarchy: in
+// stream order, by descending magnitude, and in index order (NoSort), on
+// one core. Each entry's composed basis lands on scattered rows of the
+// level-0 error field in stream order and on neighbouring ones in index
+// order.
+func BenchmarkSweepCoarseZone1025(b *testing.B) {
+	orig := benchGrid(1025)
+	for _, bc := range []struct {
+		name   string
+		noSort bool
+	}{{"stream", false}, {"index", true}} {
+		h, err := Decompose(orig, Options{Levels: 3, NoSort: bc.noSort})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dims0, cd, aug := h.levelDims[0], h.levelDims[1], h.augs[1]
+		cols := make([][][]wpt, len(dims0))
+		for dim := range cols {
+			cols[dim] = h.composedColumns(1, dim)
+		}
+		walk := newBasisWalk(tensor.Strides(dims0))
+		idx := make([]int, len(dims0))
+		errv := slices.Clone(orig.Data())
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var sse float64
+				for k, ix := range aug.idx {
+					unravel(int(ix), cd, idx)
+					for dim, j := range idx {
+						walk.basis[dim] = cols[dim][j]
+					}
+					sse = walk.apply(errv, sse, aug.val[k])
+				}
+				sweepSink = sse
+			}
+		})
+	}
+}
+
+// sweepSink keeps BenchmarkSweepCoarseZone1025's result live.
+var sweepSink float64
+
 // BenchmarkEncodeEntries isolates the entry-stream encoder; the alloc
 // count is the point (scratch batching keeps it at zero).
 func BenchmarkEncodeEntries(b *testing.B) {
@@ -116,12 +161,12 @@ func BenchmarkEncodeEntries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	entries := h.augs[0]
+	aug := h.augs[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf writeCounter
-		if _, err := EncodeEntries(&buf, entries); err != nil {
+		if _, err := EncodeEntries(&buf, aug.idx, aug.val); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +223,7 @@ func BenchmarkEncode1025(b *testing.B) {
 
 // BenchmarkDecode1025 reads back the hierarchy the `refactor` workload
 // writes (three levels, ~985k entries): the entry streams are all but
-// 1/16 of the bytes, so this is DecodeEntries' in-buffer parse plus the
+// 1/16 of the bytes, so this is decodeEntries' in-buffer parse plus the
 // prefix sums.
 func BenchmarkDecode1025(b *testing.B) {
 	h, err := Decompose(benchGrid(1025), Options{Levels: 3})

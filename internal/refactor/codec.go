@@ -19,24 +19,30 @@ import (
 
 // entrySize returns the encoded size of one entry: uvarint index plus 8
 // value bytes.
-func entrySize(e Entry) int { return uvarintLen(uint64(e.Index)) + 8 }
+func entrySize(idx uint32) int { return uvarintLen(uint64(idx)) + 8 }
 
 // uvarintLen returns how many bytes binary.PutUvarint writes for v: one
 // per started 7 bits, and one for 0.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// EncodeEntries writes a run of entries to w. Entries are staged into a
-// stack scratch buffer and flushed in batches, so a long stream costs a
-// handful of w.Write calls (and zero heap allocations) instead of one
-// per entry — the per-entry buffer would otherwise escape through the
-// io.Writer and dominate Encode's allocation profile.
+// growStep is how many elements Decode allocates ahead of the bytes that
+// fill them when its reader cannot say how many bytes are left; append
+// grows them further as those bytes arrive.
+const growStep = 1 << 20
+
+// EncodeEntries writes a run of entries, given as an index and a value
+// column of one length, to w. Entries are staged into a stack scratch
+// buffer and flushed in batches, so a long stream costs a handful of
+// w.Write calls (and zero heap allocations) instead of one per entry —
+// the per-entry buffer would otherwise escape through the io.Writer and
+// dominate Encode's allocation profile.
 //
 //tango:hotpath
-func EncodeEntries(w io.Writer, entries []Entry) (int64, error) {
+func EncodeEntries(w io.Writer, idx []uint32, val []float64) (int64, error) {
 	var buf [4096]byte
 	var total int64
 	k := 0
-	for _, e := range entries {
+	for i, v := range val {
 		if k+binary.MaxVarintLen64+8 > len(buf) {
 			m, err := w.Write(buf[:k])
 			total += int64(m)
@@ -45,8 +51,8 @@ func EncodeEntries(w io.Writer, entries []Entry) (int64, error) {
 			}
 			k = 0
 		}
-		k += binary.PutUvarint(buf[k:], uint64(e.Index))
-		binary.LittleEndian.PutUint64(buf[k:], math.Float64bits(e.Value))
+		k += binary.PutUvarint(buf[k:], uint64(idx[i]))
+		binary.LittleEndian.PutUint64(buf[k:], math.Float64bits(v))
 		k += 8
 	}
 	if k > 0 {
@@ -59,62 +65,78 @@ func EncodeEntries(w io.Writer, entries []Entry) (int64, error) {
 	return total, nil
 }
 
-// DecodeEntries reads exactly n entries from r. A *bufio.Reader has its
-// buffered bytes parsed in place (decodeBuffered); everything else, and
-// whatever entry straddles the end of the buffer, is read a byte at a
-// time, so r sees the same reads and a truncated stream fails at the same
-// entry either way.
-func DecodeEntries(r io.ByteReader, n int) ([]Entry, error) {
-	entries := make([]Entry, n)
+// roomFor returns how many of n elements, each at least per bytes long,
+// may be allocated before any is read: all n when the left bytes a reader
+// reports hold them, at most growStep when it cannot say (left < 0).
+func roomFor(n, per, left int) (int, error) {
+	if left < 0 {
+		return min(n, growStep), nil
+	}
+	if n > left/per {
+		return 0, fmt.Errorf("%d elements of at least %d bytes, %d bytes left", n, per, left)
+	}
+	return n, nil
+}
+
+// decodeEntries reads n entries, each index below size, appending them to
+// columns with the room the left bytes r is known to hold allow
+// (roomFor). A *bufio.Reader has its buffered bytes parsed in place
+// (decodeBuffered); everything else, and whatever entry straddles the
+// end of the buffer, is read a byte at a time, so r sees the same reads
+// and a bad stream fails at the same entry either way.
+func decodeEntries(r io.ByteReader, n, size, left int) (stream, error) {
+	room, err := roomFor(n, 1+8, left) // a one-byte index at least
+	if err != nil {
+		return stream{}, err
+	}
+	s := stream{make([]uint32, 0, room), make([]float64, 0, room)}
 	br, _ := r.(*bufio.Reader)
-	for i := 0; i < n; i++ {
+	for len(s.val) < n {
 		if br != nil {
-			if i += decodeBuffered(br, entries[i:]); i == n {
+			if decodeBuffered(br, &s, n, size); len(s.val) == n {
 				break
 			}
 		}
-		idx, err := binary.ReadUvarint(r)
+		i := len(s.val)
+		// The index is checked against size as a uint64: narrowed first,
+		// 2³²+5 would pass as 5.
+		ix, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, fmt.Errorf("refactor: entry %d index: %w", i, err)
+			return stream{}, fmt.Errorf("entry %d index: %w", i, err)
+		}
+		if ix >= uint64(size) {
+			return stream{}, fmt.Errorf("entry %d index %d outside a grid of %d points", i, ix, size)
 		}
 		var vb [8]byte
-		for j := 0; j < 8; j++ {
+		for j := range vb {
 			b, err := r.ReadByte()
 			if err != nil {
-				return nil, fmt.Errorf("refactor: entry %d value: %w", i, err)
+				return stream{}, fmt.Errorf("entry %d value: %w", i, err)
 			}
 			vb[j] = b
 		}
-		entries[i] = Entry{
-			Index: int(idx),
-			Value: math.Float64frombits(binary.LittleEndian.Uint64(vb[:])),
-		}
+		s.idx, s.val = append(s.idx, uint32(ix)), append(s.val, math.Float64frombits(binary.LittleEndian.Uint64(vb[:])))
 	}
-	return entries, nil
+	return s, nil
 }
 
-// decodeBuffered fills entries from the bytes br already holds, for as
-// long as a longest-possible entry is wholly buffered, and returns how
-// many it decoded. It never reads from the underlying reader, and stops
-// short of a varint that overflows so that the byte-wise path reports it.
-func decodeBuffered(br *bufio.Reader, entries []Entry) int {
+// decodeBuffered appends to s, up to n entries, from the bytes br already
+// holds, for as long as a longest-possible entry is wholly buffered. It
+// never reads from the underlying reader, and stops short of an index
+// that overflows or is not below size so that the byte-wise path reports
+// it.
+func decodeBuffered(br *bufio.Reader, s *stream, n, size int) {
 	const maxEntry = binary.MaxVarintLen64 + 8
 	buf, _ := br.Peek(br.Buffered())
-	i := 0
-	for i < len(entries) && len(buf) >= maxEntry {
-		idx, m := binary.Uvarint(buf)
-		if m <= 0 {
+	for len(s.val) < n && len(buf) >= maxEntry {
+		ix, m := binary.Uvarint(buf)
+		if m <= 0 || ix >= uint64(size) {
 			break
 		}
-		entries[i] = Entry{
-			Index: int(idx),
-			Value: math.Float64frombits(binary.LittleEndian.Uint64(buf[m:])),
-		}
+		s.idx, s.val = append(s.idx, uint32(ix)), append(s.val, math.Float64frombits(binary.LittleEndian.Uint64(buf[m:])))
 		buf = buf[m+8:]
-		i++
 	}
 	_, _ = br.Discard(br.Buffered() - len(buf)) // buffered bytes: cannot fail
-	return i
 }
 
 const fileMagic = "TNGO1\n"
@@ -167,9 +189,9 @@ func (h *Hierarchy) Encode(w io.Writer) error {
 	}
 
 	writeU(uint64(len(h.augs)))
-	for _, entries := range h.augs {
-		writeU(uint64(len(entries)))
-		if _, err := EncodeEntries(bw, entries); err != nil {
+	for _, aug := range h.augs {
+		writeU(uint64(len(aug.val)))
+		if _, err := EncodeEntries(bw, aug.idx, aug.val); err != nil {
 			return err
 		}
 	}
@@ -197,10 +219,10 @@ func (h *Hierarchy) encodedLen() int {
 	for _, d := range dims {
 		n += u(d)
 	}
-	for _, entries := range h.augs {
-		n += u(len(entries))
-		for _, e := range entries {
-			n += entrySize(e)
+	for _, aug := range h.augs {
+		n += u(len(aug.idx))
+		for _, ix := range aug.idx {
+			n += entrySize(ix)
 		}
 	}
 	for _, r := range h.rungs {
@@ -213,18 +235,26 @@ func (h *Hierarchy) encodedLen() int {
 // already a *bufio.Reader it is used directly (no read-ahead beyond the
 // hierarchy's own bytes is introduced), so hierarchies can be decoded
 // back-to-back from one stream.
+// A count the bytes left in r cannot hold is refused before allocating,
+// when r says how many are left (a Len method, as *bytes.Reader has);
+// from any other reader the base and columns grow as their bytes arrive.
 func Decode(r io.Reader) (*Hierarchy, error) {
 	br, ok := r.(*bufio.Reader)
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	left := func() int { return -1 }
+	if lr, ok := r.(interface{ Len() int }); ok {
+		left = func() int { return lr.Len() + br.Buffered() }
+	}
+	magic, err := br.Peek(len(fileMagic))
+	if err != nil {
 		return nil, fmt.Errorf("refactor: reading magic: %w", err)
 	}
 	if string(magic) != fileMagic {
 		return nil, fmt.Errorf("refactor: bad magic %q", magic)
 	}
+	_, _ = br.Discard(len(fileMagic)) // peeked: cannot fail
 	var firstErr error
 	readU := func() uint64 {
 		v, err := binary.ReadUvarint(br)
@@ -249,7 +279,7 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if nb < 0 || nb > 1<<20 {
+	if _, err := roomFor(nb, 8, left()); nb < 0 || nb > 1<<20 || err != nil {
 		return nil, fmt.Errorf("refactor: implausible bound count %d", nb)
 	}
 	h.opts.Bounds = make([]float64, nb)
@@ -289,28 +319,28 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 	h.baseAcc = readF()
 
 	// Rebuild level dims from the original dims.
-	h.levelDims = [][]int{append([]int(nil), dims...)}
+	h.levelDims = make([][]int, h.opts.Levels)
+	h.levelDims[0] = dims
 	for l := 1; l < h.opts.Levels; l++ {
-		h.levelDims = append(h.levelDims, CoarseDims(h.levelDims[l-1], h.opts.Decimation))
+		h.levelDims[l] = CoarseDims(h.levelDims[l-1], h.opts.Decimation)
 	}
 
 	baseLen := int(readU())
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	want := 1
-	for _, d := range h.levelDims[len(h.levelDims)-1] {
-		want *= d
-	}
-	if baseLen != want {
+	if want := tensor.Size(h.levelDims[len(h.levelDims)-1]); baseLen != want {
 		return nil, fmt.Errorf("refactor: base length %d does not match dims (want %d)", baseLen, want)
 	}
-	baseData := make([]float64, baseLen)
-	for i := range baseData {
-		baseData[i] = readF()
+	room, err := roomFor(baseLen, 8, left())
+	if err != nil {
+		return nil, fmt.Errorf("refactor: base: %w", err)
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	baseData := make([]float64, 0, room)
+	for range baseLen {
+		if baseData = append(baseData, readF()); firstErr != nil {
+			return nil, firstErr
+		}
 	}
 	h.base = tensor.FromData(baseData, h.levelDims[len(h.levelDims)-1]...)
 
@@ -321,7 +351,7 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 	if nAugs != h.opts.Levels-1 {
 		return nil, fmt.Errorf("refactor: aug level count %d, want %d", nAugs, h.opts.Levels-1)
 	}
-	h.augs = make([][]Entry, nAugs)
+	h.augs = make([]stream, nAugs)
 	// One bit per grid point: level 0 is the largest and sizes it.
 	var seen []uint64
 	for l := range h.augs {
@@ -329,16 +359,13 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 		if firstErr != nil {
 			return nil, firstErr
 		}
-		levelLen := 1
-		for _, d := range h.levelDims[l] {
-			levelLen *= d
-		}
+		levelLen := tensor.Size(h.levelDims[l])
 		if n < 0 || n > levelLen {
 			return nil, fmt.Errorf("refactor: level %d entry count %d exceeds grid size %d", l, n, levelLen)
 		}
-		entries, err := DecodeEntries(br, n)
+		aug, err := decodeEntries(br, n, levelLen, left())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("refactor: level %d: %w", l, err)
 		}
 		// Recompose scatters a level's entries in parallel, so an index
 		// must not repeat within a level.
@@ -348,17 +375,14 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 			seen = seen[:words]
 			clear(seen)
 		}
-		for i, e := range entries {
-			if e.Index < 0 || e.Index >= levelLen {
-				return nil, fmt.Errorf("refactor: level %d entry %d index %d out of grid", l, i, e.Index)
-			}
-			word, bit := e.Index/64, uint64(1)<<(e.Index%64)
+		for i, ix := range aug.idx {
+			word, bit := ix/64, uint64(1)<<(ix%64)
 			if seen[word]&bit != 0 {
-				return nil, fmt.Errorf("refactor: level %d entry %d repeats index %d", l, i, e.Index)
+				return nil, fmt.Errorf("refactor: level %d entry %d repeats index %d", l, i, ix)
 			}
 			seen[word] |= bit
 		}
-		h.augs[l] = entries
+		h.augs[l] = aug
 	}
 
 	h.index()
@@ -367,7 +391,8 @@ func Decode(r io.Reader) (*Hierarchy, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if nRungs < 0 || nRungs > 1<<20 {
+	// A rung takes two floats and four varints.
+	if _, err := roomFor(nRungs, 8+8+4, left()); nRungs < 0 || nRungs > 1<<20 || err != nil {
 		return nil, fmt.Errorf("refactor: implausible rung count %d", nRungs)
 	}
 	h.rungs = make([]Rung, nRungs)

@@ -1,7 +1,6 @@
 package refactor
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 
@@ -26,6 +25,9 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 	}
 	if err := validateBounds(opts.Metric, opts.Bounds); err != nil {
 		return nil, err
+	}
+	if uint64(orig.Len()) > math.MaxUint32 {
+		return nil, fmt.Errorf("refactor: grid of %d points: entry indices are 32-bit", orig.Len())
 	}
 
 	// Clamp levels: restricting a grid whose dims are all 1 is useless.
@@ -58,26 +60,26 @@ func Decompose(orig *tensor.Tensor, opts Options) (*Hierarchy, error) {
 		opts:      opts,
 		levelDims: levelDims,
 		base:      base,
-		augs:      make([][]Entry, max(L-1, 0)),
+		augs:      make([]stream, max(L-1, 0)),
 		origLen:   orig.Len(),
 	}
 
-	// One level-0 field holds each level's prolongation here, then the
-	// sweep's prolongated floor and the prober's reconstruction; one
-	// sort scratch, sized by the finest level, serves every sort.
+	// One level-0 field holds each level's prolongation, dead once
+	// extracted from, then the sort's value column (no level has more
+	// entries than level 0 has points), the sweep's prolongated floor and
+	// the prober's reconstruction. The first, largest level sizes ss.
 	h.scratch = make([]float64, orig.Len())
 	defer func() { h.scratch = nil }()
 	var ss sortScratch
 	for l := 0; l < L-1; l++ {
 		pro := h.scratch[:levels[l].Len()]
 		prolongateInto(pro, levels[l+1], levelDims[l], opts.Decimation)
-		entries := extractEntries(levels[l].Data(), pro)
+		h.augs[l] = extractEntries(levels[l].Data(), pro)
 		// Descending |value|; ties broken by index for determinism.
 		// (NoSort keeps index order — ablation of §III-B2 step 3.)
 		if !opts.NoSort {
-			sortEntries(entries, &ss)
+			sortEntries(h.augs[l], h.scratch, &ss)
 		}
-		h.augs[l] = entries
 	}
 
 	h.index()
@@ -129,19 +131,11 @@ func validateBounds(k errmetric.Kind, bounds []float64) error {
 // index order. Chunks are counted and filled in parallel into disjoint
 // output ranges; chunk-ordered offsets make the concatenation identical
 // to a sequential scan.
-func extractEntries(fine, pd []float64) []Entry {
+func extractEntries(fine, pd []float64) stream {
 	n := len(fine)
 	nc := par.NumChunks(n)
-	if nc <= 1 {
-		var entries []Entry
-		for i, v := range fine {
-			if diff := v - pd[i]; diff != 0 {
-				entries = append(entries, Entry{Index: i, Value: diff})
-			}
-		}
-		return entries
-	}
-	counts := make([]int, nc)
+	// offs[c+1] counts chunk c's entries, then sums into chunk c+1's start.
+	offs := make([]int, nc+1)
 	par.ForChunk(n, func(c, lo, hi int) {
 		k := 0
 		for i := lo; i < hi; i++ {
@@ -149,40 +143,25 @@ func extractEntries(fine, pd []float64) []Entry {
 				k++
 			}
 		}
-		counts[c] = k
+		offs[c+1] = k
 	})
-	offs := make([]int, nc+1)
-	for c, k := range counts {
-		offs[c+1] = offs[c] + k
+	for c := range nc {
+		offs[c+1] += offs[c]
 	}
 	if offs[nc] == 0 {
-		return nil
+		return stream{}
 	}
-	entries := make([]Entry, offs[nc])
+	s := stream{make([]uint32, offs[nc]), make([]float64, offs[nc])}
 	par.ForChunk(n, func(c, lo, hi int) {
 		k := offs[c]
 		for i := lo; i < hi; i++ {
 			if diff := fine[i] - pd[i]; diff != 0 {
-				entries[k] = Entry{Index: i, Value: diff}
+				s.idx[k], s.val[k] = uint32(i), diff
 				k++
 			}
 		}
 	})
-	return entries
-}
-
-// compareEntries orders augmentation entries by descending |value|, ties
-// by ascending index — a strict total order, so the (unstable) pdqsort
-// result is unique and deterministic.
-func compareEntries(a, b Entry) int {
-	av, bv := math.Abs(a.Value), math.Abs(b.Value)
-	switch {
-	case av > bv:
-		return -1
-	case av < bv:
-		return 1
-	}
-	return cmp.Compare(a.Index, b.Index)
+	return s
 }
 
 // buildLadder finds, for each bound, the smallest cursor whose
@@ -264,8 +243,8 @@ func (h *Hierarchy) pushRung(bound, achieved float64, cursor, prevCursor int) {
 	prev := 0
 	for i, c := range h.cum {
 		if lo, hi := max(prevCursor, prev), min(cursor, c); lo < hi {
-			for _, e := range h.augs[h.order[i]][lo-prev : hi-prev] {
-				size += int64(entrySize(e))
+			for _, ix := range h.augs[h.order[i]].idx[lo-prev : hi-prev] {
+				size += int64(entrySize(ix))
 			}
 		}
 		prev = c

@@ -3,6 +3,7 @@ package refactor
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -191,9 +192,9 @@ func TestLevelsClampedToGrid(t *testing.T) {
 func TestAugsSortedByMagnitude(t *testing.T) {
 	orig := smoothField(33, 8)
 	h := mustDecompose(t, orig, Options{Levels: 3})
-	for l, entries := range h.augs {
-		for i := 1; i < len(entries); i++ {
-			if math.Abs(entries[i].Value) > math.Abs(entries[i-1].Value) {
+	for l, aug := range h.augs {
+		for i := 1; i < len(aug.val); i++ {
+			if math.Abs(aug.val[i]) > math.Abs(aug.val[i-1]) {
 				t.Fatalf("level %d entries not sorted at %d", l, i)
 			}
 		}
@@ -442,17 +443,18 @@ func TestDecodeRejectsRepeatedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l, aug := range h.augs {
-		if len(aug) < 2 {
+		last := len(aug.idx) - 1
+		if last < 1 {
 			continue
 		}
 		// The repeat is the stream's last entry: every check before it passes.
-		idx := aug[0].Index
-		data := encodeWithRungs(t, func(h *Hierarchy) { h.augs[l][len(aug)-1].Index = idx })
+		idx := aug.idx[0]
+		data := encodeWithRungs(t, func(h *Hierarchy) { h.augs[l].idx[last] = idx })
 		_, err := Decode(bytes.NewReader(data))
 		if err == nil {
 			t.Fatalf("level %d: index %d twice accepted", l, idx)
 		}
-		want := fmt.Sprintf("level %d entry %d repeats index %d", l, len(aug)-1, idx)
+		want := fmt.Sprintf("level %d entry %d repeats index %d", l, last, idx)
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("level %d: error %q does not say %q", l, err, want)
 		}
@@ -489,82 +491,128 @@ func TestDecodeRejectsOutOfRangeRung(t *testing.T) {
 	}
 }
 
+// TestEntryCodecRoundTrip: entries come back as they went, and an index
+// not below the level size is refused — 2³²+5 as itself, not narrowed
+// to 5.
 func TestEntryCodecRoundTrip(t *testing.T) {
-	entries := []Entry{{0, 1.5}, {1000000, -2.25}, {7, 0}, {42, math.Pi}}
+	entries := columns([]entry{{0, 1.5}, {1000000, -2.25}, {7, 0}, {42, math.Pi}})
 	var buf bytes.Buffer
-	n, err := EncodeEntries(&buf, entries)
+	n, err := EncodeEntries(&buf, entries.idx, entries.val)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(buf.Len()) != n {
 		t.Fatalf("reported %d wrote %d", n, buf.Len())
 	}
-	got, err := DecodeEntries(&buf, len(entries))
+	enc := slices.Clone(buf.Bytes())
+	got, err := decodeEntries(&buf, 4, 1000001, buf.Len())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d: %+v vs %+v", i, got[i], entries[i])
-		}
+	sameEntries(t, "round trip", got, entries.entries())
+	if _, err := decodeEntries(bytes.NewReader(enc), 4, 1000000, len(enc)); err == nil ||
+		!strings.Contains(err.Error(), "entry 1 index 1000000 outside") {
+		t.Fatalf("an index equal to the level size: error %v", err)
+	}
+	wide := binary.AppendUvarint(nil, 1<<32+5)
+	wide = binary.LittleEndian.AppendUint64(wide, math.Float64bits(1))
+	if _, err := decodeEntries(bytes.NewReader(wide), 1, 6, len(wide)); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("index %d outside", uint64(1<<32+5))) {
+		t.Fatalf("index 2^32+5 in a level of 6 points: error %v", err)
 	}
 }
 
-// byteAtATime hides a reader's type so DecodeEntries takes the byte-wise
+// byteAtATime hides a reader's type so decodeEntries takes the byte-wise
 // path for every entry.
 type byteAtATime struct{ io.ByteReader }
 
 // TestDecodeEntriesBufferedMatchesByteWise holds the in-buffer parse to
-// the byte-wise loop: same entries, and for every truncation point and an
-// overflowing index the same error naming the same entry, at buffer sizes
-// from "never a whole entry buffered" to "the whole stream at once". What
-// follows the entries in the stream must still be there afterwards.
+// the byte-wise loop: same entries, and for every truncation point, an
+// overflowing index and an index past the level size the same error
+// naming the same entry, at buffer sizes from "never a whole entry
+// buffered" to "the whole stream at once". What follows the entries in
+// the stream must still be there afterwards.
 func TestDecodeEntriesBufferedMatchesByteWise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	entries := make([]Entry, 700)
-	for i := range entries {
-		// Index widths from one varint byte to ten.
-		entries[i] = Entry{Index: int(rng.Uint64() >> uint(rng.Intn(64)) & math.MaxInt64), Value: rng.NormFloat64()}
+	es := make([]entry, 700)
+	for i := range es {
+		// Index widths from one varint byte to five.
+		es[i] = entry{uint32(rng.Uint64() >> uint(32+rng.Intn(32))), rng.NormFloat64()}
 	}
+	entries := columns(es)
+	const size = 1 << 32
 	var enc bytes.Buffer
-	if _, err := EncodeEntries(&enc, entries); err != nil {
+	if _, err := EncodeEntries(&enc, entries.idx, entries.val); err != nil {
 		t.Fatal(err)
 	}
 	const trailer = "next section"
 	whole := append(enc.Bytes(), trailer...)
 
-	overflow := slices.Clone(whole[:enc.Len()])
 	at := 0 // start of entry 350's index
-	for _, e := range entries[:350] {
-		at += entrySize(e)
+	for _, ix := range entries.idx[:350] {
+		at += entrySize(ix)
 	}
-	overflow = append(overflow[:at], bytes.Repeat([]byte{0xff}, 11)...)
+	overflow := append(slices.Clone(whole[:at]), bytes.Repeat([]byte{0xff}, 11)...)
+	outside := binary.AppendUvarint(slices.Clone(whole[:at]), size+5)
+	outside = append(outside, whole[at+entrySize(entries.idx[350]):]...)
 
-	streams := map[string][]byte{"whole": whole, "overflowing index": overflow}
+	streams := map[string][]byte{"whole": whole, "overflowing index": overflow, "index past the grid": outside}
 	for cut := 0; cut < enc.Len(); cut += 1 + cut/40 {
 		streams[fmt.Sprintf("cut at %d", cut)] = whole[:cut]
 	}
 	for name, stream := range streams {
-		want, wantErr := DecodeEntries(byteAtATime{bytes.NewReader(stream)}, len(entries))
+		want, wantErr := decodeEntries(byteAtATime{bytes.NewReader(stream)}, len(es), size, -1)
 		if (name == "whole") != (wantErr == nil) {
 			t.Fatalf("%s: byte-wise error %v", name, wantErr)
 		}
-		for _, size := range []int{16, 17, 18, 19, 37, 4096, 1 << 16} {
-			br := bufio.NewReaderSize(bytes.NewReader(stream), size)
-			got, err := DecodeEntries(br, len(entries))
+		for _, bufSize := range []int{16, 17, 18, 19, 37, 4096, 1 << 16} {
+			br := bufio.NewReaderSize(bytes.NewReader(stream), bufSize)
+			got, err := decodeEntries(br, len(es), size, -1)
 			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s, buffer %d: error %v, byte-wise %v", name, size, err, wantErr)
+				t.Fatalf("%s, buffer %d: error %v, byte-wise %v", name, bufSize, err, wantErr)
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s, buffer %d: entries differ from the byte-wise decode", name, size)
+			if !slices.Equal(got.idx, want.idx) || !slices.Equal(got.val, want.val) {
+				t.Fatalf("%s, buffer %d: entries differ from the byte-wise decode", name, bufSize)
 			}
 			if err == nil {
 				rest, _ := io.ReadAll(br)
 				if string(rest) != trailer {
-					t.Fatalf("%s, buffer %d: %q left in the stream, want %q", name, size, rest, trailer)
+					t.Fatalf("%s, buffer %d: %q left in the stream, want %q", name, bufSize, rest, trailer)
 				}
 			}
 		}
+	}
+}
+
+// TestDecodeEntriesGrowsAsBytesArrive: from a reader that cannot say how
+// much is left, a stream longer than growStep decodes whole through the
+// grown columns, and a count far past its end fails having allocated
+// little more than what arrived, not what the count claims.
+func TestDecodeEntriesGrowsAsBytesArrive(t *testing.T) {
+	es := make([]entry, growStep+4321)
+	for i := range es {
+		es[i] = entry{uint32(i), float64(i) / 3}
+	}
+	entries := columns(es)
+	var enc bytes.Buffer
+	if _, err := EncodeEntries(&enc, entries.idx, entries.val); err != nil {
+		t.Fatal(err)
+	}
+	n := len(es)
+	got, err := decodeEntries(bufio.NewReader(bytes.NewReader(enc.Bytes())), n, n, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEntries(t, "grown columns", got, es)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeEntries(bufio.NewReader(bytes.NewReader(enc.Bytes())), 64*n, 64*n, -1)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("64 times the entries decoded")
+	}
+	if a := after.TotalAlloc - before.TotalAlloc; a > 12*4*uint64(n) {
+		t.Fatalf("%d entries arrived of %d claimed: %d bytes allocated", n, 64*n, a)
 	}
 }
 
@@ -595,13 +643,8 @@ func TestDeterministicDecomposition(t *testing.T) {
 		t.Fatal("nondeterministic ladder")
 	}
 	for l := range h1.augs {
-		if len(h1.augs[l]) != len(h2.augs[l]) {
-			t.Fatal("aug lengths differ")
-		}
-		for i := range h1.augs[l] {
-			if h1.augs[l][i] != h2.augs[l][i] {
-				t.Fatal("aug entries differ")
-			}
+		if !slices.Equal(h1.augs[l].idx, h2.augs[l].idx) || !slices.Equal(h1.augs[l].val, h2.augs[l].val) {
+			t.Fatal("aug entries differ")
 		}
 	}
 }
@@ -704,15 +747,15 @@ func recomposeSerial(h *Hierarchy, cursor, level int) *tensor.Tensor {
 		var n int
 		switch {
 		case i < pos:
-			n = len(h.augs[lvl])
+			n = len(h.augs[lvl].val)
 		case i == pos:
 			n = take
 		default:
 			n = 0
 		}
 		data := r.Data()
-		for _, e := range h.augs[lvl][:n] {
-			data[e.Index] += e.Value
+		for _, e := range h.augs[lvl].entries()[:n] {
+			data[e.idx] += e.val
 		}
 	}
 	if r == h.base {
@@ -729,8 +772,8 @@ func TestRecomposeMatchesSerialScatter(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{65, 257} {
 		h := mustDecompose(t, smoothField(n, 4), Options{Levels: 4})
-		if n == 257 && len(h.augs[0]) <= par.Threshold {
-			t.Fatalf("level 0 has %d entries: not several chunks", len(h.augs[0]))
+		if n == 257 && len(h.augs[0].val) <= par.Threshold {
+			t.Fatalf("level 0 has %d entries: not several chunks", len(h.augs[0].val))
 		}
 		var cursors []int
 		prev := 0
@@ -787,5 +830,23 @@ func TestLadderBoundsPropertyAcrossRandomFields(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecomposeBytesCeiling1025: one decomposition of BenchmarkLadder1025's
+// shape (1025², four levels, three bounds) allocates 5.45 level-0 fields.
+// A 16-byte ping-pong entry buffer for the sort, beside the value column
+// that now ping-pongs through the work field, made it 7.06.
+func TestDecomposeBytesCeiling1025(t *testing.T) {
+	orig := benchGrid(1025)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustDecompose(t, orig, Options{Levels: 4, Bounds: []float64{1e-1, 1e-2, 1e-3}})
+	runtime.ReadMemStats(&after)
+	field := float64(8 * orig.Len())
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Decompose allocated %.0f bytes, %.2f level-0 fields", got, got/field)
+	if got > 5.6*field {
+		t.Fatalf("Decompose allocated %.2f level-0 fields, want at most 5.6", got/field)
 	}
 }

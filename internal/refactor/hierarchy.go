@@ -58,11 +58,12 @@ func LevelsForRatio(ratio float64, rank, d int) int {
 	return l
 }
 
-// Entry is one augmentation data point: a flat offset on its level's grid
-// and the correction value added during recomposition.
-type Entry struct {
-	Index int
-	Value float64
+// stream is one level's augmentation entries as two columns: entry i
+// names the flat offset idx[i] on its level's grid and the correction
+// val[i] added there during recomposition — 12 bytes an entry.
+type stream struct {
+	idx []uint32
+	val []float64
 }
 
 // Rung is one step of the error-bound ladder: retrieving the global
@@ -96,9 +97,9 @@ type Hierarchy struct {
 	opts      Options
 	levelDims [][]int // [level][dim], level 0 = original
 	base      *tensor.Tensor
-	augs      [][]Entry // [level 0..L-2]
-	order     []int     // retrieval order of levels: L-2 … 0
-	cum       []int     // cumulative entry counts per order position
+	augs      []stream // [level 0..L-2]
+	order     []int    // retrieval order of levels: L-2 … 0
+	cum       []int    // cumulative entry counts per order position
 	rungs     []Rung
 	baseAcc   float64
 	origLen   int
@@ -249,14 +250,13 @@ func (h *Hierarchy) LevelBytes(level, start, end int) int64 {
 // index builds the retrieval order (coarsest first) and the entry counts
 // summed along it.
 func (h *Hierarchy) index() {
-	for l := len(h.augs) - 1; l >= 0; l-- {
-		h.order = append(h.order, l)
-	}
-	h.cum = make([]int, len(h.order))
+	h.order = make([]int, len(h.augs))
+	h.cum = make([]int, len(h.augs))
 	c := 0
-	for i, l := range h.order {
-		c += len(h.augs[l])
-		h.cum[i] = c
+	for i := range h.order {
+		l := len(h.augs) - 1 - i
+		c += len(h.augs[l].val)
+		h.order[i], h.cum[i] = l, c
 	}
 }
 
@@ -269,10 +269,10 @@ func (h *Hierarchy) byteCums() [][]int64 {
 		return *p
 	}
 	built := make([][]int64, len(h.augs))
-	for l, entries := range h.augs {
-		built[l] = make([]int64, len(entries)+1)
-		for i, e := range entries {
-			built[l][i+1] = built[l][i] + int64(entrySize(e))
+	for l, s := range h.augs {
+		built[l] = make([]int64, len(s.idx)+1)
+		for i, ix := range s.idx {
+			built[l][i+1] = built[l][i] + int64(entrySize(ix))
 		}
 	}
 	h.byteCum.CompareAndSwap(nil, &built)
@@ -284,7 +284,7 @@ func (h *Hierarchy) LevelEntries(level int) int {
 	if level < 0 || level >= len(h.augs) {
 		panic(fmt.Sprintf("refactor: no augmentation level %d", level))
 	}
-	return len(h.augs[level])
+	return len(h.augs[level].val)
 }
 
 // BytesForRange returns the encoded size of the cursor range [from, to),
@@ -310,17 +310,17 @@ func (h *Hierarchy) Recompose(cursor int) *tensor.Tensor {
 		r = Prolongate(r, h.levelDims[lvl], d)
 		n := 0 // a level past the cursor's zone takes nothing
 		if i < pos {
-			n = len(h.augs[lvl])
+			n = len(h.augs[lvl].val)
 		} else if i == pos {
 			n = take
 		}
 		// A level names each point at most once (extractEntries emits
 		// ascending indices, Decode rejects a repeat), so the chunks write
 		// disjoint points and each point takes its one add.
-		data, aug := r.Data(), h.augs[lvl][:n]
+		data, idx, val := r.Data(), h.augs[lvl].idx[:n], h.augs[lvl].val[:n]
 		par.For(n, func(lo, hi int) {
-			for _, e := range aug[lo:hi] {
-				data[e.Index] += e.Value
+			for k, ix := range idx[lo:hi] {
+				data[ix] += val[lo+k]
 			}
 		})
 	}

@@ -45,10 +45,10 @@ func TestLazyPrefixesMatchEager(t *testing.T) {
 			if hh.byteCum.Load() != nil {
 				t.Fatalf("dims %v: the index was built before the first retrieval read", dims)
 			}
-			for l, entries := range hh.augs {
-				eager := make([]int64, len(entries)+1)
-				for k, e := range entries {
-					eager[k+1] = eager[k] + int64(entrySize(e))
+			for l, aug := range hh.augs {
+				eager := make([]int64, len(aug.idx)+1)
+				for k, ix := range aug.idx {
+					eager[k+1] = eager[k] + int64(entrySize(ix))
 				}
 				if got := hh.byteCums()[l]; !slices.Equal(got, eager) {
 					t.Fatalf("dims %v level %d: lazy prefixes differ from eager ones", dims, l)

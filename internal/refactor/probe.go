@@ -80,9 +80,9 @@ func (p *prober) enterZone(pos, take int) {
 	} else {
 		p.coarse = floor.Clone()
 	}
-	data := p.coarse.Data()
-	for _, e := range h.augs[lvl][:take] {
-		data[e.Index] += e.Value
+	data, aug := p.coarse.Data(), h.augs[lvl]
+	for k, ix := range aug.idx[:take] {
+		data[ix] += aug.val[k]
 	}
 	p.take = take
 	if lvl == 1 {
@@ -97,15 +97,15 @@ func (p *prober) enterZone(pos, take int) {
 func (p *prober) moveTo(take int) {
 	h := p.h
 	lvl := h.order[p.pos]
-	data := p.coarse.Data()
+	data, aug := p.coarse.Data(), h.augs[lvl]
 	lo, hi := take, p.take // changed entry range [lo, hi)
 	switch {
 	case take == p.take:
 		return
 	case take > p.take:
 		lo, hi = p.take, take
-		for _, e := range h.augs[lvl][lo:hi] {
-			data[e.Index] += e.Value
+		for k, ix := range aug.idx[lo:hi] {
+			data[ix] += aug.val[lo+k]
 		}
 	default:
 		// Un-apply by restoring floor values: exact, where subtracting
@@ -113,8 +113,8 @@ func (p *prober) moveTo(take int) {
 		// most once per level, so the floor at an entry's index is that
 		// entry's pre-apply value whatever else is applied.
 		floor := p.floors[p.pos].Data()
-		for _, e := range h.augs[lvl][lo:hi] {
-			data[e.Index] = floor[e.Index]
+		for _, ix := range aug.idx[lo:hi] {
+			data[ix] = floor[ix]
 		}
 	}
 	p.take = take
@@ -127,8 +127,8 @@ func (p *prober) moveTo(take int) {
 			sup *= 2*h.opts.Decimation - 1
 		}
 		if (hi-lo)*sup < len(p.rec) {
-			for _, e := range h.augs[lvl][lo:hi] {
-				p.recomputeSupport(e.Index)
+			for _, ix := range aug.idx[lo:hi] {
+				p.recomputeSupport(int(ix))
 			}
 			return
 		}

@@ -1,6 +1,7 @@
 package refactor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,19 +12,60 @@ import (
 	"tango/internal/par"
 )
 
+// entry is one augmentation entry as the oracles below sort it: the
+// columns' two values side by side.
+type entry struct {
+	idx uint32
+	val float64
+}
+
+// entries zips a stream's columns.
+func (s stream) entries() []entry {
+	es := make([]entry, len(s.val))
+	for i := range es {
+		es[i] = entry{s.idx[i], s.val[i]}
+	}
+	return es
+}
+
+// columns unzips entries into a stream.
+func columns(es []entry) stream {
+	s := stream{make([]uint32, len(es)), make([]float64, len(es))}
+	for i, e := range es {
+		s.idx[i], s.val[i] = e.idx, e.val
+	}
+	return s
+}
+
+// sortStream sorts s with a value buffer of its own.
+func sortStream(s stream, sc *sortScratch) {
+	sortEntries(s, make([]float64, len(s.val)), sc)
+}
+
+// compareEntries is the retrieval order: descending |value|, ties by
+// ascending index. |value| is compared by its bit pattern, monotone in
+// |value| and above +Inf for a NaN, so the order is total and
+// slices.SortFunc's result unique.
+func compareEntries(a, b entry) int {
+	ab, bb := math.Float64bits(math.Abs(a.val)), math.Float64bits(math.Abs(b.val))
+	if c := cmp.Compare(bb, ab); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 // sortEntriesKeyed is the radix sort as it stood before the keys were
 // derived on the fly — a key array beside the entries, both ping-ponged —
-// kept verbatim as the differential oracle for sortEntries.
-func sortEntriesKeyed(entries []Entry) {
+// kept as the differential oracle for sortEntries.
+func sortEntriesKeyed(entries []entry) {
 	n := len(entries)
-	if n < radixMin {
-		slices.SortFunc(entries, compareEntries)
+	if n == 0 {
 		return
 	}
 
 	keys := make([]uint64, n)
 	for i, e := range entries {
-		keys[i] = ^math.Float64bits(math.Abs(e.Value))
+		keys[i] = ^math.Float64bits(math.Abs(e.val))
 	}
 
 	// One scan builds all eight digit histograms; digit counts do not
@@ -35,7 +77,7 @@ func sortEntriesKeyed(entries []Entry) {
 		}
 	}
 
-	tmpE := make([]Entry, n)
+	tmpE := make([]entry, n)
 	tmpK := make([]uint64, n)
 	src, dst := entries, tmpE
 	ksrc, kdst := keys, tmpK
@@ -69,11 +111,10 @@ func sortEntriesKeyed(entries []Entry) {
 
 // sortEntriesSerial is the key-free radix sort as it stood before its
 // passes went onto par's chunks — one histogram scan, then one serial
-// scatter per pass — kept verbatim as the oracle for the chunked passes.
-func sortEntriesSerial(entries, tmp []Entry) []Entry {
+// scatter per pass — kept as the oracle for the chunked passes.
+func sortEntriesSerial(entries, tmp []entry) []entry {
 	n := len(entries)
-	if n < radixMin {
-		slices.SortFunc(entries, compareEntries)
+	if n == 0 {
 		return tmp
 	}
 
@@ -81,20 +122,20 @@ func sortEntriesSerial(entries, tmp []Entry) []Entry {
 	// depend on the order of earlier passes.
 	var count [8][256]int
 	for _, e := range entries {
-		k := radixKey(e.Value)
+		k := radixKey(e.val)
 		for b := uint(0); b < 8; b++ {
 			count[b][byte(k>>(8*b))]++
 		}
 	}
 
 	if len(tmp) < n {
-		tmp = make([]Entry, n)
+		tmp = make([]entry, n)
 	}
 	src, dst := entries, tmp[:n]
 	for b := uint(0); b < 8; b++ {
 		c := &count[b]
 		// A digit every key shares permutes nothing; skip the pass.
-		if c[byte(radixKey(src[0].Value)>>(8*b))] == n {
+		if c[byte(radixKey(src[0].val)>>(8*b))] == n {
 			continue
 		}
 		var offs [256]int
@@ -104,7 +145,7 @@ func sortEntriesSerial(entries, tmp []Entry) []Entry {
 			off += c[v]
 		}
 		for _, e := range src {
-			v := byte(radixKey(e.Value) >> (8 * b))
+			v := byte(radixKey(e.val) >> (8 * b))
 			o := offs[v]
 			offs[v] = o + 1
 			dst[o] = e
@@ -154,53 +195,67 @@ func sortCases(rng *rand.Rand) []sortCase {
 		{"one binade", 40_000, func(int) float64 { return 1 + rng.Float64() }},
 		// The low mantissa bytes are constant instead: float32 values.
 		{"float32 mantissas", 40_000, func(int) float64 { return float64(rng.Float32()) - 0.5 }},
-		{"all equal", radixMin + 5, func(int) float64 { return -3.5 }},
+		{"all equal", 4101, func(int) float64 { return -3.5 }},
 		{"all equal, many chunks", 2 * par.Threshold, func(int) float64 { return -3.5 }},
 		{"descending already", 10_000, func(i int) float64 { return float64(10_000 - i) }},
 		{"ascending", 10_000, func(i int) float64 { return float64(i) }},
 		{"ascending, many chunks", 4 * par.Threshold, func(i int) float64 { return float64(i) }},
 		{"just above par.Threshold", par.Threshold + 1, func(int) float64 { return rng.NormFloat64() }},
 		{"just below par.Threshold", par.Threshold - 1, func(int) float64 { return rng.NormFloat64() }},
-		{"just above radixMin", radixMin + 1, func(int) float64 { return rng.NormFloat64() }},
-		{"at radixMin", radixMin, func(int) float64 { return rng.NormFloat64() }},
-		{"just below radixMin", radixMin - 1, func(int) float64 { return rng.NormFloat64() }},
+		// The lengths around the old comparison-sort cut-off (4096), with
+		// every special value and magnitudes shared by both signs.
+		{"empty", 0, func(int) float64 { return 1 }},
+		{"one entry", 1, func(int) float64 { return math.NaN() }},
+		{"two entries", 2, func(int) float64 { return specials[rng.Intn(len(specials))] }},
+		{"specials 4095", 4095, func(int) float64 { return specials[rng.Intn(len(specials))] }},
+		{"specials 4096", 4096, func(int) float64 { return specials[rng.Intn(len(specials))] }},
+		{"specials 4097", 4097, func(int) float64 { return specials[rng.Intn(len(specials))] }},
+		{"specials 1e5", 100_000, func(int) float64 { return specials[rng.Intn(len(specials))] }},
+		{"signed pairs 4095", 4095, func(int) float64 { return float64(rng.Intn(64)-32) * 0.125 }},
+		{"signed pairs 4097", 4097, func(int) float64 { return float64(rng.Intn(64)-32) * 0.125 }},
+		{"signed pairs 1e5", 100_000, func(int) float64 { return float64(rng.Intn(64) - 32) }},
 	}
 }
 
 // sortCaseEntries builds a case's stream in extraction order: ascending,
 // not necessarily dense, indices.
-func sortCaseEntries(tc sortCase) []Entry {
-	entries := make([]Entry, tc.n)
+func sortCaseEntries(tc sortCase) []entry {
+	entries := make([]entry, tc.n)
 	for i := range entries {
-		entries[i] = Entry{Index: 3 * i, Value: tc.gen(i)}
+		entries[i] = entry{idx: uint32(3 * i), val: tc.gen(i)}
 	}
 	return entries
 }
 
-func sameEntries(t *testing.T, what string, got, want []Entry) {
+func sameEntries(t *testing.T, what string, got stream, want []entry) {
 	t.Helper()
-	for i := range want {
-		if got[i].Index != want[i].Index || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+	if len(got.val) != len(want) || len(got.idx) != len(want) {
+		t.Fatalf("%s: %d indices and %d values, want %d entries", what, len(got.idx), len(got.val), len(want))
+	}
+	for i, w := range want {
+		if got.idx[i] != w.idx || math.Float64bits(got.val[i]) != math.Float64bits(w.val) {
 			t.Fatalf("%s: position %d: got {%d %v (%#x)}, reference {%d %v (%#x)}", what, i,
-				got[i].Index, got[i].Value, math.Float64bits(got[i].Value),
-				want[i].Index, want[i].Value, math.Float64bits(want[i].Value))
+				got.idx[i], got.val[i], math.Float64bits(got.val[i]),
+				w.idx, w.val, math.Float64bits(w.val))
 		}
 	}
 }
 
-// TestSortEntriesMatchesKeyedReference compares the key-free sort with
+// TestSortEntriesMatchesKeyedReference compares the column sort with
 // the keyed one bit for bit (NaN payloads and the sign of zero included)
 // on random streams and on the inputs that pick out one branch each.
 func TestSortEntriesMatchesKeyedReference(t *testing.T) {
 	// One scratch across the cases, as Decompose passes one across levels:
 	// dirty from the previous sort and longer or shorter than the next
-	// slice.
+	// slice; the value buffer is longer than every case, as Decompose's
+	// work field is.
 	var s sortScratch
+	vtmp := make([]float64, 200_000)
 	for _, tc := range sortCases(rand.New(rand.NewSource(23))) {
-		got := sortCaseEntries(tc)
-		want := slices.Clone(got)
+		want := sortCaseEntries(tc)
+		got := columns(want)
 		sortEntriesKeyed(want)
-		sortEntries(got, &s)
+		sortEntries(got, vtmp, &s)
 		sameEntries(t, tc.name, got, want)
 	}
 }
@@ -213,52 +268,76 @@ func TestSortEntriesMatchesSerialPass(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
 		var s sortScratch
-		var tmp []Entry
+		var tmp []entry
 		for _, tc := range sortCases(rand.New(rand.NewSource(29))) {
-			got := sortCaseEntries(tc)
-			want := slices.Clone(got)
+			want := sortCaseEntries(tc)
+			got := columns(want)
 			tmp = sortEntriesSerial(want, tmp)
-			sortEntries(got, &s)
+			sortStream(got, &s)
 			sameEntries(t, fmt.Sprintf("procs=%d %s", procs, tc.name), got, want)
 		}
 	}
 }
 
+// TestSortEntriesMatchesComparator holds the column sort to the
+// comparison order, a different algorithm, at one and two workers: every
+// case above, and a small stream written out by hand.
+func TestSortEntriesMatchesComparator(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var s sortScratch
+		for _, tc := range sortCases(rand.New(rand.NewSource(9))) {
+			want := sortCaseEntries(tc)
+			got := columns(want)
+			slices.SortFunc(want, compareEntries)
+			sortStream(got, &s)
+			sameEntries(t, fmt.Sprintf("procs=%d %s", procs, tc.name), got, want)
+		}
+	}
+	// In extraction order, as the stability tiebreak needs.
+	small := columns([]entry{{0, 1}, {1, -2}, {2, 2}, {3, -1}})
+	sortStream(small, &sortScratch{})
+	sameEntries(t, "small", small, []entry{{1, -2}, {2, 2}, {0, 1}, {3, -1}})
+}
+
 // TestSortEntriesReusesBuffer pins the contract Decompose relies on to pay
-// for one scratch: a long enough buffer and histogram set come back as
-// they went in, and what a sort allocates does not grow with n — only
-// par's per-call dispatch is left, the same for 2 chunks as for 8.
+// for one scratch: a long enough index buffer and histogram set come back
+// as they went in, the value buffer is the caller's, and what a sort
+// allocates does not grow with n — only par's per-call dispatch is left,
+// the same for 2 chunks as for 8.
 func TestSortEntriesReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	stream := func(n int) []Entry {
-		entries := make([]Entry, n)
-		for i := range entries {
-			entries[i] = Entry{Index: i, Value: rng.NormFloat64()}
+	random := func(n int) stream {
+		s := stream{make([]uint32, n), make([]float64, n)}
+		for i := range s.val {
+			s.idx[i], s.val[i] = uint32(i), rng.NormFloat64()
 		}
-		return entries
+		return s
 	}
-	small, large := stream(2*par.Threshold), stream(8*par.Threshold)
+	small, large := random(2*par.Threshold), random(8*par.Threshold)
+	vtmp := make([]float64, len(large.val))
 	var s sortScratch
-	sortEntries(large, &s)
-	tmp, hist := &s.tmp[0], &s.hist[0]
-	allocs := func(entries []Entry) float64 {
-		return testing.AllocsPerRun(5, func() { sortEntries(entries, &s) })
+	sortEntries(large, vtmp, &s)
+	idx, hist := &s.idx[0], &s.hist[0]
+	allocs := func(st stream) float64 {
+		return testing.AllocsPerRun(5, func() { sortEntries(st, vtmp, &s) })
 	}
-	oneChunk, smallAllocs, largeAllocs := allocs(stream(par.Threshold-1)), allocs(small), allocs(large)
-	if &s.tmp[0] != tmp || &s.hist[0] != hist {
+	oneChunk, smallAllocs, largeAllocs := allocs(random(par.Threshold-1)), allocs(small), allocs(large)
+	if &s.idx[0] != idx || &s.hist[0] != hist {
 		t.Fatal("a sufficient scratch was replaced")
 	}
 	if oneChunk > smallAllocs || largeAllocs > smallAllocs {
 		t.Fatalf("sorting %d, %d and %d entries allocates %v, %v and %v objects: allocations grow with n",
-			par.Threshold-1, len(small), len(large), oneChunk, smallAllocs, largeAllocs)
+			par.Threshold-1, len(small.val), len(large.val), oneChunk, smallAllocs, largeAllocs)
 	}
 	// The dispatch is two par calls per pass and one for the skip mask.
 	if maxAllocs := float64(2*8 + 1 + 4); smallAllocs > maxAllocs {
-		t.Fatalf("sorting %d entries allocates %v objects, want at most %v", len(small), smallAllocs, maxAllocs)
+		t.Fatalf("sorting %d entries allocates %v objects, want at most %v", len(small.val), smallAllocs, maxAllocs)
 	}
-	s = sortScratch{tmp: make([]Entry, 10)}
-	if sortEntries(small, &s); len(s.tmp) != len(small) || len(s.hist) != par.NumChunks(len(small)) {
-		t.Fatalf("a short scratch came back with %d entries and %d histograms, want %d and %d",
-			len(s.tmp), len(s.hist), len(small), par.NumChunks(len(small)))
+	s = sortScratch{idx: make([]uint32, 10)}
+	if sortEntries(small, vtmp, &s); len(s.idx) != len(small.val) || len(s.hist) != par.NumChunks(len(small.val)) {
+		t.Fatalf("a short scratch came back with %d indices and %d histograms, want %d and %d",
+			len(s.idx), len(s.hist), len(small.val), par.NumChunks(len(small.val)))
 	}
 }

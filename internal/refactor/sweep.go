@@ -266,11 +266,11 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 			// Finest level: the basis is a single point — O(1) per entry.
 			// Nothing prolongates after this zone, so cur itself needs no
 			// update.
-			aug, delta := h.augs[0], work[:len(h.augs[0])]
-			par.For(len(aug), func(lo, hi int) {
-				for k, e := range aug[lo:hi] {
-					old := ref[e.Index] - fd[e.Index]
-					nw := old - e.Value
+			aug, delta := h.augs[0], work[:len(h.augs[0].val)]
+			par.For(len(delta), func(lo, hi int) {
+				for k, ix := range aug.idx[lo:hi] {
+					old := ref[ix] - fd[ix]
+					nw := old - aug.val[lo+k]
 					delta[lo+k] = float64(nw*nw) - float64(old*old)
 				}
 			})
@@ -288,13 +288,15 @@ func (h *Hierarchy) runSweep(orig *tensor.Tensor, st errmetric.Stats) sweepResul
 		}
 		curData := cur.Data()
 		cd := h.levelDims[lvl]
-		for _, e := range h.augs[lvl] {
-			curData[e.Index] += e.Value
-			unravel(e.Index, cd, idx)
+		aug := h.augs[lvl]
+		for k, ix := range aug.idx {
+			v := aug.val[k]
+			curData[ix] += v
+			unravel(int(ix), cd, idx)
 			for dim, j := range idx {
 				walk.basis[dim] = cols[dim][j]
 			}
-			sse = walk.apply(work, sse, e.Value)
+			sse = walk.apply(work, sse, v)
 			cursor++
 			check()
 		}

@@ -237,13 +237,13 @@ func TestEntryIndicesUniquePerLevel(t *testing.T) {
 	orig := smoothField(257, 3)
 	coarse := Restrict(orig, 2)
 	pro := Prolongate(coarse, orig.Dims(), 2)
-	entries := extractEntries(orig.Data(), pro.Data())
-	if len(entries) < 40_000 {
-		t.Fatalf("only %d entries: the field is not exercising the chunked path", len(entries))
+	idx := extractEntries(orig.Data(), pro.Data()).idx
+	if len(idx) < 40_000 {
+		t.Fatalf("only %d entries: the field is not exercising the chunked path", len(idx))
 	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Index <= entries[i-1].Index {
-			t.Fatalf("entry %d index %d after index %d: not strictly ascending", i, entries[i].Index, entries[i-1].Index)
+	for i := 1; i < len(idx); i++ {
+		if idx[i] <= idx[i-1] {
+			t.Fatalf("entry %d index %d after index %d: not strictly ascending", i, idx[i], idx[i-1])
 		}
 	}
 	for _, noSort := range []bool{false, true} {
@@ -254,11 +254,11 @@ func TestEntryIndicesUniquePerLevel(t *testing.T) {
 				points *= d
 			}
 			seen := make([]bool, points)
-			for _, e := range aug {
-				if seen[e.Index] {
-					t.Fatalf("NoSort=%v level %d: index %d occurs twice", noSort, lvl, e.Index)
+			for _, ix := range aug.idx {
+				if seen[ix] {
+					t.Fatalf("NoSort=%v level %d: index %d occurs twice", noSort, lvl, ix)
 				}
-				seen[e.Index] = true
+				seen[ix] = true
 			}
 		}
 	}
@@ -332,38 +332,6 @@ func TestProberUnapplyRestoresFromFloor(t *testing.T) {
 	}
 }
 
-// TestSortEntriesMatchesComparator pins the radix sort to the
-// comparison order on adversarial value patterns: duplicated
-// magnitudes, ±0, sign pairs, denormals, and infinities.
-func TestSortEntriesMatchesComparator(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5,
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.MaxFloat64, math.Inf(1), math.Inf(-1), 1e-300, 2.5, -2.5}
-	n := radixMin + 1000 // force the radix path
-	entries := make([]Entry, n)
-	for i := range entries {
-		entries[i] = Entry{Index: i, Value: vals[rng.Intn(len(vals))] * (1 + float64(rng.Intn(3)))}
-	}
-	want := append([]Entry(nil), entries...)
-	slices.SortFunc(want, compareEntries)
-	sortEntries(entries, &sortScratch{})
-	for i := range entries {
-		if entries[i] != want[i] {
-			t.Fatalf("order differs at %d: got %+v, want %+v", i, entries[i], want[i])
-		}
-	}
-	// Small slices take the comparison path; spot-check it too.
-	small := []Entry{{3, 1}, {1, -2}, {2, 1}, {0, 2}}
-	sortEntries(small, &sortScratch{})
-	wantSmall := []Entry{{0, 2}, {1, -2}, {2, 1}, {3, 1}}
-	for i := range small {
-		if small[i] != wantSmall[i] {
-			t.Fatalf("small sort: got %v, want %v", small, wantSmall)
-		}
-	}
-}
-
 // TestExtractEntriesParallelMatchesSequential forces the chunked
 // extraction path and compares it against the simple scan.
 func TestExtractEntriesParallelMatchesSequential(t *testing.T) {
@@ -379,25 +347,20 @@ func TestExtractEntriesParallelMatchesSequential(t *testing.T) {
 			pd[i] = rng.Float64()
 		}
 	}
-	got := extractEntries(fine, pd)
-	var want []Entry
+	var want []entry
 	for i, v := range fine {
 		if diff := v - pd[i]; diff != 0 {
-			want = append(want, Entry{Index: i, Value: diff})
+			want = append(want, entry{uint32(i), diff})
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
+	sameEntries(t, "chunked extraction", extractEntries(fine, pd), want)
+	// All-equal input returns nil columns, matching the sequential scan's nil.
+	if e := extractEntries(fine, fine); e.idx != nil || e.val != nil {
+		t.Errorf("expected nil for zero-diff input, got %d entries", len(e.val))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// All-equal input returns nil, matching the sequential scan's nil.
-	if e := extractEntries(fine, fine); e != nil {
-		t.Errorf("expected nil for zero-diff input, got %d entries", len(e))
-	}
+	// Below par.Threshold the one chunk runs inline.
+	k := slices.IndexFunc(want, func(e entry) bool { return e.idx >= 1000 })
+	sameEntries(t, "one chunk", extractEntries(fine[:1000], pd[:1000]), want[:k])
 }
 
 // composedColumnsDense is the definition composedColumns' windowed
@@ -513,13 +476,13 @@ func TestBasisWalkMatchesRecursiveApply(t *testing.T) {
 			}
 			got := slices.Clone(want)
 			wantSSE, gotSSE := 0.5, 0.5
-			for i, e := range h.augs[lvl] {
-				unravel(e.Index, h.levelDims[lvl], idx)
-				wantSSE = applyRecursive(want, wantSSE, e.Value, cols, idx, strides)
+			for i, e := range h.augs[lvl].entries() {
+				unravel(int(e.idx), h.levelDims[lvl], idx)
+				wantSSE = applyRecursive(want, wantSSE, e.val, cols, idx, strides)
 				for dim, j := range idx {
 					walk.basis[dim] = cols[dim][j]
 				}
-				gotSSE = walk.apply(got, gotSSE, e.Value)
+				gotSSE = walk.apply(got, gotSSE, e.val)
 				if math.Float64bits(gotSSE) != math.Float64bits(wantSSE) {
 					t.Fatalf("dims=%v level %d entry %d: SSE %v, recursion %v", dims, lvl, i, gotSSE, wantSSE)
 				}
@@ -625,11 +588,11 @@ func (h *Hierarchy) runSweepRef(orig *tensor.Tensor, st errmetric.Stats) sweepRe
 			// Finest level: the basis is a single point — O(1) per entry.
 			// Nothing prolongates after this zone, so cur itself needs no
 			// update.
-			for _, e := range h.augs[0] {
-				old := errv[e.Index]
-				nw := old - e.Value
+			for _, e := range h.augs[0].entries() {
+				old := errv[e.idx]
+				nw := old - e.val
 				sse += nw*nw - old*old
-				errv[e.Index] = nw
+				errv[e.idx] = nw
 				cursor++
 				check()
 			}
@@ -641,13 +604,13 @@ func (h *Hierarchy) runSweepRef(orig *tensor.Tensor, st errmetric.Stats) sweepRe
 			cols[dim] = h.composedColumns(lvl, dim)
 		}
 		cd := h.levelDims[lvl]
-		for _, e := range h.augs[lvl] {
-			curData[e.Index] += e.Value
-			unravel(e.Index, cd, idx)
+		for _, e := range h.augs[lvl].entries() {
+			curData[e.idx] += e.val
+			unravel(int(e.idx), cd, idx)
 			for dim, j := range idx {
 				walk.basis[dim] = cols[dim][j]
 			}
-			sse = walk.apply(errv, sse, e.Value)
+			sse = walk.apply(errv, sse, e.val)
 			cursor++
 			check()
 		}

@@ -22,13 +22,13 @@ func New(dims ...int) *Tensor {
 	if len(dims) == 0 {
 		panic("tensor: no dimensions")
 	}
-	return FromData(make([]float64, size(dims)), dims...)
+	return FromData(make([]float64, Size(dims)), dims...)
 }
 
 // FromData wraps existing data (not copied) with the given dims. It panics
 // if len(data) does not match the shape.
 func FromData(data []float64, dims ...int) *Tensor {
-	if n := size(dims); len(data) != n {
+	if n := Size(dims); len(data) != n {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d)", len(data), dims, n))
 	}
 	t := &Tensor{dims: append([]int(nil), dims...), data: data}
@@ -36,9 +36,9 @@ func FromData(data []float64, dims ...int) *Tensor {
 	return t
 }
 
-// size returns the element count of dims; it panics on a non-positive
+// Size returns the element count of dims; it panics on a non-positive
 // dimension.
-func size(dims []int) int {
+func Size(dims []int) int {
 	n := 1
 	for _, d := range dims {
 		if d <= 0 {

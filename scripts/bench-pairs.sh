@@ -2,8 +2,11 @@
 # Paired timing (`make bench-pairs BASE=<rev> N=10 [WORKLOADS=...]`): runs
 # the benchmarks/perf of revision BASE and of the working tree N times on
 # each workload, alternating which of the two runs first, and appends one
-# line per workload and metric to the committed series perf-history.jsonl:
+# line per workload and metric to the committed series perf-history.jsonl.
+# A fifth argument, ARGS, gives both binaries extra flags (`sh
+# scripts/bench-pairs.sh <rev> 1 refactor perf-history.jsonl "-seed 7"`):
 #   {"kind":"pair","workload","metric","unit","base","change","date","n",
+#    "args" (only when ARGS is set),
 #    "base_median","base_q1","base_q3","base_min","base_max", the same five
 #    for "change_", "ratio_median","wins"}
 # The quartiles interpolate between runs. ratio_median is the median over
@@ -22,10 +25,11 @@
 # (10 pairs, all four workloads). Nothing is appended unless every run
 # succeeds.
 set -eu
-base=${1:?usage: bench-pairs.sh BASE [N] [WORKLOADS] [OUT]}
+base=${1:?usage: bench-pairs.sh BASE [N] [WORKLOADS] [OUT] [ARGS]}
 n=${2:-10}
 workloads=${3:-refactor node_quiet node_faulted fleet}
 out=${4:-perf-history.jsonl}
+args=${5:-}
 root=$(git rev-parse --show-toplevel)
 base_label=$(git rev-parse --short "$base^{commit}")
 change_label=${CHANGE:-$(git describe --always --dirty)}
@@ -47,7 +51,8 @@ run() {
 	dir=$root
 	[ "$1" = base ] && dir=$tmp/base
 	echo "bench-pairs: pair $2/$n $3 $1" >&2
-	(cd "$dir" && "$tmp/$1.bin" -workload "$3") >"$tmp/log"
+	# shellcheck disable=SC2086 # ARGS is a list of flags
+	(cd "$dir" && "$tmp/$1.bin" -workload "$3" $args) >"$tmp/log"
 	awk -v side="$1" -v i="$2" '$1 == "metric" { print side, i, $2, $3, $4, $5 }' "$tmp/log" >>"$tmp/runs"
 }
 i=1
@@ -60,7 +65,7 @@ while [ "$i" -le "$n" ]; do
 done
 
 date=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-awk -v base="$base_label" -v change="$change_label" -v date="$date" -v n="$n" '
+awk -v base="$base_label" -v change="$change_label" -v date="$date" -v n="$n" -v args="$args" '
 function sort(a, k, s,    i, j, t) {
 	for (i = 1; i <= k; i++) s[i] = a[i]
 	for (i = 2; i <= k; i++) for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
@@ -92,6 +97,7 @@ END {
 			if (higher[wm[2]] ? c[i] > b[i] : c[i] < b[i]) wins++
 		}
 		printf "{\"kind\":\"pair\",\"workload\":\"%s\",\"metric\":\"%s\",\"unit\":\"%s\",\"base\":\"%s\",\"change\":\"%s\",\"date\":\"%s\",\"n\":%d,", wm[1], wm[2], unit[k], base, change, date, n
+		if (args != "") printf "\"args\":\"%s\",", args
 		printf "%s%s", stats("base", b, n), stats("change", c, n)
 		printf "\"ratio_median\":%.7g,\"wins\":%d}\n", median(r, n), wins
 	}
