@@ -60,6 +60,9 @@ func TestBadFlagsAreErrors(t *testing.T) {
 		{[]string{"-nodes", "2", "-policy", "bogus", "-app", "nope", "-grid", "-4", "-steps", "0"}, "policy"},
 		{[]string{"-nodes", "2", "-faults", "auto"}, "-faults auto"},
 		{[]string{"-faults", "weight-fail@600:cgroup=XGC"}, "cgroup"},
+		{[]string{"-grid", "60000", "-steps", "2"}, "-grid 60000"},
+		{[]string{"-steps", "100000000"}, "-steps 100000000"},
+		{[]string{"-nodes", "10000000", "-sessions", "10000000"}, "-nodes 10000000"},
 	} {
 		for _, args := range [][]string{tc.args, append([]string{"-nodes", "2"}, tc.args...)} {
 			code, stdout, stderr := runMain(t, args...)

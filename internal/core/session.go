@@ -205,9 +205,6 @@ func (s *Session) Stats() []StepStats { return s.stats }
 // Container returns the running container (nil before Launch).
 func (s *Session) Container() *container.Container { return s.cont }
 
-// Estimator exposes the session's bandwidth estimator (read-only use).
-func (s *Session) Estimator() *dftestim.Estimator { return s.est }
-
 // SetBound changes the prescribed error bound at runtime — the paper's
 // exploratory-analytics scenario, where the accuracy a user needs becomes
 // clear only during post-processing and can be elevated on the fly. The

@@ -7,6 +7,7 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -93,7 +94,36 @@ func (c Config) Validate() error {
 	case !finite(c.FleetScale):
 		return fmt.Errorf("-fleetscale %g: want a finite scale above 0", c.FleetScale)
 	}
-	return nil
+	return cmp.Or(budget(fmt.Sprint("-grid ", c.GridN), float64(c.GridN)*float64(c.GridN)*bytesPerPoint),
+		budget(fmt.Sprint("-steps ", c.Steps), float64(c.Steps)*bytesPerStep),
+		budget(fmt.Sprint("-fleetscale ", c.FleetScale), c.FleetScale*fleetBytes(1000, 100_000)))
+}
+
+// runBudget is the memory a run may need, by its sizes' estimate; a spec
+// past it is refused before anything is built.
+const runBudget = 8 << 30
+
+// What a run holds per unit of each size: twice the live heap gctrace
+// read (the heap grows to twice its live data at GOGC=100) — 36 B a grid
+// point at 2049², a 136-byte core.StepStats a step, and 8 KiB a node and
+// 1 KiB a session at 1000 nodes and 50,000 sessions.
+const (
+	bytesPerPoint, bytesPerStep   = 72, 272
+	bytesPerNode, bytesPerSession = 16 << 10, 2 << 10
+)
+
+// fleetBytes is a cluster's estimate.
+func fleetBytes(nodes, sessions float64) float64 {
+	return nodes*bytesPerNode + sessions*bytesPerSession
+}
+
+// budget refuses the size flags names if its estimate, bytes, passes
+// runBudget.
+func budget(flags string, bytes float64) error {
+	if bytes <= runBudget {
+		return nil
+	}
+	return fmt.Errorf("%s: needs ~%.0f GiB, over the %d GiB a run may use", flags, bytes/(1<<30), runBudget>>30)
 }
 
 // Default NRMSE and PSNR ladders used across experiments.

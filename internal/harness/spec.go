@@ -68,17 +68,6 @@ func SpecFlags(fs *flag.FlagSet) *Spec {
 	return s
 }
 
-// ParseSpec parses and validates tangosim's run flags; run only on nil error.
-func ParseSpec(args []string) (*Spec, error) {
-	fs := flag.NewFlagSet("tangosim", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	s := SpecFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	return s, s.Validate()
-}
-
 // Fleet reports whether the spec runs a cluster rather than one node.
 func (s *Spec) Fleet() bool { return s.Nodes > 1 || s.Objstore }
 
@@ -115,7 +104,9 @@ func (s *Spec) Validate() error {
 	}
 	s.app = apps[app]
 	s.SkipWarmup = max(0, min(30, s.Steps/2)) // the paper's estimation period, or half a short run
-	if err := s.Config.Validate(); err != nil {
+	sessions := cmp.Or(s.Sessions, 10*s.Nodes)
+	if err := cmp.Or(s.Config.Validate(), budget(fmt.Sprintf("-nodes %d -sessions %d", s.Nodes, sessions),
+		fleetBytes(float64(s.Nodes), float64(sessions)))); err != nil {
 		return err
 	}
 	switch s.FaultPlan = nil; s.Faults {

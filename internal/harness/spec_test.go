@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -184,4 +185,43 @@ func FuzzSpec(f *testing.F) {
 			t.Fatal(strings.Join(run.findings, "\n"))
 		}
 	})
+}
+
+// TestRunBudgetRefusesSizesNoMachineHolds: a spec whose grid, steps or
+// fleet cannot fit runBudget is refused with one line naming its flag,
+// having allocated under 1 MiB, while the largest sizes the tools run —
+// tangosim's defaults, the named 1000-node fleet, and tangobench at its
+// default and CI scales — pass.
+func TestRunBudgetRefusesSizesNoMachineHolds(t *testing.T) {
+	for _, tc := range []struct{ args, flag string }{
+		{"-grid 60000 -steps 2", "-grid 60000"},
+		{"-steps 100000000", "-steps 100000000"},
+		{"-nodes 10000000 -sessions 10000000", "-nodes 10000000"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseSpec(strings.Fields(tc.args))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.flag) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: got %v, want one line starting %q", tc.args, err, tc.flag)
+		}
+		if a := after.TotalAlloc - before.TotalAlloc; a >= 1<<20 {
+			t.Errorf("%s: refusing it allocated %d bytes", tc.args, a)
+		}
+	}
+	for _, bad := range []Config{{GridN: 60000}, {Steps: 100_000_000}, {FleetScale: 1e5}} {
+		if err := bad.WithDefaults().Validate(); err == nil || !strings.Contains(err.Error(), "GiB a run may use") {
+			t.Errorf("%+v: got %v, want the run budget's refusal", bad, err)
+		}
+	}
+	for _, args := range []string{"", "-grid 1025", "-nodes 1000 -sessions 100000"} {
+		if _, err := ParseSpec(strings.Fields(args)); err != nil {
+			t.Errorf("tangosim %s: %v", args, err)
+		}
+	}
+	for _, ok := range []Config{{}, {GridN: 129, Steps: 40, SkipWarmup: 10, DatasetMB: 512}} {
+		if err := ok.WithDefaults().Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
 }

@@ -129,7 +129,7 @@ func (s *Store) Cost() float64 {
 // latency and no seek thrash. Returns the node's Remote. The attach
 // order fixes the node index Reshare grants are keyed by.
 func (s *Store) Attach(eng *sim.Engine) *Remote {
-	r := &Remote{store: s, dev: s.frontend(eng), index: len(s.remotes)}
+	r := &Remote{dev: s.frontend(eng), index: len(s.remotes)}
 	s.remotes = append(s.remotes, r)
 	return r
 }
@@ -142,7 +142,7 @@ func (s *Store) Attach(eng *sim.Engine) *Remote {
 func (s *Store) Detach(index int, eng *sim.Engine) *Remote {
 	old := s.remotes[index]
 	s.totals.add(old.take())
-	r := &Remote{store: s, dev: s.frontend(eng), index: index}
+	r := &Remote{dev: s.frontend(eng), index: index}
 	s.remotes[index] = r
 	return r
 }
@@ -260,7 +260,6 @@ func (s *Store) Reshare(demands []float64) []float64 {
 // fleet.read.objstore against Device()). Traffic accounting accumulates
 // locally and is harvested at barriers.
 type Remote struct {
-	store *Store
 	dev   *device.Device
 	index int
 	local Stats
@@ -269,9 +268,6 @@ type Remote struct {
 // Device returns the frontend device (for resil-guarded reads and for
 // direct Read/Write calls from session procs).
 func (r *Remote) Device() *device.Device { return r.dev }
-
-// Index returns the node index the store knows this remote by.
-func (r *Remote) Index() int { return r.index }
 
 // AccountGet records one completed GET of the given bytes (egress).
 // Partial transfers (cancelled or failed attempts) account what actually
@@ -293,9 +289,6 @@ func (r *Remote) AccountPut(bytes float64) {
 	r.local.IngressBytes += bytes
 	r.local.Requests++
 }
-
-// Pending returns the locally accumulated, not-yet-harvested traffic.
-func (r *Remote) Pending() Stats { return r.local }
 
 // take drains the local ledger (harvest).
 func (r *Remote) take() Stats {

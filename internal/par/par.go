@@ -6,10 +6,9 @@
 // machine: For requires workers to write disjoint ranges, and MapReduce
 // folds its per-chunk partials in chunk order.
 //
-// Worker counts are additionally gated by the number of scenario-level
-// jobs currently running (see EnterBusy and internal/runpool): when the
-// experiment runner fans whole simulations across cores, each kernel
-// divides the remaining width instead of oversubscribing GOMAXPROCS.
+// A problem of one chunk runs inline on the caller. A larger one is
+// drained by the caller itself and min(GOMAXPROCS, chunks)−1 helper
+// goroutines pulling chunk indices from one shared counter.
 package par
 
 import (
@@ -28,71 +27,11 @@ const Threshold = 1 << 15
 // and therefore its floating-point result — machine-independent.
 const maxChunks = 64
 
-// busy counts scenario-level workers currently running whole-simulation
-// jobs (incremented by internal/runpool around each job). Kernel-level
-// helpers divide GOMAXPROCS by this count so nested parallelism does not
-// oversubscribe the machine.
-var busy atomic.Int32
-
-// EnterBusy registers a coarse-grained (scenario-level) worker; pair with
-// ExitBusy. While k workers are registered, For/MapReduce use at most
-// GOMAXPROCS/k goroutines each. The gate changes only how many goroutines
-// execute the fixed chunks, never where the chunks split, so results are
-// unaffected.
-func EnterBusy() { busy.Add(1) }
-
-// ExitBusy unregisters a coarse-grained worker.
-func ExitBusy() { busy.Add(-1) }
-
 // chunkSize returns the chunk length for a problem of size n: Threshold
 // at minimum, growing once n exceeds Threshold*maxChunks. A function of n
 // alone — determinism of every split depends on this.
 func chunkSize(n int) int {
-	c := Threshold
-	if min := (n + maxChunks - 1) / maxChunks; min > c {
-		c = min
-	}
-	return c
-}
-
-// workers returns the goroutine budget for nChunks chunks under the
-// current busy gate.
-func workers(nChunks int) int {
-	w := runtime.GOMAXPROCS(0)
-	if b := int(busy.Load()); b > 1 {
-		w /= b
-	}
-	return max(min(w, nChunks), 1)
-}
-
-// run executes fn over the nChunks fixed chunks of [0, n) using at most
-// w goroutines pulling chunk indices from a shared counter.
-func run(n, nChunks, w int, fn func(chunk, lo, hi int)) {
-	size := chunkSize(n)
-	if w == 1 {
-		for c := 0; c < nChunks; c++ {
-			lo := c * size
-			fn(c, lo, min(lo+size, n))
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * size
-				fn(c, lo, min(lo+size, n))
-			}
-		}()
-	}
-	wg.Wait()
+	return max(Threshold, (n+maxChunks-1)/maxChunks)
 }
 
 // NumChunks returns how many fixed chunks [0, n) splits into — the
@@ -103,11 +42,51 @@ func NumChunks(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	if n < Threshold {
-		return 1
-	}
 	size := chunkSize(n)
 	return (n + size - 1) / size
+}
+
+// loop is one multi-chunk call's shared state: the next chunk to claim
+// and the helpers still draining.
+type loop struct {
+	next            atomic.Int64
+	helpers         sync.WaitGroup
+	n, chunks, size int
+	fn              func(chunk, lo, hi int)
+}
+
+// drain claims chunks until none is left.
+func (l *loop) drain() {
+	for {
+		c := int(l.next.Add(1)) - 1
+		if c >= l.chunks {
+			return
+		}
+		lo := c * l.size
+		l.fn(c, lo, min(lo+l.size, l.n))
+	}
+}
+
+// run executes fn over the chunks fixed chunks of [0, n): in order on the
+// caller at one worker (or at most one chunk), else drained by the caller
+// alongside min(GOMAXPROCS, chunks)−1 helpers.
+func run(n, chunks int, fn func(chunk, lo, hi int)) {
+	size := chunkSize(n)
+	w := min(runtime.GOMAXPROCS(0), chunks)
+	if w <= 1 {
+		for c := 0; c < chunks; c++ {
+			lo := c * size
+			fn(c, lo, min(lo+size, n))
+		}
+		return
+	}
+	l := &loop{n: n, chunks: chunks, size: size, fn: fn}
+	l.helpers.Add(w - 1)
+	for range w - 1 {
+		go func() { l.drain(); l.helpers.Done() }()
+	}
+	l.drain()
+	l.helpers.Wait()
 }
 
 // ForChunk is For with the chunk index passed alongside the range, for
@@ -116,42 +95,18 @@ func NumChunks(n int) int {
 // contract as For: fn must only write state derived from its own chunk,
 // and chunk boundaries depend only on n.
 func ForChunk(n int, fn func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if n < Threshold {
-		fn(0, 0, n)
-		return
-	}
-	size := chunkSize(n)
-	nChunks := (n + size - 1) / size
-	w := workers(nChunks)
-	if w == 1 && nChunks == 1 {
-		fn(0, 0, n)
-		return
-	}
-	run(n, nChunks, w, fn)
+	run(n, NumChunks(n), fn)
 }
 
 // For runs fn over [0, n) split into contiguous fixed-size chunks. fn
 // must only write state derived from its own range. Small problems run
 // inline on the calling goroutine.
 func For(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if n < Threshold {
+	if c := NumChunks(n); c == 1 {
 		fn(0, n)
-		return
+	} else if c > 1 {
+		run(n, c, func(_, lo, hi int) { fn(lo, hi) })
 	}
-	size := chunkSize(n)
-	nChunks := (n + size - 1) / size
-	w := workers(nChunks)
-	if w == 1 && nChunks == 1 {
-		fn(0, n)
-		return
-	}
-	run(n, nChunks, w, func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // MapReduce runs fn over the fixed chunks of [0, n), each returning a
@@ -159,25 +114,19 @@ func For(n int, fn func(lo, hi int)) {
 // Because chunk boundaries depend only on n, the floating-point reduction
 // is identical on every machine and at every worker count.
 func MapReduce[T any](n int, fn func(lo, hi int) T, combine func(a, b T) T) T {
-	var zero T
-	if n <= 0 {
+	switch c := NumChunks(n); c {
+	case 0:
+		var zero T
 		return zero
-	}
-	if n < Threshold {
+	case 1:
 		return fn(0, n)
+	default:
+		partials := make([]T, c)
+		run(n, c, func(c, lo, hi int) { partials[c] = fn(lo, hi) })
+		acc := partials[0]
+		for _, p := range partials[1:] {
+			acc = combine(acc, p)
+		}
+		return acc
 	}
-	size := chunkSize(n)
-	nChunks := (n + size - 1) / size
-	if nChunks == 1 {
-		return fn(0, n)
-	}
-	partials := make([]T, nChunks)
-	run(n, nChunks, workers(nChunks), func(c, lo, hi int) {
-		partials[c] = fn(lo, hi)
-	})
-	acc := partials[0]
-	for _, p := range partials[1:] {
-		acc = combine(acc, p)
-	}
-	return acc
 }

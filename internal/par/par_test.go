@@ -1,6 +1,9 @@
 package par
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,34 +103,56 @@ func TestMapReduceSmallInline(t *testing.T) {
 	}
 }
 
-func TestMapReduceBitsUnchangedByBusyGate(t *testing.T) {
-	// The busy gate may shrink the goroutine budget, but chunk boundaries
-	// are a function of n alone, so a gated reduction must be bit-identical
-	// to an ungated one.
+// TestBitsAndCoverageIndependentOfWidth runs For, ForChunk and MapReduce
+// over several chunks at GOMAXPROCS 1, 2 and 4: every width must cover
+// each index once, hand out the same chunks and fold to the same bits.
+func TestBitsAndCoverageIndependentOfWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	n := 1<<18 + 101
+	if NumChunks(n) < 2 {
+		t.Fatalf("n=%d is %d chunk", n, NumChunks(n))
+	}
 	vals := make([]float64, n)
 	for i := range vals {
 		vals[i] = 1.0 / float64(i+3)
 	}
-	run := func() float64 {
-		return MapReduce(n, func(lo, hi int) float64 {
+	var sums []uint64
+	var bounds [][2]int
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		sum := MapReduce(n, func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += vals[i]
 			}
 			return s
 		}, func(a, b float64) float64 { return a + b })
-	}
-	free := run()
-	for k := 0; k < 4; k++ {
-		EnterBusy()
-	}
-	gated := run()
-	for k := 0; k < 4; k++ {
-		ExitBusy()
-	}
-	if free != gated {
-		t.Fatalf("busy gate changed reduction bits: %x vs %x", free, gated)
+		marks := make([]int32, n)
+		For(n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&marks[i], 1)
+			}
+		})
+		chunks := make([][2]int, NumChunks(n))
+		ForChunk(n, func(c, lo, hi int) {
+			chunks[c] = [2]int{lo, hi}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&marks[i], 1)
+			}
+		})
+		for i, m := range marks {
+			if m != 2 {
+				t.Fatalf("procs=%d: index %d visited %d times by For and ForChunk, want 2", procs, i, m)
+			}
+		}
+		if sums = append(sums, math.Float64bits(sum)); sums[0] != sums[len(sums)-1] {
+			t.Fatalf("procs=%d: reduction %x, at 1 worker %x", procs, sums[len(sums)-1], sums[0])
+		}
+		if bounds == nil {
+			bounds = chunks
+		} else if !slices.Equal(bounds, chunks) {
+			t.Fatalf("procs=%d: chunks %v, at 1 worker %v", procs, chunks, bounds)
+		}
 	}
 }
 

@@ -304,8 +304,8 @@ func TestSortEntriesMatchesComparator(t *testing.T) {
 // TestSortEntriesReusesBuffer pins the contract Decompose relies on to pay
 // for one scratch: a long enough index buffer and histogram set come back
 // as they went in, the value buffer is the caller's, and what a sort
-// allocates does not grow with n — only par's per-call dispatch is left,
-// the same for 2 chunks as for 8.
+// allocates does not grow with n — only the closures handed to par are
+// left, the same for 2 chunks as for 8.
 func TestSortEntriesReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	random := func(n int) stream {
@@ -331,7 +331,11 @@ func TestSortEntriesReusesBuffer(t *testing.T) {
 		t.Fatalf("sorting %d, %d and %d entries allocates %v, %v and %v objects: allocations grow with n",
 			par.Threshold-1, len(small.val), len(large.val), oneChunk, smallAllocs, largeAllocs)
 	}
-	// The dispatch is two par calls per pass and one for the skip mask.
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, where par runs every
+	// chunk on the caller: what it counts is the closure of each of the
+	// two par calls a pass, and the skip mask's closure, partials and
+	// wrapper (19 objects). What a fan-out adds at more workers is
+	// counted by par's TestAllocsPerCallAtTwoWorkers.
 	if maxAllocs := float64(2*8 + 1 + 4); smallAllocs > maxAllocs {
 		t.Fatalf("sorting %d entries allocates %v objects, want at most %v", len(small.val), smallAllocs, maxAllocs)
 	}

@@ -52,7 +52,7 @@ func BenchmarkAttemptDeadlined(b *testing.B) {
 // BenchmarkBreakerAllow measures the breaker admission fast path.
 func BenchmarkBreakerAllow(b *testing.B) {
 	b.ReportAllocs()
-	br := &Breaker{target: "hdd", threshold: 4, cooldown: 20}
+	br := &Breaker{threshold: 4, cooldown: 20}
 	for i := 0; i < b.N; i++ {
 		br.allow(float64(i))
 		br.onSuccess()

@@ -19,7 +19,6 @@ const (
 // driven entirely by the virtual clock passed to allow, so breaker
 // behavior is deterministic.
 type Breaker struct {
-	target    string
 	threshold int     // consecutive failures before opening
 	cooldown  float64 // seconds open before the half-open probe
 	fails     int     // consecutive failures

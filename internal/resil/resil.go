@@ -274,12 +274,6 @@ type Key struct {
 	brTarget string
 }
 
-// Stats returns the key's counters.
-func (k *Key) Stats() KeyStats { return k.stats }
-
-// Policy returns the key's policy.
-func (k *Key) Policy() Policy { return *k.pol }
-
 // setPolicy puts pol on k with a full retry budget.
 func (k *Key) setPolicy(pol *Policy) {
 	k.pol = pol
@@ -380,11 +374,6 @@ func (c *Controller) SetForecast(fn func() (next, peak float64, ok bool)) {
 	c.forecast = fn
 }
 
-// Breaker returns the breaker for a target, or nil if there is none yet:
-// a read key makes its target's at the first read, a weight key only at
-// the target's first failed write.
-func (c *Controller) Breaker(target string) *Breaker { return c.breakers[target] }
-
 // breaker returns the breaker guarding target for this key. Where there is
 // none yet, create makes one with the key's parameters; without it the
 // answer is nil, which reads as closed with no failures — all a breaker
@@ -404,7 +393,7 @@ func (k *Key) breaker(target string, create bool) *Breaker {
 			if k.c.breakers == nil {
 				k.c.breakers = make(map[string]*Breaker)
 			}
-			b = &Breaker{target: target, threshold: k.pol.BreakerThreshold, cooldown: k.pol.BreakerCooldown}
+			b = &Breaker{threshold: k.pol.BreakerThreshold, cooldown: k.pol.BreakerCooldown}
 			k.c.breakers[target] = b
 		}
 		k.br, k.brTarget = b, target

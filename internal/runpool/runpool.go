@@ -22,18 +22,12 @@
 // them. Wait executes a still-unclaimed task inline on the waiting
 // goroutine (claim-or-wait), so progress never depends on a free slot
 // and the pool cannot deadlock however deep the nesting.
-//
-// Pool goroutines register with par.EnterBusy while a job runs, so
-// kernel-level data parallelism (par.For) inside a job divides the
-// remaining GOMAXPROCS instead of oversubscribing it.
 package runpool
 
 import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-
-	"tango/internal/par"
 )
 
 // Task states, transitioned with atomic CAS so exactly one goroutine
@@ -66,9 +60,7 @@ func (t *Task[T]) tryRun() bool {
 	if !t.state.CompareAndSwap(statePending, stateRunning) {
 		return false
 	}
-	par.EnterBusy()
 	defer func() {
-		par.ExitBusy()
 		if r := recover(); r != nil {
 			t.panic = r
 		}

@@ -11,3 +11,6 @@ func (b *Bucket) Owed() float64 {
 	}
 	return t
 }
+
+// Active reports how many sessions are currently retrieving.
+func (c *Controller) Active() int { return c.active }

@@ -201,9 +201,6 @@ func (c *Controller) SetResil(rc *resil.Controller) { c.rc = rc }
 // Stats returns the ledger-traffic counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Active reports how many sessions are currently retrieving.
-func (c *Controller) Active() int { return c.active }
-
 // Attach registers a session's cgroup and returns its bucket handle.
 // The bucket starts full at the default-weight size; the first Request
 // resizes it to the weight function's output.

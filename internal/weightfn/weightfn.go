@@ -39,8 +39,7 @@ type Func struct {
 	useAccuracy bool
 
 	// calibration record
-	maxScore, minScore float64
-	tightest           float64
+	tightest float64
 }
 
 // Calibration describes the extreme corners used to solve for k2 and b2:
@@ -99,7 +98,7 @@ func New(c Calibration) (*Func, error) {
 		return &Func{
 			metric: c.Metric, k2: 0, b2: (blkio.MinWeight + blkio.MaxWeight) / 2,
 			usePriority: true, useAccuracy: true,
-			maxScore: maxScore, minScore: minScore, tightest: c.TightestBound,
+			tightest: c.TightestBound,
 		}, nil
 	}
 	k2 := float64(blkio.MaxWeight-blkio.MinWeight) / (maxScore - minScore)
@@ -107,7 +106,7 @@ func New(c Calibration) (*Func, error) {
 	return &Func{
 		metric: c.Metric, k2: k2, b2: b2,
 		usePriority: true, useAccuracy: true,
-		maxScore: maxScore, minScore: minScore, tightest: c.TightestBound,
+		tightest: c.TightestBound,
 	}, nil
 }
 

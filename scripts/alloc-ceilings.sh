@@ -4,10 +4,14 @@
 # < 0.3 % run to run, so unlike the timings a hard ceiling means something
 # on a shared runner. Objects sit ~4-5 % above what the workload allocates
 # (node_quiet 0.10069, node_faulted 0.49485, fleet 0.08365, refactor
-# 0.000811 at seed 42): every figure is set-up — per scenario on node_*,
+# 0.000654 at seed 42): every figure is set-up — per scenario on node_*,
 # per session on fleet — so one object per step or per session that creeps
-# back trips them. Bytes sit ~2 % above (node_quiet 0.28316, node_faulted
-# 0.41853, fleet 0.07539, refactor 0.12901 KiB).
+# back trips them. Bytes sit ~2 % above (node_quiet 0.28314, node_faulted
+# 0.41831, fleet 0.07538, refactor 0.12900 KiB).
+# Before a par fan-out's caller drained chunks beside min(GOMAXPROCS,
+# chunks)-1 helpers off one loop state, refactor read 0.000811 objects
+# (ceiling 0.00085); before weightfn.Func and resil.Breaker lost their
+# unread fields, node_faulted read 0.41853 KiB (ceiling 0.4269).
 # Before each level's augmentation stream was an index and a value column
 # (12 bytes an entry) sorted through Decompose's work field, refactor read
 # 0.000815 objects and 0.14508 KiB (ceiling 0.1480).
@@ -49,8 +53,8 @@
 # one window task per worker, a device took its flows from chunks (with its
 # plan's timers one calendar on node_faulted) and a device's completion timer
 # was a closure: 0.1693, 0.7991 and 0.2458 objects, 0.10619 KiB on fleet.
-awk -v objs='node_quiet=0.1052 node_faulted=0.5171 fleet=0.0874 refactor=0.00085' \
-    -v kib='node_quiet=0.2888 node_faulted=0.4269 fleet=0.0769 refactor=0.1316' '
+awk -v objs='node_quiet=0.1052 node_faulted=0.5171 fleet=0.0874 refactor=0.000683' \
+    -v kib='node_quiet=0.2888 node_faulted=0.4267 fleet=0.0769 refactor=0.1316' '
 function limits(list, metric,    n, kv, p, i) {
 	n = split(list, kv, " ")
 	for (i = 1; i <= n; i++) { split(kv[i], p, "="); max[metric, p[1]] = p[2] }
