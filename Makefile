@@ -109,7 +109,7 @@ loc:
 # same idea as scripts/alloc-ceilings.sh: the number that was bought is
 # held). Lower them with the next audit; raise one only in the PR that
 # says what the lines or the option bought.
-LOC_MAX = 18868
+LOC_MAX = 18867
 CONFIG_FIELDS_MAX = 21
 
 loc-check:

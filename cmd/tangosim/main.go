@@ -41,13 +41,13 @@ func main() {
 	sess := run.Session
 	fmt.Printf("%5s %9s %10s %10s %9s %7s %8s\n",
 		"step", "t(s)", "io(s)", "MB", "estMB/s", "degree", "weightN")
-	for _, st := range sess.Stats() {
-		if !*verbose && st.Step%5 != 0 {
+	for i, st := range sess.Stats() {
+		if !*verbose && i%5 != 0 {
 			continue
 		}
 		fmt.Printf("%5d %9.0f %10.3f %10.1f %9.1f %7.2f %8d\n",
-			st.Step, st.Start, st.IOTime, st.Bytes/(1024*1024),
-			st.Predicted/(1024*1024), st.Degree, len(st.Buckets))
+			i, st.Start, st.IOTime, st.Bytes/(1024*1024),
+			st.Predicted/(1024*1024), st.Degree, len(sess.Buckets(i)))
 	}
 	sum := sess.Summary(spec.SkipWarmup)
 	fmt.Printf("\nsummary (steps %d+): mean I/O %.3fs  std %.3fs  min %.3fs  max %.3fs  mean %.1f MB/step\n",

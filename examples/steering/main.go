@@ -71,8 +71,8 @@ func main() {
 
 	fmt.Printf("\n%5s %9s %10s %12s %14s\n", "step", "t(s)", "io(s)", "DoF%", "outcome err")
 	cache := map[int]float64{}
-	for _, st := range sess.Stats() {
-		if st.Step%3 != 0 {
+	for i, st := range sess.Stats() {
+		if i%3 != 0 {
 			continue
 		}
 		oe, ok := cache[st.Cursor]
@@ -81,7 +81,7 @@ func main() {
 			cache[st.Cursor] = oe
 		}
 		fmt.Printf("%5d %9.0f %10.3f %11.1f%% %14.4f\n",
-			st.Step, st.Start, st.IOTime, 100*h.DoFFraction(st.Cursor), oe)
+			i, st.Start, st.IOTime, 100*h.DoFFraction(st.Cursor), oe)
 	}
 	fmt.Println("\nthe bound tightens mid-run without restarting the container, the weight")
 	fmt.Println("function keeps pricing each bucket, and the error guarantee holds throughout.")

@@ -72,9 +72,18 @@ func TestNilTraceIsSafe(t *testing.T) {
 	}
 }
 
+// plantStep appends a finished step record whose buckets are bks,
+// planned into the bucket log and entered in the record as a step does.
+func plantStep(s *Session, st StepStats, bks ...BucketStat) {
+	b0, plan := s.buckets(0, true)
+	copy(plan[:len(bks)], bks)
+	st.b0, st.nb = b0, uint16(len(bks))
+	s.stats = append(s.stats, st)
+}
+
 func TestWeightBoostBounds(t *testing.T) {
 	_, st := scenario(t, 0)
-	s, err := NewSession("a", st, Config{Policy: CrossLayer, Steps: 1})
+	s, err := NewSession("a", st, Config{Policy: CrossLayer, Steps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +92,7 @@ func TestWeightBoostBounds(t *testing.T) {
 		t.Fatalf("initial boost = %v", got)
 	}
 	// Synthetic last step with known weights.
-	s.stats = append(s.stats, StepStats{Buckets: []BucketStat{
-		{Weight: 300}, {Weight: 500},
-	}})
+	plantStep(s, StepStats{}, BucketStat{Weight: 300}, BucketStat{Weight: 500})
 	boost := s.weightBoost()
 	want := 2.0 * 400 / (400 + 100)
 	if math.Abs(boost-want) > 1e-12 {
@@ -95,22 +102,27 @@ func TestWeightBoostBounds(t *testing.T) {
 		t.Fatalf("boost %v outside [1,2)", boost)
 	}
 	// Steps without weight adjustments: neutral.
-	s.stats = append(s.stats, StepStats{Buckets: []BucketStat{{Weight: 0}}})
+	plantStep(s, StepStats{}, BucketStat{Weight: 0})
 	if got := s.weightBoost(); got != 1 {
 		t.Fatalf("unweighted boost = %v", got)
 	}
 }
 
 func TestTimeToBoundNaNForMissingBound(t *testing.T) {
-	st := StepStats{BaseTime: 0.25, Buckets: []BucketStat{{Bound: 0.01, To: 10, Start: 1, Elapsed: 2}}}
-	if got := st.TimeToBound(11); !math.IsNaN(got) {
+	_, st := scenario(t, 0)
+	s, err := NewSession("a", st, Config{Policy: CrossLayer, Steps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plantStep(s, StepStats{BaseTime: 0.25}, BucketStat{Bound: 0.01, To: 10, Start: 1, Elapsed: 2})
+	if got := s.TimeToBound(0, 11); !math.IsNaN(got) {
 		t.Fatalf("unreached rung = %v, want NaN", got)
 	}
-	st.Start = 0.5
-	if got := st.TimeToBound(10); math.Abs(got-2.5) > 1e-12 {
+	s.stats[0].Start = 0.5
+	if got := s.TimeToBound(0, 10); math.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("TimeToBound = %v", got)
 	}
-	if got := st.TimeToBound(0); got != 0.25 {
+	if got := s.TimeToBound(0, 0); got != 0.25 {
 		t.Fatalf("base-only rung = %v, want the base read time", got)
 	}
 }
@@ -151,9 +163,9 @@ func TestSetBoundAtRuntime(t *testing.T) {
 		t.Skip("ladder degenerate at this scale")
 	}
 	// After the bound tightened, every step must honor the new floor.
-	for _, stp := range s.Stats()[5:] {
+	for i, stp := range s.Stats()[5:] {
 		if stp.Cursor < tight {
-			t.Fatalf("step %d cursor %d below tightened floor %d", stp.Step, stp.Cursor, tight)
+			t.Fatalf("step %d cursor %d below tightened floor %d", 5+i, stp.Cursor, tight)
 		}
 	}
 }

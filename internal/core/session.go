@@ -23,24 +23,24 @@ const (
 	regimeTol         = 0.5 // relative forecast error that counts as a misprediction
 	regimeRun         = 4   // consecutive mispredicted steps that force a refit (record)
 	prefetchLookahead = 2   // future steps of planned cursors the prefetch target covers
-	bucketChunkSteps  = 64  // steps of BucketStat records one arena refill covers (beginStep)
+	bucketChunkSteps  = 64  // steps of BucketStat records one bucket-log chunk covers (buckets)
 )
 
 // BucketStat records the retrieval of one augmentation bucket Aug_{ε_m}:
 // its accuracy level, cursor range, the blkio weight in force (0 when the
 // policy does not adjust weights), and its start time and duration. The
 // Fig 13 latency and Fig 15 weight-timeline experiments read these.
+// Entry indices are 32-bit (refactor.Decompose) and weights ≤ 1000: 40 B.
 type BucketStat struct {
 	Bound    float64 // accuracy level being elevated toward (NaN if none)
-	From, To int
-	Weight   int // 0 = weight not adjusted (default share)
+	From, To uint32
+	Weight   int32 // 0 = weight not adjusted (default share)
 	Start    float64
 	Elapsed  float64
 }
 
-// StepStats records one analysis step.
+// StepStats records one analysis step, Session.Stats()[i] with Buckets(i).
 type StepStats struct {
-	Step      int
 	Start     float64
 	IOTime    float64 // total retrieval time (base + augmentation + probe)
 	BaseTime  float64 // time to retrieve the base representation
@@ -50,29 +50,38 @@ type StepStats struct {
 	Degree    float64 // abplot degree applied (1 when not adapting)
 	Cursor    int     // augmentation entries retrieved (achieved, not planned)
 	Retries   int     // read requests retried after transient errors
-	Degraded  bool    // optional augmentation shed after exhausting retries
-	Buckets   []BucketStat
 
 	// Fast-tier cache effect on this step (zero without a cache).
 	CacheHits     int     // segment reads served at least partly from cache
 	CacheMisses   int     // segment reads that touched the home tier
 	CacheHitBytes float64 // bytes served from the cache device
+
+	b0       uint32 // the step's first bucket in the session's bucket log
+	nb       uint16 // its buckets whose reads began
+	Degraded bool   // optional augmentation shed after exhausting retries
 }
 
-// TimeToBound returns the elapsed time from step start until the
+// Buckets returns step i's bucket records in read order: each bucket
+// whose read began, so a degraded step's shed buckets are not among them.
+func (s *Session) Buckets(i int) []BucketStat {
+	b0, nb := int(s.stats[i].b0), s.stats[i].nb
+	return s.bkLog[b0/s.bkCap][b0%s.bkCap:][:nb:nb]
+}
+
+// TimeToBound returns the elapsed time from step i's start until the
 // retrieval had covered rung entries of the augmentation stream — the
 // cursor of the accuracy being asked about (Hierarchy.CursorForBound):
 // the base read time when the base alone satisfies the bound, otherwise
 // the completion time of the bucket whose range reaches the rung, or NaN
 // if the step never got there. This is Fig 13's "latency to retrieve the
 // augmentation that elevates the accuracy to ε".
-func (st StepStats) TimeToBound(rung int) float64 {
+func (s *Session) TimeToBound(i, rung int) float64 {
 	if rung == 0 {
-		return st.BaseTime
+		return s.stats[i].BaseTime
 	}
-	for _, b := range st.Buckets {
-		if b.To >= rung {
-			return b.Start + b.Elapsed - st.Start
+	for _, b := range s.Buckets(i) {
+		if int(b.To) >= rung {
+			return b.Start + b.Elapsed - s.stats[i].Start
 		}
 	}
 	return math.NaN()
@@ -89,8 +98,8 @@ type Session struct {
 	est   *dftestim.Estimator
 
 	stats    []StepStats
-	bktBuf   []bucket     // the step's buckets: room for one per rung and the tail
-	bktArena []BucketStat // chunk the steps' retained Buckets are carved from
+	bkLog    [][]BucketStat // the steps' buckets, in chunks; bucket j is bkLog[j/bkCap][j%bkCap]
+	bkCap    int            // a chunk's room: bucketChunkSteps steps of one bucket per rung and the tail
 	eng      *sim.Engine
 	cont     *container.Container
 	finished bool // set when the last step has ended (stops the prefetcher)
@@ -98,8 +107,8 @@ type Session struct {
 	// The step in flight (Fire), number len(stats): where it stands, its
 	// record so far, and the read it waits on.
 	phase     stepPhase
-	cur       *StepStats // its record, in the slot past the end of stats
-	b0        int        // the step's first bucket in bktArena; the last is the one being read
+	cur       *StepStats   // its record, in the slot past the end of stats
+	plan      []BucketStat // its buckets, in the log's free room; cur.nb of them have begun
 	tier      staging.TierStats
 	mandatory int
 	bi        int // the bucket being read
@@ -108,7 +117,7 @@ type Session struct {
 	cache *cache.Cache
 	pf    *cache.Prefetcher
 
-	rung         int // the prescribed bound's cursor; 0 without error control
+	rung         int // the prescribed bound's cursor (NewSession, SetBound); 0 without error control
 	regimeStreak int // consecutive mispredicted steps (regime detector)
 
 	rc *resil.Controller // Config.Resil, or its node's adhoc controller (Launch)
@@ -143,11 +152,15 @@ func NewSession(name string, store *staging.Store, cfg Config) (*Session, error)
 		wf.DisablePriority()
 		wf.DisableAccuracy()
 	}
+	if maxB := len(h.Rungs()) + 1; maxB > math.MaxUint16 || uint64(cfg.Steps+bucketChunkSteps)*uint64(maxB) > math.MaxUint32 {
+		return nil, fmt.Errorf("core: %d steps of up to %d buckets overflow the bucket log's index", cfg.Steps, maxB)
+	}
 	est := dftestim.NewEstimator()
 	est.ThreshFrac = threshFrac
 	est.Window = cfg.Window
 	return &Session{Name: name, Config: cfg, store: store, wf: wf, est: est, rung: rung,
-		stats: make([]StepStats, 0, cfg.Steps), bktBuf: make([]bucket, 0, len(h.Rungs())+1)}, nil
+		stats: make([]StepStats, 0, cfg.Steps), bkCap: (len(h.Rungs()) + 1) * bucketChunkSteps,
+		bkLog: make([][]BucketStat, 0, (cfg.Steps+bucketChunkSteps-1)/bucketChunkSteps)}, nil
 }
 
 // calibrate solves the weight function's (k2, b2) from the hierarchy.
@@ -298,7 +311,7 @@ func (s *Session) launchPrefetcher(cont *container.Container) {
 		ccfg.Trace = s.Config.Trace
 	}
 	cc := cache.New(s.store, s.store.BaseDevice(), ccfg)
-	cc.SetMandatory(s.mandatoryCursor())
+	cc.SetMandatory(s.rung)
 	s.store.SetCache(cc)
 	s.cache = cc
 	pf := cache.NewPrefetcher(cc, prefetchInputs{s})
@@ -342,7 +355,7 @@ func (s *Session) forecast() (next, peak float64, ok bool) {
 // the maximum cursor the controller would plan over the next
 // prefetchLookahead steps, floored by the prescribed bound's rung.
 func (s *Session) prefetchTarget() int {
-	target := s.mandatoryCursor()
+	target := s.rung
 	if !s.est.Ready() {
 		return target
 	}
@@ -353,10 +366,6 @@ func (s *Session) prefetchTarget() int {
 	}
 	return target
 }
-
-// mandatoryCursor is the cursor the prescribed bound's rung requires,
-// found when NewSession or SetBound validated the bound.
-func (s *Session) mandatoryCursor() int { return s.rung }
 
 // planCursor implements lines 6–7 of Algorithm 1: the augmentation degree
 // from the estimated bandwidth, floored by the prescribed bound.
@@ -375,7 +384,7 @@ func (s *Session) planCursor(step int) (cursor int, predicted, degree float64) {
 	}
 	predicted = s.est.Predict(step)
 	cursor, degree = s.cursorFor(predicted)
-	return max(cursor, s.mandatoryCursor()), predicted, degree
+	return max(cursor, s.rung), predicted, degree
 }
 
 // cursorFor is Algorithm 1's line 6 for a forecast default-share
@@ -396,10 +405,9 @@ func (s *Session) weightBoost() float64 {
 	if len(s.stats) == 0 {
 		return 1
 	}
-	last := s.stats[len(s.stats)-1]
 	var sum float64
 	var n int
-	for _, b := range last.Buckets {
+	for _, b := range s.Buckets(len(s.stats) - 1) {
 		if b.Weight > 0 {
 			sum += float64(b.Weight)
 			n++
@@ -412,21 +420,30 @@ func (s *Session) weightBoost() float64 {
 	return 2 * w / (w + blkio.DefaultWeight)
 }
 
-// buckets splits the retrieval [0, cursor) at rung boundaries, assigning
-// each piece the accuracy level it is elevating toward (the paper's
-// Aug_{ε_m} buckets).
-type bucket struct {
-	from, to int
-	bound    float64
-}
-
-// buckets returns session scratch, valid until the next call.
+// buckets plans the retrieval [0, cursor) into the bucket log's free room
+// and returns the plan and its log index: the adaptive policies split it
+// at rung boundaries, each piece priced at the accuracy level it elevates
+// toward (the paper's Aug_{ε_m} buckets); the others read one bucket. A
+// bucket joins its step's record (nb) as its read begins; the next plan
+// overwrites a degraded step's unread rest.
 //
 //tango:hotpath
-func (s *Session) buckets(cursor int) []bucket {
+func (s *Session) buckets(cursor int, adaptive bool) (b0 uint32, plan []BucketStat) {
 	h := s.store.Hierarchy()
 	rungs := h.Rungs()
-	out := s.bktBuf[:0]
+	next := 0
+	if n := len(s.stats); n > 0 {
+		next = int(s.stats[n-1].b0) + int(s.stats[n-1].nb)
+	}
+	c, o := next/s.bkCap, next%s.bkCap
+	if c == len(s.bkLog) || len(s.bkLog[c])-o < len(rungs)+1 {
+		c, o = len(s.bkLog), 0
+		s.bkLog = append(s.bkLog, make([]BucketStat, (len(rungs)+1)*min(bucketChunkSteps, s.Config.Steps-len(s.stats))))
+	}
+	out := s.bkLog[c][o:o]
+	if !adaptive {
+		return uint32(c*s.bkCap + o), append(out, BucketStat{Bound: math.NaN(), To: uint32(cursor)})
+	}
 	prev := 0
 	tightest := math.NaN()
 	for _, r := range rungs {
@@ -435,13 +452,13 @@ func (s *Session) buckets(cursor int) []bucket {
 			// The tail below lands inside this rung's range: it is
 			// partial progress toward this rung's accuracy.
 			if cursor > prev {
-				out = append(out, bucket{prev, cursor, r.Bound})
+				out = append(out, BucketStat{Bound: r.Bound, From: uint32(prev), To: uint32(cursor)})
 				prev = cursor
 			}
 			break
 		}
 		if r.Cursor > prev {
-			out = append(out, bucket{prev, r.Cursor, r.Bound})
+			out = append(out, BucketStat{Bound: r.Bound, From: uint32(prev), To: uint32(r.Cursor)})
 			prev = r.Cursor
 		}
 	}
@@ -455,10 +472,9 @@ func (s *Session) buckets(cursor int) []bucket {
 				b = 0.01
 			}
 		}
-		out = append(out, bucket{prev, cursor, b})
+		out = append(out, BucketStat{Bound: b, From: uint32(prev), To: uint32(cursor)})
 	}
-	s.bktBuf = out
-	return out
+	return uint32(c*s.bkCap + o), out
 }
 
 // applyWeight writes w to the container's cgroup through the session
@@ -542,33 +558,32 @@ func (s *Session) Fire() {
 			// degrades (is shed) once the retry budget is spent; a
 			// degraded step skips its remaining buckets, which are
 			// above-bound augmentation too.
-			if s.bi == len(s.bktBuf) {
+			if s.bi == len(s.plan) {
 				s.phase = phaseProbe
 				continue
 			}
-			b := s.bktBuf[s.bi]
-			now := s.eng.Now()
-			weight := 0
+			b := &s.plan[s.bi]
+			b.Start = s.eng.Now()
 			if cfg.Policy.adjustsWeights() {
-				weight = s.setWeight(c, s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
+				b.Weight = int32(s.setWeight(c, s.wf.Weight(float64(b.To-b.From), b.Bound, cfg.Priority)))
+				if b.Weight > 0 {
+					cfg.Trace.Emit(b.Start, s.Name, trace.KindWeight, "w=%d bound=%g card=%d", int(b.Weight), b.Bound, int(b.To-b.From))
+				}
 			}
-			s.bktArena = append(s.bktArena, BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: now})
-			if weight > 0 {
-				cfg.Trace.Emit(now, s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, b.bound, b.to-b.from)
-			}
+			s.cur.nb++
 			s.phase = phaseBucketRead
 			if cfg.ParallelTierReads {
-				if s.rd.ReadRangeParallel(s.store, c.Cgroup(), b.from, b.to, s) {
+				if s.rd.ReadRangeParallel(s.store, c.Cgroup(), int(b.From), int(b.To), s) {
 					return
 				}
-			} else if s.rd.ReadRange(s.store, c.Cgroup(), b.from, b.to, s.mandatory, s) {
+			} else if s.rd.ReadRange(s.store, c.Cgroup(), int(b.From), int(b.To), s.mandatory, s) {
 				return
 			}
 		case phaseBucketRead:
-			bs := &s.bktArena[len(s.bktArena)-1]
+			bs := &s.plan[s.bi]
 			s.tier.Merge(s.rd.TS)
 			if cfg.ParallelTierReads {
-				s.cur.Cursor = bs.To
+				s.cur.Cursor = int(bs.To)
 			} else {
 				s.cur.Retries += s.rd.Out.Retries
 				s.cur.Cursor = s.rd.Out.Cursor
@@ -576,10 +591,10 @@ func (s *Session) Fire() {
 			}
 			now := s.eng.Now()
 			bs.Elapsed = now - bs.Start
-			cfg.Trace.Emit(now, s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", bs.Bound, bs.From, bs.To, bs.Elapsed)
+			cfg.Trace.Emit(now, s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", bs.Bound, int(bs.From), int(bs.To), bs.Elapsed)
 			s.bi++
 			if s.cur.Degraded {
-				s.bi = len(s.bktBuf)
+				s.bi = len(s.plan)
 			}
 			s.phase = phaseBucket
 		case phaseProbe:
@@ -638,7 +653,7 @@ func (s *Session) beginStep() {
 		s.stats = append(s.stats, StepStats{})[:n]
 	}
 	s.cur = &s.stats[:n+1][n]
-	*s.cur = StepStats{Step: n, Start: s.eng.Now()}
+	*s.cur = StepStats{Start: s.eng.Now()}
 	if s.cache != nil {
 		// The cache's counters when the step began, until record takes
 		// the difference.
@@ -647,23 +662,9 @@ func (s *Session) beginStep() {
 	}
 	cursor, predicted, degree := s.planCursor(n)
 	s.cur.Cursor, s.cur.Predicted, s.cur.Degree = cursor, predicted, degree
-
-	// The step's retained Buckets are carved from a chunk that always has
-	// room for one step's worth, so recording a bucket never allocates;
-	// each is recorded when its read begins.
-	if maxB := len(s.store.Hierarchy().Rungs()) + 1; cap(s.bktArena)-len(s.bktArena) < maxB {
-		s.bktArena = make([]BucketStat, 0, maxB*min(bucketChunkSteps, s.Config.Steps-n))
-	}
-	s.b0 = len(s.bktArena)
+	s.cur.b0, s.plan = s.buckets(cursor, s.Config.Policy.adaptive())
 	s.tier = staging.TierStats{}
-	s.mandatory = s.mandatoryCursor()
-	// The adaptive policies read the retrieval bucket by bucket; the
-	// others read it as one bucket.
-	if s.Config.Policy.adaptive() {
-		s.buckets(cursor)
-	} else {
-		s.bktBuf = append(s.bktBuf[:0], bucket{0, cursor, math.NaN()})
-	}
+	s.mandatory = s.rung
 	s.bi = 0
 }
 
@@ -738,7 +739,6 @@ func (s *Session) record() {
 	// tier reads the overlapped portion counts once.
 	st.Bytes, _ = s.tier.Total()
 	st.IOTime = now - st.Start
-	st.Buckets = s.bktArena[s.b0:len(s.bktArena):len(s.bktArena)]
 	s.stats = s.stats[:len(s.stats)+1]
 	cfg.Trace.Emit(now, s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
 		step, st.IOTime, st.Bytes, st.Cursor, st.Predicted, st.Degree)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +142,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: 0.42}); err == nil {
 		t.Fatal("unknown bound accepted")
 	}
+	// The bucket log's index is 32-bit: 2³¹ steps of up to four buckets
+	// would wrap it. Refused before the records are allocated.
+	if _, err := NewSession("a", st, Config{Steps: 1 << 31}); err == nil || !strings.Contains(err.Error(), "bucket log") {
+		t.Fatalf("2^31 steps: err %v, want the bucket log's index refused", err)
+	}
 	if _, err := NewSession("a", st, Config{Steps: 1, ErrorControl: true, Bound: 0.01}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -149,11 +155,11 @@ func TestConfigValidation(t *testing.T) {
 func TestNoAdaptRetrievesFullAtDefaultWeight(t *testing.T) {
 	s := runSession(t, NoAdapt, 3, 5, nil)
 	total := s.store.Hierarchy().TotalEntries()
-	for _, st := range s.Stats() {
+	for i, st := range s.Stats() {
 		if st.Cursor != total {
-			t.Fatalf("step %d cursor %d, want full %d", st.Step, st.Cursor, total)
+			t.Fatalf("step %d cursor %d, want full %d", i, st.Cursor, total)
 		}
-		for _, b := range st.Buckets {
+		for _, b := range s.Buckets(i) {
 			if b.Weight != 0 {
 				t.Fatal("no-adaptivity must not adjust weights")
 			}
@@ -167,14 +173,14 @@ func TestNoAdaptRetrievesFullAtDefaultWeight(t *testing.T) {
 func TestStorageOnlySetsProportionalWeight(t *testing.T) {
 	s := runSession(t, StorageOnly, 3, 5, nil)
 	total := s.store.Hierarchy().TotalEntries()
-	for _, st := range s.Stats() {
+	for i, st := range s.Stats() {
 		if st.Cursor != total {
 			t.Fatal("storage-only must retrieve fully")
 		}
-		if len(st.Buckets) != 1 {
-			t.Fatalf("storage-only should read one bucket per step, got %d", len(st.Buckets))
+		if n := len(s.Buckets(i)); n != 1 {
+			t.Fatalf("storage-only should read one bucket per step, got %d", n)
 		}
-		w := st.Buckets[0].Weight
+		w := s.Buckets(i)[0].Weight
 		if w < blkio.MinWeight || w > blkio.MaxWeight {
 			t.Fatalf("weight %d out of range", w)
 		}
@@ -192,9 +198,9 @@ func TestAppAdaptivityReducesRetrievalUnderInterference(t *testing.T) {
 	})
 	total := s.store.Hierarchy().TotalEntries()
 	// Warm-up steps retrieve fully.
-	for _, st := range s.Stats()[:10] {
+	for i, st := range s.Stats()[:10] {
 		if st.Cursor != total {
-			t.Fatalf("warm-up step %d cursor %d", st.Step, st.Cursor)
+			t.Fatalf("warm-up step %d cursor %d", i, st.Cursor)
 		}
 		if st.Predicted != 0 {
 			t.Fatal("no prediction should be used before the first fit")
@@ -203,9 +209,9 @@ func TestAppAdaptivityReducesRetrievalUnderInterference(t *testing.T) {
 	// After fitting, under 6 interferers the HDD bandwidth share sits
 	// below BWHigh, so at least some steps must back off.
 	reduced := 0
-	for _, st := range s.Stats()[10:] {
+	for i, st := range s.Stats()[10:] {
 		if st.Predicted <= 0 {
-			t.Fatalf("step %d missing prediction", st.Step)
+			t.Fatalf("step %d missing prediction", 10+i)
 		}
 		if st.Cursor < total {
 			reduced++
@@ -228,9 +234,9 @@ func TestErrorControlFloorsCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range s.Stats() {
+	for i, st := range s.Stats() {
 		if st.Cursor < floor {
-			t.Fatalf("step %d cursor %d below error-control floor %d", st.Step, st.Cursor, floor)
+			t.Fatalf("step %d cursor %d below error-control floor %d", i, st.Cursor, floor)
 		}
 	}
 }
@@ -244,11 +250,11 @@ func TestCrossLayerWeightEventsPerBucket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range s.Stats() {
-		if len(st.Buckets) == 0 {
+	for i := range s.Stats() {
+		if len(s.Buckets(i)) == 0 {
 			t.Fatal("cross-layer step recorded no buckets")
 		}
-		for _, b := range st.Buckets {
+		for _, b := range s.Buckets(i) {
 			if b.Weight < blkio.MinWeight || b.Weight > blkio.MaxWeight {
 				t.Fatalf("weight %d out of range", b.Weight)
 			}
@@ -261,7 +267,7 @@ func TestCrossLayerWeightEventsPerBucket(t *testing.T) {
 		}
 		// Time-to-bound must be measurable for the tightest bound and
 		// exceed the base retrieval time.
-		if lt := st.TimeToBound(tightest); math.IsNaN(lt) || lt <= 0 {
+		if lt := s.TimeToBound(i, tightest); math.IsNaN(lt) || lt <= 0 {
 			t.Fatalf("TimeToBound = %v", lt)
 		}
 	}
@@ -279,19 +285,19 @@ func TestBucketsPartitionCursorRange(t *testing.T) {
 	}
 	h := st.Hierarchy()
 	for _, cursor := range []int{0, 1, h.Rungs()[0].Cursor, h.Rungs()[1].Cursor + 5, h.TotalEntries()} {
-		bks := s.buckets(cursor)
+		_, bks := s.buckets(cursor, true)
 		prev := 0
 		for _, b := range bks {
-			if b.from != prev {
-				t.Fatalf("cursor %d: bucket gap at %d (got from=%d)", cursor, prev, b.from)
+			if int(b.From) != prev {
+				t.Fatalf("cursor %d: bucket gap at %d (got from=%d)", cursor, prev, b.From)
 			}
-			if b.to <= b.from {
+			if b.To <= b.From {
 				t.Fatalf("cursor %d: empty bucket", cursor)
 			}
-			if math.IsNaN(b.bound) {
+			if math.IsNaN(b.Bound) {
 				t.Fatalf("cursor %d: NaN bound", cursor)
 			}
-			prev = b.to
+			prev = int(b.To)
 		}
 		if prev != cursor {
 			t.Fatalf("cursor %d: buckets cover up to %d", cursor, prev)
@@ -378,9 +384,9 @@ func TestEstimatorFedEveryStep(t *testing.T) {
 	if got := s.Estimator().Samples(); got != 12 {
 		t.Fatalf("estimator samples = %d, want 12", got)
 	}
-	for _, st := range s.Stats() {
+	for i, st := range s.Stats() {
 		if st.SlowBW <= 0 {
-			t.Fatalf("step %d has no bandwidth sample", st.Step)
+			t.Fatalf("step %d has no bandwidth sample", i)
 		}
 	}
 }
@@ -445,7 +451,7 @@ func TestOffLadderBoundRejected(t *testing.T) {
 	if err := s.SetBound(offLadder); err == nil {
 		t.Fatal("SetBound accepted an off-ladder bound")
 	}
-	if s.Config.ErrorControl || s.mandatoryCursor() != 0 {
+	if s.Config.ErrorControl || s.rung != 0 {
 		t.Fatal("rejected SetBound changed the session")
 	}
 	for _, rung := range []float64{1e-2, 1e-3} {
@@ -456,7 +462,7 @@ func TestOffLadderBoundRejected(t *testing.T) {
 		if err := s.SetBound(rung); err != nil {
 			t.Fatalf("SetBound(%g): %v", rung, err)
 		}
-		if got := s.mandatoryCursor(); got != want {
+		if got := s.rung; got != want {
 			t.Fatalf("bound %g: mandatory cursor %d, want rung cursor %d", rung, got, want)
 		}
 	}
@@ -464,7 +470,7 @@ func TestOffLadderBoundRejected(t *testing.T) {
 
 // TestStepSteadyStateAllocs pins the retrieval step's allocation budget:
 // past warm-up, an untraced cross-layer step (interferers, probe and
-// refits included) allocates nothing but the occasional Buckets chunk,
+// refits included) allocates nothing but the occasional bucket-log chunk,
 // with sequential or parallel tier reads. (0.06 objects per step
 // measured; ~28 before TierStats became a value and the segment and
 // bucket slices scratch, and 9.84 on parallel reads before their tier

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Summary aggregates a session's step records the way the paper reports
@@ -77,11 +77,11 @@ func Summarize(stats []StepStats, skip int) Summary {
 		}
 		s.StdIO = math.Sqrt(ss / (n - 1))
 	}
-	ios := make([]float64, 0, len(stats))
+	ios := make([]float64, 0, 1024) // on the stack, spilling to the heap past 1,024 steps
 	for _, st := range stats {
 		ios = append(ios, st.IOTime)
 	}
-	sort.Float64s(ios)
+	slices.Sort(ios)
 	s.P50IO = percentile(ios, 0.50)
 	s.P95IO = percentile(ios, 0.95)
 	return s

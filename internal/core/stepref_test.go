@@ -321,51 +321,47 @@ func launchReference(s *Session, node *container.Node) error {
 func runStepReference(s *Session, c *container.Container, p *sim.Proc, step int) {
 	cfg := s.Config
 	start := p.Now()
-	st := StepStats{Step: step, Start: start}
+	st := StepStats{Start: start}
 	var cs0 cache.Stats
 	if s.cache != nil {
 		cs0 = s.cache.Stats()
 	}
 	cursor, predicted, degree := s.planCursor(step)
 	st.Cursor, st.Predicted, st.Degree = cursor, predicted, degree
-	if maxB := len(s.store.Hierarchy().Rungs()) + 1; cap(s.bktArena)-len(s.bktArena) < maxB {
-		s.bktArena = make([]BucketStat, 0, maxB*min(bucketChunkSteps, cfg.Steps-step))
-	}
-	b0 := len(s.bktArena)
+	var plan []BucketStat
+	st.b0, plan = s.buckets(cursor, cfg.Policy.adaptive())
 	var tier refTier
-	mandatory := s.mandatoryCursor()
+	mandatory := s.rung
 
 	baseStats, retries := refReadBaseGuarded(s, p, c.Cgroup())
 	_, st.BaseTime = baseStats.total()
 	st.Retries += retries
 	tier.merge(baseStats)
 
-	bkts := []bucket{{0, cursor, math.NaN()}}
-	if cfg.Policy.adaptive() {
-		bkts = s.buckets(cursor)
-	}
-	for _, b := range bkts {
+	for i := range plan {
+		bs := &plan[i]
+		from, to := int(bs.From), int(bs.To)
 		weight := 0
 		if cfg.Policy.adjustsWeights() {
-			weight = s.setWeight(c, s.wf.Weight(float64(b.to-b.from), b.bound, cfg.Priority))
+			weight = s.setWeight(c, s.wf.Weight(float64(to-from), bs.Bound, cfg.Priority))
 		}
-		bs := BucketStat{Bound: b.bound, From: b.from, To: b.to, Weight: weight, Start: p.Now()}
+		bs.Weight, bs.Start = int32(weight), p.Now()
+		st.nb++
 		if weight > 0 {
-			cfg.Trace.Emit(p.Now(), s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, b.bound, b.to-b.from)
+			cfg.Trace.Emit(p.Now(), s.Name, trace.KindWeight, "w=%d bound=%g card=%d", weight, bs.Bound, to-from)
 		}
 		if cfg.ParallelTierReads {
-			tier.merge(refReadRangeParallel(s, p, c.Cgroup(), b.from, b.to))
-			st.Cursor = b.to
+			tier.merge(refReadRangeParallel(s, p, c.Cgroup(), from, to))
+			st.Cursor = to
 		} else {
-			ts, out := refReadRangeGuarded(s, p, c.Cgroup(), b.from, b.to, mandatory)
+			ts, out := refReadRangeGuarded(s, p, c.Cgroup(), from, to, mandatory)
 			tier.merge(ts)
 			st.Retries += out.Retries
 			st.Cursor = out.Cursor
 			st.Degraded = out.Degraded
 		}
 		bs.Elapsed = p.Now() - bs.Start
-		s.bktArena = append(s.bktArena, bs)
-		cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", b.bound, b.from, b.to, bs.Elapsed)
+		cfg.Trace.Emit(p.Now(), s.Name, trace.KindBucket, "bound=%g entries=[%d,%d) took=%.3fs", bs.Bound, from, to, bs.Elapsed)
 		if st.Degraded {
 			break
 		}
@@ -438,7 +434,6 @@ func runStepReference(s *Session, c *container.Container, p *sim.Proc, step int)
 	}
 	st.Bytes, _ = tier.total()
 	st.IOTime = p.Now() - start
-	st.Buckets = s.bktArena[b0:len(s.bktArena):len(s.bktArena)]
 	s.stats = append(s.stats, st)
 	cfg.Trace.Emit(p.Now(), s.Name, trace.KindStep, "step=%d io=%.3fs bytes=%.0f cursor=%d pred=%.0f degree=%.2f",
 		step, st.IOTime, st.Bytes, st.Cursor, st.Predicted, st.Degree)
@@ -580,11 +575,11 @@ func runStepScenario(t *testing.T, sc stepScenario, reference bool) (string, *tr
 	b := func(v float64) string { return fmt.Sprintf("%x", math.Float64bits(v)) }
 	for _, s := range sessions {
 		fmt.Fprintf(&out, "session %s steps=%d finished=%t\n", s.Name, len(s.Stats()), s.finished)
-		for _, st := range s.Stats() {
-			fmt.Fprintf(&out, "%d %s %s %s %s %s %s %s %s %d %d %t %d %d %s\n", st.Step, b(st.Start), b(st.IOTime), b(st.BaseTime),
+		for i, st := range s.Stats() {
+			fmt.Fprintf(&out, "%d %s %s %s %s %s %s %s %s %d %d %t %d %d %s\n", i, b(st.Start), b(st.IOTime), b(st.BaseTime),
 				b(st.Bytes), b(st.SlowBW), b(st.Predicted), b(st.Degree), b(st.CacheHitBytes), st.Cursor, st.Retries, st.Degraded,
-				st.CacheHits, st.CacheMisses, b(float64(len(st.Buckets))))
-			for _, bk := range st.Buckets {
+				st.CacheHits, st.CacheMisses, b(float64(len(s.Buckets(i)))))
+			for _, bk := range s.Buckets(i) {
 				fmt.Fprintf(&out, "  %s %d %d %d %s %s\n", b(bk.Bound), bk.From, bk.To, bk.Weight, b(bk.Start), b(bk.Elapsed))
 			}
 		}

@@ -79,14 +79,14 @@ func fig12(cfg Config) *Result {
 	return r
 }
 
-// latencyToBound averages StepStats.TimeToBound for the rung of bound
+// latencyToBound averages Session.TimeToBound for the rung of bound
 // over the measured steps that reached it.
 func latencyToBound(sess *core.Session, h *refactor.Hierarchy, bound float64, skip int) float64 {
 	cur := rung(h, bound)
 	var sum float64
 	var n int
-	for _, st := range measured(sess, skip) {
-		if lt := st.TimeToBound(cur); !math.IsNaN(lt) {
+	for i := min(skip, len(sess.Stats())); i < len(sess.Stats()); i++ {
+		if lt := sess.TimeToBound(i, cur); !math.IsNaN(lt) {
 			sum += lt
 			n++
 		}
@@ -183,11 +183,11 @@ func fig15(cfg Config) *Result {
 	h := appHierarchy(app, cfg, defaultOpts())
 	sc := core.Config{Policy: core.CrossLayer, ErrorControl: true, Bound: 1e-4, Priority: 10}
 	sess := runOne(app.Name, 6, h, cfg, sc)
-	for _, st := range sess.Stats() {
+	for i, st := range sess.Stats() {
 		if st.Start < 1800 || st.Start >= 1980 {
 			continue
 		}
-		for _, b := range st.Buckets {
+		for _, b := range sess.Buckets(i) {
 			if b.Weight == 0 {
 				continue
 			}

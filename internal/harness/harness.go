@@ -103,18 +103,18 @@ func (c Config) Validate() error {
 // past it is refused before anything is built.
 const runBudget = 8 << 30
 
-// What a run holds per unit of each size: twice the live heap gctrace
-// read (the heap grows to twice its live data at GOGC=100) — 36 B a grid
-// point at 2049², a 136-byte core.StepStats a step, and 8 KiB a node and
-// 1 KiB a session at 1000 nodes and 50,000 sessions.
+// What a run holds per unit of each size: twice the live heap (it grows to
+// twice its live data at GOGC=100) — 36 B a grid point at 2049² (gctrace),
+// a 104-byte core.StepStats and ~2.5 40-byte BucketStats a step, and 8 KiB
+// a node and 1 KiB a session at 1000 nodes and 50,000 sessions (gctrace).
 const (
-	bytesPerPoint, bytesPerStep   = 72, 272
+	bytesPerPoint, bytesPerStep   = 72, 408
 	bytesPerNode, bytesPerSession = 16 << 10, 2 << 10
 )
 
 // fleetBytes is a cluster's estimate.
 func fleetBytes(nodes, sessions float64) float64 {
-	return nodes*bytesPerNode + sessions*bytesPerSession
+	return float64(nodes*bytesPerNode) + float64(sessions*bytesPerSession)
 }
 
 // budget refuses the size flags names if its estimate, bytes, passes

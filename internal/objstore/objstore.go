@@ -129,7 +129,7 @@ func (s *Store) Cost() float64 {
 // latency and no seek thrash. Returns the node's Remote. The attach
 // order fixes the node index Reshare grants are keyed by.
 func (s *Store) Attach(eng *sim.Engine) *Remote {
-	r := &Remote{dev: s.frontend(eng), index: len(s.remotes)}
+	r := &Remote{dev: s.frontend(eng)}
 	s.remotes = append(s.remotes, r)
 	return r
 }
@@ -142,7 +142,7 @@ func (s *Store) Attach(eng *sim.Engine) *Remote {
 func (s *Store) Detach(index int, eng *sim.Engine) *Remote {
 	old := s.remotes[index]
 	s.totals.add(old.take())
-	r := &Remote{dev: s.frontend(eng), index: index}
+	r := &Remote{dev: s.frontend(eng)}
 	s.remotes[index] = r
 	return r
 }
@@ -261,7 +261,6 @@ func (s *Store) Reshare(demands []float64) []float64 {
 // locally and is harvested at barriers.
 type Remote struct {
 	dev   *device.Device
-	index int
 	local Stats
 }
 

@@ -201,8 +201,8 @@ func TestDetachPreservesLedger(t *testing.T) {
 	s.Attach(sim.NewEngine())
 	r0.AccountPut(5 * mb)
 	fresh := s.Detach(0, sim.NewEngine())
-	if fresh.Index() != 0 {
-		t.Fatalf("fresh remote index %d", fresh.Index())
+	if s.remotes[0] != fresh {
+		t.Fatal("detach did not put the fresh remote at the node's index")
 	}
 	if s.Totals().IngressBytes != 5*mb {
 		t.Fatalf("detach must harvest the old remote: %+v", s.Totals())

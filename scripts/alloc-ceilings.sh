@@ -3,11 +3,16 @@
 # the file, runs nothing. allocs_per_unit and alloc_kb_per_unit spread
 # < 0.3 % run to run, so unlike the timings a hard ceiling means something
 # on a shared runner. Objects sit ~4-5 % above what the workload allocates
-# (node_quiet 0.10069, node_faulted 0.49485, fleet 0.08365, refactor
+# (node_quiet 0.09903, node_faulted 0.48652, fleet 0.08365, refactor
 # 0.000654 at seed 42): every figure is set-up — per scenario on node_*,
 # per session on fleet — so one object per step or per session that creeps
-# back trips them. Bytes sit ~2 % above (node_quiet 0.28314, node_faulted
-# 0.41831, fleet 0.07538, refactor 0.12900 KiB).
+# back trips them. Bytes sit ~2 % above (node_quiet 0.23438, node_faulted
+# 0.36799, fleet 0.07538, refactor 0.12900 KiB).
+# Before a step's record shrank from 136 to 104 bytes and a bucket's from
+# 48 to 40, the buckets planned straight into the session's bucket log,
+# and Summarize sorted its copy on the stack, node_quiet read 0.10069
+# objects and 0.28314 KiB and node_faulted 0.49485 and 0.41831 (ceilings
+# 0.1052 and 0.2888, 0.5171 and 0.4267).
 # Before a par fan-out's caller drained chunks beside min(GOMAXPROCS,
 # chunks)-1 helpers off one loop state, refactor read 0.000811 objects
 # (ceiling 0.00085); before weightfn.Func and resil.Breaker lost their
@@ -53,8 +58,8 @@
 # one window task per worker, a device took its flows from chunks (with its
 # plan's timers one calendar on node_faulted) and a device's completion timer
 # was a closure: 0.1693, 0.7991 and 0.2458 objects, 0.10619 KiB on fleet.
-awk -v objs='node_quiet=0.1052 node_faulted=0.5171 fleet=0.0874 refactor=0.000683' \
-    -v kib='node_quiet=0.2888 node_faulted=0.4267 fleet=0.0769 refactor=0.1316' '
+awk -v objs='node_quiet=0.1035 node_faulted=0.5084 fleet=0.0874 refactor=0.000683' \
+    -v kib='node_quiet=0.2391 node_faulted=0.3754 fleet=0.0769 refactor=0.1316' '
 function limits(list, metric,    n, kv, p, i) {
 	n = split(list, kv, " ")
 	for (i = 1; i <= n; i++) { split(kv[i], p, "="); max[metric, p[1]] = p[2] }

@@ -68,9 +68,9 @@ func TestPublicAPIWorkflow(t *testing.T) {
 	}
 
 	// Error control holds: every step's reconstruction meets the bound.
-	for _, st := range sess.Stats() {
+	for i, st := range sess.Stats() {
 		if acc := h.Achieved(field, st.Cursor); acc > 0.01+1e-12 {
-			t.Fatalf("step %d achieved %v > bound", st.Step, acc)
+			t.Fatalf("step %d achieved %v > bound", i, acc)
 		}
 	}
 }
